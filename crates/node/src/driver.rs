@@ -4,22 +4,18 @@
 //!
 //! # Conformance by construction
 //!
-//! The driver replicates the in-process engine's routing rule *exactly*, so
-//! its per-round delivered-message traces diff bit-for-bit against
-//! [`Executor`](hybrid_sim::engine::Executor) runs:
-//!
-//! 1. outboxes are staged in node-id order, each message tagged with a
-//!    running per-plane sequence number (the engine's staging order),
-//! 2. the staged batch is sorted by `(destination, sequence)` — the unique
-//!    key makes the order deterministic,
-//! 3. the γ *receive* cap truncates each destination's global inbox in that
-//!    order, counting the excess as dropped (the γ *send* cap was already
-//!    enforced inside the node process by the genuine `NodeCtx`),
-//! 4. the round counter, message accounting and the typed
-//!    [`EngineError::RoundLimitExceeded`] mirror `Executor::run`.
-//!
-//! Fault plans are rejected: the networked runtime has no fault injector
-//! (ROADMAP: faults stay an in-process feature for now).
+//! The driver owns no delivery rule.  Staging order, the fault pass, the
+//! `(destination, sequence)` sort, the γ *receive* cap, the message
+//! accounting, the trace and the round loop itself are the engine's
+//! [`RoundRouter`] — the same code the in-process
+//! [`Executor`](hybrid_sim::engine::Executor) runs on — so per-round
+//! delivered-message traces diff bit-for-bit against executor runs, under
+//! any [`EngineConfig`](hybrid_sim::EngineConfig), faults included.  (The γ
+//! *send* cap is enforced inside each node process by the genuine `NodeCtx`.)
+//! What is left here is transport: the driver moves each round's inboxes out
+//! of the router into `Round` frames, skips the frame for a node the router
+//! reports crashed (remembering the `done` flag it last reported), validates
+//! the `RoundOut` answers, and stages them back in node-id order.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -29,9 +25,10 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
+use hybrid_graph::NodeId;
 use hybrid_sim::engine::RunReport;
-use hybrid_sim::envelope::body_json;
-use hybrid_sim::{EngineError, Envelope, RoundTrace, TraceEntry};
+use hybrid_sim::router::InboxDrain;
+use hybrid_sim::{EngineError, Envelope, RoundRouter, RoundTrace};
 use serde::Value;
 
 use crate::protocol::{read_frame, write_frame, FromNode, ToNode};
@@ -39,7 +36,7 @@ use crate::scenario::{EngineOutcome, Scenario};
 
 /// How long the driver waits for a node frame before declaring the fleet
 /// wedged.  Generous — scenario rounds are milliseconds; this only guards
-/// against a hung or dead child.
+/// against a hung child (a dead one is reported by its reader at once).
 const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// How the driver talks to its node processes.
@@ -135,24 +132,32 @@ impl Drop for Fleet {
 }
 
 /// Forwards every frame a node sends into the driver's single inbox; the
-/// sender id rides inside the frames themselves.
+/// sender id rides inside the frames themselves.  `Halted` ends the
+/// conversation; a stream that fails or closes before it is reported at
+/// once, so a dead child never leaves the barrier waiting out its timeout.
 fn spawn_reader(reader: impl Read + Send + 'static, tx: mpsc::Sender<Result<FromNode, String>>) {
     thread::spawn(move || {
         let mut reader = io::BufReader::new(reader);
-        loop {
+        // Learnt from the node's own frames, to name it if its stream dies.
+        let mut last_node = None;
+        let failure = loop {
             match read_frame::<FromNode>(&mut reader) {
                 Ok(Some(msg)) => {
-                    if tx.send(Ok(msg)).is_err() {
+                    let (FromNode::RoundOut { node, .. } | FromNode::Halted { node, .. }) = &msg;
+                    last_node = Some(*node);
+                    let halted = matches!(msg, FromNode::Halted { .. });
+                    if tx.send(Ok(msg)).is_err() || halted {
                         return;
                     }
                 }
-                Ok(None) => return,
-                Err(e) => {
-                    let _ = tx.send(Err(format!("node stream failed: {e}")));
-                    return;
-                }
+                Ok(None) => break "closed its stream before Halted".to_string(),
+                Err(e) => break format!("stream failed: {e}"),
             }
-        }
+        };
+        let who = last_node.map_or("a node that never spoke".to_string(), |v| {
+            format!("node {v}")
+        });
+        let _ = tx.send(Err(format!("{who} {failure}")));
     });
 }
 
@@ -208,18 +213,26 @@ fn spawn_fleet(n: usize, transport: Transport, node_bin: &Path) -> Result<Fleet,
     })
 }
 
-/// Waits for exactly one `RoundOut` of the given round from every node.
+/// Waits for exactly one `RoundOut` of the given round from every `live`
+/// node; the slots of the others stay `None`.
 fn collect_round(
     rx: &mpsc::Receiver<Result<FromNode, String>>,
-    n: usize,
+    live: &[bool],
     round: u64,
-) -> Result<Vec<StepOut>, DriverError> {
+) -> Result<Vec<Option<StepOut>>, DriverError> {
+    let n = live.len();
     let mut slots: Vec<Option<StepOut>> = (0..n).map(|_| None).collect();
-    let mut missing = n;
+    let mut missing = live.iter().filter(|&&up| up).count();
     while missing > 0 {
         let msg = rx
             .recv_timeout(RECV_TIMEOUT)
-            .map_err(|_| proto(format!("timed out waiting for round {round} outputs")))?
+            .map_err(|_| {
+                let silent: Vec<usize> =
+                    (0..n).filter(|&v| live[v] && slots[v].is_none()).collect();
+                proto(format!(
+                    "timed out waiting for round {round} outputs of nodes {silent:?}"
+                ))
+            })?
             .map_err(DriverError::Protocol)?;
         match msg {
             FromNode::RoundOut {
@@ -238,6 +251,11 @@ fn collect_round(
                 let v = node as usize;
                 if v >= n {
                     return Err(proto(format!("RoundOut from out-of-range node {node}")));
+                }
+                if !live[v] {
+                    return Err(proto(format!(
+                        "RoundOut from node {node}, which was sent no barrier"
+                    )));
                 }
                 if slots[v].is_some() {
                     return Err(proto(format!("duplicate RoundOut from node {node}")));
@@ -269,65 +287,7 @@ fn collect_round(
             }
         }
     }
-    Ok(slots.into_iter().map(|s| s.expect("slot filled")).collect())
-}
-
-/// The engine's routing rule over envelopes: stage in node-id order with a
-/// running sequence number, sort by `(destination, sequence)`, apply the
-/// receive cap per destination in that order.  Returns per-destination
-/// inboxes plus `(delivered, dropped)` counts.
-fn route_plane(
-    outboxes: Vec<Vec<Envelope<Value>>>,
-    n: usize,
-    receive_cap: Option<usize>,
-) -> (Vec<Vec<Envelope<Value>>>, u64, u64) {
-    let mut staged: Vec<(u32, u32, Envelope<Value>)> = Vec::new();
-    for outbox in outboxes {
-        for env in outbox {
-            let seq = staged.len() as u32;
-            staged.push((env.dst, seq, env));
-        }
-    }
-    staged.sort_unstable_by_key(|&(dst, seq, _)| (dst, seq));
-    let mut inboxes: Vec<Vec<Envelope<Value>>> = (0..n).map(|_| Vec::new()).collect();
-    let mut delivered = 0u64;
-    let mut dropped = 0u64;
-    for (dst, _, env) in staged {
-        let inbox = &mut inboxes[dst as usize];
-        if receive_cap.is_some_and(|cap| inbox.len() >= cap) {
-            dropped += 1;
-        } else {
-            inbox.push(env);
-            delivered += 1;
-        }
-    }
-    (inboxes, delivered, dropped)
-}
-
-/// Snapshots one round's delivered envelopes in the engine's trace order
-/// (destination-major, then staging sequence — exactly how `route_plane`
-/// left them).
-fn trace_round(
-    round: u64,
-    local: &[Vec<Envelope<Value>>],
-    global: &[Vec<Envelope<Value>>],
-) -> RoundTrace {
-    let collect = |inboxes: &[Vec<Envelope<Value>>]| {
-        inboxes
-            .iter()
-            .flatten()
-            .map(|env| TraceEntry {
-                src: env.src,
-                dst: env.dst,
-                body: body_json(&env.body),
-            })
-            .collect()
-    };
-    RoundTrace {
-        round,
-        local: collect(local),
-        global: collect(global),
-    }
+    Ok(slots)
 }
 
 /// Sends `Halt` everywhere and collects one `Halted` state per node.
@@ -367,26 +327,18 @@ fn halt_fleet(fleet: &mut Fleet, n: usize) -> Result<Vec<Value>, DriverError> {
 /// # Errors
 /// [`DriverError::Engine`] with the same [`EngineError::RoundLimitExceeded`]
 /// the in-process engine produces when the round cap is exhausted;
-/// [`DriverError::Protocol`] if the scenario carries a fault plan (not
-/// supported over the wire) or a node misbehaves; [`DriverError::Io`] on
-/// transport failures.
+/// [`DriverError::Protocol`] if a node misbehaves or dies; [`DriverError::Io`]
+/// on transport failures.
 pub fn run_scenario(
     scenario: &Scenario,
     transport: Transport,
     node_bin: &Path,
 ) -> Result<NetOutcome, DriverError> {
     let config = &scenario.config;
-    if config.fault_plan().is_some() {
-        return Err(proto(
-            "fault plans are not supported by the networked runtime; run fault scenarios in-process",
-        ));
-    }
     let graph = scenario.graph.build();
     let n = graph.n();
     let params = *config.params();
     assert_eq!(params.n, n, "scenario params must match the graph size");
-    let gamma = params.global_capacity_msgs;
-    let record_trace = config.record_trace();
 
     let mut fleet = spawn_fleet(n, transport, node_bin)?;
 
@@ -403,76 +355,62 @@ pub fn run_scenario(
         write_frame(&mut fleet.writers[v], &init)?;
     }
 
-    let mut report = RunReport {
-        rounds: 0,
-        local_messages: 0,
-        global_messages: 0,
-        dropped_global: 0,
-        refused_sends: 0,
-        injected_drops: 0,
-        injected_duplicates: 0,
-        injected_delays: 0,
-        completed: false,
-    };
-    let mut trace: Vec<RoundTrace> = Vec::new();
-
-    // Init pass (round 0), mirroring the engine: route, account, trace,
-    // then check the stop condition.
-    let outs = collect_round(&fleet.rx, n, 0)?;
-    let mut all_done = outs.iter().all(|o| o.done);
-    report.refused_sends += outs.iter().map(|o| o.refused).sum::<u64>();
-    let (locals, globals): (Vec<_>, Vec<_>) = outs.into_iter().map(|o| (o.local, o.global)).unzip();
-    let (mut local_in, delivered, _) = route_plane(locals, n, None);
-    report.local_messages += delivered;
-    let (mut global_in, delivered, dropped) = route_plane(globals, n, Some(gamma));
-    report.global_messages += delivered;
-    report.dropped_global += dropped;
-    if record_trace {
-        trace.push(trace_round(0, &local_in, &global_in));
-    }
-
-    if !all_done {
-        let mut completed = false;
-        for round in 1..=config.max_rounds() {
-            report.rounds = round;
-            for (v, writer) in fleet.writers.iter_mut().enumerate() {
+    // Every node answers `Init` with its round-0 `RoundOut` unprompted, so
+    // the init pass only collects.  A crashed node is sent no barrier and
+    // keeps the `done` flag it last reported — its program state is frozen.
+    let mut live = vec![true; n];
+    let mut done = vec![false; n];
+    let (writers, rx) = (&mut fleet.writers, &fleet.rx);
+    let (report, trace) = RoundRouter::new(config).run(config.max_rounds(), |router, round| {
+        for (v, up) in live.iter_mut().enumerate() {
+            *up = !router.is_down(v as NodeId, round);
+        }
+        if round > 0 {
+            router.drain_inboxes(|v, local, global| {
+                if !live[v as usize] {
+                    return Ok(());
+                }
+                let seal = |inbox: &mut InboxDrain<'_, Value>| {
+                    inbox
+                        .map(|(src, body)| Envelope {
+                            src,
+                            dst: v,
+                            round: round - 1,
+                            body,
+                        })
+                        .collect()
+                };
                 let barrier = ToNode::Round {
                     round,
-                    local: std::mem::take(&mut local_in[v]),
-                    global: std::mem::take(&mut global_in[v]),
+                    local: seal(local),
+                    global: seal(global),
                 };
-                write_frame(writer, &barrier)?;
-            }
-            let outs = collect_round(&fleet.rx, n, round)?;
-            all_done = outs.iter().all(|o| o.done);
-            report.refused_sends += outs.iter().map(|o| o.refused).sum::<u64>();
-            let (l, g): (Vec<_>, Vec<_>) = outs.into_iter().map(|o| (o.local, o.global)).unzip();
-            let (li, delivered, _) = route_plane(l, n, None);
-            report.local_messages += delivered;
-            let (gi, delivered, dropped) = route_plane(g, n, Some(gamma));
-            report.global_messages += delivered;
-            report.dropped_global += dropped;
-            local_in = li;
-            global_in = gi;
-            if record_trace {
-                trace.push(trace_round(round, &local_in, &global_in));
-            }
-            if all_done {
-                completed = true;
-                break;
-            }
+                write_frame(&mut writers[v as usize], &barrier)
+            })?;
         }
-        if !completed {
+        for (v, out) in collect_round(rx, &live, round)?.into_iter().enumerate() {
+            let Some(out) = out else { continue };
+            done[v] = out.done;
+            let unseal = |sent: Vec<Envelope<Value>>| sent.into_iter().map(|e| (e.dst, e.body));
+            router.stage(
+                v as NodeId,
+                unseal(out.local),
+                unseal(out.global),
+                out.refused,
+            );
+        }
+        Ok::<bool, DriverError>(done.iter().all(|&d| d))
+    })?;
+
+    let report = match report.completed_within(config.max_rounds()) {
+        Ok(report) => report,
+        Err(limit_exceeded) => {
             // Same typed truncation as `Executor::run` — halt the fleet
             // cleanly first so no child is left blocking on a barrier.
             let _ = halt_fleet(&mut fleet, n);
-            return Err(DriverError::Engine(EngineError::RoundLimitExceeded {
-                limit: config.max_rounds(),
-                report,
-            }));
+            return Err(DriverError::Engine(limit_exceeded));
         }
-    }
-    report.completed = true;
+    };
 
     let states = halt_fleet(&mut fleet, n)?;
     for (v, child) in fleet.children.iter_mut().enumerate() {
@@ -531,38 +469,75 @@ pub fn conformance_diff(engine: &EngineOutcome, net: &NetOutcome) -> Result<(), 
 mod tests {
     use super::*;
 
-    /// `route_plane` must reproduce the engine's arena semantics: sort by
-    /// `(destination, staging sequence)` with the receive cap applied per
-    /// destination in that order.
+    /// A child that dies mid-run is reported as soon as its stream closes;
+    /// a stream that ends after `Halted` is the normal end of conversation.
     #[test]
-    fn route_plane_matches_arena_semantics() {
-        let env = |src: u32, dst: u32| Envelope {
-            src,
-            dst,
-            round: 1,
-            body: Value::UInt(u64::from(src) * 100 + u64::from(dst)),
+    fn reader_reports_a_stream_that_closes_before_halted() {
+        let frames = |msgs: &[FromNode]| {
+            let mut bytes = Vec::new();
+            for msg in msgs {
+                write_frame(&mut bytes, msg).unwrap();
+            }
+            io::Cursor::new(bytes)
         };
-        // Node-id-ordered outboxes: node 0 sends to 2, 0→0, node 1 sends
-        // to 2, node 2 sends to 2, 2→0.
-        let outboxes = vec![
-            vec![env(0, 2), env(0, 0)],
-            vec![env(1, 2)],
-            vec![env(2, 2), env(2, 0)],
-        ];
-        let (inboxes, delivered, dropped) = route_plane(outboxes, 3, Some(2));
-        assert_eq!((delivered, dropped), (4, 1));
-        // Destination 0: staged seq 1 (from 0) then seq 4 (from 2).
-        assert_eq!(
-            inboxes[0].iter().map(|e| e.src).collect::<Vec<_>>(),
-            vec![0, 2]
-        );
-        assert!(inboxes[1].is_empty());
-        // Destination 2: cap 2 keeps the first two staged (from 0, from 1)
-        // and drops the third (from 2).
-        assert_eq!(
-            inboxes[2].iter().map(|e| e.src).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
+        let round_out = FromNode::RoundOut {
+            node: 3,
+            round: 0,
+            local: vec![],
+            global: vec![],
+            refused: 0,
+            done: false,
+        };
+        let halted = FromNode::Halted {
+            node: 3,
+            state: Value::Null,
+        };
+
+        let (tx, rx) = mpsc::channel();
+        spawn_reader(frames(std::slice::from_ref(&round_out)), tx);
+        assert!(matches!(
+            rx.recv().unwrap(),
+            Ok(FromNode::RoundOut { node: 3, .. })
+        ));
+        let died = rx.recv().unwrap().unwrap_err();
+        assert_eq!(died, "node 3 closed its stream before Halted");
+        assert!(rx.recv().is_err(), "the reader is gone");
+
+        let (tx, rx) = mpsc::channel();
+        spawn_reader(frames(&[round_out, halted]), tx);
+        assert!(matches!(rx.recv().unwrap(), Ok(FromNode::RoundOut { .. })));
+        assert!(matches!(rx.recv().unwrap(), Ok(FromNode::Halted { .. })));
+        assert!(rx.recv().is_err(), "no error follows a Halted frame");
+    }
+
+    /// The barrier waits for live nodes only, and a node that was sent no
+    /// barrier must not answer.
+    #[test]
+    fn collect_round_expects_live_nodes_only() {
+        let answer = |node: u32| {
+            Ok(FromNode::RoundOut {
+                node,
+                round: 4,
+                local: vec![],
+                global: vec![],
+                refused: 0,
+                done: node == 2,
+            })
+        };
+        let (tx, rx) = mpsc::channel();
+        tx.send(answer(2)).unwrap();
+        tx.send(answer(0)).unwrap();
+        let slots = collect_round(&rx, &[true, false, true], 4).unwrap();
+        let done: Vec<_> = slots.iter().map(|s| s.as_ref().map(|o| o.done)).collect();
+        assert_eq!(done, vec![Some(false), None, Some(true)]);
+
+        tx.send(answer(1)).unwrap();
+        let Err(err) = collect_round(&rx, &[true, false, true], 4) else {
+            panic!("a crashed node's answer must be refused");
+        };
+        assert!(err
+            .to_string()
+            .contains("node 1, which was sent no barrier"));
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //! * [`runtime`] — the node side: a serve loop around the engine's genuine
 //!   [`NodeRunner`](hybrid_sim::engine::NodeRunner), so program-facing
 //!   semantics are shared with the executor by construction.
-//! * [`driver`] — the hub: process spawning, round barriers, and the
-//!   routing rule replicated bit-for-bit from the executor's mailbox
-//!   arenas, which is what makes [`driver::conformance_diff`] a meaningful
-//!   equality (identical round counts, identical per-round ordered
-//!   delivered-message traces, identical final states).
+//! * [`driver`] — the hub: process spawning and the round barrier, run as
+//!   the step closure of the engine's own
+//!   [`RoundRouter`](hybrid_sim::RoundRouter) — the executor's delivery rule
+//!   and round loop, not a copy of them — which is what makes
+//!   [`driver::conformance_diff`] a meaningful equality (identical round
+//!   counts, identical per-round ordered delivered-message traces,
+//!   identical final states), fault plans included.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,8 +2,8 @@
 //! [`NodeRunner`].
 //!
 //! [`serve`] speaks the [`crate::protocol`] over any byte stream: it waits
-//! for the `Init` frame, instantiates the program named by the
-//! [`ProgramSpec`], and then executes one
+//! for the `Init` frame, instantiates the program named by its
+//! [`ProgramSpec`](crate::scenario::ProgramSpec), and then executes one
 //! program step per `Round` frame until `Halt`.  The program runs against
 //! the *genuine* engine `NodeCtx` (via [`NodeRunner`]), so the γ send cap,
 //! the neighbour check on local sends and the local-mode assertion behave
@@ -18,17 +18,11 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
 use hybrid_graph::NodeId;
 use hybrid_sim::engine::{NodeProgram, NodeRunner, StepOutput};
-use hybrid_sim::programs::{
-    AckFloodProgram, BfsProgram, DetForwardProgram, FloodProgram, TokenGossipProgram,
-};
-use hybrid_sim::Envelope;
+use hybrid_sim::{Envelope, ModelParams};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::protocol::{read_frame, write_frame, FromNode, ToNode};
-use crate::scenario::{
-    ack_flood_state, bfs_state, det_forward_state, flood_state, gossip_state, initial_tokens,
-    ProgramSpec,
-};
+use crate::scenario::ProgramVisitor;
 
 fn bad_proto(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -43,7 +37,7 @@ fn bad_proto(msg: impl Into<String>) -> io::Error {
 /// that does not deserialize to the program's message type).
 pub fn serve(reader: impl Read, writer: impl Write) -> io::Result<()> {
     let mut reader = BufReader::new(reader);
-    let mut writer = BufWriter::new(writer);
+    let writer = BufWriter::new(writer);
     let Some(first) = read_frame::<ToNode>(&mut reader)? else {
         // The driver vanished before Init; nothing to do.
         return Ok(());
@@ -59,80 +53,38 @@ pub fn serve(reader: impl Read, writer: impl Write) -> io::Result<()> {
     else {
         return Err(bad_proto("first frame must be Init"));
     };
-    match program {
-        ProgramSpec::Flood {
-            tokens_at,
-            rounds_budget,
-        } => run_node(
-            NodeRunner::new(
-                node,
-                neighbors,
-                &params,
-                FloodProgram::new(initial_tokens(&tokens_at, node), rounds_budget),
-            ),
-            &mut reader,
-            &mut writer,
-            flood_state,
-        ),
-        ProgramSpec::AckFlood {
-            tokens_at,
-            target_tokens,
-            retry_interval,
-        } => run_node(
-            NodeRunner::new(
-                node,
-                neighbors,
-                &params,
-                AckFloodProgram::new(
-                    initial_tokens(&tokens_at, node),
-                    target_tokens,
-                    retry_interval,
-                ),
-            ),
-            &mut reader,
-            &mut writer,
-            ack_flood_state,
-        ),
-        ProgramSpec::DetForward {
-            tokens_at,
-            target_tokens,
-        } => run_node(
-            NodeRunner::new(
-                node,
-                neighbors,
-                &params,
-                DetForwardProgram::new(initial_tokens(&tokens_at, node), target_tokens),
-            ),
-            &mut reader,
-            &mut writer,
-            det_forward_state,
-        ),
-        ProgramSpec::Bfs { source } => run_node(
-            NodeRunner::new(node, neighbors, &params, BfsProgram::new(node, source)),
-            &mut reader,
-            &mut writer,
-            bfs_state,
-        ),
-        ProgramSpec::Gossip {
-            tokens_at,
-            target_tokens,
-        } => run_node(
-            NodeRunner::new(
-                node,
-                neighbors,
-                &params,
-                TokenGossipProgram::new(
-                    node,
-                    n,
-                    initial_tokens(&tokens_at, node),
-                    target_tokens,
-                    seed,
-                ),
-            ),
-            &mut reader,
-            &mut writer,
-            gossip_state,
-        ),
+    program.visit(
+        n,
+        seed,
+        Serve {
+            node,
+            neighbors,
+            params,
+            reader,
+            writer,
+        },
+    )
+}
+
+/// Everything [`serve`] knows before the program type is resolved.
+struct Serve<R, W> {
+    node: NodeId,
+    neighbors: Vec<NodeId>,
+    params: ModelParams,
+    reader: R,
+    writer: W,
+}
+
+impl<R: BufRead, W: Write> ProgramVisitor for Serve<R, W> {
+    type Out = io::Result<()>;
+
+    fn visit<P: NodeProgram>(
+        mut self,
+        mut factory: impl FnMut(NodeId) -> P,
+        state: fn(&P) -> Value,
+    ) -> io::Result<()> {
+        let runner = NodeRunner::new(self.node, self.neighbors, &self.params, factory(self.node));
+        run_node(runner, &mut self.reader, &mut self.writer, state)
     }
 }
 
@@ -221,7 +173,7 @@ fn send_round_out<P: NodeProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybrid_sim::ModelParams;
+    use crate::scenario::ProgramSpec;
     use std::io::Cursor;
 
     /// Drives a single served node by hand: init → one round → halt.

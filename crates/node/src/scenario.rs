@@ -148,6 +148,22 @@ pub enum ProgramSpec {
     },
 }
 
+/// What a runtime does once the program type is known: [`ProgramSpec::visit`]
+/// resolves a spec to a concrete [`NodeProgram`] type and calls back here.
+pub trait ProgramVisitor {
+    /// What the visit produces.
+    type Out;
+
+    /// Called exactly once, with a per-node program factory and the
+    /// program's final-state summariser (the value the conformance diff
+    /// compares).
+    fn visit<P: NodeProgram>(
+        self,
+        factory: impl FnMut(NodeId) -> P,
+        state: fn(&P) -> Value,
+    ) -> Self::Out;
+}
+
 impl ProgramSpec {
     /// Short name for logs and CLI output.
     pub fn name(&self) -> &'static str {
@@ -157,6 +173,71 @@ impl ProgramSpec {
             ProgramSpec::DetForward { .. } => "det-forward",
             ProgramSpec::Bfs { .. } => "bfs",
             ProgramSpec::Gossip { .. } => "gossip",
+        }
+    }
+
+    /// The one dispatch from a spec to program instances, shared by the
+    /// in-process run and the node process: a new program is one arm here.
+    /// `n` is the network size and `seed` the scenario seed (randomized
+    /// programs derive per-node streams from it).
+    ///
+    /// State summaries are `{"known": [tokens…]}` for the token programs
+    /// (ack-flood adds `"pending"`, its unacknowledged transmissions) and
+    /// `{"dist": d}` for BFS (JSON `null` while unreached).
+    pub fn visit<V: ProgramVisitor>(&self, n: usize, seed: u64, visitor: V) -> V::Out {
+        match self {
+            ProgramSpec::Flood {
+                tokens_at,
+                rounds_budget,
+            } => visitor.visit(
+                |v| FloodProgram::new(initial_tokens(tokens_at, v), *rounds_budget),
+                |p| known_state(&p.known),
+            ),
+            ProgramSpec::AckFlood {
+                tokens_at,
+                target_tokens,
+                retry_interval,
+            } => visitor.visit(
+                |v| {
+                    AckFloodProgram::new(
+                        initial_tokens(tokens_at, v),
+                        *target_tokens,
+                        *retry_interval,
+                    )
+                },
+                |p| {
+                    Value::Object(vec![
+                        ("known".to_string(), tokens_value(&p.known)),
+                        ("pending".to_string(), Value::UInt(p.pending() as u64)),
+                    ])
+                },
+            ),
+            ProgramSpec::DetForward {
+                tokens_at,
+                target_tokens,
+            } => visitor.visit(
+                |v| DetForwardProgram::new(initial_tokens(tokens_at, v), *target_tokens),
+                |p| known_state(&p.known),
+            ),
+            ProgramSpec::Bfs { source } => visitor.visit(
+                |v| BfsProgram::new(v, *source),
+                |p| Value::Object(vec![("dist".to_string(), p.dist.to_value())]),
+            ),
+            ProgramSpec::Gossip {
+                tokens_at,
+                target_tokens,
+            } => visitor.visit(
+                |v| {
+                    TokenGossipProgram::new(
+                        v,
+                        n,
+                        initial_tokens(tokens_at, v),
+                        *target_tokens,
+                        seed,
+                    )
+                },
+                |p| known_state(&p.known),
+            ),
         }
     }
 }
@@ -171,15 +252,16 @@ pub fn initial_tokens(tokens_at: &[(NodeId, Vec<u64>)], node: NodeId) -> Vec<u64
 }
 
 /// One complete experiment: graph instance, per-node program, engine
-/// configuration.  The driver refuses fault plans (the networked runtime has
-/// no fault injector yet); everything else is honoured by both engines.
+/// configuration — all of it, fault plan included, honoured identically by
+/// the in-process engine and the networked driver.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The local communication graph.
     pub graph: GraphSpec,
     /// The program every node runs.
     pub program: ProgramSpec,
-    /// Engine configuration (params, seed, round cap, trace recording).
+    /// Engine configuration (params, seed, fault plan, round cap, trace
+    /// recording).
     pub config: EngineConfig,
 }
 
@@ -214,36 +296,6 @@ pub struct EngineOutcome {
     pub states: Vec<Value>,
 }
 
-/// State summary of a [`FloodProgram`]: `{"known": [tokens…]}`.
-pub fn flood_state(p: &FloodProgram) -> Value {
-    known_state(&p.known)
-}
-
-/// State summary of an [`AckFloodProgram`]: known tokens plus the number of
-/// still-unacknowledged transmissions.
-pub fn ack_flood_state(p: &AckFloodProgram) -> Value {
-    Value::Object(vec![
-        ("known".to_string(), tokens_value(&p.known)),
-        ("pending".to_string(), Value::UInt(p.pending() as u64)),
-    ])
-}
-
-/// State summary of a [`DetForwardProgram`]: `{"known": [tokens…]}`.
-pub fn det_forward_state(p: &DetForwardProgram) -> Value {
-    known_state(&p.known)
-}
-
-/// State summary of a [`BfsProgram`]: `{"dist": d}` (JSON `null` while
-/// unreached).
-pub fn bfs_state(p: &BfsProgram) -> Value {
-    Value::Object(vec![("dist".to_string(), p.dist.to_value())])
-}
-
-/// State summary of a [`TokenGossipProgram`]: `{"known": [tokens…]}`.
-pub fn gossip_state(p: &TokenGossipProgram) -> Value {
-    known_state(&p.known)
-}
-
 fn tokens_value(tokens: &BTreeSet<u64>) -> Value {
     Value::Array(tokens.iter().map(|&t| Value::UInt(t)).collect())
 }
@@ -259,75 +311,33 @@ fn known_state(tokens: &BTreeSet<u64>) -> Value {
 /// Propagates [`EngineError::RoundLimitExceeded`] from the engine when the
 /// configured round cap is exhausted before every program is done.
 pub fn run_in_process(scenario: &Scenario) -> Result<EngineOutcome, EngineError> {
-    let graph = scenario.graph.build();
-    let n = graph.n();
-    let config = scenario.config.clone();
-    let seed = config.seed();
-    match &scenario.program {
-        ProgramSpec::Flood {
-            tokens_at,
-            rounds_budget,
-        } => run_typed(
-            &graph,
-            config,
-            |v| FloodProgram::new(initial_tokens(tokens_at, v), *rounds_budget),
-            flood_state,
-        ),
-        ProgramSpec::AckFlood {
-            tokens_at,
-            target_tokens,
-            retry_interval,
-        } => run_typed(
-            &graph,
-            config,
-            |v| {
-                AckFloodProgram::new(
-                    initial_tokens(tokens_at, v),
-                    *target_tokens,
-                    *retry_interval,
-                )
-            },
-            ack_flood_state,
-        ),
-        ProgramSpec::DetForward {
-            tokens_at,
-            target_tokens,
-        } => run_typed(
-            &graph,
-            config,
-            |v| DetForwardProgram::new(initial_tokens(tokens_at, v), *target_tokens),
-            det_forward_state,
-        ),
-        ProgramSpec::Bfs { source } => {
-            run_typed(&graph, config, |v| BfsProgram::new(v, *source), bfs_state)
-        }
-        ProgramSpec::Gossip {
-            tokens_at,
-            target_tokens,
-        } => run_typed(
-            &graph,
-            config,
-            |v| TokenGossipProgram::new(v, n, initial_tokens(tokens_at, v), *target_tokens, seed),
-            gossip_state,
-        ),
-    }
-}
+    struct InProcess<'a>(&'a Graph, EngineConfig);
 
-fn run_typed<P: NodeProgram>(
-    graph: &Graph,
-    config: EngineConfig,
-    factory: impl FnMut(NodeId) -> P,
-    state: impl Fn(&P) -> Value,
-) -> Result<EngineOutcome, EngineError> {
-    let mut exec = Executor::with_config(graph, config, factory);
-    let report = exec.run()?;
-    let trace = exec.take_trace();
-    let states = exec.programs().iter().map(state).collect();
-    Ok(EngineOutcome {
-        report,
-        trace,
-        states,
-    })
+    impl ProgramVisitor for InProcess<'_> {
+        type Out = Result<EngineOutcome, EngineError>;
+
+        fn visit<P: NodeProgram>(
+            self,
+            factory: impl FnMut(NodeId) -> P,
+            state: fn(&P) -> Value,
+        ) -> Self::Out {
+            let mut exec = Executor::with_config(self.0, self.1, factory);
+            let report = exec.run()?;
+            let trace = exec.take_trace();
+            let states = exec.programs().iter().map(state).collect();
+            Ok(EngineOutcome {
+                report,
+                trace,
+                states,
+            })
+        }
+    }
+
+    let graph = scenario.graph.build();
+    let config = scenario.config.clone();
+    scenario
+        .program
+        .visit(graph.n(), config.seed(), InProcess(&graph, config))
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use std::path::Path;
 use hybrid_node::driver::{conformance_diff, run_scenario, DriverError, Transport};
 use hybrid_node::scenario::{run_in_process, EngineOutcome, GraphSpec, ProgramSpec, Scenario};
 use hybrid_node::NetOutcome;
-use hybrid_sim::{EngineConfig, ModelParams};
+use hybrid_sim::{EngineConfig, FaultPlan, FaultSpec, ModelParams};
 use serde::Value;
 
 fn node_bin() -> &'static Path {
@@ -133,6 +133,88 @@ fn bfs_on_star_9_is_bit_identical_over_stdio() {
     assert_eq!(net.states[0].get("dist"), Some(&Value::UInt(0)));
     for state in &net.states[1..] {
         assert_eq!(state.get("dist"), Some(&Value::UInt(1)));
+    }
+}
+
+/// Faults over the wire: ack/retry flooding on an 8-cycle under the fault
+/// sweep's `chaos` adversary (drops, duplicates, delays, crash-restarts and
+/// a partition window at once).  The driver has no injector of its own — the
+/// shared router applies the plan — so report (injected counters included),
+/// ordered traces and states must match the in-process run bit for bit.
+#[test]
+fn ack_flood_under_chaos_is_bit_identical_over_stdio() {
+    let n = 8;
+    let chaos = FaultSpec {
+        drop_prob: 0.2,
+        duplicate_prob: 0.1,
+        delay_prob: 0.1,
+        max_delay_rounds: 3,
+        crash_prob: 0.3,
+        crash_down_rounds: 6,
+        crash_horizon_rounds: 12,
+        partition_start: 3,
+        partition_rounds: 6,
+    };
+    let config = EngineConfig::new(ModelParams::hybrid(n))
+        .with_fault_plan(FaultPlan::new(chaos, 7, n))
+        .with_trace(true);
+    let scenario = Scenario::new(
+        GraphSpec::Cycle { n },
+        ProgramSpec::AckFlood {
+            tokens_at: vec![(0, vec![7, 8, 9]), (5, vec![10])],
+            target_tokens: 4,
+            retry_interval: 2,
+        },
+    )
+    .with_config(config);
+    let (engine, net) = assert_conformant(&scenario, Transport::Stdio);
+    assert!(net.report.completed);
+    let r = &engine.report;
+    assert!(
+        r.injected_drops > 0 && r.injected_duplicates > 0 && r.injected_delays > 0,
+        "the plan must exercise every message fate: {r:?}"
+    );
+    for state in &net.states {
+        assert_eq!(known_tokens(state), vec![7, 8, 9, 10]);
+    }
+}
+
+/// The skipped-barrier path alone: every node of a 6-path crashes at round 1
+/// and sleeps four rounds, so the driver sends no `Round` frame at all for
+/// rounds 1–4 and must carry each node's last `done` flag through them.
+#[test]
+fn crash_restart_is_bit_identical_over_stdio() {
+    let n = 6;
+    let crash_all = FaultSpec {
+        crash_prob: 1.0,
+        crash_down_rounds: 4,
+        crash_horizon_rounds: 1,
+        ..FaultSpec::none()
+    };
+    let config = EngineConfig::new(ModelParams::hybrid(n))
+        .with_fault_plan(FaultPlan::new(crash_all, 1, n))
+        .with_trace(true);
+    let scenario = Scenario::new(
+        GraphSpec::Path { n },
+        ProgramSpec::AckFlood {
+            tokens_at: vec![(0, vec![1, 2])],
+            target_tokens: 2,
+            retry_interval: 2,
+        },
+    )
+    .with_config(config);
+    let (_, net) = assert_conformant(&scenario, Transport::Stdio);
+    assert!(net.report.completed);
+    assert!(
+        net.report.rounds > 4 + 5,
+        "sleeping through the crash window must cost rounds (took {})",
+        net.report.rounds
+    );
+    // What node 0 sent at init was addressed to a sleeping neighbour.
+    assert!(net.report.injected_drops > 0);
+    assert!(net.trace[..4].iter().all(|t| t.local.is_empty()));
+    for state in &net.states {
+        assert_eq!(known_tokens(state), vec![1, 2]);
     }
 }
 

@@ -1,18 +1,15 @@
 //! One configuration surface for every engine.
 //!
-//! Engine knobs used to be scattered: `Executor::set_fault_plan`,
-//! `HybridNetwork::set_fault_plan`, and a `max_rounds` argument on every
-//! `run` call.  [`EngineConfig`] collapses them into a single builder —
-//! model parameters, scenario seed, fault plan, round cap, trace recording —
+//! [`EngineConfig`] is the single builder for every engine knob — model
+//! parameters, scenario seed, fault plan, round cap, trace recording —
 //! accepted by the in-process [`Executor`](crate::engine::Executor), the
 //! phase engine [`HybridNetwork`](crate::network::HybridNetwork), and the
 //! networked `hybrid-driver`, so a scenario is described once and runs
-//! identically in all three.
+//! identically in all three.  There is no other way to install a fault plan.
 //!
-//! [`EngineError`] is the typed counterpart of the old silent round cap:
-//! `run`/`run_until` now fail loudly with the partial [`RunReport`] attached
-//! when the cap is exhausted before the stop condition holds, so callers can
-//! no longer mistake truncation for convergence.
+//! [`EngineError`] makes the round cap loud: `run`/`run_until` fail with the
+//! partial [`RunReport`] attached when the cap is exhausted before the stop
+//! condition holds, so callers cannot mistake truncation for convergence.
 
 use crate::engine::RunReport;
 use crate::faults::FaultPlan;
@@ -140,6 +137,21 @@ pub enum EngineError {
     },
 }
 
+impl RunReport {
+    /// `Ok(self)` if the run completed, otherwise the typed
+    /// [`EngineError::RoundLimitExceeded`] for the cap `limit` it ran under.
+    pub fn completed_within(self, limit: u64) -> Result<RunReport, EngineError> {
+        if self.completed {
+            Ok(self)
+        } else {
+            Err(EngineError::RoundLimitExceeded {
+                limit,
+                report: self,
+            })
+        }
+    }
+}
+
 impl EngineError {
     /// Extracts the partial run report.
     pub fn into_report(self) -> RunReport {
@@ -206,14 +218,7 @@ mod tests {
     fn engine_error_displays_and_unwraps() {
         let report = RunReport {
             rounds: 5,
-            local_messages: 0,
-            global_messages: 0,
-            dropped_global: 0,
-            refused_sends: 0,
-            injected_drops: 0,
-            injected_duplicates: 0,
-            injected_delays: 0,
-            completed: false,
+            ..RunReport::default()
         };
         let err = EngineError::RoundLimitExceeded {
             limit: 5,

@@ -15,15 +15,12 @@
 //!
 //! # Mailbox engine
 //!
-//! Delivery is backed by **double-buffered, index-sorted flat arenas**
-//! (`Arena`): while a round runs, outgoing messages accumulate in a single
-//! flat staging vector tagged `(destination, sequence)`; at the round
-//! boundary the staging vector is sorted by that key (unstable sort — the
-//! sequence number makes the key unique, so the order is deterministic and
-//! identical to the old stable per-node queues) and drained into the arena,
-//! whose per-destination offsets turn next round's inbox delivery into pure
-//! slice slicing.  No per-node `Vec` is rebuilt and no message is cloned
-//! anywhere in the cycle; all buffers are reused round over round, so a
+//! Delivery — staging, fault pass, the `(destination, sequence)` sort into
+//! double-buffered flat arenas, the `γ` receive cap, accounting and traces —
+//! is the [`RoundRouter`]'s, shared with the networked runtime; this module
+//! contributes the program-facing half ([`NodeCtx`], [`NodeProgram`]) and the
+//! step loop over in-process programs.  No message is cloned or serialized
+//! anywhere in the cycle and all buffers are reused round over round, so a
 //! steady-state round allocates nothing.
 //!
 //! This engine is used for the simpler primitives (flooding, BFS, token
@@ -31,12 +28,14 @@
 //! execution; the heavy universal algorithms use the phase engine in
 //! [`crate::network`].
 
+use std::convert::Infallible;
+
 use hybrid_graph::{Graph, NodeId};
 
 use crate::config::{EngineConfig, EngineError};
-use crate::envelope::{body_json, Body, RoundTrace, TraceEntry};
-use crate::faults::{Fate, FaultPlan};
+use crate::envelope::{Body, RoundTrace};
 use crate::params::ModelParams;
+use crate::router::RoundRouter;
 
 /// Per-round interface a node program uses to read its mailboxes and send
 /// messages.
@@ -135,7 +134,7 @@ pub trait NodeProgram {
 }
 
 /// Summary of an engine execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Rounds executed.
     pub rounds: u64,
@@ -159,86 +158,15 @@ pub struct RunReport {
     pub completed: bool,
 }
 
-/// One staged message: `(destination, sequence, sender, payload)`.  The
-/// sequence number is the global arrival index within the round, making the
-/// `(destination, sequence)` sort key unique — an unstable sort therefore
-/// yields exactly the stable per-destination sender order the engine's
-/// semantics promise.
-type Staged<M> = (NodeId, u32, NodeId, M);
-
-/// An index-sorted flat mailbox arena: all messages of a round, grouped by
-/// destination, plus per-destination offsets.  Buffers persist across rounds.
-struct Arena<M> {
-    data: Vec<(NodeId, M)>,
-    offsets: Vec<u32>,
-}
-
-impl<M> Arena<M> {
-    fn new(n: usize) -> Self {
-        Arena {
-            data: Vec::new(),
-            offsets: vec![0; n + 1],
-        }
-    }
-
-    /// Inbox slice of node `v`.
-    #[inline]
-    fn inbox(&self, v: usize) -> &[(NodeId, M)] {
-        &self.data[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
-    /// Sorts `stage` by `(destination, sequence)` and drains it into the
-    /// arena.  With `receive_cap = Some(γ)`, only the first `γ` messages per
-    /// destination (in sender order) are delivered; the rest are counted as
-    /// dropped.  Returns `(delivered, dropped)`.
-    fn fill_from(&mut self, stage: &mut Vec<Staged<M>>, receive_cap: Option<usize>) -> (u64, u64) {
-        let n = self.offsets.len() - 1;
-        stage.sort_unstable_by_key(|&(to, seq, _, _)| (to, seq));
-        self.data.clear();
-        let mut delivered = 0u64;
-        let mut dropped = 0u64;
-        let mut cur_dest = 0usize;
-        let mut in_dest = 0usize;
-        self.offsets[0] = 0;
-        for (to, _, from, msg) in stage.drain(..) {
-            let to = to as usize;
-            // Fail fast on out-of-range destinations (the pre-arena engine
-            // panicked at routing time; keep that program-bug diagnosis
-            // instead of silently losing the message).
-            assert!(
-                to < n,
-                "message addressed to out-of-range node {to} (n = {n})"
-            );
-            while cur_dest < to {
-                self.offsets[cur_dest + 1] = self.data.len() as u32;
-                cur_dest += 1;
-                in_dest = 0;
-            }
-            if receive_cap.is_some_and(|cap| in_dest >= cap) {
-                dropped += 1;
-            } else {
-                self.data.push((from, msg));
-                in_dest += 1;
-                delivered += 1;
-            }
-        }
-        while cur_dest < n {
-            self.offsets[cur_dest + 1] = self.data.len() as u32;
-            cur_dest += 1;
-        }
-        (delivered, dropped)
-    }
-}
-
 /// Synchronous executor running one [`NodeProgram`] per node.
 ///
 /// Configuration — model parameters, fault plan, round cap, trace recording
 /// — comes from one [`EngineConfig`] ([`Executor::with_config`]), the same
 /// builder the phase engine and the networked driver accept.
 ///
-/// With a fault plan installed ([`EngineConfig::with_fault_plan`]) the round
-/// boundary applies the adversary to every staged message: a crashed node
-/// executes no program steps and receives nothing while down (its state
+/// With a fault plan installed ([`EngineConfig::with_fault_plan`]) the
+/// [`RoundRouter`] meets every staged message with the adversary: a crashed
+/// node executes no program steps and receives nothing while down (its state
 /// survives — the crash-*restart* model), a partition-severed local edge
 /// carries nothing, and surviving messages draw a drop / duplicate / delay
 /// fate from the plan's hash stream.  The fate coordinate is the *sending*
@@ -282,15 +210,6 @@ impl<'g, P: NodeProgram> Executor<'g, P> {
         }
     }
 
-    /// Installs a fault plan; a failure-free plan is equivalent to none.
-    ///
-    /// # Panics
-    /// Panics if the plan was built for a different node count.
-    #[deprecated(note = "pass the plan through `EngineConfig::with_fault_plan` instead")]
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.config = self.config.clone().with_fault_plan(plan);
-    }
-
     /// Read access to the per-node programs (e.g. to extract results).
     pub fn programs(&self) -> &[P] {
         &self.programs
@@ -324,12 +243,7 @@ impl<'g, P: NodeProgram> Executor<'g, P> {
     /// exhausted before the stop condition holds.
     pub fn run_until(&mut self, stop: impl Fn(&[P]) -> bool) -> Result<RunReport, EngineError> {
         let limit = self.config.max_rounds();
-        let report = self.run_capped(limit, stop);
-        if report.completed {
-            Ok(report)
-        } else {
-            Err(EngineError::RoundLimitExceeded { limit, report })
-        }
+        self.run_capped(limit, stop).completed_within(limit)
     }
 
     /// Runs a deliberately bounded window: at most `max_rounds` rounds,
@@ -341,291 +255,49 @@ impl<'g, P: NodeProgram> Executor<'g, P> {
     pub fn run_capped(&mut self, max_rounds: u64, stop: impl Fn(&[P]) -> bool) -> RunReport {
         let n = self.graph.n();
         let gamma = self.config.params().global_capacity_msgs;
-        let local_enabled = self.config.params().has_local();
-        let record_trace = self.config.record_trace();
-        self.trace.clear();
-
-        // Double-buffered flat mailboxes: the arenas hold the messages being
-        // *read* this round, the staging vectors collect the messages being
-        // *written*; `fill_from` turns staging into next round's arenas.
-        let mut local_arena: Arena<P::Msg> = Arena::new(n);
-        let mut global_arena: Arena<P::Msg> = Arena::new(n);
-        let mut local_stage: Vec<Staged<P::Msg>> = Vec::new();
-        let mut global_stage: Vec<Staged<P::Msg>> = Vec::new();
-        // Per-node outboxes, drained into staging after every node and reused.
+        let programs = &mut self.programs;
+        let neighbor_lists = &self.neighbor_lists;
+        // Per-node outboxes, drained into the router after every node and
+        // reused.
         let mut local_out: Vec<(NodeId, P::Msg)> = Vec::new();
         let mut global_out: Vec<(NodeId, P::Msg)> = Vec::new();
-
-        // Fault-injection state: messages held back by delay fates, keyed by
-        // the sending round at which they re-enter staging.  Cloning the plan
-        // up front keeps the borrow checker away from the program loop.
-        let faults = self.config.fault_plan().cloned();
-        let mut held_local: Vec<(u64, NodeId, NodeId, P::Msg)> = Vec::new();
-        let mut held_global: Vec<(u64, NodeId, NodeId, P::Msg)> = Vec::new();
-        let mut fault_scratch: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
-
-        let mut report = RunReport {
-            rounds: 0,
-            local_messages: 0,
-            global_messages: 0,
-            dropped_global: 0,
-            refused_sends: 0,
-            injected_drops: 0,
-            injected_duplicates: 0,
-            injected_delays: 0,
-            completed: false,
-        };
-
-        // Init pass (round 0): no inboxes yet.
-        for v in 0..n {
-            let mut ctx = NodeCtx {
-                node: v as NodeId,
-                neighbors: &self.neighbor_lists[v],
-                local_inbox: &[],
-                global_inbox: &[],
-                local_outbox: &mut local_out,
-                global_outbox: &mut global_out,
-                gamma,
-                global_send_overflow: 0,
-            };
-            self.programs[v].init(&mut ctx);
-            report.refused_sends += ctx.global_send_overflow;
-            Self::stage_outboxes(
-                v as NodeId,
-                local_enabled,
-                &mut local_out,
-                &mut global_out,
-                &mut local_stage,
-                &mut global_stage,
-            );
-        }
-        if let Some(plan) = &faults {
-            Self::apply_faults(
-                plan,
-                0,
-                true,
-                &mut local_stage,
-                &mut held_local,
-                &mut fault_scratch,
-                &mut report,
-            );
-            Self::apply_faults(
-                plan,
-                0,
-                false,
-                &mut global_stage,
-                &mut held_global,
-                &mut fault_scratch,
-                &mut report,
-            );
-        }
-        let (delivered, _) = local_arena.fill_from(&mut local_stage, None);
-        report.local_messages += delivered;
-        let (delivered, dropped) = global_arena.fill_from(&mut global_stage, Some(gamma));
-        report.global_messages += delivered;
-        report.dropped_global += dropped;
-        if record_trace {
-            self.trace
-                .push(Self::trace_round(0, &local_arena, &global_arena, n));
-        }
-
-        if stop(&self.programs) {
-            report.completed = true;
-            return report;
-        }
-
-        for round in 1..=max_rounds {
-            report.rounds = round;
+        let run = RoundRouter::new(&self.config).run(max_rounds, |router, round| {
             for v in 0..n {
-                // A crashed node executes nothing while down; its inboxes are
-                // discarded unread (apply_faults already dropped anything
-                // addressed to a down receiver, so nothing is silently lost).
-                if faults
-                    .as_ref()
-                    .is_some_and(|p| p.is_down(v as NodeId, round))
-                {
+                let node = v as NodeId;
+                if router.is_down(node, round) {
                     continue;
                 }
                 let mut ctx = NodeCtx {
-                    node: v as NodeId,
-                    neighbors: &self.neighbor_lists[v],
-                    local_inbox: local_arena.inbox(v),
-                    global_inbox: global_arena.inbox(v),
+                    node,
+                    neighbors: &neighbor_lists[v],
+                    local_inbox: router.local_inbox(node),
+                    global_inbox: router.global_inbox(node),
                     local_outbox: &mut local_out,
                     global_outbox: &mut global_out,
                     gamma,
                     global_send_overflow: 0,
                 };
-                self.programs[v].on_round(&mut ctx, round);
-                report.refused_sends += ctx.global_send_overflow;
-                Self::stage_outboxes(
-                    v as NodeId,
-                    local_enabled,
-                    &mut local_out,
-                    &mut global_out,
-                    &mut local_stage,
-                    &mut global_stage,
-                );
+                if round == 0 {
+                    programs[v].init(&mut ctx);
+                } else {
+                    programs[v].on_round(&mut ctx, round);
+                }
+                let refused = ctx.global_send_overflow;
+                router.stage(node, local_out.drain(..), global_out.drain(..), refused);
             }
-            if let Some(plan) = &faults {
-                Self::apply_faults(
-                    plan,
-                    round,
-                    true,
-                    &mut local_stage,
-                    &mut held_local,
-                    &mut fault_scratch,
-                    &mut report,
-                );
-                Self::apply_faults(
-                    plan,
-                    round,
-                    false,
-                    &mut global_stage,
-                    &mut held_global,
-                    &mut fault_scratch,
-                    &mut report,
-                );
-            }
-            let (delivered, _) = local_arena.fill_from(&mut local_stage, None);
-            report.local_messages += delivered;
-            let (delivered, dropped) = global_arena.fill_from(&mut global_stage, Some(gamma));
-            report.global_messages += delivered;
-            report.dropped_global += dropped;
-            if record_trace {
-                self.trace
-                    .push(Self::trace_round(round, &local_arena, &global_arena, n));
-            }
-
-            if stop(&self.programs) {
-                report.completed = true;
-                return report;
-            }
-        }
+            Ok::<bool, Infallible>(stop(programs))
+        });
+        let Ok((report, trace)) = run;
+        self.trace = trace;
         report
-    }
-
-    /// Snapshots one round's delivered messages from the filled arenas, in
-    /// the arenas' deterministic order (destination-major, then staging
-    /// sequence) — the order the conformance contract pins.
-    fn trace_round(
-        round: u64,
-        local: &Arena<P::Msg>,
-        global: &Arena<P::Msg>,
-        n: usize,
-    ) -> RoundTrace {
-        let collect = |arena: &Arena<P::Msg>| {
-            let mut entries = Vec::with_capacity(arena.data.len());
-            for v in 0..n {
-                for (src, msg) in arena.inbox(v) {
-                    entries.push(TraceEntry {
-                        src: *src,
-                        dst: v as NodeId,
-                        body: body_json(msg),
-                    });
-                }
-            }
-            entries
-        };
-        RoundTrace {
-            round,
-            local: collect(local),
-            global: collect(global),
-        }
-    }
-
-    /// Applies the fault plan to one staging buffer at the end of sending
-    /// round `round`: first releases the held (delayed) messages whose time
-    /// has come back into the stage, then draws one fate per staged message.
-    /// Messages crossing a severed partition edge (`is_local` only) or
-    /// addressed to a receiver that is down at the delivery round `round + 1`
-    /// are destroyed and counted as injected drops — the sender's program is
-    /// responsible for retrying (that is the ack/retry contract).  Sequence
-    /// numbers are reassigned densely afterwards so the arena sort key stays
-    /// unique; the surviving relative order is unchanged and deterministic.
-    fn apply_faults(
-        plan: &FaultPlan,
-        round: u64,
-        is_local: bool,
-        stage: &mut Vec<Staged<P::Msg>>,
-        held: &mut Vec<(u64, NodeId, NodeId, P::Msg)>,
-        scratch: &mut Vec<(NodeId, NodeId, P::Msg)>,
-        report: &mut RunReport,
-    ) {
-        let mut i = 0;
-        while i < held.len() {
-            if held[i].0 <= round {
-                let (_, to, from, msg) = held.swap_remove(i);
-                let seq = stage.len() as u32;
-                stage.push((to, seq, from, msg));
-            } else {
-                i += 1;
-            }
-        }
-        scratch.clear();
-        for (idx, (to, _, from, msg)) in stage.drain(..).enumerate() {
-            if is_local && plan.cuts_local_edge(from, to, round) {
-                report.injected_drops += 1;
-                continue;
-            }
-            if plan.is_down(to, round + 1) {
-                report.injected_drops += 1;
-                continue;
-            }
-            // The top idx bit separates the local and global fate streams so
-            // the two mailbox planes never draw correlated decisions.
-            let idx = idx as u64 | if is_local { 0 } else { 1 << 63 };
-            match plan.fate(round, from, to, idx) {
-                Fate::Deliver => scratch.push((to, from, msg)),
-                Fate::Drop => report.injected_drops += 1,
-                Fate::Duplicate => {
-                    report.injected_duplicates += 1;
-                    scratch.push((to, from, msg.clone()));
-                    scratch.push((to, from, msg));
-                }
-                Fate::Delay(d) => {
-                    report.injected_delays += 1;
-                    held.push((round + d, to, from, msg));
-                }
-            }
-        }
-        for (seq, (to, from, msg)) in scratch.drain(..).enumerate() {
-            stage.push((to, seq as u32, from, msg));
-        }
-    }
-
-    /// Drains a node's outboxes into the round staging buffers.
-    fn stage_outboxes(
-        sender: NodeId,
-        local_enabled: bool,
-        local_out: &mut Vec<(NodeId, P::Msg)>,
-        global_out: &mut Vec<(NodeId, P::Msg)>,
-        local_stage: &mut Vec<Staged<P::Msg>>,
-        global_stage: &mut Vec<Staged<P::Msg>>,
-    ) {
-        if !local_out.is_empty() {
-            assert!(
-                local_enabled,
-                "node {sender} sent local messages but the model has no local mode"
-            );
-        }
-        for (to, msg) in local_out.drain(..) {
-            let seq = local_stage.len() as u32;
-            local_stage.push((to, seq, sender, msg));
-        }
-        for (to, msg) in global_out.drain(..) {
-            let seq = global_stage.len() as u32;
-            global_stage.push((to, seq, sender, msg));
-        }
     }
 }
 
 /// The outgoing messages of one program step, in send order.
 ///
 /// The γ *send* cap has already been enforced by the runner (refusals are
-/// counted); the γ *receive* cap is the router's job — the in-process
-/// executor applies it in `Arena::fill_from`, the networked driver applies
-/// the identical rule when it routes envelopes between node processes.
+/// counted); the γ *receive* cap is the [`RoundRouter`]'s job, for the
+/// in-process executor and the networked driver alike.
 #[derive(Debug, Clone)]
 pub struct StepOutput<M> {
     /// Local messages as `(destination, payload)` — destinations are always
@@ -734,6 +406,7 @@ impl<P: NodeProgram> NodeRunner<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::TraceEntry;
     use hybrid_graph::generators;
 
     /// A trivial program: node 0 starts a wave; every node forwards the wave
@@ -897,17 +570,7 @@ mod tests {
             .map(|v| graph.neighbors(v).collect())
             .collect();
 
-        let mut report = RunReport {
-            rounds: 0,
-            local_messages: 0,
-            global_messages: 0,
-            dropped_global: 0,
-            refused_sends: 0,
-            injected_drops: 0,
-            injected_duplicates: 0,
-            injected_delays: 0,
-            completed: false,
-        };
+        let mut report = RunReport::default();
         let mut local_inboxes: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); n];
         let mut global_inboxes: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); n];
 
@@ -1218,25 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_groups_by_destination_with_cap() {
-        let mut arena: Arena<u64> = Arena::new(4);
-        let mut stage: Vec<Staged<u64>> = vec![
-            (2, 0, 9, 20),
-            (0, 1, 9, 1),
-            (2, 2, 8, 21),
-            (0, 3, 7, 2),
-            (2, 4, 7, 22),
-        ];
-        let (delivered, dropped) = arena.fill_from(&mut stage, Some(2));
-        assert_eq!((delivered, dropped), (4, 1));
-        assert!(stage.is_empty());
-        assert_eq!(arena.inbox(0), &[(9, 1), (7, 2)]);
-        assert_eq!(arena.inbox(1), &[]);
-        assert_eq!(arena.inbox(2), &[(9, 20), (8, 21)]);
-        assert_eq!(arena.inbox(3), &[]);
-    }
-
-    #[test]
     fn exhausting_the_round_cap_is_a_typed_error() {
         // Spam never reports done, so any cap is exhausted.
         let g = generators::star(8).unwrap();
@@ -1379,33 +1023,5 @@ mod tests {
         assert_eq!(out.global.len(), 3);
         assert_eq!(out.refused, 6);
         assert!(runner.program().refused);
-    }
-
-    /// The deprecated setter keeps working until removal.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_set_fault_plan_is_equivalent_to_config() {
-        use crate::faults::{FaultPlan, FaultSpec};
-        let graph = generators::cycle(12).unwrap();
-        let params = ModelParams::hybrid_with_global_capacity(12, 3);
-        let factory = |id: NodeId| Chaos {
-            id,
-            n: 12,
-            log: Vec::new(),
-        };
-        let plan = FaultPlan::new(FaultSpec::drop_only(0.4), 11, 12);
-
-        let mut old_style = Executor::new(&graph, params, factory);
-        old_style.set_fault_plan(plan.clone());
-        let old_report = old_style.run_capped(10, |_| false);
-
-        let config = EngineConfig::new(params).with_fault_plan(plan);
-        let mut new_style = Executor::with_config(&graph, config, factory);
-        let new_report = new_style.run_capped(10, |_| false);
-
-        assert_eq!(old_report, new_report);
-        for (a, b) in old_style.programs().iter().zip(new_style.programs()) {
-            assert_eq!(a.log, b.log);
-        }
     }
 }

@@ -29,8 +29,15 @@ pub trait Body: Clone + Serialize + DeserializeOwned {}
 
 impl<T: Clone + Serialize + DeserializeOwned> Body for T {}
 
-/// A routed message as it crosses a process boundary: sender, receiver, the
-/// round it was sent in, and the payload.
+/// A routed message as it crosses a process boundary: sender, receiver, a
+/// round stamp, and the payload.
+///
+/// `round` is informational — whoever frames the envelope stamps it, and no
+/// consumer reads it.  A node stamps its sending round on what it sends; the
+/// [`RoundRouter`](crate::router::RoundRouter) keeps only `(src, dst, body)`,
+/// so the driver stamps a delivery into round `r` with `r - 1`: the round
+/// whose routing pass delivered it, which for a fault-delayed message is
+/// later than the round it was first sent in.
 ///
 /// Serializes as the wire object `{"src": …, "dst": …, "round": …,
 /// "body": …}`.  The serde impls are hand-written because the vendored
@@ -41,7 +48,7 @@ pub struct Envelope<B> {
     pub src: NodeId,
     /// Receiving node.
     pub dst: NodeId,
-    /// Round in which the message was sent (init pass = round 0).
+    /// Sending round as stamped by the framing side (init pass = round 0).
     pub round: u64,
     /// Program payload.
     pub body: B,

@@ -43,6 +43,7 @@ pub mod faults;
 pub mod network;
 pub mod params;
 pub mod programs;
+pub mod router;
 pub mod scheduler;
 
 pub use config::{EngineConfig, EngineError};
@@ -51,4 +52,5 @@ pub use envelope::{Body, Envelope, RoundTrace, TraceEntry};
 pub use faults::{Fate, FaultPlan, FaultSpec};
 pub use network::HybridNetwork;
 pub use params::{IdSpace, LocalBandwidth, ModelParams};
+pub use router::RoundRouter;
 pub use scheduler::{DeliveryReport, GlobalMessage, GlobalScheduler};

@@ -74,28 +74,6 @@ impl HybridNetwork {
         net
     }
 
-    /// Installs a fault plan: every subsequent global phase plays against the
-    /// adversary.  Passing a failure-free plan is equivalent to `None`.
-    ///
-    /// # Panics
-    /// Panics if the plan was built for a different node count.
-    #[deprecated(note = "pass the plan through `EngineConfig::with_fault_plan` and \
-                         `HybridNetwork::with_config` instead")]
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        assert_eq!(
-            plan.n(),
-            self.params.n,
-            "fault plan is for {} nodes but the network has {}",
-            plan.n(),
-            self.params.n
-        );
-        self.faults = if plan.is_failure_free() {
-            None
-        } else {
-            Some(plan)
-        };
-    }
-
     /// Whether an active (non-failure-free) fault plan is installed.  Callers
     /// use this to assert zero drops on failure-free runs only.
     pub fn has_faults(&self) -> bool {
@@ -326,16 +304,6 @@ mod tests {
             EngineConfig::new(params).with_fault_plan(FaultPlan::new(FaultSpec::none(), 77, 64));
         let noop = HybridNetwork::with_config(graph, &noop_config);
         assert!(!noop.has_faults());
-    }
-
-    /// The deprecated setter keeps working (and panicking) until removal.
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "fault plan is for")]
-    fn deprecated_set_fault_plan_still_validates() {
-        use crate::faults::{FaultPlan, FaultSpec};
-        let mut n = net(16);
-        n.set_fault_plan(FaultPlan::new(FaultSpec::drop_only(0.1), 0, 8));
     }
 
     #[test]
