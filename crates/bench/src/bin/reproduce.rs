@@ -1,29 +1,26 @@
 //! `reproduce` — regenerates the paper's tables and figures as round-count
 //! tables, printing them in a paper-like layout and writing machine-readable
-//! JSON into `results/`.
-//!
-//! Usage:
+//! JSON into `results/`.  Every artifact is a pure function of (target,
+//! `--quick`, seed): byte-identical from run to run and at every
+//! `RAYON_NUM_THREADS`.  Wall-clock performance is not measured here — that
+//! is `benchmark/run.sh`.
 //!
 //! ```text
-//! cargo run --release -p hybrid-bench --bin reproduce -- [table1|table2|table3|table4|figure1|appendix-b|sweep|faults|oracle|all] [--quick] [--check-regression] [--strict]
+//! cargo run --release -p hybrid-bench --bin reproduce -- [<target>|all] [--scale] [--algo <name,...>] [--quick]
 //! ```
 //!
-//! `--quick` shrinks the instance sizes so the full run finishes in well under
-//! a minute (used by CI and by the recorded EXPERIMENTS.md runs on small
-//! machines); without it the default sizes are used.
+//! The targets are the rows of [`TARGETS`]; `all` (the default) runs every
+//! row marked `in_all`.  `--quick` shrinks the instance sizes so the full run
+//! finishes in well under a minute (used by CI); without it the default
+//! sizes are used.
 //!
-//! `--check-regression` compares the wall-clock times of this run against the
-//! committed `BENCH_baseline.json` with a generous tolerance and prints a
-//! warning per regressed target.  By default it is **warn-only** (the exit
-//! code stays 0) so local runs on noisy laptops never fail; with `--strict`
-//! (what CI passes; implies `--check-regression`) any breach of the
-//! `2× + 100 ms` tolerance — or a target missing its baseline entry — exits
-//! non-zero and blocks the merge.
-//!
-//! Unknown targets *and unknown flags* exit with code 2 and the usage string:
-//! a typo like `--qiuck` must not silently run the slow full suite.
+//! Exit codes: 0 — every selected target ran and wrote its artifact; 1 — an
+//! artifact could not be written or failed validation; 2 — bad command line
+//! (unknown targets *and unknown flags*, with the usage string: a typo like
+//! `--qiuck` must not silently run the slow full suite).
 
 use std::fs;
+use std::io;
 use std::path::Path;
 use std::time::Instant;
 
@@ -36,8 +33,52 @@ use hybrid_bench::scenarios::{
 use hybrid_bench::sweep::{sweep_rows_with, validate_sweep_artifact, SweepConfig};
 use serde::Serialize;
 
-const USAGE: &str =
-    "usage: reproduce [table1|table2|table3|table4|figure1|appendix-b|sweep|faults|oracle|all] [--scale] [--algo <name,...>] [--quick] [--check-regression] [--strict]";
+/// One reproduction target.
+struct Target {
+    /// Its name on the command line and in the per-target timing line.
+    name: &'static str,
+    /// Selectable by name and run by `all`.  The scale tier is the one
+    /// `false` row: it is reached through `sweep --scale` and stays out of
+    /// `all` so the small-`n` artifact set is exactly the nine recorded files.
+    in_all: bool,
+    /// Prints the table and writes its artifact.
+    run: fn(&Cli) -> io::Result<()>,
+}
+
+/// The pseudo-target running every `in_all` row, in table order.
+const ALL: &str = "all";
+/// The shootout target, the only one `--scale` and `--algo` apply to.
+const SWEEP: &str = "sweep";
+/// The row `sweep --scale` selects.
+const SCALE: &str = "scale";
+
+/// Every target, once: `main`, `all`, the usage string and the
+/// unknown-target error are all derived from this table.
+#[rustfmt::skip]
+const TARGETS: &[Target] = &[
+    Target { name: "table1",     in_all: true,  run: run_table1 },
+    Target { name: "table2",     in_all: true,  run: run_table2 },
+    Target { name: "table3",     in_all: true,  run: run_table3 },
+    Target { name: "table4",     in_all: true,  run: run_table4 },
+    Target { name: "figure1",    in_all: true,  run: run_figure1 },
+    Target { name: "appendix-b", in_all: true,  run: run_appendix_b },
+    Target { name: SWEEP,        in_all: true,  run: run_sweep },
+    Target { name: "faults",     in_all: true,  run: run_faults },
+    Target { name: "oracle",     in_all: true,  run: run_oracle },
+    Target { name: SCALE,        in_all: false, run: run_sweep_scale },
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = TARGETS
+        .iter()
+        .filter(|t| t.in_all)
+        .map(|t| t.name)
+        .collect();
+    format!(
+        "usage: reproduce [{}|{ALL}] [--scale] [--algo <name,...>] [--quick]",
+        names.join("|")
+    )
+}
 
 /// Parsed command line of the `reproduce` binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,24 +93,18 @@ struct Cli {
     /// Restrict the sweep shootout to these registry names
     /// (`--algo theorem1,schneider`); `None` runs every registered algorithm.
     algo: Option<Vec<String>>,
-    /// Compare against `BENCH_baseline.json`.
-    check_regression: bool,
-    /// Escalate regression warnings to a non-zero exit (CI mode; implies
-    /// `check_regression`).
-    strict: bool,
 }
 
-/// Parses the argument list (without the program name).  Unknown flags and
-/// surplus positional arguments are errors so that a typo (`--qiuck`) cannot
-/// silently select the slow full-size defaults.
+/// Parses the argument list (without the program name).  Unknown targets,
+/// unknown flags and surplus positional arguments are errors so that a typo
+/// (`--qiuck`) cannot silently select the slow full-size defaults.
 fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let usage = usage();
     let mut cli = Cli {
         target: String::new(),
         quick: false,
         scale: false,
         algo: None,
-        check_regression: false,
-        strict: false,
     };
     let parse_algo_list = |value: &str| -> Vec<String> {
         value
@@ -88,7 +123,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 i += 1;
                 let Some(value) = args.get(i) else {
                     return Err(format!(
-                        "--algo requires a value (comma-separated algorithm names)\n{USAGE}"
+                        "--algo requires a value (comma-separated algorithm names)\n{usage}"
                     ));
                 };
                 cli.algo = Some(parse_algo_list(value));
@@ -96,15 +131,13 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             inline if inline.starts_with("--algo=") => {
                 cli.algo = Some(parse_algo_list(&inline["--algo=".len()..]));
             }
-            "--check-regression" => cli.check_regression = true,
-            "--strict" => cli.strict = true,
             flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag '{flag}'\n{USAGE}"));
+                return Err(format!("unknown flag '{flag}'\n{usage}"));
             }
             target if cli.target.is_empty() => cli.target = target.to_string(),
             surplus => {
                 return Err(format!(
-                    "unexpected argument '{surplus}' (target already set to '{}')\n{USAGE}",
+                    "unexpected argument '{surplus}' (target already set to '{}')\n{usage}",
                     cli.target
                 ));
             }
@@ -112,26 +145,24 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         i += 1;
     }
     if cli.target.is_empty() {
-        cli.target = "all".to_string();
+        cli.target = ALL.to_string();
     }
-    // `--strict` without the gate would be a silent no-op (the same class of
-    // bug as an ignored `--qiuck` typo), so it implies the gate instead.
-    if cli.strict {
-        cli.check_regression = true;
+    if cli.target != ALL && !TARGETS.iter().any(|t| t.in_all && t.name == cli.target) {
+        return Err(format!("unknown target '{}'\n{usage}", cli.target));
     }
     // `--scale` selects the scale tier of the sweep; on any other target it
     // would be a silent no-op, which is the `--qiuck` bug class again.
-    if cli.scale && cli.target != "sweep" {
+    if cli.scale && cli.target != SWEEP {
         return Err(format!(
-            "--scale applies to the sweep target only (target is '{}')\n{USAGE}",
+            "--scale applies to the sweep target only (target is '{}')\n{usage}",
             cli.target
         ));
     }
     // `--algo` filters the shootout, which only the plain sweep target runs;
     // anywhere else it would silently select nothing (the `--qiuck` bug class).
-    if cli.algo.is_some() && (cli.target != "sweep" || cli.scale) {
+    if cli.algo.is_some() && (cli.target != SWEEP || cli.scale) {
         return Err(format!(
-            "--algo applies to the sweep shootout only (target is '{}'{})\n{USAGE}",
+            "--algo applies to the sweep shootout only (target is '{}'{})\n{usage}",
             cli.target,
             if cli.scale { " --scale" } else { "" }
         ));
@@ -139,233 +170,28 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-fn write_json<T: Serialize>(name: &str, rows: &T) {
+/// Prefixes an I/O error with the path it happened at.
+fn at(path: &Path, err: io::Error) -> io::Error {
+    io::Error::new(err.kind(), format!("{}: {err}", path.display()))
+}
+
+/// Writes `results/<name>.json` and returns the text written.  Every failure
+/// is returned, naming its path: an artifact generator must not exit 0
+/// without its artifacts.
+fn write_json<T: Serialize>(name: &str, rows: &T) -> io::Result<String> {
     let dir = Path::new("results");
-    if fs::create_dir_all(dir).is_err() {
-        return;
-    }
     let path = dir.join(format!("{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(rows) {
-        let _ = fs::write(&path, json);
-        println!("  (wrote {})", path.display());
-    }
+    let json = serde_json::to_string_pretty(rows)
+        .map_err(|err| at(&path, io::Error::new(io::ErrorKind::InvalidData, err)))?;
+    fs::create_dir_all(dir).map_err(|err| at(dir, err))?;
+    fs::write(&path, &json).map_err(|err| at(&path, err))?;
+    println!("  (wrote {})", path.display());
+    Ok(json)
 }
 
-/// Wall-clock measurement of one reproduce target.
-#[derive(Debug, Clone, Serialize)]
-struct TargetTiming {
-    /// Target name (`table1` … `appendix-b`, `scale`).
-    target: &'static str,
-    /// Wall-clock milliseconds.
-    wall_ms: f64,
-    /// Estimated peak bytes of the target's dominant allocations — exact
-    /// arithmetic for the scale tier (graph + rows + profiles per cell),
-    /// dominant-allocation formulas for the small-`n` targets (each `run_*`
-    /// documents its own).  The regression gate only compares `wall_ms`.
-    peak_mem_bytes: u64,
-}
-
-/// The machine-readable perf record `reproduce` emits so future PRs have a
-/// trajectory to beat.
-#[derive(Debug, Clone, Serialize)]
-struct BenchRecord {
-    /// Record schema identifier.
-    schema: &'static str,
-    /// Whether `--quick` sizes were used.
-    quick: bool,
-    /// Worker threads the parallel fan-outs could use.
-    threads: usize,
-    /// Per-target wall-clock times.
-    targets: Vec<TargetTiming>,
-    /// Sum over targets.
-    total_wall_ms: f64,
-}
-
-impl BenchRecord {
-    fn write(&self, full_sweep: bool) {
-        write_json("bench_last_run", self);
-        // The first *full* sweep (`reproduce all`) on a machine records the
-        // baseline later runs are compared against; partial runs never
-        // baseline (their target set would not match a full run), and an
-        // existing baseline is never clobbered (delete the file to
-        // re-baseline).
-        if !full_sweep {
-            return;
-        }
-        let baseline = Path::new("BENCH_baseline.json");
-        if !baseline.exists() {
-            if let Ok(json) = serde_json::to_string_pretty(self) {
-                let _ = fs::write(baseline, json);
-                println!("  (wrote {} — new perf baseline)", baseline.display());
-            }
-        }
-    }
-}
-
-/// A regressed target is one slower than `factor × baseline + slack`.  The
-/// tolerance is deliberately generous: CI containers and developer laptops
-/// time the same work very differently, and the gate is a tripwire for
-/// order-of-magnitude drift, not a microbenchmark.
-const REGRESSION_FACTOR: f64 = 2.0;
-const REGRESSION_SLACK_MS: f64 = 100.0;
-
-/// Pulls every `"target": "name" … "wall_ms": x` pair out of a recorded
-/// bench JSON without a deserializer (the vendored `serde_json` only
-/// serializes).  The scan keys on the `"target"` fields, so the baseline's
-/// auxiliary maps (e.g. `pre_optimization_wall_ms`) are ignored.
-fn parse_recorded_targets(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for chunk in json.split("\"target\"").skip(1) {
-        let Some(name) = chunk.split('"').nth(1) else {
-            continue;
-        };
-        let Some(rest) = chunk.split("\"wall_ms\"").nth(1) else {
-            continue;
-        };
-        let number: String = rest
-            .chars()
-            .skip_while(|c| *c == ':' || c.is_whitespace())
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-            .collect();
-        if let Ok(ms) = number.parse::<f64>() {
-            out.push((name.to_string(), ms));
-        }
-    }
-    out
-}
-
-/// Whether the recorded JSON was a `--quick` run (`"quick": true`).
-fn parse_quick_flag(json: &str) -> Option<bool> {
-    let rest = json.split("\"quick\"").nth(1)?;
-    let value = rest.trim_start_matches([':', ' ', '\t', '\n']);
-    if value.starts_with("true") {
-        Some(true)
-    } else if value.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// The bench regression gate: compares this run's per-target times against
-/// `BENCH_baseline.json` and returns the number of regressed targets.  The
-/// caller decides whether that fails the process (`--strict`, CI) or is
-/// warn-only (local runs); annotations are GitHub-flavoured either way.
-fn check_regression(record: &BenchRecord, strict: bool) -> usize {
-    gate_regressions(
-        record,
-        fs::read_to_string(Path::new("BENCH_baseline.json"))
-            .ok()
-            .as_deref(),
-        strict,
-    )
-}
-
-/// The gate logic behind [`check_regression`], with the baseline text passed
-/// in (`None` = no baseline file) so the strict/warn counting is unit-testable
-/// without touching the filesystem.
-fn gate_regressions(record: &BenchRecord, baseline_text: Option<&str>, strict: bool) -> usize {
-    let annotation = if strict { "error" } else { "warning" };
-    // Under --strict a comparison that cannot run is itself a failure: CI
-    // promises the gate fails on any breach, and a deleted / unparsable /
-    // quick-mismatched baseline would otherwise disable the gate silently.
-    let skip = |message: String| -> usize {
-        if strict {
-            println!("::error title=bench regression::{message} (--strict: failing the run, the gate could not compare anything)");
-            1
-        } else {
-            println!("\n[regression gate] {message}; skipping comparison");
-            0
-        }
-    };
-    let Some(text) = baseline_text else {
-        return skip(
-            "no BENCH_baseline.json — nothing to compare against (run `reproduce all` once to record it)"
-                .to_string(),
-        );
-    };
-    if parse_quick_flag(text) != Some(record.quick) {
-        return skip(format!(
-            "baseline quick={:?} does not match this run (quick={})",
-            parse_quick_flag(text),
-            record.quick
-        ));
-    }
-    let baseline = parse_recorded_targets(text);
-    if baseline.is_empty() {
-        return skip("BENCH_baseline.json has no parsable targets".to_string());
-    }
-    println!("\n[regression gate] comparing against BENCH_baseline.json ({} at > {REGRESSION_FACTOR}x + {REGRESSION_SLACK_MS} ms):", if strict { "fail" } else { "warn" });
-    let mut regressed = 0usize;
-    for t in &record.targets {
-        let Some(&(_, base_ms)) = baseline.iter().find(|(name, _)| name == t.target) else {
-            if strict {
-                // CI gates every target: a new target without a baseline
-                // entry must fail loudly, not stay silently ungated forever.
-                regressed += 1;
-                println!(
-                    "::error title=bench regression::{} has no entry in BENCH_baseline.json (add one so the target is gated)",
-                    t.target
-                );
-            } else {
-                println!(
-                    "  {:<12} {:>9.1} ms (no baseline entry)",
-                    t.target, t.wall_ms
-                );
-            }
-            continue;
-        };
-        let limit = REGRESSION_FACTOR * base_ms + REGRESSION_SLACK_MS;
-        if t.wall_ms > limit {
-            regressed += 1;
-            println!(
-                "::{annotation} title=bench regression::{} took {:.1} ms vs baseline {:.1} ms (limit {:.1} ms)",
-                t.target, t.wall_ms, base_ms, limit
-            );
-        } else {
-            println!(
-                "  {:<12} {:>9.1} ms vs baseline {:>9.1} ms  ok",
-                t.target, t.wall_ms, base_ms
-            );
-        }
-    }
-    if regressed == 0 {
-        println!(
-            "[regression gate] all {} targets within tolerance",
-            record.targets.len()
-        );
-    } else if strict {
-        println!("[regression gate] {regressed} target(s) regressed (--strict: failing the run)");
-    } else {
-        println!(
-            "[regression gate] {regressed} target(s) regressed (warn-only; not failing the run)"
-        );
-    }
-    regressed
-}
-
-/// Runs `f`, printing and returning its wall-clock time and the peak-memory
-/// estimate `f` reports (bytes of the target's dominant allocations).
-fn timed(target: &'static str, f: impl FnOnce() -> u64) -> TargetTiming {
-    let start = Instant::now();
-    let peak_mem_bytes = f();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "  [{target}: {wall_ms:.1} ms, ~{:.1} MiB peak]",
-        peak_mem_bytes as f64 / (1024.0 * 1024.0)
-    );
-    TargetTiming {
-        target,
-        wall_ms,
-        peak_mem_bytes,
-    }
-}
-
-/// Returns the dominant allocation: the path family's `NqOracle` ball profile
-/// (`n` nodes × eccentricity ≈ `n` entries of 8 bytes).
-fn run_table1(quick: bool) -> u64 {
-    let n = if quick { 256 } else { 1024 };
-    let ks: Vec<u64> = if quick {
+fn run_table1(cli: &Cli) -> io::Result<()> {
+    let n = if cli.quick { 256 } else { 1024 };
+    let ks: Vec<u64> = if cli.quick {
         vec![16, 64, 256]
     } else {
         vec![16, 64, 256, 1024]
@@ -400,14 +226,12 @@ fn run_table1(quick: bool) -> u64 {
             r.lower_bound
         );
     }
-    write_json("table1_dissemination", &rows);
-    (n as u64).pow(2) * 8
+    write_json("table1_dissemination", &rows)?;
+    Ok(())
 }
 
-/// Returns the dominant allocation: the dense `n × n` label matrix plus the
-/// exact distance matrix it is verified against.
-fn run_table2(quick: bool) -> u64 {
-    let n = if quick { 144 } else { 400 };
+fn run_table2(cli: &Cli) -> io::Result<()> {
+    let n = if cli.quick { 144 } else { 400 };
     println!("\n=== Table 2: APSP (n = {n}) ===");
     println!(
         "{:<14}{:>6}{:>7}{:>8}{:>11}{:>9}{:>11}{:>11}{:>9}{:>11}{:>9}{:>10}{:>10}",
@@ -444,20 +268,17 @@ fn run_table2(quick: bool) -> u64 {
             r.lower_bound
         );
     }
-    write_json("table2_apsp", &rows);
-    2 * (n as u64).pow(2) * 8
+    write_json("table2_apsp", &rows)?;
+    Ok(())
 }
 
-/// Returns the dominant allocation: the largest `k × n` source-row block plus
-/// the exact rows it is verified against.
-fn run_table3(quick: bool) -> u64 {
-    let n = if quick { 196 } else { 400 };
-    let ks: Vec<u64> = if quick {
+fn run_table3(cli: &Cli) -> io::Result<()> {
+    let n = if cli.quick { 196 } else { 400 };
+    let ks: Vec<u64> = if cli.quick {
         vec![16, 64]
     } else {
         vec![16, 64, 144]
     };
-    let k_max = *ks.iter().max().expect("ks is non-empty");
     println!("\n=== Table 3: (k, l)-shortest paths (n = {n}) ===");
     println!(
         "{:<14}{:>6}{:>5}{:>6}{:>8}{:>10}{:>9}{:>10}{:>10}",
@@ -470,19 +291,16 @@ fn run_table3(quick: bool) -> u64 {
             r.family, r.k, r.l, r.nq, r.sqrt_k, r.universal, r.stretch, r.baseline, r.lower_bound
         );
     }
-    write_json("table3_klsp", &rows);
-    2 * k_max * n as u64 * 8
+    write_json("table3_klsp", &rows)?;
+    Ok(())
 }
 
-/// Returns the dominant allocation: SSSP keeps a handful of length-`n`
-/// working arrays (distances, heap, visited, parents) at the largest size.
-fn run_table4(quick: bool) -> u64 {
-    let sizes: Vec<usize> = if quick {
+fn run_table4(cli: &Cli) -> io::Result<()> {
+    let sizes: Vec<usize> = if cli.quick {
         vec![64, 256, 1024]
     } else {
         vec![64, 256, 1024, 4096]
     };
-    let n_max = *sizes.iter().max().expect("sizes is non-empty") as u64;
     println!("\n=== Table 4: SSSP ===");
     println!(
         "{:<18}{:>7}{:>10}{:>10}{:>12}{:>10}{:>10}{:>10}",
@@ -510,14 +328,12 @@ fn run_table4(quick: bool) -> u64 {
             r.ag21
         );
     }
-    write_json("table4_sssp", &rows);
-    n_max * 8 * 4
+    write_json("table4_sssp", &rows)?;
+    Ok(())
 }
 
-/// Returns the dominant allocation: the `β = 1` point runs `k = n` sources,
-/// i.e. a full `n × n` label matrix plus the exact verification rows.
-fn run_figure1(quick: bool) -> u64 {
-    let n = if quick { 512 } else { 1024 };
+fn run_figure1(cli: &Cli) -> io::Result<()> {
+    let n = if cli.quick { 512 } else { 1024 };
     let betas = [0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 5.0 / 6.0, 1.0];
     println!("\n=== Figure 1: k-SSP landscape (k = n^beta, n = {n}) ===");
     println!(
@@ -537,14 +353,12 @@ fn run_figure1(quick: bool) -> u64 {
             r.lower_bound
         );
     }
-    write_json("figure1_kssp", &rows);
-    2 * (n as u64).pow(2) * 8
+    write_json("figure1_kssp", &rows)?;
+    Ok(())
 }
 
-/// Returns the dominant allocation: the exact `NqOracle` ball profile on the
-/// highest-diameter family (`n` nodes × up to `n` profile entries).
-fn run_appendix_b(quick: bool) -> u64 {
-    let n = if quick { 512 } else { 2048 };
+fn run_appendix_b(cli: &Cli) -> io::Result<()> {
+    let n = if cli.quick { 512 } else { 2048 };
     let ks: Vec<u64> = vec![16, 64, 256, 1024, 4096];
     println!("\n=== Appendix B / Theorems 15-17: NQ_k on special families (n ~ {n}) ===");
     println!(
@@ -558,34 +372,31 @@ fn run_appendix_b(quick: bool) -> u64 {
             r.family, r.n, r.diameter, r.k, r.measured, r.predicted, r.formula
         );
     }
-    write_json("appendix_b_nq", &rows);
-    (n as u64).pow(2) * 8
+    write_json("appendix_b_nq", &rows)?;
+    Ok(())
 }
 
-/// Returns the dominant allocation: the largest cell's exact `n × n` distance
-/// matrix (the memory wall the scale tier exists to avoid).
-///
 /// Every cell is a *shootout*: each registry algorithm (optionally filtered
 /// by `--algo`) runs on the same instance and is printed next to the same
 /// lower-bound witness.  A typed registry error (unknown name, empty
-/// selection) exits with code 2 and the usage string.
-fn run_sweep(quick: bool, algo: Option<&[String]>) -> u64 {
-    let config = if quick {
+/// selection) exits with code 2 and the usage string; an unfiltered artifact
+/// that fails [`check_sweep_artifact`] is an error.
+fn run_sweep(cli: &Cli) -> io::Result<()> {
+    let config = if cli.quick {
         SweepConfig::quick()
     } else {
         SweepConfig::full()
     };
-    let n_max = *config.sizes.iter().max().expect("sizes is non-empty") as u64;
     println!(
         "\n=== Scaling sweep: algorithm shootout vs. per-instance lower bound ({} families x {} sizes x {} (lambda, gamma) points) ===",
         GraphFamily::all().len(),
         config.sizes.len(),
         config.points.len()
     );
-    let rows = match sweep_rows_with(GraphFamily::all(), &config, algo) {
+    let rows = match sweep_rows_with(GraphFamily::all(), &config, cli.algo.as_deref()) {
         Ok(rows) => rows,
         Err(err) => {
-            eprintln!("{err}\n{USAGE}");
+            eprintln!("{err}\n{}", usage());
             std::process::exit(2);
         }
     };
@@ -630,44 +441,30 @@ fn run_sweep(quick: bool, algo: Option<&[String]>) -> u64 {
             println!("    kssp: {}", ks.join("  "));
         }
     }
-    write_json("sweep_scaling", &rows);
-    n_max * n_max * 8
+    let json = write_json("sweep_scaling", &rows)?;
+    check_sweep_artifact(cli.algo.is_some(), &json)
 }
 
-/// Re-reads the shootout artifact this run just wrote (or a baseline copy CI
-/// diffs against) and fails loudly when its schema is corrupt.  Returns the
-/// number of gate failures (0 or 1), counted like a regressed target under
-/// `--strict`.
-fn gate_sweep_artifact(artifact_text: Option<&str>, strict: bool) -> usize {
-    let annotation = if strict { "error" } else { "warning" };
-    let fail = |message: String| -> usize {
-        println!("::{annotation} title=sweep artifact::{message}");
-        if strict {
-            println!("[regression gate] sweep_scaling.json failed validation (--strict: failing the run)");
-            1
-        } else {
-            println!("[regression gate] sweep_scaling.json failed validation (warn-only)");
-            0
-        }
-    };
-    match artifact_text {
-        None => fail("results/sweep_scaling.json is missing or unreadable".to_string()),
-        Some(text) => match validate_sweep_artifact(text) {
-            Ok(()) => {
-                println!("[regression gate] sweep_scaling.json shootout schema ok");
-                0
-            }
-            Err(err) => fail(format!("malformed shootout artifact: {err}")),
-        },
+/// Holds the shootout artifact just written to its schema.  A filtered
+/// shootout (`--algo`) is skipped: its rows legitimately carry fewer than
+/// [`hybrid_bench::MIN_ALGORITHMS_PER_ROW`] entries, which only the full
+/// registry produces.
+fn check_sweep_artifact(filtered: bool, json: &str) -> io::Result<()> {
+    if filtered {
+        return Ok(());
     }
+    validate_sweep_artifact(json).map_err(|err| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("results/sweep_scaling.json: malformed shootout artifact: {err}"),
+        )
+    })
 }
 
 /// The million-node scale tier (`sweep --scale`): streaming generators,
-/// row-streamed distances and sampled `NQ` witnesses.  Returns the exact
-/// per-cell allocation maximum the rows record (no formula needed here — the
-/// scale tier tracks its own arithmetic).
-fn run_sweep_scale(quick: bool) -> u64 {
-    let config = if quick {
+/// row-streamed distances and sampled `NQ` witnesses.
+fn run_sweep_scale(cli: &Cli) -> io::Result<()> {
+    let config = if cli.quick {
         ScaleConfig::quick()
     } else {
         ScaleConfig::full()
@@ -722,16 +519,15 @@ fn run_sweep_scale(quick: bool) -> u64 {
             r.distance_rows_mem_bytes as f64 / full_matrix
         );
     }
-    write_json("sweep_scale", &rows);
-    rows.iter().map(|r| r.peak_mem_bytes).max().unwrap_or(0)
+    write_json("sweep_scale", &rows)?;
+    Ok(())
 }
 
 /// The serving tier: build a `DistanceOracle` once, answer batched
-/// point-to-point queries, record latency percentiles (telemetry, not
-/// diffed) and deterministic answer digests (diffed across pool widths).
-/// Returns the oracle's resident bytes as the dominant allocation.
-fn run_oracle(quick: bool) -> u64 {
-    let config = if quick {
+/// point-to-point queries and write their deterministic answer digests
+/// (diffed across pool widths).
+fn run_oracle(cli: &Cli) -> io::Result<()> {
+    let config = if cli.quick {
         OracleBenchConfig::quick()
     } else {
         OracleBenchConfig::full()
@@ -740,37 +536,29 @@ fn run_oracle(quick: bool) -> u64 {
         "\n=== Oracle serving: {}x{} weighted grid, {} batches x {} queries ===",
         config.dims.0, config.dims.1, config.batches, config.batch_size
     );
-    let (latency, answers) = oracle_bench_rows(&config);
+    let answers = oracle_bench_rows(&config);
     println!(
-        "{:<10}{:>8}{:>10}{:>10}{:>12}{:>12}{:>12}{:>14}",
-        "n", "m", "landmarks", "build-ms", "p50-us", "p90-us", "p99-us", "queries/s"
+        "{:<10}{:>10}{:>9}{:>22}{:>20}",
+        "n", "landmarks", "stretch", "answer-sum", "path-digest"
     );
     println!(
-        "{:<10}{:>8}{:>10}{:>10.1}{:>12.1}{:>12.1}{:>12.1}{:>14.0}",
-        latency.n,
-        latency.m,
-        latency.landmarks,
-        latency.build_ms,
-        latency.p50_us,
-        latency.p90_us,
-        latency.p99_us,
-        latency.queries_per_sec
+        "{:<10}{:>10}{:>9.1}{:>22}{:>20x}",
+        answers.n,
+        answers.landmarks.len(),
+        answers.stretch,
+        answers.answer_sum,
+        answers.path_digest
     );
-    write_json("oracle_queries", &latency);
-    write_json("oracle_answers", &answers);
-    latency.memory_bytes
+    write_json("oracle_answers", &answers)?;
+    Ok(())
 }
 
-/// Returns the dominant allocation: per-node mailboxes holding `O(log n)`
-/// in-flight tokens (payload + retry bookkeeping) at the largest size.
-fn run_faults(quick: bool) -> u64 {
-    let config = if quick {
+fn run_faults(cli: &Cli) -> io::Result<()> {
+    let config = if cli.quick {
         FaultSweepConfig::quick()
     } else {
         FaultSweepConfig::full()
     };
-    let n_max = *config.sizes.iter().max().expect("sizes is non-empty") as u64;
-    let log_n = (n_max.max(2) as f64).log2().ceil() as u64;
     let families = GraphFamily::core_families();
     println!(
         "\n=== Fault sweep: degradation factors under a seeded adversary ({} families x {} sizes x {} profiles) ===",
@@ -817,8 +605,8 @@ fn run_faults(quick: bool) -> u64 {
             r.diss_message_overhead
         );
     }
-    write_json("sweep_faults", &rows);
-    n_max * log_n * 16
+    write_json("sweep_faults", &rows)?;
+    Ok(())
 }
 
 fn main() {
@@ -830,60 +618,20 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let quick = cli.quick;
-    let algo = cli.algo.clone();
-
-    let timings = match cli.target.as_str() {
-        "table1" => vec![timed("table1", || run_table1(quick))],
-        "table2" => vec![timed("table2", || run_table2(quick))],
-        "table3" => vec![timed("table3", || run_table3(quick))],
-        "table4" => vec![timed("table4", || run_table4(quick))],
-        "figure1" => vec![timed("figure1", || run_figure1(quick))],
-        "appendix-b" => vec![timed("appendix-b", || run_appendix_b(quick))],
-        "sweep" if cli.scale => vec![timed("scale", || run_sweep_scale(quick))],
-        "sweep" => vec![timed("sweep", || run_sweep(quick, algo.as_deref()))],
-        "faults" => vec![timed("faults", || run_faults(quick))],
-        "oracle" => vec![timed("oracle", || run_oracle(quick))],
-        "all" => vec![
-            timed("table1", || run_table1(quick)),
-            timed("table2", || run_table2(quick)),
-            timed("table3", || run_table3(quick)),
-            timed("table4", || run_table4(quick)),
-            timed("figure1", || run_figure1(quick)),
-            timed("appendix-b", || run_appendix_b(quick)),
-            timed("sweep", || run_sweep(quick, None)),
-            timed("faults", || run_faults(quick)),
-            timed("oracle", || run_oracle(quick)),
-        ],
-        other => {
-            eprintln!("unknown target '{other}'\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let total_wall_ms = timings.iter().map(|t| t.wall_ms).sum();
-    let record = BenchRecord {
-        schema: "hybrid-bench-baseline/v1",
-        quick,
-        threads: rayon::current_num_threads(),
-        targets: timings,
-        total_wall_ms,
-    };
-    record.write(cli.target == "all");
-    if cli.check_regression {
-        let mut regressed = check_regression(&record, cli.strict);
-        // The shootout artifact is part of the gated contract: a malformed
-        // sweep_scaling.json (however it got that way) must fail loudly.
-        if cli.target == "all" || (cli.target == "sweep" && !cli.scale) {
-            regressed += gate_sweep_artifact(
-                fs::read_to_string(Path::new("results/sweep_scaling.json"))
-                    .ok()
-                    .as_deref(),
-                cli.strict,
-            );
-        }
-        if cli.strict && regressed > 0 {
+    let selected = if cli.scale { SCALE } else { &cli.target };
+    let is_selected = |t: &&Target| (selected == ALL && t.in_all) || t.name == selected;
+    for target in TARGETS.iter().filter(is_selected) {
+        let start = Instant::now();
+        if let Err(err) = (target.run)(&cli) {
+            eprintln!("reproduce {}: {err}", target.name);
             std::process::exit(1);
         }
+        // Console information only; performance is measured by `benchmark/`.
+        println!(
+            "  [{}: {:.1} ms]",
+            target.name,
+            start.elapsed().as_secs_f64() * 1e3
+        );
     }
 }
 
@@ -896,30 +644,50 @@ mod tests {
     }
 
     #[test]
+    fn target_table_is_the_single_source_of_names() {
+        let names: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "duplicate target name");
+        assert!(!names.contains(&ALL));
+        let in_all: Vec<&str> = TARGETS
+            .iter()
+            .filter(|t| t.in_all)
+            .map(|t| t.name)
+            .collect();
+        assert_eq!(
+            in_all,
+            [
+                "table1",
+                "table2",
+                "table3",
+                "table4",
+                "figure1",
+                "appendix-b",
+                "sweep",
+                "faults",
+                "oracle"
+            ]
+        );
+        let usage = usage();
+        for name in names {
+            assert!(usage.contains(name), "{name} missing from: {usage}");
+        }
+    }
+
+    #[test]
     fn defaults_to_all() {
         let cli = parse_args(&[]).unwrap();
         assert_eq!(cli.target, "all");
-        assert!(!cli.quick && !cli.check_regression && !cli.strict);
+        assert!(!cli.quick);
     }
 
     #[test]
     fn parses_target_and_flags_in_any_order() {
-        let cli = parse_args(&args(&[
-            "--quick",
-            "sweep",
-            "--check-regression",
-            "--strict",
-        ]))
-        .unwrap();
+        let cli = parse_args(&args(&["--quick", "sweep"])).unwrap();
         assert_eq!(cli.target, "sweep");
-        assert!(cli.quick && cli.check_regression && cli.strict);
-    }
-
-    #[test]
-    fn strict_implies_the_regression_gate() {
-        // `--strict` alone must not be a silent no-op.
-        let cli = parse_args(&args(&["all", "--strict"])).unwrap();
-        assert!(cli.strict && cli.check_regression);
+        assert!(cli.quick);
     }
 
     #[test]
@@ -929,7 +697,6 @@ mod tests {
         let err = parse_args(&args(&["table1", "--qiuck"])).unwrap_err();
         assert!(err.contains("unknown flag '--qiuck'"), "{err}");
         assert!(err.contains("usage:"), "{err}");
-        assert!(parse_args(&args(&["--check-regresion"])).is_err());
     }
 
     #[test]
@@ -943,6 +710,9 @@ mod tests {
         assert!(err.contains("--scale applies to the sweep target"), "{err}");
         let err = parse_args(&args(&["--scale"])).unwrap_err();
         assert!(err.contains("target is 'all'"), "{err}");
+        // The scale row is reached through the flag, not by name.
+        let err = parse_args(&args(&["scale"])).unwrap_err();
+        assert!(err.contains("unknown target 'scale'"), "{err}");
     }
 
     #[test]
@@ -975,13 +745,20 @@ mod tests {
 
     #[test]
     fn sweep_artifact_gate_counts_malformed_artifacts_under_strict() {
-        // Missing artifact.
-        assert_eq!(gate_sweep_artifact(None, false), 0);
-        assert_eq!(gate_sweep_artifact(None, true), 1);
-        // Structurally broken artifact (no shootout columns).
+        // Structurally broken artifact (no shootout columns): a failure when
+        // the shootout was unfiltered, not looked at when it was filtered.
         let junk = r#"[{"family": "path", "n": 64}]"#;
-        assert_eq!(gate_sweep_artifact(Some(junk), false), 0);
-        assert_eq!(gate_sweep_artifact(Some(junk), true), 1);
+        let err = check_sweep_artifact(false, junk).unwrap_err();
+        assert!(err.to_string().contains("sweep_scaling.json"), "{err}");
+        assert!(check_sweep_artifact(true, junk).is_ok());
+        // One contender per column is what `--algo theorem1,theorem14`
+        // writes: fine filtered, too few for the full registry.
+        let single = r#"[{"family":"path","dissemination_lower_bound":1.0,
+            "dissemination":[{"algorithm":"theorem1","ratio":1.0}],
+            "kssp_lower_bound":1,
+            "kssp":[{"algorithm":"theorem14","ratio":1.5}]}]"#;
+        assert!(check_sweep_artifact(true, single).is_ok());
+        assert!(check_sweep_artifact(false, single).is_err());
         // A well-formed row passes: three contenders per shootout column.
         let good = r#"[{"family":"path","dissemination_lower_bound":1.0,
             "dissemination":[
@@ -993,7 +770,7 @@ mod tests {
               {"algorithm":"theorem14","ratio":1.5},
               {"algorithm":"theorem14-proxy","ratio":1.8},
               {"algorithm":"schneider","ratio":9.0}]}]"#;
-        assert_eq!(gate_sweep_artifact(Some(good), true), 0);
+        assert!(check_sweep_artifact(false, good).is_ok());
     }
 
     #[test]
@@ -1001,77 +778,5 @@ mod tests {
         let err = parse_args(&args(&["table1", "table2"])).unwrap_err();
         assert!(err.contains("unexpected argument 'table2'"), "{err}");
         assert!(err.contains("usage:"), "{err}");
-    }
-
-    #[test]
-    fn baseline_parsers_extract_quick_flag_and_targets() {
-        let json = r#"{"quick": true, "targets": [
-            {"target": "table1", "wall_ms": 10.0},
-            {"target": "sweep", "wall_ms": 20.0}
-        ]}"#;
-        assert_eq!(parse_quick_flag(json), Some(true));
-        let parsed = parse_recorded_targets(json);
-        assert_eq!(
-            parsed,
-            vec![("table1".to_string(), 10.0), ("sweep".to_string(), 20.0)]
-        );
-    }
-
-    fn record(targets: Vec<(&'static str, f64)>) -> BenchRecord {
-        let targets: Vec<TargetTiming> = targets
-            .into_iter()
-            .map(|(target, wall_ms)| TargetTiming {
-                target,
-                wall_ms,
-                peak_mem_bytes: 0,
-            })
-            .collect();
-        BenchRecord {
-            schema: "hybrid-bench-baseline/v1",
-            quick: true,
-            threads: 1,
-            total_wall_ms: targets.iter().map(|t| t.wall_ms).sum(),
-            targets,
-        }
-    }
-
-    const BASELINE: &str = r#"{"quick": true, "targets": [
-        {"target": "table1", "wall_ms": 10.0},
-        {"target": "sweep", "wall_ms": 20.0}
-    ]}"#;
-
-    #[test]
-    fn gate_counts_breaches_of_the_tolerance() {
-        // table1 limit = 2*10 + 100 = 120 ms; sweep limit = 140 ms.
-        let rec = record(vec![("table1", 500.0), ("sweep", 30.0)]);
-        assert_eq!(gate_regressions(&rec, Some(BASELINE), false), 1);
-        assert_eq!(gate_regressions(&rec, Some(BASELINE), true), 1);
-        let within = record(vec![("table1", 119.0), ("sweep", 139.0)]);
-        assert_eq!(gate_regressions(&within, Some(BASELINE), true), 0);
-    }
-
-    #[test]
-    fn strict_gate_fails_targets_missing_a_baseline_entry() {
-        let rec = record(vec![("brand-new-target", 1.0)]);
-        // Warn-only: an ungated target is reported but not counted.
-        assert_eq!(gate_regressions(&rec, Some(BASELINE), false), 0);
-        // Strict (CI): new targets must be gated from day one.
-        assert_eq!(gate_regressions(&rec, Some(BASELINE), true), 1);
-    }
-
-    #[test]
-    fn strict_gate_fails_when_the_comparison_cannot_run() {
-        let rec = record(vec![("table1", 1.0)]);
-        // Missing baseline file.
-        assert_eq!(gate_regressions(&rec, None, false), 0);
-        assert_eq!(gate_regressions(&rec, None, true), 1);
-        // quick-flag mismatch (baseline quick=false vs run quick=true).
-        let full = r#"{"quick": false, "targets": [{"target": "table1", "wall_ms": 10.0}]}"#;
-        assert_eq!(gate_regressions(&rec, Some(full), false), 0);
-        assert_eq!(gate_regressions(&rec, Some(full), true), 1);
-        // Unparsable baseline.
-        let junk = r#"{"quick": true, "targets": []}"#;
-        assert_eq!(gate_regressions(&rec, Some(junk), false), 0);
-        assert_eq!(gate_regressions(&rec, Some(junk), true), 1);
     }
 }

@@ -18,16 +18,16 @@
 //!   `n = 10⁵–10⁶` on streaming generators, row-streamed distances and
 //!   sampled `NQ` witnesses (`reproduce sweep --scale`);
 //! * The serving tier (the [`oracle_bench`] module) — batched point-to-point
-//!   queries against a built [`hybrid_core::oracle::DistanceOracle`], with
-//!   per-batch latency percentiles and a queries/s figure
-//!   (`reproduce oracle`).
+//!   queries against a built [`hybrid_core::oracle::DistanceOracle`],
+//!   recorded as deterministic answer digests (`reproduce oracle`).
 //!
 //! The round-count reproduction lives in the [`scenarios`] module and is
 //! driven by the `reproduce` binary (`cargo run -p hybrid-bench --bin
 //! reproduce -- all`), which prints paper-style tables and writes
-//! machine-readable JSON next to them.  The Criterion benches (in `benches/`)
-//! measure the wall-clock performance of the implementation itself on the
-//! same scenarios.
+//! machine-readable JSON next to them — every artifact a pure function of
+//! its seed.  Wall-clock performance is measured elsewhere: end to end and
+//! per layer by the `benchmark/` package at the repository root, per
+//! scenario by the Criterion benches in `benches/`.
 
 pub mod faults_sweep;
 pub mod oracle_bench;

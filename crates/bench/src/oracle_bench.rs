@@ -1,24 +1,12 @@
-//! Query-serving benchmark: build a [`DistanceOracle`] once, then serve
-//! batched point-to-point queries and record per-batch latency percentiles
-//! and throughput.
+//! Query-serving reproduction: build a [`DistanceOracle`] once, then serve
+//! batched point-to-point queries and record what was answered.
 //!
-//! The workload is split into two artifacts with different determinism
-//! contracts (the same split the sweep uses for `bench_last_run.json`):
-//!
-//! * `results/oracle_queries.json` ([`OracleLatencyReport`]) — wall-clock
-//!   telemetry: per-batch latencies, `p50/p90/p99` percentiles and a
-//!   queries-per-second figure.  Timing is machine-dependent and **excluded**
-//!   from the CI cross-thread diff.
-//! * `results/oracle_answers.json` ([`OracleAnswersReport`]) — the semantic
-//!   output: the landmark set, one FNV-1a digest per answered batch and the
-//!   saturating sum of all answers.  Bit-identical across
-//!   `RAYON_NUM_THREADS` and **included** in the CI cross-thread diff.
-//!
-//! Percentiles are computed by *count* (nearest-rank over the sorted batch
-//! latencies), never asserted against wall-clock thresholds — timing numbers
-//! are recorded, only answer content is gated.
-
-use std::time::Instant;
+//! The artifact, `results/oracle_answers.json` ([`OracleAnswersReport`]), is
+//! the semantic output: the landmark set, one FNV-1a digest per answered
+//! batch and the saturating sum of all answers — bit-identical across
+//! `RAYON_NUM_THREADS` and part of the CI cross-thread diff.  How fast the
+//! batches are served (queries/s, p50 and p99 per layer) is measured by the
+//! `serve` workload of `benchmark/`, not here.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -86,45 +74,6 @@ impl OracleBenchConfig {
     }
 }
 
-/// Latency of one served batch.
-#[derive(Debug, Clone, Serialize)]
-pub struct BatchLatency {
-    /// Batch index in serving order.
-    pub batch: usize,
-    /// Queries in the batch.
-    pub queries: usize,
-    /// Wall-clock microseconds to answer the whole batch.
-    pub wall_us: f64,
-}
-
-/// Timing telemetry of an oracle serving run (`results/oracle_queries.json`;
-/// machine-dependent, excluded from the determinism diff).
-#[derive(Debug, Clone, Serialize)]
-pub struct OracleLatencyReport {
-    /// Artifact schema tag.
-    pub schema: &'static str,
-    /// Nodes served.
-    pub n: usize,
-    /// Edges of the instance.
-    pub m: usize,
-    /// Landmarks sampled.
-    pub landmarks: usize,
-    /// Preprocessing wall-clock milliseconds (build once).
-    pub build_ms: f64,
-    /// Oracle resident bytes after the build.
-    pub memory_bytes: u64,
-    /// Per-batch latencies in serving order.
-    pub batches: Vec<BatchLatency>,
-    /// Nearest-rank p50 over the batch latencies, microseconds.
-    pub p50_us: f64,
-    /// Nearest-rank p90 over the batch latencies, microseconds.
-    pub p90_us: f64,
-    /// Nearest-rank p99 over the batch latencies, microseconds.
-    pub p99_us: f64,
-    /// Total distance queries served per second (batch answering only).
-    pub queries_per_sec: f64,
-}
-
 /// Semantic output of an oracle serving run (`results/oracle_answers.json`;
 /// bit-identical across pool widths, gated by the CI cross-thread diff).
 #[derive(Debug, Clone, Serialize)]
@@ -157,21 +106,11 @@ fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// Nearest-rank percentile (count-based; `sorted` must be ascending).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Runs the serving workload: builds the oracle once, serves every batch,
-/// and returns the (telemetry, semantic) artifact pair.
-pub fn oracle_bench_rows(config: &OracleBenchConfig) -> (OracleLatencyReport, OracleAnswersReport) {
+/// Runs the serving workload: builds the oracle once, serves every batch
+/// and returns the answers' digests.
+pub fn oracle_bench_rows(config: &OracleBenchConfig) -> OracleAnswersReport {
     let graph = config.build_graph();
     let n = graph.n();
-    let build_start = Instant::now();
     let oracle = DistanceOracle::build(
         &graph,
         OracleConfig {
@@ -180,21 +119,12 @@ pub fn oracle_bench_rows(config: &OracleBenchConfig) -> (OracleLatencyReport, Or
         },
     )
     .expect("oracle build");
-    let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
 
     let batches = config.query_batches(n);
-    let mut latencies = Vec::with_capacity(batches.len());
     let mut digests = Vec::with_capacity(batches.len());
     let mut answer_sum: u64 = 0;
-    for (i, batch) in batches.iter().enumerate() {
-        let start = Instant::now();
+    for batch in &batches {
         let answers = oracle.query_batch(batch);
-        let wall_us = start.elapsed().as_secs_f64() * 1e6;
-        latencies.push(BatchLatency {
-            batch: i,
-            queries: batch.len(),
-            wall_us,
-        });
         for &a in &answers {
             answer_sum = answer_sum.saturating_add(a);
         }
@@ -210,28 +140,7 @@ pub fn oracle_bench_rows(config: &OracleBenchConfig) -> (OracleLatencyReport, Or
             .chain((0..paths.len()).flat_map(|i| paths.path(i).iter().map(|&v| v as u64))),
     );
 
-    let total_queries: usize = latencies.iter().map(|b| b.queries).sum();
-    let total_us: f64 = latencies.iter().map(|b| b.wall_us).sum();
-    let mut sorted: Vec<f64> = latencies.iter().map(|b| b.wall_us).collect();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    let latency = OracleLatencyReport {
-        schema: "hybrid-oracle-queries/v1",
-        n,
-        m: graph.m(),
-        landmarks: oracle.landmarks().len(),
-        build_ms,
-        memory_bytes: oracle.memory_bytes(),
-        p50_us: percentile(&sorted, 50.0),
-        p90_us: percentile(&sorted, 90.0),
-        p99_us: percentile(&sorted, 99.0),
-        queries_per_sec: if total_us > 0.0 {
-            total_queries as f64 / (total_us / 1e6)
-        } else {
-            0.0
-        },
-        batches: latencies,
-    };
-    let answers = OracleAnswersReport {
+    OracleAnswersReport {
         schema: "hybrid-oracle-answers/v1",
         n,
         stretch: ORACLE_STRETCH,
@@ -239,8 +148,7 @@ pub fn oracle_bench_rows(config: &OracleBenchConfig) -> (OracleLatencyReport, Or
         batch_digests: digests,
         path_digest,
         answer_sum,
-    };
-    (latency, answers)
+    }
 }
 
 #[cfg(test)]
@@ -256,25 +164,12 @@ mod tests {
             batch_size: 64,
             seed: 42,
         };
-        let (lat_a, ans_a) = oracle_bench_rows(&config);
-        let (_, ans_b) = oracle_bench_rows(&config);
-        assert_eq!(lat_a.batches.len(), 3);
+        let ans_a = oracle_bench_rows(&config);
+        let ans_b = oracle_bench_rows(&config);
         assert_eq!(ans_a.batch_digests.len(), 3);
-        // The semantic artifact is run-to-run identical; timing is not gated.
         assert_eq!(ans_a.batch_digests, ans_b.batch_digests);
         assert_eq!(ans_a.answer_sum, ans_b.answer_sum);
         assert_eq!(ans_a.path_digest, ans_b.path_digest);
         assert_eq!(ans_a.landmarks, ans_b.landmarks);
-        assert!(lat_a.queries_per_sec > 0.0);
-        assert!(lat_a.p50_us <= lat_a.p99_us);
-    }
-
-    #[test]
-    fn percentiles_are_count_based() {
-        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(percentile(&sorted, 50.0), 5.0);
-        assert_eq!(percentile(&sorted, 90.0), 9.0);
-        assert_eq!(percentile(&sorted, 99.0), 10.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 }

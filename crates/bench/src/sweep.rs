@@ -414,10 +414,8 @@ pub fn sweep_rows_with(
 
 /// Schema violations of a written `sweep_scaling.json` shootout artifact.
 ///
-/// The strict regression gate re-reads the artifact it just wrote (and any
-/// baseline copy it is handed) and refuses to pass when the shootout columns
-/// are missing or corrupt — a malformed baseline must fail loudly, not
-/// silently gate nothing.
+/// `reproduce` holds every unfiltered shootout it writes to this schema and
+/// exits non-zero when the shootout columns are missing or corrupt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepArtifactError {
     /// Not a JSON array of rows.
@@ -462,7 +460,7 @@ impl std::fmt::Display for SweepArtifactError {
 impl std::error::Error for SweepArtifactError {}
 
 /// Minimum number of algorithm entries a well-formed shootout row carries
-/// (ours + the two rivals is the floor the acceptance gate checks).
+/// (ours + the two rivals; only an unfiltered registry run reaches it).
 pub const MIN_ALGORITHMS_PER_ROW: usize = 3;
 
 /// Validates the shootout schema of a serialized `sweep_scaling.json`
@@ -470,9 +468,8 @@ pub const MIN_ALGORITHMS_PER_ROW: usize = 3;
 /// `kssp` shootout columns with at least [`MIN_ALGORITHMS_PER_ROW`]
 /// algorithm entries between them, and no null/non-finite ratios.
 ///
-/// The vendored `serde_json` stand-in only serializes, so — like the
-/// `BENCH_baseline.json` gate — this is a structural string scan, not a full
-/// parse; it is deliberately strict about the markers the gate relies on.
+/// This is a structural string scan, not a full parse; it is deliberately
+/// strict about the markers it relies on.
 pub fn validate_sweep_artifact(json: &str) -> Result<(), SweepArtifactError> {
     let body = json.trim();
     if !body.starts_with('[') || !body.ends_with(']') {

@@ -1,0 +1,78 @@
+//! The `reproduce` command line end to end: the exit codes (0 ran, 1 artifact
+//! not written, 2 bad command line) and the artifact set a target leaves
+//! behind.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// A fresh working directory per test: `reproduce` writes `results/` into
+/// its current directory and cargo runs the tests of this file in parallel.
+fn fresh_dir(test: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("reproduce-cli-{test}"));
+    if dir.exists() {
+        fs::remove_dir_all(&dir).expect("clear stale scratch directory");
+    }
+    fs::create_dir_all(&dir).expect("create scratch directory");
+    dir
+}
+
+fn reproduce(cwd: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(args)
+        .current_dir(cwd)
+        .output()
+        .expect("spawn reproduce")
+}
+
+fn stderr(output: &Output) -> String {
+    String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+#[test]
+fn bad_command_lines_exit_2_with_usage_and_write_nothing() {
+    let dir = fresh_dir("usage");
+    let out = reproduce(&dir, &["bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("unknown target 'bogus'"), "{err}");
+    assert!(err.contains("usage: reproduce ["), "{err}");
+
+    // The retired perf-gate flags are unknown flags now, not silent no-ops.
+    for flag in ["--strict", "--check-regression"] {
+        let out = reproduce(&dir, &["table3", "--quick", flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+    }
+    assert!(!dir.join("results").exists());
+}
+
+#[test]
+fn one_target_writes_exactly_its_artifact_and_repeats_byte_for_byte() {
+    let dir = fresh_dir("table3");
+    let artifact = dir.join("results/table3_klsp.json");
+
+    let out = reproduce(&dir, &["table3", "--quick"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let written: Vec<_> = fs::read_dir(dir.join("results"))
+        .expect("results directory")
+        .map(|entry| entry.expect("directory entry").file_name())
+        .collect();
+    assert_eq!(written, ["table3_klsp.json"]);
+    let first = fs::read(&artifact).expect("artifact");
+
+    let out = reproduce(&dir, &["table3", "--quick"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(fs::read(&artifact).expect("artifact"), first);
+}
+
+#[test]
+fn unwritable_results_directory_exits_1_naming_the_path() {
+    let dir = fresh_dir("unwritable");
+    fs::write(dir.join("results"), "not a directory").expect("plant a file");
+    let out = reproduce(&dir, &["table3", "--quick"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("table3: results: "), "{err}");
+}
