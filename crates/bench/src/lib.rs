@@ -15,7 +15,7 @@
 //!   under a seeded fault-injection adversary over a `family × size ×
 //!   fault-profile` grid;
 //! * The scale tier (the [`scale`] module) — the sweep question at
-//!   `n = 10⁵–10⁶` on streaming generators, row-streamed distances and
+//!   `n = 10⁵–10⁶` on chunk-emitted generators, row-streamed distances and
 //!   sampled `NQ` witnesses (`reproduce sweep --scale`);
 //! * The serving tier (the [`oracle_bench`] module) — batched point-to-point
 //!   queries against a built [`hybrid_core::oracle::DistanceOracle`],
@@ -26,8 +26,7 @@
 //! reproduce -- all`), which prints paper-style tables and writes
 //! machine-readable JSON next to them — every artifact a pure function of
 //! its seed.  Wall-clock performance is measured elsewhere: end to end and
-//! per layer by the `benchmark/` package at the repository root, per
-//! scenario by the Criterion benches in `benches/`.
+//! per layer by the `benchmark/` package at the repository root.
 
 pub mod faults_sweep;
 pub mod oracle_bench;

@@ -8,8 +8,9 @@
 //! own lower-bound witness, per family") but swaps every quadratic
 //! ingredient for its row-streamed / sampled counterpart:
 //!
-//! * **graphs** come from the parallel streaming generators
-//!   ([`hybrid_graph::streaming`] via [`GraphFamily::build_streamed`]) with
+//! * **graphs** come from [`GraphFamily::build_streamed`] — the chunk-emitted
+//!   deterministic families of [`hybrid_graph::generators`] and the
+//!   sub-quadratic random samplers of [`hybrid_graph::streaming`], both with
 //!   pre-sized CSR assembly — `O(n + m)` memory, bit-identical across pool
 //!   widths;
 //! * **`NQ_k` witnesses** come from a [`SampledNqOracle`]: exact bounded ball
@@ -33,8 +34,8 @@
 //! ## Determinism
 //!
 //! Cells derive their streams from [`cell_seed`] exactly like the regular
-//! sweep (salt 0 = graph, 2 = sources, 3 = `NQ` sample), and the streaming
-//! generators use worker-independent canonical chunk streams, so
+//! sweep (salt 0 = graph, 2 = sources, 3 = `NQ` sample), and every
+//! generator emits over fixed, worker-independent chunks, so
 //! `results/sweep_scale.json` is bit-identical across `RAYON_NUM_THREADS` —
 //! pinned by `crates/bench/tests/determinism.rs` and the CI cross-thread
 //! artifact diff.
@@ -50,7 +51,7 @@ use hybrid_core::nq::{NqOracle, SampledNqOracle};
 use hybrid_core::prob::sample_distinct;
 use hybrid_core::rows::DistanceRows;
 use hybrid_core::sssp::SsspCostModel;
-use hybrid_graph::{streaming, Graph};
+use hybrid_graph::{generators, Graph};
 use hybrid_sim::ModelParams;
 
 use crate::scenarios::GraphFamily;
@@ -169,11 +170,12 @@ pub struct ScaleRow {
 }
 
 /// Builds a scale-tier instance: [`GraphFamily::build_streamed`] everywhere,
-/// except the barbell past [`BARBELL_CAP_THRESHOLD`] nodes (see the constant).
+/// except the barbell past [`BARBELL_CAP_THRESHOLD`] nodes, which calls
+/// [`generators::barbell`] with capped cliques (see the constant).
 fn build_scale_graph(family: GraphFamily, n_target: usize, seed: u64) -> Graph {
     let n = n_target.max(8);
     if family == GraphFamily::Barbell && n > BARBELL_CAP_THRESHOLD {
-        return streaming::barbell(BARBELL_CLIQUE_CAP, n - 2 * BARBELL_CLIQUE_CAP)
+        return generators::barbell(BARBELL_CLIQUE_CAP, n - 2 * BARBELL_CLIQUE_CAP)
             .expect("barbell");
     }
     family.build_streamed(n_target, seed)
@@ -335,7 +337,7 @@ mod tests {
         let expected =
             BARBELL_CLIQUE_CAP * (BARBELL_CLIQUE_CAP - 1) + (10_000 - 2 * BARBELL_CLIQUE_CAP) + 1;
         assert_eq!(capped.m(), expected);
-        // Below the threshold the mapping is the shared streamed one.
+        // Below the threshold the mapping is the shared `GraphFamily` one.
         let small = build_scale_graph(GraphFamily::Barbell, 1024, 1);
         assert_eq!(
             small.edges(),

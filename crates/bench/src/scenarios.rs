@@ -4,8 +4,7 @@
 //! Each `tableN_rows` function runs both sides of the paper's comparison (the
 //! universal algorithm and the existential baseline, plus the lower-bound
 //! witness where applicable) on the requested graph families and returns
-//! plain serializable rows; the `reproduce` binary formats them, and the
-//! Criterion benches time the underlying algorithm calls.
+//! plain serializable rows; the `reproduce` binary formats them.
 
 use std::sync::Arc;
 
@@ -58,6 +57,21 @@ pub enum GraphFamily {
     Barbell,
 }
 
+/// Erdős–Rényi edge probability: expected degree ≈ 6.
+fn er_p(n: usize) -> f64 {
+    (6.0 / n as f64).min(1.0)
+}
+
+/// Random-geometric connection radius: expected degree ≈ 8π.
+fn rgg_radius(n: usize) -> f64 {
+    (8.0 / n as f64).sqrt().min(0.9)
+}
+
+/// Chung–Lu tail exponent.
+const CHUNG_LU_EXPONENT: f64 = 2.5;
+/// Chung–Lu average expected degree.
+const CHUNG_LU_AVG_DEGREE: f64 = 6.0;
+
 impl GraphFamily {
     /// All families, in presentation order.
     pub fn all() -> &'static [GraphFamily] {
@@ -103,7 +117,10 @@ impl GraphFamily {
         }
     }
 
-    /// Builds an instance with approximately `n_target` nodes.
+    /// Builds an instance with approximately `n_target` nodes.  This is the
+    /// one place a family's parameter mapping (side lengths, hosts, clique
+    /// sizes) is written; the random families draw the sequential
+    /// [`generators`] stream the small-`n` artifacts are recorded with.
     pub fn build(&self, n_target: usize, seed: u64) -> Graph {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let n = n_target.max(8);
@@ -123,19 +140,18 @@ impl GraphFamily {
                 // size target by up to 3.5× and dominated sweep wall-clock.
                 generators::tree_with_n(2, n).expect("tree")
             }
-            GraphFamily::ErdosRenyi => {
-                let p = 6.0 / n as f64;
-                generators::erdos_renyi(n, p.min(1.0), &mut rng).expect("er")
-            }
+            GraphFamily::ErdosRenyi => generators::erdos_renyi(n, er_p(n), &mut rng).expect("er"),
             GraphFamily::RandomGeometric => {
-                let radius = (8.0 / n as f64).sqrt().min(0.9);
-                generators::random_geometric(n, radius, &mut rng).expect("rgg")
+                generators::random_geometric(n, rgg_radius(n), &mut rng).expect("rgg")
             }
             GraphFamily::FatTree => {
                 let hosts = (n.saturating_sub(12)).max(8) / 8;
                 generators::fat_tree(4, 8, hosts.max(1)).expect("fat-tree")
             }
-            GraphFamily::ChungLu => generators::chung_lu(n, 2.5, 6.0, &mut rng).expect("chung-lu"),
+            GraphFamily::ChungLu => {
+                generators::chung_lu(n, CHUNG_LU_EXPONENT, CHUNG_LU_AVG_DEGREE, &mut rng)
+                    .expect("chung-lu")
+            }
             GraphFamily::RingOfCliques => {
                 // Cliques of 8 with a 2-edge cut; ring length scales with n.
                 let cliques = (n / 8).max(3);
@@ -149,52 +165,27 @@ impl GraphFamily {
         }
     }
 
-    /// Builds an instance with approximately `n_target` nodes through the
-    /// parallel streaming generators ([`hybrid_graph::streaming`]).
-    ///
-    /// The parameter mapping (side lengths, densities, clique sizes) is
-    /// identical to [`Self::build`], so the deterministic families produce
-    /// bit-identical graphs; the random families draw from the streaming
-    /// module's canonical per-chunk streams instead of the legacy sequential
-    /// ones (documented there), which is what makes them feasible at
-    /// `n = 10⁶`.  The small-`n` experiments keep using [`Self::build`] so
-    /// their recorded artifacts are unchanged.
+    /// Builds the instance the `n ≥ 10⁵` tier uses: the three random families
+    /// come from the sub-quadratic samplers of [`hybrid_graph::streaming`]
+    /// (same densities as [`Self::build`], but their own canonical per-chunk
+    /// streams — documented there — which is what makes them feasible at
+    /// `n = 10⁶`); every other family has one generator, so this is
+    /// [`Self::build`].  The small-`n` experiments keep calling
+    /// [`Self::build`] for the random families, which is the stream their
+    /// recorded artifacts were produced with.
     pub fn build_streamed(&self, n_target: usize, seed: u64) -> Graph {
         use hybrid_graph::streaming;
         let n = n_target.max(8);
         match self {
-            GraphFamily::Path => streaming::path(n).expect("path"),
-            GraphFamily::Cycle => streaming::cycle(n).expect("cycle"),
-            GraphFamily::Grid2D => {
-                let side = (n as f64).sqrt().round().max(2.0) as usize;
-                streaming::grid(&[side, side]).expect("grid")
-            }
-            GraphFamily::Grid3D => {
-                let side = (n as f64).cbrt().round().max(2.0) as usize;
-                streaming::grid(&[side, side, side]).expect("grid3")
-            }
-            GraphFamily::BinaryTree => streaming::tree_with_n(2, n).expect("tree"),
-            GraphFamily::ErdosRenyi => {
-                let p = 6.0 / n as f64;
-                streaming::erdos_renyi(n, p.min(1.0), seed).expect("er")
-            }
+            GraphFamily::ErdosRenyi => streaming::erdos_renyi(n, er_p(n), seed).expect("er"),
             GraphFamily::RandomGeometric => {
-                let radius = (8.0 / n as f64).sqrt().min(0.9);
-                streaming::random_geometric(n, radius, seed).expect("rgg")
+                streaming::random_geometric(n, rgg_radius(n), seed).expect("rgg")
             }
-            GraphFamily::FatTree => {
-                let hosts = (n.saturating_sub(12)).max(8) / 8;
-                streaming::fat_tree(4, 8, hosts.max(1)).expect("fat-tree")
+            GraphFamily::ChungLu => {
+                streaming::chung_lu(n, CHUNG_LU_EXPONENT, CHUNG_LU_AVG_DEGREE, seed)
+                    .expect("chung-lu")
             }
-            GraphFamily::ChungLu => streaming::chung_lu(n, 2.5, 6.0, seed).expect("chung-lu"),
-            GraphFamily::RingOfCliques => {
-                let cliques = (n / 8).max(3);
-                streaming::ring_of_cliques(cliques, 8, 2).expect("ring-of-cliques")
-            }
-            GraphFamily::Barbell => {
-                let clique = (3 * n / 8).max(2);
-                streaming::barbell(clique, n.saturating_sub(2 * clique)).expect("barbell")
-            }
+            _ => self.build(n_target, seed),
         }
     }
 
@@ -203,10 +194,10 @@ impl GraphFamily {
         self.reweight(&self.build(n_target, seed), seed)
     }
 
-    /// Re-weights a streamed instance through the streaming module's chunked
-    /// weight pass (same `[1, 32]` range and seed derivation as
-    /// [`Self::reweight`], but a canonical per-chunk stream instead of the
-    /// legacy sequential one).
+    /// Re-weights an `n ≥ 10⁵`-tier instance through
+    /// [`hybrid_graph::streaming::with_random_weights`]: same `[1, 32]` range
+    /// and seed derivation as [`Self::reweight`], but that module's per-chunk
+    /// stream instead of the sequential one.
     pub fn reweight_streamed(&self, base: &Graph, seed: u64) -> Graph {
         hybrid_graph::streaming::with_random_weights(base, 32, seed ^ 0x5E_ED0F_EE61_u64)
             .expect("weighted")

@@ -64,11 +64,11 @@ impl GraphBuilder {
         })
     }
 
-    /// Streaming-generator constructor: pre-sizes the edge list for exactly
-    /// `m` edges but leaves the duplicate-detection set empty — the streaming
-    /// generators guarantee simplicity by construction and feed edges through
-    /// [`Self::push_normalized_edge`], so paying a `HashSet` per edge at
-    /// `n = 10⁶` would be pure overhead.
+    /// Constructor of the chunk-emitting generators (`generators::assemble`):
+    /// pre-sizes the edge list for exactly `m` edges but leaves the
+    /// duplicate-detection set empty — those generators guarantee simplicity
+    /// by construction and feed edges through [`Self::push_normalized_edge`],
+    /// so paying a `HashSet` probe per edge would be pure overhead.
     pub(crate) fn streaming(n: usize, m: usize) -> Result<Self> {
         validate_counts(n, m)?;
         Ok(GraphBuilder {
@@ -79,8 +79,8 @@ impl GraphBuilder {
     }
 
     /// Appends an edge the caller guarantees is normalized (`u < v`), in
-    /// range, simple and positively weighted.  Only the streaming generators
-    /// use this; the invariants are checked in debug builds.
+    /// range, simple and positively weighted.  Only `generators::assemble`
+    /// uses this; the invariants are checked in debug builds.
     pub(crate) fn push_normalized_edge(&mut self, u: NodeId, v: NodeId, w: Weight) {
         debug_assert!(u < v, "streamed edge must be normalized: ({u}, {v})");
         debug_assert!((v as usize) < self.n, "streamed endpoint {v} out of range");

@@ -1,4 +1,5 @@
-//! Deterministic and randomized graph-family generators.
+//! Graph-family generators: the single home of every deterministic family
+//! and of the recorded small-`n` random streams.
 //!
 //! These cover the families analysed in the paper (paths, cycles and
 //! `d`-dimensional grids — Theorems 15 & 16; polynomial-growth graphs —
@@ -7,26 +8,107 @@
 //! realistic topologies for the example applications (data-center fat trees,
 //! random geometric "wireless" graphs, Erdős–Rényi graphs).
 //!
-//! All randomized generators take an explicit [`Rng`] and are fully
-//! deterministic given a seed.
+//! # Who owns what
+//!
+//! * The seven sweep families with a closed-form edge list — [`path`],
+//!   [`cycle`], [`grid`] / [`torus`], [`tree_with_n`], [`fat_tree`],
+//!   [`ring_of_cliques`], [`barbell`] — have exactly one body, here.  Each
+//!   checks its node count against [`MAX_NODES`] before emitting anything
+//!   (`node_count`), emits its edges over fixed-size index chunks in parallel
+//!   (`emit_chunked`) and assembles them through the pre-sized builder with
+//!   no per-edge hashing (`assemble`).  The chunk length is a constant, never
+//!   derived from the worker count, and the vendored rayon stitches chunks in
+//!   index order and runs regions of at most one chunk inline — so the output
+//!   is bit-identical at every pool width, and the thousands of small test
+//!   graphs never touch the pool.  The edge order is the one every recorded
+//!   artifact was produced with (pinned by golden digests in
+//!   `streaming::tests` and `tests/property_tests.rs`).
+//! * [`complete`], [`star`], [`caterpillar`] and [`lollipop`] are small-`n`
+//!   helpers built edge by edge through the validating [`GraphBuilder`].
+//! * The random families here ([`erdos_renyi`], [`random_geometric`],
+//!   [`chung_lu`], [`with_random_weights`]) take an explicit [`Rng`] and draw
+//!   one sequential stream over all `Θ(n²)` pairs: the stream the small-`n`
+//!   `results/` artifacts and benchmark counters are recorded with.
+//!   [`crate::streaming`] holds their sub-quadratic `n ≥ 10⁵` counterparts,
+//!   which draw a *different* (per-chunk) stream; the caller's tier picks
+//!   one, and retiring either re-records artifacts, so both stay until a
+//!   follow-up PR that says so.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
+use rayon::prelude::*;
 
+use crate::builder::MAX_NODES;
 use crate::csr::{Graph, NodeId, Weight};
 use crate::error::GraphError;
 use crate::{GraphBuilder, Result};
+
+/// Fixed chunk length for parallel emission.  A constant (rather than
+/// anything derived from the worker count) is what keeps chunk-emitted graphs
+/// bit-identical across `RAYON_NUM_THREADS`.
+pub(crate) const CHUNK: usize = 1 << 14;
+
+pub(crate) type Edge = (NodeId, NodeId, Weight);
+
+/// The one size gate of the chunk-emitted families: takes the node count as
+/// computed with checked arithmetic (`None` = overflowed `usize`) and rejects
+/// anything past [`MAX_NODES`] before a single edge is emitted, which is also
+/// what makes the `as NodeId` endpoint casts below lossless.
+fn node_count(n: Option<usize>) -> Result<usize> {
+    match n {
+        Some(n) if n <= MAX_NODES => Ok(n),
+        _ => Err(GraphError::TooManyNodes {
+            n: n.unwrap_or(usize::MAX),
+        }),
+    }
+}
+
+/// Runs `emit` over fixed-size index chunks of `0..total` in parallel and
+/// returns the per-chunk edge vectors in chunk order.
+pub(crate) fn emit_chunked(
+    total: usize,
+    emit: impl Fn(usize, std::ops::Range<usize>, &mut Vec<Edge>) + Sync,
+) -> Vec<Vec<Edge>> {
+    let chunks = total.div_ceil(CHUNK);
+    (0..chunks)
+        .into_par_iter()
+        .map(|c| {
+            let lo = c * CHUNK;
+            let hi = (lo + CHUNK).min(total);
+            let mut out = Vec::new();
+            emit(c, lo..hi, &mut out);
+            out
+        })
+        .collect()
+}
+
+/// Stitches chunked edge sections into a pre-sized builder (exact edge count,
+/// no per-edge hashing) and finalises with the usual connectivity check.
+pub(crate) fn assemble(n: usize, sections: Vec<Vec<Edge>>) -> Result<Graph> {
+    let m: usize = sections.iter().map(Vec::len).sum();
+    let mut b = GraphBuilder::streaming(n, m)?;
+    for chunk in sections {
+        for (u, v, w) in chunk {
+            b.push_normalized_edge(u, v, w);
+        }
+    }
+    b.build()
+}
 
 /// Path graph `P_n` on `n` nodes.  `NQ_k ∈ Θ(min(√k, D))` (Theorem 15).
 pub fn path(n: usize) -> Result<Graph> {
     if n == 0 {
         return Err(GraphError::Empty);
     }
-    let mut b = GraphBuilder::new(n);
-    for v in 1..n {
-        b.add_unweighted_edge((v - 1) as NodeId, v as NodeId)?;
-    }
-    b.build()
+    let n = node_count(Some(n))?;
+    assemble(
+        n,
+        emit_chunked(n - 1, |_, range, out| {
+            for i in range {
+                out.push((i as NodeId, (i + 1) as NodeId, 1));
+            }
+        }),
+    )
 }
 
 /// Cycle graph `C_n` on `n >= 3` nodes.
@@ -36,12 +118,19 @@ pub fn cycle(n: usize) -> Result<Graph> {
             reason: format!("cycle requires n >= 3, got {n}"),
         });
     }
-    let mut b = GraphBuilder::new(n);
-    for v in 1..n {
-        b.add_unweighted_edge((v - 1) as NodeId, v as NodeId)?;
-    }
-    b.add_unweighted_edge((n - 1) as NodeId, 0)?;
-    b.build()
+    let n = node_count(Some(n))?;
+    assemble(
+        n,
+        emit_chunked(n, |_, range, out| {
+            for i in range {
+                if i + 1 < n {
+                    out.push((i as NodeId, (i + 1) as NodeId, 1));
+                } else {
+                    out.push((0, (n - 1) as NodeId, 1));
+                }
+            }
+        }),
+    )
 }
 
 /// Complete graph `K_n`.
@@ -93,35 +182,33 @@ fn lattice(dims: &[usize], wrap: bool) -> Result<Graph> {
             reason: "torus requires every dimension >= 3".into(),
         });
     }
-    let n: usize = dims.iter().product();
+    let n = node_count(dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)))?;
     let mut strides = vec![1usize; dims.len()];
     for i in 1..dims.len() {
         strides[i] = strides[i - 1] * dims[i - 1];
     }
-    let index =
-        |coords: &[usize]| -> usize { coords.iter().zip(&strides).map(|(c, s)| c * s).sum() };
-    let mut b = GraphBuilder::new(n);
-    let mut coords = vec![0usize; dims.len()];
-    for flat in 0..n {
-        // Decode coordinates of `flat`.
-        let mut rest = flat;
-        for (i, &d) in dims.iter().enumerate() {
-            coords[i] = rest % d;
-            rest /= d;
-        }
-        for (axis, &d) in dims.iter().enumerate() {
-            if coords[axis] + 1 < d {
-                let mut nb = coords.clone();
-                nb[axis] += 1;
-                b.add_unweighted_edge(flat as NodeId, index(&nb) as NodeId)?;
-            } else if wrap && d >= 3 {
-                let mut nb = coords.clone();
-                nb[axis] = 0;
-                b.add_unweighted_edge(flat as NodeId, index(&nb) as NodeId)?;
+    assemble(
+        n,
+        emit_chunked(n, |_, range, out| {
+            let mut coords = vec![0usize; dims.len()];
+            for flat in range {
+                let mut rest = flat;
+                for (i, &d) in dims.iter().enumerate() {
+                    coords[i] = rest % d;
+                    rest /= d;
+                }
+                for (axis, &d) in dims.iter().enumerate() {
+                    if coords[axis] + 1 < d {
+                        out.push((flat as NodeId, (flat + strides[axis]) as NodeId, 1));
+                    } else if wrap {
+                        // Wrap-around edge back to coordinate 0 on this axis.
+                        let first = flat - (d - 1) * strides[axis];
+                        out.push((first as NodeId, flat as NodeId, 1));
+                    }
+                }
             }
-        }
-    }
-    b.build()
+        }),
+    )
 }
 
 /// Complete `arity`-ary tree of the given `depth` (depth 0 is a single root).
@@ -160,12 +247,17 @@ pub fn tree_with_n(arity: usize, n: usize) -> Result<Graph> {
     if n == 0 {
         return Err(GraphError::Empty);
     }
-    let mut b = GraphBuilder::new(n);
-    // Parent of node v (BFS numbering): (v - 1) / arity.
-    for v in 1..n {
-        b.add_unweighted_edge(((v - 1) / arity) as NodeId, v as NodeId)?;
-    }
-    b.build()
+    let n = node_count(Some(n))?;
+    assemble(
+        n,
+        emit_chunked(n - 1, |_, range, out| {
+            for i in range {
+                // Parent of node v (BFS numbering): (v - 1) / arity.
+                let v = i + 1;
+                out.push((((v - 1) / arity) as NodeId, v as NodeId, 1));
+            }
+        }),
+    )
 }
 
 /// Caterpillar graph: a spine path of `spine` nodes, each with `legs` pendant
@@ -310,19 +402,26 @@ pub fn fat_tree(spines: usize, leaves: usize, hosts_per_leaf: usize) -> Result<G
             reason: "fat_tree requires at least one spine and one leaf".into(),
         });
     }
-    let n = spines + leaves + leaves * hosts_per_leaf;
-    let mut b = GraphBuilder::new(n);
-    for l in 0..leaves {
-        let leaf = spines + l;
-        for s in 0..spines {
-            b.add_unweighted_edge(s as NodeId, leaf as NodeId)?;
-        }
-        for h in 0..hosts_per_leaf {
-            let host = spines + leaves + l * hosts_per_leaf + h;
-            b.add_unweighted_edge(leaf as NodeId, host as NodeId)?;
-        }
-    }
-    b.build()
+    let n = node_count(
+        leaves
+            .checked_mul(hosts_per_leaf)
+            .and_then(|hosts| hosts.checked_add(leaves)?.checked_add(spines)),
+    )?;
+    assemble(
+        n,
+        emit_chunked(leaves, |_, range, out| {
+            for l in range {
+                let leaf = spines + l;
+                for s in 0..spines {
+                    out.push((s as NodeId, leaf as NodeId, 1));
+                }
+                for h in 0..hosts_per_leaf {
+                    let host = spines + leaves + l * hosts_per_leaf + h;
+                    out.push((leaf as NodeId, host as NodeId, 1));
+                }
+            }
+        }),
+    )
 }
 
 /// Chung–Lu random graph with a power-law expected-degree sequence: node `i`
@@ -410,21 +509,25 @@ pub fn ring_of_cliques(cliques: usize, clique_size: usize, bridges: usize) -> Re
             ),
         });
     }
-    let n = cliques * clique_size;
-    let mut b = GraphBuilder::new(n);
-    for c in 0..cliques {
-        let base = c * clique_size;
-        for u in 0..clique_size {
-            for v in (u + 1)..clique_size {
-                b.add_unweighted_edge((base + u) as NodeId, (base + v) as NodeId)?;
+    let n = node_count(cliques.checked_mul(clique_size))?;
+    assemble(
+        n,
+        emit_chunked(cliques, |_, range, out| {
+            for c in range {
+                let base = c * clique_size;
+                for u in 0..clique_size {
+                    for v in (u + 1)..clique_size {
+                        out.push(((base + u) as NodeId, (base + v) as NodeId, 1));
+                    }
+                }
+                let next_base = ((c + 1) % cliques) * clique_size;
+                for i in 0..bridges {
+                    let (a, b) = (base + i, next_base + i);
+                    out.push((a.min(b) as NodeId, a.max(b) as NodeId, 1));
+                }
             }
-        }
-        let next_base = ((c + 1) % cliques) * clique_size;
-        for i in 0..bridges {
-            b.add_unweighted_edge((base + i) as NodeId, (next_base + i) as NodeId)?;
-        }
-    }
-    b.build()
+        }),
+    )
 }
 
 /// Barbell graph: two cliques of `clique` nodes joined by a path of
@@ -436,24 +539,37 @@ pub fn barbell(clique: usize, path_len: usize) -> Result<Graph> {
     if clique == 0 {
         return Err(GraphError::Empty);
     }
-    let n = 2 * clique + path_len;
-    let mut b = GraphBuilder::new(n);
+    let n = node_count(
+        clique
+            .checked_mul(2)
+            .and_then(|cliques| cliques.checked_add(path_len)),
+    )?;
     // Clique A: nodes [0, clique); path: [clique, clique + path_len);
     // clique B: [clique + path_len, n).
-    for base in [0, clique + path_len] {
-        for u in 0..clique {
-            for v in (u + 1)..clique {
-                b.add_unweighted_edge((base + u) as NodeId, (base + v) as NodeId)?;
+    let clique_rows = |base: usize| {
+        emit_chunked(clique, move |_, range, out| {
+            for u in range {
+                for v in (u + 1)..clique {
+                    out.push(((base + u) as NodeId, (base + v) as NodeId, 1));
+                }
             }
+        })
+    };
+    let mut sections = clique_rows(0);
+    sections.extend(clique_rows(clique + path_len));
+    sections.extend(emit_chunked(path_len + 1, |_, range, out| {
+        for i in range {
+            // i = 0 attaches the path to the last node of clique A; the final
+            // index attaches it to the first node of clique B.
+            let (a, b) = if i == 0 {
+                (clique - 1, clique)
+            } else {
+                (clique + i - 1, clique + i)
+            };
+            out.push((a as NodeId, b as NodeId, 1));
         }
-    }
-    let mut prev = clique - 1; // last node of clique A
-    for p in 0..path_len {
-        b.add_unweighted_edge(prev as NodeId, (clique + p) as NodeId)?;
-        prev = clique + p;
-    }
-    b.add_unweighted_edge(prev as NodeId, (clique + path_len) as NodeId)?;
-    b.build()
+    }));
+    assemble(n, sections)
 }
 
 /// Replaces every edge weight by an independent uniform weight in `[1, max_weight]`.
@@ -505,6 +621,30 @@ mod tests {
         assert_eq!((c.n(), c.m()), (7, 7));
         assert!(cycle(2).is_err());
         assert!(path(0).is_err());
+    }
+
+    #[test]
+    fn oversize_requests_are_rejected_before_any_edge_is_emitted() {
+        // Each of these would need gigabytes to terabytes of edge storage;
+        // the typed error must come back without allocating any of it.
+        let too_many = |r: Result<Graph>| matches!(r, Err(GraphError::TooManyNodes { .. }));
+        assert!(too_many(path(usize::MAX)));
+        assert!(too_many(path(1 << 40)));
+        assert!(too_many(cycle(MAX_NODES + 1)));
+        assert!(too_many(tree_with_n(2, 1 << 40)));
+        assert!(too_many(grid(&[1 << 20, 1 << 20])));
+        assert!(too_many(grid(&[usize::MAX, 2])));
+        assert!(too_many(torus(&[70_000, 70_000])));
+        assert!(too_many(fat_tree(4, 1 << 20, 1 << 20)));
+        assert!(too_many(fat_tree(usize::MAX, 1, 0)));
+        assert!(too_many(barbell(1 << 31, 0)));
+        assert!(too_many(barbell(2, usize::MAX)));
+        assert!(too_many(ring_of_cliques(1 << 30, 8, 2)));
+        assert_eq!(
+            grid(&[usize::MAX, 2]).unwrap_err(),
+            GraphError::TooManyNodes { n: usize::MAX },
+            "an overflowed product reports usize::MAX"
+        );
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * deterministic, seedable **generators** for the graph families the paper
 //!   analyses (paths, cycles, `d`-dimensional grids and tori, balanced trees,
 //!   stars, caterpillars, Erdős–Rényi graphs, random geometric graphs and a
-//!   fat-tree-like data-center topology) — see [`generators`];
+//!   fat-tree-like data-center topology) — see [`generators`], the single
+//!   home of every deterministic family, and [`streaming`], the sub-quadratic
+//!   `n ≥ 10⁵` samplers of the three random ones;
 //! * centralized **distance oracles** used as ground truth and as building
 //!   blocks: BFS, multi-source BFS, Dijkstra, hop-limited Dijkstra
 //!   ([`traversal`], [`dijkstra`]);
@@ -22,8 +24,10 @@
 //! * structural **properties** (connectivity, eccentricities, diameter) and
 //!   **cut evaluation** used by the cut-sparsifier experiments.
 //!
-//! All randomised constructions take an explicit [`rand::Rng`] so that every
-//! experiment in the repository is reproducible from a seed.
+//! Every randomised construction is a pure function of its seed: those in
+//! [`generators`] draw from an explicit [`rand::Rng`], those in [`streaming`]
+//! take a `u64` seed and derive one ChaCha8 stream per fixed-size chunk — so
+//! every experiment in the repository is reproducible, at any pool width.
 
 // The default build carries no unsafe code at all; the `simd` feature opts
 // into one audited `#[allow(unsafe_code)]` module of AVX2 intrinsics (the

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeSet;
 
+use hybrid_graph::builder::MAX_NODES;
 use hybrid_graph::{generators, Graph, NodeId};
 use hybrid_sim::engine::{Executor, NodeProgram, RunReport};
 use hybrid_sim::programs::{
@@ -78,11 +79,25 @@ impl GraphSpec {
 
     /// Parses a CLI spelling: `path`, `cycle`, `star`, or `grid-RxC`
     /// (combined with the separate node count for the first three).
+    ///
+    /// This is the boundary for untrusted input: every spec the generator
+    /// behind [`Self::build`] would reject (no nodes, a cycle on fewer than 3,
+    /// a zero grid side, more than [`MAX_NODES`] nodes) is an `Err` here, so
+    /// a parsed spec always builds.
     pub fn parse(family: &str, n: usize) -> Result<Self, String> {
+        let sized = |spec: Self, min: usize| {
+            if (min..=MAX_NODES).contains(&n) {
+                Ok(spec)
+            } else {
+                Err(format!(
+                    "`{family}` needs {min} <= n <= {MAX_NODES}, got {n}"
+                ))
+            }
+        };
         match family {
-            "path" => Ok(GraphSpec::Path { n }),
-            "cycle" => Ok(GraphSpec::Cycle { n }),
-            "star" => Ok(GraphSpec::Star { n }),
+            "path" => sized(GraphSpec::Path { n }, 1),
+            "cycle" => sized(GraphSpec::Cycle { n }, 3),
+            "star" => sized(GraphSpec::Star { n }, 1),
             _ => {
                 if let Some(dims) = family.strip_prefix("grid-") {
                     let (rows, cols) = dims
@@ -94,7 +109,11 @@ impl GraphSpec {
                     let cols = cols
                         .parse::<usize>()
                         .map_err(|_| format!("bad grid cols in `{family}`"))?;
-                    Ok(GraphSpec::Grid { rows, cols })
+                    match rows.checked_mul(cols) {
+                        Some(1..=MAX_NODES) => Ok(GraphSpec::Grid { rows, cols }),
+                        Some(0) => Err(format!("grid sides must be positive in `{family}`")),
+                        _ => Err(format!("`{family}` has more than {MAX_NODES} nodes")),
+                    }
                 } else {
                     Err(format!(
                         "unknown graph family `{family}` (want path, cycle, star, or grid-RxC)"
@@ -350,6 +369,26 @@ mod tests {
         assert_eq!(GraphSpec::parse("grid-4x3", 0).unwrap().n(), 12);
         assert!(GraphSpec::parse("torus", 9).is_err());
         assert!(GraphSpec::parse("grid-4", 0).is_err());
+        // Every spelling the generators would reject is refused at the parse
+        // boundary, so `build` cannot panic on a parsed spec.
+        for (family, n) in [
+            ("path", 0),
+            ("star", 0),
+            ("cycle", 0),
+            ("cycle", 2),
+            ("path", MAX_NODES + 1),
+            ("grid-0x3", 0),
+            ("grid-3x0", 0),
+            ("grid-65536x65536", 0),
+            ("grid-4294967296x4294967296", 0),
+        ] {
+            let err = GraphSpec::parse(family, n).expect_err(family);
+            assert!(err.contains(family), "{err}");
+        }
+        for (family, n) in [("path", 1), ("star", 1), ("cycle", 3), ("grid-1x1", 0)] {
+            let spec = GraphSpec::parse(family, n).unwrap();
+            assert_eq!(spec.build().n(), spec.n());
+        }
         let g = GraphSpec::Grid { rows: 4, cols: 3 }.build();
         assert_eq!(g.n(), 12);
     }

@@ -729,45 +729,67 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Streaming generators (deterministic families): bit-identical to the
-    /// legacy sequential generators at overlapping sizes, at every pool
-    /// width — the chunked emission is a pure re-chunking of the same edge
-    /// stream.
-    #[test]
-    fn streaming_deterministic_families_match_legacy_at_any_width(n in 10usize..400) {
-        use hybrid::graph::streaming;
-        let side = ((n as f64).sqrt().ceil() as usize).max(2);
-        let legacy: Vec<Graph> = vec![
-            generators::path(n).unwrap(),
-            generators::cycle(n.max(3)).unwrap(),
-            generators::grid(&[side, side]).unwrap(),
-            generators::tree_with_n(2, n).unwrap(),
-            generators::ring_of_cliques(n.div_ceil(8).max(3), 8, 2).unwrap(),
-            generators::barbell((3 * n / 8).max(2), n.saturating_sub(2 * (3 * n / 8).max(2))).unwrap(),
-        ];
-        for threads in [1usize, 4, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            let streamed: Vec<Graph> = pool.install(|| {
-                vec![
-                    streaming::path(n).unwrap(),
-                    streaming::cycle(n.max(3)).unwrap(),
-                    streaming::grid(&[side, side]).unwrap(),
-                    streaming::tree_with_n(2, n).unwrap(),
-                    streaming::ring_of_cliques(n.div_ceil(8).max(3), 8, 2).unwrap(),
-                    streaming::barbell((3 * n / 8).max(2), n.saturating_sub(2 * (3 * n / 8).max(2))).unwrap(),
-                ]
-            });
-            for (l, s) in legacy.iter().zip(&streamed) {
-                prop_assert!(l.edges() == s.edges(), "diverged at {} threads", threads);
+/// Chunk-emitted deterministic families: bit-identical to the legacy
+/// sequential `add_edge` generators at every pool width.  "Legacy" is their
+/// recorded output — FNV-1a digests of `(n, edges())` printed by the last
+/// commit that shipped them (3a0f670), the same table as
+/// `hybrid_graph::streaming::tests`.  The first five sizes are past the
+/// 16384-item emission chunk, so the 4- and 8-thread pools really emit
+/// several chunks concurrently and stitch them; the last two fit one chunk
+/// and run inline.
+#[test]
+fn streaming_deterministic_families_match_legacy_at_any_width() {
+    fn digest(graph: &Graph) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
             }
+        };
+        eat(graph.n() as u64);
+        for &(u, v, w) in graph.edges() {
+            eat(u as u64);
+            eat(v as u64);
+            eat(w);
+        }
+        h
+    }
+    for threads in [1usize, 4, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        let built = pool.install(|| {
+            [
+                ("path", generators::path(40_000), 0xcf6416656433b83b_u64),
+                ("cycle", generators::cycle(40_000), 0xc3de3803f77ab431),
+                (
+                    "tree",
+                    generators::tree_with_n(2, 40_000),
+                    0x2bc212d5eabe3f35,
+                ),
+                ("grid", generators::grid(&[200, 200]), 0xf2a9039a135f1ab3),
+                ("torus", generators::torus(&[130, 130]), 0x05d8be97ae73ec6b),
+                (
+                    "ring",
+                    generators::ring_of_cliques(300, 8, 2),
+                    0x7b00cc54cc0812f6,
+                ),
+                ("barbell", generators::barbell(300, 500), 0x34e3b82169168675),
+            ]
+        });
+        for (family, graph, legacy) in built {
+            assert_eq!(
+                digest(&graph.unwrap()),
+                legacy,
+                "{family} diverged at {threads} threads"
+            );
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Differential conformance (shootout registry): on a random
     /// `(family, seed, λ, γ)` instance, every registered dissemination
