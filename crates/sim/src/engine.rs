@@ -15,13 +15,23 @@
 //!
 //! # Mailbox engine
 //!
-//! Delivery — staging, fault pass, the `(destination, sequence)` sort into
+//! Delivery — staging, fault pass, the stable scatter by destination into
 //! double-buffered flat arenas, the `γ` receive cap, accounting and traces —
 //! is the [`RoundRouter`]'s, shared with the networked runtime; this module
 //! contributes the program-facing half ([`NodeCtx`], [`NodeProgram`]) and the
-//! step loop over in-process programs.  No message is cloned or serialized
-//! anywhere in the cycle and all buffers are reused round over round, so a
-//! steady-state round allocates nothing.
+//! step loop over in-process programs.
+//!
+//! A program reads its inboxes and its neighbour list *in place*: the
+//! [`NodeCtx`] accessors hand out slices that outlive the borrow of the
+//! context, so iterating an inbox while sending needs no copy.  The executor
+//! moves every message by value (outbox → stage → arena), serializes nothing
+//! and reuses all of its buffers round over round, and the shipped
+//! [`programs`](crate::programs) keep their per-neighbour state
+//! incrementally — so what a steady-state round still allocates is exactly
+//! one heap payload per `Vec`-carrying message (`Tokens`, `Ack`, a gossip
+//! push); `u64` messages allocate nothing.  `tests/alloc_budget.rs` holds
+//! both to a budget.  ([`NodeRunner`] additionally returns two fresh outbox
+//! `Vec`s per step: the networked runtime frames them away.)
 //!
 //! This engine is used for the simpler primitives (flooding, BFS, token
 //! gossip) and to validate the phase engine against a fully explicit
@@ -56,22 +66,26 @@ impl<'a, M: Clone> NodeCtx<'a, M> {
         self.node
     }
 
-    /// Neighbours in the local communication graph.
-    pub fn neighbors(&self) -> &[NodeId] {
+    /// Neighbours in the local communication graph.  Like the inboxes, the
+    /// slice outlives this borrow of the context, so a program can walk it
+    /// while sending.
+    pub fn neighbors(&self) -> &'a [NodeId] {
         self.neighbors
     }
 
     /// Local messages received this round as `(sender, message)` pairs.
-    pub fn local_inbox(&self) -> &[(NodeId, M)] {
+    pub fn local_inbox(&self) -> &'a [(NodeId, M)] {
         self.local_inbox
     }
 
     /// Global messages received this round as `(sender, message)` pairs.
-    pub fn global_inbox(&self) -> &[(NodeId, M)] {
+    pub fn global_inbox(&self) -> &'a [(NodeId, M)] {
         self.global_inbox
     }
 
-    /// Sends a message over the local edge to `to`.
+    /// Sends a message over the local edge to `to`.  `O(deg)`: a program that
+    /// already walks [`neighbors`](Self::neighbors) by position should use
+    /// [`send_neighbor`](Self::send_neighbor).
     ///
     /// # Panics
     /// Panics if `to` is not a neighbour — local communication only exists
@@ -86,11 +100,31 @@ impl<'a, M: Clone> NodeCtx<'a, M> {
         self.local_outbox.push((to, msg));
     }
 
-    /// Sends `msg` to every neighbour over the local network.
+    /// Sends a message over the local edge to `neighbors()[i]`.
+    ///
+    /// # Panics
+    /// Panics if `i` is not a position of [`neighbors`](Self::neighbors).
+    pub fn send_neighbor(&mut self, i: usize, msg: M) {
+        let Some(&to) = self.neighbors.get(i) else {
+            panic!(
+                "node {} tried to send to neighbor #{i} of {}",
+                self.node,
+                self.neighbors.len()
+            );
+        };
+        self.local_outbox.push((to, msg));
+    }
+
+    /// Sends `msg` to every neighbour over the local network: one clone per
+    /// neighbour but the last, which gets `msg` itself.
     pub fn broadcast_local(&mut self, msg: M) {
-        for &nb in self.neighbors {
+        let Some((&last, rest)) = self.neighbors.split_last() else {
+            return;
+        };
+        for &nb in rest {
             self.local_outbox.push((nb, msg.clone()));
         }
+        self.local_outbox.push((last, msg));
     }
 
     /// Sends a global message to an arbitrary node.  Returns `false` (and does
@@ -539,6 +573,26 @@ mod tests {
             fn on_round(&mut self, ctx: &mut NodeCtx<'_, ()>, _round: u64) {
                 if ctx.node() == 0 {
                     ctx.send_local(5, ());
+                }
+            }
+            fn done(&self) -> bool {
+                false
+            }
+        }
+        let g = generators::path(10).unwrap();
+        let mut exec = Executor::new(&g, ModelParams::hybrid(10), |_| Bad);
+        exec.run_capped(1, |_| false);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 4 tried to send to neighbor #2 of 2")]
+    fn send_to_a_neighbor_position_out_of_bounds_panics() {
+        struct Bad;
+        impl NodeProgram for Bad {
+            type Msg = ();
+            fn on_round(&mut self, ctx: &mut NodeCtx<'_, ()>, _round: u64) {
+                if ctx.node() == 4 {
+                    ctx.send_neighbor(ctx.neighbors().len(), ());
                 }
             }
             fn done(&self) -> bool {

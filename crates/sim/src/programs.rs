@@ -6,7 +6,8 @@
 //! *independent* execution path against which the phase-engine algorithms of
 //! `hybrid-core` are cross-validated in the integration tests.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,8 +54,8 @@ impl NodeProgram for FloodProgram {
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_, Vec<u64>>, round: u64) {
         let mut learned_something = false;
-        for (_, tokens) in ctx.local_inbox().to_vec() {
-            for t in tokens {
+        for (_, tokens) in ctx.local_inbox() {
+            for &t in tokens {
                 if self.known.insert(t) {
                     self.new_since_last_send = true;
                     learned_something = true;
@@ -138,6 +139,9 @@ impl NodeProgram for BfsProgram {
 pub struct TokenGossipProgram {
     /// Tokens this node currently knows.
     pub known: BTreeSet<u64>,
+    /// `known` in ascending order as of the last local broadcast — what the
+    /// random pushes index into.  Refreshed only when `known` changed.
+    pushable: Vec<u64>,
     n: usize,
     target_tokens: usize,
     rng: StdRng,
@@ -156,6 +160,7 @@ impl TokenGossipProgram {
     ) -> Self {
         TokenGossipProgram {
             known: initial.into_iter().collect(),
+            pushable: Vec::new(),
             n,
             target_tokens,
             rng: StdRng::seed_from_u64(seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
@@ -168,14 +173,8 @@ impl NodeProgram for TokenGossipProgram {
     type Msg = Vec<u64>;
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_, Vec<u64>>, _round: u64) {
-        for (_, tokens) in ctx
-            .local_inbox()
-            .iter()
-            .chain(ctx.global_inbox().iter())
-            .cloned()
-            .collect::<Vec<_>>()
-        {
-            for t in tokens {
+        for (_, tokens) in ctx.local_inbox().iter().chain(ctx.global_inbox()) {
+            for &t in tokens {
                 if self.known.insert(t) {
                     self.changed = true;
                 }
@@ -186,11 +185,13 @@ impl NodeProgram for TokenGossipProgram {
         }
         // Local: share everything with neighbours whenever something changed.
         if self.changed {
-            ctx.broadcast_local(self.known.iter().copied().collect());
+            self.pushable.clear();
+            self.pushable.extend(&self.known);
+            ctx.broadcast_local(self.pushable.clone());
             self.changed = false;
         }
         // Global: push one random known token to each of up to γ random nodes.
-        let tokens: Vec<u64> = self.known.iter().copied().collect();
+        let tokens = &self.pushable;
         let budget = ctx.global_budget_left();
         for _ in 0..budget {
             let token = tokens[self.rng.gen_range(0..tokens.len())];
@@ -223,8 +224,9 @@ impl NodeProgram for TokenGossipProgram {
 pub struct DetForwardProgram {
     /// Tokens this node currently knows.
     pub known: BTreeSet<u64>,
-    /// Per-neighbour set of tokens already forwarded to that neighbour.
-    sent: BTreeMap<NodeId, BTreeSet<u64>>,
+    /// Per neighbour, indexed like `ctx.neighbors()`: the known tokens not
+    /// yet forwarded to it, smallest first.  Sized by the first step.
+    owed: Vec<BinaryHeap<Reverse<u64>>>,
     target_tokens: usize,
 }
 
@@ -234,18 +236,25 @@ impl DetForwardProgram {
     pub fn new(initial: impl IntoIterator<Item = u64>, target_tokens: usize) -> Self {
         DetForwardProgram {
             known: initial.into_iter().collect(),
-            sent: BTreeMap::new(),
+            owed: Vec::new(),
             target_tokens,
         }
     }
 
+    /// Sizes the owed queues on the first step: every neighbour is owed
+    /// everything known.
+    fn meet_neighbors(&mut self, degree: usize) {
+        if self.owed.len() != degree {
+            let everything: BinaryHeap<_> = self.known.iter().copied().map(Reverse).collect();
+            self.owed = vec![everything; degree];
+        }
+    }
+
+    /// Pays every neighbour the smallest token it is owed.
     fn forward_round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
-        let nbs: Vec<NodeId> = ctx.neighbors().to_vec();
-        for nb in nbs {
-            let sent = self.sent.entry(nb).or_default();
-            if let Some(&t) = self.known.iter().find(|t| !sent.contains(t)) {
-                sent.insert(t);
-                ctx.send_local(nb, t);
+        for (i, queue) in self.owed.iter_mut().enumerate() {
+            if let Some(Reverse(t)) = queue.pop() {
+                ctx.send_neighbor(i, t);
             }
         }
     }
@@ -255,22 +264,33 @@ impl NodeProgram for DetForwardProgram {
     type Msg = u64;
 
     fn init(&mut self, ctx: &mut NodeCtx<'_, u64>) {
+        self.meet_neighbors(ctx.neighbors().len());
         self.forward_round(ctx);
     }
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_, u64>, _round: u64) {
-        for (_, t) in ctx.local_inbox().to_vec() {
-            self.known.insert(t);
+        self.meet_neighbors(ctx.neighbors().len());
+        // A token is owed to *every* neighbour from the moment it is learned
+        // — the one it came from included — so a late small token overtakes
+        // the larger ones still queued.
+        for &(_, t) in ctx.local_inbox() {
+            if self.known.insert(t) {
+                for queue in &mut self.owed {
+                    queue.push(Reverse(t));
+                }
+            }
         }
         self.forward_round(ctx);
     }
 
     fn done(&self) -> bool {
-        self.known.len() >= self.target_tokens
+        // Paid to a neighbour = known − still owed to it.
+        let known = self.known.len();
+        known >= self.target_tokens
             && self
-                .sent
-                .values()
-                .all(|s| s.len() >= self.known.len().min(self.target_tokens))
+                .owed
+                .iter()
+                .all(|queue| known - queue.len() >= self.target_tokens)
     }
 }
 
@@ -315,10 +335,16 @@ pub struct AckFloodProgram {
     pub known: BTreeSet<u64>,
     target_tokens: usize,
     retry_interval: u64,
-    /// Per-neighbour cache of tokens not yet acknowledged by that neighbour.
-    unacked: BTreeMap<NodeId, BTreeSet<u64>>,
-    /// Neighbours whose cache gained tokens this round (sent immediately).
-    fresh: BTreeSet<NodeId>,
+    /// Per neighbour, indexed like `ctx.neighbors()`: the tokens it has not
+    /// yet acknowledged, ascending — a retransmission is a copy of the cache.
+    /// Sized by the first step.
+    unacked: Vec<Vec<u64>>,
+    /// Per neighbour: whether its cache gained tokens this round (sent
+    /// immediately).
+    fresh: Vec<bool>,
+    /// Positions of `ctx.neighbors()` ordered by neighbour id, so the sender
+    /// of an inbox message resolves to its position in `O(log deg)`.
+    by_id: Vec<u32>,
 }
 
 impl AckFloodProgram {
@@ -334,14 +360,35 @@ impl AckFloodProgram {
             known: initial.into_iter().collect(),
             target_tokens,
             retry_interval: retry_interval.max(1),
-            unacked: BTreeMap::new(),
-            fresh: BTreeSet::new(),
+            unacked: Vec::new(),
+            fresh: Vec::new(),
+            by_id: Vec::new(),
         }
     }
 
     /// Total tokens sitting in unacknowledged caches (diagnostic).
     pub fn pending(&self) -> usize {
-        self.unacked.values().map(|c| c.len()).sum()
+        self.unacked.iter().map(Vec::len).sum()
+    }
+
+    /// Sizes the per-neighbour state on the first step; every cache starts
+    /// out holding `cached`.
+    fn meet_neighbors(&mut self, neighbors: &[NodeId], cached: Vec<u64>) {
+        if self.unacked.len() == neighbors.len() {
+            return;
+        }
+        self.unacked = vec![cached; neighbors.len()];
+        self.fresh = vec![false; neighbors.len()];
+        self.by_id = (0..neighbors.len() as u32).collect();
+        self.by_id.sort_unstable_by_key(|&i| neighbors[i as usize]);
+    }
+
+    /// The position of `id` in `neighbors`, if it is one.
+    fn position(&self, neighbors: &[NodeId], id: NodeId) -> Option<usize> {
+        let at = self
+            .by_id
+            .binary_search_by_key(&id, |&i| neighbors[i as usize]);
+        at.ok().map(|at| self.by_id[at] as usize)
     }
 }
 
@@ -352,59 +399,66 @@ impl NodeProgram for AckFloodProgram {
         if self.known.is_empty() {
             return;
         }
-        let nbs: Vec<NodeId> = ctx.neighbors().to_vec();
-        for nb in nbs {
-            self.unacked.insert(nb, self.known.clone());
-            ctx.send_local(
-                nb,
-                AckFloodMsg::Tokens(self.known.iter().copied().collect()),
-            );
+        let everything: Vec<u64> = self.known.iter().copied().collect();
+        self.meet_neighbors(ctx.neighbors(), everything);
+        for (i, cache) in self.unacked.iter().enumerate() {
+            ctx.send_neighbor(i, AckFloodMsg::Tokens(cache.clone()));
         }
     }
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_, AckFloodMsg>, round: u64) {
-        let inbox: Vec<(NodeId, AckFloodMsg)> = ctx.local_inbox().to_vec();
-        let nbs: Vec<NodeId> = ctx.neighbors().to_vec();
-        let mut acks: Vec<(NodeId, Vec<u64>)> = Vec::new();
-        for (from, msg) in inbox {
+        let neighbors = ctx.neighbors();
+        self.meet_neighbors(neighbors, Vec::new());
+        for (from, msg) in ctx.local_inbox() {
+            let sender = self.position(neighbors, *from);
             match msg {
                 AckFloodMsg::Tokens(ts) => {
+                    let sender = sender.unwrap_or_else(|| {
+                        panic!(
+                            "node {} got local tokens from non-neighbor {from}",
+                            ctx.node()
+                        )
+                    });
                     // Acknowledge everything received, known or not: the
                     // sender keeps retrying until the ack gets through.
-                    acks.push((from, ts.clone()));
-                    for t in ts {
-                        if self.known.insert(t) {
-                            for &nb in &nbs {
-                                if nb != from && self.unacked.entry(nb).or_default().insert(t) {
-                                    self.fresh.insert(nb);
-                                }
+                    ctx.send_neighbor(sender, AckFloodMsg::Ack(ts.clone()));
+                    for &t in ts {
+                        if !self.known.insert(t) {
+                            continue;
+                        }
+                        // Owed to everyone but the first neighbour heard
+                        // from — a later sender in the same inbox is owed it.
+                        for (i, cache) in self.unacked.iter_mut().enumerate() {
+                            if i == sender {
+                                continue;
+                            }
+                            if let Err(at) = cache.binary_search(&t) {
+                                cache.insert(at, t);
+                                self.fresh[i] = true;
                             }
                         }
                     }
                 }
                 AckFloodMsg::Ack(ts) => {
-                    if let Some(cache) = self.unacked.get_mut(&from) {
-                        for t in ts {
-                            cache.remove(&t);
+                    let Some(sender) = sender else { continue };
+                    let cache = &mut self.unacked[sender];
+                    // An ack echoes a batch, ascending like the cache:
+                    // back to front, each removal shifts only what stays.
+                    for t in ts.iter().rev() {
+                        if let Ok(at) = cache.binary_search(t) {
+                            cache.remove(at);
                         }
                     }
                 }
             }
         }
-        for (to, ts) in acks {
-            ctx.send_local(to, AckFloodMsg::Ack(ts));
-        }
         let retry_round = round.is_multiple_of(self.retry_interval);
-        for &nb in &nbs {
-            let Some(cache) = self.unacked.get(&nb) else {
-                continue;
-            };
-            if cache.is_empty() || !(retry_round || self.fresh.contains(&nb)) {
-                continue;
+        for (i, cache) in self.unacked.iter().enumerate() {
+            if !cache.is_empty() && (retry_round || self.fresh[i]) {
+                ctx.send_neighbor(i, AckFloodMsg::Tokens(cache.clone()));
             }
-            ctx.send_local(nb, AckFloodMsg::Tokens(cache.iter().copied().collect()));
         }
-        self.fresh.clear();
+        self.fresh.fill(false);
     }
 
     fn done(&self) -> bool {
@@ -416,7 +470,7 @@ impl NodeProgram for AckFloodProgram {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::engine::Executor;
+    use crate::engine::{Executor, NodeRunner};
     use crate::params::ModelParams;
     use hybrid_graph::{generators, properties};
 
@@ -638,6 +692,98 @@ mod tests {
         for set in &sets_a {
             assert_eq!(set, &expected);
         }
+    }
+
+    /// The rule the owed queues must keep: the *smallest* unpaid token goes
+    /// first, to every neighbour — the one it came from included.
+    #[test]
+    fn det_forward_pays_a_late_small_token_before_larger_owed_ones() {
+        let params = ModelParams::hybrid(3);
+        let program = DetForwardProgram::new([5, 9], 3);
+        let mut node = NodeRunner::new(0, vec![1, 2], &params, program);
+        assert_eq!(node.init().local, vec![(1, 5), (2, 5)]);
+        // 5 is forwarded, 9 is owed, 2 arrives from neighbour 2.
+        assert_eq!(node.step(1, &[(2, 2)], &[]).local, vec![(1, 2), (2, 2)]);
+        assert!(!node.done(), "9 is still owed to both neighbours");
+        assert_eq!(node.step(2, &[(1, 5)], &[]).local, vec![(1, 9), (2, 9)]);
+        assert!(node.done(), "everything known is paid");
+        assert!(node.step(3, &[], &[]).local.is_empty());
+    }
+
+    /// The rules the positional caches must keep, on a node whose neighbour
+    /// list is not ascending.
+    #[test]
+    fn ack_flood_caches_for_everyone_but_the_first_sender() {
+        use AckFloodMsg::{Ack, Tokens};
+        let show = |out: Vec<(NodeId, AckFloodMsg)>| -> Vec<(NodeId, String)> {
+            let line = |(to, msg)| (to, format!("{msg:?}"));
+            out.into_iter().map(line).collect()
+        };
+        let sent = |to: NodeId, what: &str| (to, what.to_string());
+        let params = ModelParams::hybrid(4);
+        let program = AckFloodProgram::new([], 3, 2);
+        let mut node = NodeRunner::new(0, vec![3, 1, 2], &params, program);
+        assert!(node.init().local.is_empty());
+
+        // Round 1 (no retry due): an ack for a cache that holds nothing, then
+        // 7 and 9 from node 1, then 7 again from node 3.
+        let inbox = [
+            (2, Ack(vec![7])),
+            (1, Tokens(vec![7, 9])),
+            (3, Tokens(vec![7])),
+        ];
+        assert_eq!(
+            show(node.step(1, &inbox, &[]).local),
+            vec![
+                // Acks in inbox order, the duplicate batch included …
+                sent(1, "Ack([7, 9])"),
+                sent(3, "Ack([7])"),
+                // … then the fresh caches in neighbour order: 7 is owed to
+                // node 3 although node 3 also sent it, never to node 1.
+                sent(3, "Tokens([7, 9])"),
+                sent(2, "Tokens([7, 9])"),
+            ]
+        );
+        assert_eq!(node.program().pending(), 4);
+
+        // Round 2 (retry due): node 3 acks 9 only, node 2 brings a smaller
+        // token.  Caches stay ascending, node 2 is not owed its own token.
+        let inbox = [(3, Ack(vec![9, 1000])), (2, Tokens(vec![4]))];
+        assert_eq!(
+            show(node.step(2, &inbox, &[]).local),
+            vec![
+                sent(2, "Ack([4])"),
+                sent(3, "Tokens([4, 7])"),
+                sent(1, "Tokens([4])"),
+                sent(2, "Tokens([7, 9])"),
+            ]
+        );
+        assert_eq!(node.program().pending(), 5);
+        assert!(node.done());
+
+        // Round 3 (no retry due, nothing fresh): acks only shrink caches.
+        let inbox = [(2, Ack(vec![7, 9])), (3, Ack(vec![4]))];
+        assert!(node.step(3, &inbox, &[]).local.is_empty());
+        assert_eq!(node.program().pending(), 2);
+    }
+
+    /// A hub steps in `O(deg)` per round, not `O(deg²)`: both token programs
+    /// address neighbours by position.
+    #[test]
+    fn token_programs_complete_on_a_star_with_4096_nodes() {
+        let n = 4096usize;
+        let g = generators::star(n).unwrap();
+        let tokens = |v: NodeId| if v == 17 { vec![1u64, 2, 3] } else { vec![] };
+        let config = || EngineConfig::new(ModelParams::hybrid(n)).with_max_rounds(64);
+
+        let mut ack =
+            Executor::with_config(&g, config(), |v| AckFloodProgram::new(tokens(v), 3, 2));
+        assert!(ack.run().unwrap().completed);
+        assert!(ack.programs().iter().all(|p| p.known.len() == 3));
+
+        let mut det = Executor::with_config(&g, config(), |v| DetForwardProgram::new(tokens(v), 3));
+        assert!(det.run().unwrap().completed);
+        assert!(det.programs().iter().all(|p| p.known.len() == 3));
     }
 
     #[test]

@@ -6,16 +6,16 @@
 //! [`RoundRouter`] owns everything between "a node produced outboxes" and "a
 //! node reads inboxes":
 //!
-//! 1. outboxes are staged in node-id order, each message tagged with a
-//!    running per-plane sequence number;
+//! 1. outboxes are staged in node-id order; a message's position in the
+//!    stage is its sequence number;
 //! 2. with a fault plan installed, held (delayed) messages re-enter the stage
 //!    and every staged message meets the adversary — partition cut, receiver
 //!    down, then a hash-drawn drop / duplicate / delay fate;
-//! 3. the stage is sorted by `(destination, sequence)` — the key is unique,
-//!    so the unstable sort is deterministic — and drained into a flat arena
-//!    whose per-destination offsets make next round's inboxes plain slices;
-//!    the global plane keeps only the first `γ` messages per destination and
-//!    counts the rest as dropped;
+//! 3. a stable counting scatter by destination (count, prefix-sum, permute
+//!    in place) moves the stage into a flat arena ordered by `(destination,
+//!    sequence)`, whose per-destination offsets make next round's inboxes
+//!    plain slices; the global plane keeps only the first `γ` messages per
+//!    destination and counts the rest as dropped;
 //! 4. the [`RunReport`] counters and, if enabled, the [`RoundTrace`] are
 //!    updated.
 //!
@@ -39,9 +39,11 @@ use crate::faults::{Fate, FaultPlan};
 /// One mailbox plane (local or global), double-buffered: `stage` collects the
 /// messages being written this round, `inbox` holds the ones being read.
 struct Plane<M> {
-    /// `(destination, sequence, sender, payload)`; the sequence number is the
-    /// arrival index within the round.
-    stage: Vec<(NodeId, u32, NodeId, M)>,
+    /// `(destination, sender, payload)` in staging order — the order the
+    /// fault pass enumerates and the one kept within each destination.
+    /// [`fill`](Self::fill) overwrites the destination with the message's
+    /// arena slot while it permutes the stage.
+    stage: Vec<(NodeId, NodeId, M)>,
     /// Messages held back by delay fates: `(sending round at which they
     /// re-enter the stage, destination, sender, payload)`.
     held: Vec<(u64, NodeId, NodeId, M)>,
@@ -49,6 +51,9 @@ struct Plane<M> {
     inbox: Vec<(NodeId, M)>,
     /// Node `v` reads `inbox[offsets[v]..offsets[v + 1]]`.
     offsets: Vec<u32>,
+    /// Scratch of [`fill`](Self::fill): per destination, first its staged
+    /// message count, then its next free arena slot.
+    cursor: Vec<u32>,
 }
 
 impl<M> Plane<M> {
@@ -58,6 +63,7 @@ impl<M> Plane<M> {
             held: Vec::new(),
             inbox: Vec::new(),
             offsets: vec![0; n + 1],
+            cursor: vec![0; n],
         }
     }
 
@@ -67,10 +73,8 @@ impl<M> Plane<M> {
     }
 
     fn stage_from(&mut self, sender: NodeId, outbox: impl IntoIterator<Item = (NodeId, M)>) {
-        for (to, msg) in outbox {
-            let seq = self.stage.len() as u32;
-            self.stage.push((to, seq, sender, msg));
-        }
+        self.stage
+            .extend(outbox.into_iter().map(|(to, msg)| (to, sender, msg)));
     }
 
     /// Applies the fault plan at the end of sending round `round`: releases
@@ -79,8 +83,7 @@ impl<M> Plane<M> {
     /// edge (`is_local` only) or addressed to a receiver that is down at the
     /// delivery round `round + 1` are destroyed and counted as injected drops
     /// — the sender's program is responsible for retrying (the ack/retry
-    /// contract).  Sequence numbers are reassigned densely afterwards so the
-    /// sort key stays unique; the surviving relative order is unchanged.
+    /// contract).  The survivors keep their relative order.
     fn apply_faults(
         &mut self,
         plan: &FaultPlan,
@@ -101,7 +104,7 @@ impl<M> Plane<M> {
             }
         }
         scratch.clear();
-        for (idx, (to, _, from, msg)) in self.stage.drain(..).enumerate() {
+        for (idx, (to, from, msg)) in self.stage.drain(..).enumerate() {
             if (is_local && plan.cuts_local_edge(from, to, round)) || plan.is_down(to, round + 1) {
                 report.injected_drops += 1;
                 continue;
@@ -123,44 +126,58 @@ impl<M> Plane<M> {
                 }
             }
         }
-        for (seq, (to, from, msg)) in scratch.drain(..).enumerate() {
-            self.stage.push((to, seq as u32, from, msg));
-        }
+        std::mem::swap(&mut self.stage, scratch);
     }
 
-    /// Sorts the stage by `(destination, sequence)` and drains it into the
-    /// inbox arena, delivering only the first `receive_cap` messages per
+    /// Moves the stage into the inbox arena with a stable counting scatter by
+    /// destination, delivering only the first `receive_cap` messages per
     /// destination.  Returns `(delivered, dropped)`.
     fn fill(&mut self, receive_cap: usize) -> (u64, u64) {
-        let n = self.offsets.len() - 1;
-        self.stage
-            .sort_unstable_by_key(|&(to, seq, _, _)| (to, seq));
-        self.inbox.clear();
-        let mut dropped = 0u64;
-        let mut cur_dest = 0usize;
-        for (to, _, from, msg) in self.stage.drain(..) {
-            let to = to as usize;
+        let n = self.cursor.len();
+        let staged = u32::try_from(self.stage.len()).expect("a round stages at most 2^32 messages");
+        let cap = u32::try_from(receive_cap).unwrap_or(u32::MAX);
+        self.cursor.fill(0);
+        for &(to, _, _) in &self.stage {
             // An out-of-range destination is a program bug: fail fast rather
             // than silently lose the message.
             assert!(
-                to < n,
+                (to as usize) < n,
                 "message addressed to out-of-range node {to} (n = {n})"
             );
-            while cur_dest < to {
-                cur_dest += 1;
-                self.offsets[cur_dest] = self.inbox.len() as u32;
-            }
-            if self.inbox.len() - self.offsets[to] as usize >= receive_cap {
-                dropped += 1;
+            self.cursor[to as usize] += 1;
+        }
+        let mut kept = 0u32;
+        for (v, count) in self.cursor.iter_mut().enumerate() {
+            self.offsets[v] = kept;
+            kept += std::mem::replace(count, kept).min(cap);
+        }
+        self.offsets[n] = kept;
+        // Slots are handed out in staging order, so each inbox keeps it; what
+        // a full inbox turns away is parked behind the arena.
+        let mut parked = kept;
+        for (to, _, _) in &mut self.stage {
+            let next = &mut self.cursor[*to as usize];
+            let slot = if *next < self.offsets[*to as usize + 1] {
+                next
             } else {
-                self.inbox.push((from, msg));
+                &mut parked
+            };
+            *to = *slot;
+            *slot += 1;
+        }
+        // The slots are a permutation of the stage's positions: every swap
+        // puts one more message where it belongs.
+        for i in 0..self.stage.len() {
+            while self.stage[i].0 as usize != i {
+                let slot = self.stage[i].0 as usize;
+                self.stage.swap(i, slot);
             }
         }
-        while cur_dest < n {
-            cur_dest += 1;
-            self.offsets[cur_dest] = self.inbox.len() as u32;
-        }
-        (self.inbox.len() as u64, dropped)
+        self.stage.truncate(kept as usize);
+        self.inbox.clear();
+        self.inbox
+            .extend(self.stage.drain(..).map(|(_, from, msg)| (from, msg)));
+        (u64::from(kept), u64::from(staged - kept))
     }
 
     /// The filled arena in its deterministic order (destination-major, then
@@ -339,6 +356,7 @@ impl<'c, M: Clone + Serialize> RoundRouter<'c, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultSpec;
     use crate::params::ModelParams;
     use std::convert::Infallible;
 
@@ -415,6 +433,85 @@ mod tests {
                 (3, 0, vec![])
             ]
         );
+
+        // A hot destination interleaved with others, under a plan that
+        // duplicates and delays: every sender addresses node 3 twice around
+        // one message to its successor.
+        let spec = FaultSpec {
+            duplicate_prob: 0.2,
+            delay_prob: 0.1,
+            max_delay_rounds: 1,
+            ..FaultSpec::none()
+        };
+        let plan = FaultPlan::new(spec, 3, 6);
+        let config = EngineConfig::new(ModelParams::hybrid_with_global_capacity(6, 2))
+            .with_fault_plan(plan.clone());
+        let mut router: RoundRouter<'_, u64> = RoundRouter::new(&config);
+        let mut staged = Vec::new();
+        for src in 0..6 {
+            let body = u64::from(src * 10);
+            let out = [(3, body), ((src + 1) % 6, body + 1), (3, body + 2)];
+            staged.extend(out.map(|(dst, body)| (src, dst, body)));
+            router.stage(src, out, out, 0);
+        }
+        router.route(0);
+        // The rule spelled out: one fate per staging index, then each
+        // destination keeps its first γ survivors in staging order.
+        let fate = |idx: usize, global: bool| {
+            let (src, dst, _) = staged[idx];
+            plan.fate(0, src, dst, idx as u64 | u64::from(global) << 63)
+        };
+        let survivors = |global: bool, to: NodeId| -> Vec<(NodeId, u64)> {
+            let mut inbox = Vec::new();
+            for (idx, &(src, dst, body)) in staged.iter().enumerate() {
+                let copies = match fate(idx, global) {
+                    Fate::Deliver => 1,
+                    Fate::Duplicate => 2,
+                    Fate::Delay(_) => 0,
+                    Fate::Drop => unreachable!("the plan drops nothing"),
+                };
+                inbox.extend(
+                    [(src, body); 2]
+                        .into_iter()
+                        .take(copies)
+                        .filter(|_| dst == to),
+                );
+            }
+            inbox
+        };
+        let mut dropped = 0;
+        for v in 0..6 {
+            assert_eq!(router.local_inbox(v), survivors(false, v), "local {v}");
+            let all = survivors(true, v);
+            assert_eq!(
+                router.global_inbox(v),
+                &all[..all.len().min(2)],
+                "global {v}"
+            );
+            dropped += all.len().saturating_sub(2) as u64;
+        }
+        assert_eq!(router.report.dropped_global, dropped);
+        // What the seed drew on the global plane: node 0's first message to
+        // node 3 is delayed and its second duplicated, which fills the inbox;
+        // the other eleven for node 3 (one of them a duplicate) overflow.
+        assert_eq!(fate(0, true), Fate::Delay(1));
+        assert_eq!(fate(2, true), Fate::Duplicate);
+        assert_eq!(router.global_inbox(3), &[(0, 2), (0, 2)]);
+        assert_eq!(router.global.held.len(), 1);
+        assert_eq!(dropped, 12);
+        // The held message re-enters the next stage and is delivered late.
+        router.route(1);
+        assert_eq!(router.global_inbox(3), &[(0, 0)]);
+        assert!(router.global.held.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "message addressed to out-of-range node 9 (n = 4)")]
+    fn out_of_range_destination_panics() {
+        let config = EngineConfig::new(ModelParams::hybrid(4));
+        let mut router: RoundRouter<'_, u64> = RoundRouter::new(&config);
+        router.stage(0, [(1, 1)], [(9, 9), (2, 2)], 0);
+        router.route(0);
     }
 
     #[test]
