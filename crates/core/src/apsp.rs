@@ -140,29 +140,6 @@ impl ApspOutput {
     }
 }
 
-/// Radius policy for the APSP pipelines: the universal algorithms broadcast
-/// and cluster with the measured `NQ_k`, the existential baselines with the
-/// worst-case `min(⌈√k⌉, D)` (the only bound available without inspecting the
-/// topology).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ApspRadiusPolicy {
-    /// Use the measured neighborhood quality.
-    NeighborhoodQuality,
-    /// Use the worst-case `min(⌈√k⌉, D)` radius.
-    WorstCaseSqrtK,
-}
-
-impl ApspRadiusPolicy {
-    fn radius(self, oracle: &NqOracle, k: u64) -> u64 {
-        match self {
-            ApspRadiusPolicy::NeighborhoodQuality => oracle.nq(k.max(1)).max(1),
-            ApspRadiusPolicy::WorstCaseSqrtK => ((k.max(1) as f64).sqrt().ceil() as u64)
-                .max(1)
-                .min(oracle.diameter().max(1)),
-        }
-    }
-}
-
 /// Broadcasts `count` abstract tokens with Theorem 1 and returns nothing but
 /// the charged cost (helper shared by the APSP algorithms, which broadcast
 /// identifiers, spanner edges, cluster-center distances, …).
@@ -171,14 +148,13 @@ fn broadcast_tokens_with_policy(
     oracle: &NqOracle,
     count: usize,
     origin: NodeId,
-    policy: ApspRadiusPolicy,
+    policy: RadiusPolicy,
 ) {
     if count == 0 {
         return;
     }
     let tokens: Vec<TokenPlacement> = (0..count as u64).map(|i| (origin, i)).collect();
-    let radius = policy.radius(oracle, count as u64);
-    let _ = disseminate_with_radius(net, oracle, &tokens, radius, RadiusPolicy::Fixed(radius));
+    let _ = disseminate_with_radius(net, oracle, &tokens, policy);
 }
 
 /// Broadcast with the universal (`NQ_k`) radius.
@@ -188,14 +164,14 @@ fn broadcast_tokens(net: &mut HybridNetwork, oracle: &NqOracle, count: usize, or
         oracle,
         count,
         origin,
-        ApspRadiusPolicy::NeighborhoodQuality,
+        RadiusPolicy::NeighborhoodQuality,
     );
 }
 
 /// Theorem 6 / Algorithm 3 — deterministic `(1+ε)`-approximate APSP for
 /// unweighted graphs in `Õ(NQ_n/ε²)` rounds (`Hybrid0`).
 pub fn apsp_unweighted(net: &mut HybridNetwork, oracle: &NqOracle, epsilon: f64) -> ApspOutput {
-    apsp_unweighted_with_policy(net, oracle, epsilon, ApspRadiusPolicy::NeighborhoodQuality)
+    apsp_unweighted_with_policy(net, oracle, epsilon, RadiusPolicy::NeighborhoodQuality)
 }
 
 /// The existentially optimal comparison for Theorem 6: the **identical**
@@ -207,8 +183,7 @@ pub fn baseline_unweighted_apsp_sqrt_n(
     oracle: &NqOracle,
     epsilon: f64,
 ) -> ApspOutput {
-    let mut out =
-        apsp_unweighted_with_policy(net, oracle, epsilon, ApspRadiusPolicy::WorstCaseSqrtK);
+    let mut out = apsp_unweighted_with_policy(net, oracle, epsilon, RadiusPolicy::WorstCaseSqrtK);
     out.algorithm = "baseline-sqrt-n-unweighted-apsp";
     out
 }
@@ -217,7 +192,7 @@ fn apsp_unweighted_with_policy(
     net: &mut HybridNetwork,
     oracle: &NqOracle,
     epsilon: f64,
-    policy: ApspRadiusPolicy,
+    policy: RadiusPolicy,
 ) -> ApspOutput {
     assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0,1)");
     assert!(

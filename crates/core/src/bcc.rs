@@ -67,7 +67,7 @@ pub fn simulate_bcc(
             })
             .collect();
         let start = net.rounds();
-        let _ = disseminate_with_radius(net, oracle, &tokens, nq_n, RadiusPolicy::Fixed(nq_n));
+        let _ = disseminate_with_radius(net, oracle, &tokens, RadiusPolicy::Fixed(nq_n));
         per_round_cost = net.rounds() - start;
         history.push(values);
     }

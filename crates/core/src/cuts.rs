@@ -85,8 +85,7 @@ pub fn approximate_all_cuts(
     let m = sparsifier.graph.m();
     if m > 0 {
         let tokens: Vec<TokenPlacement> = (0..m as u64).map(|i| (0, i)).collect();
-        let nq = oracle.nq(m as u64).max(1);
-        let _ = disseminate_with_radius(net, oracle, &tokens, nq, RadiusPolicy::Fixed(nq));
+        let _ = disseminate_with_radius(net, oracle, &tokens, RadiusPolicy::NeighborhoodQuality);
     }
     CutsOutput {
         sparsifier,

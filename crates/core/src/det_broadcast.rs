@@ -37,17 +37,30 @@
 //! 5. **Flood** — each cluster floods the full set locally (weak-diameter
 //!    rounds), as in Theorem 1.
 //!
+//! # What is shared and what is the rival's own
+//!
+//! The level loop, the per-level charges and the batch order belong to
+//! [`crate::overlay`]'s `ClusterTree`; the token-bitset exchange and the
+//! "count `k`" prologue to [`crate::dissemination`].  "Differ exactly in their global
+//! schedules" is one enum value: this module sweeps the tree with
+//! `HopSchedule::LeaderFunnel` where Theorem 1 uses
+//! `HopSchedule::MemberSpread`.  The rest of what is written here is the
+//! rival's own: the leader hello in place of the rank-matched chaining, its
+//! phase labels, and that a leader ends up holding the whole set.
+//!
 //! The delivered token set is identical to Theorem 1's — both compute the
 //! union of all placed tokens — which is what the differential conformance
 //! suite (`crates/core/tests/conformance.rs`) asserts for every registered
 //! implementation pair.  No random bits are drawn anywhere in the pipeline.
 
-use hybrid_sim::{GlobalMessage, HybridNetwork};
+use hybrid_sim::HybridNetwork;
 
 use crate::cluster::cluster_with_radius;
-use crate::dissemination::{DisseminationOutput, RadiusPolicy, TokenPlacement};
+use crate::dissemination::{
+    count_tokens, exchange_tokens, DisseminationOutput, RadiusPolicy, TokenPlacement,
+};
 use crate::nq::{compute_nq, NqOracle};
-use crate::overlay::{basic_aggregation, VirtualTree};
+use crate::overlay::{ClusterTree, HopSchedule};
 
 /// Deterministic token-forwarding `k`-dissemination (`[CHL23]`): same
 /// clustering and leader overlay as Theorem 1, but tokens are forwarded
@@ -58,184 +71,51 @@ pub fn det_token_forward_dissemination(
     oracle: &NqOracle,
     tokens: &[TokenPlacement],
 ) -> DisseminationOutput {
-    let n = net.graph().n();
-    let k = tokens.len() as u64;
-
     // The NQ_k measurement happens before the reported-round window opens,
-    // matching `k_dissemination` (whose `disseminate_with_radius` window also
-    // excludes `compute_nq`) — the shootout compares like with like.
-    let nq = compute_nq(net, oracle, k.max(1)).nq.max(1);
+    // matching `k_dissemination` — the shootout compares like with like.
+    let nq = compute_nq(net, oracle, tokens.len() as u64).nq.max(1);
     let before = net.rounds();
+    let k = count_tokens(net, tokens);
+    let (mut delivered, mut max_tokens_per_node) = (Vec::new(), 0);
+    if k > 0 {
+        // The deterministic Lemma 3.5 clustering and the Lemma 4.6 tree over
+        // its leaders (shared with Theorem 1).
+        let clustering = cluster_with_radius(net, nq, k);
+        let tree = ClusterTree::build(net, clustering, HopSchedule::LeaderFunnel);
 
-    // Phase 0: count k with the basic aggregation primitive (Lemma 4.4) —
-    // identical to the randomized pipeline.
-    let counts: Vec<u64> = {
-        let mut c = vec![0u64; n];
-        for &(holder, _) in tokens {
-            c[holder as usize] += 1;
+        // Deterministic leader hello — one message per tree edge per
+        // direction (the substitute for randomized rank matching).
+        let hellos = tree.introductions();
+        if !hellos.is_empty() {
+            crate::deliver_global_checked(net, "det-broadcast/leader-hello", &hellos);
         }
-        c
-    };
-    let counted = basic_aggregation(net, &counts, |a, b| a + b);
-    debug_assert_eq!(counted.value, k);
-    if k == 0 {
-        return DisseminationOutput {
-            k,
-            nq: oracle.nq(1),
-            radius: nq,
-            policy: RadiusPolicy::NeighborhoodQuality,
-            rounds: net.rounds() - before,
-            meter: net.meter().clone(),
-            tokens: Vec::new(),
-            max_tokens_per_node: 0,
-        };
+
+        // Gather — members hand their tokens to the cluster leader over the
+        // local network (same 2·weak-diameter charge as the Lemma 4.1 load
+        // balancing it replaces) — then forward up and back down, leader to
+        // leader: the scheduler turns a T-token payload from one sender into
+        // ⌈T/γ⌉ rounds, and before every hop the tokens cross the cluster
+        // locally to reach the forwarding leader (the chain-traversal step,
+        // the same 2·weak-diameter bill Theorem 1 pays to re-balance).
+        // Whatever the tree's shape, a leader ends up holding the full set.
+        const TRAVERSAL: &str = "det-broadcast/chain-traversal";
+        net.charge_local("det-broadcast/gather-to-leader", 2 * tree.weak_diameter());
+        let up = [TRAVERSAL, "det-broadcast/forward-up"];
+        let down = [TRAVERSAL, "det-broadcast/forward-down"];
+        (delivered, max_tokens_per_node) = exchange_tokens(net, &tree, tokens, up, down);
+        max_tokens_per_node = max_tokens_per_node.max(delivered.len() as u64);
+
+        // Every cluster floods its (now complete) set locally.
+        net.charge_local("det-broadcast/intra-cluster-flood", tree.weak_diameter());
     }
-
-    // Phase 1: the deterministic Lemma 3.5 clustering (shared with Theorem 1).
-    let clustering = cluster_with_radius(net, nq, k);
-    let leaders: Vec<_> = clustering.clusters.iter().map(|c| c.leader).collect();
-    let tree = VirtualTree::build(net, &leaders);
-    let pos_to_cluster: Vec<usize> = tree
-        .participants
-        .iter()
-        .map(|leader| {
-            clustering
-                .clusters
-                .iter()
-                .position(|c| c.leader == *leader)
-                .expect("leader has a cluster")
-        })
-        .collect();
-
-    // Phase 2: deterministic leader hello — one message per tree edge per
-    // direction (the deterministic substitute for randomized rank matching).
-    let mut hellos: Vec<GlobalMessage> = Vec::new();
-    for pos in 1..tree.len() {
-        let parent_pos = tree.parent[pos].expect("non-root");
-        let child = tree.participants[pos];
-        let parent = tree.participants[parent_pos];
-        hellos.push(GlobalMessage::new(child, parent));
-        hellos.push(GlobalMessage::new(parent, child));
-    }
-    if !hellos.is_empty() {
-        crate::deliver_global_checked(net, "det-broadcast/leader-hello", &hellos);
-    }
-
-    // Phase 3: gather — members hand their tokens to the cluster leader over
-    // the local network (same 2·weak-diameter charge as the Lemma 4.1 load
-    // balancing it replaces).
-    let mut values: Vec<u64> = tokens.iter().map(|&(_, v)| v).collect();
-    values.sort_unstable();
-    values.dedup();
-    let words = values.len().div_ceil(64);
-    let popcnt = |set: &[u64]| -> u64 { set.iter().map(|w| u64::from(w.count_ones())).sum() };
-    let mut known: Vec<Vec<u64>> = vec![vec![0u64; words]; clustering.len()];
-    for &(holder, value) in tokens {
-        let idx = values
-            .binary_search(&value)
-            .expect("value is in the universe");
-        known[clustering.cluster_of[holder as usize]][idx / 64] |= 1u64 << (idx % 64);
-    }
-    net.charge_local(
-        "det-broadcast/gather-to-leader",
-        2 * clustering.weak_diameter_bound.max(1),
-    );
-
-    // Phase 4a: token forwarding up the leader tree, level by level.  The
-    // child's *leader* carries its cluster's whole accumulated set — the
-    // scheduler turns a T-token payload from one sender into ⌈T/γ⌉ rounds.
-    let levels = tree.levels();
-    let mut max_tokens_per_node = 0u64;
-    let mut batch: Vec<GlobalMessage> = Vec::new();
-    for level in levels.iter().rev() {
-        batch.clear();
-        let mut merges: Vec<(usize, usize)> = Vec::new();
-        for &pos in level {
-            let Some(parent_pos) = tree.parent[pos] else {
-                continue;
-            };
-            let child_idx = pos_to_cluster[pos];
-            let parent_idx = pos_to_cluster[parent_pos];
-            let from = tree.participants[pos];
-            let to = tree.participants[parent_pos];
-            let payload = popcnt(&known[child_idx]);
-            max_tokens_per_node = max_tokens_per_node.max(payload);
-            for _ in 0..payload {
-                batch.push(GlobalMessage::new(from, to));
-            }
-            merges.push((parent_idx, child_idx));
-        }
-        if !batch.is_empty() {
-            // Tokens cross the cluster locally to reach the forwarding leader
-            // (the chain-traversal step of the deterministic schedule) — the
-            // same 2·weak-diameter bill Theorem 1 pays to re-balance.
-            net.charge_local(
-                "det-broadcast/chain-traversal",
-                2 * clustering.weak_diameter_bound.max(1),
-            );
-            crate::deliver_global_checked(net, "det-broadcast/forward-up", &batch);
-        }
-        for (parent_idx, child_idx) in merges {
-            let (dst, src) = if parent_idx < child_idx {
-                let (a, b) = known.split_at_mut(child_idx);
-                (&mut a[parent_idx], &b[0])
-            } else {
-                let (a, b) = known.split_at_mut(parent_idx);
-                (&mut b[0], &a[child_idx])
-            };
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d |= s;
-            }
-        }
-    }
-    let root_cluster = pos_to_cluster[tree.root()];
-    debug_assert_eq!(
-        popcnt(&known[root_cluster]),
-        values.len() as u64,
-        "root leader must have gathered every distinct token"
-    );
-
-    // Phase 4b: forward the full set back down, leader to leader.
-    let full: Vec<u64> = known[root_cluster].clone();
-    let total = values.len() as u64;
-    max_tokens_per_node = max_tokens_per_node.max(total);
-    for level in levels.iter() {
-        batch.clear();
-        for &pos in level {
-            let Some(parent_pos) = tree.parent[pos] else {
-                continue;
-            };
-            let from = tree.participants[parent_pos];
-            let to = tree.participants[pos];
-            for _ in 0..total {
-                batch.push(GlobalMessage::new(from, to));
-            }
-            known[pos_to_cluster[pos]].copy_from_slice(&full);
-        }
-        if !batch.is_empty() {
-            net.charge_local(
-                "det-broadcast/chain-traversal",
-                2 * clustering.weak_diameter_bound.max(1),
-            );
-            crate::deliver_global_checked(net, "det-broadcast/forward-down", &batch);
-        }
-    }
-
-    // Phase 5: every cluster floods its (now complete) set locally.
-    net.charge_local(
-        "det-broadcast/intra-cluster-flood",
-        clustering.weak_diameter_bound.max(1),
-    );
-    debug_assert!(known.iter().all(|s| popcnt(s) == values.len() as u64));
-
     DisseminationOutput {
         k,
-        nq: oracle.nq(k),
+        nq,
         radius: nq,
         policy: RadiusPolicy::NeighborhoodQuality,
         rounds: net.rounds() - before,
         meter: net.meter().clone(),
-        tokens: values,
+        tokens: delivered,
         max_tokens_per_node,
     }
 }

@@ -17,6 +17,15 @@
 //!    scheduled under the per-node capacity), then flood inside each cluster
 //!    over the local network.
 //!
+//! Steps 2 and 4 run on [`crate::overlay`]'s `ClusterTree`, which owns the
+//! level loop, the per-level charges and the Lemma 4.1 carrier rule
+//! (`HopSchedule::MemberSpread`).  What lives here is what is Theorem 1's or
+//! Theorem 2's own: what crosses a tree edge (the popcount of a token bitset,
+//! or `k` partial aggregates), what a merge means (word-wise OR, or `f`), the
+//! rank-matched chaining, the aggregation's root flood, and the phase labels.
+//! The token-bitset exchange (`exchange_tokens`), the "count `k`" prologue
+//! and the [`RadiusPolicy`] rule are shared with [`crate::det_broadcast`].
+//!
 //! The *baseline* runs the identical pipeline with the radius forced to
 //! `min(√k, D)` — the best bound available without looking at the topology —
 //! which is exactly how the existentially optimal algorithms behave.  On
@@ -24,11 +33,11 @@
 //! universal algorithm wins; on paths the two coincide (Theorem 15).
 
 use hybrid_graph::NodeId;
-use hybrid_sim::{CostMeter, GlobalMessage, HybridNetwork};
+use hybrid_sim::{CostMeter, HybridNetwork};
 
 use crate::cluster::cluster_with_radius;
 use crate::nq::{compute_nq, NqOracle};
-use crate::overlay::{basic_aggregation, VirtualTree};
+use crate::overlay::{basic_aggregation, ClusterTree, HopSchedule};
 
 /// A token to broadcast: the node that initially holds it and its value.
 pub type TokenPlacement = (NodeId, u64);
@@ -42,6 +51,23 @@ pub enum RadiusPolicy {
     WorstCaseSqrtK,
     /// An explicitly chosen radius (used by tests and ablations).
     Fixed(u64),
+}
+
+impl RadiusPolicy {
+    /// The clustering radius the policy prescribes for a workload of `k`:
+    /// the universal algorithms use the measured `NQ_k`, the existential
+    /// baselines the worst-case `min(⌈√k⌉, D)` (the only bound available
+    /// without inspecting the topology).
+    pub(crate) fn radius(self, oracle: &NqOracle, k: u64) -> u64 {
+        let k = k.max(1);
+        match self {
+            RadiusPolicy::NeighborhoodQuality => oracle.nq(k).max(1),
+            RadiusPolicy::WorstCaseSqrtK => ((k as f64).sqrt().ceil() as u64)
+                .max(1)
+                .min(oracle.diameter().max(1)),
+            RadiusPolicy::Fixed(radius) => radius,
+        }
+    }
 }
 
 /// Output of a `k`-dissemination run.
@@ -59,7 +85,8 @@ pub struct DisseminationOutput {
     pub rounds: u64,
     /// Full cost trace.
     pub meter: CostMeter,
-    /// The sorted set of token values every node knows at the end.
+    /// The sorted set of token values every node knows at the end, decoded
+    /// from what the clusters hold after the broadcast.
     pub tokens: Vec<u64>,
     /// Maximum number of tokens any single node had to hold after load
     /// balancing (≈ radius, by Lemma 4.1 + Lemma 3.5).
@@ -99,10 +126,77 @@ pub fn load_balance_cluster(
         net.charge_local("dissemination/load-balance", 2 * weak_diameter.max(1));
     }
     let mut assignment = vec![Vec::new(); members.len()];
-    for (i, &t) in tokens.iter().enumerate() {
-        assignment[i % members.len()].push(t);
+    for (&t, member) in tokens.iter().zip((0..members.len()).cycle()) {
+        assignment[member].push(t);
     }
     assignment
+}
+
+/// Every contender's token exchange over a standing cluster tree: each
+/// cluster starts with the tokens placed on its members, the sets are
+/// converge-cast to the root (one payload unit per token held, a parent ORs
+/// in what its children sent) and the root's set is broadcast back down (one
+/// unit per distinct token and edge).  `up` and `down` are the sweeps'
+/// `[local, global]` labels.  Returns the delivered values and the most
+/// tokens any one node carried up.
+///
+/// Token sets are fixed-universe bitsets over the sorted distinct token
+/// values, so unions are word-wide ORs and payload sizes popcounts — only the
+/// data level is cheap, the schedule handed to the global scheduler is one
+/// message per token.
+pub(crate) fn exchange_tokens(
+    net: &mut HybridNetwork,
+    tree: &ClusterTree,
+    tokens: &[TokenPlacement],
+    up: [&'static str; 2],
+    down: [&'static str; 2],
+) -> (Vec<u64>, u64) {
+    let mut universe: Vec<u64> = tokens.iter().map(|&(_, v)| v).collect();
+    universe.sort_unstable();
+    universe.dedup();
+    let clustering = tree.clustering();
+    let mut sets = vec![vec![0u64; universe.len().div_ceil(64)]; clustering.len()];
+    for &(holder, value) in tokens {
+        let bit = universe
+            .binary_search(&value)
+            .expect("value is in the universe");
+        sets[clustering.cluster_of[holder as usize]][bit / 64] |= 1u64 << (bit % 64);
+    }
+    let carried = tree.converge_cast(
+        net,
+        up,
+        &mut sets,
+        |set| set.iter().map(|w| w.count_ones() as usize).sum(),
+        |parent, child| parent.iter_mut().zip(child).for_each(|(p, c)| *p |= c),
+    );
+    tree.broadcast(net, down, &mut sets, universe.len());
+    (held_by_all(&universe, &sets), carried)
+}
+
+/// The delivered set: the values of `universe` whose bit *every* set holds,
+/// ascending.  After a correct exchange that is the whole universe; a merge
+/// that lost a token or a level the sweep skipped shows up here as a missing
+/// value — in release builds too.
+fn held_by_all(universe: &[u64], sets: &[Vec<u64>]) -> Vec<u64> {
+    let mut common = vec![u64::MAX; universe.len().div_ceil(64)];
+    for set in sets {
+        common.iter_mut().zip(set).for_each(|(c, w)| *c &= w);
+    }
+    let held = |bit: &usize| common[bit / 64] >> (bit % 64) & 1 == 1;
+    let bits = (0..universe.len()).filter(held);
+    bits.map(|bit| universe[bit]).collect()
+}
+
+/// Phase 0 of every dissemination contender: count `k` with the basic
+/// aggregation primitive (Lemma 4.4).
+pub(crate) fn count_tokens(net: &mut HybridNetwork, tokens: &[TokenPlacement]) -> u64 {
+    let mut counts = vec![0u64; net.graph().n()];
+    for &(holder, _) in tokens {
+        counts[holder as usize] += 1;
+    }
+    let counted = basic_aggregation(net, &counts, |a, b| a + b).value;
+    debug_assert_eq!(counted, tokens.len() as u64);
+    counted
 }
 
 /// Theorem 1 — universally optimal `k`-dissemination in `Õ(NQ_k)` rounds
@@ -112,9 +206,10 @@ pub fn k_dissemination(
     oracle: &NqOracle,
     tokens: &[TokenPlacement],
 ) -> DisseminationOutput {
-    let k = tokens.len() as u64;
-    let nq = compute_nq(net, oracle, k.max(1)).nq.max(1);
-    disseminate_with_radius(net, oracle, tokens, nq, RadiusPolicy::NeighborhoodQuality)
+    // The distributed NQ_k measurement (Lemma 3.3) is charged before the
+    // reported-round window opens; its value is the oracle's.
+    compute_nq(net, oracle, tokens.len() as u64);
+    disseminate_with_radius(net, oracle, tokens, RadiusPolicy::NeighborhoodQuality)
 }
 
 /// The existentially optimal baseline (`[AHK+20]`): the identical pipeline with
@@ -125,211 +220,57 @@ pub fn baseline_sqrt_k_dissemination(
     oracle: &NqOracle,
     tokens: &[TokenPlacement],
 ) -> DisseminationOutput {
-    let k = tokens.len() as u64;
-    let radius = ((k.max(1) as f64).sqrt().ceil() as u64)
-        .max(1)
-        .min(oracle.diameter().max(1));
-    disseminate_with_radius(net, oracle, tokens, radius, RadiusPolicy::WorstCaseSqrtK)
+    disseminate_with_radius(net, oracle, tokens, RadiusPolicy::WorstCaseSqrtK)
 }
 
-/// The shared dissemination engine with an explicit radius parameter.
+/// The shared dissemination engine: Theorem 1's pipeline with the clustering
+/// radius `policy` prescribes for `tokens.len()`.
 pub fn disseminate_with_radius(
     net: &mut HybridNetwork,
     oracle: &NqOracle,
     tokens: &[TokenPlacement],
-    radius: u64,
     policy: RadiusPolicy,
 ) -> DisseminationOutput {
+    const BALANCE: &str = "dissemination/load-balance";
     let before = net.rounds();
-    let graph = net.graph_arc();
-    let n = graph.n();
-    let k = tokens.len() as u64;
+    let k = count_tokens(net, tokens);
+    let radius = policy.radius(oracle, k);
+    let (mut delivered, mut max_tokens_per_node) = (Vec::new(), 0);
+    if k > 0 {
+        // Clustering with the prescribed radius (Lemma 3.5) and the cluster
+        // tree over the leaders (Lemma 4.6).
+        let clustering = cluster_with_radius(net, radius, k);
+        let tree = ClusterTree::build(net, clustering, HopSchedule::MemberSpread);
 
-    // Phase 0: count k with the basic aggregation primitive (Lemma 4.4).
-    let counts: Vec<u64> = {
-        let mut c = vec![0u64; n];
-        for &(holder, _) in tokens {
-            c[holder as usize] += 1;
-        }
-        c
+        // Cluster chaining — rank-matched members of adjacent clusters
+        // exchange identifiers over the global network.
+        let chaining = tree.introductions();
+        crate::deliver_global_checked(net, "dissemination/cluster-chaining", &chaining);
+
+        // Per-cluster load balancing of the initial tokens (Lemma 4.1), then
+        // all tokens up the cluster tree and back down, re-balancing inside
+        // each cluster before a level sends.
+        net.charge_local(BALANCE, 2 * tree.weak_diameter());
+        let up = [BALANCE, "dissemination/converge-cast-up"];
+        let down = [BALANCE, "dissemination/broadcast-down"];
+        (delivered, max_tokens_per_node) = exchange_tokens(net, &tree, tokens, up, down);
+
+        // Flood all tokens inside each cluster over the local network.
+        net.charge_local("dissemination/intra-cluster-flood", tree.weak_diameter());
+    }
+    // Under the universal policy the radius *is* NQ_k: no second scan.
+    let nq = match policy {
+        RadiusPolicy::NeighborhoodQuality => radius,
+        _ => oracle.nq(k),
     };
-    let counted = basic_aggregation(net, &counts, |a, b| a + b);
-    debug_assert_eq!(counted.value, k);
-
-    if k == 0 {
-        return DisseminationOutput {
-            k,
-            nq: oracle.nq(1),
-            radius,
-            policy,
-            rounds: net.rounds() - before,
-            meter: net.meter().clone(),
-            tokens: Vec::new(),
-            max_tokens_per_node: 0,
-        };
-    }
-
-    // Phase 1: clustering with the prescribed radius (Lemma 3.5).
-    let clustering = cluster_with_radius(net, radius, k);
-
-    // Phase 2a: cluster tree over the leaders (Lemma 4.6).
-    let leaders: Vec<NodeId> = clustering.clusters.iter().map(|c| c.leader).collect();
-    let cluster_tree = VirtualTree::build(net, &leaders);
-    // Map tree position -> cluster index.
-    let pos_to_cluster: Vec<usize> = cluster_tree
-        .participants
-        .iter()
-        .map(|leader| {
-            clustering
-                .clusters
-                .iter()
-                .position(|c| c.leader == *leader)
-                .expect("leader has a cluster")
-        })
-        .collect();
-
-    // Phase 2b: cluster chaining — rank-matched members of adjacent clusters
-    // exchange identifiers over the global network.
-    let mut chaining_msgs: Vec<GlobalMessage> = Vec::new();
-    for pos in 1..cluster_tree.len() {
-        let parent_pos = cluster_tree.parent[pos].expect("non-root");
-        let child = &clustering.clusters[pos_to_cluster[pos]];
-        let parent = &clustering.clusters[pos_to_cluster[parent_pos]];
-        for (rank, &member) in child.members.iter().enumerate() {
-            let counterpart = parent.members[rank % parent.members.len()];
-            chaining_msgs.push(GlobalMessage::new(member, counterpart));
-            chaining_msgs.push(GlobalMessage::new(counterpart, member));
-        }
-    }
-    crate::deliver_global_checked(net, "dissemination/cluster-chaining", &chaining_msgs);
-
-    // Phase 3: per-cluster load balancing of the initial tokens (Lemma 4.1).
-    //
-    // Token sets are represented as fixed-universe bitsets over the distinct
-    // token values (dense `k`-bit vectors): the converge-cast then unions
-    // sets with word-wide ORs and sizes them with popcounts instead of
-    // shuffling `BTreeSet`s around — the message *schedule* handed to the
-    // global scheduler is unchanged, only the data level got cheap.
-    let mut values: Vec<u64> = tokens.iter().map(|&(_, v)| v).collect();
-    values.sort_unstable();
-    values.dedup();
-    let words = values.len().div_ceil(64);
-    let popcnt = |set: &[u64]| -> usize { set.iter().map(|w| w.count_ones() as usize).sum() };
-    let mut known: Vec<Vec<u64>> = vec![vec![0u64; words]; clustering.len()];
-    for &(holder, value) in tokens {
-        let idx = values
-            .binary_search(&value)
-            .expect("value is in the universe");
-        known[clustering.cluster_of[holder as usize]][idx / 64] |= 1u64 << (idx % 64);
-    }
-    net.charge_local(
-        "dissemination/load-balance",
-        2 * clustering.weak_diameter_bound.max(1),
-    );
-
-    // Phase 4a: converge-cast all tokens up the cluster tree, level by level.
-    // Clusters accumulate the token sets of their subtrees.
-    let levels = cluster_tree.levels();
-    let mut max_tokens_per_node = 0u64;
-    let mut batch: Vec<GlobalMessage> = Vec::new();
-    for level in levels.iter().rev() {
-        batch.clear();
-        // Within a level every position is a child sending to a parent one
-        // level up, so the in-place unions below never feed a set that still
-        // has to emit its own payload this level.
-        let mut merges: Vec<(usize, usize)> = Vec::new();
-        for &pos in level {
-            let Some(parent_pos) = cluster_tree.parent[pos] else {
-                continue;
-            };
-            let child_idx = pos_to_cluster[pos];
-            let parent_idx = pos_to_cluster[parent_pos];
-            let child = &clustering.clusters[child_idx];
-            let parent = &clustering.clusters[parent_idx];
-            let payload_len = popcnt(&known[child_idx]);
-            max_tokens_per_node =
-                max_tokens_per_node.max(payload_len.div_ceil(child.members.len()) as u64);
-            for i in 0..payload_len {
-                let from = child.members[i % child.members.len()];
-                let to = parent.members[i % parent.members.len()];
-                batch.push(GlobalMessage::new(from, to));
-            }
-            merges.push((parent_idx, child_idx));
-        }
-        if !batch.is_empty() {
-            // Re-balance inside each cluster before sending (Lemma 4.1).
-            net.charge_local(
-                "dissemination/load-balance",
-                2 * clustering.weak_diameter_bound.max(1),
-            );
-            crate::deliver_global_checked(net, "dissemination/converge-cast-up", &batch);
-        }
-        for (parent_idx, child_idx) in merges {
-            let (dst, src) = if parent_idx < child_idx {
-                let (a, b) = known.split_at_mut(child_idx);
-                (&mut a[parent_idx], &b[0])
-            } else {
-                let (a, b) = known.split_at_mut(parent_idx);
-                (&mut b[0], &a[child_idx])
-            };
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d |= s;
-            }
-        }
-    }
-    let root_cluster = pos_to_cluster[cluster_tree.root()];
-    debug_assert_eq!(
-        popcnt(&known[root_cluster]),
-        values.len(),
-        "root cluster must have gathered every distinct token"
-    );
-
-    // Phase 4b: broadcast all tokens back down the tree, level by level.
-    let all_tokens: Vec<u64> = values;
-    let full: Vec<u64> = known[root_cluster].clone();
-    for level in levels.iter() {
-        batch.clear();
-        for &pos in level {
-            let Some(parent_pos) = cluster_tree.parent[pos] else {
-                continue;
-            };
-            let child_idx = pos_to_cluster[pos];
-            let parent_idx = pos_to_cluster[parent_pos];
-            let child = &clustering.clusters[child_idx];
-            let parent = &clustering.clusters[parent_idx];
-            for i in 0..all_tokens.len() {
-                let from = parent.members[i % parent.members.len()];
-                let to = child.members[i % child.members.len()];
-                batch.push(GlobalMessage::new(from, to));
-            }
-            known[child_idx].copy_from_slice(&full);
-        }
-        if !batch.is_empty() {
-            net.charge_local(
-                "dissemination/load-balance",
-                2 * clustering.weak_diameter_bound.max(1),
-            );
-            crate::deliver_global_checked(net, "dissemination/broadcast-down", &batch);
-        }
-    }
-
-    // Phase 5: flood all tokens inside each cluster over the local network.
-    net.charge_local(
-        "dissemination/intra-cluster-flood",
-        clustering.weak_diameter_bound.max(1),
-    );
-
-    // Every cluster now knows every token.
-    debug_assert!(known.iter().all(|s| popcnt(s) == all_tokens.len()));
-
     DisseminationOutput {
         k,
-        nq: oracle.nq(k),
+        nq,
         radius,
         policy,
         rounds: net.rounds() - before,
         meter: net.meter().clone(),
-        tokens: all_tokens,
+        tokens: delivered,
         max_tokens_per_node,
     }
 }
@@ -347,8 +288,11 @@ pub fn k_aggregation(
     f: impl Fn(u64, u64) -> u64 + Copy,
 ) -> AggregationOutput {
     let before = net.rounds();
-    let n = net.graph().n();
-    assert_eq!(values.len(), n, "one value vector per node required");
+    assert_eq!(
+        values.len(),
+        net.graph().n(),
+        "one value vector per node required"
+    );
     let k = values.first().map_or(0, Vec::len);
     assert!(
         values.iter().all(|v| v.len() == k),
@@ -363,6 +307,11 @@ pub fn k_aggregation(
             results: Vec::new(),
         };
     }
+    let fold = |acc: &mut Vec<u64>, other: &Vec<u64>| {
+        for (a, &x) in acc.iter_mut().zip(other) {
+            *a = f(*a, x);
+        }
+    };
 
     let nq = compute_nq(net, oracle, k as u64).nq.max(1);
     let clustering = cluster_with_radius(net, nq, k as u64);
@@ -373,80 +322,26 @@ pub fn k_aggregation(
     for c in &clustering.clusters {
         let mut agg = values[c.members[0] as usize].clone();
         for &m in &c.members[1..] {
-            for (i, &x) in values[m as usize].iter().enumerate() {
-                agg[i] = f(agg[i], x);
-            }
+            fold(&mut agg, &values[m as usize]);
         }
         partials.push(agg);
     }
-    net.charge_local(
-        "aggregation/intra-cluster",
-        clustering.weak_diameter_bound.max(1),
-    );
-    net.charge_local(
-        "aggregation/load-balance",
-        2 * clustering.weak_diameter_bound.max(1),
-    );
+    let wd = clustering.weak_diameter_bound.max(1);
+    net.charge_local("aggregation/intra-cluster", wd);
+    net.charge_local("aggregation/load-balance", 2 * wd);
 
     // Phase 2: converge-cast the k partial aggregates up the cluster tree.
-    let leaders: Vec<NodeId> = clustering.clusters.iter().map(|c| c.leader).collect();
-    let cluster_tree = VirtualTree::build(net, &leaders);
-    let pos_to_cluster: Vec<usize> = cluster_tree
-        .participants
-        .iter()
-        .map(|leader| {
-            clustering
-                .clusters
-                .iter()
-                .position(|c| c.leader == *leader)
-                .expect("leader has a cluster")
-        })
-        .collect();
-    let levels = cluster_tree.levels();
-    let mut acc: Vec<Vec<u64>> = partials;
-    for level in levels.iter().rev() {
-        let mut batch: Vec<GlobalMessage> = Vec::new();
-        let mut merges: Vec<(usize, Vec<u64>)> = Vec::new();
-        for &pos in level {
-            let Some(parent_pos) = cluster_tree.parent[pos] else {
-                continue;
-            };
-            let child_idx = pos_to_cluster[pos];
-            let parent_idx = pos_to_cluster[parent_pos];
-            let child = &clustering.clusters[child_idx];
-            let parent = &clustering.clusters[parent_idx];
-            for i in 0..k {
-                let from = child.members[i % child.members.len()];
-                let to = parent.members[i % parent.members.len()];
-                batch.push(GlobalMessage::new(from, to));
-            }
-            merges.push((parent_idx, acc[child_idx].clone()));
-        }
-        if !batch.is_empty() {
-            net.charge_local(
-                "aggregation/load-balance",
-                2 * clustering.weak_diameter_bound.max(1),
-            );
-            crate::deliver_global_checked(net, "aggregation/converge-cast-up", &batch);
-        }
-        for (parent_idx, child_values) in merges {
-            for i in 0..k {
-                acc[parent_idx][i] = f(acc[parent_idx][i], child_values[i]);
-            }
-        }
-    }
-    let root_cluster = pos_to_cluster[cluster_tree.root()];
-    let results = acc[root_cluster].clone();
+    let tree = ClusterTree::build(net, clustering, HopSchedule::MemberSpread);
+    let up = ["aggregation/load-balance", "aggregation/converge-cast-up"];
+    tree.converge_cast(net, up, &mut partials, |_| k, fold);
+    let results = partials.swap_remove(tree.root());
 
     // Phase 3: flood the results inside the root cluster, then disseminate
     // them to the whole graph with Theorem 1.
-    net.charge_local(
-        "aggregation/root-flood",
-        clustering.weak_diameter_bound.max(1),
-    );
-    let root_leader = clustering.clusters[root_cluster].leader;
+    net.charge_local("aggregation/root-flood", wd);
+    let root_leader = tree.clustering().clusters[tree.root()].leader;
     let result_tokens: Vec<TokenPlacement> = results.iter().map(|&r| (root_leader, r)).collect();
-    let _ = disseminate_with_radius(net, oracle, &result_tokens, nq, RadiusPolicy::Fixed(nq));
+    let _ = disseminate_with_radius(net, oracle, &result_tokens, RadiusPolicy::Fixed(nq));
 
     AggregationOutput {
         k: k as u64,
@@ -628,6 +523,39 @@ mod tests {
             out.max_tokens_per_node,
             out.radius
         );
+    }
+
+    #[test]
+    fn delivered_set_is_what_every_cluster_holds() {
+        // 70 distinct values (two words per set), three clusters.
+        let universe: Vec<u64> = (0..70).map(|i| 3 * i + 1).collect();
+        let mut sets = vec![vec![u64::MAX, (1 << 6) - 1]; 3];
+        assert_eq!(held_by_all(&universe, &sets), universe);
+
+        // A token missing from one cluster is not delivered, whichever
+        // cluster and whichever word.
+        sets[1][1] &= !(1 << 1);
+        sets[2][0] &= !(1 << 3);
+        let lost = [universe[65], universe[3]];
+        let expected: Vec<u64> = universe
+            .iter()
+            .copied()
+            .filter(|v| !lost.contains(v))
+            .collect();
+        assert_eq!(held_by_all(&universe, &sets), expected);
+    }
+
+    #[test]
+    fn exchange_delivers_duplicated_and_unsorted_values_once() {
+        let (_, _, mut net) = setup(generators::grid(&[8, 8]).unwrap());
+        let clustering = cluster_with_radius(&mut net, 2, 4);
+        let tree = ClusterTree::build(&mut net, clustering, HopSchedule::MemberSpread);
+        // Value 9 is placed twice, far apart.
+        let tokens = [(63, 40), (0, 9), (20, 25), (44, 9)];
+        let labels = ["test/balance", "test/sweep"];
+        let (delivered, carried) = exchange_tokens(&mut net, &tree, &tokens, labels, labels);
+        assert_eq!(delivered, [9, 25, 40]);
+        assert!((1..=3).contains(&carried));
     }
 
     #[test]

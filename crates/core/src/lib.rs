@@ -74,7 +74,7 @@ pub mod sssp;
 /// full [`hybrid_sim::DeliveryReport`] so callers can inspect load statistics.
 pub(crate) fn deliver_global_checked(
     net: &mut hybrid_sim::HybridNetwork,
-    label: &str,
+    label: &'static str,
     messages: &[hybrid_sim::GlobalMessage],
 ) -> hybrid_sim::DeliveryReport {
     let report = net.deliver_global(label, messages);

@@ -149,9 +149,7 @@ pub fn baseline_sqrt_k_routing(
     rng: &mut impl Rng,
 ) -> RoutingOutput {
     let k = sources.len().max(1) as u64;
-    let radius = ((k as f64).sqrt().ceil() as u64)
-        .max(1)
-        .min(oracle.diameter().max(1));
+    let radius = RadiusPolicy::WorstCaseSqrtK.radius(oracle, k);
     route_engine(net, oracle, sources, targets, radius, true, rng)
 }
 
@@ -243,13 +241,7 @@ fn route_engine(
         .map(|(i, &s)| (s, i as u64))
         .chain((0..seed_tokens).map(|i| (sources[0], (k + i) as u64)))
         .collect();
-    let _ = disseminate_with_radius(
-        net,
-        oracle,
-        &broadcast_payload,
-        radius,
-        RadiusPolicy::Fixed(radius),
-    );
+    let _ = disseminate_with_radius(net, oracle, &broadcast_payload, RadiusPolicy::Fixed(radius));
 
     // If sources use helper sets, spread each source's ℓ messages over its
     // helpers via the local network first.

@@ -222,7 +222,13 @@ pub fn baseline_sssp(
         .map(|&d| quantize_distance(d, eps_equivalent.min(1.0)))
         .collect();
     let rounds = baseline.rounds(n);
-    net.charge_rounds(format!("sssp/baseline-{baseline:?}"), rounds);
+    let label = match baseline {
+        SsspBaseline::Ks20SqrtN => "sssp/baseline-Ks20SqrtN",
+        SsspBaseline::Chlp21FiveSeventeenths => "sssp/baseline-Chlp21FiveSeventeenths",
+        SsspBaseline::Ahk20NEps { .. } => "sssp/baseline-Ahk20NEps",
+        SsspBaseline::Ag21DeterministicSqrtN => "sssp/baseline-Ag21DeterministicSqrtN",
+    };
+    net.charge_rounds(label, rounds);
     SsspOutput {
         source,
         dist,

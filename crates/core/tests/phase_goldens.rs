@@ -1,0 +1,269 @@
+//! Golden pins for the charged dissemination pipelines.
+//!
+//! Conformance compares token sets between contenders and `results/` is
+//! diffed only across thread counts, so nothing else would notice a pipeline
+//! that charges a phase twice, drops a level or reorders the messages of a
+//! batch.  Each case here runs one contender (every
+//! [`dissemination_registry`] entry, or [`k_aggregation`]) on a small pinned
+//! instance and asserts its round counts plus an FNV-1a-64 digest over every
+//! [`PhaseRecord`](hybrid_sim::PhaseRecord) in order — label bytes, kind,
+//! rounds, messages, dropped, duplicated, delayed — and over the returned
+//! `(rounds, radius, nq, k, max_tokens_per_node, tokens)` (aggregation:
+//! `(rounds, nq, k, results)`).  The fault cases are the ones that notice a
+//! reordered batch: a fate hashes `(round base, from, to, index in batch)`.
+//!
+//! The constants were printed by this very file in a clone of commit be7333a
+//! — before Theorems 1–2 and the `[CHL23]` rival shared one cluster-tree
+//! overlay.  Re-record only with a stated reason.  On a mismatch the failure
+//! message is the full table in source form.
+
+use std::sync::Arc;
+
+use hybrid_core::algorithm::dissemination_registry;
+use hybrid_core::dissemination::{k_aggregation, TokenPlacement};
+use hybrid_core::NqOracle;
+use hybrid_graph::{generators, Graph, NodeId};
+use hybrid_sim::{CostMeter, EngineConfig, FaultPlan, FaultSpec, HybridNetwork};
+use hybrid_sim::{ModelParams, PhaseKind};
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+fn fnv(digest: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *digest ^= u64::from(b);
+        *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+fn fnv_u64s(digest: &mut u64, xs: &[u64]) {
+    fnv(digest, &(xs.len() as u64).to_le_bytes());
+    for x in xs {
+        fnv(digest, &x.to_le_bytes());
+    }
+}
+
+fn digest_meter(d: &mut u64, meter: &CostMeter) {
+    for p in meter.trace() {
+        fnv(d, p.label.as_bytes());
+        let kind = match p.kind {
+            PhaseKind::Local => 0u8,
+            PhaseKind::Global => 1,
+            PhaseKind::Charged => 2,
+        };
+        fnv(d, &[0xFF, kind]);
+        fnv_u64s(
+            d,
+            &[p.rounds, p.messages, p.dropped, p.duplicated, p.delayed],
+        );
+    }
+}
+
+#[derive(Debug, PartialEq)]
+struct Golden {
+    name: String,
+    /// Reported rounds, one per γ of the case.
+    rounds: Vec<u64>,
+    digest: u64,
+}
+
+fn g(name: &str, rounds: &[u64], digest: u64) -> Golden {
+    Golden {
+        name: name.to_string(),
+        rounds: rounds.to_vec(),
+        digest,
+    }
+}
+
+fn source_line(x: &Golden) -> String {
+    format!(
+        "        g({:?}, &{:?}, {:#018X}),",
+        x.name, x.rounds, x.digest
+    )
+}
+
+/// Distinct token values whose numeric order is unrelated to placement order.
+fn value(t: u64) -> u64 {
+    (t * 37 + 5) % 1009
+}
+
+/// `k` tokens round-robin over `holders`.
+fn place(holders: &[NodeId], k: u64) -> Vec<TokenPlacement> {
+    (0..k)
+        .map(|t| (holders[t as usize % holders.len()], value(t)))
+        .collect()
+}
+
+fn placements(n: usize) -> [(&'static str, Vec<TokenPlacement>); 3] {
+    let every_third: Vec<NodeId> = (0..n as NodeId).step_by(3).collect();
+    let everyone: Vec<NodeId> = (0..n as NodeId).collect();
+    [
+        ("17-on-every-third", place(&every_third, 17)),
+        ("96-on-node0", place(&[0], 96)),
+        ("one-per-node", place(&everyone, n as u64)),
+    ]
+}
+
+/// The default `γ = ⌈log₂ n⌉`, a starved and a rich global network.
+fn gammas(n: usize) -> [ModelParams; 3] {
+    [
+        ModelParams::hybrid(n),
+        ModelParams::hybrid_with_global_capacity(n, 1),
+        ModelParams::hybrid_with_global_capacity(n, 64),
+    ]
+}
+
+/// Drops, duplicates and delays on the global plane; no crashes, no partition.
+fn lossy_plan(n: usize) -> FaultPlan {
+    let spec = FaultSpec {
+        drop_prob: 0.2,
+        duplicate_prob: 0.1,
+        delay_prob: 0.1,
+        max_delay_rounds: 3,
+        ..FaultSpec::none()
+    };
+    FaultPlan::new(spec, 11, n)
+}
+
+/// Runs `run` once per network and folds the runs into one golden row.
+fn case(
+    name: String,
+    nets: impl IntoIterator<Item = HybridNetwork>,
+    run: impl Fn(&mut HybridNetwork, &mut u64) -> u64,
+) -> Golden {
+    let mut digest = FNV_OFFSET;
+    let rounds = nets
+        .into_iter()
+        .map(|mut net| run(&mut net, &mut digest))
+        .collect();
+    Golden {
+        name,
+        rounds,
+        digest,
+    }
+}
+
+fn all_cases() -> Vec<Golden> {
+    let graphs: [(&str, Graph); 4] = [
+        ("grid8x8", generators::grid(&[8, 8]).unwrap()),
+        ("path48", generators::path(48).unwrap()),
+        ("tree60", generators::tree_with_n(2, 60).unwrap()),
+        ("ring6x8", generators::ring_of_cliques(6, 8, 2).unwrap()),
+    ];
+    let algos = dissemination_registry();
+    let mut out = Vec::new();
+    for (gname, graph) in graphs {
+        let graph = Arc::new(graph);
+        let n = graph.n();
+        let oracle = NqOracle::new(&graph);
+        let clean = || gammas(n).map(|params| HybridNetwork::new(Arc::clone(&graph), params));
+        let lossy = || {
+            let config = EngineConfig::new(ModelParams::hybrid(n)).with_fault_plan(lossy_plan(n));
+            [HybridNetwork::with_config(Arc::clone(&graph), &config)]
+        };
+        for (pname, tokens) in placements(n) {
+            let mut expected: Vec<u64> = tokens.iter().map(|&(_, v)| v).collect();
+            expected.sort_unstable();
+            for algo in &algos {
+                let run = |net: &mut HybridNetwork, d: &mut u64| {
+                    let o = algo.run(net, &oracle, &tokens);
+                    assert_eq!(o.tokens, expected, "{}/{gname}/{pname}", algo.name());
+                    digest_meter(d, &o.meter);
+                    fnv_u64s(d, &[o.rounds, o.radius, o.nq, o.k, o.max_tokens_per_node]);
+                    fnv_u64s(d, &o.tokens);
+                    o.rounds
+                };
+                let name = format!("{}/{gname}/{pname}", algo.name());
+                out.push(case(name.clone(), clean(), run));
+                if gname == "grid8x8" && algo.name() != "sqrt-k-baseline" {
+                    out.push(case(format!("{name}/lossy"), lossy(), run));
+                }
+            }
+        }
+        // Node v holds the five values (31 v + 17 i) mod 997.
+        let values: Vec<Vec<u64>> = (0..n as u64)
+            .map(|v| (0..5).map(|i| (v * 31 + i * 17) % 997).collect())
+            .collect();
+        out.push(case(
+            format!("aggregation-max/{gname}"),
+            clean(),
+            |net, d| {
+                let o = k_aggregation(net, &oracle, &values, |a, b| a.max(b));
+                for i in 0..5 {
+                    let direct = values.iter().map(|row| row[i]).max().unwrap();
+                    assert_eq!(
+                        o.results[i], direct,
+                        "aggregation-max/{gname}: component {i}"
+                    );
+                }
+                digest_meter(d, &o.meter);
+                fnv_u64s(d, &[o.rounds, o.nq, o.k]);
+                fnv_u64s(d, &o.results);
+                o.rounds
+            },
+        ));
+    }
+    out
+}
+
+#[test]
+fn charged_pipelines_reproduce_the_recorded_phases() {
+    #[rustfmt::skip]
+    let recorded: Vec<Golden> = vec![
+        g("theorem1/grid8x8/17-on-every-third", &[309, 330, 309], 0xB7800173084E5248),
+        g("theorem1/grid8x8/17-on-every-third/lossy", &[341], 0xEEC72FF56E8E0F7C),
+        g("det-broadcast/grid8x8/17-on-every-third", &[326, 427, 309], 0xFF9ADD8CEFB498B1),
+        g("det-broadcast/grid8x8/17-on-every-third/lossy", &[345], 0xCDC7C4D4A5103FE5),
+        g("sqrt-k-baseline/grid8x8/17-on-every-third", &[457, 489, 453], 0xEE489D7320C2A61B),
+        g("theorem1/grid8x8/96-on-node0", &[248, 253, 248], 0xDD35DDD62440FC13),
+        g("theorem1/grid8x8/96-on-node0/lossy", &[257], 0x997771F3235E54C7),
+        g("det-broadcast/grid8x8/96-on-node0", &[263, 343, 249], 0x0E88322D4F4F43A0),
+        g("det-broadcast/grid8x8/96-on-node0/lossy", &[271], 0xFF57C7DD52A839FD),
+        g("sqrt-k-baseline/grid8x8/96-on-node0", &[493, 525, 489], 0xB02C80AA7D1A4CFA),
+        g("theorem1/grid8x8/one-per-node", &[289, 297, 289], 0xF63527E55287F3A9),
+        g("theorem1/grid8x8/one-per-node/lossy", &[308], 0x1D4CB60A7425D803),
+        g("det-broadcast/grid8x8/one-per-node", &[316, 454, 290], 0x40B8F652EE5CDBA8),
+        g("det-broadcast/grid8x8/one-per-node/lossy", &[326], 0xAA6A2D3732B29F33),
+        g("sqrt-k-baseline/grid8x8/one-per-node", &[675, 716, 669], 0x30EC571028528179),
+        g("aggregation-max/grid8x8", &[377, 401, 377], 0xB9103A8EA7DC290B),
+        g("theorem1/path48/17-on-every-third", &[314, 329, 313], 0xA21D6B94854ED6F4),
+        g("det-broadcast/path48/17-on-every-third", &[325, 399, 313], 0xF0251D1EA857A8A2),
+        g("sqrt-k-baseline/path48/17-on-every-third", &[452, 478, 451], 0x228983B1A381AFE3),
+        g("theorem1/path48/96-on-node0", &[491, 520, 487], 0x77DD07ACFB8E9BB8),
+        g("det-broadcast/path48/96-on-node0", &[533, 774, 490], 0x5DD0D0788BD7D7EE),
+        g("sqrt-k-baseline/path48/96-on-node0", &[491, 520, 487], 0x73996BCD4C79D0A8),
+        g("theorem1/path48/one-per-node", &[485, 517, 481], 0x82598C0E984B0538),
+        g("det-broadcast/path48/one-per-node", &[519, 726, 483], 0x10E8B79F3D228310),
+        g("sqrt-k-baseline/path48/one-per-node", &[485, 517, 481], 0x0671A8164479F5E7),
+        g("aggregation-max/path48", &[341, 355, 341], 0x38E21E0710F7D510),
+        g("theorem1/tree60/17-on-every-third", &[382, 407, 379], 0x29260D161F35C28F),
+        g("det-broadcast/tree60/17-on-every-third", &[397, 504, 379], 0xD657E705F92870CF),
+        g("sqrt-k-baseline/tree60/17-on-every-third", &[454, 486, 451], 0x0E3FE9F162859403),
+        g("theorem1/tree60/96-on-node0", &[279, 288, 278], 0xBAA925EA677822DC),
+        g("det-broadcast/tree60/96-on-node0", &[309, 470, 280], 0x2C68EDE1293BD727),
+        g("sqrt-k-baseline/tree60/96-on-node0", &[493, 527, 487], 0x51454ADF425B711C),
+        g("theorem1/tree60/one-per-node", &[427, 454, 425], 0x5851EBA1366AEAE8),
+        g("det-broadcast/tree60/one-per-node", &[474, 733, 427], 0xBFE715398AACE9C6),
+        g("sqrt-k-baseline/tree60/one-per-node", &[541, 575, 537], 0xF47464408CEA826B),
+        g("aggregation-max/tree60", &[375, 402, 375], 0xB1E2F3FF61455B1B),
+        g("theorem1/ring6x8/17-on-every-third", &[201, 212, 201], 0xF23B8D77CD76D1CD),
+        g("det-broadcast/ring6x8/17-on-every-third", &[212, 285, 201], 0xD9C0CC71F70C2C52),
+        g("sqrt-k-baseline/ring6x8/17-on-every-third", &[454, 486, 451], 0x974031ADBB8F03CB),
+        g("theorem1/ring6x8/96-on-node0", &[180, 180, 180], 0xFCF4FC1D6F38087E),
+        g("det-broadcast/ring6x8/96-on-node0", &[180, 180, 180], 0xE4893413AB27CD95),
+        g("sqrt-k-baseline/ring6x8/96-on-node0", &[246, 249, 246], 0x01AAAD6575FD74DD),
+        g("theorem1/ring6x8/one-per-node", &[207, 214, 207], 0x5DA42D800A834E33),
+        g("det-broadcast/ring6x8/one-per-node", &[227, 334, 208], 0x3DC1C815A6D86629),
+        g("sqrt-k-baseline/ring6x8/one-per-node", &[370, 382, 369], 0xBE6BE9BE809A94B5),
+        g("aggregation-max/ring6x8", &[234, 241, 234], 0x71B3913CD9904D32),
+    ];
+    let actual = all_cases();
+    assert!(
+        actual == recorded,
+        "behaviour drifted from the recorded runs; the table now reads:\n{}",
+        actual
+            .iter()
+            .map(source_line)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}

@@ -15,10 +15,12 @@ pub enum PhaseKind {
 }
 
 /// One entry of the execution trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct PhaseRecord {
-    /// Human-readable label (e.g. `"clustering/ruling-set"`).
-    pub label: String,
+    /// The phase's label (e.g. `"clustering/ruling-set"`): a literal at the
+    /// charging call site, so it doubles as a stable phase id and recording a
+    /// phase allocates nothing.
+    pub label: &'static str,
     /// Communication mode.
     pub kind: PhaseKind,
     /// Rounds consumed by the phase.
@@ -37,7 +39,7 @@ pub struct PhaseRecord {
 
 /// Accumulates the cost of an algorithm execution: total rounds, message
 /// counters and a per-phase trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct CostMeter {
     rounds: u64,
     local_messages: u64,
@@ -91,11 +93,11 @@ impl CostMeter {
     }
 
     /// Records a local phase of `rounds` rounds and `messages` edge-messages.
-    pub fn record_local(&mut self, label: impl Into<String>, rounds: u64, messages: u64) {
+    pub fn record_local(&mut self, label: &'static str, rounds: u64, messages: u64) {
         self.rounds += rounds;
         self.local_messages += messages;
         self.trace.push(PhaseRecord {
-            label: label.into(),
+            label,
             kind: PhaseKind::Local,
             rounds,
             messages,
@@ -106,7 +108,7 @@ impl CostMeter {
     }
 
     /// Records a global phase of `rounds` rounds and `messages` global messages.
-    pub fn record_global(&mut self, label: impl Into<String>, rounds: u64, messages: u64) {
+    pub fn record_global(&mut self, label: &'static str, rounds: u64, messages: u64) {
         self.record_global_faulty(label, rounds, messages, 0, 0, 0);
     }
 
@@ -115,7 +117,7 @@ impl CostMeter {
     /// `duplicated`, and attempts `delayed`.
     pub fn record_global_faulty(
         &mut self,
-        label: impl Into<String>,
+        label: &'static str,
         rounds: u64,
         messages: u64,
         dropped: u64,
@@ -128,7 +130,7 @@ impl CostMeter {
         self.duplicated += duplicated;
         self.delayed += delayed;
         self.trace.push(PhaseRecord {
-            label: label.into(),
+            label,
             kind: PhaseKind::Global,
             rounds,
             messages,
@@ -140,10 +142,10 @@ impl CostMeter {
 
     /// Records a charged phase (a simulated oracle / framework with a known
     /// round cost but no explicitly scheduled messages).
-    pub fn record_charged(&mut self, label: impl Into<String>, rounds: u64) {
+    pub fn record_charged(&mut self, label: &'static str, rounds: u64) {
         self.rounds += rounds;
         self.trace.push(PhaseRecord {
-            label: label.into(),
+            label,
             kind: PhaseKind::Charged,
             rounds,
             messages: 0,
@@ -175,7 +177,7 @@ impl CostMeter {
         self.duplicated += other.duplicated;
         self.delayed += other.delayed;
         self.trace.push(PhaseRecord {
-            label: format!("parallel-group({} phases)", other.trace.len()),
+            label: "parallel-group",
             kind: PhaseKind::Charged,
             rounds: rounds_charged,
             messages: 0,

@@ -128,16 +128,11 @@ impl HybridNetwork {
         &self.meter
     }
 
-    /// Consumes the network and returns the final meter.
-    pub fn into_meter(self) -> CostMeter {
-        self.meter
-    }
-
     /// Charges a local phase of the given hop radius.
     ///
     /// # Panics
     /// Panics if the model has no local communication.
-    pub fn charge_local(&mut self, label: impl Into<String>, radius_rounds: u64) {
+    pub fn charge_local(&mut self, label: &'static str, radius_rounds: u64) {
         assert!(
             self.params.has_local(),
             "model has no local communication but a local phase was charged"
@@ -148,24 +143,13 @@ impl HybridNetwork {
         self.meter.record_local(label, radius_rounds, messages);
     }
 
-    /// Charges a local phase with an explicit message count.
-    pub fn charge_local_with_messages(
-        &mut self,
-        label: impl Into<String>,
-        radius_rounds: u64,
-        messages: u64,
-    ) {
-        assert!(self.params.has_local(), "model has no local communication");
-        self.meter.record_local(label, radius_rounds, messages);
-    }
-
     /// Delivers a batch of global messages through the capacity-constrained
     /// global network and charges the rounds the schedule took.  The
     /// network's scheduler workspace is reused across batches, so a
     /// steady-state phase allocates nothing here.
     pub fn deliver_global(
         &mut self,
-        label: impl Into<String>,
+        label: &'static str,
         messages: &[GlobalMessage],
     ) -> DeliveryReport {
         let report = match &self.faults {
@@ -192,7 +176,7 @@ impl HybridNetwork {
     /// Charges a fixed number of rounds for a simulated oracle / framework
     /// whose internal communication is not scheduled explicitly (documented
     /// substitutions, see DESIGN.md).
-    pub fn charge_rounds(&mut self, label: impl Into<String>, rounds: u64) {
+    pub fn charge_rounds(&mut self, label: &'static str, rounds: u64) {
         self.meter.record_charged(label, rounds);
     }
 

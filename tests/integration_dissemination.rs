@@ -118,7 +118,6 @@ fn fixed_radius_ablation_monotone_in_radius_quality() {
             &mut net,
             &oracle,
             &tokens,
-            radius,
             RadiusPolicy::Fixed(radius),
         );
         assert_eq!(out.tokens.len(), k as usize);
