@@ -17,7 +17,10 @@
 //!
 //! [`NqOracle`] computes the parameter exactly (centralized); [`compute_nq`]
 //! performs the distributed computation of Lemma 3.3, charging `Õ(NQ_k)`
-//! rounds on a [`HybridNetwork`].
+//! rounds on a [`HybridNetwork`].  Both walk one table,
+//! `N_t = min_v |B_t(v)|` ([`BallOracle::min_ball`]): `|B_t(v)|·t` never
+//! decreases in `t`, so `NQ_k(G)` is the first `t` with `N_t ≥ k/t` — `O(NQ_k)`
+//! per query, no pass over the nodes.
 
 pub mod families;
 pub mod sampled;
@@ -75,12 +78,14 @@ pub struct NqOracle {
 impl NqOracle {
     /// Precomputes ball-size profiles for every node (up to the diameter).
     ///
-    /// A single parallel BFS sweep serves double duty: each node's profile
-    /// stops growing exactly at its eccentricity, so the diameter is read off
-    /// the profile lengths instead of running a second `n`-BFS pass.
+    /// The one sweep serves double duty: each node's profile stops growing
+    /// exactly at its eccentricity, so the diameter is read off the profile
+    /// lengths instead of running a second `n`-BFS pass.
     pub fn new(graph: &Graph) -> Self {
         let balls = BallOracle::new(graph, u64::MAX);
-        let diameter = balls.max_eccentricity();
+        let diameter = balls
+            .max_eccentricity()
+            .expect("no radius bound, so no profile is cut");
         NqOracle {
             balls,
             diameter,
@@ -98,37 +103,49 @@ impl NqOracle {
         self.diameter
     }
 
-    /// `NQ_k(v)` — Definition 3.1.  For `k = 0` the answer is 1 (any radius
-    /// works; the paper assumes `k > 0`).
-    pub fn nq_of(&self, v: NodeId, k: u64) -> u64 {
-        if k == 0 {
-            return 1;
-        }
+    /// Definition 3.1 over one sequence of ball sizes: the first radius
+    /// `t ≥ 1` with `size(t) ≥ k/t`, else `D`.  For `k = 0` the answer is 1
+    /// (any radius works; the paper assumes `k > 0`).
+    fn first_radius(&self, k: u64, size: impl Fn(u64) -> usize) -> u64 {
         let d = self.diameter.max(1);
-        for t in 1..=d {
-            let ball = self.balls.ball_size(v, t) as u128;
-            // |B_t(v)| >= k/t  <=>  |B_t(v)| * t >= k
-            if ball * t as u128 >= k as u128 {
-                return t;
-            }
-        }
-        d
+        // |B_t| >= k/t  <=>  |B_t| * t >= k
+        (1..d)
+            .find(|&t| size(t) as u128 * t as u128 >= k as u128)
+            .unwrap_or(d)
     }
 
-    /// `NQ_k(G) = max_v NQ_k(v)`.
+    /// `min_v |B_t(v)|` — the `N_t` of Lemma 3.3 (0 on the empty graph).
+    fn min_ball_size(&self, t: u64) -> usize {
+        let table = self.balls.min_ball();
+        let size = table.get(t as usize).or(table.last());
+        size.map_or(0, |&size| size as usize)
+    }
+
+    /// `NQ_k(v)` — Definition 3.1.
+    pub fn nq_of(&self, v: NodeId, k: u64) -> u64 {
+        self.first_radius(k, |t| self.balls.ball_size(v, t))
+    }
+
+    /// `NQ_k(G) = max_v NQ_k(v)`.  `|B_t(v)|·t` is non-decreasing in `t`, so
+    /// every node meets the ball condition by radius `t` exactly when the
+    /// smallest `t`-ball does: one walk over the level-minimum table.
     pub fn nq(&self, k: u64) -> u64 {
-        (0..self.n as NodeId)
-            .map(|v| self.nq_of(v, k))
-            .max()
-            .unwrap_or(1)
+        self.first_radius(k, |t| self.min_ball_size(t))
     }
 
     /// A node maximizing `NQ_k(v)`; by Lemma 3.8 it satisfies
     /// `|B_r(v)| < k/r` for every `r < NQ_k`, which is the witness used by the
     /// universal lower bounds (Lemma 7.2).
+    ///
+    /// The maximizers are exactly the nodes whose ball condition still fails
+    /// at radius `NQ_k − 1` (every node when `NQ_k = 1`); the last one is
+    /// returned.
     pub fn witness(&self, k: u64) -> NodeId {
+        let below = self.nq(k) - 1;
+        let fails = |v| (self.ball_size(v, below) as u128 * below as u128) < k as u128;
         (0..self.n as NodeId)
-            .max_by_key(|&v| self.nq_of(v, k))
+            .rev()
+            .find(|&v| below == 0 || fails(v))
             .unwrap_or(0)
     }
 
@@ -159,7 +176,6 @@ pub struct NqComputation {
 pub fn compute_nq(net: &mut HybridNetwork, oracle: &NqOracle, k: u64) -> NqComputation {
     let before = net.rounds();
     let d = oracle.diameter().max(1);
-    let n = oracle.n();
     let k = k.max(1);
     let aggregation_rounds = net.polylog(1); // Lemma 4.4 basic aggregation
     let mut nq = d;
@@ -168,10 +184,7 @@ pub fn compute_nq(net: &mut HybridNetwork, oracle: &NqOracle, k: u64) -> NqCompu
         net.charge_local("nq/explore", 1);
         // Aggregate the global minimum ball size.
         net.charge_rounds("nq/aggregate-min", aggregation_rounds);
-        let min_ball = (0..n as NodeId)
-            .map(|v| oracle.ball_size(v, t))
-            .min()
-            .unwrap_or(0) as u128;
+        let min_ball = oracle.min_ball_size(t) as u128;
         if min_ball * t as u128 >= k as u128 {
             nq = t;
             break;
@@ -287,6 +300,37 @@ mod tests {
                 let lhs = oracle.nq(alpha * k);
                 let rhs = 6.0 * (alpha as f64).sqrt() * oracle.nq(k) as f64;
                 assert!(lhs as f64 <= rhs, "NQ_{{αk}}={lhs} > 6√α·NQ_k={rhs}");
+            }
+        }
+    }
+
+    #[test]
+    fn nq_and_witness_match_the_per_node_definition() {
+        // Two components: the level minimum must keep counting the nodes of
+        // the exhausted one.
+        let mut split = hybrid_graph::GraphBuilder::new(70);
+        for v in 1..40u32 {
+            split.add_unweighted_edge(v - 1, v).unwrap();
+        }
+        for v in 41..70u32 {
+            split.add_unweighted_edge(40, v).unwrap();
+        }
+        for g in [
+            generators::path(1).unwrap(),
+            generators::path(90).unwrap(),
+            generators::grid(&[9, 11]).unwrap(),
+            generators::caterpillar(30, 2).unwrap(),
+            generators::lollipop(20, 50).unwrap(),
+            split.build_unchecked_connectivity(),
+        ] {
+            let oracle = NqOracle::new(&g);
+            let n = g.n() as u64;
+            for k in [0, 1, 2, 7, n / 2, n, 3 * n, n * n] {
+                let per_node = g.nodes().map(|v| oracle.nq_of(v, k));
+                assert_eq!(oracle.nq(k), per_node.max().unwrap(), "n={n} k={k}");
+                // `max_by_key` keeps the last maximizer.
+                let last = g.nodes().max_by_key(|&v| oracle.nq_of(v, k)).unwrap();
+                assert_eq!(oracle.witness(k), last, "n={n} k={k}");
             }
         }
     }

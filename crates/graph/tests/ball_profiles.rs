@@ -1,0 +1,144 @@
+//! `BallOracle::new` against the scalar single-source reference.
+//!
+//! The oracle builds its profiles 64 sources at a time, one bit of a `u64`
+//! word per source; [`ball_size_profile`] is one plain BFS.  Every profile of
+//! every node must agree entry by entry — on sizes around the lane width
+//! (a lone node, one lane short of a batch, exactly one batch, one lane into
+//! the second), under every kind of radius bound, on a disconnected graph and
+//! at any pool width — and the level-minimum table and the truncation flag
+//! must say what the profiles say.
+
+use hybrid_graph::balls::{ball_size_profile, BallOracle};
+use hybrid_graph::{generators, Graph, GraphBuilder, NodeId};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use rayon::ThreadPoolBuilder;
+
+const SIZES: [usize; 5] = [1, 63, 64, 65, 200];
+const RADII: [u64; 4] = [0, 1, 3, u64::MAX];
+
+/// `(a, b)` with `a·b = n` and `a ≤ b` as close as possible.
+fn near_square(n: usize) -> (usize, usize) {
+    let a = (1..=n)
+        .take_while(|a| a * a <= n)
+        .filter(|&a| n.is_multiple_of(a))
+        .last();
+    let a = a.expect("1 divides n");
+    (a, n / a)
+}
+
+/// Node-disjoint union: `b`'s ids follow `a`'s.
+fn union(a: &Graph, b: &Graph) -> Graph {
+    let mut builder = GraphBuilder::new(a.n() + b.n());
+    let shift = a.n() as NodeId;
+    for &(u, v, w) in a.edges() {
+        builder.add_edge(u, v, w).unwrap();
+    }
+    for &(u, v, w) in b.edges() {
+        builder.add_edge(u + shift, v + shift, w).unwrap();
+    }
+    builder.build_unchecked_connectivity()
+}
+
+/// Every family that exists at size `n` (a cycle needs three nodes, a ring
+/// three cliques), plus the union of the last two.
+fn graphs(n: usize) -> Vec<(String, Graph)> {
+    let (a, b) = near_square(n);
+    let mut rng = ChaCha8Rng::seed_from_u64(0xBA11 + n as u64);
+    let p = (6.0 / n as f64).min(1.0);
+    let mut out: Vec<(String, Graph)> = [
+        ("path", generators::path(n)),
+        ("cycle", generators::cycle(n)),
+        ("grid", generators::grid(&[a, b])),
+        ("tree", generators::tree_with_n(2, n)),
+        ("ring-of-cliques", generators::ring_of_cliques(b, a, 1)),
+        ("erdos-renyi", generators::erdos_renyi(n, p, &mut rng)),
+    ]
+    .into_iter()
+    .filter_map(|(name, graph)| Some((format!("{name}({n})"), graph.ok()?)))
+    .collect();
+    let [.., (_, x), (_, y)] = out.as_slice() else {
+        panic!("path, grid, tree and erdos-renyi exist at every n >= 1");
+    };
+    out.push((format!("union({n})"), union(x, y)));
+    out
+}
+
+fn reference(graph: &Graph, v: NodeId, radius: u64) -> Vec<u32> {
+    ball_size_profile(graph, v, radius)
+        .into_iter()
+        .map(|size| size as u32)
+        .collect()
+}
+
+#[test]
+fn profiles_match_the_scalar_reference() {
+    for n in SIZES {
+        for (name, graph) in graphs(n) {
+            let diameter = graph
+                .nodes()
+                .map(|v| reference(&graph, v, u64::MAX).len() as u64 - 1)
+                .max()
+                .unwrap();
+            for radius in RADII {
+                let oracle = BallOracle::new(&graph, radius);
+                assert_eq!(oracle.n(), graph.n());
+                for v in graph.nodes() {
+                    let expected = reference(&graph, v, radius);
+                    assert_eq!(oracle.profile(v), expected, "{name} r={radius} v={v}");
+                    assert_eq!(oracle.eccentricity(v), expected.len() as u64 - 1);
+                }
+                assert_eq!(
+                    oracle.max_eccentricity(),
+                    (radius >= diameter).then_some(diameter),
+                    "{name} r={radius}: D={diameter}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn min_ball_is_the_per_level_minimum_of_the_profiles() {
+    for n in SIZES {
+        for (name, graph) in graphs(n) {
+            for radius in RADII {
+                let oracle = BallOracle::new(&graph, radius);
+                // A profile that has stopped growing (its component is
+                // exhausted, or the radius bound cut it) keeps its last size.
+                let levels = graph.nodes().map(|v| oracle.profile(v).len()).max();
+                let direct: Vec<u32> = (0..levels.unwrap() as u64)
+                    .map(|t| graph.nodes().map(|v| oracle.ball_size(v, t)).min().unwrap() as u32)
+                    .collect();
+                assert_eq!(oracle.min_ball(), direct, "{name} r={radius}");
+            }
+        }
+    }
+}
+
+#[test]
+fn oracle_is_identical_at_pool_width_1_and_4() {
+    for n in [65, 200] {
+        for (name, graph) in graphs(n) {
+            for radius in [3, u64::MAX] {
+                let [narrow, wide] = [1, 4].map(|width| {
+                    let pool = ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+                    pool.install(|| BallOracle::new(&graph, radius))
+                });
+                assert!(narrow == wide, "{name} r={radius}");
+            }
+        }
+    }
+}
+
+#[test]
+fn path_4096_profiles_fit_in_52_mb() {
+    // 4096 profiles of max(v, n − 1 − v) + 1 entries: ≈ 12.6 M sizes.  One
+    // machine word per size (the layout before the `u32` store) is 100.8 MB.
+    let graph = generators::path(4096).unwrap();
+    let oracle = BallOracle::new(&graph, u64::MAX);
+    let entries: usize = graph.nodes().map(|v| oracle.profile(v).len()).sum();
+    let bytes = oracle.memory_bytes();
+    assert!(bytes >= 4 * entries as u64, "{bytes} B for {entries} sizes");
+    assert!(bytes <= 52_000_000, "{bytes} B");
+}
