@@ -42,6 +42,7 @@ use hybrid_sim::programs::AckFloodProgram;
 use hybrid_sim::{EngineConfig, FaultPlan, FaultSpec, HybridNetwork, ModelParams};
 
 use crate::scenarios::GraphFamily;
+use crate::sweep::cell_seed;
 
 /// A named adversary distribution of the sweep grid.
 #[derive(Debug, Clone, Copy)]
@@ -213,17 +214,6 @@ pub struct FaultSweepRow {
     pub diss_duplicated: u64,
     /// Phase layer: delivery attempts held back by delay.
     pub diss_delayed: u64,
-}
-
-/// Same SplitMix64 coordinate mixing as the scaling sweep.
-fn cell_seed(seed: u64, family_idx: usize, n: usize, salt: u64) -> u64 {
-    let mut z = seed
-        ^ (family_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (n as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        ^ salt.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Degradation/overhead factor with the reference clamped to ≥ 1.

@@ -14,7 +14,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
 use hybrid_core::oracle::{DistanceOracle, OracleConfig, ORACLE_STRETCH};
-use hybrid_graph::{generators, Graph, NodeId};
+use hybrid_graph::{generators, Fnv1a64, Graph, NodeId};
 
 /// Workload shape for the oracle serving benchmark.
 #[derive(Debug, Clone)]
@@ -96,14 +96,11 @@ pub struct OracleAnswersReport {
 
 /// FNV-1a over a stream of `u64` values.
 fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a64::new();
     for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write_u64(v);
     }
-    h
+    h.finish()
 }
 
 /// Runs the serving workload: builds the oracle once, serves every batch

@@ -269,7 +269,8 @@ fn ratio(rounds: u64, lower_bound: f64) -> f64 {
 
 /// Mixes the cell coordinates into the master seed (SplitMix64 finalizer, so
 /// neighbouring cells get unrelated streams).  Shared with the scale tier
-/// (`crate::scale`), which addresses its cells the same way.
+/// (`crate::scale`) and the fault sweep (`crate::faults_sweep`), which
+/// address their cells the same way.
 pub fn cell_seed(seed: u64, family_idx: usize, n: usize, salt: u64) -> u64 {
     let mut z = seed
         ^ (family_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)

@@ -13,8 +13,9 @@
 //! * [`baseline_sqrt_n_apsp`] — the existentially optimal `Õ(√n)` comparison
 //!   row of Table 2 (`[AHK+20]`, `[KS20]`, `[AG21a]`).
 //!
-//! Every function returns the full `n × n` label matrix so the test suite can
-//! verify the promised stretch against exact Dijkstra.
+//! Every function returns the full `n × n` label matrix;
+//! [`ApspOutput::verify_stretch`] checks it row by row against exact
+//! Dijkstra under the one label contract of [`crate::stretch`].
 
 use hybrid_graph::dijkstra::{
     apsp_exact, hop_limited_distances_with, DijkstraWorkspace, HopLimitedWorkspace,
@@ -28,10 +29,10 @@ use crate::dissemination::{disseminate_with_radius, RadiusPolicy, TokenPlacement
 use crate::minplus;
 use crate::nq::NqOracle;
 use crate::prob::ln_n;
-use crate::rows::DistanceRows;
 use crate::skeleton::build_skeleton;
 use crate::spanner::greedy_spanner;
 use crate::sssp::{quantize_distance, sssp_round_cost};
+use crate::stretch::{self, StretchViolation};
 
 /// Output of an APSP computation: the full label matrix plus metadata.
 #[derive(Debug, Clone)]
@@ -47,96 +48,28 @@ pub struct ApspOutput {
 }
 
 impl ApspOutput {
-    /// Verifies all labels against exact distances and returns the maximum
-    /// observed stretch.  Fails if a label underestimates or exceeds the
-    /// promised stretch.
+    /// Verifies all labels against exact distances under the label contract
+    /// ([`crate::stretch`]) and returns the maximum observed stretch.
     ///
     /// Computes the exact distance matrix internally (in parallel, with
     /// automatic oracle selection).  Call [`ApspOutput::verify_stretch_against`]
     /// instead when several outputs are checked against the same graph, so
     /// the `n` exact single-source runs are paid once.
-    pub fn verify_stretch(&self, graph: &Graph) -> Result<f64, String> {
+    pub fn verify_stretch(&self, graph: &Graph) -> Result<f64, StretchViolation> {
         self.verify_stretch_against(&apsp_exact(graph))
     }
 
     /// Verifies all labels against a precomputed exact distance matrix (as
     /// returned by [`hybrid_graph::dijkstra::apsp_exact`]) and returns the
     /// maximum observed stretch.
-    pub fn verify_stretch_against(&self, exact: &[Vec<Weight>]) -> Result<f64, String> {
-        let rows: Vec<Result<f64, String>> = (0..self.dist.len())
+    pub fn verify_stretch_against(&self, exact: &[Vec<Weight>]) -> Result<f64, StretchViolation> {
+        stretch::aligned(None, exact.len(), self.dist.len())?;
+        let rows: Vec<_> = (0..exact.len())
             .into_par_iter()
-            .map(|v| {
-                let exact_row = &exact[v];
-                let mut worst: f64 = 1.0;
-                for (w, (&e, &a)) in exact_row.iter().zip(&self.dist[v]).enumerate() {
-                    if e == 0 {
-                        if a != 0 {
-                            return Err(format!("({v},{w}): nonzero self label"));
-                        }
-                        continue;
-                    }
-                    if a == INFINITY || e == INFINITY {
-                        return Err(format!("({v},{w}): infinite label on connected graph"));
-                    }
-                    if a < e {
-                        return Err(format!("({v},{w}): label {a} underestimates {e}"));
-                    }
-                    let ratio = a as f64 / e as f64;
-                    if ratio > self.stretch + 1e-9 {
-                        return Err(format!(
-                            "({v},{w}): stretch {ratio:.3} exceeds promised {}",
-                            self.stretch
-                        ));
-                    }
-                    worst = worst.max(ratio);
-                }
-                Ok(worst)
-            })
+            .map(|v| stretch::check_row(v as NodeId, &exact[v], &self.dist[v], self.stretch))
             .with_min_len(8)
             .collect();
-        let mut worst: f64 = 1.0;
-        for row in rows {
-            worst = worst.max(row?);
-        }
-        Ok(worst)
-    }
-
-    /// Verifies the labels only on the rows of a sampled source set, against
-    /// exact [`DistanceRows`] — the `O(|S|·n)` scale-tier port of
-    /// [`ApspOutput::verify_stretch_against`], for instances where the full
-    /// `n × n` exact matrix is out of memory reach.
-    pub fn verify_stretch_rows(&self, exact: &DistanceRows) -> Result<f64, String> {
-        let mut worst: f64 = 1.0;
-        for (i, &s) in exact.sources().iter().enumerate() {
-            let approx_row = self
-                .dist
-                .get(s as usize)
-                .ok_or_else(|| format!("source {s} outside the label matrix"))?;
-            let exact_row = exact.row(i);
-            for (w, (&e, &a)) in exact_row.iter().zip(approx_row).enumerate() {
-                if e == 0 {
-                    if a != 0 {
-                        return Err(format!("({s},{w}): nonzero self label"));
-                    }
-                    continue;
-                }
-                if a == INFINITY || e == INFINITY {
-                    return Err(format!("({s},{w}): infinite label on connected graph"));
-                }
-                if a < e {
-                    return Err(format!("({s},{w}): label {a} underestimates {e}"));
-                }
-                let ratio = a as f64 / e as f64;
-                if ratio > self.stretch + 1e-9 {
-                    return Err(format!(
-                        "({s},{w}): stretch {ratio:.3} exceeds promised {}",
-                        self.stretch
-                    ));
-                }
-                worst = worst.max(ratio);
-            }
-        }
-        Ok(worst)
+        stretch::worst_of(rows)
     }
 }
 
@@ -513,19 +446,23 @@ mod tests {
     }
 
     #[test]
-    fn row_verification_agrees_with_the_full_matrix_check() {
-        let (g, oracle, mut net) = setup(generators::grid(&[7, 7]).unwrap());
-        let out = apsp_unweighted(&mut net, &oracle, 0.5);
-        let full_worst = out.verify_stretch(&g).unwrap();
-        let sources = [0u32, 13, 24, 48];
-        let rows = DistanceRows::compute(&g, &sources);
-        let row_worst = out.verify_stretch_rows(&rows).unwrap();
-        // The sampled-row check is the same predicate restricted to |S| rows.
-        assert!(row_worst <= full_worst + 1e-12);
-        // A corrupted label on a sampled row is caught.
+    fn a_label_matrix_of_the_wrong_shape_is_a_violation() {
+        use crate::stretch::StretchViolation::Misaligned;
+        let (g, oracle, mut net) = setup(generators::path(6).unwrap());
+        let out = apsp_sparse_exact(&mut net, &oracle);
+        let exact = apsp_exact(&g);
+        assert_eq!(out.verify_stretch_against(&exact), Ok(1.0));
+        // Neither a short exact matrix nor a short or long label row is
+        // checked on the common prefix.
+        let short = out.verify_stretch_against(&exact[..5]);
+        assert!(matches!(short, Err(Misaligned { row: None, .. })));
         let mut bad = out.clone();
-        bad.dist[13][40] = 1;
-        assert!(bad.verify_stretch_rows(&rows).is_err());
+        bad.dist[3].pop();
+        let err = bad.verify_stretch(&g).unwrap_err();
+        assert!(matches!(err, Misaligned { row: Some(3), .. }));
+        bad.dist[3].extend([0, 0]);
+        let err = bad.verify_stretch(&g).unwrap_err();
+        assert!(matches!(err, Misaligned { row: Some(3), .. }));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Universally optimal multi-message broadcast: `k`-dissemination
-//! (Theorem 1), `k`-aggregation (Theorem 2), the uniform load-balancing
-//! primitive (Lemma 4.1) and the existentially optimal `Õ(√k)` baseline of
-//! `[AHK+20]` used as the comparison row of Table 1.
+//! (Theorem 1), `k`-aggregation (Theorem 2) and the existentially optimal
+//! `Õ(√k)` baseline of `[AHK+20]` used as the comparison row of Table 1.
 //!
 //! # Algorithm (Theorem 1, see also Figure 2 of the paper)
 //!
@@ -106,30 +105,6 @@ pub struct AggregationOutput {
     pub meter: CostMeter,
     /// The `k` aggregate values, known to every node at the end.
     pub results: Vec<u64>,
-}
-
-/// Lemma 4.1 — uniform load balancing: given a cluster of weak diameter `d`
-/// holding `tokens`, assigns every member at most `⌈|tokens|/|C|⌉` tokens.
-/// Charges `2d` local rounds on `net` when `charge` is set.
-///
-/// Returns, for every member (by index into `members`), the tokens it is
-/// responsible for.
-pub fn load_balance_cluster(
-    net: &mut HybridNetwork,
-    members: &[NodeId],
-    tokens: &[u64],
-    weak_diameter: u64,
-    charge: bool,
-) -> Vec<Vec<u64>> {
-    assert!(!members.is_empty(), "cluster must have at least one member");
-    if charge {
-        net.charge_local("dissemination/load-balance", 2 * weak_diameter.max(1));
-    }
-    let mut assignment = vec![Vec::new(); members.len()];
-    for (&t, member) in tokens.iter().zip((0..members.len()).cycle()) {
-        assignment[member].push(t);
-    }
-    assignment
 }
 
 /// Every contender's token exchange over a standing cluster tree: each
@@ -459,20 +434,6 @@ mod tests {
         // Õ(NQ_k): generous polylog allowance but far below k.
         assert!(out.rounds <= out.nq * 40 * log_n * log_n);
         assert!(out.rounds < 100 * out.nq * log_n);
-    }
-
-    #[test]
-    fn load_balance_spreads_evenly() {
-        let (_, _, mut net) = setup(generators::cycle(12).unwrap());
-        let members: Vec<NodeId> = (0..4).collect();
-        let tokens: Vec<u64> = (0..10).collect();
-        let assignment = load_balance_cluster(&mut net, &members, &tokens, 3, true);
-        assert_eq!(assignment.len(), 4);
-        let max = assignment.iter().map(Vec::len).max().unwrap();
-        let min = assignment.iter().map(Vec::len).min().unwrap();
-        assert!(max - min <= 1);
-        assert_eq!(assignment.iter().map(Vec::len).sum::<usize>(), 10);
-        assert_eq!(net.rounds(), 6);
     }
 
     #[test]

@@ -20,13 +20,14 @@
 use rand::Rng;
 
 use hybrid_graph::dijkstra::dijkstra;
-use hybrid_graph::{NodeId, Weight, INFINITY};
+use hybrid_graph::{NodeId, Weight};
 use hybrid_sim::HybridNetwork;
 
 use crate::kssp::{kssp, KsspVariant};
 use crate::nq::NqOracle;
 use crate::routing::{kl_routing, RoutingScenario};
 use crate::sssp::{quantize_distance, sssp_round_cost};
+use crate::stretch::{self, StretchViolation};
 
 /// Which of the two Theorem 5 parameter regimes an instance belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,37 +57,23 @@ pub struct KlspOutput {
 }
 
 impl KlspOutput {
-    /// Verifies every learned label against exact distances.
-    pub fn verify_stretch(&self, graph: &hybrid_graph::Graph) -> Result<f64, String> {
-        let mut worst: f64 = 1.0;
-        for (si, &s) in self.sources.iter().enumerate() {
-            let exact = dijkstra(graph, s).dist;
-            for (ti, &t) in self.targets.iter().enumerate() {
-                let e = exact[t as usize];
-                let a = self.dist[ti][si];
-                if e == 0 {
-                    if a != 0 {
-                        return Err(format!("({s},{t}): nonzero self label"));
-                    }
-                    continue;
-                }
-                if a == INFINITY || e == INFINITY {
-                    return Err(format!("({s},{t}): unreachable label on connected graph"));
-                }
-                if a < e {
-                    return Err(format!("({s},{t}): label {a} underestimates {e}"));
-                }
-                let ratio = a as f64 / e as f64;
-                if ratio > self.stretch + 1e-9 {
-                    return Err(format!(
-                        "({s},{t}): stretch {ratio} exceeds {}",
-                        self.stretch
-                    ));
-                }
-                worst = worst.max(ratio);
-            }
+    /// Verifies every learned label against exact distances under the label
+    /// contract ([`crate::stretch`]): one exact run per source `s`, whose
+    /// row is the cells `(t, d(s, t), dist[ti][si])` over the targets.
+    pub fn verify_stretch(&self, graph: &hybrid_graph::Graph) -> Result<f64, StretchViolation> {
+        stretch::aligned(None, self.targets.len(), self.dist.len())?;
+        for (&t, labels) in self.targets.iter().zip(&self.dist) {
+            stretch::aligned(Some(t), self.sources.len(), labels.len())?;
         }
-        Ok(worst)
+        stretch::worst_of(self.sources.iter().enumerate().map(|(si, &s)| {
+            let exact = dijkstra(graph, s).dist;
+            let cells = self.targets.iter().zip(&self.dist);
+            stretch::check_cells(
+                s,
+                cells.map(|(&t, labels)| (t, exact[t as usize], labels[si])),
+                self.stretch,
+            )
+        }))
     }
 }
 
@@ -295,5 +282,23 @@ mod tests {
         let worst = out.verify_stretch(&g).unwrap();
         assert!((worst - 1.0).abs() < 1e-12);
         assert!(out.rounds > 0);
+    }
+
+    #[test]
+    fn a_label_table_of_the_wrong_shape_is_a_violation() {
+        use crate::stretch::StretchViolation::Misaligned;
+        let (g, _, mut net) = setup(generators::path(9).unwrap());
+        let out = baseline_klsp(&mut net, &[0, 4, 8], &[2, 6]);
+        assert_eq!(out.verify_stretch(&g), Ok(1.0));
+        // A target row that misses a source.
+        let mut short_row = out.clone();
+        short_row.dist[1].pop();
+        let err = short_row.verify_stretch(&g).unwrap_err();
+        assert!(matches!(err, Misaligned { row: Some(6), .. }));
+        // A target without a row: the rows that are there do not vouch for it.
+        let mut missing_row = out.clone();
+        missing_row.dist.pop();
+        let err = missing_row.verify_stretch(&g).unwrap_err();
+        assert!(matches!(err, Misaligned { row: None, .. }));
     }
 }

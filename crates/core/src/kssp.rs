@@ -27,6 +27,7 @@ use crate::helpers::ks20_helper_sets;
 use crate::minplus::{self, Assignment, Coeff};
 use crate::skeleton::{build_skeleton, SkeletonGraph};
 use crate::sssp::{quantize_distance, sssp_round_cost};
+use crate::stretch::{self, StretchViolation};
 
 /// Which of the Theorem 14 regimes an instance belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,37 +56,22 @@ pub struct KsspOutput {
 }
 
 impl KsspOutput {
-    /// Verifies every label against exact distances (one exact single-source
-    /// run per source, parallel with per-worker workspaces).
-    pub fn verify_stretch(&self, graph: &hybrid_graph::Graph) -> Result<(), String> {
-        let rows: Vec<Result<(), String>> = (0..self.sources.len())
+    /// Verifies every label against exact distances under the label contract
+    /// ([`crate::stretch`]) and returns the maximum observed stretch: one
+    /// exact single-source run per source, streamed from per-worker
+    /// workspaces, so no exact table is ever materialised.
+    pub fn verify_stretch(&self, graph: &hybrid_graph::Graph) -> Result<f64, StretchViolation> {
+        stretch::aligned(None, self.sources.len(), self.dist.len())?;
+        let rows: Vec<_> = (0..self.sources.len())
             .into_par_iter()
             .map_init(DijkstraWorkspace::new, |ws, i| {
                 let s = self.sources[i];
                 ws.run(graph, s);
-                let exact = ws.dist();
-                for (v, (&e, &a)) in exact.iter().zip(&self.dist[i]).enumerate() {
-                    if e == INFINITY || a == INFINITY {
-                        if e != a {
-                            return Err(format!("reachability mismatch source {s} node {v}"));
-                        }
-                        continue;
-                    }
-                    if a < e {
-                        return Err(format!("source {s} node {v}: {a} underestimates {e}"));
-                    }
-                    if (a as f64) > self.stretch * (e as f64) + 1e-9 {
-                        return Err(format!(
-                            "source {s} node {v}: {a} exceeds stretch {} of {e}",
-                            self.stretch
-                        ));
-                    }
-                }
-                Ok(())
+                stretch::check_row(s, ws.dist(), &self.dist[i], self.stretch)
             })
             .with_min_len(1)
             .collect();
-        rows.into_iter().collect()
+        stretch::worst_of(rows)
     }
 }
 
@@ -416,6 +402,32 @@ mod tests {
         );
         assert!(out.skeleton_size > 0);
         out.verify_stretch(&g).unwrap();
+    }
+
+    #[test]
+    fn a_label_table_of_the_wrong_shape_is_a_violation() {
+        use crate::stretch::StretchViolation::Misaligned;
+        let g = Arc::new(generators::path(12).unwrap());
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let out = kssp(
+            &mut net,
+            &[1, 7],
+            0.5,
+            KsspVariant::ArbitrarySources,
+            &mut rng,
+        );
+        assert!(out.verify_stretch(&g).is_ok());
+        // A label row that misses a node.
+        let mut short_row = out.clone();
+        short_row.dist[1].pop();
+        let err = short_row.verify_stretch(&g).unwrap_err();
+        assert!(matches!(err, Misaligned { row: Some(7), .. }));
+        // A source without a row.
+        let mut missing_row = out.clone();
+        missing_row.dist.pop();
+        let err = missing_row.verify_stretch(&g).unwrap_err();
+        assert!(matches!(err, Misaligned { row: None, .. }));
     }
 
     #[test]

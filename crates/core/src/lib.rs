@@ -66,6 +66,7 @@ pub mod schneider;
 pub mod skeleton;
 pub mod spanner;
 pub mod sssp;
+pub mod stretch;
 
 /// Delivers a global phase and enforces the failure-free invariant: unless an
 /// active fault plan is installed on the network, a well-formed algorithm

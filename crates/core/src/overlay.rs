@@ -1,5 +1,5 @@
 //! Overlay trees: the implicit heap-shaped [`VirtualTree`], the `Õ(1)`-round
-//! `1`-aggregation / `1`-dissemination on it (paper Lemmas 4.3–4.6), and the
+//! `1`-aggregation on it (paper Lemmas 4.3–4.6), and the
 //! `ClusterTree` — the one converge-cast / broadcast loop that Theorems 1–2
 //! and the `[CHL23]` rival run over the cluster leaders.
 //!
@@ -23,8 +23,8 @@
 //! parent is `(p − 1)/2`, its children `2p + 1` and `2p + 2`, its depth
 //! `⌊log₂(p + 1)⌋`, and level `d` is the contiguous range
 //! `2^d − 1 .. 2^(d+1) − 1`: every structural query is a closed form, so
-//! [`basic_aggregation`] and [`basic_dissemination`] charge a tree over all
-//! `n` nodes without building anything.
+//! [`basic_aggregation`] charges a tree over all `n` nodes without building
+//! anything.
 //!
 //! # Who owns the level loop
 //!
@@ -195,38 +195,27 @@ pub struct BasicAggregation {
     pub rounds: u64,
 }
 
-/// Charges Lemma 4.3's tree over all `n` nodes and one converge-cast plus
-/// broadcast along it — `2·height + 2` rounds of one `O(log n)`-bit message
-/// per tree edge per round, well within the per-node global capacity — and
-/// returns the rounds charged.  Only the height is needed, so no tree is
-/// built.
-fn charge_sweep_over_all_nodes(net: &mut HybridNetwork, label: &'static str) -> u64 {
-    let before = net.rounds();
-    let height = heap_height(net.graph().n());
-    charge_build(net);
-    net.charge_rounds(label, 2 * u64::from(height) + 2);
-    net.rounds() - before
-}
-
 /// Lemma 4.4 — `1`-aggregation: every node holds one value; afterwards every
-/// node knows `F(values…)`.  Runs over the virtual tree in `Õ(1)` rounds
-/// (converge-cast up, broadcast down).
+/// node knows `F(values…)`.  Charges Lemma 4.3's tree over all `n` nodes and
+/// one converge-cast plus broadcast along it — `2·height + 2` rounds of one
+/// `O(log n)`-bit message per tree edge per round, well within the per-node
+/// global capacity, `Õ(1)` in total.  Only the height is needed, so no tree
+/// is built.
 pub fn basic_aggregation(
     net: &mut HybridNetwork,
     values: &[u64],
     f: impl Fn(u64, u64) -> u64,
 ) -> BasicAggregation {
     assert_eq!(values.len(), net.graph().n(), "one value per node required");
-    let rounds = charge_sweep_over_all_nodes(net, "overlay/aggregate-convergecast");
+    let before = net.rounds();
+    let height = heap_height(net.graph().n());
+    charge_build(net);
+    net.charge_rounds("overlay/aggregate-convergecast", 2 * u64::from(height) + 2);
     let value = values[1..].iter().fold(values[0], |acc, &v| f(acc, v));
-    BasicAggregation { value, rounds }
-}
-
-/// Lemma 4.4 — `1`-dissemination: one node holds a token; afterwards every
-/// node knows it.  `Õ(1)` rounds over the virtual tree.
-pub fn basic_dissemination(net: &mut HybridNetwork, token_holder: NodeId, token: u64) -> u64 {
-    let _ = (token_holder, token);
-    charge_sweep_over_all_nodes(net, "overlay/disseminate-broadcast")
+    BasicAggregation {
+        value,
+        rounds: net.rounds() - before,
+    }
 }
 
 /// Who carries a payload across a cluster-tree edge — the one thing the
@@ -525,13 +514,6 @@ mod tests {
         assert_eq!(sum.value, 127 * 128 / 2);
     }
 
-    #[test]
-    fn basic_dissemination_is_polylog() {
-        let mut network = net(64);
-        let rounds = basic_dissemination(&mut network, 5, 42);
-        assert!(rounds > 0);
-        assert!(rounds <= 3 * 6 * 6);
-    }
     #[test]
     fn schedules_pick_the_carriers() {
         // Two hand-made clusters on a path: {0, 1, 2} led by 1 is the root

@@ -13,10 +13,11 @@
 //! instead of a downscaled instance.
 
 use hybrid_graph::dijkstra::DijkstraWorkspace;
-use hybrid_graph::{Graph, NodeId, Weight, INFINITY};
+use hybrid_graph::{Graph, NodeId, Weight};
 use rayon::prelude::*;
 
 use crate::sssp::quantize_distance;
+use crate::stretch::{self, StretchViolation};
 
 /// Exact distances from a set of source nodes, stored as one flat
 /// `|sources| × n` row buffer.
@@ -131,43 +132,26 @@ impl DistanceRows {
         }
     }
 
-    /// Verifies `exact ≤ label ≤ stretch · exact` row by row against an exact
-    /// [`DistanceRows`] over the same source set, returning the maximum
-    /// observed stretch — the `O(|S|·n)` port of
-    /// [`crate::apsp::ApspOutput::verify_stretch_against`].
+    /// Verifies the rows as labels of promised stretch `stretch` against an
+    /// exact [`DistanceRows`] over the same source set, row by row under the
+    /// label contract ([`crate::stretch`]), returning the maximum observed
+    /// stretch.
     pub fn verify_stretch_against(
         &self,
         exact: &DistanceRows,
         stretch: f64,
-    ) -> Result<f64, String> {
-        if self.sources != exact.sources || self.n != exact.n {
-            return Err("row sets are not aligned".to_string());
+    ) -> Result<f64, StretchViolation> {
+        if self.sources != exact.sources {
+            return Err(StretchViolation::Misaligned {
+                row: None,
+                exact: exact.sources.len(),
+                labels: self.sources.len(),
+            });
         }
-        let mut worst: f64 = 1.0;
-        for (i, &s) in self.sources.iter().enumerate() {
-            for (w, (&e, &a)) in exact.row(i).iter().zip(self.row(i)).enumerate() {
-                if e == 0 {
-                    if a != 0 {
-                        return Err(format!("({s},{w}): nonzero self label"));
-                    }
-                    continue;
-                }
-                if a == INFINITY || e == INFINITY {
-                    return Err(format!("({s},{w}): infinite label on connected graph"));
-                }
-                if a < e {
-                    return Err(format!("({s},{w}): label {a} underestimates {e}"));
-                }
-                let ratio = a as f64 / e as f64;
-                if ratio > stretch + 1e-9 {
-                    return Err(format!(
-                        "({s},{w}): stretch {ratio:.3} exceeds promised {stretch}"
-                    ));
-                }
-                worst = worst.max(ratio);
-            }
-        }
-        Ok(worst)
+        let rows = self.sources.iter().enumerate();
+        stretch::worst_of(
+            rows.map(|(i, &s)| stretch::check_row(s, exact.row(i), self.row(i), stretch)),
+        )
     }
 }
 
@@ -256,6 +240,20 @@ mod tests {
         let g = generators::path(50).unwrap();
         let a = DistanceRows::compute(&g, &[0, 10]);
         let b = DistanceRows::compute(&g, &[0, 11]);
-        assert!(a.verify_stretch_against(&b, 1.0).is_err());
+        let different_sources = a.verify_stretch_against(&b, 1.0);
+        assert!(matches!(
+            different_sources,
+            Err(StretchViolation::Misaligned { row: None, .. })
+        ));
+        // Same sources, rows of another length (a graph of another size).
+        let longer = DistanceRows::compute(&generators::path(51).unwrap(), &[0, 10]);
+        assert_eq!(
+            longer.verify_stretch_against(&a, 1.0),
+            Err(StretchViolation::Misaligned {
+                row: Some(0),
+                exact: 50,
+                labels: 51
+            })
+        );
     }
 }

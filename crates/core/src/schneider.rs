@@ -31,9 +31,10 @@
 //!
 //! Because the deepening loop runs until every row is at its fixpoint, the
 //! composed labels are exact-then-quantized — genuine stretch `1+ε`, the same
-//! substitution convention the repo uses for Theorem 13 (see DESIGN.md) —
-//! which is what lets the differential conformance suite cross-check this
-//! implementation against Theorem 14 bit for bit on the stretch contract.
+//! substitution convention the repo uses for Theorem 13 (ARCHITECTURE.md,
+//! *Label contract*) — which is what lets the differential conformance suite
+//! cross-check this implementation against Theorem 14 bit for bit on the
+//! stretch contract ([`crate::stretch`]).
 
 use rayon::prelude::*;
 

@@ -12,7 +12,9 @@
 //!   charges the `Õ(1/ε²)` rounds through an explicit, calibratable cost
 //!   model ([`SsspCostModel`]).  Everything the downstream universal algorithms
 //!   consume — label quality, polylogarithmic round cost, number of
-//!   invocations — is thereby preserved.  See DESIGN.md (substitutions).
+//!   invocations — is thereby preserved, and the label quality is checked
+//!   under the one label contract of [`crate::stretch`] (ARCHITECTURE.md,
+//!   *Label contract*).
 //!
 //! * **Prior-work baselines** (the other rows of Table 4): reference cost
 //!   curves for `[KS20]` (`Õ(√n)` exact), `[CHLP21b]` (`Õ(n^{5/17})`, `1+ε`),
@@ -24,6 +26,8 @@
 use hybrid_graph::dijkstra::dijkstra;
 use hybrid_graph::{NodeId, Weight, INFINITY};
 use hybrid_sim::HybridNetwork;
+
+use crate::stretch::{self, StretchViolation};
 
 /// Cost model for the Theorem 13 SSSP.
 ///
@@ -91,26 +95,11 @@ pub struct SsspOutput {
 }
 
 impl SsspOutput {
-    /// Verifies `d(v) ≤ label(v) ≤ stretch · d(v)` against exact distances.
-    pub fn verify_stretch(&self, exact: &[Weight]) -> Result<(), String> {
-        for (v, (&e, &a)) in exact.iter().zip(&self.dist).enumerate() {
-            if e == INFINITY || a == INFINITY {
-                if e != a {
-                    return Err(format!("reachability mismatch at node {v}"));
-                }
-                continue;
-            }
-            if a < e {
-                return Err(format!("label at node {v} underestimates: {a} < {e}"));
-            }
-            if (a as f64) > self.stretch * (e as f64) + 1e-9 {
-                return Err(format!(
-                    "label at node {v} exceeds stretch: {a} > {} * {e}",
-                    self.stretch
-                ));
-            }
-        }
-        Ok(())
+    /// Verifies `d(v) ≤ label(v) ≤ stretch · d(v)` against the exact
+    /// distances from [`SsspOutput::source`] under the label contract
+    /// ([`crate::stretch`]) and returns the maximum observed stretch.
+    pub fn verify_stretch(&self, exact: &[Weight]) -> Result<f64, StretchViolation> {
+        stretch::check_row(self.source, exact, &self.dist, self.stretch)
     }
 }
 
@@ -324,7 +313,31 @@ mod tests {
         let mut out = sssp_approx(&mut net, 0, 0.5);
         let exact = dijkstra(&g, 0).dist;
         out.dist[5] = 1; // corrupt
-        assert!(out.verify_stretch(&exact).is_err());
+        assert!(matches!(
+            out.verify_stretch(&exact),
+            Err(StretchViolation::Underestimate(cell)) if (cell.row, cell.col) == (0, 5)
+        ));
+    }
+
+    #[test]
+    fn a_label_row_of_the_wrong_length_is_a_violation() {
+        let g = Arc::new(generators::path(6).unwrap());
+        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let out = sssp_approx(&mut net, 2, 0.5);
+        let exact = dijkstra(&g, 2).dist;
+        assert!(out.verify_stretch(&exact).is_ok());
+        // Either side short: the common prefix alone proves nothing.
+        let misaligned = |exact: usize, labels: usize| {
+            Err(StretchViolation::Misaligned {
+                row: Some(2),
+                exact,
+                labels,
+            })
+        };
+        assert_eq!(out.verify_stretch(&exact[..5]), misaligned(5, 6));
+        let mut short = out.clone();
+        short.dist.pop();
+        assert_eq!(short.verify_stretch(&exact), misaligned(6, 5));
     }
 
     #[test]

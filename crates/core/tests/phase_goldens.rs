@@ -22,35 +22,27 @@ use std::sync::Arc;
 use hybrid_core::algorithm::dissemination_registry;
 use hybrid_core::dissemination::{k_aggregation, TokenPlacement};
 use hybrid_core::NqOracle;
-use hybrid_graph::{generators, Graph, NodeId};
+use hybrid_graph::{generators, Fnv1a64, Graph, NodeId};
 use hybrid_sim::{CostMeter, EngineConfig, FaultPlan, FaultSpec, HybridNetwork};
 use hybrid_sim::{ModelParams, PhaseKind};
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-fn fnv(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= u64::from(b);
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
+/// Length-prefixed, so slice boundaries count.
+fn fnv_u64s(digest: &mut Fnv1a64, xs: &[u64]) {
+    digest.write_u64(xs.len() as u64);
+    for &x in xs {
+        digest.write_u64(x);
     }
 }
 
-fn fnv_u64s(digest: &mut u64, xs: &[u64]) {
-    fnv(digest, &(xs.len() as u64).to_le_bytes());
-    for x in xs {
-        fnv(digest, &x.to_le_bytes());
-    }
-}
-
-fn digest_meter(d: &mut u64, meter: &CostMeter) {
+fn digest_meter(d: &mut Fnv1a64, meter: &CostMeter) {
     for p in meter.trace() {
-        fnv(d, p.label.as_bytes());
+        d.write(p.label.as_bytes());
         let kind = match p.kind {
             PhaseKind::Local => 0u8,
             PhaseKind::Global => 1,
             PhaseKind::Charged => 2,
         };
-        fnv(d, &[0xFF, kind]);
+        d.write(&[0xFF, kind]);
         fnv_u64s(
             d,
             &[p.rounds, p.messages, p.dropped, p.duplicated, p.delayed],
@@ -128,9 +120,9 @@ fn lossy_plan(n: usize) -> FaultPlan {
 fn case(
     name: String,
     nets: impl IntoIterator<Item = HybridNetwork>,
-    run: impl Fn(&mut HybridNetwork, &mut u64) -> u64,
+    run: impl Fn(&mut HybridNetwork, &mut Fnv1a64) -> u64,
 ) -> Golden {
-    let mut digest = FNV_OFFSET;
+    let mut digest = Fnv1a64::new();
     let rounds = nets
         .into_iter()
         .map(|mut net| run(&mut net, &mut digest))
@@ -138,7 +130,7 @@ fn case(
     Golden {
         name,
         rounds,
-        digest,
+        digest: digest.finish(),
     }
 }
 
@@ -164,7 +156,7 @@ fn all_cases() -> Vec<Golden> {
             let mut expected: Vec<u64> = tokens.iter().map(|&(_, v)| v).collect();
             expected.sort_unstable();
             for algo in &algos {
-                let run = |net: &mut HybridNetwork, d: &mut u64| {
+                let run = |net: &mut HybridNetwork, d: &mut Fnv1a64| {
                     let o = algo.run(net, &oracle, &tokens);
                     assert_eq!(o.tokens, expected, "{}/{gname}/{pname}", algo.name());
                     digest_meter(d, &o.meter);

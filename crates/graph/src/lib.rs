@@ -43,6 +43,7 @@ pub mod csr;
 pub mod cuts;
 pub mod dijkstra;
 pub mod error;
+pub mod fnv;
 pub mod generators;
 pub mod properties;
 pub mod streaming;
@@ -52,6 +53,7 @@ pub mod unionfind;
 pub use builder::GraphBuilder;
 pub use csr::{EdgeId, Graph, NodeId, Weight, INFINITY};
 pub use error::GraphError;
+pub use fnv::Fnv1a64;
 
 /// Convenient result alias for fallible graph construction.
 pub type Result<T> = std::result::Result<T, GraphError>;

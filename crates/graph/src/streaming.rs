@@ -381,6 +381,7 @@ pub fn with_random_weights(graph: &Graph, max_weight: Weight, seed: u64) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv::graph_digest;
     use crate::generators::{
         barbell, cycle, fat_tree, grid, path, ring_of_cliques, torus, tree_with_n,
     };
@@ -389,23 +390,6 @@ mod tests {
     fn assert_same(a: &Graph, b: &Graph) {
         assert_eq!(a.n(), b.n());
         assert_eq!(a.edges(), b.edges());
-    }
-
-    /// FNV-1a over `n` and every `(u, v, w)` of `edges()`, little-endian.
-    fn digest(graph: &Graph) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(graph.n() as u64);
-        for &(u, v, w) in graph.edges() {
-            eat(u as u64);
-            eat(v as u64);
-            eat(w);
-        }
-        h
     }
 
     /// "Legacy" is the recorded output of the sequential `add_edge`
@@ -417,7 +401,7 @@ mod tests {
     fn deterministic_families_match_legacy_bit_for_bit() {
         #[track_caller]
         fn check(what: &str, graph: Result<Graph>, legacy: u64) {
-            assert_eq!(digest(&graph.unwrap()), legacy, "{what} diverged");
+            assert_eq!(graph_digest(&graph.unwrap()), legacy, "{what} diverged");
         }
         // (n, path, tree_with_n(2, n), cycle — 0 where n < 3 is rejected).
         for (n, p, t, c) in [

@@ -155,38 +155,6 @@ impl CostMeter {
         });
     }
 
-    /// Merges another meter into this one (concatenating traces), e.g. when an
-    /// algorithm invokes a sub-algorithm that produced its own meter.
-    pub fn absorb(&mut self, other: CostMeter) {
-        self.rounds += other.rounds;
-        self.local_messages += other.local_messages;
-        self.global_messages += other.global_messages;
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.delayed += other.delayed;
-        self.trace.extend(other.trace);
-    }
-
-    /// Merges another meter but counts its rounds only up to `cap` — used when
-    /// sub-algorithms run *in parallel* and the caller charges the maximum.
-    pub fn absorb_parallel(&mut self, other: CostMeter, rounds_charged: u64) {
-        self.rounds += rounds_charged;
-        self.local_messages += other.local_messages;
-        self.global_messages += other.global_messages;
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.delayed += other.delayed;
-        self.trace.push(PhaseRecord {
-            label: "parallel-group",
-            kind: PhaseKind::Charged,
-            rounds: rounds_charged,
-            messages: 0,
-            dropped: other.dropped,
-            duplicated: other.duplicated,
-            delayed: other.delayed,
-        });
-    }
-
     /// Sum of rounds of all phases whose label contains `needle` — handy in
     /// tests to assert which stage dominates.
     pub fn rounds_for(&self, needle: &str) -> u64 {
@@ -218,29 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_adds_everything() {
-        let mut a = CostMeter::new();
-        a.record_local("x", 2, 10);
-        let mut b = CostMeter::new();
-        b.record_global("y", 4, 20);
-        a.absorb(b);
-        assert_eq!(a.rounds(), 6);
-        assert_eq!(a.global_messages(), 20);
-        assert_eq!(a.trace().len(), 2);
-    }
-
-    #[test]
-    fn absorb_parallel_caps_rounds() {
-        let mut a = CostMeter::new();
-        let mut b = CostMeter::new();
-        b.record_global("sub1", 10, 5);
-        b.record_global("sub2", 10, 5);
-        a.absorb_parallel(b, 10);
-        assert_eq!(a.rounds(), 10);
-        assert_eq!(a.global_messages(), 10);
-    }
-
-    #[test]
     fn fault_counters_accumulate_and_absorb() {
         let mut a = CostMeter::new();
         a.record_global_faulty("lossy", 6, 30, 4, 2, 1);
@@ -250,14 +195,8 @@ mod tests {
         let rec = &a.trace()[0];
         assert_eq!((rec.dropped, rec.duplicated, rec.delayed), (4, 2, 1));
 
-        let mut b = CostMeter::new();
-        b.record_global_faulty("lossier", 2, 10, 3, 0, 5);
-        a.absorb(b.clone());
+        a.record_global_faulty("lossier", 2, 10, 3, 0, 5);
         assert_eq!((a.dropped(), a.duplicated(), a.delayed()), (7, 2, 6));
-
-        let mut c = CostMeter::new();
-        c.absorb_parallel(b, 2);
-        assert_eq!((c.dropped(), c.duplicated(), c.delayed()), (3, 0, 5));
     }
 
     #[test]

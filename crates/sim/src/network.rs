@@ -179,17 +179,6 @@ impl HybridNetwork {
     pub fn charge_rounds(&mut self, label: &'static str, rounds: u64) {
         self.meter.record_charged(label, rounds);
     }
-
-    /// Absorbs the cost of a sub-computation that produced its own meter.
-    pub fn absorb(&mut self, sub: CostMeter) {
-        self.meter.absorb(sub);
-    }
-
-    /// Absorbs the message cost of sub-computations that ran in parallel,
-    /// charging only `rounds_charged` rounds (the slowest of them).
-    pub fn absorb_parallel(&mut self, sub: CostMeter, rounds_charged: u64) {
-        self.meter.absorb_parallel(sub, rounds_charged);
-    }
 }
 
 #[cfg(test)]
@@ -246,12 +235,8 @@ mod tests {
     fn charged_and_absorbed_phases() {
         let mut net = net(16);
         net.charge_rounds("oracle", 9);
-        let mut sub = CostMeter::new();
-        sub.record_global("sub", 3, 12);
-        net.absorb(sub.clone());
-        net.absorb_parallel(sub, 3);
-        assert_eq!(net.rounds(), 15);
-        assert_eq!(net.meter().global_messages(), 24);
+        assert_eq!(net.rounds(), 9);
+        assert_eq!(net.meter().global_messages(), 0);
     }
 
     #[test]

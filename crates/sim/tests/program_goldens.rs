@@ -15,7 +15,7 @@
 //! order, or what the router delivers; re-record only with a stated reason.
 //! On a mismatch the failure message is the full table in source form.
 
-use hybrid_graph::{generators, Graph, NodeId};
+use hybrid_graph::{generators, Fnv1a64, Graph, NodeId};
 use hybrid_sim::engine::{Executor, NodeProgram, RunReport};
 use hybrid_sim::programs::{
     AckFloodProgram, BfsProgram, DetForwardProgram, FloodProgram, TokenGossipProgram,
@@ -27,42 +27,33 @@ const N: usize = 30;
 /// a late smaller token really does overtake larger owed ones.
 const TOKENS: [u64; 8] = [5, 42, 79, 15, 52, 89, 25, 62];
 
-fn fnv(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= u64::from(b);
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
 fn trace_digest(trace: &[RoundTrace]) -> u64 {
-    let mut d = FNV_OFFSET;
+    let mut d = Fnv1a64::new();
     for round in trace {
         for (plane, entries) in [(0u8, &round.local), (1u8, &round.global)] {
             for e in entries {
-                fnv(&mut d, &round.round.to_le_bytes());
-                fnv(&mut d, &[plane]);
-                fnv(&mut d, &e.src.to_le_bytes());
-                fnv(&mut d, &e.dst.to_le_bytes());
-                fnv(&mut d, e.body.as_bytes());
-                fnv(&mut d, &[0xFF]);
+                d.write(&round.round.to_le_bytes());
+                d.write(&[plane]);
+                d.write(&e.src.to_le_bytes());
+                d.write(&e.dst.to_le_bytes());
+                d.write(e.body.as_bytes());
+                d.write(&[0xFF]);
             }
         }
     }
-    d
+    d.finish()
 }
 
 /// Digest of per-node `u64` rows (length-prefixed, so row boundaries count).
 fn rows_digest(rows: &[Vec<u64>]) -> u64 {
-    let mut d = FNV_OFFSET;
+    let mut d = Fnv1a64::new();
     for row in rows {
-        fnv(&mut d, &(row.len() as u64).to_le_bytes());
-        for x in row {
-            fnv(&mut d, &x.to_le_bytes());
+        d.write_u64(row.len() as u64);
+        for &x in row {
+            d.write_u64(x);
         }
     }
-    d
+    d.finish()
 }
 
 #[derive(Debug, PartialEq)]

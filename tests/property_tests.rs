@@ -739,21 +739,6 @@ proptest! {
 /// and run inline.
 #[test]
 fn streaming_deterministic_families_match_legacy_at_any_width() {
-    fn digest(graph: &Graph) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(graph.n() as u64);
-        for &(u, v, w) in graph.edges() {
-            eat(u as u64);
-            eat(v as u64);
-            eat(w);
-        }
-        h
-    }
     for threads in [1usize, 4, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -780,7 +765,7 @@ fn streaming_deterministic_families_match_legacy_at_any_width() {
         });
         for (family, graph, legacy) in built {
             assert_eq!(
-                digest(&graph.unwrap()),
+                hybrid::graph::fnv::graph_digest(&graph.unwrap()),
                 legacy,
                 "{family} diverged at {threads} threads"
             );
