@@ -97,7 +97,7 @@ pub use dissemination::{
     baseline_sqrt_k_dissemination, k_aggregation, k_dissemination, DisseminationOutput,
 };
 pub use nq::{compute_nq, NqEstimate, NqOracle, NqSource, SampledNqOracle};
-pub use oracle::{DistanceOracle, OracleConfig, PathBatch, ORACLE_STRETCH};
+pub use oracle::{DistanceOracle, OracleConfig, OracleError, PathBatch, ORACLE_STRETCH};
 pub use routing::{baseline_sqrt_k_routing, kl_routing, RoutingOutput, RoutingScenario};
 pub use rows::DistanceRows;
 pub use schneider::schneider_kssp;

@@ -10,13 +10,31 @@
 //!
 //! [`DistanceOracle::build`] samples `⌈√n⌉` **landmarks** (the same density
 //! as the Definition 6.2 skeleton-node sampling) and runs one exact Dijkstra
-//! per landmark through [`DistanceRows::compute_with_parents`] — the
-//! "completed sweep" rows.  Every node `u` then stores a **routing label**:
+//! per landmark — the "completed sweep" rows and their shortest-path forests.
+//! Every node `u` then stores a **routing label**:
 //!
 //! * its *anchor* `a(u)` — the closest landmark — and the exact offset
 //!   `d(u, a(u))`;
 //! * its strict *ball* `B(u) = { w : d(u, w) < d(u, a(u)) }`, with exact
 //!   distances and in-ball parent chains.
+//!
+//! # Memory plan
+//!
+//! A label is a handful of `O(log n)`-bit words, so every stored distance
+//! (landmark rows, anchor offsets, ball distances) is a `u32`; `u32::MAX`
+//! stands for "unreachable" and every read widens back to [`Weight`], so
+//! answers are what 64-bit labels would give.  The largest distance a label
+//! can hold is therefore `u32::MAX − 1`: [`DistanceOracle::build`] checks
+//! every finite distance it narrows and returns
+//! [`OracleError::DistanceOverflow`] rather than a truncated label.
+//!
+//! Nothing is held twice.  The worker that ran a landmark's Dijkstra narrows
+//! the row and its forest on the spot (8 bytes per node) and the rows are
+//! copied once into two flat `|L| × n` buffers.  The balls live in one arena
+//! per block of 64 consecutive node ids, filled exact-size by the worker that
+//! ran the block's bounded searches out of one reused member buffer —
+//! collecting the blocks is the final storage.  The footprint is `8·|L|`
+//! bytes per node for rows and forest plus 12 bytes per ball member.
 //!
 //! # Query contract (documented stretch)
 //!
@@ -49,14 +67,14 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 
+use hybrid_graph::dijkstra::DijkstraWorkspace;
 use hybrid_graph::{Graph, NodeId, Weight, INFINITY};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-
-use crate::rows::DistanceRows;
 
 /// Worst-case multiplicative stretch of [`DistanceOracle`] answers on
 /// connected graphs: answers `a` satisfy `d ≤ a ≤ ORACLE_STRETCH · d`.
@@ -83,6 +101,71 @@ impl Default for OracleConfig {
     }
 }
 
+/// Why [`DistanceOracle::build`] refused an input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OracleError {
+    /// The graph has no nodes.
+    EmptyGraph,
+    /// The landmark set is empty.
+    NoLandmarks,
+    /// A landmark is not a node of the graph.
+    LandmarkOutOfRange {
+        /// The offending landmark.
+        landmark: NodeId,
+        /// Number of nodes of the graph.
+        n: usize,
+    },
+    /// A finite distance a label must hold exceeds `u32::MAX − 1`.
+    DistanceOverflow {
+        /// The distance that does not fit.
+        distance: Weight,
+    },
+}
+
+impl fmt::Display for OracleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            OracleError::EmptyGraph => write!(f, "oracle over an empty graph"),
+            OracleError::NoLandmarks => write!(f, "oracle needs at least one landmark"),
+            OracleError::LandmarkOutOfRange { landmark, n } => {
+                write!(f, "landmark {landmark} out of range for n = {n}")
+            }
+            OracleError::DistanceOverflow { distance } => {
+                write!(f, "distance {distance} does not fit a 32-bit label")
+            }
+        }
+    }
+}
+
+impl std::error::Error for OracleError {}
+
+/// The stored form of [`INFINITY`].
+const UNREACHABLE: u32 = u32::MAX;
+
+/// Stored label → distance.
+#[inline]
+fn widen(label: u32) -> Weight {
+    if label == UNREACHABLE {
+        INFINITY
+    } else {
+        Weight::from(label)
+    }
+}
+
+/// Distances → stored labels, exact-size; a finite distance the sentinel
+/// would swallow or `u32` cannot hold is an error.
+fn narrow(dists: impl ExactSizeIterator<Item = Weight>) -> Result<Vec<u32>, OracleError> {
+    let mut labels = Vec::with_capacity(dists.len());
+    for distance in dists {
+        labels.push(match u32::try_from(distance) {
+            Ok(label) if label != UNREACHABLE => label,
+            _ if distance == INFINITY => UNREACHABLE,
+            _ => return Err(OracleError::DistanceOverflow { distance }),
+        });
+    }
+    Ok(labels)
+}
+
 /// Arena holding the result of [`DistanceOracle::query_paths_batch`]: one
 /// distance per query plus all witness paths in a single flat node buffer.
 #[derive(Debug, Clone)]
@@ -92,6 +175,9 @@ pub struct PathBatch {
     offsets: Vec<u32>,
     nodes: Vec<NodeId>,
 }
+
+/// A [`PathBatch`] addresses its node arena with `u32` offsets.
+const ARENA_LIMIT: &str = "a path batch holds fewer than 2^32 nodes";
 
 impl PathBatch {
     /// Number of queries answered.
@@ -128,38 +214,71 @@ impl PathBatch {
     }
 }
 
+/// Nodes per ball arena: node `u`'s ball lives in block `u / BLOCK`.
+const BLOCK: usize = 64;
+
+/// The balls of the nodes `BLOCK·b .. BLOCK·(b + 1)`, back to back.
+#[derive(Debug, Clone)]
+struct BallBlock {
+    /// Lane `i`'s ball is `starts[i]..starts[i + 1]` of the three arenas.
+    starts: [u32; BLOCK + 1],
+    /// Ball members, sorted by node id within each ball.
+    nodes: Vec<NodeId>,
+    /// Exact distance to each member, aligned with `nodes`.
+    dists: Vec<u32>,
+    /// In-ball Dijkstra parent of each member, aligned with `nodes`.
+    parents: Vec<NodeId>,
+}
+
+/// One node's ball: a range of its block's arenas.
+#[derive(Clone, Copy)]
+struct Ball<'a> {
+    block: &'a BallBlock,
+    first: usize,
+    nodes: &'a [NodeId],
+}
+
+impl Ball<'_> {
+    /// Position of `w` in the block's arenas, if it is a member.
+    fn slot(&self, w: NodeId) -> Option<usize> {
+        self.nodes.binary_search(&w).ok().map(|i| self.first + i)
+    }
+
+    /// Exact distance from the ball's owner to `w`, if `w` is a member.
+    fn dist(&self, w: NodeId) -> Option<Weight> {
+        self.slot(w).map(|slot| widen(self.block.dists[slot]))
+    }
+}
+
 /// Landmark distance oracle with documented stretch [`ORACLE_STRETCH`]; see
-/// the [module docs](self) for the construction and the query contract.
+/// the [module docs](self) for the construction, the memory plan and the
+/// query contract.
 #[derive(Debug, Clone)]
 pub struct DistanceOracle {
     n: usize,
     /// Sorted landmark set; row `i` of `rows` belongs to `landmarks[i]`.
     landmarks: Vec<NodeId>,
     /// Exact `|L| × n` distance rows from every landmark.
-    rows: DistanceRows,
+    rows: Vec<u32>,
     /// Flat `|L| × n` shortest-path forests (`NodeId::MAX` = no parent).
     parents: Vec<NodeId>,
     /// Per node: index (into `landmarks`) of the closest landmark.
     anchor: Vec<u32>,
     /// Per node: exact distance to its anchor.
-    anchor_dist: Vec<Weight>,
-    /// `n + 1` offsets into the ball arenas.
-    ball_start: Vec<u32>,
-    /// Ball members, sorted by node id within each ball.
-    ball_nodes: Vec<NodeId>,
-    /// Exact distance to each ball member, aligned with `ball_nodes`.
-    ball_dists: Vec<Weight>,
-    /// In-ball Dijkstra parent of each member, aligned with `ball_nodes`.
-    ball_parents: Vec<NodeId>,
+    anchor_dist: Vec<u32>,
+    /// Ball arenas, one per [`BLOCK`] consecutive node ids.
+    blocks: Vec<BallBlock>,
     query_chunk: usize,
 }
 
-/// Reusable scratch for the per-node bounded Dijkstra in ball construction.
+/// Reusable scratch for the bounded Dijkstras of ball construction.
 struct BallScratch {
     dist: Vec<Weight>,
     parent: Vec<NodeId>,
     touched: Vec<NodeId>,
     heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
+    /// `(node, dist, parent)` of every ball of the block under construction.
+    members: Vec<(NodeId, Weight, NodeId)>,
 }
 
 impl BallScratch {
@@ -169,30 +288,26 @@ impl BallScratch {
             parent: vec![NodeId::MAX; n],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
+            members: Vec::new(),
         }
     }
 
     /// Dijkstra from `source`, truncated to the strict ball of `radius`:
-    /// returns `(node, dist, parent)` for every `w` with
-    /// `d(source, w) < radius`, sorted by node id.  All parent chains stay
-    /// inside the ball (any node on a shortest path to `w` is strictly
-    /// closer than `w`).
-    fn strict_ball(
-        &mut self,
-        graph: &Graph,
-        source: NodeId,
-        radius: Weight,
-    ) -> Vec<(NodeId, Weight, NodeId)> {
+    /// appends `(node, dist, parent)` for every `w` with
+    /// `d(source, w) < radius` to `members`, sorted by node id.  All parent
+    /// chains stay inside the ball (any node on a shortest path to `w` is
+    /// strictly closer than `w`).
+    fn strict_ball(&mut self, graph: &Graph, source: NodeId, radius: Weight) {
         for &v in &self.touched {
             self.dist[v as usize] = INFINITY;
             self.parent[v as usize] = NodeId::MAX;
         }
         self.touched.clear();
         self.heap.clear();
-        let mut members = Vec::new();
         if radius == 0 {
-            return members;
+            return;
         }
+        let first = self.members.len();
         self.dist[source as usize] = 0;
         self.touched.push(source);
         self.heap.push(Reverse((0, source)));
@@ -203,7 +318,7 @@ impl BallScratch {
             if d >= radius {
                 break; // every remaining entry is at least this far
             }
-            members.push((v, d, self.parent[v as usize]));
+            self.members.push((v, d, self.parent[v as usize]));
             for a in graph.arcs(v) {
                 let nd = d.saturating_add(a.weight);
                 if nd < self.dist[a.to as usize] && nd < radius {
@@ -216,18 +331,45 @@ impl BallScratch {
                 }
             }
         }
-        members.sort_unstable_by_key(|&(v, _, _)| v);
-        members
+        self.members[first..].sort_unstable_by_key(|&(v, _, _)| v);
+    }
+
+    /// The balls of the nodes `first .. first + radii.len()`, whose strict
+    /// radii are `radii`, as one exact-size arena.
+    fn block(
+        &mut self,
+        graph: &Graph,
+        first: usize,
+        radii: &[u32],
+    ) -> Result<BallBlock, OracleError> {
+        self.members.clear();
+        let mut starts = [0; BLOCK + 1];
+        for lane in 0..BLOCK {
+            // A short last block: the missing lanes are empty.
+            if let Some(&radius) = radii.get(lane) {
+                self.strict_ball(graph, (first + lane) as NodeId, widen(radius));
+            }
+            starts[lane + 1] = u32::try_from(self.members.len())
+                .expect("the 64 balls of a block hold fewer than 2^32 members");
+        }
+        // Members of a ball are closer than its anchor, whose offset fits;
+        // a component without a landmark has no such bound.
+        Ok(BallBlock {
+            starts,
+            nodes: self.members.iter().map(|m| m.0).collect(),
+            dists: narrow(self.members.iter().map(|m| m.1))?,
+            parents: self.members.iter().map(|m| m.2).collect(),
+        })
     }
 }
 
 impl DistanceOracle {
     /// Samples the landmark set deterministically from `config.seed` and
     /// delegates to [`DistanceOracle::build_with_landmarks`].
-    pub fn build(graph: &Graph, config: OracleConfig) -> Result<Self, String> {
+    pub fn build(graph: &Graph, config: OracleConfig) -> Result<Self, OracleError> {
         let n = graph.n();
         if n == 0 {
-            return Err("oracle over an empty graph".to_string());
+            return Err(OracleError::EmptyGraph);
         }
         let want = if config.landmarks == 0 {
             (n as f64).sqrt().ceil() as usize
@@ -246,7 +388,7 @@ impl DistanceOracle {
     /// a source set whose rows a completed sweep / APSP run already chose
     /// (e.g. the skeleton-node sample of Definition 6.2).  Landmarks are
     /// deduplicated and sorted; at least one is required.
-    pub fn build_with_landmarks(graph: &Graph, landmarks: &[NodeId]) -> Result<Self, String> {
+    pub fn build_with_landmarks(graph: &Graph, landmarks: &[NodeId]) -> Result<Self, OracleError> {
         Self::build_with_landmarks_chunked(graph, landmarks, OracleConfig::default().query_chunk)
     }
 
@@ -254,59 +396,67 @@ impl DistanceOracle {
         graph: &Graph,
         landmarks: &[NodeId],
         query_chunk: usize,
-    ) -> Result<Self, String> {
+    ) -> Result<Self, OracleError> {
         let n = graph.n();
         let mut landmarks: Vec<NodeId> = landmarks.to_vec();
         landmarks.sort_unstable();
         landmarks.dedup();
         if landmarks.is_empty() {
-            return Err("oracle needs at least one landmark".to_string());
+            return Err(OracleError::NoLandmarks);
         }
-        if let Some(&bad) = landmarks.iter().find(|&&l| l as usize >= n) {
-            return Err(format!("landmark {bad} out of range for n = {n}"));
+        if let Some(&landmark) = landmarks.iter().find(|&&l| l as usize >= n) {
+            return Err(OracleError::LandmarkOutOfRange { landmark, n });
         }
 
-        // The completed sweep: one exact Dijkstra per landmark, rows + forest.
-        let (rows, parents) = DistanceRows::compute_with_parents(graph, &landmarks);
+        // The completed sweep: one exact Dijkstra per landmark, whose row and
+        // forest leave the worker already narrowed.  The first overflow in
+        // landmark order is the one reported, whatever the pool width.
+        let sweeps: Vec<_> = landmarks
+            .par_iter()
+            .map_init(DijkstraWorkspace::new, |ws, &l| {
+                ws.run(graph, l);
+                let forest = ws.parent().iter().map(|p| p.unwrap_or(NodeId::MAX));
+                let row = narrow(ws.dist().iter().copied())?;
+                Ok::<_, OracleError>((row, forest.collect::<Vec<_>>()))
+            })
+            .with_min_len(1)
+            .collect();
+        let mut rows = Vec::with_capacity(landmarks.len() * n);
+        let mut parents = Vec::with_capacity(landmarks.len() * n);
+        for sweep in sweeps {
+            let (row, forest) = sweep?;
+            rows.extend(row);
+            parents.extend(forest);
+        }
 
         // Routing labels: closest landmark (smallest row index on ties) and
         // the exact offset to it.
         let mut anchor = vec![0u32; n];
-        let mut anchor_dist = vec![INFINITY; n];
-        for (i, _) in landmarks.iter().enumerate() {
-            let row = rows.row(i);
+        let mut anchor_dist = vec![UNREACHABLE; n];
+        for (i, row) in (0u32..).zip(rows.chunks_exact(n)) {
             for (v, &d) in row.iter().enumerate() {
                 if d < anchor_dist[v] {
                     anchor_dist[v] = d;
-                    anchor[v] = i as u32;
+                    anchor[v] = i;
                 }
             }
         }
 
-        // Strict balls, fanned out over the pool; chunk results are spliced
-        // back in node order, so the arenas are pool-width independent.
-        let balls: Vec<Vec<(NodeId, Weight, NodeId)>> = (0..n as NodeId)
+        // Strict balls, one block per work item; a block leaves its scratch
+        // as it found it and the blocks are collected in block order, so the
+        // arenas are pool-width independent.
+        let blocks: Vec<Result<BallBlock, OracleError>> = (0..n.div_ceil(BLOCK))
             .into_par_iter()
             .map_init(
                 || BallScratch::new(n),
-                |scratch, u| scratch.strict_ball(graph, u, anchor_dist[u as usize]),
+                |scratch, b| {
+                    let first = b * BLOCK;
+                    scratch.block(graph, first, &anchor_dist[first..n.min(first + BLOCK)])
+                },
             )
-            .with_min_len(64)
+            .with_min_len(1)
             .collect();
-        let total: usize = balls.iter().map(Vec::len).sum();
-        let mut ball_start = Vec::with_capacity(n + 1);
-        let mut ball_nodes = Vec::with_capacity(total);
-        let mut ball_dists = Vec::with_capacity(total);
-        let mut ball_parents = Vec::with_capacity(total);
-        ball_start.push(0u32);
-        for ball in balls {
-            for (w, d, p) in ball {
-                ball_nodes.push(w);
-                ball_dists.push(d);
-                ball_parents.push(p);
-            }
-            ball_start.push(ball_nodes.len() as u32);
-        }
+        let blocks = blocks.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         Ok(DistanceOracle {
             n,
@@ -315,10 +465,7 @@ impl DistanceOracle {
             parents,
             anchor,
             anchor_dist,
-            ball_start,
-            ball_nodes,
-            ball_dists,
-            ball_parents,
+            blocks,
             query_chunk: query_chunk.max(1),
         })
     }
@@ -333,33 +480,42 @@ impl DistanceOracle {
         &self.landmarks
     }
 
-    /// Bytes held by the oracle's label and arena buffers — the serving-side
-    /// memory footprint.
+    /// Bytes held by the oracle's label buffers, ball arenas and block
+    /// headers — the serving-side memory footprint.
     pub fn memory_bytes(&self) -> u64 {
-        self.rows.memory_bytes()
-            + (self.parents.len() * std::mem::size_of::<NodeId>()
-                + self.anchor.len() * std::mem::size_of::<u32>()
-                + self.anchor_dist.len() * std::mem::size_of::<Weight>()
-                + self.ball_start.len() * std::mem::size_of::<u32>()
-                + self.ball_nodes.len() * std::mem::size_of::<NodeId>()
-                + self.ball_dists.len() * std::mem::size_of::<Weight>()
-                + self.ball_parents.len() * std::mem::size_of::<NodeId>()) as u64
+        let members: usize = self.blocks.iter().map(|b| b.nodes.len()).sum();
+        let words = self.landmarks.len()
+            + self.rows.len()
+            + self.parents.len()
+            + self.anchor.len()
+            + self.anchor_dist.len()
+            + 3 * members;
+        (words * std::mem::size_of::<u32>() + self.blocks.len() * std::mem::size_of::<BallBlock>())
+            as u64
     }
 
-    /// Position of `w` inside `u`'s ball arena, if `w ∈ B(u)`.
-    fn ball_slot(&self, u: NodeId, w: NodeId) -> Option<usize> {
-        let lo = self.ball_start[u as usize] as usize;
-        let hi = self.ball_start[u as usize + 1] as usize;
-        self.ball_nodes[lo..hi]
-            .binary_search(&w)
-            .ok()
-            .map(|off| lo + off)
+    /// The ball of `u`.
+    fn ball(&self, u: NodeId) -> Ball<'_> {
+        let block = &self.blocks[u as usize / BLOCK];
+        let lane = u as usize % BLOCK;
+        let first = block.starts[lane] as usize;
+        Ball {
+            block,
+            first,
+            nodes: &block.nodes[first..block.starts[lane + 1] as usize],
+        }
+    }
+
+    /// Distance from `u` to its anchor.
+    #[inline]
+    fn anchor_dist(&self, u: NodeId) -> Weight {
+        widen(self.anchor_dist[u as usize])
     }
 
     /// Distance from landmark `i` to `v`, straight from the sweep rows.
     #[inline]
     fn landmark_dist(&self, i: u32, v: NodeId) -> Weight {
-        self.rows.row(i as usize)[v as usize]
+        widen(self.rows[i as usize * self.n + v as usize])
     }
 
     /// Answers a single distance query under the module-level contract:
@@ -370,15 +526,14 @@ impl DistanceOracle {
         if u == v {
             return 0;
         }
-        if let Some(slot) = self.ball_slot(u, v) {
-            return self.ball_dists[slot];
+        if let Some(d) = self.ball(u).dist(v).or_else(|| self.ball(v).dist(u)) {
+            return d;
         }
-        if let Some(slot) = self.ball_slot(v, u) {
-            return self.ball_dists[slot];
-        }
-        let via_u = self.anchor_dist[u as usize]
+        let via_u = self
+            .anchor_dist(u)
             .saturating_add(self.landmark_dist(self.anchor[u as usize], v));
-        let via_v = self.anchor_dist[v as usize]
+        let via_v = self
+            .anchor_dist(v)
             .saturating_add(self.landmark_dist(self.anchor[v as usize], u));
         via_u.min(via_v)
     }
@@ -386,13 +541,13 @@ impl DistanceOracle {
     /// Walks `w` back to the ball owner `u` through the in-ball parent
     /// chain, appending `w, ..., u` to `out` (reversed order).
     fn push_ball_chain_rev(&self, u: NodeId, mut w: NodeId, out: &mut Vec<NodeId>) {
+        let ball = self.ball(u);
         loop {
             out.push(w);
             if w == u {
                 return;
             }
-            let slot = self.ball_slot(u, w).expect("chain stays inside the ball");
-            w = self.ball_parents[slot];
+            w = ball.block.parents[ball.slot(w).expect("chain stays inside the ball")];
         }
     }
 
@@ -428,20 +583,24 @@ impl DistanceOracle {
             out.push(u);
             return 0;
         }
-        if let Some(slot) = self.ball_slot(u, v) {
+        if let Some(d) = self.ball(u).dist(v) {
             let start = out.len();
             self.push_ball_chain_rev(u, v, out);
             out[start..].reverse();
-            return self.ball_dists[slot];
+            return d;
         }
-        if let Some(slot) = self.ball_slot(v, u) {
+        if let Some(d) = self.ball(v).dist(u) {
             // Chain u → v inside v's ball is already in forward order.
             self.push_ball_chain_rev(v, u, out);
-            return self.ball_dists[slot];
+            return d;
         }
         let (au, av) = (self.anchor[u as usize], self.anchor[v as usize]);
-        let via_u = self.anchor_dist[u as usize].saturating_add(self.landmark_dist(au, v));
-        let via_v = self.anchor_dist[v as usize].saturating_add(self.landmark_dist(av, u));
+        let via_u = self
+            .anchor_dist(u)
+            .saturating_add(self.landmark_dist(au, v));
+        let via_v = self
+            .anchor_dist(v)
+            .saturating_add(self.landmark_dist(av, u));
         if via_u == INFINITY && via_v == INFINITY {
             return INFINITY;
         }
@@ -508,7 +667,7 @@ impl DistanceOracle {
                 let mut nodes = Vec::new();
                 for &(u, v) in &queries[lo..hi] {
                     dists.push(self.query_path_into(u, v, &mut nodes));
-                    ends.push(nodes.len() as u32);
+                    ends.push(u32::try_from(nodes.len()).expect(ARENA_LIMIT));
                 }
                 (dists, ends, nodes)
             })
@@ -521,9 +680,12 @@ impl DistanceOracle {
         };
         batch.offsets.push(0);
         for (dists, ends, nodes) in per {
-            let base = batch.nodes.len() as u32;
+            let base = *batch.offsets.last().expect("offsets start at 0");
             batch.dists.extend(dists);
-            batch.offsets.extend(ends.iter().map(|&e| base + e));
+            batch.offsets.extend(
+                ends.iter()
+                    .map(|&e| base.checked_add(e).expect(ARENA_LIMIT)),
+            );
             batch.nodes.extend(nodes);
         }
         batch
@@ -534,7 +696,7 @@ impl DistanceOracle {
 mod tests {
     use super::*;
     use hybrid_graph::dijkstra::apsp_exact;
-    use hybrid_graph::generators;
+    use hybrid_graph::{generators, GraphBuilder};
 
     fn check_paths(g: &Graph, oracle: &DistanceOracle, exact: &[Vec<Weight>]) {
         for u in 0..g.n() as NodeId {
@@ -637,9 +799,129 @@ mod tests {
                 assert_eq!(oracle.query(u, v), exact[u as usize][v as usize]);
             }
         }
-        assert!(DistanceOracle::build_with_landmarks(&g, &[]).is_err());
-        assert!(DistanceOracle::build_with_landmarks(&g, &[99]).is_err());
+        assert_eq!(
+            DistanceOracle::build_with_landmarks(&g, &[]).unwrap_err(),
+            OracleError::NoLandmarks
+        );
+        let out_of_range = DistanceOracle::build_with_landmarks(&g, &[99]).unwrap_err();
+        assert_eq!(
+            out_of_range,
+            OracleError::LandmarkOutOfRange {
+                landmark: 99,
+                n: 12
+            }
+        );
+        assert_eq!(
+            out_of_range.to_string(),
+            "landmark 99 out of range for n = 12"
+        );
         assert!(oracle.memory_bytes() > 0);
         assert_eq!(oracle.n(), 12);
+    }
+
+    #[test]
+    fn landmark_forest_chains_telescope_to_row_distances() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
+        let g = generators::weighted_grid(&[7, 8], 16, &mut rng).unwrap();
+        let sources = [0u32, 20, 55];
+        let oracle = DistanceOracle::build_with_landmarks(&g, &sources).unwrap();
+        let exact = apsp_exact(&g);
+        assert_eq!(oracle.parents.len(), sources.len() * g.n());
+        for (i, &s) in sources.iter().enumerate() {
+            let par = &oracle.parents[i * g.n()..(i + 1) * g.n()];
+            assert_eq!(par[s as usize], NodeId::MAX);
+            for v in 0..g.n() as u32 {
+                let label = oracle.landmark_dist(i as u32, v);
+                assert_eq!(label, exact[s as usize][v as usize], "row {s} at {v}");
+                // Walk v -> s through the forest, summing edge weights.
+                let (mut cur, mut total, mut hops) = (v, 0u64, 0usize);
+                while cur != s {
+                    let p = par[cur as usize];
+                    assert_ne!(p, NodeId::MAX, "broken chain at {cur}");
+                    let arc = g.arcs(p).iter().find(|a| a.to == cur).expect("tree edge");
+                    total += arc.weight;
+                    cur = p;
+                    hops += 1;
+                    assert!(hops <= g.n(), "cycle in parent chain");
+                }
+                assert_eq!(total, label, "telescoped weight of {v}");
+            }
+        }
+    }
+
+    /// The largest distance a label holds; one more is the sentinel.
+    const LABEL_MAX: Weight = u32::MAX as Weight - 1;
+
+    /// Path `first - first+1 - first+2 - first+3` whose edges each outweigh
+    /// everything after them, `total` end to end: seen from `first`, every
+    /// later node lies in the ball of every earlier one.
+    fn add_steep_path(b: &mut GraphBuilder, first: NodeId, total: Weight) {
+        b.add_edge(first, first + 1, total - 7).unwrap();
+        b.add_edge(first + 1, first + 2, 5).unwrap();
+        b.add_edge(first + 2, first + 3, 2).unwrap();
+    }
+
+    fn assert_exact_everywhere(oracle: &DistanceOracle, exact: &[Vec<Weight>]) {
+        for u in 0..oracle.n() as NodeId {
+            for v in 0..oracle.n() as NodeId {
+                assert_eq!(oracle.query(u, v), exact[u as usize][v as usize]);
+            }
+        }
+    }
+
+    #[test]
+    fn landmark_rows_hold_u32_max_minus_one_and_refuse_one_more() {
+        let path = |total| {
+            let mut b = GraphBuilder::new(4);
+            add_steep_path(&mut b, 0, total);
+            b.build().unwrap()
+        };
+        let g = path(LABEL_MAX);
+        let oracle = DistanceOracle::build_with_landmarks(&g, &[0]).unwrap();
+        assert_eq!(oracle.query(0, 3), LABEL_MAX);
+        let exact = apsp_exact(&g);
+        check_paths(&g, &oracle, &exact);
+        assert_exact_everywhere(&oracle, &exact);
+
+        let overflow = DistanceOracle::build_with_landmarks(&path(LABEL_MAX + 1), &[0]);
+        assert_eq!(
+            overflow.unwrap_err(),
+            OracleError::DistanceOverflow {
+                distance: LABEL_MAX + 1
+            }
+        );
+        // Far past `u32`, from whichever end the landmark sits.
+        let overflow = DistanceOracle::build_with_landmarks(&path(1 << 40), &[3]);
+        assert_eq!(
+            overflow.unwrap_err(),
+            OracleError::DistanceOverflow { distance: 1 << 40 }
+        );
+    }
+
+    #[test]
+    fn ball_distances_of_a_landmarkless_component_are_checked_too() {
+        // Nodes 0-1 hold the landmark; 2..6 are reached by no row, so their
+        // balls are the whole component and only `block` sees the distances.
+        let two_components = |total| {
+            let mut b = GraphBuilder::new(6);
+            b.add_edge(0, 1, 3).unwrap();
+            add_steep_path(&mut b, 2, total);
+            b.build_unchecked_connectivity()
+        };
+        let g = two_components(LABEL_MAX);
+        let oracle = DistanceOracle::build_with_landmarks(&g, &[0]).unwrap();
+        assert_eq!(oracle.query(2, 5), LABEL_MAX);
+        assert_eq!(oracle.query(5, 2), LABEL_MAX);
+        assert_eq!(oracle.query(1, 4), INFINITY);
+        assert_exact_everywhere(&oracle, &apsp_exact(&g));
+
+        let overflow = DistanceOracle::build_with_landmarks(&two_components(LABEL_MAX + 1), &[0]);
+        assert_eq!(
+            overflow.unwrap_err(),
+            OracleError::DistanceOverflow {
+                distance: LABEL_MAX + 1
+            }
+        );
     }
 }

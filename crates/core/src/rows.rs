@@ -11,6 +11,10 @@
 //! `(1+ε)` quantization — precisely a [`DistanceRows::quantized`] away — so
 //! the scale tier runs the genuine algorithm semantics on sampled sources
 //! instead of a downscaled instance.
+//!
+//! Rows here are full-width [`Weight`]s and carry no shortest-path forest:
+//! the serving layer ([`crate::oracle`]) runs its own landmark sweep, because
+//! it keeps the forest and stores its labels as `u32`.
 
 use hybrid_graph::dijkstra::DijkstraWorkspace;
 use hybrid_graph::{Graph, NodeId, Weight};
@@ -50,42 +54,6 @@ impl DistanceRows {
             n,
             rows,
         }
-    }
-
-    /// Like [`DistanceRows::compute`], but also returns the shortest-path
-    /// forests as one flat `|sources| × n` parent buffer (`NodeId::MAX` marks
-    /// "no parent": the source itself and unreachable nodes).  The serving
-    /// layer ([`crate::oracle`]) walks these chains to materialise witness
-    /// paths whose edge weights telescope to exactly the reported distances.
-    pub fn compute_with_parents(graph: &Graph, sources: &[NodeId]) -> (Self, Vec<NodeId>) {
-        let n = graph.n();
-        let pairs: Vec<(Vec<Weight>, Vec<NodeId>)> = sources
-            .par_iter()
-            .map_init(DijkstraWorkspace::new, |ws, &s| {
-                ws.run(graph, s);
-                let parents = ws
-                    .parent()
-                    .iter()
-                    .map(|p| p.unwrap_or(NodeId::MAX))
-                    .collect();
-                (ws.dist().to_vec(), parents)
-            })
-            .with_min_len(1)
-            .collect();
-        let mut rows = Vec::with_capacity(sources.len() * n);
-        let mut parents = Vec::with_capacity(sources.len() * n);
-        for (row, par) in pairs {
-            rows.extend(row);
-            parents.extend(par);
-        }
-        (
-            DistanceRows {
-                sources: sources.to_vec(),
-                n,
-                rows,
-            },
-            parents,
-        )
     }
 
     /// The source set, in row order.
@@ -201,38 +169,6 @@ mod tests {
         let rows = DistanceRows::compute(&g, &sources);
         let expected = (3 * 10_000 * 8 + 3 * 4) as u64;
         assert_eq!(rows.memory_bytes(), expected);
-    }
-
-    #[test]
-    fn parent_chains_telescope_to_row_distances() {
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let g = generators::weighted_grid(&[7, 8], 16, &mut rng).unwrap();
-        let sources = [0u32, 20, 55];
-        let (rows, parents) = DistanceRows::compute_with_parents(&g, &sources);
-        assert_eq!(rows.row(0), DistanceRows::compute(&g, &sources).row(0));
-        assert_eq!(parents.len(), sources.len() * g.n());
-        for (i, &s) in sources.iter().enumerate() {
-            let row = rows.row(i);
-            let par = &parents[i * g.n()..(i + 1) * g.n()];
-            assert_eq!(par[s as usize], NodeId::MAX);
-            for v in 0..g.n() as u32 {
-                if v == s {
-                    continue;
-                }
-                // Walk v -> s through the forest, summing edge weights.
-                let (mut cur, mut total, mut hops) = (v, 0u64, 0usize);
-                while cur != s {
-                    let p = par[cur as usize];
-                    assert_ne!(p, NodeId::MAX, "broken chain at {cur}");
-                    let arc = g.arcs(p).iter().find(|a| a.to == cur).expect("tree edge");
-                    total += arc.weight;
-                    cur = p;
-                    hops += 1;
-                    assert!(hops <= g.n(), "cycle in parent chain");
-                }
-                assert_eq!(total, row[v as usize], "telescoped weight of {v}");
-            }
-        }
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   every consecutive pair is an edge of the graph, and the edge weights
 //!   sum to exactly the reported distance;
 //! * **determinism** — rebuilding from the same seed is bit-identical, and
-//!   batched answers are bit-identical across rayon pool widths `{1, 4, 8}`.
+//!   batched answers are bit-identical across rayon pool widths `{1, 4, 8}`;
+//! * **unreachable pairs** — on a two-component graph a cross-component
+//!   answer is [`INFINITY`] with an empty path, and a component that holds no
+//!   landmark is served exactly from its balls.
 
 use std::sync::Arc;
 
@@ -21,7 +24,7 @@ use rand_chacha::ChaCha8Rng;
 
 use hybrid_core::{DistanceOracle, OracleConfig, ORACLE_STRETCH};
 use hybrid_graph::dijkstra::apsp_exact;
-use hybrid_graph::{generators, Graph, NodeId, Weight};
+use hybrid_graph::{generators, Graph, GraphBuilder, NodeId, Weight, INFINITY};
 
 /// Same instance grid as `tests/conformance.rs`: one graph per family shape,
 /// small enough for the exact oracle.
@@ -112,6 +115,25 @@ fn distances_stay_within_documented_stretch_of_exact_dijkstra() {
     }
 }
 
+/// Weight of the walk `path`, which must start at `u`, end at `v` and step
+/// along edges only.
+fn walk_weight(name: &str, graph: &Graph, (u, v): (NodeId, NodeId), path: &[NodeId]) -> Weight {
+    assert_eq!(path.first(), Some(&u), "{name}: ({u},{v}) path start");
+    assert_eq!(path.last(), Some(&v), "{name}: ({u},{v}) path end");
+    path.windows(2)
+        .map(|step| {
+            let arc = graph.arcs(step[0]).iter().find(|a| a.to == step[1]);
+            arc.unwrap_or_else(|| {
+                panic!(
+                    "{name}: ({u},{v}) step {}-{} is not an edge",
+                    step[0], step[1]
+                )
+            })
+            .weight
+        })
+        .sum()
+}
+
 #[test]
 fn witness_paths_are_valid_walks_with_telescoping_weights() {
     for (name, graph) in all_instances() {
@@ -120,26 +142,9 @@ fn witness_paths_are_valid_walks_with_telescoping_weights() {
         let batch = oracle.query_paths_batch(&queries);
         assert_eq!(batch.len(), queries.len());
         for (i, &(u, v)) in queries.iter().enumerate() {
-            let d = batch.dist(i);
-            let path = batch.path(i);
-            assert_eq!(path.first(), Some(&u), "{name}: ({u},{v}) path start");
-            assert_eq!(path.last(), Some(&v), "{name}: ({u},{v}) path end");
-            let mut total: Weight = 0;
-            for pair in path.windows(2) {
-                let arc = graph
-                    .arcs(pair[0])
-                    .iter()
-                    .find(|a| a.to == pair[1])
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "{name}: ({u},{v}) step {}-{} is not an edge",
-                            pair[0], pair[1]
-                        )
-                    });
-                total += arc.weight;
-            }
             assert_eq!(
-                total, d,
+                walk_weight(&name, &graph, (u, v), batch.path(i)),
+                batch.dist(i),
                 "{name}: ({u},{v}) path weight must equal the reported distance"
             );
         }
@@ -208,5 +213,58 @@ fn batch_agrees_with_per_query_answers() {
                 "{name}: batch answer ({u},{v}) diverges from the single query"
             );
         }
+    }
+}
+
+#[test]
+fn unreachable_pairs_answer_infinity_and_a_landmarkless_component_is_exact() {
+    // Component A (nodes 0..30) holds every landmark; component B (30..50)
+    // holds none, so its labels are its balls alone.
+    let mut rng = ChaCha8Rng::seed_from_u64(0x2C0);
+    let a = generators::weighted_grid(&[5, 6], 24, &mut rng).unwrap();
+    let b = generators::weighted_grid(&[4, 5], 24, &mut rng).unwrap();
+    let split = a.n() as NodeId;
+    let mut both = GraphBuilder::new(a.n() + b.n());
+    for &(u, v, w) in a.edges() {
+        both.add_edge(u, v, w).unwrap();
+    }
+    for &(u, v, w) in b.edges() {
+        both.add_edge(split + u, split + v, w).unwrap();
+    }
+    let graph = both.build_unchecked_connectivity();
+    let oracle = DistanceOracle::build_with_landmarks(&graph, &[0, 13, 22]).unwrap();
+    let exact = apsp_exact(&graph);
+
+    let queries = all_pairs(graph.n());
+    let dists = oracle.query_batch(&queries);
+    let paths = oracle.query_paths_batch(&queries);
+    for (i, &(u, v)) in queries.iter().enumerate() {
+        let e = exact[u as usize][v as usize];
+        let a = oracle.query(u, v);
+        assert_eq!(dists[i], a, "({u},{v}): batch answer");
+        assert_eq!(paths.dist(i), a, "({u},{v}): path-batch answer");
+        let (d, path) = oracle.query_path(u, v);
+        assert_eq!(d, a, "({u},{v}): path answer");
+        assert_eq!(paths.path(i), path.as_slice(), "({u},{v}): batch path");
+
+        if (u < split) != (v < split) {
+            assert_eq!(e, INFINITY);
+            assert_eq!(a, INFINITY, "({u},{v}): cross-component answer");
+            assert!(path.is_empty(), "({u},{v}): cross-component path");
+            continue;
+        }
+        if u >= split {
+            assert_eq!(a, e, "({u},{v}): landmark-less component must be exact");
+        }
+        assert!(a >= e, "({u},{v}): answer {a} underestimates exact {e}");
+        assert!(
+            a as f64 <= ORACLE_STRETCH * e as f64 + 1e-9,
+            "({u},{v}): answer {a} breaks stretch {ORACLE_STRETCH} over exact {e}"
+        );
+        assert_eq!(
+            walk_weight("two-component", &graph, (u, v), &path),
+            a,
+            "({u},{v}): walk"
+        );
     }
 }
