@@ -227,7 +227,7 @@ pub fn scale_rows(config: &ScaleConfig) -> Vec<ScaleRow> {
             let worst = rows_quantized
                 .verify_stretch_against(&rows_exact, 1.0 + epsilon)
                 .expect("quantized rows verify");
-            let kssp_rounds = SsspCostModel::default().rounds(n, epsilon);
+            let kssp_rounds = SsspCostModel.rounds(n, epsilon);
             let kssp_lb = kssp_lower_bound_rounds(sources.len(), params.global_capacity_msgs);
 
             let graph_mem = graph.memory_bytes() + weighted.memory_bytes();

@@ -23,6 +23,7 @@ use hybrid_core::lower_bounds::{dissemination_lower_bound, shortest_paths_lower_
 use hybrid_core::nq::{families, NqOracle};
 use hybrid_core::prob::{sample_distinct, sample_with_probability};
 use hybrid_core::routing::{baseline_sqrt_k_routing, kl_routing, RoutingScenario};
+use hybrid_core::rows::DistanceRows;
 use hybrid_core::sssp::{baseline_sssp, sssp_approx, SsspBaseline};
 use hybrid_graph::{generators, properties, Graph};
 use hybrid_sim::HybridNetwork;
@@ -353,7 +354,7 @@ pub struct Table2Row {
 
 /// Table 2 — APSP across families.
 ///
-/// Families run in parallel; within a family the exact distance matrices
+/// Families run in parallel; within a family the exact distance tables
 /// (unweighted and weighted) are computed **once** and shared by every
 /// stretch verification instead of re-running `n` Dijkstras per output.
 pub fn table2_rows(families: &[GraphFamily], n: usize, seed: u64) -> Vec<Table2Row> {
@@ -369,8 +370,8 @@ pub fn table2_rows(families: &[GraphFamily], n: usize, seed: u64) -> Vec<Table2R
             // identical, so the ball-profile sweep is paid once per family.
             let weighted_oracle = &oracle;
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let exact_unweighted = hybrid_graph::dijkstra::apsp_exact(&graph);
-            let exact_weighted = hybrid_graph::dijkstra::apsp_exact(&weighted);
+            let exact_unweighted = DistanceRows::all_pairs(&graph);
+            let exact_weighted = DistanceRows::all_pairs(&weighted);
 
             let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
             let uni = apsp::apsp_unweighted(&mut net, &oracle, 0.5);
@@ -394,7 +395,7 @@ pub fn table2_rows(families: &[GraphFamily], n: usize, seed: u64) -> Vec<Table2R
                 .expect("Theorem 8 stretch");
 
             let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
-            let lit = apsp::baseline_sqrt_n_apsp_from_labels(&mut net, exact_unweighted.clone());
+            let lit = apsp::baseline_sqrt_n_apsp_from_labels(&mut net, exact_unweighted);
 
             let lb = shortest_paths_lower_bound(&oracle, net.params(), graph.n() as u64, 0.99);
 

@@ -13,13 +13,11 @@
 //! * [`baseline_sqrt_n_apsp`] — the existentially optimal `Õ(√n)` comparison
 //!   row of Table 2 (`[AHK+20]`, `[KS20]`, `[AG21a]`).
 //!
-//! Every function returns the full `n × n` label matrix;
+//! Every function returns the full `n × n` label table — a
+//! [`DistanceRows`] whose sources are all nodes in id order;
 //! [`ApspOutput::verify_stretch`] checks it row by row against exact
 //! Dijkstra under the one label contract of [`crate::stretch`].
 
-use hybrid_graph::dijkstra::{
-    apsp_exact, hop_limited_distances_with, DijkstraWorkspace, HopLimitedWorkspace,
-};
 use hybrid_graph::{Graph, NodeId, Weight, INFINITY};
 use hybrid_sim::HybridNetwork;
 use rand::Rng;
@@ -29,16 +27,17 @@ use crate::dissemination::{disseminate_with_radius, RadiusPolicy, TokenPlacement
 use crate::minplus;
 use crate::nq::NqOracle;
 use crate::prob::ln_n;
+use crate::rows::DistanceRows;
 use crate::skeleton::build_skeleton;
 use crate::spanner::greedy_spanner;
-use crate::sssp::{quantize_distance, sssp_round_cost};
-use crate::stretch::{self, StretchViolation};
+use crate::sssp::sssp_round_cost;
+use crate::stretch::StretchViolation;
 
-/// Output of an APSP computation: the full label matrix plus metadata.
+/// Output of an APSP computation: the full label table plus metadata.
 #[derive(Debug, Clone)]
 pub struct ApspOutput {
     /// `dist[v][w]` is the label for the pair `(v, w)`.
-    pub dist: Vec<Vec<Weight>>,
+    pub dist: DistanceRows,
     /// Promised stretch of the labels.
     pub stretch: f64,
     /// Total rounds consumed.
@@ -49,27 +48,20 @@ pub struct ApspOutput {
 
 impl ApspOutput {
     /// Verifies all labels against exact distances under the label contract
-    /// ([`crate::stretch`]) and returns the maximum observed stretch.
-    ///
-    /// Computes the exact distance matrix internally (in parallel, with
-    /// automatic oracle selection).  Call [`ApspOutput::verify_stretch_against`]
-    /// instead when several outputs are checked against the same graph, so
-    /// the `n` exact single-source runs are paid once.
+    /// and returns the maximum observed stretch
+    /// ([`DistanceRows::verify_stretch`]: one streamed exact run per node, no
+    /// exact matrix).  Call [`ApspOutput::verify_stretch_against`] instead
+    /// when several outputs are checked against the same graph, so the `n`
+    /// exact single-source runs are paid once.
     pub fn verify_stretch(&self, graph: &Graph) -> Result<f64, StretchViolation> {
-        self.verify_stretch_against(&apsp_exact(graph))
+        self.dist.verify_stretch(graph, self.stretch)
     }
 
-    /// Verifies all labels against a precomputed exact distance matrix (as
-    /// returned by [`hybrid_graph::dijkstra::apsp_exact`]) and returns the
-    /// maximum observed stretch.
-    pub fn verify_stretch_against(&self, exact: &[Vec<Weight>]) -> Result<f64, StretchViolation> {
-        stretch::aligned(None, exact.len(), self.dist.len())?;
-        let rows: Vec<_> = (0..exact.len())
-            .into_par_iter()
-            .map(|v| stretch::check_row(v as NodeId, &exact[v], &self.dist[v], self.stretch))
-            .with_min_len(8)
-            .collect();
-        stretch::worst_of(rows)
+    /// Verifies all labels against a precomputed exact table
+    /// ([`DistanceRows::all_pairs`]) and returns the maximum observed
+    /// stretch.
+    pub fn verify_stretch_against(&self, exact: &DistanceRows) -> Result<f64, StretchViolation> {
+        self.dist.verify_stretch_against(exact, self.stretch)
     }
 }
 
@@ -88,6 +80,11 @@ fn broadcast_tokens_with_policy(
     }
     let tokens: Vec<TokenPlacement> = (0..count as u64).map(|i| (origin, i)).collect();
     let _ = disseminate_with_radius(net, oracle, &tokens, policy);
+}
+
+/// Every node id in order: the source list of an APSP table.
+fn all_nodes(n: usize) -> Vec<NodeId> {
+    (0..n as NodeId).collect()
 }
 
 /// Broadcast with the universal (`NQ_k`) radius.
@@ -152,26 +149,11 @@ fn apsp_unweighted_with_policy(
         "apsp-unweighted/sssp-from-leaders",
         t_sssp.saturating_mul(leaders.len() as u64),
     );
-    // One BFS per leader (unweighted ⇒ hop = weighted distance), fanned out
-    // over all cores; the raw rows double as the "hop distance to my leader"
-    // table in Step 5, so no per-node BFS is ever run.
-    let leader_hops: Vec<Vec<Weight>> = leaders
-        .par_iter()
-        .map_init(DijkstraWorkspace::new, |ws, &r| {
-            ws.run_bfs(&graph, r);
-            ws.dist().to_vec()
-        })
-        .with_min_len(1)
-        .collect();
-    let leader_dist: Vec<Vec<Weight>> = leader_hops
-        .par_iter()
-        .map(|row| {
-            row.iter()
-                .map(|&d| quantize_distance(d, eps_internal))
-                .collect()
-        })
-        .with_min_len(8)
-        .collect();
+    // One BFS per leader (unweighted ⇒ hop = weighted distance); the raw
+    // rows double as the "hop distance to my leader" table in Step 5, so no
+    // per-node BFS is ever run.
+    let leader_hops = DistanceRows::compute(&graph, &leaders);
+    let leader_dist = leader_hops.quantized(eps_internal);
 
     // Step 4: every node learns its x-hop neighbourhood,
     // x = 4·NQ_n·⌈log n⌉ / ε'.
@@ -190,31 +172,26 @@ fn apsp_unweighted_with_policy(
     let closest_leader: Vec<usize> = (0..n).map(|v| clustering.cluster_of[v]).collect();
     let dist_to_leader: Vec<Weight> = (0..n).map(|v| leader_hops[closest_leader[v]][v]).collect();
 
-    // Step 6: compose labels (one bounded BFS per node, parallel, with a
-    // per-worker workspace so the sweep allocates nothing per source).
-    let dist: Vec<Vec<Weight>> = (0..n as NodeId)
-        .into_par_iter()
-        .map_init(DijkstraWorkspace::new, |ws, v| {
-            ws.run_bfs_bounded(&graph, v, x);
-            let ball = ws.dist();
-            if ws.reached().len() == n {
-                // The x-ball covers the whole graph (common: x has a 1/ε
-                // factor) — the row is exactly the ball distances.
-                return ball.to_vec();
-            }
-            (0..n)
-                .map(|w| {
-                    if ball[w] != INFINITY {
-                        ball[w]
-                    } else {
-                        let cw = closest_leader[w];
-                        leader_dist[cw][v as usize].saturating_add(dist_to_leader[w])
-                    }
-                })
-                .collect()
-        })
-        .with_min_len(1)
-        .collect();
+    // Step 6: compose labels (one bounded BFS per node).
+    let dist = DistanceRows::sweep(&graph, &all_nodes(n), |ws, v| {
+        ws.run_bfs_bounded(&graph, v, x);
+        let ball = ws.dist();
+        if ws.reached().len() == n {
+            // The x-ball covers the whole graph (common: x has a 1/ε
+            // factor) — the row is exactly the ball distances.
+            return ball.to_vec();
+        }
+        (0..n)
+            .map(|w| {
+                if ball[w] != INFINITY {
+                    ball[w]
+                } else {
+                    let cw = closest_leader[w];
+                    leader_dist[cw][v as usize].saturating_add(dist_to_leader[w])
+                }
+            })
+            .collect()
+    });
 
     ApspOutput {
         dist,
@@ -242,10 +219,9 @@ pub fn apsp_weighted_spanner(
     // Broadcast the m* spanner edges with Theorem 1.
     broadcast_tokens(net, oracle, spanner.m(), 0);
 
-    // Every node answers locally from the spanner (parallel fan-out; the
-    // spanner inherits the generators' small weights, so this takes the
-    // bucket-queue path).
-    let dist: Vec<Vec<Weight>> = apsp_exact(&spanner.graph);
+    // Every node answers locally from the spanner (which inherits the
+    // generators' small weights, so this takes the bucket-queue path).
+    let dist = DistanceRows::all_pairs(&spanner.graph);
 
     ApspOutput {
         dist,
@@ -300,16 +276,9 @@ pub fn apsp_weighted_skeleton(
     );
     broadcast_tokens(net, oracle, 2 * n, 0);
 
-    // Data level: one allocation-lean hop-limited sweep per node, parallel.
-    let hop_from_node: Vec<Vec<Weight>> = (0..n as NodeId)
-        .into_par_iter()
-        .map_init(HopLimitedWorkspace::new, |ws, v| {
-            let mut row = Vec::new();
-            hop_limited_distances_with(ws, &graph, v, h as usize, &mut row);
-            row
-        })
-        .with_min_len(1)
-        .collect();
+    // Data level: one hop-limited sweep per node.
+    let nodes = all_nodes(n);
+    let (hop_from_node, _) = DistanceRows::hop_limited(&graph, &nodes, h as usize);
     // Closest skeleton node per node (by h-hop distance).
     let closest_skeleton: Vec<Option<(usize, Weight)>> = (0..n)
         .map(|v| {
@@ -323,7 +292,7 @@ pub fn apsp_weighted_skeleton(
         })
         .collect();
     // (2α−1)-approximate distances between skeleton nodes from the spanner.
-    let spanner_dist: Vec<Vec<Weight>> = apsp_exact(&spanner.graph);
+    let spanner_dist = DistanceRows::all_pairs(&spanner.graph);
 
     // Label composition on the shared (min,+) kernel: node v composes
     // through its closest skeleton node vs (a unit coefficient row) with
@@ -346,8 +315,8 @@ pub fn apsp_weighted_skeleton(
         .collect();
     let coeffs: Vec<minplus::Coeff> = (0..skeleton.len()).map(minplus::Coeff::Unit).collect();
     let assign: Vec<minplus::Assignment> = closest_skeleton.to_vec();
-    let init: Vec<&[Weight]> = hop_from_node.iter().map(Vec::as_slice).collect();
-    let dist = minplus::compose(
+    let init: Vec<&[Weight]> = hop_from_node.iter().collect();
+    let labels = minplus::compose(
         &minplus::RowMatrix::new(compose_rows),
         &coeffs,
         &assign,
@@ -355,7 +324,7 @@ pub fn apsp_weighted_skeleton(
     );
 
     ApspOutput {
-        dist,
+        dist: DistanceRows::from_rows(nodes, n, labels),
         stretch: (4 * alpha - 1) as f64,
         rounds: net.rounds() - before,
         algorithm: "theorem8-skeleton-apsp",
@@ -369,9 +338,8 @@ pub fn apsp_sparse_exact(net: &mut HybridNetwork, oracle: &NqOracle) -> ApspOutp
     let before = net.rounds();
     let graph = net.graph_arc();
     broadcast_tokens(net, oracle, graph.m(), 0);
-    let dist: Vec<Vec<Weight>> = apsp_exact(&graph);
     ApspOutput {
-        dist,
+        dist: DistanceRows::all_pairs(&graph),
         stretch: 1.0,
         rounds: net.rounds() - before,
         algorithm: "corollary2.2-sparse-exact-apsp",
@@ -383,19 +351,15 @@ pub fn apsp_sparse_exact(net: &mut HybridNetwork, oracle: &NqOracle) -> ApspOutp
 /// the published bound (`√n·log n`).
 pub fn baseline_sqrt_n_apsp(net: &mut HybridNetwork) -> ApspOutput {
     let graph = net.graph_arc();
-    let dist = apsp_exact(&graph);
-    baseline_sqrt_n_apsp_from_labels(net, dist)
+    baseline_sqrt_n_apsp_from_labels(net, DistanceRows::all_pairs(&graph))
 }
 
 /// [`baseline_sqrt_n_apsp`] with precomputed exact labels — the baseline's
 /// labels are exact by definition, so a caller that already holds the exact
-/// distance matrix (e.g. for stretch verification of the other rows) can
-/// hand it over instead of paying the `n` single-source runs again.  The
-/// charged round count is unchanged.
-pub fn baseline_sqrt_n_apsp_from_labels(
-    net: &mut HybridNetwork,
-    dist: Vec<Vec<Weight>>,
-) -> ApspOutput {
+/// table (e.g. for stretch verification of the other rows) can hand it over
+/// instead of paying the `n` single-source runs again.  The charged round
+/// count is unchanged.
+pub fn baseline_sqrt_n_apsp_from_labels(net: &mut HybridNetwork, dist: DistanceRows) -> ApspOutput {
     let before = net.rounds();
     let n = net.graph().n();
     debug_assert_eq!(dist.len(), n, "labels must cover every node");
@@ -450,19 +414,18 @@ mod tests {
         use crate::stretch::StretchViolation::Misaligned;
         let (g, oracle, mut net) = setup(generators::path(6).unwrap());
         let out = apsp_sparse_exact(&mut net, &oracle);
-        let exact = apsp_exact(&g);
+        let exact = DistanceRows::all_pairs(&g);
         assert_eq!(out.verify_stretch_against(&exact), Ok(1.0));
-        // Neither a short exact matrix nor a short or long label row is
-        // checked on the common prefix.
-        let short = out.verify_stretch_against(&exact[..5]);
+        // Neither an exact table that misses a source nor label rows of
+        // another length are checked on the common prefix.
+        let five_sources = DistanceRows::compute(&g, &[0, 1, 2, 3, 4]);
+        let short = out.verify_stretch_against(&five_sources);
         assert!(matches!(short, Err(Misaligned { row: None, .. })));
-        let mut bad = out.clone();
-        bad.dist[3].pop();
-        let err = bad.verify_stretch(&g).unwrap_err();
-        assert!(matches!(err, Misaligned { row: Some(3), .. }));
-        bad.dist[3].extend([0, 0]);
-        let err = bad.verify_stretch(&g).unwrap_err();
-        assert!(matches!(err, Misaligned { row: Some(3), .. }));
+        for other_n in [5, 8] {
+            let other = generators::path(other_n).unwrap();
+            let err = out.verify_stretch(&other).unwrap_err();
+            assert!(matches!(err, Misaligned { row: Some(0), .. }));
+        }
     }
 
     #[test]

@@ -19,14 +19,14 @@
 
 use rand::Rng;
 
-use hybrid_graph::dijkstra::dijkstra;
 use hybrid_graph::{NodeId, Weight};
 use hybrid_sim::HybridNetwork;
 
 use crate::kssp::{kssp, KsspVariant};
 use crate::nq::NqOracle;
 use crate::routing::{kl_routing, RoutingScenario};
-use crate::sssp::{quantize_distance, sssp_round_cost};
+use crate::rows::DistanceRows;
+use crate::sssp::sssp_round_cost;
 use crate::stretch::{self, StretchViolation};
 
 /// Which of the two Theorem 5 parameter regimes an instance belongs to.
@@ -58,23 +58,34 @@ pub struct KlspOutput {
 
 impl KlspOutput {
     /// Verifies every learned label against exact distances under the label
-    /// contract ([`crate::stretch`]): one exact run per source `s`, whose
-    /// row is the cells `(t, d(s, t), dist[ti][si])` over the targets.
+    /// contract ([`crate::stretch`]): per source `s`, the row of cells
+    /// `(t, d(s, t), dist[ti][si])` over the targets.  The exact side is one
+    /// run per *target* — the direction the labels themselves were computed
+    /// in; the graph is undirected, so `d(s, t) = d(t, s)`.
     pub fn verify_stretch(&self, graph: &hybrid_graph::Graph) -> Result<f64, StretchViolation> {
         stretch::aligned(None, self.targets.len(), self.dist.len())?;
         for (&t, labels) in self.targets.iter().zip(&self.dist) {
             stretch::aligned(Some(t), self.sources.len(), labels.len())?;
         }
+        let exact = DistanceRows::compute(graph, &self.targets);
         stretch::worst_of(self.sources.iter().enumerate().map(|(si, &s)| {
-            let exact = dijkstra(graph, s).dist;
-            let cells = self.targets.iter().zip(&self.dist);
+            let cells = self.targets.iter().zip(&self.dist).enumerate();
             stretch::check_cells(
                 s,
-                cells.map(|(&t, labels)| (t, exact[t as usize], labels[si])),
+                cells.map(|(ti, (&t, labels))| (t, exact[ti][s as usize], labels[si])),
                 self.stretch,
             )
         }))
     }
+}
+
+/// What each target has learned: its labels for the sources, out of the
+/// target-side table (`table[ti][s]`).
+fn gather(from_targets: &DistanceRows, sources: &[NodeId]) -> Vec<Vec<Weight>> {
+    from_targets
+        .iter()
+        .map(|labels| sources.iter().map(|&s| labels[s as usize]).collect())
+        .collect()
 }
 
 /// Theorem 5 — `(1+ε)`-approximate `(k, ℓ)`-SP in `Õ(NQ_k)` rounds w.h.p.
@@ -106,7 +117,7 @@ pub fn klsp(
     }
 
     // Step 1: shortest paths *from the targets*.
-    let target_labels: Vec<Vec<Weight>> = match scenario {
+    let target_labels = match scenario {
         KlspScenario::ArbitrarySourcesRandomTargets => {
             // ℓ ≤ NQ_k sequential Theorem 13 instances.
             let t_sssp = sssp_round_cost(net, epsilon);
@@ -114,21 +125,11 @@ pub fn klsp(
                 "klsp/sequential-sssp-from-targets",
                 t_sssp.saturating_mul(l as u64),
             );
-            targets
-                .iter()
-                .map(|&t| {
-                    dijkstra(&graph, t)
-                        .dist
-                        .into_iter()
-                        .map(|d| quantize_distance(d, epsilon))
-                        .collect()
-                })
-                .collect()
+            DistanceRows::compute(&graph, targets).quantized(epsilon)
         }
         KlspScenario::RandomSourcesRandomTargets => {
             // ℓ-SSP via the Theorem 14 scheduler (targets as sources).
-            let out = kssp(net, targets, epsilon, KsspVariant::RandomSources, rng);
-            out.dist
+            kssp(net, targets, epsilon, KsspVariant::RandomSources, rng).dist
         }
     };
 
@@ -144,19 +145,10 @@ pub fn klsp(
     let routing = kl_routing(net, oracle, sources, targets, routing_scenario, rng);
     debug_assert!(routing.is_complete(sources, targets));
 
-    // Assemble what each target has learned.
-    let dist: Vec<Vec<Weight>> = (0..l)
-        .map(|ti| {
-            (0..k)
-                .map(|si| target_labels[ti][sources[si] as usize])
-                .collect()
-        })
-        .collect();
-
     KlspOutput {
         sources: sources.to_vec(),
         targets: targets.to_vec(),
-        dist,
+        dist: gather(&target_labels, sources),
         stretch: 1.0 + epsilon,
         rounds: net.rounds() - before,
         nq,
@@ -175,17 +167,10 @@ pub fn baseline_klsp(
     let graph = net.graph_arc();
     let rounds = crate::kssp::baseline_chlp21_rounds(graph.n(), sources.len());
     net.charge_rounds("klsp/baseline-chlp21", rounds);
-    let dist: Vec<Vec<Weight>> = targets
-        .iter()
-        .map(|&t| {
-            let d = dijkstra(&graph, t).dist;
-            sources.iter().map(|&s| d[s as usize]).collect()
-        })
-        .collect();
     KlspOutput {
         sources: sources.to_vec(),
         targets: targets.to_vec(),
-        dist,
+        dist: gather(&DistanceRows::compute(&graph, targets), sources),
         stretch: 1.0,
         rounds: net.rounds() - before,
         nq: 0,

@@ -19,15 +19,15 @@
 use rand::Rng;
 use rayon::prelude::*;
 
-use hybrid_graph::dijkstra::{hop_limited_distances_with, DijkstraWorkspace, HopLimitedWorkspace};
 use hybrid_graph::{NodeId, Weight, INFINITY};
 use hybrid_sim::HybridNetwork;
 
 use crate::helpers::ks20_helper_sets;
 use crate::minplus::{self, Assignment, Coeff};
+use crate::rows::DistanceRows;
 use crate::skeleton::{build_skeleton, SkeletonGraph};
 use crate::sssp::{quantize_distance, sssp_round_cost};
-use crate::stretch::{self, StretchViolation};
+use crate::stretch::StretchViolation;
 
 /// Which of the Theorem 14 regimes an instance belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,10 +41,9 @@ pub enum KsspVariant {
 /// Output of a k-SSP computation.
 #[derive(Debug, Clone)]
 pub struct KsspOutput {
-    /// The source nodes, in the order of the rows of [`KsspOutput::dist`].
-    pub sources: Vec<NodeId>,
-    /// `dist[i][v]` is the distance label from `sources[i]` to node `v`.
-    pub dist: Vec<Vec<Weight>>,
+    /// `dist[i][v]` is the distance label from `dist.sources()[i]` to node
+    /// `v`.
+    pub dist: DistanceRows,
     /// Guaranteed stretch of the labels.
     pub stretch: f64,
     /// Accuracy parameter ε.
@@ -57,21 +56,10 @@ pub struct KsspOutput {
 
 impl KsspOutput {
     /// Verifies every label against exact distances under the label contract
-    /// ([`crate::stretch`]) and returns the maximum observed stretch: one
-    /// exact single-source run per source, streamed from per-worker
-    /// workspaces, so no exact table is ever materialised.
+    /// and returns the maximum observed stretch
+    /// ([`DistanceRows::verify_stretch`] at the promised stretch).
     pub fn verify_stretch(&self, graph: &hybrid_graph::Graph) -> Result<f64, StretchViolation> {
-        stretch::aligned(None, self.sources.len(), self.dist.len())?;
-        let rows: Vec<_> = (0..self.sources.len())
-            .into_par_iter()
-            .map_init(DijkstraWorkspace::new, |ws, i| {
-                let s = self.sources[i];
-                ws.run(graph, s);
-                stretch::check_row(s, ws.dist(), &self.dist[i], self.stretch)
-            })
-            .with_min_len(1)
-            .collect();
-        stretch::worst_of(rows)
+        self.dist.verify_stretch(graph, self.stretch)
     }
 }
 
@@ -93,36 +81,16 @@ pub fn kssp(
     let gamma = net.params().global_capacity_msgs.max(1);
     let before = net.rounds();
 
-    if k == 0 {
-        return KsspOutput {
-            sources: Vec::new(),
-            dist: Vec::new(),
-            stretch: 1.0 + epsilon,
-            epsilon,
-            rounds: 0,
-            skeleton_size: 0,
-        };
-    }
-
     // Fast path (Theorem 14, third bullet): k ≤ γ arbitrary sources — run all
-    // SSSP instances in parallel; each consumes Õ(1) global capacity.
+    // SSSP instances in parallel; each consumes Õ(1) global capacity.  No
+    // sources, no instances.
     if k <= gamma {
-        let t = sssp_round_cost(net, epsilon);
-        net.charge_rounds("kssp/parallel-sssp (k <= gamma)", t);
-        let dist = sources
-            .par_iter()
-            .map_init(DijkstraWorkspace::new, |ws, &s| {
-                ws.run(&graph, s);
-                ws.dist()
-                    .iter()
-                    .map(|&d| quantize_distance(d, epsilon))
-                    .collect()
-            })
-            .with_min_len(1)
-            .collect();
+        if k > 0 {
+            let t = sssp_round_cost(net, epsilon);
+            net.charge_rounds("kssp/parallel-sssp (k <= gamma)", t);
+        }
         return KsspOutput {
-            sources: sources.to_vec(),
-            dist,
+            dist: DistanceRows::compute(&graph, sources).quantized(epsilon),
             stretch: 1.0 + epsilon,
             epsilon,
             rounds: net.rounds() - before,
@@ -173,7 +141,6 @@ pub fn kssp(
         KsspVariant::ArbitrarySources => 3.0 * (1.0 + epsilon),
     };
     KsspOutput {
-        sources: sources.to_vec(),
         dist,
         stretch,
         epsilon,
@@ -211,41 +178,35 @@ fn compute_labels(
     sources: &[NodeId],
     epsilon: f64,
     variant: KsspVariant,
-) -> Vec<Vec<Weight>> {
+) -> DistanceRows {
     let h = skeleton.h as usize;
     let srows = &skeleton.rows;
 
     // Direct h-hop sweeps for the sources that are not skeleton nodes (a
-    // skeleton source's sweep is already a stored row).  Parallel fan-out
-    // with per-worker relaxation buffers; each sweep reports convergence.
-    let direct: Vec<Option<(Vec<Weight>, bool)>> = sources
-        .par_iter()
-        .map_init(HopLimitedWorkspace::new, |ws, &s| {
-            if skeleton.contains(s) {
-                None
-            } else {
-                let mut row = Vec::new();
-                let converged = hop_limited_distances_with(ws, graph, s, h, &mut row);
-                Some((row, converged))
-            }
-        })
-        .with_min_len(1)
+    // skeleton source's sweep is already a stored row); each sweep reports
+    // convergence.
+    let outside: Vec<NodeId> = sources
+        .iter()
+        .copied()
+        .filter(|&s| !skeleton.contains(s))
         .collect();
+    let (direct, direct_converged) = DistanceRows::hop_limited(graph, &outside, h);
 
     // Initial row per source: its own h-hop knowledge, and whether that row
     // is exact (the dominance fast path above).
-    let init: Vec<&[Weight]> = (0..sources.len())
-        .map(|i| match &direct[i] {
-            Some((row, _)) => row.as_slice(),
-            None => srows.row(skeleton.index_of[sources[i] as usize]),
+    let mut swept = 0..outside.len();
+    let (init, exact_init): (Vec<&[Weight]>, Vec<bool>) = sources
+        .iter()
+        .map(|&s| {
+            if skeleton.contains(s) {
+                let own = srows.row(skeleton.index_of[s as usize]);
+                (own, skeleton.converged)
+            } else {
+                let i = swept.next().expect("one direct sweep per outside source");
+                (direct.row(i), direct_converged[i])
+            }
         })
-        .collect();
-    let exact_init: Vec<bool> = (0..sources.len())
-        .map(|i| match &direct[i] {
-            Some((_, converged)) => *converged,
-            None => skeleton.converged,
-        })
-        .collect();
+        .unzip();
 
     // For each source that still needs the composition: its skeleton node
     // (itself, or the proxy minimizing d^h(s, ·) over the skeleton).  Sources
@@ -315,7 +276,8 @@ fn compute_labels(
             Some((group_of(anchor), offset))
         })
         .collect();
-    minplus::compose(srows, &coeffs, &assign, &init)
+    let labels = minplus::compose(srows, &coeffs, &assign, &init);
+    DistanceRows::from_rows(sources.to_vec(), graph.n(), labels)
 }
 
 /// The round bound of the prior state of the art for `k`-SSP
@@ -418,16 +380,16 @@ mod tests {
             &mut rng,
         );
         assert!(out.verify_stretch(&g).is_ok());
-        // A label row that misses a node.
-        let mut short_row = out.clone();
-        short_row.dist[1].pop();
-        let err = short_row.verify_stretch(&g).unwrap_err();
-        assert!(matches!(err, Misaligned { row: Some(7), .. }));
-        // A source without a row.
-        let mut missing_row = out.clone();
-        missing_row.dist.pop();
-        let err = missing_row.verify_stretch(&g).unwrap_err();
-        assert!(matches!(err, Misaligned { row: None, .. }));
+        // The labels of a 12-node graph against an 11-node one: every row is
+        // a node too long, and the first row is the one reported.
+        let shorter = generators::path(11).unwrap();
+        let err = out.verify_stretch(&shorter).unwrap_err();
+        let first_row = Misaligned {
+            row: Some(1),
+            exact: 11,
+            labels: 12,
+        };
+        assert_eq!(err, first_row);
     }
 
     #[test]

@@ -24,7 +24,16 @@
 //!   `crate::kssp`;
 //! * weighted skeleton APSP (Theorem 8 / Algorithm 4, Table 2): every node
 //!   composes through its closest skeleton node, a [`Coeff::Unit`]
-//!   coefficient row — `crate::apsp`.
+//!   coefficient row — `crate::apsp`;
+//! * the `[Sch23]` rival's global shortcut composition: `rows` are the
+//!   landmarks' `h`-hop rows, `coeff_i` source `i`'s entry distances to the
+//!   landmarks, offset `0` — `crate::schneider`.
+//!
+//! [`compose`] is the only production code that folds `coeff ⊕ row`.  Its
+//! right-hand side is a swept [`crate::rows::DistanceRows`] handed over
+//! without a copy (`RowMatrix::new(table.into_rows())`), and the rows it
+//! returns are adopted the same way by
+//! [`crate::rows::DistanceRows::from_rows`].
 //!
 //! # Kernel layout
 //!
@@ -84,9 +93,9 @@ const _: () = assert!(ROW_TILE == 4, "the reduction quad loop is unrolled 4-wide
 /// every row.
 ///
 /// Rows are typically `h`-hop-limited distance sweeps
-/// ([`hybrid_graph::dijkstra::hop_limited_distances_with`]) from each
-/// skeleton node, which are `INFINITY` outside the node's `h`-hop ball; the
-/// spans let the kernel skip those runs wholesale.
+/// ([`crate::rows::DistanceRows::hop_limited`]) from each skeleton node,
+/// which are `INFINITY` outside the node's `h`-hop ball; the spans let the
+/// kernel skip those runs wholesale.
 #[derive(Debug, Clone, Default)]
 pub struct RowMatrix {
     rows: Vec<Vec<Weight>>,
@@ -149,11 +158,6 @@ impl RowMatrix {
     /// The underlying rows.
     pub fn rows(&self) -> &[Vec<Weight>] {
         &self.rows
-    }
-
-    /// Consumes the matrix, returning the rows.
-    pub fn into_rows(self) -> Vec<Vec<Weight>> {
-        self.rows
     }
 }
 

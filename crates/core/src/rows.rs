@@ -1,59 +1,121 @@
-//! Row-streamed distances for the scale tier.
+//! The per-source distance-row table of the shortest-path pipelines.
 //!
-//! The small-`n` experiments verify against [`hybrid_graph::dijkstra::apsp_exact`],
-//! which materialises the full `Θ(n²)` matrix — a 8 TB allocation at
-//! `n = 10⁶`.  [`DistanceRows`] replaces the matrix with per-source rows over
-//! an explicit (typically sampled) source set: one flat `|S| × n` buffer,
-//! computed by parallel workspace-reusing Dijkstra runs, so the memory
-//! footprint is `O(|S|·n)` and every row is still *exact*.
+//! Every shortest-path result of the paper (Theorems 5–8, 13, 14) and of the
+//! `[Sch23]` rival ends in the same object: per source, one row of `n`
+//! distance labels.  [`DistanceRows`] is that object, and this module is the
+//! one place a row is *filled* by a per-source search:
 //!
-//! The k-SSP fast path (Theorem 14, `k ≤ γ`) is per-source Dijkstra plus
-//! `(1+ε)` quantization — precisely a [`DistanceRows::quantized`] away — so
-//! the scale tier runs the genuine algorithm semantics on sampled sources
-//! instead of a downscaled instance.
+//! * [`DistanceRows::sweep`] — one search per source on a per-worker
+//!   [`DijkstraWorkspace`]; [`DistanceRows::compute`] (exact distances) is its
+//!   trivial case, Theorem 6's bounded-BFS-then-fallback row the other;
+//! * [`DistanceRows::hop_limited`] — the `d^h` sweep with one Bellman–Ford
+//!   fixpoint flag per row, which the skeleton construction, the Theorem 14
+//!   label step, Theorem 8 and the `[Sch23]` deepening loop all start from;
+//! * [`DistanceRows::verify_stretch`] — the streaming verifier behind every
+//!   `verify_stretch(graph)`: the exact rows it checks against are produced
+//!   here and nowhere else, and never materialised.
 //!
-//! Rows here are full-width [`Weight`]s and carry no shortest-path forest:
-//! the serving layer ([`crate::oracle`]) runs its own landmark sweep, because
-//! it keeps the forest and stores its labels as `u32`.
+//! Rows are stored as collected — one `Vec<Weight>` per row — so a table is
+//! adopted without a copy in both directions: [`DistanceRows::from_rows`]
+//! takes what [`crate::minplus::compose`] returns, and
+//! [`DistanceRows::into_rows`] hands a swept table to
+//! [`crate::minplus::RowMatrix`].  The footprint is `O(|S|·n)` for an explicit
+//! (at the scale tier: sampled) source set, never `Θ(n²)` unless every node
+//! is a source.
+//!
+//! Rows are full-width [`Weight`]s and carry no shortest-path forest: the
+//! serving layer ([`crate::oracle`]) runs its own landmark sweep, because it
+//! keeps the forest and stores its labels as `u32`.
 
-use hybrid_graph::dijkstra::DijkstraWorkspace;
+use std::ops::Index;
+
+use hybrid_graph::dijkstra::{hop_limited_distances_with, DijkstraWorkspace, HopLimitedWorkspace};
 use hybrid_graph::{Graph, NodeId, Weight};
 use rayon::prelude::*;
 
 use crate::sssp::quantize_distance;
 use crate::stretch::{self, StretchViolation};
 
-/// Exact distances from a set of source nodes, stored as one flat
-/// `|sources| × n` row buffer.
-#[derive(Debug, Clone)]
+/// One row of `n` distance labels per source: `table[i][v]` is the label of
+/// the pair `(sources()[i], v)`.  A table cannot be misaligned with its own
+/// source list — every constructor yields `sources().len()` rows of `n()`
+/// entries.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistanceRows {
     sources: Vec<NodeId>,
     n: usize,
-    rows: Vec<Weight>,
+    rows: Vec<Vec<Weight>>,
+}
+
+/// The Dijkstra-workspace fan-out: `search(ws, i, sources[i])` once per
+/// source, in parallel, results in source order.
+fn per_source<T: Send>(
+    sources: &[NodeId],
+    search: impl Fn(&mut DijkstraWorkspace, usize, NodeId) -> T + Sync,
+) -> Vec<T> {
+    (0..sources.len())
+        .into_par_iter()
+        .map_init(DijkstraWorkspace::new, |ws, i| search(ws, i, sources[i]))
+        .with_min_len(1)
+        .collect()
 }
 
 impl DistanceRows {
-    /// Runs one exact single-source computation per source (in parallel, with
-    /// a reused [`DijkstraWorkspace`] per worker) and collects the rows.
+    /// Adopts `rows` (row `i` belongs to `sources[i]`) without copying them.
+    ///
+    /// # Panics
+    /// Panics unless there is exactly one row of `n` entries per source.
+    pub fn from_rows(sources: Vec<NodeId>, n: usize, rows: Vec<Vec<Weight>>) -> Self {
+        assert_eq!(rows.len(), sources.len(), "one row per source");
+        for (&s, row) in sources.iter().zip(&rows) {
+            assert_eq!(row.len(), n, "ragged row of source {s}");
+        }
+        DistanceRows { sources, n, rows }
+    }
+
+    /// Fills one row per source with `row(ws, source)`, in parallel with a
+    /// reused [`DijkstraWorkspace`] per worker.
+    pub fn sweep(
+        graph: &Graph,
+        sources: &[NodeId],
+        row: impl Fn(&mut DijkstraWorkspace, NodeId) -> Vec<Weight> + Sync,
+    ) -> Self {
+        let rows = per_source(sources, |ws, _, s| row(ws, s));
+        Self::from_rows(sources.to_vec(), graph.n(), rows)
+    }
+
+    /// Exact distances from every source (the oracle
+    /// [`DijkstraWorkspace::run`] selects for `graph`).
     pub fn compute(graph: &Graph, sources: &[NodeId]) -> Self {
-        let n = graph.n();
-        let row_vecs: Vec<Vec<Weight>> = sources
+        Self::sweep(graph, sources, |ws, s| {
+            ws.run(graph, s);
+            ws.dist().to_vec()
+        })
+    }
+
+    /// Exact distances between all pairs: every node is a source, in id
+    /// order.  Quadratic memory.
+    pub fn all_pairs(graph: &Graph) -> Self {
+        let nodes: Vec<NodeId> = (0..graph.n() as NodeId).collect();
+        Self::compute(graph, &nodes)
+    }
+
+    /// The `h`-hop-limited rows `d^h(s, ·)` of every source, and per row
+    /// whether the relaxation reached its fixpoint — then that row is exact
+    /// ([`hop_limited_distances_with`]).
+    pub fn hop_limited(graph: &Graph, sources: &[NodeId], h: usize) -> (Self, Vec<bool>) {
+        let swept: Vec<(Vec<Weight>, bool)> = sources
             .par_iter()
-            .map_init(DijkstraWorkspace::new, |ws, &s| {
-                ws.run(graph, s);
-                ws.dist().to_vec()
+            .map_init(HopLimitedWorkspace::new, |ws, &s| {
+                let mut row = Vec::new();
+                let converged = hop_limited_distances_with(ws, graph, s, h, &mut row);
+                (row, converged)
             })
             .with_min_len(1)
             .collect();
-        let mut rows = Vec::with_capacity(sources.len() * n);
-        for row in row_vecs {
-            rows.extend(row);
-        }
-        DistanceRows {
-            sources: sources.to_vec(),
-            n,
-            rows,
-        }
+        let (rows, converged) = swept.into_iter().unzip();
+        let table = Self::from_rows(sources.to_vec(), graph.n(), rows);
+        (table, converged)
     }
 
     /// The source set, in row order.
@@ -66,9 +128,24 @@ impl DistanceRows {
         self.n
     }
 
-    /// The `i`-th source's distance row.
+    /// Number of rows (sources).
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The `i`-th source's row.
     pub fn row(&self, i: usize) -> &[Weight] {
-        &self.rows[i * self.n..(i + 1) * self.n]
+        &self.rows[i]
+    }
+
+    /// The rows, in source order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Weight]> {
+        self.rows.iter().map(Vec::as_slice)
     }
 
     /// The row of source node `s`, if `s` is in the source set.
@@ -79,35 +156,53 @@ impl DistanceRows {
             .map(|i| self.row(i))
     }
 
-    /// Bytes held by the row buffer and the source list — the quantity the
-    /// scale tier reports as its distance-side memory footprint.
+    /// Gives the rows away, in source order (no copy).
+    pub fn into_rows(self) -> Vec<Vec<Weight>> {
+        self.rows
+    }
+
+    /// Bytes held by the rows and the source list, `|S|·n·8 + |S|·4` — the
+    /// quantity the scale tier reports as its distance-side memory footprint.
     pub fn memory_bytes(&self) -> u64 {
-        (self.rows.len() * std::mem::size_of::<Weight>()
+        (self.rows.len() * self.n * std::mem::size_of::<Weight>()
             + self.sources.len() * std::mem::size_of::<NodeId>()) as u64
     }
 
-    /// `(1+ε)`-quantized copy of every row (the Theorem 14 fast-path label
-    /// transformation, [`quantize_distance`] per entry).
+    /// `(1+ε)`-quantized copy of every row ([`quantize_distance`] per entry)
+    /// — the label transformation of every Theorem 13 instance.
     pub fn quantized(&self, epsilon: f64) -> DistanceRows {
+        let quantize = |row: &Vec<Weight>| -> Vec<Weight> {
+            row.iter().map(|&d| quantize_distance(d, epsilon)).collect()
+        };
         DistanceRows {
             sources: self.sources.clone(),
             n: self.n,
-            rows: self
-                .rows
-                .iter()
-                .map(|&d| quantize_distance(d, epsilon))
-                .collect(),
+            rows: self.rows.iter().map(quantize).collect(),
         }
     }
 
-    /// Verifies the rows as labels of promised stretch `stretch` against an
-    /// exact [`DistanceRows`] over the same source set, row by row under the
-    /// label contract ([`crate::stretch`]), returning the maximum observed
-    /// stretch.
+    /// Verifies the rows as labels of promised stretch `promised` on `graph`
+    /// under the label contract ([`crate::stretch`]) and returns the maximum
+    /// observed stretch: one exact single-source run per source, each checked
+    /// straight out of its worker's workspace, so no exact table is ever
+    /// materialised.
+    pub fn verify_stretch(&self, graph: &Graph, promised: f64) -> Result<f64, StretchViolation> {
+        stretch::worst_of(per_source(&self.sources, |ws, i, s| {
+            // Checked before the search: rows of another graph's length may
+            // name a source `graph` does not even have.
+            stretch::aligned(Some(s), graph.n(), self.n)?;
+            ws.run(graph, s);
+            stretch::check_row(s, ws.dist(), self.row(i), promised)
+        }))
+    }
+
+    /// [`DistanceRows::verify_stretch`] against a precomputed exact table
+    /// over the same source set, for callers that check several label tables
+    /// of one graph.
     pub fn verify_stretch_against(
         &self,
         exact: &DistanceRows,
-        stretch: f64,
+        promised: f64,
     ) -> Result<f64, StretchViolation> {
         if self.sources != exact.sources {
             return Err(StretchViolation::Misaligned {
@@ -118,8 +213,16 @@ impl DistanceRows {
         }
         let rows = self.sources.iter().enumerate();
         stretch::worst_of(
-            rows.map(|(i, &s)| stretch::check_row(s, exact.row(i), self.row(i), stretch)),
+            rows.map(|(i, &s)| stretch::check_row(s, exact.row(i), self.row(i), promised)),
         )
+    }
+}
+
+impl Index<usize> for DistanceRows {
+    type Output = [Weight];
+
+    fn index(&self, i: usize) -> &[Weight] {
+        self.row(i)
     }
 }
 
@@ -138,12 +241,42 @@ mod tests {
         let full = apsp_exact(&g);
         let sources = [0u32, 7, 42, 98];
         let rows = DistanceRows::compute(&g, &sources);
-        assert_eq!(rows.n(), g.n());
+        assert_eq!((rows.n(), rows.len()), (g.n(), 4));
         for (i, &s) in sources.iter().enumerate() {
             assert_eq!(rows.row(i), &full[s as usize][..], "row of source {s}");
-            assert_eq!(rows.row_for(s).unwrap(), rows.row(i));
+            assert_eq!(rows.row_for(s).unwrap(), &rows[i]);
         }
         assert!(rows.row_for(1).is_none());
+        assert_eq!(DistanceRows::all_pairs(&g).into_rows(), full);
+    }
+
+    #[test]
+    fn hop_limited_rows_and_flags_match_the_single_source_kernel() {
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let g = generators::weighted_grid(&[8, 9], 12, &mut rng).unwrap();
+        let sources: Vec<NodeId> = (0..g.n() as NodeId).step_by(5).collect();
+        for width in [1, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            // Depths below, around and beyond the hop diameter.
+            for h in [0, 3, 9, g.n()] {
+                let (table, flags) = pool.install(|| DistanceRows::hop_limited(&g, &sources, h));
+                assert_eq!(table.sources(), &sources[..]);
+                let exact = DistanceRows::compute(&g, &sources);
+                let mut ws = HopLimitedWorkspace::new();
+                let mut row = Vec::new();
+                for (i, &s) in sources.iter().enumerate() {
+                    let converged = hop_limited_distances_with(&mut ws, &g, s, h, &mut row);
+                    assert_eq!(table[i], row[..], "h={h} s={s}");
+                    assert_eq!(flags[i], converged, "h={h} s={s}");
+                    // A set flag means exact.
+                    assert!(!flags[i] || table[i] == exact[i]);
+                }
+                assert_eq!(flags.iter().all(|&c| c), h == g.n());
+            }
+        }
     }
 
     #[test]
@@ -158,8 +291,40 @@ mod tests {
         assert!(worst >= 1.0 && worst <= 1.0 + eps + 1e-9);
         // Tampering is caught.
         let mut bad = approx.clone();
-        bad.rows[1] = 0;
+        bad.rows[0][1] = 0;
         assert!(bad.verify_stretch_against(&exact, 1.0 + eps).is_err());
+    }
+
+    #[test]
+    fn the_streaming_verifier_agrees_with_the_table_verifier() {
+        let mut rng = ChaCha8Rng::seed_from_u64(10);
+        let g = generators::weighted_grid(&[10, 10], 32, &mut rng).unwrap();
+        let sources = [3u32, 50, 77, 99];
+        let exact = DistanceRows::compute(&g, &sources);
+        let labels = exact.quantized(0.5);
+        let streamed = labels.verify_stretch(&g, 1.5);
+        assert_eq!(streamed, labels.verify_stretch_against(&exact, 1.5));
+        assert!(streamed.unwrap() > 1.0);
+        // Two tampered rows: both verifiers report the first one's cell.
+        let mut bad = labels.clone();
+        bad.rows[1][40] = 0;
+        bad.rows[3][2] = u64::MAX;
+        let err = bad.verify_stretch(&g, 1.5).unwrap_err();
+        assert_eq!(Err(err), bad.verify_stretch_against(&exact, 1.5));
+        let StretchViolation::Underestimate(cell) = err else {
+            panic!("expected the underestimate of row 50, got {err}");
+        };
+        assert_eq!((cell.row, cell.col, cell.label), (50, 40, 0));
+        // Labels of a graph of another size are misaligned, row by row.
+        let longer = DistanceRows::compute(&generators::path(101).unwrap(), &sources);
+        assert_eq!(
+            longer.verify_stretch(&g, 1.0),
+            Err(StretchViolation::Misaligned {
+                row: Some(3),
+                exact: 100,
+                labels: 101
+            })
+        );
     }
 
     #[test]
@@ -169,6 +334,28 @@ mod tests {
         let rows = DistanceRows::compute(&g, &sources);
         let expected = (3 * 10_000 * 8 + 3 * 4) as u64;
         assert_eq!(rows.memory_bytes(), expected);
+    }
+
+    #[test]
+    fn adopted_rows_are_the_table() {
+        let rows = vec![vec![0, 1, 2], vec![2, 1, 0]];
+        let table = DistanceRows::from_rows(vec![0, 2], 3, rows.clone());
+        assert_eq!((table.len(), table.n(), table.is_empty()), (2, 3, false));
+        assert_eq!(table[1], [2, 1, 0]);
+        assert_eq!(table.into_rows(), rows);
+        assert!(DistanceRows::from_rows(Vec::new(), 3, Vec::new()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged row of source 2")]
+    fn a_ragged_row_set_is_rejected() {
+        DistanceRows::from_rows(vec![0, 2], 3, vec![vec![0, 1, 2], vec![2, 1]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per source")]
+    fn a_miscounted_row_set_is_rejected() {
+        DistanceRows::from_rows(vec![0, 2], 3, vec![vec![0, 1, 2]]);
     }
 
     #[test]

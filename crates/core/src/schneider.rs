@@ -27,7 +27,10 @@
 //!    rows over the global network (`⌈|L|/γ⌉` rounds), sources inject their
 //!    entry distances (`⌈k/γ⌉` rounds), and every node composes
 //!    `label(v) = min(d^h(s, v), min_L d^h(s, L) + d^h(L, v))`, quantized by
-//!    the allowed `(1+ε)` error.
+//!    the allowed `(1+ε)` error.  That is a `(min, +)` product and runs on
+//!    the shared kernel ([`crate::minplus::compose`]): the landmark rows are
+//!    the right-hand side, each source's entry distances one dense
+//!    coefficient row, its own sweep the initial row.
 //!
 //! Because the deepening loop runs until every row is at its fixpoint, the
 //! composed labels are exact-then-quantized — genuine stretch `1+ε`, the same
@@ -36,14 +39,12 @@
 //! cross-check this implementation against Theorem 14 bit for bit on the
 //! stretch contract ([`crate::stretch`]).
 
-use rayon::prelude::*;
-
-use hybrid_graph::dijkstra::{hop_limited_distances_with, HopLimitedWorkspace};
-use hybrid_graph::{NodeId, Weight, INFINITY};
+use hybrid_graph::{NodeId, Weight};
 use hybrid_sim::HybridNetwork;
 
 use crate::kssp::KsspOutput;
-use crate::sssp::quantize_distance;
+use crate::minplus::{self, Assignment, Coeff, RowMatrix};
+use crate::rows::DistanceRows;
 
 /// Number of landmarks used for `n` nodes: `⌈√n⌉`, matching the `[Sch23]`
 /// overlay density (and the Theorem 14 skeleton size at `k = n`, `γ = 1`).
@@ -78,8 +79,7 @@ pub fn schneider_kssp(net: &mut HybridNetwork, sources: &[NodeId], epsilon: f64)
 
     if k == 0 {
         return KsspOutput {
-            sources: Vec::new(),
-            dist: Vec::new(),
+            dist: DistanceRows::from_rows(Vec::new(), n, Vec::new()),
             stretch: 1.0 + epsilon,
             epsilon,
             rounds: 0,
@@ -96,18 +96,9 @@ pub fn schneider_kssp(net: &mut HybridNetwork, sources: &[NodeId], epsilon: f64)
     let mut h = initial_depth(n);
     let (lm_rows, src_rows) = loop {
         net.charge_local("schneider/h-hop-sweep", h as u64);
-        let sweep = |nodes: &[NodeId]| -> (Vec<Vec<Weight>>, bool) {
-            let swept: Vec<(Vec<Weight>, bool)> = nodes
-                .par_iter()
-                .map_init(HopLimitedWorkspace::new, |ws, &s| {
-                    let mut row = Vec::new();
-                    let converged = hop_limited_distances_with(ws, &graph, s, h, &mut row);
-                    (row, converged)
-                })
-                .with_min_len(1)
-                .collect();
-            let all = swept.iter().all(|&(_, c)| c);
-            (swept.into_iter().map(|(row, _)| row).collect(), all)
+        let sweep = |nodes: &[NodeId]| {
+            let (rows, converged) = DistanceRows::hop_limited(&graph, nodes, h);
+            (rows, converged.iter().all(|&c| c))
         };
         let (l_rows, l_conv) = sweep(&lm);
         let (s_rows, s_conv) = sweep(sources);
@@ -135,29 +126,25 @@ pub fn schneider_kssp(net: &mut HybridNetwork, sources: &[NodeId], epsilon: f64)
     // sweep at its fixpoint the direct term dominates by the triangle
     // inequality; the composition is still evaluated in full — it is the
     // algorithm's data path, and the dominance is debug-asserted.
-    let dist: Vec<Vec<Weight>> = src_rows
-        .par_iter()
-        .map(|row| {
-            let entries: Vec<Weight> = lm.iter().map(|&l| row[l as usize]).collect();
-            (0..n)
-                .map(|v| {
-                    let mut best = row[v];
-                    for (j, &e) in entries.iter().enumerate() {
-                        let lr = lm_rows[j][v];
-                        if e != INFINITY && lr != INFINITY {
-                            best = best.min(e.saturating_add(lr));
-                        }
-                    }
-                    debug_assert_eq!(best, row[v], "converged direct row must dominate");
-                    quantize_distance(best, epsilon)
-                })
-                .collect()
-        })
-        .with_min_len(1)
+    let coeffs: Vec<Coeff> = src_rows
+        .iter()
+        .map(|row| Coeff::Dense(lm.iter().map(|&l| row[l as usize]).collect()))
         .collect();
+    let assign: Vec<Assignment> = (0..k).map(|i| Some((i, 0))).collect();
+    let init: Vec<&[Weight]> = src_rows.iter().collect();
+    let composed = minplus::compose(
+        &RowMatrix::new(lm_rows.into_rows()),
+        &coeffs,
+        &assign,
+        &init,
+    );
+    debug_assert!(
+        composed.iter().zip(&init).all(|(c, &i)| c == i),
+        "converged direct row must dominate"
+    );
+    let dist = DistanceRows::from_rows(sources.to_vec(), n, composed).quantized(epsilon);
 
     KsspOutput {
-        sources: sources.to_vec(),
         dist,
         stretch: 1.0 + epsilon,
         epsilon,

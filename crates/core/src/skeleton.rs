@@ -11,9 +11,10 @@
 //! distances between skeleton nodes (Lemma 6.3).
 //!
 //! The construction's raw material — one `h`-hop-limited distance row per
-//! skeleton node — is kept on the [`SkeletonGraph`] as a
-//! [`crate::minplus::RowMatrix`]: the k-SSP data level composes labels directly
-//! against these rows with the shared `(min, +)` kernel
+//! skeleton node, swept by [`DistanceRows::hop_limited`] — is kept on the
+//! [`SkeletonGraph`] as a [`crate::minplus::RowMatrix`] (the swept table,
+//! moved, plus its finite spans): the k-SSP data level composes labels
+//! directly against these rows with the shared `(min, +)` kernel
 //! ([`crate::minplus`]), so they are computed exactly once.  The explicit
 //! edge-list [`Graph`] of the skeleton (dense on low-diameter inputs) is only
 //! materialized on demand via [`SkeletonGraph::graph`]; consumers that never
@@ -22,14 +23,13 @@
 use std::sync::OnceLock;
 
 use rand::Rng;
-use rayon::prelude::*;
 
-use hybrid_graph::dijkstra::{hop_limited_distances_with, HopLimitedWorkspace};
 use hybrid_graph::{Graph, GraphBuilder, NodeId, Weight, INFINITY};
 use hybrid_sim::HybridNetwork;
 
 use crate::minplus::RowMatrix;
 use crate::prob::ln_n;
+use crate::rows::DistanceRows;
 
 /// The constant `ξ` of Definition 6.2 (any sufficiently large constant works;
 /// the tests verify the distance-preservation property empirically).
@@ -220,26 +220,15 @@ pub fn build_skeleton(
     }
 
     // The h-hop-limited distance rows — what h rounds of local flooding give
-    // every node about each skeleton node.  The per-skeleton-node sweeps fan
-    // out over all cores; each sweep also reports whether it reached its
-    // fixpoint (then the row is exact, not just h-hop-limited).
+    // every node about each skeleton node.  Each sweep also reports whether
+    // it reached its fixpoint (then the row is exact, not just h-hop-limited).
     net.charge_local("skeleton/construct", h);
-    let rows_with_flags: Vec<(Vec<u64>, bool)> = nodes
-        .par_iter()
-        .map_init(HopLimitedWorkspace::new, |ws, &u| {
-            let mut row = Vec::new();
-            let converged = hop_limited_distances_with(ws, &graph, u, h as usize, &mut row);
-            (row, converged)
-        })
-        .with_min_len(1)
-        .collect();
-    let converged = rows_with_flags.iter().all(|&(_, c)| c);
-    let rows = RowMatrix::new(rows_with_flags.into_iter().map(|(row, _)| row).collect());
+    let (rows, converged) = DistanceRows::hop_limited(&graph, &nodes, h as usize);
     SkeletonGraph {
         nodes,
         index_of,
-        rows,
-        converged,
+        rows: RowMatrix::new(rows.into_rows()),
+        converged: converged.iter().all(|&c| c),
         h,
         x,
         graph: OnceLock::new(),

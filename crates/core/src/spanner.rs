@@ -81,7 +81,9 @@ impl PartialSpanner {
                 return true;
             }
             for &(y, w) in &self.adj[x as usize] {
-                let nd = d + w;
+                // Saturating: a near-`u64::MAX` path pins at `INFINITY`, which
+                // never improves a tentative distance.
+                let nd = d.saturating_add(w);
                 if nd <= limit && nd < self.dist[y as usize] {
                     if self.dist[y as usize] == INFINITY {
                         self.touched.push(y);
@@ -203,6 +205,19 @@ mod tests {
         let samples: Vec<u32> = (0..8).collect();
         let stretch = measured_stretch(&g, &s.graph, &samples);
         assert!(stretch <= 3.0 + 1e-9, "stretch {stretch} exceeds 3");
+    }
+
+    /// Regression: the path search added unchecked, so on a triangle of
+    /// near-`u64::MAX` edges it panicked in a dev build and in release found
+    /// a wrapped "path" 0–1–2 of weight `MAX − 3` that dropped the third edge.
+    #[test]
+    fn huge_weights_saturate_instead_of_wrapping() {
+        let mut b = GraphBuilder::new(3);
+        for (u, v) in [(0, 1), (1, 2), (0, 2)] {
+            b.add_edge(u, v, u64::MAX - 1).unwrap();
+        }
+        let g = b.build().unwrap();
+        assert_eq!(greedy_spanner(None, &g, 2).m(), 3);
     }
 
     #[test]

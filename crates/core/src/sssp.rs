@@ -9,8 +9,8 @@
 //!   transshipment / ℓ₁-oblivious-routing stack is out of scope for this
 //!   reproduction: [`sssp_approx`] produces genuinely `(1+ε)`-approximate
 //!   distance labels (exact distances quantized by the allowed error) and
-//!   charges the `Õ(1/ε²)` rounds through an explicit, calibratable cost
-//!   model ([`SsspCostModel`]).  Everything the downstream universal algorithms
+//!   charges the `Õ(1/ε²)` rounds through an explicit cost model
+//!   ([`SsspCostModel`]).  Everything the downstream universal algorithms
 //!   consume — label quality, polylogarithmic round cost, number of
 //!   invocations — is thereby preserved, and the label quality is checked
 //!   under the one label contract of [`crate::stretch`] (ARCHITECTURE.md,
@@ -32,48 +32,27 @@ use crate::stretch::{self, StretchViolation};
 /// Cost model for the Theorem 13 SSSP.
 ///
 /// Theorem 13's bound is `Õ(1/ε²)` — a polylogarithmic number of rounds whose
-/// exponent and constant are hidden by the `Õ(·)`.  The default calibration
-/// charges `constant · ⌈log₂ n⌉ / ε` rounds, which is consistent with the
-/// asymptotic statement ("flat in `n` up to polylogs") at simulation scales
-/// and keeps the constant-factor relationship to the `√n`-type baselines
-/// realistic; the fully pessimistic `log² n / ε²` form can be selected with
-/// [`SsspCostModel::pessimistic`] for ablation runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SsspCostModel {
-    /// Multiplicative constant in front of the polylogarithmic bound.
-    pub constant: f64,
-    /// Power of the `log₂ n` factor.
-    pub log_power: u32,
-    /// Power of the `1/ε` factor.
-    pub eps_power: u32,
-}
+/// exponent and constant are hidden by the `Õ(·)`.  The calibration charges
+/// `⌈log₂ n⌉ / ε` rounds (the three constants below), which is consistent
+/// with the asymptotic statement ("flat in `n` up to polylogs") at simulation
+/// scales and keeps the constant-factor relationship to the `√n`-type
+/// baselines realistic.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SsspCostModel;
 
-impl Default for SsspCostModel {
-    fn default() -> Self {
-        SsspCostModel {
-            constant: 1.0,
-            log_power: 1,
-            eps_power: 1,
-        }
-    }
-}
+/// Multiplicative constant in front of the polylogarithmic bound.
+const COST_CONSTANT: f64 = 1.0;
+/// Power of the `log₂ n` factor.
+const COST_LOG_POWER: i32 = 1;
+/// Power of the `1/ε` factor.
+const COST_EPS_POWER: i32 = 1;
 
 impl SsspCostModel {
-    /// The pessimistic calibration `log² n / ε²` (every hidden factor charged).
-    pub fn pessimistic() -> Self {
-        SsspCostModel {
-            constant: 1.0,
-            log_power: 2,
-            eps_power: 2,
-        }
-    }
-
     /// Rounds charged for one SSSP invocation with accuracy `epsilon` on a
     /// network of `n` nodes.
     pub fn rounds(&self, n: usize, epsilon: f64) -> u64 {
         let log_n = hybrid_sim::ModelParams::log_n(n) as f64;
-        let raw =
-            self.constant * log_n.powi(self.log_power as i32) / epsilon.powi(self.eps_power as i32);
+        let raw = COST_CONSTANT * log_n.powi(COST_LOG_POWER) / epsilon.powi(COST_EPS_POWER);
         (raw.ceil() as u64).max(1)
     }
 }
@@ -114,18 +93,8 @@ pub fn quantize_distance(d: Weight, epsilon: f64) -> Weight {
 }
 
 /// Theorem 13 — `(1+ε)`-approximate SSSP in `Õ(1/ε²)` rounds (deterministic,
-/// `Hybrid0`), with the default cost model.
+/// `Hybrid0`), charged through [`SsspCostModel`].
 pub fn sssp_approx(net: &mut HybridNetwork, source: NodeId, epsilon: f64) -> SsspOutput {
-    sssp_approx_with_cost(net, source, epsilon, SsspCostModel::default())
-}
-
-/// Theorem 13 with an explicit cost model (used by ablation benches).
-pub fn sssp_approx_with_cost(
-    net: &mut HybridNetwork,
-    source: NodeId,
-    epsilon: f64,
-    cost: SsspCostModel,
-) -> SsspOutput {
     assert!(epsilon > 0.0, "epsilon must be positive");
     let graph = net.graph_arc();
     let exact = dijkstra(&graph, source).dist;
@@ -133,7 +102,7 @@ pub fn sssp_approx_with_cost(
         .iter()
         .map(|&d| quantize_distance(d, epsilon))
         .collect();
-    let rounds = cost.rounds(graph.n(), epsilon);
+    let rounds = sssp_round_cost(net, epsilon);
     net.charge_rounds("sssp/theorem13-minor-aggregation", rounds);
     SsspOutput {
         source,
@@ -147,7 +116,7 @@ pub fn sssp_approx_with_cost(
 /// Number of rounds one Theorem 13 SSSP invocation costs without running it
 /// (used by schedulers that charge `T_SSSP` symbolically, Lemma 9.3).
 pub fn sssp_round_cost(net: &HybridNetwork, epsilon: f64) -> u64 {
-    SsspCostModel::default().rounds(net.graph().n(), epsilon)
+    SsspCostModel.rounds(net.graph().n(), epsilon)
 }
 
 /// Prior-work SSSP algorithms used as the comparison rows of Table 4.
@@ -274,15 +243,9 @@ mod tests {
 
     #[test]
     fn cost_model_scales_with_epsilon() {
-        let m = SsspCostModel::default();
+        let m = SsspCostModel;
         assert!(m.rounds(1000, 0.1) > m.rounds(1000, 1.0));
-        let custom = SsspCostModel {
-            constant: 3.0,
-            ..SsspCostModel::default()
-        };
-        assert_eq!(custom.rounds(1024, 1.0), 30);
-        assert_eq!(SsspCostModel::pessimistic().rounds(1024, 0.5), 400);
-        assert!(SsspCostModel::pessimistic().rounds(1024, 0.5) > m.rounds(1024, 0.5));
+        assert_eq!(m.rounds(1024, 0.5), 20);
     }
 
     #[test]

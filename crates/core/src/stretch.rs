@@ -3,10 +3,11 @@
 //!
 //! Theorems 5–8, 13 and 14 (and the `[Sch23]` rival they are scored against)
 //! each promise `d(u, v) ≤ label(u, v) ≤ stretch · d(u, v)`.  Every output
-//! type's `verify_stretch` is an adapter over this module: it produces exact
-//! rows (a Dijkstra run, a row of a precomputed matrix, a caller's slice),
-//! hands each row's cells to [`check_cells`] / [`check_row`] and folds the
-//! per-row verdicts with [`worst_of`].  The rule for one cell
+//! type's `verify_stretch` ends here: the exact rows come from
+//! [`crate::rows::DistanceRows`] (streamed by its `verify_stretch`, which the
+//! k-SSP and APSP outputs delegate to; a precomputed table; for one SSSP row
+//! a caller's slice), each row's cells go to [`check_cells`] / [`check_row`]
+//! and [`worst_of`] folds the per-row verdicts.  The rule for one cell
 //! `(exact, label)` under a promise `p`:
 //!
 //! 1. **reachability** — if either side is [`INFINITY`] both must be; a
@@ -355,7 +356,7 @@ mod tests {
         };
 
         let apsp = |labels: &Graph| ApspOutput {
-            dist: apsp_exact(labels),
+            dist: DistanceRows::all_pairs(labels),
             stretch: 1.0,
             rounds: 0,
             algorithm: "exact",
@@ -392,16 +393,12 @@ mod tests {
         assert_eq!(klsp(&split).verify_stretch(&split), Ok(1.0));
         across(klsp(&bridged).verify_stretch(&split));
 
-        let kssp = |labels: &Graph| {
-            let full = apsp_exact(labels);
-            KsspOutput {
-                sources: sources.clone(),
-                dist: sources.iter().map(|&s| full[s as usize].clone()).collect(),
-                stretch: 1.0,
-                epsilon: 0.0,
-                rounds: 0,
-                skeleton_size: 0,
-            }
+        let kssp = |labels: &Graph| KsspOutput {
+            dist: rows(labels),
+            stretch: 1.0,
+            epsilon: 0.0,
+            rounds: 0,
+            skeleton_size: 0,
         };
         assert_eq!(kssp(&split).verify_stretch(&split), Ok(1.0));
         across(kssp(&bridged).verify_stretch(&split));

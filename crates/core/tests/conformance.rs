@@ -25,7 +25,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use hybrid_core::dissemination::place_tokens;
+use hybrid_core::schneider::{landmarks, schneider_kssp};
+use hybrid_core::sssp::quantize_distance;
 use hybrid_core::{dissemination_registry, sssp_registry, NqOracle};
+use hybrid_graph::dijkstra::hop_limited_distances;
 use hybrid_graph::{generators, Graph};
 use hybrid_sim::{HybridNetwork, ModelParams};
 
@@ -100,6 +103,45 @@ fn all_dissemination_impls_deliver_identical_token_sets() {
                         ),
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The `[Sch23]` rival composes on the shared `(min, +)` kernel; its labels
+/// must equal a naive fold of its sweep rows written out here — in release
+/// builds too, where the pipeline's own dominance `debug_assert` is compiled
+/// out.  (The deepening loop stops at the fixpoint, so the sweep rows are the
+/// `n`-hop rows.)
+#[test]
+fn schneider_labels_equal_a_naive_fold_of_its_sweep_rows() {
+    const EPSILON: f64 = 0.5;
+    for (name, graph) in weighted_conformance_graphs() {
+        let n = graph.n();
+        let sources: Vec<u32> = vec![0, n as u32 / 3, n as u32 / 2, n as u32 - 1];
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
+        let out = schneider_kssp(&mut net, &sources, EPSILON);
+        assert_eq!(out.dist.sources(), &sources[..]);
+
+        let lm = landmarks(n);
+        let sweep = |s: &u32| hop_limited_distances(&graph, *s, n);
+        let lm_rows: Vec<Vec<u64>> = lm.iter().map(sweep).collect();
+        for (i, row) in sources.iter().map(sweep).enumerate() {
+            for v in 0..n {
+                let via_landmarks = lm
+                    .iter()
+                    .zip(&lm_rows)
+                    .map(|(&l, lm_row)| row[l as usize].saturating_add(lm_row[v]))
+                    .min()
+                    .expect("at least one landmark");
+                let folded = row[v].min(via_landmarks);
+                assert_eq!(folded, row[v], "{name}: a shortcut beat a converged row");
+                assert_eq!(
+                    out.dist[i][v],
+                    quantize_distance(folded, EPSILON),
+                    "{name}: label of ({}, {v})",
+                    sources[i]
+                );
             }
         }
     }

@@ -1,9 +1,9 @@
-//! Golden pins for the charged dissemination pipelines.
+//! Golden pins for the charged pipelines: dissemination and shortest paths.
 //!
 //! Conformance compares token sets between contenders and `results/` is
 //! diffed only across thread counts, so nothing else would notice a pipeline
 //! that charges a phase twice, drops a level or reorders the messages of a
-//! batch.  Each case here runs one contender (every
+//! batch.  Each dissemination case here runs one contender (every
 //! [`dissemination_registry`] entry, or [`k_aggregation`]) on a small pinned
 //! instance and asserts its round counts plus an FNV-1a-64 digest over every
 //! [`PhaseRecord`](hybrid_sim::PhaseRecord) in order — label bytes, kind,
@@ -12,19 +12,31 @@
 //! `(rounds, nq, k, results)`).  The fault cases are the ones that notice a
 //! reordered batch: a fate hashes `(round base, from, to, index in batch)`.
 //!
-//! The constants were printed by this very file in a clone of commit be7333a
-//! — before Theorems 1–2 and the `[CHL23]` rival shared one cluster-tree
-//! overlay.  Re-record only with a stated reason.  On a mismatch the failure
-//! message is the full table in source form.
+//! The shortest-path cases ([`shortest_path_cases`]) do the same for every
+//! [`sssp_registry`] contender, Theorems 6–8 and both `(k, ℓ)`-SP scenarios:
+//! rounds, the phase records and **every distance label** — a label that
+//! changes while still keeping its stretch passes every verifier and fails
+//! here.
+//!
+//! The dissemination constants were printed by this very file in a clone of
+//! commit be7333a — before Theorems 1–2 and the `[CHL23]` rival shared one
+//! cluster-tree overlay; the shortest-path ones in a clone of 3b7f488 —
+//! before the pipelines moved onto one `DistanceRows` table.  Re-record only
+//! with a stated reason.  On a mismatch the failure message is the full table
+//! in source form.
 
 use std::sync::Arc;
 
-use hybrid_core::algorithm::dissemination_registry;
+use hybrid_core::algorithm::{dissemination_registry, sssp_registry};
+use hybrid_core::apsp::{self, ApspOutput};
 use hybrid_core::dissemination::{k_aggregation, TokenPlacement};
+use hybrid_core::klsp::{klsp, KlspScenario};
 use hybrid_core::NqOracle;
 use hybrid_graph::{generators, Fnv1a64, Graph, NodeId};
 use hybrid_sim::{CostMeter, EngineConfig, FaultPlan, FaultSpec, HybridNetwork};
 use hybrid_sim::{ModelParams, PhaseKind};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// Length-prefixed, so slice boundaries count.
 fn fnv_u64s(digest: &mut Fnv1a64, xs: &[u64]) {
@@ -194,6 +206,109 @@ fn all_cases() -> Vec<Golden> {
             },
         ));
     }
+    out.extend(shortest_path_cases());
+    out
+}
+
+/// The shortest-path pipelines on three pinned instances: the digest covers
+/// the phase ledger, the reported figures and **every label**, so a label
+/// that changes while still keeping its stretch is noticed.
+fn shortest_path_cases() -> Vec<Golden> {
+    const EPSILON: f64 = 0.5;
+    let mut rng = ChaCha8Rng::seed_from_u64(23);
+    // (name, instance, its unweighted topology for Theorem 6).
+    let grid = generators::grid(&[12, 12]).unwrap();
+    let weighted_grid = generators::with_random_weights(&grid, 16, &mut rng).unwrap();
+    let path = generators::path(128).unwrap();
+    let er = generators::erdos_renyi(96, 0.04, &mut rng).unwrap();
+    let graphs = [
+        ("wgrid12x12", weighted_grid, grid),
+        ("path128", path.clone(), path),
+        ("er96", er.clone(), er),
+    ];
+    let digest_apsp = |d: &mut Fnv1a64, net: &HybridNetwork, o: &ApspOutput| {
+        digest_meter(d, net.meter());
+        fnv_u64s(d, &[o.rounds, o.stretch.to_bits(), o.dist.len() as u64]);
+        for row in o.dist.iter() {
+            fnv_u64s(d, row);
+        }
+        o.rounds
+    };
+    let mut out = Vec::new();
+    for (gname, graph, topology) in graphs {
+        let (graph, topology) = (Arc::new(graph), Arc::new(topology));
+        let n = graph.n();
+        let oracle = NqOracle::new(&graph);
+        let hybrid = |g: &Arc<Graph>| [HybridNetwork::hybrid(Arc::clone(g))];
+        let hybrid0 = |g: &Arc<Graph>| [HybridNetwork::hybrid0(Arc::clone(g))];
+        let few: Vec<NodeId> = vec![1, n as NodeId / 2, n as NodeId - 1];
+        let every_fifth: Vec<NodeId> = (0..n as NodeId).step_by(5).collect();
+        let every_seventh: Vec<NodeId> = (3..n as NodeId).step_by(7).collect();
+
+        for algo in sssp_registry() {
+            for (sname, sources) in [("3-sources", &few), ("every-fifth", &every_fifth)] {
+                let name = format!("{}/{gname}/{sname}", algo.name());
+                out.push(case(name, hybrid(&graph), |net, d| {
+                    let o = algo.run(net, sources, EPSILON, 0x5EED);
+                    digest_meter(d, net.meter());
+                    fnv_u64s(d, &[o.rounds, o.skeleton_size as u64, o.stretch.to_bits()]);
+                    for (&s, row) in o.dist.sources().iter().zip(o.dist.iter()) {
+                        d.write_u64(u64::from(s));
+                        fnv_u64s(d, row);
+                    }
+                    o.rounds
+                }));
+            }
+        }
+
+        let topology_oracle = NqOracle::new(&topology);
+        out.push(case(
+            format!("apsp-unweighted/{gname}"),
+            hybrid0(&topology),
+            |net, d| {
+                let o = apsp::apsp_unweighted(net, &topology_oracle, EPSILON);
+                digest_apsp(d, net, &o)
+            },
+        ));
+        out.push(case(
+            format!("apsp-weighted-skeleton/{gname}"),
+            hybrid0(&graph),
+            |net, d| {
+                let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
+                let o = apsp::apsp_weighted_skeleton(net, &oracle, 1, &mut rng);
+                digest_apsp(d, net, &o)
+            },
+        ));
+        out.push(case(
+            format!("apsp-weighted-spanner/{gname}"),
+            hybrid0(&graph),
+            |net, d| {
+                let o = apsp::apsp_weighted_spanner(net, &oracle, EPSILON);
+                digest_apsp(d, net, &o)
+            },
+        ));
+
+        for (kname, scenario) in [
+            ("klsp-case1", KlspScenario::ArbitrarySourcesRandomTargets),
+            ("klsp-case2", KlspScenario::RandomSourcesRandomTargets),
+        ] {
+            out.push(case(
+                format!("{kname}/{gname}"),
+                hybrid(&graph),
+                |net, d| {
+                    let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
+                    let (sources, targets) = (&every_fifth, &every_seventh);
+                    let o = klsp(net, &oracle, sources, targets, EPSILON, scenario, &mut rng);
+                    digest_meter(d, net.meter());
+                    fnv_u64s(d, &[o.rounds, o.nq, o.stretch.to_bits()]);
+                    for labels in &o.dist {
+                        fnv_u64s(d, labels);
+                    }
+                    o.rounds
+                },
+            ));
+        }
+    }
     out
 }
 
@@ -247,6 +362,39 @@ fn charged_pipelines_reproduce_the_recorded_phases() {
         g("det-broadcast/ring6x8/one-per-node", &[227, 334, 208], 0x3DC1C815A6D86629),
         g("sqrt-k-baseline/ring6x8/one-per-node", &[370, 382, 369], 0xBE6BE9BE809A94B5),
         g("aggregation-max/ring6x8", &[234, 241, 234], 0x71B3913CD9904D32),
+        g("theorem14/wgrid12x12/3-sources", &[16], 0xFB2FB38653F00530),
+        g("theorem14/wgrid12x12/every-fifth", &[548], 0xBA5B41592141C887),
+        g("theorem14-proxy/wgrid12x12/3-sources", &[16], 0xFB2FB38653F00530),
+        g("theorem14-proxy/wgrid12x12/every-fifth", &[564], 0x3194E16209E848F5),
+        g("schneider/wgrid12x12/3-sources", &[53], 0x13B43FD4A6C13A24),
+        g("schneider/wgrid12x12/every-fifth", &[56], 0x642C5A4DBC568F2F),
+        g("apsp-unweighted/wgrid12x12", &[1181], 0xCFC12EC929AE3F66),
+        g("apsp-weighted-skeleton/wgrid12x12", &[1433], 0x76875CBD1D1EEDCD),
+        g("apsp-weighted-spanner/wgrid12x12", &[464], 0xA16CD894FB78B3F7),
+        g("klsp-case1/wgrid12x12", &[819], 0x902388C9407892A5),
+        g("klsp-case2/wgrid12x12", &[1005], 0xD17F5668DC38D0EA),
+        g("theorem14/path128/3-sources", &[14], 0x64EBC7D713E16743),
+        g("theorem14/path128/every-fifth", &[488], 0x33646D6A25870537),
+        g("theorem14-proxy/path128/3-sources", &[14], 0x64EBC7D713E16743),
+        g("theorem14-proxy/path128/every-fifth", &[502], 0x3C596D93433BC44F),
+        g("schneider/path128/3-sources", &[388], 0x01531BF3C7B467F3),
+        g("schneider/path128/every-fifth", &[391], 0x387EB983B7AD7947),
+        g("apsp-unweighted/path128", &[1961], 0xF1A2D1090B59820F),
+        g("apsp-weighted-skeleton/path128", &[2009], 0x29BCC2BBB63BB789),
+        g("apsp-weighted-spanner/path128", &[621], 0x8798F950A52C9FF5),
+        g("klsp-case1/path128", &[923], 0x6CC50C81813B5F36),
+        g("klsp-case2/path128", &[1158], 0xC406EF4ECF01D926),
+        g("theorem14/er96/3-sources", &[14], 0x4758BEE8071F213E),
+        g("theorem14/er96/every-fifth", &[408], 0x596FA6EEF940EABB),
+        g("theorem14-proxy/er96/3-sources", &[14], 0x4758BEE8071F213E),
+        g("theorem14-proxy/er96/every-fifth", &[422], 0x8307012E7D8B9DF0),
+        g("schneider/er96/3-sources", &[25], 0x116DD521CF7BBFC9),
+        g("schneider/er96/every-fifth", &[27], 0x963F9CB314078D9A),
+        g("apsp-unweighted/er96", &[774], 0x624E491DC0CC0A67),
+        g("apsp-weighted-skeleton/er96", &[880], 0x57D64F44FF3C499C),
+        g("apsp-weighted-spanner/er96", &[261], 0xEA8D2A71D05D3AE8),
+        g("klsp-case1/er96", &[476], 0x22CFE3AB8C7A8750),
+        g("klsp-case2/er96", &[669], 0x2C5F0496396E4930),
     ];
     let actual = all_cases();
     assert!(

@@ -25,8 +25,8 @@
 //! * The heap variant keeps a **visited bitset** so settled nodes are neither
 //!   re-expanded nor re-pushed — the classic lazy-deletion heap without the
 //!   stale-entry churn.
-//! * [`apsp_exact`] / [`apsp_hops_exact`] fan the per-source runs out over
-//!   all cores (deterministic order; one workspace per worker chunk).
+//! * [`apsp_exact`] fans the per-source runs out over all cores
+//!   (deterministic order; one workspace per worker chunk).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -239,14 +239,6 @@ impl DijkstraWorkspace {
         &self.touched
     }
 
-    /// Copies the most recent run out into an owned [`DijkstraResult`].
-    pub fn to_result(&self) -> DijkstraResult {
-        DijkstraResult {
-            dist: self.dist().to_vec(),
-            parent: self.parent().to_vec(),
-        }
-    }
-
     fn grow(&mut self, n: usize) {
         if self.dist.len() < n {
             self.dist.resize(n, INFINITY);
@@ -293,22 +285,7 @@ impl DijkstraWorkspace {
 
     /// BFS oracle (unweighted graphs: hop distance = weighted distance).
     pub fn run_bfs(&mut self, graph: &Graph, source: NodeId) {
-        self.reset(graph.n());
-        self.dist[source as usize] = 0;
-        self.touched.push(source);
-        self.queue.push_back(source);
-        while let Some(v) = self.queue.pop_front() {
-            let dv = self.dist[v as usize];
-            for a in graph.arcs(v) {
-                let u = a.to as usize;
-                if self.dist[u] == INFINITY {
-                    self.dist[u] = dv + 1;
-                    self.parent[u] = Some(v);
-                    self.touched.push(a.to);
-                    self.queue.push_back(a.to);
-                }
-            }
-        }
+        self.run_bfs_bounded(graph, source, u64::MAX);
     }
 
     /// Depth-bounded BFS oracle: hop distances within `max_depth`, `INFINITY`
@@ -589,7 +566,9 @@ pub fn hop_limited_distances_with(
             }
             for a in graph.arcs(v) {
                 let u = a.to as usize;
-                let nd = dv + a.weight;
+                // Saturating, as in `run_heap`: a near-`u64::MAX` path pins
+                // at `INFINITY` instead of wrapping to a short finite label.
+                let nd = dv.saturating_add(a.weight);
                 // Compare against the round-start distance (synchronous
                 // semantics); candidates accumulate the round minimum.
                 if nd < dist[u] {
@@ -623,18 +602,6 @@ pub fn apsp_exact(graph: &Graph) -> Vec<Vec<Weight>> {
         .into_par_iter()
         .map_init(DijkstraWorkspace::new, |ws, v| {
             ws.run(graph, v);
-            ws.dist().to_vec()
-        })
-        .with_min_len(1)
-        .collect()
-}
-
-/// Exact unweighted (hop) all-pairs shortest paths (parallel BFS fan-out).
-pub fn apsp_hops_exact(graph: &Graph) -> Vec<Vec<Weight>> {
-    (0..graph.n() as NodeId)
-        .into_par_iter()
-        .map_init(DijkstraWorkspace::new, |ws, v| {
-            ws.run_bfs(graph, v);
             ws.dist().to_vec()
         })
         .with_min_len(1)
@@ -772,12 +739,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn apsp_hops_matches_weighted_on_unweighted_graph() {
-        let g = generators::tree_balanced(2, 3).unwrap();
-        assert_eq!(apsp_exact(&g), apsp_hops_exact(&g));
-    }
-
     /// Regression: a relaxation can leave a *stale* entry in a later bucket
     /// (node 2 first reached at distance 5 via 0-2, then improved to 2 via
     /// 0-1-2).  The skip-scan must still visit that trailing bucket to drain
@@ -822,6 +783,23 @@ mod tests {
         assert_eq!(ws.dist(), dijkstra_heap(&g, 0).dist.as_slice());
         // No ring of astronomical size was allocated by the fallback.
         assert!(ws.buckets.len() <= DIAL_MAX_RING);
+    }
+
+    /// Regression: the hop-limited relaxation added unchecked (`dv +
+    /// a.weight`), so on the same 3-path it panicked in a dev build and
+    /// wrapped to the finite label `MAX − 3` in release — where Dijkstra
+    /// says `INFINITY`, which also broke "fixpoint ⇒ exact".
+    #[test]
+    fn hop_limited_saturates_on_huge_weights() {
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, u64::MAX - 1).unwrap();
+        b.add_edge(1, 2, u64::MAX - 1).unwrap();
+        let g = b.build().unwrap();
+        assert_eq!(hop_limited_distances(&g, 0, 2), dijkstra(&g, 0).dist);
+        let mut dist = Vec::new();
+        let mut ws = HopLimitedWorkspace::new();
+        assert!(hop_limited_distances_with(&mut ws, &g, 0, 2, &mut dist));
+        assert_eq!(dist, [0, u64::MAX - 1, INFINITY]);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use rand_chacha::ChaCha8Rng;
 use hybrid::core::cluster::{cluster_with_radius, ruling_set};
 use hybrid::core::minplus::{self, Assignment, Coeff, RowMatrix};
 use hybrid::core::nq::{lemma_3_6_bounds, NqOracle};
+use hybrid::core::rows::DistanceRows;
 use hybrid::core::spanner::{greedy_spanner, measured_stretch};
 use hybrid::core::sssp::quantize_distance;
 use hybrid::graph::INFINITY;
@@ -877,7 +878,7 @@ proptest! {
         sources.sort_unstable();
         sources.dedup();
 
-        let run_registry = || -> Vec<(&'static str, u64, Vec<Vec<u64>>)> {
+        let run_registry = || -> Vec<(&'static str, u64, DistanceRows)> {
             sssp_registry()
                 .iter()
                 .map(|algo| {
