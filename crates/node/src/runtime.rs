@@ -96,8 +96,11 @@ fn run_node<P: NodeProgram>(
     writer: &mut impl Write,
     state: impl Fn(&P) -> Value,
 ) -> io::Result<()> {
-    let out = runner.init();
-    send_round_out(writer, &runner, 0, out)?;
+    let node = runner.node();
+    send_round_out(writer, node, 0, runner.init())?;
+    // The two inboxes, rebound every round and reused.
+    let mut local_inbox = Vec::new();
+    let mut global_inbox = Vec::new();
     loop {
         match read_frame::<ToNode>(reader)? {
             // The driver hung up without Halt (e.g. it aborted on an error
@@ -108,14 +111,14 @@ fn run_node<P: NodeProgram>(
                 local,
                 global,
             }) => {
-                let local_inbox = bind_inbox::<P>(local)?;
-                let global_inbox = bind_inbox::<P>(global)?;
+                bind_inbox::<P>(local, &mut local_inbox)?;
+                bind_inbox::<P>(global, &mut global_inbox)?;
                 let out = runner.step(round, &local_inbox, &global_inbox);
-                send_round_out(writer, &runner, round, out)?;
+                send_round_out(writer, node, round, out)?;
             }
             Some(ToNode::Halt) => {
                 let halted = FromNode::Halted {
-                    node: runner.node(),
+                    node,
                     state: state(runner.program()),
                 };
                 return write_frame(writer, &halted);
@@ -126,34 +129,33 @@ fn run_node<P: NodeProgram>(
 }
 
 /// Binds a delivered envelope batch to the program's message type,
-/// preserving the driver's delivery order.
+/// preserving the driver's delivery order; `inbox` is overwritten.
 fn bind_inbox<P: NodeProgram>(
     envelopes: Vec<Envelope<Value>>,
-) -> io::Result<Vec<(NodeId, P::Msg)>> {
-    envelopes
-        .into_iter()
-        .map(|env| {
-            P::Msg::deserialize(&env.body)
-                .map(|msg| (env.src, msg))
-                .map_err(|e| bad_proto(format!("undecodable body from node {}: {e}", env.src)))
-        })
-        .collect()
+    inbox: &mut Vec<(NodeId, P::Msg)>,
+) -> io::Result<()> {
+    inbox.clear();
+    for env in envelopes {
+        let msg = P::Msg::deserialize(&env.body)
+            .map_err(|e| bad_proto(format!("undecodable body from node {}: {e}", env.src)))?;
+        inbox.push((env.src, msg));
+    }
+    Ok(())
 }
 
 /// Frames one step's outboxes as a `RoundOut`, sealing each message into an
 /// envelope stamped with the sending round.
-fn send_round_out<P: NodeProgram>(
+fn send_round_out<M: Serialize>(
     writer: &mut impl Write,
-    runner: &NodeRunner<P>,
+    node: NodeId,
     round: u64,
-    out: StepOutput<P::Msg>,
+    out: StepOutput<'_, M>,
 ) -> io::Result<()> {
-    let node = runner.node();
-    let seal = |msgs: Vec<(NodeId, P::Msg)>| -> Vec<Envelope<Value>> {
-        msgs.into_iter()
+    let seal = |msgs: &[(NodeId, M)]| -> Vec<Envelope<Value>> {
+        msgs.iter()
             .map(|(dst, msg)| Envelope {
                 src: node,
-                dst,
+                dst: *dst,
                 round,
                 body: msg.to_value(),
             })
@@ -165,7 +167,7 @@ fn send_round_out<P: NodeProgram>(
         local: seal(out.local),
         global: seal(out.global),
         refused: out.refused,
-        done: runner.done(),
+        done: out.done,
     };
     write_frame(writer, &round_out)
 }
@@ -246,6 +248,76 @@ mod tests {
             Some(&Value::Array(vec![Value::UInt(7), Value::UInt(42)]))
         );
         assert!(read_frame::<FromNode>(&mut cursor).unwrap().is_none());
+    }
+
+    /// A body that is not the program's message type ends the node with an
+    /// error naming who sent it — whichever plane and shape it arrives in.
+    #[test]
+    fn a_hostile_body_is_invalid_data_naming_the_sender() {
+        let tokens = |entry: Value| Value::Array(vec![Value::UInt(7), entry]);
+        let tagged = |tag: &str, body: Value| Value::Object(vec![(tag.to_string(), body)]);
+        let hostile = [
+            tagged("Tokens", tokens(Value::Str("8".into()))),
+            tagged("Tokens", tokens(Value::Int(-8))),
+            tagged("Ack", tokens(Value::Float(8.5))),
+            tagged("Ack", tokens(Value::Array(vec![Value::UInt(8)]))),
+            tagged("Ack", tagged("Tokens", tokens(Value::UInt(8)))),
+            tagged("Token", tokens(Value::UInt(8))),
+            tokens(Value::UInt(8)),
+        ];
+        for body in hostile {
+            let mut script = Vec::new();
+            write_frame(
+                &mut script,
+                &ToNode::Init {
+                    node: 1,
+                    n: 4,
+                    neighbors: vec![0, 2],
+                    params: ModelParams::hybrid(4),
+                    seed: 0,
+                    program: ProgramSpec::AckFlood {
+                        tokens_at: vec![],
+                        target_tokens: 2,
+                        retry_interval: 2,
+                    },
+                },
+            )
+            .unwrap();
+            let honest = Envelope {
+                src: 0,
+                dst: 1,
+                round: 0,
+                body: tagged("Tokens", tokens(Value::UInt(8))),
+            };
+            let bad = Envelope {
+                src: 2,
+                dst: 1,
+                round: 0,
+                body: body.clone(),
+            };
+            write_frame(
+                &mut script,
+                &ToNode::Round {
+                    round: 1,
+                    local: vec![honest, bad],
+                    global: vec![],
+                },
+            )
+            .unwrap();
+            write_frame(&mut script, &ToNode::Halt).unwrap();
+
+            let mut replies = Vec::new();
+            let err = serve(Cursor::new(script), &mut replies).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{body:?}");
+            assert!(err.to_string().contains("from node 2"), "{err}");
+            // Only the init pass was answered: no step ran on a partial inbox.
+            let mut cursor = Cursor::new(replies);
+            assert!(matches!(
+                read_frame::<FromNode>(&mut cursor).unwrap(),
+                Some(FromNode::RoundOut { round: 0, .. })
+            ));
+            assert!(read_frame::<FromNode>(&mut cursor).unwrap().is_none());
+        }
     }
 
     #[test]

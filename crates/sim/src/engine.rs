@@ -27,11 +27,12 @@
 //! moves every message by value (outbox → stage → arena), serializes nothing
 //! and reuses all of its buffers round over round, and the shipped
 //! [`programs`](crate::programs) keep their per-neighbour state
-//! incrementally — so what a steady-state round still allocates is exactly
-//! one heap payload per `Vec`-carrying message (`Tokens`, `Ack`, a gossip
-//! push); `u64` messages allocate nothing.  `tests/alloc_budget.rs` holds
-//! both to a budget.  ([`NodeRunner`] additionally returns two fresh outbox
-//! `Vec`s per step: the networked runtime frames them away.)
+//! incrementally.  Token payloads are [`TokenBatch`](crate::TokenBatch)es
+//! that live inside the message, so a steady-state round allocates only for
+//! a batch too long to fit there (one buffer, shared by every clone and
+//! echo of it) and for program state that grows; `u64` messages and global
+//! pushes allocate nothing.  `tests/alloc_budget.rs` holds all three to a
+//! budget.  [`NodeRunner`] keeps its two outboxes too.
 //!
 //! This engine is used for the simpler primitives (flooding, BFS, token
 //! gossip) and to validate the phase engine against a fully explicit
@@ -327,20 +328,23 @@ impl<'g, P: NodeProgram> Executor<'g, P> {
     }
 }
 
-/// The outgoing messages of one program step, in send order.
+/// The outgoing messages of one program step, in send order: a view of the
+/// runner's own outboxes, which the next step overwrites.
 ///
 /// The γ *send* cap has already been enforced by the runner (refusals are
 /// counted); the γ *receive* cap is the [`RoundRouter`]'s job, for the
 /// in-process executor and the networked driver alike.
-#[derive(Debug, Clone)]
-pub struct StepOutput<M> {
+#[derive(Debug, Clone, Copy)]
+pub struct StepOutput<'a, M> {
     /// Local messages as `(destination, payload)` — destinations are always
     /// neighbours (enforced by [`NodeCtx::send_local`]).
-    pub local: Vec<(NodeId, M)>,
+    pub local: &'a [(NodeId, M)],
     /// Global messages as `(destination, payload)`, at most γ of them.
-    pub global: Vec<(NodeId, M)>,
+    pub global: &'a [(NodeId, M)],
     /// Global sends refused by the γ send cap this step.
     pub refused: u64,
+    /// Whether the program reports itself finished after this step.
+    pub done: bool,
 }
 
 /// Drives a single node's [`NodeProgram`] outside the in-process executor.
@@ -357,6 +361,9 @@ pub struct NodeRunner<P: NodeProgram> {
     gamma: usize,
     local_enabled: bool,
     program: P,
+    /// The step's outboxes, kept so a node process allocates none per round.
+    local_out: Vec<(NodeId, P::Msg)>,
+    global_out: Vec<(NodeId, P::Msg)>,
 }
 
 impl<P: NodeProgram> NodeRunner<P> {
@@ -368,6 +375,8 @@ impl<P: NodeProgram> NodeRunner<P> {
             gamma: params.global_capacity_msgs,
             local_enabled: params.has_local(),
             program,
+            local_out: Vec::new(),
+            global_out: Vec::new(),
         }
     }
 
@@ -377,7 +386,7 @@ impl<P: NodeProgram> NodeRunner<P> {
     }
 
     /// Runs the program's init pass (round 0) with empty inboxes.
-    pub fn init(&mut self) -> StepOutput<P::Msg> {
+    pub fn init(&mut self) -> StepOutput<'_, P::Msg> {
         self.drive(None, &[], &[])
     }
 
@@ -387,7 +396,7 @@ impl<P: NodeProgram> NodeRunner<P> {
         round: u64,
         local_inbox: &[(NodeId, P::Msg)],
         global_inbox: &[(NodeId, P::Msg)],
-    ) -> StepOutput<P::Msg> {
+    ) -> StepOutput<'_, P::Msg> {
         self.drive(Some(round), local_inbox, global_inbox)
     }
 
@@ -396,16 +405,16 @@ impl<P: NodeProgram> NodeRunner<P> {
         round: Option<u64>,
         local_inbox: &[(NodeId, P::Msg)],
         global_inbox: &[(NodeId, P::Msg)],
-    ) -> StepOutput<P::Msg> {
-        let mut local_out: Vec<(NodeId, P::Msg)> = Vec::new();
-        let mut global_out: Vec<(NodeId, P::Msg)> = Vec::new();
+    ) -> StepOutput<'_, P::Msg> {
+        self.local_out.clear();
+        self.global_out.clear();
         let mut ctx = NodeCtx {
             node: self.node,
             neighbors: &self.neighbors,
             local_inbox,
             global_inbox,
-            local_outbox: &mut local_out,
-            global_outbox: &mut global_out,
+            local_outbox: &mut self.local_out,
+            global_outbox: &mut self.global_out,
             gamma: self.gamma,
             global_send_overflow: 0,
         };
@@ -415,14 +424,15 @@ impl<P: NodeProgram> NodeRunner<P> {
         }
         let refused = ctx.global_send_overflow;
         assert!(
-            local_out.is_empty() || self.local_enabled,
+            self.local_out.is_empty() || self.local_enabled,
             "node {} sent local messages but the model has no local mode",
             self.node
         );
         StepOutput {
-            local: local_out,
-            global: global_out,
+            local: &self.local_out,
+            global: &self.global_out,
             refused,
+            done: self.program.done(),
         }
     }
 
@@ -1028,10 +1038,11 @@ mod tests {
         // Round 0 (init), then lock-step rounds with node-id-order routing.
         let mut inboxes: Vec<Vec<(NodeId, ())>> = vec![Vec::new(); n];
         for runner in &mut runners {
+            let node = runner.node();
             let out = runner.init();
             assert_eq!(out.refused, 0);
-            for (to, msg) in out.local {
-                inboxes[to as usize].push((runner.node(), msg));
+            for &(to, msg) in out.local {
+                inboxes[to as usize].push((node, msg));
             }
         }
         let mut rounds = 0u64;
@@ -1039,9 +1050,10 @@ mod tests {
             rounds += 1;
             let mut next: Vec<Vec<(NodeId, ())>> = vec![Vec::new(); n];
             for (v, runner) in runners.iter_mut().enumerate() {
+                let node = runner.node();
                 let out = runner.step(rounds, &inboxes[v], &[]);
-                for (to, msg) in out.local {
-                    next[to as usize].push((runner.node(), msg));
+                for &(to, msg) in out.local {
+                    next[to as usize].push((node, msg));
                 }
             }
             inboxes = next;

@@ -45,6 +45,7 @@ pub mod params;
 pub mod programs;
 pub mod router;
 pub mod scheduler;
+pub mod token_batch;
 
 pub use config::{EngineConfig, EngineError};
 pub use cost::{CostMeter, PhaseKind, PhaseRecord};
@@ -54,3 +55,4 @@ pub use network::HybridNetwork;
 pub use params::{IdSpace, LocalBandwidth, ModelParams};
 pub use router::RoundRouter;
 pub use scheduler::{DeliveryReport, GlobalMessage, GlobalScheduler};
+pub use token_batch::TokenBatch;

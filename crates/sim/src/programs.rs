@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 use hybrid_graph::NodeId;
 
 use crate::engine::{NodeCtx, NodeProgram};
+use crate::token_batch::TokenBatch;
 
 /// Flooding (Definition 4.2 of the paper): every node repeatedly forwards all
 /// information it knows to all neighbours; after `t` rounds every node knows
@@ -43,19 +44,19 @@ impl FloodProgram {
 }
 
 impl NodeProgram for FloodProgram {
-    type Msg = Vec<u64>;
+    type Msg = TokenBatch;
 
-    fn init(&mut self, ctx: &mut NodeCtx<'_, Vec<u64>>) {
+    fn init(&mut self, ctx: &mut NodeCtx<'_, TokenBatch>) {
         if !self.known.is_empty() {
             ctx.broadcast_local(self.known.iter().copied().collect());
         }
         self.new_since_last_send = false;
     }
 
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_, Vec<u64>>, round: u64) {
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_, TokenBatch>, round: u64) {
         let mut learned_something = false;
         for (_, tokens) in ctx.local_inbox() {
-            for &t in tokens {
+            for &t in tokens.iter() {
                 if self.known.insert(t) {
                     self.new_since_last_send = true;
                     learned_something = true;
@@ -170,11 +171,11 @@ impl TokenGossipProgram {
 }
 
 impl NodeProgram for TokenGossipProgram {
-    type Msg = Vec<u64>;
+    type Msg = TokenBatch;
 
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_, Vec<u64>>, _round: u64) {
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_, TokenBatch>, _round: u64) {
         for (_, tokens) in ctx.local_inbox().iter().chain(ctx.global_inbox()) {
-            for &t in tokens {
+            for &t in tokens.iter() {
                 if self.known.insert(t) {
                     self.changed = true;
                 }
@@ -187,7 +188,7 @@ impl NodeProgram for TokenGossipProgram {
         if self.changed {
             self.pushable.clear();
             self.pushable.extend(&self.known);
-            ctx.broadcast_local(self.pushable.clone());
+            ctx.broadcast_local(TokenBatch::from_slice(&self.pushable));
             self.changed = false;
         }
         // Global: push one random known token to each of up to γ random nodes.
@@ -197,7 +198,7 @@ impl NodeProgram for TokenGossipProgram {
             let token = tokens[self.rng.gen_range(0..tokens.len())];
             let target = self.rng.gen_range(0..self.n) as NodeId;
             if target != ctx.node() {
-                ctx.send_global(target, vec![token]);
+                ctx.send_global(target, TokenBatch::single(token));
             }
         }
     }
@@ -301,10 +302,14 @@ impl NodeProgram for DetForwardProgram {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum AckFloodMsg {
     /// A batch of tokens the sender believes the receiver is missing.
-    Tokens(Vec<u64>),
+    Tokens(TokenBatch),
     /// Acknowledgement: the sender has received these tokens.
-    Ack(Vec<u64>),
+    Ack(TokenBatch),
 }
+
+// What the router stages and scatters per local message; a new field or a
+// larger inline capacity must not grow it unnoticed.
+const _: () = assert!(std::mem::size_of::<(NodeId, AckFloodMsg)>() == 72);
 
 /// Fault-tolerant flooding with per-neighbour acknowledgements — the
 /// unacked-cache + periodic-retransmit pattern of fault-tolerant broadcast.
@@ -402,7 +407,7 @@ impl NodeProgram for AckFloodProgram {
         let everything: Vec<u64> = self.known.iter().copied().collect();
         self.meet_neighbors(ctx.neighbors(), everything);
         for (i, cache) in self.unacked.iter().enumerate() {
-            ctx.send_neighbor(i, AckFloodMsg::Tokens(cache.clone()));
+            ctx.send_neighbor(i, AckFloodMsg::Tokens(TokenBatch::from_slice(cache)));
         }
     }
 
@@ -422,7 +427,7 @@ impl NodeProgram for AckFloodProgram {
                     // Acknowledge everything received, known or not: the
                     // sender keeps retrying until the ack gets through.
                     ctx.send_neighbor(sender, AckFloodMsg::Ack(ts.clone()));
-                    for &t in ts {
+                    for &t in ts.iter() {
                         if !self.known.insert(t) {
                             continue;
                         }
@@ -455,7 +460,7 @@ impl NodeProgram for AckFloodProgram {
         let retry_round = round.is_multiple_of(self.retry_interval);
         for (i, cache) in self.unacked.iter().enumerate() {
             if !cache.is_empty() && (retry_round || self.fresh[i]) {
-                ctx.send_neighbor(i, AckFloodMsg::Tokens(cache.clone()));
+                ctx.send_neighbor(i, AckFloodMsg::Tokens(TokenBatch::from_slice(cache)));
             }
         }
         self.fresh.fill(false);
@@ -714,10 +719,11 @@ mod tests {
     /// list is not ascending.
     #[test]
     fn ack_flood_caches_for_everyone_but_the_first_sender() {
-        use AckFloodMsg::{Ack, Tokens};
-        let show = |out: Vec<(NodeId, AckFloodMsg)>| -> Vec<(NodeId, String)> {
-            let line = |(to, msg)| (to, format!("{msg:?}"));
-            out.into_iter().map(line).collect()
+        let ack = |ts: &[u64]| AckFloodMsg::Ack(TokenBatch::from_slice(ts));
+        let tokens = |ts: &[u64]| AckFloodMsg::Tokens(TokenBatch::from_slice(ts));
+        let show = |out: &[(NodeId, AckFloodMsg)]| -> Vec<(NodeId, String)> {
+            let line = |(to, msg): &(NodeId, AckFloodMsg)| (*to, format!("{msg:?}"));
+            out.iter().map(line).collect()
         };
         let sent = |to: NodeId, what: &str| (to, what.to_string());
         let params = ModelParams::hybrid(4);
@@ -727,11 +733,7 @@ mod tests {
 
         // Round 1 (no retry due): an ack for a cache that holds nothing, then
         // 7 and 9 from node 1, then 7 again from node 3.
-        let inbox = [
-            (2, Ack(vec![7])),
-            (1, Tokens(vec![7, 9])),
-            (3, Tokens(vec![7])),
-        ];
+        let inbox = [(2, ack(&[7])), (1, tokens(&[7, 9])), (3, tokens(&[7]))];
         assert_eq!(
             show(node.step(1, &inbox, &[]).local),
             vec![
@@ -748,7 +750,7 @@ mod tests {
 
         // Round 2 (retry due): node 3 acks 9 only, node 2 brings a smaller
         // token.  Caches stay ascending, node 2 is not owed its own token.
-        let inbox = [(3, Ack(vec![9, 1000])), (2, Tokens(vec![4]))];
+        let inbox = [(3, ack(&[9, 1000])), (2, tokens(&[4]))];
         assert_eq!(
             show(node.step(2, &inbox, &[]).local),
             vec![
@@ -762,7 +764,7 @@ mod tests {
         assert!(node.done());
 
         // Round 3 (no retry due, nothing fresh): acks only shrink caches.
-        let inbox = [(2, Ack(vec![7, 9])), (3, Ack(vec![4]))];
+        let inbox = [(2, ack(&[7, 9])), (3, ack(&[4]))];
         assert!(node.step(3, &inbox, &[]).local.is_empty());
         assert_eq!(node.program().pending(), 2);
     }

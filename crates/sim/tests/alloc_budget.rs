@@ -3,19 +3,21 @@
 //!
 //! The step path is meant to allocate for what a run *holds* (per-node state,
 //! the router's arenas, each of them growing a handful of times) and for the
-//! one heap payload a `Vec` message carries — never per node-round.  This file
-//! counts allocator calls with its own `#[global_allocator]` and holds two
-//! failure-free runs to that: a `u64`-message program to a set-up-only budget,
-//! a `Vec`-message program to one call per delivered message on top.
+//! token batches too long to live inside their message — never per node-round
+//! and never per message.  This file counts allocator calls with its own
+//! `#[global_allocator]` and holds three failure-free runs to that: a
+//! `u64`-message program to a set-up-only budget, the ack/retry program to
+//! set-up plus a fraction of its messages, and gossip to a budget its global
+//! pushes alone would break.
 //!
 //! One `#[test]` only: a sibling test thread would allocate into the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hybrid_graph::{generators, NodeId};
+use hybrid_graph::{generators, Graph, NodeId};
 use hybrid_sim::engine::{Executor, NodeProgram, RunReport};
-use hybrid_sim::programs::{AckFloodProgram, DetForwardProgram};
+use hybrid_sim::programs::{AckFloodProgram, DetForwardProgram, TokenGossipProgram};
 use hybrid_sim::{EngineConfig, ModelParams};
 
 // Relaxed: a statistic that publishes no other data.
@@ -63,11 +65,10 @@ fn initial(v: NodeId) -> Vec<u64> {
 
 /// Allocator calls of one complete run (executor construction included),
 /// measured on the second of two identical runs.
-fn measured<P: NodeProgram>(factory: impl Fn(NodeId) -> P) -> (u64, RunReport) {
-    let graph = generators::grid(&[16, 16]).unwrap();
+fn measured<P: NodeProgram>(graph: &Graph, factory: impl Fn(NodeId) -> P) -> (u64, RunReport) {
     let run = || {
         let config = EngineConfig::new(ModelParams::hybrid(N));
-        let mut exec = Executor::with_config(&graph, config, &factory);
+        let mut exec = Executor::with_config(graph, config, &factory);
         exec.run().expect("a failure-free run completes")
     };
     run();
@@ -79,11 +80,12 @@ fn measured<P: NodeProgram>(factory: impl Fn(NodeId) -> P) -> (u64, RunReport) {
 #[test]
 fn token_programs_allocate_for_state_and_payloads_only() {
     let n = N as u64;
+    let grid = generators::grid(&[16, 16]).unwrap();
 
     // `u64` messages carry no heap: the whole run is set-up — known sets,
     // owed queues and arenas growing as the tokens arrive.  Recorded: 3159
     // calls (12.3 per node) over 13 312 node-rounds.
-    let (calls, report) = measured(|v| DetForwardProgram::new(initial(v), TOKENS));
+    let (calls, report) = measured(&grid, |v| DetForwardProgram::new(initial(v), TOKENS));
     assert!(report.completed);
     let node_rounds = report.rounds * n;
     assert!(
@@ -92,14 +94,33 @@ fn token_programs_allocate_for_state_and_payloads_only() {
         15 * n
     );
 
-    // `Vec` messages: one payload each, set-up on top.  Recorded: 35 345
-    // calls for 31 084 messages (16.6 per node beyond the payloads).
-    let (calls, report) = measured(|v| AckFloodProgram::new(initial(v), TOKENS, 2));
+    // Token batches live inside their message: set-up as above, plus one
+    // shared buffer per batch longer than the inline capacity.  Recorded:
+    // 4427 calls for 31 084 messages (35 345 when every message carried a
+    // `Vec`); the budget is that with a fifth of headroom.
+    let (calls, report) = measured(&grid, |v| AckFloodProgram::new(initial(v), TOKENS, 2));
     assert!(report.completed);
     let messages = report.local_messages;
+    let budget = 17 * n + messages / 32;
     assert!(
-        calls <= messages + 20 * n,
-        "ack-flood: {calls} allocator calls for {messages} delivered messages (budget {})",
-        messages + 20 * n
+        calls <= budget,
+        "ack-flood: {calls} allocator calls for {messages} delivered messages (budget {budget})"
+    );
+
+    // Gossip on a cycle: a global push is one inline token, so the budget is
+    // set-up and the long local broadcasts only.  Recorded: 3695 calls
+    // (14.4 per node) beside 16 164 global pushes — one call per push would
+    // overrun it several times.
+    let cycle = generators::cycle(N).unwrap();
+    let (calls, report) = measured(&cycle, |v| {
+        TokenGossipProgram::new(v, N, initial(v), TOKENS, 7)
+    });
+    assert!(report.completed);
+    let pushes = report.global_messages + report.dropped_global;
+    let budget = 17 * n;
+    assert!(pushes >= 3 * budget, "gossip pushed only {pushes} times");
+    assert!(
+        calls <= budget,
+        "gossip: {calls} allocator calls beside {pushes} global pushes (budget {budget})"
     );
 }
