@@ -49,10 +49,14 @@
 //! parent.members[i mod |P|]` (Lemma 4.1's uniform load balancing —
 //! Theorems 1–2 and the `√k` baseline); under `LeaderFunnel` its leader
 //! alone, so all `T` units travel leader → leader (`[CHL23]`).  The rest is
-//! written once over the carrier slices: the round-robin that assigns units,
-//! the busiest carrier's load `⌈T / |carriers|⌉`, and the introductions
-//! between adjacent clusters (Theorem 1's rank-matched chaining, the rival's
-//! leader hello).
+//! written once over the carrier slices: the busiest carrier's load
+//! `⌈T / |carriers|⌉`, the introductions between adjacent clusters (Theorem
+//! 1's rank-matched chaining, the rival's leader hello), and a level's batch
+//! — one [`RoundRobin`] transfer per tree edge, which the network delivers
+//! as `min(T, lcm(|C|, |P|))` counted runs, not `T` messages: the funnel's
+//! edge is one run of `T`, a spread edge at most one run per (sender,
+//! receiver) pair.  Under a fault plan the network plays each transfer as its
+//! unit-order message list, so the order above is what fates are drawn for.
 //!
 //! # Simulation contract
 //!
@@ -65,7 +69,7 @@
 use std::ops::Range;
 
 use hybrid_graph::NodeId;
-use hybrid_sim::{GlobalMessage, HybridNetwork};
+use hybrid_sim::{GlobalMessage, HybridNetwork, RoundRobin};
 
 use crate::cluster::{Cluster, Clustering};
 
@@ -239,12 +243,6 @@ impl HopSchedule {
     }
 }
 
-/// Lemma 4.1's rule: unit `i` of a payload spread evenly over `carriers`
-/// belongs to `carriers[i mod |carriers|]` — the endless round-robin.
-fn round_robin(carriers: &[NodeId]) -> impl Iterator<Item = NodeId> + '_ {
-    carriers.iter().copied().cycle()
-}
-
 /// A Lemma 3.5 clustering with the Lemma 4.6 virtual tree over its leaders:
 /// the overlay Theorems 1–2 and the `[CHL23]` rival communicate along.
 /// Callers address clusters by their index in the clustering; tree positions
@@ -319,8 +317,8 @@ impl ClusterTree {
         let mut messages = Vec::new();
         for (child, parent) in (0..self.tree.len()).filter_map(|pos| self.edge(pos)) {
             let children = self.schedule.carriers(&clusters[child]);
-            let parents = round_robin(self.schedule.carriers(&clusters[parent]));
-            for (&member, counterpart) in children.iter().zip(parents) {
+            let parents = self.schedule.carriers(&clusters[parent]).iter().cycle();
+            for (&member, &counterpart) in children.iter().zip(parents) {
                 messages.push(GlobalMessage::new(member, counterpart));
                 messages.push(GlobalMessage::new(counterpart, member));
             }
@@ -359,10 +357,10 @@ impl ClusterTree {
 
     /// The level loop behind both directions.  `upward` sends child → parent
     /// from the deepest level, otherwise parent → child from the root's;
-    /// positions ascend inside a level.  A level with messages charges the
-    /// `2·`weak-diameter phase `local` and then delivers them as the one
-    /// batch `global`; `absorb(receiver, sender)` runs for every edge of the
-    /// level after that.
+    /// positions ascend inside a level.  A level that moves units charges the
+    /// `2·`weak-diameter phase `local` and then delivers one round-robin
+    /// transfer per edge as the one batch `global`; `absorb(receiver,
+    /// sender)` runs for every edge of the level after that.
     fn sweep<S>(
         &self,
         net: &mut HybridNetwork,
@@ -383,7 +381,7 @@ impl ClusterTree {
             })
         };
         let height = self.tree.height();
-        let mut batch: Vec<GlobalMessage> = Vec::new();
+        let mut batch: Vec<RoundRobin> = Vec::new();
         let mut carried = 0;
         for step in 0..=height {
             let level = self.tree.level(if upward { height - step } else { step });
@@ -391,14 +389,19 @@ impl ClusterTree {
             for (from, to) in level.clone().filter_map(ends) {
                 let units = units(&state[from]);
                 let senders = self.schedule.carriers(&clusters[from]);
-                let receivers = self.schedule.carriers(&clusters[to]);
-                let hops = round_robin(senders).zip(round_robin(receivers));
-                batch.extend(hops.take(units).map(|(s, r)| GlobalMessage::new(s, r)));
+                if units > 0 {
+                    let receivers = self.schedule.carriers(&clusters[to]);
+                    batch.push(RoundRobin {
+                        senders,
+                        receivers,
+                        units,
+                    });
+                }
                 carried = carried.max(units.div_ceil(senders.len()));
             }
             if !batch.is_empty() {
                 net.charge_local(local, 2 * self.weak_diameter());
-                crate::deliver_global_checked(net, global, &batch);
+                net.deliver_round_robin(global, &batch);
             }
             for (from, to) in level.filter_map(ends) {
                 let [receiver, sender] = state

@@ -54,5 +54,5 @@ pub use faults::{Fate, FaultPlan, FaultSpec};
 pub use network::HybridNetwork;
 pub use params::{IdSpace, LocalBandwidth, ModelParams};
 pub use router::RoundRouter;
-pub use scheduler::{DeliveryReport, GlobalMessage, GlobalScheduler};
+pub use scheduler::{DeliveryReport, GlobalMessage, GlobalScheduler, RoundRobin};
 pub use token_batch::TokenBatch;

@@ -17,7 +17,7 @@ use crate::config::EngineConfig;
 use crate::cost::CostMeter;
 use crate::faults::FaultPlan;
 use crate::params::ModelParams;
-use crate::scheduler::{DeliveryReport, GlobalMessage, GlobalScheduler};
+use crate::scheduler::{DeliveryReport, GlobalMessage, GlobalScheduler, RoundRobin};
 
 /// A simulated HYBRID network: graph + model parameters + cost meter.
 ///
@@ -162,6 +162,38 @@ impl HybridNetwork {
             }
             None => self.scheduler.deliver_with(&self.params, messages),
         };
+        self.record(label, report)
+    }
+
+    /// Delivers Lemma 4.1 round-robin transfers as one global batch: the
+    /// same phase, round for round and fault for fault, as
+    /// [`HybridNetwork::deliver_global`] on their unit-order message lists
+    /// concatenated.  Failure-free, the scheduler takes them as counted runs;
+    /// under a fault plan they are played as those messages, because a fate
+    /// is keyed by a message's index in its wave.
+    pub fn deliver_round_robin(
+        &mut self,
+        label: &'static str,
+        transfers: &[RoundRobin],
+    ) -> DeliveryReport {
+        let report = match &self.faults {
+            Some(plan) => {
+                let messages: Vec<GlobalMessage> = transfers
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(t, rr)| rr.messages(t))
+                    .collect();
+                let round_base = self.meter.rounds();
+                self.scheduler
+                    .deliver_with_faults(&self.params, &messages, plan, round_base)
+            }
+            None => self.scheduler.deliver_round_robin(&self.params, transfers),
+        };
+        self.record(label, report)
+    }
+
+    /// Charges a delivered global phase to the meter.
+    fn record(&mut self, label: &'static str, report: DeliveryReport) -> DeliveryReport {
         self.meter.record_global_faulty(
             label,
             report.rounds,

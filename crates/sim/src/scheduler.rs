@@ -44,19 +44,29 @@
 //!
 //! # Representation
 //!
-//! One batch is bucketed into a single flat arena grouped by sender via a
-//! counting sort (no per-sender `VecDeque`s), and each sender's bucket is
-//! compressed into receiver-sorted `(receiver, count)` runs; the pending
-//! queue is the live sub-range `[seg_lo, seg_hi)` of those runs.  A round
-//! scans the live runs with two cursors: deferred runs are compacted in
-//! place behind the read cursor, and when the send budget runs out mid-queue
-//! the (small) deferred block is slid up against the unscanned suffix.  A
-//! round therefore costs `O(distinct receivers scanned)`, not `O(pending
-//! messages)` — a convergecast-style batch (every sender pointing a long
-//! queue at one hot receiver) schedules in one run entry per sender per
-//! round.  All buffers live in the [`GlobalScheduler`] value and are reused
-//! across batches; once warmed up, repeated
-//! [`GlobalScheduler::deliver_with`] calls allocate nothing.
+//! A batch reaches the scheduler as counted runs: `(from, to, count)`
+//! entries, `count` messages each.  A message list is the case `count = 1`
+//! ([`GlobalScheduler::deliver_with`]); a [`RoundRobin`] transfer — Lemma
+//! 4.1's rule, unit `i` from `senders[i mod |S|]` to `receivers[i mod |R|]`
+//! — is `min(units, lcm(|S|, |R|))` entries however many units it carries
+//! ([`GlobalScheduler::deliver_round_robin`]).  One counting sort buckets the
+//! entries by sender into a flat arena, and each bucket is sorted by receiver
+//! and merged into `(receiver, count)` runs; the pending queue is the live
+//! sub-range `[seg_lo, seg_hi)` of those runs.  Setup touches only the
+//! batch's endpoints: per-node counters are reset sparsely from the previous
+//! batch's endpoint lists, and the first round's sender order is the sorted
+//! distinct senders — a batch costs `O(entries · log bucket + endpoints ·
+//! log endpoints)` to set up, not `O(n)`.
+//!
+//! A round scans the live runs with two cursors: deferred runs are
+//! compacted in place behind the read cursor, and when the send budget runs
+//! out mid-queue the (small) deferred block is slid up against the unscanned
+//! suffix.  A round therefore costs `O(distinct receivers scanned)`, not
+//! `O(pending messages)` — a convergecast-style batch (every sender pointing
+//! a long queue at one hot receiver) schedules in one run entry per sender
+//! per round.  All buffers live in the [`GlobalScheduler`] value and are
+//! reused across batches; once warmed up, repeated deliveries allocate
+//! nothing.
 //!
 //! Within one sender's batch, messages are delivered grouped by receiver
 //! (ascending receiver id) rather than in submission order; the delivered
@@ -83,8 +93,76 @@ impl GlobalMessage {
     }
 }
 
+/// Lemma 4.1's uniform load balancing across one pair of carrier sets: unit
+/// `i` of `units` travels `senders[i mod |S|] → receivers[i mod |R|]`.
+#[derive(Debug, Clone, Copy)]
+pub struct RoundRobin<'a> {
+    /// The nodes that send the units, in round-robin order.
+    pub senders: &'a [u32],
+    /// The nodes that receive the units, in round-robin order.
+    pub receivers: &'a [u32],
+    /// How many messages the transfer moves.
+    pub units: usize,
+}
+
+impl RoundRobin<'_> {
+    /// Every unit's `(sender, receiver)` in unit order, endlessly.  Panics
+    /// unless a transfer with units has carriers on both ends; `index` names
+    /// it in the batch.
+    fn hops(&self, index: usize) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
+        for (side, carriers) in [("senders", self.senders), ("receivers", self.receivers)] {
+            assert!(
+                self.units == 0 || !carriers.is_empty(),
+                "round-robin transfer {index} carries {} units but has no {side}",
+                self.units
+            );
+        }
+        let senders = self.senders.iter().copied().cycle();
+        senders.zip(self.receivers.iter().copied().cycle())
+    }
+
+    /// The transfer as its unit-order message list: message `i` is unit `i`.
+    pub(crate) fn messages(&self, index: usize) -> impl Iterator<Item = GlobalMessage> + '_ {
+        let hops = self.hops(index).take(self.units);
+        hops.map(|(from, to)| GlobalMessage::new(from, to))
+    }
+
+    /// The transfer as counted runs: unit `i` and unit `i + lcm(|S|, |R|)`
+    /// share their endpoints, so entry `i < min(units, lcm)` carries
+    /// `⌈(units − i) / lcm⌉` messages.
+    fn entries(&self, index: usize) -> impl Iterator<Item = (u32, u32, u32)> + Clone + '_ {
+        let hops = self.hops(index);
+        // An empty transfer may have empty carriers: no lcm to take.
+        let period = match self.units {
+            0 => 1,
+            units => pair_period(self.senders.len(), self.receivers.len(), units),
+        };
+        let (full, extra) = (self.units / period, self.units % period);
+        let most = full + usize::from(extra > 0);
+        assert!(
+            most <= u32::MAX as usize,
+            "round-robin transfer {index}: {most} messages on one (sender, receiver) pair \
+             exceed the scheduler's u32 run count"
+        );
+        let runs = hops.take(self.units.min(period)).enumerate();
+        runs.map(move |(i, (from, to))| (from, to, (full + usize::from(i < extra)) as u32))
+    }
+}
+
+/// After how many units a round-robin over `senders` and `receivers`
+/// carriers repeats its (sender, receiver) pairs: `lcm(senders, receivers)`,
+/// or `units` itself when the lcm does not fit a `usize` (then no pair
+/// repeats within the transfer).
+fn pair_period(senders: usize, receivers: usize, units: usize) -> usize {
+    let (mut a, mut b) = (senders, receivers);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    (senders / a).checked_mul(receivers).unwrap_or(units)
+}
+
 /// Outcome of delivering one batch of global messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeliveryReport {
     /// Rounds needed to deliver every message.
     pub rounds: u64,
@@ -127,29 +205,30 @@ impl DeliveryReport {
 /// Scheduler for batches of global messages.
 ///
 /// The value is a reusable workspace: every buffer the schedule needs lives
-/// here and survives across [`GlobalScheduler::deliver_with`] calls, so a
-/// long-lived scheduler (e.g. the one owned by
-/// [`crate::network::HybridNetwork`]) reaches a steady state in which a batch
-/// allocates nothing.  The stateless [`GlobalScheduler::deliver`] associated
-/// function is a convenience wrapper that spins up a fresh workspace.
+/// here and survives across deliveries, so a long-lived scheduler (e.g. the
+/// one owned by [`crate::network::HybridNetwork`]) reaches a steady state in
+/// which a batch allocates nothing.  The stateless
+/// [`GlobalScheduler::deliver`] associated function is a convenience wrapper
+/// that spins up a fresh workspace.
 #[derive(Debug, Default, Clone)]
 pub struct GlobalScheduler {
-    /// Scratch arena for the counting sort: receiver ids grouped by sender.
-    scratch: Vec<u32>,
     /// The pending queues as receiver-sorted `(receiver, count)` runs,
     /// grouped by sender — a hot receiver is one run, however many messages.
     runs: Vec<(u32, u32)>,
-    /// Scratch-bucket boundaries: sender `s` owns
-    /// `scratch[offsets[s]..offsets[s+1]]` during bucketing.
-    offsets: Vec<u32>,
     /// Live-range start per sender in `runs` (advances as runs drain).
     seg_lo: Vec<u32>,
     /// Live-range end per sender in `runs` (shrinks when a full scan
-    /// compacts in place).
+    /// compacts in place); the bucket size, then the placement cursor,
+    /// while a batch is bucketed.
     seg_hi: Vec<u32>,
+    /// Per-node loads of the current batch; zero outside its endpoints.
     send_load: Vec<u64>,
     recv_load: Vec<u64>,
     recv_budget: Vec<u64>,
+    /// The batch's distinct senders (ascending once bucketed) and
+    /// receivers: what the next batch resets.
+    senders: Vec<u32>,
+    receivers: Vec<u32>,
     recv_dirty: Vec<u32>,
     active: Vec<u32>,
     next_active: Vec<u32>,
@@ -184,7 +263,7 @@ impl GlobalScheduler {
         params: &ModelParams,
         messages: &[GlobalMessage],
     ) -> DeliveryReport {
-        self.run(params, messages, None)
+        self.schedule(params, messages.iter().map(|m| (m.from, m.to, 1)), None)
     }
 
     /// Like [`GlobalScheduler::deliver_with`], but additionally appends every
@@ -197,94 +276,150 @@ impl GlobalScheduler {
         messages: &[GlobalMessage],
         trace: &mut Vec<(u64, GlobalMessage)>,
     ) -> DeliveryReport {
-        self.run(params, messages, Some(trace))
+        self.schedule(
+            params,
+            messages.iter().map(|m| (m.from, m.to, 1)),
+            Some(trace),
+        )
     }
 
-    fn run(
+    /// Plays the transfers as one batch: the same schedule, bit for bit, as
+    /// [`GlobalScheduler::deliver_with`] on their unit-order message lists
+    /// concatenated, at the cost of one counted run per distinct (sender,
+    /// receiver) pair of a transfer instead of one entry per message.
+    ///
+    /// # Panics
+    /// Panics like [`GlobalScheduler::deliver_with`]; if a transfer with
+    /// units has no senders or no receivers; and if one (sender, receiver)
+    /// pair would carry more than `u32::MAX` messages.
+    pub fn deliver_round_robin(
         &mut self,
         params: &ModelParams,
-        messages: &[GlobalMessage],
+        transfers: &[RoundRobin],
+    ) -> DeliveryReport {
+        let entries = transfers
+            .iter()
+            .enumerate()
+            .flat_map(|(t, rr)| rr.entries(t));
+        self.schedule(params, entries, None)
+    }
+
+    /// The one scheduling core: plays `(from, to, count)` entries — `count`
+    /// messages each — round by round.  `entries` is walked twice (count,
+    /// then place), so it must yield the same sequence both times.
+    fn schedule(
+        &mut self,
+        params: &ModelParams,
+        entries: impl Iterator<Item = (u32, u32, u32)> + Clone,
         mut trace: Option<&mut Vec<(u64, GlobalMessage)>>,
     ) -> DeliveryReport {
-        if messages.is_empty() {
-            return DeliveryReport::empty();
-        }
-        assert!(
-            params.global_capacity_msgs > 0,
-            "model has no global communication but {} global messages were scheduled",
-            messages.len()
-        );
-        assert!(
-            messages.len() <= u32::MAX as usize,
-            "batch of {} messages exceeds the scheduler's u32 index space",
-            messages.len()
-        );
         let n = params.n;
         let gamma = params.global_capacity_msgs as u64;
 
-        // --- Bucket the batch by sender (one counting sort). ---
-        self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
-        self.send_load.clear();
-        self.send_load.resize(n, 0);
-        self.recv_load.clear();
-        self.recv_load.resize(n, 0);
-        self.recv_budget.clear();
-        self.recv_budget.resize(n, 0);
-        self.recv_dirty.clear();
-        for m in messages {
-            assert!((m.from as usize) < n, "sender {} out of range", m.from);
-            assert!((m.to as usize) < n, "receiver {} out of range", m.to);
-            self.offsets[m.from as usize + 1] += 1;
-            self.send_load[m.from as usize] += 1;
-            self.recv_load[m.to as usize] += 1;
+        // --- Sparse reset: only the previous batch's endpoints are dirty. ---
+        let dirty = [
+            (&mut self.send_load, &mut self.senders),
+            (&mut self.recv_load, &mut self.receivers),
+            (&mut self.recv_budget, &mut self.recv_dirty),
+        ];
+        for (loads, nodes) in dirty {
+            loads.resize(loads.len().max(n), 0);
+            for v in nodes.drain(..) {
+                loads[v as usize] = 0;
+            }
         }
-        for i in 0..n {
-            self.offsets[i + 1] += self.offsets[i];
+        for segments in [&mut self.seg_lo, &mut self.seg_hi] {
+            segments.resize(segments.len().max(n), 0);
         }
-        // Reverse placement pass into the scratch arena: the cursor starts at
-        // each bucket's end and walks backward, reusing `seg_lo` as cursor.
-        self.seg_lo.clear();
-        self.seg_lo.extend_from_slice(&self.offsets[1..]);
-        self.scratch.clear();
-        self.scratch.resize(messages.len(), 0);
-        for m in messages.iter().rev() {
-            let s = m.from as usize;
-            self.seg_lo[s] -= 1;
-            self.scratch[self.seg_lo[s] as usize] = m.to;
+
+        // --- Count loads, endpoints and each sender's bucket size. ---
+        let (mut messages, mut len) = (0u64, 0u32);
+        for (from, to, count) in entries.clone() {
+            if count == 0 {
+                continue;
+            }
+            assert!((from as usize) < n, "sender {from} out of range");
+            assert!((to as usize) < n, "receiver {to} out of range");
+            len = len
+                .checked_add(1)
+                .expect("batch exceeds the scheduler's u32 run index space");
+            let (s, r) = (from as usize, to as usize);
+            if self.send_load[s] == 0 {
+                self.senders.push(from);
+                self.seg_hi[s] = 0;
+            }
+            self.send_load[s] += u64::from(count);
+            self.seg_hi[s] += 1;
+            if self.recv_load[r] == 0 {
+                self.receivers.push(to);
+            }
+            self.recv_load[r] += u64::from(count);
+            messages += u64::from(count);
         }
-        // --- Compress each bucket into receiver-sorted (to, count) runs. ---
+        if messages == 0 {
+            return DeliveryReport::empty();
+        }
+        assert!(
+            gamma > 0,
+            "model has no global communication but {messages} global messages were scheduled"
+        );
+
+        // --- Bucket by sender (one counting sort over ascending senders). ---
+        self.senders.sort_unstable();
+        let mut end = 0;
+        for &s in &self.senders {
+            let s = s as usize;
+            self.seg_lo[s] = end;
+            end += self.seg_hi[s];
+            self.seg_hi[s] = self.seg_lo[s];
+        }
+        self.runs.clear();
+        self.runs.resize(len as usize, (0, 0));
+        for (from, to, count) in entries {
+            if count > 0 {
+                let cursor = &mut self.seg_hi[from as usize];
+                self.runs[*cursor as usize] = (to, count);
+                *cursor += 1;
+            }
+        }
+        // --- Merge each bucket into receiver-sorted (to, count) runs. ---
         // A hot receiver then costs one run entry per round instead of one
         // queue entry per message: a convergecast-style batch (many senders,
         // each with a large all-to-one queue) schedules in O(senders) work
         // per round rather than O(pending messages) per round.
-        self.runs.clear();
-        self.seg_hi.clear();
-        for s in 0..n {
-            let (lo, hi) = (self.offsets[s] as usize, self.offsets[s + 1] as usize);
-            self.seg_lo[s] = self.runs.len() as u32;
-            self.scratch[lo..hi].sort_unstable();
-            let mut i = lo;
-            while i < hi {
-                let to = self.scratch[i];
-                let mut count = 1usize;
-                while i + count < hi && self.scratch[i + count] == to {
-                    count += 1;
+        for &s in &self.senders {
+            let lo = self.seg_lo[s as usize] as usize;
+            let bucket = &mut self.runs[lo..self.seg_hi[s as usize] as usize];
+            bucket.sort_unstable_by_key(|&(to, _)| to);
+            let mut w = 0;
+            for i in 0..bucket.len() {
+                let (to, count) = bucket[i];
+                if w > 0 && bucket[w - 1].0 == to {
+                    let merged = bucket[w - 1].1;
+                    bucket[w - 1].1 = merged.checked_add(count).unwrap_or_else(|| {
+                        panic!(
+                            "{merged} + {count} messages from sender {s} to receiver {to} \
+                             exceed the scheduler's u32 run count"
+                        )
+                    });
+                } else {
+                    bucket[w] = (to, count);
+                    w += 1;
                 }
-                self.runs.push((to, count as u32));
-                i += count;
             }
-            self.seg_hi.push(self.runs.len() as u32);
+            self.seg_hi[s as usize] = (lo + w) as u32;
         }
-        let max_send_load = self.send_load.iter().copied().max().unwrap_or(0);
-        let max_recv_load = self.recv_load.iter().copied().max().unwrap_or(0);
+        let max_load = |nodes: &[u32], load: &[u64]| {
+            nodes.iter().map(|&v| load[v as usize]).max().unwrap_or(0)
+        };
+        let max_send_load = max_load(&self.senders, &self.send_load);
+        let max_recv_load = max_load(&self.receivers, &self.recv_load);
 
         self.active.clear();
-        self.active
-            .extend((0..n as u32).filter(|&v| self.seg_lo[v as usize] < self.seg_hi[v as usize]));
+        self.active.extend_from_slice(&self.senders);
         self.next_active.clear();
 
-        let mut remaining = messages.len() as u64;
+        let mut remaining = messages;
         let mut rounds = 0u64;
         let mut max_received_in_a_round = 0u64;
 
@@ -370,7 +505,7 @@ impl GlobalScheduler {
 
         DeliveryReport {
             rounds,
-            messages: messages.len() as u64,
+            messages,
             max_send_load,
             max_recv_load,
             max_received_in_a_round,
@@ -680,10 +815,34 @@ mod tests {
         assert_eq!(r.max_received_in_a_round, 1);
     }
 
+    fn rr<'a>(senders: &'a [u32], receivers: &'a [u32], units: usize) -> RoundRobin<'a> {
+        RoundRobin {
+            senders,
+            receivers,
+            units,
+        }
+    }
+
+    /// Every workspace buffer's capacity.
+    fn capacities(s: &GlobalScheduler) -> [usize; 11] {
+        [
+            s.runs.capacity(),
+            s.seg_lo.capacity(),
+            s.seg_hi.capacity(),
+            s.send_load.capacity(),
+            s.recv_load.capacity(),
+            s.recv_budget.capacity(),
+            s.senders.capacity(),
+            s.receivers.capacity(),
+            s.recv_dirty.capacity(),
+            s.active.capacity(),
+            s.next_active.capacity(),
+        ]
+    }
+
     #[test]
     fn workspace_reuse_matches_one_shot_and_stops_allocating() {
         let p = params(64, 3);
-        let mut sched = GlobalScheduler::new();
         // A skewed batch: a hot receiver, a hot sender, and uniform traffic.
         let mut msgs = Vec::new();
         for i in 0..200u32 {
@@ -691,46 +850,112 @@ mod tests {
             msgs.push(GlobalMessage::new(i % 5, 63));
             msgs.push(GlobalMessage::new(0, i % 64));
         }
-        let warm = sched.deliver_with(&p, &msgs);
-        let caps = (
-            sched.scratch.capacity(),
-            sched.runs.capacity(),
-            sched.offsets.capacity(),
-            sched.seg_lo.capacity(),
-            sched.seg_hi.capacity(),
-            sched.send_load.capacity(),
-            sched.recv_load.capacity(),
-            sched.recv_budget.capacity(),
-            sched.recv_dirty.capacity(),
-            sched.active.capacity(),
-            sched.next_active.capacity(),
-        );
-        for _ in 0..5 {
-            let again = sched.deliver_with(&p, &msgs);
-            assert_eq!(again.rounds, warm.rounds);
-            assert_eq!(again.max_received_in_a_round, warm.max_received_in_a_round);
-        }
-        let caps_after = (
-            sched.scratch.capacity(),
-            sched.runs.capacity(),
-            sched.offsets.capacity(),
-            sched.seg_lo.capacity(),
-            sched.seg_hi.capacity(),
-            sched.send_load.capacity(),
-            sched.recv_load.capacity(),
-            sched.recv_budget.capacity(),
-            sched.recv_dirty.capacity(),
-            sched.active.capacity(),
-            sched.next_active.capacity(),
-        );
+        // Transfers whose carriers repeat, and a tiny batch to alternate
+        // with the large ones: a reset must cover what the last batch
+        // touched, however small the next one is.
+        let evens: Vec<u32> = (0..64).step_by(2).collect();
+        let odds: Vec<u32> = (1..64).step_by(2).collect();
+        let transfers = [
+            rr(&evens, &odds[..7], 500),
+            rr(&[5], &evens, 90),
+            rr(&odds[..7], &[5], 40),
+            rr(&evens, &odds[..7], 3),
+        ];
+        let tiny = [GlobalMessage::new(1, 2)];
+        let one_shot = |batch: &[GlobalMessage]| GlobalScheduler::deliver(&p, batch);
+        let unit_order: Vec<GlobalMessage> = transfers.iter().flat_map(|t| t.messages(0)).collect();
+        let fresh = (one_shot(&msgs), one_shot(&unit_order), one_shot(&tiny));
         assert_eq!(
-            caps, caps_after,
-            "repeated deliveries must not grow any workspace buffer"
+            GlobalScheduler::new().deliver_round_robin(&p, &transfers),
+            fresh.1
         );
-        // And the reused workspace computes the same schedule as a fresh one.
-        let fresh = GlobalScheduler::deliver(&p, &msgs);
-        assert_eq!(fresh.rounds, warm.rounds);
-        assert_eq!(fresh.messages, warm.messages);
+
+        let mut sched = GlobalScheduler::new();
+        let mut caps = None;
+        for _ in 0..6 {
+            assert_eq!(sched.deliver_with(&p, &msgs), fresh.0);
+            assert_eq!(sched.deliver_with(&p, &tiny), fresh.2);
+            assert_eq!(sched.deliver_round_robin(&p, &transfers), fresh.1);
+            assert_eq!(sched.deliver_with(&p, &tiny), fresh.2);
+            let now = capacities(&sched);
+            assert_eq!(
+                *caps.get_or_insert(now),
+                now,
+                "repeated deliveries must not grow any workspace buffer"
+            );
+        }
+    }
+
+    #[test]
+    fn a_transfer_is_one_counted_run_per_pair() {
+        // lcm(2, 3) = 6 pairs; 13 units: pair 0 carries 3, the others 2.
+        let entries: Vec<_> = rr(&[0, 1], &[2, 3, 4], 13).entries(0).collect();
+        let pairs = [
+            (0, 2, 3),
+            (1, 3, 2),
+            (0, 4, 2),
+            (1, 2, 2),
+            (0, 3, 2),
+            (1, 4, 2),
+        ];
+        assert_eq!(entries, pairs);
+        // Fewer units than pairs: one message each.
+        let entries: Vec<_> = rr(&[0, 1], &[2, 3, 4], 4).entries(0).collect();
+        assert_eq!(
+            entries,
+            pairs[..4]
+                .iter()
+                .map(|&(s, r, _)| (s, r, 1))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn the_period_is_the_lcm_or_the_units() {
+        assert_eq!(pair_period(4, 6, 100), 12);
+        assert_eq!(pair_period(7, 7, 3), 7);
+        assert_eq!(pair_period(1, 40, 5), 40);
+        // An lcm past usize::MAX is never reached by the units: each unit is
+        // its own pair.
+        assert_eq!(pair_period(usize::MAX, usize::MAX - 1, 9), 9);
+    }
+
+    #[test]
+    fn an_empty_transfer_adds_nothing() {
+        let p = params(8, 2);
+        let mut sched = GlobalScheduler::new();
+        let report = sched.deliver_round_robin(&p, &[rr(&[], &[], 0)]);
+        assert_eq!(report, DeliveryReport::empty());
+        let padded = [rr(&[0], &[], 0), rr(&[1, 2], &[3], 5), rr(&[4], &[5, 6], 0)];
+        let alone = GlobalScheduler::new().deliver_round_robin(&p, &padded[1..2]);
+        assert_eq!(sched.deliver_round_robin(&p, &padded), alone);
+    }
+
+    #[test]
+    #[should_panic(expected = "round-robin transfer 1 carries 3 units but has no receivers")]
+    fn a_transfer_without_carriers_is_named() {
+        let transfers = [rr(&[0], &[1], 2), rr(&[0], &[], 3)];
+        GlobalScheduler::new().deliver_round_robin(&params(4, 2), &transfers);
+    }
+
+    #[test]
+    #[should_panic(expected = "round-robin transfer 0: 4294967296 messages on one")]
+    fn a_pair_past_u32_is_refused_in_the_transfer() {
+        let transfers = [rr(&[0], &[1], u32::MAX as usize + 1)];
+        GlobalScheduler::new().deliver_round_robin(&params(4, 2), &transfers);
+    }
+
+    #[test]
+    #[should_panic(expected = "2147483648 + 2147483648 messages from sender 0 to receiver 1")]
+    fn a_merged_run_past_u32_is_refused() {
+        let half = rr(&[0], &[1], 1 << 31);
+        GlobalScheduler::new().deliver_round_robin(&params(4, 2), &[half, half]);
+    }
+
+    #[test]
+    #[should_panic(expected = "receiver 9 out of range")]
+    fn out_of_range_carrier_panics() {
+        GlobalScheduler::new().deliver_round_robin(&params(4, 2), &[rr(&[0], &[9], 1)]);
     }
 
     #[test]

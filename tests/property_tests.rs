@@ -97,6 +97,14 @@ fn reference_schedule(
     (rounds, trace)
 }
 
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -236,6 +244,81 @@ proptest! {
         let report2 = sched.deliver_with_trace(&params, &messages, &mut trace2);
         prop_assert_eq!(report.rounds, report2.rounds);
         prop_assert_eq!(trace, trace2);
+    }
+
+    /// Lemma 4.1 transfers through `deliver_round_robin` are the batch of
+    /// their unit-order message lists, report for report (`dropped`,
+    /// `duplicated` and `delayed` included): fault-free, where the scheduler
+    /// takes them as counted runs, and under a lossy `FaultPlan`, whose fates
+    /// are keyed by message index.  Carrier sizes 1..=40 are equal, nested
+    /// or coprime, `units` runs over `0..=3·lcm+1`, and transfers share
+    /// carriers.
+    #[test]
+    fn round_robin_transfers_match_their_message_lists(
+        seed in any::<u64>(),
+        gamma in 1usize..6,
+        len in 1usize..6,
+        round_base in 0u64..50,
+    ) {
+        use hybrid::core::prob::sample_distinct;
+        use hybrid::sim::{EngineConfig, FaultPlan, FaultSpec, RoundRobin};
+        use rand::Rng;
+        let n = 96;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let a = rng.gen_range(1..=40usize);
+        let b = match rng.gen_range(0..3u8) {
+            0 => a,
+            1 if a <= 20 => a * rng.gen_range(1..=40 / a),
+            1 => (1..a).rev().find(|d| a % d == 0).unwrap_or(1),
+            _ => {
+                let start = rng.gen_range(1..=40usize);
+                (start..=40).chain(1..start).find(|&b| b != a && gcd(a, b) == 1).unwrap_or(1)
+            }
+        };
+        let c = rng.gen_range(1..=40usize);
+        let pool: Vec<Vec<u32>> = [a, b, c]
+            .iter()
+            .map(|&size| sample_distinct(n, size, &mut rng))
+            .collect();
+        let transfers: Vec<RoundRobin> = (0..len)
+            .map(|_| {
+                let senders = &pool[rng.gen_range(0..2)];
+                let receivers = &pool[rng.gen_range(0..3)];
+                let lcm = senders.len() / gcd(senders.len(), receivers.len()) * receivers.len();
+                RoundRobin { senders, receivers, units: rng.gen_range(0..=3 * lcm + 1) }
+            })
+            .collect();
+        let messages: Vec<GlobalMessage> = transfers
+            .iter()
+            .flat_map(|t| {
+                (0..t.units).map(|i| {
+                    GlobalMessage::new(t.senders[i % t.senders.len()], t.receivers[i % t.receivers.len()])
+                })
+            })
+            .collect();
+
+        let graph = Arc::new(generators::cycle(n).unwrap());
+        let lossy = FaultSpec {
+            drop_prob: 0.2,
+            duplicate_prob: 0.1,
+            delay_prob: 0.1,
+            max_delay_rounds: 3,
+            ..FaultSpec::none()
+        };
+        let clean = EngineConfig::new(ModelParams::hybrid_with_global_capacity(n, gamma));
+        let faulty = clean.clone().with_fault_plan(FaultPlan::new(lossy, seed, n));
+        for config in [clean, faulty] {
+            let mut by_runs = HybridNetwork::with_config(Arc::clone(&graph), &config);
+            let mut by_list = HybridNetwork::with_config(Arc::clone(&graph), &config);
+            by_runs.charge_rounds("offset", round_base);
+            by_list.charge_rounds("offset", round_base);
+            let runs = by_runs.deliver_round_robin("batch", &transfers);
+            let list = by_list.deliver_global("batch", &messages);
+            prop_assert!(runs == list, "faults {}: {runs:?} vs {list:?}", by_runs.has_faults());
+            if !by_runs.has_faults() {
+                prop_assert_eq!(runs.messages, messages.len() as u64);
+            }
+        }
     }
 
     /// The blocked (min,+) kernel is *exactly* equivalent to the naive triple
