@@ -1,10 +1,13 @@
 //! The `reproduce` command line end to end: the exit codes (0 ran, 1 artifact
-//! not written, 2 bad command line) and the artifact set a target leaves
-//! behind.
+//! not written, 2 bad command line), the artifact set a target leaves behind
+//! and the artifact lock every commit is held to.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use hybrid_graph::Fnv1a64;
 
 /// A fresh working directory per test: `reproduce` writes `results/` into
 /// its current directory and cargo runs the tests of this file in parallel.
@@ -75,4 +78,59 @@ fn unwritable_results_directory_exits_1_naming_the_path() {
     assert_eq!(out.status.code(), Some(1));
     let err = stderr(&out);
     assert!(err.contains("table3: results: "), "{err}");
+}
+
+/// The lock text of a `results/` directory: one `name bytes digest` line per
+/// file, by name, with the file's FNV-1a-64 digest in hex.
+fn lock_of(results: &Path) -> String {
+    let mut names: Vec<_> = fs::read_dir(results)
+        .expect("results directory")
+        .map(|entry| entry.expect("directory entry").file_name())
+        .collect();
+    names.sort();
+    let mut lock = String::new();
+    for name in names {
+        let bytes = fs::read(results.join(&name)).expect("artifact");
+        let mut digest = Fnv1a64::new();
+        digest.write(&bytes);
+        let name = name.to_string_lossy();
+        lock += &format!("{name} {} {:016x}\n", bytes.len(), digest.finish());
+    }
+    lock
+}
+
+/// `name -> "bytes digest"` per line of a lock text.
+fn lock_entries(lock: &str) -> BTreeMap<&str, &str> {
+    lock.lines()
+        .filter_map(|line| line.split_once(' '))
+        .collect()
+}
+
+/// Every artifact of `all --quick` is byte-identical to what the tracked
+/// `results.lock` at the repository root records.  A change that means to
+/// move artifacts replaces that file with the lock text this test prints.
+#[test]
+fn all_quick_matches_the_tracked_artifact_lock() {
+    let dir = fresh_dir("lock");
+    let out = reproduce(&dir, &["all", "--quick"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let fresh = lock_of(&dir.join("results"));
+    let tracked_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results.lock");
+    let tracked = fs::read_to_string(&tracked_path).expect("tracked results.lock");
+    let (fresh_entries, tracked_entries) = (lock_entries(&fresh), lock_entries(&tracked));
+    assert_eq!(fresh_entries.len(), 9, "all --quick writes nine artifacts");
+    let names: BTreeSet<&str> = fresh_entries
+        .keys()
+        .chain(tracked_entries.keys())
+        .copied()
+        .collect();
+    let drifted: Vec<&str> = names
+        .into_iter()
+        .filter(|name| fresh_entries.get(name) != tracked_entries.get(name))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "artifacts drifted from results.lock: {drifted:?}\n\
+         if the change is meant, replace results.lock with:\n{fresh}"
+    );
 }

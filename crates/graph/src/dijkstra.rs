@@ -13,18 +13,21 @@
 //! cheapest correct algorithm for the input:
 //!
 //! * [`DijkstraWorkspace`] owns every buffer a run needs (distances, parents,
-//!   heap, bucket ring, visited bitset) and resets them *sparsely* — only the
-//!   entries touched by the previous run are cleared, so repeated
-//!   single-source calls on the same graph never reallocate and never pay
-//!   `O(n)` per call on small explored regions.
+//!   heap, bucket ring) and resets them *sparsely* — only the entries
+//!   touched by the previous run are cleared, so repeated single-source
+//!   calls on the same graph never reallocate and never pay `O(n)` per call
+//!   on small explored regions.
 //! * [`sssp_auto`] / [`DijkstraWorkspace::run`] select the oracle by weight
 //!   range: BFS for unweighted graphs, a Dial bucket queue (`O(m + D·W)`,
 //!   no comparison heap) for the small integer weights the generators emit
 //!   (`W ≤ `[`DIAL_MAX_WEIGHT`]), and the binary heap otherwise.  All three
 //!   produce identical distance arrays; the property tests assert this.
-//! * The heap variant keeps a **visited bitset** so settled nodes are neither
-//!   re-expanded nor re-pushed — the classic lazy-deletion heap without the
-//!   stale-entry churn.
+//! * Both Dijkstra variants are lazy-deletion queues that need **no visited
+//!   set**: edge weights are at least 1 (`GraphBuilder::add_edge` refuses 0),
+//!   so a node settled at `dist[v]` is never relaxed again (every later
+//!   candidate is `d + w > dist[v]`), each `(node, distance)` pair is queued
+//!   at most once, and an entry is stale exactly when its distance is no
+//!   longer `dist[v]`.
 //! * [`apsp_exact`] fans the per-source runs out over all cores
 //!   (deterministic order; one workspace per worker chunk).
 
@@ -183,8 +186,8 @@ pub fn select_sssp_algorithm(graph: &Graph) -> SsspAlgorithm {
 
 /// Reusable buffers for repeated single-source runs.
 ///
-/// All oracles ([`SsspAlgorithm`]) share the `dist` / `parent` / visited
-/// buffers; the heap and bucket ring are lazily grown.  After a run the
+/// All oracles ([`SsspAlgorithm`]) share the `dist` / `parent` buffers; the
+/// heap and bucket ring are lazily grown.  After a run the
 /// workspace resets itself sparsely using the list of touched nodes, so a
 /// sequence of runs on the same graph performs no allocation after the first.
 #[derive(Debug, Default)]
@@ -193,9 +196,7 @@ pub struct DijkstraWorkspace {
     len: usize,
     dist: Vec<Weight>,
     parent: Vec<Option<NodeId>>,
-    /// One bit per node: settled during the current run.
-    visited: Vec<u64>,
-    /// Nodes whose `dist`/`parent`/`visited` entries need resetting.
+    /// Nodes whose `dist`/`parent` entries need resetting.
     touched: Vec<NodeId>,
     heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
     /// Dial ring: `buckets[d % ring]` holds nodes with tentative distance `d`.
@@ -243,7 +244,6 @@ impl DijkstraWorkspace {
         if self.dist.len() < n {
             self.dist.resize(n, INFINITY);
             self.parent.resize(n, None);
-            self.visited.resize(n.div_ceil(64), 0);
         }
     }
 
@@ -255,22 +255,11 @@ impl DijkstraWorkspace {
         for &v in &self.touched {
             self.dist[v as usize] = INFINITY;
             self.parent[v as usize] = None;
-            self.visited[v as usize / 64] &= !(1u64 << (v % 64));
         }
         self.touched.clear();
         self.heap.clear();
         self.queue.clear();
         // Buckets are fully drained by the Dial loop itself.
-    }
-
-    #[inline]
-    fn is_visited(&self, v: NodeId) -> bool {
-        self.visited[v as usize / 64] >> (v % 64) & 1 == 1
-    }
-
-    #[inline]
-    fn mark_visited(&mut self, v: NodeId) {
-        self.visited[v as usize / 64] |= 1u64 << (v % 64);
     }
 
     /// Runs the oracle chosen by [`select_sssp_algorithm`]; afterwards
@@ -312,22 +301,19 @@ impl DijkstraWorkspace {
         }
     }
 
-    /// Binary-heap Dijkstra with a visited bitset: settled nodes are skipped
-    /// on pop *and* never re-pushed, eliminating stale-entry churn.
+    /// Binary-heap Dijkstra: a popped entry whose distance is no longer
+    /// `dist[v]` was superseded and is skipped; the one that is settles `v`
+    /// (see the module docs for why no visited set is needed).
     pub fn run_heap(&mut self, graph: &Graph, source: NodeId) {
         self.reset(graph.n());
         self.dist[source as usize] = 0;
         self.touched.push(source);
         self.heap.push(Reverse((0, source)));
         while let Some(Reverse((d, v))) = self.heap.pop() {
-            if self.is_visited(v) {
+            if d != self.dist[v as usize] {
                 continue;
             }
-            self.mark_visited(v);
             for a in graph.arcs(v) {
-                if self.is_visited(a.to) {
-                    continue;
-                }
                 // Saturating: a near-`u64::MAX` path cannot wrap past zero
                 // and masquerade as a short one — it pins at `u64::MAX`,
                 // which is the `INFINITY` sentinel and never beats a real
@@ -394,14 +380,10 @@ impl DijkstraWorkspace {
             while let Some(v) = self.buckets[slot].pop() {
                 self.bucket_lens[slot] -= 1;
                 pending -= 1;
-                if self.is_visited(v) || self.dist[v as usize] != cur {
+                if self.dist[v as usize] != cur {
                     continue; // stale entry superseded by a better relaxation
                 }
-                self.mark_visited(v);
                 for a in graph.arcs(v) {
-                    if self.is_visited(a.to) {
-                        continue;
-                    }
                     let nd = cur + a.weight;
                     if nd < self.dist[a.to as usize] {
                         if self.dist[a.to as usize] == INFINITY {

@@ -11,15 +11,13 @@
 //! [`Init`](crate::protocol::ToNode::Init) frame, so a node process can
 //! instantiate its program without sharing memory with the driver.
 
-use std::collections::BTreeSet;
-
 use hybrid_graph::builder::MAX_NODES;
 use hybrid_graph::{generators, Graph, NodeId};
 use hybrid_sim::engine::{Executor, NodeProgram, RunReport};
 use hybrid_sim::programs::{
     AckFloodProgram, BfsProgram, DetForwardProgram, FloodProgram, TokenGossipProgram,
 };
-use hybrid_sim::{EngineConfig, EngineError, ModelParams, RoundTrace};
+use hybrid_sim::{EngineConfig, EngineError, ModelParams, RoundTrace, TokenSet};
 use serde::{Deserialize, Serialize, Value};
 
 /// Token placement: `(node, tokens held initially)` pairs; nodes not listed
@@ -331,11 +329,11 @@ pub struct EngineOutcome {
     pub states: Vec<Value>,
 }
 
-fn tokens_value(tokens: &BTreeSet<u64>) -> Value {
+fn tokens_value(tokens: &TokenSet) -> Value {
     Value::Array(tokens.iter().map(|&t| Value::UInt(t)).collect())
 }
 
-fn known_state(tokens: &BTreeSet<u64>) -> Value {
+fn known_state(tokens: &TokenSet) -> Value {
     Value::Object(vec![("known".to_string(), tokens_value(tokens))])
 }
 

@@ -46,6 +46,7 @@ pub mod programs;
 pub mod router;
 pub mod scheduler;
 pub mod token_batch;
+pub mod token_set;
 
 pub use config::{EngineConfig, EngineError};
 pub use cost::{CostMeter, PhaseKind, PhaseRecord};
@@ -56,3 +57,4 @@ pub use params::{IdSpace, LocalBandwidth, ModelParams};
 pub use router::RoundRouter;
 pub use scheduler::{DeliveryReport, GlobalMessage, GlobalScheduler, RoundRobin};
 pub use token_batch::TokenBatch;
+pub use token_set::TokenSet;

@@ -7,7 +7,7 @@
 //! `hybrid-core` are cross-validated in the integration tests.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,6 +17,7 @@ use hybrid_graph::NodeId;
 
 use crate::engine::{NodeCtx, NodeProgram};
 use crate::token_batch::TokenBatch;
+use crate::token_set::TokenSet;
 
 /// Flooding (Definition 4.2 of the paper): every node repeatedly forwards all
 /// information it knows to all neighbours; after `t` rounds every node knows
@@ -24,7 +25,7 @@ use crate::token_batch::TokenBatch;
 #[derive(Debug, Clone)]
 pub struct FloodProgram {
     /// Tokens this node currently knows.
-    pub known: BTreeSet<u64>,
+    pub known: TokenSet,
     new_since_last_send: bool,
     quiescent: bool,
     rounds_budget: u64,
@@ -48,7 +49,7 @@ impl NodeProgram for FloodProgram {
 
     fn init(&mut self, ctx: &mut NodeCtx<'_, TokenBatch>) {
         if !self.known.is_empty() {
-            ctx.broadcast_local(self.known.iter().copied().collect());
+            ctx.broadcast_local(TokenBatch::from_slice(&self.known));
         }
         self.new_since_last_send = false;
     }
@@ -56,16 +57,12 @@ impl NodeProgram for FloodProgram {
     fn on_round(&mut self, ctx: &mut NodeCtx<'_, TokenBatch>, round: u64) {
         let mut learned_something = false;
         for (_, tokens) in ctx.local_inbox() {
-            for &t in tokens.iter() {
-                if self.known.insert(t) {
-                    self.new_since_last_send = true;
-                    learned_something = true;
-                }
-            }
+            self.known.absorb(tokens, |_| learned_something = true);
         }
+        self.new_since_last_send |= learned_something;
         self.quiescent = !learned_something;
         if round < self.rounds_budget && self.new_since_last_send {
-            ctx.broadcast_local(self.known.iter().copied().collect());
+            ctx.broadcast_local(TokenBatch::from_slice(&self.known));
             self.new_since_last_send = false;
         }
     }
@@ -139,10 +136,7 @@ impl NodeProgram for BfsProgram {
 #[derive(Debug)]
 pub struct TokenGossipProgram {
     /// Tokens this node currently knows.
-    pub known: BTreeSet<u64>,
-    /// `known` in ascending order as of the last local broadcast — what the
-    /// random pushes index into.  Refreshed only when `known` changed.
-    pushable: Vec<u64>,
+    pub known: TokenSet,
     n: usize,
     target_tokens: usize,
     rng: StdRng,
@@ -161,7 +155,6 @@ impl TokenGossipProgram {
     ) -> Self {
         TokenGossipProgram {
             known: initial.into_iter().collect(),
-            pushable: Vec::new(),
             n,
             target_tokens,
             rng: StdRng::seed_from_u64(seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
@@ -175,24 +168,18 @@ impl NodeProgram for TokenGossipProgram {
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_, TokenBatch>, _round: u64) {
         for (_, tokens) in ctx.local_inbox().iter().chain(ctx.global_inbox()) {
-            for &t in tokens.iter() {
-                if self.known.insert(t) {
-                    self.changed = true;
-                }
-            }
+            self.known.absorb(tokens, |_| self.changed = true);
         }
         if self.known.is_empty() {
             return;
         }
         // Local: share everything with neighbours whenever something changed.
+        let tokens: &[u64] = &self.known;
         if self.changed {
-            self.pushable.clear();
-            self.pushable.extend(&self.known);
-            ctx.broadcast_local(TokenBatch::from_slice(&self.pushable));
+            ctx.broadcast_local(TokenBatch::from_slice(tokens));
             self.changed = false;
         }
         // Global: push one random known token to each of up to γ random nodes.
-        let tokens = &self.pushable;
         let budget = ctx.global_budget_left();
         for _ in 0..budget {
             let token = tokens[self.rng.gen_range(0..tokens.len())];
@@ -224,7 +211,7 @@ impl NodeProgram for TokenGossipProgram {
 #[derive(Debug, Clone)]
 pub struct DetForwardProgram {
     /// Tokens this node currently knows.
-    pub known: BTreeSet<u64>,
+    pub known: TokenSet,
     /// Per neighbour, indexed like `ctx.neighbors()`: the known tokens not
     /// yet forwarded to it, smallest first.  Sized by the first step.
     owed: Vec<BinaryHeap<Reverse<u64>>>,
@@ -337,7 +324,7 @@ const _: () = assert!(std::mem::size_of::<(NodeId, AckFloodMsg)>() == 72);
 #[derive(Debug, Clone)]
 pub struct AckFloodProgram {
     /// Tokens this node currently knows.
-    pub known: BTreeSet<u64>,
+    pub known: TokenSet,
     target_tokens: usize,
     retry_interval: u64,
     /// Per neighbour, indexed like `ctx.neighbors()`: the tokens it has not
@@ -404,8 +391,7 @@ impl NodeProgram for AckFloodProgram {
         if self.known.is_empty() {
             return;
         }
-        let everything: Vec<u64> = self.known.iter().copied().collect();
-        self.meet_neighbors(ctx.neighbors(), everything);
+        self.meet_neighbors(ctx.neighbors(), self.known.to_vec());
         for (i, cache) in self.unacked.iter().enumerate() {
             ctx.send_neighbor(i, AckFloodMsg::Tokens(TokenBatch::from_slice(cache)));
         }
@@ -427,12 +413,9 @@ impl NodeProgram for AckFloodProgram {
                     // Acknowledge everything received, known or not: the
                     // sender keeps retrying until the ack gets through.
                     ctx.send_neighbor(sender, AckFloodMsg::Ack(ts.clone()));
-                    for &t in ts.iter() {
-                        if !self.known.insert(t) {
-                            continue;
-                        }
-                        // Owed to everyone but the first neighbour heard
-                        // from — a later sender in the same inbox is owed it.
+                    // Owed to everyone but the first neighbour heard from —
+                    // a later sender in the same inbox is owed it.
+                    self.known.absorb(ts, |t| {
                         for (i, cache) in self.unacked.iter_mut().enumerate() {
                             if i == sender {
                                 continue;
@@ -442,7 +425,7 @@ impl NodeProgram for AckFloodProgram {
                                 self.fresh[i] = true;
                             }
                         }
-                    }
+                    });
                 }
                 AckFloodMsg::Ack(ts) => {
                     let Some(sender) = sender else { continue };

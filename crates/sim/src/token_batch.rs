@@ -73,16 +73,6 @@ impl TokenBatch {
     }
 }
 
-/// Gathers the tokens first (the length decides where they live), so one
-/// short-lived `Vec` per collected batch — still one call where `Vec<u64>`
-/// messages paid one per neighbour.
-impl FromIterator<u64> for TokenBatch {
-    fn from_iter<I: IntoIterator<Item = u64>>(tokens: I) -> Self {
-        let tokens: Vec<u64> = tokens.into_iter().collect();
-        Self::from_slice(&tokens)
-    }
-}
-
 impl Deref for TokenBatch {
     type Target = [u64];
 

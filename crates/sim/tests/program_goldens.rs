@@ -20,7 +20,7 @@ use hybrid_sim::engine::{Executor, NodeProgram, RunReport};
 use hybrid_sim::programs::{
     AckFloodProgram, BfsProgram, DetForwardProgram, FloodProgram, TokenGossipProgram,
 };
-use hybrid_sim::{EngineConfig, FaultPlan, FaultSpec, ModelParams, RoundTrace};
+use hybrid_sim::{EngineConfig, FaultPlan, FaultSpec, ModelParams, RoundTrace, TokenSet};
 
 const N: usize = 30;
 /// Eight tokens whose numeric order is unrelated to their holders' order, so
@@ -153,8 +153,8 @@ fn run_case<P: NodeProgram>(
     (golden, rows)
 }
 
-fn known(set: &std::collections::BTreeSet<u64>) -> Vec<u64> {
-    set.iter().copied().collect()
+fn known(set: &TokenSet) -> Vec<u64> {
+    set.to_vec()
 }
 
 /// The adversary of `ack_flood_survives_the_combined_adversary`.
