@@ -56,8 +56,7 @@ impl OracleBenchConfig {
 
     /// The benchmark instance: a connected weighted grid.
     pub fn build_graph(&self) -> Graph {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        generators::weighted_grid(&[self.dims.0, self.dims.1], self.max_weight, &mut rng)
+        generators::weighted_grid(&[self.dims.0, self.dims.1], self.max_weight, self.seed)
             .expect("bench grid")
     }
 

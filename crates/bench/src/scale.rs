@@ -8,11 +8,10 @@
 //! own lower-bound witness, per family") but swaps every quadratic
 //! ingredient for its row-streamed / sampled counterpart:
 //!
-//! * **graphs** come from [`GraphFamily::build_streamed`] — the chunk-emitted
-//!   deterministic families of [`hybrid_graph::generators`] and the
-//!   sub-quadratic random samplers of [`hybrid_graph::streaming`], both with
-//!   pre-sized CSR assembly — `O(n + m)` memory, bit-identical across pool
-//!   widths;
+//! * **graphs** come from [`GraphFamily::build`], the same instances the
+//!   small-`n` sweep runs on — [`hybrid_graph::generators`] emits every
+//!   family in expected `O(n + m)` time and memory into pre-sized CSR
+//!   assembly, bit-identical across pool widths;
 //! * **`NQ_k` witnesses** come from a [`SampledNqOracle`]: exact bounded ball
 //!   profiles on a seeded node sample, with the recorded `(estimate, sample
 //!   size, confidence)` semantics, and an exact cross-check column where `n`
@@ -169,8 +168,8 @@ pub struct ScaleRow {
     pub peak_mem_bytes: u64,
 }
 
-/// Builds a scale-tier instance: [`GraphFamily::build_streamed`] everywhere,
-/// except the barbell past [`BARBELL_CAP_THRESHOLD`] nodes, which calls
+/// Builds a scale-tier instance: [`GraphFamily::build`] everywhere, except
+/// the barbell past [`BARBELL_CAP_THRESHOLD`] nodes, which calls
 /// [`generators::barbell`] with capped cliques (see the constant).
 fn build_scale_graph(family: GraphFamily, n_target: usize, seed: u64) -> Graph {
     let n = n_target.max(8);
@@ -178,7 +177,7 @@ fn build_scale_graph(family: GraphFamily, n_target: usize, seed: u64) -> Graph {
         return generators::barbell(BARBELL_CLIQUE_CAP, n - 2 * BARBELL_CLIQUE_CAP)
             .expect("barbell");
     }
-    family.build_streamed(n_target, seed)
+    family.build(n_target, seed)
 }
 
 /// Runs the scale grid: `config.families × config.sizes`, one row per cell
@@ -198,7 +197,7 @@ pub fn scale_rows(config: &ScaleConfig) -> Vec<ScaleRow> {
         .map(|&(fi, family, n_target)| {
             let graph_seed = cell_seed(config.seed, fi, n_target, 0);
             let graph = build_scale_graph(family, n_target, graph_seed);
-            let weighted = family.reweight_streamed(&graph, graph_seed);
+            let weighted = family.reweight(&graph, graph_seed);
             let n = graph.n();
             let params = SweepPoint::HYBRID.params(n);
             let k = n as u64;
@@ -339,10 +338,7 @@ mod tests {
         assert_eq!(capped.m(), expected);
         // Below the threshold the mapping is the shared `GraphFamily` one.
         let small = build_scale_graph(GraphFamily::Barbell, 1024, 1);
-        assert_eq!(
-            small.edges(),
-            GraphFamily::Barbell.build_streamed(1024, 1).edges()
-        );
+        assert_eq!(small.edges(), GraphFamily::Barbell.build(1024, 1).edges());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use hybrid_core::prob::{sample_distinct, sample_with_probability};
 use hybrid_core::routing::{baseline_sqrt_k_routing, kl_routing, RoutingScenario};
 use hybrid_core::rows::DistanceRows;
 use hybrid_core::sssp::{baseline_sssp, sssp_approx, SsspBaseline};
-use hybrid_graph::{generators, properties, Graph};
+use hybrid_graph::{generators, Graph};
 use hybrid_sim::HybridNetwork;
 
 /// The graph families the experiments sweep over (the families analysed in
@@ -120,10 +120,8 @@ impl GraphFamily {
 
     /// Builds an instance with approximately `n_target` nodes.  This is the
     /// one place a family's parameter mapping (side lengths, hosts, clique
-    /// sizes) is written; the random families draw the sequential
-    /// [`generators`] stream the small-`n` artifacts are recorded with.
+    /// sizes) is written; the random families draw from `seed` alone.
     pub fn build(&self, n_target: usize, seed: u64) -> Graph {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let n = n_target.max(8);
         match self {
             GraphFamily::Path => generators::path(n).expect("path"),
@@ -141,16 +139,16 @@ impl GraphFamily {
                 // size target by up to 3.5× and dominated sweep wall-clock.
                 generators::tree_with_n(2, n).expect("tree")
             }
-            GraphFamily::ErdosRenyi => generators::erdos_renyi(n, er_p(n), &mut rng).expect("er"),
+            GraphFamily::ErdosRenyi => generators::erdos_renyi(n, er_p(n), seed).expect("er"),
             GraphFamily::RandomGeometric => {
-                generators::random_geometric(n, rgg_radius(n), &mut rng).expect("rgg")
+                generators::random_geometric(n, rgg_radius(n), seed).expect("rgg")
             }
             GraphFamily::FatTree => {
                 let hosts = (n.saturating_sub(12)).max(8) / 8;
                 generators::fat_tree(4, 8, hosts.max(1)).expect("fat-tree")
             }
             GraphFamily::ChungLu => {
-                generators::chung_lu(n, CHUNG_LU_EXPONENT, CHUNG_LU_AVG_DEGREE, &mut rng)
+                generators::chung_lu(n, CHUNG_LU_EXPONENT, CHUNG_LU_AVG_DEGREE, seed)
                     .expect("chung-lu")
             }
             GraphFamily::RingOfCliques => {
@@ -166,28 +164,9 @@ impl GraphFamily {
         }
     }
 
-    /// Builds the instance the `n ≥ 10⁵` tier uses: the three random families
-    /// come from the sub-quadratic samplers of [`hybrid_graph::streaming`]
-    /// (same densities as [`Self::build`], but their own canonical per-chunk
-    /// streams — documented there — which is what makes them feasible at
-    /// `n = 10⁶`); every other family has one generator, so this is
-    /// [`Self::build`].  The small-`n` experiments keep calling
-    /// [`Self::build`] for the random families, which is the stream their
-    /// recorded artifacts were produced with.
+    /// [`Self::build`], under the name the benchmark workloads call.
     pub fn build_streamed(&self, n_target: usize, seed: u64) -> Graph {
-        use hybrid_graph::streaming;
-        let n = n_target.max(8);
-        match self {
-            GraphFamily::ErdosRenyi => streaming::erdos_renyi(n, er_p(n), seed).expect("er"),
-            GraphFamily::RandomGeometric => {
-                streaming::random_geometric(n, rgg_radius(n), seed).expect("rgg")
-            }
-            GraphFamily::ChungLu => {
-                streaming::chung_lu(n, CHUNG_LU_EXPONENT, CHUNG_LU_AVG_DEGREE, seed)
-                    .expect("chung-lu")
-            }
-            _ => self.build(n_target, seed),
-        }
+        self.build(n_target, seed)
     }
 
     /// Builds a weighted instance (random weights in `[1, 32]`).
@@ -195,21 +174,16 @@ impl GraphFamily {
         self.reweight(&self.build(n_target, seed), seed)
     }
 
-    /// Re-weights an `n ≥ 10⁵`-tier instance through
-    /// [`hybrid_graph::streaming::with_random_weights`]: same `[1, 32]` range
-    /// and seed derivation as [`Self::reweight`], but that module's per-chunk
-    /// stream instead of the sequential one.
+    /// [`Self::reweight`], under the name the benchmark workloads call.
     pub fn reweight_streamed(&self, base: &Graph, seed: u64) -> Graph {
-        hybrid_graph::streaming::with_random_weights(base, 32, seed ^ 0x5E_ED0F_EE61_u64)
-            .expect("weighted")
+        self.reweight(base, seed)
     }
 
     /// Re-weights an already-built instance exactly as [`Self::build_weighted`]
     /// would (same seed derivation, random weights in `[1, 32]`), so callers
     /// holding the unweighted graph skip the second topology build.
     pub fn reweight(&self, base: &Graph, seed: u64) -> Graph {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5E_ED0F_EE61_u64);
-        generators::with_random_weights(base, 32, &mut rng).expect("weighted")
+        generators::with_random_weights(base, 32, seed ^ 0x5E_ED0F_EE61_u64).expect("weighted")
     }
 }
 
@@ -653,8 +627,8 @@ pub fn appendix_b_rows(n: usize, ks: &[u64], seed: u64) -> Vec<AppendixBRow> {
         .with_min_len(1)
         .map(|&(family, dim)| {
             let graph = family.build(n, seed);
-            let d = properties::diameter(&graph);
             let oracle = NqOracle::new(&graph);
+            let d = oracle.diameter();
             ks.iter()
                 .map(|&k| {
                     let measured = oracle.nq(k);

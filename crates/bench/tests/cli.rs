@@ -106,19 +106,26 @@ fn lock_entries(lock: &str) -> BTreeMap<&str, &str> {
         .collect()
 }
 
-/// Every artifact of `all --quick` is byte-identical to what the tracked
-/// `results.lock` at the repository root records.  A change that means to
-/// move artifacts replaces that file with the lock text this test prints.
+/// Every artifact of `all --quick` and of the scale tier's `sweep --scale
+/// --quick` is byte-identical to what the tracked `results.lock` at the
+/// repository root records.  A change that means to move artifacts replaces
+/// that file with the lock text this test prints.
 #[test]
 fn all_quick_matches_the_tracked_artifact_lock() {
     let dir = fresh_dir("lock");
-    let out = reproduce(&dir, &["all", "--quick"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    for args in [&["all", "--quick"][..], &["sweep", "--scale", "--quick"]] {
+        let out = reproduce(&dir, args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+    }
     let fresh = lock_of(&dir.join("results"));
     let tracked_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results.lock");
     let tracked = fs::read_to_string(&tracked_path).expect("tracked results.lock");
     let (fresh_entries, tracked_entries) = (lock_entries(&fresh), lock_entries(&tracked));
-    assert_eq!(fresh_entries.len(), 9, "all --quick writes nine artifacts");
+    assert_eq!(
+        fresh_entries.len(),
+        10,
+        "nine all --quick artifacts plus the scale sweep"
+    );
     let names: BTreeSet<&str> = fresh_entries
         .keys()
         .chain(tracked_entries.keys())

@@ -431,16 +431,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "unweighted")]
     fn unweighted_apsp_rejects_weighted_input() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let (_, oracle, mut net) = setup(generators::weighted_grid(&[4, 4], 5, &mut rng).unwrap());
+        let (_, oracle, mut net) = setup(generators::weighted_grid(&[4, 4], 5, 1).unwrap());
         apsp_unweighted(&mut net, &oracle, 0.5);
     }
 
     #[test]
     fn spanner_apsp_stretch_holds_weighted() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let (g, oracle, mut net) =
-            setup(generators::weighted_erdos_renyi(48, 0.15, 12, &mut rng).unwrap());
+        let er = generators::erdos_renyi(48, 0.15, 2).unwrap();
+        let (g, oracle, mut net) = setup(generators::with_random_weights(&er, 12, 2).unwrap());
         let out = apsp_weighted_spanner(&mut net, &oracle, 0.6);
         let worst = out.verify_stretch(&g).unwrap();
         assert!(worst <= out.stretch);
@@ -448,8 +446,7 @@ mod tests {
 
     #[test]
     fn log_over_loglog_apsp_has_moderate_stretch() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let (g, oracle, mut net) = setup(generators::weighted_grid(&[6, 6], 9, &mut rng).unwrap());
+        let (g, oracle, mut net) = setup(generators::weighted_grid(&[6, 6], 9, 3).unwrap());
         let out = apsp_weighted_log_over_loglog(&mut net, &oracle);
         out.verify_stretch(&g).unwrap();
         // O(log n / log log n) for n = 36 is small; sanity-bound it.
@@ -459,7 +456,7 @@ mod tests {
     #[test]
     fn skeleton_apsp_stretch_holds() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let (g, oracle, mut net) = setup(generators::weighted_grid(&[7, 7], 6, &mut rng).unwrap());
+        let (g, oracle, mut net) = setup(generators::weighted_grid(&[7, 7], 6, 4).unwrap());
         let out = apsp_weighted_skeleton(&mut net, &oracle, 1, &mut rng);
         let worst = out.verify_stretch(&g).unwrap();
         assert!(worst <= 3.0);

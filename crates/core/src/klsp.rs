@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn case2_random_sources_random_targets_weighted() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let (g, oracle, mut net) = setup(generators::weighted_grid(&[9, 9], 7, &mut rng).unwrap());
+        let (g, oracle, mut net) = setup(generators::weighted_grid(&[9, 9], 7, 2).unwrap());
         let sources = sample_with_probability(g.n(), 0.3, &mut rng);
         let targets = sample_with_probability(g.n(), 0.05, &mut rng);
         let targets = if targets.is_empty() {

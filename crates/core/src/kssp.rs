@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn arbitrary_sources_proxy_path_respects_stretch() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let g0 = generators::weighted_grid(&[10, 10], 8, &mut rng).unwrap();
+        let g0 = generators::weighted_grid(&[10, 10], 8, 3).unwrap();
         let g = Arc::new(g0);
         let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         // Adversarially concentrated sources in one corner.

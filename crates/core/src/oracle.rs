@@ -737,9 +737,7 @@ mod tests {
 
     #[test]
     fn weighted_grid_within_stretch_and_landmark_queries_exact() {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(77);
-        let g = generators::weighted_grid(&[6, 7], 24, &mut rng).unwrap();
+        let g = generators::weighted_grid(&[6, 7], 24, 77).unwrap();
         let oracle = DistanceOracle::build(&g, OracleConfig::default()).unwrap();
         let exact = apsp_exact(&g);
         check_paths(&g, &oracle, &exact);
@@ -757,7 +755,7 @@ mod tests {
         use rand::Rng;
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(21);
-        let g = generators::weighted_grid(&[5, 9], 12, &mut rng).unwrap();
+        let g = generators::weighted_grid(&[5, 9], 12, 21).unwrap();
         let oracle = DistanceOracle::build(
             &g,
             OracleConfig {
@@ -821,9 +819,7 @@ mod tests {
 
     #[test]
     fn landmark_forest_chains_telescope_to_row_distances() {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
-        let g = generators::weighted_grid(&[7, 8], 16, &mut rng).unwrap();
+        let g = generators::weighted_grid(&[7, 8], 16, 13).unwrap();
         let sources = [0u32, 20, 55];
         let oracle = DistanceOracle::build_with_landmarks(&g, &sources).unwrap();
         let exact = apsp_exact(&g);

@@ -231,13 +231,10 @@ mod tests {
     use super::*;
     use hybrid_graph::dijkstra::apsp_exact;
     use hybrid_graph::generators;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn rows_match_the_full_matrix() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let g = generators::weighted_grid(&[9, 11], 20, &mut rng).unwrap();
+        let g = generators::weighted_grid(&[9, 11], 20, 5).unwrap();
         let full = apsp_exact(&g);
         let sources = [0u32, 7, 42, 98];
         let rows = DistanceRows::compute(&g, &sources);
@@ -252,8 +249,7 @@ mod tests {
 
     #[test]
     fn hop_limited_rows_and_flags_match_the_single_source_kernel() {
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let g = generators::weighted_grid(&[8, 9], 12, &mut rng).unwrap();
+        let g = generators::weighted_grid(&[8, 9], 12, 6).unwrap();
         let sources: Vec<NodeId> = (0..g.n() as NodeId).step_by(5).collect();
         for width in [1, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -281,8 +277,7 @@ mod tests {
 
     #[test]
     fn quantized_rows_verify_within_stretch() {
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let g = generators::weighted_grid(&[12, 12], 32, &mut rng).unwrap();
+        let g = generators::weighted_grid(&[12, 12], 32, 9).unwrap();
         let sources = [3u32, 50, 100];
         let exact = DistanceRows::compute(&g, &sources);
         let eps = 0.25;
@@ -297,8 +292,7 @@ mod tests {
 
     #[test]
     fn the_streaming_verifier_agrees_with_the_table_verifier() {
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let g = generators::weighted_grid(&[10, 10], 32, &mut rng).unwrap();
+        let g = generators::weighted_grid(&[10, 10], 32, 10).unwrap();
         let sources = [3u32, 50, 77, 99];
         let exact = DistanceRows::compute(&g, &sources);
         let labels = exact.quantized(0.5);

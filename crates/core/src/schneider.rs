@@ -169,9 +169,7 @@ mod tests {
 
     #[test]
     fn labels_respect_stretch_on_weighted_grid() {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-        let g = Arc::new(generators::weighted_grid(&[9, 9], 20, &mut rng).unwrap());
+        let g = Arc::new(generators::weighted_grid(&[9, 9], 20, 7).unwrap());
         let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let sources: Vec<NodeId> = vec![0, 17, 40, 80];
         let out = schneider_kssp(&mut net, &sources, 0.5);

@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn skeleton_distances_match_on_weighted_graph() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let g0 = generators::weighted_grid(&[8, 8], 12, &mut rng).unwrap();
+        let g0 = generators::weighted_grid(&[8, 8], 12, 3).unwrap();
         let (g, mut net) = setup(g0);
         let sk = build_skeleton(&mut net, 2.5, &[], &mut rng);
         let fidelity = skeleton_distance_fidelity(&g, &sk, 8);

@@ -159,8 +159,6 @@ pub fn measured_stretch(graph: &Graph, spanner: &Graph, samples: &[u32]) -> f64 
 mod tests {
     use super::*;
     use hybrid_graph::generators;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
     use std::sync::Arc;
 
     #[test]
@@ -183,8 +181,7 @@ mod tests {
 
     #[test]
     fn spanner_stretch_holds_unweighted() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let g = generators::erdos_renyi(60, 0.15, &mut rng).unwrap();
+        let g = generators::erdos_renyi(60, 0.15, 3).unwrap();
         for k in [2u64, 3] {
             let s = greedy_spanner(None, &g, k);
             let samples: Vec<u32> = (0..10).collect();
@@ -199,8 +196,8 @@ mod tests {
 
     #[test]
     fn spanner_stretch_holds_weighted() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let g = generators::weighted_erdos_renyi(50, 0.2, 20, &mut rng).unwrap();
+        let er = generators::erdos_renyi(50, 0.2, 4).unwrap();
+        let g = generators::with_random_weights(&er, 20, 4).unwrap();
         let s = greedy_spanner(None, &g, 2);
         let samples: Vec<u32> = (0..8).collect();
         let stretch = measured_stretch(&g, &s.graph, &samples);

@@ -21,9 +21,6 @@
 
 use std::sync::Arc;
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
 use hybrid_core::dissemination::place_tokens;
 use hybrid_core::schneider::{landmarks, schneider_kssp};
 use hybrid_core::sssp::quantize_distance;
@@ -36,7 +33,6 @@ use hybrid_sim::{HybridNetwork, ModelParams};
 /// oracle, varied enough to hit every pipeline branch (high diameter, low
 /// diameter, irregular degrees).
 fn conformance_graphs() -> Vec<(&'static str, Arc<Graph>)> {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xC0F0);
     vec![
         ("path-48", Arc::new(generators::path(48).unwrap())),
         ("cycle-40", Arc::new(generators::cycle(40).unwrap())),
@@ -47,7 +43,7 @@ fn conformance_graphs() -> Vec<(&'static str, Arc<Graph>)> {
         ),
         (
             "er-56",
-            Arc::new(generators::erdos_renyi(56, 0.12, &mut rng).unwrap()),
+            Arc::new(generators::erdos_renyi(56, 0.12, 0xC0F0).unwrap()),
         ),
     ]
 }
@@ -57,8 +53,7 @@ fn weighted_conformance_graphs() -> Vec<(&'static str, Arc<Graph>)> {
     conformance_graphs()
         .into_iter()
         .map(|(name, g)| {
-            let mut rng = ChaCha8Rng::seed_from_u64(0x11ED + name.len() as u64);
-            let w = generators::with_random_weights(&g, 32, &mut rng).unwrap();
+            let w = generators::with_random_weights(&g, 32, 0x11ED + name.len() as u64).unwrap();
             (name, Arc::new(w))
         })
         .collect()
@@ -236,10 +231,7 @@ fn deterministic_impls_ignore_the_seed() {
 
 #[test]
 fn registry_outputs_are_pool_width_invariant() {
-    let graph = {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        Arc::new(generators::weighted_grid(&[8, 8], 16, &mut rng).unwrap())
-    };
+    let graph = Arc::new(generators::weighted_grid(&[8, 8], 16, 3).unwrap());
     let oracle = NqOracle::new(&graph);
     let tokens = place_tokens(&(0..32).collect::<Vec<_>>(), 48);
     let sources = vec![0u32, 21, 63];

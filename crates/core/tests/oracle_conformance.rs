@@ -19,9 +19,6 @@
 
 use std::sync::Arc;
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
 use hybrid_core::{DistanceOracle, OracleConfig, ORACLE_STRETCH};
 use hybrid_graph::dijkstra::apsp_exact;
 use hybrid_graph::{generators, Graph, GraphBuilder, NodeId, Weight, INFINITY};
@@ -29,7 +26,6 @@ use hybrid_graph::{generators, Graph, GraphBuilder, NodeId, Weight, INFINITY};
 /// Same instance grid as `tests/conformance.rs`: one graph per family shape,
 /// small enough for the exact oracle.
 fn conformance_graphs() -> Vec<(&'static str, Arc<Graph>)> {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xC0F0);
     vec![
         ("path-48", Arc::new(generators::path(48).unwrap())),
         ("cycle-40", Arc::new(generators::cycle(40).unwrap())),
@@ -40,7 +36,7 @@ fn conformance_graphs() -> Vec<(&'static str, Arc<Graph>)> {
         ),
         (
             "er-56",
-            Arc::new(generators::erdos_renyi(56, 0.12, &mut rng).unwrap()),
+            Arc::new(generators::erdos_renyi(56, 0.12, 0xC0F0).unwrap()),
         ),
     ]
 }
@@ -50,8 +46,7 @@ fn weighted_conformance_graphs() -> Vec<(&'static str, Arc<Graph>)> {
     conformance_graphs()
         .into_iter()
         .map(|(name, g)| {
-            let mut rng = ChaCha8Rng::seed_from_u64(0x11ED + name.len() as u64);
-            let w = generators::with_random_weights(&g, 32, &mut rng).unwrap();
+            let w = generators::with_random_weights(&g, 32, 0x11ED + name.len() as u64).unwrap();
             (name, Arc::new(w))
         })
         .collect()
@@ -220,9 +215,8 @@ fn batch_agrees_with_per_query_answers() {
 fn unreachable_pairs_answer_infinity_and_a_landmarkless_component_is_exact() {
     // Component A (nodes 0..30) holds every landmark; component B (30..50)
     // holds none, so its labels are its balls alone.
-    let mut rng = ChaCha8Rng::seed_from_u64(0x2C0);
-    let a = generators::weighted_grid(&[5, 6], 24, &mut rng).unwrap();
-    let b = generators::weighted_grid(&[4, 5], 24, &mut rng).unwrap();
+    let a = generators::weighted_grid(&[5, 6], 24, 0x2C0).unwrap();
+    let b = generators::weighted_grid(&[4, 5], 24, 0x2C1).unwrap();
     let split = a.n() as NodeId;
     let mut both = GraphBuilder::new(a.n() + b.n());
     for &(u, v, w) in a.edges() {

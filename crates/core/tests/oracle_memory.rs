@@ -15,8 +15,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hybrid_core::{DistanceOracle, OracleConfig};
 use hybrid_graph::generators;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 // Relaxed: statistics that publish no other data.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -58,8 +56,7 @@ static ALLOCATOR: Counting = Counting;
 
 #[test]
 fn a_build_holds_what_it_reports_and_little_more_on_the_way() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x3E3);
-    let graph = generators::weighted_grid(&[64, 64], 32, &mut rng).unwrap();
+    let graph = generators::weighted_grid(&[64, 64], 32, 0x3E3).unwrap();
     let n = graph.n() as f64;
     let build = || DistanceOracle::build(&graph, OracleConfig::default()).unwrap();
 

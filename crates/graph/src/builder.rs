@@ -140,11 +140,6 @@ impl GraphBuilder {
         self.add_edge(u, v, 1)
     }
 
-    /// Whether the edge `{u, v}` has already been added.
-    pub fn contains_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.seen.contains(&(u.min(v), u.max(v)))
-    }
-
     /// Finalises the graph, requiring it to be non-empty and **connected**
     /// (the paper's standing assumption, Section 1.2).
     ///
@@ -326,14 +321,5 @@ mod tests {
             b.build().unwrap_err(),
             GraphError::TooManyNodes { n: MAX_NODES + 1 }
         );
-    }
-
-    #[test]
-    fn contains_edge_is_orientation_insensitive() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(2, 1, 1).unwrap();
-        assert!(b.contains_edge(1, 2));
-        assert!(b.contains_edge(2, 1));
-        assert!(!b.contains_edge(0, 1));
     }
 }

@@ -84,8 +84,7 @@ mod tests {
 
     #[test]
     fn singleton_cut_equals_weighted_degree() {
-        let g = generators::weighted_grid(&[3, 3], 7, &mut rand::rngs::StdRng::seed_from_u64(1))
-            .unwrap();
+        let g = generators::weighted_grid(&[3, 3], 7, 1).unwrap();
         for v in g.nodes() {
             assert_eq!(
                 singleton_cut(&g, v),

@@ -1,5 +1,5 @@
-//! Graph-family generators: the single home of every deterministic family
-//! and of the recorded small-`n` random streams.
+//! Graph-family generators: the one home of every family, deterministic and
+//! random, at every size from a single node to `10⁶`.
 //!
 //! These cover the families analysed in the paper (paths, cycles and
 //! `d`-dimensional grids — Theorems 15 & 16; polynomial-growth graphs —
@@ -21,34 +21,44 @@
 //!   index order and runs regions of at most one chunk inline — so the output
 //!   is bit-identical at every pool width, and the thousands of small test
 //!   graphs never touch the pool.  The edge order is the one every recorded
-//!   artifact was produced with (pinned by golden digests in
-//!   `streaming::tests` and `tests/property_tests.rs`).
+//!   artifact was produced with (pinned by golden digests in this module's
+//!   tests and `tests/property_tests.rs`).
 //! * [`complete`], [`star`], [`caterpillar`] and [`lollipop`] are small-`n`
 //!   helpers built edge by edge through the validating [`GraphBuilder`].
-//! * The random families here ([`erdos_renyi`], [`random_geometric`],
-//!   [`chung_lu`], [`with_random_weights`]) take an explicit [`Rng`] and draw
-//!   one sequential stream over all `Θ(n²)` pairs: the stream the small-`n`
-//!   `results/` artifacts and benchmark counters are recorded with.
-//!   [`crate::streaming`] holds their sub-quadratic `n ≥ 10⁵` counterparts,
-//!   which draw a *different* (per-chunk) stream; the caller's tier picks
-//!   one, and retiring either re-records artifacts, so both stay until a
-//!   follow-up PR that says so.
+//! * The random families ([`erdos_renyi`], [`random_geometric`],
+//!   [`chung_lu`]) and the re-weighting pass ([`with_random_weights`]) take a
+//!   `u64` seed and sample in expected `O(n + m)`: geometric skip sampling
+//!   for `G(n, p)`, the Miller–Hagberg weight-skipping walk for Chung–Lu,
+//!   radius-cell bucketing for the random geometric graph and a chunked
+//!   weight pass.  Every chunk seeds its own `ChaCha8` from a
+//!   SplitMix64-mixed `(seed, salt, chunk index)` triple and draws
+//!   independently of all other chunks, so these too are bit-identical
+//!   across `RAYON_NUM_THREADS` and across repeated runs with one seed.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, RngCore, SeedableRng, SplitMix64};
+use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 use crate::builder::MAX_NODES;
 use crate::csr::{Graph, NodeId, Weight};
 use crate::error::GraphError;
+use crate::unionfind::UnionFind;
 use crate::{GraphBuilder, Result};
 
 /// Fixed chunk length for parallel emission.  A constant (rather than
 /// anything derived from the worker count) is what keeps chunk-emitted graphs
 /// bit-identical across `RAYON_NUM_THREADS`.
-pub(crate) const CHUNK: usize = 1 << 14;
+const CHUNK: usize = 1 << 14;
 
-pub(crate) type Edge = (NodeId, NodeId, Weight);
+type Edge = (NodeId, NodeId, Weight);
+
+/// Mixes `(seed, salt, chunk)` through a SplitMix64 step into an independent
+/// `ChaCha8` stream seed.  `salt` separates the draw phases of one generator
+/// (e.g. backbone parents vs. extra edges), `chunk` the parallel chunks.
+fn chunk_rng(seed: u64, salt: u64, chunk: u64) -> ChaCha8Rng {
+    let mut mix = SplitMix64::new(seed ^ (salt << 32) ^ chunk);
+    ChaCha8Rng::seed_from_u64(mix.next_u64())
+}
 
 /// The one size gate of the chunk-emitted families: takes the node count as
 /// computed with checked arithmetic (`None` = overflowed `usize`) and rejects
@@ -65,7 +75,7 @@ fn node_count(n: Option<usize>) -> Result<usize> {
 
 /// Runs `emit` over fixed-size index chunks of `0..total` in parallel and
 /// returns the per-chunk edge vectors in chunk order.
-pub(crate) fn emit_chunked(
+fn emit_chunked(
     total: usize,
     emit: impl Fn(usize, std::ops::Range<usize>, &mut Vec<Edge>) + Sync,
 ) -> Vec<Vec<Edge>> {
@@ -84,7 +94,7 @@ pub(crate) fn emit_chunked(
 
 /// Stitches chunked edge sections into a pre-sized builder (exact edge count,
 /// no per-edge hashing) and finalises with the usual connectivity check.
-pub(crate) fn assemble(n: usize, sections: Vec<Vec<Edge>>) -> Result<Graph> {
+fn assemble(n: usize, sections: Vec<Vec<Edge>>) -> Result<Graph> {
     let m: usize = sections.iter().map(Vec::len).sum();
     let mut b = GraphBuilder::streaming(n, m)?;
     for chunk in sections {
@@ -302,10 +312,14 @@ pub fn lollipop(clique: usize, tail: usize) -> Result<Graph> {
     b.build()
 }
 
-/// Connected Erdős–Rényi graph `G(n, p)`: a uniform random spanning tree is
-/// added first to guarantee connectivity, then every remaining pair is joined
-/// independently with probability `p`.
-pub fn erdos_renyi(n: usize, p: f64, rng: &mut impl Rng) -> Result<Graph> {
+/// Connected Erdős–Rényi graph `G(n, p)`.
+///
+/// Connectivity comes from a random-parent backbone (`parent(v)` uniform in
+/// `0..v`, drawn per chunk under salt 0), and the remaining pairs are sampled
+/// row-by-row with geometric skips (salt 1) instead of an `Θ(n²)` Bernoulli
+/// scan — expected `O(n + m)` draws in total.  A pair already used by the
+/// backbone is skipped, keeping the graph simple.
+pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Result<Graph> {
     if n == 0 {
         return Err(GraphError::Empty);
     }
@@ -314,30 +328,54 @@ pub fn erdos_renyi(n: usize, p: f64, rng: &mut impl Rng) -> Result<Graph> {
             reason: format!("edge probability must be in [0,1], got {p}"),
         });
     }
-    let mut b = GraphBuilder::new(n);
-    // Random spanning tree via random attachment to an already-connected prefix
-    // of a random permutation.
-    let mut perm: Vec<NodeId> = (0..n as NodeId).collect();
-    perm.shuffle(rng);
-    for i in 1..n {
-        let j = rng.gen_range(0..i);
-        b.add_unweighted_edge(perm[i], perm[j])?;
-    }
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if !b.contains_edge(u as NodeId, v as NodeId) && rng.gen_bool(p) {
-                b.add_unweighted_edge(u as NodeId, v as NodeId)?;
-            }
+    // Salt 0: the backbone edge (parent(v), v), parent(v) uniform in 0..v.
+    let mut sections = emit_chunked(n - 1, |c, range, out| {
+        let mut rng = chunk_rng(seed, 0, c as u64);
+        for v in range.start + 1..range.end + 1 {
+            out.push((rng.gen_range(0..v) as NodeId, v as NodeId, 1));
         }
+    });
+    // Node 0 has no parent; the sentinel is never read as one.
+    let parents: Vec<NodeId> = std::iter::once(0)
+        .chain(sections.iter().flatten().map(|&(parent, _, _)| parent))
+        .collect();
+
+    // Salt 1: extra edges via geometric skip sampling over each row u.
+    if p > 0.0 {
+        sections.extend(emit_chunked(n - 1, |c, range, out| {
+            let mut rng = chunk_rng(seed, 1, c as u64);
+            let ln_q = (1.0 - p).ln(); // -inf when p == 1: skips collapse to 0
+            for u in range {
+                let mut v = u + 1;
+                loop {
+                    if p < 1.0 {
+                        let r: f64 = rng.gen();
+                        v = v.saturating_add(((1.0 - r).ln() / ln_q) as usize);
+                    }
+                    if v >= n {
+                        break;
+                    }
+                    if parents[v] as usize != u {
+                        out.push((u as NodeId, v as NodeId, 1));
+                    }
+                    v += 1;
+                }
+            }
+        }));
     }
-    b.build()
+    assemble(n, sections)
 }
 
-/// Random geometric graph on the unit square with connection radius `radius`;
-/// models short-range wireless links.  Falls back to connecting each isolated
-/// component to its nearest node (by Euclidean distance) to guarantee
-/// connectivity, mimicking a deployment that adds relays where needed.
-pub fn random_geometric(n: usize, radius: f64, rng: &mut impl Rng) -> Result<Graph> {
+/// Random geometric graph on the unit square with connection radius
+/// `radius`; models short-range wireless links.
+///
+/// Points are drawn per chunk (salt 0) and pairs are found through a uniform
+/// cell grid of side `>= radius` — each node only compares against the 9
+/// neighbouring cells, so the expected work is `O(n + m)` instead of `Θ(n²)`.
+/// Stray components are stitched to their nearest foreign node (expanding
+/// cell-ring search, smallest index on distance ties), mimicking a
+/// deployment that adds relays where needed.
+pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Result<Graph> {
     if n == 0 {
         return Err(GraphError::Empty);
     }
@@ -346,49 +384,145 @@ pub fn random_geometric(n: usize, radius: f64, rng: &mut impl Rng) -> Result<Gra
             reason: "radius must be positive".into(),
         });
     }
-    let points: Vec<(f64, f64)> = (0..n)
-        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
+    // Salt 0: points, drawn (x, y) per node in chunk order.
+    let point_chunks: Vec<Vec<(f64, f64)>> = (0..n.div_ceil(CHUNK))
+        .into_par_iter()
+        .map(|c| {
+            let lo = c * CHUNK;
+            let hi = (lo + CHUNK).min(n);
+            let mut rng = chunk_rng(seed, 0, c as u64);
+            (lo..hi)
+                .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
+                .collect()
+        })
         .collect();
-    let mut b = GraphBuilder::new(n);
-    let r2 = radius * radius;
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let dx = points[u].0 - points[v].0;
-            let dy = points[u].1 - points[v].1;
-            if dx * dx + dy * dy <= r2 {
-                b.add_unweighted_edge(u as NodeId, v as NodeId)?;
-            }
-        }
+    let mut points: Vec<(f64, f64)> = Vec::with_capacity(n);
+    for chunk in point_chunks {
+        points.extend(chunk);
     }
-    // Stitch components together through nearest cross-component pairs.
-    loop {
-        let g = b.clone().build_unchecked_connectivity();
-        let (comp, count) = crate::traversal::connected_components(&g);
-        if count == 1 {
-            break;
-        }
-        // Connect component 0 to its nearest node in another component.
-        let mut best: Option<(f64, usize, usize)> = None;
-        for u in 0..n {
-            if comp[u] != 0 {
-                continue;
-            }
-            for v in 0..n {
-                if comp[v] == 0 {
+
+    // Cell grid with side >= radius (capped so the grid stays O(n) cells).
+    let cap = (n as f64).sqrt().ceil() as usize + 1;
+    let cps = ((1.0 / radius).floor() as usize).clamp(1, cap);
+    let cell_of = |x: f64| -> usize { ((x * cps as f64) as usize).min(cps - 1) };
+    let cell_id: Vec<usize> = points
+        .iter()
+        .map(|&(x, y)| cell_of(y) * cps + cell_of(x))
+        .collect();
+    // Counting-sort nodes by cell; nodes stay in index order within a cell.
+    let mut counts = vec![0u32; cps * cps + 1];
+    for &c in &cell_id {
+        counts[c + 1] += 1;
+    }
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
+    let mut members = vec![0 as NodeId; n];
+    let mut cursor = counts.clone();
+    for (v, &c) in cell_id.iter().enumerate() {
+        members[cursor[c] as usize] = v as NodeId;
+        cursor[c] += 1;
+    }
+    let cell_range = |c: usize| counts[c] as usize..counts[c + 1] as usize;
+
+    let r2 = radius * radius;
+    let dist2 = |u: usize, v: usize| -> f64 {
+        let dx = points[u].0 - points[v].0;
+        let dy = points[u].1 - points[v].1;
+        dx * dx + dy * dy
+    };
+    let mut sections = emit_chunked(n, |_, range, out| {
+        let mut candidates: Vec<NodeId> = Vec::new();
+        for u in range {
+            candidates.clear();
+            let (cx, cy) = (cell_of(points[u].0), cell_of(points[u].1));
+            for dy in -1i64..=1 {
+                let ny = cy as i64 + dy;
+                if ny < 0 || ny >= cps as i64 {
                     continue;
                 }
-                let dx = points[u].0 - points[v].0;
-                let dy = points[u].1 - points[v].1;
-                let d2 = dx * dx + dy * dy;
-                if best.is_none_or(|(bd, _, _)| d2 < bd) {
-                    best = Some((d2, u, v));
+                for dx in -1i64..=1 {
+                    let nx = cx as i64 + dx;
+                    if nx < 0 || nx >= cps as i64 {
+                        continue;
+                    }
+                    for &v in &members[cell_range(ny as usize * cps + nx as usize)] {
+                        if (v as usize) > u && dist2(u, v as usize) <= r2 {
+                            candidates.push(v);
+                        }
+                    }
                 }
             }
+            candidates.sort_unstable();
+            for &v in &candidates {
+                out.push((u as NodeId, v, 1));
+            }
         }
-        let (_, u, v) = best.expect("at least two components have nodes");
-        b.add_unweighted_edge(u as NodeId, v as NodeId)?;
+    });
+
+    // Stitch stray components to their nearest foreign node.
+    let mut uf = UnionFind::new(n);
+    for chunk in &sections {
+        for &(u, v, _) in chunk {
+            uf.union(u as usize, v as usize);
+        }
     }
-    b.build()
+    let mut stitches: Vec<Edge> = Vec::new();
+    while uf.count_sets() > 1 {
+        // Lowest-index node not connected to node 0 anchors the next stitch.
+        let u = (1..n)
+            .find(|&v| !uf.connected(0, v))
+            .expect("more than one component implies a node outside 0's set");
+        let (cx, cy) = (cell_of(points[u].0), cell_of(points[u].1));
+        let mut best: Option<(f64, usize)> = None;
+        let mut ring = 0usize;
+        loop {
+            let mut scanned_any = false;
+            for dy in -(ring as i64)..=(ring as i64) {
+                let ny = cy as i64 + dy;
+                if ny < 0 || ny >= cps as i64 {
+                    continue;
+                }
+                for dx in -(ring as i64)..=(ring as i64) {
+                    if dx.unsigned_abs() as usize != ring && dy.unsigned_abs() as usize != ring {
+                        continue; // interior cells were scanned by smaller rings
+                    }
+                    let nx = cx as i64 + dx;
+                    if nx < 0 || nx >= cps as i64 {
+                        continue;
+                    }
+                    scanned_any = true;
+                    for &v in &members[cell_range(ny as usize * cps + nx as usize)] {
+                        if uf.connected(u, v as usize) {
+                            continue;
+                        }
+                        let d = dist2(u, v as usize);
+                        let better = match best {
+                            None => true,
+                            Some((bd, bv)) => d < bd || (d == bd && (v as usize) < bv),
+                        };
+                        if better {
+                            best = Some((d, v as usize));
+                        }
+                    }
+                }
+            }
+            // One extra ring after the first hit: the closest point of a
+            // farther ring can still beat a corner hit of this ring.
+            if best.is_some() && ring > 0 {
+                break;
+            }
+            if !scanned_any && ring > 2 * cps {
+                break;
+            }
+            ring += 1;
+        }
+        let (_, v) = best.expect("a foreign node exists while components remain");
+        uf.union(u, v);
+        stitches.push((u.min(v) as NodeId, u.max(v) as NodeId, 1));
+    }
+    sections.push(stitches);
+    assemble(n, sections)
 }
 
 /// A simplified two-level fat-tree / leaf–spine data-center topology:
@@ -432,11 +566,14 @@ pub fn fat_tree(spines: usize, leaves: usize, hosts_per_leaf: usize) -> Result<G
 /// high-degree hubs next to long low-degree fringes, the regime where the
 /// per-node global capacity `γ` (not `√k`) governs HYBRID round complexity.
 ///
-/// Connectivity is restored deterministically: every component not containing
-/// node 0 (the maximum-weight hub) is attached to node 0 through its
-/// lowest-index member, mimicking a scale-free network whose stragglers peer
-/// with the dominant hub.
-pub fn chung_lu(n: usize, exponent: f64, avg_degree: f64, rng: &mut impl Rng) -> Result<Graph> {
+/// The pair sampling is the Miller–Hagberg skipping walk (weights are sorted
+/// decreasing, so each row walks `v` with geometric skips under the current
+/// upper-bound probability and thins lazily to the true probability), drawn
+/// per row chunk — expected `O(n + m)` draws.  Connectivity is restored
+/// deterministically: every component not containing node 0 (the
+/// maximum-weight hub) is attached to node 0 through its lowest-index member,
+/// mimicking a scale-free network whose stragglers peer with the dominant hub.
+pub fn chung_lu(n: usize, exponent: f64, avg_degree: f64, seed: u64) -> Result<Graph> {
     if n == 0 {
         return Err(GraphError::Empty);
     }
@@ -453,37 +590,50 @@ pub fn chung_lu(n: usize, exponent: f64, avg_degree: f64, rng: &mut impl Rng) ->
     let alpha = 1.0 / (exponent - 1.0);
     let raw: Vec<f64> = (0..n).map(|i| ((i + 1) as f64).powf(-alpha)).collect();
     let raw_sum: f64 = raw.iter().sum();
-    // Scale so Σw = n·avg_degree, making the expected degree of node u
-    // approximately w_u (before the min(1, ·) clipping).
     let scale = n as f64 * avg_degree / raw_sum;
     let w: Vec<f64> = raw.iter().map(|r| r * scale).collect();
     let total: f64 = n as f64 * avg_degree;
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let p = (w[u] * w[v] / total).min(1.0);
-            if rng.gen_bool(p) {
-                b.add_unweighted_edge(u as NodeId, v as NodeId)?;
-            }
-        }
-    }
-    // Attach every stray component to the hub (node 0) through its
-    // lowest-index node — deterministic given the edges drawn above.
-    if n > 1 {
-        let g = b.clone().build_unchecked_connectivity();
-        let (comp, count) = crate::traversal::connected_components(&g);
-        if count > 1 {
-            let mut attached = vec![false; count];
-            attached[comp[0]] = true;
-            for v in 1..n {
-                if !attached[comp[v]] {
-                    attached[comp[v]] = true;
-                    b.add_unweighted_edge(0, v as NodeId)?;
+
+    let mut sections = emit_chunked(n - 1, |c, range, out| {
+        let mut rng = chunk_rng(seed, 0, c as u64);
+        for u in range {
+            let wu = w[u];
+            let mut v = u + 1;
+            let mut p = (wu * w[v] / total).min(1.0);
+            while v < n && p > 0.0 {
+                if p < 1.0 {
+                    let r: f64 = rng.gen();
+                    v = v.saturating_add(((1.0 - r).ln() / (1.0 - p).ln()) as usize);
+                    if v >= n {
+                        break;
+                    }
                 }
+                let q = (wu * w[v] / total).min(1.0);
+                if rng.gen::<f64>() < q / p {
+                    out.push((u as NodeId, v as NodeId, 1));
+                }
+                p = q;
+                v += 1;
             }
         }
+    });
+
+    // Attach every stray component to the hub through its lowest-index node.
+    let mut uf = UnionFind::new(n);
+    for chunk in &sections {
+        for &(u, v, _) in chunk {
+            uf.union(u as usize, v as usize);
+        }
     }
-    b.build()
+    let mut stitches: Vec<Edge> = Vec::new();
+    for v in 1..n {
+        if !uf.connected(0, v) {
+            uf.union(0, v);
+            stitches.push((0, v as NodeId, 1));
+        }
+    }
+    sections.push(stitches);
+    assemble(n, sections)
 }
 
 /// Ring of cliques: `cliques` cliques of `clique_size` nodes arranged in a
@@ -572,45 +722,147 @@ pub fn barbell(clique: usize, path_len: usize) -> Result<Graph> {
     assemble(n, sections)
 }
 
-/// Replaces every edge weight by an independent uniform weight in `[1, max_weight]`.
-pub fn with_random_weights(graph: &Graph, max_weight: Weight, rng: &mut impl Rng) -> Result<Graph> {
+/// Replaces every edge weight by an independent uniform draw in
+/// `[1, max_weight]`, one stream per edge chunk.
+pub fn with_random_weights(graph: &Graph, max_weight: Weight, seed: u64) -> Result<Graph> {
     if max_weight == 0 {
         return Err(GraphError::InvalidParameter {
             reason: "max_weight must be >= 1".into(),
         });
     }
-    let mut b = GraphBuilder::new(graph.n());
-    for &(u, v, _) in graph.edges() {
-        b.add_edge(u, v, rng.gen_range(1..=max_weight))?;
-    }
-    b.build()
+    let edges = graph.edges();
+    let sections = emit_chunked(edges.len(), |c, range, out| {
+        let mut rng = chunk_rng(seed, 0, c as u64);
+        for i in range {
+            let (u, v, _) = edges[i];
+            out.push((u, v, rng.gen_range(1..=max_weight)));
+        }
+    });
+    assemble(graph.n(), sections)
 }
 
 /// Weighted grid convenience wrapper: [`grid`] followed by [`with_random_weights`].
-pub fn weighted_grid(dims: &[usize], max_weight: Weight, rng: &mut impl Rng) -> Result<Graph> {
-    with_random_weights(&grid(dims)?, max_weight, rng)
-}
-
-/// Weighted Erdős–Rényi convenience wrapper.
-pub fn weighted_erdos_renyi(
-    n: usize,
-    p: f64,
-    max_weight: Weight,
-    rng: &mut impl Rng,
-) -> Result<Graph> {
-    with_random_weights(&erdos_renyi(n, p, rng)?, max_weight, rng)
+pub fn weighted_grid(dims: &[usize], max_weight: Weight, seed: u64) -> Result<Graph> {
+    with_random_weights(&grid(dims)?, max_weight, seed)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
+    use crate::fnv::graph_digest;
     use crate::properties::diameter;
     use crate::traversal::connected_components;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
-    fn rng(seed: u64) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(seed)
+    fn assert_same(a: &Graph, b: &Graph) {
+        assert_eq!(a.n(), b.n());
+        assert_eq!(a.edges(), b.edges());
+    }
+
+    /// Connected, no self loop, no pair twice — what `GraphBuilder::add_edge`
+    /// would have enforced edge by edge.
+    #[track_caller]
+    fn assert_connected_and_simple(g: &Graph, what: &str) {
+        assert_eq!(connected_components(g).1, 1, "{what}: not connected");
+        let pairs: HashSet<(NodeId, NodeId)> = g.edges().iter().map(|&(u, v, _)| (u, v)).collect();
+        assert_eq!(pairs.len(), g.m(), "{what}: duplicate edge");
+        assert!(
+            g.edges().iter().all(|&(u, v, _)| u < v),
+            "{what}: loop or unnormalized edge"
+        );
+    }
+
+    /// "Legacy" is the recorded output of the sequential `add_edge`
+    /// generators this repository shipped through commit 3a0f670: the
+    /// digests below were printed by that commit's `generators::*`, before
+    /// the chunk-emitted bodies replaced them, so they pin the edge order
+    /// every recorded artifact was produced with.
+    #[test]
+    fn deterministic_families_match_legacy_bit_for_bit() {
+        #[track_caller]
+        fn check(what: &str, graph: Result<Graph>, legacy: u64) {
+            assert_eq!(graph_digest(&graph.unwrap()), legacy, "{what} diverged");
+        }
+        // (n, path, tree_with_n(2, n), cycle — 0 where n < 3 is rejected).
+        for (n, p, t, c) in [
+            (1, 0x89cd31291d2aefa4, 0x89cd31291d2aefa4, 0),
+            (2, 0xe73027868b51a887, 0xe73027868b51a887, 0),
+            (
+                3,
+                0xa83d7610dc370a44,
+                0xbf8b5ae734abb425,
+                0x6a7d4f1a5b3a8667,
+            ),
+            (
+                17,
+                0xffeab2178e4744a4,
+                0xcc3417119d545724,
+                0xf30035388543b855,
+            ),
+            (
+                64,
+                0x804d8690a57e065b,
+                0x9de27dbf2c4f147b,
+                0x99e0c27ba249aaa5,
+            ),
+            (
+                1000,
+                0x72e62ce87a34693b,
+                0x79a2250fbf7884b1,
+                0xdccfccd722e5080c,
+            ),
+            (
+                40_000,
+                0xcf6416656433b83b,
+                0x2bc212d5eabe3f35,
+                0xc3de3803f77ab431,
+            ),
+        ] {
+            check(&format!("path({n})"), path(n), p);
+            check(&format!("tree_with_n(2, {n})"), tree_with_n(2, n), t);
+            if n >= 3 {
+                check(&format!("cycle({n})"), cycle(n), c);
+            }
+        }
+        for (dims, legacy) in [
+            (&[7, 9][..], 0xf5c37133364a35b4),
+            (&[40, 40], 0x60e6a9c8050384d2),
+            (&[5, 6, 7], 0xdb9192c45582fb73),
+            (&[13, 13, 13], 0x8cc36516e6f32541),
+            (&[200, 200], 0xf2a9039a135f1ab3),
+        ] {
+            check(&format!("grid({dims:?})"), grid(dims), legacy);
+        }
+        for (dims, legacy) in [
+            (&[5, 7][..], 0xb098f43de5207fe6),
+            (&[3, 3, 3], 0xcba5760c7cbe5cdf),
+            (&[130, 130], 0x05d8be97ae73ec6b),
+        ] {
+            check(&format!("torus({dims:?})"), torus(dims), legacy);
+        }
+        check(
+            "fat_tree(4, 8, 123)",
+            fat_tree(4, 8, 123),
+            0xc0bde995551b7884,
+        );
+        check(
+            "ring_of_cliques(300, 8, 2)",
+            ring_of_cliques(300, 8, 2),
+            0x7b00cc54cc0812f6,
+        );
+        for (clique, tail, legacy) in [
+            (1, 0, 0xe73027868b51a887),
+            (4, 0, 0x5e4539ffdf3eca6b),
+            (5, 3, 0xcbbed16719faae24),
+            (300, 500, 0x34e3b82169168675),
+        ] {
+            check(
+                &format!("barbell({clique}, {tail})"),
+                barbell(clique, tail),
+                legacy,
+            );
+        }
     }
 
     #[test]
@@ -734,26 +986,109 @@ mod tests {
 
     #[test]
     fn erdos_renyi_connected_and_seeded() {
-        let g1 = erdos_renyi(60, 0.05, &mut rng(7)).unwrap();
-        let g2 = erdos_renyi(60, 0.05, &mut rng(7)).unwrap();
-        assert_eq!(g1.edges(), g2.edges());
+        let g1 = erdos_renyi(60, 0.05, 7).unwrap();
+        let g2 = erdos_renyi(60, 0.05, 7).unwrap();
+        assert_same(&g1, &g2);
         let (_, c) = connected_components(&g1);
         assert_eq!(c, 1);
-        assert!(erdos_renyi(10, 1.5, &mut rng(0)).is_err());
+        assert_ne!(g1.edges(), erdos_renyi(60, 0.05, 8).unwrap().edges());
+        assert!(erdos_renyi(10, 1.5, 0).is_err());
+        assert!(erdos_renyi(10, -0.1, 0).is_err());
+        assert!(erdos_renyi(0, 0.5, 0).is_err());
     }
 
     #[test]
     fn erdos_renyi_p_one_is_complete() {
-        let g = erdos_renyi(8, 1.0, &mut rng(3)).unwrap();
-        assert_eq!(g.m(), 28);
+        assert_eq!(erdos_renyi(8, 1.0, 3).unwrap().m(), 28);
+        assert_eq!(erdos_renyi(40, 1.0, 3).unwrap().m(), 40 * 39 / 2);
     }
 
     #[test]
     fn random_geometric_connected() {
-        let g = random_geometric(50, 0.18, &mut rng(11)).unwrap();
+        let g = random_geometric(50, 0.18, 11).unwrap();
         let (_, c) = connected_components(&g);
         assert_eq!(c, 1);
-        assert!(random_geometric(10, 0.0, &mut rng(0)).is_err());
+        assert!(random_geometric(10, 0.0, 0).is_err());
+        assert!(random_geometric(0, 0.5, 0).is_err());
+    }
+
+    /// Every size from one node up is served by the same samplers, so the
+    /// small end is swept exhaustively: every `G(n, p)` and random geometric
+    /// graph (sparse, typical and saturating parameters) and every Chung–Lu
+    /// graph is connected and simple, `p = 0` leaves exactly the spanning
+    /// backbone and `p = 1` the complete graph.
+    #[test]
+    fn small_random_graphs_are_connected_and_simple_at_every_size() {
+        for n in 1..=64usize {
+            let typical = (8.0 / n as f64).sqrt();
+            for seed in [0u64, 1, 0x5EED, u64::MAX] {
+                for p in [0.0, (6.0 / n as f64).min(1.0), 1.0] {
+                    let what = format!("erdos_renyi({n}, {p}, {seed})");
+                    let g = erdos_renyi(n, p, seed).unwrap();
+                    assert_connected_and_simple(&g, &what);
+                    if p == 0.0 {
+                        assert_eq!(g.m(), n - 1, "{what}");
+                    }
+                    if p == 1.0 {
+                        assert_eq!(g.m(), n * (n - 1) / 2, "{what}");
+                    }
+                }
+                for radius in [0.05, typical, 2.0] {
+                    let what = format!("random_geometric({n}, {radius}, {seed})");
+                    let g = random_geometric(n, radius, seed).unwrap();
+                    assert_connected_and_simple(&g, &what);
+                    if radius == 2.0 {
+                        assert_eq!(g.m(), n * (n - 1) / 2, "{what}");
+                    }
+                }
+                let what = format!("chung_lu({n}, 2.5, 6, {seed})");
+                assert_connected_and_simple(&chung_lu(n, 2.5, 6.0, seed).unwrap(), &what);
+            }
+        }
+    }
+
+    #[test]
+    fn random_families_are_seed_deterministic_and_connected() {
+        for seed in [0u64, 7, 0xDEAD_BEEF] {
+            let n = 5000;
+            let er1 = erdos_renyi(n, 6.0 / n as f64, seed).unwrap();
+            let er2 = erdos_renyi(n, 6.0 / n as f64, seed).unwrap();
+            assert_same(&er1, &er2);
+            assert_connected_and_simple(&er1, "ER");
+
+            let rgg1 = random_geometric(n, (8.0 / n as f64).sqrt(), seed).unwrap();
+            let rgg2 = random_geometric(n, (8.0 / n as f64).sqrt(), seed).unwrap();
+            assert_same(&rgg1, &rgg2);
+            assert_connected_and_simple(&rgg1, "RGG");
+
+            let cl1 = chung_lu(n, 2.5, 6.0, seed).unwrap();
+            let cl2 = chung_lu(n, 2.5, 6.0, seed).unwrap();
+            assert_same(&cl1, &cl2);
+            assert_connected_and_simple(&cl1, "Chung-Lu");
+        }
+    }
+
+    #[test]
+    fn random_families_land_in_the_expected_density_regime() {
+        let n = 20_000;
+        let er = erdos_renyi(n, 6.0 / n as f64, 42).unwrap();
+        let avg = 2.0 * er.m() as f64 / n as f64;
+        assert!((4.0..=10.0).contains(&avg), "ER average degree {avg:.2}");
+
+        let rgg = random_geometric(n, (8.0 / n as f64).sqrt(), 42).unwrap();
+        let avg = 2.0 * rgg.m() as f64 / n as f64;
+        // Expected degree ≈ π·r²·n = 8π ≈ 25 (minus boundary effects).
+        assert!((10.0..=40.0).contains(&avg), "RGG average degree {avg:.2}");
+
+        let cl = chung_lu(n, 2.5, 6.0, 42).unwrap();
+        let avg = 2.0 * cl.m() as f64 / n as f64;
+        assert!(
+            (2.0..=12.0).contains(&avg),
+            "Chung-Lu average degree {avg:.2}"
+        );
+        // Heavy tail: the hub (node 0, maximum weight) dwarfs the average.
+        let max_deg = cl.nodes().map(|v| cl.degree(v)).max().unwrap();
+        assert!(max_deg as f64 >= 4.0 * avg, "no hub: {max_deg} vs {avg:.1}");
     }
 
     #[test]
@@ -767,8 +1102,8 @@ mod tests {
 
     #[test]
     fn chung_lu_connected_seeded_and_heavy_tailed() {
-        let g1 = chung_lu(300, 2.5, 6.0, &mut rng(42)).unwrap();
-        let g2 = chung_lu(300, 2.5, 6.0, &mut rng(42)).unwrap();
+        let g1 = chung_lu(300, 2.5, 6.0, 42).unwrap();
+        let g2 = chung_lu(300, 2.5, 6.0, 42).unwrap();
         assert_eq!(g1.edges(), g2.edges(), "not seed-deterministic");
         assert_eq!(g1.n(), 300);
         let (_, c) = connected_components(&g1);
@@ -783,14 +1118,14 @@ mod tests {
         );
         // The hub is node 0 (maximum weight).
         assert_eq!(g1.degree(0), max_deg);
-        assert!(chung_lu(0, 2.5, 6.0, &mut rng(0)).is_err());
-        assert!(chung_lu(10, 1.0, 6.0, &mut rng(0)).is_err());
-        assert!(chung_lu(10, 2.5, 0.0, &mut rng(0)).is_err());
+        assert!(chung_lu(0, 2.5, 6.0, 0).is_err());
+        assert!(chung_lu(10, 1.0, 6.0, 0).is_err());
+        assert!(chung_lu(10, 2.5, 0.0, 0).is_err());
     }
 
     #[test]
     fn chung_lu_average_degree_in_the_right_regime() {
-        let g = chung_lu(400, 2.5, 6.0, &mut rng(7)).unwrap();
+        let g = chung_lu(400, 2.5, 6.0, 7).unwrap();
         let avg = 2.0 * g.m() as f64 / g.n() as f64;
         // min(1, ·) clipping and stitching shift the average a little; it must
         // stay in the same regime as the requested expected degree.
@@ -845,19 +1180,24 @@ mod tests {
 
     #[test]
     fn random_weights_in_range() {
-        let g = weighted_grid(&[5, 5], 100, &mut rng(5)).unwrap();
-        assert!(g.is_weighted() || g.edges().iter().all(|&(_, _, w)| w == 1));
+        let g = weighted_grid(&[5, 5], 100, 5).unwrap();
+        assert!(g.is_weighted());
         for &(_, _, w) in g.edges() {
             assert!((1..=100).contains(&w));
         }
-        assert!(with_random_weights(&path(3).unwrap(), 0, &mut rng(0)).is_err());
+        assert!(with_random_weights(&path(3).unwrap(), 0, 0).is_err());
+        // Past one emission chunk: every chunk draws its own stream, and the
+        // result is still a pure function of the seed.
+        let base = grid(&[150, 150]).unwrap();
+        let w1 = with_random_weights(&base, 32, 9).unwrap();
+        assert_same(&w1, &with_random_weights(&base, 32, 9).unwrap());
+        assert!(w1.edges().iter().all(|&(_, _, w)| (1..=32).contains(&w)));
     }
 
     #[test]
     fn weighted_er_preserves_topology() {
-        let mut r1 = rng(9);
-        let base = erdos_renyi(30, 0.1, &mut r1).unwrap();
-        let w = with_random_weights(&base, 50, &mut r1).unwrap();
+        let base = erdos_renyi(30, 0.1, 9).unwrap();
+        let w = with_random_weights(&base, 50, 9).unwrap();
         assert_eq!(base.m(), w.m());
         for (a, b) in base.edges().iter().zip(w.edges()) {
             assert_eq!((a.0, a.1), (b.0, b.1));

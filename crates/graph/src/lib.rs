@@ -13,9 +13,8 @@
 //! * deterministic, seedable **generators** for the graph families the paper
 //!   analyses (paths, cycles, `d`-dimensional grids and tori, balanced trees,
 //!   stars, caterpillars, Erdős–Rényi graphs, random geometric graphs and a
-//!   fat-tree-like data-center topology) — see [`generators`], the single
-//!   home of every deterministic family, and [`streaming`], the sub-quadratic
-//!   `n ≥ 10⁵` samplers of the three random ones;
+//!   fat-tree-like data-center topology) — see [`generators`], the one home
+//!   of every family;
 //! * centralized **distance oracles** used as ground truth and as building
 //!   blocks: BFS, multi-source BFS, Dijkstra, hop-limited Dijkstra
 //!   ([`traversal`], [`dijkstra`]);
@@ -24,10 +23,9 @@
 //! * structural **properties** (connectivity, eccentricities, diameter) and
 //!   **cut evaluation** used by the cut-sparsifier experiments.
 //!
-//! Every randomised construction is a pure function of its seed: those in
-//! [`generators`] draw from an explicit [`rand::Rng`], those in [`streaming`]
-//! take a `u64` seed and derive one ChaCha8 stream per fixed-size chunk — so
-//! every experiment in the repository is reproducible, at any pool width.
+//! Every randomised construction is a pure function of its `u64` seed, from
+//! which it derives one ChaCha8 stream per fixed-size chunk — so every
+//! experiment in the repository is reproducible, at any pool width.
 
 // The default build carries no unsafe code at all; the `simd` feature opts
 // into one audited `#[allow(unsafe_code)]` module of AVX2 intrinsics (the
@@ -46,7 +44,6 @@ pub mod error;
 pub mod fnv;
 pub mod generators;
 pub mod properties;
-pub mod streaming;
 pub mod traversal;
 pub mod unionfind;
 
@@ -57,3 +54,45 @@ pub use fnv::Fnv1a64;
 
 /// Convenient result alias for fallible graph construction.
 pub type Result<T> = std::result::Result<T, GraphError>;
+
+/// Invariants of the chunk-seeded random samplers, kept under the module
+/// path they were first recorded at; the samplers live in [`generators`].
+#[cfg(test)]
+mod streaming {
+    mod tests {
+        use crate::generators::{
+            chung_lu, erdos_renyi, grid, random_geometric, with_random_weights,
+        };
+
+        #[test]
+        fn er_p_one_is_complete() {
+            let g = erdos_renyi(40, 1.0, 3).unwrap();
+            assert_eq!(g.m(), 40 * 39 / 2);
+        }
+
+        #[test]
+        fn streamed_reweighting_is_deterministic_and_in_range() {
+            let base = grid(&[50, 50]).unwrap();
+            let w1 = with_random_weights(&base, 32, 9).unwrap();
+            let w2 = with_random_weights(&base, 32, 9).unwrap();
+            assert_eq!(w1.n(), w2.n());
+            assert_eq!(w1.edges(), w2.edges());
+            assert_eq!(w1.m(), base.m());
+            for (&(u, v, w), &(bu, bv, _)) in w1.edges().iter().zip(base.edges()) {
+                assert_eq!((u, v), (bu, bv));
+                assert!((1..=32).contains(&w));
+            }
+            assert!(with_random_weights(&base, 0, 9).is_err());
+        }
+
+        #[test]
+        fn validation_errors_match_legacy() {
+            // The rejections the earlier sequential bodies made, unchanged.
+            assert!(erdos_renyi(10, 1.5, 0).is_err());
+            assert!(erdos_renyi(0, 0.5, 0).is_err());
+            assert!(random_geometric(10, 0.0, 0).is_err());
+            assert!(chung_lu(10, 1.0, 6.0, 0).is_err());
+            assert!(chung_lu(10, 2.5, 0.0, 0).is_err());
+        }
+    }
+}

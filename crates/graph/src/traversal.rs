@@ -98,7 +98,11 @@ pub struct MultiSourceBfs {
 /// Runs a multi-source BFS from `sources`.
 ///
 /// Tie-breaking: when two sources are equidistant from a node, the one with
-/// the smaller node id wins (deterministic, as required by Lemma 3.5).
+/// the smaller node id wins (deterministic, as required by Lemma 3.5).  The
+/// first discovery settles it: the sources enter the FIFO queue in increasing
+/// id order, so every layer is popped in non-decreasing label order, and the
+/// first layer-`(d − 1)` node to reach a layer-`d` node carries the smallest
+/// label among its predecessors.
 pub fn multi_source_bfs(graph: &Graph, sources: &[NodeId]) -> MultiSourceBfs {
     let n = graph.n();
     let mut dist = vec![INFINITY; n];
@@ -121,67 +125,10 @@ pub fn multi_source_bfs(graph: &Graph, sources: &[NodeId]) -> MultiSourceBfs {
                 dist[u] = dv + 1;
                 closest[u] = cv;
                 queue.push_back(a.to);
-            } else if dist[u] == dv + 1 {
-                // Deterministic tie-break by smaller source id.
-                if let (Some(old), Some(new)) = (closest[u], cv) {
-                    if new < old {
-                        // Re-relaxation with equal distance cannot change
-                        // distances further away incorrectly because the BFS
-                        // layer structure is unchanged; we simply fix the label.
-                        closest[u] = Some(new);
-                    }
-                }
             }
         }
-    }
-    // A second sweep in BFS order guarantees the tie-break is globally
-    // consistent (a node's closest source is the minimum over the closest
-    // sources of its predecessors on shortest hop paths).
-    let order = bfs_layers_order(graph, &sorted);
-    for &v in &order {
-        let dv = dist[v as usize];
-        if dv == 0 || dv == INFINITY {
-            continue;
-        }
-        let mut best = closest[v as usize];
-        for a in graph.arcs(v) {
-            let u = a.to as usize;
-            if dist[u] + 1 == dv {
-                match (best, closest[u]) {
-                    (Some(b), Some(c)) if c < b => best = Some(c),
-                    (None, Some(c)) => best = Some(c),
-                    _ => {}
-                }
-            }
-        }
-        closest[v as usize] = best;
     }
     MultiSourceBfs { dist, closest }
-}
-
-/// Nodes ordered by hop distance from the source set (stable within a layer).
-fn bfs_layers_order(graph: &Graph, sources: &[NodeId]) -> Vec<NodeId> {
-    let n = graph.n();
-    let mut dist = vec![INFINITY; n];
-    let mut order = Vec::with_capacity(n);
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        if dist[s as usize] == INFINITY {
-            dist[s as usize] = 0;
-            queue.push_back(s);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for a in graph.arcs(v) {
-            let u = a.to as usize;
-            if dist[u] == INFINITY {
-                dist[u] = dist[v as usize] + 1;
-                queue.push_back(a.to);
-            }
-        }
-    }
-    order
 }
 
 /// Connected components of the graph.  Returns `(component_id_per_node,
@@ -259,6 +206,51 @@ mod tests {
         let r = multi_source_bfs(&g, &[2, 2, 2]);
         assert_eq!(r.dist[2], 0);
         assert!(r.dist.iter().all(|&d| d <= 2));
+    }
+
+    /// Against one BFS per source on random graphs — sparse enough to be
+    /// disconnected, dense enough for many equidistant sources — with
+    /// duplicate sources: the closest source is the smallest id at the
+    /// minimum hop distance, and an unreached node has none.
+    #[test]
+    fn multi_source_bfs_matches_per_source_bfs() {
+        use crate::GraphBuilder;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0B5);
+        for _ in 0..400 {
+            let n = rng.gen_range(1..=40usize);
+            let p = 0.3 * rng.gen::<f64>();
+            let mut b = GraphBuilder::new(n);
+            for u in 0..n as NodeId {
+                for v in u + 1..n as NodeId {
+                    if rng.gen_bool(p) {
+                        b.add_unweighted_edge(u, v).unwrap();
+                    }
+                }
+            }
+            let g = b.build_unchecked_connectivity();
+            let sources: Vec<NodeId> = (0..rng.gen_range(0..=6usize))
+                .map(|_| rng.gen_range(0..n as NodeId))
+                .collect();
+
+            let mut dist = vec![INFINITY; n];
+            let mut closest = vec![None; n];
+            let mut distinct = sources.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            for &s in &distinct {
+                for (v, &d) in bfs(&g, s).dist.iter().enumerate() {
+                    if d < dist[v] {
+                        (dist[v], closest[v]) = (d, Some(s));
+                    }
+                }
+            }
+            let r = multi_source_bfs(&g, &sources);
+            assert_eq!(r.dist, dist, "sources {sources:?} on {:?}", g.edges());
+            assert_eq!(r.closest, closest, "sources {sources:?} on {:?}", g.edges());
+        }
     }
 
     #[test]

@@ -10,8 +10,6 @@
 
 use hybrid_graph::balls::{ball_size_profile, BallOracle};
 use hybrid_graph::{generators, Graph, GraphBuilder, NodeId};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use rayon::ThreadPoolBuilder;
 
 const SIZES: [usize; 5] = [1, 63, 64, 65, 200];
@@ -44,7 +42,6 @@ fn union(a: &Graph, b: &Graph) -> Graph {
 /// three cliques), plus the union of the last two.
 fn graphs(n: usize) -> Vec<(String, Graph)> {
     let (a, b) = near_square(n);
-    let mut rng = ChaCha8Rng::seed_from_u64(0xBA11 + n as u64);
     let p = (6.0 / n as f64).min(1.0);
     let mut out: Vec<(String, Graph)> = [
         ("path", generators::path(n)),
@@ -52,7 +49,10 @@ fn graphs(n: usize) -> Vec<(String, Graph)> {
         ("grid", generators::grid(&[a, b])),
         ("tree", generators::tree_with_n(2, n)),
         ("ring-of-cliques", generators::ring_of_cliques(b, a, 1)),
-        ("erdos-renyi", generators::erdos_renyi(n, p, &mut rng)),
+        (
+            "erdos-renyi",
+            generators::erdos_renyi(n, p, 0xBA11 + n as u64),
+        ),
     ]
     .into_iter()
     .filter_map(|(name, graph)| Some((format!("{name}({n})"), graph.ok()?)))

@@ -19,8 +19,8 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(2024);
     // A random geometric graph models short-range wireless links; random
     // edge weights model link latencies.
-    let base = generators::random_geometric(500, 0.09, &mut rng).expect("mesh");
-    let graph = Arc::new(generators::with_random_weights(&base, 16, &mut rng).expect("weights"));
+    let base = generators::random_geometric(500, 0.09, 2024).expect("mesh");
+    let graph = Arc::new(generators::with_random_weights(&base, 16, 2024).expect("weights"));
     let oracle = NqOracle::new(&graph);
     println!(
         "wireless mesh: n = {}, m = {}, diameter = {}",

@@ -15,11 +15,8 @@ use std::sync::Arc;
 use hybrid::core::dissemination::place_tokens;
 use hybrid::core::lower_bounds::dissemination_lower_bound;
 use hybrid::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 fn main() {
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
     let k = 256u64;
     let cases: Vec<(&str, Graph)> = vec![
         ("path (worst case)", generators::path(1024).unwrap()),
@@ -29,7 +26,7 @@ fn main() {
         ("binary tree", generators::tree_with_n(2, 1024).unwrap()),
         (
             "Erdős–Rényi",
-            generators::erdos_renyi(1024, 6.0 / 1024.0, &mut rng).unwrap(),
+            generators::erdos_renyi(1024, 6.0 / 1024.0, 7).unwrap(),
         ),
         ("fat tree", generators::fat_tree(4, 16, 62).unwrap()),
     ];

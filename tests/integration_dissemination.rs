@@ -15,7 +15,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn families(n: usize, seed: u64) -> Vec<(&'static str, Graph)> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     vec![
         ("path", generators::path(n).unwrap()),
         ("cycle", generators::cycle(n).unwrap()),
@@ -26,7 +25,7 @@ fn families(n: usize, seed: u64) -> Vec<(&'static str, Graph)> {
         ("tree", generators::tree_with_n(2, n).unwrap()),
         (
             "er",
-            generators::erdos_renyi(n, 6.0 / n as f64, &mut rng).unwrap(),
+            generators::erdos_renyi(n, 6.0 / n as f64, seed).unwrap(),
         ),
     ]
 }
@@ -131,8 +130,7 @@ fn fixed_radius_ablation_monotone_in_radius_quality() {
 
 #[test]
 fn aggregation_matches_direct_computation_on_er_graph() {
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let graph = Arc::new(generators::erdos_renyi(200, 0.04, &mut rng).unwrap());
+    let graph = Arc::new(generators::erdos_renyi(200, 0.04, 5).unwrap());
     let oracle = NqOracle::new(&graph);
     let k = 12usize;
     let values: Vec<Vec<u64>> = (0..graph.n() as u64)

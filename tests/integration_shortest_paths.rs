@@ -16,12 +16,11 @@ use rand_chacha::ChaCha8Rng;
 
 #[test]
 fn theorem6_apsp_stretch_and_shape_across_families() {
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
     let cases: Vec<(&str, Graph)> = vec![
         ("grid", generators::grid(&[10, 10]).unwrap()),
         ("cycle", generators::cycle(90).unwrap()),
         ("tree", generators::tree_balanced(3, 4).unwrap()),
-        ("er", generators::erdos_renyi(100, 0.06, &mut rng).unwrap()),
+        ("er", generators::erdos_renyi(100, 0.06, 1).unwrap()),
     ];
     for (name, graph) in cases {
         let graph = Arc::new(graph);
@@ -47,7 +46,8 @@ fn theorem6_apsp_stretch_and_shape_across_families() {
 #[test]
 fn weighted_apsp_algorithms_respect_their_stretch() {
     let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let graph = Arc::new(generators::weighted_erdos_renyi(90, 0.07, 20, &mut rng).unwrap());
+    let er = generators::erdos_renyi(90, 0.07, 2).unwrap();
+    let graph = Arc::new(generators::with_random_weights(&er, 20, 2).unwrap());
     let oracle = NqOracle::new(&graph);
 
     let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
@@ -92,7 +92,7 @@ fn theorem13_sssp_rounds_flat_in_n_baselines_grow() {
 #[test]
 fn theorem14_kssp_tracks_sqrt_k_and_beats_prior_for_small_k() {
     let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let graph = Arc::new(generators::erdos_renyi(600, 6.0 / 600.0, &mut rng).unwrap());
+    let graph = Arc::new(generators::erdos_renyi(600, 6.0 / 600.0, 3).unwrap());
     let mut rounds = Vec::new();
     for &k in &[16usize, 64, 256] {
         let sources = sample_distinct(graph.n(), k, &mut rng);
@@ -130,8 +130,8 @@ fn theorem14_kssp_tracks_sqrt_k_and_beats_prior_for_small_k() {
 #[test]
 fn theorem5_klsp_end_to_end_on_weighted_geometric_graph() {
     let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let base = generators::random_geometric(250, 0.12, &mut rng).unwrap();
-    let graph = Arc::new(generators::with_random_weights(&base, 10, &mut rng).unwrap());
+    let base = generators::random_geometric(250, 0.12, 4).unwrap();
+    let graph = Arc::new(generators::with_random_weights(&base, 10, 4).unwrap());
     let oracle = NqOracle::new(&graph);
     let sources = sample_distinct(graph.n(), 30, &mut rng);
     let nq = oracle.nq(30);

@@ -21,18 +21,15 @@ use hybrid::sim::{GlobalMessage, GlobalScheduler};
 
 /// A random connected graph drawn from one of the paper's families.
 fn arbitrary_graph() -> impl Strategy<Value = Graph> {
-    (0u8..5, 10usize..120, any::<u64>()).prop_map(|(kind, n, seed)| {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        match kind {
-            0 => generators::path(n).unwrap(),
-            1 => generators::cycle(n.max(3)).unwrap(),
-            2 => {
-                let side = ((n as f64).sqrt().ceil() as usize).max(2);
-                generators::grid(&[side, side]).unwrap()
-            }
-            3 => generators::tree_with_n(2, n).unwrap(),
-            _ => generators::erdos_renyi(n, (8.0 / n as f64).min(1.0), &mut rng).unwrap(),
+    (0u8..5, 10usize..120, any::<u64>()).prop_map(|(kind, n, seed)| match kind {
+        0 => generators::path(n).unwrap(),
+        1 => generators::cycle(n.max(3)).unwrap(),
+        2 => {
+            let side = ((n as f64).sqrt().ceil() as usize).max(2);
+            generators::grid(&[side, side]).unwrap()
         }
+        3 => generators::tree_with_n(2, n).unwrap(),
+        _ => generators::erdos_renyi(n, (8.0 / n as f64).min(1.0), seed).unwrap(),
     })
 }
 
@@ -528,9 +525,7 @@ proptest! {
         src_sel in any::<u32>(),
         wseed in any::<u64>(),
     ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(wseed);
-        let weighted =
-            hybrid::graph::generators::with_random_weights(&graph, max_w, &mut rng).unwrap();
+        let weighted = generators::with_random_weights(&graph, max_w, wseed).unwrap();
         let source = src_sel % weighted.n() as u32;
         let heap = hybrid::graph::dijkstra::dijkstra_heap(&weighted, source);
         let dial = hybrid::graph::dijkstra::dijkstra_dial(&weighted, source);
@@ -674,14 +669,12 @@ proptest! {
         avg in 3.0f64..8.0,
         seed in any::<u64>(),
     ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let g = generators::chung_lu(n, exponent, avg, &mut rng).unwrap();
+        let g = generators::chung_lu(n, exponent, avg, seed).unwrap();
         prop_assert_eq!(g.n(), n);
         prop_assert!(g.m() >= n - 1, "connected graphs have >= n-1 edges");
         let (_, c) = hybrid::graph::traversal::connected_components(&g);
         prop_assert_eq!(c, 1);
-        let mut rng2 = ChaCha8Rng::seed_from_u64(seed);
-        let g2 = generators::chung_lu(n, exponent, avg, &mut rng2).unwrap();
+        let g2 = generators::chung_lu(n, exponent, avg, seed).unwrap();
         prop_assert_eq!(g.edges(), g2.edges());
     }
 
@@ -778,9 +771,7 @@ proptest! {
     ) {
         use hybrid::core::oracle::{DistanceOracle, OracleConfig, ORACLE_STRETCH};
         use rand::Rng;
-        let mut rng = ChaCha8Rng::seed_from_u64(wseed);
-        let weighted =
-            hybrid::graph::generators::with_random_weights(&graph, max_w, &mut rng).unwrap();
+        let weighted = generators::with_random_weights(&graph, max_w, wseed).unwrap();
         let n = weighted.n() as u32;
         let oracle = DistanceOracle::build(
             &weighted,
@@ -817,7 +808,7 @@ proptest! {
 /// sequential `add_edge` generators at every pool width.  "Legacy" is their
 /// recorded output — FNV-1a digests of `(n, edges())` printed by the last
 /// commit that shipped them (3a0f670), the same table as
-/// `hybrid_graph::streaming::tests`.  The first five sizes are past the
+/// `hybrid_graph::generators::tests`.  The first five sizes are past the
 /// 16384-item emission chunk, so the 4- and 8-thread pools really emit
 /// several chunks concurrently and stitch them; the last two fit one chunk
 /// and run inline.
@@ -943,9 +934,7 @@ proptest! {
         use rand::Rng;
 
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let weighted = Arc::new(
-            hybrid::graph::generators::with_random_weights(&graph, max_w, &mut rng).unwrap(),
-        );
+        let weighted = Arc::new(generators::with_random_weights(&graph, max_w, seed).unwrap());
         let n = weighted.n();
         let params = ModelParams {
             local: match lambda_sel {
@@ -1000,21 +989,19 @@ proptest! {
         }
     }
 
-    /// Streaming generators (random families): the canonical per-chunk
-    /// streams are seed-deterministic and pool-width invariant — the edge
-    /// list is a pure function of `(family, n, seed)`, never of the worker
-    /// count.
+    /// Random families: the per-chunk streams are seed-deterministic and
+    /// pool-width invariant — the edge list is a pure function of
+    /// `(family, n, seed)`, never of the worker count.
     #[test]
     fn streaming_random_families_are_pool_width_invariant(
         n in 64usize..600,
         seed in any::<u64>(),
     ) {
-        use hybrid::graph::streaming;
         let build = || -> Vec<Graph> {
             vec![
-                streaming::erdos_renyi(n, (6.0 / n as f64).min(1.0), seed).unwrap(),
-                streaming::random_geometric(n, (8.0 / n as f64).sqrt().min(0.9), seed).unwrap(),
-                streaming::chung_lu(n, 2.5, 6.0, seed).unwrap(),
+                generators::erdos_renyi(n, (6.0 / n as f64).min(1.0), seed).unwrap(),
+                generators::random_geometric(n, (8.0 / n as f64).sqrt().min(0.9), seed).unwrap(),
+                generators::chung_lu(n, 2.5, 6.0, seed).unwrap(),
             ]
         };
         let reference = build();
