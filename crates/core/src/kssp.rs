@@ -13,6 +13,14 @@
 //!   *proxy source*; composing through the proxy costs a factor 3:
 //!   stretch `3(1+ε)` in `Õ(√(k/γ)/ε²)` rounds.
 //!
+//! The data level of both skeleton regimes sweeps the `k` source rows first.
+//! Exactness is per row: a source row that reached its Bellman–Ford fixpoint
+//! holds exact distances and is that source's label.  Only when some source
+//! row is not exact is the skeleton table swept — just its non-source nodes,
+//! the source rows move into it — and composed through (Lemma 9.4).  The
+//! skeleton's sampling, helper sets and round charges do not depend on which
+//! rows are swept, so the rounds are the same either way.
+//!
 //! The comparison row for Figure 1 (`Õ(n^{1/3} + √k)` of `[CHLP21a]`) is
 //! provided by [`baseline_chlp21_rounds`].
 
@@ -25,7 +33,7 @@ use hybrid_sim::HybridNetwork;
 use crate::helpers::ks20_helper_sets;
 use crate::minplus::{self, Assignment, Coeff};
 use crate::rows::DistanceRows;
-use crate::skeleton::{build_skeleton, SkeletonGraph};
+use crate::skeleton::{sample_skeleton, SkeletonSample};
 use crate::sssp::{quantize_distance, sssp_round_cost};
 use crate::stretch::StretchViolation;
 
@@ -104,7 +112,8 @@ pub fn kssp(
         KsspVariant::RandomSources => sources.to_vec(),
         KsspVariant::ArbitrarySources => Vec::new(),
     };
-    let skeleton = build_skeleton(net, x, &forced, rng);
+    let skeleton = sample_skeleton(net, x, &forced, rng);
+    let (h, skeleton_size) = (skeleton.h, skeleton.nodes.len());
 
     // Helper sets for the skeleton nodes (Lemma 9.2) and the Lemma 9.3
     // scheduling cost: each helper simulates at most ⌈k/|H_u|⌉ SSSP instances;
@@ -114,7 +123,7 @@ pub fn kssp(
     let min_helpers = helper_sets.min_size().max(1);
     let load_per_helper = k.div_ceil(min_helpers) as u64;
     let t_sssp = sssp_round_cost(net, epsilon);
-    let per_simulated_round = skeleton.h + load_per_helper.div_ceil(gamma as u64);
+    let per_simulated_round = h + load_per_helper.div_ceil(gamma as u64);
     net.charge_rounds(
         "kssp/schedule-sssp-on-skeleton (Lemma 9.3)",
         t_sssp.saturating_mul(per_simulated_round.max(1)),
@@ -122,13 +131,13 @@ pub fn kssp(
 
     // Data level: distances on the skeleton from each source's skeleton node,
     // quantized by (1+eps); then composition back to all of G.
-    let dist = compute_labels(&graph, &skeleton, sources, epsilon, variant);
+    let dist = compute_labels(&graph, skeleton, sources, epsilon, variant);
 
     // Post-processing: every node learns its h-hop neighbourhood to compose
     // labels (Lemma 9.4 / Theorem 14 proof), plus the broadcast of the
     // source-to-proxy distances (an instance of k-dissemination, charged at
     // its Õ(√(k/γ)) bound).
-    net.charge_local("kssp/post-process-h-hop", skeleton.h);
+    net.charge_local("kssp/post-process-h-hop", h);
     if matches!(variant, KsspVariant::ArbitrarySources) {
         net.charge_rounds(
             "kssp/broadcast-proxy-distances",
@@ -145,7 +154,7 @@ pub fn kssp(
         stretch,
         epsilon,
         rounds: net.rounds() - before,
-        skeleton_size: skeleton.len(),
+        skeleton_size,
     }
 }
 
@@ -158,55 +167,62 @@ pub fn kssp(
 ///
 /// where `aᵢ` is source `i`'s (proxy) anchor on the skeleton, `d_S` the
 /// skeleton-graph distance, `q` the `(1+ε)` quantization, and the `d^h` rows
-/// are the skeleton's stored `h`-hop sweeps ([`SkeletonGraph::rows`], paid
-/// once at construction).  The composition runs on the shared blocked
-/// `(min, +)` kernel ([`crate::minplus`]), with two exact fast paths:
+/// are `h`-hop sweeps, each swept once.  The source rows come first; the
+/// rest of the skeleton table ([`SkeletonSample::sweep`]) only when some
+/// source must compose through it.  The composition runs on the shared
+/// blocked `(min, +)` kernel ([`crate::minplus`]), with two exact fast paths:
 ///
+/// * **An exact initial row dominates the composition**: every composed
+///   candidate is a sum of distance overestimates along a path through the
+///   anchor, hence `≥ d(sᵢ, v)`.  A source whose own sweep converged keeps
+///   its row verbatim and skips the kernel — exactness is that row's own
+///   fixpoint flag.  When every source row converged, those rows are the
+///   labels and the skeleton table is never swept.
 /// * **Converged sweeps skip the metric closure** (Lemma 6.3): when every
 ///   skeleton sweep reached its Bellman–Ford fixpoint, the rows already hold
 ///   exact distances and the skeleton-SSSP step degenerates to reading them
 ///   back (the triangle inequality makes the direct edge optimal), so no
 ///   Dijkstra runs at all.
-/// * **An exact initial row dominates the composition**: every composed
-///   candidate is a sum of distance overestimates along a path through the
-///   anchor, hence `≥ d(sᵢ, v)`.  A source whose own sweep converged keeps
-///   its row verbatim and skips the kernel.  Both fast paths produce
-///   bit-identical labels to the full composition.
+///
+/// Both fast paths produce bit-identical labels to the full composition.
 fn compute_labels(
     graph: &hybrid_graph::Graph,
-    skeleton: &SkeletonGraph,
+    sample: SkeletonSample,
     sources: &[NodeId],
     epsilon: f64,
     variant: KsspVariant,
 ) -> DistanceRows {
-    let h = skeleton.h as usize;
+    // Every source's own h-hop row, and whether it is exact.
+    let (own, exact_init) = DistanceRows::hop_limited(graph, sources, sample.h as usize);
+    if exact_init.iter().all(|&exact| exact) {
+        return own;
+    }
+
+    // Some source composes: sweep the skeleton nodes that are not sources,
+    // and move the skeleton sources' rows into the table.
+    let mut own = own.into_rows();
+    let mut source_row = vec![usize::MAX; sample.nodes.len()];
+    for (i, &s) in sources.iter().enumerate() {
+        if sample.contains(s) {
+            source_row[sample.index_of[s as usize]] = i;
+        }
+    }
+    let skeleton = sample.sweep(graph, |p| {
+        let i = source_row[p];
+        (i != usize::MAX).then(|| (std::mem::take(&mut own[i]), exact_init[i]))
+    });
     let srows = &skeleton.rows;
-
-    // Direct h-hop sweeps for the sources that are not skeleton nodes (a
-    // skeleton source's sweep is already a stored row); each sweep reports
-    // convergence.
-    let outside: Vec<NodeId> = sources
+    let init: Vec<&[Weight]> = sources
         .iter()
-        .copied()
-        .filter(|&s| !skeleton.contains(s))
-        .collect();
-    let (direct, direct_converged) = DistanceRows::hop_limited(graph, &outside, h);
-
-    // Initial row per source: its own h-hop knowledge, and whether that row
-    // is exact (the dominance fast path above).
-    let mut swept = 0..outside.len();
-    let (init, exact_init): (Vec<&[Weight]>, Vec<bool>) = sources
-        .iter()
-        .map(|&s| {
+        .enumerate()
+        .map(|(i, &s)| {
             if skeleton.contains(s) {
-                let own = srows.row(skeleton.index_of[s as usize]);
-                (own, skeleton.converged)
+                srows.row(skeleton.index_of[s as usize])
             } else {
-                let i = swept.next().expect("one direct sweep per outside source");
-                (direct.row(i), direct_converged[i])
+                &own[i]
             }
         })
-        .unzip();
+        .collect();
 
     // For each source that still needs the composition: its skeleton node
     // (itself, or the proxy minimizing d^h(s, ·) over the skeleton).  Sources
@@ -299,7 +315,9 @@ pub fn kssp_lower_bound_rounds(k: usize, gamma: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::prob::{sample_distinct, sample_with_probability};
+    use crate::skeleton::SkeletonGraph;
     use hybrid_graph::generators;
+    use hybrid_sim::ModelParams;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::sync::Arc;
@@ -364,6 +382,117 @@ mod tests {
         );
         assert!(out.skeleton_size > 0);
         out.verify_stretch(&g).unwrap();
+    }
+
+    /// The Lemma 9.4 labels with no fast path: the whole skeleton from
+    /// `build_skeleton` (the seed `kssp` samples with), every source composed
+    /// through the kernel, every anchor's coefficients from the skeleton
+    /// Dijkstra.  Also returns the skeleton.
+    fn full_composition(
+        g: &Arc<hybrid_graph::Graph>,
+        params: ModelParams,
+        sources: &[NodeId],
+        variant: KsspVariant,
+        seed: u64,
+    ) -> (DistanceRows, SkeletonGraph) {
+        let mut net = HybridNetwork::new(Arc::clone(g), params);
+        let gamma = params.global_capacity_msgs;
+        let x = (sources.len() as f64 / gamma as f64).sqrt().max(1.0);
+        let forced = match variant {
+            KsspVariant::RandomSources => sources.to_vec(),
+            KsspVariant::ArbitrarySources => Vec::new(),
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let sk = crate::skeleton::build_skeleton(&mut net, x, &forced, &mut rng);
+        let (own, _) = DistanceRows::hop_limited(g, sources, sk.h as usize);
+        let mut coeffs = Vec::new();
+        let mut assign = Vec::new();
+        for (i, &s) in sources.iter().enumerate() {
+            let (anchor, offset) = if sk.contains(s) {
+                (sk.index_of[s as usize], 0)
+            } else {
+                (0..sk.len())
+                    .map(|j| (j, sk.rows.row(j)[s as usize]))
+                    .fold((0, INFINITY), |best, c| if c.1 < best.1 { c } else { best })
+            };
+            let row = sk.sssp(anchor).into_iter();
+            coeffs.push(Coeff::Dense(
+                row.map(|d| quantize_distance(d, 1.0)).collect(),
+            ));
+            assign.push(Some((i, offset)));
+        }
+        let init: Vec<&[Weight]> = own.iter().collect();
+        let labels = minplus::compose(&sk.rows, &coeffs, &assign, &init);
+        (DistanceRows::from_rows(sources.to_vec(), g.n(), labels), sk)
+    }
+
+    #[test]
+    fn fast_paths_match_the_full_composition() {
+        let grid = generators::weighted_grid(&[12, 12], 16, 23).unwrap();
+        let er = generators::with_random_weights(
+            &generators::erdos_renyi(96, 0.04, 23).unwrap(),
+            16,
+            23,
+        )
+        .unwrap();
+        let path = generators::path(128).unwrap();
+        // Every node of a 64-path a source, under γ = 63: the skeleton is
+        // the sources (x ≈ 1, h = 13), no row converges, and labels need
+        // skeleton paths of more than 2h hops — a skeleton wrongly taken as
+        // converged would read its h-hop rows back instead.
+        let short_path = generators::path(64).unwrap();
+        let params = |g: &hybrid_graph::Graph| ModelParams::hybrid(g.n());
+        // (instance, model, sources — one repeated in the first three — and
+        // how many of the source rows reach their fixpoint: some, all, none,
+        // none).
+        let cases = [
+            (
+                params(&grid),
+                grid,
+                vec![0, 143, 66, 77, 5, 60, 90, 130, 11, 70, 40, 100, 77],
+            ),
+            (params(&er), er, vec![3, 17, 29, 40, 52, 61, 70, 81, 95, 17]),
+            (
+                params(&path),
+                path,
+                vec![0, 9, 30, 31, 64, 90, 100, 110, 127, 30],
+            ),
+            (
+                ModelParams::hybrid_with_global_capacity(64, 63),
+                short_path,
+                (0..64).collect(),
+            ),
+        ];
+        let mut saw_outside = false;
+        for (ci, (params, g, sources)) in cases.into_iter().enumerate() {
+            let g = Arc::new(g);
+            let seed = 40 + ci as u64;
+            for variant in [KsspVariant::RandomSources, KsspVariant::ArbitrarySources] {
+                let (reference, sk) = full_composition(&g, params, &sources, variant, seed);
+                saw_outside |= sources.iter().any(|&s| !sk.contains(s));
+                let mut net = HybridNetwork::new(Arc::clone(&g), params);
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let out = kssp(&mut net, &sources, 1.0, variant, &mut rng);
+                assert_eq!(out.skeleton_size, sk.len(), "case {ci} {variant:?}");
+                assert_eq!(out.dist, reference, "case {ci} {variant:?}");
+
+                // The convergence mix the case is here for.
+                let (_, exact) = DistanceRows::hop_limited(&g, &sources, sk.h as usize);
+                let converged = exact.iter().filter(|&&c| c).count();
+                let mix = [
+                    0 < converged && converged < exact.len(),
+                    converged == exact.len(),
+                    converged == 0,
+                    converged == 0,
+                ];
+                assert!(
+                    mix[ci],
+                    "case {ci}: {converged} of {} rows exact",
+                    exact.len()
+                );
+            }
+        }
+        assert!(saw_outside, "no source outside the skeleton");
     }
 
     #[test]

@@ -10,15 +10,21 @@
 //! through skeleton nodes every `h` hops, so skeleton distances equal graph
 //! distances between skeleton nodes (Lemma 6.3).
 //!
-//! The construction's raw material — one `h`-hop-limited distance row per
-//! skeleton node, swept by [`DistanceRows::hop_limited`] — is kept on the
-//! [`SkeletonGraph`] as a [`crate::minplus::RowMatrix`] (the swept table,
-//! moved, plus its finite spans): the k-SSP data level composes labels
-//! directly against these rows with the shared `(min, +)` kernel
-//! ([`crate::minplus`]), so they are computed exactly once.  The explicit
-//! edge-list [`Graph`] of the skeleton (dense on low-diameter inputs) is only
-//! materialized on demand via [`SkeletonGraph::graph`]; consumers that never
-//! touch it (the common k-SSP path) skip the build entirely.
+//! The construction has two halves.  `sample_skeleton` draws the skeleton
+//! nodes and charges the `h` local rounds; `SkeletonSample::sweep` then
+//! sweeps one `h`-hop-limited distance row per skeleton node
+//! ([`DistanceRows::hop_limited`]) and keeps them on the [`SkeletonGraph`] as
+//! a [`crate::minplus::RowMatrix`] (the swept rows, moved, plus their finite
+//! spans).  [`build_skeleton`] is the two halves back to back.  The sweep
+//! adopts rows a caller has already swept instead of sweeping them again:
+//! the k-SSP data level ([`crate::kssp`]) sweeps its source rows first and
+//! sweeps the skeleton table only when some source must compose through it,
+//! with the shared `(min, +)` kernel ([`crate::minplus`]).  Every row is
+//! swept exactly once, and exactness is a per-row fact: each sweep reports
+//! whether it reached its fixpoint.  The explicit edge-list [`Graph`] of the
+//! skeleton (dense on low-diameter inputs) is only materialized on demand via
+//! [`SkeletonGraph::graph`]; consumers that never touch it (the common k-SSP
+//! path) skip the build entirely.
 
 use std::sync::OnceLock;
 
@@ -143,42 +149,105 @@ impl SkeletonGraph {
     /// array Dijkstra — the skeleton is near-complete on low-diameter inputs,
     /// where scanning the weight rows beats a heap over `Θ(|S|²)` explicit
     /// arcs, and the explicit [`SkeletonGraph::graph`] need never be built.
+    /// Each step is one pass over the unsettled positions: it relaxes them
+    /// from the node just settled and picks the next one to settle.
     ///
     /// Distances are identical to a Dijkstra run on the explicit skeleton
     /// graph (same metric, and shortest-path distances are unique).
     pub fn sssp(&self, source: usize) -> Vec<Weight> {
-        let s_len = self.len();
-        let mut dist = vec![INFINITY; s_len];
-        let mut visited = vec![false; s_len];
+        let mut dist = vec![INFINITY; self.len()];
         dist[source] = 0;
+        // Unsettled (position, node) pairs, in position order.
+        let mut pending: Vec<(usize, usize)> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != source)
+            .map(|(j, &v)| (j, v as usize))
+            .collect();
+        let mut u = source;
         loop {
-            let mut u = usize::MAX;
+            let (base, row) = (dist[u], self.rows.row(u));
+            let mut next = None;
             let mut best = INFINITY;
-            for (j, &d) in dist.iter().enumerate() {
-                if !visited[j] && d < best {
+            for (p, &(j, v)) in pending.iter().enumerate() {
+                // A missing edge (`INFINITY`) saturates and never relaxes.
+                let d = dist[j].min(base.saturating_add(row[v].max(1)));
+                dist[j] = d;
+                if d < best {
                     best = d;
-                    u = j;
+                    next = Some(p);
                 }
             }
-            if u == usize::MAX {
-                break;
-            }
-            visited[u] = true;
-            let row = self.rows.row(u);
-            for (j, slot) in dist.iter_mut().enumerate() {
-                if visited[j] {
-                    continue;
-                }
-                let w = row[self.nodes[j] as usize];
-                if w != INFINITY {
-                    let nd = best.saturating_add(w.max(1));
-                    if nd < *slot {
-                        *slot = nd;
-                    }
-                }
-            }
+            let Some(p) = next else { break };
+            u = pending.remove(p).0;
         }
         dist
+    }
+}
+
+/// The sampling half of a skeleton construction: the skeleton nodes and the
+/// hop parameter, before any row is swept.  [`SkeletonSample::sweep`]
+/// completes it into a [`SkeletonGraph`] with the same fields.
+#[derive(Debug)]
+pub(crate) struct SkeletonSample {
+    /// The skeleton nodes (original ids, sorted).
+    pub(crate) nodes: Vec<NodeId>,
+    /// Position of each original node in [`SkeletonSample::nodes`]
+    /// (`usize::MAX` if not sampled).
+    pub(crate) index_of: Vec<usize>,
+    /// The hop parameter `h = ξ·x·ln n`.
+    pub(crate) h: u64,
+    /// The sampling parameter `x` (sampling probability `1/x`).
+    x: f64,
+}
+
+impl SkeletonSample {
+    /// Whether the original node `v` is a skeleton node.
+    pub(crate) fn contains(&self, v: NodeId) -> bool {
+        self.index_of[v as usize] != usize::MAX
+    }
+
+    /// The sweep half of the construction: the `h`-hop-limited row of every
+    /// skeleton node over `graph`.  `swept(i)` hands over a row the caller
+    /// has already swept for position `i`, with its fixpoint flag; only the
+    /// positions it returns `None` for are swept here, so no row is swept
+    /// twice.
+    pub(crate) fn sweep(
+        self,
+        graph: &Graph,
+        swept: impl FnMut(usize) -> Option<(Vec<Weight>, bool)>,
+    ) -> SkeletonGraph {
+        let given: Vec<Option<(Vec<Weight>, bool)>> = (0..self.nodes.len()).map(swept).collect();
+        let missing: Vec<NodeId> = self
+            .nodes
+            .iter()
+            .zip(&given)
+            .filter(|(_, row)| row.is_none())
+            .map(|(&v, _)| v)
+            .collect();
+        let (fresh, fresh_converged) = DistanceRows::hop_limited(graph, &missing, self.h as usize);
+        let mut fresh = fresh.into_rows().into_iter().zip(fresh_converged);
+        let mut converged = true;
+        let rows = given
+            .into_iter()
+            .map(|row| {
+                let (row, exact) = row
+                    .or_else(|| fresh.next())
+                    .expect("one sweep per missing row");
+                converged &= exact;
+                row
+            })
+            .collect();
+        SkeletonGraph {
+            nodes: self.nodes,
+            index_of: self.index_of,
+            rows: RowMatrix::new(rows),
+            converged,
+            h: self.h,
+            x: self.x,
+            graph: OnceLock::new(),
+        }
     }
 }
 
@@ -186,15 +255,30 @@ impl SkeletonGraph {
 /// in `forced` to be included (the k-SSP algorithm adds the sources,
 /// Theorem 14).  Charges `h ∈ Õ(x)` local rounds on `net` (Lemma 6.3: the
 /// construction is pure local communication).
+///
+/// This is `sample_skeleton` followed by a full `SkeletonSample::sweep`.
 pub fn build_skeleton(
     net: &mut HybridNetwork,
     x: f64,
     forced: &[NodeId],
     rng: &mut impl Rng,
 ) -> SkeletonGraph {
+    let sample = sample_skeleton(net, x, forced, rng);
+    sample.sweep(&net.graph_arc(), |_| None)
+}
+
+/// The sampling half of [`build_skeleton`]: draws every node independently
+/// with probability `1/x` (the nodes in `forced` always), and charges the
+/// construction's `h` local rounds on `net`.  The rows are left to
+/// [`SkeletonSample::sweep`].
+pub(crate) fn sample_skeleton(
+    net: &mut HybridNetwork,
+    x: f64,
+    forced: &[NodeId],
+    rng: &mut impl Rng,
+) -> SkeletonSample {
     assert!(x >= 1.0, "sampling parameter x must be at least 1");
-    let graph = net.graph_arc();
-    let n = graph.n();
+    let n = net.graph().n();
     let h = ((XI * x * ln_n(n)).ceil() as u64).max(1);
 
     let mut sampled = vec![false; n];
@@ -219,19 +303,14 @@ pub fn build_skeleton(
         index_of[v as usize] = i;
     }
 
-    // The h-hop-limited distance rows — what h rounds of local flooding give
-    // every node about each skeleton node.  Each sweep also reports whether
-    // it reached its fixpoint (then the row is exact, not just h-hop-limited).
+    // The h rounds of local flooding that give every node the h-hop-limited
+    // distance to each skeleton node — the rows the sweep half computes.
     net.charge_local("skeleton/construct", h);
-    let (rows, converged) = DistanceRows::hop_limited(&graph, &nodes, h as usize);
-    SkeletonGraph {
+    SkeletonSample {
         nodes,
         index_of,
-        rows: RowMatrix::new(rows.into_rows()),
-        converged: converged.iter().all(|&c| c),
         h,
         x,
-        graph: OnceLock::new(),
     }
 }
 
@@ -374,6 +453,38 @@ mod tests {
             let via_graph = hybrid_graph::dijkstra::dijkstra(sk.graph(), i as NodeId).dist;
             assert_eq!(dense, via_graph, "source {i}");
         }
+
+        // A weighted grid whose h (20) is below its hop diameter (30): the
+        // sweeps do not converge and some skeleton pairs have no edge.
+        let (_, mut net) = setup(generators::weighted_grid(&[16, 16], 9, 11).unwrap());
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let sk = build_skeleton(&mut net, 1.2, &[], &mut rng);
+        assert!(sk.h < 30 && !sk.converged);
+        let s_len = sk.len();
+        assert!((0..s_len).any(|i| (0..s_len).any(|j| sk.edge_weight(i, j) == INFINITY)));
+        for i in 0..s_len {
+            let dense = sk.sssp(i);
+            let via_graph = hybrid_graph::dijkstra::dijkstra(sk.graph(), i as NodeId).dist;
+            assert_eq!(dense, via_graph, "weighted source {i}");
+        }
+    }
+
+    #[test]
+    fn the_sampling_half_picks_the_build_nodes() {
+        let (g, mut net) = setup(generators::grid(&[10, 10]).unwrap());
+        let sample = sample_skeleton(&mut net, 4.0, &[0, 55], &mut ChaCha8Rng::seed_from_u64(1));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
+        let sk = build_skeleton(&mut net, 4.0, &[0, 55], &mut ChaCha8Rng::seed_from_u64(1));
+        assert_eq!(
+            (&sample.nodes, &sample.index_of, sample.h),
+            (&sk.nodes, &sk.index_of, sk.h)
+        );
+        // A row handed to the sweep takes its position; the rest are swept.
+        let (first, flags) = DistanceRows::hop_limited(&g, &sample.nodes[..1], sk.h as usize);
+        let mut given = Some((first.into_rows().remove(0), flags[0]));
+        let swept = sample.sweep(&g, |p| if p == 0 { given.take() } else { None });
+        assert_eq!(swept.rows.rows(), sk.rows.rows());
+        assert_eq!(swept.converged, sk.converged);
     }
 
     #[test]
