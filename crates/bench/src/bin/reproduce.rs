@@ -30,7 +30,7 @@ use hybrid_bench::scale::{scale_rows, ScaleConfig};
 use hybrid_bench::scenarios::{
     appendix_b_rows, figure1_rows, table1_rows, table2_rows, table3_rows, table4_rows, GraphFamily,
 };
-use hybrid_bench::sweep::{sweep_rows_with, validate_sweep_artifact, SweepConfig};
+use hybrid_bench::sweep::{check_shootout, sweep_rows_with, SweepConfig, SweepRow};
 use serde::Serialize;
 
 /// One reproduction target.
@@ -175,10 +175,9 @@ fn at(path: &Path, err: io::Error) -> io::Error {
     io::Error::new(err.kind(), format!("{}: {err}", path.display()))
 }
 
-/// Writes `results/<name>.json` and returns the text written.  Every failure
-/// is returned, naming its path: an artifact generator must not exit 0
-/// without its artifacts.
-fn write_json<T: Serialize>(name: &str, rows: &T) -> io::Result<String> {
+/// Writes `results/<name>.json`.  Every failure is returned, naming its
+/// path: an artifact generator must not exit 0 without its artifacts.
+fn write_json<T: Serialize>(name: &str, rows: &T) -> io::Result<()> {
     let dir = Path::new("results");
     let path = dir.join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(rows)
@@ -186,7 +185,7 @@ fn write_json<T: Serialize>(name: &str, rows: &T) -> io::Result<String> {
     fs::create_dir_all(dir).map_err(|err| at(dir, err))?;
     fs::write(&path, &json).map_err(|err| at(&path, err))?;
     println!("  (wrote {})", path.display());
-    Ok(json)
+    Ok(())
 }
 
 fn run_table1(cli: &Cli) -> io::Result<()> {
@@ -441,19 +440,19 @@ fn run_sweep(cli: &Cli) -> io::Result<()> {
             println!("    kssp: {}", ks.join("  "));
         }
     }
-    let json = write_json("sweep_scaling", &rows)?;
-    check_sweep_artifact(cli.algo.is_some(), &json)
+    write_json("sweep_scaling", &rows)?;
+    check_sweep_artifact(cli.algo.is_some(), &rows)
 }
 
-/// Holds the shootout artifact just written to its schema.  A filtered
+/// Holds the shootout just written to [`check_shootout`].  A filtered
 /// shootout (`--algo`) is skipped: its rows legitimately carry fewer than
-/// [`hybrid_bench::MIN_ALGORITHMS_PER_ROW`] entries, which only the full
+/// [`hybrid_bench::MIN_ALGORITHMS_PER_ROW`] contenders, which only the full
 /// registry produces.
-fn check_sweep_artifact(filtered: bool, json: &str) -> io::Result<()> {
+fn check_sweep_artifact(filtered: bool, rows: &[SweepRow]) -> io::Result<()> {
     if filtered {
         return Ok(());
     }
-    validate_sweep_artifact(json).map_err(|err| {
+    check_shootout(rows).map_err(|err| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("results/sweep_scaling.json: malformed shootout artifact: {err}"),
@@ -745,32 +744,31 @@ mod tests {
 
     #[test]
     fn sweep_artifact_gate_counts_malformed_artifacts_under_strict() {
-        // Structurally broken artifact (no shootout columns): a failure when
-        // the shootout was unfiltered, not looked at when it was filtered.
-        let junk = r#"[{"family": "path", "n": 64}]"#;
-        let err = check_sweep_artifact(false, junk).unwrap_err();
-        assert!(err.to_string().contains("sweep_scaling.json"), "{err}");
-        assert!(check_sweep_artifact(true, junk).is_ok());
+        let config = SweepConfig {
+            sizes: vec![64],
+            points: vec![hybrid_bench::SweepPoint::HYBRID],
+            seed: 1,
+        };
+        let family = [GraphFamily::Path];
+        // A well-formed shootout passes: the full registry in both columns.
+        let good = sweep_rows_with(&family, &config, None).unwrap();
+        assert!(check_sweep_artifact(false, &good).is_ok());
         // One contender per column is what `--algo theorem1,theorem14`
         // writes: fine filtered, too few for the full registry.
-        let single = r#"[{"family":"path","dissemination_lower_bound":1.0,
-            "dissemination":[{"algorithm":"theorem1","ratio":1.0}],
-            "kssp_lower_bound":1,
-            "kssp":[{"algorithm":"theorem14","ratio":1.5}]}]"#;
-        assert!(check_sweep_artifact(true, single).is_ok());
-        assert!(check_sweep_artifact(false, single).is_err());
-        // A well-formed row passes: three contenders per shootout column.
-        let good = r#"[{"family":"path","dissemination_lower_bound":1.0,
-            "dissemination":[
-              {"algorithm":"theorem1","ratio":1.0},
-              {"algorithm":"det-broadcast","ratio":2.0},
-              {"algorithm":"sqrt-k-baseline","ratio":3.0}],
-            "kssp_lower_bound":1,
-            "kssp":[
-              {"algorithm":"theorem14","ratio":1.5},
-              {"algorithm":"theorem14-proxy","ratio":1.8},
-              {"algorithm":"schneider","ratio":9.0}]}]"#;
-        assert!(check_sweep_artifact(false, good).is_ok());
+        let filter = ["theorem1".to_string(), "theorem14".to_string()];
+        let single = sweep_rows_with(&family, &config, Some(&filter)).unwrap();
+        assert!(check_sweep_artifact(true, &single).is_ok());
+        let err = check_sweep_artifact(false, &single).unwrap_err();
+        assert!(err.to_string().contains("sweep_scaling.json"), "{err}");
+        // No shootout columns, or no rows: a failure when the shootout was
+        // unfiltered, not looked at when it was filtered.
+        let mut bare = good.clone();
+        bare[0].dissemination.clear();
+        bare[0].kssp.clear();
+        for rows in [&bare[..], &[]] {
+            assert!(check_sweep_artifact(false, rows).is_err());
+            assert!(check_sweep_artifact(true, rows).is_ok());
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use serde::Serialize;
 
 use hybrid_core::dissemination::{k_dissemination, place_tokens};
 use hybrid_core::nq::NqOracle;
-use hybrid_sim::engine::{Executor, NodeProgram};
+use hybrid_sim::engine::{Executor, NodeProgram, RunReport};
 use hybrid_sim::programs::AckFloodProgram;
 use hybrid_sim::{EngineConfig, FaultPlan, FaultSpec, HybridNetwork, ModelParams};
 
@@ -222,28 +222,14 @@ fn factor(measured: u64, reference: u64) -> f64 {
 }
 
 /// One engine-layer measurement: ack/retry dissemination of `k` tokens
-/// (holders spread evenly over the id space) under an optional fault plan.
-struct AckRun {
-    rounds: u64,
-    local_messages: u64,
-    completed: bool,
-    drops: u64,
-    duplicates: u64,
-    delays: u64,
-}
-
+/// (holders spread evenly over the id space) under `config`'s fault plan.
 fn run_ack_flood(
     graph: &hybrid_graph::Graph,
-    params: ModelParams,
+    config: EngineConfig,
     k: usize,
-    plan: Option<&FaultPlan>,
     max_rounds: u64,
-) -> AckRun {
+) -> RunReport {
     let n = graph.n();
-    let mut config = EngineConfig::new(params);
-    if let Some(plan) = plan {
-        config = config.with_fault_plan(plan.clone());
-    }
     let mut exec = Executor::with_config(graph, config, |v| {
         let stride = (n / k).max(1) as u32;
         let initial = if v % stride == 0 && (v / stride) < k as u32 {
@@ -256,15 +242,7 @@ fn run_ack_flood(
     // A truncated run is a legitimate data point here (heavy-drop cells are
     // *expected* to miss the horizon), so use the bounded-window entry point
     // and record `completed` instead of treating the cap as an error.
-    let report = exec.run_capped(max_rounds, |ps| ps.iter().all(|p| p.done()));
-    AckRun {
-        rounds: report.rounds,
-        local_messages: report.local_messages,
-        completed: report.completed,
-        drops: report.injected_drops,
-        duplicates: report.injected_duplicates,
-        delays: report.injected_delays,
-    }
+    exec.run_capped(max_rounds, |ps| ps.iter().all(|p| p.done()))
 }
 
 /// Runs the fault sweep grid: `families × config.sizes × config.profiles`.
@@ -293,7 +271,7 @@ pub fn fault_sweep_rows(families: &[GraphFamily], config: &FaultSweepConfig) -> 
             // enough that heavy-drop cells stay fast, large enough that every
             // token crosses long stretches of the graph.
             let k = 8usize.min(n);
-            let ack_base = run_ack_flood(&graph, params, k, None, config.max_rounds);
+            let ack_base = run_ack_flood(&graph, EngineConfig::new(params), k, config.max_rounds);
 
             // The phase workload: the Theorem 1 pipeline with an n-token
             // load, same shape as the scaling sweep's dissemination column.
@@ -309,16 +287,12 @@ pub fn fault_sweep_rows(families: &[GraphFamily], config: &FaultSweepConfig) -> 
                 .map(|(pi, profile)| {
                     let plan_seed = cell_seed(config.seed, fi, n_target, 1 + pi as u64);
                     let plan = FaultPlan::new(profile.spec, plan_seed, n);
-
-                    let ack = if plan.is_failure_free() {
-                        run_ack_flood(&graph, params, k, None, config.max_rounds)
-                    } else {
-                        run_ack_flood(&graph, params, k, Some(&plan), config.max_rounds)
-                    };
-
                     let net_config = EngineConfig::new(params).with_fault_plan(plan);
+
+                    let ack = run_ack_flood(&graph, net_config.clone(), k, config.max_rounds);
                     let mut net = HybridNetwork::with_config(Arc::clone(&graph), &net_config);
                     let diss = k_dissemination(&mut net, &oracle, &tokens);
+                    let diss_faults = diss.meter.faults();
 
                     FaultSweepRow {
                         family: family.name(),
@@ -334,16 +308,16 @@ pub fn fault_sweep_rows(families: &[GraphFamily], config: &FaultSweepConfig) -> 
                         ack_degradation: factor(ack.rounds, ack_base.rounds),
                         ack_message_overhead: factor(ack.local_messages, ack_base.local_messages),
                         ack_completed: ack.completed,
-                        ack_injected_drops: ack.drops,
-                        ack_injected_duplicates: ack.duplicates,
-                        ack_injected_delays: ack.delays,
+                        ack_injected_drops: ack.injected_drops,
+                        ack_injected_duplicates: ack.injected_duplicates,
+                        ack_injected_delays: ack.injected_delays,
                         diss_rounds: diss.rounds,
                         diss_baseline_rounds: diss_base.rounds,
                         diss_degradation: factor(diss.rounds, diss_base.rounds),
                         diss_message_overhead: factor(diss.meter.global_messages(), diss_base_msgs),
-                        diss_dropped: diss.meter.dropped(),
-                        diss_duplicated: diss.meter.duplicated(),
-                        diss_delayed: diss.meter.delayed(),
+                        diss_dropped: diss_faults.dropped,
+                        diss_duplicated: diss_faults.duplicated,
+                        diss_delayed: diss_faults.delayed,
                     }
                 })
                 .collect()

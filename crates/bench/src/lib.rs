@@ -41,6 +41,6 @@ pub use scenarios::{
     appendix_b_rows, figure1_rows, table1_rows, table2_rows, table3_rows, table4_rows, GraphFamily,
 };
 pub use sweep::{
-    sweep_rows, sweep_rows_with, validate_sweep_artifact, DissCell, KsspCell, SweepArtifactError,
+    check_shootout, sweep_rows, sweep_rows_with, DissCell, KsspCell, SweepArtifactError,
     SweepConfig, SweepPoint, SweepRow, MIN_ALGORITHMS_PER_ROW,
 };

@@ -413,46 +413,43 @@ pub fn sweep_rows_with(
     Ok(per_cell.into_iter().flatten().collect())
 }
 
-/// Schema violations of a written `sweep_scaling.json` shootout artifact.
+/// Why a shootout falls short of the full registry.
 ///
-/// `reproduce` holds every unfiltered shootout it writes to this schema and
-/// exits non-zero when the shootout columns are missing or corrupt.
+/// `reproduce` holds every unfiltered shootout it writes to
+/// [`check_shootout`] and exits non-zero when the check fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepArtifactError {
-    /// Not a JSON array of rows.
-    NotAnArray,
-    /// The artifact parsed but contains no rows.
+    /// The shootout has no rows.
     Empty,
-    /// A row is missing one of the shootout columns.
-    MissingColumn(&'static str),
-    /// Fewer algorithm entries than rows require (each row must carry at
-    /// least [`MIN_ALGORITHMS_PER_ROW`] contenders).
+    /// A shootout column of a row carries fewer than
+    /// [`MIN_ALGORITHMS_PER_ROW`] contenders.
     TooFewAlgorithms {
-        /// Number of rows found.
-        rows: usize,
-        /// Number of algorithm entries found.
+        /// Index of the row.
+        row: usize,
+        /// The column: `dissemination` or `kssp`.
+        column: &'static str,
+        /// Number of contenders the column carries.
         algorithms: usize,
     },
-    /// A ratio column is non-finite or null.
+    /// A competitive ratio is non-finite.
     NonFiniteRatio,
 }
 
 impl std::fmt::Display for SweepArtifactError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SweepArtifactError::NotAnArray => write!(f, "artifact is not a JSON array of rows"),
             SweepArtifactError::Empty => write!(f, "artifact contains no sweep rows"),
-            SweepArtifactError::MissingColumn(c) => {
-                write!(f, "sweep row is missing shootout column '{c}'")
-            }
-            SweepArtifactError::TooFewAlgorithms { rows, algorithms } => write!(
+            SweepArtifactError::TooFewAlgorithms {
+                row,
+                column,
+                algorithms,
+            } => write!(
                 f,
-                "{rows} rows carry only {algorithms} algorithm entries \
-                 (expected at least {} per row)",
-                MIN_ALGORITHMS_PER_ROW
+                "row {row} carries only {algorithms} {column} contenders \
+                 (expected at least {MIN_ALGORITHMS_PER_ROW})"
             ),
             SweepArtifactError::NonFiniteRatio => {
-                write!(f, "a competitive-ratio column is null or non-finite")
+                write!(f, "a competitive-ratio column is non-finite")
             }
         }
     }
@@ -460,55 +457,35 @@ impl std::fmt::Display for SweepArtifactError {
 
 impl std::error::Error for SweepArtifactError {}
 
-/// Minimum number of algorithm entries a well-formed shootout row carries
-/// (ours + the two rivals; only an unfiltered registry run reaches it).
+/// Minimum number of contenders each shootout column of a well-formed row
+/// carries (ours + the two rivals; only an unfiltered registry run reaches
+/// it).
 pub const MIN_ALGORITHMS_PER_ROW: usize = 3;
 
-/// Validates the shootout schema of a serialized `sweep_scaling.json`
-/// artifact: an array of rows, every row carrying the `dissemination` and
-/// `kssp` shootout columns with at least [`MIN_ALGORITHMS_PER_ROW`]
-/// algorithm entries between them, and no null/non-finite ratios.
-///
-/// This is a structural string scan, not a full parse; it is deliberately
-/// strict about the markers it relies on.
-pub fn validate_sweep_artifact(json: &str) -> Result<(), SweepArtifactError> {
-    let body = json.trim();
-    if !body.starts_with('[') || !body.ends_with(']') {
-        return Err(SweepArtifactError::NotAnArray);
-    }
-    let rows = body.matches("\"family\":").count();
-    if rows == 0 {
+/// Checks a full-registry shootout: at least one row, every row's
+/// `dissemination` and `kssp` columns carrying at least
+/// [`MIN_ALGORITHMS_PER_ROW`] contenders each, and every `ratio` finite.
+pub fn check_shootout(rows: &[SweepRow]) -> Result<(), SweepArtifactError> {
+    if rows.is_empty() {
         return Err(SweepArtifactError::Empty);
     }
-    for column in [
-        "\"dissemination\":",
-        "\"kssp\":",
-        "\"dissemination_lower_bound\":",
-        "\"kssp_lower_bound\":",
-    ] {
-        let got = body.matches(column).count();
-        if got < rows {
-            // Strip the quotes+colon for the message.
-            return Err(SweepArtifactError::MissingColumn(
-                &column[1..column.len() - 2],
-            ));
+    for (row, r) in rows.iter().enumerate() {
+        let columns = [
+            ("dissemination", r.dissemination.len()),
+            ("kssp", r.kssp.len()),
+        ];
+        for (column, algorithms) in columns {
+            if algorithms < MIN_ALGORITHMS_PER_ROW {
+                return Err(SweepArtifactError::TooFewAlgorithms {
+                    row,
+                    column,
+                    algorithms,
+                });
+            }
         }
-    }
-    let algorithms = body.matches("\"algorithm\":").count();
-    if algorithms < rows * MIN_ALGORITHMS_PER_ROW {
-        return Err(SweepArtifactError::TooFewAlgorithms { rows, algorithms });
-    }
-    let ratios = body.matches("\"ratio\":").count();
-    if ratios < algorithms {
-        return Err(SweepArtifactError::MissingColumn("ratio"));
-    }
-    // Every `"ratio":` value must start like a finite JSON number.  (The
-    // unbounded-λ rows legitimately carry `"lambda":"inf"`, so the scan is
-    // anchored to the ratio keys rather than the whole body.)
-    for (idx, _) in body.match_indices("\"ratio\":") {
-        let value = body[idx + "\"ratio\":".len()..].trim_start();
-        let mut digits = value.strip_prefix('-').unwrap_or(value).chars();
-        if !digits.next().is_some_and(|c| c.is_ascii_digit()) {
+        let diss = r.dissemination.iter().map(|c| c.ratio);
+        let kssp = r.kssp.iter().map(|c| c.ratio);
+        if !diss.chain(kssp).all(f64::is_finite) {
             return Err(SweepArtifactError::NonFiniteRatio);
         }
     }
@@ -684,34 +661,37 @@ mod tests {
     fn artifact_validator_accepts_real_rows_and_rejects_corruption() {
         let config = SweepConfig {
             sizes: vec![64],
-            points: vec![SweepPoint::HYBRID],
+            points: vec![SweepPoint::HYBRID, SweepPoint::SCARCE_GLOBAL],
             seed: 1,
         };
         let rows = sweep_rows(&[GraphFamily::Cycle], &config);
-        let json = serde_json::to_string_pretty(&rows).unwrap();
-        validate_sweep_artifact(&json).unwrap();
+        check_shootout(&rows).unwrap();
 
+        assert_eq!(check_shootout(&[]), Err(SweepArtifactError::Empty));
+        let corrupt = |corrupt_row: fn(&mut SweepRow)| {
+            let mut rows = rows.clone();
+            corrupt_row(&mut rows[1]);
+            check_shootout(&rows)
+        };
+        let too_few = |column, algorithms| {
+            Err(SweepArtifactError::TooFewAlgorithms {
+                row: 1,
+                column,
+                algorithms,
+            })
+        };
+        // A row without its dissemination shootout.
         assert_eq!(
-            validate_sweep_artifact("{}"),
-            Err(SweepArtifactError::NotAnArray)
+            corrupt(|r| r.dissemination.clear()),
+            too_few("dissemination", 0)
+        );
+        assert_eq!(corrupt(|r| r.kssp.truncate(2)), too_few("kssp", 2));
+        assert_eq!(
+            corrupt(|r| r.kssp[2].ratio = f64::NAN),
+            Err(SweepArtifactError::NonFiniteRatio)
         );
         assert_eq!(
-            validate_sweep_artifact("[]"),
-            Err(SweepArtifactError::Empty)
-        );
-        let no_shootout = json.replace("\"dissemination\":", "\"legacy\":");
-        assert_eq!(
-            validate_sweep_artifact(&no_shootout),
-            Err(SweepArtifactError::MissingColumn("dissemination"))
-        );
-        let truncated = json.replacen("\"algorithm\":", "\"alg\":", 4);
-        assert!(matches!(
-            validate_sweep_artifact(&truncated),
-            Err(SweepArtifactError::TooFewAlgorithms { .. })
-        ));
-        let nulled = json.replacen("\"ratio\":", "\"ratio\":null,\"x\":", 1);
-        assert_eq!(
-            validate_sweep_artifact(&nulled),
+            corrupt(|r| r.dissemination[0].ratio = f64::INFINITY),
             Err(SweepArtifactError::NonFiniteRatio)
         );
     }

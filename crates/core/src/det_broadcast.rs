@@ -87,7 +87,7 @@ pub fn det_token_forward_dissemination(
         // direction (the substitute for randomized rank matching).
         let hellos = tree.introductions();
         if !hellos.is_empty() {
-            crate::deliver_global_checked(net, "det-broadcast/leader-hello", &hellos);
+            net.deliver_global("det-broadcast/leader-hello", &hellos);
         }
 
         // Gather — members hand their tokens to the cluster leader over the

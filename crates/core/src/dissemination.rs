@@ -220,7 +220,7 @@ pub fn disseminate_with_radius(
         // Cluster chaining — rank-matched members of adjacent clusters
         // exchange identifiers over the global network.
         let chaining = tree.introductions();
-        crate::deliver_global_checked(net, "dissemination/cluster-chaining", &chaining);
+        net.deliver_global("dissemination/cluster-chaining", &chaining);
 
         // Per-cluster load balancing of the initial tokens (Lemma 4.1), then
         // all tokens up the cluster tree and back down, re-balancing inside

@@ -68,25 +68,6 @@ pub mod spanner;
 pub mod sssp;
 pub mod stretch;
 
-/// Delivers a global phase and enforces the failure-free invariant: unless an
-/// active fault plan is installed on the network, a well-formed algorithm
-/// phase never loses a message (the scheduler queues excess instead of
-/// dropping, so a non-zero count means a bug, not congestion).  Returns the
-/// full [`hybrid_sim::DeliveryReport`] so callers can inspect load statistics.
-pub(crate) fn deliver_global_checked(
-    net: &mut hybrid_sim::HybridNetwork,
-    label: &'static str,
-    messages: &[hybrid_sim::GlobalMessage],
-) -> hybrid_sim::DeliveryReport {
-    let report = net.deliver_global(label, messages);
-    debug_assert!(
-        net.has_faults() || report.dropped == 0,
-        "{label}: {} dropped global messages in a failure-free run",
-        report.dropped
-    );
-    report
-}
-
 pub use algorithm::{
     dissemination_registry, registry_names, select_algorithms, sssp_registry,
     DisseminationAlgorithm, RegistryError, ShootoutSelection, SsspAlgorithm,

@@ -282,9 +282,9 @@ fn route_engine(
             received.get_mut(&t).expect("target registered").insert(s);
         }
     }
-    crate::deliver_global_checked(net, "routing/send-to-intermediates", &phase_a);
-    crate::deliver_global_checked(net, "routing/helper-requests", &phase_b);
-    crate::deliver_global_checked(net, "routing/intermediate-replies", &phase_c);
+    net.deliver_global("routing/send-to-intermediates", &phase_a);
+    net.deliver_global("routing/helper-requests", &phase_b);
+    net.deliver_global("routing/intermediate-replies", &phase_c);
 
     // Final phase: targets collect their messages from their helpers locally.
     net.charge_local(

@@ -59,9 +59,10 @@ fn digest_meter(d: &mut Fnv1a64, meter: &CostMeter) {
             PhaseKind::Charged => 2,
         };
         d.write(&[0xFF, kind]);
+        let f = p.faults;
         fnv_u64s(
             d,
-            &[p.rounds, p.messages, p.dropped, p.duplicated, p.delayed],
+            &[p.rounds, p.messages, f.dropped, f.duplicated, f.delayed],
         );
     }
 }

@@ -1,5 +1,7 @@
 //! Round and message accounting shared by both simulation styles.
 
+use std::ops::AddAssign;
+
 use serde::{Deserialize, Serialize};
 
 /// Which communication mode a phase used.
@@ -12,6 +14,27 @@ pub enum PhaseKind {
     /// Purely local computation / bookkeeping charged a fixed number of rounds
     /// (e.g. simulating an oracle whose round cost is known).
     Charged,
+}
+
+/// What the seeded adversary did to a batch's delivery attempts.  Only
+/// injected faults count: the γ receive cap queues overflow for a later round
+/// instead of dropping it, so a failure-free run reports all zeros.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FaultCounts {
+    /// Attempts lost to injected message loss (each is retried later).
+    pub dropped: u64,
+    /// Extra copies delivered by injected duplication.
+    pub duplicated: u64,
+    /// Attempts held back by injected delay.
+    pub delayed: u64,
+}
+
+impl AddAssign for FaultCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.dropped += other.dropped;
+        self.duplicated += other.duplicated;
+        self.delayed += other.delayed;
+    }
 }
 
 /// One entry of the execution trace.
@@ -28,13 +51,8 @@ pub struct PhaseRecord {
     /// Messages sent during the phase (`O(log n)`-bit units for global
     /// phases; edge-message count for local phases).
     pub messages: u64,
-    /// Delivery attempts dropped during the phase — γ receive-cap overflow or
-    /// injected message loss (zero in failure-free runs by construction).
-    pub dropped: u64,
-    /// Extra message copies delivered by fault-injected duplication.
-    pub duplicated: u64,
-    /// Delivery attempts held back by fault-injected delay.
-    pub delayed: u64,
+    /// The phase's injected faults (global phases only).
+    pub faults: FaultCounts,
 }
 
 /// Accumulates the cost of an algorithm execution: total rounds, message
@@ -44,9 +62,7 @@ pub struct CostMeter {
     rounds: u64,
     local_messages: u64,
     global_messages: u64,
-    dropped: u64,
-    duplicated: u64,
-    delayed: u64,
+    faults: FaultCounts,
     trace: Vec<PhaseRecord>,
 }
 
@@ -71,20 +87,9 @@ impl CostMeter {
         self.global_messages
     }
 
-    /// Total delivery attempts dropped (γ receive-cap overflow plus injected
-    /// message loss).  Zero in failure-free runs.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total extra message copies delivered by injected duplication.
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated
-    }
-
-    /// Total delivery attempts held back by injected delay.
-    pub fn delayed(&self) -> u64 {
-        self.delayed
+    /// Injected faults summed over every phase.
+    pub fn faults(&self) -> FaultCounts {
+        self.faults
     }
 
     /// The per-phase trace.
@@ -101,42 +106,28 @@ impl CostMeter {
             kind: PhaseKind::Local,
             rounds,
             messages,
-            dropped: 0,
-            duplicated: 0,
-            delayed: 0,
+            faults: FaultCounts::default(),
         });
     }
 
-    /// Records a global phase of `rounds` rounds and `messages` global messages.
-    pub fn record_global(&mut self, label: &'static str, rounds: u64, messages: u64) {
-        self.record_global_faulty(label, rounds, messages, 0, 0, 0);
-    }
-
-    /// Records a global phase together with its fault accounting: delivery
-    /// attempts `dropped` (overflow or injected loss), extra copies
-    /// `duplicated`, and attempts `delayed`.
-    pub fn record_global_faulty(
+    /// Records a global phase of `rounds` rounds, `messages` global messages
+    /// and the `faults` injected into its delivery.
+    pub fn record_global(
         &mut self,
         label: &'static str,
         rounds: u64,
         messages: u64,
-        dropped: u64,
-        duplicated: u64,
-        delayed: u64,
+        faults: FaultCounts,
     ) {
         self.rounds += rounds;
         self.global_messages += messages;
-        self.dropped += dropped;
-        self.duplicated += duplicated;
-        self.delayed += delayed;
+        self.faults += faults;
         self.trace.push(PhaseRecord {
             label,
             kind: PhaseKind::Global,
             rounds,
             messages,
-            dropped,
-            duplicated,
-            delayed,
+            faults,
         });
     }
 
@@ -149,9 +140,7 @@ impl CostMeter {
             kind: PhaseKind::Charged,
             rounds,
             messages: 0,
-            dropped: 0,
-            duplicated: 0,
-            delayed: 0,
+            faults: FaultCounts::default(),
         });
     }
 
@@ -174,7 +163,7 @@ mod tests {
     fn recording_accumulates() {
         let mut m = CostMeter::new();
         m.record_local("flood", 5, 100);
-        m.record_global("route", 3, 42);
+        m.record_global("route", 3, 42, FaultCounts::default());
         m.record_charged("oracle", 7);
         assert_eq!(m.rounds(), 15);
         assert_eq!(m.local_messages(), 100);
@@ -185,33 +174,35 @@ mod tests {
         assert_eq!(m.rounds_for("oracle"), 7);
     }
 
+    fn counts(dropped: u64, duplicated: u64, delayed: u64) -> FaultCounts {
+        FaultCounts {
+            dropped,
+            duplicated,
+            delayed,
+        }
+    }
+
     #[test]
     fn fault_counters_accumulate_and_absorb() {
         let mut a = CostMeter::new();
-        a.record_global_faulty("lossy", 6, 30, 4, 2, 1);
-        assert_eq!(a.dropped(), 4);
-        assert_eq!(a.duplicated(), 2);
-        assert_eq!(a.delayed(), 1);
-        let rec = &a.trace()[0];
-        assert_eq!((rec.dropped, rec.duplicated, rec.delayed), (4, 2, 1));
+        a.record_global("lossy", 6, 30, counts(4, 2, 1));
+        assert_eq!(a.faults(), counts(4, 2, 1));
+        assert_eq!(a.trace()[0].faults, counts(4, 2, 1));
 
-        a.record_global_faulty("lossier", 2, 10, 3, 0, 5);
-        assert_eq!((a.dropped(), a.duplicated(), a.delayed()), (7, 2, 6));
+        a.record_global("lossier", 2, 10, counts(3, 0, 5));
+        assert_eq!(a.faults(), counts(7, 2, 6));
+        assert_eq!(a.trace()[1].faults, counts(3, 0, 5));
+        assert_eq!((a.rounds(), a.global_messages()), (8, 40));
     }
 
     #[test]
     fn failure_free_records_report_zero_fault_counters() {
         let mut m = CostMeter::new();
         m.record_local("flood", 5, 100);
-        m.record_global("route", 3, 42);
+        m.record_global("route", 3, 42, FaultCounts::default());
         m.record_charged("oracle", 7);
-        assert_eq!(m.dropped(), 0);
-        assert_eq!(m.duplicated(), 0);
-        assert_eq!(m.delayed(), 0);
-        assert!(m
-            .trace()
-            .iter()
-            .all(|p| p.dropped == 0 && p.duplicated == 0 && p.delayed == 0));
+        assert_eq!(m.faults(), FaultCounts::default());
+        assert!(m.trace().iter().all(|p| p.faults == FaultCounts::default()));
     }
 
     #[test]
@@ -220,6 +211,7 @@ mod tests {
         assert_eq!(m.rounds(), 0);
         assert_eq!(m.local_messages(), 0);
         assert_eq!(m.global_messages(), 0);
+        assert_eq!(m.faults(), FaultCounts::default());
         assert!(m.trace().is_empty());
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use hybrid_graph::Graph;
 
 use crate::config::EngineConfig;
-use crate::cost::CostMeter;
+use crate::cost::{CostMeter, FaultCounts};
 use crate::faults::FaultPlan;
 use crate::params::ModelParams;
 use crate::scheduler::{DeliveryReport, GlobalMessage, GlobalScheduler, RoundRobin};
@@ -74,8 +74,7 @@ impl HybridNetwork {
         net
     }
 
-    /// Whether an active (non-failure-free) fault plan is installed.  Callers
-    /// use this to assert zero drops on failure-free runs only.
+    /// Whether an active (non-failure-free) fault plan is installed.
     pub fn has_faults(&self) -> bool {
         self.faults.is_some()
     }
@@ -176,32 +175,29 @@ impl HybridNetwork {
         label: &'static str,
         transfers: &[RoundRobin],
     ) -> DeliveryReport {
-        let report = match &self.faults {
-            Some(plan) => {
-                let messages: Vec<GlobalMessage> = transfers
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(t, rr)| rr.messages(t))
-                    .collect();
-                let round_base = self.meter.rounds();
-                self.scheduler
-                    .deliver_with_faults(&self.params, &messages, plan, round_base)
-            }
-            None => self.scheduler.deliver_round_robin(&self.params, transfers),
-        };
+        if self.faults.is_some() {
+            let messages: Vec<GlobalMessage> = transfers
+                .iter()
+                .enumerate()
+                .flat_map(|(t, rr)| rr.messages(t))
+                .collect();
+            return self.deliver_global(label, &messages);
+        }
+        let report = self.scheduler.deliver_round_robin(&self.params, transfers);
         self.record(label, report)
     }
 
-    /// Charges a delivered global phase to the meter.
+    /// Charges a delivered global phase to the meter.  Failure-free, the
+    /// scheduler queues what exceeds a receive cap instead of dropping it,
+    /// so an injected fault without a plan is a bug, not congestion.
     fn record(&mut self, label: &'static str, report: DeliveryReport) -> DeliveryReport {
-        self.meter.record_global_faulty(
-            label,
-            report.rounds,
-            report.messages,
-            report.dropped,
-            report.duplicated,
-            report.delayed,
+        debug_assert!(
+            self.faults.is_some() || report.faults == FaultCounts::default(),
+            "{label}: {:?} in a failure-free run",
+            report.faults
         );
+        self.meter
+            .record_global(label, report.rounds, report.messages, report.faults);
         report
     }
 
@@ -275,14 +271,38 @@ mod tests {
     fn fault_plan_routes_global_phases_through_the_adversary() {
         use crate::faults::{FaultPlan, FaultSpec};
         let msgs: Vec<_> = (1..32u32).map(|s| GlobalMessage::new(s, 0)).collect();
+        let senders: Vec<u32> = (1..32).collect();
+        let transfers = [RoundRobin {
+            senders: &senders,
+            receivers: &[0, 1, 2],
+            units: 64,
+        }];
         let graph = Arc::new(generators::cycle(64).unwrap());
         let params = ModelParams::hybrid(64);
 
+        // Both phases, message list and round-robin transfers, with the
+        // reports they return; the meter must hold exactly their faults.
+        let run = |net: &mut HybridNetwork| {
+            let reports = [
+                net.deliver_global("pump", &msgs),
+                net.deliver_round_robin("spread", &transfers),
+            ];
+            let trace = net.meter().trace();
+            assert_eq!(trace.len(), 2);
+            let mut total = FaultCounts::default();
+            for (report, phase) in reports.iter().zip(trace) {
+                assert_eq!(phase.faults, report.faults, "{}", phase.label);
+                total += report.faults;
+            }
+            assert_eq!(net.meter().faults(), total);
+            reports
+        };
+
         let mut clean = net(64);
-        let clean_report = clean.deliver_global("pump", &msgs);
         assert!(!clean.has_faults());
-        assert_eq!(clean_report.dropped, 0);
-        assert_eq!(clean.meter().dropped(), 0);
+        let clean_reports = run(&mut clean);
+        let trace = clean.meter().trace();
+        assert!(trace.iter().all(|p| p.faults == FaultCounts::default()));
 
         let config = EngineConfig::new(params).with_fault_plan(FaultPlan::new(
             FaultSpec::drop_only(0.5),
@@ -291,14 +311,13 @@ mod tests {
         ));
         let mut faulty = HybridNetwork::with_config(Arc::clone(&graph), &config);
         assert!(faulty.has_faults());
-        let report = faulty.deliver_global("pump", &msgs);
-        assert_eq!(report.messages, msgs.len() as u64);
-        assert!(report.dropped > 0);
-        assert!(report.rounds >= clean_report.rounds);
-        // The per-phase fault accounting lands in the meter (satellite: the
-        // CostMeter exposes dropped/duplicated/delayed).
-        assert_eq!(faulty.meter().dropped(), report.dropped);
-        assert_eq!(faulty.meter().trace()[0].dropped, report.dropped);
+        let reports = run(&mut faulty);
+        assert_eq!(reports[0].messages, msgs.len() as u64);
+        assert_eq!(reports[1].messages, 64);
+        for (report, clean) in reports.iter().zip(&clean_reports) {
+            assert!(report.faults.dropped > 0);
+            assert!(report.rounds >= clean.rounds);
+        }
 
         // A failure-free plan normalizes away at config build time.
         let noop_config =

@@ -75,6 +75,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::cost::FaultCounts;
 use crate::params::ModelParams;
 
 /// A single global message of `O(log n)` bits.
@@ -161,8 +162,9 @@ fn pair_period(senders: usize, receivers: usize, units: usize) -> usize {
     (senders / a).checked_mul(receivers).unwrap_or(units)
 }
 
-/// Outcome of delivering one batch of global messages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Outcome of delivering one batch of global messages; the default is the
+/// empty batch (no messages, zero rounds).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeliveryReport {
     /// Rounds needed to deliver every message.
     pub rounds: u64,
@@ -175,31 +177,11 @@ pub struct DeliveryReport {
     /// The largest number of messages any node received in any single round —
     /// by construction this never exceeds the model's `γ`.
     pub max_received_in_a_round: u64,
-    /// Delivery attempts dropped by fault injection (each is retried in a
-    /// later wave, so the batch still completes).  Always zero on the
-    /// fault-free [`GlobalScheduler::deliver_with`] path.
-    pub dropped: u64,
-    /// Extra message copies delivered by fault-injected duplication (each
-    /// consumes send/receive capacity like a real message).
-    pub duplicated: u64,
-    /// Delivery attempts held back by fault-injected delay.
-    pub delayed: u64,
-}
-
-impl DeliveryReport {
-    /// An empty report (no messages, zero rounds).
-    pub fn empty() -> Self {
-        DeliveryReport {
-            rounds: 0,
-            messages: 0,
-            max_send_load: 0,
-            max_recv_load: 0,
-            max_received_in_a_round: 0,
-            dropped: 0,
-            duplicated: 0,
-            delayed: 0,
-        }
-    }
+    /// The adversary's work on the batch: zero on the fault-free paths; on
+    /// [`GlobalScheduler::deliver_with_faults`] every dropped attempt is
+    /// retried in a later wave, and every duplicate consumes send/receive
+    /// capacity like a real message.
+    pub faults: FaultCounts,
 }
 
 /// Scheduler for batches of global messages.
@@ -357,7 +339,7 @@ impl GlobalScheduler {
             messages += u64::from(count);
         }
         if messages == 0 {
-            return DeliveryReport::empty();
+            return DeliveryReport::default();
         }
         assert!(
             gamma > 0,
@@ -509,9 +491,7 @@ impl GlobalScheduler {
             max_send_load,
             max_recv_load,
             max_received_in_a_round,
-            dropped: 0,
-            duplicated: 0,
-            delayed: 0,
+            faults: FaultCounts::default(),
         }
     }
 
@@ -553,10 +533,7 @@ impl GlobalScheduler {
         if plan.is_failure_free() {
             return self.deliver_with(params, messages);
         }
-        if messages.is_empty() {
-            return DeliveryReport::empty();
-        }
-        let mut report = DeliveryReport::empty();
+        let mut report = DeliveryReport::default();
         let mut wave: Vec<GlobalMessage> = messages.to_vec();
         let mut next_wave: Vec<GlobalMessage> = Vec::new();
         let mut held: Vec<(u64, GlobalMessage)> = Vec::new();
@@ -595,16 +572,16 @@ impl GlobalScheduler {
                 match plan.fate(abs_round, m.from, m.to, idx as u64) {
                     Fate::Deliver => sendable.push(m),
                     Fate::Drop => {
-                        report.dropped += 1;
+                        report.faults.dropped += 1;
                         next_wave.push(m);
                     }
                     Fate::Duplicate => {
-                        report.duplicated += 1;
+                        report.faults.duplicated += 1;
                         sendable.push(m);
                         sendable.push(m);
                     }
                     Fate::Delay(d) => {
-                        report.delayed += 1;
+                        report.faults.delayed += 1;
                         held.push((now + d, m));
                     }
                 }
@@ -925,7 +902,7 @@ mod tests {
         let p = params(8, 2);
         let mut sched = GlobalScheduler::new();
         let report = sched.deliver_round_robin(&p, &[rr(&[], &[], 0)]);
-        assert_eq!(report, DeliveryReport::empty());
+        assert_eq!(report, DeliveryReport::default());
         let padded = [rr(&[0], &[], 0), rr(&[1, 2], &[3], 5), rr(&[4], &[5, 6], 0)];
         let alone = GlobalScheduler::new().deliver_round_robin(&p, &padded[1..2]);
         assert_eq!(sched.deliver_round_robin(&p, &padded), alone);
@@ -1021,10 +998,7 @@ mod tests {
         let faulty = GlobalScheduler::new().deliver_with_faults(&p, &msgs, &plan, 0);
         assert_eq!(clean.rounds, faulty.rounds);
         assert_eq!(clean.messages, faulty.messages);
-        assert_eq!(
-            (faulty.dropped, faulty.duplicated, faulty.delayed),
-            (0, 0, 0)
-        );
+        assert_eq!(faulty.faults, FaultCounts::default());
     }
 
     #[test]
@@ -1038,7 +1012,10 @@ mod tests {
         // Retries may not inflate the delivered count (drops never deliver),
         // but they must show up in the fault accounting and the round count.
         assert_eq!(faulty.messages, msgs.len() as u64);
-        assert!(faulty.dropped > 0, "a 50% drop rate must drop something");
+        assert!(
+            faulty.faults.dropped > 0,
+            "a 50% drop rate must drop something"
+        );
         assert!(
             faulty.rounds >= clean.rounds,
             "faults cannot make delivery faster"
@@ -1057,10 +1034,10 @@ mod tests {
         };
         let plan = FaultPlan::new(spec, 17, 16);
         let r = GlobalScheduler::new().deliver_with_faults(&p, &msgs, &plan, 0);
-        assert!(r.duplicated > 0);
+        assert!(r.faults.duplicated > 0);
         assert_eq!(
             r.messages,
-            msgs.len() as u64 + r.duplicated,
+            msgs.len() as u64 + r.faults.duplicated,
             "each duplication delivers exactly one extra copy"
         );
     }
@@ -1105,13 +1082,10 @@ mod tests {
         let b = GlobalScheduler::new().deliver_with_faults(&p, &msgs, &plan, 7);
         let c = GlobalScheduler::new().deliver_with_faults(&p, &msgs, &plan, 8);
         assert_eq!(a.rounds, b.rounds);
-        assert_eq!(
-            (a.dropped, a.duplicated, a.delayed),
-            (b.dropped, b.duplicated, b.delayed)
-        );
+        assert_eq!(a.faults, b.faults);
         // A different starting round addresses different fate coordinates.
         assert!(
-            a.rounds != c.rounds || a.dropped != c.dropped || a.delayed != c.delayed,
+            a.rounds != c.rounds || a.faults != c.faults,
             "shifting round_base should reshuffle fates"
         );
     }
