@@ -6,11 +6,11 @@
 //! is `benchmark/run.sh`.
 //!
 //! ```text
-//! cargo run --release -p hybrid-bench --bin reproduce -- [<target>|all] [--scale] [--algo <name,...>] [--quick]
+//! cargo run --release -p hybrid-bench --bin reproduce -- [<target>|all] [--quick]
 //! ```
 //!
 //! The targets are the rows of [`TARGETS`]; `all` (the default) runs every
-//! row marked `in_all`.  `--quick` shrinks the instance sizes so the full run
+//! row, in table order.  `--quick` shrinks the instance sizes so the full run
 //! finishes in well under a minute (used by CI); without it the default
 //! sizes are used.
 //!
@@ -30,54 +30,39 @@ use hybrid_bench::scale::{scale_rows, ScaleConfig};
 use hybrid_bench::scenarios::{
     appendix_b_rows, figure1_rows, table1_rows, table2_rows, table3_rows, table4_rows, GraphFamily,
 };
-use hybrid_bench::sweep::{check_shootout, sweep_rows_with, SweepConfig, SweepRow};
+use hybrid_bench::sweep::{check_shootout, sweep_rows, SweepConfig, SweepRow};
 use serde::Serialize;
 
 /// One reproduction target.
 struct Target {
     /// Its name on the command line and in the per-target timing line.
     name: &'static str,
-    /// Selectable by name and run by `all`.  The scale tier is the one
-    /// `false` row: it is reached through `sweep --scale` and stays out of
-    /// `all` so the small-`n` artifact set is exactly the nine recorded files.
-    in_all: bool,
     /// Prints the table and writes its artifact.
     run: fn(&Cli) -> io::Result<()>,
 }
 
-/// The pseudo-target running every `in_all` row, in table order.
+/// The pseudo-target running every row, in table order.
 const ALL: &str = "all";
-/// The shootout target, the only one `--scale` and `--algo` apply to.
-const SWEEP: &str = "sweep";
-/// The row `sweep --scale` selects.
-const SCALE: &str = "scale";
 
 /// Every target, once: `main`, `all`, the usage string and the
 /// unknown-target error are all derived from this table.
 #[rustfmt::skip]
 const TARGETS: &[Target] = &[
-    Target { name: "table1",     in_all: true,  run: run_table1 },
-    Target { name: "table2",     in_all: true,  run: run_table2 },
-    Target { name: "table3",     in_all: true,  run: run_table3 },
-    Target { name: "table4",     in_all: true,  run: run_table4 },
-    Target { name: "figure1",    in_all: true,  run: run_figure1 },
-    Target { name: "appendix-b", in_all: true,  run: run_appendix_b },
-    Target { name: SWEEP,        in_all: true,  run: run_sweep },
-    Target { name: "faults",     in_all: true,  run: run_faults },
-    Target { name: "oracle",     in_all: true,  run: run_oracle },
-    Target { name: SCALE,        in_all: false, run: run_sweep_scale },
+    Target { name: "table1",     run: run_table1 },
+    Target { name: "table2",     run: run_table2 },
+    Target { name: "table3",     run: run_table3 },
+    Target { name: "table4",     run: run_table4 },
+    Target { name: "figure1",    run: run_figure1 },
+    Target { name: "appendix-b", run: run_appendix_b },
+    Target { name: "sweep",      run: run_sweep },
+    Target { name: "faults",     run: run_faults },
+    Target { name: "oracle",     run: run_oracle },
+    Target { name: "scale",      run: run_scale },
 ];
 
 fn usage() -> String {
-    let names: Vec<&str> = TARGETS
-        .iter()
-        .filter(|t| t.in_all)
-        .map(|t| t.name)
-        .collect();
-    format!(
-        "usage: reproduce [{}|{ALL}] [--scale] [--algo <name,...>] [--quick]",
-        names.join("|")
-    )
+    let names: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
+    format!("usage: reproduce [{}|{ALL}] [--quick]", names.join("|"))
 }
 
 /// Parsed command line of the `reproduce` binary.
@@ -87,12 +72,6 @@ struct Cli {
     target: String,
     /// Shrunk instance sizes.
     quick: bool,
-    /// Run the sweep target as the million-node scale tier
-    /// (`sweep --scale` → `results/sweep_scale.json`).
-    scale: bool,
-    /// Restrict the sweep shootout to these registry names
-    /// (`--algo theorem1,schneider`); `None` runs every registered algorithm.
-    algo: Option<Vec<String>>,
 }
 
 /// Parses the argument list (without the program name).  Unknown targets,
@@ -103,34 +82,10 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         target: String::new(),
         quick: false,
-        scale: false,
-        algo: None,
     };
-    let parse_algo_list = |value: &str| -> Vec<String> {
-        value
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect()
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
+    for arg in args {
         match arg.as_str() {
             "--quick" => cli.quick = true,
-            "--scale" => cli.scale = true,
-            "--algo" => {
-                i += 1;
-                let Some(value) = args.get(i) else {
-                    return Err(format!(
-                        "--algo requires a value (comma-separated algorithm names)\n{usage}"
-                    ));
-                };
-                cli.algo = Some(parse_algo_list(value));
-            }
-            inline if inline.starts_with("--algo=") => {
-                cli.algo = Some(parse_algo_list(&inline["--algo=".len()..]));
-            }
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag '{flag}'\n{usage}"));
             }
@@ -142,30 +97,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 ));
             }
         }
-        i += 1;
     }
     if cli.target.is_empty() {
         cli.target = ALL.to_string();
     }
-    if cli.target != ALL && !TARGETS.iter().any(|t| t.in_all && t.name == cli.target) {
+    if cli.target != ALL && !TARGETS.iter().any(|t| t.name == cli.target) {
         return Err(format!("unknown target '{}'\n{usage}", cli.target));
-    }
-    // `--scale` selects the scale tier of the sweep; on any other target it
-    // would be a silent no-op, which is the `--qiuck` bug class again.
-    if cli.scale && cli.target != SWEEP {
-        return Err(format!(
-            "--scale applies to the sweep target only (target is '{}')\n{usage}",
-            cli.target
-        ));
-    }
-    // `--algo` filters the shootout, which only the plain sweep target runs;
-    // anywhere else it would silently select nothing (the `--qiuck` bug class).
-    if cli.algo.is_some() && (cli.target != SWEEP || cli.scale) {
-        return Err(format!(
-            "--algo applies to the sweep shootout only (target is '{}'{})\n{usage}",
-            cli.target,
-            if cli.scale { " --scale" } else { "" }
-        ));
     }
     Ok(cli)
 }
@@ -375,10 +312,8 @@ fn run_appendix_b(cli: &Cli) -> io::Result<()> {
     Ok(())
 }
 
-/// Every cell is a *shootout*: each registry algorithm (optionally filtered
-/// by `--algo`) runs on the same instance and is printed next to the same
-/// lower-bound witness.  A typed registry error (unknown name, empty
-/// selection) exits with code 2 and the usage string; an unfiltered artifact
+/// Every cell is a *shootout*: each registry algorithm runs on the same
+/// instance and is printed next to the same lower-bound witness.  An artifact
 /// that fails [`check_sweep_artifact`] is an error.
 fn run_sweep(cli: &Cli) -> io::Result<()> {
     let config = if cli.quick {
@@ -392,13 +327,7 @@ fn run_sweep(cli: &Cli) -> io::Result<()> {
         config.sizes.len(),
         config.points.len()
     );
-    let rows = match sweep_rows_with(GraphFamily::all(), &config, cli.algo.as_deref()) {
-        Ok(rows) => rows,
-        Err(err) => {
-            eprintln!("{err}\n{}", usage());
-            std::process::exit(2);
-        }
-    };
+    let rows = sweep_rows(GraphFamily::all(), &config);
     println!(
         "{:<18}{:>6} {:<14}{:>6}{:>7}{:>7}{:>10}{:>12}{:>7}{:>8}",
         "family", "n", "point", "gamma", "k", "NQ_k", "diss-LB", "sssp(T13)", "kssp-k", "kssp-LB"
@@ -433,25 +362,15 @@ fn run_sweep(cli: &Cli) -> io::Result<()> {
                 )
             })
             .collect();
-        if !diss.is_empty() {
-            println!("    diss: {}", diss.join("  "));
-        }
-        if !ks.is_empty() {
-            println!("    kssp: {}", ks.join("  "));
-        }
+        println!("    diss: {}", diss.join("  "));
+        println!("    kssp: {}", ks.join("  "));
     }
     write_json("sweep_scaling", &rows)?;
-    check_sweep_artifact(cli.algo.is_some(), &rows)
+    check_sweep_artifact(&rows)
 }
 
-/// Holds the shootout just written to [`check_shootout`].  A filtered
-/// shootout (`--algo`) is skipped: its rows legitimately carry fewer than
-/// [`hybrid_bench::MIN_ALGORITHMS_PER_ROW`] contenders, which only the full
-/// registry produces.
-fn check_sweep_artifact(filtered: bool, rows: &[SweepRow]) -> io::Result<()> {
-    if filtered {
-        return Ok(());
-    }
+/// Holds the shootout just written to [`check_shootout`].
+fn check_sweep_artifact(rows: &[SweepRow]) -> io::Result<()> {
     check_shootout(rows).map_err(|err| {
         io::Error::new(
             io::ErrorKind::InvalidData,
@@ -460,9 +379,9 @@ fn check_sweep_artifact(filtered: bool, rows: &[SweepRow]) -> io::Result<()> {
     })
 }
 
-/// The million-node scale tier (`sweep --scale`): streaming generators,
-/// row-streamed distances and sampled `NQ` witnesses.
-fn run_sweep_scale(cli: &Cli) -> io::Result<()> {
+/// The million-node scale tier: chunk-emitted generators, row-streamed
+/// distances and sampled `NQ` witnesses.
+fn run_scale(cli: &Cli) -> io::Result<()> {
     let config = if cli.quick {
         ScaleConfig::quick()
     } else {
@@ -617,8 +536,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let selected = if cli.scale { SCALE } else { &cli.target };
-    let is_selected = |t: &&Target| (selected == ALL && t.in_all) || t.name == selected;
+    let is_selected = |t: &&Target| cli.target == ALL || t.name == cli.target;
     for target in TARGETS.iter().filter(is_selected) {
         let start = Instant::now();
         if let Err(err) = (target.run)(&cli) {
@@ -650,13 +568,9 @@ mod tests {
         unique.dedup();
         assert_eq!(unique.len(), names.len(), "duplicate target name");
         assert!(!names.contains(&ALL));
-        let in_all: Vec<&str> = TARGETS
-            .iter()
-            .filter(|t| t.in_all)
-            .map(|t| t.name)
-            .collect();
+        // `all` runs every row in this order, the scale tier last.
         assert_eq!(
-            in_all,
+            names,
             [
                 "table1",
                 "table2",
@@ -666,7 +580,8 @@ mod tests {
                 "appendix-b",
                 "sweep",
                 "faults",
-                "oracle"
+                "oracle",
+                "scale"
             ]
         );
         let usage = usage();
@@ -684,62 +599,26 @@ mod tests {
 
     #[test]
     fn parses_target_and_flags_in_any_order() {
-        let cli = parse_args(&args(&["--quick", "sweep"])).unwrap();
-        assert_eq!(cli.target, "sweep");
-        assert!(cli.quick);
+        for (argv, target) in [
+            (["--quick", "sweep"], "sweep"),
+            (["scale", "--quick"], "scale"),
+        ] {
+            let cli = parse_args(&args(&argv)).unwrap();
+            assert_eq!(cli.target, target);
+            assert!(cli.quick);
+        }
     }
 
     #[test]
     fn rejects_unknown_flags_with_usage() {
         // The motivating bug: `--qiuck` used to be silently ignored and the
-        // slow full-size suite ran instead.
-        let err = parse_args(&args(&["table1", "--qiuck"])).unwrap_err();
-        assert!(err.contains("unknown flag '--qiuck'"), "{err}");
-        assert!(err.contains("usage:"), "{err}");
-    }
-
-    #[test]
-    fn scale_is_accepted_on_the_sweep_target_only() {
-        let cli = parse_args(&args(&["sweep", "--scale", "--quick"])).unwrap();
-        assert!(cli.scale && cli.quick);
-        assert_eq!(cli.target, "sweep");
-        // On any other target (including the implicit `all`) the flag would
-        // be a silent no-op, so it is rejected like an unknown flag.
-        let err = parse_args(&args(&["table1", "--scale"])).unwrap_err();
-        assert!(err.contains("--scale applies to the sweep target"), "{err}");
-        let err = parse_args(&args(&["--scale"])).unwrap_err();
-        assert!(err.contains("target is 'all'"), "{err}");
-        // The scale row is reached through the flag, not by name.
-        let err = parse_args(&args(&["scale"])).unwrap_err();
-        assert!(err.contains("unknown target 'scale'"), "{err}");
-    }
-
-    #[test]
-    fn algo_filter_parses_both_spellings_on_sweep_only() {
-        let cli = parse_args(&args(&["sweep", "--algo", "theorem1,schneider"])).unwrap();
-        assert_eq!(
-            cli.algo,
-            Some(vec!["theorem1".to_string(), "schneider".to_string()])
-        );
-        let cli = parse_args(&args(&["sweep", "--algo=det-broadcast"])).unwrap();
-        assert_eq!(cli.algo, Some(vec!["det-broadcast".to_string()]));
-        // Empty value parses to an empty selection — the registry turns that
-        // into the typed EmptyRegistry error downstream.
-        let cli = parse_args(&args(&["sweep", "--algo="])).unwrap();
-        assert_eq!(cli.algo, Some(Vec::new()));
-        // Missing value and wrong targets are CLI errors (exit 2 + usage).
-        let err = parse_args(&args(&["sweep", "--algo"])).unwrap_err();
-        assert!(err.contains("--algo requires a value"), "{err}");
-        let err = parse_args(&args(&["table1", "--algo=theorem1"])).unwrap_err();
-        assert!(
-            err.contains("--algo applies to the sweep shootout"),
-            "{err}"
-        );
-        let err = parse_args(&args(&["sweep", "--scale", "--algo=theorem1"])).unwrap_err();
-        assert!(
-            err.contains("--algo applies to the sweep shootout"),
-            "{err}"
-        );
+        // slow full-size suite ran instead.  The retired `--scale` and
+        // `--algo` are unknown flags too.
+        for flag in ["--qiuck", "--scale", "--algo", "--algo=theorem1"] {
+            let err = parse_args(&args(&["sweep", flag, "theorem1"])).unwrap_err();
+            assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+            assert!(err.contains("usage:"), "{err}");
+        }
     }
 
     #[test]
@@ -751,23 +630,20 @@ mod tests {
         };
         let family = [GraphFamily::Path];
         // A well-formed shootout passes: the full registry in both columns.
-        let good = sweep_rows_with(&family, &config, None).unwrap();
-        assert!(check_sweep_artifact(false, &good).is_ok());
-        // One contender per column is what `--algo theorem1,theorem14`
-        // writes: fine filtered, too few for the full registry.
-        let filter = ["theorem1".to_string(), "theorem14".to_string()];
-        let single = sweep_rows_with(&family, &config, Some(&filter)).unwrap();
-        assert!(check_sweep_artifact(true, &single).is_ok());
-        let err = check_sweep_artifact(false, &single).unwrap_err();
+        let good = sweep_rows(&family, &config);
+        assert!(check_sweep_artifact(&good).is_ok());
+        // One contender per column is too few for the full registry.
+        let mut single = good.clone();
+        single[0].dissemination.truncate(1);
+        single[0].kssp.truncate(1);
+        let err = check_sweep_artifact(&single).unwrap_err();
         assert!(err.to_string().contains("sweep_scaling.json"), "{err}");
-        // No shootout columns, or no rows: a failure when the shootout was
-        // unfiltered, not looked at when it was filtered.
+        // No shootout columns, or no rows: a failure too.
         let mut bare = good.clone();
         bare[0].dissemination.clear();
         bare[0].kssp.clear();
         for rows in [&bare[..], &[]] {
-            assert!(check_sweep_artifact(false, rows).is_err());
-            assert!(check_sweep_artifact(true, rows).is_ok());
+            assert!(check_sweep_artifact(rows).is_err());
         }
     }
 

@@ -16,7 +16,7 @@
 //!   fault-profile` grid;
 //! * The scale tier (the [`scale`] module) — the sweep question at
 //!   `n = 10⁵–10⁶` on chunk-emitted generators, row-streamed distances and
-//!   sampled `NQ` witnesses (`reproduce sweep --scale`);
+//!   sampled `NQ` witnesses (`reproduce scale`);
 //! * The serving tier (the [`oracle_bench`] module) — batched point-to-point
 //!   queries against a built [`hybrid_core::oracle::DistanceOracle`],
 //!   recorded as deterministic answer digests (`reproduce oracle`).
@@ -41,6 +41,6 @@ pub use scenarios::{
     appendix_b_rows, figure1_rows, table1_rows, table2_rows, table3_rows, table4_rows, GraphFamily,
 };
 pub use sweep::{
-    check_shootout, sweep_rows, sweep_rows_with, DissCell, KsspCell, SweepArtifactError,
-    SweepConfig, SweepPoint, SweepRow, MIN_ALGORITHMS_PER_ROW,
+    check_shootout, sweep_rows, DissCell, KsspCell, SweepArtifactError, SweepConfig, SweepPoint,
+    SweepRow, MIN_ALGORITHMS_PER_ROW,
 };

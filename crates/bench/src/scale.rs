@@ -86,8 +86,7 @@ pub struct ScaleConfig {
 
 impl ScaleConfig {
     /// The CI smoke configuration: one small cross-checked size plus one
-    /// `10⁵` cell for a handful of families (`reproduce sweep --scale
-    /// --quick`).
+    /// `10⁵` cell for a handful of families (`reproduce scale --quick`).
     pub fn quick() -> Self {
         ScaleConfig {
             sizes: vec![1024, 100_000],

@@ -36,7 +36,7 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::Serialize;
 
-use hybrid_core::algorithm::{select_algorithms, RegistryError, ShootoutSelection};
+use hybrid_core::algorithm::{dissemination_registry, sssp_registry};
 use hybrid_core::dissemination::place_tokens;
 use hybrid_core::kssp::kssp_lower_bound_rounds;
 use hybrid_core::lower_bounds::{dissemination_lower_bound, shortest_paths_lower_bound};
@@ -281,29 +281,16 @@ pub fn cell_seed(seed: u64, family_idx: usize, n: usize, salt: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs the full sweep grid with every registered algorithm.
-///
-/// Convenience wrapper over [`sweep_rows_with`] with no `--algo` filter; the
-/// full registry can never be empty, so this cannot fail.
-pub fn sweep_rows(families: &[GraphFamily], config: &SweepConfig) -> Vec<SweepRow> {
-    sweep_rows_with(families, config, None).expect("full registry is never empty")
-}
-
-/// Runs the sweep grid restricted to the algorithms named in `filter`
-/// (`None` = everything registered).
+/// Runs the sweep grid with every registered algorithm.
 ///
 /// The `(family, n)` pairs fan out in parallel (each builds its graph and
 /// `NQ` oracle once and reuses them for every `(λ, γ)` point); within a cell
-/// the selected algorithms run sequentially on identical instances — same
+/// the registered algorithms run sequentially on identical instances — same
 /// token placement, same sources, same per-cell seeds.  Row order is
 /// family-major, then size, then grid point — identical to the sequential
 /// sweep for every pool width.
-pub fn sweep_rows_with(
-    families: &[GraphFamily],
-    config: &SweepConfig,
-    filter: Option<&[String]>,
-) -> Result<Vec<SweepRow>, RegistryError> {
-    let selection: ShootoutSelection = select_algorithms(filter)?;
+pub fn sweep_rows(families: &[GraphFamily], config: &SweepConfig) -> Vec<SweepRow> {
+    let (diss_algos, sssp_algos) = (dissemination_registry(), sssp_registry());
     let cells: Vec<(usize, GraphFamily, usize)> = families
         .iter()
         .enumerate()
@@ -342,8 +329,7 @@ pub fn sweep_rows_with(
                     let holders = sample_distinct(n, k as usize, &mut rng);
                     let tokens = place_tokens(&holders, k);
                     let diss_lb = dissemination_lower_bound(&oracle, &params, k, 0.99);
-                    let dissemination: Vec<DissCell> = selection
-                        .dissemination
+                    let dissemination: Vec<DissCell> = diss_algos
                         .iter()
                         .map(|algo| {
                             let mut net = HybridNetwork::new(Arc::clone(&graph), params);
@@ -372,8 +358,7 @@ pub fn sweep_rows_with(
                     let sources = sample_distinct(n, kssp_k, &mut rng);
                     let algo_seed = cell_seed(config.seed, fi, n_target, 3);
                     let ks_lb = kssp_lower_bound_rounds(kssp_k, params.global_capacity_msgs);
-                    let kssp: Vec<KsspCell> = selection
-                        .sssp
+                    let kssp: Vec<KsspCell> = sssp_algos
                         .iter()
                         .map(|algo| {
                             let mut net = HybridNetwork::new(Arc::clone(&weighted), params);
@@ -410,13 +395,13 @@ pub fn sweep_rows_with(
                 .collect()
         })
         .collect();
-    Ok(per_cell.into_iter().flatten().collect())
+    per_cell.into_iter().flatten().collect()
 }
 
 /// Why a shootout falls short of the full registry.
 ///
-/// `reproduce` holds every unfiltered shootout it writes to
-/// [`check_shootout`] and exits non-zero when the check fails.
+/// `reproduce` holds every shootout it writes to [`check_shootout`] and exits
+/// non-zero when the check fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepArtifactError {
     /// The shootout has no rows.
@@ -458,8 +443,7 @@ impl std::fmt::Display for SweepArtifactError {
 impl std::error::Error for SweepArtifactError {}
 
 /// Minimum number of contenders each shootout column of a well-formed row
-/// carries (ours + the two rivals; only an unfiltered registry run reaches
-/// it).
+/// carries (ours + the two rivals).
 pub const MIN_ALGORITHMS_PER_ROW: usize = 3;
 
 /// Checks a full-registry shootout: at least one row, every row's
@@ -586,33 +570,6 @@ mod tests {
             rival.rounds,
             ours.rounds
         );
-    }
-
-    #[test]
-    fn algo_filter_restricts_rows_and_rejects_unknown_names() {
-        let config = SweepConfig {
-            sizes: vec![64],
-            points: vec![SweepPoint::HYBRID],
-            seed: 2,
-        };
-        let filter = vec!["theorem1".to_string(), "schneider".to_string()];
-        let rows = sweep_rows_with(&[GraphFamily::Grid2D], &config, Some(&filter)).unwrap();
-        assert_eq!(rows[0].dissemination.len(), 1);
-        assert_eq!(rows[0].kssp.len(), 1);
-        assert_eq!(rows[0].dissemination[0].algorithm, "theorem1");
-        assert_eq!(rows[0].kssp[0].algorithm, "schneider");
-
-        let bad = vec!["fancy-new-algo".to_string()];
-        match sweep_rows_with(&[GraphFamily::Grid2D], &config, Some(&bad)) {
-            Err(RegistryError::UnknownAlgorithm { name, .. }) => {
-                assert_eq!(name, "fancy-new-algo")
-            }
-            other => panic!("expected UnknownAlgorithm, got {:?}", other.is_ok()),
-        }
-        assert!(matches!(
-            sweep_rows_with(&[GraphFamily::Grid2D], &config, Some(&[])),
-            Err(RegistryError::EmptyRegistry)
-        ));
     }
 
     #[test]

@@ -41,12 +41,24 @@ fn bad_command_lines_exit_2_with_usage_and_write_nothing() {
     assert!(err.contains("unknown target 'bogus'"), "{err}");
     assert!(err.contains("usage: reproduce ["), "{err}");
 
-    // The retired perf-gate flags are unknown flags now, not silent no-ops.
-    for flag in ["--strict", "--check-regression"] {
-        let out = reproduce(&dir, &["table3", "--quick", flag]);
-        assert_eq!(out.status.code(), Some(2), "{flag}");
+    // The retired perf-gate, scale-tier and registry-filter flags are unknown
+    // flags now, not silent no-ops.
+    let retired: [&[&str]; 5] = [
+        &["--strict"],
+        &["--check-regression"],
+        &["--scale"],
+        &["--algo", "theorem1"],
+        &["--algo=theorem1"],
+    ];
+    for flags in retired {
+        let out = reproduce(&dir, &[&["table3", "--quick"], flags].concat());
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
         let err = stderr(&out);
-        assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        assert!(
+            err.contains(&format!("unknown flag '{}'", flags[0])),
+            "{err}"
+        );
+        assert!(err.contains("usage: reproduce ["), "{err}");
     }
     assert!(!dir.join("results").exists());
 }
@@ -106,26 +118,19 @@ fn lock_entries(lock: &str) -> BTreeMap<&str, &str> {
         .collect()
 }
 
-/// Every artifact of `all --quick` and of the scale tier's `sweep --scale
-/// --quick` is byte-identical to what the tracked `results.lock` at the
-/// repository root records.  A change that means to move artifacts replaces
-/// that file with the lock text this test prints.
+/// Every artifact of `all --quick` is byte-identical to what the tracked
+/// `results.lock` at the repository root records.  A change that means to
+/// move artifacts replaces that file with the lock text this test prints.
 #[test]
 fn all_quick_matches_the_tracked_artifact_lock() {
     let dir = fresh_dir("lock");
-    for args in [&["all", "--quick"][..], &["sweep", "--scale", "--quick"]] {
-        let out = reproduce(&dir, args);
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
-    }
+    let out = reproduce(&dir, &["all", "--quick"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let fresh = lock_of(&dir.join("results"));
     let tracked_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results.lock");
     let tracked = fs::read_to_string(&tracked_path).expect("tracked results.lock");
     let (fresh_entries, tracked_entries) = (lock_entries(&fresh), lock_entries(&tracked));
-    assert_eq!(
-        fresh_entries.len(),
-        10,
-        "nine all --quick artifacts plus the scale sweep"
-    );
+    assert_eq!(fresh_entries.len(), 10, "one artifact per target");
     let names: BTreeSet<&str> = fresh_entries
         .keys()
         .chain(tracked_entries.keys())

@@ -19,8 +19,6 @@
 //! | `theorem14-proxy` | PODC'24 Theorem 14 (arbitrary)  | stretch `3(1+ε)`, `Õ(√(k/γ))`  |
 //! | `schneider`       | `[Sch23]` arXiv:2306.05977      | stretch `1+ε`, `Θ(hop-diam)`   |
 
-use std::fmt;
-
 use hybrid_graph::NodeId;
 use hybrid_sim::HybridNetwork;
 use rand::SeedableRng;
@@ -37,7 +35,7 @@ use crate::schneider::schneider_kssp;
 /// A `k`-dissemination contender: delivers every placed token to every node
 /// and reports its round bill through the shared cost meter.
 pub trait DisseminationAlgorithm: Send + Sync {
-    /// Stable registry name (also the JSON column key and the `--algo` value).
+    /// Stable registry name (also the JSON column key).
     fn name(&self) -> &'static str;
     /// The paper the implementation reproduces.
     fn reference(&self) -> &'static str;
@@ -55,7 +53,7 @@ pub trait DisseminationAlgorithm: Send + Sync {
 /// A `k`-source shortest-paths contender: produces distance labels within its
 /// stated stretch for every (source, node) pair.
 pub trait SsspAlgorithm: Send + Sync {
-    /// Stable registry name (also the JSON column key and the `--algo` value).
+    /// Stable registry name (also the JSON column key).
     fn name(&self) -> &'static str;
     /// The paper the implementation reproduces.
     fn reference(&self) -> &'static str;
@@ -243,93 +241,6 @@ pub fn sssp_registry() -> Vec<Box<dyn SsspAlgorithm>> {
     ]
 }
 
-/// All registry names, dissemination first (usage text, error messages).
-pub fn registry_names() -> Vec<&'static str> {
-    dissemination_registry()
-        .iter()
-        .map(|a| a.name())
-        .chain(sssp_registry().iter().map(|a| a.name()))
-        .collect()
-}
-
-/// Which problem a registry entry solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlgorithmKind {
-    /// `k`-dissemination contenders.
-    Dissemination,
-    /// `k`-source shortest-paths contenders.
-    ShortestPaths,
-}
-
-/// Typed errors from registry selection — the CLI maps these to exit 2 +
-/// usage instead of panicking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegistryError {
-    /// A `--algo` value matched no registered implementation.
-    UnknownAlgorithm {
-        /// The unmatched name.
-        name: String,
-        /// Every valid name, for the error message.
-        known: Vec<&'static str>,
-    },
-    /// The selection left no implementation in either registry.
-    EmptyRegistry,
-}
-
-impl fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RegistryError::UnknownAlgorithm { name, known } => write!(
-                f,
-                "unknown algorithm '{name}' (registered: {})",
-                known.join(", ")
-            ),
-            RegistryError::EmptyRegistry => {
-                write!(f, "algorithm selection is empty: no contender to run")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RegistryError {}
-
-/// The contenders a shootout run will actually execute.
-pub struct ShootoutSelection {
-    /// Selected dissemination contenders (shootout order).
-    pub dissemination: Vec<Box<dyn DisseminationAlgorithm>>,
-    /// Selected shortest-paths contenders (shootout order).
-    pub sssp: Vec<Box<dyn SsspAlgorithm>>,
-}
-
-/// Resolves an optional `--algo` filter against both registries.
-///
-/// `None` selects everything.  Each filter name must match a registered
-/// implementation ([`RegistryError::UnknownAlgorithm`] otherwise), and the
-/// overall selection must be non-empty ([`RegistryError::EmptyRegistry`]).
-pub fn select_algorithms(filter: Option<&[String]>) -> Result<ShootoutSelection, RegistryError> {
-    let mut dissemination = dissemination_registry();
-    let mut sssp = sssp_registry();
-    if let Some(names) = filter {
-        for name in names {
-            if !registry_names().contains(&name.as_str()) {
-                return Err(RegistryError::UnknownAlgorithm {
-                    name: name.clone(),
-                    known: registry_names(),
-                });
-            }
-        }
-        dissemination.retain(|a| names.iter().any(|n| n == a.name()));
-        sssp.retain(|a| names.iter().any(|n| n == a.name()));
-    }
-    if dissemination.is_empty() && sssp.is_empty() {
-        return Err(RegistryError::EmptyRegistry);
-    }
-    Ok(ShootoutSelection {
-        dissemination,
-        sssp,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,7 +250,11 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_stable() {
-        let names = registry_names();
+        let names: Vec<&str> = dissemination_registry()
+            .iter()
+            .map(|a| a.name())
+            .chain(sssp_registry().iter().map(|a| a.name()))
+            .collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -355,46 +270,6 @@ mod tests {
                 "schneider"
             ]
         );
-    }
-
-    #[test]
-    fn select_none_returns_full_registries() {
-        let sel = select_algorithms(None).unwrap();
-        assert_eq!(sel.dissemination.len(), 3);
-        assert_eq!(sel.sssp.len(), 3);
-    }
-
-    #[test]
-    fn select_unknown_name_is_typed_error() {
-        let filter = vec!["theorem1".to_string(), "nope".to_string()];
-        match select_algorithms(Some(&filter)) {
-            Err(RegistryError::UnknownAlgorithm { name, known }) => {
-                assert_eq!(name, "nope");
-                assert!(known.contains(&"schneider"));
-            }
-            other => panic!(
-                "expected UnknownAlgorithm, got {other:?}",
-                other = other.err()
-            ),
-        }
-    }
-
-    #[test]
-    fn select_empty_filter_is_typed_error() {
-        let filter: Vec<String> = Vec::new();
-        assert_eq!(
-            select_algorithms(Some(&filter)).err(),
-            Some(RegistryError::EmptyRegistry)
-        );
-    }
-
-    #[test]
-    fn select_partial_filter_keeps_one_side() {
-        let filter = vec!["schneider".to_string()];
-        let sel = select_algorithms(Some(&filter)).unwrap();
-        assert!(sel.dissemination.is_empty());
-        assert_eq!(sel.sssp.len(), 1);
-        assert_eq!(sel.sssp[0].name(), "schneider");
     }
 
     #[test]

@@ -264,7 +264,7 @@ pub fn apsp_weighted_skeleton(
 
     // Skeleton with sampling probability 1/t, spanner of the skeleton.
     let skeleton = build_skeleton(net, t, &[], rng);
-    let spanner = greedy_spanner(Some(net), skeleton.graph(), alpha);
+    let spanner = greedy_spanner(Some(net), &skeleton.graph(), alpha);
     broadcast_tokens(net, oracle, spanner.m(), 0);
 
     // Every node learns its h-hop neighbourhood (h = ξ·t·ln n), finds its

@@ -68,10 +68,7 @@ pub mod spanner;
 pub mod sssp;
 pub mod stretch;
 
-pub use algorithm::{
-    dissemination_registry, registry_names, select_algorithms, sssp_registry,
-    DisseminationAlgorithm, RegistryError, ShootoutSelection, SsspAlgorithm,
-};
+pub use algorithm::{dissemination_registry, sssp_registry, DisseminationAlgorithm, SsspAlgorithm};
 pub use cluster::{cluster_by_nq, cluster_with_radius};
 pub use det_broadcast::det_token_forward_dissemination;
 pub use dissemination::{

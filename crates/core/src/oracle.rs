@@ -695,7 +695,7 @@ impl DistanceOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybrid_graph::dijkstra::apsp_exact;
+    use crate::rows::DistanceRows;
     use hybrid_graph::{generators, GraphBuilder};
 
     fn check_paths(g: &Graph, oracle: &DistanceOracle, exact: &[Vec<Weight>]) {
@@ -731,7 +731,7 @@ mod tests {
     fn exact_on_paths_through_landmark_balls() {
         let g = generators::path(17).unwrap();
         let oracle = DistanceOracle::build(&g, OracleConfig::default()).unwrap();
-        let exact = apsp_exact(&g);
+        let exact = DistanceRows::all_pairs(&g).into_rows();
         check_paths(&g, &oracle, &exact);
     }
 
@@ -739,7 +739,7 @@ mod tests {
     fn weighted_grid_within_stretch_and_landmark_queries_exact() {
         let g = generators::weighted_grid(&[6, 7], 24, 77).unwrap();
         let oracle = DistanceOracle::build(&g, OracleConfig::default()).unwrap();
-        let exact = apsp_exact(&g);
+        let exact = DistanceRows::all_pairs(&g).into_rows();
         check_paths(&g, &oracle, &exact);
         // Either endpoint being a landmark forces an exact answer.
         for &l in oracle.landmarks() {
@@ -791,7 +791,7 @@ mod tests {
         // Every node a landmark → the oracle is exact everywhere.
         let all: Vec<NodeId> = (0..12).collect();
         let oracle = DistanceOracle::build_with_landmarks(&g, &all).unwrap();
-        let exact = apsp_exact(&g);
+        let exact = DistanceRows::all_pairs(&g).into_rows();
         for u in 0..12u32 {
             for v in 0..12u32 {
                 assert_eq!(oracle.query(u, v), exact[u as usize][v as usize]);
@@ -822,7 +822,7 @@ mod tests {
         let g = generators::weighted_grid(&[7, 8], 16, 13).unwrap();
         let sources = [0u32, 20, 55];
         let oracle = DistanceOracle::build_with_landmarks(&g, &sources).unwrap();
-        let exact = apsp_exact(&g);
+        let exact = DistanceRows::all_pairs(&g).into_rows();
         assert_eq!(oracle.parents.len(), sources.len() * g.n());
         for (i, &s) in sources.iter().enumerate() {
             let par = &oracle.parents[i * g.n()..(i + 1) * g.n()];
@@ -876,7 +876,7 @@ mod tests {
         let g = path(LABEL_MAX);
         let oracle = DistanceOracle::build_with_landmarks(&g, &[0]).unwrap();
         assert_eq!(oracle.query(0, 3), LABEL_MAX);
-        let exact = apsp_exact(&g);
+        let exact = DistanceRows::all_pairs(&g).into_rows();
         check_paths(&g, &oracle, &exact);
         assert_exact_everywhere(&oracle, &exact);
 
@@ -910,7 +910,7 @@ mod tests {
         assert_eq!(oracle.query(2, 5), LABEL_MAX);
         assert_eq!(oracle.query(5, 2), LABEL_MAX);
         assert_eq!(oracle.query(1, 4), INFINITY);
-        assert_exact_everywhere(&oracle, &apsp_exact(&g));
+        assert_exact_everywhere(&oracle, &DistanceRows::all_pairs(&g).into_rows());
 
         let overflow = DistanceOracle::build_with_landmarks(&two_components(LABEL_MAX + 1), &[0]);
         assert_eq!(

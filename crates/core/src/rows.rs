@@ -229,22 +229,40 @@ impl Index<usize> for DistanceRows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybrid_graph::dijkstra::apsp_exact;
+    use hybrid_graph::dijkstra::dijkstra;
     use hybrid_graph::generators;
 
     #[test]
     fn rows_match_the_full_matrix() {
         let g = generators::weighted_grid(&[9, 11], 20, 5).unwrap();
-        let full = apsp_exact(&g);
+        let full = DistanceRows::all_pairs(&g);
+        assert_eq!(full.sources(), (0..g.n() as NodeId).collect::<Vec<_>>());
+        for (s, row) in full.iter().enumerate() {
+            assert_eq!(row, dijkstra(&g, s as NodeId).dist, "row of node {s}");
+        }
         let sources = [0u32, 7, 42, 98];
         let rows = DistanceRows::compute(&g, &sources);
         assert_eq!((rows.n(), rows.len()), (g.n(), 4));
         for (i, &s) in sources.iter().enumerate() {
-            assert_eq!(rows.row(i), &full[s as usize][..], "row of source {s}");
+            assert_eq!(rows.row(i), &full[s as usize], "row of source {s}");
             assert_eq!(rows.row_for(s).unwrap(), &rows[i]);
         }
         assert!(rows.row_for(1).is_none());
-        assert_eq!(DistanceRows::all_pairs(&g).into_rows(), full);
+    }
+
+    #[test]
+    fn all_pairs_is_symmetric_and_triangle() {
+        let g = generators::cycle(7).unwrap();
+        let d = DistanceRows::all_pairs(&g);
+        for u in 0..7 {
+            assert_eq!(d[u][u], 0);
+            for v in 0..7 {
+                assert_eq!(d[u][v], d[v][u]);
+                for w in 0..7 {
+                    assert!(d[u][v] <= d[u][w] + d[w][v]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,11 +22,9 @@
 //! with the shared `(min, +)` kernel ([`crate::minplus`]).  Every row is
 //! swept exactly once, and exactness is a per-row fact: each sweep reports
 //! whether it reached its fixpoint.  The explicit edge-list [`Graph`] of the
-//! skeleton (dense on low-diameter inputs) is only materialized on demand via
+//! skeleton (dense on low-diameter inputs) is only built on demand by
 //! [`SkeletonGraph::graph`]; consumers that never touch it (the common k-SSP
 //! path) skip the build entirely.
-
-use std::sync::OnceLock;
 
 use rand::Rng;
 
@@ -43,7 +41,7 @@ pub const XI: f64 = 3.0;
 
 /// A skeleton graph together with the data needed to translate between the
 /// skeleton and the original graph.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SkeletonGraph {
     /// The skeleton nodes (original ids, sorted).
     pub nodes: Vec<NodeId>,
@@ -64,26 +62,6 @@ pub struct SkeletonGraph {
     pub h: u64,
     /// The sampling parameter `x` (sampling probability `1/x`).
     pub x: f64,
-    /// Lazily built explicit skeleton graph (see [`SkeletonGraph::graph`]).
-    graph: OnceLock<Graph>,
-}
-
-impl Clone for SkeletonGraph {
-    fn clone(&self) -> Self {
-        let graph = OnceLock::new();
-        if let Some(g) = self.graph.get() {
-            let _ = graph.set(g.clone());
-        }
-        SkeletonGraph {
-            nodes: self.nodes.clone(),
-            index_of: self.index_of.clone(),
-            rows: self.rows.clone(),
-            converged: self.converged,
-            h: self.h,
-            x: self.x,
-            graph,
-        }
-    }
 }
 
 impl SkeletonGraph {
@@ -104,27 +82,25 @@ impl SkeletonGraph {
 
     /// The explicit skeleton graph (node `i` is `nodes[i]`; two skeleton
     /// nodes are adjacent iff within `h` hops, weighted by the
-    /// `h`-hop-limited distance), built from [`SkeletonGraph::rows`] on first
-    /// use.
+    /// `h`-hop-limited distance), built from [`SkeletonGraph::rows`] on every
+    /// call.
     ///
     /// On low-diameter graphs this is near-complete (`Θ(|S|²)` edges), so
     /// algorithms that can work on `rows` directly — the k-SSP data level —
-    /// never call this; Theorem 8's spanner construction does.
-    pub fn graph(&self) -> &Graph {
-        self.graph.get_or_init(|| {
-            let mut builder = GraphBuilder::new(self.nodes.len());
-            for (i, dist) in self.rows.rows().iter().enumerate() {
-                for (j, &v) in self.nodes.iter().enumerate().skip(i + 1) {
-                    let d = dist[v as usize];
-                    if d != INFINITY {
-                        builder
-                            .add_edge(i as NodeId, j as NodeId, d.max(1))
-                            .expect("valid edge");
-                    }
+    /// never call this; Theorem 8's spanner construction does, once per run.
+    pub fn graph(&self) -> Graph {
+        let mut builder = GraphBuilder::new(self.nodes.len());
+        for (i, dist) in self.rows.rows().iter().enumerate() {
+            for (j, &v) in self.nodes.iter().enumerate().skip(i + 1) {
+                let d = dist[v as usize];
+                if d != INFINITY {
+                    builder
+                        .add_edge(i as NodeId, j as NodeId, d.max(1))
+                        .expect("valid edge");
                 }
             }
-            builder.build_unchecked_connectivity()
-        })
+        }
+        builder.build_unchecked_connectivity()
     }
 
     /// The skeleton-metric weight of the (potential) edge between skeleton
@@ -246,7 +222,6 @@ impl SkeletonSample {
             converged,
             h: self.h,
             x: self.x,
-            graph: OnceLock::new(),
         }
     }
 }
@@ -320,10 +295,11 @@ pub(crate) fn sample_skeleton(
 pub fn skeleton_distance_fidelity(graph: &Graph, skeleton: &SkeletonGraph, samples: usize) -> f64 {
     let mut worst: f64 = 1.0;
     let count = samples.min(skeleton.len());
+    let skeleton_graph = skeleton.graph();
     for i in 0..count {
         let u = skeleton.nodes[i];
         let exact = hybrid_graph::dijkstra::dijkstra(graph, u).dist;
-        let sk = hybrid_graph::dijkstra::dijkstra(skeleton.graph(), i as NodeId).dist;
+        let sk = hybrid_graph::dijkstra::dijkstra(&skeleton_graph, i as NodeId).dist;
         for (j, &v) in skeleton.nodes.iter().enumerate() {
             if exact[v as usize] == 0 {
                 continue;
@@ -424,8 +400,7 @@ mod tests {
         let (_, mut net) = setup(generators::path(40).unwrap());
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let sk = build_skeleton(&mut net, 2.0, &[], &mut rng);
-        let g = sk.graph().clone();
-        let exact = hybrid_graph::dijkstra::apsp_exact(&g);
+        let exact = DistanceRows::all_pairs(&sk.graph());
         for (i, exact_row) in exact.iter().enumerate() {
             for (j, &d) in exact_row.iter().enumerate() {
                 let w = sk.edge_weight(i, j);
@@ -448,9 +423,10 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let sk = build_skeleton(&mut net, 2.0, &[], &mut rng);
         assert!(!sk.converged);
+        let skeleton_graph = sk.graph();
         for i in 0..sk.len() {
             let dense = sk.sssp(i);
-            let via_graph = hybrid_graph::dijkstra::dijkstra(sk.graph(), i as NodeId).dist;
+            let via_graph = hybrid_graph::dijkstra::dijkstra(&skeleton_graph, i as NodeId).dist;
             assert_eq!(dense, via_graph, "source {i}");
         }
 
@@ -462,9 +438,10 @@ mod tests {
         assert!(sk.h < 30 && !sk.converged);
         let s_len = sk.len();
         assert!((0..s_len).any(|i| (0..s_len).any(|j| sk.edge_weight(i, j) == INFINITY)));
+        let skeleton_graph = sk.graph();
         for i in 0..s_len {
             let dense = sk.sssp(i);
-            let via_graph = hybrid_graph::dijkstra::dijkstra(sk.graph(), i as NodeId).dist;
+            let via_graph = hybrid_graph::dijkstra::dijkstra(&skeleton_graph, i as NodeId).dist;
             assert_eq!(dense, via_graph, "weighted source {i}");
         }
     }
@@ -485,18 +462,6 @@ mod tests {
         let swept = sample.sweep(&g, |p| if p == 0 { given.take() } else { None });
         assert_eq!(swept.rows.rows(), sk.rows.rows());
         assert_eq!(swept.converged, sk.converged);
-    }
-
-    #[test]
-    fn clone_preserves_lazy_graph_state() {
-        let (_, mut net) = setup(generators::path(25).unwrap());
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let sk = build_skeleton(&mut net, 2.0, &[], &mut rng);
-        let cloned_cold = sk.clone();
-        let n1 = sk.graph().n();
-        let cloned_warm = sk.clone();
-        assert_eq!(cloned_cold.graph().n(), n1);
-        assert_eq!(cloned_warm.graph().n(), n1);
     }
 
     #[test]

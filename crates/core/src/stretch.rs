@@ -184,7 +184,6 @@ mod tests {
     use crate::kssp::KsspOutput;
     use crate::rows::DistanceRows;
     use crate::sssp::SsspOutput;
-    use hybrid_graph::dijkstra::apsp_exact;
     use hybrid_graph::{Graph, GraphBuilder};
     use StretchViolation::{Exceeds, Misaligned, Reachability, Underestimate};
 
@@ -372,7 +371,7 @@ mod tests {
         across(rows(&bridged).verify_stretch_against(&rows(&split), 1.0));
 
         let klsp = |labels: &Graph| {
-            let full = apsp_exact(labels);
+            let full = DistanceRows::all_pairs(labels);
             KlspOutput {
                 sources: sources.clone(),
                 targets: targets.clone(),
@@ -405,12 +404,13 @@ mod tests {
 
         let sssp = |labels: &Graph| SsspOutput {
             source: 1,
-            dist: apsp_exact(labels)[1].clone(),
+            dist: DistanceRows::all_pairs(labels)[1].to_vec(),
             epsilon: 0.0,
             stretch: 1.0,
             rounds: 0,
         };
-        let exact_from_one = &apsp_exact(&split)[1];
+        let split_rows = DistanceRows::all_pairs(&split);
+        let exact_from_one = &split_rows[1];
         assert_eq!(sssp(&split).verify_stretch(exact_from_one), Ok(1.0));
         across(sssp(&bridged).verify_stretch(exact_from_one));
     }

@@ -1,7 +1,7 @@
 //! Differential conformance suite for the query-serving [`DistanceOracle`].
 //!
 //! The oracle is cross-checked against the exact Dijkstra matrix
-//! ([`apsp_exact`]) on the same pinned instance grid the PR 8 registry
+//! ([`DistanceRows::all_pairs`]) on the same pinned instance grid the PR 8 registry
 //! shootout uses (`tests/conformance.rs`), so a break names the exact
 //! instance:
 //!
@@ -19,8 +19,7 @@
 
 use std::sync::Arc;
 
-use hybrid_core::{DistanceOracle, OracleConfig, ORACLE_STRETCH};
-use hybrid_graph::dijkstra::apsp_exact;
+use hybrid_core::{DistanceOracle, DistanceRows, OracleConfig, ORACLE_STRETCH};
 use hybrid_graph::{generators, Graph, GraphBuilder, NodeId, Weight, INFINITY};
 
 /// Same instance grid as `tests/conformance.rs`: one graph per family shape,
@@ -85,7 +84,7 @@ fn all_pairs(n: usize) -> Vec<(NodeId, NodeId)> {
 fn distances_stay_within_documented_stretch_of_exact_dijkstra() {
     for (name, graph) in all_instances() {
         let oracle = build(&graph);
-        let exact = apsp_exact(&graph);
+        let exact = DistanceRows::all_pairs(&graph);
         for (u, v) in all_pairs(graph.n()) {
             let a = oracle.query(u, v);
             let e = exact[u as usize][v as usize];
@@ -227,7 +226,7 @@ fn unreachable_pairs_answer_infinity_and_a_landmarkless_component_is_exact() {
     }
     let graph = both.build_unchecked_connectivity();
     let oracle = DistanceOracle::build_with_landmarks(&graph, &[0, 13, 22]).unwrap();
-    let exact = apsp_exact(&graph);
+    let exact = DistanceRows::all_pairs(&graph);
 
     let queries = all_pairs(graph.n());
     let dists = oracle.query_batch(&queries);

@@ -1,5 +1,5 @@
 //! Weighted distance oracles: Dijkstra (binary-heap and Dial bucket-queue
-//! variants), hop-limited Dijkstra and exact APSP.
+//! variants) and hop-limited Dijkstra.
 //!
 //! These are *centralized* oracles used (a) as ground truth when checking the
 //! stretch of the distributed approximation algorithms and (b) as the local
@@ -28,14 +28,10 @@
 //!   candidate is `d + w > dist[v]`), each `(node, distance)` pair is queued
 //!   at most once, and an entry is stale exactly when its distance is no
 //!   longer `dist[v]`.
-//! * [`apsp_exact`] fans the per-source runs out over all cores
-//!   (deterministic order; one workspace per worker chunk).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
-
-use rayon::prelude::*;
 
 use crate::csr::{Graph, NodeId, Weight, INFINITY};
 
@@ -576,20 +572,6 @@ pub fn hop_limited_distances_with(
     converged
 }
 
-/// Exact weighted all-pairs shortest paths (one single-source run per node,
-/// fanned out over all cores with automatic oracle selection).
-/// Quadratic memory — intended for ground-truth checks on small graphs.
-pub fn apsp_exact(graph: &Graph) -> Vec<Vec<Weight>> {
-    (0..graph.n() as NodeId)
-        .into_par_iter()
-        .map_init(DijkstraWorkspace::new, |ws, v| {
-            ws.run(graph, v);
-            ws.dist().to_vec()
-        })
-        .with_min_len(1)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,21 +685,6 @@ mod tests {
             let b = crate::traversal::bfs(&g, s).dist;
             assert_eq!(d, b);
             assert_eq!(dijkstra_heap(&g, s).dist, b);
-        }
-    }
-
-    #[test]
-    fn apsp_exact_is_symmetric_and_triangle() {
-        let g = generators::cycle(7).unwrap();
-        let d = apsp_exact(&g);
-        for u in 0..7 {
-            assert_eq!(d[u][u], 0);
-            for v in 0..7 {
-                assert_eq!(d[u][v], d[v][u]);
-                for w in 0..7 {
-                    assert!(d[u][v] <= d[u][w] + d[w][v]);
-                }
-            }
         }
     }
 

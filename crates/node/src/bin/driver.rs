@@ -36,7 +36,8 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Result<Self, String> {
+    /// Parses the argument list (without the program name).
+    fn parse(argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut args = Args {
             family: "cycle".to_string(),
             n: 8,
@@ -49,7 +50,7 @@ impl Args {
             node_bin: None,
             conformance: false,
         };
-        let mut it = std::env::args().skip(1);
+        let mut it = argv.into_iter();
         while let Some(flag) = it.next() {
             let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
             match flag.as_str() {
@@ -102,7 +103,9 @@ fn tokens_spread(k: u64, n: usize) -> TokensAt {
     (0..k).map(|t| ((t % n as u64) as u32, vec![t])).collect()
 }
 
-fn build_program(args: &Args) -> Result<ProgramSpec, String> {
+/// The program of the command line on a graph of `n` nodes: the graph built
+/// from `--family`, whose size `--n` does not set for `grid-RxC`.
+fn build_program(args: &Args, n: usize) -> Result<ProgramSpec, String> {
     let k = args.tokens;
     match args.program.as_str() {
         "flood" => Ok(ProgramSpec::Flood {
@@ -120,7 +123,7 @@ fn build_program(args: &Args) -> Result<ProgramSpec, String> {
         }),
         "bfs" => Ok(ProgramSpec::Bfs { source: 0 }),
         "gossip" => Ok(ProgramSpec::Gossip {
-            tokens_at: tokens_spread(k, args.n),
+            tokens_at: tokens_spread(k, n),
             target_tokens: k as usize,
         }),
         other => Err(format!(
@@ -138,10 +141,10 @@ fn default_node_bin() -> Result<PathBuf, String> {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::parse()?;
+    let args = Args::parse(std::env::args().skip(1))?;
     let graph = GraphSpec::parse(&args.family, args.n)?;
     let n = graph.n();
-    let program = build_program(&args)?;
+    let program = build_program(&args, n)?;
     let params = match args.gamma {
         Some(gamma) => ModelParams::hybrid_with_global_capacity(n, gamma),
         None => ModelParams::hybrid(n),
@@ -205,6 +208,31 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("hybrid-driver: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spread_tokens_land_on_the_built_grid_whatever_n_says() {
+        let command_lines = [
+            "--family grid-2x2 --n 0 --program gossip --transport stdio",
+            "--family grid-3x3 --n 100 --program gossip --tokens 20 --max-rounds 200 --transport stdio",
+        ];
+        for argv in command_lines {
+            let args = Args::parse(argv.split(' ').map(str::to_string)).unwrap();
+            let n = GraphSpec::parse(&args.family, args.n).unwrap().n();
+            let Ok(ProgramSpec::Gossip { tokens_at, .. }) = build_program(&args, n) else {
+                panic!("{argv:?}: not a gossip program");
+            };
+            assert_eq!(tokens_at.len() as u64, args.tokens, "{argv:?}");
+            assert!(
+                tokens_at.iter().all(|&(v, _)| (v as usize) < n),
+                "{argv:?}: a token outside 0..{n}: {tokens_at:?}"
+            );
         }
     }
 }

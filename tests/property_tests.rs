@@ -561,10 +561,10 @@ proptest! {
     /// Parallel exact APSP agrees with independent per-source runs.
     #[test]
     fn parallel_apsp_matches_single_source(graph in arbitrary_graph(), src_sel in any::<u32>()) {
-        let all = hybrid::graph::dijkstra::apsp_exact(&graph);
+        let all = DistanceRows::all_pairs(&graph);
         let v = src_sel % graph.n() as u32;
         let single = hybrid::graph::dijkstra::dijkstra_heap(&graph, v);
-        prop_assert_eq!(&all[v as usize], &single.dist);
+        prop_assert_eq!(all.row(v as usize), &single.dist[..]);
     }
 
     /// Universal dissemination always delivers every token and is never
@@ -593,7 +593,7 @@ proptest! {
     /// bit-identical output for every pool width.
     #[test]
     fn parallel_fanouts_are_thread_count_invariant(graph in arbitrary_graph()) {
-        let apsp_ref = hybrid::graph::dijkstra::apsp_exact(&graph);
+        let apsp_ref = DistanceRows::all_pairs(&graph);
         let ecc_ref = hybrid::graph::properties::eccentricities(&graph);
         for threads in [2usize, 4, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -602,7 +602,7 @@ proptest! {
                 .expect("pool");
             let (apsp, ecc) = pool.install(|| {
                 (
-                    hybrid::graph::dijkstra::apsp_exact(&graph),
+                    DistanceRows::all_pairs(&graph),
                     hybrid::graph::properties::eccentricities(&graph),
                 )
             });
@@ -745,15 +745,14 @@ proptest! {
     /// not.
     #[test]
     fn distance_rows_match_matrix_rows(graph in arbitrary_graph(), picks in prop::collection::vec(any::<u32>(), 1..6)) {
-        use hybrid::core::rows::DistanceRows;
         let n = graph.n() as u32;
         let mut sources: Vec<u32> = picks.iter().map(|&p| p % n).collect();
         sources.sort_unstable();
         sources.dedup();
         let rows = DistanceRows::compute(&graph, &sources);
-        let full = hybrid::graph::dijkstra::apsp_exact(&graph);
+        let full = DistanceRows::all_pairs(&graph);
         for (i, &s) in sources.iter().enumerate() {
-            prop_assert_eq!(rows.row(i), &full[s as usize][..]);
+            prop_assert_eq!(rows.row(i), full.row(s as usize));
         }
         prop_assert_eq!(rows.memory_bytes(), (sources.len() * graph.n() * 8 + sources.len() * 4) as u64);
     }
@@ -783,7 +782,7 @@ proptest! {
             .collect();
         let batch = oracle.query_batch(&queries);
         let paths = oracle.query_paths_batch(&queries);
-        let exact = hybrid::graph::dijkstra::apsp_exact(&weighted);
+        let exact = DistanceRows::all_pairs(&weighted);
         for (i, &(u, v)) in queries.iter().enumerate() {
             prop_assert_eq!(batch[i], oracle.query(u, v));
             prop_assert_eq!(paths.dist(i), batch[i]);
