@@ -25,10 +25,11 @@ use std::path::Path;
 use std::time::Instant;
 
 use hybrid_bench::faults_sweep::{fault_sweep_rows, FaultSweepConfig};
+use hybrid_bench::grid::{GraphFamily, Grid};
 use hybrid_bench::oracle_bench::{oracle_bench_rows, OracleBenchConfig};
 use hybrid_bench::scale::{scale_rows, ScaleConfig};
 use hybrid_bench::scenarios::{
-    appendix_b_rows, figure1_rows, table1_rows, table2_rows, table3_rows, table4_rows, GraphFamily,
+    appendix_b_rows, figure1_rows, table1_rows, table2_rows, table3_rows, table4_rows,
 };
 use hybrid_bench::sweep::{check_shootout, sweep_rows, SweepConfig, SweepRow};
 use serde::Serialize;
@@ -146,7 +147,7 @@ fn run_table1(cli: &Cli) -> io::Result<()> {
         "route-BASE",
         "lower-bnd"
     );
-    let rows = table1_rows(GraphFamily::all(), n, &ks, 0xC0FFEE);
+    let rows = table1_rows(&Grid::new(GraphFamily::all(), &[n], 0xC0FFEE), &ks);
     for r in &rows {
         println!(
             "{:<18}{:>6}{:>6}{:>8}{:>12}{:>12}{:>12}{:>12}{:>12}{:>10.2}",
@@ -185,7 +186,7 @@ fn run_table2(cli: &Cli) -> io::Result<()> {
         "lit-sqrt",
         "lower-bnd"
     );
-    let rows = table2_rows(GraphFamily::core_families(), n, 0xBEEF);
+    let rows = table2_rows(&Grid::new(GraphFamily::core_families(), &[n], 0xBEEF));
     for r in &rows {
         println!(
             "{:<14}{:>6}{:>7}{:>8}{:>11}{:>9.3}{:>11}{:>11}{:>9.3}{:>11}{:>9.3}{:>10}{:>10.2}",
@@ -220,7 +221,7 @@ fn run_table3(cli: &Cli) -> io::Result<()> {
         "{:<14}{:>6}{:>5}{:>6}{:>8}{:>10}{:>9}{:>10}{:>10}",
         "family", "k", "l", "NQ_k", "sqrt(k)", "T5-UNIV", "stretch", "baseline", "lower-bnd"
     );
-    let rows = table3_rows(GraphFamily::core_families(), n, &ks, 0xFACE);
+    let rows = table3_rows(&Grid::new(GraphFamily::core_families(), &[n], 0xFACE), &ks);
     for r in &rows {
         println!(
             "{:<14}{:>6}{:>5}{:>6}{:>8}{:>10}{:>9.3}{:>10}{:>10.2}",
@@ -242,15 +243,12 @@ fn run_table4(cli: &Cli) -> io::Result<()> {
         "{:<18}{:>7}{:>10}{:>10}{:>12}{:>10}{:>10}{:>10}",
         "family", "n", "T13-ours", "stretch", "KS20-sqrt", "CHLP21", "AHK20", "AG21"
     );
-    let rows = table4_rows(
-        &[
-            GraphFamily::Grid2D,
-            GraphFamily::ErdosRenyi,
-            GraphFamily::Path,
-        ],
-        &sizes,
-        0xDEAD,
-    );
+    let families = [
+        GraphFamily::Grid2D,
+        GraphFamily::ErdosRenyi,
+        GraphFamily::Path,
+    ];
+    let rows = table4_rows(&Grid::new(&families, &sizes, 0xDEAD));
     for r in &rows {
         println!(
             "{:<18}{:>7}{:>10}{:>10.3}{:>12}{:>10}{:>10}{:>10}",
@@ -323,11 +321,11 @@ fn run_sweep(cli: &Cli) -> io::Result<()> {
     };
     println!(
         "\n=== Scaling sweep: algorithm shootout vs. per-instance lower bound ({} families x {} sizes x {} (lambda, gamma) points) ===",
-        GraphFamily::all().len(),
-        config.sizes.len(),
+        config.grid.families.len(),
+        config.grid.sizes.len(),
         config.points.len()
     );
-    let rows = sweep_rows(GraphFamily::all(), &config);
+    let rows = sweep_rows(&config);
     println!(
         "{:<18}{:>6} {:<14}{:>6}{:>7}{:>7}{:>10}{:>12}{:>7}{:>8}",
         "family", "n", "point", "gamma", "k", "NQ_k", "diss-LB", "sssp(T13)", "kssp-k", "kssp-LB"
@@ -389,9 +387,9 @@ fn run_scale(cli: &Cli) -> io::Result<()> {
     };
     println!(
         "\n=== Scale tier: streamed sweep at n up to {} ({} families x {} sizes, |S| = {} sources, {} NQ samples) ===",
-        config.sizes.iter().max().copied().unwrap_or(0),
-        config.families.len(),
-        config.sizes.len(),
+        config.grid.sizes.iter().max().copied().unwrap_or(0),
+        config.grid.families.len(),
+        config.grid.sizes.len(),
         config.sources,
         config.nq_samples
     );
@@ -477,11 +475,10 @@ fn run_faults(cli: &Cli) -> io::Result<()> {
     } else {
         FaultSweepConfig::full()
     };
-    let families = GraphFamily::core_families();
     println!(
         "\n=== Fault sweep: degradation factors under a seeded adversary ({} families x {} sizes x {} profiles) ===",
-        families.len(),
-        config.sizes.len(),
+        config.grid.families.len(),
+        config.grid.sizes.len(),
         config.profiles.len()
     );
     println!(
@@ -502,7 +499,7 @@ fn run_faults(cli: &Cli) -> io::Result<()> {
         "T1-deg",
         "T1-msgx"
     );
-    let rows = fault_sweep_rows(families, &config);
+    let rows = fault_sweep_rows(&config);
     for r in &rows {
         println!(
             "{:<14}{:>6} {:<9}{:>6.2}{:>6.2}{:>6.2}{:>6.2} {:>5}{:>9}{:>8.2}{:>9.2}{:>6}{:>9}{:>8.2}{:>9.2}",
@@ -624,13 +621,11 @@ mod tests {
     #[test]
     fn sweep_artifact_gate_counts_malformed_artifacts_under_strict() {
         let config = SweepConfig {
-            sizes: vec![64],
+            grid: Grid::new(&[GraphFamily::Path], &[64], 1),
             points: vec![hybrid_bench::SweepPoint::HYBRID],
-            seed: 1,
         };
-        let family = [GraphFamily::Path];
         // A well-formed shootout passes: the full registry in both columns.
-        let good = sweep_rows(&family, &config);
+        let good = sweep_rows(&config);
         assert!(check_sweep_artifact(&good).is_ok());
         // One contender per column is too few for the full registry.
         let mut single = good.clone();

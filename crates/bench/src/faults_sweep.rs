@@ -23,16 +23,15 @@
 //!
 //! ## Determinism
 //!
-//! Cells are independent: every `(family, n)` pair derives its graph seed and
-//! its per-profile fault-plan seeds from the sweep seed via the same
-//! SplitMix64 mixing as the scaling sweep, and a [`FaultPlan`]'s decisions
-//! are themselves pure hashes of its seeded key — so the rayon fan-out is
-//! bit-identical across `RAYON_NUM_THREADS` (pinned by
-//! `crates/bench/tests/determinism.rs` and the CI artifact diff).
+//! Cells are independent: every `(family, n)` cell derives its graph seed and
+//! its per-profile fault-plan seeds from [`Grid::seed`], like the scaling
+//! sweep, and a [`FaultPlan`]'s decisions are themselves pure hashes of its
+//! seeded key — so the grid's fan-out is bit-identical across
+//! `RAYON_NUM_THREADS` (pinned by `crates/bench/tests/determinism.rs` and
+//! the CI artifact diff).
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
 use serde::Serialize;
 
 use hybrid_core::dissemination::{k_dissemination, place_tokens};
@@ -41,8 +40,7 @@ use hybrid_sim::engine::{Executor, NodeProgram, RunReport};
 use hybrid_sim::programs::AckFloodProgram;
 use hybrid_sim::{EngineConfig, FaultPlan, FaultSpec, HybridNetwork, ModelParams};
 
-use crate::scenarios::GraphFamily;
-use crate::sweep::cell_seed;
+use crate::grid::{GraphFamily, Grid};
 
 /// A named adversary distribution of the sweep grid.
 #[derive(Debug, Clone, Copy)]
@@ -108,13 +106,11 @@ const CHAOS: FaultProfile = FaultProfile {
 /// Configuration of a fault sweep.
 #[derive(Debug, Clone)]
 pub struct FaultSweepConfig {
-    /// Target node counts per family.
-    pub sizes: Vec<usize>,
+    /// The `(family, n)` cells.
+    pub grid: Grid,
     /// Fault profiles (the `none` reference is always measured, whether or
     /// not it is listed — listing it adds its factor-1 row to the curves).
     pub profiles: Vec<FaultProfile>,
-    /// Master seed; every cell derives its own streams from it.
-    pub seed: u64,
     /// Engine-level round budget for the ack/retry dissemination (generous:
     /// the completion guarantee holds for any drop rate `< 1`, but the sweep
     /// must terminate even if a profile is made hostile).
@@ -122,12 +118,12 @@ pub struct FaultSweepConfig {
 }
 
 impl FaultSweepConfig {
-    /// The CI-sized sweep (`reproduce faults --quick`): 2 sizes × 5 profiles
-    /// (the failure-free reference, three drop rates, the combined chaos
-    /// adversary).
+    /// The CI-sized sweep (`reproduce faults --quick`): the core families ×
+    /// 2 sizes × 5 profiles (the failure-free reference, three drop rates,
+    /// the combined chaos adversary).
     pub fn quick() -> Self {
         FaultSweepConfig {
-            sizes: vec![64, 128],
+            grid: Grid::new(GraphFamily::core_families(), &[64, 128], 0xFA17),
             profiles: vec![
                 NONE,
                 drop_profile("drop-15", 15),
@@ -135,15 +131,15 @@ impl FaultSweepConfig {
                 drop_profile("drop-55", 55),
                 CHAOS,
             ],
-            seed: 0xFA17,
             max_rounds: 50_000,
         }
     }
 
-    /// The full-depth sweep (nightly): 3 sizes, a denser drop ladder.
+    /// The full-depth sweep (nightly): the core families × 3 sizes, a denser
+    /// drop ladder.
     pub fn full() -> Self {
         FaultSweepConfig {
-            sizes: vec![128, 256, 512],
+            grid: Grid::new(GraphFamily::core_families(), &[128, 256, 512], 0xFA17),
             profiles: vec![
                 NONE,
                 drop_profile("drop-15", 15),
@@ -152,7 +148,6 @@ impl FaultSweepConfig {
                 drop_profile("drop-75", 75),
                 CHAOS,
             ],
-            seed: 0xFA17,
             max_rounds: 200_000,
         }
     }
@@ -245,113 +240,99 @@ fn run_ack_flood(
     exec.run_capped(max_rounds, |ps| ps.iter().all(|p| p.done()))
 }
 
-/// Runs the fault sweep grid: `families × config.sizes × config.profiles`.
+/// Runs the fault sweep grid: `config.grid × config.profiles`.
 ///
-/// The `(family, n)` cells fan out in parallel; each builds its graph and
-/// `NQ` oracle once, measures the failure-free reference once, and then
-/// replays the identical workload per profile.  Row order is family-major,
-/// then size, then profile — identical for every pool width.
-pub fn fault_sweep_rows(families: &[GraphFamily], config: &FaultSweepConfig) -> Vec<FaultSweepRow> {
-    let cells: Vec<(usize, GraphFamily, usize)> = families
-        .iter()
-        .enumerate()
-        .flat_map(|(fi, &family)| config.sizes.iter().map(move |&n| (fi, family, n)))
-        .collect();
-    let per_cell: Vec<Vec<FaultSweepRow>> = cells
-        .par_iter()
-        .with_min_len(1)
-        .map(|&(fi, family, n_target)| {
-            let graph_seed = cell_seed(config.seed, fi, n_target, 0);
-            let graph = Arc::new(family.build(n_target, graph_seed));
-            let oracle = NqOracle::new(&graph);
-            let n = graph.n();
-            let params = ModelParams::hybrid(n);
+/// Each `(family, n)` cell builds its graph and `NQ` oracle once, measures
+/// the failure-free reference once, and then replays the identical workload
+/// per profile.  Row order is family-major, then size, then profile —
+/// identical for every pool width.
+pub fn fault_sweep_rows(config: &FaultSweepConfig) -> Vec<FaultSweepRow> {
+    let grid = &config.grid;
+    grid.run(|cell| {
+        let family = cell.family;
+        let graph = Arc::new(family.build(cell.n_target, grid.seed(cell, 0)));
+        let oracle = NqOracle::new(&graph);
+        let n = graph.n();
+        let params = ModelParams::hybrid(n);
 
-            // The engine workload: 8 tokens on evenly spread holders — small
-            // enough that heavy-drop cells stay fast, large enough that every
-            // token crosses long stretches of the graph.
-            let k = 8usize.min(n);
-            let ack_base = run_ack_flood(&graph, EngineConfig::new(params), k, config.max_rounds);
+        // The engine workload: 8 tokens on evenly spread holders — small
+        // enough that heavy-drop cells stay fast, large enough that every
+        // token crosses long stretches of the graph.
+        let k = 8usize.min(n);
+        let ack_base = run_ack_flood(&graph, EngineConfig::new(params), k, config.max_rounds);
 
-            // The phase workload: the Theorem 1 pipeline with an n-token
-            // load, same shape as the scaling sweep's dissemination column.
-            let tokens = place_tokens(&(0..n as u32).collect::<Vec<_>>(), n as u64);
-            let mut net = HybridNetwork::new(Arc::clone(&graph), params);
-            let diss_base = k_dissemination(&mut net, &oracle, &tokens);
-            let diss_base_msgs = diss_base.meter.global_messages();
+        // The phase workload: the Theorem 1 pipeline with an n-token
+        // load, same shape as the scaling sweep's dissemination column.
+        let tokens = place_tokens(&(0..n as u32).collect::<Vec<_>>(), n as u64);
+        let mut net = HybridNetwork::new(Arc::clone(&graph), params);
+        let diss_base = k_dissemination(&mut net, &oracle, &tokens);
+        let diss_base_msgs = diss_base.meter.global_messages();
 
-            config
-                .profiles
-                .iter()
-                .enumerate()
-                .map(|(pi, profile)| {
-                    let plan_seed = cell_seed(config.seed, fi, n_target, 1 + pi as u64);
-                    let plan = FaultPlan::new(profile.spec, plan_seed, n);
-                    let net_config = EngineConfig::new(params).with_fault_plan(plan);
+        config
+            .profiles
+            .iter()
+            .enumerate()
+            .map(|(pi, profile)| {
+                let plan = FaultPlan::new(profile.spec, grid.seed(cell, 1 + pi as u64), n);
+                let net_config = EngineConfig::new(params).with_fault_plan(plan);
 
-                    let ack = run_ack_flood(&graph, net_config.clone(), k, config.max_rounds);
-                    let mut net = HybridNetwork::with_config(Arc::clone(&graph), &net_config);
-                    let diss = k_dissemination(&mut net, &oracle, &tokens);
-                    let diss_faults = diss.meter.faults();
+                let ack = run_ack_flood(&graph, net_config.clone(), k, config.max_rounds);
+                let mut net = HybridNetwork::with_config(Arc::clone(&graph), &net_config);
+                let diss = k_dissemination(&mut net, &oracle, &tokens);
+                let diss_faults = diss.meter.faults();
 
-                    FaultSweepRow {
-                        family: family.name(),
-                        n,
-                        profile: profile.name,
-                        drop_prob: profile.spec.drop_prob,
-                        duplicate_prob: profile.spec.duplicate_prob,
-                        delay_prob: profile.spec.delay_prob,
-                        crash_prob: profile.spec.crash_prob,
-                        k: k as u64,
-                        ack_rounds: ack.rounds,
-                        ack_baseline_rounds: ack_base.rounds,
-                        ack_degradation: factor(ack.rounds, ack_base.rounds),
-                        ack_message_overhead: factor(ack.local_messages, ack_base.local_messages),
-                        ack_completed: ack.completed,
-                        ack_injected_drops: ack.injected_drops,
-                        ack_injected_duplicates: ack.injected_duplicates,
-                        ack_injected_delays: ack.injected_delays,
-                        diss_rounds: diss.rounds,
-                        diss_baseline_rounds: diss_base.rounds,
-                        diss_degradation: factor(diss.rounds, diss_base.rounds),
-                        diss_message_overhead: factor(diss.meter.global_messages(), diss_base_msgs),
-                        diss_dropped: diss_faults.dropped,
-                        diss_duplicated: diss_faults.duplicated,
-                        diss_delayed: diss_faults.delayed,
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    per_cell.into_iter().flatten().collect()
+                FaultSweepRow {
+                    family: family.name(),
+                    n,
+                    profile: profile.name,
+                    drop_prob: profile.spec.drop_prob,
+                    duplicate_prob: profile.spec.duplicate_prob,
+                    delay_prob: profile.spec.delay_prob,
+                    crash_prob: profile.spec.crash_prob,
+                    k: k as u64,
+                    ack_rounds: ack.rounds,
+                    ack_baseline_rounds: ack_base.rounds,
+                    ack_degradation: factor(ack.rounds, ack_base.rounds),
+                    ack_message_overhead: factor(ack.local_messages, ack_base.local_messages),
+                    ack_completed: ack.completed,
+                    ack_injected_drops: ack.injected_drops,
+                    ack_injected_duplicates: ack.injected_duplicates,
+                    ack_injected_delays: ack.injected_delays,
+                    diss_rounds: diss.rounds,
+                    diss_baseline_rounds: diss_base.rounds,
+                    diss_degradation: factor(diss.rounds, diss_base.rounds),
+                    diss_message_overhead: factor(diss.meter.global_messages(), diss_base_msgs),
+                    diss_dropped: diss_faults.dropped,
+                    diss_duplicated: diss_faults.duplicated,
+                    diss_delayed: diss_faults.delayed,
+                }
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_config() -> FaultSweepConfig {
+    fn tiny_config(families: &[GraphFamily]) -> FaultSweepConfig {
         FaultSweepConfig {
-            sizes: vec![48],
+            grid: Grid::new(families, &[48], 0xFA17),
             profiles: vec![NONE, drop_profile("drop-35", 35), CHAOS],
-            seed: 0xFA17,
             max_rounds: 50_000,
         }
     }
 
     #[test]
     fn grid_covers_every_family_size_and_profile() {
-        let config = tiny_config();
         let families = [
             GraphFamily::Path,
             GraphFamily::Grid2D,
             GraphFamily::ErdosRenyi,
         ];
-        let rows = fault_sweep_rows(&families, &config);
-        assert_eq!(
-            rows.len(),
-            families.len() * config.sizes.len() * config.profiles.len()
-        );
+        let config = tiny_config(&families);
+        let rows = fault_sweep_rows(&config);
+        assert_eq!(rows.len(), families.len() * config.profiles.len());
         for r in &rows {
             assert!(r.ack_completed, "{} {} must complete", r.family, r.profile);
             assert!(r.ack_degradation >= 1.0 || r.profile == "none");
@@ -361,8 +342,7 @@ mod tests {
 
     #[test]
     fn none_profile_is_the_reference() {
-        let config = tiny_config();
-        let rows = fault_sweep_rows(&[GraphFamily::BinaryTree], &config);
+        let rows = fault_sweep_rows(&tiny_config(&[GraphFamily::BinaryTree]));
         let none = rows.iter().find(|r| r.profile == "none").unwrap();
         assert_eq!(none.ack_rounds, none.ack_baseline_rounds);
         assert_eq!(none.diss_rounds, none.diss_baseline_rounds);
@@ -375,12 +355,11 @@ mod tests {
     #[test]
     fn heavier_drops_degrade_more() {
         let config = FaultSweepConfig {
-            sizes: vec![64],
+            grid: Grid::new(&[GraphFamily::Path], &[64], 1),
             profiles: vec![drop_profile("drop-15", 15), drop_profile("drop-55", 55)],
-            seed: 1,
             max_rounds: 50_000,
         };
-        let rows = fault_sweep_rows(&[GraphFamily::Path], &config);
+        let rows = fault_sweep_rows(&config);
         assert_eq!(rows.len(), 2);
         assert!(
             rows[1].ack_degradation > rows[0].ack_degradation,

@@ -32,7 +32,7 @@
 //!
 //! ## Determinism
 //!
-//! Cells derive their streams from [`cell_seed`] exactly like the regular
+//! Cells derive their streams from [`Grid::seed`] exactly like the regular
 //! sweep (salt 0 = graph, 2 = sources, 3 = `NQ` sample), and every
 //! generator emits over fixed, worker-independent chunks, so
 //! `results/sweep_scale.json` is bit-identical across `RAYON_NUM_THREADS` —
@@ -41,7 +41,6 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::Serialize;
 
 use hybrid_core::kssp::kssp_lower_bound_rounds;
@@ -50,28 +49,16 @@ use hybrid_core::nq::{NqOracle, SampledNqOracle};
 use hybrid_core::prob::sample_distinct;
 use hybrid_core::rows::DistanceRows;
 use hybrid_core::sssp::SsspCostModel;
-use hybrid_graph::{generators, Graph};
 use hybrid_sim::ModelParams;
 
-use crate::scenarios::GraphFamily;
-use crate::sweep::{cell_seed, SweepPoint};
+use crate::grid::{GraphFamily, Grid};
+use crate::sweep::SweepPoint;
 
-/// Barbell cliques are `Θ(n²)` edges under the small-`n` parameter mapping
-/// (`clique = 3n/8`); past this node count the scale tier caps the cliques at
-/// [`BARBELL_CLIQUE_CAP`] and lets the bridge path absorb the rest — the
-/// dense clique interior is a memory wall orthogonal to the `n`-scaling
-/// question the sweep asks.
-const BARBELL_CAP_THRESHOLD: usize = 4096;
-/// Clique size of the capped scale-tier barbell (`≈ 10⁶` clique edges).
-const BARBELL_CLIQUE_CAP: usize = 1024;
-
-/// Configuration of a scale sweep: sizes, families and sampling widths.
+/// Configuration of a scale sweep: the grid and the sampling widths.
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
-    /// Target node counts (geometric ladder up to `10⁶`).
-    pub sizes: Vec<usize>,
-    /// Families to sweep.
-    pub families: Vec<GraphFamily>,
+    /// The cells (target node counts on a geometric ladder up to `10⁶`).
+    pub grid: Grid,
     /// `|S|`: sampled Dijkstra sources per cell (the k-SSP fast-path
     /// workload; memory scales as `O(|S|·n)`).
     pub sources: usize,
@@ -80,8 +67,6 @@ pub struct ScaleConfig {
     /// Cells with `n` at most this also compute the exact `NQ` oracle as a
     /// cross-check column (`Θ(n·D)` — affordable only at the ladder's foot).
     pub exact_crosscheck_max: usize,
-    /// Master seed (cells derive their streams via [`cell_seed`]).
-    pub seed: u64,
 }
 
 impl ScaleConfig {
@@ -89,29 +74,20 @@ impl ScaleConfig {
     /// `10⁵` cell for a handful of families (`reproduce scale --quick`).
     pub fn quick() -> Self {
         ScaleConfig {
-            sizes: vec![1024, 100_000],
-            families: vec![
-                GraphFamily::Path,
-                GraphFamily::Grid2D,
-                GraphFamily::BinaryTree,
-                GraphFamily::ErdosRenyi,
-            ],
+            grid: Grid::new(GraphFamily::core_families(), &[1024, 100_000], 0x5CA1E),
             sources: 16,
             nq_samples: 64,
             exact_crosscheck_max: 2048,
-            seed: 0x5CA1E,
         }
     }
 
     /// The full grid (nightly): every family at `n` up to `10⁶`.
     pub fn full() -> Self {
         ScaleConfig {
-            sizes: vec![1024, 100_000, 1_000_000],
-            families: GraphFamily::all().to_vec(),
+            grid: Grid::new(GraphFamily::all(), &[1024, 100_000, 1_000_000], 0x5CA1E),
             sources: 16,
             nq_samples: 64,
             exact_crosscheck_max: 2048,
-            seed: 0x5CA1E,
         }
     }
 }
@@ -167,97 +143,70 @@ pub struct ScaleRow {
     pub peak_mem_bytes: u64,
 }
 
-/// Builds a scale-tier instance: [`GraphFamily::build`] everywhere, except
-/// the barbell past [`BARBELL_CAP_THRESHOLD`] nodes, which calls
-/// [`generators::barbell`] with capped cliques (see the constant).
-fn build_scale_graph(family: GraphFamily, n_target: usize, seed: u64) -> Graph {
-    let n = n_target.max(8);
-    if family == GraphFamily::Barbell && n > BARBELL_CAP_THRESHOLD {
-        return generators::barbell(BARBELL_CLIQUE_CAP, n - 2 * BARBELL_CLIQUE_CAP)
-            .expect("barbell");
-    }
-    family.build(n_target, seed)
-}
-
-/// Runs the scale grid: `config.families × config.sizes`, one row per cell
-/// (single `(λ, γ)` point — the standard `HYBRID`), in parallel with
-/// family-major row order identical to the sequential sweep.
+/// Runs the scale grid, one row per cell (single `(λ, γ)` point — the
+/// standard `HYBRID`), in family-major row order.
 pub fn scale_rows(config: &ScaleConfig) -> Vec<ScaleRow> {
     let epsilon = 0.25;
-    let cells: Vec<(usize, GraphFamily, usize)> = config
-        .families
-        .iter()
-        .enumerate()
-        .flat_map(|(fi, &family)| config.sizes.iter().map(move |&n| (fi, family, n)))
-        .collect();
-    cells
-        .par_iter()
-        .with_min_len(1)
-        .map(|&(fi, family, n_target)| {
-            let graph_seed = cell_seed(config.seed, fi, n_target, 0);
-            let graph = build_scale_graph(family, n_target, graph_seed);
-            let weighted = family.reweight(&graph, graph_seed);
-            let n = graph.n();
-            let params = SweepPoint::HYBRID.params(n);
-            let k = n as u64;
+    let grid = &config.grid;
+    grid.run(|cell| {
+        let family = cell.family;
+        let graph_seed = grid.seed(cell, 0);
+        let graph = family.build(cell.n_target, graph_seed);
+        let weighted = family.reweight(&graph, graph_seed);
+        let n = graph.n();
+        let params = SweepPoint::HYBRID.params(n);
+        let k = n as u64;
 
-            // Sampled NQ witness (exact per-node, sampled maximization).
-            let sampled = SampledNqOracle::new(
-                &graph,
-                config.nq_samples,
-                k,
-                0.02,
-                cell_seed(config.seed, fi, n_target, 3),
-            );
-            let est = sampled.nq_estimate(k);
-            let nq_exact = (n <= config.exact_crosscheck_max).then(|| NqOracle::new(&graph).nq(k));
-            let diss_lb = dissemination_lower_bound(&sampled, &params, k, 0.99);
-            let log_n = ModelParams::log_n(n) as u64;
-            let diss_rounds = est.estimate.saturating_mul(log_n).max(1);
+        // Sampled NQ witness (exact per-node, sampled maximization).
+        let sampled = SampledNqOracle::new(&graph, config.nq_samples, k, 0.02, grid.seed(cell, 3));
+        let est = sampled.nq_estimate(k);
+        let nq_exact = (n <= config.exact_crosscheck_max).then(|| NqOracle::new(&graph).nq(k));
+        let diss_lb = dissemination_lower_bound(&sampled, &params, k, 0.99);
+        let log_n = ModelParams::log_n(n) as u64;
+        let diss_rounds = est.estimate.saturating_mul(log_n).max(1);
 
-            // Theorem 14 fast path on |S| ≤ γ sampled sources: real
-            // per-source Dijkstra rows, (1+ε)-quantized, verified, charged at
-            // the Theorem 13 model cost (exactly what `kssp` does for k ≤ γ).
-            let mut rng = ChaCha8Rng::seed_from_u64(cell_seed(config.seed, fi, n_target, 2));
-            let sources = sample_distinct(n, config.sources.clamp(1, n), &mut rng);
-            let rows_exact = DistanceRows::compute(&weighted, &sources);
-            let rows_quantized = rows_exact.quantized(epsilon);
-            let worst = rows_quantized
-                .verify_stretch_against(&rows_exact, 1.0 + epsilon)
-                .expect("quantized rows verify");
-            let kssp_rounds = SsspCostModel.rounds(n, epsilon);
-            let kssp_lb = kssp_lower_bound_rounds(sources.len(), params.global_capacity_msgs);
+        // Theorem 14 fast path on |S| ≤ γ sampled sources: real
+        // per-source Dijkstra rows, (1+ε)-quantized, verified, charged at
+        // the Theorem 13 model cost (exactly what `kssp` does for k ≤ γ).
+        let mut rng = ChaCha8Rng::seed_from_u64(grid.seed(cell, 2));
+        let sources = sample_distinct(n, config.sources.clamp(1, n), &mut rng);
+        let rows_exact = DistanceRows::compute(&weighted, &sources);
+        let rows_quantized = rows_exact.quantized(epsilon);
+        let worst = rows_quantized
+            .verify_stretch_against(&rows_exact, 1.0 + epsilon)
+            .expect("quantized rows verify");
+        let kssp_rounds = SsspCostModel.rounds(n, epsilon);
+        let kssp_lb = kssp_lower_bound_rounds(sources.len(), params.global_capacity_msgs);
 
-            let graph_mem = graph.memory_bytes() + weighted.memory_bytes();
-            let rows_mem = rows_exact.memory_bytes() + rows_quantized.memory_bytes();
-            let nq_mem = sampled.memory_bytes();
+        let graph_mem = graph.memory_bytes() + weighted.memory_bytes();
+        let rows_mem = rows_exact.memory_bytes() + rows_quantized.memory_bytes();
+        let nq_mem = sampled.memory_bytes();
 
-            ScaleRow {
-                family: family.name(),
-                n,
-                m: graph.m(),
-                gamma_msgs: params.global_capacity_msgs,
-                k,
-                nq_estimate: est.estimate,
-                nq_sample_size: est.sample_size,
-                nq_quantile: est.quantile,
-                nq_confidence: est.confidence,
-                nq_exact,
-                dissemination_modeled_rounds: diss_rounds,
-                dissemination_lower_bound: diss_lb.rounds,
-                dissemination_ratio: diss_rounds as f64 / diss_lb.rounds.max(1.0),
-                kssp_sources: sources.len(),
-                kssp_rounds,
-                kssp_lower_bound: kssp_lb,
-                kssp_ratio: kssp_rounds as f64 / (kssp_lb.max(1) as f64),
-                kssp_stretch_worst: worst,
-                graph_mem_bytes: graph_mem,
-                distance_rows_mem_bytes: rows_mem,
-                nq_profile_mem_bytes: nq_mem,
-                peak_mem_bytes: graph_mem + rows_mem + nq_mem,
-            }
-        })
-        .collect()
+        vec![ScaleRow {
+            family: family.name(),
+            n,
+            m: graph.m(),
+            gamma_msgs: params.global_capacity_msgs,
+            k,
+            nq_estimate: est.estimate,
+            nq_sample_size: est.sample_size,
+            nq_quantile: est.quantile,
+            nq_confidence: est.confidence,
+            nq_exact,
+            dissemination_modeled_rounds: diss_rounds,
+            dissemination_lower_bound: diss_lb.rounds,
+            dissemination_ratio: diss_rounds as f64 / diss_lb.rounds.max(1.0),
+            kssp_sources: sources.len(),
+            kssp_rounds,
+            kssp_lower_bound: kssp_lb,
+            kssp_ratio: kssp_rounds as f64 / (kssp_lb.max(1) as f64),
+            kssp_stretch_worst: worst,
+            graph_mem_bytes: graph_mem,
+            distance_rows_mem_bytes: rows_mem,
+            nq_profile_mem_bytes: nq_mem,
+            peak_mem_bytes: graph_mem + rows_mem + nq_mem,
+        }]
+    })
 }
 
 #[cfg(test)]
@@ -266,12 +215,14 @@ mod tests {
 
     fn tiny_config() -> ScaleConfig {
         ScaleConfig {
-            sizes: vec![256, 1024],
-            families: vec![GraphFamily::Path, GraphFamily::ErdosRenyi],
+            grid: Grid::new(
+                &[GraphFamily::Path, GraphFamily::ErdosRenyi],
+                &[256, 1024],
+                0x5CA1E,
+            ),
             sources: 8,
             nq_samples: 24,
             exact_crosscheck_max: 2048,
-            seed: 0x5CA1E,
         }
     }
 
@@ -279,7 +230,7 @@ mod tests {
     fn rows_cover_the_grid_and_verify_their_stretch() {
         let config = tiny_config();
         let rows = scale_rows(&config);
-        assert_eq!(rows.len(), config.families.len() * config.sizes.len());
+        assert_eq!(rows.len(), config.grid.cells().len());
         for r in &rows {
             assert!(r.kssp_stretch_worst >= 1.0 && r.kssp_stretch_worst <= 1.25 + 1e-9);
             assert_eq!(r.kssp_sources, 8);
@@ -328,27 +279,16 @@ mod tests {
     }
 
     #[test]
-    fn barbell_is_capped_past_the_threshold() {
-        let capped = build_scale_graph(GraphFamily::Barbell, 10_000, 1);
-        assert_eq!(capped.n(), 10_000);
-        // Two capped cliques plus the bridge path, not Θ(n²).
-        let expected =
-            BARBELL_CLIQUE_CAP * (BARBELL_CLIQUE_CAP - 1) + (10_000 - 2 * BARBELL_CLIQUE_CAP) + 1;
-        assert_eq!(capped.m(), expected);
-        // Below the threshold the mapping is the shared `GraphFamily` one.
-        let small = build_scale_graph(GraphFamily::Barbell, 1024, 1);
-        assert_eq!(small.edges(), GraphFamily::Barbell.build(1024, 1).edges());
-    }
-
-    #[test]
     fn scale_rows_are_seed_deterministic() {
         let config = ScaleConfig {
-            sizes: vec![512],
-            families: vec![GraphFamily::RandomGeometric, GraphFamily::ChungLu],
+            grid: Grid::new(
+                &[GraphFamily::RandomGeometric, GraphFamily::ChungLu],
+                &[512],
+                42,
+            ),
             sources: 4,
             nq_samples: 8,
             exact_crosscheck_max: 0,
-            seed: 42,
         };
         let a = serde_json::to_string(&scale_rows(&config)).unwrap();
         let b = serde_json::to_string(&scale_rows(&config)).unwrap();

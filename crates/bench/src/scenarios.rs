@@ -1,16 +1,14 @@
-//! Shared experiment harness: graph families, scenario runners and row types
-//! for every table / figure of the paper.
+//! Scenario runners and row types for every table / figure of the paper.
 //!
 //! Each `tableN_rows` function runs both sides of the paper's comparison (the
 //! universal algorithm and the existential baseline, plus the lower-bound
-//! witness where applicable) on the requested graph families and returns
-//! plain serializable rows; the `reproduce` binary formats them.
+//! witness where applicable) on every cell of a [`Grid`] and returns plain
+//! serializable rows; the `reproduce` binary formats them.
 
 use std::sync::Arc;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::Serialize;
 
 use hybrid_core::apsp;
@@ -25,167 +23,9 @@ use hybrid_core::prob::{sample_distinct, sample_with_probability};
 use hybrid_core::routing::{baseline_sqrt_k_routing, kl_routing, RoutingScenario};
 use hybrid_core::rows::DistanceRows;
 use hybrid_core::sssp::{baseline_sssp, sssp_approx, SsspBaseline};
-use hybrid_graph::{generators, Graph};
 use hybrid_sim::HybridNetwork;
 
-/// The graph families the experiments sweep over (the families analysed in
-/// Section 3.3 / Appendix B plus realistic topologies for the examples).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum GraphFamily {
-    /// Path graph `P_n` (worst case: `NQ_k = Θ(√k)`).
-    Path,
-    /// Cycle `C_n`.
-    Cycle,
-    /// Two-dimensional square grid.
-    Grid2D,
-    /// Three-dimensional cube grid.
-    Grid3D,
-    /// Complete binary tree.
-    BinaryTree,
-    /// Connected Erdős–Rényi graph with expected degree ≈ 6.
-    ErdosRenyi,
-    /// Random geometric graph (wireless-style short links).
-    RandomGeometric,
-    /// Two-level leaf–spine data-center topology.
-    FatTree,
-    /// Chung–Lu power-law graph (heavy-tailed degrees; the regime where the
-    /// HYBRID global capacity dominates the round complexity).
-    ChungLu,
-    /// Ring of cliques (clustered small-world with a tunable cut).
-    RingOfCliques,
-    /// Barbell: two cliques joined by a path (bottleneck stress for the
-    /// γ-capacitated global scheduler).
-    Barbell,
-}
-
-/// Erdős–Rényi edge probability: expected degree ≈ 6.
-fn er_p(n: usize) -> f64 {
-    (6.0 / n as f64).min(1.0)
-}
-
-/// Random-geometric connection radius: expected degree ≈ 8π.
-fn rgg_radius(n: usize) -> f64 {
-    (8.0 / n as f64).sqrt().min(0.9)
-}
-
-/// Chung–Lu tail exponent.
-const CHUNG_LU_EXPONENT: f64 = 2.5;
-/// Chung–Lu average expected degree.
-const CHUNG_LU_AVG_DEGREE: f64 = 6.0;
-
-impl GraphFamily {
-    /// All families, in presentation order.
-    pub fn all() -> &'static [GraphFamily] {
-        &[
-            GraphFamily::Path,
-            GraphFamily::Cycle,
-            GraphFamily::Grid2D,
-            GraphFamily::Grid3D,
-            GraphFamily::BinaryTree,
-            GraphFamily::ErdosRenyi,
-            GraphFamily::RandomGeometric,
-            GraphFamily::FatTree,
-            GraphFamily::ChungLu,
-            GraphFamily::RingOfCliques,
-            GraphFamily::Barbell,
-        ]
-    }
-
-    /// A short list used by the heavier (APSP-style) experiments.
-    pub fn core_families() -> &'static [GraphFamily] {
-        &[
-            GraphFamily::Path,
-            GraphFamily::Grid2D,
-            GraphFamily::BinaryTree,
-            GraphFamily::ErdosRenyi,
-        ]
-    }
-
-    /// Human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            GraphFamily::Path => "path",
-            GraphFamily::Cycle => "cycle",
-            GraphFamily::Grid2D => "grid-2d",
-            GraphFamily::Grid3D => "grid-3d",
-            GraphFamily::BinaryTree => "binary-tree",
-            GraphFamily::ErdosRenyi => "erdos-renyi",
-            GraphFamily::RandomGeometric => "random-geometric",
-            GraphFamily::FatTree => "fat-tree",
-            GraphFamily::ChungLu => "chung-lu",
-            GraphFamily::RingOfCliques => "ring-of-cliques",
-            GraphFamily::Barbell => "barbell",
-        }
-    }
-
-    /// Builds an instance with approximately `n_target` nodes.  This is the
-    /// one place a family's parameter mapping (side lengths, hosts, clique
-    /// sizes) is written; the random families draw from `seed` alone.
-    pub fn build(&self, n_target: usize, seed: u64) -> Graph {
-        let n = n_target.max(8);
-        match self {
-            GraphFamily::Path => generators::path(n).expect("path"),
-            GraphFamily::Cycle => generators::cycle(n).expect("cycle"),
-            GraphFamily::Grid2D => {
-                let side = (n as f64).sqrt().round().max(2.0) as usize;
-                generators::grid(&[side, side]).expect("grid")
-            }
-            GraphFamily::Grid3D => {
-                let side = (n as f64).cbrt().round().max(2.0) as usize;
-                generators::grid(&[side, side, side]).expect("grid3")
-            }
-            GraphFamily::BinaryTree => {
-                // Exactly n nodes: `tree_balanced(2, ⌈log2 n⌉)` overshot the
-                // size target by up to 3.5× and dominated sweep wall-clock.
-                generators::tree_with_n(2, n).expect("tree")
-            }
-            GraphFamily::ErdosRenyi => generators::erdos_renyi(n, er_p(n), seed).expect("er"),
-            GraphFamily::RandomGeometric => {
-                generators::random_geometric(n, rgg_radius(n), seed).expect("rgg")
-            }
-            GraphFamily::FatTree => {
-                let hosts = (n.saturating_sub(12)).max(8) / 8;
-                generators::fat_tree(4, 8, hosts.max(1)).expect("fat-tree")
-            }
-            GraphFamily::ChungLu => {
-                generators::chung_lu(n, CHUNG_LU_EXPONENT, CHUNG_LU_AVG_DEGREE, seed)
-                    .expect("chung-lu")
-            }
-            GraphFamily::RingOfCliques => {
-                // Cliques of 8 with a 2-edge cut; ring length scales with n.
-                let cliques = (n / 8).max(3);
-                generators::ring_of_cliques(cliques, 8, 2).expect("ring-of-cliques")
-            }
-            GraphFamily::Barbell => {
-                // Cliques take ~3/8 n each; the bridge path the remaining ~n/4.
-                let clique = (3 * n / 8).max(2);
-                generators::barbell(clique, n.saturating_sub(2 * clique)).expect("barbell")
-            }
-        }
-    }
-
-    /// [`Self::build`], under the name the benchmark workloads call.
-    pub fn build_streamed(&self, n_target: usize, seed: u64) -> Graph {
-        self.build(n_target, seed)
-    }
-
-    /// Builds a weighted instance (random weights in `[1, 32]`).
-    pub fn build_weighted(&self, n_target: usize, seed: u64) -> Graph {
-        self.reweight(&self.build(n_target, seed), seed)
-    }
-
-    /// [`Self::reweight`], under the name the benchmark workloads call.
-    pub fn reweight_streamed(&self, base: &Graph, seed: u64) -> Graph {
-        self.reweight(base, seed)
-    }
-
-    /// Re-weights an already-built instance exactly as [`Self::build_weighted`]
-    /// would (same seed derivation, random weights in `[1, 32]`), so callers
-    /// holding the unweighted graph skip the second topology build.
-    pub fn reweight(&self, base: &Graph, seed: u64) -> Graph {
-        generators::with_random_weights(base, 32, seed ^ 0x5E_ED0F_EE61_u64).expect("weighted")
-    }
-}
+use crate::grid::{fan_out, GraphFamily, Grid};
 
 /// One row of the Table 1 reproduction.
 #[derive(Debug, Clone, Serialize)]
@@ -214,85 +54,80 @@ pub struct Table1Row {
     pub lower_bound: f64,
 }
 
-/// Table 1 — information dissemination, across families and workloads.
+/// Table 1 — information dissemination, across cells and workloads.
 ///
-/// Families are processed in parallel (each family is an independent
-/// experiment with its own graph, oracle and per-`k` RNGs); row order is
-/// deterministic and identical to the sequential sweep.
-pub fn table1_rows(families: &[GraphFamily], n: usize, ks: &[u64], seed: u64) -> Vec<Table1Row> {
-    let per_family: Vec<Vec<Table1Row>> = families
-        .par_iter()
-        .with_min_len(1)
-        .map(|family| {
-            let mut rows = Vec::with_capacity(ks.len());
-            let graph = Arc::new(family.build(n, seed));
-            let oracle = NqOracle::new(&graph);
-            for &k in ks {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ k);
-                let holders =
-                    sample_distinct(graph.n(), graph.n().min(k as usize).max(1), &mut rng);
-                let tokens = place_tokens(&holders, k);
+/// Every cell is an independent experiment with its own graph, oracle and
+/// per-`k` RNGs (`grid.seed ^ k`).
+pub fn table1_rows(grid: &Grid, ks: &[u64]) -> Vec<Table1Row> {
+    let seed = grid.seed;
+    grid.run(|cell| {
+        let family = cell.family;
+        let mut rows = Vec::with_capacity(ks.len());
+        let graph = Arc::new(family.build(cell.n_target, seed));
+        let oracle = NqOracle::new(&graph);
+        for &k in ks {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ k);
+            let holders = sample_distinct(graph.n(), graph.n().min(k as usize).max(1), &mut rng);
+            let tokens = place_tokens(&holders, k);
 
-                let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
-                let uni = k_dissemination(&mut net, &oracle, &tokens);
+            let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+            let uni = k_dissemination(&mut net, &oracle, &tokens);
 
-                let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
-                let base = baseline_sqrt_k_dissemination(&mut net, &oracle, &tokens);
+            let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+            let base = baseline_sqrt_k_dissemination(&mut net, &oracle, &tokens);
 
-                // Aggregation with a small value vector per node (k functions is
-                // too heavy for the sweep; use min(k, 16) which has the same
-                // round shape because the cost is dominated by the clustering).
-                let agg_k = (k as usize).min(16);
-                let values: Vec<Vec<u64>> = (0..graph.n() as u64)
-                    .map(|v| (0..agg_k as u64).map(|i| v + i).collect())
-                    .collect();
-                let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
-                let agg = k_aggregation(&mut net, &oracle, &values, |a, b| a.max(b));
+            // Aggregation with a small value vector per node (k functions is
+            // too heavy for the sweep; use min(k, 16) which has the same
+            // round shape because the cost is dominated by the clustering).
+            let agg_k = (k as usize).min(16);
+            let values: Vec<Vec<u64>> = (0..graph.n() as u64)
+                .map(|v| (0..agg_k as u64).map(|i| v + i).collect())
+                .collect();
+            let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+            let agg = k_aggregation(&mut net, &oracle, &values, |a, b| a.max(b));
 
-                // Routing: k arbitrary sources, ℓ = NQ_k random targets.
-                let sources = sample_distinct(graph.n(), (k as usize).min(graph.n()), &mut rng);
-                let nq_k = oracle.nq(k).max(1);
-                let mut targets = sample_with_probability(
-                    graph.n(),
-                    (nq_k as f64 / graph.n() as f64).min(1.0),
-                    &mut rng,
-                );
-                if targets.is_empty() {
-                    targets.push((graph.n() / 2) as u32);
-                }
-                let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-                let route_uni = kl_routing(
-                    &mut net,
-                    &oracle,
-                    &sources,
-                    &targets,
-                    RoutingScenario::ArbitrarySourcesRandomTargets,
-                    &mut rng,
-                );
-                let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-                let route_base =
-                    baseline_sqrt_k_routing(&mut net, &oracle, &sources, &targets, &mut rng);
-
-                let lb = dissemination_lower_bound(&oracle, net.params(), k, 0.99);
-
-                rows.push(Table1Row {
-                    family: family.name(),
-                    n: graph.n(),
-                    k,
-                    nq: oracle.nq(k),
-                    sqrt_k: (k as f64).sqrt().ceil() as u64,
-                    dissemination_universal: uni.rounds,
-                    dissemination_baseline: base.rounds,
-                    aggregation_universal: agg.rounds,
-                    routing_universal: route_uni.rounds,
-                    routing_baseline: route_base.rounds,
-                    lower_bound: lb.rounds,
-                });
+            // Routing: k arbitrary sources, ℓ = NQ_k random targets.
+            let sources = sample_distinct(graph.n(), (k as usize).min(graph.n()), &mut rng);
+            let nq_k = oracle.nq(k).max(1);
+            let mut targets = sample_with_probability(
+                graph.n(),
+                (nq_k as f64 / graph.n() as f64).min(1.0),
+                &mut rng,
+            );
+            if targets.is_empty() {
+                targets.push((graph.n() / 2) as u32);
             }
-            rows
-        })
-        .collect();
-    per_family.into_iter().flatten().collect()
+            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
+            let route_uni = kl_routing(
+                &mut net,
+                &oracle,
+                &sources,
+                &targets,
+                RoutingScenario::ArbitrarySourcesRandomTargets,
+                &mut rng,
+            );
+            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
+            let route_base =
+                baseline_sqrt_k_routing(&mut net, &oracle, &sources, &targets, &mut rng);
+
+            let lb = dissemination_lower_bound(&oracle, net.params(), k, 0.99);
+
+            rows.push(Table1Row {
+                family: family.name(),
+                n: graph.n(),
+                k,
+                nq: oracle.nq(k),
+                sqrt_k: (k as f64).sqrt().ceil() as u64,
+                dissemination_universal: uni.rounds,
+                dissemination_baseline: base.rounds,
+                aggregation_universal: agg.rounds,
+                routing_universal: route_uni.rounds,
+                routing_baseline: route_base.rounds,
+                lower_bound: lb.rounds,
+            });
+        }
+        rows
+    })
 }
 
 /// One row of the Table 2 reproduction (APSP).
@@ -328,68 +163,66 @@ pub struct Table2Row {
 
 /// Table 2 — APSP across families.
 ///
-/// Families run in parallel; within a family the exact distance tables
-/// (unweighted and weighted) are computed **once** and shared by every
-/// stretch verification instead of re-running `n` Dijkstras per output.
-pub fn table2_rows(families: &[GraphFamily], n: usize, seed: u64) -> Vec<Table2Row> {
-    families
-        .par_iter()
-        .with_min_len(1)
-        .map(|family| {
-            let graph = Arc::new(family.build(n, seed));
-            let oracle = NqOracle::new(&graph);
-            let weighted = Arc::new(family.build_weighted(n, seed));
-            // `NQ_k` is defined over hop distances, and `build_weighted` only
-            // re-weights the same topology — the weighted instance's oracle is
-            // identical, so the ball-profile sweep is paid once per family.
-            let weighted_oracle = &oracle;
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let exact_unweighted = DistanceRows::all_pairs(&graph);
-            let exact_weighted = DistanceRows::all_pairs(&weighted);
+/// Within a cell the exact distance tables (unweighted and weighted) are
+/// computed **once** and shared by every stretch verification instead of
+/// re-running `n` Dijkstras per output.
+pub fn table2_rows(grid: &Grid) -> Vec<Table2Row> {
+    let seed = grid.seed;
+    grid.run(|&cell| {
+        let (family, n) = (cell.family, cell.n_target);
+        let graph = Arc::new(family.build(n, seed));
+        let oracle = NqOracle::new(&graph);
+        let weighted = Arc::new(family.build_weighted(n, seed));
+        // `NQ_k` is defined over hop distances, and `build_weighted` only
+        // re-weights the same topology — the weighted instance's oracle is
+        // identical, so the ball-profile sweep is paid once per family.
+        let weighted_oracle = &oracle;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let exact_unweighted = DistanceRows::all_pairs(&graph);
+        let exact_weighted = DistanceRows::all_pairs(&weighted);
 
-            let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
-            let uni = apsp::apsp_unweighted(&mut net, &oracle, 0.5);
-            let uni_stretch = uni
-                .verify_stretch_against(&exact_unweighted)
-                .expect("Theorem 6 stretch");
+        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let uni = apsp::apsp_unweighted(&mut net, &oracle, 0.5);
+        let uni_stretch = uni
+            .verify_stretch_against(&exact_unweighted)
+            .expect("Theorem 6 stretch");
 
-            let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
-            let base = apsp::baseline_unweighted_apsp_sqrt_n(&mut net, &oracle, 0.5);
+        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let base = apsp::baseline_unweighted_apsp_sqrt_n(&mut net, &oracle, 0.5);
 
-            let mut net = HybridNetwork::hybrid0(Arc::clone(&weighted));
-            let spanner = apsp::apsp_weighted_log_over_loglog(&mut net, weighted_oracle);
-            let spanner_stretch = spanner
-                .verify_stretch_against(&exact_weighted)
-                .expect("Theorem 7 stretch");
+        let mut net = HybridNetwork::hybrid0(Arc::clone(&weighted));
+        let spanner = apsp::apsp_weighted_log_over_loglog(&mut net, weighted_oracle);
+        let spanner_stretch = spanner
+            .verify_stretch_against(&exact_weighted)
+            .expect("Theorem 7 stretch");
 
-            let mut net = HybridNetwork::hybrid0(Arc::clone(&weighted));
-            let skel = apsp::apsp_weighted_skeleton(&mut net, weighted_oracle, 1, &mut rng);
-            let skel_stretch = skel
-                .verify_stretch_against(&exact_weighted)
-                .expect("Theorem 8 stretch");
+        let mut net = HybridNetwork::hybrid0(Arc::clone(&weighted));
+        let skel = apsp::apsp_weighted_skeleton(&mut net, weighted_oracle, 1, &mut rng);
+        let skel_stretch = skel
+            .verify_stretch_against(&exact_weighted)
+            .expect("Theorem 8 stretch");
 
-            let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
-            let lit = apsp::baseline_sqrt_n_apsp_from_labels(&mut net, exact_unweighted);
+        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let lit = apsp::baseline_sqrt_n_apsp_from_labels(&mut net, exact_unweighted);
 
-            let lb = shortest_paths_lower_bound(&oracle, net.params(), graph.n() as u64, 0.99);
+        let lb = shortest_paths_lower_bound(&oracle, net.params(), graph.n() as u64, 0.99);
 
-            Table2Row {
-                family: family.name(),
-                n: graph.n(),
-                nq_n: oracle.nq(graph.n() as u64),
-                sqrt_n: (graph.n() as f64).sqrt().ceil() as u64,
-                unweighted_universal: uni.rounds,
-                unweighted_stretch: uni_stretch,
-                unweighted_baseline: base.rounds,
-                weighted_spanner_universal: spanner.rounds,
-                weighted_spanner_stretch: spanner_stretch,
-                weighted_skeleton_universal: skel.rounds,
-                weighted_skeleton_stretch: skel_stretch,
-                literature_sqrt_n: lit.rounds,
-                lower_bound: lb.rounds,
-            }
-        })
-        .collect()
+        vec![Table2Row {
+            family: family.name(),
+            n: graph.n(),
+            nq_n: oracle.nq(graph.n() as u64),
+            sqrt_n: (graph.n() as f64).sqrt().ceil() as u64,
+            unweighted_universal: uni.rounds,
+            unweighted_stretch: uni_stretch,
+            unweighted_baseline: base.rounds,
+            weighted_spanner_universal: spanner.rounds,
+            weighted_spanner_stretch: spanner_stretch,
+            weighted_skeleton_universal: skel.rounds,
+            weighted_skeleton_stretch: skel_stretch,
+            literature_sqrt_n: lit.rounds,
+            lower_bound: lb.rounds,
+        }]
+    })
 }
 
 /// One row of the Table 3 reproduction (`(k, ℓ)`-SP).
@@ -419,63 +252,60 @@ pub struct Table3Row {
 
 /// Table 3 — `(k, ℓ)`-SP across families and source counts.
 ///
-/// Families run in parallel; per-`k` RNGs keep rows deterministic.
-pub fn table3_rows(families: &[GraphFamily], n: usize, ks: &[u64], seed: u64) -> Vec<Table3Row> {
-    let per_family: Vec<Vec<Table3Row>> = families
-        .par_iter()
-        .with_min_len(1)
-        .map(|family| {
-            let mut rows = Vec::with_capacity(ks.len());
-            let graph = Arc::new(family.build_weighted(n, seed));
-            let oracle = NqOracle::new(&graph);
-            for &k in ks {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (k << 1));
-                let k_usize = (k as usize).min(graph.n());
-                let sources = sample_distinct(graph.n(), k_usize, &mut rng);
-                let nq_k = oracle.nq(k).max(1);
-                let mut targets = sample_with_probability(
-                    graph.n(),
-                    (nq_k as f64 / graph.n() as f64).min(1.0),
-                    &mut rng,
-                );
-                if targets.is_empty() {
-                    targets.push((graph.n() / 3) as u32);
-                }
-
-                let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-                let uni = klsp(
-                    &mut net,
-                    &oracle,
-                    &sources,
-                    &targets,
-                    0.25,
-                    KlspScenario::ArbitrarySourcesRandomTargets,
-                    &mut rng,
-                );
-                let stretch = uni.verify_stretch(&graph).expect("Theorem 5 stretch");
-
-                let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-                let base = baseline_klsp(&mut net, &sources, &targets);
-
-                let lb = shortest_paths_lower_bound(&oracle, net.params(), k, 0.99);
-
-                rows.push(Table3Row {
-                    family: family.name(),
-                    n: graph.n(),
-                    k,
-                    l: targets.len(),
-                    nq: nq_k,
-                    sqrt_k: (k as f64).sqrt().ceil() as u64,
-                    universal: uni.rounds,
-                    stretch,
-                    baseline: base.rounds,
-                    lower_bound: lb.rounds,
-                });
+/// Per-`k` RNGs (`grid.seed ^ (k << 1)`) keep rows deterministic.
+pub fn table3_rows(grid: &Grid, ks: &[u64]) -> Vec<Table3Row> {
+    let seed = grid.seed;
+    grid.run(|cell| {
+        let family = cell.family;
+        let mut rows = Vec::with_capacity(ks.len());
+        let graph = Arc::new(family.build_weighted(cell.n_target, seed));
+        let oracle = NqOracle::new(&graph);
+        for &k in ks {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (k << 1));
+            let k_usize = (k as usize).min(graph.n());
+            let sources = sample_distinct(graph.n(), k_usize, &mut rng);
+            let nq_k = oracle.nq(k).max(1);
+            let mut targets = sample_with_probability(
+                graph.n(),
+                (nq_k as f64 / graph.n() as f64).min(1.0),
+                &mut rng,
+            );
+            if targets.is_empty() {
+                targets.push((graph.n() / 3) as u32);
             }
-            rows
-        })
-        .collect();
-    per_family.into_iter().flatten().collect()
+
+            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
+            let uni = klsp(
+                &mut net,
+                &oracle,
+                &sources,
+                &targets,
+                0.25,
+                KlspScenario::ArbitrarySourcesRandomTargets,
+                &mut rng,
+            );
+            let stretch = uni.verify_stretch(&graph).expect("Theorem 5 stretch");
+
+            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
+            let base = baseline_klsp(&mut net, &sources, &targets);
+
+            let lb = shortest_paths_lower_bound(&oracle, net.params(), k, 0.99);
+
+            rows.push(Table3Row {
+                family: family.name(),
+                n: graph.n(),
+                k,
+                l: targets.len(),
+                nq: nq_k,
+                sqrt_k: (k as f64).sqrt().ceil() as u64,
+                universal: uni.rounds,
+                stretch,
+                baseline: base.rounds,
+                lower_bound: lb.rounds,
+            });
+        }
+        rows
+    })
 }
 
 /// One row of the Table 4 reproduction (SSSP).
@@ -501,42 +331,34 @@ pub struct Table4Row {
 
 /// Table 4 — SSSP across families and sizes.
 ///
-/// Every (family, size) cell is an independent experiment; the whole grid is
-/// flattened and fanned out over all cores.
-pub fn table4_rows(families: &[GraphFamily], sizes: &[usize], seed: u64) -> Vec<Table4Row> {
-    let cells: Vec<(GraphFamily, usize)> = families
-        .iter()
-        .flat_map(|&family| sizes.iter().map(move |&n| (family, n)))
-        .collect();
-    cells
-        .par_iter()
-        .with_min_len(1)
-        .map(|&(family, n)| {
-            let graph = Arc::new(family.build_weighted(n, seed));
-            let exact = hybrid_graph::dijkstra::sssp_auto(&graph, 0);
+/// Every (family, size) cell is an independent experiment.
+pub fn table4_rows(grid: &Grid) -> Vec<Table4Row> {
+    grid.run(|cell| {
+        let family = cell.family;
+        let graph = Arc::new(family.build_weighted(cell.n_target, grid.seed));
+        let exact = hybrid_graph::dijkstra::sssp_auto(&graph, 0);
 
+        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let ours = sssp_approx(&mut net, 0, 0.25);
+        let measured_stretch = ours.verify_stretch(&exact).expect("Theorem 13 stretch");
+
+        let baseline_rounds = |b: SsspBaseline| {
             let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
-            let ours = sssp_approx(&mut net, 0, 0.25);
-            let measured_stretch = ours.verify_stretch(&exact).expect("Theorem 13 stretch");
-
-            let baseline_rounds = |b: SsspBaseline| {
-                let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
-                baseline_sssp(&mut net, 0, b).rounds
-            };
-            Table4Row {
-                family: family.name(),
-                n: graph.n(),
-                theorem13: ours.rounds,
-                theorem13_stretch: measured_stretch,
-                ks20_sqrt_n: baseline_rounds(SsspBaseline::Ks20SqrtN),
-                chlp21: baseline_rounds(SsspBaseline::Chlp21FiveSeventeenths),
-                ahk20: baseline_rounds(SsspBaseline::Ahk20NEps {
-                    exponent: 1.0 / 3.0,
-                }),
-                ag21: baseline_rounds(SsspBaseline::Ag21DeterministicSqrtN),
-            }
-        })
-        .collect()
+            baseline_sssp(&mut net, 0, b).rounds
+        };
+        vec![Table4Row {
+            family: family.name(),
+            n: graph.n(),
+            theorem13: ours.rounds,
+            theorem13_stretch: measured_stretch,
+            ks20_sqrt_n: baseline_rounds(SsspBaseline::Ks20SqrtN),
+            chlp21: baseline_rounds(SsspBaseline::Chlp21FiveSeventeenths),
+            ahk20: baseline_rounds(SsspBaseline::Ahk20NEps {
+                exponent: 1.0 / 3.0,
+            }),
+            ag21: baseline_rounds(SsspBaseline::Ag21DeterministicSqrtN),
+        }]
+    })
 }
 
 /// One row of the Figure 1 reproduction (k-SSP landscape).
@@ -559,39 +381,35 @@ pub struct Figure1Row {
 }
 
 /// Figure 1 — the k-SSP landscape on an Erdős–Rényi graph of `n` nodes.
-/// The betas sweep in parallel over a shared graph.
+/// The betas fan out over a shared graph.
 pub fn figure1_rows(n: usize, betas: &[f64], seed: u64) -> Vec<Figure1Row> {
     let family = GraphFamily::ErdosRenyi;
     let graph = Arc::new(family.build(n, seed));
-    betas
-        .par_iter()
-        .with_min_len(1)
-        .map(|&beta| {
-            let k = ((n as f64).powf(beta).round() as usize).clamp(1, graph.n());
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (k as u64));
-            let sources = sample_distinct(graph.n(), k, &mut rng);
-            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-            let gamma = net.params().global_capacity_msgs;
-            let out = kssp(
-                &mut net,
-                &sources,
-                1.0,
-                KsspVariant::RandomSources,
-                &mut rng,
-            );
-            let n_f = graph.n() as f64;
-            let prior = baseline_chlp21_rounds(graph.n(), k);
-            Figure1Row {
-                beta,
-                k,
-                new_algorithm: out.rounds,
-                new_delta: (out.rounds.max(1) as f64).ln() / n_f.ln(),
-                prior_algorithm: prior,
-                prior_delta: (prior.max(1) as f64).ln() / n_f.ln(),
-                lower_bound: kssp_lower_bound_rounds(k, gamma),
-            }
-        })
-        .collect()
+    fan_out(betas, |&beta| {
+        let k = ((n as f64).powf(beta).round() as usize).clamp(1, graph.n());
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (k as u64));
+        let sources = sample_distinct(graph.n(), k, &mut rng);
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
+        let gamma = net.params().global_capacity_msgs;
+        let out = kssp(
+            &mut net,
+            &sources,
+            1.0,
+            KsspVariant::RandomSources,
+            &mut rng,
+        );
+        let n_f = graph.n() as f64;
+        let prior = baseline_chlp21_rounds(graph.n(), k);
+        vec![Figure1Row {
+            beta,
+            k,
+            new_algorithm: out.rounds,
+            new_delta: (out.rounds.max(1) as f64).ln() / n_f.ln(),
+            prior_algorithm: prior,
+            prior_delta: (prior.max(1) as f64).ln() / n_f.ln(),
+            lower_bound: kssp_lower_bound_rounds(k, gamma),
+        }]
+    })
 }
 
 /// One row of the Appendix B reproduction (`NQ_k` on special families).
@@ -613,44 +431,39 @@ pub struct AppendixBRow {
     pub formula: &'static str,
 }
 
-/// Appendix B / Theorems 15–17: measured vs. predicted `NQ_k` (families in
-/// parallel).
+/// Appendix B / Theorems 15–17: measured vs. predicted `NQ_k` on the four
+/// families the theorems analyse.
 pub fn appendix_b_rows(n: usize, ks: &[u64], seed: u64) -> Vec<AppendixBRow> {
-    let cases: Vec<(GraphFamily, u32)> = vec![
+    let cases = [
         (GraphFamily::Path, 1),
         (GraphFamily::Cycle, 1),
         (GraphFamily::Grid2D, 2),
         (GraphFamily::Grid3D, 3),
     ];
-    let per_family: Vec<Vec<AppendixBRow>> = cases
-        .par_iter()
-        .with_min_len(1)
-        .map(|&(family, dim)| {
-            let graph = family.build(n, seed);
-            let oracle = NqOracle::new(&graph);
-            let d = oracle.diameter();
-            ks.iter()
-                .map(|&k| {
-                    let measured = oracle.nq(k);
-                    let prediction = if dim == 1 {
-                        families::predict_path_like(k, d)
-                    } else {
-                        families::predict_grid(k, dim, d)
-                    };
-                    AppendixBRow {
-                        family: family.name(),
-                        n: graph.n(),
-                        diameter: d,
-                        k,
-                        measured,
-                        predicted: prediction.theta_value,
-                        formula: prediction.formula,
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    per_family.into_iter().flatten().collect()
+    fan_out(&cases, |&(family, dim)| {
+        let graph = family.build(n, seed);
+        let oracle = NqOracle::new(&graph);
+        let d = oracle.diameter();
+        ks.iter()
+            .map(|&k| {
+                let measured = oracle.nq(k);
+                let prediction = if dim == 1 {
+                    families::predict_path_like(k, d)
+                } else {
+                    families::predict_grid(k, dim, d)
+                };
+                AppendixBRow {
+                    family: family.name(),
+                    n: graph.n(),
+                    diameter: d,
+                    k,
+                    measured,
+                    predicted: prediction.theta_value,
+                    formula: prediction.formula,
+                }
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -672,7 +485,8 @@ mod tests {
 
     #[test]
     fn table1_universal_never_slower_than_baseline() {
-        let rows = table1_rows(&[GraphFamily::Grid2D, GraphFamily::Path], 256, &[64], 7);
+        let grid = Grid::new(&[GraphFamily::Grid2D, GraphFamily::Path], &[256], 7);
+        let rows = table1_rows(&grid, &[64]);
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.dissemination_universal <= row.dissemination_baseline);
@@ -683,7 +497,7 @@ mod tests {
 
     #[test]
     fn table4_theorem13_flat_while_baselines_grow() {
-        let rows = table4_rows(&[GraphFamily::ErdosRenyi], &[128, 512], 5);
+        let rows = table4_rows(&Grid::new(&[GraphFamily::ErdosRenyi], &[128, 512], 5));
         assert_eq!(rows.len(), 2);
         assert!(rows[1].ks20_sqrt_n > rows[0].ks20_sqrt_n);
         assert!(rows[1].theorem13 <= rows[0].theorem13 * 2);

@@ -22,18 +22,16 @@
 //!
 //! ## Determinism
 //!
-//! Cells are independent experiments: each `(family, n)` pair derives its own
-//! `ChaCha8` streams from the sweep seed and the cell coordinates, so the
-//! rayon fan-out (one task per `(family, n)` pair, `(λ, γ)` points and
-//! algorithms run in-cell to share the graph and its `NQ` oracle) is
-//! bit-identical across `RAYON_NUM_THREADS` — pinned by
+//! Cells are independent experiments: each `(family, n)` cell derives its own
+//! `ChaCha8` streams from [`Grid::seed`], so the grid's fan-out (one task per
+//! cell, `(λ, γ)` points and algorithms run in-cell to share the graph and
+//! its `NQ` oracle) is bit-identical across `RAYON_NUM_THREADS` — pinned by
 //! `crates/bench/tests/determinism.rs` and the CI cross-thread artifact diff.
 
 use std::sync::Arc;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::Serialize;
 
 use hybrid_core::algorithm::{dissemination_registry, sssp_registry};
@@ -45,7 +43,10 @@ use hybrid_core::prob::sample_distinct;
 use hybrid_core::sssp::sssp_approx;
 use hybrid_sim::{HybridNetwork, IdSpace, LocalBandwidth, ModelParams};
 
-use crate::scenarios::GraphFamily;
+use crate::grid::{GraphFamily, Grid};
+
+// The benchmark workloads import the seed rule by this path.
+pub use crate::grid::cell_seed;
 
 /// One `(λ, γ)` point of the sweep grid, as a function of `n` (both
 /// parameters are measured in the paper's `⌈log₂ n⌉` unit).
@@ -127,43 +128,40 @@ impl SweepPoint {
     }
 }
 
-/// Configuration of a scaling sweep: which sizes and `(λ, γ)` points to grid
-/// over (families are passed separately so callers can restrict them).
+/// Configuration of a scaling sweep: the `family × size` grid (a geometric
+/// ladder of target node counts) and the `(λ, γ)` points run in every cell.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Geometric ladder of target node counts.
-    pub sizes: Vec<usize>,
+    /// The cells.
+    pub grid: Grid,
     /// `(λ, γ)` grid points.
     pub points: Vec<SweepPoint>,
-    /// Master seed; every cell derives its own streams from it.
-    pub seed: u64,
 }
 
 impl SweepConfig {
-    /// The CI-sized sweep: 3 sizes × 3 points (`reproduce sweep --quick`).
+    /// The CI-sized sweep: every family × 3 sizes × 3 points
+    /// (`reproduce sweep --quick`).
     pub fn quick() -> Self {
         SweepConfig {
-            sizes: vec![64, 128, 256],
+            grid: Grid::new(GraphFamily::all(), &[64, 128, 256], 0x5CA1E),
             points: vec![
                 SweepPoint::HYBRID,
                 SweepPoint::SCARCE_GLOBAL,
                 SweepPoint::RICH_GLOBAL,
             ],
-            seed: 0x5CA1E,
         }
     }
 
-    /// The full-depth sweep (nightly): 4 sizes × 4 points.
+    /// The full-depth sweep (nightly): every family × 4 sizes × 4 points.
     pub fn full() -> Self {
         SweepConfig {
-            sizes: vec![128, 256, 512, 1024],
+            grid: Grid::new(GraphFamily::all(), &[128, 256, 512, 1024], 0x5CA1E),
             points: vec![
                 SweepPoint::HYBRID,
                 SweepPoint::SCARCE_GLOBAL,
                 SweepPoint::RICH_GLOBAL,
                 SweepPoint::CONGEST_LOCAL,
             ],
-            seed: 0x5CA1E,
         }
     }
 }
@@ -249,153 +247,114 @@ pub struct SweepRow {
     pub kssp: Vec<KsspCell>,
 }
 
-impl SweepRow {
-    /// The dissemination cell of a named contender, if it ran in this row.
-    pub fn diss_cell(&self, algorithm: &str) -> Option<&DissCell> {
-        self.dissemination.iter().find(|c| c.algorithm == algorithm)
-    }
-
-    /// The shortest-paths cell of a named contender, if it ran in this row.
-    pub fn kssp_cell(&self, algorithm: &str) -> Option<&KsspCell> {
-        self.kssp.iter().find(|c| c.algorithm == algorithm)
-    }
-}
-
 /// Ratio of measured rounds to a lower-bound witness, with the witness
 /// clamped to ≥ 1 round so trivial bounds don't divide by zero.
 fn ratio(rounds: u64, lower_bound: f64) -> f64 {
     rounds as f64 / lower_bound.max(1.0)
 }
 
-/// Mixes the cell coordinates into the master seed (SplitMix64 finalizer, so
-/// neighbouring cells get unrelated streams).  Shared with the scale tier
-/// (`crate::scale`) and the fault sweep (`crate::faults_sweep`), which
-/// address their cells the same way.
-pub fn cell_seed(seed: u64, family_idx: usize, n: usize, salt: u64) -> u64 {
-    let mut z = seed
-        ^ (family_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (n as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        ^ salt.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Runs the sweep grid with every registered algorithm.
 ///
-/// The `(family, n)` pairs fan out in parallel (each builds its graph and
-/// `NQ` oracle once and reuses them for every `(λ, γ)` point); within a cell
-/// the registered algorithms run sequentially on identical instances — same
-/// token placement, same sources, same per-cell seeds.  Row order is
-/// family-major, then size, then grid point — identical to the sequential
-/// sweep for every pool width.
-pub fn sweep_rows(families: &[GraphFamily], config: &SweepConfig) -> Vec<SweepRow> {
+/// Each `(family, n)` cell builds its graph and `NQ` oracle once and draws
+/// its token placement, source set and algorithm seed once, then reuses them
+/// for every `(λ, γ)` point; within a cell the registered algorithms run
+/// sequentially on identical instances.  Row order is family-major, then
+/// size, then grid point — identical for every pool width.
+pub fn sweep_rows(config: &SweepConfig) -> Vec<SweepRow> {
     let (diss_algos, sssp_algos) = (dissemination_registry(), sssp_registry());
-    let cells: Vec<(usize, GraphFamily, usize)> = families
-        .iter()
-        .enumerate()
-        .flat_map(|(fi, &family)| config.sizes.iter().map(move |&n| (fi, family, n)))
-        .collect();
-    let per_cell: Vec<Vec<SweepRow>> = cells
-        .par_iter()
-        .with_min_len(1)
-        .map(|&(fi, family, n_target)| {
-            let graph_seed = cell_seed(config.seed, fi, n_target, 0);
-            let graph = Arc::new(family.build(n_target, graph_seed));
-            let weighted = Arc::new(family.reweight(&graph, graph_seed));
-            // `NQ_k` is a hop-distance profile and `reweight` keeps the same
-            // topology, so one oracle serves both.
-            let oracle = NqOracle::new(&graph);
-            let n = graph.n();
+    let grid = &config.grid;
+    grid.run(|cell| {
+        let graph_seed = grid.seed(cell, 0);
+        let graph = Arc::new(cell.family.build(cell.n_target, graph_seed));
+        let weighted = Arc::new(cell.family.reweight(&graph, graph_seed));
+        // `NQ_k` is a hop-distance profile and `reweight` keeps the same
+        // topology, so one oracle serves both.
+        let oracle = NqOracle::new(&graph);
+        let n = graph.n();
 
-            // Workloads scale with the instance: an n-token load for
-            // dissemination (large enough that `NQ_k ≥ 6` and the Lemma 7.2
-            // reduction yields a non-trivial witness on path-like families),
-            // `√n` sources for k-SSP.
-            let k = n as u64;
-            let nq_k = oracle.nq(k);
-            let kssp_k = ((n as f64).sqrt().ceil() as usize).max(4).min(n);
+        // Workloads scale with the instance: an n-token load for
+        // dissemination (large enough that `NQ_k ≥ 6` and the Lemma 7.2
+        // reduction yields a non-trivial witness on path-like families),
+        // `√n` sources for k-SSP.
+        let k = n as u64;
+        let nq_k = oracle.nq(k);
+        let kssp_k = ((n as f64).sqrt().ceil() as usize).max(4).min(n);
 
-            config
-                .points
-                .iter()
-                .map(|point| {
-                    let params = point.params(n);
+        // Dissemination: k tokens on k distinct holders; k-SSP: √n sources
+        // on the weighted instance — the same instance for every point and
+        // every contender.
+        let mut rng = ChaCha8Rng::seed_from_u64(grid.seed(cell, 1));
+        let tokens = place_tokens(&sample_distinct(n, k as usize, &mut rng), k);
+        let mut rng = ChaCha8Rng::seed_from_u64(grid.seed(cell, 2));
+        let sources = sample_distinct(n, kssp_k, &mut rng);
+        let algo_seed = grid.seed(cell, 3);
 
-                    // Dissemination shootout: k tokens on k distinct holders,
-                    // the same placement for every contender.
-                    let mut rng =
-                        ChaCha8Rng::seed_from_u64(cell_seed(config.seed, fi, n_target, 1));
-                    let holders = sample_distinct(n, k as usize, &mut rng);
-                    let tokens = place_tokens(&holders, k);
-                    let diss_lb = dissemination_lower_bound(&oracle, &params, k, 0.99);
-                    let dissemination: Vec<DissCell> = diss_algos
-                        .iter()
-                        .map(|algo| {
-                            let mut net = HybridNetwork::new(Arc::clone(&graph), params);
-                            let out = algo.run(&mut net, &oracle, &tokens);
-                            DissCell {
-                                algorithm: algo.name(),
-                                reference: algo.reference(),
-                                deterministic: algo.deterministic(),
-                                rounds: out.rounds,
-                                ratio: ratio(out.rounds, diss_lb.rounds),
-                                nq_ratio: ratio(out.rounds, nq_k.max(1) as f64),
-                            }
-                        })
-                        .collect();
+        config
+            .points
+            .iter()
+            .map(|point| {
+                let params = point.params(n);
 
-                    // SSSP from node 0 on the weighted instance (Theorem 13
-                    // reference row, outside the shootout).
-                    let mut net = HybridNetwork::new(Arc::clone(&weighted), params);
-                    let sssp = sssp_approx(&mut net, 0, 0.25);
-                    let sssp_lb = shortest_paths_lower_bound(&oracle, &params, 1, 0.99);
+                let diss_lb = dissemination_lower_bound(&oracle, &params, k, 0.99);
+                let dissemination: Vec<DissCell> = diss_algos
+                    .iter()
+                    .map(|algo| {
+                        let mut net = HybridNetwork::new(Arc::clone(&graph), params);
+                        let out = algo.run(&mut net, &oracle, &tokens);
+                        DissCell {
+                            algorithm: algo.name(),
+                            reference: algo.reference(),
+                            deterministic: algo.deterministic(),
+                            rounds: out.rounds,
+                            ratio: ratio(out.rounds, diss_lb.rounds),
+                            nq_ratio: ratio(out.rounds, nq_k.max(1) as f64),
+                        }
+                    })
+                    .collect();
 
-                    // k-SSP shootout: √n sources on the weighted instance,
-                    // the same source set and seed for every contender.
-                    let mut rng =
-                        ChaCha8Rng::seed_from_u64(cell_seed(config.seed, fi, n_target, 2));
-                    let sources = sample_distinct(n, kssp_k, &mut rng);
-                    let algo_seed = cell_seed(config.seed, fi, n_target, 3);
-                    let ks_lb = kssp_lower_bound_rounds(kssp_k, params.global_capacity_msgs);
-                    let kssp: Vec<KsspCell> = sssp_algos
-                        .iter()
-                        .map(|algo| {
-                            let mut net = HybridNetwork::new(Arc::clone(&weighted), params);
-                            let out = algo.run(&mut net, &sources, 1.0, algo_seed);
-                            KsspCell {
-                                algorithm: algo.name(),
-                                reference: algo.reference(),
-                                stretch: out.stretch,
-                                rounds: out.rounds,
-                                ratio: ratio(out.rounds, ks_lb as f64),
-                                skeleton_size: out.skeleton_size,
-                            }
-                        })
-                        .collect();
+                // SSSP from node 0 on the weighted instance (Theorem 13
+                // reference row, outside the shootout).
+                let mut net = HybridNetwork::new(Arc::clone(&weighted), params);
+                let sssp = sssp_approx(&mut net, 0, 0.25);
+                let sssp_lb = shortest_paths_lower_bound(&oracle, &params, 1, 0.99);
 
-                    SweepRow {
-                        family: family.name(),
-                        n,
-                        point: point.name,
-                        lambda: point.lambda_label(),
-                        gamma_msgs: params.global_capacity_msgs,
-                        k,
-                        nq_k,
-                        dissemination_lower_bound: diss_lb.rounds,
-                        dissemination,
-                        sssp_rounds: sssp.rounds,
-                        sssp_lower_bound: sssp_lb.rounds,
-                        sssp_ratio: ratio(sssp.rounds, sssp_lb.rounds),
-                        kssp_k,
-                        kssp_lower_bound: ks_lb,
-                        kssp,
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    per_cell.into_iter().flatten().collect()
+                let ks_lb = kssp_lower_bound_rounds(kssp_k, params.global_capacity_msgs);
+                let kssp: Vec<KsspCell> = sssp_algos
+                    .iter()
+                    .map(|algo| {
+                        let mut net = HybridNetwork::new(Arc::clone(&weighted), params);
+                        let out = algo.run(&mut net, &sources, 1.0, algo_seed);
+                        KsspCell {
+                            algorithm: algo.name(),
+                            reference: algo.reference(),
+                            stretch: out.stretch,
+                            rounds: out.rounds,
+                            ratio: ratio(out.rounds, ks_lb as f64),
+                            skeleton_size: out.skeleton_size,
+                        }
+                    })
+                    .collect();
+
+                SweepRow {
+                    family: cell.family.name(),
+                    n,
+                    point: point.name,
+                    lambda: point.lambda_label(),
+                    gamma_msgs: params.global_capacity_msgs,
+                    k,
+                    nq_k,
+                    dissemination_lower_bound: diss_lb.rounds,
+                    dissemination,
+                    sssp_rounds: sssp.rounds,
+                    sssp_lower_bound: sssp_lb.rounds,
+                    sssp_ratio: ratio(sssp.rounds, sssp_lb.rounds),
+                    kssp_k,
+                    kssp_lower_bound: ks_lb,
+                    kssp,
+                }
+            })
+            .collect()
+    })
 }
 
 /// Why a shootout falls short of the full registry.
@@ -418,6 +377,22 @@ pub enum SweepArtifactError {
     },
     /// A competitive ratio is non-finite.
     NonFiniteRatio,
+    /// Theorem 1 took more rounds than the existential `√k` baseline — the
+    /// separation the paper claims runs the wrong way on this row.
+    SeparationInverted {
+        /// Index of the row.
+        row: usize,
+        /// The row's family.
+        family: &'static str,
+        /// The row's node count.
+        n: usize,
+        /// The row's `(λ, γ)` point.
+        point: &'static str,
+        /// Rounds of `theorem1`.
+        theorem1: u64,
+        /// Rounds of `sqrt-k-baseline`.
+        baseline: u64,
+    },
 }
 
 impl std::fmt::Display for SweepArtifactError {
@@ -436,6 +411,18 @@ impl std::fmt::Display for SweepArtifactError {
             SweepArtifactError::NonFiniteRatio => {
                 write!(f, "a competitive-ratio column is non-finite")
             }
+            SweepArtifactError::SeparationInverted {
+                row,
+                family,
+                n,
+                point,
+                theorem1,
+                baseline,
+            } => write!(
+                f,
+                "row {row} ({family}, n = {n}, {point}): theorem1 took {theorem1} rounds, \
+                 more than sqrt-k-baseline's {baseline}"
+            ),
         }
     }
 }
@@ -448,7 +435,8 @@ pub const MIN_ALGORITHMS_PER_ROW: usize = 3;
 
 /// Checks a full-registry shootout: at least one row, every row's
 /// `dissemination` and `kssp` columns carrying at least
-/// [`MIN_ALGORITHMS_PER_ROW`] contenders each, and every `ratio` finite.
+/// [`MIN_ALGORITHMS_PER_ROW`] contenders each, every `ratio` finite, and
+/// `theorem1` never slower than `sqrt-k-baseline`.
 pub fn check_shootout(rows: &[SweepRow]) -> Result<(), SweepArtifactError> {
     if rows.is_empty() {
         return Err(SweepArtifactError::Empty);
@@ -472,6 +460,19 @@ pub fn check_shootout(rows: &[SweepRow]) -> Result<(), SweepArtifactError> {
         if !diss.chain(kssp).all(f64::is_finite) {
             return Err(SweepArtifactError::NonFiniteRatio);
         }
+        let cell = |name| r.dissemination.iter().find(|c| c.algorithm == name);
+        if let (Some(t1), Some(base)) = (cell("theorem1"), cell("sqrt-k-baseline")) {
+            if t1.rounds > base.rounds {
+                return Err(SweepArtifactError::SeparationInverted {
+                    row,
+                    family: r.family,
+                    n: r.n,
+                    point: r.point,
+                    theorem1: t1.rounds,
+                    baseline: base.rounds,
+                });
+            }
+        }
     }
     Ok(())
 }
@@ -480,13 +481,26 @@ pub fn check_shootout(rows: &[SweepRow]) -> Result<(), SweepArtifactError> {
 mod tests {
     use super::*;
 
+    impl SweepRow {
+        /// The dissemination cell of a named contender, if it ran in this row.
+        fn diss_cell(&self, algorithm: &str) -> Option<&DissCell> {
+            self.dissemination.iter().find(|c| c.algorithm == algorithm)
+        }
+
+        /// The shortest-paths cell of a named contender, if it ran in this row.
+        fn kssp_cell(&self, algorithm: &str) -> Option<&KsspCell> {
+            self.kssp.iter().find(|c| c.algorithm == algorithm)
+        }
+    }
+
     #[test]
     fn quick_grid_covers_every_family_size_and_point() {
         let config = SweepConfig::quick();
-        let rows = sweep_rows(GraphFamily::all(), &config);
+        let rows = sweep_rows(&config);
+        let sizes = config.grid.sizes.len();
         assert_eq!(
             rows.len(),
-            GraphFamily::all().len() * config.sizes.len() * config.points.len()
+            GraphFamily::all().len() * sizes * config.points.len()
         );
         for family in GraphFamily::all() {
             for point in &config.points {
@@ -494,13 +508,7 @@ mod tests {
                     .iter()
                     .filter(|r| r.family == family.name() && r.point == point.name)
                     .count();
-                assert_eq!(
-                    count,
-                    config.sizes.len(),
-                    "{} × {}",
-                    family.name(),
-                    point.name
-                );
+                assert_eq!(count, sizes, "{} × {}", family.name(), point.name);
             }
         }
         // Every row carries the full shootout: 3 dissemination + 3 k-SSP
@@ -518,11 +526,10 @@ mod tests {
     #[test]
     fn rows_respect_their_lower_bounds() {
         let config = SweepConfig {
-            sizes: vec![96, 192],
+            grid: Grid::new(&[GraphFamily::Path, GraphFamily::Barbell], &[96, 192], 9),
             points: vec![SweepPoint::HYBRID, SweepPoint::SCARCE_GLOBAL],
-            seed: 9,
         };
-        let rows = sweep_rows(&[GraphFamily::Path, GraphFamily::Barbell], &config);
+        let rows = sweep_rows(&config);
         assert_eq!(rows.len(), 8);
         for r in &rows {
             for c in &r.dissemination {
@@ -557,11 +564,10 @@ mod tests {
         // The skeleton-free rival's deepening bill is Θ(hop-diameter): on the
         // path it must lose to Theorem 14 by a wide margin.
         let config = SweepConfig {
-            sizes: vec![256],
+            grid: Grid::new(&[GraphFamily::Path], &[256], 7),
             points: vec![SweepPoint::HYBRID],
-            seed: 7,
         };
-        let rows = sweep_rows(&[GraphFamily::Path], &config);
+        let rows = sweep_rows(&config);
         let ours = rows[0].kssp_cell("theorem14").unwrap();
         let rival = rows[0].kssp_cell("schneider").unwrap();
         assert!(
@@ -575,11 +581,10 @@ mod tests {
     #[test]
     fn scarce_global_never_beats_rich_global() {
         let config = SweepConfig {
-            sizes: vec![128],
+            grid: Grid::new(&[GraphFamily::ChungLu], &[128], 5),
             points: vec![SweepPoint::SCARCE_GLOBAL, SweepPoint::RICH_GLOBAL],
-            seed: 5,
         };
-        let rows = sweep_rows(&[GraphFamily::ChungLu], &config);
+        let rows = sweep_rows(&config);
         assert_eq!(rows.len(), 2);
         assert!(rows[0].gamma_msgs < rows[1].gamma_msgs);
         let scarce = rows[0].kssp_cell("theorem14").unwrap();
@@ -593,11 +598,10 @@ mod tests {
         // witness, so the congest-local point must reproduce HYBRID rounds
         // for every contender.
         let config = SweepConfig {
-            sizes: vec![64],
+            grid: Grid::new(&[GraphFamily::Grid2D], &[64], 3),
             points: vec![SweepPoint::HYBRID, SweepPoint::CONGEST_LOCAL],
-            seed: 3,
         };
-        let rows = sweep_rows(&[GraphFamily::Grid2D], &config);
+        let rows = sweep_rows(&config);
         for (a, b) in rows[0].dissemination.iter().zip(&rows[1].dissemination) {
             assert_eq!(a.algorithm, b.algorithm);
             assert_eq!(a.rounds, b.rounds, "{}", a.algorithm);
@@ -617,11 +621,10 @@ mod tests {
     #[test]
     fn artifact_validator_accepts_real_rows_and_rejects_corruption() {
         let config = SweepConfig {
-            sizes: vec![64],
+            grid: Grid::new(&[GraphFamily::Cycle], &[64], 1),
             points: vec![SweepPoint::HYBRID, SweepPoint::SCARCE_GLOBAL],
-            seed: 1,
         };
-        let rows = sweep_rows(&[GraphFamily::Cycle], &config);
+        let rows = sweep_rows(&config);
         check_shootout(&rows).unwrap();
 
         assert_eq!(check_shootout(&[]), Err(SweepArtifactError::Empty));
@@ -651,5 +654,29 @@ mod tests {
             corrupt(|r| r.dissemination[0].ratio = f64::INFINITY),
             Err(SweepArtifactError::NonFiniteRatio)
         );
+        // Theorem 1 slower than the existential baseline: the separation
+        // runs the wrong way, and the error names the row.
+        let err = corrupt(|r| {
+            let base = r.diss_cell("sqrt-k-baseline").unwrap().rounds;
+            let t1 = r
+                .dissemination
+                .iter_mut()
+                .find(|c| c.algorithm == "theorem1");
+            t1.unwrap().rounds = base + 1;
+        })
+        .unwrap_err();
+        let r = &rows[1];
+        assert_eq!(
+            err,
+            SweepArtifactError::SeparationInverted {
+                row: 1,
+                family: "cycle",
+                n: r.n,
+                point: r.point,
+                theorem1: r.diss_cell("sqrt-k-baseline").unwrap().rounds + 1,
+                baseline: r.diss_cell("sqrt-k-baseline").unwrap().rounds,
+            }
+        );
+        assert!(err.to_string().contains("row 1 (cycle, n = 64"), "{err}");
     }
 }

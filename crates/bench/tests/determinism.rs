@@ -11,8 +11,9 @@
 //! compare the serialized rows byte for byte.
 
 use hybrid_bench::faults_sweep::{fault_sweep_rows, FaultSweepConfig};
+use hybrid_bench::grid::{fan_out, GraphFamily, Grid};
 use hybrid_bench::scale::{scale_rows, ScaleConfig};
-use hybrid_bench::scenarios::{figure1_rows, table1_rows, table2_rows, GraphFamily};
+use hybrid_bench::scenarios::{figure1_rows, table1_rows, table2_rows};
 use hybrid_bench::sweep::{sweep_rows, SweepConfig};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -31,8 +32,15 @@ fn on_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 #[test]
 fn table_pipelines_bit_identical_across_pool_sizes() {
     let run = || {
-        let t1 = table1_rows(&[GraphFamily::Grid2D, GraphFamily::Path], 96, &[16, 32], 7);
-        let t2 = table2_rows(&[GraphFamily::Grid2D, GraphFamily::BinaryTree], 81, 3);
+        let t1 = table1_rows(
+            &Grid::new(&[GraphFamily::Grid2D, GraphFamily::Path], &[96], 7),
+            &[16, 32],
+        );
+        let t2 = table2_rows(&Grid::new(
+            &[GraphFamily::Grid2D, GraphFamily::BinaryTree],
+            &[81],
+            3,
+        ));
         let mut blob = serde_json::to_string_pretty(&t1).unwrap();
         blob.push_str(&serde_json::to_string_pretty(&t2).unwrap());
         blob
@@ -63,10 +71,7 @@ fn sweep_quick_rows_bit_identical_across_pool_sizes() {
     // 3 (λ, γ) points): the per-(family, n) fan-out shares one graph and
     // oracle across grid points, so this also pins that the point loop stays
     // inside its cell's RNG streams at every pool width.
-    let run = || {
-        serde_json::to_string_pretty(&sweep_rows(GraphFamily::all(), &SweepConfig::quick()))
-            .unwrap()
-    };
+    let run = || serde_json::to_string_pretty(&sweep_rows(&SweepConfig::quick())).unwrap();
     let reference = on_pool(1, run);
     for threads in &WIDTHS[1..] {
         let got = on_pool(*threads, run);
@@ -84,18 +89,17 @@ fn scale_rows_bit_identical_across_pool_sizes() {
     // families (the only ones whose generators consume RNG streams) plus a
     // deterministic one keeps this fast.
     let run = || {
+        let families = [
+            GraphFamily::Grid2D,
+            GraphFamily::ErdosRenyi,
+            GraphFamily::RandomGeometric,
+            GraphFamily::ChungLu,
+        ];
         let config = ScaleConfig {
-            sizes: vec![512, 2048],
-            families: vec![
-                GraphFamily::Grid2D,
-                GraphFamily::ErdosRenyi,
-                GraphFamily::RandomGeometric,
-                GraphFamily::ChungLu,
-            ],
+            grid: Grid::new(&families, &[512, 2048], 0x5CA1E),
             sources: 8,
             nq_samples: 16,
             exact_crosscheck_max: 512,
-            seed: 0x5CA1E,
         };
         serde_json::to_string_pretty(&scale_rows(&config)).unwrap()
     };
@@ -116,17 +120,15 @@ fn fault_sweep_rows_bit_identical_across_pool_sizes() {
     // keeps this fast while still exercising every fault class.
     let run = || {
         let config = FaultSweepConfig {
-            sizes: vec![48],
+            grid: Grid::new(GraphFamily::core_families(), &[48], 0xFA17),
             profiles: FaultSweepConfig::quick()
                 .profiles
                 .into_iter()
                 .filter(|p| matches!(p.name, "none" | "drop-35" | "chaos"))
                 .collect(),
-            seed: 0xFA17,
             max_rounds: 50_000,
         };
-        serde_json::to_string_pretty(&fault_sweep_rows(GraphFamily::core_families(), &config))
-            .unwrap()
+        serde_json::to_string_pretty(&fault_sweep_rows(&config)).unwrap()
     };
     let reference = on_pool(1, run);
     for threads in &WIDTHS[1..] {
@@ -143,23 +145,23 @@ fn skewed_chunk_costs_force_steals_without_changing_output() {
     // A synthetic nested pipeline with deliberately skewed per-item cost:
     // the first outer item does ~1000x the work of the rest, so its worker
     // stalls while thieves drain (and re-split) the tail — the shape that
-    // maximizes steal traffic.  The stitched output must not care.
+    // maximizes steal traffic.  The outer loop is `grid::fan_out`, the one
+    // fan-out every experiment runs through, and items emit a varying number
+    // of rows so the stitch is exercised too.  The output must not care.
     let work = |i: u64, rounds: u64| (0..rounds).fold(i, |a, b| a.wrapping_add(a ^ b));
+    let items: Vec<u64> = (0..64).collect();
     let run = || {
-        (0u64..64)
-            .into_par_iter()
-            .with_min_len(1)
-            .map(|i| {
-                let rounds = if i == 0 { 100_000 } else { 100 };
-                // Nested region: an inner fan-out per outer item.
-                let inner: Vec<u64> = (0u64..32)
-                    .into_par_iter()
-                    .with_min_len(1)
-                    .map(|j| work(i * 32 + j, rounds))
-                    .collect();
-                inner.into_iter().fold(0u64, |a, b| a.wrapping_add(b))
-            })
-            .collect::<Vec<u64>>()
+        fan_out(&items, |&i| {
+            let rounds = if i == 0 { 100_000 } else { 100 };
+            // Nested region: an inner fan-out per outer item.
+            let inner: Vec<u64> = (0u64..32)
+                .into_par_iter()
+                .with_min_len(1)
+                .map(|j| work(i * 32 + j, rounds))
+                .collect();
+            let sum = inner.into_iter().fold(0u64, |a, b| a.wrapping_add(b));
+            vec![sum; 1 + (i % 3) as usize]
+        })
     };
     let reference = on_pool(1, run);
     for threads in &WIDTHS[1..] {

@@ -73,12 +73,6 @@ impl KWiseHash {
     }
 }
 
-/// Seed length in bits needed for independence `kappa` (Lemma A.6: `κ` field
-/// elements).
-pub fn seed_bits_for(kappa: usize) -> u64 {
-    (kappa as u64) * 61
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +99,6 @@ mod tests {
         }
         assert_eq!(h.independence(), 16);
         assert_eq!(h.seed_bits(), 16 * 61);
-        assert_eq!(seed_bits_for(16), 16 * 61);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! * Lemma 7.2 / Theorem 4: `k`-dissemination, `k`-aggregation and
 //!   `(k, ℓ)`-routing take `Ω̃(NQ_k)` rounds — [`dissemination_lower_bound`];
-//! * Theorem 10: unweighted `k`-SSP in `Hybrid0` — same witness;
+//! * Theorem 10: unweighted `k`-SSP in `Hybrid0` — the same witness, so
+//!   [`dissemination_lower_bound`] too;
 //! * Theorems 11/12: weighted `(k, ℓ)`-SP in `Hybrid` —
 //!   [`shortest_paths_lower_bound`].
 //!
@@ -104,18 +105,6 @@ pub fn dissemination_lower_bound(
         rounds,
         nq,
     }
-}
-
-/// Theorem 10 — lower bound for unweighted `k`-SSP with random sources in
-/// `Hybrid0` (identifiers must be learned, so the `k`-dissemination reduction
-/// applies verbatim).
-pub fn unweighted_kssp_lower_bound(
-    oracle: &impl NqSource,
-    params: &ModelParams,
-    k: u64,
-    success_probability: f64,
-) -> LowerBoundWitness {
-    dissemination_lower_bound(oracle, params, k, success_probability)
 }
 
 /// Theorems 11 / 12 — lower bound of `Ω̃(NQ_k)` rounds for weighted
@@ -241,15 +230,5 @@ mod tests {
         assert!(ws.nq <= we.nq);
         assert!(ws.rounds <= ws.nq as f64);
         assert!(ws.rounds > 0.0, "path NQ is large; sampling keeps it so");
-    }
-
-    #[test]
-    fn kssp_bound_equals_dissemination_bound() {
-        let g = generators::grid(&[15, 15]).unwrap();
-        let oracle = NqOracle::new(&g);
-        let params = ModelParams::hybrid(g.n());
-        let a = dissemination_lower_bound(&oracle, &params, 100, 0.5);
-        let b = unweighted_kssp_lower_bound(&oracle, &params, 100, 0.5);
-        assert_eq!(a, b);
     }
 }

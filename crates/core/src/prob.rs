@@ -1,48 +1,10 @@
-//! Basic probabilistic tools (paper Appendix A): Chernoff-bound helpers and
-//! sampling utilities used throughout the randomized algorithms.
-//!
-//! The algorithms themselves only need *sampling*; the Chernoff helpers are
-//! exposed so that tests and benches can assert that sampled objects (helper
-//! sets, skeletons, source sets) have the sizes the analysis promises with
-//! the intended failure probability.
+//! Basic probabilistic tools (paper Appendix A): the sampling utilities used
+//! throughout the randomized algorithms.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use hybrid_graph::NodeId;
-
-/// Multiplicative Chernoff upper tail: probability that a sum of independent
-/// `0/1` variables with mean `mu` exceeds `(1 + delta) * mu`, bounded by
-/// `exp(-delta^2 mu / 3)` for `delta ∈ (0, 1]` and `exp(-delta mu / 3)` for
-/// `delta > 1` (Lemma A.1 of the paper).
-pub fn chernoff_upper_tail(mu: f64, delta: f64) -> f64 {
-    assert!(mu >= 0.0 && delta >= 0.0);
-    if mu == 0.0 {
-        return 0.0;
-    }
-    if delta <= 1.0 {
-        (-delta * delta * mu / 3.0).exp()
-    } else {
-        (-delta * mu / 3.0).exp()
-    }
-}
-
-/// Multiplicative Chernoff lower tail: probability that the sum falls below
-/// `(1 - delta) * mu`, bounded by `exp(-delta^2 mu / 2)`.
-pub fn chernoff_lower_tail(mu: f64, delta: f64) -> f64 {
-    assert!(mu >= 0.0 && (0.0..=1.0).contains(&delta));
-    if mu == 0.0 {
-        return 0.0;
-    }
-    (-delta * delta * mu / 2.0).exp()
-}
-
-/// The "with high probability" threshold `1 / n^c` used by the paper
-/// (Section 1.2) with the conventional exponent `c = 3`.
-pub fn whp_threshold(n: usize) -> f64 {
-    let n = n.max(2) as f64;
-    n.powi(-3)
-}
 
 /// Samples a subset of `0..n` where each node joins independently with
 /// probability `p` (the paper's "random sources/targets" regime).
@@ -75,21 +37,6 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn chernoff_tails_shrink_with_mu() {
-        assert!(chernoff_upper_tail(100.0, 0.5) < chernoff_upper_tail(10.0, 0.5));
-        assert!(chernoff_lower_tail(100.0, 0.5) < chernoff_lower_tail(10.0, 0.5));
-        assert!(chernoff_upper_tail(50.0, 2.0) < 1e-10);
-        assert_eq!(chernoff_upper_tail(0.0, 0.5), 0.0);
-        assert_eq!(chernoff_lower_tail(0.0, 0.5), 0.0);
-    }
-
-    #[test]
-    fn whp_threshold_is_inverse_poly() {
-        assert!(whp_threshold(10) > whp_threshold(100));
-        assert!((whp_threshold(10) - 1e-3).abs() < 1e-12);
-    }
 
     #[test]
     fn sampling_with_probability_has_expected_size() {
