@@ -19,6 +19,8 @@
 //! (unknown targets *and unknown flags*, with the usage string: a typo like
 //! `--qiuck` must not silently run the slow full suite).
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::io;
 use std::path::Path;

@@ -31,6 +31,8 @@
 //! its seed.  Wall-clock performance is measured elsewhere: end to end and
 //! per layer by the `benchmark/` package at the repository root.
 
+#![forbid(unsafe_code)]
+
 pub mod faults_sweep;
 pub mod grid;
 pub mod oracle_bench;

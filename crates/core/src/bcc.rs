@@ -15,7 +15,6 @@ use hybrid_graph::NodeId;
 use hybrid_sim::HybridNetwork;
 
 use crate::dissemination::{disseminate_with_radius, RadiusPolicy, TokenPlacement};
-use crate::lower_bounds::{dissemination_lower_bound, LowerBoundWitness};
 use crate::nq::{compute_nq, NqOracle};
 
 /// Result of simulating a number of `BCC` rounds.
@@ -79,15 +78,10 @@ pub fn simulate_bcc(
     }
 }
 
-/// The universal lower bound for simulating one `BCC` round (Corollary 2.1 /
-/// Theorem 4 with `k = n`).
-pub fn bcc_round_lower_bound(oracle: &NqOracle, net: &HybridNetwork) -> LowerBoundWitness {
-    dissemination_lower_bound(oracle, net.params(), oracle.n() as u64, 0.99)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lower_bounds::dissemination_lower_bound;
     use hybrid_graph::generators;
     use std::sync::Arc;
 
@@ -124,7 +118,8 @@ mod tests {
         let nq_n = oracle.nq(144);
         let log_n = net.log_n();
         assert!(sim.rounds_per_bcc_round <= nq_n * 60 * log_n * log_n);
-        let lb = bcc_round_lower_bound(&oracle, &net);
+        // The universal lower bound for one BCC round: Theorem 4 with k = n.
+        let lb = dissemination_lower_bound(&oracle, net.params(), 144, 0.99);
         assert!(lb.rounds <= sim.rounds_per_bcc_round as f64);
     }
 

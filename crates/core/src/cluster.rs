@@ -114,16 +114,6 @@ impl Clustering {
         }
         Ok(())
     }
-
-    /// Maximum cluster size.
-    pub fn max_cluster_size(&self) -> usize {
-        self.clusters.iter().map(Cluster::len).max().unwrap_or(0)
-    }
-
-    /// Minimum cluster size.
-    pub fn min_cluster_size(&self) -> usize {
-        self.clusters.iter().map(Cluster::len).min().unwrap_or(0)
-    }
 }
 
 /// Greedy `(α, α−1)`-ruling set (Definition 3.4): every pair of rulers is at
@@ -319,8 +309,10 @@ mod tests {
         let target_min = (k as usize).div_ceil(clustering.nq as usize);
         // Splitting guarantees the maximum; the minimum holds for clusters
         // around actual rulers whenever NQ_k < D (Lemma 3.5).
-        assert!(clustering.max_cluster_size() <= 2 * target_min + target_min);
-        assert!(clustering.min_cluster_size() >= 1);
+        assert!(clustering
+            .clusters
+            .iter()
+            .all(|c| (1..=3 * target_min).contains(&c.len())));
         // At least one cluster must meet the lower bound.
         assert!(clustering.clusters.iter().any(|c| c.len() >= target_min));
     }

@@ -34,12 +34,7 @@
 //! simulator, which the `hybrid-bench` crate uses to regenerate the paper's
 //! tables and figures.
 
-// The default build carries no unsafe code at all; the `simd` feature opts
-// into one audited `#[allow(unsafe_code)]` module of AVX2 intrinsics (the
-// `(min, +)` fold kernels in [`minplus::kernel`]) and keeps everything else
-// denied.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algorithm;

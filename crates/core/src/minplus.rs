@@ -179,17 +179,9 @@ pub enum Coeff {
 pub type Assignment = Option<(usize, Weight)>;
 
 /// Element-wise saturating `(min, +)` fold kernels — the only code that
-/// touches the accumulator inside [`compose`].
-///
-/// [`kernel::fold_min_sat`] and [`kernel::fold_min_sat_quad`] dispatch to an
-/// explicit AVX2 implementation when the `simd` cargo feature is enabled and
-/// the CPU supports it (checked once per call via
-/// `is_x86_feature_detected!`); the scalar implementations are **always
-/// compiled** and are the fallback everywhere else.  Saturating `u64`
-/// addition and `u64` `min` are exact integer operations, so the vector and
-/// scalar paths agree **bit for bit** on every input — pinned by the
-/// workspace proptest `minplus_simd_kernel_matches_scalar` alongside the
-/// existing blocked ≡ naive contract.
+/// touches the accumulator inside [`compose`].  Plain scalar loops:
+/// saturating `u64` addition and `u64` `min` are exact integer operations,
+/// and the quad fold equals four single folds bit for bit.
 pub mod kernel {
     use hybrid_graph::Weight;
 
@@ -202,21 +194,6 @@ pub mod kernel {
     /// two slices.
     #[inline]
     pub fn fold_min_sat(acc: &mut [Weight], row: &[Weight], base: Weight) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 availability was just checked.
-            #[allow(unsafe_code)]
-            unsafe {
-                avx2::fold_min_sat(acc, row, base);
-            }
-            return;
-        }
-        fold_min_sat_scalar(acc, row, base);
-    }
-
-    /// Scalar reference for [`fold_min_sat`]; always compiled.
-    #[inline]
-    pub fn fold_min_sat_scalar(acc: &mut [Weight], row: &[Weight], base: Weight) {
         for (slot, &via) in acc.iter_mut().zip(row) {
             let c = sat(via, base);
             if c < *slot {
@@ -231,21 +208,6 @@ pub mod kernel {
     /// rows ([`super::ROW_TILE`]).
     #[inline]
     pub fn fold_min_sat_quad(acc: &mut [Weight], rows: [&[Weight]; 4], bases: [Weight; 4]) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 availability was just checked.
-            #[allow(unsafe_code)]
-            unsafe {
-                avx2::fold_min_sat_quad(acc, rows, bases);
-            }
-            return;
-        }
-        fold_min_sat_quad_scalar(acc, rows, bases);
-    }
-
-    /// Scalar reference for [`fold_min_sat_quad`]; always compiled.
-    #[inline]
-    pub fn fold_min_sat_quad_scalar(acc: &mut [Weight], rows: [&[Weight]; 4], bases: [Weight; 4]) {
         let [r0, r1, r2, r3] = rows;
         let [b0, b1, b2, b3] = bases;
         let n = acc
@@ -261,104 +223,6 @@ pub mod kernel {
             if c < acc[v] {
                 acc[v] = c;
             }
-        }
-    }
-
-    /// AVX2 lanes for the fold: 4 × `u64` per vector.  `u64` has no native
-    /// unsigned compare or min below AVX-512, so both go through the usual
-    /// sign-bit flip to signed `_mm256_cmpgt_epi64`; saturation detects
-    /// wrap-around (`sum <ᵤ row`) the same way.  Every lane operation is
-    /// exact, so the result equals the scalar fold bit for bit.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[allow(unsafe_code)]
-    mod avx2 {
-        use core::arch::x86_64::*;
-
-        use hybrid_graph::Weight;
-
-        /// One vector step: `min_u(acc, row ⊕_sat base)`.
-        ///
-        /// # Safety
-        /// The caller must have verified AVX2 support.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn min_sat(acc: __m256i, row: __m256i, base: __m256i, sign: __m256i) -> __m256i {
-            let sum = _mm256_add_epi64(row, base);
-            // Wrapped iff sum <u row ⇔ (row ^ sign) >s (sum ^ sign); the
-            // comparison mask is all-ones per wrapped lane, so OR saturates
-            // those lanes to u64::MAX.
-            let wrapped =
-                _mm256_cmpgt_epi64(_mm256_xor_si256(row, sign), _mm256_xor_si256(sum, sign));
-            let sat = _mm256_or_si256(sum, wrapped);
-            // min_u(acc, sat): where acc >u sat, take sat.
-            let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(acc, sign), _mm256_xor_si256(sat, sign));
-            _mm256_blendv_epi8(acc, sat, gt)
-        }
-
-        /// Vectorized [`super::fold_min_sat_scalar`].
-        ///
-        /// # Safety
-        /// The caller must have verified AVX2 support.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn fold_min_sat(acc: &mut [Weight], row: &[Weight], base: Weight) {
-            let n = acc.len().min(row.len());
-            let sign = _mm256_set1_epi64x(i64::MIN);
-            let vb = _mm256_set1_epi64x(base as i64);
-            let mut v = 0usize;
-            while v + 4 <= n {
-                let pa = acc.as_mut_ptr().add(v).cast::<__m256i>();
-                let va = _mm256_loadu_si256(pa.cast_const());
-                let vr = _mm256_loadu_si256(row.as_ptr().add(v).cast::<__m256i>());
-                _mm256_storeu_si256(pa, min_sat(va, vr, vb, sign));
-                v += 4;
-            }
-            super::fold_min_sat_scalar(&mut acc[v..n], &row[v..n], base);
-        }
-
-        /// Vectorized [`super::fold_min_sat_quad_scalar`].
-        ///
-        /// # Safety
-        /// The caller must have verified AVX2 support.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn fold_min_sat_quad(
-            acc: &mut [Weight],
-            rows: [&[Weight]; 4],
-            bases: [Weight; 4],
-        ) {
-            let n = acc
-                .len()
-                .min(rows[0].len())
-                .min(rows[1].len())
-                .min(rows[2].len())
-                .min(rows[3].len());
-            let sign = _mm256_set1_epi64x(i64::MIN);
-            let vb = [
-                _mm256_set1_epi64x(bases[0] as i64),
-                _mm256_set1_epi64x(bases[1] as i64),
-                _mm256_set1_epi64x(bases[2] as i64),
-                _mm256_set1_epi64x(bases[3] as i64),
-            ];
-            let mut v = 0usize;
-            while v + 4 <= n {
-                let pa = acc.as_mut_ptr().add(v).cast::<__m256i>();
-                let mut va = _mm256_loadu_si256(pa.cast_const());
-                for (row, base) in rows.iter().zip(&vb) {
-                    let vr = _mm256_loadu_si256(row.as_ptr().add(v).cast::<__m256i>());
-                    va = min_sat(va, vr, *base, sign);
-                }
-                _mm256_storeu_si256(pa, va);
-                v += 4;
-            }
-            super::fold_min_sat_quad_scalar(
-                &mut acc[v..n],
-                [
-                    &rows[0][v..n],
-                    &rows[1][v..n],
-                    &rows[2][v..n],
-                    &rows[3][v..n],
-                ],
-                bases,
-            );
         }
     }
 }
@@ -726,11 +590,10 @@ mod tests {
         assert_eq!(blocked[0][0], 2);
     }
 
-    /// The dispatching kernels and their scalar references agree on the
-    /// saturation boundary and on `INFINITY` runs (meaningful under
-    /// `--features simd`, trivially true otherwise).
+    /// The quad fold equals four single folds on the saturation boundary
+    /// and on `INFINITY` runs, for bases up to `u64::MAX − 1` and `INFINITY`.
     #[test]
-    fn kernel_dispatch_matches_scalar_on_boundaries() {
+    fn quad_fold_equals_four_single_folds_on_boundaries() {
         let row: Vec<Weight> = vec![
             0,
             1,
@@ -746,19 +609,15 @@ mod tests {
         ];
         for base in [0, 1, Weight::MAX / 2, Weight::MAX - 1, INFINITY] {
             let init: Vec<Weight> = row.iter().rev().copied().collect();
-            let mut a = init.clone();
-            let mut b = init.clone();
-            kernel::fold_min_sat(&mut a, &row, base);
-            kernel::fold_min_sat_scalar(&mut b, &row, base);
-            assert_eq!(a, b, "fold_min_sat diverged at base {base}");
-
             let rows = [&row[..], &init[..], &row[..], &init[..]];
             let bases = [base, 0, Weight::MAX - 1, base];
-            let mut a = init.clone();
-            let mut b = init.clone();
-            kernel::fold_min_sat_quad(&mut a, rows, bases);
-            kernel::fold_min_sat_quad_scalar(&mut b, rows, bases);
-            assert_eq!(a, b, "fold_min_sat_quad diverged at base {base}");
+            let mut quad = init.clone();
+            kernel::fold_min_sat_quad(&mut quad, rows, bases);
+            let mut singles = init.clone();
+            for (r, b) in rows.into_iter().zip(bases) {
+                kernel::fold_min_sat(&mut singles, r, b);
+            }
+            assert_eq!(quad, singles, "quad fold diverged at base {base}");
         }
     }
 }

@@ -22,18 +22,14 @@ pub fn predict_path_like(k: u64, diameter: u64) -> NqPrediction {
 }
 
 /// Theorem 16: on `d`-dimensional grids `NQ_k ∈ min{Θ(k^{1/(d+1)}), D}`.
+/// Theorem 17 bounds graphs with polynomial growth `|B_r(v)| ∈ Ω(r^d)` by
+/// the same form, `NQ_k ∈ min{O(k^{1/(d+1)}), D}`.
 pub fn predict_grid(k: u64, d: u32, diameter: u64) -> NqPrediction {
     assert!(d >= 1, "grid dimension must be at least 1");
     NqPrediction {
         theta_value: (k as f64).powf(1.0 / (d as f64 + 1.0)).min(diameter as f64),
         formula: "min(k^{1/(d+1)}, D)",
     }
-}
-
-/// Theorem 17: on graphs with polynomial growth `|B_r(v)| ∈ Ω(r^d)`,
-/// `NQ_k ∈ min{O(k^{1/(d+1)}), D}` — same form as grids.
-pub fn predict_polynomial_growth(k: u64, d: u32, diameter: u64) -> NqPrediction {
-    predict_grid(k, d, diameter)
 }
 
 /// Fits an exponent `e` such that `values ≈ c · ks^e` by least squares in
@@ -142,9 +138,10 @@ mod tests {
 
     #[test]
     fn polynomial_growth_matches_grid_formula() {
-        let a = predict_grid(100, 3, 50);
-        let b = predict_polynomial_growth(100, 3, 50);
-        assert_eq!(a.theta_value, b.theta_value);
-        assert_eq!(a.formula, b.formula);
+        // Growth exponent d = 3: k^{1/4}, capped by the diameter.
+        let p = predict_grid(10_000, 3, 50);
+        assert!((p.theta_value - 10.0).abs() < 1e-9);
+        assert_eq!(p.formula, "min(k^{1/(d+1)}, D)");
+        assert_eq!(predict_grid(10_000, 3, 4).theta_value, 4.0);
     }
 }

@@ -145,11 +145,6 @@ impl VirtualTree {
         0
     }
 
-    /// The graph node at tree position `pos`.
-    pub fn node_at(&self, pos: usize) -> NodeId {
-        self.participants[pos]
-    }
-
     /// Parent position of `pos` (`None` for the root).
     pub fn parent(&self, pos: usize) -> Option<usize> {
         (pos > 0).then(|| (pos - 1) / 2)
@@ -491,7 +486,6 @@ mod tests {
         let tree = VirtualTree::build(&mut net, &[9, 3, 3, 40, 9]);
         assert_eq!(tree.len(), 3);
         assert_eq!(tree.participants(), [3, 9, 40]);
-        assert_eq!(tree.node_at(0), 3);
     }
 
     #[test]

@@ -148,14 +148,6 @@ impl DistanceRows {
         self.rows.iter().map(Vec::as_slice)
     }
 
-    /// The row of source node `s`, if `s` is in the source set.
-    pub fn row_for(&self, s: NodeId) -> Option<&[Weight]> {
-        self.sources
-            .iter()
-            .position(|&v| v == s)
-            .map(|i| self.row(i))
-    }
-
     /// Gives the rows away, in source order (no copy).
     pub fn into_rows(self) -> Vec<Vec<Weight>> {
         self.rows
@@ -245,9 +237,7 @@ mod tests {
         assert_eq!((rows.n(), rows.len()), (g.n(), 4));
         for (i, &s) in sources.iter().enumerate() {
             assert_eq!(rows.row(i), &full[s as usize], "row of source {s}");
-            assert_eq!(rows.row_for(s).unwrap(), &rows[i]);
         }
-        assert!(rows.row_for(1).is_none());
     }
 
     #[test]

@@ -289,30 +289,6 @@ pub(crate) fn sample_skeleton(
     }
 }
 
-/// Checks Lemma 6.3 (2): for skeleton nodes `u, v`, the skeleton distance
-/// equals the true distance in `G`.  Returns the worst ratio observed over
-/// the given sample of skeleton node pairs (1.0 means exact).
-pub fn skeleton_distance_fidelity(graph: &Graph, skeleton: &SkeletonGraph, samples: usize) -> f64 {
-    let mut worst: f64 = 1.0;
-    let count = samples.min(skeleton.len());
-    let skeleton_graph = skeleton.graph();
-    for i in 0..count {
-        let u = skeleton.nodes[i];
-        let exact = hybrid_graph::dijkstra::dijkstra(graph, u).dist;
-        let sk = hybrid_graph::dijkstra::dijkstra(&skeleton_graph, i as NodeId).dist;
-        for (j, &v) in skeleton.nodes.iter().enumerate() {
-            if exact[v as usize] == 0 {
-                continue;
-            }
-            if sk[j] == INFINITY {
-                return f64::INFINITY;
-            }
-            worst = worst.max(sk[j] as f64 / exact[v as usize] as f64);
-        }
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +301,30 @@ mod tests {
         let g = Arc::new(graph);
         let net = HybridNetwork::hybrid(Arc::clone(&g));
         (g, net)
+    }
+
+    /// Checks Lemma 6.3 (2): for skeleton nodes `u, v`, the skeleton distance
+    /// equals the true distance in `G`.  Returns the worst ratio observed over
+    /// the given sample of skeleton node pairs (1.0 means exact).
+    fn skeleton_distance_fidelity(graph: &Graph, skeleton: &SkeletonGraph, samples: usize) -> f64 {
+        let mut worst: f64 = 1.0;
+        let count = samples.min(skeleton.len());
+        let skeleton_graph = skeleton.graph();
+        for i in 0..count {
+            let u = skeleton.nodes[i];
+            let exact = hybrid_graph::dijkstra::dijkstra(graph, u).dist;
+            let sk = hybrid_graph::dijkstra::dijkstra(&skeleton_graph, i as NodeId).dist;
+            for (j, &v) in skeleton.nodes.iter().enumerate() {
+                if exact[v as usize] == 0 {
+                    continue;
+                }
+                if sk[j] == INFINITY {
+                    return f64::INFINITY;
+                }
+                worst = worst.max(sk[j] as f64 / exact[v as usize] as f64);
+            }
+        }
+        worst
     }
 
     #[test]

@@ -127,16 +127,6 @@ impl Graph {
         self.arcs(v).iter().map(|a| a.to)
     }
 
-    /// Whether `{u, v}` is an edge of the graph.  `O(deg(u))`.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.arcs(u).iter().any(|a| a.to == v)
-    }
-
-    /// Total weight of all edges.
-    pub fn total_weight(&self) -> Weight {
-        self.edges.iter().map(|&(_, _, w)| w).sum()
-    }
-
     /// Maximum edge weight `W` (cached at construction).
     #[inline]
     pub fn max_weight(&self) -> Weight {
@@ -193,10 +183,6 @@ mod tests {
         assert!(g.is_weighted());
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.max_degree(), 2);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
-        assert!(!g.has_edge(0, 2));
-        assert_eq!(g.total_weight(), 15);
         assert_eq!(g.max_weight(), 7);
         let mut nbrs: Vec<_> = g.neighbors(0).collect();
         nbrs.sort_unstable();

@@ -1,19 +1,11 @@
 //! Cut evaluation utilities used by the cut-sparsifier experiments
-//! (Theorem 9 of the paper): evaluating `cut_G(S)` for a node set `S`, and a
-//! simple randomized minimum-cut estimate for sanity checks.
+//! (Theorem 9 of the paper): evaluating `cut_G(S)` for a node set `S` given
+//! as a membership mask, and a simple randomized minimum-cut estimate for
+//! sanity checks.
 
 use rand::Rng;
 
 use crate::csr::{Graph, NodeId, Weight};
-
-/// Total weight of edges crossing the cut `(S, V \ S)`.
-pub fn cut_weight(graph: &Graph, s: &[NodeId]) -> Weight {
-    let mut in_s = vec![false; graph.n()];
-    for &v in s {
-        in_s[v as usize] = true;
-    }
-    cut_weight_mask(graph, &in_s)
-}
 
 /// Total weight of edges crossing the cut described by a membership mask.
 pub fn cut_weight_mask(graph: &Graph, in_s: &[bool]) -> Weight {
@@ -64,13 +56,22 @@ mod tests {
     use crate::generators;
     use rand::SeedableRng;
 
+    /// The membership mask of the node set `s` in a graph of `n` nodes.
+    fn mask(n: usize, s: &[NodeId]) -> Vec<bool> {
+        let mut in_s = vec![false; n];
+        for &v in s {
+            in_s[v as usize] = true;
+        }
+        in_s
+    }
+
     #[test]
     fn cut_weight_on_path() {
         let g = generators::path(6).unwrap();
         // Splitting a path in the middle cuts exactly one edge.
-        assert_eq!(cut_weight(&g, &[0, 1, 2]), 1);
-        assert_eq!(cut_weight(&g, &[0]), 1);
-        assert_eq!(cut_weight(&g, &[1]), 2);
+        assert_eq!(cut_weight_mask(&g, &mask(6, &[0, 1, 2])), 1);
+        assert_eq!(cut_weight_mask(&g, &mask(6, &[0])), 1);
+        assert_eq!(cut_weight_mask(&g, &mask(6, &[1])), 2);
     }
 
     #[test]
@@ -78,7 +79,7 @@ mod tests {
         let g = generators::cycle(8).unwrap();
         for s_len in 1..8 {
             let s: Vec<u32> = (0..s_len).collect();
-            assert_eq!(cut_weight(&g, &s) % 2, 0);
+            assert_eq!(cut_weight_mask(&g, &mask(8, &s)) % 2, 0);
         }
     }
 

@@ -49,65 +49,6 @@ pub const DIAL_MAX_WEIGHT: Weight = 64;
 /// which produces identical output.
 pub const DIAL_MAX_RING: usize = 1 << 26;
 
-/// Bucket-occupancy scan for the Dial ring: find the next non-empty bucket
-/// without walking the empty distance range one slot per iteration.
-///
-/// [`bucket_scan::first_nonzero`] dispatches to an explicit AVX2
-/// implementation (8 × `u32` lanes per compare) when the `simd` cargo feature
-/// is enabled and the CPU supports it; [`bucket_scan::first_nonzero_scalar`]
-/// is always compiled and is the fallback everywhere else.  Both return the
-/// index of the first non-zero entry, so they agree **bit for bit** on every
-/// input — pinned by the workspace proptest
-/// `dial_scan_simd_matches_scalar`.
-pub mod bucket_scan {
-    /// Index of the first non-zero bucket length, or `None` if all are zero.
-    #[inline]
-    pub fn first_nonzero(lens: &[u32]) -> Option<usize> {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 availability was just checked.
-            #[allow(unsafe_code)]
-            return unsafe { avx2::first_nonzero(lens) };
-        }
-        first_nonzero_scalar(lens)
-    }
-
-    /// Scalar reference for [`first_nonzero`]; always compiled.
-    #[inline]
-    pub fn first_nonzero_scalar(lens: &[u32]) -> Option<usize> {
-        lens.iter().position(|&l| l != 0)
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[allow(unsafe_code)]
-    mod avx2 {
-        use core::arch::x86_64::*;
-
-        /// Vectorized [`super::first_nonzero_scalar`]: compare 8 lengths per
-        /// step against zero, the movemask names the first non-zero lane.
-        ///
-        /// # Safety
-        /// The caller must have verified AVX2 support.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn first_nonzero(lens: &[u32]) -> Option<usize> {
-            let n = lens.len();
-            let zero = _mm256_setzero_si256();
-            let mut i = 0usize;
-            while i + 8 <= n {
-                let v = _mm256_loadu_si256(lens.as_ptr().add(i).cast::<__m256i>());
-                let eq = _mm256_cmpeq_epi32(v, zero);
-                let mask = _mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u32;
-                let nonzero = !mask & 0xFF;
-                if nonzero != 0 {
-                    return Some(i + nonzero.trailing_zeros() as usize);
-                }
-                i += 8;
-            }
-            super::first_nonzero_scalar(&lens[i..]).map(|off| i + off)
-        }
-    }
-}
-
 /// Result of a single-source Dijkstra run.
 #[derive(Debug, Clone)]
 pub struct DijkstraResult {
@@ -333,8 +274,8 @@ impl DijkstraWorkspace {
     ///
     /// Between settle rounds the loop does **not** walk the (possibly long)
     /// run of empty distance values one at a time: a per-slot occupancy
-    /// array (`bucket_lens`) is scanned with [`bucket_scan::first_nonzero`]
-    /// to jump straight to the next occupied bucket.  The jump is exact —
+    /// array (`bucket_lens`) is scanned for its first non-zero entry to jump
+    /// straight to the next occupied bucket.  The jump is exact —
     /// every pending entry has tentative distance in `[cur, cur + c]` and
     /// `c < ring`, so the circular scan starting just after the current slot
     /// meets the pending entries in increasing distance order and the settle
@@ -402,9 +343,11 @@ impl DijkstraWorkspace {
             // while it drains and the closest pending entry is within one
             // lap of the ring.
             let from = (slot + 1) & mask;
-            let next = match bucket_scan::first_nonzero(&self.bucket_lens[from..ring]) {
+            let next = match self.bucket_lens[from..ring].iter().position(|&l| l != 0) {
                 Some(off) => from + off,
-                None => bucket_scan::first_nonzero(&self.bucket_lens[..from])
+                None => self.bucket_lens[..from]
+                    .iter()
+                    .position(|&l| l != 0)
                     .expect("pending > 0 implies an occupied bucket"),
             };
             let delta = if next > slot {
@@ -749,24 +692,5 @@ mod tests {
         let mut ws = HopLimitedWorkspace::new();
         assert!(hop_limited_distances_with(&mut ws, &g, 0, 2, &mut dist));
         assert_eq!(dist, [0, u64::MAX - 1, INFINITY]);
-    }
-
-    #[test]
-    fn bucket_scan_finds_first_nonzero() {
-        use super::bucket_scan::{first_nonzero, first_nonzero_scalar};
-        let cases: Vec<Vec<u32>> = vec![
-            vec![],
-            vec![0],
-            vec![3],
-            vec![0; 100],
-            vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7],
-            vec![1, 0, 0],
-            (0..97).map(|i| u32::from(i == 96)).collect(),
-        ];
-        for lens in &cases {
-            let expect = lens.iter().position(|&l| l != 0);
-            assert_eq!(first_nonzero_scalar(lens), expect);
-            assert_eq!(first_nonzero(lens), expect, "dispatch diverged on {lens:?}");
-        }
     }
 }

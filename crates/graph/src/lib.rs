@@ -27,12 +27,7 @@
 //! which it derives one ChaCha8 stream per fixed-size chunk — so every
 //! experiment in the repository is reproducible, at any pool width.
 
-// The default build carries no unsafe code at all; the `simd` feature opts
-// into one audited `#[allow(unsafe_code)]` module of AVX2 intrinsics (the
-// Dial bucket-occupancy scan in [`dijkstra::bucket_scan`]) and keeps
-// everything else denied.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod balls;

@@ -1,5 +1,4 @@
-//! Structural graph properties: eccentricities, diameter, radius, arboricity
-//! upper bounds, and degeneracy ordering.
+//! Structural graph properties: eccentricities, diameter and radius.
 //!
 //! The diameter `D` appears throughout the paper: `NQ_k ≤ D` (Lemma 3.6) and
 //! every global problem is trivially solvable in `D` rounds using only the
@@ -9,12 +8,6 @@ use rayon::prelude::*;
 
 use crate::csr::{Graph, NodeId, Weight};
 use crate::dijkstra::DijkstraWorkspace;
-use crate::traversal::bfs;
-
-/// Hop eccentricity of `v`: `max_w hop(v, w)`.
-pub fn eccentricity(graph: &Graph, v: NodeId) -> Weight {
-    bfs(graph, v).eccentricity()
-}
 
 /// Hop eccentricities of every node (`n` BFS traversals, fanned out over all
 /// cores with one reusable workspace per worker).
@@ -44,90 +37,6 @@ pub fn radius(graph: &Graph) -> Weight {
     eccentricities(graph).into_iter().min().unwrap_or(0)
 }
 
-/// A fast 2-approximation of the diameter from a double BFS sweep:
-/// returns `ecc(u)` for `u` the farthest node from an arbitrary start.
-/// Guaranteed to lie in `[D/2, D]`.
-pub fn diameter_double_sweep(graph: &Graph) -> Weight {
-    if graph.n() == 0 {
-        return 0;
-    }
-    let first = bfs(graph, 0);
-    let far = first
-        .dist
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d != crate::INFINITY)
-        .max_by_key(|(_, &d)| d)
-        .map(|(i, _)| i as NodeId)
-        .unwrap_or(0);
-    eccentricity(graph, far)
-}
-
-/// Degeneracy ordering: repeatedly removes a minimum-degree node.  Returns
-/// `(order, degeneracy)`.  The degeneracy upper-bounds the arboricity within
-/// a factor 2 and is used by the Eulerian-orientation / forest-decomposition
-/// machinery (Section 8.2 of the paper, `[BE10]`).
-pub fn degeneracy_ordering(graph: &Graph) -> (Vec<NodeId>, usize) {
-    let n = graph.n();
-    let mut degree: Vec<usize> = graph.nodes().map(|v| graph.degree(v)).collect();
-    let max_deg = degree.iter().copied().max().unwrap_or(0);
-    let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); max_deg + 1];
-    for v in graph.nodes() {
-        buckets[degree[v as usize]].push(v);
-    }
-    let mut removed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut degeneracy = 0usize;
-    let mut cursor = 0usize;
-    for _ in 0..n {
-        // Find the smallest non-empty bucket starting from `cursor` (which can
-        // only have decreased by one since the last removal).
-        cursor = cursor.saturating_sub(1);
-        loop {
-            while cursor <= max_deg && buckets[cursor].is_empty() {
-                cursor += 1;
-            }
-            let Some(&candidate) = buckets.get(cursor).and_then(|b| b.last()) else {
-                break;
-            };
-            if removed[candidate as usize] || degree[candidate as usize] != cursor {
-                buckets[cursor].pop();
-                continue;
-            }
-            break;
-        }
-        if cursor > max_deg {
-            break;
-        }
-        let v = buckets[cursor].pop().expect("non-empty bucket");
-        removed[v as usize] = true;
-        degeneracy = degeneracy.max(cursor);
-        order.push(v);
-        for a in graph.arcs(v) {
-            let u = a.to as usize;
-            if !removed[u] {
-                degree[u] -= 1;
-                buckets[degree[u]].push(a.to);
-            }
-        }
-    }
-    (order, degeneracy)
-}
-
-/// Number of edges with both endpoints in `set` plus edges leaving `set`,
-/// i.e. a sanity helper for sparsity arguments.
-pub fn induced_edge_count(graph: &Graph, set: &[NodeId]) -> usize {
-    let mut in_set = vec![false; graph.n()];
-    for &v in set {
-        in_set[v as usize] = true;
-    }
-    graph
-        .edges()
-        .iter()
-        .filter(|&&(u, v, _)| in_set[u as usize] && in_set[v as usize])
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,52 +61,5 @@ mod tests {
             assert!(r <= d);
             assert!(d <= 2 * r);
         }
-    }
-
-    #[test]
-    fn double_sweep_within_factor_two() {
-        for g in [
-            generators::path(30).unwrap(),
-            generators::grid(&[6, 6]).unwrap(),
-            generators::cycle(25).unwrap(),
-        ] {
-            let d = diameter(&g);
-            let est = diameter_double_sweep(&g);
-            assert!(est <= d);
-            assert!(2 * est >= d);
-        }
-    }
-
-    #[test]
-    fn degeneracy_of_tree_is_one() {
-        let g = generators::tree_balanced(2, 4).unwrap();
-        let (order, deg) = degeneracy_ordering(&g);
-        assert_eq!(deg, 1);
-        assert_eq!(order.len(), g.n());
-    }
-
-    #[test]
-    fn degeneracy_of_cycle_is_two() {
-        let g = generators::cycle(12).unwrap();
-        let (_, deg) = degeneracy_ordering(&g);
-        assert_eq!(deg, 2);
-    }
-
-    #[test]
-    fn degeneracy_of_grid_at_most_two() {
-        let g = generators::grid(&[5, 5]).unwrap();
-        let (order, deg) = degeneracy_ordering(&g);
-        assert!(deg <= 2);
-        assert_eq!(order.len(), 25);
-    }
-
-    #[test]
-    fn induced_edge_count_on_grid_block() {
-        let g = generators::grid(&[3, 3]).unwrap();
-        // Whole graph: 12 edges.
-        let all: Vec<u32> = g.nodes().collect();
-        assert_eq!(induced_edge_count(&g, &all), 12);
-        // A single row of 3 nodes induces 2 edges.
-        assert_eq!(induced_edge_count(&g, &[0, 1, 2]), 2);
     }
 }

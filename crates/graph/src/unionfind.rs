@@ -70,12 +70,6 @@ impl UnionFind {
     pub fn count_sets(&self) -> usize {
         self.sets
     }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
 }
 
 #[cfg(test)]
@@ -92,8 +86,6 @@ mod tests {
         assert_eq!(uf.count_sets(), 3);
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 3));
-        assert_eq!(uf.set_size(2), 3);
-        assert_eq!(uf.set_size(4), 1);
         assert_eq!(uf.len(), 5);
         assert!(!uf.is_empty());
     }

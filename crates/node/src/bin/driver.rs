@@ -14,6 +14,8 @@
 //! divergence is a non-zero exit.  Timing is printed as telemetry only —
 //! never asserted on.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;

@@ -11,6 +11,8 @@
 //! frame, steps its program at every `Round` barrier, and exits after
 //! answering `Halt` (or when the driver closes the connection).
 
+#![forbid(unsafe_code)]
+
 use std::io;
 use std::net::TcpStream;
 use std::process::ExitCode;

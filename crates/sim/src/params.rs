@@ -130,16 +130,6 @@ impl ModelParams {
         }
     }
 
-    /// The Congested Clique: `HYBRID(0, O(n log n))`.
-    pub fn congested_clique(n: usize) -> Self {
-        ModelParams {
-            n,
-            local: LocalBandwidth::None,
-            global_capacity_msgs: n,
-            id_space: IdSpace::Contiguous,
-        }
-    }
-
     /// Whether the model allows any local communication.
     pub fn has_local(&self) -> bool {
         !matches!(self.local, LocalBandwidth::None)
@@ -201,8 +191,6 @@ mod tests {
         assert!(!congest.has_global());
         let ncc = ModelParams::ncc(100);
         assert!(!ncc.has_local() && ncc.has_global());
-        let cc = ModelParams::congested_clique(100);
-        assert_eq!(cc.global_capacity_msgs, 100);
     }
 
     #[test]

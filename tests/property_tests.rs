@@ -388,13 +388,11 @@ proptest! {
         prop_assert_eq!(blocked, minplus::compose(&matrix, &coeffs, &assign, &init_refs));
     }
 
-    /// The dispatched (min,+) fold kernels (SIMD when the `simd` feature and
-    /// AVX2 are available, scalar otherwise) agree **bit for bit** with the
-    /// always-compiled scalar references on random saturating inputs —
-    /// INFINITY runs, `u64::MAX − k` near-saturation values and ordinary
-    /// finite weights in one accumulator.
+    /// The register-tiled quad (min,+) fold is **bit for bit** four single
+    /// folds on random saturating inputs — INFINITY runs, `u64::MAX − k`
+    /// near-saturation values and ordinary finite weights in one accumulator.
     #[test]
-    fn minplus_fold_kernels_dispatch_equals_scalar(
+    fn minplus_quad_fold_equals_four_single_folds(
         acc0 in prop::collection::vec(
             (0u8..6, 0u64..500).prop_map(|(sel, f)| match sel {
                 0 => INFINITY,
@@ -426,48 +424,14 @@ proptest! {
                 .collect()
         };
         let (r0, r1, r2, r3) = (row(), row(), row(), row());
-        // Single-row fold: dispatch vs scalar.
-        let mut got = acc0.clone();
-        kernel::fold_min_sat(&mut got, &r0, base);
-        let mut want = acc0.clone();
-        kernel::fold_min_sat_scalar(&mut want, &r0, base);
-        prop_assert_eq!(&got, &want);
-        // Quad fold: dispatch vs scalar, same four rows and bases.
         let bases = [base, 0, u64::MAX - 1, base.wrapping_add(1)];
-        let mut got_q = acc0.clone();
-        kernel::fold_min_sat_quad(&mut got_q, [&r0, &r1, &r2, &r3], bases);
-        let mut want_q = acc0.clone();
-        kernel::fold_min_sat_quad_scalar(&mut want_q, [&r0, &r1, &r2, &r3], bases);
-        prop_assert_eq!(&got_q, &want_q);
-        // The quad fold is also exactly four single folds.
+        let mut quad = acc0.clone();
+        kernel::fold_min_sat_quad(&mut quad, [&r0, &r1, &r2, &r3], bases);
         let mut fold4 = acc0.clone();
         for (r, b) in [(&r0, bases[0]), (&r1, bases[1]), (&r2, bases[2]), (&r3, bases[3])] {
-            kernel::fold_min_sat_scalar(&mut fold4, r, b);
+            kernel::fold_min_sat(&mut fold4, r, b);
         }
-        prop_assert_eq!(got_q, fold4);
-    }
-
-    /// The Dial bucket-occupancy scan (SIMD-dispatched) finds exactly the
-    /// same first non-empty slot as the scalar reference on random occupancy
-    /// arrays, including long zero runs and all-zero inputs.
-    #[test]
-    fn dial_scan_simd_matches_scalar(
-        lens in prop::collection::vec(
-            (0u8..7, 1u32..50).prop_map(|(sel, v)| if sel < 6 { 0 } else { v }),
-            0..300,
-        ),
-    ) {
-        use hybrid::graph::dijkstra::bucket_scan;
-        let want = lens.iter().position(|&l| l != 0);
-        prop_assert_eq!(bucket_scan::first_nonzero_scalar(&lens), want);
-        prop_assert_eq!(bucket_scan::first_nonzero(&lens), want);
-        // Every suffix too — the run_dial loop scans from arbitrary offsets.
-        for off in [1usize, 3, 7, 8, 9, 31] {
-            if off <= lens.len() {
-                let tail = &lens[off..];
-                prop_assert_eq!(bucket_scan::first_nonzero(tail), tail.iter().position(|&l| l != 0));
-            }
-        }
+        prop_assert_eq!(quad, fold4);
     }
 
     /// Distance quantization keeps labels within [d, (1+eps)d].
