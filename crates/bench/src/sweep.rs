@@ -393,6 +393,22 @@ pub enum SweepArtifactError {
         /// Rounds of `sqrt-k-baseline`.
         baseline: u64,
     },
+    /// Theorem 1 took more rounds than its envelope `C₁ · NQ_k · ⌈log₂ n⌉²`
+    /// with `C₁ =` [`THEOREM1_C1`].
+    Theorem1OutsideEnvelope {
+        /// Index of the row.
+        row: usize,
+        /// The row's family.
+        family: &'static str,
+        /// The row's node count.
+        n: usize,
+        /// The row's `(λ, γ)` point.
+        point: &'static str,
+        /// Rounds of `theorem1`.
+        theorem1: u64,
+        /// The envelope, in rounds.
+        envelope: u64,
+    },
 }
 
 impl std::fmt::Display for SweepArtifactError {
@@ -423,6 +439,18 @@ impl std::fmt::Display for SweepArtifactError {
                 "row {row} ({family}, n = {n}, {point}): theorem1 took {theorem1} rounds, \
                  more than sqrt-k-baseline's {baseline}"
             ),
+            SweepArtifactError::Theorem1OutsideEnvelope {
+                row,
+                family,
+                n,
+                point,
+                theorem1,
+                envelope,
+            } => write!(
+                f,
+                "row {row} ({family}, n = {n}, {point}): theorem1 took {theorem1} rounds, \
+                 more than its envelope {THEOREM1_C1} · NQ_k · ⌈log₂ n⌉² = {envelope}"
+            ),
         }
     }
 }
@@ -433,10 +461,17 @@ impl std::error::Error for SweepArtifactError {}
 /// carries (ours + the two rivals).
 pub const MIN_ALGORITHMS_PER_ROW: usize = 3;
 
+/// The constant of Theorem 1's envelope: `theorem1` takes at most
+/// `THEOREM1_C1 · NQ_k · ⌈log₂ n⌉²` rounds.  The worst cell needs 2.28 on
+/// the quick grid (chung-lu, n = 64, scarce-global: 328 rounds at `NQ_k =
+/// 4`) and 1.84 on the full grid.
+pub const THEOREM1_C1: u64 = 3;
+
 /// Checks a full-registry shootout: at least one row, every row's
 /// `dissemination` and `kssp` columns carrying at least
-/// [`MIN_ALGORITHMS_PER_ROW`] contenders each, every `ratio` finite, and
-/// `theorem1` never slower than `sqrt-k-baseline`.
+/// [`MIN_ALGORITHMS_PER_ROW`] contenders each, every `ratio` finite,
+/// `theorem1` never slower than `sqrt-k-baseline`, and `theorem1` within
+/// its envelope (see [`THEOREM1_C1`]).
 pub fn check_shootout(rows: &[SweepRow]) -> Result<(), SweepArtifactError> {
     if rows.is_empty() {
         return Err(SweepArtifactError::Empty);
@@ -470,6 +505,20 @@ pub fn check_shootout(rows: &[SweepRow]) -> Result<(), SweepArtifactError> {
                     point: r.point,
                     theorem1: t1.rounds,
                     baseline: base.rounds,
+                });
+            }
+        }
+        if let Some(t1) = cell("theorem1") {
+            let log_n = ModelParams::log_n(r.n) as u64;
+            let envelope = THEOREM1_C1 * r.nq_k * log_n * log_n;
+            if t1.rounds > envelope {
+                return Err(SweepArtifactError::Theorem1OutsideEnvelope {
+                    row,
+                    family: r.family,
+                    n: r.n,
+                    point: r.point,
+                    theorem1: t1.rounds,
+                    envelope,
                 });
             }
         }
@@ -678,5 +727,41 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("row 1 (cycle, n = 64"), "{err}");
+    }
+
+    #[test]
+    fn a_theorem1_row_outside_its_envelope_is_named() {
+        let config = SweepConfig {
+            grid: Grid::new(&[GraphFamily::Cycle], &[64], 1),
+            points: vec![SweepPoint::HYBRID],
+        };
+        let mut rows = sweep_rows(&config);
+        // n = 64: ⌈log₂ n⌉² = 36.
+        let envelope = THEOREM1_C1 * rows[0].nq_k * 36;
+        let set_rounds = |rows: &mut [SweepRow], rounds| {
+            for c in &mut rows[0].dissemination {
+                if c.algorithm == "theorem1" || c.algorithm == "sqrt-k-baseline" {
+                    c.rounds = rounds;
+                }
+            }
+        };
+        // On the envelope is inside it; one round more is not, even when
+        // the baseline is as slow.
+        set_rounds(&mut rows, envelope);
+        check_shootout(&rows).unwrap();
+        set_rounds(&mut rows, envelope + 1);
+        let err = check_shootout(&rows).unwrap_err();
+        assert_eq!(
+            err,
+            SweepArtifactError::Theorem1OutsideEnvelope {
+                row: 0,
+                family: "cycle",
+                n: 64,
+                point: rows[0].point,
+                theorem1: envelope + 1,
+                envelope,
+            }
+        );
+        assert!(err.to_string().contains("row 0 (cycle, n = 64"), "{err}");
     }
 }

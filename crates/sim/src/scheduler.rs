@@ -44,19 +44,31 @@
 //!
 //! # Representation
 //!
-//! A batch reaches the scheduler as counted runs: `(from, to, count)`
-//! entries, `count` messages each.  A message list is the case `count = 1`
-//! ([`GlobalScheduler::deliver_with`]); a [`RoundRobin`] transfer — Lemma
-//! 4.1's rule, unit `i` from `senders[i mod |S|]` to `receivers[i mod |R|]`
-//! — is `min(units, lcm(|S|, |R|))` entries however many units it carries
-//! ([`GlobalScheduler::deliver_round_robin`]).  One counting sort buckets the
-//! entries by sender into a flat arena, and each bucket is sorted by receiver
-//! and merged into `(receiver, count)` runs; the pending queue is the live
-//! sub-range `[seg_lo, seg_hi)` of those runs.  Setup touches only the
-//! batch's endpoints: per-node counters are reset sparsely from the previous
-//! batch's endpoint lists, and the first round's sender order is the sorted
-//! distinct senders — a batch costs `O(entries · log bucket + endpoints ·
-//! log endpoints)` to set up, not `O(n)`.
+//! Each sender's pending queue is a list of receiver-sorted `(receiver,
+//! count)` runs, one per distinct receiver however many messages it
+//! carries; the queues share one flat arena, each the live sub-range
+//! `[seg_lo, seg_hi)` of its sender's bucket.  Set-up builds the runs
+//! receiver-major.  It tallies every endpoint's load and how many entries
+//! (`(sender, receiver, count)` pieces of the batch) each one takes part
+//! in, lays the buckets out over the ascending distinct senders, and groups
+//! the entries by receiver with one counting sort.  It then visits the
+//! receivers in ascending id and appends each entry to its sender's bucket,
+//! adding it to the bucket's last run when that run has the same receiver.
+//! Every bucket thus comes out receiver-sorted and merged, and no entry is
+//! compared with another.
+//!
+//! A message list ([`GlobalScheduler::deliver_with`]) is one entry per
+//! message.  A [`RoundRobin`] transfer — Lemma 4.1's rule, unit `i` from
+//! `senders[i mod |S|]` to `receivers[i mod |R|]` — never lists its units
+//! ([`GlobalScheduler::deliver_round_robin`]).  Unit `i` and unit `i +
+//! lcm(|S|, |R|)` share their endpoints, so entry `i < P = min(units,
+//! lcm)` carries `⌈(units − i) / lcm⌉` messages.  Loads and bucket sizes
+//! follow in closed form: `senders[j]` sends `⌈(units − j) / |S|⌉` messages
+//! in `⌈(P − j) / |S|⌉` entries, and `receivers[k]` receives `⌈(units − k)
+//! / |R|⌉` messages, in entries `i = k, k + |R|, …` below `P`.  Set-up
+//! touches only the batch's endpoints (per-node counters are reset sparsely
+//! from the previous batch's endpoint lists) and costs `O(entries +
+//! endpoints · log endpoints)`, not `O(n)`.
 //!
 //! A round scans the live runs with two cursors: deferred runs are
 //! compacted in place behind the read cursor, and when the send budget runs
@@ -107,10 +119,9 @@ pub struct RoundRobin<'a> {
 }
 
 impl RoundRobin<'_> {
-    /// Every unit's `(sender, receiver)` in unit order, endlessly.  Panics
-    /// unless a transfer with units has carriers on both ends; `index` names
-    /// it in the batch.
-    fn hops(&self, index: usize) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
+    /// Panics unless a transfer with units has carriers on both ends;
+    /// `index` names it in the batch.
+    fn check_carriers(&self, index: usize) {
         for (side, carriers) in [("senders", self.senders), ("receivers", self.receivers)] {
             assert!(
                 self.units == 0 || !carriers.is_empty(),
@@ -118,26 +129,28 @@ impl RoundRobin<'_> {
                 self.units
             );
         }
-        let senders = self.senders.iter().copied().cycle();
-        senders.zip(self.receivers.iter().copied().cycle())
     }
 
     /// The transfer as its unit-order message list: message `i` is unit `i`.
     pub(crate) fn messages(&self, index: usize) -> impl Iterator<Item = GlobalMessage> + '_ {
-        let hops = self.hops(index).take(self.units);
-        hops.map(|(from, to)| GlobalMessage::new(from, to))
+        self.check_carriers(index);
+        let senders = self.senders.iter().copied().cycle();
+        let hops = senders.zip(self.receivers.iter().copied().cycle());
+        hops.take(self.units)
+            .map(|(from, to)| GlobalMessage::new(from, to))
     }
 
-    /// The transfer as counted runs: unit `i` and unit `i + lcm(|S|, |R|)`
-    /// share their endpoints, so entry `i < min(units, lcm)` carries
-    /// `⌈(units − i) / lcm⌉` messages.
-    fn entries(&self, index: usize) -> impl Iterator<Item = (u32, u32, u32)> + Clone + '_ {
-        let hops = self.hops(index);
-        // An empty transfer may have empty carriers: no lcm to take.
-        let period = match self.units {
-            0 => 1,
-            units => pair_period(self.senders.len(), self.receivers.len(), units),
-        };
+    /// The transfer as counted entries: unit `i` and unit `i + lcm(|S|,
+    /// |R|)` share their endpoints.  Panics like `check_carriers`, and if
+    /// one (sender, receiver) pair would carry more than `u32::MAX`
+    /// messages.
+    fn layout(&self, index: usize) -> Layout {
+        self.check_carriers(index);
+        if self.units == 0 {
+            // An empty transfer may have empty carriers: no lcm to take.
+            return Layout::default();
+        }
+        let period = pair_period(self.senders.len(), self.receivers.len(), self.units);
         let (full, extra) = (self.units / period, self.units % period);
         let most = full + usize::from(extra > 0);
         assert!(
@@ -145,9 +158,21 @@ impl RoundRobin<'_> {
             "round-robin transfer {index}: {most} messages on one (sender, receiver) pair \
              exceed the scheduler's u32 run count"
         );
-        let runs = hops.take(self.units.min(period)).enumerate();
-        runs.map(move |(i, (from, to))| (from, to, (full + usize::from(i < extra)) as u32))
+        Layout {
+            entries: self.units.min(period),
+            full: full as u32,
+            extra,
+        }
     }
+}
+
+/// A round-robin transfer's counted entries: entry `i < entries` carries
+/// `full + 1` messages below `extra` and `full` from there on.
+#[derive(Debug, Clone, Copy, Default)]
+struct Layout {
+    entries: usize,
+    full: u32,
+    extra: usize,
 }
 
 /// After how many units a round-robin over `senders` and `receivers`
@@ -200,20 +225,33 @@ pub struct GlobalScheduler {
     /// Live-range start per sender in `runs` (advances as runs drain).
     seg_lo: Vec<u32>,
     /// Live-range end per sender in `runs` (shrinks when a full scan
-    /// compacts in place); the bucket size, then the placement cursor,
-    /// while a batch is bucketed.
+    /// compacts in place); the entry count, then the append cursor, while
+    /// a batch is set up.
     seg_hi: Vec<u32>,
+    /// The batch grouped by receiver (ascending): a message list's
+    /// `(sender, 1)` entries, a transfer's `(transfer, receiver position)`.
+    slots: Vec<(u32, u32)>,
+    /// Slot-range end per receiver in `slots`; the slot count, then the
+    /// placement cursor, while the slots are grouped.
+    slot_hi: Vec<u32>,
+    /// Each transfer's entries, while a round-robin batch is set up.
+    layouts: Vec<Layout>,
     /// Per-node loads of the current batch; zero outside its endpoints.
     send_load: Vec<u64>,
     recv_load: Vec<u64>,
-    recv_budget: Vec<u64>,
-    /// The batch's distinct senders (ascending once bucketed) and
-    /// receivers: what the next batch resets.
+    /// Messages each node has received in the current round.
+    recv_budget: Vec<u32>,
+    /// The batch's distinct senders and receivers (ascending once laid
+    /// out): what the next batch resets.  These five lists hold distinct
+    /// nodes and are reserved to `n` once.
     senders: Vec<u32>,
     receivers: Vec<u32>,
     recv_dirty: Vec<u32>,
     active: Vec<u32>,
     next_active: Vec<u32>,
+    /// The tallied batch's messages and entries.
+    messages: u64,
+    entries: u32,
 }
 
 impl GlobalScheduler {
@@ -245,7 +283,8 @@ impl GlobalScheduler {
         params: &ModelParams,
         messages: &[GlobalMessage],
     ) -> DeliveryReport {
-        self.schedule(params, messages.iter().map(|m| (m.from, m.to, 1)), None)
+        self.set_up_list(params, messages);
+        self.play(params, |_, _, _, _| {})
     }
 
     /// Like [`GlobalScheduler::deliver_with`], but additionally appends every
@@ -258,11 +297,11 @@ impl GlobalScheduler {
         messages: &[GlobalMessage],
         trace: &mut Vec<(u64, GlobalMessage)>,
     ) -> DeliveryReport {
-        self.schedule(
-            params,
-            messages.iter().map(|m| (m.from, m.to, 1)),
-            Some(trace),
-        )
+        self.set_up_list(params, messages);
+        self.play(params, |round, from, to, k| {
+            let message = (round, GlobalMessage::new(from, to));
+            trace.extend(std::iter::repeat_n(message, k as usize));
+        })
     }
 
     /// Plays the transfers as one batch: the same schedule, bit for bit, as
@@ -279,30 +318,78 @@ impl GlobalScheduler {
         params: &ModelParams,
         transfers: &[RoundRobin],
     ) -> DeliveryReport {
-        let entries = transfers
-            .iter()
-            .enumerate()
-            .flat_map(|(t, rr)| rr.entries(t));
-        self.schedule(params, entries, None)
+        self.set_up_round_robin(params, transfers);
+        self.play(params, |_, _, _, _| {})
     }
 
-    /// The one scheduling core: plays `(from, to, count)` entries — `count`
-    /// messages each — round by round.  `entries` is walked twice (count,
-    /// then place), so it must yield the same sequence both times.
-    fn schedule(
-        &mut self,
-        params: &ModelParams,
-        entries: impl Iterator<Item = (u32, u32, u32)> + Clone,
-        mut trace: Option<&mut Vec<(u64, GlobalMessage)>>,
-    ) -> DeliveryReport {
+    /// Sets a message list up as per-sender runs.
+    fn set_up_list(&mut self, params: &ModelParams, messages: &[GlobalMessage]) {
         let n = params.n;
-        let gamma = params.global_capacity_msgs as u64;
+        self.begin(n);
+        for m in messages {
+            assert!((m.from as usize) < n, "sender {} out of range", m.from);
+            assert!((m.to as usize) < n, "receiver {} out of range", m.to);
+            self.add_sender(m.from, 1, 1);
+            self.add_receiver(m.to, 1, 1);
+        }
+        self.lay_out(params);
+        for m in messages {
+            self.place(m.to, (m.from, 1));
+        }
+        self.fill(|sched, to, (from, count)| sched.append(from, to, count));
+    }
 
-        // --- Sparse reset: only the previous batch's endpoints are dirty. ---
+    /// Sets round-robin transfers up as per-sender runs, from the closed
+    /// forms of the module docs.
+    fn set_up_round_robin(&mut self, params: &ModelParams, transfers: &[RoundRobin]) {
+        let n = params.n;
+        self.begin(n);
+        self.layouts.clear();
+        for (t, rr) in transfers.iter().enumerate() {
+            let layout = rr.layout(t);
+            self.layouts.push(layout);
+            let (units, senders, receivers) = (rr.units, rr.senders.len(), rr.receivers.len());
+            for (j, &s) in rr.senders.iter().enumerate().take(units) {
+                assert!((s as usize) < n, "sender {s} out of range");
+                let entries = (layout.entries - j).div_ceil(senders);
+                self.add_sender(s, (units - j).div_ceil(senders) as u64, entries);
+            }
+            for (k, &r) in rr.receivers.iter().enumerate().take(units) {
+                assert!((r as usize) < n, "receiver {r} out of range");
+                self.add_receiver(r, (units - k).div_ceil(receivers) as u64, 1);
+            }
+        }
+        self.lay_out(params);
+        for (t, rr) in transfers.iter().enumerate() {
+            for (k, &r) in rr.receivers.iter().enumerate().take(rr.units) {
+                self.place(r, (t as u32, k as u32));
+            }
+        }
+        self.fill(|sched, to, (t, k)| {
+            let (rr, layout) = (&transfers[t as usize], sched.layouts[t as usize]);
+            let (senders, receivers) = (rr.senders.len(), rr.receivers.len());
+            // Entry `i` comes from `senders[i mod |S|]`; stepping `i` by
+            // `|R|` steps that index by `|R| mod |S|`.
+            let step = receivers % senders;
+            let (mut i, mut j) = (k as usize, k as usize % senders);
+            while i < layout.entries {
+                let count = layout.full + u32::from(i < layout.extra);
+                sched.append(rr.senders[j], to, count);
+                i += receivers;
+                j += step;
+                if j >= senders {
+                    j -= senders;
+                }
+            }
+        });
+    }
+
+    /// Starts a batch on `n` nodes: clears only what the previous batch
+    /// touched.
+    fn begin(&mut self, n: usize) {
         let dirty = [
             (&mut self.send_load, &mut self.senders),
             (&mut self.recv_load, &mut self.receivers),
-            (&mut self.recv_budget, &mut self.recv_dirty),
         ];
         for (loads, nodes) in dirty {
             loads.resize(loads.len().max(n), 0);
@@ -310,44 +397,67 @@ impl GlobalScheduler {
                 loads[v as usize] = 0;
             }
         }
-        for segments in [&mut self.seg_lo, &mut self.seg_hi] {
-            segments.resize(segments.len().max(n), 0);
+        self.recv_budget.resize(self.recv_budget.len().max(n), 0);
+        for v in self.recv_dirty.drain(..) {
+            self.recv_budget[v as usize] = 0;
         }
+        for per_node in [&mut self.seg_lo, &mut self.seg_hi, &mut self.slot_hi] {
+            per_node.resize(per_node.len().max(n), 0);
+        }
+        let lists = [
+            &mut self.senders,
+            &mut self.receivers,
+            &mut self.recv_dirty,
+            &mut self.active,
+            &mut self.next_active,
+        ];
+        for list in lists {
+            list.reserve(n);
+        }
+        (self.messages, self.entries) = (0, 0);
+    }
 
-        // --- Count loads, endpoints and each sender's bucket size. ---
-        let (mut messages, mut len) = (0u64, 0u32);
-        for (from, to, count) in entries.clone() {
-            if count == 0 {
-                continue;
-            }
-            assert!((from as usize) < n, "sender {from} out of range");
-            assert!((to as usize) < n, "receiver {to} out of range");
-            len = len
-                .checked_add(1)
-                .expect("batch exceeds the scheduler's u32 run index space");
-            let (s, r) = (from as usize, to as usize);
-            if self.send_load[s] == 0 {
-                self.senders.push(from);
-                self.seg_hi[s] = 0;
-            }
-            self.send_load[s] += u64::from(count);
-            self.seg_hi[s] += 1;
-            if self.recv_load[r] == 0 {
-                self.receivers.push(to);
-            }
-            self.recv_load[r] += u64::from(count);
-            messages += u64::from(count);
+    /// Tallies `load` messages from `s`, in `entries` entries.
+    fn add_sender(&mut self, s: u32, load: u64, entries: usize) {
+        self.entries = u32::try_from(entries)
+            .ok()
+            .and_then(|entries| self.entries.checked_add(entries))
+            .expect("batch exceeds the scheduler's u32 run index space");
+        let v = s as usize;
+        if self.send_load[v] == 0 {
+            self.senders.push(s);
+            self.seg_hi[v] = 0;
         }
-        if messages == 0 {
-            return DeliveryReport::default();
+        self.send_load[v] += load;
+        self.seg_hi[v] += entries as u32;
+        self.messages += load;
+    }
+
+    /// Tallies `load` messages to `r`, reached through `slots` slots.
+    fn add_receiver(&mut self, r: u32, load: u64, slots: u32) {
+        let v = r as usize;
+        if self.recv_load[v] == 0 {
+            self.receivers.push(r);
+            self.slot_hi[v] = 0;
         }
+        self.recv_load[v] += load;
+        self.slot_hi[v] += slots;
+    }
+
+    /// Lays the tallied batch out: each sender's bucket and each receiver's
+    /// slot range, over the ascending distinct senders and receivers, every
+    /// cursor at its range's start.
+    ///
+    /// # Panics
+    /// Panics if the batch has messages but the model no global capacity.
+    fn lay_out(&mut self, params: &ModelParams) {
         assert!(
-            gamma > 0,
-            "model has no global communication but {messages} global messages were scheduled"
+            self.messages == 0 || params.global_capacity_msgs > 0,
+            "model has no global communication but {} global messages were scheduled",
+            self.messages
         );
-
-        // --- Bucket by sender (one counting sort over ascending senders). ---
         self.senders.sort_unstable();
+        self.receivers.sort_unstable();
         let mut end = 0;
         for &s in &self.senders {
             let s = s as usize;
@@ -356,41 +466,73 @@ impl GlobalScheduler {
             self.seg_hi[s] = self.seg_lo[s];
         }
         self.runs.clear();
-        self.runs.resize(len as usize, (0, 0));
-        for (from, to, count) in entries {
-            if count > 0 {
-                let cursor = &mut self.seg_hi[from as usize];
-                self.runs[*cursor as usize] = (to, count);
-                *cursor += 1;
-            }
+        self.runs.resize(end as usize, (0, 0));
+        let mut end = 0;
+        for &r in &self.receivers {
+            let slots = self.slot_hi[r as usize];
+            self.slot_hi[r as usize] = end;
+            end += slots;
         }
-        // --- Merge each bucket into receiver-sorted (to, count) runs. ---
-        // A hot receiver then costs one run entry per round instead of one
-        // queue entry per message: a convergecast-style batch (many senders,
-        // each with a large all-to-one queue) schedules in O(senders) work
-        // per round rather than O(pending messages) per round.
-        for &s in &self.senders {
-            let lo = self.seg_lo[s as usize] as usize;
-            let bucket = &mut self.runs[lo..self.seg_hi[s as usize] as usize];
-            bucket.sort_unstable_by_key(|&(to, _)| to);
-            let mut w = 0;
-            for i in 0..bucket.len() {
-                let (to, count) = bucket[i];
-                if w > 0 && bucket[w - 1].0 == to {
-                    let merged = bucket[w - 1].1;
-                    bucket[w - 1].1 = merged.checked_add(count).unwrap_or_else(|| {
-                        panic!(
-                            "{merged} + {count} messages from sender {s} to receiver {to} \
-                             exceed the scheduler's u32 run count"
-                        )
-                    });
-                } else {
-                    bucket[w] = (to, count);
-                    w += 1;
-                }
+        self.slots.clear();
+        self.slots.resize(end as usize, (0, 0));
+    }
+
+    /// Puts one of receiver `r`'s slots in place.
+    fn place(&mut self, r: u32, slot: (u32, u32)) {
+        let cursor = &mut self.slot_hi[r as usize];
+        self.slots[*cursor as usize] = slot;
+        *cursor += 1;
+    }
+
+    /// Visits the receivers in ascending id and hands each of their slots
+    /// to `expand(self, receiver, slot)`, which appends its entries.
+    fn fill(&mut self, mut expand: impl FnMut(&mut Self, u32, (u32, u32))) {
+        let mut lo = 0;
+        for idx in 0..self.receivers.len() {
+            let to = self.receivers[idx];
+            let hi = self.slot_hi[to as usize] as usize;
+            for slot in lo..hi {
+                expand(self, to, self.slots[slot]);
             }
-            self.seg_hi[s as usize] = (lo + w) as u32;
+            lo = hi;
         }
+    }
+
+    /// Appends `count` messages from `from` to `to` to the bucket of
+    /// `from`, adding them to its last run if that run goes to `to` too.
+    fn append(&mut self, from: u32, to: u32, count: u32) {
+        let s = from as usize;
+        let hi = self.seg_hi[s] as usize;
+        if hi > self.seg_lo[s] as usize && self.runs[hi - 1].0 == to {
+            let merged = self.runs[hi - 1].1;
+            self.runs[hi - 1].1 = merged.checked_add(count).unwrap_or_else(|| {
+                panic!(
+                    "{merged} + {count} messages from sender {from} to receiver {to} \
+                     exceed the scheduler's u32 run count"
+                )
+            });
+        } else {
+            self.runs[hi] = (to, count);
+            self.seg_hi[s] += 1;
+        }
+    }
+
+    /// Plays the laid-out batch round by round; `delivered(round, from, to,
+    /// k)` sees every `k` messages delivered together.  The trace-free paths
+    /// pass a no-op, so their loop carries no trace.
+    fn play(
+        &mut self,
+        params: &ModelParams,
+        mut delivered: impl FnMut(u64, u32, u32, u32),
+    ) -> DeliveryReport {
+        let messages = self.messages;
+        if messages == 0 {
+            return DeliveryReport::default();
+        }
+        // No node sends or receives more than the whole batch in a round,
+        // so capping γ at the batch size leaves every schedule as it is.
+        let gamma = (params.global_capacity_msgs as u64).min(messages);
+        let gamma = u32::try_from(gamma).expect("γ and the batch exceed u32 messages per round");
         let max_load = |nodes: &[u32], load: &[u64]| {
             nodes.iter().map(|&v| load[v as usize]).max().unwrap_or(0)
         };
@@ -403,7 +545,7 @@ impl GlobalScheduler {
 
         let mut remaining = messages;
         let mut rounds = 0u64;
-        let mut max_received_in_a_round = 0u64;
+        let mut max_received_in_a_round = 0u32;
 
         while remaining > 0 {
             rounds += 1;
@@ -424,39 +566,33 @@ impl GlobalScheduler {
                 // this never clobbers an unscanned run).
                 let mut r = lo;
                 let mut w = lo;
-                let mut sent = 0u64;
+                let mut sent = 0u32;
                 while r < hi && sent < gamma {
                     let (to, count) = self.runs[r];
                     r += 1;
-                    let to_usize = to as usize;
-                    let residual = gamma - self.recv_budget[to_usize];
+                    let received = &mut self.recv_budget[to as usize];
                     // How many of this run fit this round: limited by the
                     // receiver's residual budget and the sender's own budget.
-                    let k = (count as u64).min(residual).min(gamma - sent);
+                    let k = count.min(gamma - *received).min(gamma - sent);
                     if k > 0 {
-                        if self.recv_budget[to_usize] == 0 {
+                        if *received == 0 {
                             self.recv_dirty.push(to);
                         }
-                        self.recv_budget[to_usize] += k;
-                        max_received_in_a_round =
-                            max_received_in_a_round.max(self.recv_budget[to_usize]);
+                        *received += k;
+                        max_received_in_a_round = max_received_in_a_round.max(*received);
                         sent += k;
-                        remaining -= k;
-                        if let Some(t) = trace.as_deref_mut() {
-                            for _ in 0..k {
-                                t.push((rounds, GlobalMessage::new(sender as u32, to)));
-                            }
-                        }
+                        delivered(rounds, sender as u32, to, k);
                     }
-                    if (k as u32) < count {
+                    if k < count {
                         // Receiver saturated (or send budget spent): keep the
                         // remainder of the run for a later round, but keep
                         // scanning — deliverable runs further back must not
                         // be blocked by this one.
-                        self.runs[w] = (to, count - k as u32);
+                        self.runs[w] = (to, count - k);
                         w += 1;
                     }
                 }
+                remaining -= u64::from(sent);
                 let deferred = w - lo;
                 if r < hi {
                     // Send budget spent mid-queue: slide the (small) deferred
@@ -490,7 +626,7 @@ impl GlobalScheduler {
             messages,
             max_send_load,
             max_recv_load,
-            max_received_in_a_round,
+            max_received_in_a_round: u64::from(max_received_in_a_round),
             faults: FaultCounts::default(),
         }
     }
@@ -801,11 +937,14 @@ mod tests {
     }
 
     /// Every workspace buffer's capacity.
-    fn capacities(s: &GlobalScheduler) -> [usize; 11] {
+    fn capacities(s: &GlobalScheduler) -> [usize; 14] {
         [
             s.runs.capacity(),
             s.seg_lo.capacity(),
             s.seg_hi.capacity(),
+            s.slots.capacity(),
+            s.slot_hi.capacity(),
+            s.layouts.capacity(),
             s.send_load.capacity(),
             s.recv_load.capacity(),
             s.recv_budget.capacity(),
@@ -863,28 +1002,67 @@ mod tests {
         }
     }
 
+    impl GlobalScheduler {
+        /// The laid-out batch as `(sender, receiver, count)` runs, sender
+        /// by sender.
+        fn runs_by_sender(&self) -> Vec<(u32, u32, u32)> {
+            let bucket = |s: u32| {
+                let range = self.seg_lo[s as usize] as usize..self.seg_hi[s as usize] as usize;
+                self.runs[range]
+                    .iter()
+                    .map(move |&(to, count)| (s, to, count))
+            };
+            self.senders.iter().flat_map(|&s| bucket(s)).collect()
+        }
+    }
+
     #[test]
     fn a_transfer_is_one_counted_run_per_pair() {
+        let p = params(8, 2);
+        let mut sched = GlobalScheduler::new();
         // lcm(2, 3) = 6 pairs; 13 units: pair 0 carries 3, the others 2.
-        let entries: Vec<_> = rr(&[0, 1], &[2, 3, 4], 13).entries(0).collect();
+        sched.set_up_round_robin(&p, &[rr(&[0, 1], &[2, 3, 4], 13)]);
         let pairs = [
             (0, 2, 3),
-            (1, 3, 2),
+            (0, 3, 2),
             (0, 4, 2),
             (1, 2, 2),
-            (0, 3, 2),
+            (1, 3, 2),
             (1, 4, 2),
         ];
-        assert_eq!(entries, pairs);
-        // Fewer units than pairs: one message each.
-        let entries: Vec<_> = rr(&[0, 1], &[2, 3, 4], 4).entries(0).collect();
+        assert_eq!(sched.runs_by_sender(), pairs);
+        // Fewer units than pairs: one message each, on units 0..4.
+        sched.set_up_round_robin(&p, &[rr(&[0, 1], &[2, 3, 4], 4)]);
         assert_eq!(
-            entries,
-            pairs[..4]
-                .iter()
-                .map(|&(s, r, _)| (s, r, 1))
-                .collect::<Vec<_>>()
+            sched.runs_by_sender(),
+            [(0, 2, 1), (0, 4, 1), (1, 2, 1), (1, 3, 1)]
         );
+    }
+
+    #[test]
+    fn a_senders_runs_merge_across_interleaved_transfers() {
+        // Sender 0 reaches receivers 6 2 6 2 6 in one transfer and 4 8 2 4
+        // in the other (units 0, 2, 4, 6), receiver ids that interleave.
+        let transfers = [rr(&[0], &[6, 2], 5), rr(&[0, 1], &[4, 2, 8], 7)];
+        let mut sched = GlobalScheduler::new();
+        sched.set_up_round_robin(&params(10, 2), &transfers);
+        assert_eq!(
+            sched.runs_by_sender(),
+            [
+                (0, 2, 2 + 1),
+                (0, 4, 2),
+                (0, 6, 3),
+                (0, 8, 1),
+                (1, 2, 1),
+                (1, 4, 1),
+                (1, 8, 1),
+            ]
+        );
+        let list: Vec<GlobalMessage> = transfers.iter().flat_map(|t| t.messages(0)).collect();
+        sched.set_up_list(&params(10, 2), &list);
+        let by_list = sched.runs_by_sender();
+        sched.set_up_round_robin(&params(10, 2), &transfers);
+        assert_eq!(sched.runs_by_sender(), by_list);
     }
 
     #[test]

@@ -249,6 +249,8 @@ proptest! {
     /// takes them as counted runs, and under a lossy `FaultPlan`, whose fates
     /// are keyed by message index.  Carrier sizes 1..=40 are equal, nested
     /// or coprime, `units` runs over `0..=3·lcm+1`, and transfers share
+    /// carriers.  A pool is shuffled, and one in three lists a node twice:
+    /// the counted-run set-up may rely on neither sorted nor distinct
     /// carriers.
     #[test]
     fn round_robin_transfers_match_their_message_lists(
@@ -259,6 +261,7 @@ proptest! {
     ) {
         use hybrid::core::prob::sample_distinct;
         use hybrid::sim::{EngineConfig, FaultPlan, FaultSpec, RoundRobin};
+        use rand::seq::SliceRandom;
         use rand::Rng;
         let n = 96;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -275,7 +278,15 @@ proptest! {
         let c = rng.gen_range(1..=40usize);
         let pool: Vec<Vec<u32>> = [a, b, c]
             .iter()
-            .map(|&size| sample_distinct(n, size, &mut rng))
+            .map(|&size| {
+                let mut carriers = sample_distinct(n, size, &mut rng);
+                carriers.shuffle(&mut rng);
+                if size > 1 && rng.gen_range(0..3u8) == 0 {
+                    let twice = carriers[rng.gen_range(0..size)];
+                    carriers[rng.gen_range(0..size)] = twice;
+                }
+                carriers
+            })
             .collect();
         let transfers: Vec<RoundRobin> = (0..len)
             .map(|_| {
