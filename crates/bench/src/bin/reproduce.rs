@@ -1,9 +1,11 @@
 //! `reproduce` — regenerates the paper's tables and figures as round-count
-//! tables, printing them in a paper-like layout and writing machine-readable
-//! JSON into `results/`.  Every artifact is a pure function of (target,
+//! tables.  Each target serializes its rows once; [`render`] prints that
+//! tree as a table whose header is the rows' JSON keys, and the same tree is
+//! written to `results/<artifact>.json`, so the console and the artifact name
+//! every field alike.  Every artifact is a pure function of (target,
 //! `--quick`, seed): byte-identical from run to run and at every
-//! `RAYON_NUM_THREADS`.  Wall-clock performance is not measured here — that
-//! is `benchmark/run.sh`.
+//! `RAYON_NUM_THREADS`, and so is the printed table.  Wall-clock performance
+//! is not measured here — that is `benchmark/run.sh`.
 //!
 //! ```text
 //! cargo run --release -p hybrid-bench --bin reproduce -- [<target>|all] [--quick]
@@ -34,7 +36,7 @@ use hybrid_bench::scenarios::{
     appendix_b_rows, figure1_rows, table1_rows, table2_rows, table3_rows, table4_rows,
 };
 use hybrid_bench::sweep::{check_shootout, sweep_rows, SweepConfig, SweepRow};
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// One reproduction target.
 struct Target {
@@ -115,12 +117,17 @@ fn at(path: &Path, err: io::Error) -> io::Error {
     io::Error::new(err.kind(), format!("{}: {err}", path.display()))
 }
 
-/// Writes `results/<name>.json`.  Every failure is returned, naming its
-/// path: an artifact generator must not exit 0 without its artifacts.
-fn write_json<T: Serialize>(name: &str, rows: &T) -> io::Result<()> {
+/// Prints `title` and the target's rows as one table ([`render`]) and
+/// writes the same serialized rows to `results/<artifact>.json`.  Every
+/// failure is returned, naming its path: an artifact generator must not exit
+/// 0 without its artifacts.
+fn emit(title: &str, artifact: &str, rows: &impl Serialize) -> io::Result<()> {
+    let rows = rows.to_value();
+    println!("\n=== {title} ===");
+    print!("{}", render(&rows));
     let dir = Path::new("results");
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(rows)
+    let path = dir.join(format!("{artifact}.json"));
+    let json = serde_json::to_string_pretty(&rows)
         .map_err(|err| at(&path, io::Error::new(io::ErrorKind::InvalidData, err)))?;
     fs::create_dir_all(dir).map_err(|err| at(dir, err))?;
     fs::write(&path, &json).map_err(|err| at(&path, err))?;
@@ -128,248 +135,155 @@ fn write_json<T: Serialize>(name: &str, rows: &T) -> io::Result<()> {
     Ok(())
 }
 
+/// The console form of a serialized target: a header of the first row's
+/// keys, in order, then one line per row (a single object is a one-row
+/// table), each column padded to its widest cell — string columns
+/// left-aligned, the rest right-aligned.  A row's array of objects is
+/// followed by one indented `key: field=value ...` line per element.
+fn render(rows: &Value) -> String {
+    let rows = match rows {
+        Value::Array(rows) => rows.as_slice(),
+        row => std::slice::from_ref(row),
+    };
+    let Some(Value::Object(first)) = rows.first() else {
+        return String::new();
+    };
+    let header: Vec<String> = first.iter().map(|(key, _)| key.clone()).collect();
+    let lines: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            header
+                .iter()
+                .map(|key| row.get(key).map_or_else(|| "-".to_string(), cell))
+                .collect()
+        })
+        .collect();
+    let widths: Vec<usize> = (0..header.len())
+        .map(|c| {
+            lines
+                .iter()
+                .map(|line| line[c].chars().count())
+                .fold(header[c].len(), usize::max)
+        })
+        .collect();
+    let pad = |line: &[String]| {
+        let padded: Vec<String> = (line.iter().zip(first).zip(&widths))
+            .map(|((text, (_, value)), &w)| match value {
+                Value::Str(_) => format!("{text:<w$}"),
+                _ => format!("{text:>w$}"),
+            })
+            .collect();
+        padded.join("  ").trim_end().to_string() + "\n"
+    };
+    let mut out = pad(&header);
+    for (row, line) in rows.iter().zip(&lines) {
+        out += &pad(line);
+        let Value::Object(fields) = row else { continue };
+        for (key, value) in fields {
+            for item in value.as_array().unwrap_or_default() {
+                if let Value::Object(item) = item {
+                    let pairs: Vec<String> = item
+                        .iter()
+                        .map(|(k, v)| format!("{k}={}", cell(v)))
+                        .collect();
+                    out += &format!("    {key}: {}\n", pairs.join("  "));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// One table cell: floats to three decimals, `-` for `null` (and for the
+/// non-finite floats JSON writes as `null`), a string unquoted, `[N]` for an
+/// array of `N` elements, and booleans and integers as their JSON text.
+fn cell(value: &Value) -> String {
+    match value {
+        Value::Float(x) if x.is_finite() => format!("{x:.3}"),
+        Value::Null | Value::Float(_) => "-".to_string(),
+        Value::Str(text) => text.clone(),
+        Value::Array(items) => format!("[{}]", items.len()),
+        other => serde_json::to_string(other).expect("a JSON value always renders"),
+    }
+}
+
 fn run_table1(cli: &Cli) -> io::Result<()> {
     let n = if cli.quick { 256 } else { 1024 };
-    let ks: Vec<u64> = if cli.quick {
-        vec![16, 64, 256]
+    let ks: &[u64] = if cli.quick {
+        &[16, 64, 256]
     } else {
-        vec![16, 64, 256, 1024]
+        &[16, 64, 256, 1024]
     };
-    println!("\n=== Table 1: information dissemination (n = {n}) ===");
-    println!(
-        "{:<18}{:>6}{:>6}{:>8}{:>12}{:>12}{:>12}{:>12}{:>12}{:>10}",
-        "family",
-        "k",
-        "NQ_k",
-        "sqrt(k)",
-        "bcast-UNIV",
-        "bcast-BASE",
-        "aggr-UNIV",
-        "route-UNIV",
-        "route-BASE",
-        "lower-bnd"
-    );
-    let rows = table1_rows(&Grid::new(GraphFamily::all(), &[n], 0xC0FFEE), &ks);
-    for r in &rows {
-        println!(
-            "{:<18}{:>6}{:>6}{:>8}{:>12}{:>12}{:>12}{:>12}{:>12}{:>10.2}",
-            r.family,
-            r.k,
-            r.nq,
-            r.sqrt_k,
-            r.dissemination_universal,
-            r.dissemination_baseline,
-            r.aggregation_universal,
-            r.routing_universal,
-            r.routing_baseline,
-            r.lower_bound
-        );
-    }
-    write_json("table1_dissemination", &rows)?;
-    Ok(())
+    let rows = table1_rows(&Grid::new(GraphFamily::all(), &[n], 0xC0FFEE), ks);
+    let title = format!("Table 1: information dissemination (n = {n})");
+    emit(&title, "table1_dissemination", &rows)
 }
 
 fn run_table2(cli: &Cli) -> io::Result<()> {
     let n = if cli.quick { 144 } else { 400 };
-    println!("\n=== Table 2: APSP (n = {n}) ===");
-    println!(
-        "{:<14}{:>6}{:>7}{:>8}{:>11}{:>9}{:>11}{:>11}{:>9}{:>11}{:>9}{:>10}{:>10}",
-        "family",
-        "n",
-        "NQ_n",
-        "sqrt(n)",
-        "T6-UNIV",
-        "T6-str",
-        "T6-BASE",
-        "T7-UNIV",
-        "T7-str",
-        "T8-UNIV",
-        "T8-str",
-        "lit-sqrt",
-        "lower-bnd"
-    );
     let rows = table2_rows(&Grid::new(GraphFamily::core_families(), &[n], 0xBEEF));
-    for r in &rows {
-        println!(
-            "{:<14}{:>6}{:>7}{:>8}{:>11}{:>9.3}{:>11}{:>11}{:>9.3}{:>11}{:>9.3}{:>10}{:>10.2}",
-            r.family,
-            r.n,
-            r.nq_n,
-            r.sqrt_n,
-            r.unweighted_universal,
-            r.unweighted_stretch,
-            r.unweighted_baseline,
-            r.weighted_spanner_universal,
-            r.weighted_spanner_stretch,
-            r.weighted_skeleton_universal,
-            r.weighted_skeleton_stretch,
-            r.literature_sqrt_n,
-            r.lower_bound
-        );
-    }
-    write_json("table2_apsp", &rows)?;
-    Ok(())
+    emit(&format!("Table 2: APSP (n = {n})"), "table2_apsp", &rows)
 }
 
 fn run_table3(cli: &Cli) -> io::Result<()> {
     let n = if cli.quick { 196 } else { 400 };
-    let ks: Vec<u64> = if cli.quick {
-        vec![16, 64]
-    } else {
-        vec![16, 64, 144]
-    };
-    println!("\n=== Table 3: (k, l)-shortest paths (n = {n}) ===");
-    println!(
-        "{:<14}{:>6}{:>5}{:>6}{:>8}{:>10}{:>9}{:>10}{:>10}",
-        "family", "k", "l", "NQ_k", "sqrt(k)", "T5-UNIV", "stretch", "baseline", "lower-bnd"
-    );
-    let rows = table3_rows(&Grid::new(GraphFamily::core_families(), &[n], 0xFACE), &ks);
-    for r in &rows {
-        println!(
-            "{:<14}{:>6}{:>5}{:>6}{:>8}{:>10}{:>9.3}{:>10}{:>10.2}",
-            r.family, r.k, r.l, r.nq, r.sqrt_k, r.universal, r.stretch, r.baseline, r.lower_bound
-        );
-    }
-    write_json("table3_klsp", &rows)?;
-    Ok(())
+    let ks: &[u64] = if cli.quick { &[16, 64] } else { &[16, 64, 144] };
+    let rows = table3_rows(&Grid::new(GraphFamily::core_families(), &[n], 0xFACE), ks);
+    let title = format!("Table 3: (k, l)-shortest paths (n = {n})");
+    emit(&title, "table3_klsp", &rows)
 }
 
 fn run_table4(cli: &Cli) -> io::Result<()> {
-    let sizes: Vec<usize> = if cli.quick {
-        vec![64, 256, 1024]
+    let sizes: &[usize] = if cli.quick {
+        &[64, 256, 1024]
     } else {
-        vec![64, 256, 1024, 4096]
+        &[64, 256, 1024, 4096]
     };
-    println!("\n=== Table 4: SSSP ===");
-    println!(
-        "{:<18}{:>7}{:>10}{:>10}{:>12}{:>10}{:>10}{:>10}",
-        "family", "n", "T13-ours", "stretch", "KS20-sqrt", "CHLP21", "AHK20", "AG21"
-    );
     let families = [
         GraphFamily::Grid2D,
         GraphFamily::ErdosRenyi,
         GraphFamily::Path,
     ];
-    let rows = table4_rows(&Grid::new(&families, &sizes, 0xDEAD));
-    for r in &rows {
-        println!(
-            "{:<18}{:>7}{:>10}{:>10.3}{:>12}{:>10}{:>10}{:>10}",
-            r.family,
-            r.n,
-            r.theorem13,
-            r.theorem13_stretch,
-            r.ks20_sqrt_n,
-            r.chlp21,
-            r.ahk20,
-            r.ag21
-        );
-    }
-    write_json("table4_sssp", &rows)?;
-    Ok(())
+    let rows = table4_rows(&Grid::new(&families, sizes, 0xDEAD));
+    emit("Table 4: SSSP", "table4_sssp", &rows)
 }
 
 fn run_figure1(cli: &Cli) -> io::Result<()> {
     let n = if cli.quick { 512 } else { 1024 };
     let betas = [0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 5.0 / 6.0, 1.0];
-    println!("\n=== Figure 1: k-SSP landscape (k = n^beta, n = {n}) ===");
-    println!(
-        "{:<8}{:>8}{:>12}{:>10}{:>12}{:>12}{:>12}",
-        "beta", "k", "new(T14)", "delta", "prior", "prior-delta", "lower-bnd"
-    );
     let rows = figure1_rows(n, &betas, 0xF16);
-    for r in &rows {
-        println!(
-            "{:<8.3}{:>8}{:>12}{:>10.3}{:>12}{:>12.3}{:>12}",
-            r.beta,
-            r.k,
-            r.new_algorithm,
-            r.new_delta,
-            r.prior_algorithm,
-            r.prior_delta,
-            r.lower_bound
-        );
-    }
-    write_json("figure1_kssp", &rows)?;
-    Ok(())
+    let title = format!("Figure 1: k-SSP landscape (k = n^beta, n = {n})");
+    emit(&title, "figure1_kssp", &rows)
 }
 
 fn run_appendix_b(cli: &Cli) -> io::Result<()> {
     let n = if cli.quick { 512 } else { 2048 };
-    let ks: Vec<u64> = vec![16, 64, 256, 1024, 4096];
-    println!("\n=== Appendix B / Theorems 15-17: NQ_k on special families (n ~ {n}) ===");
-    println!(
-        "{:<12}{:>7}{:>6}{:>7}{:>10}{:>11}  formula",
-        "family", "n", "D", "k", "measured", "predicted"
-    );
-    let rows = appendix_b_rows(n, &ks, 0xAB);
-    for r in &rows {
-        println!(
-            "{:<12}{:>7}{:>6}{:>7}{:>10}{:>11.2}  {}",
-            r.family, r.n, r.diameter, r.k, r.measured, r.predicted, r.formula
-        );
-    }
-    write_json("appendix_b_nq", &rows)?;
-    Ok(())
+    let rows = appendix_b_rows(n, &[16, 64, 256, 1024, 4096], 0xAB);
+    let title = format!("Appendix B / Theorems 15-17: NQ_k on special families (n ~ {n})");
+    emit(&title, "appendix_b_nq", &rows)
 }
 
 /// Every cell is a *shootout*: each registry algorithm runs on the same
-/// instance and is printed next to the same lower-bound witness.  An artifact
-/// that fails [`check_sweep_artifact`] is an error.
+/// instance and is printed next to the same lower-bound witness.  Rows that
+/// fail [`check_sweep_artifact`] are an error and are not written.
 fn run_sweep(cli: &Cli) -> io::Result<()> {
     let config = if cli.quick {
         SweepConfig::quick()
     } else {
         SweepConfig::full()
     };
-    println!(
-        "\n=== Scaling sweep: algorithm shootout vs. per-instance lower bound ({} families x {} sizes x {} (lambda, gamma) points) ===",
+    let rows = sweep_rows(&config);
+    check_sweep_artifact(&rows)?;
+    let title = format!(
+        "Scaling sweep: algorithm shootout vs. per-instance lower bound ({} families x {} sizes x {} (lambda, gamma) points)",
         config.grid.families.len(),
         config.grid.sizes.len(),
         config.points.len()
     );
-    let rows = sweep_rows(&config);
-    println!(
-        "{:<18}{:>6} {:<14}{:>6}{:>7}{:>7}{:>10}{:>12}{:>7}{:>8}",
-        "family", "n", "point", "gamma", "k", "NQ_k", "diss-LB", "sssp(T13)", "kssp-k", "kssp-LB"
-    );
-    for r in &rows {
-        println!(
-            "{:<18}{:>6} {:<14}{:>6}{:>7}{:>7}{:>10.2}{:>7}/{:<4.2}{:>7}{:>8}",
-            r.family,
-            r.n,
-            r.point,
-            r.gamma_msgs,
-            r.k,
-            r.nq_k,
-            r.dissemination_lower_bound,
-            r.sssp_rounds,
-            r.sssp_ratio,
-            r.kssp_k,
-            r.kssp_lower_bound
-        );
-        let diss: Vec<String> = r
-            .dissemination
-            .iter()
-            .map(|c| format!("{}={} ({:.2}x)", c.algorithm, c.rounds, c.ratio))
-            .collect();
-        let ks: Vec<String> = r
-            .kssp
-            .iter()
-            .map(|c| {
-                format!(
-                    "{}={} ({:.2}x, stretch {:.2})",
-                    c.algorithm, c.rounds, c.ratio, c.stretch
-                )
-            })
-            .collect();
-        println!("    diss: {}", diss.join("  "));
-        println!("    kssp: {}", ks.join("  "));
-    }
-    write_json("sweep_scaling", &rows)?;
-    check_sweep_artifact(&rows)
+    emit(&title, "sweep_scaling", &rows)
 }
 
-/// Holds the shootout just written to [`check_shootout`].
+/// Holds the shootout to [`check_shootout`].
 fn check_sweep_artifact(rows: &[SweepRow]) -> io::Result<()> {
     check_shootout(rows).map_err(|err| {
         io::Error::new(
@@ -387,58 +301,16 @@ fn run_scale(cli: &Cli) -> io::Result<()> {
     } else {
         ScaleConfig::full()
     };
-    println!(
-        "\n=== Scale tier: streamed sweep at n up to {} ({} families x {} sizes, |S| = {} sources, {} NQ samples) ===",
+    let rows = scale_rows(&config);
+    let title = format!(
+        "Scale tier: streamed sweep at n up to {} ({} families x {} sizes, |S| = {} sources, {} NQ samples)",
         config.grid.sizes.iter().max().copied().unwrap_or(0),
         config.grid.families.len(),
         config.grid.sizes.len(),
         config.sources,
         config.nq_samples
     );
-    println!(
-        "{:<14}{:>9}{:>11}{:>6}{:>8}{:>7}{:>7}{:>9}{:>11}{:>10}{:>8}{:>9}{:>8}{:>8}{:>9}{:>10}",
-        "family",
-        "n",
-        "m",
-        "gamma",
-        "NQ-est",
-        "conf",
-        "exact",
-        "diss-rnd",
-        "diss-LB",
-        "ratio",
-        "k-rnds",
-        "k-LB",
-        "ratio",
-        "stretch",
-        "peakMiB",
-        "rows/n2"
-    );
-    let rows = scale_rows(&config);
-    for r in &rows {
-        let full_matrix = (r.n as f64) * (r.n as f64) * 8.0;
-        println!(
-            "{:<14}{:>9}{:>11}{:>6}{:>8}{:>7.3}{:>7}{:>9}{:>11.2}{:>10.2}{:>8}{:>9}{:>8.2}{:>8.3}{:>9.1}{:>10.6}",
-            r.family,
-            r.n,
-            r.m,
-            r.gamma_msgs,
-            r.nq_estimate,
-            r.nq_confidence,
-            r.nq_exact.map_or_else(|| "-".to_string(), |v| v.to_string()),
-            r.dissemination_modeled_rounds,
-            r.dissemination_lower_bound,
-            r.dissemination_ratio,
-            r.kssp_rounds,
-            r.kssp_lower_bound,
-            r.kssp_ratio,
-            r.kssp_stretch_worst,
-            r.peak_mem_bytes as f64 / (1024.0 * 1024.0),
-            r.distance_rows_mem_bytes as f64 / full_matrix
-        );
-    }
-    write_json("sweep_scale", &rows)?;
-    Ok(())
+    emit(&title, "sweep_scale", &rows)
 }
 
 /// The serving tier: build a `DistanceOracle` once, answer batched
@@ -450,25 +322,12 @@ fn run_oracle(cli: &Cli) -> io::Result<()> {
     } else {
         OracleBenchConfig::full()
     };
-    println!(
-        "\n=== Oracle serving: {}x{} weighted grid, {} batches x {} queries ===",
+    let answers = oracle_bench_rows(&config);
+    let title = format!(
+        "Oracle serving: {}x{} weighted grid, {} batches x {} queries",
         config.dims.0, config.dims.1, config.batches, config.batch_size
     );
-    let answers = oracle_bench_rows(&config);
-    println!(
-        "{:<10}{:>10}{:>9}{:>22}{:>20}",
-        "n", "landmarks", "stretch", "answer-sum", "path-digest"
-    );
-    println!(
-        "{:<10}{:>10}{:>9.1}{:>22}{:>20x}",
-        answers.n,
-        answers.landmarks.len(),
-        answers.stretch,
-        answers.answer_sum,
-        answers.path_digest
-    );
-    write_json("oracle_answers", &answers)?;
-    Ok(())
+    emit(&title, "oracle_answers", &answers)
 }
 
 fn run_faults(cli: &Cli) -> io::Result<()> {
@@ -477,53 +336,14 @@ fn run_faults(cli: &Cli) -> io::Result<()> {
     } else {
         FaultSweepConfig::full()
     };
-    println!(
-        "\n=== Fault sweep: degradation factors under a seeded adversary ({} families x {} sizes x {} profiles) ===",
+    let rows = fault_sweep_rows(&config);
+    let title = format!(
+        "Fault sweep: degradation factors under a seeded adversary ({} families x {} sizes x {} profiles)",
         config.grid.families.len(),
         config.grid.sizes.len(),
         config.profiles.len()
     );
-    println!(
-        "{:<14}{:>6} {:<9}{:>6}{:>6}{:>6}{:>6} {:>5}{:>9}{:>8}{:>9}{:>6}{:>9}{:>8}{:>9}",
-        "family",
-        "n",
-        "profile",
-        "drop",
-        "dup",
-        "delay",
-        "crash",
-        "ok",
-        "ack-rnds",
-        "ack-deg",
-        "ack-msgx",
-        "k",
-        "T1-rnds",
-        "T1-deg",
-        "T1-msgx"
-    );
-    let rows = fault_sweep_rows(&config);
-    for r in &rows {
-        println!(
-            "{:<14}{:>6} {:<9}{:>6.2}{:>6.2}{:>6.2}{:>6.2} {:>5}{:>9}{:>8.2}{:>9.2}{:>6}{:>9}{:>8.2}{:>9.2}",
-            r.family,
-            r.n,
-            r.profile,
-            r.drop_prob,
-            r.duplicate_prob,
-            r.delay_prob,
-            r.crash_prob,
-            if r.ack_completed { "yes" } else { "NO" },
-            r.ack_rounds,
-            r.ack_degradation,
-            r.ack_message_overhead,
-            r.k,
-            r.diss_rounds,
-            r.diss_degradation,
-            r.diss_message_overhead
-        );
-    }
-    write_json("sweep_faults", &rows)?;
-    Ok(())
+    emit(&title, "sweep_faults", &rows)
 }
 
 fn main() {
@@ -621,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_artifact_gate_counts_malformed_artifacts_under_strict() {
+    fn sweep_artifact_check_rejects_malformed_shootouts() {
         let config = SweepConfig {
             grid: Grid::new(&[GraphFamily::Path], &[64], 1),
             points: vec![hybrid_bench::SweepPoint::HYBRID],
@@ -642,6 +462,63 @@ mod tests {
         for rows in [&bare[..], &[]] {
             assert!(check_sweep_artifact(rows).is_err());
         }
+    }
+
+    #[derive(Serialize)]
+    struct Run {
+        algorithm: &'static str,
+        rounds: u64,
+    }
+
+    #[derive(Serialize)]
+    struct Row {
+        family: &'static str,
+        n: usize,
+        ratio: f64,
+        exact: Option<u64>,
+        runs: Vec<Run>,
+        ids: Vec<u32>,
+    }
+
+    #[test]
+    fn render_prints_the_serialized_keys_as_an_aligned_table() {
+        let run = |algorithm, rounds| Run { algorithm, rounds };
+        let rows = [
+            Row {
+                family: "path",
+                n: 64,
+                ratio: 1.5,
+                exact: None,
+                runs: vec![run("theorem1", 546), run("det-broadcast", 593)],
+                ids: vec![3, 1, 4],
+            },
+            Row {
+                family: "grid-2d",
+                n: 1024,
+                ratio: 12.25,
+                exact: Some(7),
+                runs: Vec::new(),
+                ids: Vec::new(),
+            },
+        ];
+        // Header in declaration order; strings left-aligned, the rest
+        // right-aligned; `null` as `-`, arrays as `[N]`, one continuation
+        // line per nested object.
+        assert_eq!(
+            render(&rows.to_value()),
+            "family      n   ratio  exact  runs  ids\n\
+             path       64   1.500      -   [2]  [3]\n\
+             \x20   runs: algorithm=theorem1  rounds=546\n\
+             \x20   runs: algorithm=det-broadcast  rounds=593\n\
+             grid-2d  1024  12.250      7   [0]  [0]\n"
+        );
+        // A single object is a one-row table.
+        assert_eq!(
+            render(&rows[1].to_value()),
+            "family      n   ratio  exact  runs  ids\n\
+             grid-2d  1024  12.250      7   [0]  [0]\n"
+        );
+        assert_eq!(render(&Value::Array(Vec::new())), "");
     }
 
     #[test]

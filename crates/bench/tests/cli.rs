@@ -77,6 +77,23 @@ fn one_target_writes_exactly_its_artifact_and_repeats_byte_for_byte() {
     assert_eq!(written, ["table3_klsp.json"]);
     let first = fs::read(&artifact).expect("artifact");
 
+    // The printed header is the artifact row's keys, in order.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut lines = stdout
+        .lines()
+        .skip_while(|line| !line.starts_with("=== Table 3"));
+    let header: Vec<&str> = lines
+        .nth(1)
+        .expect("header line")
+        .split_whitespace()
+        .collect();
+    let rows = serde_json::value_from_str(&String::from_utf8_lossy(&first)).expect("JSON");
+    let keys: Vec<&str> = match rows.as_array().and_then(|rows| rows.first()) {
+        Some(serde::Value::Object(fields)) => fields.iter().map(|(key, _)| key.as_str()).collect(),
+        other => panic!("expected an array of objects, got {other:?}"),
+    };
+    assert_eq!(header, keys);
+
     let out = reproduce(&dir, &["table3", "--quick"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert_eq!(fs::read(&artifact).expect("artifact"), first);

@@ -123,7 +123,7 @@ impl Clustering {
 /// deterministic (the distributed implementation of `[KMW18]` that the paper
 /// uses achieves `(µ+1, µ⌈log n⌉)` in `O(µ log n)` CONGEST rounds; the greedy
 /// set satisfies strictly stronger domination, and callers charge the same
-/// `O(µ log n)` rounds — see DESIGN.md, substitutions table).
+/// `O(µ log n)` rounds).
 pub fn ruling_set(graph: &Graph, alpha: u64) -> Vec<NodeId> {
     assert!(alpha >= 1, "ruling-set spacing must be at least 1");
     let n = graph.n();

@@ -9,8 +9,7 @@
 //! benchmark families), and kept edges are re-weighted by `1/p`.  When `λ` is
 //! small the sampler keeps everything and the "sparsifier" is exact, which is
 //! also what the paper's machinery degrades to on sparse graphs.  The
-//! substitution is documented in DESIGN.md; the benchmark checks the cut
-//! approximation quality empirically on every run.
+//! benchmark checks the cut approximation quality empirically on every run.
 
 use rand::Rng;
 

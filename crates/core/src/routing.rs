@@ -21,7 +21,7 @@
 //! is not implemented; its only effect here would be to reduce the receive
 //! load of targets in extreme parameter ranges — with our scheduler the
 //! missing refinement shows up as (at most) extra rounds, never as an
-//! incorrect result.  See DESIGN.md.
+//! incorrect result.
 
 use std::collections::{BTreeSet, HashMap};
 

@@ -6,7 +6,7 @@
 //! construction of [RG20, Corollary 3.16]; we build the classical greedy
 //! `(2k−1)`-spanner of Althöfer et al., which satisfies the same (in fact, a
 //! slightly stronger) size bound and the same stretch, and charge the `Õ(1)`
-//! CONGEST rounds of the cited construction (see DESIGN.md, substitutions).
+//! CONGEST rounds of the cited construction.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

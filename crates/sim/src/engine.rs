@@ -302,22 +302,13 @@ impl<'g, P: NodeProgram> Executor<'g, P> {
                 if router.is_down(node, round) {
                     continue;
                 }
-                let mut ctx = NodeCtx {
-                    node,
-                    neighbors: &neighbor_lists[v],
-                    local_inbox: router.local_inbox(node),
-                    global_inbox: router.global_inbox(node),
-                    local_outbox: &mut local_out,
-                    global_outbox: &mut global_out,
-                    gamma,
-                    global_send_overflow: 0,
-                };
-                if round == 0 {
-                    programs[v].init(&mut ctx);
-                } else {
-                    programs[v].on_round(&mut ctx, round);
-                }
-                let refused = ctx.global_send_overflow;
+                let refused = program_step(
+                    &mut programs[v],
+                    round,
+                    (node, &neighbor_lists[v], gamma),
+                    [router.local_inbox(node), router.global_inbox(node)],
+                    [&mut local_out, &mut global_out],
+                );
                 router.stage(node, local_out.drain(..), global_out.drain(..), refused);
             }
             Ok::<bool, Infallible>(stop(programs))
@@ -326,6 +317,35 @@ impl<'g, P: NodeProgram> Executor<'g, P> {
         self.trace = trace;
         report
     }
+}
+
+/// One program step, the rule the [`Executor`] and the [`NodeRunner`]
+/// share: build `node`'s [`NodeCtx`] over its `[local, global]` inboxes and
+/// outboxes, call `init` in round 0 and `on_round` in every later round, and
+/// return the global sends the γ cap refused.
+fn program_step<P: NodeProgram>(
+    program: &mut P,
+    round: u64,
+    (node, neighbors, gamma): (NodeId, &[NodeId], usize),
+    [local_inbox, global_inbox]: [&[(NodeId, P::Msg)]; 2],
+    [local_outbox, global_outbox]: [&mut Vec<(NodeId, P::Msg)>; 2],
+) -> u64 {
+    let mut ctx = NodeCtx {
+        node,
+        neighbors,
+        local_inbox,
+        global_inbox,
+        local_outbox,
+        global_outbox,
+        gamma,
+        global_send_overflow: 0,
+    };
+    if round == 0 {
+        program.init(&mut ctx);
+    } else {
+        program.on_round(&mut ctx, round);
+    }
+    ctx.global_send_overflow
 }
 
 /// The outgoing messages of one program step, in send order: a view of the
@@ -351,10 +371,10 @@ pub struct StepOutput<'a, M> {
 ///
 /// This is the building block of the networked `hybrid-node` runtime: one
 /// process holds one `NodeRunner` and exchanges inboxes/outboxes with the
-/// driver over the wire.  The runner constructs the exact same [`NodeCtx`]
-/// the executor does, so program-facing semantics — neighbour checks, the γ
-/// send cap, budget accounting — are identical by construction, not by
-/// reimplementation.
+/// driver over the wire.  The runner and the executor take each program step
+/// through the same private `program_step`, so program-facing semantics — the
+/// init/on_round split, neighbour checks, the γ send cap, budget accounting
+/// — are identical by construction, not by reimplementation.
 pub struct NodeRunner<P: NodeProgram> {
     node: NodeId,
     neighbors: Vec<NodeId>,
@@ -387,42 +407,26 @@ impl<P: NodeProgram> NodeRunner<P> {
 
     /// Runs the program's init pass (round 0) with empty inboxes.
     pub fn init(&mut self) -> StepOutput<'_, P::Msg> {
-        self.drive(None, &[], &[])
+        self.step(0, &[], &[])
     }
 
-    /// Runs one program round with the given inboxes.
+    /// Runs one program round with the given inboxes: `on_round`, or `init`
+    /// in round 0.
     pub fn step(
         &mut self,
         round: u64,
         local_inbox: &[(NodeId, P::Msg)],
         global_inbox: &[(NodeId, P::Msg)],
     ) -> StepOutput<'_, P::Msg> {
-        self.drive(Some(round), local_inbox, global_inbox)
-    }
-
-    fn drive(
-        &mut self,
-        round: Option<u64>,
-        local_inbox: &[(NodeId, P::Msg)],
-        global_inbox: &[(NodeId, P::Msg)],
-    ) -> StepOutput<'_, P::Msg> {
         self.local_out.clear();
         self.global_out.clear();
-        let mut ctx = NodeCtx {
-            node: self.node,
-            neighbors: &self.neighbors,
-            local_inbox,
-            global_inbox,
-            local_outbox: &mut self.local_out,
-            global_outbox: &mut self.global_out,
-            gamma: self.gamma,
-            global_send_overflow: 0,
-        };
-        match round {
-            None => self.program.init(&mut ctx),
-            Some(r) => self.program.on_round(&mut ctx, r),
-        }
-        let refused = ctx.global_send_overflow;
+        let refused = program_step(
+            &mut self.program,
+            round,
+            (self.node, &self.neighbors, self.gamma),
+            [local_inbox, global_inbox],
+            [&mut self.local_out, &mut self.global_out],
+        );
         assert!(
             self.local_out.is_empty() || self.local_enabled,
             "node {} sent local messages but the model has no local mode",

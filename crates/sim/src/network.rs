@@ -202,8 +202,8 @@ impl HybridNetwork {
     }
 
     /// Charges a fixed number of rounds for a simulated oracle / framework
-    /// whose internal communication is not scheduled explicitly (documented
-    /// substitutions, see DESIGN.md).
+    /// whose internal communication is not scheduled explicitly: a
+    /// substitution charges its cited construction's round bound here.
     pub fn charge_rounds(&mut self, label: &'static str, rounds: u64) {
         self.meter.record_charged(label, rounds);
     }

@@ -101,7 +101,7 @@ fn dissemination_independent_of_initial_token_distribution() {
 
 #[test]
 fn fixed_radius_ablation_monotone_in_radius_quality() {
-    // Ablation of the design choice DESIGN.md calls out: the radius is the
+    // Ablation of the central design choice: the radius is the
     // only difference between the universal and existential algorithms, and
     // using a radius larger than NQ_k only makes things slower.
     let graph = Arc::new(generators::grid(&[20, 20]).unwrap());
