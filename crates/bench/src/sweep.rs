@@ -570,6 +570,23 @@ mod tests {
             assert!(r.kssp_cell("theorem14").is_some());
             assert!(r.kssp_cell("schneider").is_some());
         }
+        // Theorem 14's rounds depend on the point and `n` alone, never on
+        // the family: rows sharing `(point, n)` record one value.
+        let mut groups = std::collections::BTreeMap::new();
+        for r in &rows {
+            let rounds = r.kssp_cell("theorem14").unwrap().rounds;
+            let (first, families) = groups
+                .entry((r.point, r.n))
+                .or_insert((rounds, std::collections::BTreeSet::new()));
+            assert_eq!(
+                rounds, *first,
+                "{} n={} {}: theorem14 rounds differ across families",
+                r.family, r.n, r.point
+            );
+            families.insert(r.family);
+        }
+        // Not vacuous: some `n` is shared by three or more families.
+        assert!(groups.values().any(|(_, families)| families.len() >= 3));
     }
 
     #[test]

@@ -47,7 +47,11 @@ pub trait NqSource {
     fn nq(&self, k: u64) -> u64;
     /// A node attaining [`NqSource::nq`].
     fn witness(&self, k: u64) -> NodeId;
-    /// `|B_t(v)|` for any node the source has a profile for.
+    /// `|B_t(v)|` for any node the source has a profile for.  The exact
+    /// oracle answers every radius; the sampled oracle is exact up to the
+    /// node's stored radius and saturates past it, returning its last stored
+    /// size — a lower bound on `|B_t(v)|`.  The lower bounds ask only for
+    /// radii below `nq(k)`, which the sampled profiles always cover.
     fn ball_size(&self, v: NodeId, t: u64) -> usize;
 }
 

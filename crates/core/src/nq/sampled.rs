@@ -17,7 +17,14 @@
 //! its confidence.  Lower-bound witnesses built on this source are sound:
 //! they are genuine witnesses of the sampled node, just possibly not the
 //! global maximizer.
+//!
+//! The sample is swept 64 nodes per batch: each batch is one run of
+//! [`hybrid_graph::traversal::lane_bfs`], one bit of a `u64` word per sampled
+//! node, every lane stopping on its own rule.  Batches are fanned out over
+//! the pool and collected in batch order, so the oracle does not depend on
+//! the pool width.
 
+use hybrid_graph::traversal::{lane_bfs, lanes_of, LaneWorkspace, LANES};
 use hybrid_graph::{Graph, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -40,17 +47,18 @@ pub struct NqEstimate {
 }
 
 /// Bounded, exact ball profile of one sampled node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct NodeProfile {
     node: NodeId,
     /// `balls[t-1] = |B_t(node)|` for `t = 1 ..= len`; the profile stops at
-    /// the first `t` satisfying the Definition 3.1 condition for `k_max` (or
-    /// at the eccentricity, whichever comes first).
+    /// the first `t` satisfying the Definition 3.1 condition for `k_max`, or
+    /// at the first level where the ball did not grow (that repeated size is
+    /// kept), whichever comes first.
     balls: Vec<usize>,
 }
 
 /// Sampled-source oracle for `NQ_k` over workloads `k ≤ k_max`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampledNqOracle {
     n: usize,
     k_max: u64,
@@ -73,13 +81,31 @@ impl SampledNqOracle {
         );
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let nodes = sample_distinct(n, sample_size.clamp(1, n), &mut rng);
-        let profiles: Vec<NodeProfile> = nodes
-            .par_iter()
+        // One `lane_bfs` per batch of `LANES` sampled nodes, fanned out and
+        // collected in batch order, so the pool width does not show.
+        let batches: Vec<Vec<NodeProfile>> = (0..nodes.len().div_ceil(LANES))
+            .into_par_iter()
             .map_init(
-                || (vec![false; n], Vec::new(), Vec::new(), Vec::new()),
-                |(visited, touched, frontier, next), &v| {
-                    let balls = bounded_profile(graph, v, k_max, visited, touched, frontier, next);
-                    NodeProfile { node: v, balls }
+                || LaneWorkspace::new(n),
+                |ws, b| {
+                    let batch = &nodes[b * LANES..nodes.len().min((b + 1) * LANES)];
+                    let mut balls = vec![Vec::new(); batch.len()];
+                    let mut live = u64::MAX >> (LANES - batch.len());
+                    lane_bfs(graph, ws, batch, u64::MAX, |t, grew, sizes| {
+                        // Every live lane records this level, the one where
+                        // it stopped growing included.
+                        for lane in lanes_of(live) {
+                            balls[lane].push(sizes[lane] as usize);
+                        }
+                        live = lanes_of(grew)
+                            .filter(|&lane| u64::from(sizes[lane]).saturating_mul(t) < k_max)
+                            .fold(0, |keep, lane| keep | 1 << lane);
+                        live
+                    });
+                    let profiles = batch.iter().zip(balls);
+                    profiles
+                        .map(|(&node, balls)| NodeProfile { node, balls })
+                        .collect()
                 },
             )
             .with_min_len(1)
@@ -88,7 +114,7 @@ impl SampledNqOracle {
             n,
             k_max,
             quantile,
-            profiles,
+            profiles: batches.into_iter().flatten().collect(),
         }
     }
 
@@ -184,6 +210,9 @@ impl NqSource for SampledNqOracle {
             .unwrap_or(0)
     }
 
+    /// Exact `|B_t(v)|` up to the stored radius of `v` (its profile stops at
+    /// `NQ_{k_max}(v)`, or one level past its eccentricity); past it the
+    /// answer saturates at the last stored size, a lower bound on `|B_t(v)|`.
     fn ball_size(&self, v: NodeId, t: u64) -> usize {
         let p = self.profile(v);
         if t == 0 {
@@ -194,74 +223,123 @@ impl NqSource for SampledNqOracle {
     }
 }
 
-/// Exact bounded ball profile: BFS from `v`, recording `|B_t(v)|` per depth,
-/// stopping at the first `t` with `|B_t(v)|·t ≥ k_max` (or when the frontier
-/// empties).  Buffers are reused across sources; only touched entries reset.
-fn bounded_profile(
-    graph: &Graph,
-    v: NodeId,
-    k_max: u64,
-    visited: &mut [bool],
-    touched: &mut Vec<NodeId>,
-    frontier: &mut Vec<NodeId>,
-    next: &mut Vec<NodeId>,
-) -> Vec<usize> {
-    frontier.clear();
-    next.clear();
-    visited[v as usize] = true;
-    touched.push(v);
-    frontier.push(v);
-    let mut ball = 1usize;
-    let mut balls = Vec::new();
-    let mut t = 0u64;
-    loop {
-        t += 1;
-        next.clear();
-        for &u in frontier.iter() {
-            for a in graph.arcs(u) {
-                if !visited[a.to as usize] {
-                    visited[a.to as usize] = true;
-                    touched.push(a.to);
-                    next.push(a.to);
-                }
-            }
-        }
-        ball += next.len();
-        balls.push(ball);
-        std::mem::swap(frontier, next);
-        if ball as u128 * t as u128 >= k_max as u128 || frontier.is_empty() {
-            break;
-        }
-    }
-    for &u in touched.iter() {
-        visited[u as usize] = false;
-    }
-    touched.clear();
-    balls
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::nq::NqOracle;
-    use hybrid_graph::generators;
+    use hybrid_graph::{generators, GraphBuilder};
 
+    /// Node-disjoint union of a path and a grid: two components.
+    fn path_beside_grid() -> Graph {
+        let (a, b) = (
+            generators::path(150).unwrap(),
+            generators::grid(&[12, 12]).unwrap(),
+        );
+        let mut builder = GraphBuilder::new(a.n() + b.n());
+        let shift = a.n() as NodeId;
+        for &(u, v, w) in a.edges() {
+            builder.add_edge(u, v, w).unwrap();
+        }
+        for &(u, v, w) in b.edges() {
+            builder.add_edge(u + shift, v + shift, w).unwrap();
+        }
+        builder.build_unchecked_connectivity()
+    }
+
+    /// A partial batch and one, two and three batches of 64 lanes (24, 64, 65
+    /// and 130 samples), on a connected and a disconnected graph.
     #[test]
     fn sampled_per_node_values_are_exact() {
         for g in [
             generators::path(300).unwrap(),
             generators::grid(&[17, 17]).unwrap(),
             generators::tree_with_n(2, 250).unwrap(),
+            path_beside_grid(),
         ] {
             let exact = NqOracle::new(&g);
-            let k_max = g.n() as u64;
-            let sampled = SampledNqOracle::new(&g, 24, k_max, 0.02, 7);
-            for v in sampled.sampled_nodes().collect::<Vec<_>>() {
-                for k in [1u64, 16, (g.n() / 2) as u64, g.n() as u64] {
-                    assert_eq!(sampled.nq_of(v, k), exact.nq_of(v, k), "node {v}, k={k}");
+            let n = g.n() as u64;
+            for samples in [24, 64, 65, 130] {
+                let sampled = SampledNqOracle::new(&g, samples, n, 0.02, 7);
+                assert_eq!(sampled.sampled_nodes().count(), samples);
+                for v in sampled.sampled_nodes() {
+                    for k in [1, 16, n / 2, n] {
+                        assert_eq!(
+                            sampled.nq_of(v, k),
+                            exact.nq_of(v, k),
+                            "n={n} s={samples} v={v} k={k}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn oracle_is_identical_at_pool_width_1_and_4() {
+        for g in [generators::grid(&[17, 17]).unwrap(), path_beside_grid()] {
+            let [narrow, wide] = [1, 4].map(|width| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .unwrap();
+                pool.install(|| SampledNqOracle::new(&g, 130, g.n() as u64, 0.02, 5))
+            });
+            assert!(narrow == wide, "n={}", g.n());
+        }
+    }
+
+    /// Past a node's stored radius `ball_size` saturates, so a lower bound
+    /// must never ask there.  `dissemination_lower_bound` does not: on the
+    /// quick scale tier's families at n = 1024 (`GraphFamily::core_families`
+    /// of `hybrid-bench`), every radius it asks about is stored.
+    #[test]
+    fn lower_bound_ball_queries_stay_within_the_stored_radius() {
+        use crate::lower_bounds::dissemination_lower_bound;
+        use hybrid_sim::ModelParams;
+        use std::cell::RefCell;
+
+        /// Passes every query through and records each `ball_size` call.
+        struct Recording<'a>(&'a SampledNqOracle, RefCell<Vec<(NodeId, u64)>>);
+        impl NqSource for Recording<'_> {
+            fn n(&self) -> usize {
+                self.0.n
+            }
+            fn nq(&self, k: u64) -> u64 {
+                NqSource::nq(self.0, k)
+            }
+            fn witness(&self, k: u64) -> NodeId {
+                NqSource::witness(self.0, k)
+            }
+            fn ball_size(&self, v: NodeId, t: u64) -> usize {
+                self.1.borrow_mut().push((v, t));
+                NqSource::ball_size(self.0, v, t)
+            }
+        }
+
+        let mut deepest = 0;
+        for g in [
+            generators::path(1024).unwrap(),
+            generators::grid(&[32, 32]).unwrap(),
+            generators::tree_with_n(2, 1024).unwrap(),
+            generators::erdos_renyi(1024, 6.0 / 1024.0, 0x5CA1E).unwrap(),
+        ] {
+            let n = g.n() as u64;
+            let params = ModelParams::hybrid(g.n());
+            let sampled = SampledNqOracle::new(&g, 64, n, 0.02, 3);
+            for k in [n / 16, n / 4, n] {
+                let recording = Recording(&sampled, RefCell::default());
+                dissemination_lower_bound(&recording, &params, k, 0.99);
+                let calls = recording.1.into_inner();
+                assert!(!calls.is_empty(), "n={n} k={k}");
+                for (v, t) in calls {
+                    let stored = sampled.profile(v).balls.len() as u64;
+                    assert!(t <= stored, "n={n} k={k}: B_{t}({v}) past radius {stored}");
+                    deepest = deepest.max(t);
+                }
+            }
+        }
+        // The path's NQ_k takes the Lemma 7.2 branch, past radius 1.
+        assert!(deepest > 1);
     }
 
     #[test]

@@ -19,10 +19,17 @@
 //!    Bellman–Ford fixpoint (each attempt costs `h` local rounds; the total
 //!    is a geometric sum `≤ 4·h_final`).  This is the structural difference
 //!    the shootout measures: the deepening bill is bounded by the *hop
-//!    diameter*, so the baseline collapses on high-diameter families (path,
-//!    cycle, barbell) where Theorem 14's skeleton pays only `Õ(√(k/γ))` —
-//!    and ties on low-diameter families where one `h₀` sweep already
-//!    converges (pinned by `crates/core/tests/rivals.rs`);
+//!    diameter*, which Theorem 14's skeleton never pays (its bill is
+//!    `Õ(√(k/γ))` plus the charged Theorem 13 calls).  On the quick sweep
+//!    grid (`sweep_scaling.json`) the baseline is nonetheless the *faster*
+//!    one in 61 of the 66 `hybrid` / `scarce-global` cells, while Theorem 14
+//!    wins all 33 `rich-global` cells (`k ≤ γ` takes its fast path, one
+//!    charged Theorem 13 call).  Outside `rich-global` Theorem 14 wins only
+//!    where the hop diameter is largest: the path at n = 128 and 256 and
+//!    the cycle at n = 256 (`hybrid`), and the path at n = 256
+//!    (`scarce-global`); the cycle at n = 128 (`hybrid`) ties.  The path's
+//!    gap and its collapse on a grid are pinned by
+//!    `crates/core/tests/rivals.rs`;
 //! 3. **Global shortcut composition** — landmarks exchange their overlay
 //!    rows over the global network (`⌈|L|/γ⌉` rounds), sources inject their
 //!    entry distances (`⌈k/γ⌉` rounds), and every node composes

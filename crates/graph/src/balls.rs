@@ -9,14 +9,11 @@
 //! different `k` (as the benchmarks sweep `k`).
 //!
 //! The oracle does not run `n` such searches.  It cuts the node ids into
-//! batches of 64 and advances the 64 searches of a batch together, one bit of
-//! a `u64` word per source (the multi-source BFS of Then et al., "The More
-//! the Merrier", PVLDB 8(4)): where the searches overlap — on every graph of
-//! small diameter — one pass over an arc serves all of them, and where they
-//! do not (a path) the explicit frontier list keeps the work at what the
-//! single searches did.  A batch's profiles land back to back in one `u32`
-//! arena, and while the per-level counts are in hand the sweep also writes
-//! down `min_v |B_t(v)|` for every radius `t`: the one sequence `NQ_k(G)` and
+//! batches of 64 and hands each batch to [`crate::traversal::lane_bfs`],
+//! which advances the 64 searches together, one bit of a `u64` word per
+//! source.  A batch's profiles land back to back in one `u32` arena, and
+//! while the per-level sizes are in hand the oracle also writes down
+//! `min_v |B_t(v)|` for every radius `t`: the one sequence `NQ_k(G)` and
 //! Lemma 3.3 read.
 
 use std::collections::VecDeque;
@@ -24,6 +21,7 @@ use std::collections::VecDeque;
 use rayon::prelude::*;
 
 use crate::csr::{Graph, NodeId};
+use crate::traversal::{lane_bfs, lanes_of, LaneWorkspace, LANES};
 
 /// Members of the ball `B_t(v)` (unsorted).
 pub fn ball_members(graph: &Graph, v: NodeId, t: u64) -> Vec<NodeId> {
@@ -75,20 +73,6 @@ pub fn ball_size_profile(graph: &Graph, v: NodeId, max_radius: u64) -> Vec<usize
     profile
 }
 
-/// Sources one sweep of [`BallOracle::new`] carries: one per bit of a `u64`.
-const LANES: usize = u64::BITS as usize;
-
-/// The lanes whose bit is set in `word`, lowest first.
-fn lanes_of(mut word: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let lane = word.trailing_zeros() as usize;
-            word &= word - 1;
-            lane
-        })
-    })
-}
-
 /// Caches ball-size profiles for every node, supporting repeated
 /// neighborhood-quality queries for different workloads `k`.
 ///
@@ -121,132 +105,40 @@ struct Sweep {
     truncated: bool,
 }
 
-/// Reusable state of the lane sweep; every array is all-zero and every list
-/// empty between two sweeps.
-struct LaneWorkspace {
-    /// Lanes that have reached the node.
-    seen: Vec<u64>,
-    /// Lanes whose current BFS layer contains the node.
-    frontier: Vec<u64>,
-    /// Lanes whose next BFS layer contains the node.
-    next: Vec<u64>,
-    /// Nodes with a non-zero `frontier` word.
-    active: Vec<NodeId>,
-    /// Nodes with a non-zero `next` word.
-    next_active: Vec<NodeId>,
-    /// Nodes with a non-zero `seen` word.
-    reached: Vec<NodeId>,
-    /// The profile of each lane, grown one entry per layer.
-    profiles: Vec<Vec<u32>>,
-}
+/// A worker's state: the kernel's workspace and one growing profile per lane.
+type Workspace = (LaneWorkspace, Vec<Vec<u32>>);
 
-impl LaneWorkspace {
-    fn new(n: usize) -> Self {
-        LaneWorkspace {
-            seen: vec![0; n],
-            frontier: vec![0; n],
-            next: vec![0; n],
-            active: Vec::new(),
-            next_active: Vec::new(),
-            reached: Vec::new(),
-            profiles: vec![Vec::new(); LANES],
-        }
+/// Batch `b`: each profile grows one entry per level at which its lane grew,
+/// and moves into the batch arena when every lane has stopped.
+fn sweep(graph: &Graph, (ws, profiles): &mut Workspace, b: usize, max_radius: u64) -> Sweep {
+    let ids: [NodeId; LANES] = std::array::from_fn(|i| (b * LANES + i) as NodeId);
+    let sources = &ids[..LANES.min(graph.n() - b * LANES)];
+    for profile in &mut profiles[..sources.len()] {
+        profile.push(1);
     }
-
-    /// Level-synchronous BFS from the sources `first .. first + width` at
-    /// once (Then et al., "The More the Merrier", PVLDB 8(4)): bit `i` of a
-    /// node's word stands for source `first + i`, so one pass over the arcs of
-    /// the frontier advances every lane by one layer.
-    fn sweep(&mut self, graph: &Graph, first: usize, width: usize, max_radius: u64) -> Sweep {
-        let LaneWorkspace {
-            seen,
-            frontier,
-            next,
-            active,
-            next_active,
-            reached,
-            profiles,
-        } = self;
-        for (lane, profile) in profiles[..width].iter_mut().enumerate() {
-            let v = first + lane;
-            seen[v] = 1 << lane;
-            frontier[v] = 1 << lane;
-            active.push(v as NodeId);
-            reached.push(v as NodeId);
-            profile.push(1);
+    let mut min_ball = vec![1u32];
+    let cut = lane_bfs(graph, ws, sources, max_radius, |_, grew, sizes| {
+        for lane in lanes_of(grew) {
+            profiles[lane].push(sizes[lane]);
         }
-        // `|B_t|` of every lane at the current radius `t`.
-        let mut sizes = [0u32; LANES];
-        sizes[..width].fill(1);
-        let mut min_ball = vec![1u32];
-        for _ in 0..max_radius {
-            // Lanes that reach a new node at this radius.
-            let mut grew = 0u64;
-            for u in active.drain(..) {
-                let lanes = std::mem::take(&mut frontier[u as usize]);
-                for a in graph.arcs(u) {
-                    let w = a.to as usize;
-                    let before = seen[w];
-                    let new = lanes & !before;
-                    if new == 0 {
-                        continue;
-                    }
-                    // Marked on discovery, so a second arc into `w` at this
-                    // radius brings only the lanes the first did not.
-                    seen[w] = before | new;
-                    if before == 0 {
-                        reached.push(a.to);
-                    }
-                    if next[w] == 0 {
-                        next_active.push(a.to);
-                    }
-                    next[w] |= new;
-                    grew |= new;
-                    for lane in lanes_of(new) {
-                        sizes[lane] += 1;
-                    }
-                }
-            }
-            if grew == 0 {
-                break;
-            }
-            std::mem::swap(frontier, next);
-            std::mem::swap(active, next_active);
-            for lane in lanes_of(grew) {
-                profiles[lane].push(sizes[lane]);
-            }
-            // A lane that stopped growing keeps contributing its final size.
-            min_ball.push(*sizes[..width].iter().min().expect("a batch has a lane"));
+        // A lane that stopped growing keeps contributing its final size.
+        if grew != 0 {
+            min_ball.push(*sizes.iter().min().expect("a batch has a lane"));
         }
-        // Stopped by `max_radius`: a profile is cut short iff its lane's
-        // frontier still has an unseen neighbour.
-        let truncated = active.iter().any(|&u| {
-            let lanes = frontier[u as usize];
-            graph
-                .arcs(u)
-                .iter()
-                .any(|a| lanes & !seen[a.to as usize] != 0)
-        });
-
-        let mut batch = Batch {
-            sizes: Vec::with_capacity(profiles.iter().map(Vec::len).sum()),
-            starts: [0; LANES + 1],
-        };
-        for (lane, profile) in profiles.iter_mut().enumerate() {
-            batch.sizes.append(profile);
-            batch.starts[lane + 1] = batch.sizes.len();
-        }
-        for u in active.drain(..) {
-            frontier[u as usize] = 0;
-        }
-        for w in reached.drain(..) {
-            seen[w as usize] = 0;
-        }
-        Sweep {
-            batch,
-            min_ball,
-            truncated,
-        }
+        grew
+    });
+    let mut batch = Batch {
+        sizes: Vec::with_capacity(profiles.iter().map(Vec::len).sum()),
+        starts: [0; LANES + 1],
+    };
+    for (lane, profile) in profiles.iter_mut().enumerate() {
+        batch.sizes.append(profile);
+        batch.starts[lane + 1] = batch.sizes.len();
+    }
+    Sweep {
+        batch,
+        min_ball,
+        truncated: cut != 0,
     }
 }
 
@@ -256,16 +148,16 @@ impl BallOracle {
     /// `max_radius` only needs to be an upper bound on the radii the caller
     /// will query (e.g. the diameter, or `√k_max` by Lemma 3.6).
     pub fn new(graph: &Graph, max_radius: u64) -> Self {
-        // One lane sweep per batch of `LANES` consecutive node ids, fanned
-        // out over all cores and collected in batch order: a sweep leaves its
+        // One `lane_bfs` per batch of `LANES` consecutive node ids, fanned out
+        // over all cores and collected in batch order: a run leaves its
         // workspace as it found it, so the result does not depend on which
         // worker ran which batch.
         let n = graph.n();
         let sweeps: Vec<Sweep> = (0..n.div_ceil(LANES))
             .into_par_iter()
             .map_init(
-                || LaneWorkspace::new(n),
-                |ws, b| ws.sweep(graph, b * LANES, LANES.min(n - b * LANES), max_radius),
+                || (LaneWorkspace::new(n), vec![Vec::new(); LANES]),
+                |ws, b| sweep(graph, ws, b, max_radius),
             )
             .with_min_len(1)
             .collect();

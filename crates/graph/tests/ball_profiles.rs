@@ -6,9 +6,12 @@
 //! (a lone node, one lane short of a batch, exactly one batch, one lane into
 //! the second), under every kind of radius bound, on a disconnected graph and
 //! at any pool width — and the level-minimum table and the truncation flag
-//! must say what the profiles say.
+//! must say what the profiles say.  The kernel under both, `lane_bfs`, is
+//! checked on its own too: unsorted, non-consecutive sources, each lane with
+//! its own stop radius.
 
 use hybrid_graph::balls::{ball_size_profile, BallOracle};
+use hybrid_graph::traversal::{lane_bfs, lanes_of, LaneWorkspace};
 use hybrid_graph::{generators, Graph, GraphBuilder, NodeId};
 use rayon::ThreadPoolBuilder;
 
@@ -141,4 +144,68 @@ fn path_4096_profiles_fit_in_52_mb() {
     let bytes = oracle.memory_bytes();
     assert!(bytes >= 4 * entries as u64, "{bytes} B for {entries} sizes");
     assert!(bytes <= 52_000_000, "{bytes} B");
+}
+
+/// Stop radius of lane `lane`: every fourth lane runs until its component is
+/// exhausted, the others stop after 1 to 7 levels.
+fn stop_radius(lane: usize) -> u64 {
+    if lane.is_multiple_of(4) {
+        u64::MAX
+    } else {
+        lane as u64 % 7 + 1
+    }
+}
+
+#[test]
+fn lane_bfs_matches_the_scalar_reference_per_lane() {
+    for (name, graph) in graphs(200) {
+        let n = graph.n();
+        assert!(!n.is_multiple_of(7), "{name}");
+        let mut ws = LaneWorkspace::new(n);
+        // Lanes whose component is exhausted before their stop radius.
+        let mut ran_out = 0;
+        for width in [1, 63, 64] {
+            // Distinct (7 is prime to n), unsorted, never consecutive.
+            let sources: Vec<NodeId> = (0..width).rev().map(|i| (7 * i % n) as NodeId).collect();
+            for max_depth in [3, u64::MAX] {
+                let mut profiles = vec![vec![1u32]; width];
+                let mut levels = 0;
+                let cut = lane_bfs(&graph, &mut ws, &sources, max_depth, |t, grew, sizes| {
+                    levels = t;
+                    assert_eq!(sizes.len(), width);
+                    for (lane, profile) in profiles.iter_mut().enumerate() {
+                        if grew >> lane & 1 == 1 {
+                            profile.push(sizes[lane]);
+                        } else {
+                            // A lane that did not grow keeps its last size.
+                            assert_eq!(sizes[lane], *profile.last().unwrap(), "{name}");
+                        }
+                    }
+                    lanes_of(grew)
+                        .filter(|&lane| t < stop_radius(lane))
+                        .fold(0, |keep, lane| keep | 1 << lane)
+                });
+                assert!(levels <= max_depth, "{name}");
+                for (lane, &v) in sources.iter().enumerate() {
+                    let radius = stop_radius(lane).min(max_depth);
+                    let expected = reference(&graph, v, radius);
+                    assert_eq!(
+                        profiles[lane], expected,
+                        "{name} w={width} d={max_depth} v={v}"
+                    );
+                    let eccentricity = reference(&graph, v, u64::MAX).len() as u64 - 1;
+                    // Cut by `max_depth`, not by its own stop radius or its
+                    // component's edge.
+                    let was_cut = stop_radius(lane) > max_depth && eccentricity > max_depth;
+                    assert_eq!(cut >> lane & 1 == 1, was_cut, "{name} w={width} v={v}");
+                    if stop_radius(lane) != u64::MAX && eccentricity < stop_radius(lane) {
+                        ran_out += 1;
+                    }
+                }
+            }
+        }
+        if name.starts_with("union") {
+            assert!(ran_out > 0, "{name}: no lane outlived its component");
+        }
+    }
 }
