@@ -336,7 +336,7 @@ pub fn table4_rows(grid: &Grid) -> Vec<Table4Row> {
     grid.run(|cell| {
         let family = cell.family;
         let graph = Arc::new(family.build_weighted(cell.n_target, grid.seed));
-        let exact = hybrid_graph::dijkstra::sssp_auto(&graph, 0);
+        let exact = hybrid_graph::dijkstra::dijkstra(&graph, 0).dist;
 
         let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
         let ours = sssp_approx(&mut net, 0, 0.25);

@@ -587,6 +587,41 @@ mod tests {
         }
         // Not vacuous: some `n` is shared by three or more families.
         assert!(groups.values().any(|(_, families)| families.len() >= 3));
+
+        // The k-SSP verdicts `schneider.rs` states.  Both contenders charge
+        // Theorem 13 calls, so each verdict rests on `sssp.rs`'s
+        // `COST_CONSTANT` (ROADMAP 15b): a changed constant moves them.
+        let why = "the verdict rests on sssp.rs's COST_CONSTANT (ROADMAP 15b)";
+        let (mut schneider_wins, mut theorem14_wins, mut ties) = (0, Vec::new(), Vec::new());
+        for r in &rows {
+            let theorem14 = r.kssp_cell("theorem14").unwrap().rounds;
+            let schneider = r.kssp_cell("schneider").unwrap().rounds;
+            let cell = (r.point, r.family, r.n);
+            if r.point == SweepPoint::RICH_GLOBAL.name {
+                assert!(theorem14 < schneider, "{cell:?}: theorem14 must win; {why}");
+            } else if schneider < theorem14 {
+                schneider_wins += 1;
+            } else if theorem14 < schneider {
+                theorem14_wins.push(cell);
+            } else {
+                ties.push(cell);
+            }
+        }
+        assert_eq!(
+            schneider_wins, 61,
+            "schneider wins outside rich-global; {why}"
+        );
+        assert_eq!(
+            theorem14_wins,
+            [
+                ("hybrid", "path", 128),
+                ("hybrid", "path", 256),
+                ("scarce-global", "path", 256),
+                ("hybrid", "cycle", 256),
+            ],
+            "theorem14 wins outside rich-global; {why}"
+        );
+        assert_eq!(ties, [("hybrid", "cycle", 128)], "{why}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the adaptive helper sets (Lemma 5.2) and the unweighted APSP algorithm
 //! (Theorem 6).
 
-use hybrid_graph::traversal::{bfs_bounded, multi_source_bfs};
+use hybrid_graph::dijkstra::DijkstraWorkspace;
 use hybrid_graph::{Graph, NodeId};
 use hybrid_sim::HybridNetwork;
 
@@ -101,10 +101,11 @@ impl Clustering {
             return Err("some node belongs to no cluster".to_string());
         }
         let half_bound = self.weak_diameter_bound.max(1);
+        let mut ws = DijkstraWorkspace::new();
         for c in &self.clusters {
-            let reach = bfs_bounded(graph, c.leader, half_bound);
+            ws.run_bfs_bounded(graph, c.leader, half_bound);
             for &v in &c.members {
-                if reach.dist[v as usize] > half_bound {
+                if ws.dist()[v as usize] > half_bound {
                     return Err(format!(
                         "node {v} is more than {half_bound} hops from leader {}",
                         c.leader
@@ -129,7 +130,7 @@ pub fn ruling_set(graph: &Graph, alpha: u64) -> Vec<NodeId> {
     let n = graph.n();
     let mut dominated = vec![false; n];
     let mut rulers = Vec::new();
-    let mut ws = hybrid_graph::dijkstra::DijkstraWorkspace::with_capacity(n);
+    let mut ws = DijkstraWorkspace::with_capacity(n);
     for v in 0..n as NodeId {
         if dominated[v as usize] {
             continue;
@@ -178,17 +179,26 @@ pub fn cluster_with_radius(net: &mut HybridNetwork, radius: u64, k: u64) -> Clus
 
     // Phase 3: every node joins the cluster of its closest ruler
     // (ties to the smaller id), learned by exploring 2·NQ_k·⌈log n⌉ hops.
-    let assignment = multi_source_bfs(&graph, &rulers);
+    // One BFS from all rulers (ascending, as `ruling_set` returns them): a
+    // node's BFS parent is settled before it and descends from its closest
+    // ruler.
+    let mut ws = DijkstraWorkspace::with_capacity(n);
+    ws.run_bfs_multi(&graph, &rulers, u64::MAX);
+    let mut cluster_index: Vec<Option<usize>> = vec![None; n];
+    for (i, &r) in rulers.iter().enumerate() {
+        cluster_index[r as usize] = Some(i);
+    }
+    for &v in ws.reached() {
+        if let Some(p) = ws.parent()[v as usize] {
+            cluster_index[v as usize] = cluster_index[p as usize];
+        }
+    }
     net.charge_local("clustering/find-ruler", 2 * nq);
 
-    let mut ruler_index = vec![usize::MAX; n];
-    for (i, &r) in rulers.iter().enumerate() {
-        ruler_index[r as usize] = i;
-    }
     let mut raw_clusters: Vec<Vec<NodeId>> = vec![Vec::new(); rulers.len()];
     for v in 0..n as NodeId {
-        let ruler = assignment.closest[v as usize].expect("graph is connected");
-        raw_clusters[ruler_index[ruler as usize]].push(v);
+        let i = cluster_index[v as usize].expect("graph is connected");
+        raw_clusters[i].push(v);
     }
 
     // Phase 4: flood within clusters so every member learns its cluster,
@@ -244,8 +254,8 @@ pub fn cluster_with_radius(net: &mut HybridNetwork, radius: u64, k: u64) -> Clus
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybrid_graph::dijkstra::dijkstra;
     use hybrid_graph::generators;
-    use hybrid_graph::traversal::bfs;
     use std::sync::Arc;
 
     fn make(graph: hybrid_graph::Graph, k: u64) -> (Clustering, u64, hybrid_graph::Graph) {
@@ -269,14 +279,15 @@ mod tests {
             assert!(!rulers.is_empty());
             // Spacing: pairwise distance >= alpha.
             for (i, &a) in rulers.iter().enumerate() {
-                let d = bfs(&g, a);
+                let d = dijkstra(&g, a);
                 for &b in rulers.iter().skip(i + 1) {
                     assert!(d.dist[b as usize] >= alpha, "alpha={alpha}");
                 }
             }
             // Domination: every node within alpha - 1 of some ruler.
-            let ms = multi_source_bfs(&g, &rulers);
-            assert!(ms.dist.iter().all(|&d| d <= alpha.saturating_sub(1)));
+            let mut ws = DijkstraWorkspace::new();
+            ws.run_bfs_multi(&g, &rulers, u64::MAX);
+            assert!(ws.dist().iter().all(|&d| d <= alpha.saturating_sub(1)));
         }
     }
 

@@ -218,8 +218,8 @@ mod tests {
     use crate::cluster::cluster_by_nq;
     use crate::nq::NqOracle;
     use crate::prob::sample_with_probability;
+    use hybrid_graph::dijkstra::{dijkstra, DijkstraWorkspace};
     use hybrid_graph::generators;
-    use hybrid_graph::traversal::bfs;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::sync::Arc;
@@ -246,7 +246,7 @@ mod tests {
             let helpers = sets.sets.get(&node).expect("every w gets a helper set");
             assert!(!helpers.is_empty());
             // Property (2): helpers within Õ(NQ_k) hops.
-            let d = bfs(&g, node);
+            let d = dijkstra(&g, node);
             for &h in helpers {
                 assert!(d.dist[h as usize] <= sets.distance_bound);
             }
@@ -299,7 +299,7 @@ mod tests {
         assert!(sets.mu >= x);
         for (&node, helpers) in &sets.sets {
             assert!(!helpers.is_empty());
-            let d = bfs(&g, node);
+            let d = dijkstra(&g, node);
             for &h in helpers {
                 assert!(d.dist[h as usize] <= sets.mu);
             }
@@ -324,11 +324,12 @@ mod tests {
             let mut net = HybridNetwork::hybrid(Arc::new(g.clone()));
             let sets = ks20_helper_sets(&mut net, &g, &w_set, x);
             for &w in &w_set {
-                let reach = hybrid_graph::traversal::bfs_bounded(&g, w, sets.mu);
+                let mut reach = DijkstraWorkspace::new();
+                reach.run_bfs_bounded(&g, w, sets.mu);
                 let mut candidates: Vec<(u64, NodeId)> = reach
-                    .order
+                    .reached()
                     .iter()
-                    .map(|&v| (reach.dist[v as usize], v))
+                    .map(|&v| (reach.dist()[v as usize], v))
                     .collect();
                 candidates.sort_unstable();
                 let take = (sets.mu as usize).min(candidates.len()).max(1);
@@ -345,7 +346,7 @@ mod tests {
         let mut net = HybridNetwork::hybrid(Arc::new(g.clone()));
         let sets = ks20_helper_sets(&mut net, &g, &[30], 4);
         let helpers = &sets.sets[&30];
-        let d = bfs(&g, 30);
+        let d = dijkstra(&g, 30);
         for &h in helpers {
             assert!(d.dist[h as usize] <= sets.mu);
         }

@@ -65,9 +65,9 @@
 //! absent term simply loses every `min`.  Because saturating addition of
 //! non-negative integers is associative and commutative, and `min` commutes
 //! with adding a constant, the blocked evaluation order is **bit-identical**
-//! to the naive triple loop ([`compose_naive`]) — the property test
-//! `tests/property_tests.rs::minplus_kernel_matches_naive_reference` pins
-//! this, and the parallel fan-out over groups keeps output order
+//! to the naive triple loop (`compose_naive`, a test-only reference) — the
+//! property test `minplus_kernel_matches_naive_reference` in this module
+//! pins this, and the parallel fan-out over groups keeps output order
 //! index-deterministic, so results do not depend on `RAYON_NUM_THREADS`.
 
 use rayon::prelude::*;
@@ -328,7 +328,7 @@ fn reduce_single(acc: &mut [Weight], a: &ActiveRow, lo: usize, hi: usize) {
 ///
 /// Coefficient rows in `coeffs` are shared: every output row naming group `g`
 /// reuses the phase-1 reduction of `coeffs[g]`.  Results are bit-identical to
-/// [`compose_naive`] and independent of the thread count.
+/// the naive triple loop and independent of the thread count.
 ///
 /// # Panics
 /// Panics if `assign.len() != init.len()`, a group index is out of range, a
@@ -372,48 +372,14 @@ pub fn compose(
         .collect()
 }
 
-/// Reference implementation of [`compose`]: the naive triple loop, kept
-/// deliberately simple (no spans, no tiling, no grouping) as the equivalence
-/// oracle for the property tests and as executable documentation of the
-/// kernel's contract.
-pub fn compose_naive(
-    rows: &RowMatrix,
-    coeffs: &[Coeff],
-    assign: &[Assignment],
-    init: &[&[Weight]],
-) -> Vec<Vec<Weight>> {
-    assert_eq!(assign.len(), init.len(), "one assignment per output row");
-    let mut result: Vec<Vec<Weight>> = init.iter().map(|r| r.to_vec()).collect();
-    for (i, out) in result.iter_mut().enumerate() {
-        let Some((g, offset)) = assign[i] else {
-            continue;
-        };
-        let dense;
-        let coeff: &[Weight] = match &coeffs[g] {
-            Coeff::Dense(c) => c,
-            Coeff::Unit(j) => {
-                let mut e = vec![INFINITY; rows.len()];
-                e[*j] = 0;
-                dense = e;
-                &dense
-            }
-        };
-        for (j, &base) in coeff.iter().enumerate() {
-            let row = rows.row(j);
-            for (o, &via) in out.iter_mut().zip(row) {
-                let c = via.saturating_add(base).saturating_add(offset);
-                if c < *o {
-                    *o = c;
-                }
-            }
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybrid_graph::dijkstra::hop_limited_distances;
+    use hybrid_graph::{generators, Graph};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn matrix(rows: Vec<Vec<Weight>>) -> RowMatrix {
         RowMatrix::new(rows)
@@ -421,6 +387,45 @@ mod tests {
 
     fn refs(init: &[Vec<Weight>]) -> Vec<&[Weight]> {
         init.iter().map(Vec::as_slice).collect()
+    }
+
+    /// Reference implementation of [`compose`]: the naive triple loop, kept
+    /// deliberately simple (no spans, no tiling, no grouping) as the
+    /// equivalence oracle for the tests and as executable documentation of
+    /// the kernel's contract.
+    fn compose_naive(
+        rows: &RowMatrix,
+        coeffs: &[Coeff],
+        assign: &[Assignment],
+        init: &[&[Weight]],
+    ) -> Vec<Vec<Weight>> {
+        assert_eq!(assign.len(), init.len(), "one assignment per output row");
+        let mut result: Vec<Vec<Weight>> = init.iter().map(|r| r.to_vec()).collect();
+        for (i, out) in result.iter_mut().enumerate() {
+            let Some((g, offset)) = assign[i] else {
+                continue;
+            };
+            let dense;
+            let coeff: &[Weight] = match &coeffs[g] {
+                Coeff::Dense(c) => c,
+                Coeff::Unit(j) => {
+                    let mut e = vec![INFINITY; rows.len()];
+                    e[*j] = 0;
+                    dense = e;
+                    &dense
+                }
+            };
+            for (j, &base) in coeff.iter().enumerate() {
+                let row = rows.row(j);
+                for (o, &via) in out.iter_mut().zip(row) {
+                    let c = via.saturating_add(base).saturating_add(offset);
+                    if c < *o {
+                        *o = c;
+                    }
+                }
+            }
+        }
+        result
     }
 
     #[test]
@@ -618,6 +623,93 @@ mod tests {
                 kernel::fold_min_sat(&mut singles, r, b);
             }
             assert_eq!(quad, singles, "quad fold diverged at base {base}");
+        }
+    }
+
+    /// A random connected graph drawn from one of the paper's families.
+    fn arbitrary_graph() -> impl Strategy<Value = Graph> {
+        (0u8..5, 10usize..120, any::<u64>()).prop_map(|(kind, n, seed)| match kind {
+            0 => generators::path(n).unwrap(),
+            1 => generators::cycle(n.max(3)).unwrap(),
+            2 => {
+                let side = ((n as f64).sqrt().ceil() as usize).max(2);
+                generators::grid(&[side, side]).unwrap()
+            }
+            3 => generators::tree_with_n(2, n).unwrap(),
+            _ => generators::erdos_renyi(n, (8.0 / n as f64).min(1.0), seed).unwrap(),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The blocked (min,+) kernel is *exactly* equivalent to the naive triple
+        /// loop — including INFINITY saturation — on h-hop row matrices from
+        /// random graphs with random anchors, coefficient rows (dense and unit),
+        /// offsets and initial rows.  This is the contract that lets the k-SSP /
+        /// (k,ℓ)-SP / Theorem 8 data levels share this module.
+        #[test]
+        fn minplus_kernel_matches_naive_reference(
+            graph in arbitrary_graph(),
+            h in 0usize..24,
+            seed in any::<u64>(),
+            groups in 1usize..6,
+            outputs in 1usize..12,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = graph.n();
+            // Skeleton-style rows: h-hop sweeps from random anchors (h may be far
+            // below the diameter, so rows carry genuine INFINITY runs).
+            let s = rng.gen_range(1..=8usize.min(n));
+            let rows: Vec<Vec<u64>> = (0..s)
+                .map(|_| {
+                    let anchor = rng.gen_range(0..n) as u32;
+                    hop_limited_distances(&graph, anchor, h)
+                })
+                .collect();
+            let matrix = RowMatrix::new(rows);
+            // Random coefficient rows: dense rows mixing finite entries, huge
+            // near-saturating values and INFINITY; occasionally a unit row.
+            let coeffs: Vec<Coeff> = (0..groups)
+                .map(|_| {
+                    if rng.gen_range(0..4u8) == 0 {
+                        Coeff::Unit(rng.gen_range(0..s))
+                    } else {
+                        Coeff::Dense(
+                            (0..s)
+                                .map(|_| match rng.gen_range(0..5u8) {
+                                    0 => INFINITY,
+                                    1 => u64::MAX - rng.gen_range(0..3u64),
+                                    _ => rng.gen_range(0..200u64),
+                                })
+                                .collect(),
+                        )
+                    }
+                })
+                .collect();
+            let assign: Vec<Assignment> = (0..outputs)
+                .map(|_| match rng.gen_range(0..5u8) {
+                    0 => None,
+                    1 => Some((rng.gen_range(0..groups), INFINITY)),
+                    _ => Some((rng.gen_range(0..groups), rng.gen_range(0..100u64))),
+                })
+                .collect();
+            let init: Vec<Vec<u64>> = (0..outputs)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| match rng.gen_range(0..3u8) {
+                            0 => INFINITY,
+                            _ => rng.gen_range(0..400u64),
+                        })
+                        .collect()
+                })
+                .collect();
+            let init_refs: Vec<&[u64]> = init.iter().map(Vec::as_slice).collect();
+            let blocked = compose(&matrix, &coeffs, &assign, &init_refs);
+            let naive = compose_naive(&matrix, &coeffs, &assign, &init_refs);
+            prop_assert_eq!(&blocked, &naive);
+            // Determinism: a second blocked run reproduces the labels bit for bit.
+            prop_assert_eq!(blocked, compose(&matrix, &coeffs, &assign, &init_refs));
         }
     }
 }

@@ -32,9 +32,11 @@
 //! the row and its forest on the spot (8 bytes per node) and the rows are
 //! copied once into two flat `|L| × n` buffers.  The balls live in one arena
 //! per block of 64 consecutive node ids, filled exact-size by the worker that
-//! ran the block's bounded searches out of one reused member buffer —
-//! collecting the blocks is the final storage.  The footprint is `8·|L|`
-//! bytes per node for rows and forest plus 12 bytes per ball member.
+//! ran the block's bounded searches — [`DijkstraWorkspace::run_heap`] with
+//! the anchor offset as its strict bound, on one reused workspace — out of
+//! one reused member buffer; collecting the blocks is the final storage.
+//! The footprint is `8·|L|` bytes per node for rows and forest plus 12 bytes
+//! per ball member.
 //!
 //! # Query contract (documented stretch)
 //!
@@ -65,8 +67,6 @@
 //! pool width.  Path batches land in a [`PathBatch`] arena (one flat node
 //! buffer plus offsets) instead of per-query `Vec`s.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use hybrid_graph::dijkstra::DijkstraWorkspace;
@@ -272,70 +272,19 @@ pub struct DistanceOracle {
 }
 
 /// Reusable scratch for the bounded Dijkstras of ball construction.
+#[derive(Default)]
 struct BallScratch {
-    dist: Vec<Weight>,
-    parent: Vec<NodeId>,
-    touched: Vec<NodeId>,
-    heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
+    ws: DijkstraWorkspace,
     /// `(node, dist, parent)` of every ball of the block under construction.
     members: Vec<(NodeId, Weight, NodeId)>,
 }
 
 impl BallScratch {
-    fn new(n: usize) -> Self {
-        BallScratch {
-            dist: vec![INFINITY; n],
-            parent: vec![NodeId::MAX; n],
-            touched: Vec::new(),
-            heap: BinaryHeap::new(),
-            members: Vec::new(),
-        }
-    }
-
-    /// Dijkstra from `source`, truncated to the strict ball of `radius`:
-    /// appends `(node, dist, parent)` for every `w` with
-    /// `d(source, w) < radius` to `members`, sorted by node id.  All parent
-    /// chains stay inside the ball (any node on a shortest path to `w` is
-    /// strictly closer than `w`).
-    fn strict_ball(&mut self, graph: &Graph, source: NodeId, radius: Weight) {
-        for &v in &self.touched {
-            self.dist[v as usize] = INFINITY;
-            self.parent[v as usize] = NodeId::MAX;
-        }
-        self.touched.clear();
-        self.heap.clear();
-        if radius == 0 {
-            return;
-        }
-        let first = self.members.len();
-        self.dist[source as usize] = 0;
-        self.touched.push(source);
-        self.heap.push(Reverse((0, source)));
-        while let Some(Reverse((d, v))) = self.heap.pop() {
-            if d > self.dist[v as usize] {
-                continue; // stale heap entry
-            }
-            if d >= radius {
-                break; // every remaining entry is at least this far
-            }
-            self.members.push((v, d, self.parent[v as usize]));
-            for a in graph.arcs(v) {
-                let nd = d.saturating_add(a.weight);
-                if nd < self.dist[a.to as usize] && nd < radius {
-                    if self.dist[a.to as usize] == INFINITY {
-                        self.touched.push(a.to);
-                    }
-                    self.dist[a.to as usize] = nd;
-                    self.parent[a.to as usize] = v;
-                    self.heap.push(Reverse((nd, a.to)));
-                }
-            }
-        }
-        self.members[first..].sort_unstable_by_key(|&(v, _, _)| v);
-    }
-
     /// The balls of the nodes `first .. first + radii.len()`, whose strict
-    /// radii are `radii`, as one exact-size arena.
+    /// radii are `radii`, as one exact-size arena.  A ball is a heap run
+    /// bounded by its radius, sorted by node id; all its parent chains stay
+    /// inside it (any node on a shortest path to `w` is strictly closer than
+    /// `w`).
     fn block(
         &mut self,
         graph: &Graph,
@@ -347,7 +296,14 @@ impl BallScratch {
         for lane in 0..BLOCK {
             // A short last block: the missing lanes are empty.
             if let Some(&radius) = radii.get(lane) {
-                self.strict_ball(graph, (first + lane) as NodeId, widen(radius));
+                let ws = &mut self.ws;
+                ws.run_heap(graph, (first + lane) as NodeId, widen(radius));
+                let ball = self.members.len();
+                self.members.extend(ws.reached().iter().map(|&w| {
+                    let parent = ws.parent()[w as usize].unwrap_or(NodeId::MAX);
+                    (w, ws.dist()[w as usize], parent)
+                }));
+                self.members[ball..].sort_unstable_by_key(|&(w, _, _)| w);
             }
             starts[lane + 1] = u32::try_from(self.members.len())
                 .expect("the 64 balls of a block hold fewer than 2^32 members");
@@ -447,13 +403,10 @@ impl DistanceOracle {
         // arenas are pool-width independent.
         let blocks: Vec<Result<BallBlock, OracleError>> = (0..n.div_ceil(BLOCK))
             .into_par_iter()
-            .map_init(
-                || BallScratch::new(n),
-                |scratch, b| {
-                    let first = b * BLOCK;
-                    scratch.block(graph, first, &anchor_dist[first..n.min(first + BLOCK)])
-                },
-            )
+            .map_init(BallScratch::default, |scratch, b| {
+                let first = b * BLOCK;
+                scratch.block(graph, first, &anchor_dist[first..n.min(first + BLOCK)])
+            })
             .with_min_len(1)
             .collect();
         let blocks = blocks.into_iter().collect::<Result<Vec<_>, _>>()?;

@@ -27,9 +27,12 @@
 //!    charged Theorem 13 call).  Outside `rich-global` Theorem 14 wins only
 //!    where the hop diameter is largest: the path at n = 128 and 256 and
 //!    the cycle at n = 256 (`hybrid`), and the path at n = 256
-//!    (`scarce-global`); the cycle at n = 128 (`hybrid`) ties.  The path's
-//!    gap and its collapse on a grid are pinned by
-//!    `crates/core/tests/rivals.rs`;
+//!    (`scarce-global`); the cycle at n = 128 (`hybrid`) ties.  These
+//!    verdicts are asserted on the quick grid by `hybrid-bench`'s
+//!    `sweep::tests::quick_grid_covers_every_family_size_and_point`, and
+//!    they rest on the Theorem 13 cost constant (`sssp.rs`'s
+//!    `COST_CONSTANT`).  The path's gap and its collapse on a grid are
+//!    pinned by `crates/core/tests/rivals.rs`;
 //! 3. **Global shortcut composition** — landmarks exchange their overlay
 //!    rows over the global network (`⌈|L|/γ⌉` rounds), sources inject their
 //!    entry distances (`⌈k/γ⌉` rounds), and every node composes

@@ -4,7 +4,8 @@
 //! `B_t(v)` is the set of nodes within hop distance `t` of `v`, including `v`
 //! itself.  The paper repeatedly needs, for a node `v`, the *sizes* of all
 //! balls `|B_1(v)|, |B_2(v)|, …` up to some radius; [`ball_size_profile`]
-//! returns exactly that for one node with one plain BFS, and [`BallOracle`]
+//! returns exactly that for one node with one bounded
+//! [`DijkstraWorkspace`] BFS, and [`BallOracle`]
 //! caches the profiles of every node for repeated `NQ_k` queries with
 //! different `k` (as the benchmarks sweep `k`).
 //!
@@ -16,59 +17,30 @@
 //! `min_v |B_t(v)|` for every radius `t`: the one sequence `NQ_k(G)` and
 //! Lemma 3.3 read.
 
-use std::collections::VecDeque;
-
 use rayon::prelude::*;
 
 use crate::csr::{Graph, NodeId};
+use crate::dijkstra::DijkstraWorkspace;
 use crate::traversal::{lane_bfs, lanes_of, LaneWorkspace, LANES};
 
-/// Members of the ball `B_t(v)` (unsorted).
-pub fn ball_members(graph: &Graph, v: NodeId, t: u64) -> Vec<NodeId> {
-    let r = crate::traversal::bfs_bounded(graph, v, t);
-    r.order
-}
-
-/// Size of the ball `B_t(v)`.
-pub fn ball_size(graph: &Graph, v: NodeId, t: u64) -> usize {
-    ball_members(graph, v, t).len()
-}
-
-/// Sizes `|B_0(v)|, |B_1(v)|, …, |B_r(v)|` for the largest needed radius `r`.
+/// Sizes `|B_0(v)|, |B_1(v)|, …, |B_r(v)|` for the largest needed radius `r`,
+/// from one bounded BFS: the scalar reference [`BallOracle`] is held to.
 ///
 /// The profile stops early once the ball covers the whole graph (further
 /// entries would all equal `n`); the returned vector therefore has length
 /// `min(max_radius, ecc(v)) + 1`.
 pub fn ball_size_profile(graph: &Graph, v: NodeId, max_radius: u64) -> Vec<usize> {
-    let n = graph.n();
-    let mut dist = vec![u64::MAX; n];
-    let mut queue = VecDeque::new();
-    dist[v as usize] = 0;
-    queue.push_back(v);
-    let mut counts_per_layer: Vec<usize> = vec![1];
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        if du >= max_radius {
-            continue;
+    let mut ws = DijkstraWorkspace::new();
+    ws.run_bfs_bounded(graph, v, max_radius);
+    // The search settles layer by layer, so `|B_t(v)|` is one past the
+    // position of the last node at depth `t`.
+    let mut profile = Vec::new();
+    for (settled, &u) in ws.reached().iter().enumerate() {
+        let t = ws.dist()[u as usize] as usize;
+        if t == profile.len() {
+            profile.push(0);
         }
-        for a in graph.arcs(u) {
-            let w = a.to as usize;
-            if dist[w] == u64::MAX {
-                dist[w] = du + 1;
-                if counts_per_layer.len() <= (du + 1) as usize {
-                    counts_per_layer.push(0);
-                }
-                counts_per_layer[(du + 1) as usize] += 1;
-                queue.push_back(a.to);
-            }
-        }
-    }
-    // Prefix sums: |B_t(v)| = sum of layer sizes up to t.
-    let mut profile = Vec::with_capacity(counts_per_layer.len());
-    let mut acc = 0usize;
-    for c in counts_per_layer {
-        acc += c;
-        profile.push(acc);
+        profile[t] = settled + 1;
     }
     profile
 }
@@ -243,6 +215,12 @@ mod tests {
     use super::*;
     use crate::generators;
 
+    /// `|B_t(v)|`, from the profile (saturating past its end).
+    fn ball_size(graph: &Graph, v: NodeId, t: u64) -> usize {
+        let profile = ball_size_profile(graph, v, t);
+        profile[profile.len() - 1]
+    }
+
     #[test]
     fn ball_sizes_on_path() {
         let g = generators::path(10).unwrap();
@@ -255,21 +233,25 @@ mod tests {
     #[test]
     fn ball_members_contains_center() {
         let g = generators::cycle(8).unwrap();
-        let members = ball_members(&g, 3, 2);
-        assert!(members.contains(&3));
-        assert_eq!(members.len(), 5);
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_bfs_bounded(&g, 3, 2);
+        let mut members = ws.reached().to_vec();
+        members.sort_unstable();
+        assert_eq!(members, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn profile_is_monotone_and_matches_ball_size() {
         let g = generators::grid(&[5, 5]).unwrap();
+        let mut ws = DijkstraWorkspace::new();
         for v in [0u32, 12, 24] {
             let profile = ball_size_profile(&g, v, 20);
             for w in profile.windows(2) {
                 assert!(w[0] <= w[1]);
             }
             for (t, &s) in profile.iter().enumerate() {
-                assert_eq!(s, ball_size(&g, v, t as u64));
+                ws.run_bfs_bounded(&g, v, t as u64);
+                assert_eq!(s, ws.reached().len());
             }
             assert_eq!(*profile.last().unwrap(), 25);
         }

@@ -1,10 +1,14 @@
-//! Weighted distance oracles: Dijkstra (binary-heap and Dial bucket-queue
-//! variants) and hop-limited Dijkstra.
+//! The one scalar search over a CSR [`Graph`]: [`DijkstraWorkspace`] runs
+//! every BFS (one source or an ascending set of them, optionally
+//! depth-bounded) and every Dijkstra (Dial bucket queue, or binary heap with
+//! an optional strict distance bound), plus hop-limited Dijkstra.
 //!
 //! These are *centralized* oracles used (a) as ground truth when checking the
-//! stretch of the distributed approximation algorithms and (b) as the local
+//! stretch of the distributed approximation algorithms, (b) as the local
 //! computation performed inside clusters / skeleton nodes, which the HYBRID
-//! model allows for free (nodes are computationally unbounded).
+//! model allows for free (nodes are computationally unbounded), and (c) as the
+//! hop-distance searches the paper's ruling sets, Lemma 3.5 clustering and
+//! the serving oracle's strict balls are defined over (Section 1.2).
 //!
 //! # Performance architecture
 //!
@@ -16,8 +20,9 @@
 //!   heap, bucket ring) and resets them *sparsely* — only the entries
 //!   touched by the previous run are cleared, so repeated single-source
 //!   calls on the same graph never reallocate and never pay `O(n)` per call
-//!   on small explored regions.
-//! * [`sssp_auto`] / [`DijkstraWorkspace::run`] select the oracle by weight
+//!   on small explored regions.  The touched list doubles as the BFS queue:
+//!   a BFS discovers nodes in the order it settles them.
+//! * [`dijkstra`] / [`DijkstraWorkspace::run`] select the oracle by weight
 //!   range: BFS for unweighted graphs, a Dial bucket queue (`O(m + D·W)`,
 //!   no comparison heap) for the small integer weights the generators emit
 //!   (`W ≤ `[`DIAL_MAX_WEIGHT`]), and the binary heap otherwise.  All three
@@ -31,7 +36,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::VecDeque;
 
 use crate::csr::{Graph, NodeId, Weight, INFINITY};
 
@@ -56,24 +60,6 @@ pub struct DijkstraResult {
     pub dist: Vec<Weight>,
     /// Shortest-path-tree parent (`None` for the source / unreachable nodes).
     pub parent: Vec<Option<NodeId>>,
-}
-
-impl DijkstraResult {
-    /// Reconstructs a shortest path from the source to `t` (inclusive), or
-    /// `None` if `t` is unreachable.
-    pub fn path_to(&self, t: NodeId) -> Option<Vec<NodeId>> {
-        if self.dist[t as usize] == INFINITY {
-            return None;
-        }
-        let mut path = vec![t];
-        let mut cur = t;
-        while let Some(p) = self.parent[cur as usize] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
-    }
 }
 
 /// Which single-source oracle a run used (or should use).
@@ -142,7 +128,6 @@ pub struct DijkstraWorkspace {
     /// next-occupied-bucket scan reads one flat `u32` array instead of
     /// chasing `Vec` headers).
     bucket_lens: Vec<u32>,
-    queue: VecDeque<NodeId>,
 }
 
 impl DijkstraWorkspace {
@@ -170,8 +155,9 @@ impl DijkstraWorkspace {
         &self.parent[..self.len]
     }
 
-    /// Nodes reached by the most recent run, in discovery order (the source
-    /// first).  For BFS runs this is the settle order.
+    /// Nodes reached by the most recent run, in discovery order (the sources
+    /// first).  For BFS runs this is the settle order, so distances never
+    /// decrease along it.
     #[inline]
     pub fn reached(&self) -> &[NodeId] {
         &self.touched
@@ -195,7 +181,6 @@ impl DijkstraWorkspace {
         }
         self.touched.clear();
         self.heap.clear();
-        self.queue.clear();
         // Buckets are fully drained by the Dial loop itself.
     }
 
@@ -205,7 +190,7 @@ impl DijkstraWorkspace {
         match select_sssp_algorithm(graph) {
             SsspAlgorithm::Bfs => self.run_bfs(graph, source),
             SsspAlgorithm::Dial => self.run_dial(graph, source),
-            SsspAlgorithm::Heap => self.run_heap(graph, source),
+            SsspAlgorithm::Heap => self.run_heap(graph, source, INFINITY),
         }
     }
 
@@ -217,14 +202,35 @@ impl DijkstraWorkspace {
     /// Depth-bounded BFS oracle: hop distances within `max_depth`, `INFINITY`
     /// beyond.
     pub fn run_bfs_bounded(&mut self, graph: &Graph, source: NodeId, max_depth: u64) {
+        self.run_bfs_multi(graph, &[source], max_depth);
+    }
+
+    /// Depth-bounded BFS from every node of `sources` at once: `dist` is the
+    /// hop distance to the closest source and `parent` the BFS-tree parent
+    /// (`None` for the sources).
+    ///
+    /// `sources` must be ascending and distinct (as `ruling_set` returns
+    /// them).  Then the first discovery of a node comes from the closest
+    /// source with the smallest id — the Lemma 3.5 tie rule — and following
+    /// `parent` from it leads there: the sources are queued in id order, so
+    /// every layer is settled in non-decreasing order of the source its nodes
+    /// descend from.
+    pub fn run_bfs_multi(&mut self, graph: &Graph, sources: &[NodeId], max_depth: u64) {
+        assert!(
+            sources.windows(2).all(|w| w[0] < w[1]),
+            "BFS sources must be ascending and distinct"
+        );
         self.reset(graph.n());
-        self.dist[source as usize] = 0;
-        self.touched.push(source);
-        self.queue.push_back(source);
-        while let Some(v) = self.queue.pop_front() {
+        for &s in sources {
+            self.dist[s as usize] = 0;
+            self.touched.push(s);
+        }
+        let mut head = 0;
+        while let Some(&v) = self.touched.get(head) {
+            head += 1;
             let dv = self.dist[v as usize];
             if dv >= max_depth {
-                continue;
+                break; // every node still queued is at least as deep
             }
             for a in graph.arcs(v) {
                 let u = a.to as usize;
@@ -232,17 +238,23 @@ impl DijkstraWorkspace {
                     self.dist[u] = dv + 1;
                     self.parent[u] = Some(v);
                     self.touched.push(a.to);
-                    self.queue.push_back(a.to);
                 }
             }
         }
     }
 
-    /// Binary-heap Dijkstra: a popped entry whose distance is no longer
-    /// `dist[v]` was superseded and is skipped; the one that is settles `v`
-    /// (see the module docs for why no visited set is needed).
-    pub fn run_heap(&mut self, graph: &Graph, source: NodeId) {
+    /// Binary-heap Dijkstra that reaches exactly the nodes `w` with
+    /// `d(source, w) < below` ([`INFINITY`] for an unbounded run): a
+    /// relaxation to `below` or beyond is dropped, which changes no distance
+    /// or parent inside the bound — every shortest path to a node inside it
+    /// stays inside it.  A popped entry whose distance is no longer `dist[v]`
+    /// was superseded and is skipped; the one that is settles `v` (see the
+    /// module docs for why no visited set is needed).
+    pub fn run_heap(&mut self, graph: &Graph, source: NodeId, below: Weight) {
         self.reset(graph.n());
+        if below == 0 {
+            return;
+        }
         self.dist[source as usize] = 0;
         self.touched.push(source);
         self.heap.push(Reverse((0, source)));
@@ -256,7 +268,7 @@ impl DijkstraWorkspace {
                 // which is the `INFINITY` sentinel and never beats a real
                 // tentative distance.
                 let nd = d.saturating_add(a.weight);
-                if nd < self.dist[a.to as usize] {
+                if nd < self.dist[a.to as usize] && nd < below {
                     if self.dist[a.to as usize] == INFINITY {
                         self.touched.push(a.to);
                     }
@@ -291,7 +303,7 @@ impl DijkstraWorkspace {
         // Compare in u128: `c + 1` itself can overflow u64 and the
         // subsequent `next_power_of_two` can overflow usize.
         if c as u128 + 1 > DIAL_MAX_RING as u128 {
-            return self.run_heap(graph, source);
+            return self.run_heap(graph, source, INFINITY);
         }
         let c = c as usize;
         self.reset(graph.n());
@@ -371,35 +383,6 @@ pub fn dijkstra(graph: &Graph, source: NodeId) -> DijkstraResult {
         dist: ws.dist,
         parent: ws.parent,
     }
-}
-
-/// Binary-heap Dijkstra (reference oracle; allocates).
-pub fn dijkstra_heap(graph: &Graph, source: NodeId) -> DijkstraResult {
-    let mut ws = DijkstraWorkspace::with_capacity(graph.n());
-    ws.run_heap(graph, source);
-    DijkstraResult {
-        dist: ws.dist,
-        parent: ws.parent,
-    }
-}
-
-/// Dial bucket-queue Dijkstra (allocates; for arbitrary use prefer
-/// [`DijkstraWorkspace::run`] which also checks the weight range).
-pub fn dijkstra_dial(graph: &Graph, source: NodeId) -> DijkstraResult {
-    let mut ws = DijkstraWorkspace::with_capacity(graph.n());
-    ws.run_dial(graph, source);
-    DijkstraResult {
-        dist: ws.dist,
-        parent: ws.parent,
-    }
-}
-
-/// Single-source distances with automatic oracle selection (BFS / Dial /
-/// heap).  Returns only the distance array.
-pub fn sssp_auto(graph: &Graph, source: NodeId) -> Vec<Weight> {
-    let mut ws = DijkstraWorkspace::with_capacity(graph.n());
-    ws.run(graph, source);
-    ws.dist
 }
 
 /// Reusable buffers for [`hop_limited_distances_with`].
@@ -531,22 +514,70 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The path `0 → 1 → 2` with two near-`u64::MAX` edges.
+    fn huge_path() -> Graph {
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, u64::MAX - 1).unwrap();
+        b.add_edge(1, 2, u64::MAX - 1).unwrap();
+        b.build().unwrap()
+    }
+
+    /// Distances and parents of one unbounded heap run: the reference the
+    /// other runs are held to.
+    fn heap(g: &Graph, source: NodeId) -> (Vec<Weight>, Vec<Option<NodeId>>) {
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_heap(g, source, INFINITY);
+        (ws.dist().to_vec(), ws.parent().to_vec())
+    }
+
+    /// The source-to-`t` path the parents of a run spell, source first.
+    fn path_to(parent: &[Option<NodeId>], t: NodeId) -> Vec<NodeId> {
+        let mut path: Vec<NodeId> =
+            std::iter::successors(Some(t), |&v| parent[v as usize]).collect();
+        path.reverse();
+        path
+    }
+
+    /// Every node's closest source after a multi-source BFS, read off the
+    /// parents in settle order.
+    fn closest_sources(ws: &DijkstraWorkspace) -> Vec<Option<NodeId>> {
+        let mut closest = vec![None; ws.dist().len()];
+        for &v in ws.reached() {
+            closest[v as usize] = ws.parent()[v as usize].map_or(Some(v), |p| closest[p as usize]);
+        }
+        closest
+    }
+
+    /// `a` and `b` side by side, `b`'s ids shifted past `a`'s.
+    fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
+        let shift = a.n() as NodeId;
+        let mut builder = GraphBuilder::new(a.n() + b.n());
+        for &(u, v, w) in a.edges() {
+            builder.add_edge(u, v, w).unwrap();
+        }
+        for &(u, v, w) in b.edges() {
+            builder.add_edge(u + shift, v + shift, w).unwrap();
+        }
+        builder.build_unchecked_connectivity()
+    }
+
     #[test]
     fn dijkstra_prefers_light_path() {
         let g = weighted_diamond();
         let r = dijkstra(&g, 0);
         assert_eq!(r.dist, vec![0, 1, 3, 2]);
-        assert_eq!(r.path_to(3).unwrap(), vec![0, 1, 3]);
-        assert_eq!(r.path_to(2).unwrap(), vec![0, 1, 3, 2]);
+        assert_eq!(path_to(&r.parent, 3), vec![0, 1, 3]);
+        assert_eq!(path_to(&r.parent, 2), vec![0, 1, 3, 2]);
     }
 
     #[test]
     fn heap_dial_and_auto_agree() {
         let g = weighted_diamond();
-        let heap = dijkstra_heap(&g, 0);
-        let dial = dijkstra_dial(&g, 0);
-        assert_eq!(heap.dist, dial.dist);
-        assert_eq!(heap.dist, sssp_auto(&g, 0));
+        let (dist, _) = heap(&g, 0);
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_dial(&g, 0);
+        assert_eq!(ws.dist(), dist.as_slice());
+        assert_eq!(dijkstra(&g, 0).dist, dist);
         assert_eq!(select_sssp_algorithm(&g), SsspAlgorithm::Dial);
     }
 
@@ -559,9 +590,11 @@ mod tests {
         b.add_edge(1, 2, 1).unwrap();
         let heavy = b.build().unwrap();
         assert_eq!(select_sssp_algorithm(&heavy), SsspAlgorithm::Heap);
-        let heap = dijkstra_heap(&heavy, 0).dist;
-        assert_eq!(heap, sssp_auto(&heavy, 0));
-        assert_eq!(heap, dijkstra_dial(&heavy, 0).dist);
+        let (dist, _) = heap(&heavy, 0);
+        assert_eq!(dist, dijkstra(&heavy, 0).dist);
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_dial(&heavy, 0);
+        assert_eq!(ws.dist(), dist.as_slice());
     }
 
     #[test]
@@ -570,15 +603,15 @@ mod tests {
         let mut ws = DijkstraWorkspace::new();
         for s in 0..4u32 {
             ws.run(&g, s);
-            assert_eq!(ws.dist(), dijkstra_heap(&g, s).dist.as_slice());
+            assert_eq!(ws.dist(), heap(&g, s).0.as_slice());
         }
         // Switch to a different, larger graph with the same workspace.
         let p = generators::path(9).unwrap();
         ws.run(&p, 3);
-        assert_eq!(ws.dist(), crate::traversal::bfs(&p, 3).dist.as_slice());
+        assert_eq!(ws.dist(), &[3, 2, 1, 0, 1, 2, 3, 4, 5]);
         // And back to the small one.
         ws.run(&g, 1);
-        assert_eq!(ws.dist(), dijkstra_heap(&g, 1).dist.as_slice());
+        assert_eq!(ws.dist(), heap(&g, 1).0.as_slice());
     }
 
     #[test]
@@ -623,11 +656,124 @@ mod tests {
     #[test]
     fn dijkstra_equals_bfs_on_unweighted() {
         let g = generators::grid(&[5, 4]).unwrap();
+        let mut ws = DijkstraWorkspace::new();
         for s in [0u32, 7, 19] {
-            let d = dijkstra(&g, s).dist;
-            let b = crate::traversal::bfs(&g, s).dist;
-            assert_eq!(d, b);
-            assert_eq!(dijkstra_heap(&g, s).dist, b);
+            ws.run_bfs(&g, s);
+            assert_eq!(dijkstra(&g, s).dist, ws.dist());
+            assert_eq!(heap(&g, s).0, ws.dist());
+        }
+    }
+
+    #[test]
+    fn bfs_multi_assigns_closest_source() {
+        let g = generators::path(9).unwrap();
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_bfs_multi(&g, &[0, 8], u64::MAX);
+        let closest = closest_sources(&ws);
+        assert_eq!(ws.dist()[4], 4);
+        assert_eq!(closest[1], Some(0));
+        assert_eq!(closest[7], Some(8));
+        // Equidistant node 4: tie broken towards smaller id.
+        assert_eq!(closest[4], Some(0));
+    }
+
+    /// Against one heap run per source, on the families and on random graphs
+    /// sparse enough to be disconnected and dense enough for many equidistant
+    /// sources: `dist` is the minimum of the rows, the closest source is the
+    /// smallest id attaining it, and an unreached node has none.
+    #[test]
+    fn bfs_multi_matches_per_source_heap_runs() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0B5);
+        let mut graphs = vec![
+            generators::path(30).unwrap(),
+            generators::grid(&[7, 6]).unwrap(),
+            generators::tree_with_n(3, 40).unwrap(),
+            generators::erdos_renyi(50, 0.08, 7).unwrap(),
+            disjoint_union(
+                &generators::cycle(12).unwrap(),
+                &generators::grid(&[4, 5]).unwrap(),
+            ),
+        ];
+        for _ in 0..400 {
+            let n = rng.gen_range(1..=40usize);
+            let p = 0.3 * rng.gen::<f64>();
+            let mut b = GraphBuilder::new(n);
+            for u in 0..n as NodeId {
+                for v in u + 1..n as NodeId {
+                    if rng.gen_bool(p) {
+                        b.add_unweighted_edge(u, v).unwrap();
+                    }
+                }
+            }
+            graphs.push(b.build_unchecked_connectivity());
+        }
+        let mut ws = DijkstraWorkspace::new();
+        for g in &graphs {
+            let n = g.n();
+            let mut sources: Vec<NodeId> = (0..rng.gen_range(0..=6usize))
+                .map(|_| rng.gen_range(0..n as NodeId))
+                .collect();
+            sources.sort_unstable();
+            sources.dedup();
+
+            let mut dist = vec![INFINITY; n];
+            let mut closest = vec![None; n];
+            for &s in &sources {
+                for (v, &d) in heap(g, s).0.iter().enumerate() {
+                    if d < dist[v] {
+                        (dist[v], closest[v]) = (d, Some(s));
+                    }
+                }
+            }
+            ws.run_bfs_multi(g, &sources, u64::MAX);
+            assert_eq!(ws.dist(), dist, "sources {sources:?} on {:?}", g.edges());
+            assert_eq!(
+                closest_sources(&ws),
+                closest,
+                "sources {sources:?} on {:?}",
+                g.edges()
+            );
+        }
+    }
+
+    /// A bounded heap run reaches exactly the strict ball `{w : d(s, w) <
+    /// r}`, with the unbounded run's distances and parents inside it and
+    /// nothing outside.
+    #[test]
+    fn heap_run_below_r_is_the_unbounded_run_cut_at_r() {
+        let grid = generators::grid(&[6, 5]).unwrap();
+        let graphs = [
+            weighted_diamond(),
+            generators::with_random_weights(&grid, 9, 3).unwrap(),
+            generators::with_random_weights(&generators::erdos_renyi(40, 0.1, 5).unwrap(), 1000, 4)
+                .unwrap(),
+            huge_path(),
+        ];
+        let mut ws = DijkstraWorkspace::new();
+        for g in &graphs {
+            for s in [0, g.n() as NodeId / 2] {
+                let (dist, parent) = heap(g, s);
+                let mut radii: Vec<Weight> = dist.clone();
+                radii.extend([0, 1, u64::MAX - 1, INFINITY]);
+                for r in radii {
+                    ws.run_heap(g, s, r);
+                    let mut reached = ws.reached().to_vec();
+                    reached.sort_unstable();
+                    let ball: Vec<NodeId> = g.nodes().filter(|&w| dist[w as usize] < r).collect();
+                    assert_eq!(reached, ball, "source {s}, bound {r}");
+                    for w in g.nodes() {
+                        let (d, p) = (ws.dist()[w as usize], ws.parent()[w as usize]);
+                        if dist[w as usize] < r {
+                            assert_eq!((d, p), (dist[w as usize], parent[w as usize]));
+                        } else {
+                            assert_eq!((d, p), (INFINITY, None), "source {s}, bound {r}, node {w}");
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -647,7 +793,7 @@ mod tests {
         let mut ws = DijkstraWorkspace::new();
         ws.run_dial(&g, 0);
         assert_eq!(ws.dist(), &[0, 1, 2]);
-        assert_eq!(ws.dist(), dijkstra_heap(&g, 0).dist.as_slice());
+        assert_eq!(ws.dist(), heap(&g, 0).0.as_slice());
         assert!(ws.bucket_lens.iter().all(|&l| l == 0));
         assert!(ws.buckets.iter().all(Vec::is_empty));
         // Reuse: the ring state left behind must not poison the next run.
@@ -662,17 +808,14 @@ mod tests {
     /// `INFINITY` sentinel instead of wrapping.
     #[test]
     fn dial_falls_back_to_heap_on_huge_weights() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, u64::MAX - 1).unwrap();
-        b.add_edge(1, 2, u64::MAX - 1).unwrap();
-        let g = b.build().unwrap();
+        let g = huge_path();
         let mut ws = DijkstraWorkspace::new();
         ws.run_dial(&g, 0);
         // Two near-MAX edges saturate: node 2 is indistinguishable from
         // unreachable under u64 weights, and must NOT wrap around to a tiny
         // finite distance.
         assert_eq!(ws.dist(), &[0, u64::MAX - 1, INFINITY]);
-        assert_eq!(ws.dist(), dijkstra_heap(&g, 0).dist.as_slice());
+        assert_eq!(ws.dist(), heap(&g, 0).0.as_slice());
         // No ring of astronomical size was allocated by the fallback.
         assert!(ws.buckets.len() <= DIAL_MAX_RING);
     }
@@ -683,10 +826,7 @@ mod tests {
     /// says `INFINITY`, which also broke "fixpoint ⇒ exact".
     #[test]
     fn hop_limited_saturates_on_huge_weights() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, u64::MAX - 1).unwrap();
-        b.add_edge(1, 2, u64::MAX - 1).unwrap();
-        let g = b.build().unwrap();
+        let g = huge_path();
         assert_eq!(hop_limited_distances(&g, 0, 2), dijkstra(&g, 0).dist);
         let mut dist = Vec::new();
         let mut ws = HopLimitedWorkspace::new();

@@ -498,7 +498,7 @@ mod tests {
         });
         let report = exec.run().unwrap();
         assert!(report.completed);
-        let reference = hybrid_graph::traversal::bfs(&g, source);
+        let reference = hybrid_graph::dijkstra::dijkstra(&g, source);
         for (v, p) in exec.programs().iter().enumerate() {
             assert_eq!(p.dist, Some(reference.dist[v]));
         }

@@ -264,7 +264,7 @@ fn all_cases() -> Vec<Golden> {
                 |v| BfsProgram::new(v, source),
                 |p| vec![p.dist.unwrap_or(u64::MAX)],
             );
-            let reference = hybrid_graph::traversal::bfs(graph, source);
+            let reference = hybrid_graph::dijkstra::dijkstra(graph, source);
             for (v, row) in rows.iter().enumerate() {
                 assert_eq!(row[0], reference.dist[v], "{}: node {v}", golden.name);
             }

@@ -10,11 +10,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use hybrid::core::cluster::{cluster_with_radius, ruling_set};
-use hybrid::core::minplus::{self, Assignment, Coeff, RowMatrix};
 use hybrid::core::nq::{lemma_3_6_bounds, NqOracle};
 use hybrid::core::rows::DistanceRows;
 use hybrid::core::spanner::{greedy_spanner, measured_stretch};
 use hybrid::core::sssp::quantize_distance;
+use hybrid::graph::dijkstra::DijkstraWorkspace;
 use hybrid::graph::INFINITY;
 use hybrid::prelude::*;
 use hybrid::sim::{GlobalMessage, GlobalScheduler};
@@ -141,13 +141,14 @@ proptest! {
         let rulers = ruling_set(&graph, alpha);
         prop_assert!(!rulers.is_empty());
         // Domination.
-        let ms = hybrid::graph::traversal::multi_source_bfs(&graph, &rulers);
-        prop_assert!(ms.dist.iter().all(|&d| d <= alpha.saturating_sub(1)));
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_bfs_multi(&graph, &rulers, u64::MAX);
+        prop_assert!(ws.dist().iter().all(|&d| d <= alpha.saturating_sub(1)));
         // Spacing (checked from a sample of rulers to keep the test fast).
         for &a in rulers.iter().take(5) {
-            let d = hybrid::graph::traversal::bfs(&graph, a);
+            ws.run_bfs(&graph, a);
             for &b in rulers.iter().filter(|&&b| b != a).take(10) {
-                prop_assert!(d.dist[b as usize] >= alpha);
+                prop_assert!(ws.dist()[b as usize] >= alpha);
             }
         }
     }
@@ -329,76 +330,6 @@ proptest! {
         }
     }
 
-    /// The blocked (min,+) kernel is *exactly* equivalent to the naive triple
-    /// loop — including INFINITY saturation — on h-hop row matrices from
-    /// random graphs with random anchors, coefficient rows (dense and unit),
-    /// offsets and initial rows.  This is the contract that lets the k-SSP /
-    /// (k,ℓ)-SP / Theorem 8 data levels share `hybrid::core::minplus`.
-    #[test]
-    fn minplus_kernel_matches_naive_reference(
-        graph in arbitrary_graph(),
-        h in 0usize..24,
-        seed in any::<u64>(),
-        groups in 1usize..6,
-        outputs in 1usize..12,
-    ) {
-        use rand::Rng;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let n = graph.n();
-        // Skeleton-style rows: h-hop sweeps from random anchors (h may be far
-        // below the diameter, so rows carry genuine INFINITY runs).
-        let s = rng.gen_range(1..=8usize.min(n));
-        let rows: Vec<Vec<u64>> = (0..s)
-            .map(|_| {
-                let anchor = rng.gen_range(0..n) as u32;
-                hybrid::graph::dijkstra::hop_limited_distances(&graph, anchor, h)
-            })
-            .collect();
-        let matrix = RowMatrix::new(rows);
-        // Random coefficient rows: dense rows mixing finite entries, huge
-        // near-saturating values and INFINITY; occasionally a unit row.
-        let coeffs: Vec<Coeff> = (0..groups)
-            .map(|_| {
-                if rng.gen_range(0..4u8) == 0 {
-                    Coeff::Unit(rng.gen_range(0..s))
-                } else {
-                    Coeff::Dense(
-                        (0..s)
-                            .map(|_| match rng.gen_range(0..5u8) {
-                                0 => INFINITY,
-                                1 => u64::MAX - rng.gen_range(0..3u64),
-                                _ => rng.gen_range(0..200u64),
-                            })
-                            .collect(),
-                    )
-                }
-            })
-            .collect();
-        let assign: Vec<Assignment> = (0..outputs)
-            .map(|_| match rng.gen_range(0..5u8) {
-                0 => None,
-                1 => Some((rng.gen_range(0..groups), INFINITY)),
-                _ => Some((rng.gen_range(0..groups), rng.gen_range(0..100u64))),
-            })
-            .collect();
-        let init: Vec<Vec<u64>> = (0..outputs)
-            .map(|_| {
-                (0..n)
-                    .map(|_| match rng.gen_range(0..3u8) {
-                        0 => INFINITY,
-                        _ => rng.gen_range(0..400u64),
-                    })
-                    .collect()
-            })
-            .collect();
-        let init_refs: Vec<&[u64]> = init.iter().map(Vec::as_slice).collect();
-        let blocked = minplus::compose(&matrix, &coeffs, &assign, &init_refs);
-        let naive = minplus::compose_naive(&matrix, &coeffs, &assign, &init_refs);
-        prop_assert_eq!(&blocked, &naive);
-        // Determinism: a second blocked run reproduces the labels bit for bit.
-        prop_assert_eq!(blocked, minplus::compose(&matrix, &coeffs, &assign, &init_refs));
-    }
-
     /// The register-tiled quad (min,+) fold is **bit for bit** four single
     /// folds on random saturating inputs — INFINITY runs, `u64::MAX − k`
     /// near-saturation values and ordinary finite weights in one accumulator.
@@ -480,19 +411,21 @@ proptest! {
     #[test]
     fn bucket_queue_equals_heap_equals_bfs(graph in arbitrary_graph(), src_sel in any::<u32>()) {
         let source = src_sel % graph.n() as u32;
-        let heap = hybrid::graph::dijkstra::dijkstra_heap(&graph, source);
-        let dial = hybrid::graph::dijkstra::dijkstra_dial(&graph, source);
-        prop_assert_eq!(&heap.dist, &dial.dist);
-        let auto = hybrid::graph::dijkstra::sssp_auto(&graph, source);
-        prop_assert_eq!(&heap.dist, &auto);
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_heap(&graph, source, INFINITY);
+        let heap = ws.dist().to_vec();
+        ws.run_dial(&graph, source);
+        prop_assert_eq!(heap.as_slice(), ws.dist());
+        ws.run(&graph, source);
+        prop_assert_eq!(heap.as_slice(), ws.dist());
         if !graph.is_weighted() {
-            let bfs = hybrid::graph::traversal::bfs(&graph, source);
-            prop_assert_eq!(&heap.dist, &bfs.dist);
+            ws.run_bfs(&graph, source);
+            prop_assert_eq!(heap.as_slice(), ws.dist());
         }
     }
 
     /// Same equivalence on weighted graphs (random weights in [1, 64] keep
-    /// the Dial ring small; [1, 1000] forces the heap path of `sssp_auto`).
+    /// the Dial ring small; [1, 1000] forces the heap path of `DijkstraWorkspace::run`).
     #[test]
     fn bucket_queue_equals_heap_weighted(
         graph in arbitrary_graph(),
@@ -502,17 +435,18 @@ proptest! {
     ) {
         let weighted = generators::with_random_weights(&graph, max_w, wseed).unwrap();
         let source = src_sel % weighted.n() as u32;
-        let heap = hybrid::graph::dijkstra::dijkstra_heap(&weighted, source);
-        let dial = hybrid::graph::dijkstra::dijkstra_dial(&weighted, source);
-        prop_assert_eq!(&heap.dist, &dial.dist);
-        prop_assert_eq!(&heap.dist, &hybrid::graph::dijkstra::sssp_auto(&weighted, source));
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_heap(&weighted, source, INFINITY);
+        let heap = ws.dist().to_vec();
+        ws.run_dial(&weighted, source);
+        prop_assert_eq!(heap.as_slice(), ws.dist());
         // The workspace produces identical distances under reuse.
-        let mut ws = hybrid::graph::dijkstra::DijkstraWorkspace::new();
         ws.run(&weighted, source);
-        prop_assert_eq!(heap.dist.as_slice(), ws.dist());
+        prop_assert_eq!(heap.as_slice(), ws.dist());
+        ws.run_heap(&graph, source, INFINITY);
+        let unweighted_heap = ws.dist().to_vec();
         ws.run(&graph, source);
-        let unweighted_bfs = hybrid::graph::traversal::bfs(&graph, source);
-        prop_assert_eq!(unweighted_bfs.dist.as_slice(), ws.dist());
+        prop_assert_eq!(unweighted_heap.as_slice(), ws.dist());
     }
 
     /// Hop-limited distances with enough hops recover exact distances, and
@@ -538,7 +472,7 @@ proptest! {
     fn parallel_apsp_matches_single_source(graph in arbitrary_graph(), src_sel in any::<u32>()) {
         let all = DistanceRows::all_pairs(&graph);
         let v = src_sel % graph.n() as u32;
-        let single = hybrid::graph::dijkstra::dijkstra_heap(&graph, v);
+        let single = hybrid::graph::dijkstra::dijkstra(&graph, v);
         prop_assert_eq!(all.row(v as usize), &single.dist[..]);
     }
 
