@@ -275,7 +275,7 @@ fn run_sweep(cli: &Cli) -> io::Result<()> {
     let rows = sweep_rows(&config);
     check_sweep_artifact(&rows)?;
     let title = format!(
-        "Scaling sweep: algorithm shootout vs. per-instance lower bound ({} families x {} sizes x {} (lambda, gamma) points)",
+        "Scaling sweep: algorithm shootout vs. per-instance lower bound ({} families x {} sizes x {} gamma points)",
         config.grid.families.len(),
         config.grid.sizes.len(),
         config.points.len()

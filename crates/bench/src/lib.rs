@@ -11,7 +11,7 @@
 //! * Figure 1 — the k-SSP complexity landscape;
 //! * Appendix B / Theorems 15–17 — `NQ_k` on special graph families;
 //! * Scaling sweeps (the [`sweep`] module) — competitive-ratio curves against
-//!   the per-instance lower bound over a `family × size × (λ, γ)` grid;
+//!   the per-instance lower bound over a `family × size × γ` grid;
 //! * Fault sweeps (the [`faults_sweep`] module) — degradation-factor curves
 //!   under a seeded fault-injection adversary over a `family × size ×
 //!   fault-profile` grid;

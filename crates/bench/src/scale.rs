@@ -143,7 +143,7 @@ pub struct ScaleRow {
     pub peak_mem_bytes: u64,
 }
 
-/// Runs the scale grid, one row per cell (single `(λ, γ)` point — the
+/// Runs the scale grid, one row per cell (single `γ` point — the
 /// standard `HYBRID`), in family-major row order.
 pub fn scale_rows(config: &ScaleConfig) -> Vec<ScaleRow> {
     let epsilon = 0.25;

@@ -70,10 +70,10 @@ pub fn table1_rows(grid: &Grid, ks: &[u64]) -> Vec<Table1Row> {
             let holders = sample_distinct(graph.n(), graph.n().min(k as usize).max(1), &mut rng);
             let tokens = place_tokens(&holders, k);
 
-            let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
             let uni = k_dissemination(&mut net, &oracle, &tokens);
 
-            let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
             let base = baseline_sqrt_k_dissemination(&mut net, &oracle, &tokens);
 
             // Aggregation with a small value vector per node (k functions is
@@ -83,7 +83,7 @@ pub fn table1_rows(grid: &Grid, ks: &[u64]) -> Vec<Table1Row> {
             let values: Vec<Vec<u64>> = (0..graph.n() as u64)
                 .map(|v| (0..agg_k as u64).map(|i| v + i).collect())
                 .collect();
-            let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
             let agg = k_aggregation(&mut net, &oracle, &values, |a, b| a.max(b));
 
             // Routing: k arbitrary sources, ℓ = NQ_k random targets.
@@ -181,28 +181,28 @@ pub fn table2_rows(grid: &Grid) -> Vec<Table2Row> {
         let exact_unweighted = DistanceRows::all_pairs(&graph);
         let exact_weighted = DistanceRows::all_pairs(&weighted);
 
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let uni = apsp::apsp_unweighted(&mut net, &oracle, 0.5);
         let uni_stretch = uni
             .verify_stretch_against(&exact_unweighted)
             .expect("Theorem 6 stretch");
 
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let base = apsp::baseline_unweighted_apsp_sqrt_n(&mut net, &oracle, 0.5);
 
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&weighted));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&weighted));
         let spanner = apsp::apsp_weighted_log_over_loglog(&mut net, weighted_oracle);
         let spanner_stretch = spanner
             .verify_stretch_against(&exact_weighted)
             .expect("Theorem 7 stretch");
 
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&weighted));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&weighted));
         let skel = apsp::apsp_weighted_skeleton(&mut net, weighted_oracle, 1, &mut rng);
         let skel_stretch = skel
             .verify_stretch_against(&exact_weighted)
             .expect("Theorem 8 stretch");
 
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let lit = apsp::baseline_sqrt_n_apsp_from_labels(&mut net, exact_unweighted);
 
         let lb = shortest_paths_lower_bound(&oracle, net.params(), graph.n() as u64, 0.99);
@@ -338,12 +338,12 @@ pub fn table4_rows(grid: &Grid) -> Vec<Table4Row> {
         let graph = Arc::new(family.build_weighted(cell.n_target, grid.seed));
         let exact = hybrid_graph::dijkstra::dijkstra(&graph, 0).dist;
 
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let ours = sssp_approx(&mut net, 0, 0.25);
         let measured_stretch = ours.verify_stretch(&exact).expect("Theorem 13 stretch");
 
         let baseline_rounds = |b: SsspBaseline| {
-            let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
             baseline_sssp(&mut net, 0, b).rounds
         };
         vec![Table4Row {

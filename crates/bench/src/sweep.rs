@@ -1,13 +1,13 @@
 //! Scaling sweeps: the algorithm **shootout** — competitive-ratio curves for
 //! every registered algorithm against the per-instance lower bound over a
-//! `family × size × (λ, γ)` grid.
+//! `family × size × γ` grid.
 //!
 //! The paper's headline claim is *universal* optimality — on **every**
 //! topology the algorithms stay within polylog factors of that graph's own
 //! lower bound.  The table reproductions check fixed-size rows; this module
 //! measures the claim *at scale and against the competition*: every
 //! [`GraphFamily`] is swept over a geometric ladder of sizes and a small grid
-//! of `HYBRID(λ, γ)` parameter points, and each cell runs **every registered
+//! of `HYBRID(∞, γ)` parameter points, and each cell runs **every registered
 //! implementation** ([`hybrid_core::algorithm`]) on the *same instance* —
 //! same graph, same token placement, same sources — and records each one's
 //! measured rounds **next to the same per-instance lower-bound witness**
@@ -24,7 +24,7 @@
 //!
 //! Cells are independent experiments: each `(family, n)` cell derives its own
 //! `ChaCha8` streams from [`Grid::seed`], so the grid's fan-out (one task per
-//! cell, `(λ, γ)` points and algorithms run in-cell to share the graph and
+//! cell, `γ` points and algorithms run in-cell to share the graph and
 //! its `NQ` oracle) is bit-identical across `RAYON_NUM_THREADS` — pinned by
 //! `crates/bench/tests/determinism.rs` and the CI cross-thread artifact diff.
 
@@ -41,22 +41,19 @@ use hybrid_core::lower_bounds::{dissemination_lower_bound, shortest_paths_lower_
 use hybrid_core::nq::NqOracle;
 use hybrid_core::prob::sample_distinct;
 use hybrid_core::sssp::sssp_approx;
-use hybrid_sim::{HybridNetwork, IdSpace, LocalBandwidth, ModelParams};
+use hybrid_sim::{HybridNetwork, ModelParams};
 
 use crate::grid::{GraphFamily, Grid};
 
 // The benchmark workloads import the seed rule by this path.
 pub use crate::grid::cell_seed;
 
-/// One `(λ, γ)` point of the sweep grid, as a function of `n` (both
-/// parameters are measured in the paper's `⌈log₂ n⌉` unit).
+/// One `γ` point of the sweep grid, as a function of `n` (measured in the
+/// paper's `⌈log₂ n⌉` unit); `λ` is always `∞`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SweepPoint {
     /// Short name used in the JSON rows (`hybrid`, `scarce-global`, …).
     pub name: &'static str,
-    /// `λ`: `None` is unlimited local bandwidth; `Some(c)` bounds every local
-    /// edge to `c·⌈log₂ n⌉` bits per round (CONGEST-style local network).
-    pub lambda_log_factor: Option<u64>,
     /// `γ` in messages per node per round: `max(1, num·⌈log₂ n⌉ / den)`.
     pub gamma_num: usize,
     /// Denominator of the `γ` scaling (see `gamma_num`).
@@ -64,36 +61,23 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
-    /// The standard `HYBRID` point: `λ = ∞`, `γ = ⌈log₂ n⌉`.
+    /// The standard `HYBRID` point: `γ = ⌈log₂ n⌉`.
     pub const HYBRID: SweepPoint = SweepPoint {
         name: "hybrid",
-        lambda_log_factor: None,
         gamma_num: 1,
         gamma_den: 1,
     };
-    /// Scarce global bandwidth: `λ = ∞`, `γ = max(1, ⌈log₂ n⌉ / 4)` — the
+    /// Scarce global bandwidth: `γ = max(1, ⌈log₂ n⌉ / 4)` — the
     /// regime where the `1/γ` factor of Lemma 7.1 bites hardest.
     pub const SCARCE_GLOBAL: SweepPoint = SweepPoint {
         name: "scarce-global",
-        lambda_log_factor: None,
         gamma_num: 1,
         gamma_den: 4,
     };
-    /// Rich global bandwidth: `λ = ∞`, `γ = 4·⌈log₂ n⌉`.
+    /// Rich global bandwidth: `γ = 4·⌈log₂ n⌉`.
     pub const RICH_GLOBAL: SweepPoint = SweepPoint {
         name: "rich-global",
-        lambda_log_factor: None,
         gamma_num: 4,
-        gamma_den: 1,
-    };
-    /// CONGEST-style local edges (`λ = ⌈log₂ n⌉` bits) with the standard
-    /// global capacity.  The phase simulation charges local phases by hop
-    /// radius, so measured rounds coincide with [`SweepPoint::HYBRID`]; the
-    /// point documents that λ does not enter the Lemma 7.1 witness either.
-    pub const CONGEST_LOCAL: SweepPoint = SweepPoint {
-        name: "congest-local",
-        lambda_log_factor: Some(1),
-        gamma_num: 1,
         gamma_den: 1,
     };
 
@@ -102,41 +86,28 @@ impl SweepPoint {
         (self.gamma_num * ModelParams::log_n(n) / self.gamma_den.max(1)).max(1)
     }
 
-    /// Human-readable `λ` description for the JSON rows.
-    pub fn lambda_label(&self) -> String {
-        match self.lambda_log_factor {
-            None => "inf".to_string(),
-            Some(c) => format!("{c}*log(n) bits"),
-        }
-    }
-
     /// Model parameters for an `n`-node instance at this point.
-    ///
-    /// Identifiers are kept globally known (`Hybrid`-style) so the same grid
-    /// point drives all three pipelines; the `Hybrid0` distinction is covered
-    /// by the table reproductions.
     pub fn params(&self, n: usize) -> ModelParams {
-        ModelParams {
-            n,
-            local: match self.lambda_log_factor {
-                None => LocalBandwidth::Unlimited,
-                Some(c) => LocalBandwidth::BoundedBits(c * ModelParams::log_n(n) as u64),
-            },
-            global_capacity_msgs: self.gamma_msgs(n),
-            id_space: IdSpace::Contiguous,
-        }
+        ModelParams::hybrid_with_global_capacity(n, self.gamma_msgs(n))
     }
 }
 
 /// Configuration of a scaling sweep: the `family × size` grid (a geometric
-/// ladder of target node counts) and the `(λ, γ)` points run in every cell.
+/// ladder of target node counts) and the `γ` points run in every cell.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// The cells.
     pub grid: Grid,
-    /// `(λ, γ)` grid points.
+    /// `γ` grid points.
     pub points: Vec<SweepPoint>,
 }
+
+/// The `γ` points of both shipped sweeps.
+const POINTS: [SweepPoint; 3] = [
+    SweepPoint::HYBRID,
+    SweepPoint::SCARCE_GLOBAL,
+    SweepPoint::RICH_GLOBAL,
+];
 
 impl SweepConfig {
     /// The CI-sized sweep: every family × 3 sizes × 3 points
@@ -144,24 +115,15 @@ impl SweepConfig {
     pub fn quick() -> Self {
         SweepConfig {
             grid: Grid::new(GraphFamily::all(), &[64, 128, 256], 0x5CA1E),
-            points: vec![
-                SweepPoint::HYBRID,
-                SweepPoint::SCARCE_GLOBAL,
-                SweepPoint::RICH_GLOBAL,
-            ],
+            points: POINTS.to_vec(),
         }
     }
 
-    /// The full-depth sweep (nightly): every family × 4 sizes × 4 points.
+    /// The full-depth sweep (nightly): every family × 4 sizes × 3 points.
     pub fn full() -> Self {
         SweepConfig {
             grid: Grid::new(GraphFamily::all(), &[128, 256, 512, 1024], 0x5CA1E),
-            points: vec![
-                SweepPoint::HYBRID,
-                SweepPoint::SCARCE_GLOBAL,
-                SweepPoint::RICH_GLOBAL,
-                SweepPoint::CONGEST_LOCAL,
-            ],
+            points: POINTS.to_vec(),
         }
     }
 }
@@ -204,7 +166,7 @@ pub struct KsspCell {
     pub skeleton_size: usize,
 }
 
-/// One cell of the scaling sweep: a `(family, n, λ, γ)` coordinate with the
+/// One cell of the scaling sweep: a `(family, n, γ)` coordinate with the
 /// instance's lower-bound witnesses and, side by side, every registered
 /// algorithm's measured rounds and competitive ratio against them.
 #[derive(Debug, Clone, Serialize)]
@@ -213,10 +175,8 @@ pub struct SweepRow {
     pub family: &'static str,
     /// Actual number of nodes of the built instance.
     pub n: usize,
-    /// Name of the `(λ, γ)` grid point.
+    /// Name of the `γ` grid point.
     pub point: &'static str,
-    /// `λ` description (`inf` or `c*log(n) bits`).
-    pub lambda: String,
     /// `γ` in messages per node per round.
     pub gamma_msgs: usize,
     /// Dissemination workload (number of tokens `k`).
@@ -257,7 +217,7 @@ fn ratio(rounds: u64, lower_bound: f64) -> f64 {
 ///
 /// Each `(family, n)` cell builds its graph and `NQ` oracle once and draws
 /// its token placement, source set and algorithm seed once, then reuses them
-/// for every `(λ, γ)` point; within a cell the registered algorithms run
+/// for every `γ` point; within a cell the registered algorithms run
 /// sequentially on identical instances.  Row order is family-major, then
 /// size, then grid point — identical for every pool width.
 pub fn sweep_rows(config: &SweepConfig) -> Vec<SweepRow> {
@@ -339,7 +299,6 @@ pub fn sweep_rows(config: &SweepConfig) -> Vec<SweepRow> {
                     family: cell.family.name(),
                     n,
                     point: point.name,
-                    lambda: point.lambda_label(),
                     gamma_msgs: params.global_capacity_msgs,
                     k,
                     nq_k,
@@ -386,7 +345,7 @@ pub enum SweepArtifactError {
         family: &'static str,
         /// The row's node count.
         n: usize,
-        /// The row's `(λ, γ)` point.
+        /// The row's `γ` point.
         point: &'static str,
         /// Rounds of `theorem1`.
         theorem1: u64,
@@ -402,7 +361,7 @@ pub enum SweepArtifactError {
         family: &'static str,
         /// The row's node count.
         n: usize,
-        /// The row's `(λ, γ)` point.
+        /// The row's `γ` point.
         point: &'static str,
         /// Rounds of `theorem1`.
         theorem1: u64,
@@ -691,26 +650,6 @@ mod tests {
         let scarce = rows[0].kssp_cell("theorem14").unwrap();
         let rich = rows[1].kssp_cell("theorem14").unwrap();
         assert!(scarce.rounds >= rich.rounds);
-    }
-
-    #[test]
-    fn congest_local_matches_hybrid_rounds() {
-        // λ enters neither the hop-charged local phases nor the Lemma 7.1
-        // witness, so the congest-local point must reproduce HYBRID rounds
-        // for every contender.
-        let config = SweepConfig {
-            grid: Grid::new(&[GraphFamily::Grid2D], &[64], 3),
-            points: vec![SweepPoint::HYBRID, SweepPoint::CONGEST_LOCAL],
-        };
-        let rows = sweep_rows(&config);
-        for (a, b) in rows[0].dissemination.iter().zip(&rows[1].dissemination) {
-            assert_eq!(a.algorithm, b.algorithm);
-            assert_eq!(a.rounds, b.rounds, "{}", a.algorithm);
-        }
-        for (a, b) in rows[0].kssp.iter().zip(&rows[1].kssp) {
-            assert_eq!(a.rounds, b.rounds, "{}", a.algorithm);
-        }
-        assert_ne!(rows[0].lambda, rows[1].lambda);
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn figure1_pipeline_bit_identical_across_pool_sizes() {
 #[test]
 fn sweep_quick_rows_bit_identical_across_pool_sizes() {
     // The exact `reproduce sweep --quick` grid (every family × 3 sizes ×
-    // 3 (λ, γ) points): the per-(family, n) fan-out shares one graph and
+    // 3 γ points): the per-(family, n) fan-out shares one graph and
     // oracle across grid points, so this also pins that the point loop stays
     // inside its cell's RNG streams at every pool width.
     let run = || serde_json::to_string_pretty(&sweep_rows(&SweepConfig::quick())).unwrap();

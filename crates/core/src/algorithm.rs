@@ -280,7 +280,7 @@ mod tests {
         for algo in dissemination_registry() {
             let arc = Arc::new(g.clone());
             let oracle = NqOracle::new(&arc);
-            let mut net = HybridNetwork::hybrid0(arc);
+            let mut net = HybridNetwork::hybrid(arc);
             let out = algo.run(&mut net, &oracle, &tokens);
             assert!(out.rounds > 0, "{} charged no rounds", algo.name());
             match &seen {

@@ -384,7 +384,7 @@ mod tests {
     fn setup(graph: Graph) -> (Arc<Graph>, NqOracle, HybridNetwork) {
         let g = Arc::new(graph);
         let oracle = NqOracle::new(&g);
-        let net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let net = HybridNetwork::hybrid(Arc::clone(&g));
         (g, oracle, net)
     }
 

@@ -92,7 +92,7 @@ mod tests {
         // simulation every node knows the global sum.
         let g = Arc::new(generators::grid(&[8, 8]).unwrap());
         let oracle = NqOracle::new(&g);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let n = g.n() as u64;
         let sim = simulate_bcc(&mut net, &oracle, 2, |round, history| {
             if round == 0 {
@@ -113,7 +113,7 @@ mod tests {
     fn bcc_cost_is_polylog_times_nq_n() {
         let g = Arc::new(generators::grid(&[12, 12]).unwrap());
         let oracle = NqOracle::new(&g);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let sim = simulate_bcc(&mut net, &oracle, 1, |_, _| vec![7; 144]);
         let nq_n = oracle.nq(144);
         let log_n = net.log_n();
@@ -128,7 +128,7 @@ mod tests {
     fn wrong_value_count_panics() {
         let g = Arc::new(generators::cycle(10).unwrap());
         let oracle = NqOracle::new(&g);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         simulate_bcc(&mut net, &oracle, 1, |_, _| vec![1, 2, 3]);
     }
 }

@@ -261,7 +261,7 @@ mod tests {
     fn make(graph: hybrid_graph::Graph, k: u64) -> (Clustering, u64, hybrid_graph::Graph) {
         let g = Arc::new(graph);
         let oracle = NqOracle::new(&g);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let clustering = cluster_by_nq(&mut net, &oracle, k);
         let rounds = net.rounds();
         (

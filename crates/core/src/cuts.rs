@@ -139,7 +139,7 @@ mod tests {
         // Grid: minimum cut 2 → sampling probability saturates at 1, the
         // sparsifier is the graph itself and every cut is preserved exactly.
         let g = Arc::new(generators::grid(&[6, 6]).unwrap());
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let sp = cut_sparsifier(&mut net, 0.3, &mut rng);
         assert_eq!(sp.probability, 1.0);
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn dense_graph_sparsifier_shrinks_and_approximates() {
         let g = Arc::new(generators::complete(150).unwrap());
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let eps = 0.8;
         let sp = cut_sparsifier(&mut net, eps, &mut rng);
@@ -165,7 +165,7 @@ mod tests {
     fn theorem9_pipeline_charges_broadcast_and_construction() {
         let g = Arc::new(generators::grid(&[8, 8]).unwrap());
         let oracle = NqOracle::new(&g);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let out = approximate_all_cuts(&mut net, &oracle, 0.5, &mut rng);
         assert!(out.rounds > 0);
@@ -177,7 +177,7 @@ mod tests {
     #[should_panic(expected = "in (0,1)")]
     fn invalid_epsilon_panics() {
         let g = Arc::new(generators::path(8).unwrap());
-        let mut net = HybridNetwork::hybrid0(g);
+        let mut net = HybridNetwork::hybrid(g);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         cut_sparsifier(&mut net, 1.5, &mut rng);
     }

@@ -19,7 +19,7 @@
 //!   [`cuts`], [`spanner`], [`skeleton`];
 //! * **existentially optimal shortest paths**: `(1+ε)`-SSSP in `Õ(1)` rounds
 //!   (Theorem 13, Section 8) and `k`-SSP via skeleton scheduling
-//!   (Theorem 14, Section 9) — [`sssp`], [`kssp`], [`minor_aggregation`];
+//!   (Theorem 14, Section 9) — [`sssp`], [`kssp`];
 //! * the **universal lower bounds** (Theorems 4, 10, 11, 12; Lemmas 7.1–7.2)
 //!   as computable witness values — [`lower_bounds`];
 //! * the **Broadcast Congested Clique simulation** of Corollary 2.1 —
@@ -49,7 +49,6 @@ pub mod helpers;
 pub mod klsp;
 pub mod kssp;
 pub mod lower_bounds;
-pub mod minor_aggregation;
 pub mod minplus;
 pub mod nq;
 pub mod oracle;

@@ -359,7 +359,7 @@ mod tests {
     fn distributed_computation_matches_oracle_and_charges_rounds() {
         let g = Arc::new(generators::grid(&[8, 8]).unwrap());
         let oracle = NqOracle::new(&g);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let k = 32;
         let result = compute_nq(&mut net, &oracle, k);
         assert_eq!(result.nq, oracle.nq(k));

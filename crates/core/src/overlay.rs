@@ -416,7 +416,7 @@ mod tests {
     use std::sync::Arc;
 
     fn net(n: usize) -> HybridNetwork {
-        HybridNetwork::hybrid0(Arc::new(generators::cycle(n.max(3)).unwrap()))
+        HybridNetwork::hybrid(Arc::new(generators::cycle(n.max(3)).unwrap()))
     }
 
     #[test]
@@ -559,7 +559,7 @@ mod tests {
     /// height ≥ 2.
     fn grid_cluster_tree(schedule: HopSchedule) -> (HybridNetwork, ClusterTree) {
         let graph = Arc::new(generators::grid(&[10, 10]).unwrap());
-        let mut net = HybridNetwork::hybrid0(graph);
+        let mut net = HybridNetwork::hybrid(graph);
         let clustering = crate::cluster::cluster_with_radius(&mut net, 2, 40);
         let tree = ClusterTree::build(&mut net, clustering, schedule);
         assert!(tree.tree.height() >= 2, "height {}", tree.tree.height());

@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn spanner_charges_polylog_rounds() {
         let g = Arc::new(generators::grid(&[6, 6]).unwrap());
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let _ = greedy_spanner(Some(&mut net), &g, 3);
         assert!(net.rounds() > 0);
         assert!(net.rounds() <= net.polylog(2));

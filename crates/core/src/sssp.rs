@@ -3,18 +3,17 @@
 //! * **Theorem 13** (existentially optimal SSSP): a `(1+ε)`-approximation of
 //!   SSSP can be computed in `Õ(1/ε²)` rounds, deterministically, in
 //!   `Hybrid0`.  The paper obtains this by simulating the Minor-Aggregation
-//!   model (Lemma 8.2, see [`crate::minor_aggregation`]) and implementing the
-//!   Eulerian-orientation oracle (Lemma 8.6), then invoking the
-//!   transshipment-based SSSP of `[RGH+22]`.  Re-deriving the full
-//!   transshipment / ℓ₁-oblivious-routing stack is out of scope for this
-//!   reproduction: [`sssp_approx`] produces genuinely `(1+ε)`-approximate
-//!   distance labels (exact distances quantized by the allowed error) and
-//!   charges the `Õ(1/ε²)` rounds through an explicit cost model
-//!   ([`SsspCostModel`]).  Everything the downstream universal algorithms
-//!   consume — label quality, polylogarithmic round cost, number of
-//!   invocations — is thereby preserved, and the label quality is checked
-//!   under the one label contract of [`crate::stretch`] (ARCHITECTURE.md,
-//!   *Label contract*).
+//!   model (Lemma 8.2) and implementing the Eulerian-orientation oracle
+//!   (Lemma 8.6), then invoking the transshipment-based SSSP of `[RGH+22]`.
+//!   This reproduction runs none of that stack: [`sssp_approx`] runs exact
+//!   Dijkstra, quantizes each distance by the allowed `(1+ε)` error
+//!   ([`quantize_distance`]) and charges the `Õ(1/ε²)` rounds through an
+//!   explicit cost model ([`SsspCostModel`]) under the phase label
+//!   `sssp/theorem13-minor-aggregation`.  Everything the downstream
+//!   universal algorithms consume — label quality, polylogarithmic round
+//!   cost, number of invocations — is thereby preserved, and the label
+//!   quality is checked under the one label contract of [`crate::stretch`]
+//!   (ARCHITECTURE.md, *Label contract*).
 //!
 //! * **Prior-work baselines** (the other rows of Table 4): reference cost
 //!   curves for `[KS20]` (`Õ(√n)` exact), `[CHLP21b]` (`Õ(n^{5/17})`, `1+ε`),
@@ -217,7 +216,7 @@ mod tests {
     #[test]
     fn sssp_labels_have_promised_stretch() {
         let g = Arc::new(generators::weighted_grid(&[10, 10], 30, 1).unwrap());
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let out = sssp_approx(&mut net, 0, 0.25);
         let exact = dijkstra(&g, 0).dist;
         out.verify_stretch(&exact).unwrap();
@@ -228,8 +227,8 @@ mod tests {
     fn sssp_rounds_are_polylog_and_independent_of_n_growth() {
         let small = Arc::new(generators::grid(&[8, 8]).unwrap());
         let large = Arc::new(generators::grid(&[32, 32]).unwrap());
-        let mut net_s = HybridNetwork::hybrid0(Arc::clone(&small));
-        let mut net_l = HybridNetwork::hybrid0(Arc::clone(&large));
+        let mut net_s = HybridNetwork::hybrid(Arc::clone(&small));
+        let mut net_l = HybridNetwork::hybrid(Arc::clone(&large));
         let out_s = sssp_approx(&mut net_s, 0, 0.5);
         let out_l = sssp_approx(&mut net_l, 0, 0.5);
         // Table 4: Õ(1) — rounds grow only polylogarithmically with n.
@@ -248,7 +247,7 @@ mod tests {
     #[test]
     fn baselines_cost_more_than_theorem13_for_large_n() {
         let g = Arc::new(generators::grid(&[40, 40]).unwrap());
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let ours = sssp_approx(&mut net, 0, 0.5);
         for b in [
             SsspBaseline::Ks20SqrtN,
@@ -269,7 +268,7 @@ mod tests {
     #[test]
     fn verify_stretch_catches_underestimates() {
         let g = Arc::new(generators::path(6).unwrap());
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let mut out = sssp_approx(&mut net, 0, 0.5);
         let exact = dijkstra(&g, 0).dist;
         out.dist[5] = 1; // corrupt
@@ -282,7 +281,7 @@ mod tests {
     #[test]
     fn a_label_row_of_the_wrong_length_is_a_violation() {
         let g = Arc::new(generators::path(6).unwrap());
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&g));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let out = sssp_approx(&mut net, 2, 0.5);
         let exact = dijkstra(&g, 2).dist;
         assert!(out.verify_stretch(&exact).is_ok());
@@ -304,7 +303,7 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_epsilon_panics() {
         let g = Arc::new(generators::path(5).unwrap());
-        let mut net = HybridNetwork::hybrid0(g);
+        let mut net = HybridNetwork::hybrid(g);
         sssp_approx(&mut net, 0, 0.0);
     }
 }

@@ -72,7 +72,7 @@ fn a_theorem1_run_allocates_for_what_it_holds() {
     // scheduler's endpoint lists grew on demand).  The budget is that plus
     // 22 % headroom.
     let (calls, out) = measured(|| {
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         k_dissemination(&mut net, &oracle, &tokens)
     });
     assert_eq!(out.tokens.len(), n);
@@ -85,7 +85,7 @@ fn a_theorem1_run_allocates_for_what_it_holds() {
     // call (at be7333a: 2056).
     let values = vec![1u64; n];
     let (calls, counted) = measured(|| {
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         basic_aggregation(&mut net, &values, |a, b| a + b)
     });
     assert_eq!(counted.value, n as u64);

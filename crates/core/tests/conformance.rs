@@ -220,7 +220,7 @@ fn deterministic_impls_ignore_the_seed() {
     let tokens = place_tokens(&[0, 11, 44], 30);
     for algo in dissemination_registry() {
         let run = || {
-            let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
             algo.run(&mut net, &oracle, &tokens)
         };
         let (a, b) = (run(), run());
@@ -239,7 +239,7 @@ fn registry_outputs_are_pool_width_invariant() {
     let run_all = || {
         let mut diss = Vec::new();
         for algo in dissemination_registry() {
-            let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
             let out = algo.run(&mut net, &oracle, &tokens);
             diss.push((algo.name(), out.rounds, out.tokens));
         }
@@ -271,7 +271,7 @@ fn empty_instances_conform_across_the_registry() {
     let graph = Arc::new(generators::cycle(24).unwrap());
     let oracle = NqOracle::new(&graph);
     for algo in dissemination_registry() {
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let out = algo.run(&mut net, &oracle, &[]);
         assert!(out.tokens.is_empty(), "{} invented tokens", algo.name());
     }

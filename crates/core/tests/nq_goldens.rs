@@ -107,7 +107,7 @@ fn all_cases() -> Vec<Golden> {
             let rows = [0, 1, n / 8, n, 4 * n, n * n]
                 .into_iter()
                 .map(|k| {
-                    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+                    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
                     let computed = compute_nq(&mut net, &oracle, k);
                     let (lower, nq, upper) = lemma_3_6_bounds(&oracle, k);
                     assert_eq!(nq, oracle.nq(k), "{name} k={k}");

@@ -244,7 +244,6 @@ fn shortest_path_cases() -> Vec<Golden> {
         let n = graph.n();
         let oracle = NqOracle::new(&graph);
         let hybrid = |g: &Arc<Graph>| [HybridNetwork::hybrid(Arc::clone(g))];
-        let hybrid0 = |g: &Arc<Graph>| [HybridNetwork::hybrid0(Arc::clone(g))];
         let few: Vec<NodeId> = vec![1, n as NodeId / 2, n as NodeId - 1];
         let every_fifth: Vec<NodeId> = (0..n as NodeId).step_by(5).collect();
         let every_seventh: Vec<NodeId> = (3..n as NodeId).step_by(7).collect();
@@ -268,7 +267,7 @@ fn shortest_path_cases() -> Vec<Golden> {
         let topology_oracle = NqOracle::new(&topology);
         out.push(case(
             format!("apsp-unweighted/{gname}"),
-            hybrid0(&topology),
+            hybrid(&topology),
             |net, d| {
                 let o = apsp::apsp_unweighted(net, &topology_oracle, EPSILON);
                 digest_apsp(d, net, &o)
@@ -276,7 +275,7 @@ fn shortest_path_cases() -> Vec<Golden> {
         ));
         out.push(case(
             format!("apsp-weighted-skeleton/{gname}"),
-            hybrid0(&graph),
+            hybrid(&graph),
             |net, d| {
                 let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
                 let o = apsp::apsp_weighted_skeleton(net, &oracle, 1, &mut rng);
@@ -285,7 +284,7 @@ fn shortest_path_cases() -> Vec<Golden> {
         ));
         out.push(case(
             format!("apsp-weighted-spanner/{gname}"),
-            hybrid0(&graph),
+            hybrid(&graph),
             |net, d| {
                 let o = apsp::apsp_weighted_spanner(net, &oracle, EPSILON);
                 digest_apsp(d, net, &o)

@@ -36,9 +36,9 @@ fn det_broadcast_pays_for_the_leader_funnel_on_concentrated_load() {
     let oracle = NqOracle::new(&graph);
     let tokens = place_tokens(&[0], 256);
 
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let ours = k_dissemination(&mut net, &oracle, &tokens);
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let rival = det_token_forward_dissemination(&mut net, &oracle, &tokens);
 
     assert_eq!(ours.tokens, rival.tokens, "both must solve the instance");
@@ -65,9 +65,9 @@ fn det_broadcast_ties_theorem1_when_one_cluster_covers_the_graph() {
     let oracle = NqOracle::new(&graph);
     let tokens = place_tokens(&(0..16).collect::<Vec<_>>(), 200);
 
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let ours = k_dissemination(&mut net, &oracle, &tokens);
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let rival = det_token_forward_dissemination(&mut net, &oracle, &tokens);
 
     assert_eq!(ours.tokens, rival.tokens);

@@ -33,7 +33,8 @@ fn bad_proto(msg: impl Into<String>) -> io::Error {
 ///
 /// # Errors
 /// I/O errors from the streams, and `InvalidData` on protocol violations
-/// (a frame other than `Init` first, a second `Init`, or a message body
+/// (a frame other than `Init` first, an `Init` whose `params.n`, `node` or
+/// `neighbors` disagree with its `n`, a second `Init`, or a message body
 /// that does not deserialize to the program's message type).
 pub fn serve(reader: impl Read, writer: impl Write) -> io::Result<()> {
     let mut reader = BufReader::new(reader);
@@ -53,6 +54,19 @@ pub fn serve(reader: impl Read, writer: impl Write) -> io::Result<()> {
     else {
         return Err(bad_proto("first frame must be Init"));
     };
+    // The program is built for `n` while the runner enforces `params`, set
+    // for `params.n`: a frame that disagrees with itself builds neither.
+    let disagreeing = if params.n != n {
+        Some(format!("params.n = {}", params.n))
+    } else if node as usize >= n {
+        Some(format!("node {node}"))
+    } else {
+        let stray = neighbors.iter().find(|&&v| v as usize >= n);
+        stray.map(|v| format!("neighbors: node {v}"))
+    };
+    if let Some(field) = disagreeing {
+        return Err(bad_proto(format!("Init {field} disagrees with n = {n}")));
+    }
     program.visit(
         n,
         seed,
@@ -327,5 +341,46 @@ mod tests {
         let mut replies = Vec::new();
         let err = serve(Cursor::new(script), &mut replies).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Serves a one-frame script holding a flood `Init` with the given
+    /// fields; a rejected frame gets no reply at all.
+    fn serve_init(node: NodeId, n: usize, neighbors: Vec<NodeId>, params_n: usize) -> io::Error {
+        let mut script = Vec::new();
+        let init = ToNode::Init {
+            node,
+            n,
+            neighbors,
+            params: ModelParams::hybrid(params_n),
+            seed: 0,
+            program: ProgramSpec::Flood {
+                tokens_at: vec![],
+                rounds_budget: 8,
+            },
+        };
+        write_frame(&mut script, &init).unwrap();
+        let mut replies = Vec::new();
+        let err = serve(Cursor::new(script), &mut replies).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(replies.is_empty(), "{err}");
+        err
+    }
+
+    #[test]
+    fn init_with_params_for_another_n_is_a_protocol_error() {
+        let err = serve_init(1, 4, vec![0, 2], 5);
+        assert!(err.to_string().contains("params.n = 5"), "{err}");
+    }
+
+    #[test]
+    fn init_with_out_of_range_node_is_a_protocol_error() {
+        let err = serve_init(4, 4, vec![0, 2], 4);
+        assert!(err.to_string().contains("Init node 4"), "{err}");
+    }
+
+    #[test]
+    fn init_with_out_of_range_neighbor_is_a_protocol_error() {
+        let err = serve_init(1, 4, vec![0, 9], 4);
+        assert!(err.to_string().contains("neighbors: node 9"), "{err}");
     }
 }

@@ -393,7 +393,7 @@ impl<P: NodeProgram> NodeRunner<P> {
             node,
             neighbors,
             gamma: params.global_capacity_msgs,
-            local_enabled: params.has_local(),
+            local_enabled: params.local,
             program,
             local_out: Vec::new(),
             global_out: Vec::new(),
@@ -491,20 +491,38 @@ mod tests {
         }
     }
 
+    fn wave(id: NodeId) -> Wave {
+        Wave {
+            id,
+            seen: false,
+            forwarded: false,
+        }
+    }
+
     #[test]
     fn wave_reaches_everyone_in_diameter_rounds() {
         let g = generators::path(10).unwrap();
         let params = ModelParams::hybrid(10);
-        let mut exec = Executor::new(&g, params, |id| Wave {
-            id,
-            seen: false,
-            forwarded: false,
-        });
+        let mut exec = Executor::new(&g, params, wave);
         let report = exec.run().expect("wave completes well under the cap");
         assert!(report.completed);
         assert_eq!(report.rounds, 9);
         assert!(exec.programs().iter().all(|p| p.seen));
         assert_eq!(report.dropped_global, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 sent local messages but the model has no local mode")]
+    fn executor_local_send_on_ncc_panics() {
+        let g = generators::path(10).unwrap();
+        let _ = Executor::new(&g, ModelParams::ncc(10), wave).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 sent local messages but the model has no local mode")]
+    fn runner_local_send_on_ncc_panics() {
+        let mut runner = NodeRunner::new(0, vec![1], &ModelParams::ncc(2), wave(0));
+        runner.init();
     }
 
     /// Program where everyone sends a global message to node 0 in round 1;
@@ -631,7 +649,7 @@ mod tests {
     ) -> (Vec<P>, RunReport) {
         let n = graph.n();
         let gamma = params.global_capacity_msgs;
-        let local_enabled = params.has_local();
+        let local_enabled = params.local;
         let mut programs: Vec<P> = graph.nodes().map(&mut factory).collect();
         let neighbor_lists: Vec<Vec<NodeId>> = graph
             .nodes()
@@ -970,11 +988,7 @@ mod tests {
         let g = generators::path(3).unwrap();
         let params = ModelParams::hybrid(3);
         let config = EngineConfig::new(params).with_trace(true);
-        let mut exec = Executor::with_config(&g, config, |id| Wave {
-            id,
-            seen: false,
-            forwarded: false,
-        });
+        let mut exec = Executor::with_config(&g, config, wave);
         let report = exec.run().unwrap();
         assert_eq!(report.rounds, 2);
         let trace = exec.take_trace();
@@ -1025,18 +1039,7 @@ mod tests {
 
         let mut runners: Vec<NodeRunner<Wave>> = g
             .nodes()
-            .map(|v| {
-                NodeRunner::new(
-                    v,
-                    g.neighbors(v).collect(),
-                    &params,
-                    Wave {
-                        id: v,
-                        seen: false,
-                        forwarded: false,
-                    },
-                )
-            })
+            .map(|v| NodeRunner::new(v, g.neighbors(v).collect(), &params, wave(v)))
             .collect();
 
         // Round 0 (init), then lock-step rounds with node-id-order routing.
@@ -1064,11 +1067,7 @@ mod tests {
             assert!(rounds < 100, "runaway");
         }
 
-        let mut exec = Executor::new(&g, params, |id| Wave {
-            id,
-            seen: false,
-            forwarded: false,
-        });
+        let mut exec = Executor::new(&g, params, wave);
         let report = exec.run().unwrap();
         assert_eq!(rounds, report.rounds);
         for (runner, p) in runners.iter().zip(exec.programs()) {

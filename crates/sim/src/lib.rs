@@ -53,7 +53,7 @@ pub use cost::{CostMeter, FaultCounts, PhaseKind, PhaseRecord};
 pub use envelope::{Body, Envelope, RoundTrace, TraceEntry};
 pub use faults::{Fate, FaultPlan, FaultSpec};
 pub use network::HybridNetwork;
-pub use params::{IdSpace, LocalBandwidth, ModelParams};
+pub use params::ModelParams;
 pub use router::RoundRouter;
 pub use scheduler::{DeliveryReport, GlobalMessage, GlobalScheduler, RoundRobin};
 pub use token_batch::TokenBatch;

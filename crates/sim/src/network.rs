@@ -85,12 +85,6 @@ impl HybridNetwork {
         Self::new(graph, params)
     }
 
-    /// `Hybrid0` network over `graph`.
-    pub fn hybrid0(graph: Arc<Graph>) -> Self {
-        let params = ModelParams::hybrid0(graph.n());
-        Self::new(graph, params)
-    }
-
     /// The underlying local communication graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
@@ -133,7 +127,7 @@ impl HybridNetwork {
     /// Panics if the model has no local communication.
     pub fn charge_local(&mut self, label: &'static str, radius_rounds: u64) {
         assert!(
-            self.params.has_local(),
+            self.params.local,
             "model has no local communication but a local phase was charged"
         );
         // Message volume estimate: every edge may carry a message in every
@@ -220,14 +214,11 @@ mod tests {
 
     #[test]
     fn constructors_and_accessors() {
-        let g = Arc::new(generators::path(100).unwrap());
-        let net = HybridNetwork::hybrid(Arc::clone(&g));
+        let net = HybridNetwork::hybrid(Arc::new(generators::path(100).unwrap()));
         assert_eq!(net.graph().n(), 100);
         assert_eq!(net.log_n(), 7);
         assert_eq!(net.polylog(2), 49);
-        assert!(net.params().ids_globally_known());
-        let net0 = HybridNetwork::hybrid0(g);
-        assert!(!net0.params().ids_globally_known());
+        assert_eq!(*net.params(), ModelParams::hybrid(100));
     }
 
     #[test]

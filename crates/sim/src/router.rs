@@ -229,7 +229,7 @@ impl<'c, M: Clone + Serialize> RoundRouter<'c, M> {
         RoundRouter {
             n: params.n,
             gamma: params.global_capacity_msgs,
-            local_enabled: params.has_local(),
+            local_enabled: params.local,
             record_trace: config.record_trace(),
             faults: config.fault_plan(),
             local: Plane::new(params.n),

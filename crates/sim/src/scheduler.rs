@@ -287,23 +287,6 @@ impl GlobalScheduler {
         self.play(params, |_, _, _, _| {})
     }
 
-    /// Like [`GlobalScheduler::deliver_with`], but additionally appends every
-    /// delivery to `trace` as `(round, message)` in delivery order — used by
-    /// the property tests to check the per-round receive-cap invariant and
-    /// the delivered multiset against a reference scheduler.
-    pub fn deliver_with_trace(
-        &mut self,
-        params: &ModelParams,
-        messages: &[GlobalMessage],
-        trace: &mut Vec<(u64, GlobalMessage)>,
-    ) -> DeliveryReport {
-        self.set_up_list(params, messages);
-        self.play(params, |round, from, to, k| {
-            let message = (round, GlobalMessage::new(from, to));
-            trace.extend(std::iter::repeat_n(message, k as usize));
-        })
-    }
-
     /// Plays the transfers as one batch: the same schedule, bit for bit, as
     /// [`GlobalScheduler::deliver_with`] on their unit-order message lists
     /// concatenated, at the cost of one counted run per distinct (sender,
@@ -779,6 +762,9 @@ impl GlobalScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn params(n: usize, gamma: usize) -> ModelParams {
         ModelParams::hybrid_with_global_capacity(n, gamma)
@@ -1014,6 +1000,147 @@ mod tests {
             };
             self.senders.iter().flat_map(|&s| bucket(s)).collect()
         }
+
+        /// Like [`GlobalScheduler::deliver_with`], but additionally appends
+        /// every delivery to `trace` as `(round, message)` in delivery order,
+        /// so a test can check the per-round receive cap and the delivered
+        /// multiset against a reference scheduler.
+        fn deliver_with_trace(
+            &mut self,
+            params: &ModelParams,
+            messages: &[GlobalMessage],
+            trace: &mut Vec<(u64, GlobalMessage)>,
+        ) -> DeliveryReport {
+            self.set_up_list(params, messages);
+            self.play(params, |round, from, to, k| {
+                let message = (round, GlobalMessage::new(from, to));
+                trace.extend(std::iter::repeat_n(message, k as usize));
+            })
+        }
+    }
+
+    /// Naive reference for the global scheduler: per-sender `VecDeque` queues
+    /// (receiver-sorted, matching the scheduler's receiver-grouped delivery
+    /// order), greedy full-budget scan (skip saturated receivers, never
+    /// abandon the rest of the round's budget), deferred messages pushed back
+    /// to the queue front, and the same deterministic sender-order rotation.
+    /// Returns the round count and the `(round, message)` delivery trace.
+    fn reference_schedule(
+        params: &ModelParams,
+        messages: &[GlobalMessage],
+    ) -> (u64, Vec<(u64, GlobalMessage)>) {
+        use std::collections::VecDeque;
+        let n = params.n;
+        let gamma = params.global_capacity_msgs as u64;
+        let mut queues: Vec<VecDeque<u32>> = vec![VecDeque::new(); n];
+        for m in messages {
+            queues[m.from as usize].push_back(m.to);
+        }
+        for q in &mut queues {
+            q.make_contiguous().sort_unstable();
+        }
+        let mut active: Vec<u32> = (0..n as u32)
+            .filter(|&v| !queues[v as usize].is_empty())
+            .collect();
+        let mut remaining = messages.len() as u64;
+        let mut rounds = 0u64;
+        let mut trace = Vec::new();
+        while remaining > 0 {
+            rounds += 1;
+            let mut recv_budget = vec![0u64; n];
+            let mut next_active = Vec::new();
+            for &sender in &active {
+                let q = &mut queues[sender as usize];
+                let mut sent = 0u64;
+                let mut deferred = Vec::new();
+                while sent < gamma {
+                    let Some(to) = q.pop_front() else { break };
+                    if recv_budget[to as usize] < gamma {
+                        recv_budget[to as usize] += 1;
+                        sent += 1;
+                        remaining -= 1;
+                        trace.push((rounds, GlobalMessage::new(sender, to)));
+                    } else {
+                        deferred.push(to);
+                    }
+                }
+                for &to in deferred.iter().rev() {
+                    q.push_front(to);
+                }
+                if !q.is_empty() {
+                    next_active.push(sender);
+                }
+            }
+            if !next_active.is_empty() {
+                let shift = rounds as usize % next_active.len();
+                next_active.rotate_left(shift);
+            }
+            active = next_active;
+        }
+        (rounds, trace)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The flat-arena scheduler is *exactly* equivalent to a naive
+        /// per-sender `VecDeque` reference on skewed random multisets (random
+        /// hot receivers / hot senders): same round count, same per-round
+        /// deliveries in the same order, and the delivered multiset equals
+        /// the input multiset.  Also exercises workspace reuse — one
+        /// scheduler instance serves every case.
+        #[test]
+        fn scheduler_matches_naive_reference_exactly(
+            n in 2usize..48,
+            gamma in 1usize..8,
+            seed in any::<u64>(),
+            len in 0usize..400,
+            skew in 0u8..3,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let hot = (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32);
+            let messages: Vec<GlobalMessage> = (0..len)
+                .map(|_| {
+                    let from = if skew == 1 && rng.gen_range(0..3u8) == 0 {
+                        hot.0
+                    } else {
+                        rng.gen_range(0..n) as u32
+                    };
+                    let to = if skew == 2 && rng.gen_range(0..2u8) == 0 {
+                        hot.1
+                    } else {
+                        rng.gen_range(0..n) as u32
+                    };
+                    GlobalMessage::new(from, to)
+                })
+                .collect();
+            let params = ModelParams::hybrid_with_global_capacity(n, gamma);
+
+            let mut sched = GlobalScheduler::new();
+            let mut trace = Vec::new();
+            let report = sched.deliver_with_trace(&params, &messages, &mut trace);
+            let (ref_rounds, ref_trace) = reference_schedule(&params, &messages);
+
+            prop_assert_eq!(report.rounds, ref_rounds);
+            prop_assert_eq!(&trace, &ref_trace);
+            // Delivered multiset == input multiset (nothing lost or duplicated).
+            let mut delivered: Vec<GlobalMessage> = trace.iter().map(|&(_, m)| m).collect();
+            delivered.sort_unstable();
+            let mut input = messages.clone();
+            input.sort_unstable();
+            prop_assert_eq!(delivered, input);
+            // Per-round receive counts never exceed the cap.
+            let mut per_round = std::collections::HashMap::new();
+            for &(round, m) in &trace {
+                *per_round.entry((round, m.to)).or_insert(0u64) += 1;
+            }
+            prop_assert!(per_round.values().all(|&c| c <= gamma as u64));
+            // Reusing the (now warm) workspace reproduces the identical schedule.
+            let mut trace2 = Vec::new();
+            let report2 = sched.deliver_with_trace(&params, &messages, &mut trace2);
+            prop_assert_eq!(report.rounds, report2.rounds);
+            prop_assert_eq!(trace, trace2);
+        }
     }
 
     #[test]
@@ -1145,7 +1272,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no global communication")]
     fn zero_gamma_with_messages_panics() {
-        let p = ModelParams::local_only(4);
+        let p = params(4, 0);
         GlobalScheduler::deliver(&p, &[GlobalMessage::new(0, 1)]);
     }
 
@@ -1154,7 +1281,7 @@ mod tests {
     fn zero_gamma_lower_bound_panics_cleanly() {
         // Regression: this used to reach `worst.div_ceil(0)` and die with a
         // divide-by-zero panic instead of the scheduler's assertion message.
-        let p = ModelParams::local_only(4);
+        let p = params(4, 0);
         GlobalScheduler::lower_bound_rounds(&p, &[GlobalMessage::new(0, 1)]);
     }
 

@@ -39,7 +39,7 @@ fn main() {
         (k as f64).sqrt().ceil() as u64
     );
 
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let universal = k_dissemination(&mut net, &oracle, &tokens);
     println!(
         "universal broadcast (Theorem 1): {} rounds",
@@ -50,7 +50,7 @@ fn main() {
         println!("    {:<42} {:>5} rounds", phase.label, phase.rounds);
     }
 
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let baseline = baseline_sqrt_k_dissemination(&mut net, &oracle, &tokens);
     println!(
         "baseline broadcast (Õ(sqrt k)) : {} rounds",
@@ -61,7 +61,7 @@ fn main() {
     let counters: Vec<Vec<u64>> = (0..n as u64)
         .map(|v| (0..8).map(|c| (v * 7 + c * 13) % 1000).collect())
         .collect();
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let agg = k_aggregation(&mut net, &oracle, &counters, |a, b| a.max(b));
     println!(
         "\naggregating 8 fleet-wide health counters (Theorem 2): {} rounds",

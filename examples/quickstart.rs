@@ -35,15 +35,15 @@ fn main() {
     );
 
     // Universal algorithm (Theorem 1).
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let universal = k_dissemination(&mut net, &oracle, &tokens);
 
     // Existential baseline (AHK+20-style, radius sqrt(k)).
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let baseline = baseline_sqrt_k_dissemination(&mut net, &oracle, &tokens);
 
     // Universal lower bound (Theorem 4) for this very graph.
-    let params = ModelParams::hybrid0(graph.n());
+    let params = ModelParams::hybrid(graph.n());
     let bound = dissemination_lower_bound(&oracle, &params, k, 0.99);
 
     assert_eq!(

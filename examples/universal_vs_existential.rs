@@ -41,11 +41,11 @@ fn main() {
         let holders: Vec<u32> = (0..graph.n().min(k as usize) as u32).collect();
         let tokens = place_tokens(&holders, k);
 
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let uni = k_dissemination(&mut net, &oracle, &tokens);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let base = baseline_sqrt_k_dissemination(&mut net, &oracle, &tokens);
-        let bound = dissemination_lower_bound(&oracle, &ModelParams::hybrid0(graph.n()), k, 0.99);
+        let bound = dissemination_lower_bound(&oracle, &ModelParams::hybrid(graph.n()), k, 0.99);
 
         println!(
             "{:<20}{:>6}{:>8}{:>10}{:>12}{:>12}{:>12.2}{:>9.2}x",

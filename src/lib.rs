@@ -10,7 +10,8 @@
 //!   generators for the paper's graph families, distance oracles and ball
 //!   queries;
 //! * [`sim`] ([`hybrid_sim`]) — the round-synchronous simulator of the
-//!   `HYBRID(λ, γ)` model (phase engine + per-node message-passing engine);
+//!   `HYBRID(∞, γ)` model, local bandwidth unlimited (phase engine + per-node
+//!   message-passing engine);
 //! * [`core`] ([`hybrid_core`]) — the paper's algorithms: the neighborhood
 //!   quality parameter `NQ_k`, universally optimal `k`-dissemination /
 //!   `k`-aggregation / `(k, ℓ)`-routing, universally optimal shortest paths
@@ -30,11 +31,11 @@
 //!
 //! // Broadcast k = 100 messages with the universal algorithm (Theorem 1) …
 //! let tokens = hybrid::core::dissemination::place_tokens(&[0], 100);
-//! let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+//! let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
 //! let universal = k_dissemination(&mut net, &oracle, &tokens);
 //!
 //! // … and with the existentially optimal Õ(√k) baseline of prior work.
-//! let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+//! let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
 //! let baseline = baseline_sqrt_k_dissemination(&mut net, &oracle, &tokens);
 //!
 //! assert_eq!(universal.tokens, baseline.tokens);   // same result …
@@ -72,7 +73,7 @@ mod tests {
     fn facade_reexports_work_together() {
         let graph = Arc::new(generators::cycle(32).unwrap());
         let oracle = NqOracle::new(&graph);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let tokens = hybrid_core::dissemination::place_tokens(&[0, 5], 8);
         let out = k_dissemination(&mut net, &oracle, &tokens);
         assert_eq!(out.tokens.len(), 8);

@@ -37,9 +37,9 @@ fn universal_dissemination_beats_or_ties_baseline_on_every_family() {
         let oracle = NqOracle::new(&graph);
         let tokens = place_tokens(&(0..graph.n() as u32).collect::<Vec<_>>(), 128);
 
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let uni = k_dissemination(&mut net, &oracle, &tokens);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let base = baseline_sqrt_k_dissemination(&mut net, &oracle, &tokens);
 
         assert_eq!(uni.tokens, base.tokens, "{name}: same delivered set");
@@ -60,7 +60,7 @@ fn measured_rounds_sit_between_lower_bound_and_polylog_nq() {
         let oracle = NqOracle::new(&graph);
         let k = 200u64;
         let tokens = place_tokens(&(0..graph.n() as u32).collect::<Vec<_>>(), k);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let out = k_dissemination(&mut net, &oracle, &tokens);
         let bound = dissemination_lower_bound(&oracle, net.params(), k, 0.99);
         let log_n = net.log_n();
@@ -89,9 +89,9 @@ fn dissemination_independent_of_initial_token_distribution() {
     let concentrated = place_tokens(&[0], k);
     let spread = place_tokens(&(0..graph.n() as u32).collect::<Vec<_>>(), k);
 
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let a = k_dissemination(&mut net, &oracle, &concentrated);
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let b = k_dissemination(&mut net, &oracle, &spread);
 
     assert_eq!(a.tokens, b.tokens);
@@ -112,7 +112,7 @@ fn fixed_radius_ablation_monotone_in_radius_quality() {
 
     let mut rounds = Vec::new();
     for radius in [nq, 2 * nq, 4 * nq] {
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let out = hybrid::core::dissemination::disseminate_with_radius(
             &mut net,
             &oracle,
@@ -136,7 +136,7 @@ fn aggregation_matches_direct_computation_on_er_graph() {
     let values: Vec<Vec<u64>> = (0..graph.n() as u64)
         .map(|v| (0..k as u64).map(|i| (v * 31 + i * 17) % 997).collect())
         .collect();
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let out = k_aggregation(&mut net, &oracle, &values, |a, b| a.min(b));
     for i in 0..k {
         let expected = values.iter().map(|v| v[i]).min().unwrap();

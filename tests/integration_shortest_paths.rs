@@ -25,14 +25,14 @@ fn theorem6_apsp_stretch_and_shape_across_families() {
     for (name, graph) in cases {
         let graph = Arc::new(graph);
         let oracle = NqOracle::new(&graph);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let uni = apsp_unweighted(&mut net, &oracle, 0.5);
         let worst = uni
             .verify_stretch(&graph)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(worst <= 1.5, "{name}: stretch {worst}");
 
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let base = apsp::baseline_unweighted_apsp_sqrt_n(&mut net, &oracle, 0.5);
         assert!(
             uni.rounds <= base.rounds,
@@ -50,17 +50,17 @@ fn weighted_apsp_algorithms_respect_their_stretch() {
     let graph = Arc::new(generators::with_random_weights(&er, 20, 2).unwrap());
     let oracle = NqOracle::new(&graph);
 
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let spanner_based = apsp_weighted_spanner(&mut net, &oracle, 0.5);
     let worst = spanner_based.verify_stretch(&graph).expect("Theorem 7");
     assert!(worst <= spanner_based.stretch);
 
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let skeleton_based = apsp::apsp_weighted_skeleton(&mut net, &oracle, 1, &mut rng);
     let worst = skeleton_based.verify_stretch(&graph).expect("Theorem 8");
     assert!(worst <= 3.0);
 
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let exact = apsp::apsp_sparse_exact(&mut net, &oracle);
     assert!((exact.verify_stretch(&graph).unwrap() - 1.0).abs() < 1e-12);
 }
@@ -73,13 +73,13 @@ fn theorem13_sssp_rounds_flat_in_n_baselines_grow() {
     let mut baseline = Vec::new();
     for side in [8usize, 16, 32, 64] {
         let graph = Arc::new(generators::grid(&[side, side]).unwrap());
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         let out = sssp_approx(&mut net, 0, 0.5);
         let exact = hybrid::graph::dijkstra::dijkstra(&graph, 0).dist;
         out.verify_stretch(&exact).unwrap();
         ours.push(out.rounds);
 
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         baseline.push(baseline_sssp(&mut net, 0, SsspBaseline::Ks20SqrtN).rounds);
     }
     // Baseline grows by ~8x from n=64 to n=4096; ours by at most 2x (polylog).
@@ -160,7 +160,7 @@ fn cut_approximation_pipeline_preserves_random_cuts() {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
     let graph = Arc::new(generators::grid(&[9, 9]).unwrap());
     let oracle = NqOracle::new(&graph);
-    let mut net = HybridNetwork::hybrid0(Arc::clone(&graph));
+    let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
     let out = hybrid::core::cuts::approximate_all_cuts(&mut net, &oracle, 0.5, &mut rng);
     let err = hybrid::core::cuts::measured_cut_error(&graph, &out.sparsifier.graph, 20, &mut rng);
     assert!(err <= 1.0, "cut error {err} too large");

@@ -33,67 +33,6 @@ fn arbitrary_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-/// Naive reference for the global scheduler: per-sender `VecDeque` queues
-/// (receiver-sorted, matching the scheduler's receiver-grouped delivery
-/// order), greedy full-budget scan (skip saturated receivers, never abandon
-/// the rest of the round's budget), deferred messages pushed back to the
-/// queue front, and the same deterministic sender-order rotation.  Returns
-/// the round count and the `(round, message)` delivery trace.
-fn reference_schedule(
-    params: &ModelParams,
-    messages: &[GlobalMessage],
-) -> (u64, Vec<(u64, GlobalMessage)>) {
-    use std::collections::VecDeque;
-    let n = params.n;
-    let gamma = params.global_capacity_msgs as u64;
-    let mut queues: Vec<VecDeque<u32>> = vec![VecDeque::new(); n];
-    for m in messages {
-        queues[m.from as usize].push_back(m.to);
-    }
-    for q in &mut queues {
-        q.make_contiguous().sort_unstable();
-    }
-    let mut active: Vec<u32> = (0..n as u32)
-        .filter(|&v| !queues[v as usize].is_empty())
-        .collect();
-    let mut remaining = messages.len() as u64;
-    let mut rounds = 0u64;
-    let mut trace = Vec::new();
-    while remaining > 0 {
-        rounds += 1;
-        let mut recv_budget = vec![0u64; n];
-        let mut next_active = Vec::new();
-        for &sender in &active {
-            let q = &mut queues[sender as usize];
-            let mut sent = 0u64;
-            let mut deferred = Vec::new();
-            while sent < gamma {
-                let Some(to) = q.pop_front() else { break };
-                if recv_budget[to as usize] < gamma {
-                    recv_budget[to as usize] += 1;
-                    sent += 1;
-                    remaining -= 1;
-                    trace.push((rounds, GlobalMessage::new(sender, to)));
-                } else {
-                    deferred.push(to);
-                }
-            }
-            for &to in deferred.iter().rev() {
-                q.push_front(to);
-            }
-            if !q.is_empty() {
-                next_active.push(sender);
-            }
-        }
-        if !next_active.is_empty() {
-            let shift = rounds as usize % next_active.len();
-            next_active.rotate_left(shift);
-        }
-        active = next_active;
-    }
-    (rounds, trace)
-}
-
 fn gcd(a: usize, b: usize) -> usize {
     if b == 0 {
         a
@@ -158,7 +97,7 @@ proptest! {
     #[test]
     fn clustering_is_always_valid(graph in arbitrary_graph(), radius in 1u64..12, k in 1u64..600) {
         let arc = Arc::new(graph);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&arc));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&arc));
         let clustering = cluster_with_radius(&mut net, radius, k);
         prop_assert!(clustering.validate(&arc).is_ok());
     }
@@ -183,65 +122,6 @@ proptest! {
         let bound = GlobalScheduler::lower_bound_rounds(&params, &messages);
         prop_assert!(report.rounds >= bound);
         prop_assert!(report.rounds <= 2 * bound + 2, "rounds {} vs bound {}", report.rounds, bound);
-    }
-
-    /// The flat-arena scheduler is *exactly* equivalent to a naive per-sender
-    /// `VecDeque` reference on skewed random multisets (random hot receivers /
-    /// hot senders): same round count, same per-round deliveries in the same
-    /// order, and the delivered multiset equals the input multiset.  Also
-    /// exercises workspace reuse — one scheduler instance serves every case.
-    #[test]
-    fn scheduler_matches_naive_reference_exactly(
-        n in 2usize..48,
-        gamma in 1usize..8,
-        seed in any::<u64>(),
-        len in 0usize..400,
-        skew in 0u8..3,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        use rand::Rng;
-        let hot = (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32);
-        let messages: Vec<GlobalMessage> = (0..len)
-            .map(|_| {
-                let from = if skew == 1 && rng.gen_range(0..3u8) == 0 {
-                    hot.0
-                } else {
-                    rng.gen_range(0..n) as u32
-                };
-                let to = if skew == 2 && rng.gen_range(0..2u8) == 0 {
-                    hot.1
-                } else {
-                    rng.gen_range(0..n) as u32
-                };
-                GlobalMessage::new(from, to)
-            })
-            .collect();
-        let params = ModelParams::hybrid_with_global_capacity(n, gamma);
-
-        let mut sched = GlobalScheduler::new();
-        let mut trace = Vec::new();
-        let report = sched.deliver_with_trace(&params, &messages, &mut trace);
-        let (ref_rounds, ref_trace) = reference_schedule(&params, &messages);
-
-        prop_assert_eq!(report.rounds, ref_rounds);
-        prop_assert_eq!(&trace, &ref_trace);
-        // Delivered multiset == input multiset (nothing lost or duplicated).
-        let mut delivered: Vec<GlobalMessage> = trace.iter().map(|&(_, m)| m).collect();
-        delivered.sort_unstable();
-        let mut input = messages.clone();
-        input.sort_unstable();
-        prop_assert_eq!(delivered, input);
-        // Per-round receive counts never exceed the cap.
-        let mut per_round = std::collections::HashMap::new();
-        for &(round, m) in &trace {
-            *per_round.entry((round, m.to)).or_insert(0u64) += 1;
-        }
-        prop_assert!(per_round.values().all(|&c| c <= gamma as u64));
-        // Reusing the (now warm) workspace reproduces the identical schedule.
-        let mut trace2 = Vec::new();
-        let report2 = sched.deliver_with_trace(&params, &messages, &mut trace2);
-        prop_assert_eq!(report.rounds, report2.rounds);
-        prop_assert_eq!(trace, trace2);
     }
 
     /// Lemma 4.1 transfers through `deliver_round_robin` are the batch of
@@ -398,7 +278,7 @@ proptest! {
     fn sssp_labels_within_stretch(graph in arbitrary_graph(), eps in 0.05f64..1.0, src_sel in any::<u32>()) {
         let arc = Arc::new(graph);
         let source = src_sel % arc.n() as u32;
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&arc));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&arc));
         let out = sssp_approx(&mut net, source, eps);
         let exact = hybrid::graph::dijkstra::dijkstra(&arc, source).dist;
         prop_assert!(out.verify_stretch(&exact).is_ok());
@@ -484,10 +364,10 @@ proptest! {
         let oracle = NqOracle::new(&arc);
         let holders: Vec<u32> = (0..arc.n() as u32).collect();
         let tokens = hybrid::core::dissemination::place_tokens(&holders, k);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&arc));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&arc));
         let uni = k_dissemination(&mut net, &oracle, &tokens);
         prop_assert_eq!(uni.tokens.len() as u64, k);
-        let mut net = HybridNetwork::hybrid0(Arc::clone(&arc));
+        let mut net = HybridNetwork::hybrid(Arc::clone(&arc));
         let base = baseline_sqrt_k_dissemination(&mut net, &oracle, &tokens);
         prop_assert!(uni.rounds <= base.rounds);
     }
@@ -760,7 +640,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Differential conformance (shootout registry): on a random
-    /// `(family, seed, λ, γ)` instance, every registered dissemination
+    /// `(family, seed, γ)` instance, every registered dissemination
     /// contender delivers the *identical* token set — and the whole registry
     /// is bit-identical across rayon pool widths `{1, 4}`.
     #[test]
@@ -768,22 +648,13 @@ proptest! {
         graph in arbitrary_graph(),
         k in 1u64..150,
         gamma in 1usize..65,
-        lambda_sel in 0u64..5,
         seed in any::<u64>(),
     ) {
         use hybrid::core::{dissemination_registry, nq::NqOracle};
-        use hybrid::sim::LocalBandwidth;
         use rand::Rng;
 
         let arc = Arc::new(graph);
-        let params = ModelParams {
-            local: match lambda_sel {
-                0 => LocalBandwidth::Unlimited,
-                s => LocalBandwidth::BoundedBits(64 * s),
-            },
-            global_capacity_msgs: gamma,
-            ..ModelParams::hybrid(arc.n())
-        };
+        let params = ModelParams::hybrid_with_global_capacity(arc.n(), gamma);
         let oracle = NqOracle::new(&arc);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut holders: Vec<u32> =
@@ -824,7 +695,7 @@ proptest! {
     }
 
     /// Differential conformance (shootout registry): on a random weighted
-    /// `(family, seed, λ, γ)` instance, every registered shortest-paths
+    /// `(family, seed, γ)` instance, every registered shortest-paths
     /// contender stays within its stated stretch of the exact Dijkstra
     /// oracle, never underestimates, and reproduces bit-identically across
     /// rayon pool widths `{1, 4}`.
@@ -833,25 +704,16 @@ proptest! {
         graph in arbitrary_graph(),
         max_w in 2u64..64,
         gamma in 1usize..65,
-        lambda_sel in 0u64..5,
         eps_sel in 1u32..8,
         seed in any::<u64>(),
     ) {
         use hybrid::core::sssp_registry;
-        use hybrid::sim::LocalBandwidth;
         use rand::Rng;
 
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let weighted = Arc::new(generators::with_random_weights(&graph, max_w, seed).unwrap());
         let n = weighted.n();
-        let params = ModelParams {
-            local: match lambda_sel {
-                0 => LocalBandwidth::Unlimited,
-                s => LocalBandwidth::BoundedBits(64 * s),
-            },
-            global_capacity_msgs: gamma,
-            ..ModelParams::hybrid(n)
-        };
+        let params = ModelParams::hybrid_with_global_capacity(n, gamma);
         let epsilon = f64::from(eps_sel) / 8.0;
         let k = rng.gen_range(1..=4usize.min(n));
         let mut sources: Vec<u32> = (0..k).map(|_| rng.gen_range(0..n) as u32).collect();
