@@ -264,15 +264,21 @@ fn run_appendix_b(cli: &Cli) -> io::Result<()> {
 }
 
 /// Every cell is a *shootout*: each registry algorithm runs on the same
-/// instance and is printed next to the same lower-bound witness.  Rows that
-/// fail [`check_sweep_artifact`] are an error and are not written.
+/// instance and is printed next to the same lower-bound witness.  Labels
+/// that break their stretch, or rows that fail [`check_sweep_artifact`],
+/// are an error and are not written.
 fn run_sweep(cli: &Cli) -> io::Result<()> {
     let config = if cli.quick {
         SweepConfig::quick()
     } else {
         SweepConfig::full()
     };
-    let rows = sweep_rows(&config);
+    let rows = sweep_rows(&config).map_err(|err| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("results/sweep_scaling.json not written: {err}"),
+        )
+    })?;
     check_sweep_artifact(&rows)?;
     let title = format!(
         "Scaling sweep: algorithm shootout vs. per-instance lower bound ({} families x {} sizes x {} gamma points)",
@@ -447,7 +453,7 @@ mod tests {
             points: vec![hybrid_bench::SweepPoint::HYBRID],
         };
         // A well-formed shootout passes: the full registry in both columns.
-        let good = sweep_rows(&config);
+        let good = sweep_rows(&config).unwrap();
         assert!(check_sweep_artifact(&good).is_ok());
         // One contender per column is too few for the full registry.
         let mut single = good.clone();

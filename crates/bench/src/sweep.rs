@@ -36,11 +36,13 @@ use serde::Serialize;
 
 use hybrid_core::algorithm::{dissemination_registry, sssp_registry};
 use hybrid_core::dissemination::place_tokens;
-use hybrid_core::kssp::kssp_lower_bound_rounds;
+use hybrid_core::kssp::{kssp_lower_bound_rounds, KsspOutput};
 use hybrid_core::lower_bounds::{dissemination_lower_bound, shortest_paths_lower_bound};
 use hybrid_core::nq::NqOracle;
 use hybrid_core::prob::sample_distinct;
 use hybrid_core::sssp::sssp_approx;
+use hybrid_core::stretch::StretchViolation;
+use hybrid_graph::Graph;
 use hybrid_sim::{HybridNetwork, ModelParams};
 
 use crate::grid::{GraphFamily, Grid};
@@ -213,6 +215,27 @@ fn ratio(rounds: u64, lower_bound: f64) -> f64 {
     rounds as f64 / lower_bound.max(1.0)
 }
 
+/// Holds one k-SSP contender's labels on the weighted instance it ran on to
+/// the stretch the run guarantees ([`KsspOutput::verify_stretch`]); a
+/// violation names the cell and the contender.
+fn check_labels(
+    out: &KsspOutput,
+    weighted: &Graph,
+    family: &'static str,
+    point: &'static str,
+    algorithm: &'static str,
+) -> Result<(), SweepArtifactError> {
+    out.verify_stretch(weighted).map(drop).map_err(|violation| {
+        SweepArtifactError::StretchViolated {
+            family,
+            n: weighted.n(),
+            point,
+            algorithm,
+            violation,
+        }
+    })
+}
+
 /// Runs the sweep grid with every registered algorithm.
 ///
 /// Each `(family, n)` cell builds its graph and `NQ` oracle once and draws
@@ -220,7 +243,10 @@ fn ratio(rounds: u64, lower_bound: f64) -> f64 {
 /// for every `γ` point; within a cell the registered algorithms run
 /// sequentially on identical instances.  Row order is family-major, then
 /// size, then grid point — identical for every pool width.
-pub fn sweep_rows(config: &SweepConfig) -> Vec<SweepRow> {
+///
+/// Every k-SSP contender's labels are checked against exact distances where
+/// the cell is built; the first violation in row order is the error.
+pub fn sweep_rows(config: &SweepConfig) -> Result<Vec<SweepRow>, SweepArtifactError> {
     let (diss_algos, sssp_algos) = (dissemination_registry(), sssp_registry());
     let grid = &config.grid;
     grid.run(|cell| {
@@ -279,23 +305,24 @@ pub fn sweep_rows(config: &SweepConfig) -> Vec<SweepRow> {
                 let sssp_lb = shortest_paths_lower_bound(&oracle, &params, 1, 0.99);
 
                 let ks_lb = kssp_lower_bound_rounds(kssp_k, params.global_capacity_msgs);
-                let kssp: Vec<KsspCell> = sssp_algos
+                let kssp = sssp_algos
                     .iter()
                     .map(|algo| {
                         let mut net = HybridNetwork::new(Arc::clone(&weighted), params);
                         let out = algo.run(&mut net, &sources, 1.0, algo_seed);
-                        KsspCell {
+                        check_labels(&out, &weighted, cell.family.name(), point.name, algo.name())?;
+                        Ok(KsspCell {
                             algorithm: algo.name(),
                             reference: algo.reference(),
                             stretch: out.stretch,
                             rounds: out.rounds,
                             ratio: ratio(out.rounds, ks_lb as f64),
                             skeleton_size: out.skeleton_size,
-                        }
+                        })
                     })
-                    .collect();
+                    .collect::<Result<_, _>>()?;
 
-                SweepRow {
+                Ok(SweepRow {
                     family: cell.family.name(),
                     n,
                     point: point.name,
@@ -310,17 +337,20 @@ pub fn sweep_rows(config: &SweepConfig) -> Vec<SweepRow> {
                     kssp_k,
                     kssp_lower_bound: ks_lb,
                     kssp,
-                }
+                })
             })
             .collect()
     })
+    .into_iter()
+    .collect()
 }
 
-/// Why a shootout falls short of the full registry.
+/// Why a shootout falls short of the full registry, or of what its
+/// contenders guarantee.
 ///
 /// `reproduce` holds every shootout it writes to [`check_shootout`] and exits
-/// non-zero when the check fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// non-zero when the check, or [`sweep_rows`]' label check, fails.
+#[derive(Debug, Clone, PartialEq)]
 pub enum SweepArtifactError {
     /// The shootout has no rows.
     Empty,
@@ -368,6 +398,19 @@ pub enum SweepArtifactError {
         /// The envelope, in rounds.
         envelope: u64,
     },
+    /// A k-SSP contender's labels break the stretch it guarantees.
+    StretchViolated {
+        /// The cell's family.
+        family: &'static str,
+        /// The cell's node count.
+        n: usize,
+        /// The cell's `γ` point.
+        point: &'static str,
+        /// The contender.
+        algorithm: &'static str,
+        /// The first label that breaks the contract.
+        violation: StretchViolation,
+    },
 }
 
 impl std::fmt::Display for SweepArtifactError {
@@ -409,6 +452,16 @@ impl std::fmt::Display for SweepArtifactError {
                 f,
                 "row {row} ({family}, n = {n}, {point}): theorem1 took {theorem1} rounds, \
                  more than its envelope {THEOREM1_C1} · NQ_k · ⌈log₂ n⌉² = {envelope}"
+            ),
+            SweepArtifactError::StretchViolated {
+                family,
+                n,
+                point,
+                algorithm,
+                violation,
+            } => write!(
+                f,
+                "({family}, n = {n}, {point}): {algorithm} labels break their stretch: {violation}"
             ),
         }
     }
@@ -504,7 +557,7 @@ mod tests {
     #[test]
     fn quick_grid_covers_every_family_size_and_point() {
         let config = SweepConfig::quick();
-        let rows = sweep_rows(&config);
+        let rows = sweep_rows(&config).unwrap();
         let sizes = config.grid.sizes.len();
         assert_eq!(
             rows.len(),
@@ -589,7 +642,7 @@ mod tests {
             grid: Grid::new(&[GraphFamily::Path, GraphFamily::Barbell], &[96, 192], 9),
             points: vec![SweepPoint::HYBRID, SweepPoint::SCARCE_GLOBAL],
         };
-        let rows = sweep_rows(&config);
+        let rows = sweep_rows(&config).unwrap();
         assert_eq!(rows.len(), 8);
         for r in &rows {
             for c in &r.dissemination {
@@ -627,7 +680,7 @@ mod tests {
             grid: Grid::new(&[GraphFamily::Path], &[256], 7),
             points: vec![SweepPoint::HYBRID],
         };
-        let rows = sweep_rows(&config);
+        let rows = sweep_rows(&config).unwrap();
         let ours = rows[0].kssp_cell("theorem14").unwrap();
         let rival = rows[0].kssp_cell("schneider").unwrap();
         assert!(
@@ -644,7 +697,7 @@ mod tests {
             grid: Grid::new(&[GraphFamily::ChungLu], &[128], 5),
             points: vec![SweepPoint::SCARCE_GLOBAL, SweepPoint::RICH_GLOBAL],
         };
-        let rows = sweep_rows(&config);
+        let rows = sweep_rows(&config).unwrap();
         assert_eq!(rows.len(), 2);
         assert!(rows[0].gamma_msgs < rows[1].gamma_msgs);
         let scarce = rows[0].kssp_cell("theorem14").unwrap();
@@ -664,7 +717,7 @@ mod tests {
             grid: Grid::new(&[GraphFamily::Cycle], &[64], 1),
             points: vec![SweepPoint::HYBRID, SweepPoint::SCARCE_GLOBAL],
         };
-        let rows = sweep_rows(&config);
+        let rows = sweep_rows(&config).unwrap();
         check_shootout(&rows).unwrap();
 
         assert_eq!(check_shootout(&[]), Err(SweepArtifactError::Empty));
@@ -726,7 +779,7 @@ mod tests {
             grid: Grid::new(&[GraphFamily::Cycle], &[64], 1),
             points: vec![SweepPoint::HYBRID],
         };
-        let mut rows = sweep_rows(&config);
+        let mut rows = sweep_rows(&config).unwrap();
         // n = 64: ⌈log₂ n⌉² = 36.
         let envelope = THEOREM1_C1 * rows[0].nq_k * 36;
         let set_rounds = |rows: &mut [SweepRow], rounds| {
@@ -754,5 +807,40 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("row 0 (cycle, n = 64"), "{err}");
+    }
+
+    #[test]
+    fn a_label_row_that_breaks_its_stretch_is_named() {
+        let family = GraphFamily::Cycle;
+        let weighted = family.reweight(&family.build(64, 1), 1);
+        let params = SweepPoint::HYBRID.params(weighted.n());
+        let algo = &sssp_registry()[0];
+        let mut net = HybridNetwork::new(Arc::new(weighted.clone()), params);
+        let mut out = algo.run(&mut net, &[0, 9, 17, 40], 1.0, 3);
+        let check =
+            |out: &KsspOutput| check_labels(out, &weighted, family.name(), "hybrid", algo.name());
+        check(&out).unwrap();
+
+        // Row 1 (source 9) claims node 40 is at distance 0.
+        let (sources, n) = (out.dist.sources().to_vec(), out.dist.n());
+        let mut rows = out.dist.into_rows();
+        rows[1][40] = 0;
+        out.dist = hybrid_core::rows::DistanceRows::from_rows(sources, n, rows);
+        let err = check(&out).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SweepArtifactError::StretchViolated {
+                    family: "cycle",
+                    n: 64,
+                    point: "hybrid",
+                    violation: StretchViolation::Underestimate(_),
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        let named = format!("(cycle, n = 64, hybrid): {} labels break", algo.name());
+        assert!(err.to_string().starts_with(&named), "{err}");
     }
 }

@@ -71,7 +71,7 @@ fn sweep_quick_rows_bit_identical_across_pool_sizes() {
     // 3 γ points): the per-(family, n) fan-out shares one graph and
     // oracle across grid points, so this also pins that the point loop stays
     // inside its cell's RNG streams at every pool width.
-    let run = || serde_json::to_string_pretty(&sweep_rows(&SweepConfig::quick())).unwrap();
+    let run = || serde_json::to_string_pretty(&sweep_rows(&SweepConfig::quick()).unwrap()).unwrap();
     let reference = on_pool(1, run);
     for threads in &WIDTHS[1..] {
         let got = on_pool(*threads, run);

@@ -41,8 +41,10 @@
 //! # Query contract (documented stretch)
 //!
 //! For a query `(u, v)` the oracle answers `d(u, v)` exactly whenever
-//! `v ∈ B(u)` or `u ∈ B(v)` (in particular whenever either endpoint is a
-//! landmark), and otherwise the better of the two via-anchor routes
+//! `v ∈ B(u)` or `u ∈ B(v)` — that is, whenever `d(u, v) < r(u)` or
+//! `d(u, v) < r(v)` with `r(x) = d(x, a(x))` — and whenever either endpoint
+//! is a landmark (its offset is 0, so its via-anchor route is exact);
+//! otherwise it answers the better of the two via-anchor routes
 //! `d(u, a(u)) + d(a(u), v)` / `d(v, a(v)) + d(a(v), u)`.  Every candidate is
 //! the length of a real walk, so answers **never underestimate**; and when
 //! `v ∉ B(u)` we have `d(u, a(u)) ≤ d(u, v)`, hence
@@ -57,6 +59,23 @@
 //! the edge weights of a returned path always telescope to **exactly** the
 //! reported distance.  Both guarantees are pinned by
 //! `crates/core/tests/oracle_conformance.rs`.
+//!
+//! **Pruning.**  A query reads its four landmark words first — `r(u) =
+//! d(u, a(u))`, `d(a(u), v)`, `r(v)` and `d(a(v), u)` — because the
+//! via-anchor routes need them anyway, and binary-searches `B(u)` only when
+//! they leave room for `v ∈ B(u)`.  It skips the search when
+//!
+//! ```text
+//! d(a(u), v) ≥ 2·r(u)      or      |d(a(v), u) − r(v)| ≥ r(u)
+//! ```
+//!
+//! and treats `B(v)` the same way with the roles swapped.  If `r(u) = ∞`
+//! (u's component holds no landmark) `B(u)` is always searched; if `r(u)` is
+//! finite and `d(a(u), v) = ∞`, never.  Both bounds are instances of
+//! `d(u, v) ≥ |d(ℓ, u) − d(ℓ, v)|` for a landmark `ℓ`, so each proves
+//! `d(u, v) ≥ r(u)`, i.e. `v ∉ B(u)`: a skipped search could only have
+//! missed, and answers, witness paths and the u-side tie-break are exactly
+//! those of searching both balls every time.
 //!
 //! # Batched serving
 //!
@@ -248,6 +267,33 @@ impl Ball<'_> {
     fn dist(&self, w: NodeId) -> Option<Weight> {
         self.slot(w).map(|slot| widen(self.block.dists[slot]))
     }
+}
+
+/// Whether `v` can lie in `B(u) = { w : d(u, w) < r(u) }`, judged from
+/// `r_u = r(u)`, `au_v = d(a(u), v)`, `av_u = d(a(v), u)` and `r_v = r(v)`
+/// (`r(x) = d(x, a(x))`).  Both bounds are `d(u, v) ≥ |d(ℓ, u) − d(ℓ, v)|`
+/// for a landmark `ℓ`, so `false` is a proof that the search would miss.
+#[inline]
+fn ball_may_hold(r_u: Weight, au_v: Weight, av_u: Weight, r_v: Weight) -> bool {
+    // No landmark in u's component: its ball is the whole component.
+    if r_u == INFINITY {
+        return true;
+    }
+    // `d(a(u), v) ≥ 2·r(u)` (an unreachable `v` included) or
+    // `|d(a(v), u) − r(v)| ≥ r(u)` put `v` at least `r(u)` away.  Once
+    // `d(a(u), v)` is finite, `v` shares u's component, so `r(v)` and
+    // `d(a(v), u)` are finite too.
+    au_v < 2 * r_u && av_u.abs_diff(r_v) < r_u
+}
+
+/// How [`DistanceOracle::route`] answers a query.
+#[derive(Clone, Copy)]
+enum Route {
+    /// `member ∈ B(owner)`: exact, along the owner's in-ball parent chain.
+    Ball { owner: NodeId, member: NodeId },
+    /// Through landmark `i`: from `near` up to the landmark, then down to
+    /// the other endpoint.
+    Landmark { i: u32, near: NodeId },
 }
 
 /// Landmark distance oracle with documented stretch [`ORACLE_STRETCH`]; see
@@ -479,16 +525,47 @@ impl DistanceOracle {
         if u == v {
             return 0;
         }
-        if let Some(d) = self.ball(u).dist(v).or_else(|| self.ball(v).dist(u)) {
-            return d;
+        self.route(u, v).0
+    }
+
+    /// The routing step of every query with `u ≠ v`: the answer and the walk
+    /// behind it.  The four landmark words come first, and a ball is searched
+    /// only where [`ball_may_hold`] says it can hold the other endpoint
+    /// (module docs, *Pruning*); `B(u)` before `B(v)`, and the u-side
+    /// via-anchor route on a tie, so the choice is deterministic.
+    #[inline]
+    fn route(&self, u: NodeId, v: NodeId) -> (Weight, Route) {
+        let (au, av) = (self.anchor[u as usize], self.anchor[v as usize]);
+        let (r_u, r_v) = (self.anchor_dist(u), self.anchor_dist(v));
+        let (au_v, av_u) = (self.landmark_dist(au, v), self.landmark_dist(av, u));
+        if ball_may_hold(r_u, au_v, av_u, r_v) {
+            if let Some(d) = self.ball(u).dist(v) {
+                return (
+                    d,
+                    Route::Ball {
+                        owner: u,
+                        member: v,
+                    },
+                );
+            }
         }
-        let via_u = self
-            .anchor_dist(u)
-            .saturating_add(self.landmark_dist(self.anchor[u as usize], v));
-        let via_v = self
-            .anchor_dist(v)
-            .saturating_add(self.landmark_dist(self.anchor[v as usize], u));
-        via_u.min(via_v)
+        if ball_may_hold(r_v, av_u, au_v, r_u) {
+            if let Some(d) = self.ball(v).dist(u) {
+                return (
+                    d,
+                    Route::Ball {
+                        owner: v,
+                        member: u,
+                    },
+                );
+            }
+        }
+        let (via_u, via_v) = (r_u.saturating_add(au_v), r_v.saturating_add(av_u));
+        if via_u <= via_v {
+            (via_u, Route::Landmark { i: au, near: u })
+        } else {
+            (via_v, Route::Landmark { i: av, near: v })
+        }
     }
 
     /// Walks `w` back to the ball owner `u` through the in-ball parent
@@ -536,45 +613,34 @@ impl DistanceOracle {
             out.push(u);
             return 0;
         }
-        if let Some(d) = self.ball(u).dist(v) {
-            let start = out.len();
-            self.push_ball_chain_rev(u, v, out);
-            out[start..].reverse();
-            return d;
-        }
-        if let Some(d) = self.ball(v).dist(u) {
-            // Chain u → v inside v's ball is already in forward order.
-            self.push_ball_chain_rev(v, u, out);
-            return d;
-        }
-        let (au, av) = (self.anchor[u as usize], self.anchor[v as usize]);
-        let via_u = self
-            .anchor_dist(u)
-            .saturating_add(self.landmark_dist(au, v));
-        let via_v = self
-            .anchor_dist(v)
-            .saturating_add(self.landmark_dist(av, u));
-        if via_u == INFINITY && via_v == INFINITY {
-            return INFINITY;
-        }
-        // Tie-break towards the u-side route so the choice is deterministic.
-        let (i, near, far, d) = if via_u <= via_v {
-            (au, u, v, via_u)
-        } else {
-            (av, v, u, via_v)
-        };
-        // Walking up the forest from `near` visits `near, ..., a` — already
-        // the forward order of the first segment.  The far-side walk visits
-        // `far, ..., a`; drop its trailing duplicate anchor and reverse it in
-        // place to get `a's child, ..., far`.
+        let (d, route) = self.route(u, v);
         let start = out.len();
-        self.push_landmark_chain(i, near, out);
-        let anchor_pos = out.len() - 1;
-        self.push_landmark_chain(i, far, out);
-        out.truncate(out.len() - 1); // the anchor was appended twice
-        out[anchor_pos + 1..].reverse();
-        if near != u {
-            out[start..].reverse(); // route was built v → u; flip it
+        match route {
+            Route::Ball { owner, member } => {
+                // The chain runs `member, ..., owner`: forward when u is the
+                // member, flipped when u owns the ball.
+                self.push_ball_chain_rev(owner, member, out);
+                if owner == u {
+                    out[start..].reverse();
+                }
+            }
+            Route::Landmark { .. } if d == INFINITY => {}
+            Route::Landmark { i, near } => {
+                // Walking up the forest from `near` visits `near, ..., a` —
+                // already the forward order of the first segment.  The
+                // far-side walk visits `far, ..., a`; drop its trailing
+                // duplicate anchor and reverse it in place to get
+                // `a's child, ..., far`.
+                let far = if near == u { v } else { u };
+                self.push_landmark_chain(i, near, out);
+                let anchor_pos = out.len() - 1;
+                self.push_landmark_chain(i, far, out);
+                out.truncate(out.len() - 1); // the anchor was appended twice
+                out[anchor_pos + 1..].reverse();
+                if near != u {
+                    out[start..].reverse(); // route was built v → u; flip it
+                }
+            }
         }
         d
     }
@@ -872,5 +938,66 @@ mod tests {
                 distance: LABEL_MAX + 1
             }
         );
+    }
+
+    /// Whether the routing step searches `B(u)` for `v`.
+    fn searches(oracle: &DistanceOracle, u: NodeId, v: NodeId) -> bool {
+        let (au, av) = (oracle.anchor[u as usize], oracle.anchor[v as usize]);
+        ball_may_hold(
+            oracle.anchor_dist(u),
+            oracle.landmark_dist(au, v),
+            oracle.landmark_dist(av, u),
+            oracle.anchor_dist(v),
+        )
+    }
+
+    #[test]
+    fn pruning_admits_every_ball_member_and_few_other_pairs() {
+        let g = generators::weighted_grid(&[24, 24], 32, 7).unwrap();
+        let oracle = DistanceOracle::build(&g, OracleConfig::default()).unwrap();
+        let (mut pairs, mut members, mut admitted) = (0usize, 0usize, 0usize);
+        for u in 0..g.n() as NodeId {
+            let ball = oracle.ball(u);
+            for v in (0..g.n() as NodeId).filter(|&v| v != u) {
+                let admits = searches(&oracle, u, v);
+                if ball.slot(v).is_some() {
+                    assert!(admits, "({u},{v}): the rule hides a member of B({u})");
+                    members += 1;
+                }
+                admitted += usize::from(admits);
+                pairs += 1;
+            }
+        }
+        assert_eq!((pairs, members), (331_200, 10_359));
+        assert!(10 * admitted <= pairs, "admits {admitted} of {pairs} pairs");
+    }
+
+    #[test]
+    fn pruning_searches_every_ball_of_a_landmarkless_component() {
+        // The two-component graph of `tests/oracle_conformance.rs`: every
+        // landmark sits in the first grid.
+        let a = generators::weighted_grid(&[5, 6], 24, 0x2C0).unwrap();
+        let b = generators::weighted_grid(&[4, 5], 24, 0x2C1).unwrap();
+        let split = a.n() as NodeId;
+        let mut both = GraphBuilder::new(a.n() + b.n());
+        for &(u, v, w) in a.edges() {
+            both.add_edge(u, v, w).unwrap();
+        }
+        for &(u, v, w) in b.edges() {
+            both.add_edge(split + u, split + v, w).unwrap();
+        }
+        let g = both.build_unchecked_connectivity();
+        let oracle = DistanceOracle::build_with_landmarks(&g, &[0, 13, 22]).unwrap();
+        let n = g.n() as NodeId;
+        for u in 0..n {
+            for v in (0..n).filter(|&v| v != u) {
+                match (u < split, v < split) {
+                    (false, false) => assert!(searches(&oracle, u, v), "({u},{v})"),
+                    // `r(u)` finite and `d(a(u), v) = ∞`: never searched.
+                    (true, false) => assert!(!searches(&oracle, u, v), "({u},{v})"),
+                    _ => {}
+                }
+            }
+        }
     }
 }

@@ -7,7 +7,12 @@
 //!
 //! * **distance** — every answer obeys `exact ≤ answer ≤ stretch · exact`
 //!   with the stretch the oracle documents ([`ORACLE_STRETCH`]), and is
-//!   *exactly* `exact` whenever either endpoint is a landmark;
+//!   *exactly* `exact` whenever either endpoint is a landmark, and whenever
+//!   `exact < r(u)` or `exact < r(v)`, where `r(x)` is the distance from `x`
+//!   to its closest landmark — through `query`, `query_path`, `query_batch`
+//!   and `query_paths_batch` alike.  The second half is the exact half of the
+//!   contract: a ball search skipped wrongly still answers within stretch,
+//!   so only it can catch one;
 //! * **path validity** — every witness path starts at `u`, ends at `v`,
 //!   every consecutive pair is an edge of the graph, and the edge weights
 //!   sum to exactly the reported distance;
@@ -210,10 +215,10 @@ fn batch_agrees_with_per_query_answers() {
     }
 }
 
-#[test]
-fn unreachable_pairs_answer_infinity_and_a_landmarkless_component_is_exact() {
-    // Component A (nodes 0..30) holds every landmark; component B (30..50)
-    // holds none, so its labels are its balls alone.
+/// Two weighted grids side by side, and the first node of the second.
+/// Component A (nodes 0..30) holds every landmark of [`two_component_oracle`];
+/// component B (30..50) holds none, so its labels are its balls alone.
+fn two_components() -> (Graph, NodeId) {
     let a = generators::weighted_grid(&[5, 6], 24, 0x2C0).unwrap();
     let b = generators::weighted_grid(&[4, 5], 24, 0x2C1).unwrap();
     let split = a.n() as NodeId;
@@ -224,8 +229,65 @@ fn unreachable_pairs_answer_infinity_and_a_landmarkless_component_is_exact() {
     for &(u, v, w) in b.edges() {
         both.add_edge(split + u, split + v, w).unwrap();
     }
-    let graph = both.build_unchecked_connectivity();
-    let oracle = DistanceOracle::build_with_landmarks(&graph, &[0, 13, 22]).unwrap();
+    (both.build_unchecked_connectivity(), split)
+}
+
+fn two_component_oracle(graph: &Graph) -> DistanceOracle {
+    DistanceOracle::build_with_landmarks(graph, &[0, 13, 22]).unwrap()
+}
+
+#[test]
+fn pairs_closer_than_a_landmark_answer_exactly_through_every_entry_point() {
+    let mut instances: Vec<_> = all_instances()
+        .into_iter()
+        .map(|(name, graph)| {
+            let oracle = build(&graph);
+            (name, graph, oracle)
+        })
+        .collect();
+    let (graph, _) = two_components();
+    let oracle = two_component_oracle(&graph);
+    instances.push(("two-component".to_string(), Arc::new(graph), oracle));
+
+    for (name, graph, oracle) in instances {
+        let exact = DistanceRows::all_pairs(&graph);
+        // `r(u)`: the distance to u's closest landmark, `INFINITY` in a
+        // component without one.
+        let radius: Vec<Weight> = (0..graph.n())
+            .map(|u| {
+                let to_landmarks = oracle.landmarks().iter().map(|&l| exact[l as usize][u]);
+                to_landmarks.min().expect("at least one landmark")
+            })
+            .collect();
+        let queries: Vec<(NodeId, NodeId)> = all_pairs(graph.n())
+            .into_iter()
+            .filter(|&(u, v)| {
+                let e = exact[u as usize][v as usize];
+                e < radius[u as usize] || e < radius[v as usize]
+            })
+            .collect();
+        assert!(queries.iter().any(|&(u, v)| u != v), "{name}: vacuous");
+        let dists = oracle.query_batch(&queries);
+        let paths = oracle.query_paths_batch(&queries);
+        for (i, &(u, v)) in queries.iter().enumerate() {
+            let e = exact[u as usize][v as usize];
+            let answers = [
+                ("query", oracle.query(u, v)),
+                ("query_path", oracle.query_path(u, v).0),
+                ("query_batch", dists[i]),
+                ("query_paths_batch", paths.dist(i)),
+            ];
+            for (entry, a) in answers {
+                assert_eq!(a, e, "{name}: {entry}({u},{v}) is inside a ball radius");
+            }
+        }
+    }
+}
+
+#[test]
+fn unreachable_pairs_answer_infinity_and_a_landmarkless_component_is_exact() {
+    let (graph, split) = two_components();
+    let oracle = two_component_oracle(&graph);
     let exact = DistanceRows::all_pairs(&graph);
 
     let queries = all_pairs(graph.n());
