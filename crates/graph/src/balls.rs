@@ -3,56 +3,47 @@
 //!
 //! `B_t(v)` is the set of nodes within hop distance `t` of `v`, including `v`
 //! itself.  The paper repeatedly needs, for a node `v`, the *sizes* of all
-//! balls `|B_1(v)|, |B_2(v)|, …` up to some radius; [`ball_size_profile`]
-//! returns exactly that for one node with one bounded
-//! [`DijkstraWorkspace`] BFS, and [`BallOracle`]
-//! caches the profiles of every node for repeated `NQ_k` queries with
-//! different `k` (as the benchmarks sweep `k`).
+//! balls `|B_1(v)|, |B_2(v)|, …` up to some radius — its *profile*.
+//! [`BallOracle`] caches the profile of every node for repeated `NQ_k`
+//! queries with different `k` (as the benchmarks sweep `k`); one node's
+//! profile alone is one bounded [`crate::dijkstra::DijkstraWorkspace`] BFS.
 //!
-//! The oracle does not run `n` such searches.  It cuts the node ids into
-//! batches of 64 and hands each batch to [`crate::traversal::lane_bfs`],
+//! The oracle does not run `n` such searches.  It cuts the nodes into
+//! batches of up to 64 and hands each batch to [`crate::traversal::lane_bfs`],
 //! which advances the 64 searches together, one bit of a `u64` word per
 //! source.  A batch's profiles land back to back in one `u32` arena, and
 //! while the per-level sizes are in hand the oracle also writes down
 //! `min_v |B_t(v)|` for every radius `t`: the one sequence `NQ_k(G)` and
 //! Lemma 3.3 read.
+//!
+//! *Batches.*  One pass over a frontier node's arcs serves every lane that
+//! holds the node, so a batch pays off when its sources are close together.
+//! Before it sweeps, the oracle plans its batches: each one is grown by a BFS
+//! over the whole graph from the lowest-id node not yet planned, and takes
+//! the first 64 unplanned nodes the search meets — a batch is short only
+//! when the seed's component runs out.  (64 consecutive ids of a row-major
+//! grid are one row, whose searches share almost no frontier.)  The plan is a
+//! pure function of the graph and cannot show in any output: a lane's profile
+//! depends on its own source only, `min_ball` is a minimum over batches and
+//! the truncation flag an "any" over batches, so neither depends on which
+//! nodes share a batch or in what order the batches come.
 
 use rayon::prelude::*;
 
 use crate::csr::{Graph, NodeId};
-use crate::dijkstra::DijkstraWorkspace;
 use crate::traversal::{lane_bfs, lanes_of, LaneWorkspace, LANES};
-
-/// Sizes `|B_0(v)|, |B_1(v)|, …, |B_r(v)|` for the largest needed radius `r`,
-/// from one bounded BFS: the scalar reference [`BallOracle`] is held to.
-///
-/// The profile stops early once the ball covers the whole graph (further
-/// entries would all equal `n`); the returned vector therefore has length
-/// `min(max_radius, ecc(v)) + 1`.
-pub fn ball_size_profile(graph: &Graph, v: NodeId, max_radius: u64) -> Vec<usize> {
-    let mut ws = DijkstraWorkspace::new();
-    ws.run_bfs_bounded(graph, v, max_radius);
-    // The search settles layer by layer, so `|B_t(v)|` is one past the
-    // position of the last node at depth `t`.
-    let mut profile = Vec::new();
-    for (settled, &u) in ws.reached().iter().enumerate() {
-        let t = ws.dist()[u as usize] as usize;
-        if t == profile.len() {
-            profile.push(0);
-        }
-        profile[t] = settled + 1;
-    }
-    profile
-}
 
 /// Caches ball-size profiles for every node, supporting repeated
 /// neighborhood-quality queries for different workloads `k`.
 ///
 /// Profiles are `u32` prefix sums (`|B_t(v)| ≤ n` and node ids are `u32`),
-/// held in one arena per batch of 64 consecutive node ids.
+/// held in one arena per planned batch of up to 64 nearby nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallOracle {
     batches: Vec<Batch>,
+    /// `slot[v] = LANES·b + lane`: node `v`'s profile is lane `lane` of
+    /// batch `b`.
+    slot: Vec<u32>,
     /// `min_ball[t] = min_v |B_t(v)|` for `t = 0 ..= max_v (profile(v).len() − 1)`.
     min_ball: Vec<u32>,
     /// Whether `max_radius` cut some profile before its ball stopped growing.
@@ -60,12 +51,53 @@ pub struct BallOracle {
     n: usize,
 }
 
-/// Profiles of the nodes `LANES·b .. LANES·(b + 1)`, back to back.
+/// Profiles of one planned batch's nodes, back to back in lane order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Batch {
     sizes: Vec<u32>,
     /// Lane `i`'s profile is `sizes[starts[i]..starts[i + 1]]`.
     starts: [usize; LANES + 1],
+}
+
+/// Plans [`BallOracle::new`]'s batches, and returns them in plan order with
+/// every node's slot.  Each batch is grown by BFS from the lowest-id
+/// unplanned node: the search passes through planned nodes and stops at the
+/// 64th unplanned node it meets (the seed included), or when the seed's
+/// component runs out.
+fn plan(graph: &Graph) -> (Vec<Vec<NodeId>>, Vec<u32>) {
+    let n = graph.n();
+    let mut batches: Vec<Vec<NodeId>> = Vec::new();
+    let mut slot = vec![u32::MAX; n];
+    // `met[v]`: the seed of the last batch whose search met `v`.
+    let mut met = vec![NodeId::MAX; n];
+    let mut queue = Vec::new();
+    for seed in graph.nodes() {
+        if slot[seed as usize] != u32::MAX {
+            continue;
+        }
+        let mut batch = Vec::with_capacity(LANES);
+        met[seed as usize] = seed;
+        queue.clear();
+        queue.push(seed);
+        let mut head = 0;
+        while head < queue.len() && batch.len() < LANES {
+            let u = queue[head];
+            head += 1;
+            if slot[u as usize] == u32::MAX {
+                let at = batches.len() * LANES + batch.len();
+                slot[u as usize] = u32::try_from(at).expect("slot fits in u32");
+                batch.push(u);
+            }
+            for a in graph.arcs(u) {
+                if met[a.to as usize] != seed {
+                    met[a.to as usize] = seed;
+                    queue.push(a.to);
+                }
+            }
+        }
+        batches.push(batch);
+    }
+    (batches, slot)
 }
 
 /// What one batch's sweep hands back to [`BallOracle::new`].
@@ -80,11 +112,14 @@ struct Sweep {
 /// A worker's state: the kernel's workspace and one growing profile per lane.
 type Workspace = (LaneWorkspace, Vec<Vec<u32>>);
 
-/// Batch `b`: each profile grows one entry per level at which its lane grew,
+/// One batch: each profile grows one entry per level at which its lane grew,
 /// and moves into the batch arena when every lane has stopped.
-fn sweep(graph: &Graph, (ws, profiles): &mut Workspace, b: usize, max_radius: u64) -> Sweep {
-    let ids: [NodeId; LANES] = std::array::from_fn(|i| (b * LANES + i) as NodeId);
-    let sources = &ids[..LANES.min(graph.n() - b * LANES)];
+fn sweep(
+    graph: &Graph,
+    (ws, profiles): &mut Workspace,
+    sources: &[NodeId],
+    max_radius: u64,
+) -> Sweep {
     for profile in &mut profiles[..sources.len()] {
         profile.push(1);
     }
@@ -120,16 +155,16 @@ impl BallOracle {
     /// `max_radius` only needs to be an upper bound on the radii the caller
     /// will query (e.g. the diameter, or `√k_max` by Lemma 3.6).
     pub fn new(graph: &Graph, max_radius: u64) -> Self {
-        // One `lane_bfs` per batch of `LANES` consecutive node ids, fanned out
-        // over all cores and collected in batch order: a run leaves its
-        // workspace as it found it, so the result does not depend on which
-        // worker ran which batch.
+        // One `lane_bfs` per planned batch, fanned out over all cores and
+        // collected in plan order: a run leaves its workspace as it found it,
+        // so the result does not depend on which worker ran which batch.
         let n = graph.n();
-        let sweeps: Vec<Sweep> = (0..n.div_ceil(LANES))
-            .into_par_iter()
+        let (batches, slot) = plan(graph);
+        let sweeps: Vec<Sweep> = batches
+            .par_iter()
             .map_init(
                 || (LaneWorkspace::new(n), vec![Vec::new(); LANES]),
-                |ws, b| sweep(graph, ws, b, max_radius),
+                |ws, sources| sweep(graph, ws, sources, max_radius),
             )
             .with_min_len(1)
             .collect();
@@ -151,6 +186,7 @@ impl BallOracle {
         BallOracle {
             truncated: sweeps.iter().any(|s| s.truncated),
             batches: sweeps.into_iter().map(|s| s.batch).collect(),
+            slot,
             min_ball,
             n,
         }
@@ -170,11 +206,13 @@ impl BallOracle {
         profile[idx] as usize
     }
 
-    /// The full profile of node `v`: `|B_0(v)|, |B_1(v)|, …`, as
-    /// [`ball_size_profile`] returns it.
+    /// The full profile of node `v`: `|B_0(v)|, |B_1(v)|, …`, up to its
+    /// eccentricity or the oracle's `max_radius`, whichever is smaller — what
+    /// one BFS from `v` bounded at `max_radius` counts, level by level.
     pub fn profile(&self, v: NodeId) -> &[u32] {
-        let batch = &self.batches[v as usize / LANES];
-        let lane = v as usize % LANES;
+        let slot = self.slot[v as usize] as usize;
+        let batch = &self.batches[slot / LANES];
+        let lane = slot % LANES;
         &batch.sizes[batch.starts[lane]..batch.starts[lane + 1]]
     }
 
@@ -201,11 +239,11 @@ impl BallOracle {
         (!self.truncated).then(|| self.min_ball.len().saturating_sub(1) as u64)
     }
 
-    /// Heap bytes held by the profile arenas, their batch headers and the
-    /// level-minimum table.
+    /// Heap bytes held by the profile arenas, their batch headers, the
+    /// per-node slots and the level-minimum table.
     pub fn memory_bytes(&self) -> u64 {
         let sizes: usize = self.batches.iter().map(|b| b.sizes.len()).sum();
-        ((sizes + self.min_ball.len()) * std::mem::size_of::<u32>()
+        ((sizes + self.slot.len() + self.min_ball.len()) * std::mem::size_of::<u32>()
             + self.batches.len() * std::mem::size_of::<Batch>()) as u64
     }
 }
@@ -213,21 +251,26 @@ impl BallOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dijkstra::DijkstraWorkspace;
     use crate::generators;
+    use crate::traversal::connected_components;
+    use crate::GraphBuilder;
 
-    /// `|B_t(v)|`, from the profile (saturating past its end).
+    /// `|B_t(v)|`, from one bounded BFS.
     fn ball_size(graph: &Graph, v: NodeId, t: u64) -> usize {
-        let profile = ball_size_profile(graph, v, t);
-        profile[profile.len() - 1]
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_bfs_bounded(graph, v, t);
+        ws.reached().len()
     }
 
     #[test]
     fn ball_sizes_on_path() {
         let g = generators::path(10).unwrap();
-        assert_eq!(ball_size(&g, 0, 0), 1);
-        assert_eq!(ball_size(&g, 0, 3), 4);
-        assert_eq!(ball_size(&g, 5, 2), 5);
-        assert_eq!(ball_size(&g, 5, 100), 10);
+        let oracle = BallOracle::new(&g, u64::MAX);
+        for (v, t, size) in [(0, 0, 1), (0, 3, 4), (5, 2, 5), (5, 100, 10)] {
+            assert_eq!(ball_size(&g, v, t), size);
+            assert_eq!(oracle.ball_size(v, t), size);
+        }
     }
 
     #[test]
@@ -243,15 +286,14 @@ mod tests {
     #[test]
     fn profile_is_monotone_and_matches_ball_size() {
         let g = generators::grid(&[5, 5]).unwrap();
-        let mut ws = DijkstraWorkspace::new();
+        let oracle = BallOracle::new(&g, 20);
         for v in [0u32, 12, 24] {
-            let profile = ball_size_profile(&g, v, 20);
+            let profile = oracle.profile(v);
             for w in profile.windows(2) {
                 assert!(w[0] <= w[1]);
             }
             for (t, &s) in profile.iter().enumerate() {
-                ws.run_bfs_bounded(&g, v, t as u64);
-                assert_eq!(s, ws.reached().len());
+                assert_eq!(s as usize, ball_size(&g, v, t as u64));
             }
             assert_eq!(*profile.last().unwrap(), 25);
         }
@@ -260,9 +302,9 @@ mod tests {
     #[test]
     fn profile_truncates_at_max_radius() {
         let g = generators::path(20).unwrap();
-        let profile = ball_size_profile(&g, 0, 5);
-        assert_eq!(profile.len(), 6);
-        assert_eq!(profile[5], 6);
+        let oracle = BallOracle::new(&g, 5);
+        assert_eq!(oracle.profile(0), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(oracle.max_eccentricity(), None);
     }
 
     #[test]
@@ -274,5 +316,73 @@ mod tests {
         assert_eq!(oracle.ball_size(0, 6), 16);
         assert_eq!(oracle.ball_size(0, 1000), 16);
         assert_eq!(oracle.profile(0)[0], 1);
+    }
+
+    /// The shapes of `tests/ball_profiles.rs`: every family that exists at
+    /// size `n`, plus the node-disjoint union of a tree and a random graph.
+    fn shapes(n: usize) -> Vec<Graph> {
+        let sides = (1..=n).take_while(|a| a * a <= n);
+        let a = sides.filter(|&a| n.is_multiple_of(a)).last().unwrap();
+        let p = (6.0 / n as f64).min(1.0);
+        let mut out: Vec<Graph> = [
+            generators::path(n),
+            generators::cycle(n),
+            generators::grid(&[a, n / a]),
+            generators::tree_with_n(2, n),
+            generators::ring_of_cliques(n / a, a, 1),
+            generators::erdos_renyi(n, p, 0xBA11 + n as u64),
+        ]
+        .into_iter()
+        .filter_map(Result::ok)
+        .collect();
+        let [.., x, y] = out.as_slice() else {
+            panic!("path, grid, tree and erdos-renyi exist at every n >= 1");
+        };
+        let mut union = GraphBuilder::new(x.n() + y.n());
+        let shift = x.n() as NodeId;
+        for &(u, v, w) in x.edges() {
+            union.add_edge(u, v, w).unwrap();
+        }
+        for &(u, v, w) in y.edges() {
+            union.add_edge(u + shift, v + shift, w).unwrap();
+        }
+        out.push(union.build_unchecked_connectivity());
+        out
+    }
+
+    #[test]
+    fn plan_covers_every_node_once_in_batches_inside_one_component() {
+        for n in [1, 63, 64, 65, 200] {
+            for graph in shapes(n) {
+                let (batches, slot) = plan(&graph);
+                let (comp, _) = connected_components(&graph);
+                let mut order = batches.concat();
+                order.sort_unstable();
+                assert!(order.iter().copied().eq(graph.nodes()), "n={n}");
+                for (b, batch) in batches.iter().enumerate() {
+                    assert!((1..=LANES).contains(&batch.len()), "n={n} b={b}");
+                    let c = comp[batch[0] as usize];
+                    assert!(batch.iter().all(|&v| comp[v as usize] == c), "n={n} b={b}");
+                    for (lane, &v) in batch.iter().enumerate() {
+                        assert_eq!(slot[v as usize] as usize, b * LANES + lane);
+                    }
+                    // Short only when the seed's component is used up.
+                    if batch.len() < LANES {
+                        let mut later = batches[b + 1..].iter().flatten();
+                        assert!(later.all(|&v| comp[v as usize] != c), "n={n} b={b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plan_grows_batches_from_the_lowest_unplanned_node() {
+        // A 16 x 16 grid: the first batch is node 0's BFS ball, not row 0.
+        let g = generators::grid(&[16, 16]).unwrap();
+        let (batches, _) = plan(&g);
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_bfs(&g, 0);
+        assert_eq!(batches[0], &ws.reached()[..LANES]);
     }
 }

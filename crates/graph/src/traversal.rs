@@ -2,8 +2,9 @@
 //! multi-source sweep, 64 searches advanced together, one bit of a `u64`
 //! word each, with a per-lane stop rule — and [`connected_components`].
 //! `lane_bfs`'s callers are [`crate::balls::BallOracle::new`] (every node's
-//! ball profile) and the sampled `NQ_k` oracle of `hybrid-core` (the sampled
-//! profiles).
+//! ball profile, in batches of nearby sources it plans by BFS before it
+//! sweeps them) and the sampled `NQ_k` oracle of `hybrid-core` (the sampled
+//! profiles, 64 sampled nodes per batch).
 //!
 //! Hop distances `hop(v, w)` are what the paper's neighborhood-quality
 //! parameter, clusterings and lower bounds are defined over (Section 1.2).

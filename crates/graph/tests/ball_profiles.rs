@@ -1,18 +1,23 @@
 //! `BallOracle::new` against the scalar single-source reference.
 //!
 //! The oracle builds its profiles 64 sources at a time, one bit of a `u64`
-//! word per source; [`ball_size_profile`] is one plain BFS.  Every profile of
-//! every node must agree entry by entry — on sizes around the lane width
-//! (a lone node, one lane short of a batch, exactly one batch, one lane into
-//! the second), under every kind of radius bound, on a disconnected graph and
-//! at any pool width — and the level-minimum table and the truncation flag
-//! must say what the profiles say.  The kernel under both, `lane_bfs`, is
-//! checked on its own too: unsorted, non-consecutive sources, each lane with
-//! its own stop radius.
+//! word per source, in batches it plans by locality; [`ball_size_profile`]
+//! is one plain BFS.  Every profile of every node must agree entry by entry —
+//! on sizes around the lane width (a lone node, one lane short of a batch,
+//! exactly one batch, one lane into the second), under every kind of radius
+//! bound, on a disconnected graph, at any pool width and under a relabelling
+//! of the nodes (new ids, new batches) — and the level-minimum table and the
+//! truncation flag must say what the profiles say.  The kernel under both,
+//! `lane_bfs`, is checked on its own too: unsorted, non-consecutive sources,
+//! each lane with its own stop radius.
 
-use hybrid_graph::balls::{ball_size_profile, BallOracle};
+use hybrid_graph::balls::BallOracle;
+use hybrid_graph::dijkstra::DijkstraWorkspace;
 use hybrid_graph::traversal::{lane_bfs, lanes_of, LaneWorkspace};
 use hybrid_graph::{generators, Graph, GraphBuilder, NodeId};
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use rayon::ThreadPoolBuilder;
 
 const SIZES: [usize; 5] = [1, 63, 64, 65, 200];
@@ -65,6 +70,26 @@ fn graphs(n: usize) -> Vec<(String, Graph)> {
     };
     out.push((format!("union({n})"), union(x, y)));
     out
+}
+
+/// Sizes `|B_0(v)|, |B_1(v)|, …, |B_r(v)|` from one BFS bounded at
+/// `max_radius`: the scalar reference `BallOracle` is held to.  The profile
+/// stops once the ball stops growing, so it has `min(max_radius, ecc(v)) + 1`
+/// entries.
+fn ball_size_profile(graph: &Graph, v: NodeId, max_radius: u64) -> Vec<usize> {
+    let mut ws = DijkstraWorkspace::new();
+    ws.run_bfs_bounded(graph, v, max_radius);
+    // The search settles layer by layer, so `|B_t(v)|` is one past the
+    // position of the last node at depth `t`.
+    let mut profile = Vec::new();
+    for (settled, &u) in ws.reached().iter().enumerate() {
+        let t = ws.dist()[u as usize] as usize;
+        if t == profile.len() {
+            profile.push(0);
+        }
+        profile[t] = settled + 1;
+    }
+    profile
 }
 
 fn reference(graph: &Graph, v: NodeId, radius: u64) -> Vec<u32> {
@@ -130,6 +155,53 @@ fn oracle_is_identical_at_pool_width_1_and_4() {
                 });
                 assert!(narrow == wide, "{name} r={radius}");
             }
+        }
+    }
+}
+
+/// `graph` with node `v` renamed `pi[v]`.
+fn relabel(graph: &Graph, pi: &[NodeId]) -> Graph {
+    let mut builder = GraphBuilder::new(graph.n());
+    for &(u, v, w) in graph.edges() {
+        builder.add_edge(pi[u as usize], pi[v as usize], w).unwrap();
+    }
+    builder.build_unchecked_connectivity()
+}
+
+#[test]
+fn profiles_do_not_depend_on_node_ids() {
+    let union = graphs(200).pop().expect("the union comes last").1;
+    let shapes = [
+        ("grid(24x24)", generators::grid(&[24, 24]).unwrap()),
+        (
+            "ring-of-cliques",
+            generators::ring_of_cliques(12, 9, 1).unwrap(),
+        ),
+        ("union(200)", union),
+    ];
+    for (name, graph) in shapes {
+        let mut pi: Vec<NodeId> = graph.nodes().collect();
+        pi.shuffle(&mut ChaCha8Rng::seed_from_u64(0x5EED + graph.n() as u64));
+        let renamed = relabel(&graph, &pi);
+        for radius in [3, u64::MAX] {
+            let [original, relabelled] = [&graph, &renamed].map(|g| BallOracle::new(g, radius));
+            for v in graph.nodes() {
+                assert_eq!(
+                    relabelled.profile(pi[v as usize]),
+                    original.profile(v),
+                    "{name} r={radius} v={v}"
+                );
+            }
+            assert_eq!(
+                relabelled.min_ball(),
+                original.min_ball(),
+                "{name} r={radius}"
+            );
+            assert_eq!(
+                relabelled.max_eccentricity(),
+                original.max_eccentricity(),
+                "{name} r={radius}"
+            );
         }
     }
 }

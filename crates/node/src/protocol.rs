@@ -151,6 +151,7 @@ pub fn read_frame<T: DeserializeOwned>(reader: &mut impl Read) -> io::Result<Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     #[test]
@@ -201,5 +202,174 @@ mod tests {
     fn oversized_length_prefix_is_an_error() {
         let mut cursor = Cursor::new(u32::MAX.to_be_bytes().to_vec());
         assert!(read_frame::<ToNode>(&mut cursor).is_err());
+    }
+
+    /// A valid message of every shape, its numbers and ids drawn from `x`
+    /// and `ids`, `pick` choosing the variant.
+    fn messages(pick: usize, x: u64, ids: &[u32]) -> (ToNode, FromNode) {
+        let envelopes: Vec<Envelope<Value>> = ids
+            .iter()
+            .map(|&id| Envelope {
+                src: id,
+                dst: id ^ 1,
+                round: x,
+                body: Value::Array(vec![
+                    Value::UInt(x),
+                    Value::Int(-(id as i64)),
+                    Value::Str(format!("t{id} \"\\\n\u{e9}")),
+                ]),
+            })
+            .collect();
+        let to_node = match pick % 3 {
+            0 => ToNode::Init {
+                node: ids.first().copied().unwrap_or(0),
+                n: ids.len(),
+                neighbors: ids.to_vec(),
+                params: ModelParams::hybrid_with_global_capacity(ids.len(), pick),
+                seed: x,
+                program: ProgramSpec::DetForward {
+                    tokens_at: ids.iter().map(|&id| (id, vec![x, id as u64])).collect(),
+                    target_tokens: ids.len(),
+                },
+            },
+            1 => ToNode::Round {
+                round: x,
+                local: envelopes.clone(),
+                global: envelopes.clone(),
+            },
+            _ => ToNode::Halt,
+        };
+        let from_node = match pick % 2 {
+            0 => FromNode::RoundOut {
+                node: ids.last().copied().unwrap_or(0),
+                round: x,
+                local: envelopes.clone(),
+                global: envelopes,
+                refused: x >> 7,
+                done: x & 1 == 1,
+            },
+            _ => FromNode::Halted {
+                node: pick as NodeId,
+                state: Value::Object(vec![
+                    ("known".into(), Value::UInt(x)),
+                    ("ok".into(), Value::Bool(true)),
+                ]),
+            },
+        };
+        (to_node, from_node)
+    }
+
+    fn frame<T: Serialize>(msg: &T) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, msg).unwrap();
+        buf
+    }
+
+    /// Reads `bytes` as frames of both directions until the stream ends or
+    /// a read fails.  A read that returns at all did not panic; each frame
+    /// it yields consumes at least its prefix, so the loop ends.
+    fn read_all(bytes: &[u8]) -> [io::Result<usize>; 2] {
+        fn drain<T: DeserializeOwned>(bytes: &[u8]) -> io::Result<usize> {
+            let mut cursor = Cursor::new(bytes);
+            let mut frames = 0;
+            while read_frame::<T>(&mut cursor)?.is_some() {
+                frames += 1;
+            }
+            Ok(frames)
+        }
+        [drain::<ToNode>(bytes), drain::<FromNode>(bytes)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fuzz_frame_codec_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..257)) {
+            for outcome in read_all(&bytes) {
+                if bytes.is_empty() {
+                    prop_assert_eq!(outcome.ok(), Some(0));
+                }
+            }
+            // The same bytes behind a true length prefix reach the UTF-8
+            // check and the JSON parser.
+            let mut framed = (bytes.len() as u32).to_be_bytes().to_vec();
+            framed.extend(&bytes);
+            let _ = read_all(&framed);
+        }
+
+        #[test]
+        fn fuzz_frame_codec_json_like_payloads(
+            picks in prop::collection::vec(any::<usize>(), 0..257),
+        ) {
+            // Payloads spelled from JSON's punctuation and the protocol's own
+            // words get past the parser's first byte far more often.
+            const WORDS: [&str; 16] = [
+                "{", "}", "[", "]", ":", ",", "\"", "\\u", "0", "-1", "1e9", "null",
+                "\"Round\"", "\"Init\"", "\"RoundOut\"", "\"src\"",
+            ];
+            let text: String = picks.iter().map(|&i| WORDS[i % WORDS.len()]).collect();
+            let mut framed = (text.len() as u32).to_be_bytes().to_vec();
+            framed.extend(text.as_bytes());
+            let _ = read_all(&framed);
+        }
+
+        #[test]
+        fn fuzz_frame_codec_written_frames_read_back_equal(
+            shape in (0usize..6, any::<u64>()),
+            ids in prop::collection::vec(any::<u32>(), 0..5),
+        ) {
+            let (to_node, from_node) = messages(shape.0, shape.1, &ids);
+            let to_bytes = frame(&to_node);
+            let back: ToNode = read_frame(&mut Cursor::new(&to_bytes)).unwrap().unwrap();
+            prop_assert_eq!(frame(&back), to_bytes);
+            let from_bytes = frame(&from_node);
+            let back: FromNode = read_frame(&mut Cursor::new(&from_bytes)).unwrap().unwrap();
+            prop_assert_eq!(frame(&back), from_bytes);
+        }
+
+        #[test]
+        fn fuzz_frame_codec_cut_frames(
+            shape in (0usize..6, any::<u64>()),
+            ids in prop::collection::vec(any::<u32>(), 0..5),
+            cut in any::<usize>(),
+        ) {
+            let (to_node, from_node) = messages(shape.0, shape.1, &ids);
+            for bytes in [frame(&to_node), frame(&from_node)] {
+                let cut = &bytes[..cut % bytes.len()];
+                for outcome in read_all(cut) {
+                    match outcome {
+                        Ok(frames) => prop_assert!(cut.is_empty() && frames == 0),
+                        Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn fuzz_frame_codec_one_byte_overwritten(
+            shape in (0usize..6, any::<u64>()),
+            ids in prop::collection::vec(any::<u32>(), 0..5),
+            overwrite in (any::<usize>(), any::<u8>()),
+        ) {
+            let (to_node, from_node) = messages(shape.0, shape.1, &ids);
+            let (at, byte) = overwrite;
+            for mut bytes in [frame(&to_node), frame(&from_node)] {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+                let _ = read_all(&bytes);
+            }
+        }
+
+        #[test]
+        fn fuzz_frame_codec_oversized_length_prefix(
+            len in (MAX_FRAME_BYTES as u64 + 1)..(u32::MAX as u64 + 1),
+            tail in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut bytes = (len as u32).to_be_bytes().to_vec();
+            bytes.extend(tail);
+            for outcome in read_all(&bytes) {
+                prop_assert_eq!(outcome.err().map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
+            }
+        }
     }
 }
