@@ -11,15 +11,11 @@
 //! records `rounds(faulty) / rounds(failure-free)` plus the message-overhead
 //! factor and the injected-fault counters.
 //!
-//! Two execution layers are measured per cell, matching the two engines the
-//! [`hybrid_sim::FaultPlan`] is wired into:
-//!
-//! * **engine** — ack/retry token dissemination
-//!   ([`hybrid_sim::programs::AckFloodProgram`]) on the per-node engine,
-//!   whose completion under any drop rate `< 1` is the tentpole guarantee;
-//! * **phase** — the Theorem 1 `k`-dissemination pipeline on the phase
-//!   engine, whose global batches replay through the wave-retry scheduler
-//!   path ([`hybrid_sim::GlobalScheduler::deliver_with_faults`]).
+//! The workload is one a node executes: ack/retry token dissemination
+//! ([`hybrid_sim::programs::AckFloodProgram`]) on the per-node engine, where
+//! a [`hybrid_sim::FaultPlan`] meets every staged message.  Its completion
+//! under any drop rate `< 1` is the guarantee the sweep exercises.  The
+//! charged pipelines of the phase engine run failure-free and are not swept.
 //!
 //! ## Determinism
 //!
@@ -30,15 +26,11 @@
 //! `RAYON_NUM_THREADS` (pinned by `crates/bench/tests/determinism.rs` and
 //! the CI artifact diff).
 
-use std::sync::Arc;
-
 use serde::Serialize;
 
-use hybrid_core::dissemination::{k_dissemination, place_tokens};
-use hybrid_core::nq::NqOracle;
 use hybrid_sim::engine::{Executor, NodeProgram, RunReport};
 use hybrid_sim::programs::AckFloodProgram;
-use hybrid_sim::{EngineConfig, FaultPlan, FaultSpec, HybridNetwork, ModelParams};
+use hybrid_sim::{EngineConfig, FaultPlan, FaultSpec, ModelParams};
 
 use crate::grid::{GraphFamily, Grid};
 
@@ -155,7 +147,7 @@ impl FaultSweepConfig {
 
 /// One cell of the fault sweep: a `(family, n, profile)` coordinate with the
 /// rounds-to-completion, degradation factors over the failure-free run and
-/// the injected-fault accounting for both execution layers.
+/// the injected-fault accounting of the ack/retry dissemination.
 #[derive(Debug, Clone, Serialize)]
 pub struct FaultSweepRow {
     /// Graph family.
@@ -194,21 +186,6 @@ pub struct FaultSweepRow {
     pub ack_injected_duplicates: u64,
     /// Engine layer: messages held back by delay.
     pub ack_injected_delays: u64,
-    /// Phase layer: rounds of Theorem 1 `k`-dissemination under this profile.
-    pub diss_rounds: u64,
-    /// Phase layer: the failure-free reference rounds.
-    pub diss_baseline_rounds: u64,
-    /// `diss_rounds / diss_baseline_rounds` — the phase degradation factor.
-    pub diss_degradation: f64,
-    /// Delivered global messages divided by the failure-free count (retries
-    /// never re-deliver, so this only exceeds 1 through duplication).
-    pub diss_message_overhead: f64,
-    /// Phase layer: delivery attempts dropped (from the `CostMeter`).
-    pub diss_dropped: u64,
-    /// Phase layer: extra copies delivered by duplication.
-    pub diss_duplicated: u64,
-    /// Phase layer: delivery attempts held back by delay.
-    pub diss_delayed: u64,
 }
 
 /// Degradation/overhead factor with the reference clamped to ≥ 1.
@@ -242,16 +219,15 @@ fn run_ack_flood(
 
 /// Runs the fault sweep grid: `config.grid × config.profiles`.
 ///
-/// Each `(family, n)` cell builds its graph and `NQ` oracle once, measures
-/// the failure-free reference once, and then replays the identical workload
-/// per profile.  Row order is family-major, then size, then profile —
-/// identical for every pool width.
+/// Each `(family, n)` cell builds its graph once, measures the failure-free
+/// reference once, and then replays the identical workload per profile.
+/// Row order is family-major, then size, then profile — identical for every
+/// pool width.
 pub fn fault_sweep_rows(config: &FaultSweepConfig) -> Vec<FaultSweepRow> {
     let grid = &config.grid;
     grid.run(|cell| {
         let family = cell.family;
-        let graph = Arc::new(family.build(cell.n_target, grid.seed(cell, 0)));
-        let oracle = NqOracle::new(&graph);
+        let graph = family.build(cell.n_target, grid.seed(cell, 0));
         let n = graph.n();
         let params = ModelParams::hybrid(n);
 
@@ -261,13 +237,6 @@ pub fn fault_sweep_rows(config: &FaultSweepConfig) -> Vec<FaultSweepRow> {
         let k = 8usize.min(n);
         let ack_base = run_ack_flood(&graph, EngineConfig::new(params), k, config.max_rounds);
 
-        // The phase workload: the Theorem 1 pipeline with an n-token
-        // load, same shape as the scaling sweep's dissemination column.
-        let tokens = place_tokens(&(0..n as u32).collect::<Vec<_>>(), n as u64);
-        let mut net = HybridNetwork::new(Arc::clone(&graph), params);
-        let diss_base = k_dissemination(&mut net, &oracle, &tokens);
-        let diss_base_msgs = diss_base.meter.global_messages();
-
         config
             .profiles
             .iter()
@@ -275,11 +244,7 @@ pub fn fault_sweep_rows(config: &FaultSweepConfig) -> Vec<FaultSweepRow> {
             .map(|(pi, profile)| {
                 let plan = FaultPlan::new(profile.spec, grid.seed(cell, 1 + pi as u64), n);
                 let net_config = EngineConfig::new(params).with_fault_plan(plan);
-
-                let ack = run_ack_flood(&graph, net_config.clone(), k, config.max_rounds);
-                let mut net = HybridNetwork::with_config(Arc::clone(&graph), &net_config);
-                let diss = k_dissemination(&mut net, &oracle, &tokens);
-                let diss_faults = diss.meter.faults();
+                let ack = run_ack_flood(&graph, net_config, k, config.max_rounds);
 
                 FaultSweepRow {
                     family: family.name(),
@@ -298,13 +263,6 @@ pub fn fault_sweep_rows(config: &FaultSweepConfig) -> Vec<FaultSweepRow> {
                     ack_injected_drops: ack.injected_drops,
                     ack_injected_duplicates: ack.injected_duplicates,
                     ack_injected_delays: ack.injected_delays,
-                    diss_rounds: diss.rounds,
-                    diss_baseline_rounds: diss_base.rounds,
-                    diss_degradation: factor(diss.rounds, diss_base.rounds),
-                    diss_message_overhead: factor(diss.meter.global_messages(), diss_base_msgs),
-                    diss_dropped: diss_faults.dropped,
-                    diss_duplicated: diss_faults.duplicated,
-                    diss_delayed: diss_faults.delayed,
                 }
             })
             .collect()
@@ -336,7 +294,6 @@ mod tests {
         for r in &rows {
             assert!(r.ack_completed, "{} {} must complete", r.family, r.profile);
             assert!(r.ack_degradation >= 1.0 || r.profile == "none");
-            assert!(r.diss_degradation >= 1.0 || r.profile == "none");
         }
     }
 
@@ -345,11 +302,8 @@ mod tests {
         let rows = fault_sweep_rows(&tiny_config(&[GraphFamily::BinaryTree]));
         let none = rows.iter().find(|r| r.profile == "none").unwrap();
         assert_eq!(none.ack_rounds, none.ack_baseline_rounds);
-        assert_eq!(none.diss_rounds, none.diss_baseline_rounds);
         assert_eq!(none.ack_degradation, 1.0);
-        assert_eq!(none.diss_degradation, 1.0);
         assert_eq!(none.ack_injected_drops, 0);
-        assert_eq!(none.diss_dropped, 0);
     }
 
     #[test]
@@ -368,6 +322,6 @@ mod tests {
             rows[0].ack_degradation
         );
         assert!(rows[0].ack_injected_drops > 0);
-        assert!(rows[1].diss_dropped > rows[0].diss_dropped);
+        assert!(rows[1].ack_injected_drops > rows[0].ack_injected_drops);
     }
 }

@@ -170,10 +170,12 @@ pub struct NqComputation {
     pub rounds: u64,
 }
 
-/// Distributed computation of `NQ_k` in `Hybrid0` (Lemma 3.3): nodes explore
-/// their neighbourhood to increasing depth `t = 1, 2, …`, after each step
+/// Distributed computation of `NQ_k` (Lemma 3.3): nodes explore their
+/// neighbourhood to increasing depth `t = 1, 2, …`, after each step
 /// aggregate `N_t = min_v |B_t(v)|` in `Õ(1)` rounds (Lemma 4.4) and stop at
-/// the first `t` with `N_t ≥ k/t`.  Total cost `Õ(NQ_k)` rounds.
+/// the first `t` with `N_t ≥ k/t`.  Total cost `Õ(NQ_k)` rounds.  The lemma
+/// is stated for the paper's `Hybrid0`; the simulator runs `HYBRID(∞, γ)`
+/// and charges the lemma's rounds as stated.
 ///
 /// The returned value is exact (it matches [`NqOracle::nq`]); the exploration
 /// and per-step aggregations are charged to the network's cost meter.

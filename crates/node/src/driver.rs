@@ -540,6 +540,60 @@ mod tests {
             .contains("node 1, which was sent no barrier"));
     }
 
+    /// Every lie a child can tell in a `RoundOut` is refused, and the error
+    /// names the node and the fault.
+    #[test]
+    fn collect_round_refuses_a_lying_child() {
+        let envelope = |src: NodeId, dst: NodeId| Envelope {
+            src,
+            dst,
+            round: 4,
+            body: Value::Null,
+        };
+        let answer = |node: NodeId, round: u64, local, global| FromNode::RoundOut {
+            node,
+            round,
+            local,
+            global,
+            refused: 0,
+            done: false,
+        };
+        let honest = |node: NodeId| answer(node, 4, vec![], vec![]);
+        let lies = [
+            (
+                vec![answer(0, 3, vec![], vec![])],
+                "node 0 answered round 3 during round 4",
+            ),
+            (vec![honest(7)], "RoundOut from out-of-range node 7"),
+            (vec![honest(2), honest(2)], "duplicate RoundOut from node 2"),
+            (
+                vec![answer(0, 4, vec![envelope(2, 1)], vec![])],
+                "node 0 forged an envelope from 2",
+            ),
+            (
+                vec![answer(2, 4, vec![], vec![envelope(2, 3)])],
+                "node 2 addressed out-of-range node 3",
+            ),
+            (
+                vec![honest(1)],
+                "RoundOut from node 1, which was sent no barrier",
+            ),
+        ];
+        for (frames, fault) in lies {
+            let (tx, rx) = mpsc::channel();
+            for frame in frames {
+                tx.send(Ok(frame)).unwrap();
+            }
+            // A lie that slipped through would wait for the missing node:
+            // with the sender gone, that wait fails at once instead.
+            drop(tx);
+            let Err(err) = collect_round(&rx, &[true, false, true], 4) else {
+                panic!("{fault}: the round was accepted");
+            };
+            assert_eq!(err.to_string(), format!("protocol violation: {fault}"));
+        }
+    }
+
     #[test]
     fn transport_parses() {
         assert_eq!(Transport::parse("tcp").unwrap(), Transport::Tcp);

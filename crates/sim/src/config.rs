@@ -1,11 +1,14 @@
-//! One configuration surface for every engine.
+//! One configuration surface for the per-node engines.
 //!
-//! [`EngineConfig`] is the single builder for every engine knob — model
-//! parameters, scenario seed, fault plan, round cap, trace recording —
-//! accepted by the in-process [`Executor`](crate::engine::Executor), the
-//! phase engine [`HybridNetwork`](crate::network::HybridNetwork), and the
-//! networked `hybrid-driver`, so a scenario is described once and runs
-//! identically in all three.  There is no other way to install a fault plan.
+//! [`EngineConfig`] is the single builder for every knob of the per-node
+//! engines — model parameters, scenario seed, fault plan, round cap, trace
+//! recording — accepted by the in-process
+//! [`Executor`](crate::engine::Executor) and the networked `hybrid-driver`,
+//! so a scenario is described once and runs identically in both.  There is
+//! no other way to install a fault plan.  The phase engine
+//! [`HybridNetwork`](crate::network::HybridNetwork) takes only
+//! [`ModelParams`]: its charged pipelines run failure-free, like the
+//! paper's model.
 //!
 //! [`EngineError`] makes the round cap loud: `run`/`run_until` fail with the
 //! partial [`RunReport`] attached when the cap is exhausted before the stop
@@ -59,7 +62,7 @@ impl EngineConfig {
     }
 
     /// Installs a fault plan.  A failure-free plan is normalized to none, so
-    /// `has_faults` stays meaningful.
+    /// the round router skips its fault pass whenever no fault can fire.
     ///
     /// # Panics
     /// Panics if the plan was built for a different node count than

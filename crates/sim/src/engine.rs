@@ -197,7 +197,7 @@ pub struct RunReport {
 ///
 /// Configuration — model parameters, fault plan, round cap, trace recording
 /// — comes from one [`EngineConfig`] ([`Executor::with_config`]), the same
-/// builder the phase engine and the networked driver accept.
+/// builder the networked driver accepts.
 ///
 /// With a fault plan installed ([`EngineConfig::with_fault_plan`]) the
 /// [`RoundRouter`] meets every staged message with the adversary: a crashed
@@ -205,7 +205,8 @@ pub struct RunReport {
 /// survives — the crash-*restart* model), a partition-severed local edge
 /// carries nothing, and surviving messages draw a drop / duplicate / delay
 /// fate from the plan's hash stream.  The fate coordinate is the *sending*
-/// round, so the engine and the phase engine address the same adversary.
+/// round, so the executor and the networked driver address the same
+/// adversary.
 pub struct Executor<'g, P: NodeProgram> {
     graph: &'g Graph,
     config: EngineConfig,

@@ -1,4 +1,4 @@
-//! Seeded, deterministic fault injection shared by both simulation engines.
+//! Seeded, deterministic fault injection for the protocols nodes execute.
 //!
 //! The paper's model is failure-free — its lower-bound witnesses (Theorems 4,
 //! 10–12) assume every scheduled message arrives — but the engine already
@@ -15,12 +15,14 @@
 //! (the same generator every experiment seed flows through), and every
 //! per-message decision is a SplitMix64-style hash of that key and the
 //! message coordinates — the per-round analogue of the sweep's per-cell
-//! substreams.  There is **no mutable RNG state**: two engines (or two
-//! thread counts) asking for the same coordinates always get the same fate,
-//! which is what keeps the per-node engine ([`crate::engine`]) and the phase
-//! engine ([`crate::network`] / [`crate::scheduler`]) comparable under the
-//! identical fault plan, and keeps every fault sweep bit-identical across
-//! `RAYON_NUM_THREADS`.
+//! substreams.  There is **no mutable RNG state**: two runners (or two
+//! thread counts) asking for the same coordinates always get the same fate.
+//! That is what lets the in-process [`Executor`](crate::engine::Executor)
+//! and the `hybrid-driver` fleet, which share one
+//! [`RoundRouter`](crate::router::RoundRouter), agree fate for fate under
+//! one plan, and keeps every fault sweep bit-identical across
+//! `RAYON_NUM_THREADS`.  The phase engine ([`crate::network`]) takes no
+//! plan: its charged pipelines run failure-free, like the paper's model.
 //!
 //! # Fault classes
 //!
@@ -238,8 +240,8 @@ impl FaultPlan {
     }
 
     /// The fate of delivery attempt `idx` from `from` to `to` in `round` — a
-    /// pure function of the coordinates, so both engines and every thread
-    /// count agree on it.  `idx` disambiguates multiple attempts with the
+    /// pure function of the coordinates, so the executor, the fleet and
+    /// every thread count agree on it.  `idx` disambiguates multiple attempts with the
     /// same endpoints in the same round.
     pub fn fate(&self, round: u64, from: u32, to: u32, idx: u64) -> Fate {
         let s = &self.spec;
@@ -283,32 +285,35 @@ impl FaultPlan {
                     .saturating_add(self.spec.partition_rounds)
             && self.side[u as usize] != self.side[v as usize]
     }
-
-    /// The rounds by which every crash interval and the partition window have
-    /// passed — an upper bound on how long the adversary can block a fixed
-    /// pair of nodes outright (message faults keep applying forever).
-    pub fn quiescent_after(&self) -> u64 {
-        let crash_end = self
-            .crash_at
-            .iter()
-            .filter(|&&at| at != NEVER)
-            .map(|&at| at.saturating_add(self.spec.crash_down_rounds))
-            .max()
-            .unwrap_or(0);
-        let partition_end = if self.spec.partition_rounds > 0 {
-            self.spec
-                .partition_start
-                .saturating_add(self.spec.partition_rounds)
-        } else {
-            0
-        };
-        crash_end.max(partition_end)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// The rounds by which every crash interval and the partition window
+        /// have passed — an upper bound on how long the adversary can block
+        /// a fixed pair of nodes outright (message faults keep applying
+        /// forever).
+        fn quiescent_after(&self) -> u64 {
+            let crash_end = self
+                .crash_at
+                .iter()
+                .filter(|&&at| at != NEVER)
+                .map(|&at| at.saturating_add(self.spec.crash_down_rounds))
+                .max()
+                .unwrap_or(0);
+            let partition_end = if self.spec.partition_rounds > 0 {
+                self.spec
+                    .partition_start
+                    .saturating_add(self.spec.partition_rounds)
+            } else {
+                0
+            };
+            crash_end.max(partition_end)
+        }
+    }
 
     #[test]
     fn failure_free_plan_always_delivers() {

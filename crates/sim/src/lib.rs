@@ -49,7 +49,7 @@ pub mod token_batch;
 pub mod token_set;
 
 pub use config::{EngineConfig, EngineError};
-pub use cost::{CostMeter, FaultCounts, PhaseKind, PhaseRecord};
+pub use cost::{CostMeter, PhaseKind, PhaseRecord};
 pub use envelope::{Body, Envelope, RoundTrace, TraceEntry};
 pub use faults::{Fate, FaultPlan, FaultSpec};
 pub use network::HybridNetwork;

@@ -13,9 +13,7 @@ use std::sync::Arc;
 
 use hybrid_graph::Graph;
 
-use crate::config::EngineConfig;
-use crate::cost::{CostMeter, FaultCounts};
-use crate::faults::FaultPlan;
+use crate::cost::CostMeter;
 use crate::params::ModelParams;
 use crate::scheduler::{DeliveryReport, GlobalMessage, GlobalScheduler, RoundRobin};
 
@@ -24,19 +22,12 @@ use crate::scheduler::{DeliveryReport, GlobalMessage, GlobalScheduler, RoundRobi
 /// The network owns a [`GlobalScheduler`] workspace, so repeated
 /// [`HybridNetwork::deliver_global`] phases reuse one set of scheduling
 /// buffers instead of allocating per batch.
-///
-/// An optional [`FaultPlan`] (installed through
-/// [`EngineConfig::with_fault_plan`] and [`HybridNetwork::with_config`])
-/// routes every global phase through the adversarial
-/// [`GlobalScheduler::deliver_with_faults`] path, using the meter's running
-/// round total as the fate coordinate so repeated phases draw fresh faults.
 #[derive(Debug, Clone)]
 pub struct HybridNetwork {
     graph: Arc<Graph>,
     params: ModelParams,
     meter: CostMeter,
     scheduler: GlobalScheduler,
-    faults: Option<FaultPlan>,
 }
 
 impl HybridNetwork {
@@ -57,26 +48,7 @@ impl HybridNetwork {
             params,
             meter: CostMeter::new(),
             scheduler: GlobalScheduler::new(),
-            faults: None,
         }
-    }
-
-    /// Creates a network from a unified [`EngineConfig`]: model parameters
-    /// and fault plan are taken from the config (the phase engine has no
-    /// round cap or trace recorder — those knobs drive the message-passing
-    /// engine and the networked runtime).
-    ///
-    /// # Panics
-    /// Panics if `config.params().n` does not match the graph's node count.
-    pub fn with_config(graph: Arc<Graph>, config: &EngineConfig) -> Self {
-        let mut net = Self::new(graph, *config.params());
-        net.faults = config.fault_plan().cloned();
-        net
-    }
-
-    /// Whether an active (non-failure-free) fault plan is installed.
-    pub fn has_faults(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// Standard `HYBRID` network over `graph`.
@@ -145,53 +117,27 @@ impl HybridNetwork {
         label: &'static str,
         messages: &[GlobalMessage],
     ) -> DeliveryReport {
-        let report = match &self.faults {
-            Some(plan) => {
-                // The meter's running total anchors this phase's fate
-                // coordinates, so each phase faces fresh adversary decisions.
-                let round_base = self.meter.rounds();
-                self.scheduler
-                    .deliver_with_faults(&self.params, messages, plan, round_base)
-            }
-            None => self.scheduler.deliver_with(&self.params, messages),
-        };
+        let report = self.scheduler.deliver_with(&self.params, messages);
         self.record(label, report)
     }
 
     /// Delivers Lemma 4.1 round-robin transfers as one global batch: the
-    /// same phase, round for round and fault for fault, as
-    /// [`HybridNetwork::deliver_global`] on their unit-order message lists
-    /// concatenated.  Failure-free, the scheduler takes them as counted runs;
-    /// under a fault plan they are played as those messages, because a fate
-    /// is keyed by a message's index in its wave.
+    /// same phase, round for round, as [`HybridNetwork::deliver_global`] on
+    /// their unit-order message lists concatenated.  The scheduler takes
+    /// them as counted runs and never lists their units.
     pub fn deliver_round_robin(
         &mut self,
         label: &'static str,
         transfers: &[RoundRobin],
     ) -> DeliveryReport {
-        if self.faults.is_some() {
-            let messages: Vec<GlobalMessage> = transfers
-                .iter()
-                .enumerate()
-                .flat_map(|(t, rr)| rr.messages(t))
-                .collect();
-            return self.deliver_global(label, &messages);
-        }
         let report = self.scheduler.deliver_round_robin(&self.params, transfers);
         self.record(label, report)
     }
 
-    /// Charges a delivered global phase to the meter.  Failure-free, the
-    /// scheduler queues what exceeds a receive cap instead of dropping it,
-    /// so an injected fault without a plan is a bug, not congestion.
+    /// Charges a delivered global phase to the meter.
     fn record(&mut self, label: &'static str, report: DeliveryReport) -> DeliveryReport {
-        debug_assert!(
-            self.faults.is_some() || report.faults == FaultCounts::default(),
-            "{label}: {:?} in a failure-free run",
-            report.faults
-        );
         self.meter
-            .record_global(label, report.rounds, report.messages, report.faults);
+            .record_global(label, report.rounds, report.messages);
         report
     }
 
@@ -256,65 +202,6 @@ mod tests {
         net.charge_rounds("oracle", 9);
         assert_eq!(net.rounds(), 9);
         assert_eq!(net.meter().global_messages(), 0);
-    }
-
-    #[test]
-    fn fault_plan_routes_global_phases_through_the_adversary() {
-        use crate::faults::{FaultPlan, FaultSpec};
-        let msgs: Vec<_> = (1..32u32).map(|s| GlobalMessage::new(s, 0)).collect();
-        let senders: Vec<u32> = (1..32).collect();
-        let transfers = [RoundRobin {
-            senders: &senders,
-            receivers: &[0, 1, 2],
-            units: 64,
-        }];
-        let graph = Arc::new(generators::cycle(64).unwrap());
-        let params = ModelParams::hybrid(64);
-
-        // Both phases, message list and round-robin transfers, with the
-        // reports they return; the meter must hold exactly their faults.
-        let run = |net: &mut HybridNetwork| {
-            let reports = [
-                net.deliver_global("pump", &msgs),
-                net.deliver_round_robin("spread", &transfers),
-            ];
-            let trace = net.meter().trace();
-            assert_eq!(trace.len(), 2);
-            let mut total = FaultCounts::default();
-            for (report, phase) in reports.iter().zip(trace) {
-                assert_eq!(phase.faults, report.faults, "{}", phase.label);
-                total += report.faults;
-            }
-            assert_eq!(net.meter().faults(), total);
-            reports
-        };
-
-        let mut clean = net(64);
-        assert!(!clean.has_faults());
-        let clean_reports = run(&mut clean);
-        let trace = clean.meter().trace();
-        assert!(trace.iter().all(|p| p.faults == FaultCounts::default()));
-
-        let config = EngineConfig::new(params).with_fault_plan(FaultPlan::new(
-            FaultSpec::drop_only(0.5),
-            77,
-            64,
-        ));
-        let mut faulty = HybridNetwork::with_config(Arc::clone(&graph), &config);
-        assert!(faulty.has_faults());
-        let reports = run(&mut faulty);
-        assert_eq!(reports[0].messages, msgs.len() as u64);
-        assert_eq!(reports[1].messages, 64);
-        for (report, clean) in reports.iter().zip(&clean_reports) {
-            assert!(report.faults.dropped > 0);
-            assert!(report.rounds >= clean.rounds);
-        }
-
-        // A failure-free plan normalizes away at config build time.
-        let noop_config =
-            EngineConfig::new(params).with_fault_plan(FaultPlan::new(FaultSpec::none(), 77, 64));
-        let noop = HybridNetwork::with_config(graph, &noop_config);
-        assert!(!noop.has_faults());
     }
 
     #[test]

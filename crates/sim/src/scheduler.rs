@@ -87,7 +87,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::cost::FaultCounts;
 use crate::params::ModelParams;
 
 /// A single global message of `O(log n)` bits.
@@ -129,15 +128,6 @@ impl RoundRobin<'_> {
                 self.units
             );
         }
-    }
-
-    /// The transfer as its unit-order message list: message `i` is unit `i`.
-    pub(crate) fn messages(&self, index: usize) -> impl Iterator<Item = GlobalMessage> + '_ {
-        self.check_carriers(index);
-        let senders = self.senders.iter().copied().cycle();
-        let hops = senders.zip(self.receivers.iter().copied().cycle());
-        hops.take(self.units)
-            .map(|(from, to)| GlobalMessage::new(from, to))
     }
 
     /// The transfer as counted entries: unit `i` and unit `i + lcm(|S|,
@@ -202,11 +192,6 @@ pub struct DeliveryReport {
     /// The largest number of messages any node received in any single round —
     /// by construction this never exceeds the model's `γ`.
     pub max_received_in_a_round: u64,
-    /// The adversary's work on the batch: zero on the fault-free paths; on
-    /// [`GlobalScheduler::deliver_with_faults`] every dropped attempt is
-    /// retried in a later wave, and every duplicate consumes send/receive
-    /// capacity like a real message.
-    pub faults: FaultCounts,
 }
 
 /// Scheduler for batches of global messages.
@@ -610,118 +595,7 @@ impl GlobalScheduler {
             max_send_load,
             max_recv_load,
             max_received_in_a_round: u64::from(max_received_in_a_round),
-            faults: FaultCounts::default(),
         }
-    }
-
-    /// Plays the message multiset against an active adversary: each delivery
-    /// attempt draws a [`Fate`](crate::faults::Fate) from `plan`, and dropped
-    /// or crash-blocked attempts are retried in later waves until everything
-    /// is delivered.  `round_base` is the absolute round at which this batch
-    /// starts (typically the owning meter's round total), so that fate and
-    /// crash decisions line up with the per-node engine's round numbering.
-    ///
-    /// The batch is played as a sequence of *waves*.  Each wave draws one
-    /// fate per pending message at the wave's starting round: surviving
-    /// messages (plus duplicated extra copies) are handed to the fault-free
-    /// scheduler and obey all its cap guarantees; dropped messages and
-    /// messages whose endpoint is crashed are re-queued for the next wave;
-    /// delayed messages are held back and re-enter a later wave.  A wave with
-    /// nothing sendable still costs one (idle) round — that is how crash
-    /// downtime and delay holds convert into measured rounds.
-    ///
-    /// The returned report accumulates rounds/messages across waves (so
-    /// `messages` counts every delivered copy, including retries and
-    /// duplicates — the message-overhead numerator of the fault sweep) and
-    /// maximises the load/cap statistics.
-    ///
-    /// # Panics
-    /// Panics like [`GlobalScheduler::deliver_with`], and additionally if the
-    /// adversary prevents convergence for 100 000 consecutive waves (only
-    /// possible with `drop_prob` at or near 1, or a node that effectively
-    /// never restarts).
-    pub fn deliver_with_faults(
-        &mut self,
-        params: &ModelParams,
-        messages: &[GlobalMessage],
-        plan: &crate::faults::FaultPlan,
-        round_base: u64,
-    ) -> DeliveryReport {
-        use crate::faults::Fate;
-
-        if plan.is_failure_free() {
-            return self.deliver_with(params, messages);
-        }
-        let mut report = DeliveryReport::default();
-        let mut wave: Vec<GlobalMessage> = messages.to_vec();
-        let mut next_wave: Vec<GlobalMessage> = Vec::new();
-        let mut held: Vec<(u64, GlobalMessage)> = Vec::new();
-        let mut sendable: Vec<GlobalMessage> = Vec::new();
-        let mut waves = 0u64;
-        while !wave.is_empty() || !held.is_empty() {
-            waves += 1;
-            assert!(
-                waves <= 100_000,
-                "fault-injected delivery did not converge after {waves} waves \
-                 (drop rate too close to 1, or a crashed node never restarts?)"
-            );
-            // Release every held message whose delay has elapsed (held stores
-            // the batch-relative round at which the message re-enters play).
-            let now = report.rounds;
-            let mut i = 0;
-            while i < held.len() {
-                if held[i].0 <= now {
-                    wave.push(held.swap_remove(i).1);
-                } else {
-                    i += 1;
-                }
-            }
-            // The absolute round this wave starts at — the coordinate fates
-            // and crash checks are drawn against.
-            let abs_round = round_base + report.rounds + 1;
-            sendable.clear();
-            next_wave.clear();
-            for (idx, m) in wave.drain(..).enumerate() {
-                if plan.is_down(m.from, abs_round) || plan.is_down(m.to, abs_round) {
-                    // A crashed endpoint blocks the attempt outright; retry
-                    // once the node has restarted.
-                    next_wave.push(m);
-                    continue;
-                }
-                match plan.fate(abs_round, m.from, m.to, idx as u64) {
-                    Fate::Deliver => sendable.push(m),
-                    Fate::Drop => {
-                        report.faults.dropped += 1;
-                        next_wave.push(m);
-                    }
-                    Fate::Duplicate => {
-                        report.faults.duplicated += 1;
-                        sendable.push(m);
-                        sendable.push(m);
-                    }
-                    Fate::Delay(d) => {
-                        report.faults.delayed += 1;
-                        held.push((now + d, m));
-                    }
-                }
-            }
-            std::mem::swap(&mut wave, &mut next_wave);
-            if sendable.is_empty() {
-                // Nothing survived this wave: the round is spent waiting for
-                // restarts / releases, exactly one round of wall-clock.
-                report.rounds += 1;
-                continue;
-            }
-            let sub = self.deliver_with(params, &sendable);
-            report.rounds += sub.rounds;
-            report.messages += sub.messages;
-            report.max_send_load = report.max_send_load.max(sub.max_send_load);
-            report.max_recv_load = report.max_recv_load.max(sub.max_recv_load);
-            report.max_received_in_a_round = report
-                .max_received_in_a_round
-                .max(sub.max_received_in_a_round);
-        }
-        report
     }
 
     /// Lower bound on the rounds any schedule needs for this multiset:
@@ -922,6 +796,17 @@ mod tests {
         }
     }
 
+    impl RoundRobin<'_> {
+        /// The transfer as its unit-order message list: message `i` is unit
+        /// `i`.
+        fn messages(&self) -> impl Iterator<Item = GlobalMessage> + '_ {
+            (0..self.units).map(|i| {
+                let from = self.senders[i % self.senders.len()];
+                GlobalMessage::new(from, self.receivers[i % self.receivers.len()])
+            })
+        }
+    }
+
     /// Every workspace buffer's capacity.
     fn capacities(s: &GlobalScheduler) -> [usize; 14] {
         [
@@ -965,7 +850,7 @@ mod tests {
         ];
         let tiny = [GlobalMessage::new(1, 2)];
         let one_shot = |batch: &[GlobalMessage]| GlobalScheduler::deliver(&p, batch);
-        let unit_order: Vec<GlobalMessage> = transfers.iter().flat_map(|t| t.messages(0)).collect();
+        let unit_order: Vec<GlobalMessage> = transfers.iter().flat_map(|t| t.messages()).collect();
         let fresh = (one_shot(&msgs), one_shot(&unit_order), one_shot(&tiny));
         assert_eq!(
             GlobalScheduler::new().deliver_round_robin(&p, &transfers),
@@ -1185,7 +1070,7 @@ mod tests {
                 (1, 8, 1),
             ]
         );
-        let list: Vec<GlobalMessage> = transfers.iter().flat_map(|t| t.messages(0)).collect();
+        let list: Vec<GlobalMessage> = transfers.iter().flat_map(|t| t.messages()).collect();
         sched.set_up_list(&params(10, 2), &list);
         let by_list = sched.runs_by_sender();
         sched.set_up_round_robin(&params(10, 2), &transfers);
@@ -1289,109 +1174,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_receiver_panics() {
         GlobalScheduler::deliver(&params(4, 2), &[GlobalMessage::new(0, 9)]);
-    }
-
-    #[test]
-    fn zero_fault_plan_matches_fault_free_path() {
-        use crate::faults::{FaultPlan, FaultSpec};
-        let p = params(16, 2);
-        let msgs: Vec<_> = (0..16u32)
-            .flat_map(|s| (0..3u32).map(move |t| GlobalMessage::new(s, (s + t + 1) % 16)))
-            .collect();
-        let plan = FaultPlan::new(FaultSpec::none(), 5, 16);
-        let clean = GlobalScheduler::new().deliver_with(&p, &msgs);
-        let faulty = GlobalScheduler::new().deliver_with_faults(&p, &msgs, &plan, 0);
-        assert_eq!(clean.rounds, faulty.rounds);
-        assert_eq!(clean.messages, faulty.messages);
-        assert_eq!(faulty.faults, FaultCounts::default());
-    }
-
-    #[test]
-    fn drops_cost_rounds_but_everything_is_delivered() {
-        use crate::faults::{FaultPlan, FaultSpec};
-        let p = params(16, 2);
-        let msgs: Vec<_> = (1..16u32).map(|s| GlobalMessage::new(s, 0)).collect();
-        let plan = FaultPlan::new(FaultSpec::drop_only(0.5), 11, 16);
-        let clean = GlobalScheduler::new().deliver_with(&p, &msgs);
-        let faulty = GlobalScheduler::new().deliver_with_faults(&p, &msgs, &plan, 0);
-        // Retries may not inflate the delivered count (drops never deliver),
-        // but they must show up in the fault accounting and the round count.
-        assert_eq!(faulty.messages, msgs.len() as u64);
-        assert!(
-            faulty.faults.dropped > 0,
-            "a 50% drop rate must drop something"
-        );
-        assert!(
-            faulty.rounds >= clean.rounds,
-            "faults cannot make delivery faster"
-        );
-        assert!(faulty.max_received_in_a_round <= 2);
-    }
-
-    #[test]
-    fn duplicates_inflate_delivered_copies() {
-        use crate::faults::{FaultPlan, FaultSpec};
-        let p = params(16, 4);
-        let msgs: Vec<_> = (0..15u32).map(|s| GlobalMessage::new(s, s + 1)).collect();
-        let spec = FaultSpec {
-            duplicate_prob: 0.5,
-            ..FaultSpec::none()
-        };
-        let plan = FaultPlan::new(spec, 17, 16);
-        let r = GlobalScheduler::new().deliver_with_faults(&p, &msgs, &plan, 0);
-        assert!(r.faults.duplicated > 0);
-        assert_eq!(
-            r.messages,
-            msgs.len() as u64 + r.faults.duplicated,
-            "each duplication delivers exactly one extra copy"
-        );
-    }
-
-    #[test]
-    fn crashed_receiver_defers_delivery_until_restart() {
-        use crate::faults::{FaultPlan, FaultSpec};
-        let p = params(8, 2);
-        // horizon = 1 pins every crash to round 1, so the single message is
-        // guaranteed to find its endpoints down on the first attempt.
-        let spec = FaultSpec {
-            crash_prob: 1.0,
-            crash_down_rounds: 5,
-            crash_horizon_rounds: 1,
-            ..FaultSpec::none()
-        };
-        let plan = FaultPlan::new(spec, 3, 8);
-        let msgs = [GlobalMessage::new(0, 1)];
-        let r = GlobalScheduler::new().deliver_with_faults(&p, &msgs, &plan, 0);
-        assert_eq!(r.messages, 1, "the message is delivered after the restart");
-        assert!(
-            r.rounds > 1,
-            "a crashed endpoint must cost waiting rounds, took {}",
-            r.rounds
-        );
-        assert!(r.rounds <= plan.quiescent_after() + 1);
-    }
-
-    #[test]
-    fn faulty_delivery_is_deterministic_in_round_base() {
-        use crate::faults::{FaultPlan, FaultSpec};
-        let p = params(16, 2);
-        let msgs: Vec<_> = (1..16u32).map(|s| GlobalMessage::new(s, s % 4)).collect();
-        let spec = FaultSpec {
-            drop_prob: 0.3,
-            delay_prob: 0.2,
-            max_delay_rounds: 3,
-            ..FaultSpec::none()
-        };
-        let plan = FaultPlan::new(spec, 23, 16);
-        let a = GlobalScheduler::new().deliver_with_faults(&p, &msgs, &plan, 7);
-        let b = GlobalScheduler::new().deliver_with_faults(&p, &msgs, &plan, 7);
-        let c = GlobalScheduler::new().deliver_with_faults(&p, &msgs, &plan, 8);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.faults, b.faults);
-        // A different starting round addresses different fate coordinates.
-        assert!(
-            a.rounds != c.rounds || a.faults != c.faults,
-            "shifting round_base should reshuffle fates"
-        );
     }
 }

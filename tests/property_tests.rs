@@ -124,24 +124,21 @@ proptest! {
         prop_assert!(report.rounds <= 2 * bound + 2, "rounds {} vs bound {}", report.rounds, bound);
     }
 
-    /// Lemma 4.1 transfers through `deliver_round_robin` are the batch of
-    /// their unit-order message lists, report for report (`dropped`,
-    /// `duplicated` and `delayed` included): fault-free, where the scheduler
-    /// takes them as counted runs, and under a lossy `FaultPlan`, whose fates
-    /// are keyed by message index.  Carrier sizes 1..=40 are equal, nested
-    /// or coprime, `units` runs over `0..=3·lcm+1`, and transfers share
-    /// carriers.  A pool is shuffled, and one in three lists a node twice:
-    /// the counted-run set-up may rely on neither sorted nor distinct
-    /// carriers.
+    /// Lemma 4.1 transfers through `deliver_round_robin`, which the
+    /// scheduler takes as counted runs, are the batch of their unit-order
+    /// message lists, report for report, on a failure-free network.
+    /// Carrier sizes 1..=40 are equal, nested or coprime, `units` runs over
+    /// `0..=3·lcm+1`, and transfers share carriers.  A pool is shuffled, and
+    /// one in three lists a node twice: the counted-run set-up may rely on
+    /// neither sorted nor distinct carriers.
     #[test]
     fn round_robin_transfers_match_their_message_lists(
         seed in any::<u64>(),
         gamma in 1usize..6,
         len in 1usize..6,
-        round_base in 0u64..50,
     ) {
         use hybrid::core::prob::sample_distinct;
-        use hybrid::sim::{EngineConfig, FaultPlan, FaultSpec, RoundRobin};
+        use hybrid::sim::RoundRobin;
         use rand::seq::SliceRandom;
         use rand::Rng;
         let n = 96;
@@ -187,27 +184,13 @@ proptest! {
             .collect();
 
         let graph = Arc::new(generators::cycle(n).unwrap());
-        let lossy = FaultSpec {
-            drop_prob: 0.2,
-            duplicate_prob: 0.1,
-            delay_prob: 0.1,
-            max_delay_rounds: 3,
-            ..FaultSpec::none()
-        };
-        let clean = EngineConfig::new(ModelParams::hybrid_with_global_capacity(n, gamma));
-        let faulty = clean.clone().with_fault_plan(FaultPlan::new(lossy, seed, n));
-        for config in [clean, faulty] {
-            let mut by_runs = HybridNetwork::with_config(Arc::clone(&graph), &config);
-            let mut by_list = HybridNetwork::with_config(Arc::clone(&graph), &config);
-            by_runs.charge_rounds("offset", round_base);
-            by_list.charge_rounds("offset", round_base);
-            let runs = by_runs.deliver_round_robin("batch", &transfers);
-            let list = by_list.deliver_global("batch", &messages);
-            prop_assert!(runs == list, "faults {}: {runs:?} vs {list:?}", by_runs.has_faults());
-            if !by_runs.has_faults() {
-                prop_assert_eq!(runs.messages, messages.len() as u64);
-            }
-        }
+        let params = ModelParams::hybrid_with_global_capacity(n, gamma);
+        let mut by_runs = HybridNetwork::new(Arc::clone(&graph), params);
+        let mut by_list = HybridNetwork::new(graph, params);
+        let runs = by_runs.deliver_round_robin("batch", &transfers);
+        let list = by_list.deliver_global("batch", &messages);
+        prop_assert!(runs == list, "{runs:?} vs {list:?}");
+        prop_assert_eq!(runs.messages, messages.len() as u64);
     }
 
     /// The register-tiled quad (min,+) fold is **bit for bit** four single
