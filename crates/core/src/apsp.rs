@@ -161,7 +161,7 @@ fn apsp_unweighted_with_policy(
     let x = (((4 * clustering.nq * log_n) as f64 / eps_internal).ceil() as u64).max(1);
     net.charge_local(
         "apsp-unweighted/learn-x-ball",
-        x.min(oracle.diameter().max(1)),
+        oracle.diameter_min(x).max(1),
     );
 
     // Step 5: every node broadcasts its closest cluster leader and the
@@ -270,10 +270,7 @@ pub fn apsp_weighted_skeleton(
     // Every node learns its h-hop neighbourhood (h = ξ·t·ln n), finds its
     // closest skeleton node and broadcasts it together with the h-hop distance.
     let h = ((crate::skeleton::XI * t * ln_n(n)).ceil() as u64).max(1);
-    net.charge_local(
-        "apsp-skeleton/learn-h-ball",
-        h.min(oracle.diameter().max(1)),
-    );
+    net.charge_local("apsp-skeleton/learn-h-ball", oracle.diameter_min(h).max(1));
     broadcast_tokens(net, oracle, 2 * n, 0);
 
     // Data level: one hop-limited sweep per node.

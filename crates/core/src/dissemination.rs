@@ -61,9 +61,9 @@ impl RadiusPolicy {
         let k = k.max(1);
         match self {
             RadiusPolicy::NeighborhoodQuality => oracle.nq(k).max(1),
-            RadiusPolicy::WorstCaseSqrtK => ((k as f64).sqrt().ceil() as u64)
-                .max(1)
-                .min(oracle.diameter().max(1)),
+            RadiusPolicy::WorstCaseSqrtK => {
+                oracle.diameter_min((k as f64).sqrt().ceil() as u64).max(1)
+            }
             RadiusPolicy::Fixed(radius) => radius,
         }
     }

@@ -17,13 +17,16 @@
 //!
 //! [`NqOracle`] computes the parameter exactly (centralized); [`compute_nq`]
 //! performs the distributed computation of Lemma 3.3, charging `Õ(NQ_k)`
-//! rounds on a [`HybridNetwork`].  Both walk one table,
+//! rounds on a [`HybridNetwork`], one exploration and one aggregation step
+//! per radius the oracle walks.  That walk is over one table,
 //! `N_t = min_v |B_t(v)|` ([`BallOracle::min_ball`]): `|B_t(v)|·t` never
 //! decreases in `t`, so `NQ_k(G)` is the first `t` with `N_t ≥ k/t` — `O(NQ_k)`
 //! per query, no pass over the nodes.
 
 pub mod families;
 pub mod sampled;
+
+use std::sync::{Arc, OnceLock};
 
 use hybrid_graph::balls::BallOracle;
 use hybrid_graph::{Graph, NodeId};
@@ -72,69 +75,113 @@ impl NqSource for NqOracle {
 
 /// Exact, centralized oracle for `NQ_k(v)` and `NQ_k(G)` with cached ball
 /// profiles, supporting repeated queries for different workloads `k`.
+///
+/// The profiles run to `R = ⌈√n⌉`, the deepest radius `NQ_k` can take for
+/// `k ≤ n` (Lemma 3.6: `NQ_k ≤ min(D, √k)`).  A query that needs a radius
+/// past `R` on a graph with `D > R` reads a second, unbounded table, built
+/// on first use.
 #[derive(Debug, Clone)]
 pub struct NqOracle {
+    graph: Arc<Graph>,
+    /// Profiles to radius `radius`; cut exactly when `D > radius`.
     balls: BallOracle,
-    diameter: u64,
-    n: usize,
+    radius: u64,
+    /// Profiles to every node's eccentricity, built on first use.
+    full: OnceLock<BallOracle>,
 }
 
 impl NqOracle {
-    /// Precomputes ball-size profiles for every node (up to the diameter).
+    /// Precomputes ball-size profiles for every node up to radius `⌈√n⌉`.
     ///
-    /// The one sweep serves double duty: each node's profile stops growing
-    /// exactly at its eccentricity, so the diameter is read off the profile
-    /// lengths instead of running a second `n`-BFS pass.
+    /// Every `NQ_k` with `k ≤ n` and every radius the lower bounds ask for
+    /// lies within it.  A profile that stops growing within the bound ends at
+    /// its node's eccentricity, so when none is cut the diameter is read off
+    /// the profile lengths; otherwise all the oracle knows is `D > ⌈√n⌉`,
+    /// until a query builds the unbounded table.
     pub fn new(graph: &Graph) -> Self {
-        let balls = BallOracle::new(graph, u64::MAX);
-        let diameter = balls
-            .max_eccentricity()
-            .expect("no radius bound, so no profile is cut");
+        let n = graph.n() as u64;
+        let floor = n.isqrt();
+        let radius = floor + u64::from(floor * floor < n); // ⌈√n⌉
         NqOracle {
-            balls,
-            diameter,
-            n: graph.n(),
+            graph: Arc::new(graph.clone()),
+            balls: BallOracle::new(graph, radius),
+            radius,
+            full: OnceLock::new(),
         }
     }
 
     /// Number of nodes of the underlying graph.
     pub fn n(&self) -> usize {
-        self.n
+        self.graph.n()
     }
 
-    /// Hop diameter `D` of the underlying graph.
+    /// Whether the bounded sweep cut a profile, i.e. `D > ⌈√n⌉`.
+    fn cut(&self) -> bool {
+        self.balls.max_eccentricity().is_none()
+    }
+
+    /// The unbounded profiles, swept on first use.
+    fn full(&self) -> &BallOracle {
+        self.full
+            .get_or_init(|| BallOracle::new(&self.graph, u64::MAX))
+    }
+
+    /// Hop diameter `D` of the underlying graph.  Builds the unbounded table
+    /// when `D > ⌈√n⌉`; [`NqOracle::diameter_min`] avoids that.
     pub fn diameter(&self) -> u64 {
-        self.diameter
+        self.balls.max_eccentricity().unwrap_or_else(|| {
+            self.full()
+                .max_eccentricity()
+                .expect("no radius bound, so no profile is cut")
+        })
+    }
+
+    /// `min(x, D)`, without the unbounded table whenever `x ≤ ⌈√n⌉`.
+    pub fn diameter_min(&self, x: u64) -> u64 {
+        if x <= self.radius && self.cut() {
+            x
+        } else {
+            x.min(self.diameter())
+        }
     }
 
     /// Definition 3.1 over one sequence of ball sizes: the first radius
     /// `t ≥ 1` with `size(t) ≥ k/t`, else `D`.  For `k = 0` the answer is 1
     /// (any radius works; the paper assumes `k > 0`).
-    fn first_radius(&self, k: u64, size: impl Fn(u64) -> usize) -> u64 {
-        let d = self.diameter.max(1);
+    ///
+    /// A cut table is exact to `R < D`, so a radius it finds is the answer;
+    /// only a search that runs past `R` reads the unbounded table.
+    fn first_radius(&self, k: u64, size: impl Fn(&BallOracle, u64) -> usize) -> u64 {
         // |B_t| >= k/t  <=>  |B_t| * t >= k
-        (1..d)
-            .find(|&t| size(t) as u128 * t as u128 >= k as u128)
-            .unwrap_or(d)
-    }
-
-    /// `min_v |B_t(v)|` — the `N_t` of Lemma 3.3 (0 on the empty graph).
-    fn min_ball_size(&self, t: u64) -> usize {
-        let table = self.balls.min_ball();
-        let size = table.get(t as usize).or(table.last());
-        size.map_or(0, |&size| size as usize)
+        let meets = |balls: &BallOracle, t: u64| size(balls, t) as u128 * t as u128 >= k as u128;
+        let shallow = if self.cut() {
+            self.radius + 1
+        } else {
+            self.diameter().max(1)
+        };
+        (1..shallow)
+            .find(|&t| meets(&self.balls, t))
+            .unwrap_or_else(|| {
+                let d = self.diameter().max(1);
+                (shallow..d).find(|&t| meets(self.full(), t)).unwrap_or(d)
+            })
     }
 
     /// `NQ_k(v)` — Definition 3.1.
     pub fn nq_of(&self, v: NodeId, k: u64) -> u64 {
-        self.first_radius(k, |t| self.balls.ball_size(v, t))
+        self.first_radius(k, |balls, t| balls.ball_size(v, t))
     }
 
     /// `NQ_k(G) = max_v NQ_k(v)`.  `|B_t(v)|·t` is non-decreasing in `t`, so
     /// every node meets the ball condition by radius `t` exactly when the
-    /// smallest `t`-ball does: one walk over the level-minimum table.
+    /// smallest `t`-ball does: one walk over the level-minimum table
+    /// `min_v |B_t(v)|` (the `N_t` of Lemma 3.3; 0 on the empty graph).
     pub fn nq(&self, k: u64) -> u64 {
-        self.first_radius(k, |t| self.min_ball_size(t))
+        self.first_radius(k, |balls, t| {
+            let table = balls.min_ball();
+            let size = table.get(t as usize).or(table.last());
+            size.map_or(0, |&size| size as usize)
+        })
     }
 
     /// A node maximizing `NQ_k(v)`; by Lemma 3.8 it satisfies
@@ -147,15 +194,20 @@ impl NqOracle {
     pub fn witness(&self, k: u64) -> NodeId {
         let below = self.nq(k) - 1;
         let fails = |v| (self.ball_size(v, below) as u128 * below as u128) < k as u128;
-        (0..self.n as NodeId)
+        (0..self.n() as NodeId)
             .rev()
             .find(|&v| below == 0 || fails(v))
             .unwrap_or(0)
     }
 
-    /// `|B_t(v)|` from the cached profiles.
+    /// `|B_t(v)|` from the cached profiles: the bounded ones up to `⌈√n⌉`,
+    /// and whenever none was cut.
     pub fn ball_size(&self, v: NodeId, t: u64) -> usize {
-        self.balls.ball_size(v, t)
+        if t > self.radius && self.cut() {
+            self.full().ball_size(v, t)
+        } else {
+            self.balls.ball_size(v, t)
+        }
     }
 }
 
@@ -177,24 +229,19 @@ pub struct NqComputation {
 /// is stated for the paper's `Hybrid0`; the simulator runs `HYBRID(∞, γ)`
 /// and charges the lemma's rounds as stated.
 ///
-/// The returned value is exact (it matches [`NqOracle::nq`]); the exploration
-/// and per-step aggregations are charged to the network's cost meter.
+/// The returned value is exact (it is [`NqOracle::nq`]); the `NQ_k`
+/// exploration steps and per-step aggregations are charged to the network's
+/// cost meter.
 pub fn compute_nq(net: &mut HybridNetwork, oracle: &NqOracle, k: u64) -> NqComputation {
     let before = net.rounds();
-    let d = oracle.diameter().max(1);
     let k = k.max(1);
     let aggregation_rounds = net.polylog(1); // Lemma 4.4 basic aggregation
-    let mut nq = d;
-    for t in 1..=d {
-        // One more round of local exploration.
+    let nq = oracle.nq(k);
+    // Step t explores one more hop, then aggregates N_t; step NQ_k is the
+    // first whose N_t meets the ball condition (or the step at radius D).
+    for _ in 0..nq {
         net.charge_local("nq/explore", 1);
-        // Aggregate the global minimum ball size.
         net.charge_rounds("nq/aggregate-min", aggregation_rounds);
-        let min_ball = oracle.min_ball_size(t) as u128;
-        if min_ball * t as u128 >= k as u128 {
-            nq = t;
-            break;
-        }
     }
     NqComputation {
         k,
@@ -311,37 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn nq_and_witness_match_the_per_node_definition() {
-        // Two components: the level minimum must keep counting the nodes of
-        // the exhausted one.
-        let mut split = hybrid_graph::GraphBuilder::new(70);
-        for v in 1..40u32 {
-            split.add_unweighted_edge(v - 1, v).unwrap();
-        }
-        for v in 41..70u32 {
-            split.add_unweighted_edge(40, v).unwrap();
-        }
-        for g in [
-            generators::path(1).unwrap(),
-            generators::path(90).unwrap(),
-            generators::grid(&[9, 11]).unwrap(),
-            generators::caterpillar(30, 2).unwrap(),
-            generators::lollipop(20, 50).unwrap(),
-            split.build_unchecked_connectivity(),
-        ] {
-            let oracle = NqOracle::new(&g);
-            let n = g.n() as u64;
-            for k in [0, 1, 2, 7, n / 2, n, 3 * n, n * n] {
-                let per_node = g.nodes().map(|v| oracle.nq_of(v, k));
-                assert_eq!(oracle.nq(k), per_node.max().unwrap(), "n={n} k={k}");
-                // `max_by_key` keeps the last maximizer.
-                let last = g.nodes().max_by_key(|&v| oracle.nq_of(v, k)).unwrap();
-                assert_eq!(oracle.witness(k), last, "n={n} k={k}");
-            }
-        }
-    }
-
-    #[test]
     fn witness_has_small_balls_below_nq() {
         let g = generators::caterpillar(40, 2).unwrap();
         let oracle = NqOracle::new(&g);
@@ -368,5 +384,152 @@ mod tests {
         assert!(result.rounds >= result.nq);
         // Õ(NQ_k): within a polylog factor of NQ_k.
         assert!(result.rounds <= result.nq * (net.polylog(1) + 1) + net.polylog(1));
+    }
+
+    /// Definition 3.1 read straight off unbounded profiles: the reference
+    /// the bounded oracle must match query for query.
+    struct Reference {
+        balls: BallOracle,
+        d: u64,
+    }
+
+    impl Reference {
+        fn new(g: &Graph) -> Self {
+            let balls = BallOracle::new(g, u64::MAX);
+            let d = balls.max_eccentricity().unwrap();
+            Reference { balls, d }
+        }
+        fn nq_of(&self, v: NodeId, k: u64) -> u64 {
+            let d = self.d.max(1);
+            let meets = |t: u64| self.balls.ball_size(v, t) as u128 * t as u128 >= k as u128;
+            (1..d).find(|&t| meets(t)).unwrap_or(d)
+        }
+    }
+
+    /// Two disconnected unions: a 40-node path beside a 30-node star, where
+    /// the level minimum must keep counting the nodes of the exhausted
+    /// component, and a 3-node path beside a 150-node path, where `NQ_n` at
+    /// the short path's nodes lies past `⌈√n⌉` but below `D`.
+    fn disconnected() -> [Graph; 2] {
+        let mut split = hybrid_graph::GraphBuilder::new(70);
+        for v in 1..40u32 {
+            split.add_unweighted_edge(v - 1, v).unwrap();
+        }
+        for v in 41..70u32 {
+            split.add_unweighted_edge(40, v).unwrap();
+        }
+        let mut short_long = hybrid_graph::GraphBuilder::new(153);
+        for v in (1..3u32).chain(4..153) {
+            short_long.add_unweighted_edge(v - 1, v).unwrap();
+        }
+        [
+            split.build_unchecked_connectivity(),
+            short_long.build_unchecked_connectivity(),
+        ]
+    }
+
+    /// Every query of the bounded oracle against Definition 3.1 read off
+    /// unbounded profiles: the queries a bounded table answers first, then
+    /// the ones that reach past `⌈√n⌉` and build the unbounded table.
+    #[test]
+    fn nq_and_witness_match_the_per_node_definition() {
+        let connected = [
+            generators::path(1).unwrap(),
+            generators::path(90).unwrap(),
+            generators::cycle(60).unwrap(),
+            generators::grid(&[9, 11]).unwrap(),
+            generators::grid(&[3, 3, 3]).unwrap(),
+            generators::caterpillar(30, 2).unwrap(),
+            generators::lollipop(20, 50).unwrap(),
+        ];
+        let graphs = connected.map(|g| (g, true));
+        for (g, connected) in graphs.into_iter().chain(disconnected().map(|g| (g, false))) {
+            let reference = Reference::new(&g);
+            let oracle = NqOracle::new(&g);
+            let (n, d, r) = (g.n() as u64, reference.d, oracle.radius);
+            assert!((r - 1) * (r - 1) < n && n <= r * r, "R = ⌈√n⌉");
+            assert_eq!(oracle.cut(), d > r, "n={n}");
+            let check = |k: u64| {
+                let per_node: Vec<u64> = g.nodes().map(|v| reference.nq_of(v, k)).collect();
+                let nq = *per_node.iter().max().unwrap();
+                for v in g.nodes() {
+                    assert_eq!(
+                        oracle.nq_of(v, k),
+                        per_node[v as usize],
+                        "n={n} k={k} v={v}"
+                    );
+                }
+                assert_eq!(oracle.nq(k), nq, "n={n} k={k}");
+                let last = per_node.iter().rposition(|&x| x == nq);
+                assert_eq!(Some(oracle.witness(k) as usize), last, "n={n} k={k}");
+            };
+            // k <= n on a connected graph, and x <= R: the bounded table alone.
+            for k in [0, 1, 2, 7, n / 2, n] {
+                check(k);
+            }
+            for x in [r - 1, r] {
+                assert_eq!(oracle.diameter_min(x), x.min(d), "n={n} x={x}");
+            }
+            if connected {
+                assert!(
+                    oracle.full.get().is_none(),
+                    "n={n}: a k <= n query went deep"
+                );
+            }
+            // Past R: the unbounded table, built once the bounded one is cut.
+            for k in [3 * n, n * n] {
+                check(k);
+            }
+            for v in g.nodes() {
+                for t in 0..=d + 1 {
+                    let size = reference.balls.ball_size(v, t);
+                    assert_eq!(oracle.ball_size(v, t), size, "n={n} v={v} t={t}");
+                }
+            }
+            assert_eq!(oracle.diameter(), d, "n={n}");
+            for x in [r + 1, d, d + 1] {
+                assert_eq!(oracle.diameter_min(x), x.min(d), "n={n} x={x}");
+            }
+            assert_eq!(oracle.full.get().is_some(), d > r, "n={n}");
+        }
+    }
+
+    /// On graphs with `D > ⌈√n⌉`, what the dissemination set-up and every
+    /// contender read for `k ≤ n` stays inside the bounded profiles: a later
+    /// hot-path reader of `diameter()` would build the unbounded table here.
+    #[test]
+    fn hot_path_queries_never_build_the_unbounded_table() {
+        use crate::algorithm::dissemination_registry;
+        use crate::cluster::cluster_by_nq;
+        use crate::dissemination::place_tokens;
+        use crate::lower_bounds::dissemination_lower_bound;
+        use hybrid_sim::ModelParams;
+
+        for g in [
+            generators::path(400).unwrap(),
+            generators::grid(&[30, 30]).unwrap(),
+            generators::ring_of_cliques(40, 5, 1).unwrap(),
+        ] {
+            let g = Arc::new(g);
+            let oracle = NqOracle::new(&g);
+            let n = g.n() as u64;
+            assert!(oracle.cut(), "n={n}: D must exceed ⌈√n⌉");
+            let nodes: Vec<NodeId> = g.nodes().collect();
+            for k in [1, n / 8, n / 2, n] {
+                oracle.nq(k);
+                oracle.witness(k);
+                dissemination_lower_bound(&oracle, &ModelParams::hybrid(g.n()), k, 0.99);
+                cluster_by_nq(&mut HybridNetwork::hybrid(Arc::clone(&g)), &oracle, k);
+                let tokens = place_tokens(&nodes, k);
+                for algo in dissemination_registry() {
+                    let mut net = HybridNetwork::hybrid(Arc::clone(&g));
+                    algo.run(&mut net, &oracle, &tokens);
+                }
+            }
+            assert!(
+                oracle.full.get().is_none(),
+                "n={n}: a k <= n query went deep"
+            );
+        }
     }
 }

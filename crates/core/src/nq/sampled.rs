@@ -1,8 +1,8 @@
 //! Sampled `NQ_k` estimation for the scale tier.
 //!
 //! The exact [`NqOracle`](super::NqOracle) precomputes ball profiles for
-//! *every* node up to the diameter — `Θ(n·D)` BFS work and, at `n = 10⁶`,
-//! far past the sweep budget.  [`SampledNqOracle`] estimates `NQ_k(G) =
+//! *every* node up to `⌈√n⌉` — `Θ(n·min(D, √n))` BFS work and, at
+//! `n = 10⁶`, far past the sweep budget.  [`SampledNqOracle`] estimates `NQ_k(G) =
 //! max_v NQ_k(v)` from a uniform node sample instead: each sampled node gets
 //! an **exact, bounded** ball profile (its BFS stops at `t = NQ_{k_max}(v)`,
 //! which Definition 3.1 makes a monotone stopping rule for every `k ≤

@@ -153,7 +153,8 @@ impl BallOracle {
     /// Precomputes profiles up to radius `max_radius` for every node.
     ///
     /// `max_radius` only needs to be an upper bound on the radii the caller
-    /// will query (e.g. the diameter, or `√k_max` by Lemma 3.6).
+    /// will query: `⌈√n⌉` covers `NQ_k` for every `k ≤ n` (Lemma 3.6), and
+    /// `u64::MAX` runs every profile to its node's eccentricity.
     pub fn new(graph: &Graph, max_radius: u64) -> Self {
         // One `lane_bfs` per planned batch, fanned out over all cores and
         // collected in plan order: a run leaves its workspace as it found it,
