@@ -1,10 +1,10 @@
 //! `reproduce` — regenerates the paper's tables and figures as round-count
-//! tables.  Each target serializes its rows once; [`render`] prints that
-//! tree as a table whose header is the rows' JSON keys, and the same tree is
-//! written to `results/<artifact>.json`, so the console and the artifact name
-//! every field alike.  Every artifact is a pure function of (target,
-//! `--quick`, seed): byte-identical from run to run and at every
-//! `RAYON_NUM_THREADS`, and so is the printed table.  Wall-clock performance
+//! tables.  [`render`] prints a target's rows, as a JSON tree, as a table
+//! whose header is the rows' JSON keys, and the rows' JSON text (streamed,
+//! byte for byte that tree's) is written to `results/<artifact>.json`, so
+//! the console and the artifact name every field alike.  Every artifact is
+//! a pure function of (target, `--quick`, seed): byte-identical from run to
+//! run and at every `RAYON_NUM_THREADS`, and so is the printed table.  Wall-clock performance
 //! is not measured here — that is `benchmark/run.sh`.
 //!
 //! ```text
@@ -118,16 +118,15 @@ fn at(path: &Path, err: io::Error) -> io::Error {
 }
 
 /// Prints `title` and the target's rows as one table ([`render`]) and
-/// writes the same serialized rows to `results/<artifact>.json`.  Every
+/// writes the same rows as JSON text to `results/<artifact>.json`.  Every
 /// failure is returned, naming its path: an artifact generator must not exit
 /// 0 without its artifacts.
 fn emit(title: &str, artifact: &str, rows: &impl Serialize) -> io::Result<()> {
-    let rows = rows.to_value();
     println!("\n=== {title} ===");
-    print!("{}", render(&rows));
+    print!("{}", render(&rows.to_value()));
     let dir = Path::new("results");
     let path = dir.join(format!("{artifact}.json"));
-    let json = serde_json::to_string_pretty(&rows)
+    let json = serde_json::to_string_pretty(rows)
         .map_err(|err| at(&path, io::Error::new(io::ErrorKind::InvalidData, err)))?;
     fs::create_dir_all(dir).map_err(|err| at(dir, err))?;
     fs::write(&path, &json).map_err(|err| at(&path, err))?;

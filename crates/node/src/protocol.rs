@@ -204,6 +204,26 @@ mod tests {
         assert!(read_frame::<ToNode>(&mut cursor).is_err());
     }
 
+    /// A frame nested 100 000 levels deep, far past the parser's limit of
+    /// 128, is `InvalidData` in either direction: a lying child cannot
+    /// overflow the driver's stack, nor a hostile driver a node's.
+    #[test]
+    fn deeply_nested_frames_are_refused() {
+        let deep = "[".repeat(100_000);
+        let raw = |text: String| {
+            let mut bytes = (text.len() as u32).to_be_bytes().to_vec();
+            bytes.extend(text.as_bytes());
+            Cursor::new(bytes)
+        };
+        let mut to_node = raw(format!("{{\"Round\":{{\"round\":1,\"local\":{deep}"));
+        let err = read_frame::<ToNode>(&mut to_node).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let mut from_node = raw(format!("{{\"Halted\":{{\"node\":0,\"state\":{deep}"));
+        let err = read_frame::<FromNode>(&mut from_node).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+    }
+
     /// A valid message of every shape, its numbers and ids drawn from `x`
     /// and `ids`, `pick` choosing the variant.
     fn messages(pick: usize, x: u64, ids: &[u32]) -> (ToNode, FromNode) {

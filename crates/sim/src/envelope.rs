@@ -17,7 +17,7 @@
 
 use hybrid_graph::NodeId;
 
-use serde::{DeError, Deserialize, DeserializeOwned, Serialize, Value};
+use serde::{DeError, Deserialize, DeserializeOwned, JsonWriter, Serialize, Value};
 
 /// Bound on program message types making them transportable.
 ///
@@ -62,6 +62,15 @@ impl<B: Serialize> Serialize for Envelope<B> {
             ("round".to_string(), self.round.to_value()),
             ("body".to_string(), self.body.to_value()),
         ])
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        let mut object = w.object();
+        object.field("src", &self.src);
+        object.field("dst", &self.dst);
+        object.field("round", &self.round);
+        object.field("body", &self.body);
+        object.end();
     }
 }
 
@@ -111,7 +120,10 @@ pub struct RoundTrace {
 }
 
 /// Renders a message body as canonical compact JSON — the single payload
-/// rendering used by both engines' traces and the wire format.
+/// rendering used by both engines' traces and the wire format.  It is
+/// `serde_json::to_string`, which streams the body's text without building
+/// a [`Value`]; a [`Value`] body (the wire's) renders to the same text as
+/// the typed message it was read from.
 pub fn body_json<M: Serialize>(body: &M) -> String {
     serde_json::to_string(body).expect("stand-in serialization is infallible")
 }

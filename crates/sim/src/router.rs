@@ -29,11 +29,11 @@
 //! allocates nothing here.
 
 use hybrid_graph::NodeId;
-use serde::Serialize;
+use serde::{JsonWriter, Serialize};
 
 use crate::config::EngineConfig;
 use crate::engine::RunReport;
-use crate::envelope::{body_json, RoundTrace, TraceEntry};
+use crate::envelope::{RoundTrace, TraceEntry};
 use crate::faults::{Fate, FaultPlan};
 
 /// One mailbox plane (local or global), double-buffered: `stage` collects the
@@ -181,18 +181,23 @@ impl<M> Plane<M> {
     }
 
     /// The filled arena in its deterministic order (destination-major, then
-    /// staging sequence) — the order the conformance contract pins.
-    fn trace_entries(&self) -> Vec<TraceEntry>
+    /// staging sequence) — the order the conformance contract pins.  Each
+    /// body is [`body_json`](crate::envelope::body_json)'s text, streamed
+    /// into the one reused `buf` and copied out at its exact size: one
+    /// allocation per entry.
+    fn trace_entries(&self, buf: &mut JsonWriter) -> Vec<TraceEntry>
     where
         M: Serialize,
     {
         let mut entries = Vec::with_capacity(self.inbox.len());
         for dst in 0..(self.offsets.len() - 1) as NodeId {
             for (src, msg) in self.inbox_of(dst) {
+                buf.clear();
+                msg.write_json(buf);
                 entries.push(TraceEntry {
                     src: *src,
                     dst,
-                    body: body_json(msg),
+                    body: buf.as_str().into(),
                 });
             }
         }
@@ -212,7 +217,9 @@ pub struct RoundRouter<'c, M> {
     n: usize,
     gamma: usize,
     local_enabled: bool,
-    record_trace: bool,
+    /// The reused buffer trace bodies are written into; present iff the run
+    /// records its trace.
+    trace_buf: Option<JsonWriter>,
     faults: Option<&'c FaultPlan>,
     local: Plane<M>,
     global: Plane<M>,
@@ -230,7 +237,7 @@ impl<'c, M: Clone + Serialize> RoundRouter<'c, M> {
             n: params.n,
             gamma: params.global_capacity_msgs,
             local_enabled: params.local,
-            record_trace: config.record_trace(),
+            trace_buf: config.record_trace().then(JsonWriter::default),
             faults: config.fault_plan(),
             local: Plane::new(params.n),
             global: Plane::new(params.n),
@@ -317,11 +324,11 @@ impl<'c, M: Clone + Serialize> RoundRouter<'c, M> {
         let (delivered, dropped) = self.global.fill(self.gamma);
         self.report.global_messages += delivered;
         self.report.dropped_global += dropped;
-        if self.record_trace {
+        if let Some(buf) = &mut self.trace_buf {
             self.trace.push(RoundTrace {
                 round,
-                local: self.local.trace_entries(),
-                global: self.global.trace_entries(),
+                local: self.local.trace_entries(buf),
+                global: self.global.trace_entries(buf),
             });
         }
     }

@@ -8,7 +8,9 @@
 //! `#[global_allocator]` and holds three failure-free runs to that: a
 //! `u64`-message program to a set-up-only budget, the ack/retry program to
 //! set-up plus a fraction of its messages, and gossip to a budget its global
-//! pushes alone would break.
+//! pushes alone would break.  A traced ack-flood run is held to one
+//! allocation per traced message beyond its untraced twin, plus a few per
+//! round: the message bodies stream into one reused buffer.
 //!
 //! One `#[test]` only: a sibling test thread would allocate into the count.
 
@@ -66,10 +68,22 @@ fn initial(v: NodeId) -> Vec<u64> {
 /// Allocator calls of one complete run (executor construction included),
 /// measured on the second of two identical runs.
 fn measured<P: NodeProgram>(graph: &Graph, factory: impl Fn(NodeId) -> P) -> (u64, RunReport) {
+    measured_with(graph, factory, false)
+}
+
+/// [`measured`], with trace recording on or off; a recorded trace is dropped
+/// inside the count.
+fn measured_with<P: NodeProgram>(
+    graph: &Graph,
+    factory: impl Fn(NodeId) -> P,
+    trace: bool,
+) -> (u64, RunReport) {
     let run = || {
-        let config = EngineConfig::new(ModelParams::hybrid(N));
+        let config = EngineConfig::new(ModelParams::hybrid(N)).with_trace(trace);
         let mut exec = Executor::with_config(graph, config, &factory);
-        exec.run().expect("a failure-free run completes")
+        let report = exec.run().expect("a failure-free run completes");
+        assert_eq!(exec.take_trace().is_empty(), !trace);
+        report
     };
     run();
     let before = CALLS.load(Ordering::Relaxed);
@@ -107,6 +121,23 @@ fn token_programs_allocate_for_state_and_payloads_only() {
     assert!(
         calls <= budget,
         "ack-flood: {calls} allocator calls for {messages} delivered messages (budget {budget})"
+    );
+
+    // The same run traced: each delivered message is one exact-size body
+    // string, and each round two entry vectors beside the trace's own
+    // growth.  Recorded: 35 229 calls, 36 above the untraced run plus one
+    // per message; 267 653 when each body was built as a `Value` tree
+    // (object, key, array) and rendered into a growing string.
+    let (traced_calls, traced) =
+        measured_with(&grid, |v| AckFloodProgram::new(initial(v), TOKENS, 2), true);
+    assert_eq!(traced, report, "tracing changed the run");
+    let traced_messages = traced.local_messages + traced.global_messages;
+    let budget = calls + traced_messages + 3 * (traced.rounds + 1) + 16;
+    assert!(
+        traced_calls <= budget,
+        "traced ack-flood: {traced_calls} allocator calls for {traced_messages} traced \
+         messages over {} rounds (untraced {calls}, budget {budget})",
+        traced.rounds
     );
 
     // Gossip on a cycle: a global push is one inline token, so the budget is
