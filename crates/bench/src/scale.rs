@@ -12,9 +12,9 @@
 //!   small-`n` sweep runs on — [`hybrid_graph::generators`] emits every
 //!   family in expected `O(n + m)` time and memory into pre-sized CSR
 //!   assembly, bit-identical across pool widths;
-//! * **`NQ_k` witnesses** come from a [`SampledNqOracle`]: exact bounded ball
-//!   profiles on a seeded node sample, with the recorded `(estimate, sample
-//!   size, confidence)` semantics, and an exact cross-check column where `n`
+//! * **`NQ_k` witnesses** come from a [`SampledNqOracle`]: the exact oracle's
+//!   ball-profile store and Definition 3.1 walk over a seeded node sample,
+//!   with the recorded `(estimate, sample size, confidence)` semantics, and an exact cross-check column where `n`
 //!   is small enough to afford the full oracle;
 //! * **distances** are [`DistanceRows`] over `|S|` sampled sources — the
 //!   genuine Theorem 14 `k ≤ γ` fast path (per-source Dijkstra + `(1+ε)`

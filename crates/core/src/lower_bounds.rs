@@ -68,8 +68,9 @@ pub struct LowerBoundWitness {
 ///
 /// Generic over [`NqSource`]: the exact [`crate::nq::NqOracle`] yields the
 /// exact witness; a [`crate::nq::SampledNqOracle`] yields a sound sampled
-/// witness (its `NQ_k` and ball values are exact for the sampled node, which
-/// just may not be the global maximizer).
+/// witness: its ball values are exact for the sampled node, which just may
+/// not be the global maximizer, and its `NQ_k` is at most the node's exact
+/// value (equal on a connected graph), so the bound never overshoots.
 pub fn dissemination_lower_bound(
     oracle: &impl NqSource,
     params: &ModelParams,

@@ -40,9 +40,14 @@ pub use sampled::{NqEstimate, SampledNqOracle};
 /// its witness node, and ball sizes around that witness.
 ///
 /// The exact oracle answers for every node; the sampled oracle answers the
-/// same queries over its sampled node set (its `nq`/`witness` are the sample
-/// maximum — a guaranteed *lower* estimate of the population maximum, with
-/// quantile coverage recorded by [`SampledNqOracle::nq_estimate`]).
+/// same queries over its sampled node set, from the same profile store and
+/// the same Definition 3.1 walk (`first_radius`).  Its `nq`/`witness` are
+/// the sample maximum — a guaranteed *lower* estimate of the population
+/// maximum, with quantile coverage recorded by
+/// [`SampledNqOracle::nq_estimate`]: its per-node values are exact on a
+/// connected graph and at most exact otherwise, since where no radius meets
+/// the ball condition it caps at the deepest level a sampled ball grew,
+/// which is at most `D`.
 pub trait NqSource {
     /// Number of nodes of the underlying graph.
     fn n(&self) -> usize;
@@ -145,31 +150,27 @@ impl NqOracle {
         }
     }
 
-    /// Definition 3.1 over one sequence of ball sizes: the first radius
-    /// `t ≥ 1` with `size(t) ≥ k/t`, else `D`.  For `k = 0` the answer is 1
-    /// (any radius works; the paper assumes `k > 0`).
-    ///
-    /// A cut table is exact to `R < D`, so a radius it finds is the answer;
-    /// only a search that runs past `R` reads the unbounded table.
-    fn first_radius(&self, k: u64, size: impl Fn(&BallOracle, u64) -> usize) -> u64 {
-        // |B_t| >= k/t  <=>  |B_t| * t >= k
-        let meets = |balls: &BallOracle, t: u64| size(balls, t) as u128 * t as u128 >= k as u128;
-        let shallow = if self.cut() {
-            self.radius + 1
+    /// The table that answers radius `t`: the bounded one up to `⌈√n⌉` and
+    /// whenever none was cut, the unbounded one past it.
+    fn table(&self, t: u64) -> &BallOracle {
+        if t > self.radius && self.cut() {
+            self.full()
         } else {
-            self.diameter().max(1)
-        };
-        (1..shallow)
-            .find(|&t| meets(&self.balls, t))
-            .unwrap_or_else(|| {
-                let d = self.diameter().max(1);
-                (shallow..d).find(|&t| meets(self.full(), t)).unwrap_or(d)
-            })
+            &self.balls
+        }
+    }
+
+    /// [`first_radius`] capped at `D`.  A cut table is exact to `R < D`, so
+    /// the walk reads `D` (and the unbounded table) only once it runs past
+    /// `R`.
+    fn walk(&self, k: u64, size: impl Fn(u64) -> usize) -> u64 {
+        let below = if self.cut() { self.radius } else { 0 };
+        first_radius(k, size, below, || self.diameter())
     }
 
     /// `NQ_k(v)` — Definition 3.1.
     pub fn nq_of(&self, v: NodeId, k: u64) -> u64 {
-        self.first_radius(k, |balls, t| balls.ball_size(v, t))
+        self.walk(k, |t| self.ball_size(v, t))
     }
 
     /// `NQ_k(G) = max_v NQ_k(v)`.  `|B_t(v)|·t` is non-decreasing in `t`, so
@@ -177,11 +178,7 @@ impl NqOracle {
     /// smallest `t`-ball does: one walk over the level-minimum table
     /// `min_v |B_t(v)|` (the `N_t` of Lemma 3.3; 0 on the empty graph).
     pub fn nq(&self, k: u64) -> u64 {
-        self.first_radius(k, |balls, t| {
-            let table = balls.min_ball();
-            let size = table.get(t as usize).or(table.last());
-            size.map_or(0, |&size| size as usize)
-        })
+        self.walk(k, |t| level_min(self.table(t).min_ball(), t))
     }
 
     /// A node maximizing `NQ_k(v)`; by Lemma 3.8 it satisfies
@@ -200,15 +197,34 @@ impl NqOracle {
             .unwrap_or(0)
     }
 
-    /// `|B_t(v)|` from the cached profiles: the bounded ones up to `⌈√n⌉`,
-    /// and whenever none was cut.
+    /// `|B_t(v)|` from the cached profiles.
     pub fn ball_size(&self, v: NodeId, t: u64) -> usize {
-        if t > self.radius && self.cut() {
-            self.full().ball_size(v, t)
-        } else {
-            self.balls.ball_size(v, t)
-        }
+        self.table(t).ball_size(v, t)
     }
+}
+
+/// Definition 3.1 over one sequence of saturated ball sizes — one node's
+/// profile, or a level minimum over nodes: the first radius `t ≥ 1` with
+/// `size(t) ≥ k/t`, else the diameter cap.  For `k = 0` the answer is 1 (any
+/// radius works; the paper assumes `k > 0`).  Both oracles answer through
+/// it: [`NqOracle`] with the cap `D`, [`SampledNqOracle`] with its own.
+///
+/// The caller knows the cap to exceed `below`: `cap` is read only once the
+/// walk passes it.
+fn first_radius(k: u64, size: impl Fn(u64) -> usize, below: u64, cap: impl FnOnce() -> u64) -> u64 {
+    // |B_t| >= k/t  <=>  |B_t| * t >= k
+    let meets = |t: u64| size(t) as u128 * t as u128 >= k as u128;
+    (1..=below).find(|&t| meets(t)).unwrap_or_else(|| {
+        let cap = cap().max(1);
+        (below + 1..cap).find(|&t| meets(t)).unwrap_or(cap)
+    })
+}
+
+/// Entry `t` of a level-minimum table, saturating at its last entry (0 when
+/// the table is empty, as on the empty graph).
+fn level_min(table: &[u32], t: u64) -> usize {
+    let size = table.get(t as usize).or(table.last());
+    size.map_or(0, |&size| size as usize)
 }
 
 /// Result of the distributed `NQ_k` computation (Lemma 3.3).

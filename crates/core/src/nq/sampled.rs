@@ -2,12 +2,20 @@
 //!
 //! The exact [`NqOracle`](super::NqOracle) precomputes ball profiles for
 //! *every* node up to `⌈√n⌉` — `Θ(n·min(D, √n))` BFS work and, at
-//! `n = 10⁶`, far past the sweep budget.  [`SampledNqOracle`] estimates `NQ_k(G) =
-//! max_v NQ_k(v)` from a uniform node sample instead: each sampled node gets
-//! an **exact, bounded** ball profile (its BFS stops at `t = NQ_{k_max}(v)`,
-//! which Definition 3.1 makes a monotone stopping rule for every `k ≤
-//! k_max`), so per-node values are exact and only the maximization is
-//! sampled.
+//! `n = 10⁶`, far past the sweep budget.  [`SampledNqOracle`] estimates
+//! `NQ_k(G) = max_v NQ_k(v)` from a uniform node sample instead, on the exact
+//! oracle's own machinery: the sample, sorted, is swept 64 nodes per batch
+//! into a [`BallProfiles`] store, and every query is the one Definition 3.1
+//! walk (`first_radius`).  One stop rule is added: a lane stops at the first
+//! `t` with `|B_t|·t ≥ k_max`, where Definition 3.1 is met for every
+//! `k ≤ k_max`, so no profile runs deeper than a query can read.
+//!
+//! *The diameter cap.*  Where no radius meets the ball condition,
+//! Definition 3.1 answers `D`, which a sample does not know.  The sampled
+//! walk caps at the deepest level at which any sampled lane grew (at least
+//! 1).  That level is at most `D`, so every per-node value is at most the
+//! exact one; on a connected graph every node meets the condition by its
+//! eccentricity (`k ≤ n`), so the two are equal.
 //!
 //! The estimate is therefore a guaranteed *lower* bound on the population
 //! maximum, with recorded quantile coverage: with sample size `s`, the
@@ -15,28 +23,24 @@
 //! fraction — i.e. that the estimate is at least the `(1−q)`-quantile of the
 //! per-node `NQ_k` values — is `1 − (1−q)^s`, which [`NqEstimate`] reports as
 //! its confidence.  Lower-bound witnesses built on this source are sound:
-//! they are genuine witnesses of the sampled node, just possibly not the
-//! global maximizer.
-//!
-//! The sample is swept 64 nodes per batch: each batch is one run of
-//! [`hybrid_graph::traversal::lane_bfs`], one bit of a `u64` word per sampled
-//! node, every lane stopping on its own rule.  Batches are fanned out over
-//! the pool and collected in batch order, so the oracle does not depend on
-//! the pool width.
+//! their ball sizes are exact for the sampled node, which just may not be the
+//! global maximizer.  Batches are fanned out over the pool and collected in
+//! batch order, so the oracle does not depend on the pool width.
 
-use hybrid_graph::traversal::{lane_bfs, lanes_of, LaneWorkspace, LANES};
+use hybrid_graph::balls::BallProfiles;
+use hybrid_graph::traversal::LANES;
 use hybrid_graph::{Graph, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
-use super::NqSource;
+use super::{first_radius, level_min, NqSource};
 use crate::prob::sample_distinct;
 
 /// A sampled `NQ_k` estimate with its recorded sampling semantics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NqEstimate {
-    /// Sample maximum of the exact per-node `NQ_k` values.
+    /// Sample maximum of the per-node `NQ_k` values (exact on a connected
+    /// graph, at most exact otherwise).
     pub estimate: u64,
     /// Number of sampled nodes.
     pub sample_size: usize,
@@ -46,32 +50,22 @@ pub struct NqEstimate {
     pub confidence: f64,
 }
 
-/// Bounded, exact ball profile of one sampled node.
-#[derive(Debug, Clone, PartialEq)]
-struct NodeProfile {
-    node: NodeId,
-    /// `balls[t-1] = |B_t(node)|` for `t = 1 ..= len`; the profile stops at
-    /// the first `t` satisfying the Definition 3.1 condition for `k_max`, or
-    /// at the first level where the ball did not grow (that repeated size is
-    /// kept), whichever comes first.
-    balls: Vec<usize>,
-}
-
 /// Sampled-source oracle for `NQ_k` over workloads `k ≤ k_max`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledNqOracle {
     n: usize,
     k_max: u64,
     quantile: f64,
-    /// Sorted by node id (the sample is drawn sorted).
-    profiles: Vec<NodeProfile>,
+    /// The sample in ascending id order; `nodes[i]`'s profile is slot `i`.
+    nodes: Box<[NodeId]>,
+    profiles: BallProfiles,
 }
 
 impl SampledNqOracle {
-    /// Samples `sample_size` distinct nodes (seeded) and computes their exact
-    /// bounded ball profiles in parallel.  `k_max` is clamped to `n` — the
-    /// stopping rule `|B_t(v)|·t ≥ k` is then guaranteed to trigger no later
-    /// than the node's eccentricity, so no profile needs the diameter.
+    /// Samples `sample_size` distinct nodes (seeded) and sweeps their ball
+    /// profiles in parallel.  `k_max` is clamped to `n` — the stopping rule
+    /// `|B_t(v)|·t ≥ k` then triggers no later than the node's eccentricity
+    /// on a connected graph.
     pub fn new(graph: &Graph, sample_size: usize, k_max: u64, quantile: f64, seed: u64) -> Self {
         let n = graph.n();
         let k_max = k_max.clamp(1, n as u64);
@@ -80,115 +74,64 @@ impl SampledNqOracle {
             "quantile must be in (0, 1)"
         );
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let nodes = sample_distinct(n, sample_size.clamp(1, n), &mut rng);
-        // One `lane_bfs` per batch of `LANES` sampled nodes, fanned out and
-        // collected in batch order, so the pool width does not show.
-        let batches: Vec<Vec<NodeProfile>> = (0..nodes.len().div_ceil(LANES))
-            .into_par_iter()
-            .map_init(
-                || LaneWorkspace::new(n),
-                |ws, b| {
-                    let batch = &nodes[b * LANES..nodes.len().min((b + 1) * LANES)];
-                    let mut balls = vec![Vec::new(); batch.len()];
-                    let mut live = u64::MAX >> (LANES - batch.len());
-                    lane_bfs(graph, ws, batch, u64::MAX, |t, grew, sizes| {
-                        // Every live lane records this level, the one where
-                        // it stopped growing included.
-                        for lane in lanes_of(live) {
-                            balls[lane].push(sizes[lane] as usize);
-                        }
-                        live = lanes_of(grew)
-                            .filter(|&lane| u64::from(sizes[lane]).saturating_mul(t) < k_max)
-                            .fold(0, |keep, lane| keep | 1 << lane);
-                        live
-                    });
-                    let profiles = batch.iter().zip(balls);
-                    profiles
-                        .map(|(&node, balls)| NodeProfile { node, balls })
-                        .collect()
-                },
-            )
-            .with_min_len(1)
-            .collect();
+        // Boxed: `sample_distinct` leaves room for all `n` nodes.
+        let nodes = sample_distinct(n, sample_size.clamp(1, n), &mut rng).into_boxed_slice();
+        // Runs of 64 in sample order, so `nodes[i]` lands in slot `i`.
+        let batches: Vec<&[NodeId]> = nodes.chunks(LANES).collect();
+        let profiles = BallProfiles::sweep(graph, &batches, u64::MAX, k_max);
         SampledNqOracle {
             n,
             k_max,
             quantile,
-            profiles: batches.into_iter().flatten().collect(),
+            nodes,
+            profiles,
         }
-    }
-
-    /// Largest workload this oracle was built for.
-    pub fn k_max(&self) -> u64 {
-        self.k_max
     }
 
     /// The sampled nodes, in ascending id order.
     pub fn sampled_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.profiles.iter().map(|p| p.node)
+        self.nodes.iter().copied()
     }
 
-    /// Bytes held by the stored ball profiles — the scale tier reports this
-    /// as the witness-side memory footprint.
+    /// Bytes held by the sample and its ball profiles — the scale tier
+    /// reports this as the witness-side memory footprint.
     pub fn memory_bytes(&self) -> u64 {
-        self.profiles
-            .iter()
-            .map(|p| {
-                (p.balls.len() * std::mem::size_of::<usize>() + std::mem::size_of::<NodeId>())
-                    as u64
-            })
-            .sum()
+        (self.nodes.len() * std::mem::size_of::<NodeId>()) as u64 + self.profiles.memory_bytes()
     }
 
-    /// Exact `NQ_k(v)` of a sampled node (Definition 3.1 over its profile).
+    /// `NQ_k(v)` of a sampled node (Definition 3.1 under the sample's cap).
     ///
     /// # Panics
     /// Panics if `v` was not sampled or `k > k_max`.
     pub fn nq_of(&self, v: NodeId, k: u64) -> u64 {
-        let p = self.profile(v);
-        Self::nq_from_profile(p, k.max(1), self.k_max)
+        let slot = self.slot(v);
+        self.walk(k, |t| self.profiles.ball_size(slot, t))
     }
 
-    fn nq_from_profile(p: &NodeProfile, k: u64, k_max: u64) -> u64 {
-        assert!(
-            k <= k_max,
-            "workload {k} exceeds the profiled k_max {k_max}"
-        );
-        for (i, &ball) in p.balls.iter().enumerate() {
-            let t = (i + 1) as u64;
-            if ball as u128 * t as u128 >= k as u128 {
-                return t;
-            }
-        }
-        // Unreachable for k <= k_max by the stopping rule; the profile's last
-        // entry is the safe answer if it ever trips.
-        p.balls.len().max(1) as u64
-    }
-
-    /// The sampled estimate together with its recorded sampling semantics.
+    /// The sampled estimate together with its recorded sampling semantics:
+    /// the walk over the sample's level minimum is the sample maximum of
+    /// [`SampledNqOracle::nq_of`].
     pub fn nq_estimate(&self, k: u64) -> NqEstimate {
-        let k = k.max(1);
-        let estimate = self
-            .profiles
-            .iter()
-            .map(|p| Self::nq_from_profile(p, k, self.k_max))
-            .max()
-            .unwrap_or(1);
-        let s = self.profiles.len();
+        let s = self.nodes.len();
         NqEstimate {
-            estimate,
+            estimate: self.walk(k, |t| level_min(self.profiles.min_ball(), t)),
             sample_size: s,
             quantile: self.quantile,
             confidence: 1.0 - (1.0 - self.quantile).powi(s as i32),
         }
     }
 
-    fn profile(&self, v: NodeId) -> &NodeProfile {
-        let i = self
-            .profiles
-            .binary_search_by_key(&v, |p| p.node)
-            .unwrap_or_else(|_| panic!("node {v} is not in the sampled set"));
-        &self.profiles[i]
+    /// [`first_radius`] capped at the deepest level a sampled lane grew.
+    fn walk(&self, k: u64, size: impl Fn(u64) -> usize) -> u64 {
+        let k_max = self.k_max;
+        assert!(k <= k_max, "workload {k} exceeds k_max {k_max}");
+        first_radius(k, size, 0, || self.profiles.depth())
+    }
+
+    fn slot(&self, v: NodeId) -> usize {
+        self.nodes
+            .binary_search(&v)
+            .unwrap_or_else(|_| panic!("node {v} is not in the sampled set"))
     }
 }
 
@@ -202,24 +145,15 @@ impl NqSource for SampledNqOracle {
     }
 
     fn witness(&self, k: u64) -> NodeId {
-        let k = k.max(1);
-        self.profiles
-            .iter()
-            .max_by_key(|p| Self::nq_from_profile(p, k, self.k_max))
-            .map(|p| p.node)
-            .unwrap_or(0)
+        let nq = |&v: &NodeId| self.nq_of(v, k);
+        self.sampled_nodes().max_by_key(nq).expect("a sampled node")
     }
 
-    /// Exact `|B_t(v)|` up to the stored radius of `v` (its profile stops at
-    /// `NQ_{k_max}(v)`, or one level past its eccentricity); past it the
-    /// answer saturates at the last stored size, a lower bound on `|B_t(v)|`.
+    /// Exact `|B_t(v)|` up to the depth of `v`'s profile; past it the
+    /// answer saturates at the last stored size, which is exact too unless
+    /// the workload rule stopped the lane.
     fn ball_size(&self, v: NodeId, t: u64) -> usize {
-        let p = self.profile(v);
-        if t == 0 {
-            return 1;
-        }
-        let i = ((t as usize).min(p.balls.len())).saturating_sub(1);
-        p.balls.get(i).copied().unwrap_or(1)
+        self.profiles.ball_size(self.slot(v), t)
     }
 }
 
@@ -229,45 +163,62 @@ mod tests {
     use crate::nq::NqOracle;
     use hybrid_graph::{generators, GraphBuilder};
 
-    /// Node-disjoint union of a path and a grid: two components.
-    fn path_beside_grid() -> Graph {
-        let (a, b) = (
-            generators::path(150).unwrap(),
-            generators::grid(&[12, 12]).unwrap(),
-        );
-        let mut builder = GraphBuilder::new(a.n() + b.n());
-        let shift = a.n() as NodeId;
-        for &(u, v, w) in a.edges() {
-            builder.add_edge(u, v, w).unwrap();
-        }
-        for &(u, v, w) in b.edges() {
-            builder.add_edge(u + shift, v + shift, w).unwrap();
+    /// Node-disjoint union of several graphs, numbered in order.
+    fn union(parts: &[Graph]) -> Graph {
+        let mut builder = GraphBuilder::new(parts.iter().map(Graph::n).sum());
+        let mut shift = 0;
+        for part in parts {
+            for &(u, v, w) in part.edges() {
+                builder.add_edge(u + shift, v + shift, w).unwrap();
+            }
+            shift += part.n() as NodeId;
         }
         builder.build_unchecked_connectivity()
     }
 
+    /// Node-disjoint union of a path and a grid: two components.
+    fn path_beside_grid() -> Graph {
+        union(&[
+            generators::path(150).unwrap(),
+            generators::grid(&[12, 12]).unwrap(),
+        ])
+    }
+
     /// A partial batch and one, two and three batches of 64 lanes (24, 64, 65
-    /// and 130 samples), on a connected and a disconnected graph.
+    /// and 130 samples, or every node of a smaller graph).  Per node the
+    /// sampled value is the exact one cut at the sample's cap, so never
+    /// above it; it is the exact one itself on a connected graph, and on
+    /// the path beside the grid, where every node meets the ball condition
+    /// inside its own component.  The estimate never exceeds the exact
+    /// `NQ_k`.  On `K2` beside two isolated nodes a profile that kept its
+    /// last, non-growing level used to answer 2 against the exact 1.
     #[test]
     fn sampled_per_node_values_are_exact() {
-        for g in [
-            generators::path(300).unwrap(),
-            generators::grid(&[17, 17]).unwrap(),
-            generators::tree_with_n(2, 250).unwrap(),
-            path_beside_grid(),
-        ] {
+        let path = |n| generators::path(n).unwrap();
+        let graphs = [
+            (path(300), true),
+            (generators::grid(&[17, 17]).unwrap(), true),
+            (generators::tree_with_n(2, 250).unwrap(), true),
+            (path(1), true),
+            (path_beside_grid(), true),
+            (union(&[path(2), path(1), path(1)]), false),
+            (union(&[path(3), path(150)]), false),
+        ];
+        for (g, equal) in graphs {
             let exact = NqOracle::new(&g);
             let n = g.n() as u64;
             for samples in [24, 64, 65, 130] {
                 let sampled = SampledNqOracle::new(&g, samples, n, 0.02, 7);
-                assert_eq!(sampled.sampled_nodes().count(), samples);
-                for v in sampled.sampled_nodes() {
-                    for k in [1, 16, n / 2, n] {
-                        assert_eq!(
-                            sampled.nq_of(v, k),
-                            exact.nq_of(v, k),
-                            "n={n} s={samples} v={v} k={k}"
-                        );
+                assert_eq!(sampled.sampled_nodes().count(), samples.min(g.n()));
+                let cap = sampled.profiles.depth().max(1);
+                for k in (1..=n).filter(|&k| k <= 16 || k == n / 2 || k == n) {
+                    let (estimate, nq) = (sampled.nq_estimate(k).estimate, exact.nq(k));
+                    assert!(estimate <= nq, "n={n} s={samples} k={k}: {estimate} > {nq}");
+                    for v in sampled.sampled_nodes() {
+                        let (got, want) = (sampled.nq_of(v, k), exact.nq_of(v, k));
+                        let at = format!("n={n} s={samples} v={v} k={k}: {got} vs {want}");
+                        assert_eq!(got, want.min(cap), "{at}");
+                        assert!(!equal || got == want, "{at}");
                     }
                 }
             }
@@ -288,8 +239,9 @@ mod tests {
         }
     }
 
-    /// Past a node's stored radius `ball_size` saturates, so a lower bound
-    /// must never ask there.  `dissemination_lower_bound` does not: on the
+    /// Past a node's stored radius `ball_size` may saturate below the true
+    /// size (when the workload rule stopped the lane), so a lower bound must
+    /// never ask there.  `dissemination_lower_bound` does not: on the
     /// quick scale tier's families at n = 1024 (`GraphFamily::core_families`
     /// of `hybrid-bench`), every radius it asks about is stored.
     #[test]
@@ -332,7 +284,7 @@ mod tests {
                 let calls = recording.1.into_inner();
                 assert!(!calls.is_empty(), "n={n} k={k}");
                 for (v, t) in calls {
-                    let stored = sampled.profile(v).balls.len() as u64;
+                    let stored = sampled.profiles.profile(sampled.slot(v)).len() as u64 - 1;
                     assert!(t <= stored, "n={n} k={k}: B_{t}({v}) past radius {stored}");
                     deepest = deepest.max(t);
                 }

@@ -4,54 +4,50 @@
 //! `B_t(v)` is the set of nodes within hop distance `t` of `v`, including `v`
 //! itself.  The paper repeatedly needs, for a node `v`, the *sizes* of all
 //! balls `|B_1(v)|, |B_2(v)|, …` up to some radius — its *profile*.
-//! [`BallOracle`] caches the profile of every node for repeated `NQ_k`
-//! queries with different `k` (as the benchmarks sweep `k`); one node's
-//! profile alone is one bounded [`crate::dijkstra::DijkstraWorkspace`] BFS.
-//!
-//! The oracle does not run `n` such searches.  It cuts the nodes into
-//! batches of up to 64 and hands each batch to [`crate::traversal::lane_bfs`],
-//! which advances the 64 searches together, one bit of a `u64` word per
-//! source.  A batch's profiles land back to back in one `u32` arena, and
-//! while the per-level sizes are in hand the oracle also writes down
-//! `min_v |B_t(v)|` for every radius `t`: the one sequence `NQ_k(G)` and
-//! Lemma 3.3 read.
+//! [`BallProfiles`] is the one store of such profiles: it sweeps a list of
+//! sources in batches of up to 64, one [`crate::traversal::lane_bfs`] per
+//! batch (one bit of a `u64` word per source), holds a batch's profiles back
+//! to back in one `u32` arena, and while the per-level sizes are in hand also
+//! writes down the minimum over its sources of `|B_t|` for every radius `t`.
+//! It serves two readers: [`BallOracle`], every node's profile — the
+//! sequence `min_v |B_t(v)|` that `NQ_k(G)` and Lemma 3.3 read — and the
+//! sampled `NQ_k` oracle of `hybrid-core`, the profiles of a node sample.
+//! One node's profile alone is one bounded
+//! [`crate::dijkstra::DijkstraWorkspace`] BFS.
 //!
 //! *Batches.*  One pass over a frontier node's arcs serves every lane that
 //! holds the node, so a batch pays off when its sources are close together.
-//! Before it sweeps, the oracle plans its batches: each one is grown by a BFS
-//! over the whole graph from the lowest-id node not yet planned, and takes
-//! the first 64 unplanned nodes the search meets — a batch is short only
-//! when the seed's component runs out.  (64 consecutive ids of a row-major
-//! grid are one row, whose searches share almost no frontier.)  The plan is a
-//! pure function of the graph and cannot show in any output: a lane's profile
-//! depends on its own source only, `min_ball` is a minimum over batches and
-//! the truncation flag an "any" over batches, so neither depends on which
-//! nodes share a batch or in what order the batches come.
+//! Before it sweeps, [`BallOracle`] plans its batches: each one is grown by a
+//! BFS over the whole graph from the lowest-id node not yet planned, and
+//! takes the first 64 unplanned nodes the search meets — a batch is short
+//! only when the seed's component runs out.  (64 consecutive ids of a
+//! row-major grid are one row, whose searches share almost no frontier.)  The
+//! plan is a pure function of the graph and cannot show in any output: a
+//! lane's profile depends on its own source only, `min_ball` is a minimum
+//! over batches and the truncation flag an "any" over batches, so neither
+//! depends on which nodes share a batch or in what order the batches come.
 
 use rayon::prelude::*;
 
 use crate::csr::{Graph, NodeId};
 use crate::traversal::{lane_bfs, lanes_of, LaneWorkspace, LANES};
 
-/// Caches ball-size profiles for every node, supporting repeated
-/// neighborhood-quality queries for different workloads `k`.
+/// Ball-size profiles of a list of sources, swept in batches of up to 64.
 ///
 /// Profiles are `u32` prefix sums (`|B_t(v)| ≤ n` and node ids are `u32`),
-/// held in one arena per planned batch of up to 64 nearby nodes.
+/// held in one arena per batch; source `i` of batch `b` has slot
+/// `LANES·b + i`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BallOracle {
+pub struct BallProfiles {
     batches: Vec<Batch>,
-    /// `slot[v] = LANES·b + lane`: node `v`'s profile is lane `lane` of
-    /// batch `b`.
-    slot: Vec<u32>,
-    /// `min_ball[t] = min_v |B_t(v)|` for `t = 0 ..= max_v (profile(v).len() − 1)`.
+    /// `min_ball[t]` is the minimum over the sources of `|B_t|` (a stopped
+    /// profile keeps its last size), for `t = 0 ..=` [`BallProfiles::depth`].
     min_ball: Vec<u32>,
     /// Whether `max_radius` cut some profile before its ball stopped growing.
     truncated: bool,
-    n: usize,
 }
 
-/// Profiles of one planned batch's nodes, back to back in lane order.
+/// Profiles of one batch's sources, back to back in lane order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Batch {
     sizes: Vec<u32>,
@@ -100,7 +96,7 @@ fn plan(graph: &Graph) -> (Vec<Vec<NodeId>>, Vec<u32>) {
     (batches, slot)
 }
 
-/// What one batch's sweep hands back to [`BallOracle::new`].
+/// What one batch's sweep hands back to [`BallProfiles::sweep`].
 struct Sweep {
     batch: Batch,
     /// Minimum over the batch's lanes of `|B_t|`, for `t` up to the largest
@@ -109,39 +105,53 @@ struct Sweep {
     truncated: bool,
 }
 
-/// A worker's state: the kernel's workspace and one growing profile per lane.
-type Workspace = (LaneWorkspace, Vec<Vec<u32>>);
+/// A worker's state: the kernel's workspace and one batch's level log, the
+/// per-lane sizes `lane_bfs` reports after each level, row after row.
+type Workspace = (LaneWorkspace, Vec<u32>);
 
-/// One batch: each profile grows one entry per level at which its lane grew,
-/// and moves into the batch arena when every lane has stopped.
+/// One batch: the sizes are logged level by level, then each lane's column
+/// of the log, down to the last level at which it grew, becomes its profile
+/// in the batch arena.  A lane grows at every level until it stops, so its
+/// column is its profile.
 fn sweep(
     graph: &Graph,
-    (ws, profiles): &mut Workspace,
+    (ws, log): &mut Workspace,
     sources: &[NodeId],
     max_radius: u64,
+    k_max: u64,
 ) -> Sweep {
-    for profile in &mut profiles[..sources.len()] {
-        profile.push(1);
-    }
-    let mut min_ball = vec![1u32];
-    let cut = lane_bfs(graph, ws, sources, max_radius, |_, grew, sizes| {
+    let width = sources.len();
+    let mut depth = [0usize; LANES];
+    let cut = lane_bfs(graph, ws, sources, max_radius, |t, grew, sizes| {
+        log.extend_from_slice(sizes);
+        let mut keep = grew;
         for lane in lanes_of(grew) {
-            profiles[lane].push(sizes[lane]);
+            depth[lane] = t as usize;
+            if u64::from(sizes[lane]).saturating_mul(t) >= k_max {
+                keep &= !(1 << lane);
+            }
         }
-        // A lane that stopped growing keeps contributing its final size.
-        if grew != 0 {
-            min_ball.push(*sizes.iter().min().expect("a batch has a lane"));
-        }
-        grew
+        keep
     });
+    let levels = || log.chunks_exact(width);
     let mut batch = Batch {
-        sizes: Vec::with_capacity(profiles.iter().map(Vec::len).sum()),
+        sizes: Vec::with_capacity(width + depth.iter().sum::<usize>()),
         starts: [0; LANES + 1],
     };
-    for (lane, profile) in profiles.iter_mut().enumerate() {
-        batch.sizes.append(profile);
+    for lane in 0..width {
+        batch.sizes.push(1);
+        let column = levels().take(depth[lane]).map(|level| level[lane]);
+        batch.sizes.extend(column);
         batch.starts[lane + 1] = batch.sizes.len();
     }
+    batch.starts[width + 1..].fill(batch.sizes.len());
+    // A stopped lane keeps contributing its final size.
+    let deepest = *depth.iter().max().expect("a batch has a lane");
+    let smallest = levels()
+        .take(deepest)
+        .map(|level| *level.iter().min().expect("a batch has a lane"));
+    let min_ball = std::iter::once(1).chain(smallest).collect();
+    log.clear();
     Sweep {
         batch,
         min_ball,
@@ -149,23 +159,25 @@ fn sweep(
     }
 }
 
-impl BallOracle {
-    /// Precomputes profiles up to radius `max_radius` for every node.
-    ///
-    /// `max_radius` only needs to be an upper bound on the radii the caller
-    /// will query: `⌈√n⌉` covers `NQ_k` for every `k ≤ n` (Lemma 3.6), and
-    /// `u64::MAX` runs every profile to its node's eccentricity.
-    pub fn new(graph: &Graph, max_radius: u64) -> Self {
-        // One `lane_bfs` per planned batch, fanned out over all cores and
-        // collected in plan order: a run leaves its workspace as it found it,
-        // so the result does not depend on which worker ran which batch.
+impl BallProfiles {
+    /// Sweeps each batch of 1 to 64 distinct sources with one `lane_bfs`.
+    /// A lane stops when its ball stops growing, at radius `max_radius`, or
+    /// at the first radius `t` with `|B_t|·t ≥ k_max` (`u64::MAX`: never).
+    pub fn sweep<B: AsRef<[NodeId]> + Sync>(
+        graph: &Graph,
+        batches: &[B],
+        max_radius: u64,
+        k_max: u64,
+    ) -> Self {
+        // Fanned out over all cores and collected in batch order: a run
+        // leaves its workspace as it found it, so the result does not depend
+        // on which worker ran which batch.
         let n = graph.n();
-        let (batches, slot) = plan(graph);
         let sweeps: Vec<Sweep> = batches
             .par_iter()
             .map_init(
-                || (LaneWorkspace::new(n), vec![Vec::new(); LANES]),
-                |ws, sources| sweep(graph, ws, sources, max_radius),
+                || (LaneWorkspace::new(n), Vec::new()),
+                |ws, sources| sweep(graph, ws, sources.as_ref(), max_radius, k_max),
             )
             .with_min_len(1)
             .collect();
@@ -184,44 +196,99 @@ impl BallOracle {
                 *slot = (*slot).min(size);
             }
         }
-        BallOracle {
+        BallProfiles {
             truncated: sweeps.iter().any(|s| s.truncated),
             batches: sweeps.into_iter().map(|s| s.batch).collect(),
-            slot,
             min_ball,
-            n,
+        }
+    }
+
+    /// The profile in `slot`: `|B_0|, |B_1|, …` of its source, up to the
+    /// last radius at which the ball grew before its lane stopped.
+    pub fn profile(&self, slot: usize) -> &[u32] {
+        let batch = &self.batches[slot / LANES];
+        let lane = slot % LANES;
+        &batch.sizes[batch.starts[lane]..batch.starts[lane + 1]]
+    }
+
+    /// `|B_t|` of the source in `slot`.  Radii beyond its profile saturate
+    /// at the last entry: exact when the ball had stopped growing there.
+    pub fn ball_size(&self, slot: usize, t: u64) -> usize {
+        let profile = self.profile(slot);
+        profile[(t as usize).min(profile.len() - 1)] as usize
+    }
+
+    /// The minimum over the sources of `|B_t|` for every radius `t` up to
+    /// [`BallProfiles::depth`]; like [`BallProfiles::ball_size`], larger
+    /// radii saturate at the last entry.
+    pub fn min_ball(&self) -> &[u32] {
+        &self.min_ball
+    }
+
+    /// The deepest radius at which some source's ball grew before its lane
+    /// stopped: at most the largest eccentricity of a source.
+    pub fn depth(&self) -> u64 {
+        self.min_ball.len().saturating_sub(1) as u64
+    }
+
+    /// Heap bytes held by the profile arenas, their batch headers and the
+    /// level-minimum table.
+    pub fn memory_bytes(&self) -> u64 {
+        let sizes: usize = self.batches.iter().map(|b| b.sizes.len()).sum();
+        ((sizes + self.min_ball.len()) * std::mem::size_of::<u32>()
+            + self.batches.len() * std::mem::size_of::<Batch>()) as u64
+    }
+}
+
+/// Caches ball-size profiles for every node, supporting repeated
+/// neighborhood-quality queries for different workloads `k`: a
+/// [`BallProfiles`] over every node, in batches planned by locality, and
+/// each node's slot in it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BallOracle {
+    profiles: BallProfiles,
+    /// `slot[v]`: node `v`'s slot in `profiles`.
+    slot: Vec<u32>,
+}
+
+impl BallOracle {
+    /// Precomputes profiles up to radius `max_radius` for every node.
+    ///
+    /// `max_radius` only needs to be an upper bound on the radii the caller
+    /// will query: `⌈√n⌉` covers `NQ_k` for every `k ≤ n` (Lemma 3.6), and
+    /// `u64::MAX` runs every profile to its node's eccentricity.
+    pub fn new(graph: &Graph, max_radius: u64) -> Self {
+        let (batches, slot) = plan(graph);
+        BallOracle {
+            profiles: BallProfiles::sweep(graph, &batches, max_radius, u64::MAX),
+            slot,
         }
     }
 
     /// Number of nodes of the underlying graph.
     pub fn n(&self) -> usize {
-        self.n
+        self.slot.len()
     }
 
     /// `|B_t(v)|`.  Radii beyond the precomputed profile saturate at the last
     /// entry (the ball stopped growing, so this is exact whenever the profile
     /// was computed up to the node's eccentricity).
     pub fn ball_size(&self, v: NodeId, t: u64) -> usize {
-        let profile = self.profile(v);
-        let idx = (t as usize).min(profile.len() - 1);
-        profile[idx] as usize
+        self.profiles.ball_size(self.slot[v as usize] as usize, t)
     }
 
     /// The full profile of node `v`: `|B_0(v)|, |B_1(v)|, …`, up to its
     /// eccentricity or the oracle's `max_radius`, whichever is smaller — what
     /// one BFS from `v` bounded at `max_radius` counts, level by level.
     pub fn profile(&self, v: NodeId) -> &[u32] {
-        let slot = self.slot[v as usize] as usize;
-        let batch = &self.batches[slot / LANES];
-        let lane = slot % LANES;
-        &batch.sizes[batch.starts[lane]..batch.starts[lane + 1]]
+        self.profiles.profile(self.slot[v as usize] as usize)
     }
 
     /// `min_v |B_t(v)|` for every radius `t` up to the longest profile — the
     /// `N_t` every node learns in Lemma 3.3.  Like [`BallOracle::ball_size`],
     /// larger radii saturate at the last entry.
     pub fn min_ball(&self) -> &[u32] {
-        &self.min_ball
+        self.profiles.min_ball()
     }
 
     /// Eccentricity of `v`: the profile stops growing exactly there, so its
@@ -237,15 +304,12 @@ impl BallOracle {
     /// Maximum eccentricity over all nodes (the hop diameter), or `None` if
     /// `max_radius` cut a profile before its ball stopped growing.
     pub fn max_eccentricity(&self) -> Option<u64> {
-        (!self.truncated).then(|| self.min_ball.len().saturating_sub(1) as u64)
+        (!self.profiles.truncated).then(|| self.profiles.depth())
     }
 
-    /// Heap bytes held by the profile arenas, their batch headers, the
-    /// per-node slots and the level-minimum table.
+    /// Heap bytes held by the profile store and the per-node slots.
     pub fn memory_bytes(&self) -> u64 {
-        let sizes: usize = self.batches.iter().map(|b| b.sizes.len()).sum();
-        ((sizes + self.slot.len() + self.min_ball.len()) * std::mem::size_of::<u32>()
-            + self.batches.len() * std::mem::size_of::<Batch>()) as u64
+        self.profiles.memory_bytes() + (self.slot.len() * std::mem::size_of::<u32>()) as u64
     }
 }
 
@@ -306,6 +370,22 @@ mod tests {
         let oracle = BallOracle::new(&g, 5);
         assert_eq!(oracle.profile(0), [1, 2, 3, 4, 5, 6]);
         assert_eq!(oracle.max_eccentricity(), None);
+    }
+
+    #[test]
+    fn a_lane_stops_at_the_workload_rule() {
+        // k_max = 12.  At an end of the path |B_t|·t = (t+1)·t = 2, 6, 12;
+        // at the middle node 10 it is (2t+1)·t = 3, 10, 21: all three lanes
+        // stop at t = 3, long before their balls stop growing.
+        let g = generators::path(21).unwrap();
+        let profiles = BallProfiles::sweep(&g, &[[0, 10, 20]], u64::MAX, 12);
+        assert_eq!(profiles.profile(0), [1, 2, 3, 4]);
+        assert_eq!(profiles.profile(1), [1, 3, 5, 7]);
+        assert_eq!(profiles.profile(2), [1, 2, 3, 4]);
+        assert_eq!(profiles.min_ball(), [1, 2, 3, 4]);
+        assert_eq!(profiles.depth(), 3);
+        assert_eq!(profiles.ball_size(1, 9), 7, "saturates past a stop");
+        assert!(!profiles.truncated, "a stopped lane is not cut");
     }
 
     #[test]

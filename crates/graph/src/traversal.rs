@@ -1,10 +1,10 @@
 //! Breadth-first sweeps over many sources: [`lane_bfs`] — the one
 //! multi-source sweep, 64 searches advanced together, one bit of a `u64`
 //! word each, with a per-lane stop rule — and [`connected_components`].
-//! `lane_bfs`'s callers are [`crate::balls::BallOracle::new`] (every node's
-//! ball profile, in batches of nearby sources it plans by BFS before it
-//! sweeps them) and the sampled `NQ_k` oracle of `hybrid-core` (the sampled
-//! profiles, 64 sampled nodes per batch).
+//! `lane_bfs` has one caller, [`crate::balls::BallProfiles::sweep`], the one
+//! ball-profile store: every node's profiles for
+//! [`crate::balls::BallOracle`], and a node sample's for the sampled `NQ_k`
+//! oracle of `hybrid-core`.
 //!
 //! Hop distances `hop(v, w)` are what the paper's neighborhood-quality
 //! parameter, clusterings and lower bounds are defined over (Section 1.2).

@@ -7,9 +7,9 @@
 //! exactly one batch, one lane into the second), under every kind of radius
 //! bound, on a disconnected graph, at any pool width and under a relabelling
 //! of the nodes (new ids, new batches) — and the level-minimum table and the
-//! truncation flag must say what the profiles say.  The kernel under both,
-//! `lane_bfs`, is checked on its own too: unsorted, non-consecutive sources,
-//! each lane with its own stop radius.
+//! truncation flag must say what the profiles say.  The kernel under the
+//! profile store, `lane_bfs`, is checked on its own too: unsorted,
+//! non-consecutive sources, each lane with its own stop radius.
 
 use hybrid_graph::balls::BallOracle;
 use hybrid_graph::dijkstra::DijkstraWorkspace;

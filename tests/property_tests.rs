@@ -33,6 +33,25 @@ fn arbitrary_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// `arbitrary_graph()`, or in one case of four the node-disjoint union of two
+/// of them, with whether the graph is connected.
+fn maybe_split_graph() -> impl Strategy<Value = (Graph, bool)> {
+    (arbitrary_graph(), arbitrary_graph(), 0u8..4).prop_map(|(a, b, arm)| {
+        if arm > 0 {
+            return (a, true);
+        }
+        let mut union = GraphBuilder::new(a.n() + b.n());
+        let shift = a.n() as u32;
+        for &(u, v, w) in a.edges() {
+            union.add_edge(u, v, w).unwrap();
+        }
+        for &(u, v, w) in b.edges() {
+            union.add_edge(u + shift, v + shift, w).unwrap();
+        }
+        (union.build_unchecked_connectivity(), false)
+    })
+}
+
 fn gcd(a: usize, b: usize) -> usize {
     if b == 0 {
         a
@@ -486,17 +505,19 @@ proptest! {
     /// Scale tier (ARCHITECTURE.md "Scale tier"): on graphs small enough to
     /// afford the exact oracle (n ≤ 512), every sampled `NQ_k` witness agrees
     /// with the exact one within its recorded semantics — per-sampled-node
-    /// values are *exact*, the estimate is a guaranteed lower bound on the
-    /// population maximum, the recorded confidence is `1 − (1−q)^s`, and a
-    /// full sample recovers the exact maximum.
+    /// values are *exact* on a connected graph and at most exact on a
+    /// disconnected one, the estimate is a guaranteed lower bound on the
+    /// population maximum, the recorded confidence is `1 − (1−q)^s`, and on a
+    /// connected graph a full sample recovers the exact maximum.
     #[test]
     fn sampled_nq_agrees_with_exact_within_recorded_semantics(
-        graph in arbitrary_graph(),
+        split in maybe_split_graph(),
         k_sel in 1u64..5000,
         sample in 1usize..64,
         seed in any::<u64>(),
     ) {
         use hybrid::core::nq::{NqSource, SampledNqOracle};
+        let (graph, connected) = split;
         let n = graph.n() as u64;
         let k = k_sel.clamp(1, n);
         let exact = NqOracle::new(&graph);
@@ -505,10 +526,15 @@ proptest! {
         prop_assert!(est.estimate <= exact.nq(k), "sample max exceeded the exact max");
         prop_assert!((est.confidence - (1.0 - 0.98f64.powi(est.sample_size as i32))).abs() < 1e-12);
         for v in sampled.sampled_nodes().collect::<Vec<_>>() {
-            prop_assert!(sampled.nq_of(v, k) == exact.nq_of(v, k), "node {} diverged", v);
+            let (got, want) = (sampled.nq_of(v, k), exact.nq_of(v, k));
+            prop_assert!(got <= want, "node {} exceeded the exact value", v);
+            prop_assert!(!connected || got == want, "node {} diverged", v);
         }
         let full = SampledNqOracle::new(&graph, graph.n(), n, 0.02, seed);
-        prop_assert_eq!(NqSource::nq(&full, k), exact.nq(k));
+        prop_assert!(NqSource::nq(&full, k) <= exact.nq(k));
+        if connected {
+            prop_assert_eq!(NqSource::nq(&full, k), exact.nq(k));
+        }
     }
 
     /// Scale tier: exact `DistanceRows` over a sampled source set equal the
