@@ -15,11 +15,13 @@
 //!
 //! The data level of both skeleton regimes sweeps the `k` source rows first.
 //! Exactness is per row: a source row that reached its Bellman–Ford fixpoint
-//! holds exact distances and is that source's label.  Only when some source
-//! row is not exact is the skeleton table swept — just its non-source nodes,
-//! the source rows move into it — and composed through (Lemma 9.4).  The
+//! holds exact distances and is that source's label.  Every other source
+//! composes through its skeleton anchor (Lemma 9.4) with two graph searches
+//! per distinct anchor and no `|S| × n` skeleton table: a Dijkstra for the
+//! skeleton distances from the anchor (`SkeletonSample::distances`), then
+//! one `h`-hop sweep seeded with those distances at the skeleton nodes.  The
 //! skeleton's sampling, helper sets and round charges do not depend on which
-//! rows are swept, so the rounds are the same either way.
+//! sources compose, so the rounds are the same either way.
 //!
 //! The comparison row for Figure 1 (`Õ(n^{1/3} + √k)` of `[CHLP21a]`) is
 //! provided by [`baseline_chlp21_rounds`].
@@ -27,13 +29,14 @@
 use rand::Rng;
 use rayon::prelude::*;
 
+use hybrid_graph::dijkstra::{hop_limited_seeded_with, HopLimitedWorkspace};
 use hybrid_graph::{NodeId, Weight, INFINITY};
 use hybrid_sim::HybridNetwork;
 
 use crate::helpers::ks20_helper_sets;
-use crate::minplus::{self, Assignment, Coeff};
+use crate::minplus::kernel;
 use crate::rows::DistanceRows;
-use crate::skeleton::{sample_skeleton, SkeletonSample};
+use crate::skeleton::{sample_skeleton, SkeletonSample, SkeletonSearch};
 use crate::sssp::{quantize_distance, sssp_round_cost};
 use crate::stretch::StretchViolation;
 
@@ -131,7 +134,7 @@ pub fn kssp(
 
     // Data level: distances on the skeleton from each source's skeleton node,
     // quantized by (1+eps); then composition back to all of G.
-    let dist = compute_labels(&graph, skeleton, sources, epsilon, variant);
+    let dist = compute_labels(&graph, &skeleton, sources, epsilon);
 
     // Post-processing: every node learns its h-hop neighbourhood to compose
     // labels (Lemma 9.4 / Theorem 14 proof), plus the broadcast of the
@@ -165,134 +168,103 @@ pub fn kssp(
 ///                    offsetᵢ ⊕ min_j ( q(d_S(aᵢ, j)) ⊕ d^h(j, v) ) )
 /// ```
 ///
-/// where `aᵢ` is source `i`'s (proxy) anchor on the skeleton, `d_S` the
-/// skeleton-graph distance, `q` the `(1+ε)` quantization, and the `d^h` rows
-/// are `h`-hop sweeps, each swept once.  The source rows come first; the
-/// rest of the skeleton table ([`SkeletonSample::sweep`]) only when some
-/// source must compose through it.  The composition runs on the shared
-/// blocked `(min, +)` kernel ([`crate::minplus`]), with two exact fast paths:
+/// where `aᵢ` is source `i`'s anchor on the skeleton (itself, or for a
+/// source outside it the proxy minimizing `d^h(sᵢ, ·)`, at `offsetᵢ =
+/// d^h(sᵢ, aᵢ)`), `d_S` the skeleton-graph distance, `q` the `(1+ε)`
+/// quantization and `⊕` saturating addition.  The random-sources regime
+/// forces every source into the skeleton, so its offsets are 0.
 ///
-/// * **An exact initial row dominates the composition**: every composed
-///   candidate is a sum of distance overestimates along a path through the
-///   anchor, hence `≥ d(sᵢ, v)`.  A source whose own sweep converged keeps
-///   its row verbatim and skips the kernel — exactness is that row's own
-///   fixpoint flag.  When every source row converged, those rows are the
-///   labels and the skeleton table is never swept.
-/// * **Converged sweeps skip the metric closure** (Lemma 6.3): when every
-///   skeleton sweep reached its Bellman–Ford fixpoint, the rows already hold
-///   exact distances and the skeleton-SSSP step degenerates to reading them
-///   back (the triangle inequality makes the direct edge optimal), so no
-///   Dijkstra runs at all.
+/// The source rows `d^h(sᵢ, ·)` come first.  An exact initial row dominates
+/// the composition: every composed candidate is a sum of distance
+/// overestimates along a path through the anchor, hence `≥ d(sᵢ, v)`.  So a
+/// source whose own sweep converged keeps its row verbatim and has no
+/// anchor, and when every source row converged those rows are the labels.
 ///
-/// Both fast paths produce bit-identical labels to the full composition.
+/// Each distinct anchor of the other sources costs two graph searches:
+/// `SkeletonSample::distances` for `d_S(a, ·)`, then
+/// [`hop_limited_seeded_with`] seeded with `q(d_S(a, j))` at every skeleton
+/// node `j`, whose `h` synchronous rounds give `min_j (q(d_S(a, j)) ⊕
+/// d^h(j, ·))` for every node at once.  The labels are the ones composing a
+/// swept skeleton table on [`crate::minplus::compose`] gives, bit for bit.
 fn compute_labels(
     graph: &hybrid_graph::Graph,
-    sample: SkeletonSample,
+    sample: &SkeletonSample,
     sources: &[NodeId],
     epsilon: f64,
-    variant: KsspVariant,
 ) -> DistanceRows {
+    let h = sample.h as usize;
     // Every source's own h-hop row, and whether it is exact.
-    let (own, exact_init) = DistanceRows::hop_limited(graph, sources, sample.h as usize);
-    if exact_init.iter().all(|&exact| exact) {
+    let (own, exact) = DistanceRows::hop_limited(graph, sources, h);
+    if exact.iter().all(|&exact| exact) {
         return own;
     }
+    let mut labels = own.into_rows();
 
-    // Some source composes: sweep the skeleton nodes that are not sources,
-    // and move the skeleton sources' rows into the table.
-    let mut own = own.into_rows();
-    let mut source_row = vec![usize::MAX; sample.nodes.len()];
-    for (i, &s) in sources.iter().enumerate() {
-        if sample.contains(s) {
-            source_row[sample.index_of[s as usize]] = i;
-        }
-    }
-    let skeleton = sample.sweep(graph, |p| {
-        let i = source_row[p];
-        (i != usize::MAX).then(|| (std::mem::take(&mut own[i]), exact_init[i]))
-    });
-    let srows = &skeleton.rows;
-    let init: Vec<&[Weight]> = sources
+    // Each composing source's anchor position and offset.  `d^h` is
+    // symmetric, so a proxy is read off the source's own row; ties keep the
+    // lowest position.  A source with no skeleton node within h hops
+    // composes nothing (its offset would be INFINITY).
+    let anchor_of: Vec<Option<(usize, Weight)>> = sources
         .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            if skeleton.contains(s) {
-                srows.row(skeleton.index_of[s as usize])
-            } else {
-                &own[i]
-            }
-        })
-        .collect();
-
-    // For each source that still needs the composition: its skeleton node
-    // (itself, or the proxy minimizing d^h(s, ·) over the skeleton).  Sources
-    // on the exact-init fast path skip the O(|S|) proxy column gather — their
-    // anchor would be discarded anyway.
-    let source_anchor: Vec<Option<(usize, Weight)>> = sources
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            if exact_init[i] {
+        .zip(&labels)
+        .zip(&exact)
+        .map(|((&s, row), &exact)| {
+            if exact {
                 None
-            } else if skeleton.contains(s) {
-                Some((skeleton.index_of[s as usize], 0))
+            } else if sample.contains(s) {
+                Some((sample.index_of[s as usize], 0))
             } else {
                 let mut best = (0usize, INFINITY);
-                for j in 0..srows.len() {
-                    let d = srows.row(j)[s as usize];
-                    if d < best.1 {
-                        best = (j, d);
+                for (j, &u) in sample.nodes.iter().enumerate() {
+                    if row[u as usize] < best.1 {
+                        best = (j, row[u as usize]);
                     }
                 }
-                Some(best)
+                (best.1 != INFINITY).then_some(best)
             }
         })
         .collect();
-
-    // Skeleton SSSP (Theorem 13 instances scheduled by Lemma 9.3), quantized
-    // by the allowed error — one coefficient row per distinct anchor of the
-    // non-shortcut sources.  With converged sweeps this is a read-back of the
-    // stored rows; otherwise a dense Dijkstra over the skeleton metric
-    // (identical distances to a run on the explicit skeleton graph, without
-    // materializing its Θ(|S|²) edges).
-    let mut anchors: Vec<usize> = source_anchor.iter().flatten().map(|&(a, _)| a).collect();
+    let mut anchors: Vec<usize> = anchor_of.iter().flatten().map(|&(a, _)| a).collect();
     anchors.sort_unstable();
     anchors.dedup();
-    let coeffs: Vec<Coeff> = anchors
+
+    // Skeleton SSSP (Theorem 13 instances scheduled by Lemma 9.3), quantized
+    // by the allowed error, composed back to all of G by one seeded sweep —
+    // one row per distinct anchor.
+    let composed: Vec<Vec<Weight>> = anchors
         .par_iter()
-        .map(|&a| {
-            let row: Vec<Weight> = if skeleton.converged {
-                let exact = srows.row(a);
-                skeleton
-                    .nodes
-                    .iter()
-                    .map(|&u| quantize_distance(exact[u as usize], epsilon))
-                    .collect()
-            } else {
-                skeleton
-                    .sssp(a)
-                    .into_iter()
-                    .map(|d| quantize_distance(d, epsilon))
-                    .collect()
-            };
-            Coeff::Dense(row)
-        })
+        .map_init(
+            || {
+                (
+                    SkeletonSearch::default(),
+                    HopLimitedWorkspace::new(),
+                    Vec::new(),
+                    Vec::new(),
+                )
+            },
+            |(search, ws, skeleton_dist, seeds), &a| {
+                sample.distances(graph, search, a, skeleton_dist);
+                seeds.clear();
+                seeds.extend(
+                    sample
+                        .nodes
+                        .iter()
+                        .zip(skeleton_dist.iter())
+                        .map(|(&u, &d)| (u, quantize_distance(d, epsilon))),
+                );
+                let mut row = Vec::new();
+                hop_limited_seeded_with(ws, graph, seeds, h, &mut row);
+                row
+            },
+        )
         .with_min_len(1)
         .collect();
-    let group_of = |anchor: usize| anchors.binary_search(&anchor).expect("anchor registered");
-
-    let assign: Vec<Assignment> = source_anchor
-        .iter()
-        .map(|entry| {
-            let (anchor, anchor_offset) = (*entry)?;
-            let offset = match variant {
-                KsspVariant::ArbitrarySources => anchor_offset,
-                KsspVariant::RandomSources => 0,
-            };
-            Some((group_of(anchor), offset))
-        })
-        .collect();
-    let labels = minplus::compose(srows, &coeffs, &assign, &init);
+    for (label, entry) in labels.iter_mut().zip(&anchor_of) {
+        if let Some((a, offset)) = *entry {
+            let row = &composed[anchors.binary_search(&a).expect("anchor registered")];
+            kernel::fold_min_sat(label, row, offset);
+        }
+    }
     DistanceRows::from_rows(sources.to_vec(), graph.n(), labels)
 }
 
@@ -314,10 +286,12 @@ pub fn kssp_lower_bound_rounds(k: usize, gamma: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::minplus::{self, Coeff};
     use crate::prob::{sample_distinct, sample_with_probability};
     use crate::skeleton::SkeletonGraph;
-    use hybrid_graph::generators;
+    use hybrid_graph::{generators, GraphBuilder};
     use hybrid_sim::ModelParams;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::sync::Arc;
@@ -493,6 +467,63 @@ mod tests {
             }
         }
         assert!(saw_outside, "no source outside the skeleton");
+    }
+
+    /// A random weighted graph on at most 150 nodes — an Erdős–Rényi draw, a
+    /// grid, a path, or a path beside an Erdős–Rényi draw — with weights in
+    /// `1..=40`, 8 to 40 distinct sources and a global capacity below their
+    /// number, so `kssp` takes a skeleton path.
+    fn weighted_instance() -> impl Strategy<Value = (hybrid_graph::Graph, ModelParams, Vec<NodeId>)>
+    {
+        (0u8..4, 20usize..151, any::<u64>()).prop_map(|(kind, n, seed)| {
+            let weigh = |g| generators::with_random_weights(&g, 1 + seed % 40, seed).unwrap();
+            let er = |n: usize| weigh(generators::erdos_renyi(n, 3.0 / n as f64, seed).unwrap());
+            let g = match kind {
+                0 => er(n),
+                1 => weigh(generators::grid(&[n / 10, 10]).unwrap()),
+                2 => weigh(generators::path(n).unwrap()),
+                _ => {
+                    let (a, b) = (weigh(generators::path(n / 3).unwrap()), er(n - n / 3));
+                    let mut union = GraphBuilder::new(n);
+                    let shift = a.n() as NodeId;
+                    for &(u, v, w) in a.edges() {
+                        union.add_edge(u, v, w).unwrap();
+                    }
+                    for &(u, v, w) in b.edges() {
+                        union.add_edge(u + shift, v + shift, w).unwrap();
+                    }
+                    union.build_unchecked_connectivity()
+                }
+            };
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let k = rng.gen_range(8..=g.n().min(40));
+            let sources = sample_distinct(g.n(), k, &mut rng);
+            let params = ModelParams::hybrid_with_global_capacity(g.n(), rng.gen_range(1..k));
+            (g, params, sources)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The hop-reset skeleton Dijkstra and the seeded sweeps give the
+        /// labels of the swept table composed on the kernel, for sources in
+        /// the skeleton (both variants) and proxied ones (arbitrary sources).
+        #[test]
+        fn kssp_matches_the_full_composition_on_random_weighted_graphs(
+            (g, params, sources) in weighted_instance(),
+            seed in any::<u64>(),
+        ) {
+            let g = Arc::new(g);
+            for variant in [KsspVariant::RandomSources, KsspVariant::ArbitrarySources] {
+                let (reference, sk) = full_composition(&g, params, &sources, variant, seed);
+                let mut net = HybridNetwork::new(Arc::clone(&g), params);
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let out = kssp(&mut net, &sources, 1.0, variant, &mut rng);
+                prop_assert_eq!(out.skeleton_size, sk.len());
+                prop_assert!(out.dist == reference, "{variant:?}: labels differ");
+            }
+        }
     }
 
     #[test]

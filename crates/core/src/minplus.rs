@@ -15,19 +15,19 @@
 //! unreachable entry can never win a minimum against a finite candidate).
 //! Concretely:
 //!
-//! * `k`-SSP label composition (Theorem 14, Lemma 9.4): `rows` are the
-//!   `h`-hop distance rows of the skeleton nodes, `coeff_i` the quantized
-//!   skeleton distances from source `i`'s (proxy) anchor, `offset_i` the
-//!   source-to-proxy distance — `crate::kssp`;
-//! * the `(k, ℓ)`-SP data level (Theorem 5, case 2) runs the same
-//!   composition with the targets as sources — `crate::klsp` via
-//!   `crate::kssp`;
 //! * weighted skeleton APSP (Theorem 8 / Algorithm 4, Table 2): every node
 //!   composes through its closest skeleton node, a [`Coeff::Unit`]
 //!   coefficient row — `crate::apsp`;
 //! * the `[Sch23]` rival's global shortcut composition: `rows` are the
 //!   landmarks' `h`-hop rows, `coeff_i` source `i`'s entry distances to the
 //!   landmarks, offset `0` — `crate::schneider`.
+//!
+//! The `k`-SSP labels of Theorem 14 (Lemma 9.4) are the same composition
+//! with the skeleton nodes' `h`-hop rows as `rows`, but `crate::kssp`
+//! evaluates it without sweeping them: one `h`-hop sweep seeded with the
+//! coefficients at the skeleton nodes gives a group's whole reduction.
+//! The kernel stays its reference: a `crate::kssp` test composes every
+//! source on [`compose`] and compares.
 //!
 //! [`compose`] is the only production code that folds `coeff ⊕ row`.  Its
 //! right-hand side is a swept [`crate::rows::DistanceRows`] handed over
@@ -39,12 +39,12 @@
 //!
 //! [`compose`] evaluates the product in two phases:
 //!
-//! 1. **Anchor grouping.**  Output rows that share a coefficient row (`k`
-//!    sources behind the same proxy anchor; all nodes of a Theorem 8 cluster)
-//!    are grouped, and the inner reduction `A_g[v] = min_j (coeff_g[j] ⊕
-//!    rows[j][v])` is evaluated **once per group** instead of once per output
-//!    row.  Phase 2 only folds `A_g ⊕ offset_i` into each member's initial
-//!    row, which is `O(n)` per row.
+//! 1. **Anchor grouping.**  Output rows that share a coefficient row (all
+//!    nodes of a Theorem 8 cluster) are grouped, and the inner reduction
+//!    `A_g[v] = min_j (coeff_g[j] ⊕ rows[j][v])` is evaluated **once per
+//!    group** instead of once per output row.  Phase 2 only folds
+//!    `A_g ⊕ offset_i` into each member's initial row, which is `O(n)` per
+//!    row.
 //! 2. **Blocked tiles, register-tiled skeleton loop.**  Within a group the
 //!    columns are processed in cache-sized tiles of [`COLUMN_TILE`] entries
 //!    (the accumulator tile stays in L1 while the skeleton rows stream), and

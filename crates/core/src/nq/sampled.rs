@@ -57,7 +57,7 @@ pub struct SampledNqOracle {
     k_max: u64,
     quantile: f64,
     /// The sample in ascending id order; `nodes[i]`'s profile is slot `i`.
-    nodes: Box<[NodeId]>,
+    nodes: Vec<NodeId>,
     profiles: BallProfiles,
 }
 
@@ -74,8 +74,7 @@ impl SampledNqOracle {
             "quantile must be in (0, 1)"
         );
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        // Boxed: `sample_distinct` leaves room for all `n` nodes.
-        let nodes = sample_distinct(n, sample_size.clamp(1, n), &mut rng).into_boxed_slice();
+        let nodes = sample_distinct(n, sample_size.clamp(1, n), &mut rng);
         // Runs of 64 in sample order, so `nodes[i]` lands in slot `i`.
         let batches: Vec<&[NodeId]> = nodes.chunks(LANES).collect();
         let profiles = BallProfiles::sweep(graph, &batches, u64::MAX, k_max);

@@ -13,7 +13,8 @@ pub fn sample_with_probability(n: usize, p: f64, rng: &mut impl Rng) -> Vec<Node
     (0..n as NodeId).filter(|_| rng.gen_bool(p)).collect()
 }
 
-/// Samples exactly `k` distinct nodes uniformly from `0..n`.
+/// Samples exactly `k` distinct nodes uniformly from `0..n`, sorted.  The
+/// `Vec` holds room for `k` ids, not for the `n` it was drawn from.
 ///
 /// # Panics
 /// Panics if `k > n`.
@@ -22,6 +23,7 @@ pub fn sample_distinct(n: usize, k: usize, rng: &mut impl Rng) -> Vec<NodeId> {
     let mut all: Vec<NodeId> = (0..n as NodeId).collect();
     all.shuffle(rng);
     all.truncate(k);
+    all.shrink_to_fit();
     all.sort_unstable();
     all
 }
@@ -55,6 +57,16 @@ mod tests {
         assert_eq!(s.len(), 20);
         assert!(s.windows(2).all(|w| w[0] < w[1]));
         assert!(s.iter().all(|&v| (v as usize) < 50));
+    }
+
+    #[test]
+    fn sample_distinct_holds_only_its_sample() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let s = sample_distinct(100_000, 8, &mut rng);
+        assert_eq!(s.capacity(), 8);
+        // The draw itself is unchanged by the trim.
+        assert_eq!(s, [1083, 7818, 27374, 39345, 39384, 40726, 73463, 86748]);
+        assert_eq!(sample_distinct(1000, 0, &mut rng).capacity(), 0);
     }
 
     #[test]

@@ -15,16 +15,23 @@
 //! sweeps one `h`-hop-limited distance row per skeleton node
 //! ([`DistanceRows::hop_limited`]) and keeps them on the [`SkeletonGraph`] as
 //! a [`crate::minplus::RowMatrix`] (the swept rows, moved, plus their finite
-//! spans).  [`build_skeleton`] is the two halves back to back.  The sweep
-//! adopts rows a caller has already swept instead of sweeping them again:
-//! the k-SSP data level ([`crate::kssp`]) sweeps its source rows first and
-//! sweeps the skeleton table only when some source must compose through it,
-//! with the shared `(min, +)` kernel ([`crate::minplus`]).  Every row is
-//! swept exactly once, and exactness is a per-row fact: each sweep reports
-//! whether it reached its fixpoint.  The explicit edge-list [`Graph`] of the
-//! skeleton (dense on low-diameter inputs) is only built on demand by
-//! [`SkeletonGraph::graph`]; consumers that never touch it (the common k-SSP
-//! path) skip the build entirely.
+//! spans).  [`build_skeleton`] is the two halves back to back, for the
+//! consumer that reads the table: weighted APSP (Theorem 8).
+//!
+//! The k-SSP data level ([`crate::kssp`]) never sweeps the table.  It needs
+//! only the skeleton distances from a few anchors, and
+//! `SkeletonSample::distances` finds those with one Dijkstra over `G`
+//! itself: its states are `(node, hops since the last skeleton node)`, the
+//! hop counter resets at every skeleton node and may not exceed `h`.  A
+//! skeleton path is exactly such a walk — each skeleton edge is a `G`-walk
+//! of at most `h` edges between skeleton nodes, and a walk whose segments
+//! between skeleton nodes have at most `h` edges splits into skeleton
+//! edges — so the two distances are equal.  The explicit edge-list [`Graph`]
+//! of the skeleton (dense on low-diameter inputs) is only built on demand by
+//! [`SkeletonGraph::graph`].
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use rand::Rng;
 
@@ -52,12 +59,6 @@ pub struct SkeletonGraph {
     /// is `d^h(nodes[i], ·)` over all of `G`), with finite spans precomputed
     /// for the `(min, +)` kernel.
     pub rows: RowMatrix,
-    /// Whether **every** row reached its Bellman–Ford fixpoint within `h`
-    /// rounds — then `rows` holds exact distances `d(nodes[i], ·)`, the
-    /// skeleton metric closure is the identity (triangle inequality), and
-    /// consumers skip the skeleton-SSSP step (see
-    /// [`crate::kssp`]).
-    pub converged: bool,
     /// The hop parameter `h = ξ·x·ln n`.
     pub h: u64,
     /// The sampling parameter `x` (sampling probability `1/x`).
@@ -85,9 +86,8 @@ impl SkeletonGraph {
     /// `h`-hop-limited distance), built from [`SkeletonGraph::rows`] on every
     /// call.
     ///
-    /// On low-diameter graphs this is near-complete (`Θ(|S|²)` edges), so
-    /// algorithms that can work on `rows` directly — the k-SSP data level —
-    /// never call this; Theorem 8's spanner construction does, once per run.
+    /// On low-diameter graphs this is near-complete (`Θ(|S|²)` edges);
+    /// Theorem 8's spanner construction builds it once per run.
     pub fn graph(&self) -> Graph {
         let mut builder = GraphBuilder::new(self.nodes.len());
         for (i, dist) in self.rows.rows().iter().enumerate() {
@@ -119,47 +119,6 @@ impl SkeletonGraph {
             d.max(1)
         }
     }
-
-    /// Single-source shortest paths on the skeleton graph from position
-    /// `source`, computed directly over the stored rows with a dense `O(|S|²)`
-    /// array Dijkstra — the skeleton is near-complete on low-diameter inputs,
-    /// where scanning the weight rows beats a heap over `Θ(|S|²)` explicit
-    /// arcs, and the explicit [`SkeletonGraph::graph`] need never be built.
-    /// Each step is one pass over the unsettled positions: it relaxes them
-    /// from the node just settled and picks the next one to settle.
-    ///
-    /// Distances are identical to a Dijkstra run on the explicit skeleton
-    /// graph (same metric, and shortest-path distances are unique).
-    pub fn sssp(&self, source: usize) -> Vec<Weight> {
-        let mut dist = vec![INFINITY; self.len()];
-        dist[source] = 0;
-        // Unsettled (position, node) pairs, in position order.
-        let mut pending: Vec<(usize, usize)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != source)
-            .map(|(j, &v)| (j, v as usize))
-            .collect();
-        let mut u = source;
-        loop {
-            let (base, row) = (dist[u], self.rows.row(u));
-            let mut next = None;
-            let mut best = INFINITY;
-            for (p, &(j, v)) in pending.iter().enumerate() {
-                // A missing edge (`INFINITY`) saturates and never relaxes.
-                let d = dist[j].min(base.saturating_add(row[v].max(1)));
-                dist[j] = d;
-                if d < best {
-                    best = d;
-                    next = Some(p);
-                }
-            }
-            let Some(p) = next else { break };
-            u = pending.remove(p).0;
-        }
-        dist
-    }
 }
 
 /// The sampling half of a skeleton construction: the skeleton nodes and the
@@ -185,45 +144,82 @@ impl SkeletonSample {
     }
 
     /// The sweep half of the construction: the `h`-hop-limited row of every
-    /// skeleton node over `graph`.  `swept(i)` hands over a row the caller
-    /// has already swept for position `i`, with its fixpoint flag; only the
-    /// positions it returns `None` for are swept here, so no row is swept
-    /// twice.
-    pub(crate) fn sweep(
-        self,
-        graph: &Graph,
-        swept: impl FnMut(usize) -> Option<(Vec<Weight>, bool)>,
-    ) -> SkeletonGraph {
-        let given: Vec<Option<(Vec<Weight>, bool)>> = (0..self.nodes.len()).map(swept).collect();
-        let missing: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .zip(&given)
-            .filter(|(_, row)| row.is_none())
-            .map(|(&v, _)| v)
-            .collect();
-        let (fresh, fresh_converged) = DistanceRows::hop_limited(graph, &missing, self.h as usize);
-        let mut fresh = fresh.into_rows().into_iter().zip(fresh_converged);
-        let mut converged = true;
-        let rows = given
-            .into_iter()
-            .map(|row| {
-                let (row, exact) = row
-                    .or_else(|| fresh.next())
-                    .expect("one sweep per missing row");
-                converged &= exact;
-                row
-            })
-            .collect();
+    /// skeleton node over `graph`.
+    pub(crate) fn sweep(self, graph: &Graph) -> SkeletonGraph {
+        let (rows, _) = DistanceRows::hop_limited(graph, &self.nodes, self.h as usize);
         SkeletonGraph {
             nodes: self.nodes,
             index_of: self.index_of,
-            rows: RowMatrix::new(rows),
-            converged,
+            rows: RowMatrix::new(rows.into_rows()),
             h: self.h,
             x: self.x,
         }
     }
+
+    /// The skeleton distances from position `anchor`: `out[j]` is
+    /// `d_S(nodes[anchor], nodes[j])`, [`INFINITY`] where no skeleton path
+    /// exists — the distances a Dijkstra on [`SkeletonGraph::graph`] returns,
+    /// without sweeping a row (see the module docs).
+    ///
+    /// One Dijkstra over `(node, hops since the last skeleton node)` states:
+    /// an arc may be taken while fewer than `h` hops have passed, and
+    /// arriving at a skeleton node resets the count to 0.  A popped state is
+    /// skipped when its node already settled with no more hops (that state
+    /// reached it no later and can go at least as far), so a skeleton node
+    /// settles once, at its distance.  Sums saturate at [`INFINITY`], as in
+    /// the `h`-hop rows.
+    pub(crate) fn distances(
+        &self,
+        graph: &Graph,
+        search: &mut SkeletonSearch,
+        anchor: usize,
+        out: &mut Vec<Weight>,
+    ) {
+        let max_hops = u32::try_from(self.h).unwrap_or(u32::MAX);
+        let fewest_hops = &mut search.fewest_hops;
+        fewest_hops.clear();
+        fewest_hops.resize(graph.n(), u32::MAX);
+        out.clear();
+        out.resize(self.nodes.len(), INFINITY);
+        let heap = &mut search.heap;
+        heap.clear();
+        heap.push(Reverse((0, self.nodes[anchor], 0)));
+        let mut unsettled = self.nodes.len();
+        while let Some(Reverse((d, v, hops))) = heap.pop() {
+            if hops >= fewest_hops[v as usize] {
+                continue;
+            }
+            fewest_hops[v as usize] = hops;
+            let p = self.index_of[v as usize];
+            if p != usize::MAX {
+                out[p] = d;
+                unsettled -= 1;
+                if unsettled == 0 {
+                    break;
+                }
+            }
+            if hops >= max_hops {
+                continue;
+            }
+            for a in graph.arcs(v) {
+                let nd = d.saturating_add(a.weight);
+                let next_hops = if self.contains(a.to) { 0 } else { hops + 1 };
+                if nd != INFINITY && next_hops < fewest_hops[a.to as usize] {
+                    heap.push(Reverse((nd, a.to, next_hops)));
+                }
+            }
+        }
+    }
+}
+
+/// Reusable buffers for [`SkeletonSample::distances`].
+#[derive(Debug, Default)]
+pub(crate) struct SkeletonSearch {
+    /// Per node, the fewest hops since the last skeleton node among its
+    /// settled states (`u32::MAX` while none has settled).
+    fewest_hops: Vec<u32>,
+    /// `(distance, node, hops)` states, smallest first.
+    heap: BinaryHeap<Reverse<(Weight, NodeId, u32)>>,
 }
 
 /// Builds a skeleton graph with sampling probability `1/x`, forcing the nodes
@@ -231,7 +227,7 @@ impl SkeletonSample {
 /// Theorem 14).  Charges `h ∈ Õ(x)` local rounds on `net` (Lemma 6.3: the
 /// construction is pure local communication).
 ///
-/// This is `sample_skeleton` followed by a full `SkeletonSample::sweep`.
+/// This is `sample_skeleton` followed by `SkeletonSample::sweep`.
 pub fn build_skeleton(
     net: &mut HybridNetwork,
     x: f64,
@@ -239,13 +235,13 @@ pub fn build_skeleton(
     rng: &mut impl Rng,
 ) -> SkeletonGraph {
     let sample = sample_skeleton(net, x, forced, rng);
-    sample.sweep(&net.graph_arc(), |_| None)
+    sample.sweep(&net.graph_arc())
 }
 
 /// The sampling half of [`build_skeleton`]: draws every node independently
 /// with probability `1/x` (the nodes in `forced` always), and charges the
 /// construction's `h` local rounds on `net`.  The rows are left to
-/// [`SkeletonSample::sweep`].
+/// [`SkeletonSample::sweep`], or never swept (the k-SSP data level).
 pub(crate) fn sample_skeleton(
     net: &mut HybridNetwork,
     x: f64,
@@ -301,6 +297,76 @@ mod tests {
         let g = Arc::new(graph);
         let net = HybridNetwork::hybrid(Arc::clone(&g));
         (g, net)
+    }
+
+    impl SkeletonGraph {
+        /// Single-source shortest paths on the skeleton graph from position
+        /// `source`, computed directly over the stored rows with a dense
+        /// `O(|S|²)` array Dijkstra: the reference the hop-reset search
+        /// ([`SkeletonSample::distances`]) is held to.  Each step is one pass
+        /// over the unsettled positions: it relaxes them from the node just
+        /// settled and picks the next one to settle.
+        pub(crate) fn sssp(&self, source: usize) -> Vec<Weight> {
+            let mut dist = vec![INFINITY; self.len()];
+            dist[source] = 0;
+            // Unsettled (position, node) pairs, in position order.
+            let mut pending: Vec<(usize, usize)> = self
+                .nodes
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != source)
+                .map(|(j, &v)| (j, v as usize))
+                .collect();
+            let mut u = source;
+            loop {
+                let (base, row) = (dist[u], self.rows.row(u));
+                let mut next = None;
+                let mut best = INFINITY;
+                for (p, &(j, v)) in pending.iter().enumerate() {
+                    // A missing edge (`INFINITY`) saturates and never relaxes.
+                    let d = dist[j].min(base.saturating_add(row[v].max(1)));
+                    dist[j] = d;
+                    if d < best {
+                        best = d;
+                        next = Some(p);
+                    }
+                }
+                let Some(p) = next else { break };
+                u = pending.remove(p).0;
+            }
+            dist
+        }
+    }
+
+    /// Whether every row of `sk` reached its Bellman–Ford fixpoint, so the
+    /// rows are exact distances.
+    fn converged(g: &Graph, sk: &SkeletonGraph) -> bool {
+        let (_, flags) = DistanceRows::hop_limited(g, &sk.nodes, sk.h as usize);
+        flags.iter().all(|&exact| exact)
+    }
+
+    /// The sample a built skeleton was swept from.
+    fn sample_of(sk: &SkeletonGraph) -> SkeletonSample {
+        SkeletonSample {
+            nodes: sk.nodes.clone(),
+            index_of: sk.index_of.clone(),
+            h: sk.h,
+            x: sk.x,
+        }
+    }
+
+    /// A sample of the given nodes (sorted) and hop parameter, chosen by hand.
+    fn hand_sample(n: usize, nodes: Vec<NodeId>, h: u64) -> SkeletonSample {
+        let mut index_of = vec![usize::MAX; n];
+        for (i, &v) in nodes.iter().enumerate() {
+            index_of[v as usize] = i;
+        }
+        SkeletonSample {
+            nodes,
+            index_of,
+            h,
+            x: 1.0,
+        }
     }
 
     /// Checks Lemma 6.3 (2): for skeleton nodes `u, v`, the skeleton distance
@@ -388,7 +454,7 @@ mod tests {
         let (g, mut net) = setup(generators::grid(&[7, 7]).unwrap());
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let sk = build_skeleton(&mut net, 4.0, &[0], &mut rng);
-        assert!(sk.converged);
+        assert!(converged(&g, &sk));
         for (i, &u) in sk.nodes.iter().enumerate() {
             let exact = hybrid_graph::dijkstra::dijkstra(&g, u).dist;
             assert_eq!(sk.rows.row(i), exact.as_slice(), "row {i} not exact");
@@ -419,10 +485,10 @@ mod tests {
     fn dense_sssp_matches_graph_dijkstra() {
         // A long path keeps h = 3·x·ln n well below the diameter, so the
         // sweeps do NOT converge and the metric closure is non-trivial.
-        let (_, mut net) = setup(generators::path(60).unwrap());
+        let (g, mut net) = setup(generators::path(60).unwrap());
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let sk = build_skeleton(&mut net, 2.0, &[], &mut rng);
-        assert!(!sk.converged);
+        assert!(!converged(&g, &sk));
         let skeleton_graph = sk.graph();
         for i in 0..sk.len() {
             let dense = sk.sssp(i);
@@ -432,10 +498,10 @@ mod tests {
 
         // A weighted grid whose h (20) is below its hop diameter (30): the
         // sweeps do not converge and some skeleton pairs have no edge.
-        let (_, mut net) = setup(generators::weighted_grid(&[16, 16], 9, 11).unwrap());
+        let (g, mut net) = setup(generators::weighted_grid(&[16, 16], 9, 11).unwrap());
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let sk = build_skeleton(&mut net, 1.2, &[], &mut rng);
-        assert!(sk.h < 30 && !sk.converged);
+        assert!(sk.h < 30 && !converged(&g, &sk));
         let s_len = sk.len();
         assert!((0..s_len).any(|i| (0..s_len).any(|j| sk.edge_weight(i, j) == INFINITY)));
         let skeleton_graph = sk.graph();
@@ -456,12 +522,78 @@ mod tests {
             (&sample.nodes, &sample.index_of, sample.h),
             (&sk.nodes, &sk.index_of, sk.h)
         );
-        // A row handed to the sweep takes its position; the rest are swept.
-        let (first, flags) = DistanceRows::hop_limited(&g, &sample.nodes[..1], sk.h as usize);
-        let mut given = Some((first.into_rows().remove(0), flags[0]));
-        let swept = sample.sweep(&g, |p| if p == 0 { given.take() } else { None });
+        // The sweep half completes the sample into the built table.
+        let swept = sample.sweep(&g);
         assert_eq!(swept.rows.rows(), sk.rows.rows());
-        assert_eq!(swept.converged, sk.converged);
+    }
+
+    #[test]
+    fn hop_reset_distances_match_the_dense_reference() {
+        let er = generators::with_random_weights(
+            &generators::erdos_renyi(90, 0.05, 12).unwrap(),
+            20,
+            12,
+        )
+        .unwrap();
+        // A path beside a weighted grid: skeleton nodes in the other
+        // component stay at `INFINITY`.
+        let (left, right) = (
+            generators::path(25).unwrap(),
+            generators::weighted_grid(&[6, 6], 9, 5).unwrap(),
+        );
+        let mut union = GraphBuilder::new(left.n() + right.n());
+        for &(u, v, w) in left.edges() {
+            union.add_edge(u, v, w).unwrap();
+        }
+        for &(u, v, w) in right.edges() {
+            let shift = left.n() as NodeId;
+            union.add_edge(u + shift, v + shift, w).unwrap();
+        }
+        let union = union.build_unchecked_connectivity();
+
+        // Built skeletons, sampled as `kssp` samples them; the long path's
+        // and the union's rows do not converge.
+        let mut skeletons = Vec::new();
+        for (ci, (graph, x)) in [
+            (generators::path(60).unwrap(), 2.0),
+            (generators::grid(&[9, 9]).unwrap(), 3.0),
+            (er, 2.5),
+            (union.clone(), 1.5),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (g, mut net) = setup(graph);
+            let mut rng = ChaCha8Rng::seed_from_u64(20 + ci as u64);
+            skeletons.push((g, build_skeleton(&mut net, x, &[], &mut rng)));
+        }
+        assert!(!converged(&skeletons[0].0, &skeletons[0].1));
+        assert!(!converged(&skeletons[3].0, &skeletons[3].1));
+        // Hand-picked samples with h = 1 and h = 2: a skeleton path then
+        // steps between skeleton nodes at most one (two) edges apart.
+        let grid = Arc::new(generators::weighted_grid(&[7, 7], 6, 9).unwrap());
+        let union = Arc::new(union);
+        for (g, nodes, h) in [
+            (&grid, (0..49).step_by(2).collect::<Vec<NodeId>>(), 1),
+            (&grid, (0..49).step_by(3).collect(), 2),
+            (&union, (0..61).filter(|v| v % 4 != 1).collect(), 1),
+        ] {
+            let sk = hand_sample(g.n(), nodes, h).sweep(g);
+            skeletons.push((Arc::clone(g), sk));
+        }
+
+        let mut search = SkeletonSearch::default();
+        let mut dist = Vec::new();
+        let mut saw_unreachable = false;
+        for (ci, (g, sk)) in skeletons.iter().enumerate() {
+            let sample = sample_of(sk);
+            for a in 0..sk.len() {
+                sample.distances(g, &mut search, a, &mut dist);
+                assert_eq!(dist, sk.sssp(a), "case {ci} (h = {}) anchor {a}", sk.h);
+                saw_unreachable |= dist.contains(&INFINITY);
+            }
+        }
+        assert!(saw_unreachable, "no skeleton node out of reach");
     }
 
     #[test]

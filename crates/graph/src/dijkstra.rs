@@ -1,7 +1,8 @@
 //! The one scalar search over a CSR [`Graph`]: [`DijkstraWorkspace`] runs
 //! every BFS (one source or an ascending set of them, optionally
 //! depth-bounded) and every Dijkstra (Dial bucket queue, or binary heap with
-//! an optional strict distance bound), plus hop-limited Dijkstra.
+//! an optional strict distance bound); [`hop_limited_seeded_with`] is the one
+//! hop-limited sweep (synchronous Bellman–Ford from one or many seeds).
 //!
 //! These are *centralized* oracles used (a) as ground truth when checking the
 //! stretch of the distributed approximation algorithms, (b) as the local
@@ -385,14 +386,14 @@ pub fn dijkstra(graph: &Graph, source: NodeId) -> DijkstraResult {
     }
 }
 
-/// Reusable buffers for [`hop_limited_distances_with`].
+/// Reusable buffers for [`hop_limited_seeded_with`] (and so for
+/// [`hop_limited_distances_with`]).
 #[derive(Debug, Default)]
 pub struct HopLimitedWorkspace {
     frontier: Vec<NodeId>,
     next: Vec<NodeId>,
-    /// Round stamp per node: `stamp[v] == round` iff `v` already has a
-    /// candidate improvement recorded this round.
-    stamp: Vec<u32>,
+    /// Per node, the best improvement recorded this round; `INFINITY` (no
+    /// improvement) between rounds and between calls.
     cand: Vec<Weight>,
 }
 
@@ -418,21 +419,15 @@ pub fn hop_limited_distances(graph: &Graph, source: NodeId, h: usize) -> Vec<Wei
 }
 
 /// Allocation-lean hop-limited distances: writes into `dist` (fully
-/// overwritten) and reuses the workspace's frontier/candidate buffers.
-///
-/// The synchronous Bellman–Ford semantics of the naive two-array
-/// implementation are preserved exactly — relaxations within a round read the
-/// distances from the *start* of the round — but instead of cloning the
-/// distance array every round, improvements are buffered per round in a
-/// candidate array gated by a round stamp and applied at the round boundary:
-/// `O(frontier)` work per round instead of `O(n)`.
+/// overwritten) and reuses the workspace's frontier/candidate buffers.  The
+/// one-seed case of [`hop_limited_seeded_with`].
 ///
 /// Returns `true` iff the relaxation reached its fixpoint within `h` rounds
 /// (the frontier emptied, or `h ≥ n − 1` so the Bellman–Ford bound applies).
 /// In that case `dist` holds the **exact** distances `d(source, ·)` — the
-/// `h`-hop ball covers every shortest path — which callers such as the
-/// skeleton machinery use to skip the metric-closure step entirely (see
-/// `hybrid_core::skeleton`).  `false` means `dist` is only the upper bound
+/// `h`-hop ball covers every shortest path — which callers such as the k-SSP
+/// data level use to keep a source's row as its label (see
+/// `hybrid_core::kssp`).  `false` means `dist` is only the upper bound
 /// `d^h(source, ·)`.
 pub fn hop_limited_distances_with(
     ws: &mut HopLimitedWorkspace,
@@ -441,48 +436,70 @@ pub fn hop_limited_distances_with(
     h: usize,
     dist: &mut Vec<Weight>,
 ) -> bool {
+    hop_limited_seeded_with(ws, graph, &[(source, 0)], h, dist)
+}
+
+/// `h` synchronous Bellman–Ford rounds from a set of seeded nodes: writes
+/// `dist[v] = min over seeds (s, x) of x ⊕ d^h(s, v)` (fully overwritten),
+/// where `⊕` saturates at [`INFINITY`].  A seed of `INFINITY` seeds nothing,
+/// and a node seeded twice keeps its smaller value.
+///
+/// The synchronous semantics of the naive two-array implementation are
+/// preserved exactly — relaxations within a round read the distances from
+/// the *start* of the round — but instead of cloning the distance array
+/// every round, improvements are buffered per round in a candidate array
+/// and applied (and the candidates cleared) at the round boundary:
+/// `O(frontier)` work per round instead of `O(n)`.  Round `r` relaxes only the nodes that
+/// improved in round `r − 1` (the seeds, in round 0); a node that did not
+/// improve already offered its neighbours the same value.
+///
+/// Returns `true` iff the relaxation reached its fixpoint within `h` rounds
+/// (the frontier emptied, or `h ≥ n − 1`); then `dist[v]` is the unlimited
+/// `min over seeds of x ⊕ d(s, v)`.
+pub fn hop_limited_seeded_with(
+    ws: &mut HopLimitedWorkspace,
+    graph: &Graph,
+    seeds: &[(NodeId, Weight)],
+    h: usize,
+    dist: &mut Vec<Weight>,
+) -> bool {
     let n = graph.n();
     dist.clear();
     dist.resize(n, INFINITY);
-    if ws.stamp.len() < n {
-        ws.stamp.resize(n, u32::MAX);
+    if ws.cand.len() < n {
         ws.cand.resize(n, INFINITY);
     }
-    // A fresh stamp space per call: u32::MAX sentinel means "never".
-    for s in ws.stamp.iter_mut() {
-        *s = u32::MAX;
-    }
-    dist[source as usize] = 0;
     ws.frontier.clear();
-    ws.next.clear();
-    ws.frontier.push(source);
-    // Bellman–Ford converges within n-1 rounds; clamping keeps the round
-    // stamps in u32 territory without changing any distance.
-    let rounds = h.min(n.saturating_sub(1)) as u32;
-    let mut converged = h >= n.saturating_sub(1);
-    for round in 0..rounds {
-        ws.next.clear();
-        for fi in 0..ws.frontier.len() {
-            let v = ws.frontier[fi];
-            let dv = dist[v as usize];
-            if dv == INFINITY {
-                continue;
+    for &(s, x) in seeds {
+        let slot = &mut dist[s as usize];
+        if x < *slot {
+            // A node joins the frontier once, when it first turns finite.
+            if *slot == INFINITY {
+                ws.frontier.push(s);
             }
+            *slot = x;
+        }
+    }
+    // Bellman–Ford converges within n-1 rounds.
+    let rounds = h.min(n.saturating_sub(1));
+    let mut converged = h >= n.saturating_sub(1);
+    for _ in 0..rounds {
+        ws.next.clear();
+        for &v in &ws.frontier {
+            let dv = dist[v as usize];
             for a in graph.arcs(v) {
                 let u = a.to as usize;
                 // Saturating, as in `run_heap`: a near-`u64::MAX` path pins
                 // at `INFINITY` instead of wrapping to a short finite label.
                 let nd = dv.saturating_add(a.weight);
                 // Compare against the round-start distance (synchronous
-                // semantics); candidates accumulate the round minimum.
-                if nd < dist[u] {
-                    if ws.stamp[u] != round {
-                        ws.stamp[u] = round;
-                        ws.cand[u] = nd;
+                // semantics); candidates accumulate the round minimum.  A
+                // candidate is finite, so `INFINITY` marks "none yet".
+                if nd < dist[u] && nd < ws.cand[u] {
+                    if ws.cand[u] == INFINITY {
                         ws.next.push(a.to);
-                    } else if nd < ws.cand[u] {
-                        ws.cand[u] = nd;
                     }
+                    ws.cand[u] = nd;
                 }
             }
         }
@@ -491,7 +508,7 @@ pub fn hop_limited_distances_with(
             break;
         }
         for &u in &ws.next {
-            dist[u as usize] = ws.cand[u as usize];
+            dist[u as usize] = std::mem::replace(&mut ws.cand[u as usize], INFINITY);
         }
         std::mem::swap(&mut ws.frontier, &mut ws.next);
     }
@@ -818,6 +835,77 @@ mod tests {
         assert_eq!(ws.dist(), heap(&g, 0).0.as_slice());
         // No ring of astronomical size was allocated by the fallback.
         assert!(ws.buckets.len() <= DIAL_MAX_RING);
+    }
+
+    /// The seeded sweep against its definition: the pointwise minimum of
+    /// `x ⊕ d^h(s, ·)` over the seeds, one single-source sweep each.
+    fn seeded_by_definition(g: &Graph, seeds: &[(NodeId, Weight)], h: usize) -> Vec<Weight> {
+        let mut want = vec![INFINITY; g.n()];
+        for &(s, x) in seeds {
+            for (w, d) in want.iter_mut().zip(hop_limited_distances(g, s, h)) {
+                *w = (*w).min(x.saturating_add(d));
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn seeded_sweep_is_the_min_over_its_seeds() {
+        let grid = generators::weighted_grid(&[7, 6], 9, 4).unwrap();
+        let union = disjoint_union(&generators::path(9).unwrap(), &grid);
+        let cases: [(&Graph, Vec<(NodeId, Weight)>); 5] = [
+            (&grid, vec![(0, 0)]),
+            (&grid, vec![(3, 5), (40, 0), (17, 12), (22, INFINITY)]),
+            // A node seeded twice keeps the smaller seed, in either order.
+            (&grid, vec![(8, 30), (8, 2), (30, 7), (30, 90)]),
+            (&union, vec![(0, 4), (12, 1), (50, 3), (2, INFINITY)]),
+            (&union, vec![(5, INFINITY)]),
+        ];
+        let mut ws = HopLimitedWorkspace::new();
+        let mut dist = Vec::new();
+        for (ci, (g, seeds)) in cases.iter().enumerate() {
+            for h in [0, 1, 2, 5, 13, g.n()] {
+                let converged = hop_limited_seeded_with(&mut ws, g, seeds, h, &mut dist);
+                assert_eq!(dist, seeded_by_definition(g, seeds, h), "case {ci} h={h}");
+                // The fixpoint flag: the sweep is exact iff one more round
+                // moves nothing.
+                if converged {
+                    assert_eq!(
+                        dist,
+                        seeded_by_definition(g, seeds, g.n()),
+                        "case {ci} h={h}"
+                    );
+                }
+            }
+        }
+        // No seed at all: nothing is reached, and nothing is left to relax.
+        assert!(hop_limited_seeded_with(&mut ws, &grid, &[], 3, &mut dist));
+        assert!(dist.iter().all(|&d| d == INFINITY));
+    }
+
+    #[test]
+    fn seeded_sweep_saturates_instead_of_wrapping() {
+        // 0 -5- 1 -7- 2, node 0 seeded 3 below `u64::MAX`: a wrapping add
+        // would hand node 1 the label 1 through it.
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, 5).unwrap();
+        b.add_edge(1, 2, 7).unwrap();
+        let g = b.build().unwrap();
+        let mut ws = HopLimitedWorkspace::new();
+        let mut dist = Vec::new();
+        let seeds = [(0, u64::MAX - 3), (2, 1)];
+        hop_limited_seeded_with(&mut ws, &g, &seeds, 1, &mut dist);
+        assert_eq!(dist, [u64::MAX - 3, 8, 1]);
+        assert_eq!(dist, seeded_by_definition(&g, &seeds, 1));
+        let seeds = [(0, u64::MAX - 3)];
+        assert!(hop_limited_seeded_with(&mut ws, &g, &seeds, 2, &mut dist));
+        assert_eq!(dist, [u64::MAX - 3, INFINITY, INFINITY]);
+        // Near-`u64::MAX` edges under a small seed: pinned, not wrapped.
+        let g = huge_path();
+        let seeds = [(0, 2), (1, 1)];
+        hop_limited_seeded_with(&mut ws, &g, &seeds, 2, &mut dist);
+        assert_eq!(dist, [2, 1, INFINITY]);
+        assert_eq!(dist, seeded_by_definition(&g, &seeds, 2));
     }
 
     /// Regression: the hop-limited relaxation added unchecked (`dv +
