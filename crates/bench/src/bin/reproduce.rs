@@ -12,7 +12,11 @@
 //! ```
 //!
 //! The targets are the rows of [`TARGETS`]; `all` (the default) runs every
-//! row, in table order.  `--quick` shrinks the instance sizes so the full run
+//! row, in table order, and then writes `results/work.json`: per target and
+//! per counted kernel, the exact work the [`hybrid_graph::work`] ledger
+//! recorded while the target ran (each count is a pure function of the
+//! target's inputs, so the file is as deterministic as the others).
+//! `--quick` shrinks the instance sizes so the full run
 //! finishes in well under a minute (used by CI); without it the default
 //! sizes are used.
 //!
@@ -36,6 +40,7 @@ use hybrid_bench::scenarios::{
     appendix_b_rows, figure1_rows, table1_rows, table2_rows, table3_rows, table4_rows,
 };
 use hybrid_bench::sweep::{check_shootout, sweep_rows, SweepConfig, SweepRow};
+use hybrid_graph::work::{self, Kernel, Tally};
 use serde::{Serialize, Value};
 
 /// One reproduction target.
@@ -351,6 +356,39 @@ fn run_faults(cli: &Cli) -> io::Result<()> {
     emit(&title, "sweep_faults", &rows)
 }
 
+/// One line of `work.json`: a kernel's exact work during one target.
+#[derive(Serialize)]
+struct WorkRow {
+    target: &'static str,
+    kernel: &'static str,
+    arcs_scanned: u64,
+    heap_pushes: u64,
+    frontier_entries: u64,
+    lane_words: u64,
+    fold_cells: u64,
+}
+
+/// The rows of one target: every kernel's ledger growth from `before` to
+/// `after`, in [`Kernel::ALL`] order.
+fn work_rows(target: &'static str, before: &[Tally; 5], after: &[Tally; 5]) -> Vec<WorkRow> {
+    Kernel::ALL
+        .iter()
+        .zip(before.iter().zip(after))
+        .map(|(kernel, (before, after))| {
+            let done = after.since(*before);
+            WorkRow {
+                target,
+                kernel: kernel.name(),
+                arcs_scanned: done.arcs_scanned,
+                heap_pushes: done.heap_pushes,
+                frontier_entries: done.frontier_entries,
+                lane_words: done.lane_words,
+                fold_cells: done.fold_cells,
+            }
+        })
+        .collect()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_args(&args) {
@@ -361,18 +399,27 @@ fn main() {
         }
     };
     let is_selected = |t: &&Target| cli.target == ALL || t.name == cli.target;
+    let mut ledger = Vec::new();
     for target in TARGETS.iter().filter(is_selected) {
         let start = Instant::now();
+        let before = work::snapshot();
         if let Err(err) = (target.run)(&cli) {
             eprintln!("reproduce {}: {err}", target.name);
             std::process::exit(1);
         }
+        ledger.extend(work_rows(target.name, &before, &work::snapshot()));
         // Console information only; performance is measured by `benchmark/`.
         println!(
             "  [{}: {:.1} ms]",
             target.name,
             start.elapsed().as_secs_f64() * 1e3
         );
+    }
+    if cli.target == ALL {
+        if let Err(err) = emit("Work ledger: exact kernel work per target", "work", &ledger) {
+            eprintln!("reproduce {ALL}: {err}");
+            std::process::exit(1);
+        }
     }
 }
 

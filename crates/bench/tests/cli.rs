@@ -135,9 +135,10 @@ fn lock_entries(lock: &str) -> BTreeMap<&str, &str> {
         .collect()
 }
 
-/// Every artifact of `all --quick` is byte-identical to what the tracked
-/// `results.lock` at the repository root records.  A change that means to
-/// move artifacts replaces that file with the lock text this test prints.
+/// Every artifact of `all --quick`, the `work.json` ledger among them, is
+/// byte-identical to what the tracked `results.lock` at the repository root
+/// records.  A change that means to move artifacts replaces that file with
+/// the lock text this test prints.
 #[test]
 fn all_quick_matches_the_tracked_artifact_lock() {
     let dir = fresh_dir("lock");
@@ -147,7 +148,11 @@ fn all_quick_matches_the_tracked_artifact_lock() {
     let tracked_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results.lock");
     let tracked = fs::read_to_string(&tracked_path).expect("tracked results.lock");
     let (fresh_entries, tracked_entries) = (lock_entries(&fresh), lock_entries(&tracked));
-    assert_eq!(fresh_entries.len(), 10, "one artifact per target");
+    assert_eq!(
+        fresh_entries.len(),
+        11,
+        "one artifact per target, and the work ledger"
+    );
     let names: BTreeSet<&str> = fresh_entries
         .keys()
         .chain(tracked_entries.keys())

@@ -24,7 +24,7 @@ use rand::Rng;
 use rayon::prelude::*;
 
 use crate::dissemination::{disseminate_with_radius, RadiusPolicy, TokenPlacement};
-use crate::minplus;
+use crate::minplus::kernel;
 use crate::nq::NqOracle;
 use crate::prob::ln_n;
 use crate::rows::DistanceRows;
@@ -291,13 +291,13 @@ pub fn apsp_weighted_skeleton(
     // (2α−1)-approximate distances between skeleton nodes from the spanner.
     let spanner_dist = DistanceRows::all_pairs(&spanner.graph);
 
-    // Label composition on the shared (min,+) kernel: node v composes
-    // through its closest skeleton node vs (a unit coefficient row) with
-    // offset d^h(v, vs), against precomposed rows
+    // Label composition: node v composes through its closest skeleton node
+    // vs with offset d^h(v, vs), against precomposed rows
     // R[s][w] = spanner_dist(s, ws) ⊕ d^h(w, ws) — i.e.
     // dist[v][w] = min(d^h(v, w), dvs ⊕ spanner_dist(vs, ws) ⊕ dws),
     // exactly the Algorithm 4 label, with the |S|·n precompose replacing an
-    // n² gather over the spanner matrix.
+    // n² gather over the spanner matrix.  One unit coefficient per node, so
+    // the (min,+) product is one fold of R[vs] into v's own h-hop row.
     let compose_rows: Vec<Vec<Weight>> = (0..skeleton.len())
         .into_par_iter()
         .map(|s| {
@@ -310,16 +310,12 @@ pub fn apsp_weighted_skeleton(
         })
         .with_min_len(8)
         .collect();
-    let coeffs: Vec<minplus::Coeff> = (0..skeleton.len()).map(minplus::Coeff::Unit).collect();
-    let assign: Vec<minplus::Assignment> = closest_skeleton.to_vec();
-    let init: Vec<&[Weight]> = hop_from_node.iter().collect();
-    let labels = minplus::compose(
-        &minplus::RowMatrix::new(compose_rows),
-        &coeffs,
-        &assign,
-        &init,
-    );
-
+    let mut labels = hop_from_node.into_rows();
+    for (label, closest) in labels.iter_mut().zip(&closest_skeleton) {
+        if let Some((vs, offset)) = *closest {
+            kernel::fold_min_sat(label, &compose_rows[vs], offset);
+        }
+    }
     ApspOutput {
         dist: DistanceRows::from_rows(nodes, n, labels),
         stretch: (4 * alpha - 1) as f64,

@@ -9,7 +9,10 @@
 //! benchmark families), and kept edges are re-weighted by `1/p`.  When `λ` is
 //! small the sampler keeps everything and the "sparsifier" is exact, which is
 //! also what the paper's machinery degrades to on sparse graphs.  The
-//! benchmark checks the cut approximation quality empirically on every run.
+//! approximation quality is checked empirically by a test, not by the
+//! benchmark: `cut_approximation_pipeline_preserves_random_cuts` in
+//! `tests/integration_shortest_paths.rs` runs [`approximate_all_cuts`] and
+//! holds [`measured_cut_error`] on random cuts to at most 1.
 
 use rand::Rng;
 

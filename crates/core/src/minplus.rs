@@ -17,23 +17,23 @@
 //!
 //! * weighted skeleton APSP (Theorem 8 / Algorithm 4, Table 2): every node
 //!   composes through its closest skeleton node, a [`Coeff::Unit`]
-//!   coefficient row — `crate::apsp`;
-//! * the `[Sch23]` rival's global shortcut composition: `rows` are the
-//!   landmarks' `h`-hop rows, `coeff_i` source `i`'s entry distances to the
-//!   landmarks, offset `0` — `crate::schneider`.
+//!   coefficient row — so `crate::apsp` evaluates it as one
+//!   [`kernel::fold_min_sat`] per node;
+//! * the `k`-SSP labels of Theorem 14 (Lemma 9.4), with the skeleton nodes'
+//!   `h`-hop rows as `rows` — `crate::kssp` evaluates it without sweeping
+//!   them: one `h`-hop sweep seeded with the coefficients at the skeleton
+//!   nodes gives a group's whole reduction, folded in by
+//!   [`kernel::fold_min_sat`];
+//! * the `[Sch23]` rival's global shortcut composition, with the landmarks'
+//!   rows as `rows` — at the deepening's fixpoint the direct row dominates,
+//!   so `crate::schneider` keeps the exact rows and composes nothing.
 //!
-//! The `k`-SSP labels of Theorem 14 (Lemma 9.4) are the same composition
-//! with the skeleton nodes' `h`-hop rows as `rows`, but `crate::kssp`
-//! evaluates it without sweeping them: one `h`-hop sweep seeded with the
-//! coefficients at the skeleton nodes gives a group's whole reduction.
-//! The kernel stays its reference: a `crate::kssp` test composes every
-//! source on [`compose`] and compares.
-//!
-//! [`compose`] is the only production code that folds `coeff ⊕ row`.  Its
-//! right-hand side is a swept [`crate::rows::DistanceRows`] handed over
-//! without a copy (`RowMatrix::new(table.into_rows())`), and the rows it
-//! returns are adopted the same way by
-//! [`crate::rows::DistanceRows::from_rows`].
+//! No production path calls [`compose`].  It stays public as the reference
+//! the tests hold those three data levels to (the `kssp` and `schneider`
+//! test modules compose on it and compare), and for the `kssp` workload's
+//! `minplus.compose_s` probe in `benchmark/`.  [`kernel`] is the part
+//! production uses: the element-wise folds, each counted in the
+//! [`hybrid_graph::work`] ledger.
 //!
 //! # Kernel layout
 //!
@@ -179,11 +179,22 @@ pub enum Coeff {
 pub type Assignment = Option<(usize, Weight)>;
 
 /// Element-wise saturating `(min, +)` fold kernels — the only code that
-/// touches the accumulator inside [`compose`].  Plain scalar loops:
-/// saturating `u64` addition and `u64` `min` are exact integer operations,
-/// and the quad fold equals four single folds bit for bit.
+/// touches the accumulator inside [`compose`], and the label folds of
+/// Theorem 8 and Theorem 14.  Plain scalar loops: saturating `u64` addition
+/// and `u64` `min` are exact integer operations, and the quad fold equals
+/// four single folds bit for bit.  Each call adds its cells to the
+/// [`hybrid_graph::work`] ledger once.
 pub mod kernel {
+    use hybrid_graph::work::{Kernel, Tally};
     use hybrid_graph::Weight;
+
+    fn record(fold_cells: usize) {
+        let tally = Tally {
+            fold_cells: fold_cells as u64,
+            ..Tally::default()
+        };
+        tally.record(Kernel::FoldMinSat);
+    }
 
     #[inline(always)]
     fn sat(a: Weight, b: Weight) -> Weight {
@@ -200,6 +211,7 @@ pub mod kernel {
                 *slot = c;
             }
         }
+        record(acc.len().min(row.len()));
     }
 
     /// Register-tiled fold of four rows at once:
@@ -224,6 +236,7 @@ pub mod kernel {
                 acc[v] = c;
             }
         }
+        record(4 * n);
     }
 }
 
@@ -320,6 +333,8 @@ fn reduce_single(acc: &mut [Weight], a: &ActiveRow, lo: usize, hi: usize) {
 }
 
 /// Blocked `(min, +)` composition (see the module docs for the layout).
+/// Kept public for the tests and the `benchmark/` probe only: no
+/// production path calls it.
 ///
 /// Returns fresh output rows with the composition folded into the initial
 /// rows: `out[i][v] = min(init[i][v], offset_i ⊕ min_j (coeff_{g(i)}[j] ⊕

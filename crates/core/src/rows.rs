@@ -7,19 +7,21 @@
 //!
 //! * [`DistanceRows::sweep`] — one search per source on a per-worker
 //!   [`DijkstraWorkspace`]; [`DistanceRows::compute`] (exact distances) is its
-//!   trivial case, Theorem 6's bounded-BFS-then-fallback row the other;
+//!   trivial case, Theorem 6's bounded-BFS-then-fallback row and the
+//!   `[Sch23]` rival's quantized exact row the others;
 //! * [`DistanceRows::hop_limited`] — the `d^h` sweep with one Bellman–Ford
 //!   fixpoint flag per row, which the skeleton construction, the Theorem 14
-//!   label step, Theorem 8 and the `[Sch23]` deepening loop all start from;
+//!   label step and Theorem 8 start from;
 //! * [`DistanceRows::verify_stretch`] — the streaming verifier behind every
 //!   `verify_stretch(graph)`: the exact rows it checks against are produced
 //!   here and nowhere else, and never materialised.
 //!
 //! Rows are stored as collected — one `Vec<Weight>` per row — so a table is
-//! adopted without a copy in both directions: [`DistanceRows::from_rows`]
-//! takes what [`crate::minplus::compose`] returns, and
-//! [`DistanceRows::into_rows`] hands a swept table to
-//! [`crate::minplus::RowMatrix`].  The footprint is `O(|S|·n)` for an explicit
+//! adopted without a copy in both directions: [`DistanceRows::into_rows`]
+//! hands a swept table over for its rows to be folded in place (the
+//! Theorem 8 and Theorem 14 labels) or wrapped in a
+//! [`crate::minplus::RowMatrix`], and [`DistanceRows::from_rows`] takes the
+//! rows back.  The footprint is `O(|S|·n)` for an explicit
 //! (at the scale tier: sampled) source set, never `Θ(n²)` unless every node
 //! is a source.
 //!

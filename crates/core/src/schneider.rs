@@ -9,15 +9,17 @@
 //! skeleton* sized to the global budget (`x = √(k/γ)`), the `[Sch23]` baseline
 //! reproduced here is **skeleton-free**: it composes truncated `h`-hop
 //! knowledge with *global shortcuts* through a fixed deterministic landmark
-//! set, and pays for the truncation depth directly:
+//! set, and pays for the truncation depth directly.  The construction, as
+//! the round bill charges it:
 //!
 //! 1. **Landmarks** — `≈ √n` nodes chosen by a fixed id stride (no sampling,
 //!    no randomness);
 //! 2. **Iterative deepening** — every landmark and every source runs an
 //!    `h`-hop-limited sweep over the local network, starting at
 //!    `h₀ = max(2, ⌈n^{1/3}⌉)` and doubling until *every* sweep reports its
-//!    Bellman–Ford fixpoint (each attempt costs `h` local rounds; the total
-//!    is a geometric sum `≤ 4·h_final`).  This is the structural difference
+//!    Bellman–Ford fixpoint (each attempt is charged `h` local rounds; the
+//!    total is a geometric sum `≤ 4·h_final`; *What runs* below says how the
+//!    stop is found without sweeping).  This is the structural difference
 //!    the shootout measures: the deepening bill is bounded by the *hop
 //!    diameter*, which Theorem 14's skeleton never pays (its bill is
 //!    `Õ(√(k/γ))` plus the charged Theorem 13 calls).  On the quick sweep
@@ -37,24 +39,42 @@
 //!    rows over the global network (`⌈|L|/γ⌉` rounds), sources inject their
 //!    entry distances (`⌈k/γ⌉` rounds), and every node composes
 //!    `label(v) = min(d^h(s, v), min_L d^h(s, L) + d^h(L, v))`, quantized by
-//!    the allowed `(1+ε)` error.  That is a `(min, +)` product and runs on
-//!    the shared kernel ([`crate::minplus::compose`]): the landmark rows are
-//!    the right-hand side, each source's entry distances one dense
-//!    coefficient row, its own sweep the initial row.
+//!    the allowed `(1+ε)` error.
 //!
-//! Because the deepening loop runs until every row is at its fixpoint, the
-//! composed labels are exact-then-quantized — genuine stretch `1+ε`, the same
-//! substitution convention the repo uses for Theorem 13 (ARCHITECTURE.md,
-//! *Label contract*) — which is what lets the differential conformance suite
-//! cross-check this implementation against Theorem 14 bit for bit on the
-//! stretch contract ([`crate::stretch`]).
+//! # What runs
+//!
+//! The rounds are charged as above, attempt by attempt; the data is not
+//! swept attempt by attempt.  An `h`-hop sweep from one node reaches its
+//! fixpoint exactly when `h ≥ H + 1` or `h ≥ n − 1`, where `H` is the fewest
+//! hops among shortest paths, maxed over the nodes it reaches
+//! ([`hybrid_graph::dijkstra::DijkstraWorkspace::hop_depth`]).  So one exact
+//! search per landmark and per source gives every `H`, and the deepening
+//! stops at the first schedule value past the largest — the attempt at which
+//! every sweep of the loop would first report its fixpoint.  At the
+//! fixpoint a sweep row is the exact row, and the direct term dominates the
+//! shortcut composition by the triangle inequality, so the labels are the
+//! exact source rows, quantized: the landmark rows decide only when the
+//! deepening stops and are never kept.  ARCHITECTURE.md's *Substitutions*
+//! table records this, and the reference test in this module runs the
+//! swept loop and the `(min, +)` composition and compares rounds, phase
+//! records and labels.
+//!
+//! The labels are therefore exact-then-quantized — genuine stretch `1+ε`,
+//! the same substitution convention the repo uses for Theorem 13
+//! (ARCHITECTURE.md, *Label contract*) — which is what lets the
+//! differential conformance suite cross-check this implementation against
+//! Theorem 14 bit for bit on the stretch contract ([`crate::stretch`]).
 
-use hybrid_graph::{NodeId, Weight};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use hybrid_graph::dijkstra::DijkstraWorkspace;
+use hybrid_graph::{Graph, NodeId};
 use hybrid_sim::HybridNetwork;
+use rayon::prelude::*;
 
 use crate::kssp::KsspOutput;
-use crate::minplus::{self, Assignment, Coeff, RowMatrix};
 use crate::rows::DistanceRows;
+use crate::sssp::quantize_distance;
 
 /// Number of landmarks used for `n` nodes: `⌈√n⌉`, matching the `[Sch23]`
 /// overlay density (and the Theorem 14 skeleton size at `k = n`, `γ = 1`).
@@ -99,24 +119,21 @@ pub fn schneider_kssp(net: &mut HybridNetwork, sources: &[NodeId], epsilon: f64)
 
     let lm = landmarks(n);
 
-    // Phase 1+2: iterative deepening until every sweep (landmark and source
-    // alike) reaches its Bellman–Ford fixpoint.  Each attempt costs `h` local
-    // rounds; re-sweeping from scratch is exactly how iterative deepening
-    // pays, and the geometric schedule keeps the total within 4·h_final.
+    // Phase 1+2: one exact search per landmark and per source gives the
+    // labels and the hop depth every sweep of the deepening must reach.
+    let (dist, deepest) = exact_rows_and_hop_depth(&graph, &lm, sources, epsilon);
+    // Iterative deepening, charged attempt by attempt up to the first depth
+    // at which every sweep is at its Bellman–Ford fixpoint.  Re-sweeping from
+    // scratch is how iterative deepening pays, and the geometric schedule
+    // keeps the total within 4·h_final.
     let mut h = initial_depth(n);
-    let (lm_rows, src_rows) = loop {
+    loop {
         net.charge_local("schneider/h-hop-sweep", h as u64);
-        let sweep = |nodes: &[NodeId]| {
-            let (rows, converged) = DistanceRows::hop_limited(&graph, nodes, h);
-            (rows, converged.iter().all(|&c| c))
-        };
-        let (l_rows, l_conv) = sweep(&lm);
-        let (s_rows, s_conv) = sweep(sources);
-        if (l_conv && s_conv) || h >= 2 * n {
-            break (l_rows, s_rows);
+        if h > deepest || h + 1 >= n {
+            break;
         }
         h *= 2;
-    };
+    }
 
     // Phase 3a: landmark overlay exchange — each landmark ships its |L|-entry
     // overlay row over the global network under the γ budget.
@@ -132,28 +149,6 @@ pub fn schneider_kssp(net: &mut HybridNetwork, sources: &[NodeId], epsilon: f64)
     // Coordination (deepening consensus + landmark id agreement).
     net.charge_rounds("schneider/coordination", net.log_n());
 
-    // Phase 3c: shortcut composition, then (1+ε) quantization.  With every
-    // sweep at its fixpoint the direct term dominates by the triangle
-    // inequality; the composition is still evaluated in full — it is the
-    // algorithm's data path, and the dominance is debug-asserted.
-    let coeffs: Vec<Coeff> = src_rows
-        .iter()
-        .map(|row| Coeff::Dense(lm.iter().map(|&l| row[l as usize]).collect()))
-        .collect();
-    let assign: Vec<Assignment> = (0..k).map(|i| Some((i, 0))).collect();
-    let init: Vec<&[Weight]> = src_rows.iter().collect();
-    let composed = minplus::compose(
-        &RowMatrix::new(lm_rows.into_rows()),
-        &coeffs,
-        &assign,
-        &init,
-    );
-    debug_assert!(
-        composed.iter().zip(&init).all(|(c, &i)| c == i),
-        "converged direct row must dominate"
-    );
-    let dist = DistanceRows::from_rows(sources.to_vec(), n, composed).quantized(epsilon);
-
     KsspOutput {
         dist,
         stretch: 1.0 + epsilon,
@@ -163,11 +158,213 @@ pub fn schneider_kssp(net: &mut HybridNetwork, sources: &[NodeId], epsilon: f64)
     }
 }
 
+/// The `(1+ε)`-quantized exact row of every source, and the largest hop
+/// depth ([`DijkstraWorkspace::hop_depth`]) over the landmarks and the
+/// sources: one search per node, fanned out with a workspace per worker.
+fn exact_rows_and_hop_depth(
+    graph: &Graph,
+    landmarks: &[NodeId],
+    sources: &[NodeId],
+    epsilon: f64,
+) -> (DistanceRows, usize) {
+    let deepest = AtomicUsize::new(0);
+    let search = |ws: &mut DijkstraWorkspace, s: NodeId| {
+        ws.run(graph, s);
+        deepest.fetch_max(ws.hop_depth(graph), Ordering::Relaxed);
+    };
+    // Landmark rows only decide the stop: searched, never kept (a `Vec<()>`
+    // does not allocate).
+    let _: Vec<()> = landmarks
+        .par_iter()
+        .map_init(DijkstraWorkspace::new, |ws, &l| search(ws, l))
+        .with_min_len(1)
+        .collect();
+    let dist = DistanceRows::sweep(graph, sources, |ws, s| {
+        search(ws, s);
+        ws.dist()
+            .iter()
+            .map(|&d| quantize_distance(d, epsilon))
+            .collect()
+    });
+    (dist, deepest.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybrid_graph::generators;
+    use crate::minplus::{self, Assignment, Coeff, RowMatrix};
+    use hybrid_graph::{generators, GraphBuilder, Weight};
+    use hybrid_sim::ModelParams;
     use std::sync::Arc;
+
+    /// The deepening as it was swept before the stop was computed: every
+    /// landmark and source row re-swept at each doubling of `h` until all
+    /// report their fixpoint, then the shortcut composition on the
+    /// `(min, +)` kernel — the reference [`schneider_kssp`] is held to.
+    fn schneider_kssp_swept(
+        net: &mut HybridNetwork,
+        sources: &[NodeId],
+        epsilon: f64,
+    ) -> KsspOutput {
+        let graph = net.graph_arc();
+        let n = graph.n();
+        let k = sources.len();
+        let gamma = net.params().global_capacity_msgs.max(1) as u64;
+        let before = net.rounds();
+        let lm = landmarks(n);
+        let mut h = initial_depth(n);
+        let (lm_rows, src_rows) = loop {
+            net.charge_local("schneider/h-hop-sweep", h as u64);
+            let sweep = |nodes: &[NodeId]| {
+                let (rows, converged) = DistanceRows::hop_limited(&graph, nodes, h);
+                (rows, converged.iter().all(|&c| c))
+            };
+            let (l_rows, l_conv) = sweep(&lm);
+            let (s_rows, s_conv) = sweep(sources);
+            if l_conv && s_conv {
+                break (l_rows, s_rows);
+            }
+            h *= 2;
+        };
+        net.charge_rounds(
+            "schneider/landmark-overlay-exchange",
+            (lm.len() as u64).div_ceil(gamma).max(1),
+        );
+        net.charge_rounds(
+            "schneider/source-entry-exchange",
+            (k as u64).div_ceil(gamma).max(1),
+        );
+        net.charge_rounds("schneider/coordination", net.log_n());
+        let coeffs: Vec<Coeff> = src_rows
+            .iter()
+            .map(|row| Coeff::Dense(lm.iter().map(|&l| row[l as usize]).collect()))
+            .collect();
+        let assign: Vec<Assignment> = (0..k).map(|i| Some((i, 0))).collect();
+        let init: Vec<&[Weight]> = src_rows.iter().collect();
+        let composed = minplus::compose(
+            &RowMatrix::new(lm_rows.into_rows()),
+            &coeffs,
+            &assign,
+            &init,
+        );
+        assert_eq!(
+            composed,
+            src_rows.into_rows(),
+            "converged direct row must dominate"
+        );
+        let dist = DistanceRows::from_rows(sources.to_vec(), n, composed).quantized(epsilon);
+        KsspOutput {
+            dist,
+            stretch: 1.0 + epsilon,
+            epsilon,
+            rounds: net.rounds() - before,
+            skeleton_size: lm.len(),
+        }
+    }
+
+    /// Runs both on fresh networks and compares rounds, the phase records
+    /// and the labels.
+    fn assert_matches_the_swept_loop(name: &str, graph: &Arc<Graph>, sources: &[NodeId]) {
+        let n = graph.n();
+        let points = [
+            ModelParams::hybrid(n),
+            ModelParams::hybrid_with_global_capacity(n, 1),
+            ModelParams::hybrid_with_global_capacity(n, 64),
+        ];
+        for params in points {
+            let mut net = HybridNetwork::new(Arc::clone(graph), params);
+            let mut reference = HybridNetwork::new(Arc::clone(graph), params);
+            let out = schneider_kssp(&mut net, sources, 0.5);
+            let want = schneider_kssp_swept(&mut reference, sources, 0.5);
+            assert_eq!(out.rounds, want.rounds, "{name}: rounds");
+            assert_eq!(
+                format!("{:?}", net.meter().trace()),
+                format!("{:?}", reference.meter().trace()),
+                "{name}: phase records"
+            );
+            assert_eq!(out.dist, want.dist, "{name}: labels");
+            assert_eq!(out.skeleton_size, want.skeleton_size, "{name}");
+        }
+    }
+
+    /// `a` and `b` side by side, `b`'s ids shifted past `a`'s.
+    fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
+        let shift = a.n() as NodeId;
+        let mut builder = GraphBuilder::new(a.n() + b.n());
+        for &(u, v, w) in a.edges() {
+            builder.add_edge(u, v, w).unwrap();
+        }
+        for &(u, v, w) in b.edges() {
+            builder.add_edge(u + shift, v + shift, w).unwrap();
+        }
+        builder.build_unchecked_connectivity()
+    }
+
+    /// A path of `n` nodes whose edge `i` weighs `weight(i)`.
+    fn weighted_path(n: usize, weight: impl Fn(usize) -> Weight) -> Graph {
+        let mut builder = GraphBuilder::new(n);
+        for i in 0..n - 1 {
+            builder
+                .add_edge(i as NodeId, i as NodeId + 1, weight(i))
+                .unwrap();
+        }
+        builder.build_unchecked_connectivity()
+    }
+
+    #[test]
+    fn the_computed_stop_matches_the_swept_deepening() {
+        let families = [
+            ("path-48", generators::path(48).unwrap()),
+            ("cycle-40", generators::cycle(40).unwrap()),
+            ("grid-8x8", generators::grid(&[8, 8]).unwrap()),
+            ("tree-2-60", generators::tree_with_n(2, 60).unwrap()),
+            ("er-56", generators::erdos_renyi(56, 0.12, 0xC0F0).unwrap()),
+        ];
+        let mut graphs: Vec<(String, Graph)> = Vec::new();
+        for (name, g) in families {
+            let weighted = generators::with_random_weights(&g, 32, 0x11ED + name.len() as u64);
+            graphs.push((format!("{name}/weighted"), weighted.unwrap()));
+            graphs.push((name.to_string(), g));
+        }
+        // H counts reached nodes only.
+        let union = disjoint_union(
+            &generators::path(30).unwrap(),
+            &generators::weighted_grid(&[5, 6], 9, 3).unwrap(),
+        );
+        graphs.push(("path-30+wgrid-5x6".to_string(), union));
+        // Sums saturate two hops out: a node past `u64::MAX` is unreached,
+        // and an arc into it must not count as tight (the whole path would
+        // then look 63 hops deep).
+        let third = weighted_path(64, |_| u64::MAX / 3);
+        graphs.push(("path-64/max-over-3".to_string(), third));
+        let cliff = weighted_path(40, |i| {
+            if i == 20 {
+                u64::MAX - 1
+            } else {
+                1 + i as u64 % 3
+            }
+        });
+        graphs.push(("path-40/cliff".to_string(), cliff));
+        // n = 1, n = 2, and paths whose stop is the `h ≥ n − 1` arm.
+        for n in [1, 2, 3, 5, 128] {
+            graphs.push((format!("path-{n}"), generators::path(n).unwrap()));
+        }
+        for (name, g) in graphs {
+            let g = Arc::new(g);
+            let n = g.n() as NodeId;
+            let spread: Vec<NodeId> = [0, n / 3, n / 2, n - 1]
+                .into_iter()
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let every_fifth: Vec<NodeId> = (0..n).step_by(5).collect();
+            assert_matches_the_swept_loop(&name, &g, &spread);
+            assert_matches_the_swept_loop(&format!("{name}/every-fifth"), &g, &every_fifth);
+            // One central source: on a path the landmark at node 0 is the
+            // deepest search and alone sets the stop.
+            assert_matches_the_swept_loop(&format!("{name}/middle"), &g, &[n / 2]);
+        }
+    }
 
     #[test]
     fn landmark_set_is_deterministic_and_sized() {

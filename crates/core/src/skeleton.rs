@@ -35,6 +35,7 @@ use std::collections::BinaryHeap;
 
 use rand::Rng;
 
+use hybrid_graph::work::{Kernel, Tally};
 use hybrid_graph::{Graph, GraphBuilder, NodeId, Weight, INFINITY};
 use hybrid_sim::HybridNetwork;
 
@@ -184,6 +185,11 @@ impl SkeletonSample {
         let heap = &mut search.heap;
         heap.clear();
         heap.push(Reverse((0, self.nodes[anchor], 0)));
+        // The anchor's entry is the first push.
+        let mut tally = Tally {
+            heap_pushes: 1,
+            ..Tally::default()
+        };
         let mut unsettled = self.nodes.len();
         while let Some(Reverse((d, v, hops))) = heap.pop() {
             if hops >= fewest_hops[v as usize] {
@@ -201,14 +207,18 @@ impl SkeletonSample {
             if hops >= max_hops {
                 continue;
             }
-            for a in graph.arcs(v) {
+            let arcs = graph.arcs(v);
+            tally.arcs_scanned += arcs.len() as u64;
+            for a in arcs {
                 let nd = d.saturating_add(a.weight);
                 let next_hops = if self.contains(a.to) { 0 } else { hops + 1 };
                 if nd != INFINITY && next_hops < fewest_hops[a.to as usize] {
                     heap.push(Reverse((nd, a.to, next_hops)));
+                    tally.heap_pushes += 1;
                 }
             }
         }
+        tally.record(Kernel::SkeletonDijkstra);
     }
 }
 

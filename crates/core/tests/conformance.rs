@@ -103,11 +103,11 @@ fn all_dissemination_impls_deliver_identical_token_sets() {
     }
 }
 
-/// The `[Sch23]` rival composes on the shared `(min, +)` kernel; its labels
-/// must equal a naive fold of its sweep rows written out here — in release
-/// builds too, where the pipeline's own dominance `debug_assert` is compiled
-/// out.  (The deepening loop stops at the fixpoint, so the sweep rows are the
-/// `n`-hop rows.)
+/// The `[Sch23]` rival's labels are defined by its landmark shortcut
+/// composition; they must equal a naive fold of its sweep rows written out
+/// here, in every build.  (The deepening stops at the fixpoint, so the
+/// sweep rows are the `n`-hop rows, and the pipeline itself composes
+/// nothing: the direct row dominates there.)
 #[test]
 fn schneider_labels_equal_a_naive_fold_of_its_sweep_rows() {
     const EPSILON: f64 = 0.5;

@@ -3,6 +3,8 @@
 //! depth-bounded) and every Dijkstra (Dial bucket queue, or binary heap with
 //! an optional strict distance bound); [`hop_limited_seeded_with`] is the one
 //! hop-limited sweep (synchronous Bellman–Ford from one or many seeds).
+//! [`DijkstraWorkspace::hop_depth`] reads, off a finished search, the fewest
+//! hops a sweep needs to reach every distance of it.
 //!
 //! These are *centralized* oracles used (a) as ground truth when checking the
 //! stretch of the distributed approximation algorithms, (b) as the local
@@ -34,11 +36,14 @@
 //!   candidate is `d + w > dist[v]`), each `(node, distance)` pair is queued
 //!   at most once, and an entry is stale exactly when its distance is no
 //!   longer `dist[v]`.
+//! * Every run adds its arcs scanned and its queue entries to the
+//!   [`crate::work`] ledger once, when it returns.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::csr::{Graph, NodeId, Weight, INFINITY};
+use crate::work::{Kernel, Tally};
 
 /// Maximum edge weight for which the Dial bucket queue is selected
 /// automatically.  The ring then has at most `DIAL_MAX_WEIGHT + 1` buckets,
@@ -129,6 +134,10 @@ pub struct DijkstraWorkspace {
     /// next-occupied-bucket scan reads one flat `u32` array instead of
     /// chasing `Vec` headers).
     bucket_lens: Vec<u32>,
+    /// [`Self::hop_depth`]'s fewest hops per node; `u32::MAX` between calls.
+    hops: Vec<u32>,
+    /// [`Self::hop_depth`]'s BFS queue.
+    queue: Vec<NodeId>,
 }
 
 impl DijkstraWorkspace {
@@ -227,13 +236,16 @@ impl DijkstraWorkspace {
             self.touched.push(s);
         }
         let mut head = 0;
+        let mut tally = Tally::default();
         while let Some(&v) = self.touched.get(head) {
             head += 1;
             let dv = self.dist[v as usize];
             if dv >= max_depth {
                 break; // every node still queued is at least as deep
             }
-            for a in graph.arcs(v) {
+            let arcs = graph.arcs(v);
+            tally.arcs_scanned += arcs.len() as u64;
+            for a in arcs {
                 let u = a.to as usize;
                 if self.dist[u] == INFINITY {
                     self.dist[u] = dv + 1;
@@ -242,6 +254,8 @@ impl DijkstraWorkspace {
                 }
             }
         }
+        tally.frontier_entries = self.touched.len() as u64;
+        tally.record(Kernel::Dijkstra);
     }
 
     /// Binary-heap Dijkstra that reaches exactly the nodes `w` with
@@ -259,11 +273,18 @@ impl DijkstraWorkspace {
         self.dist[source as usize] = 0;
         self.touched.push(source);
         self.heap.push(Reverse((0, source)));
+        // The source's entry is the first push.
+        let mut tally = Tally {
+            heap_pushes: 1,
+            ..Tally::default()
+        };
         while let Some(Reverse((d, v))) = self.heap.pop() {
             if d != self.dist[v as usize] {
                 continue;
             }
-            for a in graph.arcs(v) {
+            let arcs = graph.arcs(v);
+            tally.arcs_scanned += arcs.len() as u64;
+            for a in arcs {
                 // Saturating: a near-`u64::MAX` path cannot wrap past zero
                 // and masquerade as a short one — it pins at `u64::MAX`,
                 // which is the `INFINITY` sentinel and never beats a real
@@ -276,9 +297,11 @@ impl DijkstraWorkspace {
                     self.dist[a.to as usize] = nd;
                     self.parent[a.to as usize] = Some(v);
                     self.heap.push(Reverse((nd, a.to)));
+                    tally.heap_pushes += 1;
                 }
             }
         }
+        tally.record(Kernel::Dijkstra);
     }
 
     /// Dial bucket-queue Dijkstra for integer weights `1..=c`: a circular
@@ -323,6 +346,11 @@ impl DijkstraWorkspace {
         self.buckets[0].push(source);
         self.bucket_lens[0] = 1;
         let mut pending = 1usize;
+        // The source's entry is the first push.
+        let mut tally = Tally {
+            heap_pushes: 1,
+            ..Tally::default()
+        };
         let mut cur: Weight = 0;
         loop {
             let slot = (cur as usize) & mask;
@@ -333,7 +361,9 @@ impl DijkstraWorkspace {
                 if self.dist[v as usize] != cur {
                     continue; // stale entry superseded by a better relaxation
                 }
-                for a in graph.arcs(v) {
+                let arcs = graph.arcs(v);
+                tally.arcs_scanned += arcs.len() as u64;
+                for a in arcs {
                     let nd = cur + a.weight;
                     if nd < self.dist[a.to as usize] {
                         if self.dist[a.to as usize] == INFINITY {
@@ -345,6 +375,7 @@ impl DijkstraWorkspace {
                         self.buckets[target].push(a.to);
                         self.bucket_lens[target] += 1;
                         pending += 1;
+                        tally.heap_pushes += 1;
                     }
                 }
             }
@@ -370,6 +401,57 @@ impl DijkstraWorkspace {
             };
             cur += delta as Weight;
         }
+        tally.record(Kernel::Dijkstra);
+    }
+
+    /// The fewest hops a shortest path needs, maxed over the nodes the most
+    /// recent single-source run reached: `H = max_v min { |P| : P a shortest
+    /// path from the source to v }` (0 when only the source is reached).
+    ///
+    /// It is the BFS depth from the source over the *tight* arcs `v → u`,
+    /// those with `dist[v] ⊕ w == dist[u]` and both ends finite: a path is a
+    /// shortest path exactly when all its arcs are tight.  Weights are at
+    /// least 1, so the tight arcs form a DAG ordered by `dist`.  A node whose
+    /// path sums saturate at [`INFINITY`] was never reached and never counts.
+    ///
+    /// `H` is where the `h`-hop relaxation stops moving: from one source,
+    /// [`hop_limited_distances_with`] reports its fixpoint for exactly the
+    /// `h ≥ min(H + 1, n − 1)`.  Allocates only the first time a workspace
+    /// meets a graph this large.
+    pub fn hop_depth(&mut self, graph: &Graph) -> usize {
+        let Some(&source) = self.touched.first() else {
+            return 0;
+        };
+        if self.hops.len() < self.len {
+            self.hops.resize(self.len, u32::MAX);
+        }
+        self.queue.clear();
+        self.queue.push(source);
+        self.hops[source as usize] = 0;
+        let mut head = 0;
+        let mut tally = Tally::default();
+        while let Some(&v) = self.queue.get(head) {
+            head += 1;
+            let (dv, hv) = (self.dist[v as usize], self.hops[v as usize]);
+            let arcs = graph.arcs(v);
+            tally.arcs_scanned += arcs.len() as u64;
+            for a in arcs {
+                let u = a.to as usize;
+                let du = self.dist[u];
+                if self.hops[u] == u32::MAX && du != INFINITY && dv.saturating_add(a.weight) == du {
+                    self.hops[u] = hv + 1;
+                    self.queue.push(a.to);
+                }
+            }
+        }
+        // BFS order: the last node queued is one of the deepest.
+        let depth = self.hops[*self.queue.last().expect("the source") as usize];
+        for &v in &self.queue {
+            self.hops[v as usize] = u32::MAX;
+        }
+        tally.frontier_entries = self.queue.len() as u64;
+        tally.record(Kernel::Dijkstra);
+        depth as usize
     }
 }
 
@@ -470,6 +552,7 @@ pub fn hop_limited_seeded_with(
         ws.cand.resize(n, INFINITY);
     }
     ws.frontier.clear();
+    let mut tally = Tally::default();
     for &(s, x) in seeds {
         let slot = &mut dist[s as usize];
         if x < *slot {
@@ -483,11 +566,14 @@ pub fn hop_limited_seeded_with(
     // Bellman–Ford converges within n-1 rounds.
     let rounds = h.min(n.saturating_sub(1));
     let mut converged = h >= n.saturating_sub(1);
+    tally.frontier_entries = ws.frontier.len() as u64;
     for _ in 0..rounds {
         ws.next.clear();
         for &v in &ws.frontier {
             let dv = dist[v as usize];
-            for a in graph.arcs(v) {
+            let arcs = graph.arcs(v);
+            tally.arcs_scanned += arcs.len() as u64;
+            for a in arcs {
                 let u = a.to as usize;
                 // Saturating, as in `run_heap`: a near-`u64::MAX` path pins
                 // at `INFINITY` instead of wrapping to a short finite label.
@@ -507,11 +593,13 @@ pub fn hop_limited_seeded_with(
             converged = true;
             break;
         }
+        tally.frontier_entries += ws.next.len() as u64;
         for &u in &ws.next {
             dist[u as usize] = std::mem::replace(&mut ws.cand[u as usize], INFINITY);
         }
         std::mem::swap(&mut ws.frontier, &mut ws.next);
     }
+    tally.record(Kernel::HopLimited);
     converged
 }
 
@@ -906,6 +994,79 @@ mod tests {
         hop_limited_seeded_with(&mut ws, &g, &seeds, 2, &mut dist);
         assert_eq!(dist, [2, 1, INFINITY]);
         assert_eq!(dist, seeded_by_definition(&g, &seeds, 2));
+    }
+
+    /// `hop_depth` against the sweep it predicts: from every source, the
+    /// smallest `h` at which the hop-limited sweep reports its fixpoint is
+    /// `min(H + 1, n − 1)`, and `H` is the largest, over the reached nodes,
+    /// of the first hop count at which a node's `d^h` is exact.  Covers a
+    /// disconnected union (only reached nodes count), sums that saturate at
+    /// `INFINITY` (an unreached node is never tight), equal-weight ties,
+    /// n = 1 and n = 2, and every oracle `run` selects.
+    #[test]
+    fn hop_depth_is_where_the_hop_limited_sweep_stops() {
+        let grid = generators::grid(&[5, 4]).unwrap();
+        let mut tie = GraphBuilder::new(4);
+        for (u, v, w) in [(0, 1, 2), (1, 3, 2), (0, 2, 1), (2, 3, 3), (0, 3, 4)] {
+            tie.add_edge(u, v, w).unwrap();
+        }
+        let graphs = [
+            generators::path(1).unwrap(),
+            generators::path(2).unwrap(),
+            generators::path(9).unwrap(),
+            weighted_diamond(),
+            tie.build().unwrap(),
+            huge_path(),
+            grid.clone(),
+            generators::with_random_weights(&grid, 9, 3).unwrap(),
+            generators::with_random_weights(
+                &generators::erdos_renyi(30, 0.15, 5).unwrap(),
+                1000,
+                4,
+            )
+            .unwrap(),
+            disjoint_union(
+                &generators::path(6).unwrap(),
+                &generators::weighted_grid(&[3, 4], 7, 2).unwrap(),
+            ),
+        ];
+        let mut ws = DijkstraWorkspace::new();
+        let mut sweep = HopLimitedWorkspace::new();
+        let mut dist = Vec::new();
+        for g in &graphs {
+            let n = g.n();
+            for s in g.nodes() {
+                ws.run(g, s);
+                let exact = ws.dist().to_vec();
+                let depth = ws.hop_depth(g);
+                let stops = (0..=n)
+                    .find(|&h| hop_limited_distances_with(&mut sweep, g, s, h, &mut dist))
+                    .expect("converged by h = n - 1");
+                assert_eq!(
+                    stops,
+                    (depth + 1).min(n.saturating_sub(1)),
+                    "source {s} of {:?}",
+                    g.edges()
+                );
+                let first_exact =
+                    |v: usize| (0..n).find(|&h| hop_limited_distances(g, s, h)[v] == exact[v]);
+                let reached = (0..n).filter(|&v| exact[v] != INFINITY);
+                let want = reached
+                    .map(|v| first_exact(v).expect("exact by n - 1 hops"))
+                    .max();
+                assert_eq!(Some(depth), want, "source {s} of {:?}", g.edges());
+            }
+        }
+        // The path's far end needs every hop; the huge path's middle node is
+        // one hop away and its far node, past `u64::MAX`, never counts.
+        ws.run(&graphs[2], 0);
+        assert_eq!(ws.hop_depth(&graphs[2]), 8);
+        ws.run(&graphs[5], 0);
+        assert_eq!(ws.hop_depth(&graphs[5]), 1);
+        // The tie graph: node 3 is at 4 by 0-1-3, 0-2-3 and 0-3; the direct
+        // arc is the fewest hops.
+        ws.run(&graphs[4], 0);
+        assert_eq!((ws.dist()[3], ws.hop_depth(&graphs[4])), (4, 1));
     }
 
     /// Regression: the hop-limited relaxation added unchecked (`dv +

@@ -21,7 +21,8 @@
 //! * **ball queries** `B_t(v)` which underlie the neighborhood-quality
 //!   parameter `NQ_k` ([`balls`]);
 //! * structural **properties** (connectivity, eccentricities, diameter) and
-//!   **cut evaluation** used by the cut-sparsifier experiments.
+//!   **cut evaluation** used by the cut-sparsifier experiments;
+//! * the exact **work ledger** the searches report to ([`work`]).
 //!
 //! Every randomised construction is a pure function of its `u64` seed, from
 //! which it derives one ChaCha8 stream per fixed-size chunk — so every
@@ -41,6 +42,7 @@ pub mod generators;
 pub mod properties;
 pub mod traversal;
 pub mod unionfind;
+pub mod work;
 
 pub use builder::GraphBuilder;
 pub use csr::{EdgeId, Graph, NodeId, Weight, INFINITY};

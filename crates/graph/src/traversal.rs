@@ -13,6 +13,7 @@
 
 use crate::csr::{Graph, NodeId};
 use crate::dijkstra::DijkstraWorkspace;
+use crate::work::{Kernel, Tally};
 
 /// Sources one [`lane_bfs`] carries: one per bit of a `u64` word.
 pub const LANES: usize = u64::BITS as usize;
@@ -73,6 +74,9 @@ impl LaneWorkspace {
 /// callback returns the lanes to keep; a lane that did not grow has nothing
 /// left to explore and stops either way.  Returns the lanes `max_depth` cut:
 /// live after the last level and with an unseen neighbour.
+///
+/// Its arcs scanned, active nodes per level and merged lane words go to the
+/// [`crate::work`] ledger once, when it returns.
 pub fn lane_bfs(
     graph: &Graph,
     ws: &mut LaneWorkspace,
@@ -97,14 +101,18 @@ pub fn lane_bfs(
         reached.push(v);
     }
     let mut sizes = [1u32; LANES];
+    let mut tally = Tally::default();
     for level in 1..=max_depth {
         if active.is_empty() {
             break;
         }
         let mut grew = 0u64;
+        tally.frontier_entries += active.len() as u64;
         for u in active.drain(..) {
             let lanes = std::mem::take(&mut frontier[u as usize]);
-            for a in graph.arcs(u) {
+            let arcs = graph.arcs(u);
+            tally.arcs_scanned += arcs.len() as u64;
+            for a in arcs {
                 let w = a.to as usize;
                 let before = seen[w];
                 let new = lanes & !before;
@@ -121,6 +129,7 @@ pub fn lane_bfs(
                     next_active.push(a.to);
                 }
                 next[w] |= new;
+                tally.lane_words += 1;
                 grew |= new;
                 for lane in lanes_of(new) {
                     sizes[lane] += 1;
@@ -141,8 +150,10 @@ pub fn lane_bfs(
     }
     let cut = active.iter().fold(0, |cut, &u| {
         let lanes = frontier[u as usize];
-        let arcs = graph.arcs(u).iter();
-        arcs.fold(cut, |cut, a| cut | (lanes & !seen[a.to as usize]))
+        let arcs = graph.arcs(u);
+        tally.arcs_scanned += arcs.len() as u64;
+        arcs.iter()
+            .fold(cut, |cut, a| cut | (lanes & !seen[a.to as usize]))
     });
     for u in active.drain(..) {
         frontier[u as usize] = 0;
@@ -150,6 +161,7 @@ pub fn lane_bfs(
     for w in reached.drain(..) {
         seen[w as usize] = 0;
     }
+    tally.record(Kernel::LaneBfs);
     cut
 }
 
