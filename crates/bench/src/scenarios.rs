@@ -23,9 +23,18 @@ use hybrid_core::prob::{sample_distinct, sample_with_probability};
 use hybrid_core::routing::{baseline_sqrt_k_routing, kl_routing, RoutingScenario};
 use hybrid_core::rows::DistanceRows;
 use hybrid_core::sssp::{baseline_sssp, sssp_approx, SsspBaseline};
-use hybrid_sim::HybridNetwork;
+use hybrid_graph::Graph;
+use hybrid_sim::{HybridNetwork, ModelParams};
 
 use crate::grid::{fan_out, GraphFamily, Grid};
+
+/// Runs `pipeline` on a fresh `HYBRID` network over `graph`: its output, and
+/// every round the network was charged.
+fn on_fresh<T>(graph: &Arc<Graph>, pipeline: impl FnOnce(&mut HybridNetwork) -> T) -> (T, u64) {
+    let mut net = HybridNetwork::hybrid(Arc::clone(graph));
+    let out = pipeline(&mut net);
+    (out, net.rounds())
+}
 
 /// One row of the Table 1 reproduction.
 #[derive(Debug, Clone, Serialize)]
@@ -70,11 +79,11 @@ pub fn table1_rows(grid: &Grid, ks: &[u64]) -> Vec<Table1Row> {
             let holders = sample_distinct(graph.n(), graph.n().min(k as usize).max(1), &mut rng);
             let tokens = place_tokens(&holders, k);
 
-            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-            let uni = k_dissemination(&mut net, &oracle, &tokens);
-
-            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-            let base = baseline_sqrt_k_dissemination(&mut net, &oracle, &tokens);
+            let (_, dissemination_universal) =
+                on_fresh(&graph, |net| k_dissemination(net, &oracle, &tokens));
+            let (_, dissemination_baseline) = on_fresh(&graph, |net| {
+                baseline_sqrt_k_dissemination(net, &oracle, &tokens)
+            });
 
             // Aggregation with a small value vector per node (k functions is
             // too heavy for the sweep; use min(k, 16) which has the same
@@ -83,8 +92,8 @@ pub fn table1_rows(grid: &Grid, ks: &[u64]) -> Vec<Table1Row> {
             let values: Vec<Vec<u64>> = (0..graph.n() as u64)
                 .map(|v| (0..agg_k as u64).map(|i| v + i).collect())
                 .collect();
-            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-            let agg = k_aggregation(&mut net, &oracle, &values, |a, b| a.max(b));
+            let (_, aggregation_universal) =
+                on_fresh(&graph, |net| k_aggregation(net, &oracle, &values, u64::max));
 
             // Routing: k arbitrary sources, ℓ = NQ_k random targets.
             let sources = sample_distinct(graph.n(), (k as usize).min(graph.n()), &mut rng);
@@ -97,20 +106,16 @@ pub fn table1_rows(grid: &Grid, ks: &[u64]) -> Vec<Table1Row> {
             if targets.is_empty() {
                 targets.push((graph.n() / 2) as u32);
             }
-            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-            let route_uni = kl_routing(
-                &mut net,
-                &oracle,
-                &sources,
-                &targets,
-                RoutingScenario::ArbitrarySourcesRandomTargets,
-                &mut rng,
-            );
-            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-            let route_base =
-                baseline_sqrt_k_routing(&mut net, &oracle, &sources, &targets, &mut rng);
+            let scenario = RoutingScenario::ArbitrarySourcesRandomTargets;
+            let (_, routing_universal) = on_fresh(&graph, |net| {
+                kl_routing(net, &oracle, &sources, &targets, scenario, &mut rng)
+            });
+            let (_, routing_baseline) = on_fresh(&graph, |net| {
+                baseline_sqrt_k_routing(net, &oracle, &sources, &targets, &mut rng)
+            });
 
-            let lb = dissemination_lower_bound(&oracle, net.params(), k, 0.99);
+            let params = ModelParams::hybrid(graph.n());
+            let lb = dissemination_lower_bound(&oracle, &params, k, 0.99);
 
             rows.push(Table1Row {
                 family: family.name(),
@@ -118,11 +123,11 @@ pub fn table1_rows(grid: &Grid, ks: &[u64]) -> Vec<Table1Row> {
                 k,
                 nq: oracle.nq(k),
                 sqrt_k: (k as f64).sqrt().ceil() as u64,
-                dissemination_universal: uni.rounds,
-                dissemination_baseline: base.rounds,
-                aggregation_universal: agg.rounds,
-                routing_universal: route_uni.rounds,
-                routing_baseline: route_base.rounds,
+                dissemination_universal,
+                dissemination_baseline,
+                aggregation_universal,
+                routing_universal,
+                routing_baseline,
                 lower_bound: lb.rounds,
             });
         }
@@ -181,45 +186,50 @@ pub fn table2_rows(grid: &Grid) -> Vec<Table2Row> {
         let exact_unweighted = DistanceRows::all_pairs(&graph);
         let exact_weighted = DistanceRows::all_pairs(&weighted);
 
-        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-        let uni = apsp::apsp_unweighted(&mut net, &oracle, 0.5);
+        let (uni, unweighted_universal) =
+            on_fresh(&graph, |net| apsp::apsp_unweighted(net, &oracle, 0.5));
         let uni_stretch = uni
             .verify_stretch_against(&exact_unweighted)
             .expect("Theorem 6 stretch");
 
-        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-        let base = apsp::baseline_unweighted_apsp_sqrt_n(&mut net, &oracle, 0.5);
+        let (_, unweighted_baseline) = on_fresh(&graph, |net| {
+            apsp::baseline_unweighted_apsp_sqrt_n(net, &oracle, 0.5)
+        });
 
-        let mut net = HybridNetwork::hybrid(Arc::clone(&weighted));
-        let spanner = apsp::apsp_weighted_log_over_loglog(&mut net, weighted_oracle);
+        let (spanner, weighted_spanner_universal) = on_fresh(&weighted, |net| {
+            apsp::apsp_weighted_log_over_loglog(net, weighted_oracle)
+        });
         let spanner_stretch = spanner
             .verify_stretch_against(&exact_weighted)
             .expect("Theorem 7 stretch");
 
-        let mut net = HybridNetwork::hybrid(Arc::clone(&weighted));
-        let skel = apsp::apsp_weighted_skeleton(&mut net, weighted_oracle, 1, &mut rng);
+        let (skel, weighted_skeleton_universal) = on_fresh(&weighted, |net| {
+            apsp::apsp_weighted_skeleton(net, weighted_oracle, 1, &mut rng)
+        });
         let skel_stretch = skel
             .verify_stretch_against(&exact_weighted)
             .expect("Theorem 8 stretch");
 
-        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-        let lit = apsp::baseline_sqrt_n_apsp_from_labels(&mut net, exact_unweighted);
+        let (_, literature_sqrt_n) = on_fresh(&graph, |net| {
+            apsp::baseline_sqrt_n_apsp_from_labels(net, exact_unweighted)
+        });
 
-        let lb = shortest_paths_lower_bound(&oracle, net.params(), graph.n() as u64, 0.99);
+        let params = ModelParams::hybrid(graph.n());
+        let lb = shortest_paths_lower_bound(&oracle, &params, graph.n() as u64, 0.99);
 
         vec![Table2Row {
             family: family.name(),
             n: graph.n(),
             nq_n: oracle.nq(graph.n() as u64),
             sqrt_n: (graph.n() as f64).sqrt().ceil() as u64,
-            unweighted_universal: uni.rounds,
+            unweighted_universal,
             unweighted_stretch: uni_stretch,
-            unweighted_baseline: base.rounds,
-            weighted_spanner_universal: spanner.rounds,
+            unweighted_baseline,
+            weighted_spanner_universal,
             weighted_spanner_stretch: spanner_stretch,
-            weighted_skeleton_universal: skel.rounds,
+            weighted_skeleton_universal,
             weighted_skeleton_stretch: skel_stretch,
-            literature_sqrt_n: lit.rounds,
+            literature_sqrt_n,
             lower_bound: lb.rounds,
         }]
     })
@@ -274,22 +284,16 @@ pub fn table3_rows(grid: &Grid, ks: &[u64]) -> Vec<Table3Row> {
                 targets.push((graph.n() / 3) as u32);
             }
 
-            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-            let uni = klsp(
-                &mut net,
-                &oracle,
-                &sources,
-                &targets,
-                0.25,
-                KlspScenario::ArbitrarySourcesRandomTargets,
-                &mut rng,
-            );
+            let scenario = KlspScenario::ArbitrarySourcesRandomTargets;
+            let (uni, universal) = on_fresh(&graph, |net| {
+                klsp(net, &oracle, &sources, &targets, 0.25, scenario, &mut rng)
+            });
             let stretch = uni.verify_stretch(&graph).expect("Theorem 5 stretch");
 
-            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-            let base = baseline_klsp(&mut net, &sources, &targets);
+            let (_, baseline) = on_fresh(&graph, |net| baseline_klsp(net, &sources, &targets));
 
-            let lb = shortest_paths_lower_bound(&oracle, net.params(), k, 0.99);
+            let params = ModelParams::hybrid(graph.n());
+            let lb = shortest_paths_lower_bound(&oracle, &params, k, 0.99);
 
             rows.push(Table3Row {
                 family: family.name(),
@@ -298,9 +302,9 @@ pub fn table3_rows(grid: &Grid, ks: &[u64]) -> Vec<Table3Row> {
                 l: targets.len(),
                 nq: nq_k,
                 sqrt_k: (k as f64).sqrt().ceil() as u64,
-                universal: uni.rounds,
+                universal,
                 stretch,
-                baseline: base.rounds,
+                baseline,
                 lower_bound: lb.rounds,
             });
         }
@@ -338,14 +342,11 @@ pub fn table4_rows(grid: &Grid) -> Vec<Table4Row> {
         let graph = Arc::new(family.build_weighted(cell.n_target, grid.seed));
         let exact = hybrid_graph::dijkstra::dijkstra(&graph, 0).dist;
 
-        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-        let ours = sssp_approx(&mut net, 0, 0.25);
+        let (ours, _) = on_fresh(&graph, |net| sssp_approx(net, 0, 0.25));
         let measured_stretch = ours.verify_stretch(&exact).expect("Theorem 13 stretch");
 
-        let baseline_rounds = |b: SsspBaseline| {
-            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-            baseline_sssp(&mut net, 0, b).rounds
-        };
+        let baseline_rounds =
+            |b: SsspBaseline| on_fresh(&graph, |net| baseline_sssp(net, 0, b)).0.rounds;
         vec![Table4Row {
             family: family.name(),
             n: graph.n(),

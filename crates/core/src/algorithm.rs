@@ -283,6 +283,12 @@ mod tests {
             let mut net = HybridNetwork::hybrid(arc);
             let out = algo.run(&mut net, &oracle, &tokens);
             assert!(out.rounds > 0, "{} charged no rounds", algo.name());
+            // The reported count is the network's, set-up included.
+            assert_eq!(
+                (out.rounds, out.meter.rounds()),
+                (net.rounds(), net.rounds())
+            );
+            assert!(out.setup_rounds > 0 && out.setup_rounds < out.rounds);
             match &seen {
                 None => seen = Some(out.tokens),
                 Some(prev) => assert_eq!(prev, &out.tokens, "{} diverged", algo.name()),
@@ -297,6 +303,7 @@ mod tests {
         for algo in sssp_registry() {
             let mut net = HybridNetwork::hybrid(Arc::clone(&g));
             let out = algo.run(&mut net, &sources, 0.5, 11);
+            assert_eq!(out.rounds, net.rounds(), "{}", algo.name());
             assert!(
                 out.stretch <= algo.stated_stretch(0.5) + 1e-9,
                 "{} reported stretch above its contract",

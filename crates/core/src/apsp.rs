@@ -40,8 +40,6 @@ pub struct ApspOutput {
     pub dist: DistanceRows,
     /// Promised stretch of the labels.
     pub stretch: f64,
-    /// Total rounds consumed.
-    pub rounds: u64,
     /// Short name of the algorithm that produced the labels.
     pub algorithm: &'static str,
 }
@@ -65,21 +63,18 @@ impl ApspOutput {
     }
 }
 
-/// Broadcasts `count` abstract tokens with Theorem 1 and returns nothing but
-/// the charged cost (helper shared by the APSP algorithms, which broadcast
-/// identifiers, spanner edges, cluster-center distances, …).
+/// Broadcasts `count > 0` abstract tokens with Theorem 1 and returns the
+/// radius `policy` learned for them (helper shared by the APSP algorithms,
+/// which broadcast identifiers, spanner edges, cluster-center distances, …).
 fn broadcast_tokens_with_policy(
     net: &mut HybridNetwork,
     oracle: &NqOracle,
     count: usize,
     origin: NodeId,
     policy: RadiusPolicy,
-) {
-    if count == 0 {
-        return;
-    }
+) -> u64 {
     let tokens: Vec<TokenPlacement> = (0..count as u64).map(|i| (origin, i)).collect();
-    let _ = disseminate_with_radius(net, oracle, &tokens, policy);
+    disseminate_with_radius(net, oracle, &tokens, policy).radius
 }
 
 /// Every node id in order: the source list of an APSP table.
@@ -87,15 +82,17 @@ fn all_nodes(n: usize) -> Vec<NodeId> {
     (0..n as NodeId).collect()
 }
 
-/// Broadcast with the universal (`NQ_k`) radius.
+/// Broadcast with the universal (`NQ_k`) radius; nothing for no tokens.
 fn broadcast_tokens(net: &mut HybridNetwork, oracle: &NqOracle, count: usize, origin: NodeId) {
-    broadcast_tokens_with_policy(
-        net,
-        oracle,
-        count,
-        origin,
-        RadiusPolicy::NeighborhoodQuality,
-    );
+    if count > 0 {
+        broadcast_tokens_with_policy(
+            net,
+            oracle,
+            count,
+            origin,
+            RadiusPolicy::NeighborhoodQuality,
+        );
+    }
 }
 
 /// Theorem 6 / Algorithm 3 — deterministic `(1+ε)`-approximate APSP for
@@ -129,16 +126,15 @@ fn apsp_unweighted_with_policy(
         !net.graph().is_weighted(),
         "Theorem 6 applies to unweighted graphs"
     );
-    let before = net.rounds();
     let graph = net.graph_arc();
     let n = graph.n();
     // The analysis yields stretch 1 + 3ε' + ε'^2 < 1 + 4ε' for internal ε';
     // run with ε' = ε/4 to deliver the promised 1 + ε.
     let eps_internal = epsilon / 4.0;
 
-    // Step 1–2: broadcast identifiers, cluster with k = n.
-    broadcast_tokens_with_policy(net, oracle, n, 0, policy);
-    let radius = policy.radius(oracle, n as u64);
+    // Step 1–2: broadcast identifiers, cluster with k = n at the radius the
+    // broadcast learned.
+    let radius = broadcast_tokens_with_policy(net, oracle, n, 0, policy);
     let clustering = crate::cluster::cluster_with_radius(net, radius, n as u64);
     let leaders: Vec<NodeId> = clustering.clusters.iter().map(|c| c.leader).collect();
 
@@ -196,7 +192,6 @@ fn apsp_unweighted_with_policy(
     ApspOutput {
         dist,
         stretch: 1.0 + epsilon,
-        rounds: net.rounds() - before,
         algorithm: "theorem6-unweighted-apsp",
     }
 }
@@ -210,7 +205,6 @@ pub fn apsp_weighted_spanner(
     epsilon: f64,
 ) -> ApspOutput {
     assert!(epsilon > 0.0, "epsilon must be positive");
-    let before = net.rounds();
     let graph = net.graph_arc();
     let log_n = graph.log2_n() as f64;
     let k = ((epsilon * log_n / 2.0).ceil() as u64).max(1);
@@ -226,7 +220,6 @@ pub fn apsp_weighted_spanner(
     ApspOutput {
         dist,
         stretch: spanner.stretch as f64,
-        rounds: net.rounds() - before,
         algorithm: "theorem7-spanner-apsp",
     }
 }
@@ -251,7 +244,6 @@ pub fn apsp_weighted_skeleton(
     rng: &mut impl Rng,
 ) -> ApspOutput {
     assert!(alpha >= 1, "alpha must be at least 1");
-    let before = net.rounds();
     let graph = net.graph_arc();
     let n = graph.n();
     let nq_n = oracle.nq(n as u64).max(1) as f64;
@@ -319,7 +311,6 @@ pub fn apsp_weighted_skeleton(
     ApspOutput {
         dist: DistanceRows::from_rows(nodes, n, labels),
         stretch: (4 * alpha - 1) as f64,
-        rounds: net.rounds() - before,
         algorithm: "theorem8-skeleton-apsp",
     }
 }
@@ -328,13 +319,11 @@ pub fn apsp_weighted_skeleton(
 /// with Theorem 1 and solve any graph problem (here: exact weighted APSP)
 /// locally, in `Õ(NQ_n)` rounds.
 pub fn apsp_sparse_exact(net: &mut HybridNetwork, oracle: &NqOracle) -> ApspOutput {
-    let before = net.rounds();
     let graph = net.graph_arc();
     broadcast_tokens(net, oracle, graph.m(), 0);
     ApspOutput {
         dist: DistanceRows::all_pairs(&graph),
         stretch: 1.0,
-        rounds: net.rounds() - before,
         algorithm: "corollary2.2-sparse-exact-apsp",
     }
 }
@@ -353,7 +342,6 @@ pub fn baseline_sqrt_n_apsp(net: &mut HybridNetwork) -> ApspOutput {
 /// instead of paying the `n` single-source runs again.  The charged round
 /// count is unchanged.
 pub fn baseline_sqrt_n_apsp_from_labels(net: &mut HybridNetwork, dist: DistanceRows) -> ApspOutput {
-    let before = net.rounds();
     let n = net.graph().n();
     debug_assert_eq!(dist.len(), n, "labels must cover every node");
     let rounds = (((n.max(2) as f64).sqrt() * net.graph().log2_n() as f64).ceil() as u64).max(1);
@@ -361,7 +349,6 @@ pub fn baseline_sqrt_n_apsp_from_labels(net: &mut HybridNetwork, dist: DistanceR
     ApspOutput {
         dist,
         stretch: 1.0,
-        rounds: net.rounds() - before,
         algorithm: "baseline-ks20-sqrt-n-apsp",
     }
 }
@@ -387,7 +374,7 @@ mod tests {
         let out = apsp_unweighted(&mut net, &oracle, 0.5);
         let worst = out.verify_stretch(&g).unwrap();
         assert!(worst <= 1.5);
-        assert!(out.rounds > 0);
+        assert!(net.rounds() > 0);
     }
 
     #[test]
@@ -474,11 +461,10 @@ mod tests {
         base.verify_stretch(&g).unwrap();
         // Table 2 shape: Õ(NQ_n) vs Õ(√n) through the same machinery — the
         // universal radius is smaller, so the universal run is faster.
+        let (uni, base) = (net_u.rounds(), net_b.rounds());
         assert!(
-            uni.rounds < base.rounds,
-            "universal {} not faster than structured baseline {}",
-            uni.rounds,
-            base.rounds
+            uni < base,
+            "universal {uni} not faster than structured baseline {base}"
         );
     }
 
@@ -488,6 +474,6 @@ mod tests {
         let base = baseline_sqrt_n_apsp(&mut net_b);
         let worst = base.verify_stretch(&g).unwrap();
         assert!((worst - 1.0).abs() < 1e-12);
-        assert!(base.rounds > 0);
+        assert!(net_b.rounds() > 0);
     }
 }

@@ -38,15 +38,6 @@ pub struct CutSparsifier {
     pub epsilon: f64,
 }
 
-/// Output of the Theorem 9 pipeline.
-#[derive(Debug, Clone)]
-pub struct CutsOutput {
-    /// The sparsifier every node ends up knowing.
-    pub sparsifier: CutSparsifier,
-    /// Total rounds consumed (`Õ(NQ_n/ε + 1/ε²)`).
-    pub rounds: u64,
-}
-
 /// Builds the cut sparsifier, charging the `Õ(1/ε²)` construction rounds of
 /// the distributed algorithm it substitutes.
 pub fn cut_sparsifier(net: &mut HybridNetwork, epsilon: f64, rng: &mut impl Rng) -> CutSparsifier {
@@ -74,14 +65,14 @@ pub fn cut_sparsifier(net: &mut HybridNetwork, epsilon: f64, rng: &mut impl Rng)
 
 /// Theorem 9 — after `Õ(NQ_n/ε + 1/ε²)` rounds every node can locally compute
 /// a `(1+ε)`-approximation of every cut size: build the sparsifier and
-/// broadcast its edges with Theorem 1.
+/// broadcast its edges with Theorem 1.  Returns the sparsifier every node
+/// ends up knowing.
 pub fn approximate_all_cuts(
     net: &mut HybridNetwork,
     oracle: &NqOracle,
     epsilon: f64,
     rng: &mut impl Rng,
-) -> CutsOutput {
-    let before = net.rounds();
+) -> CutSparsifier {
     let sparsifier = cut_sparsifier(net, epsilon, rng);
     // Broadcast the sparsifier's edges (k = |Ê| tokens) with Theorem 1.
     let m = sparsifier.graph.m();
@@ -89,10 +80,7 @@ pub fn approximate_all_cuts(
         let tokens: Vec<TokenPlacement> = (0..m as u64).map(|i| (0, i)).collect();
         let _ = disseminate_with_radius(net, oracle, &tokens, RadiusPolicy::NeighborhoodQuality);
     }
-    CutsOutput {
-        sparsifier,
-        rounds: net.rounds() - before,
-    }
+    sparsifier
 }
 
 /// Measures the worst multiplicative error of the sparsifier over `samples`
@@ -170,8 +158,8 @@ mod tests {
         let oracle = NqOracle::new(&g);
         let mut net = HybridNetwork::hybrid(Arc::clone(&g));
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let out = approximate_all_cuts(&mut net, &oracle, 0.5, &mut rng);
-        assert!(out.rounds > 0);
+        let sparsifier = approximate_all_cuts(&mut net, &oracle, 0.5, &mut rng);
+        assert_eq!(sparsifier.graph.n(), g.n());
         assert!(net.meter().rounds_for("sparsifier-construction") > 0);
         assert!(net.meter().rounds_for("dissemination") > 0);
     }

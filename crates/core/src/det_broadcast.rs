@@ -59,7 +59,7 @@ use crate::cluster::cluster_with_radius;
 use crate::dissemination::{
     count_tokens, exchange_tokens, DisseminationOutput, RadiusPolicy, TokenPlacement,
 };
-use crate::nq::{compute_nq, NqOracle};
+use crate::nq::NqOracle;
 use crate::overlay::{ClusterTree, HopSchedule};
 
 /// Deterministic token-forwarding `k`-dissemination (`[CHL23]`): same
@@ -71,11 +71,10 @@ pub fn det_token_forward_dissemination(
     oracle: &NqOracle,
     tokens: &[TokenPlacement],
 ) -> DisseminationOutput {
-    // The NQ_k measurement happens before the reported-round window opens,
-    // matching `k_dissemination` — the shootout compares like with like.
-    let nq = compute_nq(net, oracle, tokens.len() as u64).nq.max(1);
-    let before = net.rounds();
+    // Count k, then measure NQ_k (Lemma 3.3), as `k_dissemination` does —
+    // the shootout compares like with like.
     let k = count_tokens(net, tokens);
+    let (nq, setup_rounds) = RadiusPolicy::NeighborhoodQuality.radius(net, oracle, k);
     let (mut delivered, mut max_tokens_per_node) = (Vec::new(), 0);
     if k > 0 {
         // The deterministic Lemma 3.5 clustering and the Lemma 4.6 tree over
@@ -112,8 +111,8 @@ pub fn det_token_forward_dissemination(
         k,
         nq,
         radius: nq,
-        policy: RadiusPolicy::NeighborhoodQuality,
-        rounds: net.rounds() - before,
+        rounds: net.rounds(),
+        setup_rounds,
         meter: net.meter().clone(),
         tokens: delivered,
         max_tokens_per_node,

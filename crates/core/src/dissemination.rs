@@ -26,8 +26,10 @@
 //! and the [`RadiusPolicy`] rule are shared with [`crate::det_broadcast`].
 //!
 //! The *baseline* runs the identical pipeline with the radius forced to
-//! `min(√k, D)` — the best bound available without looking at the topology —
-//! which is exactly how the existentially optimal algorithms behave.  On
+//! `min(√k, D)` — the best bound available without looking at the topology,
+//! learned in `Õ(√k)` rounds of its own — which is exactly how the
+//! existentially optimal algorithms behave.  Either policy pays for learning
+//! its radius (`RadiusPolicy::radius`) after the "count `k`" prologue.  On
 //! graphs whose neighbourhoods grow faster than a path's, `NQ_k ≪ √k` and the
 //! universal algorithm wins; on paths the two coincide (Theorem 15).
 
@@ -36,7 +38,7 @@ use hybrid_sim::{CostMeter, HybridNetwork};
 
 use crate::cluster::cluster_with_radius;
 use crate::nq::{compute_nq, NqOracle};
-use crate::overlay::{basic_aggregation, ClusterTree, HopSchedule};
+use crate::overlay::{basic_aggregation, basic_aggregation_rounds, ClusterTree, HopSchedule};
 
 /// A token to broadcast: the node that initially holds it and its value.
 pub type TokenPlacement = (NodeId, u64);
@@ -53,18 +55,37 @@ pub enum RadiusPolicy {
 }
 
 impl RadiusPolicy {
-    /// The clustering radius the policy prescribes for a workload of `k`:
-    /// the universal algorithms use the measured `NQ_k`, the existential
-    /// baselines the worst-case `min(⌈√k⌉, D)` (the only bound available
-    /// without inspecting the topology).
-    pub(crate) fn radius(self, oracle: &NqOracle, k: u64) -> u64 {
-        let k = k.max(1);
+    /// The clustering radius the policy prescribes for `k` counted tokens,
+    /// learned on `net`, and the rounds learning it charged.
+    ///
+    /// * `NeighborhoodQuality` — the distributed `NQ_k` measurement of
+    ///   Lemma 3.3 ([`compute_nq`]).  A node cannot run it before `k` is
+    ///   counted, so every caller counts first.
+    /// * `WorstCaseSqrtK` — `min(⌈√k⌉, D)`, the only bound available without
+    ///   inspecting the topology.  Reading `D` is not free: after `s = ⌈√k⌉`
+    ///   rounds of flooding every node `v` knows whether its ball stopped
+    ///   growing within `s` hops, i.e. it knows `min(ecc(v), s)`, and one
+    ///   Lemma 4.4 max-aggregation of those values hands
+    ///   `max_v min(ecc(v), s) = min(s, D)` to every node.  That is `s` local
+    ///   rounds plus `Õ(1)`, within the baseline's own `Õ(√k)`.
+    /// * `Fixed` — the caller already knows the radius: nothing.
+    pub(crate) fn radius(self, net: &mut HybridNetwork, oracle: &NqOracle, k: u64) -> (u64, u64) {
         match self {
-            RadiusPolicy::NeighborhoodQuality => oracle.nq(k).max(1),
-            RadiusPolicy::WorstCaseSqrtK => {
-                oracle.diameter_min((k as f64).sqrt().ceil() as u64).max(1)
+            RadiusPolicy::NeighborhoodQuality => {
+                let measured = compute_nq(net, oracle, k);
+                (measured.nq.max(1), measured.rounds)
             }
-            RadiusPolicy::Fixed(radius) => radius,
+            RadiusPolicy::WorstCaseSqrtK => {
+                let s = (k.max(1) as f64).sqrt().ceil() as u64;
+                net.charge_local("radius/flood-sqrt-k", s);
+                let capped: Vec<u64> = (0..oracle.n() as NodeId)
+                    .map(|v| oracle.eccentricity_min(v, s))
+                    .collect();
+                let radius = basic_aggregation(net, &capped, u64::max);
+                debug_assert_eq!(radius, oracle.diameter_min(s));
+                (radius.max(1), s + basic_aggregation_rounds(net))
+            }
+            RadiusPolicy::Fixed(radius) => (radius, 0),
         }
     }
 }
@@ -78,11 +99,11 @@ pub struct DisseminationOutput {
     pub nq: u64,
     /// The radius parameter the run actually used.
     pub radius: u64,
-    /// Radius policy.
-    pub policy: RadiusPolicy,
-    /// Total rounds consumed.
+    /// The network's round count at return: `meter.rounds()`.
     pub rounds: u64,
-    /// Full cost trace.
+    /// What learning the radius charged (`RadiusPolicy::radius`).
+    pub setup_rounds: u64,
+    /// The network's cost trace at return.
     pub meter: CostMeter,
     /// The sorted set of token values every node knows at the end, decoded
     /// from what the clusters hold after the broadcast.
@@ -99,10 +120,6 @@ pub struct AggregationOutput {
     pub k: u64,
     /// The measured `NQ_k`.
     pub nq: u64,
-    /// Total rounds consumed.
-    pub rounds: u64,
-    /// Full cost trace.
-    pub meter: CostMeter,
     /// The `k` aggregate values, known to every node at the end.
     pub results: Vec<u64>,
 }
@@ -169,27 +186,24 @@ pub(crate) fn count_tokens(net: &mut HybridNetwork, tokens: &[TokenPlacement]) -
     for &(holder, _) in tokens {
         counts[holder as usize] += 1;
     }
-    let counted = basic_aggregation(net, &counts, |a, b| a + b).value;
+    let counted = basic_aggregation(net, &counts, |a, b| a + b);
     debug_assert_eq!(counted, tokens.len() as u64);
     counted
 }
 
 /// Theorem 1 — universally optimal `k`-dissemination in `Õ(NQ_k)` rounds
-/// (deterministic, `Hybrid0`).
+/// (deterministic, `Hybrid0`), the Lemma 3.3 measurement of `NQ_k` included.
 pub fn k_dissemination(
     net: &mut HybridNetwork,
     oracle: &NqOracle,
     tokens: &[TokenPlacement],
 ) -> DisseminationOutput {
-    // The distributed NQ_k measurement (Lemma 3.3) is charged before the
-    // reported-round window opens; its value is the oracle's.
-    compute_nq(net, oracle, tokens.len() as u64);
     disseminate_with_radius(net, oracle, tokens, RadiusPolicy::NeighborhoodQuality)
 }
 
 /// The existentially optimal baseline (`[AHK+20]`): the identical pipeline with
 /// the worst-case radius `min(⌈√k⌉, D)` instead of `NQ_k`, costing `Õ(√k)`
-/// rounds on every graph.
+/// rounds on every graph, reading `D` included.
 pub fn baseline_sqrt_k_dissemination(
     net: &mut HybridNetwork,
     oracle: &NqOracle,
@@ -199,7 +213,8 @@ pub fn baseline_sqrt_k_dissemination(
 }
 
 /// The shared dissemination engine: Theorem 1's pipeline with the clustering
-/// radius `policy` prescribes for `tokens.len()`.
+/// radius `policy` prescribes for the counted `k`, learned on `net` once `k`
+/// is known.
 pub fn disseminate_with_radius(
     net: &mut HybridNetwork,
     oracle: &NqOracle,
@@ -207,9 +222,8 @@ pub fn disseminate_with_radius(
     policy: RadiusPolicy,
 ) -> DisseminationOutput {
     const BALANCE: &str = "dissemination/load-balance";
-    let before = net.rounds();
     let k = count_tokens(net, tokens);
-    let radius = policy.radius(oracle, k);
+    let (radius, setup_rounds) = policy.radius(net, oracle, k);
     let (mut delivered, mut max_tokens_per_node) = (Vec::new(), 0);
     if k > 0 {
         // Clustering with the prescribed radius (Lemma 3.5) and the cluster
@@ -242,8 +256,8 @@ pub fn disseminate_with_radius(
         k,
         nq,
         radius,
-        policy,
-        rounds: net.rounds() - before,
+        rounds: net.rounds(),
+        setup_rounds,
         meter: net.meter().clone(),
         tokens: delivered,
         max_tokens_per_node,
@@ -262,7 +276,6 @@ pub fn k_aggregation(
     values: &[Vec<u64>],
     f: impl Fn(u64, u64) -> u64 + Copy,
 ) -> AggregationOutput {
-    let before = net.rounds();
     assert_eq!(
         values.len(),
         net.graph().n(),
@@ -277,8 +290,6 @@ pub fn k_aggregation(
         return AggregationOutput {
             k: 0,
             nq: oracle.nq(1),
-            rounds: 0,
-            meter: net.meter().clone(),
             results: Vec::new(),
         };
     }
@@ -321,8 +332,6 @@ pub fn k_aggregation(
     AggregationOutput {
         k: k as u64,
         nq,
-        rounds: net.rounds() - before,
-        meter: net.meter().clone(),
         results,
     }
 }
@@ -357,7 +366,7 @@ mod tests {
         let out = k_dissemination(&mut net, &oracle, &tokens);
         assert_eq!(out.k, 40);
         assert_eq!(out.tokens, (0..40).collect::<Vec<u64>>());
-        assert!(out.rounds > 0);
+        assert!(net.rounds() > 0);
     }
 
     #[test]
@@ -459,7 +468,7 @@ mod tests {
             out_sum.results,
             (1..=k as u64).map(|i| i * vsum).collect::<Vec<_>>()
         );
-        assert!(out.rounds > 0);
+        assert!(net.rounds() > 0);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub struct KsspOutput {
     pub stretch: f64,
     /// Accuracy parameter ε.
     pub epsilon: f64,
-    /// Total rounds consumed.
+    /// The network's round count at return.
     pub rounds: u64,
     /// The number of skeleton nodes used (0 when the `k ≤ γ` fast path ran).
     pub skeleton_size: usize,
@@ -90,7 +90,6 @@ pub fn kssp(
     let graph = net.graph_arc();
     let k = sources.len();
     let gamma = net.params().global_capacity_msgs.max(1);
-    let before = net.rounds();
 
     // Fast path (Theorem 14, third bullet): k ≤ γ arbitrary sources — run all
     // SSSP instances in parallel; each consumes Õ(1) global capacity.  No
@@ -101,10 +100,10 @@ pub fn kssp(
             net.charge_rounds("kssp/parallel-sssp (k <= gamma)", t);
         }
         return KsspOutput {
-            dist: DistanceRows::compute(&graph, sources).quantized(epsilon),
+            dist: DistanceRows::compute_quantized(&graph, sources, epsilon),
             stretch: 1.0 + epsilon,
             epsilon,
-            rounds: net.rounds() - before,
+            rounds: net.rounds(),
             skeleton_size: 0,
         };
     }
@@ -156,7 +155,7 @@ pub fn kssp(
         dist,
         stretch,
         epsilon,
-        rounds: net.rounds() - before,
+        rounds: net.rounds(),
         skeleton_size,
     }
 }

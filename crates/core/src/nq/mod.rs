@@ -150,6 +150,12 @@ impl NqOracle {
         }
     }
 
+    /// `min(ecc(v), x)`, without the unbounded table whenever `x ≤ ⌈√n⌉`: a
+    /// profile cut at `⌈√n⌉` reads `⌈√n⌉` there.
+    pub fn eccentricity_min(&self, v: NodeId, x: u64) -> u64 {
+        self.table(x).eccentricity(v).min(x)
+    }
+
     /// The table that answers radius `t`: the bounded one up to `⌈√n⌉` and
     /// whenever none was cut, the unbounded one past it.
     fn table(&self, t: u64) -> &BallOracle {
@@ -249,7 +255,6 @@ pub struct NqComputation {
 /// exploration steps and per-step aggregations are charged to the network's
 /// cost meter.
 pub fn compute_nq(net: &mut HybridNetwork, oracle: &NqOracle, k: u64) -> NqComputation {
-    let before = net.rounds();
     let k = k.max(1);
     let aggregation_rounds = net.polylog(1); // Lemma 4.4 basic aggregation
     let nq = oracle.nq(k);
@@ -262,7 +267,7 @@ pub fn compute_nq(net: &mut HybridNetwork, oracle: &NqOracle, k: u64) -> NqCompu
     NqComputation {
         k,
         nq,
-        rounds: net.rounds() - before,
+        rounds: nq * (1 + aggregation_rounds),
     }
 }
 
@@ -397,6 +402,7 @@ mod tests {
         let k = 32;
         let result = compute_nq(&mut net, &oracle, k);
         assert_eq!(result.nq, oracle.nq(k));
+        assert_eq!(result.rounds, net.rounds());
         assert!(result.rounds >= result.nq);
         // Õ(NQ_k): within a polylog factor of NQ_k.
         assert!(result.rounds <= result.nq * (net.polylog(1) + 1) + net.polylog(1));

@@ -185,36 +185,31 @@ impl VirtualTree {
     }
 }
 
-/// Result of the basic aggregation primitive (Lemma 4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BasicAggregation {
-    /// The aggregate value, known to every node afterwards.
-    pub value: u64,
-    /// Rounds charged (always `Õ(1)`).
-    pub rounds: u64,
-}
-
 /// Lemma 4.4 — `1`-aggregation: every node holds one value; afterwards every
-/// node knows `F(values…)`.  Charges Lemma 4.3's tree over all `n` nodes and
-/// one converge-cast plus broadcast along it — `2·height + 2` rounds of one
-/// `O(log n)`-bit message per tree edge per round, well within the per-node
-/// global capacity, `Õ(1)` in total.  Only the height is needed, so no tree
-/// is built.
+/// node knows `F(values…)`, which is returned.  Charges Lemma 4.3's tree over
+/// all `n` nodes and one converge-cast plus broadcast along it —
+/// `2·height + 2` rounds of one `O(log n)`-bit message per tree edge per
+/// round, well within the per-node global capacity, `Õ(1)` in total.  Only
+/// the height is needed, so no tree is built.
 pub fn basic_aggregation(
     net: &mut HybridNetwork,
     values: &[u64],
     f: impl Fn(u64, u64) -> u64,
-) -> BasicAggregation {
+) -> u64 {
     assert_eq!(values.len(), net.graph().n(), "one value per node required");
-    let before = net.rounds();
-    let height = heap_height(net.graph().n());
     charge_build(net);
-    net.charge_rounds("overlay/aggregate-convergecast", 2 * u64::from(height) + 2);
-    let value = values[1..].iter().fold(values[0], |acc, &v| f(acc, v));
-    BasicAggregation {
-        value,
-        rounds: net.rounds() - before,
-    }
+    net.charge_rounds("overlay/aggregate-convergecast", convergecast_rounds(net));
+    values[1..].iter().fold(values[0], |acc, &v| f(acc, v))
+}
+
+/// The rounds one [`basic_aggregation`] charges on `net`.
+pub(crate) fn basic_aggregation_rounds(net: &HybridNetwork) -> u64 {
+    net.polylog(2) + convergecast_rounds(net)
+}
+
+/// One converge-cast plus broadcast along Lemma 4.3's tree over all nodes.
+fn convergecast_rounds(net: &HybridNetwork) -> u64 {
+    2 * u64::from(heap_height(net.graph().n())) + 2
 }
 
 /// Who carries a payload across a cluster-tree edge — the one thing the
@@ -499,16 +494,15 @@ mod tests {
     fn basic_aggregation_computes_and_is_polylog() {
         let mut network = net(128);
         let values: Vec<u64> = (0..128).collect();
-        let out = basic_aggregation(&mut network, &values, |a, b| a.max(b));
-        assert_eq!(out.value, 127);
-        let log_n = 7u64;
-        assert!(
-            out.rounds <= 3 * log_n * log_n,
-            "rounds {} not Õ(1)",
-            out.rounds
+        assert_eq!(
+            basic_aggregation(&mut network, &values, |a, b| a.max(b)),
+            127
         );
+        let (rounds, log_n) = (network.rounds(), 7u64);
+        assert_eq!(rounds, basic_aggregation_rounds(&network));
+        assert!(rounds <= 3 * log_n * log_n, "rounds {rounds} not Õ(1)");
         let sum = basic_aggregation(&mut network, &values, |a, b| a + b);
-        assert_eq!(sum.value, 127 * 128 / 2);
+        assert_eq!(sum, 127 * 128 / 2);
     }
 
     #[test]

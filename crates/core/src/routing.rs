@@ -28,7 +28,7 @@ use std::collections::{BTreeSet, HashMap};
 use rand::Rng;
 
 use hybrid_graph::NodeId;
-use hybrid_sim::{CostMeter, GlobalMessage, HybridNetwork};
+use hybrid_sim::{GlobalMessage, HybridNetwork};
 
 use crate::cluster::cluster_with_radius;
 use crate::dissemination::{disseminate_with_radius, RadiusPolicy, TokenPlacement};
@@ -62,10 +62,6 @@ pub struct RoutingOutput {
     pub nq: u64,
     /// The radius parameter the run used.
     pub radius: u64,
-    /// Total rounds consumed.
-    pub rounds: u64,
-    /// Full cost trace.
-    pub meter: CostMeter,
     /// For every target, the set of source ids whose message it received —
     /// correctness means every set equals `S`.
     pub received: HashMap<NodeId, BTreeSet<NodeId>>,
@@ -117,9 +113,10 @@ pub fn kl_routing(
                 .nq
                 .max(1);
             // Logging pass (reverse direction).
+            let before = net.rounds();
             let logging = route_engine(net, oracle, targets, sources, nq_l, false, rng);
             // Retrace pass: same communication pattern in reverse, same cost.
-            net.charge_rounds("routing/retrace-logging-paths", logging.rounds);
+            net.charge_rounds("routing/retrace-logging-paths", net.rounds() - before);
             // The real messages flow source -> target; record them delivered.
             let mut received: HashMap<NodeId, BTreeSet<NodeId>> = HashMap::new();
             for &t in targets {
@@ -130,8 +127,6 @@ pub fn kl_routing(
                 l: targets.len(),
                 nq: nq_l,
                 radius: logging.radius,
-                rounds: logging.rounds * 2,
-                meter: net.meter().clone(),
                 received,
                 max_intermediate_load: logging.max_intermediate_load,
             }
@@ -140,7 +135,8 @@ pub fn kl_routing(
 }
 
 /// The existentially optimal baseline (`[KS20]`, `Õ(√k + kℓ/n)` rounds): the
-/// identical engine with the worst-case radius `min(⌈√k⌉, D)`.
+/// identical engine with the worst-case radius `min(⌈√k⌉, D)`, reading `D`
+/// included.
 pub fn baseline_sqrt_k_routing(
     net: &mut HybridNetwork,
     oracle: &NqOracle,
@@ -149,7 +145,7 @@ pub fn baseline_sqrt_k_routing(
     rng: &mut impl Rng,
 ) -> RoutingOutput {
     let k = sources.len().max(1) as u64;
-    let radius = RadiusPolicy::WorstCaseSqrtK.radius(oracle, k);
+    let (radius, _) = RadiusPolicy::WorstCaseSqrtK.radius(net, oracle, k);
     route_engine(net, oracle, sources, targets, radius, true, rng)
 }
 
@@ -163,7 +159,6 @@ fn route_engine(
     use_source_helpers: bool,
     rng: &mut impl Rng,
 ) -> RoutingOutput {
-    let before = net.rounds();
     let graph = net.graph_arc();
     let n = graph.n();
     let k = sources.len();
@@ -176,8 +171,6 @@ fn route_engine(
             l,
             nq,
             radius,
-            rounds: net.rounds() - before,
-            meter: net.meter().clone(),
             received: targets.iter().map(|&t| (t, BTreeSet::new())).collect(),
             max_intermediate_load: 0,
         };
@@ -297,8 +290,6 @@ fn route_engine(
         l,
         nq,
         radius,
-        rounds: net.rounds() - before,
-        meter: net.meter().clone(),
         received,
         max_intermediate_load: intermediate_load.into_iter().max().unwrap_or(0),
     }
@@ -341,7 +332,7 @@ mod tests {
         );
         assert!(out.is_complete(&sources, &targets));
         assert_eq!(out.k, 30);
-        assert!(out.rounds > 0);
+        assert!(net.rounds() > 0);
     }
 
     #[test]
@@ -377,7 +368,11 @@ mod tests {
             &mut rng,
         );
         assert!(out.is_complete(&sources, &targets));
-        assert_eq!(out.rounds % 2, 0);
+        // Lemma 3.3 for NQ_ℓ, then the logging pass and its retrace.
+        let measured = compute_nq(&mut HybridNetwork::hybrid(g), &oracle, 10).rounds;
+        let retrace = net.meter().rounds_for("routing/retrace-logging-paths");
+        assert!(retrace > 0);
+        assert_eq!(net.rounds(), measured + 2 * retrace);
     }
 
     #[test]
@@ -417,12 +412,8 @@ mod tests {
         let base = baseline_sqrt_k_routing(&mut net_b, &oracle_b, &sources, &targets, &mut rng);
         assert!(uni.is_complete(&sources, &targets));
         assert!(base.is_complete(&sources, &targets));
-        assert!(
-            uni.rounds <= base.rounds,
-            "universal {} > baseline {}",
-            uni.rounds,
-            base.rounds
-        );
+        let (uni, base) = (net_u.rounds(), net_b.rounds());
+        assert!(uni <= base, "universal {uni} > baseline {base}");
     }
 
     #[test]
@@ -465,6 +456,6 @@ mod tests {
             &mut rng,
         );
         assert!(out.is_complete(&sources, &targets));
-        assert!(out.meter.rounds_for("consolidate-super-sources") > 0);
+        assert!(net.meter().rounds_for("consolidate-super-sources") > 0);
     }
 }

@@ -62,6 +62,11 @@ fn per_source<T: Send>(
         .collect()
 }
 
+/// One row's `(1+ε)` labels ([`quantize_distance`] per entry).
+pub(crate) fn quantize_row(row: &[Weight], epsilon: f64) -> Vec<Weight> {
+    row.iter().map(|&d| quantize_distance(d, epsilon)).collect()
+}
+
 impl DistanceRows {
     /// Adopts `rows` (row `i` belongs to `sources[i]`) without copying them.
     ///
@@ -92,6 +97,16 @@ impl DistanceRows {
         Self::sweep(graph, sources, |ws, s| {
             ws.run(graph, s);
             ws.dist().to_vec()
+        })
+    }
+
+    /// `(1+ε)`-quantized exact distances from every source: each row is
+    /// quantized as it is swept, so no exact table is held beside the labels.
+    /// Equal to `compute(graph, sources).quantized(epsilon)`.
+    pub fn compute_quantized(graph: &Graph, sources: &[NodeId], epsilon: f64) -> Self {
+        Self::sweep(graph, sources, |ws, s| {
+            ws.run(graph, s);
+            quantize_row(ws.dist(), epsilon)
         })
     }
 
@@ -165,13 +180,14 @@ impl DistanceRows {
     /// `(1+ε)`-quantized copy of every row ([`quantize_distance`] per entry)
     /// — the label transformation of every Theorem 13 instance.
     pub fn quantized(&self, epsilon: f64) -> DistanceRows {
-        let quantize = |row: &Vec<Weight>| -> Vec<Weight> {
-            row.iter().map(|&d| quantize_distance(d, epsilon)).collect()
-        };
         DistanceRows {
             sources: self.sources.clone(),
             n: self.n,
-            rows: self.rows.iter().map(quantize).collect(),
+            rows: self
+                .rows
+                .iter()
+                .map(|row| quantize_row(row, epsilon))
+                .collect(),
         }
     }
 

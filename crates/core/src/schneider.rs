@@ -73,8 +73,7 @@ use hybrid_sim::HybridNetwork;
 use rayon::prelude::*;
 
 use crate::kssp::KsspOutput;
-use crate::rows::DistanceRows;
-use crate::sssp::quantize_distance;
+use crate::rows::{quantize_row, DistanceRows};
 
 /// Number of landmarks used for `n` nodes: `⌈√n⌉`, matching the `[Sch23]`
 /// overlay density (and the Theorem 14 skeleton size at `k = n`, `γ = 1`).
@@ -105,14 +104,13 @@ pub fn schneider_kssp(net: &mut HybridNetwork, sources: &[NodeId], epsilon: f64)
     let n = graph.n();
     let k = sources.len();
     let gamma = net.params().global_capacity_msgs.max(1) as u64;
-    let before = net.rounds();
 
     if k == 0 {
         return KsspOutput {
             dist: DistanceRows::from_rows(Vec::new(), n, Vec::new()),
             stretch: 1.0 + epsilon,
             epsilon,
-            rounds: 0,
+            rounds: net.rounds(),
             skeleton_size: 0,
         };
     }
@@ -153,7 +151,7 @@ pub fn schneider_kssp(net: &mut HybridNetwork, sources: &[NodeId], epsilon: f64)
         dist,
         stretch: 1.0 + epsilon,
         epsilon,
-        rounds: net.rounds() - before,
+        rounds: net.rounds(),
         skeleton_size: lm.len(),
     }
 }
@@ -181,10 +179,7 @@ fn exact_rows_and_hop_depth(
         .collect();
     let dist = DistanceRows::sweep(graph, sources, |ws, s| {
         search(ws, s);
-        ws.dist()
-            .iter()
-            .map(|&d| quantize_distance(d, epsilon))
-            .collect()
+        quantize_row(ws.dist(), epsilon)
     });
     (dist, deepest.into_inner())
 }
@@ -210,7 +205,6 @@ mod tests {
         let n = graph.n();
         let k = sources.len();
         let gamma = net.params().global_capacity_msgs.max(1) as u64;
-        let before = net.rounds();
         let lm = landmarks(n);
         let mut h = initial_depth(n);
         let (lm_rows, src_rows) = loop {
@@ -257,7 +251,7 @@ mod tests {
             dist,
             stretch: 1.0 + epsilon,
             epsilon,
-            rounds: net.rounds() - before,
+            rounds: net.rounds(),
             skeleton_size: lm.len(),
         }
     }

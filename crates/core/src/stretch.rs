@@ -357,7 +357,6 @@ mod tests {
         let apsp = |labels: &Graph| ApspOutput {
             dist: DistanceRows::all_pairs(labels),
             stretch: 1.0,
-            rounds: 0,
             algorithm: "exact",
         };
         assert_eq!(apsp(&split).verify_stretch(&split), Ok(1.0));
@@ -385,7 +384,6 @@ mod tests {
                     })
                     .collect(),
                 stretch: 1.0,
-                rounds: 0,
                 nq: 1,
             }
         };

@@ -88,7 +88,7 @@ fn a_theorem1_run_allocates_for_what_it_holds() {
         let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
         basic_aggregation(&mut net, &values, |a, b| a + b)
     });
-    assert_eq!(counted.value, n as u64);
+    assert_eq!(counted, n as u64);
     assert!(
         calls <= 8,
         "basic_aggregation on n = {n}: {calls} allocator calls (budget 8)"

@@ -192,19 +192,19 @@ proptest! {
         row.family = name;
         row.nq_exact = (exact & 1 == 0).then_some(exact);
         row.nq_quantile = float(floats[0]);
-        row.dissemination_ratio = float(floats[1]);
+        row.dissemination_modeled_ratio = float(floats[1]);
         row.kssp_stretch_worst = float(floats[2]);
         same_text(&row)?;
 
         let mut row = sweep_row();
         row.family = name;
         row.point = name;
-        row.sssp_ratio = float(floats[3]);
+        row.sssp_ratio = (exact & 2 == 0).then(|| float(floats[3]));
         row.dissemination.truncate(cells);
         row.kssp.truncate(cells);
         for cell in &mut row.dissemination {
             cell.algorithm = name;
-            cell.ratio = float(floats[4]);
+            cell.ratio = (exact & 4 == 0).then(|| float(floats[4]));
         }
         for cell in &mut row.kssp {
             cell.reference = name;

@@ -103,6 +103,16 @@ impl CostMeter {
         });
     }
 
+    /// Sum of rounds of all phases of `kind`: the three kinds sum to
+    /// [`CostMeter::rounds`].
+    pub fn rounds_of(&self, kind: PhaseKind) -> u64 {
+        self.trace
+            .iter()
+            .filter(|p| p.kind == kind)
+            .map(|p| p.rounds)
+            .sum()
+    }
+
     /// Sum of rounds of all phases whose label contains `needle` — handy in
     /// tests to assert which stage dominates.
     pub fn rounds_for(&self, needle: &str) -> u64 {
@@ -131,6 +141,8 @@ mod tests {
         assert_eq!(m.rounds_for("flood"), 5);
         assert_eq!(m.rounds_for("route"), 3);
         assert_eq!(m.rounds_for("oracle"), 7);
+        let kinds = [PhaseKind::Local, PhaseKind::Global, PhaseKind::Charged];
+        assert_eq!(kinds.map(|kind| m.rounds_of(kind)), [5, 3, 7]);
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn main() {
     let agg = k_aggregation(&mut net, &oracle, &counters, |a, b| a.max(b));
     println!(
         "\naggregating 8 fleet-wide health counters (Theorem 2): {} rounds",
-        agg.rounds
+        net.rounds()
     );
     println!("  fleet maxima: {:?}", agg.results);
 

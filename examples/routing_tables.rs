@@ -57,7 +57,8 @@ fn main() {
     let worst = tables.verify_stretch(&graph).expect("stretch guarantee");
     println!(
         "\n(k, ℓ)-SP with stretch 1.1 (Theorem 5): {} rounds, worst observed stretch {:.4}",
-        tables.rounds, worst
+        net.rounds(),
+        worst
     );
 
     // Print the routing table of the first subscriber: nearest 5 gateways.
