@@ -107,14 +107,8 @@ fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
 pub fn oracle_bench_rows(config: &OracleBenchConfig) -> OracleAnswersReport {
     let graph = config.build_graph();
     let n = graph.n();
-    let oracle = DistanceOracle::build(
-        &graph,
-        OracleConfig {
-            seed: config.seed,
-            ..OracleConfig::default()
-        },
-    )
-    .expect("oracle build");
+    let oracle =
+        DistanceOracle::build(&graph, OracleConfig { seed: config.seed }).expect("oracle build");
 
     let batches = config.query_batches(n);
     let mut digests = Vec::with_capacity(batches.len());

@@ -26,7 +26,6 @@ use rayon::prelude::*;
 use crate::dissemination::{disseminate_with_radius, RadiusPolicy, TokenPlacement};
 use crate::minplus::kernel;
 use crate::nq::NqOracle;
-use crate::prob::ln_n;
 use crate::rows::DistanceRows;
 use crate::skeleton::build_skeleton;
 use crate::spanner::greedy_spanner;
@@ -261,7 +260,7 @@ pub fn apsp_weighted_skeleton(
 
     // Every node learns its h-hop neighbourhood (h = ξ·t·ln n), finds its
     // closest skeleton node and broadcasts it together with the h-hop distance.
-    let h = ((crate::skeleton::XI * t * ln_n(n)).ceil() as u64).max(1);
+    let h = skeleton.h;
     net.charge_local("apsp-skeleton/learn-h-ball", oracle.diameter_min(h).max(1));
     broadcast_tokens(net, oracle, 2 * n, 0);
 

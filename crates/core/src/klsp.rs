@@ -10,8 +10,8 @@
 //! (Theorem 3).
 //!
 //! **Data level.**  Case (2)'s ℓ-SSP step is the Theorem 14 label
-//! composition with the targets as sources, so it runs on the shared blocked
-//! `(min, +)` kernel ([`crate::minplus`]) through
+//! composition with the targets as sources, so it runs on the shared
+//! `(min, +)` fold ([`crate::minplus::kernel`]) through
 //! [`crate::kssp::kssp`]; case (1) quantizes exact per-target labels
 //! directly.  Either way the final assembly is a pure gather of the source
 //! columns out of the target label rows — no further composition happens

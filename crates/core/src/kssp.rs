@@ -183,8 +183,9 @@ pub fn kssp(
 /// `SkeletonSample::distances` for `d_S(a, ·)`, then
 /// [`hop_limited_seeded_with`] seeded with `q(d_S(a, j))` at every skeleton
 /// node `j`, whose `h` synchronous rounds give `min_j (q(d_S(a, j)) ⊕
-/// d^h(j, ·))` for every node at once.  The labels are the ones composing a
-/// swept skeleton table on [`crate::minplus::compose`] gives, bit for bit.
+/// d^h(j, ·))` for every node at once.  The labels are the ones the plain
+/// [`crate::minplus::compose`] loop gives over a swept skeleton table, bit
+/// for bit.
 fn compute_labels(
     graph: &hybrid_graph::Graph,
     sample: &SkeletonSample,
@@ -359,7 +360,7 @@ mod tests {
 
     /// The Lemma 9.4 labels with no fast path: the whole skeleton from
     /// `build_skeleton` (the seed `kssp` samples with), every source composed
-    /// through the kernel, every anchor's coefficients from the skeleton
+    /// on [`minplus::compose`], every anchor's coefficients from the skeleton
     /// Dijkstra.  Also returns the skeleton.
     fn full_composition(
         g: &Arc<hybrid_graph::Graph>,

@@ -81,9 +81,9 @@
 //!
 //! [`DistanceOracle::query_batch`] and
 //! [`DistanceOracle::query_paths_batch`] split the query slice into
-//! fixed-size chunks and fan the chunks out over the rayon pool, splicing the
-//! per-chunk results back in index order — answers are bit-identical for any
-//! pool width.  Path batches land in a [`PathBatch`] arena (one flat node
+//! [`QUERY_CHUNK`]-sized chunks and fan the chunks out over the rayon pool,
+//! splicing the per-chunk results back in index order — answers are
+//! bit-identical for any pool width.  Path batches land in a [`PathBatch`] arena (one flat node
 //! buffer plus offsets) instead of per-query `Vec`s.
 
 use std::fmt;
@@ -99,24 +99,19 @@ use rayon::prelude::*;
 /// connected graphs: answers `a` satisfy `d ≤ a ≤ ORACLE_STRETCH · d`.
 pub const ORACLE_STRETCH: f64 = 3.0;
 
+/// Queries per parallel chunk in the batched entry points.
+pub const QUERY_CHUNK: usize = 1024;
+
 /// Construction parameters for [`DistanceOracle::build`].
 #[derive(Debug, Clone, Copy)]
 pub struct OracleConfig {
-    /// Number of landmarks to sample; `0` means the default `⌈√n⌉`.
-    pub landmarks: usize,
-    /// Seed for the deterministic landmark sample.
+    /// Seed for the deterministic sample of `⌈√n⌉` landmarks.
     pub seed: u64,
-    /// Queries per parallel chunk in the batched entry points.
-    pub query_chunk: usize,
 }
 
 impl Default for OracleConfig {
     fn default() -> Self {
-        OracleConfig {
-            landmarks: 0,
-            seed: 0xD15C0,
-            query_chunk: 1024,
-        }
+        OracleConfig { seed: 0xD15C0 }
     }
 }
 
@@ -314,7 +309,6 @@ pub struct DistanceOracle {
     anchor_dist: Vec<u32>,
     /// Ball arenas, one per [`BLOCK`] consecutive node ids.
     blocks: Vec<BallBlock>,
-    query_chunk: usize,
 }
 
 /// Reusable scratch for the bounded Dijkstras of ball construction.
@@ -373,17 +367,12 @@ impl DistanceOracle {
         if n == 0 {
             return Err(OracleError::EmptyGraph);
         }
-        let want = if config.landmarks == 0 {
-            (n as f64).sqrt().ceil() as usize
-        } else {
-            config.landmarks
-        }
-        .clamp(1, n);
+        let want = ((n as f64).sqrt().ceil() as usize).clamp(1, n);
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut all: Vec<NodeId> = (0..n as NodeId).collect();
         all.shuffle(&mut rng);
         all.truncate(want);
-        Self::build_with_landmarks_chunked(graph, &all, config.query_chunk)
+        Self::build_with_landmarks(graph, &all)
     }
 
     /// Builds the oracle from an explicit landmark set — the hook for reusing
@@ -391,14 +380,6 @@ impl DistanceOracle {
     /// (e.g. the skeleton-node sample of Definition 6.2).  Landmarks are
     /// deduplicated and sorted; at least one is required.
     pub fn build_with_landmarks(graph: &Graph, landmarks: &[NodeId]) -> Result<Self, OracleError> {
-        Self::build_with_landmarks_chunked(graph, landmarks, OracleConfig::default().query_chunk)
-    }
-
-    fn build_with_landmarks_chunked(
-        graph: &Graph,
-        landmarks: &[NodeId],
-        query_chunk: usize,
-    ) -> Result<Self, OracleError> {
         let n = graph.n();
         let mut landmarks: Vec<NodeId> = landmarks.to_vec();
         landmarks.sort_unstable();
@@ -465,7 +446,6 @@ impl DistanceOracle {
             anchor,
             anchor_dist,
             blocks,
-            query_chunk: query_chunk.max(1),
         })
     }
 
@@ -646,16 +626,15 @@ impl DistanceOracle {
     }
 
     /// Answers a batch of distance queries with rayon fan-out over
-    /// [`OracleConfig::query_chunk`]-sized chunks.  Output order matches the
-    /// input and is bit-identical for every pool width.
+    /// [`QUERY_CHUNK`]-sized chunks.  Output order matches the input and is
+    /// bit-identical for every pool width.
     pub fn query_batch(&self, queries: &[(NodeId, NodeId)]) -> Vec<Weight> {
-        let chunk = self.query_chunk;
-        let nchunks = queries.len().div_ceil(chunk);
+        let nchunks = queries.len().div_ceil(QUERY_CHUNK);
         let per: Vec<Vec<Weight>> = (0..nchunks)
             .into_par_iter()
             .map(|ci| {
-                let lo = ci * chunk;
-                let hi = (lo + chunk).min(queries.len());
+                let lo = ci * QUERY_CHUNK;
+                let hi = (lo + QUERY_CHUNK).min(queries.len());
                 queries[lo..hi]
                     .iter()
                     .map(|&(u, v)| self.query(u, v))
@@ -674,13 +653,12 @@ impl DistanceOracle {
     /// arena; the per-chunk arenas are spliced back in query order into one
     /// [`PathBatch`], so the result is bit-identical for every pool width.
     pub fn query_paths_batch(&self, queries: &[(NodeId, NodeId)]) -> PathBatch {
-        let chunk = self.query_chunk;
-        let nchunks = queries.len().div_ceil(chunk);
+        let nchunks = queries.len().div_ceil(QUERY_CHUNK);
         let per: Vec<(Vec<Weight>, Vec<u32>, Vec<NodeId>)> = (0..nchunks)
             .into_par_iter()
             .map(|ci| {
-                let lo = ci * chunk;
-                let hi = (lo + chunk).min(queries.len());
+                let lo = ci * QUERY_CHUNK;
+                let hi = (lo + QUERY_CHUNK).min(queries.len());
                 let mut dists = Vec::with_capacity(hi - lo);
                 let mut ends = Vec::with_capacity(hi - lo);
                 let mut nodes = Vec::new();
@@ -775,15 +753,9 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(21);
         let g = generators::weighted_grid(&[5, 9], 12, 21).unwrap();
-        let oracle = DistanceOracle::build(
-            &g,
-            OracleConfig {
-                query_chunk: 7,
-                ..OracleConfig::default()
-            },
-        )
-        .unwrap();
-        let queries: Vec<(NodeId, NodeId)> = (0..200)
+        let oracle = DistanceOracle::build(&g, OracleConfig::default()).unwrap();
+        // Two full chunks and a partial one: the batches cross two seams.
+        let queries: Vec<(NodeId, NodeId)> = (0..2 * QUERY_CHUNK + 200)
             .map(|_| {
                 (
                     rng.gen_range(0..g.n() as NodeId),

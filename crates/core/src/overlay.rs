@@ -55,8 +55,7 @@
 //! — one [`RoundRobin`] transfer per tree edge, which the network delivers
 //! as `min(T, lcm(|C|, |P|))` counted runs, not `T` messages: the funnel's
 //! edge is one run of `T`, a spread edge at most one run per (sender,
-//! receiver) pair.  Under a fault plan the network plays each transfer as its
-//! unit-order message list, so the order above is what fates are drawn for.
+//! receiver) pair.
 //!
 //! # Simulation contract
 //!

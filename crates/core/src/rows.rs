@@ -19,11 +19,12 @@
 //! Rows are stored as collected — one `Vec<Weight>` per row — so a table is
 //! adopted without a copy in both directions: [`DistanceRows::into_rows`]
 //! hands a swept table over for its rows to be folded in place (the
-//! Theorem 8 and Theorem 14 labels) or wrapped in a
-//! [`crate::minplus::RowMatrix`], and [`DistanceRows::from_rows`] takes the
-//! rows back.  The footprint is `O(|S|·n)` for an explicit
-//! (at the scale tier: sampled) source set, never `Θ(n²)` unless every node
-//! is a source.
+//! Theorem 8 and Theorem 14 labels), and [`DistanceRows::from_rows`] takes
+//! the rows back.  A table is also the right-hand side of the `(min, +)`
+//! composition ([`crate::minplus::compose`]) as it is: the skeleton keeps
+//! its swept rows ([`crate::skeleton::SkeletonGraph::rows`]).  The footprint
+//! is `O(|S|·n)` for an explicit (at the scale tier: sampled) source set,
+//! never `Θ(n²)` unless every node is a source.
 //!
 //! Rows are full-width [`Weight`]s and carry no shortest-path forest: the
 //! serving layer ([`crate::oracle`]) runs its own landmark sweep, because it

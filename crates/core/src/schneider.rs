@@ -187,15 +187,15 @@ fn exact_rows_and_hop_depth(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minplus::{self, Assignment, Coeff, RowMatrix};
+    use crate::minplus::{self, Assignment, Coeff};
     use hybrid_graph::{generators, GraphBuilder, Weight};
     use hybrid_sim::ModelParams;
     use std::sync::Arc;
 
     /// The deepening as it was swept before the stop was computed: every
     /// landmark and source row re-swept at each doubling of `h` until all
-    /// report their fixpoint, then the shortcut composition on the
-    /// `(min, +)` kernel — the reference [`schneider_kssp`] is held to.
+    /// report their fixpoint, then the shortcut composition on
+    /// [`minplus::compose`] — the reference [`schneider_kssp`] is held to.
     fn schneider_kssp_swept(
         net: &mut HybridNetwork,
         sources: &[NodeId],
@@ -235,12 +235,7 @@ mod tests {
             .collect();
         let assign: Vec<Assignment> = (0..k).map(|i| Some((i, 0))).collect();
         let init: Vec<&[Weight]> = src_rows.iter().collect();
-        let composed = minplus::compose(
-            &RowMatrix::new(lm_rows.into_rows()),
-            &coeffs,
-            &assign,
-            &init,
-        );
+        let composed = minplus::compose(&lm_rows, &coeffs, &assign, &init);
         assert_eq!(
             composed,
             src_rows.into_rows(),

@@ -13,10 +13,9 @@
 //! The construction has two halves.  `sample_skeleton` draws the skeleton
 //! nodes and charges the `h` local rounds; `SkeletonSample::sweep` then
 //! sweeps one `h`-hop-limited distance row per skeleton node
-//! ([`DistanceRows::hop_limited`]) and keeps them on the [`SkeletonGraph`] as
-//! a [`crate::minplus::RowMatrix`] (the swept rows, moved, plus their finite
-//! spans).  [`build_skeleton`] is the two halves back to back, for the
-//! consumer that reads the table: weighted APSP (Theorem 8).
+//! ([`DistanceRows::hop_limited`]) and keeps that table on the
+//! [`SkeletonGraph`].  [`build_skeleton`] is the two halves back to back, for
+//! the consumer that reads the table: weighted APSP (Theorem 8).
 //!
 //! The k-SSP data level ([`crate::kssp`]) never sweeps the table.  It needs
 //! only the skeleton distances from a few anchors, and
@@ -39,7 +38,6 @@ use hybrid_graph::work::{Kernel, Tally};
 use hybrid_graph::{Graph, GraphBuilder, NodeId, Weight, INFINITY};
 use hybrid_sim::HybridNetwork;
 
-use crate::minplus::RowMatrix;
 use crate::prob::ln_n;
 use crate::rows::DistanceRows;
 
@@ -49,7 +47,7 @@ pub const XI: f64 = 3.0;
 
 /// A skeleton graph together with the data needed to translate between the
 /// skeleton and the original graph.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SkeletonGraph {
     /// The skeleton nodes (original ids, sorted).
     pub nodes: Vec<NodeId>,
@@ -57,9 +55,8 @@ pub struct SkeletonGraph {
     /// (`usize::MAX` if not sampled).
     pub index_of: Vec<usize>,
     /// The `h`-hop-limited distance row of every skeleton node (`rows.row(i)`
-    /// is `d^h(nodes[i], ·)` over all of `G`), with finite spans precomputed
-    /// for the `(min, +)` kernel.
-    pub rows: RowMatrix,
+    /// is `d^h(nodes[i], ·)` over all of `G`), as swept.
+    pub rows: DistanceRows,
     /// The hop parameter `h = ξ·x·ln n`.
     pub h: u64,
     /// The sampling parameter `x` (sampling probability `1/x`).
@@ -91,7 +88,7 @@ impl SkeletonGraph {
     /// Theorem 8's spanner construction builds it once per run.
     pub fn graph(&self) -> Graph {
         let mut builder = GraphBuilder::new(self.nodes.len());
-        for (i, dist) in self.rows.rows().iter().enumerate() {
+        for (i, dist) in self.rows.iter().enumerate() {
             for (j, &v) in self.nodes.iter().enumerate().skip(i + 1) {
                 let d = dist[v as usize];
                 if d != INFINITY {
@@ -151,7 +148,7 @@ impl SkeletonSample {
         SkeletonGraph {
             nodes: self.nodes,
             index_of: self.index_of,
-            rows: RowMatrix::new(rows.into_rows()),
+            rows,
             h: self.h,
             x: self.x,
         }
@@ -534,7 +531,7 @@ mod tests {
         );
         // The sweep half completes the sample into the built table.
         let swept = sample.sweep(&g);
-        assert_eq!(swept.rows.rows(), sk.rows.rows());
+        assert_eq!(swept.rows, sk.rows);
     }
 
     #[test]

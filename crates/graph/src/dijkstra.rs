@@ -68,9 +68,9 @@ pub struct DijkstraResult {
     pub parent: Vec<Option<NodeId>>,
 }
 
-/// Which single-source oracle a run used (or should use).
+/// Which single-source oracle [`DijkstraWorkspace::run`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SsspAlgorithm {
+enum SsspAlgorithm {
     /// Breadth-first search — unweighted graphs.
     Bfs,
     /// Dial bucket-queue Dijkstra — small integer weights.
@@ -96,7 +96,7 @@ pub enum SsspAlgorithm {
 /// The choice is a pure function of the graph, so repeated runs — and runs
 /// split across worker threads — always agree.
 #[inline]
-pub fn select_sssp_algorithm(graph: &Graph) -> SsspAlgorithm {
+fn select_sssp_algorithm(graph: &Graph) -> SsspAlgorithm {
     if !graph.is_weighted() {
         return SsspAlgorithm::Bfs;
     }
@@ -115,7 +115,7 @@ pub fn select_sssp_algorithm(graph: &Graph) -> SsspAlgorithm {
 
 /// Reusable buffers for repeated single-source runs.
 ///
-/// All oracles ([`SsspAlgorithm`]) share the `dist` / `parent` buffers; the
+/// All oracles (BFS, Dial, heap) share the `dist` / `parent` buffers; the
 /// heap and bucket ring are lazily grown.  After a run the
 /// workspace resets itself sparsely using the list of touched nodes, so a
 /// sequence of runs on the same graph performs no allocation after the first.
@@ -194,7 +194,8 @@ impl DijkstraWorkspace {
         // Buckets are fully drained by the Dial loop itself.
     }
 
-    /// Runs the oracle chosen by [`select_sssp_algorithm`]; afterwards
+    /// Runs the cheapest correct oracle for `graph` (BFS when unweighted,
+    /// else Dial or the binary heap by weight range and density); afterwards
     /// [`Self::dist`] / [`Self::parent`] hold the result.
     pub fn run(&mut self, graph: &Graph, source: NodeId) {
         match select_sssp_algorithm(graph) {

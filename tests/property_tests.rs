@@ -212,52 +212,6 @@ proptest! {
         prop_assert_eq!(runs.messages, messages.len() as u64);
     }
 
-    /// The register-tiled quad (min,+) fold is **bit for bit** four single
-    /// folds on random saturating inputs — INFINITY runs, `u64::MAX − k`
-    /// near-saturation values and ordinary finite weights in one accumulator.
-    #[test]
-    fn minplus_quad_fold_equals_four_single_folds(
-        acc0 in prop::collection::vec(
-            (0u8..6, 0u64..500).prop_map(|(sel, f)| match sel {
-                0 => INFINITY,
-                1 => u64::MAX - 1,
-                2 => u64::MAX - 1 - (f % 100),
-                _ => f,
-            }),
-            1..300,
-        ),
-        rows_seed in any::<u64>(),
-        base in (0u8..6, 0u64..500).prop_map(|(sel, f)| match sel {
-            0 => INFINITY,
-            1 => u64::MAX - 1,
-            2 => 0,
-            _ => f,
-        }),
-    ) {
-        use hybrid::core::minplus::kernel;
-        use rand::Rng;
-        let n = acc0.len();
-        let mut rng = ChaCha8Rng::seed_from_u64(rows_seed);
-        let mut row = || -> Vec<u64> {
-            (0..n)
-                .map(|_| match rng.gen_range(0..6u8) {
-                    0 => INFINITY,
-                    1 => u64::MAX - rng.gen_range(0..3u64),
-                    _ => rng.gen_range(0..500u64),
-                })
-                .collect()
-        };
-        let (r0, r1, r2, r3) = (row(), row(), row(), row());
-        let bases = [base, 0, u64::MAX - 1, base.wrapping_add(1)];
-        let mut quad = acc0.clone();
-        kernel::fold_min_sat_quad(&mut quad, [&r0, &r1, &r2, &r3], bases);
-        let mut fold4 = acc0.clone();
-        for (r, b) in [(&r0, bases[0]), (&r1, bases[1]), (&r2, bases[2]), (&r3, bases[3])] {
-            kernel::fold_min_sat(&mut fold4, r, b);
-        }
-        prop_assert_eq!(quad, fold4);
-    }
-
     /// Distance quantization keeps labels within [d, (1+eps)d].
     #[test]
     fn quantization_bounds(d in 0u64..1_000_000_000, eps in 0.01f64..2.0) {
@@ -567,16 +521,14 @@ proptest! {
         wseed in any::<u64>(),
         qseed in any::<u64>(),
     ) {
-        use hybrid::core::oracle::{DistanceOracle, OracleConfig, ORACLE_STRETCH};
+        use hybrid::core::oracle::{DistanceOracle, OracleConfig, ORACLE_STRETCH, QUERY_CHUNK};
         use rand::Rng;
         let weighted = generators::with_random_weights(&graph, max_w, wseed).unwrap();
         let n = weighted.n() as u32;
-        let oracle = DistanceOracle::build(
-            &weighted,
-            OracleConfig { query_chunk: 13, ..OracleConfig::default() },
-        ).unwrap();
+        let oracle = DistanceOracle::build(&weighted, OracleConfig::default()).unwrap();
         let mut qrng = ChaCha8Rng::seed_from_u64(qseed);
-        let queries: Vec<(u32, u32)> = (0..64)
+        // One full chunk and a partial one: the batches cross a seam.
+        let queries: Vec<(u32, u32)> = (0..QUERY_CHUNK + 64)
             .map(|_| (qrng.gen_range(0..n), qrng.gen_range(0..n)))
             .collect();
         let batch = oracle.query_batch(&queries);
