@@ -477,7 +477,7 @@ mod tests {
             let g = family.build(120, 3);
             assert!(g.n() >= 60, "{} too small: {}", family.name(), g.n());
             assert!(g.n() <= 300, "{} too large: {}", family.name(), g.n());
-            let (_, c) = hybrid_graph::traversal::connected_components(&g);
+            let c = hybrid_graph::unionfind::UnionFind::of_graph(&g).count_sets();
             assert_eq!(c, 1, "{} not connected", family.name());
             let w = family.build_weighted(120, 3);
             assert_eq!(w.n(), g.n());

@@ -13,8 +13,8 @@
 use std::collections::HashMap;
 
 use rand::Rng;
-use rayon::prelude::*;
 
+use hybrid_graph::unionfind::UnionFind;
 use hybrid_graph::{Graph, NodeId};
 use hybrid_sim::HybridNetwork;
 
@@ -118,98 +118,36 @@ pub fn adaptive_helper_sets(
     }
 }
 
-/// Classical helper sets of `[KS20]` (Definition 9.1) for a node set `W`
-/// sampled with probability `1/x`: each `w ∈ W` receives the `µ ∈ Θ̃(x)`
-/// nodes closest to it (ties by node id) as helpers.
-#[derive(Debug, Clone)]
-pub struct Ks20HelperSets {
-    /// For every `w ∈ W`, its helper set.
-    pub sets: HashMap<NodeId, Vec<NodeId>>,
-    /// The size / radius parameter `µ`.
-    pub mu: u64,
-}
-
-impl Ks20HelperSets {
-    /// Maximum number of helper sets any node belongs to.
-    pub fn max_membership(&self, n: usize) -> usize {
-        let mut counts = vec![0usize; n];
-        for helpers in self.sets.values() {
-            for &h in helpers {
-                counts[h as usize] += 1;
-            }
-        }
-        counts.into_iter().max().unwrap_or(0)
-    }
-
-    /// Size of the smallest helper set.
-    pub fn min_size(&self) -> usize {
-        self.sets.values().map(Vec::len).min().unwrap_or(0)
-    }
-}
-
-/// Lemma 9.2 — computes `[KS20]` helper sets for `W` with parameter `x`,
-/// charging `Õ(x)` local rounds.
+/// Lemma 9.2 — the `[KS20]` helper sets (Definition 9.1) for a node set `W`
+/// sampled with probability `1/x`, charging `Õ(x)` local rounds, reduced to
+/// the one number the Lemma 9.3 schedule reads: the size of the smallest set
+/// (0 when `W` is empty).
 ///
-/// The set drafted for `w` is the `µ` nodes closest to `w` (hop distance,
-/// ties by node id) within radius `µ`.  The draft runs a level-by-level BFS
-/// that **stops as soon as `µ` candidates are banked** — on low-diameter
-/// graphs this touches `Θ(µ)` nodes instead of sweeping all `n` and sorting
-/// them (the k-SSP scheduler calls this once per skeleton, so the difference
-/// is a measurable slice of `reproduce figure1`).  Selection is identical to
-/// sorting the full `µ`-ball by `(distance, id)`: BFS levels are complete
-/// distance classes, and each banked level is sorted by id.
-pub fn ks20_helper_sets(
+/// Each `w ∈ W` drafts the `µ ∈ Θ̃(x)` nodes closest to it within radius `µ`
+/// (hop distance, ties by node id), so `|H_w| = min(µ, |B_µ(w)|)`.  Inside
+/// `w`'s component `C_w` every BFS level up to `min(ecc(w), µ)` is
+/// non-empty, so `|B_µ(w)| ≥ min(|C_w|, µ + 1)` and `|H_w| = min(µ, |C_w|)`:
+/// one union–find pass over the edges gives every size, and no helper list is
+/// built.
+pub fn ks20_min_helper_set_size(
     net: &mut HybridNetwork,
     graph: &Graph,
     w_set: &[NodeId],
     x: u64,
-) -> Ks20HelperSets {
-    let x = x.max(1);
-    let mu = ((x as f64) * ln_n(graph.n())).ceil() as u64;
-    net.charge_local("helpers/ks20-draft", mu.max(1));
-    let drafted: Vec<(NodeId, Vec<NodeId>)> = w_set
-        .par_iter()
-        .map_init(
-            || (vec![false; graph.n()], Vec::new(), Vec::new()),
-            |(seen, frontier, next), &w| {
-                // Level-synchronous BFS banking whole distance classes until
-                // µ candidates (or radius µ) are reached.
-                let mut helpers: Vec<NodeId> = Vec::with_capacity(mu as usize + 8);
-                frontier.clear();
-                frontier.push(w);
-                seen[w as usize] = true;
-                let mut touched: Vec<NodeId> = vec![w];
-                let mut depth = 0u64;
-                while !frontier.is_empty() && depth <= mu && (helpers.len() as u64) < mu {
-                    let level_start = helpers.len();
-                    helpers.extend_from_slice(frontier);
-                    helpers[level_start..].sort_unstable();
-                    next.clear();
-                    if depth < mu && (helpers.len() as u64) < mu {
-                        for &v in frontier.iter() {
-                            for a in graph.arcs(v) {
-                                if !seen[a.to as usize] {
-                                    seen[a.to as usize] = true;
-                                    touched.push(a.to);
-                                    next.push(a.to);
-                                }
-                            }
-                        }
-                    }
-                    std::mem::swap(frontier, next);
-                    depth += 1;
-                }
-                for v in touched {
-                    seen[v as usize] = false;
-                }
-                helpers.truncate((mu as usize).max(1));
-                (w, helpers)
-            },
-        )
-        .with_min_len(1)
-        .collect();
-    let sets: HashMap<NodeId, Vec<NodeId>> = drafted.into_iter().collect();
-    Ks20HelperSets { sets, mu }
+) -> usize {
+    let mu = ks20_mu(graph.n(), x);
+    net.charge_local("helpers/ks20-draft", mu);
+    let mut components = UnionFind::of_graph(graph);
+    w_set
+        .iter()
+        .map(|&w| components.set_size(w as usize).min(mu as usize))
+        .min()
+        .unwrap_or(0)
+}
+
+/// The `[KS20]` size / radius parameter `µ = ⌈x·ln n⌉`.
+fn ks20_mu(n: usize, x: u64) -> u64 {
+    ((x.max(1) as f64) * ln_n(n)).ceil() as u64
 }
 
 #[cfg(test)]
@@ -219,7 +157,7 @@ mod tests {
     use crate::nq::NqOracle;
     use crate::prob::sample_with_probability;
     use hybrid_graph::dijkstra::{dijkstra, DijkstraWorkspace};
-    use hybrid_graph::generators;
+    use hybrid_graph::{generators, GraphBuilder};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::sync::Arc;
@@ -289,66 +227,48 @@ mod tests {
     }
 
     #[test]
-    fn ks20_sets_have_mu_size_and_radius() {
-        let g = generators::grid(&[15, 15]).unwrap();
-        let mut net = HybridNetwork::hybrid(Arc::new(g.clone()));
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let x = 5u64;
-        let w = sample_with_probability(g.n(), 1.0 / x as f64, &mut rng);
-        let sets = ks20_helper_sets(&mut net, &g, &w, x);
-        assert!(sets.mu >= x);
-        for (&node, helpers) in &sets.sets {
-            assert!(!helpers.is_empty());
-            let d = dijkstra(&g, node);
-            for &h in helpers {
-                assert!(d.dist[h as usize] <= sets.mu);
-            }
-            assert!(helpers.len() as u64 <= sets.mu);
+    fn ks20_min_size_is_the_smallest_bounded_ball_draft() {
+        // A 40-node path, a triangle and an isolated node: two components
+        // smaller than µ = ⌈2·ln 44⌉ = 8.
+        let mut b = GraphBuilder::new(44);
+        for v in 0..39 {
+            b.add_edge(v, v + 1, 1).unwrap();
         }
-        if !w.is_empty() {
-            assert!(sets.min_size() >= 1);
-            assert!(sets.max_membership(g.n()) >= 1);
+        for (u, v) in [(40, 41), (41, 42), (40, 42)] {
+            b.add_edge(u, v, 1).unwrap();
         }
-    }
-
-    #[test]
-    fn ks20_early_stop_draft_matches_full_ball_sort() {
-        // Reference: explore the whole µ-ball, sort by (distance, id), take µ
-        // — the pre-optimization implementation.
+        let disconnected = b.build_unchecked_connectivity();
         for (g, x) in [
-            (generators::grid(&[9, 9]).unwrap(), 3u64),
-            (generators::path(70).unwrap(), 2),
+            (generators::path(70).unwrap(), 2u64),
+            (generators::grid(&[9, 9]).unwrap(), 3),
             (generators::tree_with_n(2, 60).unwrap(), 4),
+            (generators::erdos_renyi(80, 0.03, 11).unwrap(), 2),
+            (disconnected, 2),
+            // n = 9 ≤ µ = ⌈5·ln 9⌉ = 11: every draft is the whole graph.
+            (generators::grid(&[3, 3]).unwrap(), 5),
         ] {
-            let w_set: Vec<NodeId> = (0..g.n() as NodeId).step_by(7).collect();
+            // Reference: the draft itself, the closest µ nodes of w's µ-ball.
+            let mu = ks20_mu(g.n(), x);
+            let mut ball = DijkstraWorkspace::new();
+            let draft: Vec<usize> = g
+                .nodes()
+                .map(|w| {
+                    ball.run_bfs_bounded(&g, w, mu);
+                    ball.reached().len().min(mu as usize)
+                })
+                .collect();
             let mut net = HybridNetwork::hybrid(Arc::new(g.clone()));
-            let sets = ks20_helper_sets(&mut net, &g, &w_set, x);
-            for &w in &w_set {
-                let mut reach = DijkstraWorkspace::new();
-                reach.run_bfs_bounded(&g, w, sets.mu);
-                let mut candidates: Vec<(u64, NodeId)> = reach
-                    .reached()
-                    .iter()
-                    .map(|&v| (reach.dist()[v as usize], v))
-                    .collect();
-                candidates.sort_unstable();
-                let take = (sets.mu as usize).min(candidates.len()).max(1);
-                let reference: Vec<NodeId> =
-                    candidates.into_iter().take(take).map(|(_, v)| v).collect();
-                assert_eq!(sets.sets[&w], reference, "w = {w}");
+            for w in g.nodes() {
+                let size = ks20_min_helper_set_size(&mut net, &g, &[w], x);
+                assert_eq!(size, draft[w as usize], "n = {}, w = {w}", g.n());
             }
-        }
-    }
-
-    #[test]
-    fn ks20_sets_on_path_are_contiguous_neighbourhoods() {
-        let g = generators::path(60).unwrap();
-        let mut net = HybridNetwork::hybrid(Arc::new(g.clone()));
-        let sets = ks20_helper_sets(&mut net, &g, &[30], 4);
-        let helpers = &sets.sets[&30];
-        let d = dijkstra(&g, 30);
-        for &h in helpers {
-            assert!(d.dist[h as usize] <= sets.mu);
+            assert_eq!(net.rounds(), g.n() as u64 * mu, "µ local rounds per draft");
+            let everyone: Vec<NodeId> = g.nodes().collect();
+            assert_eq!(
+                ks20_min_helper_set_size(&mut net, &g, &everyone, x),
+                *draft.iter().min().unwrap()
+            );
+            assert_eq!(ks20_min_helper_set_size(&mut net, &g, &[], x), 0);
         }
     }
 }

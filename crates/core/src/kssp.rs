@@ -33,7 +33,7 @@ use hybrid_graph::dijkstra::{hop_limited_seeded_with, HopLimitedWorkspace};
 use hybrid_graph::{NodeId, Weight, INFINITY};
 use hybrid_sim::HybridNetwork;
 
-use crate::helpers::ks20_helper_sets;
+use crate::helpers::ks20_min_helper_set_size;
 use crate::minplus::kernel;
 use crate::rows::DistanceRows;
 use crate::skeleton::{sample_skeleton, SkeletonSample, SkeletonSearch};
@@ -121,8 +121,8 @@ pub fn kssp(
     // scheduling cost: each helper simulates at most ⌈k/|H_u|⌉ SSSP instances;
     // one simulated round costs Õ(√(k/γ)) local (helper-to-helper transit)
     // plus ⌈load/γ⌉ global rounds.
-    let helper_sets = ks20_helper_sets(net, &graph, &skeleton.nodes, x.ceil() as u64);
-    let min_helpers = helper_sets.min_size().max(1);
+    let min_helpers =
+        ks20_min_helper_set_size(net, &graph, &skeleton.nodes, x.ceil() as u64).max(1);
     let load_per_helper = k.div_ceil(min_helpers) as u64;
     let t_sssp = sssp_round_cost(net, epsilon);
     let per_simulated_round = h + load_per_helper.div_ceil(gamma as u64);

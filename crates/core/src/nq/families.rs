@@ -64,13 +64,13 @@ pub fn fit_exponent(ks: &[u64], values: &[u64]) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::nq::NqOracle;
-    use hybrid_graph::{generators, properties};
+    use hybrid_graph::generators;
 
     #[test]
     fn path_prediction_within_constant_factor() {
         let g = generators::path(600).unwrap();
-        let d = properties::diameter(&g);
         let oracle = NqOracle::new(&g);
+        let d = oracle.diameter();
         for &k in &[16u64, 64, 256, 400] {
             let measured = oracle.nq(k) as f64;
             let predicted = predict_path_like(k, d).theta_value;
@@ -88,8 +88,8 @@ mod tests {
     #[test]
     fn grid_prediction_within_constant_factor() {
         let g = generators::grid(&[20, 20]).unwrap();
-        let d = properties::diameter(&g);
         let oracle = NqOracle::new(&g);
+        let d = oracle.diameter();
         for &k in &[8u64, 64, 216, 400] {
             let measured = oracle.nq(k) as f64;
             let predicted = predict_grid(k, 2, d).theta_value;

@@ -82,13 +82,14 @@ impl SsspOutput {
 }
 
 /// Quantizes an exact distance by the allowed `(1+ε)` error:
-/// `d ↦ d + ⌊d·ε/2⌋`, which satisfies `d ≤ d̃ ≤ (1+ε)·d`.
+/// `d ↦ d + ⌊d·ε/2⌋`, which satisfies `d ≤ d̃ ≤ (1+ε)·d`.  A finite `d`
+/// stays finite: the sum is capped at `INFINITY − 1`, still `≥ d`.
 pub fn quantize_distance(d: Weight, epsilon: f64) -> Weight {
     if d == 0 || d == INFINITY {
         return d;
     }
     let slack = ((d as f64) * (epsilon / 2.0)).floor() as u64;
-    d.saturating_add(slack)
+    d.saturating_add(slack).min(INFINITY - 1)
 }
 
 /// Theorem 13 — `(1+ε)`-approximate SSSP in `Õ(1/ε²)` rounds (deterministic,
@@ -211,6 +212,24 @@ mod tests {
             }
         }
         assert_eq!(quantize_distance(INFINITY, 0.5), INFINITY);
+    }
+
+    #[test]
+    fn quantization_keeps_a_near_infinite_distance_reachable() {
+        let far = INFINITY - 1;
+        assert_eq!(quantize_distance(far, 0.25), far);
+        assert_eq!(quantize_distance(far - 8, 0.25), far);
+        // Two nodes, one edge of weight `INFINITY − 1`.
+        let mut b = hybrid_graph::GraphBuilder::new(2);
+        b.add_edge(0, 1, far).unwrap();
+        let g = Arc::new(b.build().unwrap());
+        let mut net = HybridNetwork::hybrid(Arc::clone(&g));
+        let out = sssp_approx(&mut net, 0, 0.25);
+        assert_eq!(out.dist, vec![0, far]);
+        out.verify_stretch(&dijkstra(&g, 0).dist).unwrap();
+        let rows = crate::rows::DistanceRows::compute_quantized(&g, &[0, 1], 0.25);
+        assert_eq!((rows.row(0), rows.row(1)), (&[0, far][..], &[far, 0][..]));
+        rows.verify_stretch(&g, 1.25).unwrap();
     }
 
     #[test]

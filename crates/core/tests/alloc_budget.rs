@@ -1,27 +1,39 @@
-//! Allocation budget of the charged dissemination pipeline — the CI-visible
-//! twin of the benchmark's `dissemination` `allocs_per_pass`.
+//! Allocation budgets of the charged pipelines — the CI-visible twins of the
+//! benchmark's `dissemination` and `kssp` `allocs_per_pass`.
 //!
 //! A Theorem 1 run is meant to allocate for what it *holds* — the clusters,
 //! one token set per cluster, the scheduler's workspace, the phase trace —
 //! and nothing per node or per phase: the virtual tree is implicit (counting
 //! `k` over all `n` nodes builds nothing) and phase labels are `&'static
-//! str`.  This file counts allocator calls with its own `#[global_allocator]`
-//! and holds one run to that.
+//! str`.  A Theorem 14 run allocates for its skeleton, its searches and its
+//! label rows, and nothing per skeleton node for the `[KS20]` helper sets,
+//! whose smallest size is all the schedule reads.  This file counts
+//! allocator calls with its own `#[global_allocator]` and holds one run of
+//! each to that.
 //!
-//! One `#[test]` only: a sibling test thread would allocate into the count.
+//! Each test holds `SERIAL` while it runs: a sibling test thread would
+//! allocate into the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 use hybrid_core::dissemination::{k_dissemination, place_tokens};
+use hybrid_core::kssp::{kssp, KsspVariant};
 use hybrid_core::overlay::basic_aggregation;
+use hybrid_core::prob::sample_distinct;
 use hybrid_core::NqOracle;
 use hybrid_graph::{generators, NodeId};
 use hybrid_sim::HybridNetwork;
 
 // Relaxed: a statistic that publishes no other data.
 static CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// Held for the whole of each test, so no two measure at once.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 struct Counting;
 
@@ -60,6 +72,7 @@ fn measured<T>(mut run: impl FnMut() -> T) -> (u64, T) {
 
 #[test]
 fn a_theorem1_run_allocates_for_what_it_holds() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let graph = Arc::new(generators::grid(&[64, 64]).unwrap());
     let n = graph.n();
     let oracle = NqOracle::new(&graph);
@@ -92,5 +105,45 @@ fn a_theorem1_run_allocates_for_what_it_holds() {
     assert!(
         calls <= 8,
         "basic_aggregation on n = {n}: {calls} allocator calls (budget 8)"
+    );
+}
+
+#[test]
+fn a_theorem14_run_allocates_no_helper_lists() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let graph = Arc::new(generators::grid(&[32, 32]).unwrap());
+    let n = graph.n();
+    let sources = sample_distinct(n, 32, &mut ChaCha8Rng::seed_from_u64(1));
+    let gamma = HybridNetwork::hybrid(Arc::clone(&graph))
+        .params()
+        .global_capacity_msgs;
+    assert!(sources.len() > gamma, "k > γ: the skeleton path runs");
+
+    // One worker: every `map_init` fan-out then builds the same number of
+    // workspaces, whatever the machine's core count.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    // Recorded: 128 calls, network construction included (3 961 while every
+    // skeleton node drafted and stored its own helper list).  The budget is
+    // that plus 22 % headroom, as for Theorem 1.
+    let (calls, out) = measured(|| {
+        pool.install(|| {
+            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
+            let mut rng = ChaCha8Rng::seed_from_u64(2);
+            kssp(
+                &mut net,
+                &sources,
+                0.5,
+                KsspVariant::RandomSources,
+                &mut rng,
+            )
+        })
+    });
+    assert!(out.skeleton_size > 0);
+    assert!(
+        calls <= 156,
+        "theorem14 on grid 32x32, 32 random sources: {calls} allocator calls (budget 156)"
     );
 }

@@ -22,10 +22,10 @@
 use std::sync::Arc;
 
 use hybrid_core::dissemination::place_tokens;
+use hybrid_core::rows::DistanceRows;
 use hybrid_core::schneider::{landmarks, schneider_kssp};
 use hybrid_core::sssp::quantize_distance;
 use hybrid_core::{dissemination_registry, sssp_registry, NqOracle};
-use hybrid_graph::dijkstra::hop_limited_distances;
 use hybrid_graph::{generators, Graph};
 use hybrid_sim::{HybridNetwork, ModelParams};
 
@@ -119,13 +119,13 @@ fn schneider_labels_equal_a_naive_fold_of_its_sweep_rows() {
         assert_eq!(out.dist.sources(), &sources[..]);
 
         let lm = landmarks(n);
-        let sweep = |s: &u32| hop_limited_distances(&graph, *s, n);
-        let lm_rows: Vec<Vec<u64>> = lm.iter().map(sweep).collect();
-        for (i, row) in sources.iter().map(sweep).enumerate() {
+        let (lm_rows, _) = DistanceRows::hop_limited(&graph, &lm, n);
+        let (source_rows, _) = DistanceRows::hop_limited(&graph, &sources, n);
+        for (i, row) in source_rows.iter().enumerate() {
             for v in 0..n {
                 let via_landmarks = lm
                     .iter()
-                    .zip(&lm_rows)
+                    .zip(lm_rows.iter())
                     .map(|(&l, lm_row)| row[l as usize].saturating_add(lm_row[v]))
                     .min()
                     .expect("at least one landmark");

@@ -318,7 +318,7 @@ mod tests {
     use super::*;
     use crate::dijkstra::DijkstraWorkspace;
     use crate::generators;
-    use crate::traversal::connected_components;
+    use crate::unionfind::UnionFind;
     use crate::GraphBuilder;
 
     /// `|B_t(v)|`, from one bounded BFS.
@@ -436,21 +436,27 @@ mod tests {
         for n in [1, 63, 64, 65, 200] {
             for graph in shapes(n) {
                 let (batches, slot) = plan(&graph);
-                let (comp, _) = connected_components(&graph);
+                let mut comp = UnionFind::of_graph(&graph);
                 let mut order = batches.concat();
                 order.sort_unstable();
                 assert!(order.iter().copied().eq(graph.nodes()), "n={n}");
                 for (b, batch) in batches.iter().enumerate() {
                     assert!((1..=LANES).contains(&batch.len()), "n={n} b={b}");
-                    let c = comp[batch[0] as usize];
-                    assert!(batch.iter().all(|&v| comp[v as usize] == c), "n={n} b={b}");
+                    let c = batch[0] as usize;
+                    assert!(
+                        batch.iter().all(|&v| comp.connected(v as usize, c)),
+                        "n={n} b={b}"
+                    );
                     for (lane, &v) in batch.iter().enumerate() {
                         assert_eq!(slot[v as usize] as usize, b * LANES + lane);
                     }
                     // Short only when the seed's component is used up.
                     if batch.len() < LANES {
                         let mut later = batches[b + 1..].iter().flatten();
-                        assert!(later.all(|&v| comp[v as usize] != c), "n={n} b={b}");
+                        assert!(
+                            later.all(|&v| !comp.connected(v as usize, c)),
+                            "n={n} b={b}"
+                        );
                     }
                 }
             }

@@ -133,21 +133,6 @@ impl Graph {
         self.max_weight
     }
 
-    /// Returns the subgraph induced by keeping only the edges for which
-    /// `keep(edge_id)` returns `true`.  Node ids are preserved; the result may
-    /// be disconnected.
-    pub fn edge_subgraph(&self, mut keep: impl FnMut(EdgeId) -> bool) -> Graph {
-        let mut builder = crate::GraphBuilder::new(self.n());
-        for (idx, &(u, v, w)) in self.edges.iter().enumerate() {
-            if keep(idx as EdgeId) {
-                builder
-                    .add_edge(u, v, w)
-                    .expect("edges of a valid graph remain valid");
-            }
-        }
-        builder.build_unchecked_connectivity()
-    }
-
     /// Bytes held by the CSR arrays (offsets, arcs, undirected edge list).
     /// The scale tier reports this next to the distance-row footprint so the
     /// `O(|S|·n)` memory claim is measured rather than asserted.
@@ -210,14 +195,6 @@ mod tests {
         let g = generators::path(5).unwrap();
         assert!(!g.is_weighted());
         assert_eq!(g.max_weight(), 1);
-    }
-
-    #[test]
-    fn edge_subgraph_keeps_selected_edges() {
-        let g = generators::cycle(6).unwrap();
-        let sub = g.edge_subgraph(|e| e % 2 == 0);
-        assert_eq!(sub.n(), 6);
-        assert_eq!(sub.m(), 3);
     }
 
     #[test]

@@ -79,18 +79,10 @@ enum SsspAlgorithm {
     Heap,
 }
 
-/// Selects the cheapest correct oracle for `graph` by weight range and
-/// density.
+/// Selects the cheapest correct oracle for `graph` by weight range:
 ///
 /// * unweighted → BFS;
 /// * small integer weights (`W ≤ `[`DIAL_MAX_WEIGHT`]) → Dial;
-/// * larger weights → Dial only when the worst-case bucket ring scan is
-///   provably dominated by the heap's work: the ring scan costs `O(max
-///   distance) ⊆ O(W·(n−1))`, the heap costs `Ω(m·log n)`, so Dial is chosen
-///   iff `W·(n−1) ≤ 4·m·⌈log₂ n⌉`.  This admits the near-complete skeleton
-///   graphs of the k-SSP scheduling framework (huge `m`, tiny hop diameter)
-///   while sending sparse large-weight graphs — whose true max distance can
-///   genuinely approach `W·n` — to the heap;
 /// * otherwise → binary heap.
 ///
 /// The choice is a pure function of the graph, so repeated runs — and runs
@@ -98,15 +90,8 @@ enum SsspAlgorithm {
 #[inline]
 fn select_sssp_algorithm(graph: &Graph) -> SsspAlgorithm {
     if !graph.is_weighted() {
-        return SsspAlgorithm::Bfs;
-    }
-    let w = graph.max_weight();
-    if w <= DIAL_MAX_WEIGHT {
-        return SsspAlgorithm::Dial;
-    }
-    let scan_bound = w.saturating_mul(graph.n().saturating_sub(1) as Weight);
-    let heap_bound = (graph.m() as Weight).saturating_mul(4 * graph.log2_n() as Weight);
-    if scan_bound <= heap_bound {
+        SsspAlgorithm::Bfs
+    } else if graph.max_weight() <= DIAL_MAX_WEIGHT {
         SsspAlgorithm::Dial
     } else {
         SsspAlgorithm::Heap
@@ -195,7 +180,7 @@ impl DijkstraWorkspace {
     }
 
     /// Runs the cheapest correct oracle for `graph` (BFS when unweighted,
-    /// else Dial or the binary heap by weight range and density); afterwards
+    /// else Dial or the binary heap by weight range); afterwards
     /// [`Self::dist`] / [`Self::parent`] hold the result.
     pub fn run(&mut self, graph: &Graph, source: NodeId) {
         match select_sssp_algorithm(graph) {
@@ -489,21 +474,13 @@ impl HopLimitedWorkspace {
 
 /// `h`-hop-limited distances `d^h(source, ·)` (Definition in Section 1.2 and
 /// Definition 6.2 of the paper): the weight of a shortest path among paths
-/// with at most `h` edges; `INFINITY` if no such path exists.
+/// with at most `h` edges; `INFINITY` if no such path exists.  Implemented as
+/// `h` rounds of frontier Bellman–Ford relaxation, which is exactly the
+/// computation a node can perform after `h` rounds of local flooding.
 ///
-/// Implemented as `h` rounds of frontier Bellman–Ford relaxation, which is
-/// exactly the computation a node can perform after `h` rounds of local
-/// flooding.
-pub fn hop_limited_distances(graph: &Graph, source: NodeId, h: usize) -> Vec<Weight> {
-    let mut ws = HopLimitedWorkspace::new();
-    let mut dist = vec![INFINITY; graph.n()];
-    hop_limited_distances_with(&mut ws, graph, source, h, &mut dist);
-    dist
-}
-
-/// Allocation-lean hop-limited distances: writes into `dist` (fully
-/// overwritten) and reuses the workspace's frontier/candidate buffers.  The
-/// one-seed case of [`hop_limited_seeded_with`].
+/// Writes into `dist` (fully overwritten) and reuses the workspace's
+/// frontier/candidate buffers.  The one-seed case of
+/// [`hop_limited_seeded_with`].
 ///
 /// Returns `true` iff the relaxation reached its fixpoint within `h` rounds
 /// (the frontier emptied, or `h ≥ n − 1` so the Bellman–Ford bound applies).
@@ -654,6 +631,13 @@ mod tests {
         closest
     }
 
+    /// `d^h(source, ·)` in a fresh vector.
+    fn hop_limited(graph: &Graph, source: NodeId, h: usize) -> Vec<Weight> {
+        let mut dist = Vec::new();
+        hop_limited_distances_with(&mut HopLimitedWorkspace::new(), graph, source, h, &mut dist);
+        dist
+    }
+
     /// `a` and `b` side by side, `b`'s ids shifted past `a`'s.
     fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
         let shift = a.n() as NodeId;
@@ -701,6 +685,15 @@ mod tests {
         let mut ws = DijkstraWorkspace::new();
         ws.run_dial(&heavy, 0);
         assert_eq!(ws.dist(), dist.as_slice());
+        // Weights past the threshold take the heap however dense the graph.
+        let mut b = GraphBuilder::new(20);
+        for u in 0..20 {
+            for v in u + 1..20 {
+                b.add_edge(u, v, DIAL_MAX_WEIGHT + 1).unwrap();
+            }
+        }
+        let dense = b.build().unwrap();
+        assert_eq!(select_sssp_algorithm(&dense), SsspAlgorithm::Heap);
     }
 
     #[test]
@@ -724,23 +717,23 @@ mod tests {
     fn hop_limited_matches_definition() {
         let g = weighted_diamond();
         // With at most 1 hop, node 3 is unreachable from 0; node 2 costs 5.
-        let d1 = hop_limited_distances(&g, 0, 1);
+        let d1 = hop_limited(&g, 0, 1);
         assert_eq!(d1[1], 1);
         assert_eq!(d1[2], 5);
         assert_eq!(d1[3], INFINITY);
         // With 2 hops the best 2-hop path to 2 is 0-1-3? no, that's 3 hops to 2.
-        let d2 = hop_limited_distances(&g, 0, 2);
+        let d2 = hop_limited(&g, 0, 2);
         assert_eq!(d2[3], 2);
         assert_eq!(d2[2], 5);
         // With enough hops we recover true distances.
-        let d3 = hop_limited_distances(&g, 0, 3);
+        let d3 = hop_limited(&g, 0, 3);
         assert_eq!(d3, dijkstra(&g, 0).dist);
     }
 
     #[test]
     fn hop_limited_zero_hops_only_source() {
         let g = generators::path(4).unwrap();
-        let d = hop_limited_distances(&g, 2, 0);
+        let d = hop_limited(&g, 2, 0);
         assert_eq!(d[2], 0);
         assert!(d.iter().enumerate().all(|(i, &x)| i == 2 || x == INFINITY));
     }
@@ -751,12 +744,12 @@ mod tests {
         let mut ws = HopLimitedWorkspace::new();
         let mut dist = Vec::new();
         hop_limited_distances_with(&mut ws, &g, 0, 1, &mut dist);
-        assert_eq!(dist, hop_limited_distances(&g, 0, 1));
+        assert_eq!(dist, hop_limited(&g, 0, 1));
         hop_limited_distances_with(&mut ws, &g, 3, 2, &mut dist);
-        assert_eq!(dist, hop_limited_distances(&g, 3, 2));
+        assert_eq!(dist, hop_limited(&g, 3, 2));
         let p = generators::path(7).unwrap();
         hop_limited_distances_with(&mut ws, &p, 0, 4, &mut dist);
-        assert_eq!(dist, hop_limited_distances(&p, 0, 4));
+        assert_eq!(dist, hop_limited(&p, 0, 4));
     }
 
     #[test]
@@ -931,7 +924,7 @@ mod tests {
     fn seeded_by_definition(g: &Graph, seeds: &[(NodeId, Weight)], h: usize) -> Vec<Weight> {
         let mut want = vec![INFINITY; g.n()];
         for &(s, x) in seeds {
-            for (w, d) in want.iter_mut().zip(hop_limited_distances(g, s, h)) {
+            for (w, d) in want.iter_mut().zip(hop_limited(g, s, h)) {
                 *w = (*w).min(x.saturating_add(d));
             }
         }
@@ -1049,8 +1042,7 @@ mod tests {
                     "source {s} of {:?}",
                     g.edges()
                 );
-                let first_exact =
-                    |v: usize| (0..n).find(|&h| hop_limited_distances(g, s, h)[v] == exact[v]);
+                let first_exact = |v: usize| (0..n).find(|&h| hop_limited(g, s, h)[v] == exact[v]);
                 let reached = (0..n).filter(|&v| exact[v] != INFINITY);
                 let want = reached
                     .map(|v| first_exact(v).expect("exact by n - 1 hops"))
@@ -1077,7 +1069,7 @@ mod tests {
     #[test]
     fn hop_limited_saturates_on_huge_weights() {
         let g = huge_path();
-        assert_eq!(hop_limited_distances(&g, 0, 2), dijkstra(&g, 0).dist);
+        assert_eq!(hop_limited(&g, 0, 2), dijkstra(&g, 0).dist);
         let mut dist = Vec::new();
         let mut ws = HopLimitedWorkspace::new();
         assert!(hop_limited_distances_with(&mut ws, &g, 0, 2, &mut dist));

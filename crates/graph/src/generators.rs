@@ -751,9 +751,17 @@ mod tests {
     use std::collections::HashSet;
 
     use super::*;
+    use crate::balls::BallOracle;
     use crate::fnv::graph_digest;
-    use crate::properties::diameter;
-    use crate::traversal::connected_components;
+
+    /// Hop diameter: the largest eccentricity of profiles run to the end.
+    fn diameter(g: &Graph) -> u64 {
+        BallOracle::new(g, u64::MAX).max_eccentricity().unwrap()
+    }
+
+    fn components(g: &Graph) -> usize {
+        UnionFind::of_graph(g).count_sets()
+    }
 
     fn assert_same(a: &Graph, b: &Graph) {
         assert_eq!(a.n(), b.n());
@@ -764,7 +772,7 @@ mod tests {
     /// would have enforced edge by edge.
     #[track_caller]
     fn assert_connected_and_simple(g: &Graph, what: &str) {
-        assert_eq!(connected_components(g).1, 1, "{what}: not connected");
+        assert_eq!(components(g), 1, "{what}: not connected");
         let pairs: HashSet<(NodeId, NodeId)> = g.edges().iter().map(|&(u, v, _)| (u, v)).collect();
         assert_eq!(pairs.len(), g.m(), "{what}: duplicate edge");
         assert!(
@@ -952,7 +960,7 @@ mod tests {
                 let t = tree_with_n(arity, n).unwrap();
                 assert_eq!(t.n(), n, "arity {arity}");
                 assert_eq!(t.m(), n - 1, "a tree has n-1 edges");
-                let (_, c) = connected_components(&t);
+                let c = components(&t);
                 assert_eq!(c, 1);
             }
         }
@@ -989,7 +997,7 @@ mod tests {
         let g1 = erdos_renyi(60, 0.05, 7).unwrap();
         let g2 = erdos_renyi(60, 0.05, 7).unwrap();
         assert_same(&g1, &g2);
-        let (_, c) = connected_components(&g1);
+        let c = components(&g1);
         assert_eq!(c, 1);
         assert_ne!(g1.edges(), erdos_renyi(60, 0.05, 8).unwrap().edges());
         assert!(erdos_renyi(10, 1.5, 0).is_err());
@@ -1006,7 +1014,7 @@ mod tests {
     #[test]
     fn random_geometric_connected() {
         let g = random_geometric(50, 0.18, 11).unwrap();
-        let (_, c) = connected_components(&g);
+        let c = components(&g);
         assert_eq!(c, 1);
         assert!(random_geometric(10, 0.0, 0).is_err());
         assert!(random_geometric(0, 0.5, 0).is_err());
@@ -1106,7 +1114,7 @@ mod tests {
         let g2 = chung_lu(300, 2.5, 6.0, 42).unwrap();
         assert_eq!(g1.edges(), g2.edges(), "not seed-deterministic");
         assert_eq!(g1.n(), 300);
-        let (_, c) = connected_components(&g1);
+        let c = components(&g1);
         assert_eq!(c, 1, "not connected");
         // Heavy tail: the hub degree dwarfs the average degree.
         let degrees: Vec<usize> = g1.nodes().map(|v| g1.degree(v)).collect();
@@ -1138,7 +1146,7 @@ mod tests {
         assert_eq!(g.n(), 20);
         // 5 cliques of C(4,2)=6 edges plus 5 cuts of 2 bridges.
         assert_eq!(g.m(), 5 * 6 + 5 * 2);
-        let (_, c) = connected_components(&g);
+        let c = components(&g);
         assert_eq!(c, 1);
         // Singleton cliques with one bridge degenerate to a cycle.
         let ring = ring_of_cliques(7, 1, 1).unwrap();
@@ -1165,7 +1173,7 @@ mod tests {
         assert_eq!(g.n(), 13);
         // Two C(5,2)=10 cliques plus a 3-node path contributing 4 edges.
         assert_eq!(g.m(), 2 * 10 + 4);
-        let (_, c) = connected_components(&g);
+        let c = components(&g);
         assert_eq!(c, 1);
         // Diameter: 1 (clique A) + 4 (path edges) + 1 (clique B).
         assert_eq!(diameter(&g), 6);

@@ -20,8 +20,8 @@
 //!   ([`traversal`], [`dijkstra`]);
 //! * **ball queries** `B_t(v)` which underlie the neighborhood-quality
 //!   parameter `NQ_k` ([`balls`]);
-//! * structural **properties** (connectivity, eccentricities, diameter) and
-//!   **cut evaluation** used by the cut-sparsifier experiments;
+//! * connected components by union–find ([`unionfind`]) and **cut
+//!   evaluation** used by the cut-sparsifier experiments;
 //! * the exact **work ledger** the searches report to ([`work`]).
 //!
 //! Every randomised construction is a pure function of its `u64` seed, from
@@ -39,7 +39,6 @@ pub mod dijkstra;
 pub mod error;
 pub mod fnv;
 pub mod generators;
-pub mod properties;
 pub mod traversal;
 pub mod unionfind;
 pub mod work;

@@ -1,6 +1,6 @@
 //! Breadth-first sweeps over many sources: [`lane_bfs`] — the one
 //! multi-source sweep, 64 searches advanced together, one bit of a `u64`
-//! word each, with a per-lane stop rule — and [`connected_components`].
+//! word each, with a per-lane stop rule.
 //! `lane_bfs` has one caller, [`crate::balls::BallProfiles::sweep`], the one
 //! ball-profile store: every node's profiles for
 //! [`crate::balls::BallOracle`], and a node sample's for the sampled `NQ_k`
@@ -9,10 +9,9 @@
 //! Hop distances `hop(v, w)` are what the paper's neighborhood-quality
 //! parameter, clusterings and lower bounds are defined over (Section 1.2).
 //! A single search — one source, or a set of sources that share one BFS
-//! forest — is [`DijkstraWorkspace`]'s.
+//! forest — is [`crate::dijkstra::DijkstraWorkspace`]'s.
 
 use crate::csr::{Graph, NodeId};
-use crate::dijkstra::DijkstraWorkspace;
 use crate::work::{Kernel, Tally};
 
 /// Sources one [`lane_bfs`] carries: one per bit of a `u64` word.
@@ -165,28 +164,11 @@ pub fn lane_bfs(
     cut
 }
 
-/// Connected components of the graph.  Returns `(component_id_per_node,
-/// number_of_components)`; components are numbered by their smallest node.
-pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
-    let mut comp = vec![usize::MAX; graph.n()];
-    let mut ws = DijkstraWorkspace::new();
-    let mut count = 0;
-    for s in graph.nodes() {
-        if comp[s as usize] == usize::MAX {
-            ws.run_bfs(graph, s);
-            for &v in ws.reached() {
-                comp[v as usize] = count;
-            }
-            count += 1;
-        }
-    }
-    (comp, count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::{Weight, INFINITY};
+    use crate::dijkstra::DijkstraWorkspace;
     use crate::generators;
 
     /// Hop distances from `source`, within `max_depth`.
@@ -224,22 +206,12 @@ mod tests {
     }
 
     #[test]
-    fn connected_components_counts() {
-        let g = generators::path(4).unwrap();
-        let (comp, c) = connected_components(&g);
-        assert_eq!(c, 1);
-        assert!(comp.iter().all(|&x| x == 0));
-        let sub = g.edge_subgraph(|e| e != 1);
-        let (comp, c) = connected_components(&sub);
-        assert_eq!(c, 2);
-        assert_eq!(comp, vec![0, 0, 1, 1]);
-    }
-
-    #[test]
     fn path_to_unreachable_is_none() {
-        let g = generators::path(4).unwrap();
-        let sub = g.edge_subgraph(|e| e != 1);
-        let (dist, order) = hops(&sub, 0, u64::MAX);
+        // The path 0 – 1 – 2 – 3 without its middle edge.
+        let mut b = crate::GraphBuilder::new(4);
+        b.add_edge(0, 1, 1).unwrap();
+        b.add_edge(2, 3, 1).unwrap();
+        let (dist, order) = hops(&b.build_unchecked_connectivity(), 0, u64::MAX);
         assert_eq!(dist[3], INFINITY);
         assert_eq!(order, vec![0, 1]);
     }

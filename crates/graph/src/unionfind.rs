@@ -1,6 +1,8 @@
 //! Disjoint-set union structure used by connectivity checks, spanning-forest
 //! decompositions and spanner construction.
 
+use crate::csr::Graph;
+
 /// Union–find with path compression and union by size.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
@@ -17,6 +19,15 @@ impl UnionFind {
             size: vec![1; n],
             sets: n,
         }
+    }
+
+    /// The connected components of `graph`: one union per edge.
+    pub fn of_graph(graph: &Graph) -> Self {
+        let mut uf = UnionFind::new(graph.n());
+        for &(u, v, _) in graph.edges() {
+            uf.union(u as usize, v as usize);
+        }
+        uf
     }
 
     /// Number of elements.
@@ -70,6 +81,12 @@ impl UnionFind {
     pub fn count_sets(&self) -> usize {
         self.sets
     }
+
+    /// Number of elements in the set containing `x`.
+    pub fn set_size(&mut self, x: usize) -> usize {
+        let root = self.find(x);
+        self.size[root] as usize
+    }
 }
 
 #[cfg(test)]
@@ -86,6 +103,7 @@ mod tests {
         assert_eq!(uf.count_sets(), 3);
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 3));
+        assert_eq!((uf.set_size(2), uf.set_size(3)), (3, 1));
         assert_eq!(uf.len(), 5);
         assert!(!uf.is_empty());
     }
@@ -101,5 +119,17 @@ mod tests {
             assert_eq!(uf.find(i), root);
         }
         assert_eq!(uf.count_sets(), 1);
+    }
+
+    #[test]
+    fn components_of_a_graph() {
+        // The path 0 – 1 – 2 – 3 without its middle edge, and node 4 alone.
+        let mut b = crate::GraphBuilder::new(5);
+        b.add_edge(0, 1, 1).unwrap();
+        b.add_edge(2, 3, 1).unwrap();
+        let mut uf = UnionFind::of_graph(&b.build_unchecked_connectivity());
+        assert_eq!(uf.count_sets(), 3);
+        assert!(uf.connected(0, 1) && uf.connected(2, 3) && !uf.connected(1, 2));
+        assert_eq!([0, 2, 4].map(|v| uf.set_size(v)), [2, 2, 1]);
     }
 }

@@ -257,20 +257,9 @@ impl ProgramSpec {
     }
 }
 
-/// The tokens `node` holds initially under `tokens_at`.  A scan of the whole
-/// placement: fine for one node, quadratic over all of them —
-/// [`ProgramSpec::visit`] indexes the placement once instead.
-pub fn initial_tokens(tokens_at: &[(NodeId, Vec<u64>)], node: NodeId) -> Vec<u64> {
-    tokens_at
-        .iter()
-        .filter(|(v, _)| *v == node)
-        .flat_map(|(_, tokens)| tokens.iter().copied())
-        .collect()
-}
-
-/// [`initial_tokens`] for every node of one placement: the entries stably
-/// sorted by node once, each lookup a binary search (per-node concatenation
-/// order unchanged).
+/// The tokens each node holds initially under one placement: the entries
+/// stably sorted by node once, each lookup a binary search returning the
+/// node's tokens in placement order.
 fn placement_index(tokens_at: &[(NodeId, Vec<u64>)]) -> impl Fn(NodeId) -> Vec<u64> + '_ {
     let mut by_node: Vec<&(NodeId, Vec<u64>)> = tokens_at.iter().collect();
     by_node.sort_by_key(|(v, _)| *v);
@@ -475,12 +464,10 @@ mod tests {
     #[test]
     fn initial_tokens_filters_by_node() {
         let at = vec![(0, vec![1]), (2, vec![5, 6]), (0, vec![9])];
-        assert_eq!(initial_tokens(&at, 0), vec![1, 9]);
-        assert_eq!(initial_tokens(&at, 1), Vec::<u64>::new());
-        assert_eq!(initial_tokens(&at, 2), vec![5, 6]);
-        let indexed = placement_index(&at);
-        for node in 0..4 {
-            assert_eq!(indexed(node), initial_tokens(&at, node), "node {node}");
-        }
+        let initial_tokens = placement_index(&at);
+        assert_eq!(initial_tokens(0), vec![1, 9]);
+        assert_eq!(initial_tokens(1), Vec::<u64>::new());
+        assert_eq!(initial_tokens(2), vec![5, 6]);
+        assert_eq!(initial_tokens(3), Vec::<u64>::new());
     }
 }

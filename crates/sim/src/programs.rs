@@ -460,12 +460,13 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::engine::{Executor, NodeRunner};
     use crate::params::ModelParams;
-    use hybrid_graph::{generators, properties};
+    use hybrid_graph::balls::BallOracle;
+    use hybrid_graph::generators;
 
     #[test]
     fn flooding_learns_everything_within_diameter() {
         let g = generators::grid(&[5, 5]).unwrap();
-        let d = properties::diameter(&g);
+        let d = BallOracle::new(&g, u64::MAX).max_eccentricity().unwrap();
         let config = EngineConfig::new(ModelParams::hybrid(25)).with_max_rounds(2 * d + 2);
         let mut exec = Executor::with_config(&g, config, |v| FloodProgram::new([v as u64], d + 1));
         let report = exec.run().unwrap();
@@ -509,7 +510,7 @@ mod tests {
     #[test]
     fn ack_flood_matches_plain_flooding_when_failure_free() {
         let g = generators::grid(&[5, 5]).unwrap();
-        let d = properties::diameter(&g);
+        let d = BallOracle::new(&g, u64::MAX).max_eccentricity().unwrap();
         let config = EngineConfig::new(ModelParams::hybrid(25)).with_max_rounds(4 * d + 4);
         let mut exec =
             Executor::with_config(&g, config, |v| AckFloodProgram::new([v as u64], 25, 2));

@@ -26,7 +26,7 @@ fn main() {
         "leaf–spine fabric: n = {}, m = {}, diameter = {}",
         n,
         graph.m(),
-        hybrid::graph::properties::diameter(&graph)
+        oracle.diameter()
     );
 
     // 1. Broadcast 500 control messages originating at the spines.

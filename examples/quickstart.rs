@@ -26,7 +26,7 @@ fn main() {
         "HYBRID network: n = {}, m = {}, D = {}",
         graph.n(),
         graph.m(),
-        { hybrid::graph::properties::diameter(&graph) }
+        oracle.diameter()
     );
     println!(
         "workload k = {k}:  NQ_k = {}   (worst-case bound sqrt(k) = {})",

@@ -26,7 +26,7 @@ fn main() {
         "wireless mesh: n = {}, m = {}, diameter = {}",
         graph.n(),
         graph.m(),
-        hybrid::graph::properties::diameter(&graph)
+        oracle.diameter()
     );
 
     // 40 landmark gateways (arbitrary positions), and every node that opted

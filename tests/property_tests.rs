@@ -285,19 +285,21 @@ proptest! {
         prop_assert_eq!(unweighted_heap.as_slice(), ws.dist());
     }
 
-    /// Hop-limited distances with enough hops recover exact distances, and
-    /// the workspace variant matches the allocating one on every prefix.
+    /// Hop-limited distances with enough hops recover exact distances, and a
+    /// reused workspace matches the row table's fresh sweep at any `h`.
     #[test]
     fn hop_limited_consistent(graph in arbitrary_graph(), h in 0usize..20, src_sel in any::<u32>()) {
+        use hybrid::graph::dijkstra::{hop_limited_distances_with, HopLimitedWorkspace};
         let source = src_sel % graph.n() as u32;
-        let row = hybrid::graph::dijkstra::hop_limited_distances(&graph, source, h);
-        let mut ws = hybrid::graph::dijkstra::HopLimitedWorkspace::new();
-        let mut row2 = Vec::new();
-        hybrid::graph::dijkstra::hop_limited_distances_with(&mut ws, &graph, source, h, &mut row2);
-        prop_assert_eq!(&row, &row2);
+        let mut ws = HopLimitedWorkspace::new();
+        let mut full = Vec::new();
+        hop_limited_distances_with(&mut ws, &graph, source, graph.n(), &mut full);
         let exact = hybrid::graph::dijkstra::dijkstra(&graph, source).dist;
-        let full = hybrid::graph::dijkstra::hop_limited_distances(&graph, source, graph.n());
         prop_assert_eq!(&full, &exact);
+        let mut row = Vec::new();
+        hop_limited_distances_with(&mut ws, &graph, source, h, &mut row);
+        let (fresh, _) = DistanceRows::hop_limited(&graph, &[source], h);
+        prop_assert_eq!(&row[..], fresh.row(0));
         for v in 0..graph.n() {
             prop_assert!(row[v] >= exact[v]);
         }
@@ -340,7 +342,11 @@ proptest! {
     #[test]
     fn parallel_fanouts_are_thread_count_invariant(graph in arbitrary_graph()) {
         let apsp_ref = DistanceRows::all_pairs(&graph);
-        let ecc_ref = hybrid::graph::properties::eccentricities(&graph);
+        let eccentricities = || {
+            let balls = hybrid::graph::balls::BallOracle::new(&graph, u64::MAX);
+            graph.nodes().map(|v| balls.eccentricity(v)).collect::<Vec<_>>()
+        };
+        let ecc_ref = eccentricities();
         for threads in [2usize, 4, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -349,7 +355,7 @@ proptest! {
             let (apsp, ecc) = pool.install(|| {
                 (
                     DistanceRows::all_pairs(&graph),
-                    hybrid::graph::properties::eccentricities(&graph),
+                    eccentricities(),
                 )
             });
             prop_assert!(apsp == apsp_ref, "apsp diverged at {} threads", threads);
@@ -418,7 +424,7 @@ proptest! {
         let g = generators::chung_lu(n, exponent, avg, seed).unwrap();
         prop_assert_eq!(g.n(), n);
         prop_assert!(g.m() >= n - 1, "connected graphs have >= n-1 edges");
-        let (_, c) = hybrid::graph::traversal::connected_components(&g);
+        let c = hybrid::graph::unionfind::UnionFind::of_graph(&g).count_sets();
         prop_assert_eq!(c, 1);
         let g2 = generators::chung_lu(n, exponent, avg, seed).unwrap();
         prop_assert_eq!(g.edges(), g2.edges());
@@ -435,7 +441,7 @@ proptest! {
         let g = generators::ring_of_cliques(cliques, size, bridges).unwrap();
         prop_assert_eq!(g.n(), cliques * size);
         prop_assert_eq!(g.m(), cliques * (size * (size - 1) / 2) + cliques * bridges);
-        let (_, c) = hybrid::graph::traversal::connected_components(&g);
+        let c = hybrid::graph::unionfind::UnionFind::of_graph(&g).count_sets();
         prop_assert_eq!(c, 1);
     }
 
@@ -446,11 +452,11 @@ proptest! {
         let g = generators::barbell(clique, path).unwrap();
         prop_assert_eq!(g.n(), 2 * clique + path);
         prop_assert_eq!(g.m(), clique * (clique - 1) + path + 1);
-        let (_, c) = hybrid::graph::traversal::connected_components(&g);
+        let c = hybrid::graph::unionfind::UnionFind::of_graph(&g).count_sets();
         prop_assert_eq!(c, 1);
-        let d = hybrid::graph::properties::diameter(&g);
+        let d = hybrid::graph::balls::BallOracle::new(&g, u64::MAX).max_eccentricity();
         let expected = if clique > 1 { path as u64 + 3 } else { path as u64 + 1 };
-        prop_assert_eq!(d, expected);
+        prop_assert_eq!(d, Some(expected));
     }
 }
 
