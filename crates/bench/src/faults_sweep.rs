@@ -46,34 +46,14 @@ pub struct FaultProfile {
 /// The failure-free reference profile (degradation factor 1 by definition).
 const NONE: FaultProfile = FaultProfile {
     name: "none",
-    spec: FaultSpec {
-        drop_prob: 0.0,
-        duplicate_prob: 0.0,
-        delay_prob: 0.0,
-        max_delay_rounds: 0,
-        crash_prob: 0.0,
-        crash_down_rounds: 0,
-        crash_horizon_rounds: 0,
-        partition_start: 0,
-        partition_rounds: 0,
-    },
+    spec: FaultSpec::none(),
 };
 
 /// A drop-only profile with the given per-attempt probability (percent).
 const fn drop_profile(name: &'static str, percent: u64) -> FaultProfile {
     FaultProfile {
         name,
-        spec: FaultSpec {
-            drop_prob: percent as f64 / 100.0,
-            duplicate_prob: 0.0,
-            delay_prob: 0.0,
-            max_delay_rounds: 0,
-            crash_prob: 0.0,
-            crash_down_rounds: 0,
-            crash_horizon_rounds: 0,
-            partition_start: 0,
-            partition_rounds: 0,
-        },
+        spec: FaultSpec::drop_only(percent as f64 / 100.0),
     }
 }
 

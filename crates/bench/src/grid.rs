@@ -131,8 +131,8 @@ impl GraphFamily {
                 generators::grid(&[side, side, side]).expect("grid3")
             }
             GraphFamily::BinaryTree => {
-                // Exactly n nodes: `tree_balanced(2, ⌈log2 n⌉)` overshot the
-                // size target by up to 3.5× and dominated sweep wall-clock.
+                // Exactly n nodes: the complete tree of depth ⌈log2 n⌉ would
+                // overshoot the size target by up to 3.5×.
                 generators::tree_with_n(2, n).expect("tree")
             }
             GraphFamily::ErdosRenyi => generators::erdos_renyi(n, er_p(n), seed).expect("er"),

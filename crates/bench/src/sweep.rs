@@ -782,13 +782,9 @@ mod tests {
 
     #[test]
     fn rows_respect_their_lower_bounds() {
-        let config = SweepConfig {
-            grid: Grid::new(&[GraphFamily::Path, GraphFamily::Barbell], &[96, 192], 9),
-            points: vec![SweepPoint::HYBRID, SweepPoint::SCARCE_GLOBAL],
-        };
-        let rows = sweep_rows(&config).unwrap();
-        assert_eq!(rows.len(), 8);
-        for r in &rows {
+        let rows = quick_rows();
+        assert_eq!(rows.len(), 99);
+        for r in rows {
             for c in &r.dissemination {
                 assert!(
                     c.rounds as f64 >= r.dissemination_lower_bound,
@@ -816,6 +812,13 @@ mod tests {
                 );
                 assert!(c.ratio.is_finite());
             }
+            assert!(
+                r.sssp_rounds as f64 >= r.sssp_lower_bound,
+                "{} n={} {}: SSSP below its lower bound",
+                r.family,
+                r.n,
+                r.point
+            );
             assert_eq!(r.sssp_ratio.is_some(), r.sssp_lower_bound >= 1.0);
             assert!(r.sssp_ratio.is_none_or(|ratio| ratio > 0.0));
         }

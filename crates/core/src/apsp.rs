@@ -10,8 +10,8 @@
 //!   via a skeleton graph plus a spanner of the skeleton (Algorithm 4);
 //! * [`apsp_sparse_exact`] — Corollary 2.2: on graphs with `Õ(n)` edges,
 //!   broadcast the whole graph and solve everything locally and exactly;
-//! * [`baseline_sqrt_n_apsp`] — the existentially optimal `Õ(√n)` comparison
-//!   row of Table 2 (`[AHK+20]`, `[KS20]`, `[AG21a]`).
+//! * [`baseline_sqrt_n_apsp_from_labels`] — the existentially optimal
+//!   `Õ(√n)` comparison row of Table 2 (`[AHK+20]`, `[KS20]`, `[AG21a]`).
 //!
 //! Every function returns the full `n × n` label table — a
 //! [`DistanceRows`] whose sources are all nodes in id order;
@@ -328,18 +328,11 @@ pub fn apsp_sparse_exact(net: &mut HybridNetwork, oracle: &NqOracle) -> ApspOutp
 }
 
 /// The existentially optimal comparison row of Table 2: exact weighted APSP
-/// in `Õ(√n)` rounds (`[AHK+20]`, `[KS20]`).  Computes exact labels and charges
-/// the published bound (`√n·log n`).
-pub fn baseline_sqrt_n_apsp(net: &mut HybridNetwork) -> ApspOutput {
-    let graph = net.graph_arc();
-    baseline_sqrt_n_apsp_from_labels(net, DistanceRows::all_pairs(&graph))
-}
-
-/// [`baseline_sqrt_n_apsp`] with precomputed exact labels — the baseline's
-/// labels are exact by definition, so a caller that already holds the exact
-/// table (e.g. for stretch verification of the other rows) can hand it over
-/// instead of paying the `n` single-source runs again.  The charged round
-/// count is unchanged.
+/// in `Õ(√n)` rounds (`[AHK+20]`, `[KS20]`).  Charges the published bound
+/// (`√n·log n`).  The baseline's labels are exact by definition, so the
+/// caller hands over the exact table it already holds (e.g. for stretch
+/// verification of the other rows) instead of paying the `n` single-source
+/// runs again.
 pub fn baseline_sqrt_n_apsp_from_labels(net: &mut HybridNetwork, dist: DistanceRows) -> ApspOutput {
     let n = net.graph().n();
     debug_assert_eq!(dist.len(), n, "labels must cover every node");
@@ -379,7 +372,7 @@ mod tests {
     #[test]
     fn unweighted_apsp_stretch_holds_on_tree_and_cycle() {
         for g in [
-            generators::tree_balanced(2, 5).unwrap(),
+            generators::tree_with_n(2, 63).unwrap(),
             generators::cycle(40).unwrap(),
         ] {
             let (g, oracle, mut net) = setup(g);
@@ -444,7 +437,7 @@ mod tests {
 
     #[test]
     fn sparse_exact_apsp_is_exact() {
-        let (g, oracle, mut net) = setup(generators::tree_balanced(3, 4).unwrap());
+        let (g, oracle, mut net) = setup(generators::tree_with_n(3, 121).unwrap());
         let out = apsp_sparse_exact(&mut net, &oracle);
         let worst = out.verify_stretch(&g).unwrap();
         assert!((worst - 1.0).abs() < 1e-12);
@@ -470,7 +463,7 @@ mod tests {
     #[test]
     fn literature_baseline_row_is_exact() {
         let (g, _, mut net_b) = setup(generators::grid(&[8, 8]).unwrap());
-        let base = baseline_sqrt_n_apsp(&mut net_b);
+        let base = baseline_sqrt_n_apsp_from_labels(&mut net_b, DistanceRows::all_pairs(&g));
         let worst = base.verify_stretch(&g).unwrap();
         assert!((worst - 1.0).abs() < 1e-12);
         assert!(net_b.rounds() > 0);

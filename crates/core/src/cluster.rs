@@ -302,7 +302,7 @@ mod tests {
         for (g, k) in [
             (generators::path(64).unwrap(), 16u64),
             (generators::grid(&[10, 10]).unwrap(), 50),
-            (generators::tree_balanced(2, 6).unwrap(), 32),
+            (generators::tree_with_n(2, 127).unwrap(), 32),
             (generators::cycle(60).unwrap(), 60),
         ] {
             let (clustering, _, g) = make(g, k);

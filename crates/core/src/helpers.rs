@@ -21,49 +21,13 @@ use hybrid_sim::HybridNetwork;
 use crate::cluster::Clustering;
 use crate::prob::ln_n;
 
-/// Adaptive helper sets (Definition 5.1) for a node set `W`.
-#[derive(Debug, Clone)]
-pub struct AdaptiveHelperSets {
-    /// For every `w ∈ W`, its helper set `H_w`.
-    pub sets: HashMap<NodeId, Vec<NodeId>>,
-    /// The workload parameter `k` the sets were built for.
-    pub k: u64,
-    /// The `NQ_k` value used.
-    pub nq: u64,
-    /// Hop-distance bound: every helper is within this many hops of its node
-    /// (property (2) of Definition 5.1, `Õ(NQ_k)`).
-    pub distance_bound: u64,
-}
-
-impl AdaptiveHelperSets {
-    /// Size of the smallest helper set.
-    pub fn min_size(&self) -> usize {
-        self.sets.values().map(Vec::len).min().unwrap_or(0)
-    }
-
-    /// For every node of the graph, in how many helper sets it participates
-    /// (property (3) of Definition 5.1 requires this to be `Õ(1)` w.h.p.).
-    pub fn membership_counts(&self, n: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; n];
-        for helpers in self.sets.values() {
-            for &h in helpers {
-                counts[h as usize] += 1;
-            }
-        }
-        counts
-    }
-
-    /// Maximum membership count.
-    pub fn max_membership(&self, n: usize) -> usize {
-        self.membership_counts(n).into_iter().max().unwrap_or(0)
-    }
-}
-
-/// Lemma 5.2 / Algorithm 1 — computes adaptive helper sets for `W` on top of
-/// an `NQ_k`-clustering.  `W` is expected to be sampled with probability at
-/// most `NQ_k / k` (the lemma's pre-condition); the function works for any
-/// `W` but the `Õ(1)`-membership property only holds w.h.p. under that
-/// condition.
+/// Lemma 5.2 / Algorithm 1 — computes the adaptive helper sets
+/// (Definition 5.1) for `W` on top of an `NQ_k`-clustering: for every
+/// `w ∈ W`, its helper set `H_w`, drafted inside `w`'s cluster and so within
+/// the clustering's weak-diameter bound of `w`.  `W` is expected to be
+/// sampled with probability at most `NQ_k / k` (the lemma's pre-condition);
+/// the function works for any `W` but the `Õ(1)`-membership property only
+/// holds w.h.p. under that condition.
 ///
 /// Charges `Õ(NQ_k)` rounds on `net` for the intra-cluster coordination
 /// (learning `C` and `C ∩ W`, drafting helpers).
@@ -72,7 +36,7 @@ pub fn adaptive_helper_sets(
     clustering: &Clustering,
     w_set: &[NodeId],
     rng: &mut impl Rng,
-) -> AdaptiveHelperSets {
+) -> HashMap<NodeId, Vec<NodeId>> {
     let n = net.graph().n();
     let k = clustering.k.max(1);
     let nq = clustering.nq.max(1);
@@ -110,12 +74,7 @@ pub fn adaptive_helper_sets(
             sets.insert(w, helpers);
         }
     }
-    AdaptiveHelperSets {
-        sets,
-        k,
-        nq,
-        distance_bound: clustering.weak_diameter_bound,
-    }
+    sets
 }
 
 /// Lemma 9.2 — the `[KS20]` helper sets (Definition 9.1) for a node set `W`
@@ -181,12 +140,12 @@ mod tests {
         let w = sample_with_probability(g.n(), prob.max(0.05), &mut rng);
         let sets = adaptive_helper_sets(&mut net, &clustering, &w, &mut rng);
         for &node in &w {
-            let helpers = sets.sets.get(&node).expect("every w gets a helper set");
+            let helpers = sets.get(&node).expect("every w gets a helper set");
             assert!(!helpers.is_empty());
             // Property (2): helpers within Õ(NQ_k) hops.
             let d = dijkstra(&g, node);
             for &h in helpers {
-                assert!(d.dist[h as usize] <= sets.distance_bound);
+                assert!(d.dist[h as usize] <= clustering.weak_diameter_bound);
             }
         }
     }
@@ -199,11 +158,16 @@ mod tests {
         let w = sample_with_probability(g.n(), prob, &mut rng);
         let sets = adaptive_helper_sets(&mut net, &clustering, &w, &mut rng);
         if !w.is_empty() {
+            // Property (3): every node sits in Õ(1) helper sets.
+            let mut counts = vec![0usize; g.n()];
+            for &h in sets.values().flatten() {
+                counts[h as usize] += 1;
+            }
+            let max_membership = counts.into_iter().max().unwrap();
             let log_n = (g.n() as f64).ln();
             assert!(
-                (sets.max_membership(g.n()) as f64) <= 40.0 * log_n,
-                "membership {} not Õ(1)",
-                sets.max_membership(g.n())
+                (max_membership as f64) <= 40.0 * log_n,
+                "membership {max_membership} not Õ(1)"
             );
         }
     }
@@ -219,11 +183,11 @@ mod tests {
         let bound = (clustering.k as f64 / clustering.nq as f64).floor() as usize;
         for &node in &w {
             assert!(
-                sets.sets[&node].len() >= bound.min(g.n() / clustering.len()),
+                sets[&node].len() >= bound.min(g.n() / clustering.len()),
                 "helper set too small"
             );
         }
-        assert!(sets.min_size() >= 1);
+        assert!(sets.values().all(|helpers| !helpers.is_empty()));
     }
 
     #[test]

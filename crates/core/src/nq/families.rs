@@ -33,8 +33,10 @@ pub fn predict_grid(k: u64, d: u32, diameter: u64) -> NqPrediction {
 }
 
 /// Fits an exponent `e` such that `values ≈ c · ks^e` by least squares in
-/// log-log space; used by the Appendix-B bench to verify the exponents
-/// `1/2` (paths) and `1/(d+1)` (grids).
+/// log-log space, the check of the exponents `1/2` (paths) and `1/(d+1)`
+/// (grids).  The Appendix-B rows report the per-`k` predictions above
+/// instead; this is API for a user who measures an `NQ_k` series of their
+/// own graph.
 ///
 /// Returns `None` if fewer than two usable points are supplied.
 pub fn fit_exponent(ks: &[u64], values: &[u64]) -> Option<f64> {

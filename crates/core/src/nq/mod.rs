@@ -271,9 +271,11 @@ pub fn compute_nq(net: &mut HybridNetwork, oracle: &NqOracle, k: u64) -> NqCompu
     }
 }
 
-/// Convenience: checks Lemma 3.6, `√(Dk/3n) < NQ_k ≤ min(D, √k)`, returning
-/// the three quantities `(lower, nq, upper)` so tests and benches can assert
-/// and report them.
+/// Lemma 3.6, `√(Dk/3n) < NQ_k ≤ min(D, √k)`, as the three quantities
+/// `(lower, nq, upper)`.  It is API because the lemma is a statement about
+/// any graph a library user builds, and the checks that assert it
+/// (`tests/nq_goldens.rs`, the workspace property tests) live outside this
+/// crate.
 ///
 /// Because radii are integers, the `√k` part of the upper bound is `⌈√k⌉`
 /// (the paper works with real-valued radii in the proof of Lemma 3.6).
@@ -350,7 +352,7 @@ mod tests {
             generators::path(100).unwrap(),
             generators::cycle(81).unwrap(),
             generators::grid(&[10, 10]).unwrap(),
-            generators::tree_balanced(2, 6).unwrap(),
+            generators::tree_with_n(2, 127).unwrap(),
             generators::star(50).unwrap(),
         ] {
             let oracle = NqOracle::new(&g);

@@ -254,7 +254,7 @@ fn route_engine(
         targets.iter().map(|&t| (t, BTreeSet::new())).collect();
 
     for (ti, &t) in targets.iter().enumerate() {
-        let t_helpers = &target_helpers.sets[&t];
+        let t_helpers = &target_helpers[&t];
         for (si, &s) in sources.iter().enumerate() {
             let mid = hash.eval_pair(s as u64, t as u64) as usize % n;
             intermediate_load[mid] += 1;
@@ -262,7 +262,7 @@ fn route_engine(
             // its effective (super-)source, balanced by the message index.
             let injector = if let Some(src_helpers) = &source_helper_sets {
                 let eff = effective_sender[&s];
-                let hs = &src_helpers.sets[&eff];
+                let hs = &src_helpers[&eff];
                 hs[(si * l + ti) % hs.len()]
             } else {
                 effective_sender[&s]
@@ -370,7 +370,11 @@ mod tests {
         assert!(out.is_complete(&sources, &targets));
         // Lemma 3.3 for NQ_ℓ, then the logging pass and its retrace.
         let measured = compute_nq(&mut HybridNetwork::hybrid(g), &oracle, 10).rounds;
-        let retrace = net.meter().rounds_for("routing/retrace-logging-paths");
+        let phases = net.meter().trace().iter();
+        let retrace: u64 = phases
+            .filter(|p| p.label == "routing/retrace-logging-paths")
+            .map(|p| p.rounds)
+            .sum();
         assert!(retrace > 0);
         assert_eq!(net.rounds(), measured + 2 * retrace);
     }
@@ -456,6 +460,7 @@ mod tests {
             &mut rng,
         );
         assert!(out.is_complete(&sources, &targets));
-        assert!(net.meter().rounds_for("consolidate-super-sources") > 0);
+        let mut phases = net.meter().trace().iter();
+        assert!(phases.any(|p| p.label.contains("consolidate-super-sources") && p.rounds > 0));
     }
 }

@@ -134,36 +134,16 @@ pub fn greedy_spanner(net: Option<&mut HybridNetwork>, graph: &Graph, k: u64) ->
     }
 }
 
-/// Verifies the stretch guarantee of `spanner` against `graph` by comparing
-/// exact distances from `samples` source nodes; returns the maximum observed
-/// stretch.
-pub fn measured_stretch(graph: &Graph, spanner: &Graph, samples: &[u32]) -> f64 {
-    let mut worst: f64 = 1.0;
-    for &s in samples {
-        let exact = hybrid_graph::dijkstra::dijkstra(graph, s).dist;
-        let approx = hybrid_graph::dijkstra::dijkstra(spanner, s).dist;
-        for v in 0..graph.n() {
-            if exact[v] == 0 || exact[v] == hybrid_graph::INFINITY {
-                continue;
-            }
-            if approx[v] == hybrid_graph::INFINITY {
-                return f64::INFINITY;
-            }
-            worst = worst.max(approx[v] as f64 / exact[v] as f64);
-        }
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::DistanceRows;
     use hybrid_graph::generators;
     use std::sync::Arc;
 
     #[test]
     fn spanner_of_tree_is_the_tree() {
-        let g = generators::tree_balanced(2, 4).unwrap();
+        let g = generators::tree_with_n(2, 31).unwrap();
         let s = greedy_spanner(None, &g, 2);
         assert_eq!(s.m(), g.m());
         assert_eq!(s.stretch, 3);
@@ -185,12 +165,8 @@ mod tests {
         for k in [2u64, 3] {
             let s = greedy_spanner(None, &g, k);
             let samples: Vec<u32> = (0..10).collect();
-            let stretch = measured_stretch(&g, &s.graph, &samples);
-            assert!(
-                stretch <= (2 * k - 1) as f64 + 1e-9,
-                "stretch {stretch} exceeds {}",
-                2 * k - 1
-            );
+            let rows = DistanceRows::compute(&s.graph, &samples);
+            rows.verify_stretch(&g, (2 * k - 1) as f64).unwrap();
         }
     }
 
@@ -200,8 +176,8 @@ mod tests {
         let g = generators::with_random_weights(&er, 20, 4).unwrap();
         let s = greedy_spanner(None, &g, 2);
         let samples: Vec<u32> = (0..8).collect();
-        let stretch = measured_stretch(&g, &s.graph, &samples);
-        assert!(stretch <= 3.0 + 1e-9, "stretch {stretch} exceeds 3");
+        let rows = DistanceRows::compute(&s.graph, &samples);
+        rows.verify_stretch(&g, 3.0).unwrap();
     }
 
     /// Regression: the path search added unchecked, so on a triangle of

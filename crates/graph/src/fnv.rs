@@ -42,7 +42,9 @@ impl Fnv1a64 {
 }
 
 /// Digest of a graph's content: `n`, then every `(u, v, w)` of
-/// [`Graph::edges`] in order, each widened to a `u64`.
+/// [`Graph::edges`] in order, each widened to a `u64`.  It is API because
+/// the generator goldens are pinned in two crates (this one's tests and the
+/// workspace property tests) and must hash the edge list the same way.
 pub fn graph_digest(graph: &Graph) -> u64 {
     let mut h = Fnv1a64::new();
     h.write_u64(graph.n() as u64);

@@ -11,7 +11,7 @@
 //! # Who owns what
 //!
 //! * The seven sweep families with a closed-form edge list — [`path`],
-//!   [`cycle`], [`grid`] / [`torus`], [`tree_with_n`], [`fat_tree`],
+//!   [`cycle`], [`grid`], [`tree_with_n`], [`fat_tree`],
 //!   [`ring_of_cliques`], [`barbell`] — have exactly one body, here.  Each
 //!   checks its node count against [`MAX_NODES`] before emitting anything
 //!   (`node_count`), emits its edges over fixed-size index chunks in parallel
@@ -173,23 +173,9 @@ pub fn star(n: usize) -> Result<Graph> {
 /// equal sides; arbitrary sides are supported).  `NQ_k ∈ Θ(min(k^{1/(d+1)}, D))`
 /// for constant `d` (Theorem 16).
 pub fn grid(dims: &[usize]) -> Result<Graph> {
-    lattice(dims, false)
-}
-
-/// `d`-dimensional torus (grid with wrap-around edges).
-pub fn torus(dims: &[usize]) -> Result<Graph> {
-    lattice(dims, true)
-}
-
-fn lattice(dims: &[usize], wrap: bool) -> Result<Graph> {
     if dims.is_empty() || dims.contains(&0) {
         return Err(GraphError::InvalidParameter {
             reason: "grid dimensions must be non-empty and positive".into(),
-        });
-    }
-    if wrap && dims.iter().any(|&d| d < 3) {
-        return Err(GraphError::InvalidParameter {
-            reason: "torus requires every dimension >= 3".into(),
         });
     }
     let n = node_count(dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)))?;
@@ -210,10 +196,6 @@ fn lattice(dims: &[usize], wrap: bool) -> Result<Graph> {
                 for (axis, &d) in dims.iter().enumerate() {
                     if coords[axis] + 1 < d {
                         out.push((flat as NodeId, (flat + strides[axis]) as NodeId, 1));
-                    } else if wrap {
-                        // Wrap-around edge back to coordinate 0 on this axis.
-                        let first = flat - (d - 1) * strides[axis];
-                        out.push((first as NodeId, flat as NodeId, 1));
                     }
                 }
             }
@@ -221,33 +203,12 @@ fn lattice(dims: &[usize], wrap: bool) -> Result<Graph> {
     )
 }
 
-/// Complete `arity`-ary tree of the given `depth` (depth 0 is a single root).
-///
-/// The node count is `1 + arity + … + arity^depth`, which can overshoot a
-/// size target by up to `arity ×`; experiment sweeps that need a tree of a
-/// *specific* size should use [`tree_with_n`] instead.
-pub fn tree_balanced(arity: usize, depth: usize) -> Result<Graph> {
-    if arity == 0 {
-        return Err(GraphError::InvalidParameter {
-            reason: "tree arity must be positive".into(),
-        });
-    }
-    // Number of nodes: 1 + arity + arity^2 + ... + arity^depth.
-    let mut n = 1usize;
-    let mut level = 1usize;
-    for _ in 0..depth {
-        level = level.saturating_mul(arity);
-        n = n.saturating_add(level);
-    }
-    tree_with_n(arity, n)
-}
-
 /// Truncated complete `arity`-ary tree with **exactly** `n` nodes: the tree
 /// is filled level by level in BFS (heap) numbering — node `v`'s children are
 /// `arity·v + 1 ..= arity·v + arity` — and simply stops at `n`, so every
 /// level except possibly the last is full.  This keeps the depth at
-/// `⌈log_arity n⌉` without the up-to-`arity ×` size overshoot of
-/// [`tree_balanced`].
+/// `⌈log_arity n⌉`, and on `n = 1 + arity + … + arity^depth` it is the
+/// complete tree of that depth.
 pub fn tree_with_n(arity: usize, n: usize) -> Result<Graph> {
     if arity == 0 {
         return Err(GraphError::InvalidParameter {
@@ -842,13 +803,6 @@ mod tests {
         ] {
             check(&format!("grid({dims:?})"), grid(dims), legacy);
         }
-        for (dims, legacy) in [
-            (&[5, 7][..], 0xb098f43de5207fe6),
-            (&[3, 3, 3], 0xcba5760c7cbe5cdf),
-            (&[130, 130], 0x05d8be97ae73ec6b),
-        ] {
-            check(&format!("torus({dims:?})"), torus(dims), legacy);
-        }
         check(
             "fat_tree(4, 8, 123)",
             fat_tree(4, 8, 123),
@@ -894,7 +848,6 @@ mod tests {
         assert!(too_many(tree_with_n(2, 1 << 40)));
         assert!(too_many(grid(&[1 << 20, 1 << 20])));
         assert!(too_many(grid(&[usize::MAX, 2])));
-        assert!(too_many(torus(&[70_000, 70_000])));
         assert!(too_many(fat_tree(4, 1 << 20, 1 << 20)));
         assert!(too_many(fat_tree(usize::MAX, 1, 0)));
         assert!(too_many(barbell(1 << 31, 0)));
@@ -932,25 +885,15 @@ mod tests {
     }
 
     #[test]
-    fn torus_is_regular_and_smaller_diameter() {
-        let t = torus(&[4, 4]).unwrap();
-        assert_eq!(t.n(), 16);
-        for v in t.nodes() {
-            assert_eq!(t.degree(v), 4);
-        }
-        assert!(diameter(&t) <= diameter(&grid(&[4, 4]).unwrap()));
-        assert!(torus(&[2, 4]).is_err());
-    }
-
-    #[test]
     fn balanced_tree_counts() {
-        let t = tree_balanced(2, 3).unwrap();
-        assert_eq!(t.n(), 15);
+        // 15 = 1 + 2 + 4 + 8 nodes: the complete binary tree of depth 3.
+        let t = tree_with_n(2, 15).unwrap();
         assert_eq!(t.m(), 14);
         assert_eq!(diameter(&t), 6);
-        let t = tree_balanced(3, 2).unwrap();
-        assert_eq!(t.n(), 13);
-        assert!(tree_balanced(0, 2).is_err());
+        // 13 = 1 + 3 + 9 nodes: the complete ternary tree of depth 2.
+        let t = tree_with_n(3, 13).unwrap();
+        assert_eq!(diameter(&t), 4);
+        assert_eq!(t.degree(0), 3);
     }
 
     #[test]
@@ -970,11 +913,12 @@ mod tests {
 
     #[test]
     fn tree_with_n_matches_balanced_on_complete_sizes() {
-        // On node counts that form complete trees the two constructions are
-        // the same graph (identical BFS numbering).
-        let full = tree_balanced(2, 3).unwrap();
-        let trunc = tree_with_n(2, 15).unwrap();
-        assert_eq!(full.edges(), trunc.edges());
+        // On node counts that form complete trees every internal node has
+        // all its children: the 7 internal nodes of 15 have degree 3 but the
+        // root, and the 8 leaves degree 1.
+        let full = tree_with_n(2, 15).unwrap();
+        let degrees: Vec<usize> = full.nodes().map(|v| full.degree(v)).collect();
+        assert_eq!(degrees, [[2].as_slice(), &[3; 6], &[1; 8]].concat());
         // Truncation keeps the depth logarithmic: 20 nodes, arity 2 ⇒ the
         // deepest node (19) sits at depth 4, so the diameter is at most 8.
         let t = tree_with_n(2, 20).unwrap();

@@ -44,8 +44,8 @@ pub enum ToNode {
         n: usize,
         /// The node's neighbourhood in the local communication graph.
         neighbors: Vec<NodeId>,
-        /// Model parameters (whether the local plane exists, and γ); their
-        /// `n` must equal the frame's `n`.
+        /// Model parameters (γ, the per-node global cap); their `n` must
+        /// equal the frame's `n`.
         params: ModelParams,
         /// Scenario seed (randomized programs derive per-node streams).
         seed: u64,

@@ -5,9 +5,9 @@
 //! for the `Init` frame, instantiates the program named by its
 //! [`ProgramSpec`](crate::scenario::ProgramSpec), and then executes one
 //! program step per `Round` frame until `Halt`.  The program runs against
-//! the *genuine* engine `NodeCtx` (via [`NodeRunner`]), so the γ send cap,
-//! the neighbour check on local sends and the local-mode assertion behave
-//! identically to the in-process executor by construction.
+//! the *genuine* engine `NodeCtx` (via [`NodeRunner`]), so the γ send cap
+//! and the neighbour check on local sends behave identically to the
+//! in-process executor by construction.
 //!
 //! Typed message bodies exist only inside this process: incoming
 //! [`Envelope`]s carry untyped [`Value`] trees that are bound to the

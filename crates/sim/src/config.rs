@@ -155,15 +155,6 @@ impl RunReport {
     }
 }
 
-impl EngineError {
-    /// Extracts the partial run report.
-    pub fn into_report(self) -> RunReport {
-        match self {
-            EngineError::RoundLimitExceeded { report, .. } => report,
-        }
-    }
-}
-
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -228,6 +219,9 @@ mod tests {
             report: report.clone(),
         };
         assert!(err.to_string().contains("round limit of 5"));
-        assert_eq!(err.into_report(), report);
+        let EngineError::RoundLimitExceeded {
+            report: partial, ..
+        } = err;
+        assert_eq!(partial, report);
     }
 }

@@ -112,16 +112,6 @@ impl CostMeter {
             .map(|p| p.rounds)
             .sum()
     }
-
-    /// Sum of rounds of all phases whose label contains `needle` — handy in
-    /// tests to assert which stage dominates.
-    pub fn rounds_for(&self, needle: &str) -> u64 {
-        self.trace
-            .iter()
-            .filter(|p| p.label.contains(needle))
-            .map(|p| p.rounds)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -138,9 +128,6 @@ mod tests {
         assert_eq!(m.local_messages(), 100);
         assert_eq!(m.global_messages(), 42);
         assert_eq!(m.trace().len(), 3);
-        assert_eq!(m.rounds_for("flood"), 5);
-        assert_eq!(m.rounds_for("route"), 3);
-        assert_eq!(m.rounds_for("oracle"), 7);
         let kinds = [PhaseKind::Local, PhaseKind::Global, PhaseKind::Charged];
         assert_eq!(kinds.map(|kind| m.rounds_of(kind)), [5, 3, 7]);
     }

@@ -91,7 +91,9 @@ impl<'de, B: Deserialize<'de>> Deserialize<'de> for Envelope<B> {
 }
 
 /// One delivered message in a [`RoundTrace`]: the payload is rendered as
-/// compact JSON so traces from different transports compare bit-for-bit.
+/// compact JSON (`serde_json::to_string`'s text) so traces from different
+/// transports compare bit-for-bit — a [`Value`] body (the wire's) renders to
+/// the same text as the typed message it was read from.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEntry {
     /// Sending node.
@@ -117,15 +119,6 @@ pub struct RoundTrace {
     pub local: Vec<TraceEntry>,
     /// Delivered global messages (after the γ receive cap).
     pub global: Vec<TraceEntry>,
-}
-
-/// Renders a message body as canonical compact JSON — the single payload
-/// rendering used by both engines' traces and the wire format.  It is
-/// `serde_json::to_string`, which streams the body's text without building
-/// a [`Value`]; a [`Value`] body (the wire's) renders to the same text as
-/// the typed message it was read from.
-pub fn body_json<M: Serialize>(body: &M) -> String {
-    serde_json::to_string(body).expect("stand-in serialization is infallible")
 }
 
 #[cfg(test)]
@@ -162,7 +155,7 @@ mod tests {
             local: vec![TraceEntry {
                 src: 0,
                 dst: 1,
-                body: body_json(&vec![9u64]),
+                body: serde_json::to_string(&vec![9u64]).unwrap(),
             }],
             global: vec![],
         };

@@ -94,7 +94,7 @@ impl Default for FaultSpec {
 
 impl FaultSpec {
     /// The failure-free spec: every fate is [`Fate::Deliver`].
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         FaultSpec {
             drop_prob: 0.0,
             duplicate_prob: 0.0,
@@ -109,7 +109,7 @@ impl FaultSpec {
     }
 
     /// A message-drop-only adversary with the given per-attempt probability.
-    pub fn drop_only(drop_prob: f64) -> Self {
+    pub const fn drop_only(drop_prob: f64) -> Self {
         FaultSpec {
             drop_prob,
             ..Self::none()

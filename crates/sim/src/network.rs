@@ -94,14 +94,7 @@ impl HybridNetwork {
     }
 
     /// Charges a local phase of the given hop radius.
-    ///
-    /// # Panics
-    /// Panics if the model has no local communication.
     pub fn charge_local(&mut self, label: &'static str, radius_rounds: u64) {
-        assert!(
-            self.params.local,
-            "model has no local communication but a local phase was charged"
-        );
         // Message volume estimate: every edge may carry a message in every
         // round of a flooding phase.
         let messages = radius_rounds.saturating_mul(self.graph.m() as u64);
@@ -202,13 +195,5 @@ mod tests {
         net.charge_rounds("oracle", 9);
         assert_eq!(net.rounds(), 9);
         assert_eq!(net.meter().global_messages(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no local communication")]
-    fn local_phase_on_ncc_panics() {
-        let g = Arc::new(generators::cycle(8).unwrap());
-        let mut net = HybridNetwork::new(g, ModelParams::ncc(8));
-        net.charge_local("flood", 1);
     }
 }

@@ -6,13 +6,13 @@
 //! * `γ` — the maximum number of bits per round per node over the **global**
 //!   network.
 //!
-//! The simulator runs `λ = ∞`: a local phase is charged by its hop radius,
+//! The simulator runs `λ = ∞`, the model every algorithm and lower bound of
+//! the paper is stated in: a local phase is charged by its hop radius,
 //! whatever the message size.  What the engines enforce is exactly this
-//! struct — whether the local plane exists at all (`local`; `false` is the
-//! node-capacitated clique `NCC = HYBRID(0, γ)`) and the per-node global cap
-//! `γ`.  It is measured in **messages of `O(log n)` bits per round**
-//! (`global_capacity_msgs`), which is how the algorithms reason about it;
-//! `γ` in bits is `global_capacity_msgs · ⌈log₂ n⌉`.
+//! struct — the per-node global cap `γ`, measured in **messages of
+//! `O(log n)` bits per round** (`global_capacity_msgs`), which is how the
+//! algorithms reason about it; `γ` in bits is
+//! `global_capacity_msgs · ⌈log₂ n⌉`.
 
 use serde::{Deserialize, Serialize};
 
@@ -21,8 +21,6 @@ use serde::{Deserialize, Serialize};
 pub struct ModelParams {
     /// Number of nodes `n` of the local communication graph.
     pub n: usize,
-    /// Whether the local plane exists (`λ = ∞`) or not (`λ = 0`, `NCC`).
-    pub local: bool,
     /// Per-node global capacity in messages of `O(log n)` bits per round
     /// (send cap and receive cap, enforced independently).
     pub global_capacity_msgs: usize,
@@ -40,7 +38,6 @@ impl ModelParams {
     pub fn hybrid(n: usize) -> Self {
         ModelParams {
             n,
-            local: true,
             global_capacity_msgs: Self::log_n(n),
         }
     }
@@ -49,16 +46,8 @@ impl ModelParams {
     /// (`γ` in messages per round), as used by Theorem 14.
     pub fn hybrid_with_global_capacity(n: usize, gamma_msgs: usize) -> Self {
         ModelParams {
+            n,
             global_capacity_msgs: gamma_msgs,
-            ..Self::hybrid(n)
-        }
-    }
-
-    /// The node-capacitated clique `NCC`: `HYBRID(0, O(log² n))`.
-    pub fn ncc(n: usize) -> Self {
-        ModelParams {
-            local: false,
-            ..Self::hybrid(n)
         }
     }
 
@@ -85,25 +74,12 @@ mod tests {
     fn hybrid_defaults() {
         let p = ModelParams::hybrid(1000);
         assert_eq!(p.global_capacity_msgs, 10);
-        assert!(p.local);
         assert_eq!(p.gamma_bits(), 100);
-    }
-
-    #[test]
-    fn marginal_models_match_paper_table() {
-        // Section 1.3's table: `NCC = HYBRID(0, O(log² n))`.
-        let ncc = ModelParams::ncc(100);
-        assert!(!ncc.local);
-        assert_eq!(
-            ncc.global_capacity_msgs,
-            ModelParams::hybrid(100).global_capacity_msgs
-        );
     }
 
     #[test]
     fn explicit_gamma() {
         let p = ModelParams::hybrid_with_global_capacity(256, 64);
         assert_eq!(p.global_capacity_msgs, 64);
-        assert!(p.local);
     }
 }

@@ -492,7 +492,7 @@ mod tests {
 
     #[test]
     fn bfs_program_matches_centralized_bfs() {
-        let g = generators::tree_balanced(3, 3).unwrap();
+        let g = generators::tree_with_n(3, 40).unwrap();
         let source = 0;
         let mut exec = Executor::new(&g, ModelParams::hybrid(g.n()), |v| {
             BfsProgram::new(v, source)

@@ -182,9 +182,8 @@ impl<M> Plane<M> {
 
     /// The filled arena in its deterministic order (destination-major, then
     /// staging sequence) — the order the conformance contract pins.  Each
-    /// body is [`body_json`](crate::envelope::body_json)'s text, streamed
-    /// into the one reused `buf` and copied out at its exact size: one
-    /// allocation per entry.
+    /// body is its compact JSON text, streamed into the one reused `buf` and
+    /// copied out at its exact size: one allocation per entry.
     fn trace_entries(&self, buf: &mut JsonWriter) -> Vec<TraceEntry>
     where
         M: Serialize,
@@ -216,7 +215,6 @@ pub type InboxDrain<'a, M> = dyn Iterator<Item = (NodeId, M)> + 'a;
 pub struct RoundRouter<'c, M> {
     n: usize,
     gamma: usize,
-    local_enabled: bool,
     /// The reused buffer trace bodies are written into; present iff the run
     /// records its trace.
     trace_buf: Option<JsonWriter>,
@@ -236,7 +234,6 @@ impl<'c, M: Clone + Serialize> RoundRouter<'c, M> {
         RoundRouter {
             n: params.n,
             gamma: params.global_capacity_msgs,
-            local_enabled: params.local,
             trace_buf: config.record_trace().then(JsonWriter::default),
             faults: config.fault_plan(),
             local: Plane::new(params.n),
@@ -290,9 +287,6 @@ impl<'c, M: Clone + Serialize> RoundRouter<'c, M> {
     /// Stages one node's step output: its outboxes in send order plus the
     /// global sends its `γ` send cap refused.  Must be called in node-id
     /// order within a round — that order is the delivery order.
-    ///
-    /// # Panics
-    /// Panics if `local` is non-empty but the model has no local mode.
     pub fn stage(
         &mut self,
         sender: NodeId,
@@ -300,12 +294,7 @@ impl<'c, M: Clone + Serialize> RoundRouter<'c, M> {
         global: impl IntoIterator<Item = (NodeId, M)>,
         refused: u64,
     ) {
-        let staged = self.local.stage.len();
         self.local.stage_from(sender, local);
-        assert!(
-            self.local_enabled || self.local.stage.len() == staged,
-            "node {sender} sent local messages but the model has no local mode"
-        );
         self.global.stage_from(sender, global);
         self.report.refused_sends += refused;
     }

@@ -20,7 +20,9 @@ use hybrid_sim::engine::{Executor, NodeProgram, RunReport};
 use hybrid_sim::programs::{
     AckFloodProgram, BfsProgram, DetForwardProgram, FloodProgram, TokenGossipProgram,
 };
-use hybrid_sim::{EngineConfig, FaultPlan, FaultSpec, ModelParams, RoundTrace, TokenSet};
+use hybrid_sim::{
+    EngineConfig, EngineError, FaultPlan, FaultSpec, ModelParams, RoundTrace, TokenSet,
+};
 
 const N: usize = 30;
 /// Eight tokens whose numeric order is unrelated to their holders' order, so
@@ -141,7 +143,9 @@ fn run_case<P: NodeProgram>(
     state: impl Fn(&P) -> Vec<u64>,
 ) -> (Golden, Vec<Vec<u64>>) {
     let mut exec = Executor::with_config(graph, config.with_trace(true), factory);
-    let report = exec.run().unwrap_or_else(|e| e.into_report());
+    let report = exec
+        .run()
+        .unwrap_or_else(|EngineError::RoundLimitExceeded { report, .. }| report);
     let trace = exec.take_trace();
     let rows: Vec<Vec<u64>> = exec.programs().iter().map(state).collect();
     let golden = Golden {

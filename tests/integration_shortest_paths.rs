@@ -19,7 +19,7 @@ fn theorem6_apsp_stretch_and_shape_across_families() {
     let cases: Vec<(&str, Graph)> = vec![
         ("grid", generators::grid(&[10, 10]).unwrap()),
         ("cycle", generators::cycle(90).unwrap()),
-        ("tree", generators::tree_balanced(3, 4).unwrap()),
+        ("tree", generators::tree_with_n(3, 121).unwrap()),
         ("er", generators::erdos_renyi(100, 0.06, 1).unwrap()),
     ];
     for (name, graph) in cases {

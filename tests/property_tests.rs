@@ -12,7 +12,7 @@ use rand_chacha::ChaCha8Rng;
 use hybrid::core::cluster::{cluster_with_radius, ruling_set};
 use hybrid::core::nq::{lemma_3_6_bounds, NqOracle};
 use hybrid::core::rows::DistanceRows;
-use hybrid::core::spanner::{greedy_spanner, measured_stretch};
+use hybrid::core::spanner::greedy_spanner;
 use hybrid::core::sssp::quantize_distance;
 use hybrid::graph::dijkstra::DijkstraWorkspace;
 use hybrid::graph::INFINITY;
@@ -225,8 +225,8 @@ proptest! {
     fn spanner_stretch_bound(graph in arbitrary_graph(), k in 2u64..4) {
         let spanner = greedy_spanner(None, &graph, k);
         let samples: Vec<u32> = (0..graph.n().min(5) as u32).collect();
-        let stretch = measured_stretch(&graph, &spanner.graph, &samples);
-        prop_assert!(stretch <= (2 * k - 1) as f64 + 1e-9);
+        let rows = DistanceRows::compute(&spanner.graph, &samples);
+        prop_assert!(rows.verify_stretch(&graph, (2 * k - 1) as f64).is_ok());
     }
 
     /// Theorem 13 SSSP labels never underestimate and respect the stretch.
@@ -585,7 +585,6 @@ fn streaming_deterministic_families_match_legacy_at_any_width() {
                     0x2bc212d5eabe3f35,
                 ),
                 ("grid", generators::grid(&[200, 200]), 0xf2a9039a135f1ab3),
-                ("torus", generators::torus(&[130, 130]), 0x05d8be97ae73ec6b),
                 (
                     "ring",
                     generators::ring_of_cliques(300, 8, 2),
