@@ -204,8 +204,12 @@ pub struct SweepRow {
     pub k: u64,
     /// Measured `NQ_k` of the instance.
     pub nq_k: u64,
-    /// Hop diameter `D` of the instance.
-    pub diameter: u64,
+    /// `min(⌈√k⌉, D)`: the hop diameter `D` capped at `⌈√k⌉`, the
+    /// `sqrt-k-baseline`'s flood radius.  Read with
+    /// [`NqOracle::diameter_min`], which never sweeps the unbounded ball
+    /// profiles here (`⌈√k⌉ = ⌈√n⌉` at `k = n`); `D` itself would, whenever
+    /// `D > ⌈√n⌉`.
+    pub diameter_min_sqrt_k: u64,
     /// The instance's Theorem 4 lower-bound witness, in rounds — shared by
     /// every entry of `dissemination`.
     pub dissemination_lower_bound: f64,
@@ -293,7 +297,7 @@ pub fn sweep_rows(config: &SweepConfig) -> Result<Vec<SweepRow>, SweepArtifactEr
         // `√n` sources for k-SSP.
         let k = n as u64;
         let nq_k = oracle.nq(k);
-        let diameter = oracle.diameter();
+        let diameter_min_sqrt_k = oracle.diameter_min((k as f64).sqrt().ceil() as u64);
         let kssp_k = ((n as f64).sqrt().ceil() as usize).max(4).min(n);
 
         // Dissemination: k tokens on k distinct holders; k-SSP: √n sources
@@ -371,7 +375,7 @@ pub fn sweep_rows(config: &SweepConfig) -> Result<Vec<SweepRow>, SweepArtifactEr
                     gamma_msgs: params.global_capacity_msgs,
                     k,
                     nq_k,
-                    diameter,
+                    diameter_min_sqrt_k,
                     dissemination_lower_bound: diss_lb.rounds,
                     dissemination,
                     sssp_rounds: sssp.rounds,
@@ -442,6 +446,25 @@ pub enum SweepArtifactError {
         /// The envelope, in rounds.
         envelope: u64,
     },
+    /// A contender took fewer rounds than the row's lower-bound witness for
+    /// its problem: the witness, not the run, is wrong.
+    BelowLowerBound {
+        /// Index of the row.
+        row: usize,
+        /// The row's family.
+        family: &'static str,
+        /// The row's node count.
+        n: usize,
+        /// The row's `γ` point.
+        point: &'static str,
+        /// The contender: a registry name, or [`SSSP_REFERENCE`] for the
+        /// row's single-source reference run.
+        algorithm: &'static str,
+        /// Its rounds.
+        rounds: u64,
+        /// The witness it undercuts, in rounds.
+        lower_bound: f64,
+    },
     /// A k-SSP contender's labels break the stretch it guarantees.
     StretchViolated {
         /// The cell's family.
@@ -497,6 +520,19 @@ impl std::fmt::Display for SweepArtifactError {
                 "row {row} ({family}, n = {n}, {point}): theorem1 took {theorem1} rounds, \
                  more than its envelope {THEOREM1_C1} · NQ_k · ⌈log₂ n⌉² = {envelope}"
             ),
+            SweepArtifactError::BelowLowerBound {
+                row,
+                family,
+                n,
+                point,
+                algorithm,
+                rounds,
+                lower_bound,
+            } => write!(
+                f,
+                "row {row} ({family}, n = {n}, {point}): {algorithm} took {rounds} rounds, \
+                 below the row's lower-bound witness of {lower_bound} rounds"
+            ),
             SweepArtifactError::StretchViolated {
                 family,
                 n,
@@ -523,12 +559,17 @@ pub const MIN_ALGORITHMS_PER_ROW: usize = 3;
 /// scarce-global: 356 rounds at `NQ_k = 4`).
 pub const THEOREM1_C1: u64 = 3;
 
+/// The `algorithm` a [`SweepArtifactError::BelowLowerBound`] names for a
+/// row's Theorem 13 single-source reference run (`sssp_rounds`).
+pub const SSSP_REFERENCE: &str = "theorem13-sssp";
+
 /// Checks a full-registry shootout: at least one row, every row's
 /// `dissemination` and `kssp` columns carrying at least
 /// [`MIN_ALGORITHMS_PER_ROW`] contenders each, every present `ratio` finite,
-/// `theorem1` past its set-up never slower than `sqrt-k-baseline` past its
-/// own — the one pipeline at two radii — and `theorem1`'s total within its
-/// envelope (see [`THEOREM1_C1`]).
+/// no run below the row's witness for its problem (dissemination, SSSP,
+/// k-SSP), `theorem1` past its set-up never slower than `sqrt-k-baseline`
+/// past its own — the one pipeline at two radii — and `theorem1`'s total
+/// within its envelope (see [`THEOREM1_C1`]).
 pub fn check_shootout(rows: &[SweepRow]) -> Result<(), SweepArtifactError> {
     if rows.is_empty() {
         return Err(SweepArtifactError::Empty);
@@ -551,6 +592,30 @@ pub fn check_shootout(rows: &[SweepRow]) -> Result<(), SweepArtifactError> {
         let kssp = r.kssp.iter().map(|c| c.ratio);
         if !diss.chain(kssp).all(f64::is_finite) {
             return Err(SweepArtifactError::NonFiniteRatio);
+        }
+        // Every run against the witness of its own problem.
+        let diss = r
+            .dissemination
+            .iter()
+            .map(|c| (c.algorithm, c.rounds, r.dissemination_lower_bound));
+        let sssp = (SSSP_REFERENCE, r.sssp_rounds, r.sssp_lower_bound);
+        let kssp = r
+            .kssp
+            .iter()
+            .map(|c| (c.algorithm, c.rounds, r.kssp_lower_bound as f64));
+        let mut runs = diss.chain(std::iter::once(sssp)).chain(kssp);
+        if let Some((algorithm, rounds, lower_bound)) =
+            runs.find(|&(_, rounds, witness)| (rounds as f64) < witness)
+        {
+            return Err(SweepArtifactError::BelowLowerBound {
+                row,
+                family: r.family,
+                n: r.n,
+                point: r.point,
+                algorithm,
+                rounds,
+                lower_bound,
+            });
         }
         let cell = |name| r.dissemination.iter().find(|c| c.algorithm == name);
         if let (Some(t1), Some(base)) = (cell("theorem1"), cell("sqrt-k-baseline")) {
@@ -668,8 +733,7 @@ mod tests {
                 (r.nq_k, r.nq_k * (1 + log_n)),
                 "{row:?}"
             );
-            let sqrt_k = (r.k as f64).sqrt().ceil() as u64;
-            assert_eq!(base.radius, sqrt_k.min(r.diameter), "{row:?}");
+            assert_eq!(base.radius, r.diameter_min_sqrt_k, "{row:?}");
             let (ours, theirs) = (t1.past_setup(), base.past_setup());
             if t1.radius == base.radius {
                 assert_eq!(ours, theirs, "{row:?}: equal radii, unequal rounds");
@@ -962,6 +1026,70 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("row 0 (cycle, n = 64"), "{err}");
+    }
+
+    #[test]
+    fn a_run_below_its_lower_bound_witness_is_named() {
+        let config = SweepConfig {
+            grid: Grid::new(&[GraphFamily::Cycle], &[64], 1),
+            points: vec![SweepPoint::HYBRID],
+        };
+        let rows = sweep_rows(&config).unwrap();
+        check_shootout(&rows).unwrap();
+        let doctored = |doctor: &dyn Fn(&mut SweepRow)| {
+            let mut rows = rows.clone();
+            doctor(&mut rows[0]);
+            check_shootout(&rows)
+        };
+        let below = |algorithm, rounds, lower_bound| {
+            Err(SweepArtifactError::BelowLowerBound {
+                row: 0,
+                family: "cycle",
+                n: 64,
+                point: "hybrid",
+                algorithm,
+                rounds,
+                lower_bound,
+            })
+        };
+        let r = &rows[0];
+
+        // k-SSP: a contender on its witness is fine; one round below it is
+        // refused by name.
+        let (schneider, witness) = (r.kssp_cell("schneider").unwrap(), r.kssp_lower_bound);
+        assert!(schneider.rounds > witness);
+        let set_schneider = |rounds| {
+            move |r: &mut SweepRow| {
+                let cell = r.kssp.iter_mut().find(|c| c.algorithm == "schneider");
+                cell.unwrap().rounds = rounds;
+            }
+        };
+        assert_eq!(doctored(&set_schneider(witness)), Ok(()));
+        assert_eq!(
+            doctored(&set_schneider(witness - 1)),
+            below("schneider", witness - 1, witness as f64)
+        );
+
+        // Dissemination: a witness past every contender names the first.
+        let first = &r.dissemination[0];
+        let witness = (first.rounds + 1) as f64;
+        let err = doctored(&|r| r.dissemination_lower_bound = witness).unwrap_err();
+        assert_eq!(
+            Err(err.clone()),
+            below(first.algorithm, first.rounds, witness)
+        );
+        assert!(
+            err.to_string()
+                .starts_with("row 0 (cycle, n = 64, hybrid): "),
+            "{err}"
+        );
+
+        // SSSP: the reference run undercutting its witness.
+        let witness = r.sssp_rounds as f64 + 0.5;
+        assert_eq!(
+            doctored(&|r| r.sssp_lower_bound = witness),
+            below(SSSP_REFERENCE, r.sssp_rounds, witness)
+        );
     }
 
     #[test]

@@ -46,11 +46,14 @@
 //! The rounds are charged as above, attempt by attempt; the data is not
 //! swept attempt by attempt.  An `h`-hop sweep from one node reaches its
 //! fixpoint exactly when `h ≥ H + 1` or `h ≥ n − 1`, where `H` is the fewest
-//! hops among shortest paths, maxed over the nodes it reaches
-//! ([`hybrid_graph::dijkstra::DijkstraWorkspace::hop_depth`]).  So one exact
-//! search per landmark and per source gives every `H`, and the deepening
-//! stops at the first schedule value past the largest — the attempt at which
-//! every sweep of the loop would first report its fixpoint.  At the
+//! hops among shortest paths, maxed over the nodes it reaches.  The exact
+//! search keeps each node's fewest hops as it relaxes and reports `H` when it
+//! returns, with no second pass over the arcs
+//! ([`hybrid_graph::dijkstra::DijkstraWorkspace::run_with_hop_depth`]).  So
+//! one exact search per landmark and per source gives every `H`, and the
+//! deepening stops at the first schedule value past the largest — the
+//! attempt at which every sweep of the loop would first report its
+//! fixpoint.  At the
 //! fixpoint a sweep row is the exact row, and the direct term dominates the
 //! shortcut composition by the triangle inequality, so the labels are the
 //! exact source rows, quantized: the landmark rows decide only when the
@@ -157,8 +160,8 @@ pub fn schneider_kssp(net: &mut HybridNetwork, sources: &[NodeId], epsilon: f64)
 }
 
 /// The `(1+ε)`-quantized exact row of every source, and the largest hop
-/// depth ([`DijkstraWorkspace::hop_depth`]) over the landmarks and the
-/// sources: one search per node, fanned out with a workspace per worker.
+/// depth ([`DijkstraWorkspace::run_with_hop_depth`]) over the landmarks and
+/// the sources: one search per node, fanned out with a workspace per worker.
 fn exact_rows_and_hop_depth(
     graph: &Graph,
     landmarks: &[NodeId],
@@ -167,8 +170,7 @@ fn exact_rows_and_hop_depth(
 ) -> (DistanceRows, usize) {
     let deepest = AtomicUsize::new(0);
     let search = |ws: &mut DijkstraWorkspace, s: NodeId| {
-        ws.run(graph, s);
-        deepest.fetch_max(ws.hop_depth(graph), Ordering::Relaxed);
+        deepest.fetch_max(ws.run_with_hop_depth(graph, s), Ordering::Relaxed);
     };
     // Landmark rows only decide the stop: searched, never kept (a `Vec<()>`
     // does not allocate).

@@ -7,7 +7,10 @@
 //! `k` over all `n` nodes builds nothing) and phase labels are `&'static
 //! str`.  A Theorem 14 run allocates for its skeleton, its searches and its
 //! label rows, and nothing per skeleton node for the `[KS20]` helper sets,
-//! whose smallest size is all the schedule reads.  This file counts
+//! whose smallest size is all the schedule reads.  A `[Sch23]` run allocates
+//! its landmark list, one workspace per worker and its label rows, and
+//! nothing per search: the exact search reports its own hop depth.  This
+//! file counts
 //! allocator calls with its own `#[global_allocator]` and holds one run of
 //! each to that.
 //!
@@ -25,6 +28,7 @@ use hybrid_core::dissemination::{k_dissemination, place_tokens};
 use hybrid_core::kssp::{kssp, KsspVariant};
 use hybrid_core::overlay::basic_aggregation;
 use hybrid_core::prob::sample_distinct;
+use hybrid_core::schneider::schneider_kssp;
 use hybrid_core::NqOracle;
 use hybrid_graph::{generators, NodeId};
 use hybrid_sim::HybridNetwork;
@@ -145,5 +149,34 @@ fn a_theorem14_run_allocates_no_helper_lists() {
     assert!(
         calls <= 156,
         "theorem14 on grid 32x32, 32 random sources: {calls} allocator calls (budget 156)"
+    );
+}
+
+#[test]
+fn a_schneider_run_allocates_nothing_per_search() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Weights up to 9: every search is a Dial run.
+    let graph = Arc::new(generators::weighted_grid(&[32, 32], 9, 3).unwrap());
+    let n = graph.n();
+    let sources = sample_distinct(n, 32, &mut ChaCha8Rng::seed_from_u64(1));
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    // One worker, as for Theorem 14.  Recorded: 193 calls for 32 landmark
+    // and 32 source searches, network construction included (211 while a
+    // second pass after each search grew its own queue per workspace).  A
+    // buffer allocated per search would add at least 64.  The budget is that
+    // plus 22 % headroom, as above.
+    let (calls, out) = measured(|| {
+        pool.install(|| {
+            let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
+            schneider_kssp(&mut net, &sources, 0.5)
+        })
+    });
+    assert_eq!(out.skeleton_size, 32, "⌈√n⌉ landmarks");
+    assert!(
+        calls <= 235,
+        "schneider on weighted grid 32x32, 32 random sources: {calls} allocator calls (budget 235)"
     );
 }

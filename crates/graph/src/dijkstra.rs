@@ -3,8 +3,8 @@
 //! depth-bounded) and every Dijkstra (Dial bucket queue, or binary heap with
 //! an optional strict distance bound); [`hop_limited_seeded_with`] is the one
 //! hop-limited sweep (synchronous Bellman–Ford from one or many seeds).
-//! [`DijkstraWorkspace::hop_depth`] reads, off a finished search, the fewest
-//! hops a sweep needs to reach every distance of it.
+//! [`DijkstraWorkspace::run_with_hop_depth`] is the same search, reporting
+//! as it goes the fewest hops a sweep needs to reach every distance of it.
 //!
 //! These are *centralized* oracles used (a) as ground truth when checking the
 //! stretch of the distributed approximation algorithms, (b) as the local
@@ -36,6 +36,11 @@
 //!   candidate is `d + w > dist[v]`), each `(node, distance)` pair is queued
 //!   at most once, and an entry is stale exactly when its distance is no
 //!   longer `dist[v]`.
+//! * The hop depth rides on the search: each Dijkstra loop body is generic
+//!   over a `const TRACK_HOPS: bool`, so [`DijkstraWorkspace::run`] compiles
+//!   to the untracked loop and [`DijkstraWorkspace::run_with_hop_depth`] to
+//!   the same loop keeping one more `u32` per node, without a second arc
+//!   scan.
 //! * Every run adds its arcs scanned and its queue entries to the
 //!   [`crate::work`] ledger once, when it returns.
 
@@ -101,9 +106,10 @@ fn select_sssp_algorithm(graph: &Graph) -> SsspAlgorithm {
 /// Reusable buffers for repeated single-source runs.
 ///
 /// All oracles (BFS, Dial, heap) share the `dist` / `parent` buffers; the
-/// heap and bucket ring are lazily grown.  After a run the
-/// workspace resets itself sparsely using the list of touched nodes, so a
-/// sequence of runs on the same graph performs no allocation after the first.
+/// heap, the bucket ring and the hop counts are lazily grown.  After a run
+/// the workspace resets itself sparsely using the list of touched nodes, so
+/// a sequence of runs on the same graph performs no allocation after the
+/// first.
 #[derive(Debug, Default)]
 pub struct DijkstraWorkspace {
     /// Node count of the most recent run (buffers may be larger).
@@ -119,10 +125,11 @@ pub struct DijkstraWorkspace {
     /// next-occupied-bucket scan reads one flat `u32` array instead of
     /// chasing `Vec` headers).
     bucket_lens: Vec<u32>,
-    /// [`Self::hop_depth`]'s fewest hops per node; `u32::MAX` between calls.
+    /// [`Self::run_with_hop_depth`]'s fewest hops among shortest paths, per
+    /// node.  Written whenever a node's distance drops, so an entry is read
+    /// only after this run wrote it and needs no reset; grown on the first
+    /// tracked run only.
     hops: Vec<u32>,
-    /// [`Self::hop_depth`]'s BFS queue.
-    queue: Vec<NodeId>,
 }
 
 impl DijkstraWorkspace {
@@ -183,11 +190,56 @@ impl DijkstraWorkspace {
     /// else Dial or the binary heap by weight range); afterwards
     /// [`Self::dist`] / [`Self::parent`] hold the result.
     pub fn run(&mut self, graph: &Graph, source: NodeId) {
+        self.search::<false>(graph, source);
+    }
+
+    /// [`Self::run`], returning the fewest hops a shortest path needs, maxed
+    /// over the nodes the search reaches: `H = max_v min { |P| : P a shortest
+    /// path from the source to v }` (0 when only the source is reached).
+    ///
+    /// A path is a shortest path exactly when each of its arcs `v → u` is
+    /// *tight*, `dist[v] + w == dist[u]`.  Weights are at least 1, so every
+    /// tight parent of `u` settles before `u` does, and the Dijkstra loops
+    /// keep `hops[u] = min(hops[u], hops[v] + 1)` over the tight parents as
+    /// they relax — `hops[u]` is final when `u` settles, and only settled
+    /// nodes count.  A node whose path sums all saturate at [`INFINITY`]
+    /// never settles; a drop of `dist[u]` rewrites `hops[u]`, so whatever a
+    /// saturated "tie" left there is never read.  A BFS settles by hop
+    /// distance, so its depth is the distance of the last node settled.
+    ///
+    /// `H` is where the `h`-hop relaxation stops moving: from one source,
+    /// [`hop_limited_distances_with`] reports its fixpoint for exactly the
+    /// `h ≥ min(H + 1, n − 1)`.  Allocates only the first time a workspace
+    /// meets a graph this large.
+    pub fn run_with_hop_depth(&mut self, graph: &Graph, source: NodeId) -> usize {
+        self.search::<true>(graph, source)
+    }
+
+    /// The oracle [`Self::run`] selects; its hop depth when `TRACK_HOPS`,
+    /// else 0.
+    #[inline]
+    fn search<const TRACK_HOPS: bool>(&mut self, graph: &Graph, source: NodeId) -> usize {
         match select_sssp_algorithm(graph) {
-            SsspAlgorithm::Bfs => self.run_bfs(graph, source),
-            SsspAlgorithm::Dial => self.run_dial(graph, source),
-            SsspAlgorithm::Heap => self.run_heap(graph, source, INFINITY),
+            SsspAlgorithm::Bfs => {
+                self.run_bfs(graph, source);
+                if TRACK_HOPS {
+                    let last = *self.touched.last().expect("the source");
+                    self.dist[last as usize] as usize
+                } else {
+                    0
+                }
+            }
+            SsspAlgorithm::Dial => self.dial::<TRACK_HOPS>(graph, source),
+            SsspAlgorithm::Heap => self.heap::<TRACK_HOPS>(graph, source, INFINITY),
         }
+    }
+
+    /// Grows the hop buffer of a tracked run and starts the source at 0.
+    fn start_hops(&mut self, source: NodeId) {
+        if self.hops.len() < self.len {
+            self.hops.resize(self.len, 0);
+        }
+        self.hops[source as usize] = 0;
     }
 
     /// BFS oracle (unweighted graphs: hop distance = weighted distance).
@@ -252,10 +304,25 @@ impl DijkstraWorkspace {
     /// was superseded and is skipped; the one that is settles `v` (see the
     /// module docs for why no visited set is needed).
     pub fn run_heap(&mut self, graph: &Graph, source: NodeId, below: Weight) {
+        self.heap::<false>(graph, source, below);
+    }
+
+    /// [`Self::run_heap`]'s loop; with `TRACK_HOPS` it also keeps `hops` and
+    /// returns the hop depth (see [`Self::run_with_hop_depth`]).
+    fn heap<const TRACK_HOPS: bool>(
+        &mut self,
+        graph: &Graph,
+        source: NodeId,
+        below: Weight,
+    ) -> usize {
         self.reset(graph.n());
         if below == 0 {
-            return;
+            return 0;
         }
+        if TRACK_HOPS {
+            self.start_hops(source);
+        }
+        let mut depth = 0;
         self.dist[source as usize] = 0;
         self.touched.push(source);
         self.heap.push(Reverse((0, source)));
@@ -268,6 +335,9 @@ impl DijkstraWorkspace {
             if d != self.dist[v as usize] {
                 continue;
             }
+            // `v` settles: its tight parents all settled before it.
+            let hv = if TRACK_HOPS { self.hops[v as usize] } else { 0 };
+            depth = depth.max(hv);
             let arcs = graph.arcs(v);
             tally.arcs_scanned += arcs.len() as u64;
             for a in arcs {
@@ -282,12 +352,20 @@ impl DijkstraWorkspace {
                     }
                     self.dist[a.to as usize] = nd;
                     self.parent[a.to as usize] = Some(v);
+                    if TRACK_HOPS {
+                        self.hops[a.to as usize] = hv + 1;
+                    }
                     self.heap.push(Reverse((nd, a.to)));
                     tally.heap_pushes += 1;
+                } else if TRACK_HOPS && nd == self.dist[a.to as usize] {
+                    // Another tight parent: keep the fewer hops.
+                    let hu = &mut self.hops[a.to as usize];
+                    *hu = (*hu).min(hv + 1);
                 }
             }
         }
         tally.record(Kernel::Dijkstra);
+        depth as usize
     }
 
     /// Dial bucket-queue Dijkstra for integer weights `1..=c`: a circular
@@ -309,14 +387,24 @@ impl DijkstraWorkspace {
     /// this also dodges the `usize` overflow in `next_power_of_two` that a
     /// near-`u64::MAX` weight would otherwise trigger.
     pub fn run_dial(&mut self, graph: &Graph, source: NodeId) {
+        self.dial::<false>(graph, source);
+    }
+
+    /// [`Self::run_dial`]'s loop; with `TRACK_HOPS` it also keeps `hops` and
+    /// returns the hop depth (see [`Self::run_with_hop_depth`]).
+    fn dial<const TRACK_HOPS: bool>(&mut self, graph: &Graph, source: NodeId) -> usize {
         let c = graph.max_weight().max(1);
         // Compare in u128: `c + 1` itself can overflow u64 and the
         // subsequent `next_power_of_two` can overflow usize.
         if c as u128 + 1 > DIAL_MAX_RING as u128 {
-            return self.run_heap(graph, source, INFINITY);
+            return self.heap::<TRACK_HOPS>(graph, source, INFINITY);
         }
         let c = c as usize;
         self.reset(graph.n());
+        if TRACK_HOPS {
+            self.start_hops(source);
+        }
+        let mut depth = 0;
         // Power-of-two ring ≥ c+1 so the slot index is a mask instead of a
         // hardware division in the relaxation loop.
         let ring = (c + 1).next_power_of_two();
@@ -347,6 +435,9 @@ impl DijkstraWorkspace {
                 if self.dist[v as usize] != cur {
                     continue; // stale entry superseded by a better relaxation
                 }
+                // `v` settles: its tight parents sat in earlier buckets.
+                let hv = if TRACK_HOPS { self.hops[v as usize] } else { 0 };
+                depth = depth.max(hv);
                 let arcs = graph.arcs(v);
                 tally.arcs_scanned += arcs.len() as u64;
                 for a in arcs {
@@ -357,11 +448,18 @@ impl DijkstraWorkspace {
                         }
                         self.dist[a.to as usize] = nd;
                         self.parent[a.to as usize] = Some(v);
+                        if TRACK_HOPS {
+                            self.hops[a.to as usize] = hv + 1;
+                        }
                         let target = (nd as usize) & mask;
                         self.buckets[target].push(a.to);
                         self.bucket_lens[target] += 1;
                         pending += 1;
                         tally.heap_pushes += 1;
+                    } else if TRACK_HOPS && nd == self.dist[a.to as usize] {
+                        // Another tight parent: keep the fewer hops.
+                        let hu = &mut self.hops[a.to as usize];
+                        *hu = (*hu).min(hv + 1);
                     }
                 }
             }
@@ -387,55 +485,6 @@ impl DijkstraWorkspace {
             };
             cur += delta as Weight;
         }
-        tally.record(Kernel::Dijkstra);
-    }
-
-    /// The fewest hops a shortest path needs, maxed over the nodes the most
-    /// recent single-source run reached: `H = max_v min { |P| : P a shortest
-    /// path from the source to v }` (0 when only the source is reached).
-    ///
-    /// It is the BFS depth from the source over the *tight* arcs `v → u`,
-    /// those with `dist[v] ⊕ w == dist[u]` and both ends finite: a path is a
-    /// shortest path exactly when all its arcs are tight.  Weights are at
-    /// least 1, so the tight arcs form a DAG ordered by `dist`.  A node whose
-    /// path sums saturate at [`INFINITY`] was never reached and never counts.
-    ///
-    /// `H` is where the `h`-hop relaxation stops moving: from one source,
-    /// [`hop_limited_distances_with`] reports its fixpoint for exactly the
-    /// `h ≥ min(H + 1, n − 1)`.  Allocates only the first time a workspace
-    /// meets a graph this large.
-    pub fn hop_depth(&mut self, graph: &Graph) -> usize {
-        let Some(&source) = self.touched.first() else {
-            return 0;
-        };
-        if self.hops.len() < self.len {
-            self.hops.resize(self.len, u32::MAX);
-        }
-        self.queue.clear();
-        self.queue.push(source);
-        self.hops[source as usize] = 0;
-        let mut head = 0;
-        let mut tally = Tally::default();
-        while let Some(&v) = self.queue.get(head) {
-            head += 1;
-            let (dv, hv) = (self.dist[v as usize], self.hops[v as usize]);
-            let arcs = graph.arcs(v);
-            tally.arcs_scanned += arcs.len() as u64;
-            for a in arcs {
-                let u = a.to as usize;
-                let du = self.dist[u];
-                if self.hops[u] == u32::MAX && du != INFINITY && dv.saturating_add(a.weight) == du {
-                    self.hops[u] = hv + 1;
-                    self.queue.push(a.to);
-                }
-            }
-        }
-        // BFS order: the last node queued is one of the deepest.
-        let depth = self.hops[*self.queue.last().expect("the source") as usize];
-        for &v in &self.queue {
-            self.hops[v as usize] = u32::MAX;
-        }
-        tally.frontier_entries = self.queue.len() as u64;
         tally.record(Kernel::Dijkstra);
         depth as usize
     }
@@ -990,7 +1039,102 @@ mod tests {
         assert_eq!(dist, seeded_by_definition(&g, &seeds, 2));
     }
 
-    /// `hop_depth` against the sweep it predicts: from every source, the
+    /// The hop depth of a finished single-source run, the two-pass way: a
+    /// BFS from the source over the *tight* arcs `v → u`, those with
+    /// `dist[v] ⊕ w == dist[u]` and both ends finite.  The tight arcs form a
+    /// DAG ordered by `dist` (weights are at least 1), a path is a shortest
+    /// path exactly when all its arcs are tight, and a node whose path sums
+    /// saturate at `INFINITY` was never reached.  The reference
+    /// [`DijkstraWorkspace::run_with_hop_depth`] is held to.
+    fn tight_arc_depth(g: &Graph, dist: &[Weight], source: NodeId) -> usize {
+        let mut hops = vec![u32::MAX; g.n()];
+        hops[source as usize] = 0;
+        let mut queue = vec![source];
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            let (dv, hv) = (dist[v as usize], hops[v as usize]);
+            for a in g.arcs(v) {
+                let u = a.to as usize;
+                let du = dist[u];
+                if hops[u] == u32::MAX && du != INFINITY && dv.saturating_add(a.weight) == du {
+                    hops[u] = hv + 1;
+                    queue.push(a.to);
+                }
+            }
+        }
+        // BFS order: the last node queued is one of the deepest.
+        hops[*queue.last().expect("the source") as usize] as usize
+    }
+
+    /// The fused hop depth against the tight-arc reference, with the
+    /// distances and parents of an untracked run, on random graphs whose
+    /// small weight sets make equal-length paths with different hop counts
+    /// common: unweighted (BFS), weights in `1..=3` (Dial), multiples of 100
+    /// (heap), multiples of `DIAL_MAX_RING` through the Dial loop (its heap
+    /// fallback), and multiples of `u64::MAX / 8`, whose sums saturate a few
+    /// hops out.  The selected oracle runs through the public entry point
+    /// and every Dijkstra loop also directly, all on one workspace reused
+    /// across graphs of growing and shrinking `n`.
+    #[test]
+    fn fused_hop_depth_matches_the_tight_arc_reference() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x40D);
+        let units: [Option<Weight>; 5] = [
+            None,
+            Some(1),
+            Some(100),
+            Some(DIAL_MAX_RING as Weight),
+            Some(u64::MAX / 8),
+        ];
+        let mut ws = DijkstraWorkspace::new();
+        let mut untracked = DijkstraWorkspace::new();
+        for round in 0..300 {
+            let n = rng.gen_range(1..=48usize);
+            let p = 0.02 + 0.25 * rng.gen::<f64>();
+            let unit = units[round % units.len()];
+            let mut b = GraphBuilder::new(n);
+            for u in 0..n as NodeId {
+                for v in u + 1..n as NodeId {
+                    if rng.gen_bool(p) {
+                        let w = unit.map_or(1, |x| x * rng.gen_range(1..=3));
+                        b.add_edge(u, v, w).unwrap();
+                    }
+                }
+            }
+            let g = b.build_unchecked_connectivity();
+            let s = rng.gen_range(0..n as NodeId);
+            // Each tracked loop against its untracked twin: the same
+            // distances and parents, and the reference depth.
+            let mut check = |oracle: &str, depth: usize, ws: &DijkstraWorkspace| {
+                match oracle {
+                    "dial" => untracked.run_dial(&g, s),
+                    "heap" => untracked.run_heap(&g, s, INFINITY),
+                    _ => untracked.run(&g, s),
+                }
+                assert_eq!(
+                    (ws.dist(), ws.parent()),
+                    (untracked.dist(), untracked.parent()),
+                    "{oracle} from {s} on {:?}",
+                    g.edges()
+                );
+                let want = tight_arc_depth(&g, untracked.dist(), s);
+                assert_eq!(depth, want, "{oracle} from {s} on {:?}", g.edges());
+            };
+            let depth = ws.run_with_hop_depth(&g, s);
+            check("selected", depth, &ws);
+            if g.is_weighted() {
+                let depth = ws.dial::<true>(&g, s);
+                check("dial", depth, &ws);
+                let depth = ws.heap::<true>(&g, s, INFINITY);
+                check("heap", depth, &ws);
+            }
+        }
+    }
+
+    /// The hop depth against the sweep it predicts: from every source, the
     /// smallest `h` at which the hop-limited sweep reports its fixpoint is
     /// `min(H + 1, n − 1)`, and `H` is the largest, over the reached nodes,
     /// of the first hop count at which a node's `d^h` is exact.  Covers a
@@ -1030,9 +1174,8 @@ mod tests {
         for g in &graphs {
             let n = g.n();
             for s in g.nodes() {
-                ws.run(g, s);
+                let depth = ws.run_with_hop_depth(g, s);
                 let exact = ws.dist().to_vec();
-                let depth = ws.hop_depth(g);
                 let stops = (0..=n)
                     .find(|&h| hop_limited_distances_with(&mut sweep, g, s, h, &mut dist))
                     .expect("converged by h = n - 1");
@@ -1052,14 +1195,12 @@ mod tests {
         }
         // The path's far end needs every hop; the huge path's middle node is
         // one hop away and its far node, past `u64::MAX`, never counts.
-        ws.run(&graphs[2], 0);
-        assert_eq!(ws.hop_depth(&graphs[2]), 8);
-        ws.run(&graphs[5], 0);
-        assert_eq!(ws.hop_depth(&graphs[5]), 1);
+        assert_eq!(ws.run_with_hop_depth(&graphs[2], 0), 8);
+        assert_eq!(ws.run_with_hop_depth(&graphs[5], 0), 1);
         // The tie graph: node 3 is at 4 by 0-1-3, 0-2-3 and 0-3; the direct
         // arc is the fewest hops.
-        ws.run(&graphs[4], 0);
-        assert_eq!((ws.dist()[3], ws.hop_depth(&graphs[4])), (4, 1));
+        let depth = ws.run_with_hop_depth(&graphs[4], 0);
+        assert_eq!((ws.dist()[3], depth), (4, 1));
     }
 
     /// Regression: the hop-limited relaxation added unchecked (`dv +
