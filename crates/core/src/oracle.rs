@@ -32,9 +32,12 @@
 //! the row and its forest on the spot (8 bytes per node) and the rows are
 //! copied once into two flat `|L| × n` buffers.  The balls live in one arena
 //! per block of 64 consecutive node ids, filled exact-size by the worker that
-//! ran the block's bounded searches — [`DijkstraWorkspace::run_heap`] with
-//! the anchor offset as its strict bound, on one reused workspace — out of
-//! one reused member buffer; collecting the blocks is the final storage.
+//! ran the block's bounded searches — [`DijkstraWorkspace::run_below`] with
+//! the anchor offset as its strict bound, on one reused workspace; it
+//! reaches, orders and parents exactly as the bounded binary heap
+//! [`DijkstraWorkspace::run_heap`] does, at bucket-queue cost — out of one
+//! reused member buffer, filled in the order of each ball's sorted ids;
+//! collecting the blocks is the final storage.
 //! The footprint is `8·|L|` bytes per node for rows and forest plus 12 bytes
 //! per ball member.
 //!
@@ -317,11 +320,13 @@ struct BallScratch {
     ws: DijkstraWorkspace,
     /// `(node, dist, parent)` of every ball of the block under construction.
     members: Vec<(NodeId, Weight, NodeId)>,
+    /// The current ball's members, sorted by id.
+    ids: Vec<NodeId>,
 }
 
 impl BallScratch {
     /// The balls of the nodes `first .. first + radii.len()`, whose strict
-    /// radii are `radii`, as one exact-size arena.  A ball is a heap run
+    /// radii are `radii`, as one exact-size arena.  A ball is a search
     /// bounded by its radius, sorted by node id; all its parent chains stay
     /// inside it (any node on a shortest path to `w` is strictly closer than
     /// `w`).
@@ -337,13 +342,15 @@ impl BallScratch {
             // A short last block: the missing lanes are empty.
             if let Some(&radius) = radii.get(lane) {
                 let ws = &mut self.ws;
-                ws.run_heap(graph, (first + lane) as NodeId, widen(radius));
-                let ball = self.members.len();
-                self.members.extend(ws.reached().iter().map(|&w| {
+                ws.run_below(graph, (first + lane) as NodeId, widen(radius));
+                self.ids.clear();
+                self.ids.extend_from_slice(ws.reached());
+                self.ids.sort_unstable();
+                // The search's arrays still hold every member's entry.
+                self.members.extend(self.ids.iter().map(|&w| {
                     let parent = ws.parent()[w as usize].unwrap_or(NodeId::MAX);
                     (w, ws.dist()[w as usize], parent)
                 }));
-                self.members[ball..].sort_unstable_by_key(|&(w, _, _)| w);
             }
             starts[lane + 1] = u32::try_from(self.members.len())
                 .expect("the 64 balls of a block hold fewer than 2^32 members");

@@ -88,7 +88,9 @@ pub fn quantize_distance(d: Weight, epsilon: f64) -> Weight {
     if d == 0 || d == INFINITY {
         return d;
     }
-    let slack = ((d as f64) * (epsilon / 2.0)).floor() as u64;
+    // `as u64` truncates toward zero and saturates (NaN and negatives to 0),
+    // which is `floor() as u64` for every `f64` without a libm call.
+    let slack = ((d as f64) * (epsilon / 2.0)) as u64;
     d.saturating_add(slack).min(INFINITY - 1)
 }
 
@@ -200,6 +202,7 @@ pub fn baseline_sssp(
 mod tests {
     use super::*;
     use hybrid_graph::generators;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     #[test]
@@ -212,6 +215,53 @@ mod tests {
             }
         }
         assert_eq!(quantize_distance(INFINITY, 0.5), INFINITY);
+    }
+
+    /// The labels before the `floor()` went: every quantized label is still
+    /// this one, bit for bit.
+    fn quantize_with_floor(d: Weight, epsilon: f64) -> Weight {
+        if d == 0 || d == INFINITY {
+            return d;
+        }
+        let slack = ((d as f64) * (epsilon / 2.0)).floor() as u64;
+        d.saturating_add(slack).min(INFINITY - 1)
+    }
+
+    #[test]
+    fn quantization_truncates_as_floor_did() {
+        let ds = [
+            0,
+            1,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            u64::MAX / 2,
+            INFINITY - 1,
+            INFINITY,
+        ];
+        let epsilons = [1e-9, 0.25, 1.0, 2.5, 0.0, -0.5, f64::NAN, f64::INFINITY];
+        for d in ds {
+            for eps in epsilons {
+                assert_eq!(
+                    quantize_distance(d, eps),
+                    quantize_with_floor(d, eps),
+                    "d = {d}, ε = {eps}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn quantization_truncates_as_floor_did_on_random_inputs(
+            d in any::<u64>(),
+            small in 0u64..1 << 20,
+            eps in 0.0f64..4.0,
+        ) {
+            for d in [d, small] {
+                prop_assert_eq!(quantize_distance(d, eps), quantize_with_floor(d, eps));
+            }
+        }
     }
 
     #[test]

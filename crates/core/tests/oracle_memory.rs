@@ -73,9 +73,11 @@ fn a_build_holds_what_it_reports_and_little_more_on_the_way() {
         (held - reported).abs() <= 0.02 * reported,
         "memory_bytes() reports {reported} bytes, the build left {held} behind"
     );
-    // Recorded: 1.04 at pool width 1, 1.12 at width 8 (one scratch per
-    // worker).  At ed01488 every ball was held twice (a `Vec` per ball, then
-    // the flat arenas) and the ratio was 1.79.
+    // Recorded: 1.05 at pool width 1, 1.15 at width 8 (one scratch per
+    // worker: a workspace with its bucket ring, the member and id buffers;
+    // 1.05 and 1.13 with the binary heap's scratch).  At ed01488 every ball
+    // was held twice (a `Vec` per ball, then the flat arenas) and the ratio
+    // was 1.79.
     assert!(
         peak <= 1.35 * reported,
         "the build peaked at {peak} bytes for an oracle of {reported}"

@@ -30,6 +30,17 @@
 //!   no comparison heap) for the small integer weights the generators emit
 //!   (`W ≤ `[`DIAL_MAX_WEIGHT`]), and the binary heap otherwise.  All three
 //!   produce identical distance arrays; the property tests assert this.
+//! * [`DijkstraWorkspace::run_below`], the strict-ball search of the serving
+//!   oracle, selects the same way but never BFS: for `W ≤ `[`DIAL_MAX_WEIGHT`]
+//!   it runs the Dial loop with a distance bound and each bucket drained in
+//!   ascending node id, otherwise the bounded binary heap.  Both settle
+//!   nodes in the heap's `(distance, id)` order, so `dist`, `parent`, the
+//!   [`DijkstraWorkspace::reached`] order and the work tally are those of
+//!   [`DijkstraWorkspace::run_heap`]: weights are at least 1 and the ring
+//!   is larger than the largest weight, so nothing lands in a bucket while
+//!   it drains and sorting it once when it opens fixes its order; both
+//!   loops skip the same stale entries; and improvements are strict, so a
+//!   node sits in one bucket at most once.
 //! * Both Dijkstra variants are lazy-deletion queues that need **no visited
 //!   set**: edge weights are at least 1 (`GraphBuilder::add_edge` refuses 0),
 //!   so a node settled at `dist[v]` is never relaxed again (every later
@@ -40,7 +51,9 @@
 //!   over a `const TRACK_HOPS: bool`, so [`DijkstraWorkspace::run`] compiles
 //!   to the untracked loop and [`DijkstraWorkspace::run_with_hop_depth`] to
 //!   the same loop keeping one more `u32` per node, without a second arc
-//!   scan.
+//!   scan.  The Dial loop's bound and ordered drain sit behind a second
+//!   `const BOUNDED: bool` in the same way, so [`DijkstraWorkspace::run`]
+//!   and [`DijkstraWorkspace::run_dial`] compile to the loop without them.
 //! * Every run adds its arcs scanned and its queue entries to the
 //!   [`crate::work`] ledger once, when it returns.
 
@@ -229,7 +242,7 @@ impl DijkstraWorkspace {
                     0
                 }
             }
-            SsspAlgorithm::Dial => self.dial::<TRACK_HOPS>(graph, source),
+            SsspAlgorithm::Dial => self.dial::<TRACK_HOPS, false>(graph, source, INFINITY),
             SsspAlgorithm::Heap => self.heap::<TRACK_HOPS>(graph, source, INFINITY),
         }
     }
@@ -305,6 +318,21 @@ impl DijkstraWorkspace {
     /// module docs for why no visited set is needed).
     pub fn run_heap(&mut self, graph: &Graph, source: NodeId, below: Weight) {
         self.heap::<false>(graph, source, below);
+    }
+
+    /// [`Self::run_heap`]'s search, by the cheapest loop that reproduces it:
+    /// the nodes `w` with `d(source, w) < below`, with the heap's distances,
+    /// parents and [`Self::reached`] order.  Weights up to
+    /// [`DIAL_MAX_WEIGHT`] (an unweighted graph included) take the Dial loop
+    /// with each bucket drained in ascending node id — the order in which
+    /// the heap pops equal distances — and heavier ones the heap itself; see
+    /// the module docs for why the two orders agree.
+    pub fn run_below(&mut self, graph: &Graph, source: NodeId, below: Weight) {
+        if graph.max_weight() <= DIAL_MAX_WEIGHT {
+            self.dial::<false, true>(graph, source, below);
+        } else {
+            self.heap::<false>(graph, source, below);
+        }
     }
 
     /// [`Self::run_heap`]'s loop; with `TRACK_HOPS` it also keeps `hops` and
@@ -387,20 +415,32 @@ impl DijkstraWorkspace {
     /// this also dodges the `usize` overflow in `next_power_of_two` that a
     /// near-`u64::MAX` weight would otherwise trigger.
     pub fn run_dial(&mut self, graph: &Graph, source: NodeId) {
-        self.dial::<false>(graph, source);
+        self.dial::<false, false>(graph, source, INFINITY);
     }
 
     /// [`Self::run_dial`]'s loop; with `TRACK_HOPS` it also keeps `hops` and
-    /// returns the hop depth (see [`Self::run_with_hop_depth`]).
-    fn dial<const TRACK_HOPS: bool>(&mut self, graph: &Graph, source: NodeId) -> usize {
+    /// returns the hop depth (see [`Self::run_with_hop_depth`]).  With
+    /// `BOUNDED` it drops every relaxation to `below` or beyond, as
+    /// [`Self::run_heap`] does, and drains each bucket in ascending node id
+    /// ([`Self::run_below`]); without it `below` is ignored.
+    fn dial<const TRACK_HOPS: bool, const BOUNDED: bool>(
+        &mut self,
+        graph: &Graph,
+        source: NodeId,
+        below: Weight,
+    ) -> usize {
+        let below = if BOUNDED { below } else { INFINITY };
         let c = graph.max_weight().max(1);
         // Compare in u128: `c + 1` itself can overflow u64 and the
         // subsequent `next_power_of_two` can overflow usize.
         if c as u128 + 1 > DIAL_MAX_RING as u128 {
-            return self.heap::<TRACK_HOPS>(graph, source, INFINITY);
+            return self.heap::<TRACK_HOPS>(graph, source, below);
         }
         let c = c as usize;
         self.reset(graph.n());
+        if BOUNDED && below == 0 {
+            return 0;
+        }
         if TRACK_HOPS {
             self.start_hops(source);
         }
@@ -428,6 +468,10 @@ impl DijkstraWorkspace {
         let mut cur: Weight = 0;
         loop {
             let slot = (cur as usize) & mask;
+            if BOUNDED {
+                // Descending, so the pops below come in ascending id.
+                self.buckets[slot].sort_unstable_by(|a, b| b.cmp(a));
+            }
             // Settle every node whose tentative distance equals `cur`.
             while let Some(v) = self.buckets[slot].pop() {
                 self.bucket_lens[slot] -= 1;
@@ -442,7 +486,7 @@ impl DijkstraWorkspace {
                 tally.arcs_scanned += arcs.len() as u64;
                 for a in arcs {
                     let nd = cur + a.weight;
-                    if nd < self.dist[a.to as usize] {
+                    if nd < self.dist[a.to as usize] && (!BOUNDED || nd < below) {
                         if self.dist[a.to as usize] == INFINITY {
                             self.touched.push(a.to);
                         }
@@ -925,6 +969,80 @@ mod tests {
         }
     }
 
+    /// [`DijkstraWorkspace::run_below`] is [`DijkstraWorkspace::run_heap`]:
+    /// the same distances, parents and `reached()` order, on random graphs
+    /// dense in equal-distance ties — unweighted, weights `{1, 2}` and
+    /// `1..=DIAL_MAX_WEIGHT` (the ordered Dial), and weights up to
+    /// `DIAL_MAX_WEIGHT + 1` (the heap) — plus n = 1, n = 2 and a
+    /// disconnected union, under the bounds 0, 1, a random one and
+    /// `INFINITY`.  One workspace runs `run`, `run_below` and `run_heap` in
+    /// turn across graphs of growing and shrinking `n`, so every search
+    /// starts on the buckets and ring the one before it left.
+    #[test]
+    fn bounded_search_settles_in_the_heap_order() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0xD1A1);
+        let weights: [Option<Weight>; 4] = [
+            None,
+            Some(2),
+            Some(DIAL_MAX_WEIGHT),
+            Some(DIAL_MAX_WEIGHT + 1),
+        ];
+        let mut graphs = vec![
+            generators::path(1).unwrap(),
+            generators::path(2).unwrap(),
+            disjoint_union(
+                &generators::weighted_grid(&[4, 5], 2, 3).unwrap(),
+                &generators::cycle(9).unwrap(),
+            ),
+        ];
+        for round in 0..240 {
+            let n = rng.gen_range(1..=60usize);
+            let p = 0.03 + 0.3 * rng.gen::<f64>();
+            let top = weights[round % weights.len()];
+            let mut b = GraphBuilder::new(n);
+            for u in 0..n as NodeId {
+                for v in u + 1..n as NodeId {
+                    if rng.gen_bool(p) {
+                        let w = top.map_or(1, |top| rng.gen_range(1..=top));
+                        b.add_edge(u, v, w).unwrap();
+                    }
+                }
+            }
+            graphs.push(b.build_unchecked_connectivity());
+        }
+        let mut ws = DijkstraWorkspace::new();
+        let mut routes = [0usize; 2];
+        for g in &graphs {
+            routes[usize::from(g.max_weight() > DIAL_MAX_WEIGHT)] += 1;
+            for _ in 0..3 {
+                let s = rng.gen_range(0..g.n() as NodeId);
+                ws.run(g, s);
+                let far = ws.dist().iter().copied().filter(|&d| d != INFINITY).max();
+                let random = rng.gen_range(0..=far.unwrap_or(0) + 2);
+                for below in [0, 1, random, INFINITY] {
+                    ws.run_below(g, s, below);
+                    let got = (
+                        ws.dist().to_vec(),
+                        ws.parent().to_vec(),
+                        ws.reached().to_vec(),
+                    );
+                    ws.run_heap(g, s, below);
+                    let want = (
+                        ws.dist().to_vec(),
+                        ws.parent().to_vec(),
+                        ws.reached().to_vec(),
+                    );
+                    assert_eq!(got, want, "source {s}, bound {below} on {:?}", g.edges());
+                }
+            }
+        }
+        // Both routes ran.
+        assert!(routes.iter().all(|&r| r > 0), "{routes:?}");
+    }
+
     /// Regression: a relaxation can leave a *stale* entry in a later bucket
     /// (node 2 first reached at distance 5 via 0-2, then improved to 2 via
     /// 0-1-2).  The skip-scan must still visit that trailing bucket to drain
@@ -1126,7 +1244,7 @@ mod tests {
             let depth = ws.run_with_hop_depth(&g, s);
             check("selected", depth, &ws);
             if g.is_weighted() {
-                let depth = ws.dial::<true>(&g, s);
+                let depth = ws.dial::<true, false>(&g, s, INFINITY);
                 check("dial", depth, &ws);
                 let depth = ws.heap::<true>(&g, s, INFINITY);
                 check("heap", depth, &ws);
