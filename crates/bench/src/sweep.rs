@@ -992,6 +992,10 @@ mod tests {
         assert!(err.to_string().contains("row 1 (cycle, n = 64"), "{err}");
     }
 
+    /// The artifact-lock test runs `reproduce all --quick`, which holds the
+    /// quick grid to `check_shootout`; this pins that a doctored row outside
+    /// the Theorem 1 envelope is refused, so `reproduce` exits 1 naming the
+    /// cell.
     #[test]
     fn a_theorem1_row_outside_its_envelope_is_named() {
         let config = SweepConfig {
@@ -1028,6 +1032,10 @@ mod tests {
         assert!(err.to_string().contains("row 0 (cycle, n = 64"), "{err}");
     }
 
+    /// A doctored row in which one run (a dissemination contender, the SSSP
+    /// reference or a k-SSP contender) undercuts its problem's witness is
+    /// refused, so `reproduce sweep` exits 1 naming the family, `n`, point
+    /// and algorithm.
     #[test]
     fn a_run_below_its_lower_bound_witness_is_named() {
         let config = SweepConfig {

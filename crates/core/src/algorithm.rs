@@ -71,18 +71,23 @@ pub trait SsspAlgorithm: Send + Sync {
     ) -> KsspOutput;
 }
 
-/// Theorem 1 — the paper's universally optimal `Õ(NQ_k)` dissemination.
-pub struct Theorem1Dissemination;
+/// One dissemination contender: its registry constants and its pipeline.
+struct DisseminationRow {
+    name: &'static str,
+    reference: &'static str,
+    deterministic: bool,
+    run: fn(&mut HybridNetwork, &NqOracle, &[TokenPlacement]) -> DisseminationOutput,
+}
 
-impl DisseminationAlgorithm for Theorem1Dissemination {
+impl DisseminationAlgorithm for DisseminationRow {
     fn name(&self) -> &'static str {
-        "theorem1"
+        self.name
     }
     fn reference(&self) -> &'static str {
-        "PODC'24 Theorem 1"
+        self.reference
     }
     fn deterministic(&self) -> bool {
-        false
+        self.deterministic
     }
     fn run(
         &self,
@@ -90,69 +95,28 @@ impl DisseminationAlgorithm for Theorem1Dissemination {
         oracle: &NqOracle,
         tokens: &[TokenPlacement],
     ) -> DisseminationOutput {
-        k_dissemination(net, oracle, tokens)
+        (self.run)(net, oracle, tokens)
     }
 }
 
-/// `[CHL23]` — deterministic token-forwarding broadcasting (arXiv:2304.06317).
-pub struct DetBroadcast;
-
-impl DisseminationAlgorithm for DetBroadcast {
-    fn name(&self) -> &'static str {
-        "det-broadcast"
-    }
-    fn reference(&self) -> &'static str {
-        "[CHL23] arXiv:2304.06317"
-    }
-    fn deterministic(&self) -> bool {
-        true
-    }
-    fn run(
-        &self,
-        net: &mut HybridNetwork,
-        oracle: &NqOracle,
-        tokens: &[TokenPlacement],
-    ) -> DisseminationOutput {
-        det_token_forward_dissemination(net, oracle, tokens)
-    }
+/// One shortest-paths contender: its registry constants, its stretch
+/// contract `factor · (1 + ε)` and its pipeline.
+struct SsspRow {
+    name: &'static str,
+    reference: &'static str,
+    factor: f64,
+    run: fn(&mut HybridNetwork, &[NodeId], f64, u64) -> KsspOutput,
 }
 
-/// `[AHK+20]` — the existentially optimal `Õ(√k)` baseline.
-pub struct SqrtKBaseline;
-
-impl DisseminationAlgorithm for SqrtKBaseline {
+impl SsspAlgorithm for SsspRow {
     fn name(&self) -> &'static str {
-        "sqrt-k-baseline"
+        self.name
     }
     fn reference(&self) -> &'static str {
-        "[AHK+20]"
-    }
-    fn deterministic(&self) -> bool {
-        false
-    }
-    fn run(
-        &self,
-        net: &mut HybridNetwork,
-        oracle: &NqOracle,
-        tokens: &[TokenPlacement],
-    ) -> DisseminationOutput {
-        baseline_sqrt_k_dissemination(net, oracle, tokens)
-    }
-}
-
-/// Theorem 14 (random-sources regime) — stretch `1+ε` via the sampled
-/// skeleton with the sources forced into it.
-pub struct Theorem14Kssp;
-
-impl SsspAlgorithm for Theorem14Kssp {
-    fn name(&self) -> &'static str {
-        "theorem14"
-    }
-    fn reference(&self) -> &'static str {
-        "PODC'24 Theorem 14"
+        self.reference
     }
     fn stated_stretch(&self, epsilon: f64) -> f64 {
-        1.0 + epsilon
+        self.factor * (1.0 + epsilon)
     }
     fn run(
         &self,
@@ -161,83 +125,68 @@ impl SsspAlgorithm for Theorem14Kssp {
         epsilon: f64,
         seed: u64,
     ) -> KsspOutput {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        kssp(net, sources, epsilon, KsspVariant::RandomSources, &mut rng)
-    }
-}
-
-/// Theorem 14 (arbitrary-sources regime) — stretch `3(1+ε)` through proxy
-/// sources on the skeleton.
-pub struct Theorem14ProxyKssp;
-
-impl SsspAlgorithm for Theorem14ProxyKssp {
-    fn name(&self) -> &'static str {
-        "theorem14-proxy"
-    }
-    fn reference(&self) -> &'static str {
-        "PODC'24 Theorem 14 (arbitrary sources)"
-    }
-    fn stated_stretch(&self, epsilon: f64) -> f64 {
-        3.0 * (1.0 + epsilon)
-    }
-    fn run(
-        &self,
-        net: &mut HybridNetwork,
-        sources: &[NodeId],
-        epsilon: f64,
-        seed: u64,
-    ) -> KsspOutput {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        kssp(
-            net,
-            sources,
-            epsilon,
-            KsspVariant::ArbitrarySources,
-            &mut rng,
-        )
-    }
-}
-
-/// `[Sch23]` — skeleton-free `h`-hop + global shortcut composition
-/// (arXiv:2306.05977).
-pub struct SchneiderSssp;
-
-impl SsspAlgorithm for SchneiderSssp {
-    fn name(&self) -> &'static str {
-        "schneider"
-    }
-    fn reference(&self) -> &'static str {
-        "[Sch23] arXiv:2306.05977"
-    }
-    fn stated_stretch(&self, epsilon: f64) -> f64 {
-        1.0 + epsilon
-    }
-    fn run(
-        &self,
-        net: &mut HybridNetwork,
-        sources: &[NodeId],
-        epsilon: f64,
-        _seed: u64,
-    ) -> KsspOutput {
-        schneider_kssp(net, sources, epsilon)
+        (self.run)(net, sources, epsilon, seed)
     }
 }
 
 /// Every registered dissemination contender, shootout order.
 pub fn dissemination_registry() -> Vec<Box<dyn DisseminationAlgorithm>> {
     vec![
-        Box::new(Theorem1Dissemination),
-        Box::new(DetBroadcast),
-        Box::new(SqrtKBaseline),
+        Box::new(DisseminationRow {
+            name: "theorem1",
+            reference: "PODC'24 Theorem 1",
+            deterministic: false,
+            run: k_dissemination,
+        }),
+        Box::new(DisseminationRow {
+            name: "det-broadcast",
+            reference: "[CHL23] arXiv:2304.06317",
+            deterministic: true,
+            run: det_token_forward_dissemination,
+        }),
+        Box::new(DisseminationRow {
+            name: "sqrt-k-baseline",
+            reference: "[AHK+20]",
+            deterministic: false,
+            run: baseline_sqrt_k_dissemination,
+        }),
     ]
 }
 
-/// Every registered shortest-paths contender, shootout order.
+/// Every registered shortest-paths contender, shootout order.  The Theorem 14
+/// rows draw their random bits from `seed`; `[Sch23]` ignores it.
 pub fn sssp_registry() -> Vec<Box<dyn SsspAlgorithm>> {
     vec![
-        Box::new(Theorem14Kssp),
-        Box::new(Theorem14ProxyKssp),
-        Box::new(SchneiderSssp),
+        Box::new(SsspRow {
+            name: "theorem14",
+            reference: "PODC'24 Theorem 14",
+            factor: 1.0,
+            run: |net, sources, epsilon, seed| {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                kssp(net, sources, epsilon, KsspVariant::RandomSources, &mut rng)
+            },
+        }),
+        Box::new(SsspRow {
+            name: "theorem14-proxy",
+            reference: "PODC'24 Theorem 14 (arbitrary sources)",
+            factor: 3.0,
+            run: |net, sources, epsilon, seed| {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                kssp(
+                    net,
+                    sources,
+                    epsilon,
+                    KsspVariant::ArbitrarySources,
+                    &mut rng,
+                )
+            },
+        }),
+        Box::new(SsspRow {
+            name: "schneider",
+            reference: "[Sch23] arXiv:2306.05977",
+            factor: 1.0,
+            run: |net, sources, epsilon, _seed| schneider_kssp(net, sources, epsilon),
+        }),
     ]
 }
 

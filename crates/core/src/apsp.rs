@@ -152,7 +152,7 @@ fn apsp_unweighted_with_policy(
 
     // Step 4: every node learns its x-hop neighbourhood,
     // x = 4·NQ_n·⌈log n⌉ / ε'.
-    let log_n = graph.log2_n() as u64;
+    let log_n = net.log_n();
     let x = (((4 * clustering.nq * log_n) as f64 / eps_internal).ceil() as u64).max(1);
     net.charge_local(
         "apsp-unweighted/learn-x-ball",
@@ -205,10 +205,10 @@ pub fn apsp_weighted_spanner(
 ) -> ApspOutput {
     assert!(epsilon > 0.0, "epsilon must be positive");
     let graph = net.graph_arc();
-    let log_n = graph.log2_n() as f64;
+    let log_n = net.log_n() as f64;
     let k = ((epsilon * log_n / 2.0).ceil() as u64).max(1);
 
-    let spanner = greedy_spanner(Some(net), &graph, k);
+    let spanner = greedy_spanner(net, &graph, k);
     // Broadcast the m* spanner edges with Theorem 1.
     broadcast_tokens(net, oracle, spanner.m(), 0);
 
@@ -255,7 +255,7 @@ pub fn apsp_weighted_skeleton(
 
     // Skeleton with sampling probability 1/t, spanner of the skeleton.
     let skeleton = build_skeleton(net, t, &[], rng);
-    let spanner = greedy_spanner(Some(net), &skeleton.graph(), alpha);
+    let spanner = greedy_spanner(net, &skeleton.graph(), alpha);
     broadcast_tokens(net, oracle, spanner.m(), 0);
 
     // Every node learns its h-hop neighbourhood (h = ξ·t·ln n), finds its
@@ -336,7 +336,7 @@ pub fn apsp_sparse_exact(net: &mut HybridNetwork, oracle: &NqOracle) -> ApspOutp
 pub fn baseline_sqrt_n_apsp_from_labels(net: &mut HybridNetwork, dist: DistanceRows) -> ApspOutput {
     let n = net.graph().n();
     debug_assert_eq!(dist.len(), n, "labels must cover every node");
-    let rounds = (((n.max(2) as f64).sqrt() * net.graph().log2_n() as f64).ceil() as u64).max(1);
+    let rounds = (((n.max(2) as f64).sqrt() * net.log_n() as f64).ceil() as u64).max(1);
     net.charge_rounds("apsp/baseline-sqrt-n", rounds);
     ApspOutput {
         dist,

@@ -169,7 +169,7 @@ pub fn cluster_with_radius(net: &mut HybridNetwork, radius: u64, k: u64) -> Clus
     let graph = net.graph_arc();
     let n = graph.n();
     let k = k.max(1);
-    let log_n = graph.log2_n() as u64;
+    let log_n = net.log_n();
     let nq = radius.max(1);
 
     // Phase 2: (2·r + 1, ·)-ruling set, charged O(r log n) rounds.
@@ -256,6 +256,7 @@ mod tests {
     use super::*;
     use hybrid_graph::dijkstra::dijkstra;
     use hybrid_graph::generators;
+    use hybrid_sim::ModelParams;
     use std::sync::Arc;
 
     fn make(graph: hybrid_graph::Graph, k: u64) -> (Clustering, u64, hybrid_graph::Graph) {
@@ -332,7 +333,7 @@ mod tests {
     fn clustering_rounds_are_near_nq() {
         let g = generators::grid(&[12, 12]).unwrap();
         let (clustering, rounds, g) = make(g, 72);
-        let log_n = g.log2_n() as u64;
+        let log_n = ModelParams::log_n(g.n()) as u64;
         assert!(rounds >= clustering.nq);
         assert!(
             rounds <= 20 * clustering.nq * log_n * log_n,

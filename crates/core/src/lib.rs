@@ -25,9 +25,9 @@
 //! * the **Broadcast Congested Clique simulation** of Corollary 2.1 —
 //!   [`bcc`];
 //! * supporting machinery: probabilistic tools (Appendix A), κ-wise
-//!   independent hashing, and the shared blocked `(min, +)` composition
-//!   kernel behind the k-SSP / `(k, ℓ)`-SP / Theorem 8 data levels —
-//!   [`prob`], [`hashing`], [`minplus`].
+//!   independent hashing, and the `(min, +)` element-wise fold the Theorem 8
+//!   and Theorem 14 data levels end with (beside the plain `compose` loop
+//!   their tests hold them to) — [`prob`], [`hashing`], [`minplus`].
 //!
 //! Every algorithm returns both its *solution* (verified by the test suite
 //! against exact oracles) and a round/message cost trace produced by the

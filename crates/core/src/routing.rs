@@ -225,9 +225,10 @@ fn route_engine(
 
     // Broadcast the source identifiers and the hash seed with Theorem 1:
     // k tokens for S plus ⌈seed_bits / log n⌉ tokens for the seed.
-    let kappa = ((radius.max(1) as usize) * graph.log2_n()).max(2);
+    let log_n = net.log_n() as usize;
+    let kappa = ((radius.max(1) as usize) * log_n).max(2);
     let hash = KWiseHash::sample(kappa, n as u64, rng);
-    let seed_tokens = (hash.seed_bits() as usize).div_ceil(graph.log2_n().max(1));
+    let seed_tokens = (hash.seed_bits() as usize).div_ceil(log_n);
     let broadcast_payload: Vec<TokenPlacement> = sources
         .iter()
         .enumerate()

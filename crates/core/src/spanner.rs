@@ -102,14 +102,11 @@ impl PartialSpanner {
 /// weight at most `(2k−1)·w`.  The result has at most `n^{1+1/k}` edges
 /// (girth argument) and stretch `2k−1`.
 ///
-/// Charges the `Õ(1)` rounds of the distributed construction on `net` when a
-/// network is supplied.
-pub fn greedy_spanner(net: Option<&mut HybridNetwork>, graph: &Graph, k: u64) -> Spanner {
+/// Charges the `Õ(1)` rounds of the distributed construction on `net`.
+pub fn greedy_spanner(net: &mut HybridNetwork, graph: &Graph, k: u64) -> Spanner {
     assert!(k >= 1, "spanner parameter k must be at least 1");
     let stretch = 2 * k - 1;
-    if let Some(net) = net {
-        net.charge_rounds("spanner/rg20-construction", net.polylog(2));
-    }
+    net.charge_rounds("spanner/rg20-construction", net.polylog(2));
     let mut edges: Vec<(Weight, u32, u32)> =
         graph.edges().iter().map(|&(u, v, w)| (w, u, v)).collect();
     edges.sort_unstable();
@@ -141,10 +138,15 @@ mod tests {
     use hybrid_graph::generators;
     use std::sync::Arc;
 
+    /// The spanner of `g`, charged on a network over `g` itself.
+    fn span(g: &Graph, k: u64) -> Spanner {
+        greedy_spanner(&mut HybridNetwork::hybrid(Arc::new(g.clone())), g, k)
+    }
+
     #[test]
     fn spanner_of_tree_is_the_tree() {
         let g = generators::tree_with_n(2, 31).unwrap();
-        let s = greedy_spanner(None, &g, 2);
+        let s = span(&g, 2);
         assert_eq!(s.m(), g.m());
         assert_eq!(s.stretch, 3);
     }
@@ -152,7 +154,7 @@ mod tests {
     #[test]
     fn spanner_is_sparse_on_dense_graph() {
         let g = generators::complete(40).unwrap();
-        let s = greedy_spanner(None, &g, 2);
+        let s = span(&g, 2);
         // Girth bound: at most n^{1+1/2} edges; the complete graph has ~n^2/2,
         // so the spanner must be strictly sparser.
         assert!(s.m() < g.m());
@@ -163,7 +165,7 @@ mod tests {
     fn spanner_stretch_holds_unweighted() {
         let g = generators::erdos_renyi(60, 0.15, 3).unwrap();
         for k in [2u64, 3] {
-            let s = greedy_spanner(None, &g, k);
+            let s = span(&g, k);
             let samples: Vec<u32> = (0..10).collect();
             let rows = DistanceRows::compute(&s.graph, &samples);
             rows.verify_stretch(&g, (2 * k - 1) as f64).unwrap();
@@ -174,7 +176,7 @@ mod tests {
     fn spanner_stretch_holds_weighted() {
         let er = generators::erdos_renyi(50, 0.2, 4).unwrap();
         let g = generators::with_random_weights(&er, 20, 4).unwrap();
-        let s = greedy_spanner(None, &g, 2);
+        let s = span(&g, 2);
         let samples: Vec<u32> = (0..8).collect();
         let rows = DistanceRows::compute(&s.graph, &samples);
         rows.verify_stretch(&g, 3.0).unwrap();
@@ -190,14 +192,14 @@ mod tests {
             b.add_edge(u, v, u64::MAX - 1).unwrap();
         }
         let g = b.build().unwrap();
-        assert_eq!(greedy_spanner(None, &g, 2).m(), 3);
+        assert_eq!(span(&g, 2).m(), 3);
     }
 
     #[test]
     fn spanner_charges_polylog_rounds() {
         let g = Arc::new(generators::grid(&[6, 6]).unwrap());
         let mut net = HybridNetwork::hybrid(Arc::clone(&g));
-        let _ = greedy_spanner(Some(&mut net), &g, 3);
+        let _ = greedy_spanner(&mut net, &g, 3);
         assert!(net.rounds() > 0);
         assert!(net.rounds() <= net.polylog(2));
     }
@@ -206,6 +208,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_k_panics() {
         let g = generators::path(4).unwrap();
-        greedy_spanner(None, &g, 0);
+        span(&g, 0);
     }
 }

@@ -45,30 +45,13 @@ impl GraphBuilder {
         }
     }
 
-    /// Creates a builder pre-sized for exactly `m` edges on `n` nodes, so the
-    /// edge list and the duplicate-detection set never reallocate while a
-    /// generator streams edges in.  Generators know their exact edge counts
-    /// (`n − 1` for a path, `Σ (sideᵢ − 1)·Πⱼ≠ᵢ sideⱼ` for a grid, …), which
-    /// makes this the large-`n` fast path.
-    ///
-    /// # Errors
-    /// [`GraphError::TooManyNodes`] / [`GraphError::TooManyArcs`] when the
-    /// requested counts would overflow the `u32` id or arc index space —
-    /// checked *before* any allocation is attempted.
-    pub fn with_capacity(n: usize, m: usize) -> Result<Self> {
-        validate_counts(n, m)?;
-        Ok(GraphBuilder {
-            n,
-            edges: Vec::with_capacity(m),
-            seen: HashSet::with_capacity(m),
-        })
-    }
-
     /// Constructor of the chunk-emitting generators (`generators::assemble`):
     /// pre-sizes the edge list for exactly `m` edges but leaves the
     /// duplicate-detection set empty — those generators guarantee simplicity
     /// by construction and feed edges through [`Self::push_normalized_edge`],
-    /// so paying a `HashSet` probe per edge would be pure overhead.
+    /// so paying a `HashSet` probe per edge would be pure overhead.  Counts
+    /// past the `u32` id or arc index space are refused before anything is
+    /// allocated.
     pub(crate) fn streaming(n: usize, m: usize) -> Result<Self> {
         validate_counts(n, m)?;
         Ok(GraphBuilder {
@@ -298,18 +281,18 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_rejects_overflow_before_allocating() {
+    fn streaming_rejects_overflow_before_allocating() {
         assert_eq!(
-            GraphBuilder::with_capacity(MAX_NODES + 1, 0).unwrap_err(),
+            GraphBuilder::streaming(MAX_NODES + 1, 0).unwrap_err(),
             GraphError::TooManyNodes { n: MAX_NODES + 1 }
         );
         assert_eq!(
-            GraphBuilder::with_capacity(4, MAX_EDGES + 1).unwrap_err(),
+            GraphBuilder::streaming(4, MAX_EDGES + 1).unwrap_err(),
             GraphError::TooManyArcs {
                 arcs: (MAX_EDGES + 1) * 2,
             }
         );
-        let b = GraphBuilder::with_capacity(4, 3).unwrap();
+        let b = GraphBuilder::streaming(4, 3).unwrap();
         assert_eq!(b.n(), 4);
         assert_eq!(b.m(), 0);
     }

@@ -141,13 +141,6 @@ impl Graph {
             + self.arcs.len() * std::mem::size_of::<Arc>()
             + self.edges.len() * std::mem::size_of::<(NodeId, NodeId, Weight)>()) as u64
     }
-
-    /// `⌈log2(n)⌉`, at least 1 — the paper's message-size / global-capacity
-    /// unit `O(log n)` uses this.
-    pub fn log2_n(&self) -> usize {
-        let n = self.n().max(2);
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
 }
 
 #[cfg(test)]
@@ -202,15 +195,5 @@ mod tests {
         let g = generators::path(5).unwrap();
         // offsets: 6 × 4 B, arcs: 8 × 16 B, edges: 4 × 16 B.
         assert_eq!(g.memory_bytes(), 6 * 4 + 8 * 16 + 4 * 16);
-    }
-
-    #[test]
-    fn log2_n_is_ceil_log() {
-        let g = generators::path(2).unwrap();
-        assert_eq!(g.log2_n(), 1);
-        let g = generators::path(8).unwrap();
-        assert_eq!(g.log2_n(), 3);
-        let g = generators::path(9).unwrap();
-        assert_eq!(g.log2_n(), 4);
     }
 }

@@ -300,6 +300,9 @@ mod tests {
         [drain::<ToNode>(bytes), drain::<FromNode>(bytes)]
     }
 
+    // The codec under hostile input — arbitrary bytes, JSON-like payloads,
+    // cut frames, an overwritten byte: every read returns `Ok(None)`, an
+    // error or a value, never a panic, and a written frame reads back equal.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 

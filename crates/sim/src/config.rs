@@ -10,9 +10,9 @@
 //! [`ModelParams`]: its charged pipelines run failure-free, like the
 //! paper's model.
 //!
-//! [`EngineError`] makes the round cap loud: `run`/`run_until` fail with the
-//! partial [`RunReport`] attached when the cap is exhausted before the stop
-//! condition holds, so callers cannot mistake truncation for convergence.
+//! [`EngineError`] makes the round cap loud: `run` fails with the
+//! partial [`RunReport`] attached when the cap is exhausted before every
+//! program is done, so callers cannot mistake truncation for convergence.
 
 use crate::engine::RunReport;
 use crate::faults::FaultPlan;
@@ -83,7 +83,7 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the round cap after which `run`/`run_until` report
+    /// Sets the round cap after which `run` reports
     /// [`EngineError::RoundLimitExceeded`].
     pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
         self.max_rounds = max_rounds;

@@ -269,17 +269,9 @@ impl<'g, P: NodeProgram> Executor<'g, P> {
     /// the configured round cap is exhausted first — truncation is a typed
     /// error, never a silently capped report.
     pub fn run(&mut self) -> Result<RunReport, EngineError> {
-        self.run_until(|programs| programs.iter().all(|p| p.done()))
-    }
-
-    /// Runs until `stop(programs)` holds (checked after every round).
-    ///
-    /// # Errors
-    /// [`EngineError::RoundLimitExceeded`] if the configured round cap is
-    /// exhausted before the stop condition holds.
-    pub fn run_until(&mut self, stop: impl Fn(&[P]) -> bool) -> Result<RunReport, EngineError> {
         let limit = self.config.max_rounds();
-        self.run_capped(limit, stop).completed_within(limit)
+        self.run_capped(limit, |programs| programs.iter().all(|p| p.done()))
+            .completed_within(limit)
     }
 
     /// Runs a deliberately bounded window: at most `max_rounds` rounds,
@@ -287,7 +279,7 @@ impl<'g, P: NodeProgram> Executor<'g, P> {
     /// hitting the bound is *not* an error — the report's `completed` flag
     /// records whether the stop condition was reached.  Use this when the
     /// window itself is the experiment (partial flooding, fixed-horizon
-    /// sweeps); use `run`/`run_until` when termination is expected.
+    /// sweeps); use `run` when termination is expected.
     pub fn run_capped(&mut self, max_rounds: u64, stop: impl Fn(&[P]) -> bool) -> RunReport {
         let n = self.graph.n();
         let gamma = self.config.params().global_capacity_msgs;

@@ -66,6 +66,8 @@ mod tests {
         assert_eq!(ModelParams::log_n(1), 1);
         assert_eq!(ModelParams::log_n(2), 1);
         assert_eq!(ModelParams::log_n(3), 2);
+        assert_eq!(ModelParams::log_n(8), 3);
+        assert_eq!(ModelParams::log_n(9), 4);
         assert_eq!(ModelParams::log_n(1024), 10);
         assert_eq!(ModelParams::log_n(1025), 11);
     }

@@ -223,7 +223,9 @@ proptest! {
     /// The greedy spanner respects its stretch bound on unweighted graphs.
     #[test]
     fn spanner_stretch_bound(graph in arbitrary_graph(), k in 2u64..4) {
-        let spanner = greedy_spanner(None, &graph, k);
+        let graph = Arc::new(graph);
+        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
+        let spanner = greedy_spanner(&mut net, &graph, k);
         let samples: Vec<u32> = (0..graph.n().min(5) as u32).collect();
         let rows = DistanceRows::compute(&spanner.graph, &samples);
         prop_assert!(rows.verify_stretch(&graph, (2 * k - 1) as f64).is_ok());
