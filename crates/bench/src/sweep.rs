@@ -204,12 +204,6 @@ pub struct SweepRow {
     pub k: u64,
     /// Measured `NQ_k` of the instance.
     pub nq_k: u64,
-    /// `min(⌈√k⌉, D)`: the hop diameter `D` capped at `⌈√k⌉`, the
-    /// `sqrt-k-baseline`'s flood radius.  Read with
-    /// [`NqOracle::diameter_min`], which never sweeps the unbounded ball
-    /// profiles here (`⌈√k⌉ = ⌈√n⌉` at `k = n`); `D` itself would, whenever
-    /// `D > ⌈√n⌉`.
-    pub diameter_min_sqrt_k: u64,
     /// The instance's Theorem 4 lower-bound witness, in rounds — shared by
     /// every entry of `dissemination`.
     pub dissemination_lower_bound: f64,
@@ -297,7 +291,6 @@ pub fn sweep_rows(config: &SweepConfig) -> Result<Vec<SweepRow>, SweepArtifactEr
         // `√n` sources for k-SSP.
         let k = n as u64;
         let nq_k = oracle.nq(k);
-        let diameter_min_sqrt_k = oracle.diameter_min((k as f64).sqrt().ceil() as u64);
         let kssp_k = ((n as f64).sqrt().ceil() as usize).max(4).min(n);
 
         // Dissemination: k tokens on k distinct holders; k-SSP: √n sources
@@ -375,7 +368,6 @@ pub fn sweep_rows(config: &SweepConfig) -> Result<Vec<SweepRow>, SweepArtifactEr
                     gamma_msgs: params.global_capacity_msgs,
                     k,
                     nq_k,
-                    diameter_min_sqrt_k,
                     dissemination_lower_bound: diss_lb.rounds,
                     dissemination,
                     sssp_rounds: sssp.rounds,
@@ -721,8 +713,8 @@ mod tests {
             trivial_witness += usize::from(r.diss_cell("theorem1").unwrap().ratio.is_none());
             trivial_sssp_witness += usize::from(r.sssp_ratio.is_none());
 
-            // One pipeline at two radii: NQ_k, and min(⌈√k⌉, D) read off the
-            // row's own columns.
+            // One pipeline at two radii: NQ_k, and min(⌈√k⌉, D) (which
+            // `RadiusPolicy::radius` checks against the oracle itself).
             let (t1, base) = (
                 r.diss_cell("theorem1").unwrap(),
                 r.diss_cell("sqrt-k-baseline").unwrap(),
@@ -733,7 +725,6 @@ mod tests {
                 (r.nq_k, r.nq_k * (1 + log_n)),
                 "{row:?}"
             );
-            assert_eq!(base.radius, r.diameter_min_sqrt_k, "{row:?}");
             let (ours, theirs) = (t1.past_setup(), base.past_setup());
             if t1.radius == base.radius {
                 assert_eq!(ours, theirs, "{row:?}: equal radii, unequal rounds");

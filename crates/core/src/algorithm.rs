@@ -24,9 +24,9 @@ use hybrid_sim::HybridNetwork;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::det_broadcast::det_token_forward_dissemination;
 use crate::dissemination::{
-    baseline_sqrt_k_dissemination, k_dissemination, DisseminationOutput, TokenPlacement,
+    baseline_sqrt_k_dissemination, det_token_forward_dissemination, k_dissemination,
+    DisseminationOutput, TokenPlacement,
 };
 use crate::kssp::{kssp, KsspOutput, KsspVariant};
 use crate::nq::NqOracle;

@@ -1,6 +1,7 @@
 //! Universally optimal multi-message broadcast: `k`-dissemination
-//! (Theorem 1), `k`-aggregation (Theorem 2) and the existentially optimal
-//! `Õ(√k)` baseline of `[AHK+20]` used as the comparison row of Table 1.
+//! (Theorem 1), `k`-aggregation (Theorem 2), the existentially optimal
+//! `Õ(√k)` baseline of `[AHK+20]` used as the comparison row of Table 1, and
+//! the deterministic token-forwarding rival of `[CHL23]` (arXiv:2304.06317).
 //!
 //! # Algorithm (Theorem 1, see also Figure 2 of the paper)
 //!
@@ -22,8 +23,6 @@
 //! Theorem 2's own: what crosses a tree edge (the popcount of a token bitset,
 //! or `k` partial aggregates), what a merge means (word-wise OR, or `f`), the
 //! rank-matched chaining, the aggregation's root flood, and the phase labels.
-//! The token-bitset exchange (`exchange_tokens`), the "count `k`" prologue
-//! and the [`RadiusPolicy`] rule are shared with [`crate::det_broadcast`].
 //!
 //! The *baseline* runs the identical pipeline with the radius forced to
 //! `min(√k, D)` — the best bound available without looking at the topology,
@@ -32,6 +31,26 @@
 //! its radius (`RadiusPolicy::radius`) after the "count `k`" prologue.  On
 //! graphs whose neighbourhoods grow faster than a path's, `NQ_k ≪ √k` and the
 //! universal algorithm wins; on paths the two coincide (Theorem 15).
+//!
+//! # The deterministic rival (`[CHL23]`)
+//!
+//! The companion paper drops Theorem 1's randomized load balancing for a
+//! deterministic token-forwarding schedule: the same `NQ_k` radius, the same
+//! Lemma 3.5 clustering and Lemma 4.6 leader tree, but every cluster funnels
+//! its tokens to its leader (`2·`weak-diameter local rounds) and the leaders
+//! forward the sets up the tree and back down themselves.  A `T`-token hop
+//! then costs `⌈T/γ⌉` global rounds where Theorem 1's member spread pays
+//! `≈ ⌈T/(γ·|C|)⌉`, and each hop pays the same `2·`weak-diameter local bill
+//! (the tokens cross the cluster to the forwarding leader) as Theorem 1's
+//! re-balancing.  That is the price of determinism the shootout measures;
+//! when every level's set fits into one `γ` budget the two tie round for
+//! round (pinned by `crates/core/tests/rivals.rs`).
+//!
+//! Both run one engine: the rival is `HopSchedule::LeaderFunnel` in place of
+//! `MemberSpread`, a leader hello in place of the rank-matched chaining (the
+//! same `introductions` call), its own phase labels, and the rule that a
+//! leader ends up holding the whole set.  The delivered token set is
+//! Theorem 1's, and no random bits are drawn anywhere in the pipeline.
 
 use hybrid_graph::NodeId;
 use hybrid_sim::{CostMeter, HybridNetwork};
@@ -109,7 +128,8 @@ pub struct DisseminationOutput {
     /// from what the clusters hold after the broadcast.
     pub tokens: Vec<u64>,
     /// Maximum number of tokens any single node had to hold after load
-    /// balancing (≈ radius, by Lemma 4.1 + Lemma 3.5).
+    /// balancing (≈ radius, by Lemma 4.1 + Lemma 3.5; the whole set under the
+    /// leader funnel).
     pub max_tokens_per_node: u64,
 }
 
@@ -136,7 +156,7 @@ pub struct AggregationOutput {
 /// values, so unions are word-wide ORs and payload sizes popcounts — only the
 /// data level is cheap, the schedule handed to the global scheduler is one
 /// message per token.
-pub(crate) fn exchange_tokens(
+fn exchange_tokens(
     net: &mut HybridNetwork,
     tree: &ClusterTree,
     tokens: &[TokenPlacement],
@@ -181,7 +201,7 @@ fn held_by_all(universe: &[u64], sets: &[Vec<u64>]) -> Vec<u64> {
 
 /// Phase 0 of every dissemination contender: count `k` with the basic
 /// aggregation primitive (Lemma 4.4).
-pub(crate) fn count_tokens(net: &mut HybridNetwork, tokens: &[TokenPlacement]) -> u64 {
+fn count_tokens(net: &mut HybridNetwork, tokens: &[TokenPlacement]) -> u64 {
     let mut counts = vec![0u64; net.graph().n()];
     for &(holder, _) in tokens {
         counts[holder as usize] += 1;
@@ -212,16 +232,82 @@ pub fn baseline_sqrt_k_dissemination(
     disseminate_with_radius(net, oracle, tokens, RadiusPolicy::WorstCaseSqrtK)
 }
 
-/// The shared dissemination engine: Theorem 1's pipeline with the clustering
-/// radius `policy` prescribes for the counted `k`, learned on `net` once `k`
-/// is known.
+/// Deterministic token-forwarding `k`-dissemination (`[CHL23]`): Theorem 1's
+/// radius, clustering and leader tree, with every tree hop carried leader to
+/// leader instead of load-balanced over the cluster members.
+pub fn det_token_forward_dissemination(
+    net: &mut HybridNetwork,
+    oracle: &NqOracle,
+    tokens: &[TokenPlacement],
+) -> DisseminationOutput {
+    let policy = RadiusPolicy::NeighborhoodQuality;
+    disseminate(net, oracle, tokens, policy, HopSchedule::LeaderFunnel)
+}
+
+/// Theorem 1's pipeline (`MemberSpread`) with the clustering radius `policy`
+/// prescribes for the counted `k`, learned on `net` once `k` is known.
 pub fn disseminate_with_radius(
     net: &mut HybridNetwork,
     oracle: &NqOracle,
     tokens: &[TokenPlacement],
     policy: RadiusPolicy,
 ) -> DisseminationOutput {
-    const BALANCE: &str = "dissemination/load-balance";
+    disseminate(net, oracle, tokens, policy, HopSchedule::MemberSpread)
+}
+
+/// The phase labels of one hop schedule.
+struct PhaseLabels {
+    /// The introductions between adjacent clusters' carriers.
+    introduce: &'static str,
+    /// Moving the placed tokens onto the carriers before the first hop.
+    gather: &'static str,
+    /// The local phase before every hop that moves tokens.
+    hop: &'static str,
+    /// The converge-cast's global batches.
+    up: &'static str,
+    /// The broadcast's global batches.
+    down: &'static str,
+    /// The closing intra-cluster flood.
+    flood: &'static str,
+}
+
+impl PhaseLabels {
+    /// Theorem 1's labels under `MemberSpread`, `[CHL23]`'s under
+    /// `LeaderFunnel`.
+    fn of(schedule: HopSchedule) -> Self {
+        const BALANCE: &str = "dissemination/load-balance";
+        match schedule {
+            HopSchedule::MemberSpread => PhaseLabels {
+                introduce: "dissemination/cluster-chaining",
+                gather: BALANCE,
+                hop: BALANCE,
+                up: "dissemination/converge-cast-up",
+                down: "dissemination/broadcast-down",
+                flood: "dissemination/intra-cluster-flood",
+            },
+            HopSchedule::LeaderFunnel => PhaseLabels {
+                introduce: "det-broadcast/leader-hello",
+                gather: "det-broadcast/gather-to-leader",
+                hop: "det-broadcast/chain-traversal",
+                up: "det-broadcast/forward-up",
+                down: "det-broadcast/forward-down",
+                flood: "det-broadcast/intra-cluster-flood",
+            },
+        }
+    }
+}
+
+/// The one dissemination pipeline: count `k`, learn the radius `policy`
+/// prescribes, cluster, build the leader tree with `schedule`, introduce the
+/// carriers, gather, exchange the tokens up and down the tree, flood.
+fn disseminate(
+    net: &mut HybridNetwork,
+    oracle: &NqOracle,
+    tokens: &[TokenPlacement],
+    policy: RadiusPolicy,
+    schedule: HopSchedule,
+) -> DisseminationOutput {
+    let labels = PhaseLabels::of(schedule);
     let k = count_tokens(net, tokens);
     let (radius, setup_rounds) = policy.radius(net, oracle, k);
     let (mut delivered, mut max_tokens_per_node) = (Vec::new(), 0);
@@ -229,23 +315,26 @@ pub fn disseminate_with_radius(
         // Clustering with the prescribed radius (Lemma 3.5) and the cluster
         // tree over the leaders (Lemma 4.6).
         let clustering = cluster_with_radius(net, radius, k);
-        let tree = ClusterTree::build(net, clustering, HopSchedule::MemberSpread);
+        let tree = ClusterTree::build(net, clustering, schedule);
 
-        // Cluster chaining — rank-matched members of adjacent clusters
-        // exchange identifiers over the global network.
-        let chaining = tree.introductions();
-        net.deliver_global("dissemination/cluster-chaining", &chaining);
+        // The carriers of adjacent clusters exchange identifiers over the
+        // global network: rank-matched members, or the leaders' hello.
+        net.deliver_global(labels.introduce, &tree.introductions());
 
-        // Per-cluster load balancing of the initial tokens (Lemma 4.1), then
-        // all tokens up the cluster tree and back down, re-balancing inside
-        // each cluster before a level sends.
-        net.charge_local(BALANCE, 2 * tree.weak_diameter());
-        let up = [BALANCE, "dissemination/converge-cast-up"];
-        let down = [BALANCE, "dissemination/broadcast-down"];
+        // Move the placed tokens onto the carriers (Lemma 4.1's balancing, or
+        // the gather to the leader), then all tokens up the cluster tree and
+        // back down, with the local phase before every level that sends.
+        net.charge_local(labels.gather, 2 * tree.weak_diameter());
+        let up = [labels.hop, labels.up];
+        let down = [labels.hop, labels.down];
         (delivered, max_tokens_per_node) = exchange_tokens(net, &tree, tokens, up, down);
+        if schedule == HopSchedule::LeaderFunnel {
+            // Whatever the tree's shape, a leader ends up holding the whole set.
+            max_tokens_per_node = max_tokens_per_node.max(delivered.len() as u64);
+        }
 
         // Flood all tokens inside each cluster over the local network.
-        net.charge_local("dissemination/intra-cluster-flood", tree.weak_diameter());
+        net.charge_local(labels.flood, tree.weak_diameter());
     }
     // Under the universal policy the radius *is* NQ_k: no second scan.
     let nq = match policy {
@@ -526,6 +615,66 @@ mod tests {
         let (delivered, carried) = exchange_tokens(&mut net, &tree, &tokens, labels, labels);
         assert_eq!(delivered, [9, 25, 40]);
         assert!((1..=3).contains(&carried));
+    }
+
+    #[test]
+    fn delivers_every_token() {
+        let (_, oracle, mut net) = setup(generators::grid(&[10, 10]).unwrap());
+        let tokens = place_tokens(&(0..100).collect::<Vec<_>>(), 40);
+        let out = det_token_forward_dissemination(&mut net, &oracle, &tokens);
+        assert_eq!(out.k, 40);
+        assert_eq!(out.tokens, (0..40).collect::<Vec<u64>>());
+        assert!(out.rounds > 0);
+    }
+
+    #[test]
+    fn matches_theorem1_token_sets() {
+        let g = generators::grid(&[12, 12]).unwrap();
+        let tokens = place_tokens(&(0..144).collect::<Vec<_>>(), 100);
+        let (_, oracle, mut net_d) = setup(g.clone());
+        let det = det_token_forward_dissemination(&mut net_d, &oracle, &tokens);
+        let (_, oracle_u, mut net_u) = setup(g);
+        let uni = k_dissemination(&mut net_u, &oracle_u, &tokens);
+        assert_eq!(det.tokens, uni.tokens);
+        assert_eq!(det.nq, uni.nq);
+    }
+
+    #[test]
+    fn zero_tokens_is_cheap() {
+        let (_, oracle, mut net) = setup(generators::cycle(24).unwrap());
+        let out = det_token_forward_dissemination(&mut net, &oracle, &[]);
+        assert_eq!(out.k, 0);
+        assert!(out.tokens.is_empty());
+        let log_n = 5u64;
+        assert!(out.rounds <= 4 * log_n * log_n);
+    }
+
+    #[test]
+    fn concentrated_tokens_are_funnelled() {
+        let (_, oracle, mut net) = setup(generators::grid(&[8, 8]).unwrap());
+        let tokens = place_tokens(&[0], 32);
+        let out = det_token_forward_dissemination(&mut net, &oracle, &tokens);
+        assert_eq!(out.tokens.len(), 32);
+        // The funnel signature: some leader carried the full set.
+        assert_eq!(out.max_tokens_per_node, 32);
+    }
+
+    #[test]
+    fn leader_funnel_never_beats_theorem1_on_heavy_loads() {
+        // The deterministic schedule pays ⌈T/γ⌉ per hop on a T-token set;
+        // Theorem 1 spreads the same payload over all cluster members.
+        let g = generators::grid(&[16, 16]).unwrap();
+        let tokens = place_tokens(&(0..256).collect::<Vec<_>>(), 256);
+        let (_, oracle, mut net_d) = setup(g.clone());
+        let det = det_token_forward_dissemination(&mut net_d, &oracle, &tokens);
+        let (_, oracle_u, mut net_u) = setup(g);
+        let uni = k_dissemination(&mut net_u, &oracle_u, &tokens);
+        assert!(
+            det.rounds >= uni.rounds,
+            "deterministic funnel ({}) beat Theorem 1 ({})",
+            det.rounds,
+            uni.rounds
+        );
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod apsp;
 pub mod bcc;
 pub mod cluster;
 pub mod cuts;
-pub mod det_broadcast;
 pub mod dissemination;
 pub mod hashing;
 pub mod helpers;
@@ -64,9 +63,9 @@ pub mod stretch;
 
 pub use algorithm::{dissemination_registry, sssp_registry, DisseminationAlgorithm, SsspAlgorithm};
 pub use cluster::{cluster_by_nq, cluster_with_radius};
-pub use det_broadcast::det_token_forward_dissemination;
 pub use dissemination::{
-    baseline_sqrt_k_dissemination, k_aggregation, k_dissemination, DisseminationOutput,
+    baseline_sqrt_k_dissemination, det_token_forward_dissemination, k_aggregation, k_dissemination,
+    DisseminationOutput,
 };
 pub use nq::{compute_nq, NqEstimate, NqOracle, NqSource, SampledNqOracle};
 pub use oracle::{DistanceOracle, OracleConfig, OracleError, PathBatch, ORACLE_STRETCH};

@@ -28,11 +28,12 @@
 //!
 //! # Who owns the level loop
 //!
-//! Theorem 1, Theorem 2 and the deterministic rival are one construction:
-//! Lemma 3.5 clustering, the Lemma 4.6 tree over the cluster leaders, then a
-//! converge-cast and a broadcast along that tree.  `ClusterTree` is that
-//! construction — clustering, tree and the position → cluster map — and its
-//! `converge_cast` / `broadcast` own everything the pipelines share:
+//! Theorem 1 and the deterministic rival (one engine in
+//! [`crate::dissemination`], run under two schedules) and Theorem 2 are one
+//! construction: Lemma 3.5 clustering, the Lemma 4.6 tree over the cluster
+//! leaders, then a converge-cast and a broadcast along that tree.
+//! `ClusterTree` is that construction — clustering, tree and the position →
+//! cluster map — and its `converge_cast` / `broadcast` own everything the pipelines share:
 //! deepest-level-first (root-first) order with positions ascending inside a
 //! level, "a non-empty level charges the `2·`weak-diameter local phase and
 //! then delivers one global batch", state changes applied only after the

@@ -93,17 +93,14 @@ pub fn kl_routing(
     rng: &mut impl Rng,
 ) -> RoutingOutput {
     match scenario {
-        RoutingScenario::ArbitrarySourcesRandomTargets => {
+        RoutingScenario::ArbitrarySourcesRandomTargets
+        | RoutingScenario::RandomSourcesRandomTargets => {
             let nq = compute_nq(net, oracle, sources.len().max(1) as u64)
                 .nq
                 .max(1);
-            route_engine(net, oracle, sources, targets, nq, false, rng)
-        }
-        RoutingScenario::RandomSourcesRandomTargets => {
-            let nq = compute_nq(net, oracle, sources.len().max(1) as u64)
-                .nq
-                .max(1);
-            route_engine(net, oracle, sources, targets, nq, true, rng)
+            // Only case (3)'s sampled sources may be consolidated (Lemma 5.4).
+            let use_source_helpers = scenario == RoutingScenario::RandomSourcesRandomTargets;
+            route_engine(net, oracle, sources, targets, nq, use_source_helpers, rng)
         }
         RoutingScenario::RandomSourcesArbitraryTargets => {
             // Case (2) reduces to case (1) with the roles of sources and

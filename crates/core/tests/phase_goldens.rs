@@ -32,9 +32,12 @@
 //! `NQ_k·(1 + ⌈log₂ n⌉)`, a `sqrt-k-baseline` row by exactly `⌈√k⌉` plus one
 //! basic aggregation, an APSP row by the Lemma 3.3 charge of each of its
 //! `NQ_k`-radius broadcasts; aggregation, k-SSP and `(k, ℓ)`-SP rows kept
-//! their values.  Re-record
-//! only with a stated reason.  On a mismatch the failure message is the full
-//! table in source form.
+//! their values.  `det-broadcast/ring6x8/96-on-node0` was re-recorded when
+//! `det-broadcast` became Theorem 1's engine under the leader funnel: its
+//! tree has no edge, and the engine records the empty introductions batch
+//! that the rival's own pipeline used to skip — one zero-round global record,
+//! the same rounds.  Re-record only with a stated reason.  On a mismatch the
+//! failure message is the full table in source form.
 
 use std::sync::Arc;
 
@@ -342,7 +345,7 @@ fn charged_pipelines_reproduce_the_recorded_phases() {
         g("det-broadcast/ring6x8/17-on-every-third", &[226, 299, 215], 0x16B6AD1035CB46FE),
         g("sqrt-k-baseline/ring6x8/17-on-every-third", &[507, 539, 504], 0x574DD7F4407F5957),
         g("theorem1/ring6x8/96-on-node0", &[208, 208, 208], 0x73DD672D9836FA76),
-        g("det-broadcast/ring6x8/96-on-node0", &[208, 208, 208], 0x2A54EDE6DC0F339D),
+        g("det-broadcast/ring6x8/96-on-node0", &[208, 208, 208], 0x7CB9A94BC92B6A70),
         g("sqrt-k-baseline/ring6x8/96-on-node0", &[304, 307, 304], 0x7E496E86C0AE1D20),
         g("theorem1/ring6x8/one-per-node", &[228, 235, 228], 0x1E82A7628D4F7ACB),
         g("det-broadcast/ring6x8/one-per-node", &[248, 355, 229], 0xA2798520799B97CF),

@@ -12,14 +12,34 @@
 
 use std::sync::Arc;
 
-use hybrid_core::dissemination::{k_dissemination, place_tokens};
+use hybrid_core::dissemination::{k_dissemination, place_tokens, DisseminationOutput};
 use hybrid_core::kssp::{kssp, KsspVariant};
 use hybrid_core::schneider::schneider_kssp;
 use hybrid_core::{det_token_forward_dissemination, NqOracle};
 use hybrid_graph::generators;
-use hybrid_sim::HybridNetwork;
+use hybrid_sim::{HybridNetwork, PhaseKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// "The two pipelines differ exactly in their global schedules", checked on
+/// the phase traces: the same phases in the same order, and every phase that
+/// is not a global batch charges the same rounds and messages.
+fn assert_traces_line_up(ours: &DisseminationOutput, rival: &DisseminationOutput) {
+    let (ours, rival) = (ours.meter.trace(), rival.meter.trace());
+    assert_eq!(ours.len(), rival.len(), "the traces differ in length");
+    for (i, (a, b)) in ours.iter().zip(rival).enumerate() {
+        assert_eq!(a.kind, b.kind, "phase {i}: {} vs {}", a.label, b.label);
+        if a.kind != PhaseKind::Global {
+            assert_eq!(
+                (a.rounds, a.messages),
+                (b.rounds, b.messages),
+                "phase {i}: {} vs {}",
+                a.label,
+                b.label
+            );
+        }
+    }
+}
 
 /// **det-broadcast loses** — concentrated heavy load on a grid.
 ///
@@ -49,6 +69,7 @@ fn det_broadcast_pays_for_the_leader_funnel_on_concentrated_load() {
         rival.rounds,
         ours.rounds
     );
+    assert_traces_line_up(&ours, &rival);
 }
 
 /// **det-broadcast ties** — a single-cluster instance.
@@ -77,6 +98,7 @@ fn det_broadcast_ties_theorem1_when_one_cluster_covers_the_graph() {
          theorem1 {} vs det-broadcast {}",
         ours.rounds, rival.rounds
     );
+    assert_traces_line_up(&ours, &rival);
 }
 
 /// **Schneider loses** — the hop-diameter bill on a path.

@@ -26,9 +26,8 @@ use std::thread;
 use std::time::Duration;
 
 use hybrid_graph::NodeId;
-use hybrid_sim::engine::RunReport;
 use hybrid_sim::router::InboxDrain;
-use hybrid_sim::{EngineError, Envelope, RoundRouter, RoundTrace};
+use hybrid_sim::{EngineError, Envelope, RoundRouter};
 use serde::Value;
 
 use crate::protocol::{read_frame, write_frame, FromNode, ToNode};
@@ -57,18 +56,6 @@ impl Transport {
             other => Err(format!("unknown transport `{other}` (want stdio or tcp)")),
         }
     }
-}
-
-/// Result of a networked execution — same shape as the in-process
-/// [`EngineOutcome`], so the two diff directly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetOutcome {
-    /// Accounting of the run (node-process refusals and driver routing).
-    pub report: RunReport,
-    /// Per-round delivered messages (empty unless the config records traces).
-    pub trace: Vec<RoundTrace>,
-    /// Per-node final state summaries, indexed by node id.
-    pub states: Vec<Value>,
 }
 
 /// Failure of a networked run.
@@ -333,7 +320,7 @@ pub fn run_scenario(
     scenario: &Scenario,
     transport: Transport,
     node_bin: &Path,
-) -> Result<NetOutcome, DriverError> {
+) -> Result<EngineOutcome, DriverError> {
     let config = &scenario.config;
     let graph = scenario.graph.build();
     let n = graph.n();
@@ -420,7 +407,7 @@ pub fn run_scenario(
         }
     }
     fleet.children.clear();
-    Ok(NetOutcome {
+    Ok(EngineOutcome {
         report,
         trace,
         states,
@@ -430,7 +417,7 @@ pub fn run_scenario(
 /// Diffs a networked outcome against the in-process reference.  `Ok(())`
 /// means bit-identical: same report, same per-round delivered-message
 /// traces (order included), same final states.
-pub fn conformance_diff(engine: &EngineOutcome, net: &NetOutcome) -> Result<(), String> {
+pub fn conformance_diff(engine: &EngineOutcome, net: &EngineOutcome) -> Result<(), String> {
     if engine.report != net.report {
         return Err(format!(
             "run reports diverge:\n  engine: {:?}\n  net:    {:?}",

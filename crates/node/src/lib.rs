@@ -34,5 +34,5 @@ pub mod protocol;
 pub mod runtime;
 pub mod scenario;
 
-pub use driver::{conformance_diff, run_scenario, DriverError, NetOutcome, Transport};
+pub use driver::{conformance_diff, run_scenario, DriverError, Transport};
 pub use scenario::{run_in_process, EngineOutcome, GraphSpec, ProgramSpec, Scenario};

@@ -306,8 +306,9 @@ impl Scenario {
     }
 }
 
-/// Result of an in-process reference execution: the run report, the per-round
-/// delivered-message trace, and one state summary per node.
+/// Result of an execution, in process or across node processes (so the two
+/// diff directly): the run report, the per-round delivered-message trace, and
+/// one state summary per node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineOutcome {
     /// Accounting of the run.

@@ -12,7 +12,6 @@ use std::path::Path;
 
 use hybrid_node::driver::{conformance_diff, run_scenario, DriverError, Transport};
 use hybrid_node::scenario::{run_in_process, EngineOutcome, GraphSpec, ProgramSpec, Scenario};
-use hybrid_node::NetOutcome;
 use hybrid_sim::{EngineConfig, FaultPlan, FaultSpec, ModelParams};
 use serde::Value;
 
@@ -21,7 +20,7 @@ fn node_bin() -> &'static Path {
 }
 
 /// Runs both sides and panics with the first divergence, if any.
-fn assert_conformant(scenario: &Scenario, transport: Transport) -> (EngineOutcome, NetOutcome) {
+fn assert_conformant(scenario: &Scenario, transport: Transport) -> (EngineOutcome, EngineOutcome) {
     let engine = run_in_process(scenario).expect("in-process run completes");
     let net = run_scenario(scenario, transport, node_bin()).expect("networked run completes");
     if let Err(diff) = conformance_diff(&engine, &net) {
