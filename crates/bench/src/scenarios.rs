@@ -1,9 +1,14 @@
 //! Scenario runners and row types for every table / figure of the paper.
 //!
-//! Each `tableN_rows` function runs both sides of the paper's comparison (the
+//! Each `tableN_rows` function puts both sides of the paper's comparison (the
 //! universal algorithm and the existential baseline, plus the lower-bound
 //! witness where applicable) on every cell of a [`Grid`] and returns plain
-//! serializable rows; the `reproduce` binary formats them.
+//! serializable rows; the `reproduce` binary formats them.  The universal
+//! side always runs.  A baseline runs where it is a pipeline (Table 1, and
+//! Table 2's structured `Õ(√n)` row); a prior bound the literature states
+//! only as a round count — Table 2's literature row, Table 3's baseline,
+//! Table 4's four baselines, Figure 1's prior curve — is a closed form, not
+//! run.
 
 use std::sync::Arc;
 
@@ -15,14 +20,14 @@ use hybrid_core::apsp;
 use hybrid_core::dissemination::{
     baseline_sqrt_k_dissemination, k_aggregation, k_dissemination, place_tokens,
 };
-use hybrid_core::klsp::{baseline_klsp, klsp, KlspScenario};
+use hybrid_core::klsp::{klsp, KlspScenario};
 use hybrid_core::kssp::{baseline_chlp21_rounds, kssp, kssp_lower_bound_rounds, KsspVariant};
 use hybrid_core::lower_bounds::{dissemination_lower_bound, shortest_paths_lower_bound};
 use hybrid_core::nq::{families, NqOracle};
 use hybrid_core::prob::{sample_distinct, sample_with_probability};
 use hybrid_core::routing::{baseline_sqrt_k_routing, kl_routing, RoutingScenario};
 use hybrid_core::rows::DistanceRows;
-use hybrid_core::sssp::{baseline_sssp, sssp_approx, SsspBaseline};
+use hybrid_core::sssp::{sssp_approx, SsspBaseline};
 use hybrid_graph::Graph;
 use hybrid_sim::{HybridNetwork, ModelParams};
 
@@ -160,7 +165,8 @@ pub struct Table2Row {
     pub weighted_skeleton_universal: u64,
     /// Measured stretch of the Theorem 8 labels.
     pub weighted_skeleton_stretch: f64,
-    /// Literature row: exact `Õ(√n)` APSP (`[KS20]`) rounds.
+    /// Literature row: exact `Õ(√n)` APSP (`[KS20]`) rounds, `⌈√n·⌈log₂ n⌉⌉`
+    /// ([`SsspBaseline::Ks20SqrtN`]) — closed form, not run.
     pub literature_sqrt_n: u64,
     /// Universal lower bound (Theorems 11/12) in rounds.
     pub lower_bound: f64,
@@ -210,10 +216,6 @@ pub fn table2_rows(grid: &Grid) -> Vec<Table2Row> {
             .verify_stretch_against(&exact_weighted)
             .expect("Theorem 8 stretch");
 
-        let (_, literature_sqrt_n) = on_fresh(&graph, |net| {
-            apsp::baseline_sqrt_n_apsp_from_labels(net, exact_unweighted)
-        });
-
         let params = ModelParams::hybrid(graph.n());
         let lb = shortest_paths_lower_bound(&oracle, &params, graph.n() as u64, 0.99);
 
@@ -229,7 +231,7 @@ pub fn table2_rows(grid: &Grid) -> Vec<Table2Row> {
             weighted_spanner_stretch: spanner_stretch,
             weighted_skeleton_universal,
             weighted_skeleton_stretch: skel_stretch,
-            literature_sqrt_n,
+            literature_sqrt_n: SsspBaseline::Ks20SqrtN.rounds(graph.n()),
             lower_bound: lb.rounds,
         }]
     })
@@ -254,7 +256,8 @@ pub struct Table3Row {
     pub universal: u64,
     /// Measured stretch of the Theorem 5 labels.
     pub stretch: f64,
-    /// Literature baseline (`[CHLP21a]`/`[KS20]`) rounds.
+    /// Literature baseline (`[CHLP21a]`/`[KS20]`) rounds,
+    /// [`baseline_chlp21_rounds`] — closed form, not run.
     pub baseline: u64,
     /// Universal lower bound (Theorems 11/12) in rounds.
     pub lower_bound: f64,
@@ -290,8 +293,6 @@ pub fn table3_rows(grid: &Grid, ks: &[u64]) -> Vec<Table3Row> {
             });
             let stretch = uni.verify_stretch(&graph).expect("Theorem 5 stretch");
 
-            let (_, baseline) = on_fresh(&graph, |net| baseline_klsp(net, &sources, &targets));
-
             let params = ModelParams::hybrid(graph.n());
             let lb = shortest_paths_lower_bound(&oracle, &params, k, 0.99);
 
@@ -304,7 +305,7 @@ pub fn table3_rows(grid: &Grid, ks: &[u64]) -> Vec<Table3Row> {
                 sqrt_k: (k as f64).sqrt().ceil() as u64,
                 universal,
                 stretch,
-                baseline,
+                baseline: baseline_chlp21_rounds(graph.n(), sources.len()),
                 lower_bound: lb.rounds,
             });
         }
@@ -323,13 +324,14 @@ pub struct Table4Row {
     pub theorem13: u64,
     /// Measured stretch of the Theorem 13 labels.
     pub theorem13_stretch: f64,
-    /// `[KS20]` `Õ(√n)` exact baseline rounds.
+    /// `[KS20]` `Õ(√n)` exact baseline rounds — closed form, not run.
     pub ks20_sqrt_n: u64,
-    /// `[CHLP21b]` `Õ(n^{5/17})` baseline rounds.
+    /// `[CHLP21b]` `Õ(n^{5/17})` baseline rounds — closed form, not run.
     pub chlp21: u64,
-    /// `[AHK+20]` `Õ(n^ε)` baseline rounds (ε = 1/3).
+    /// `[AHK+20]` `Õ(n^ε)` baseline rounds (ε = 1/3) — closed form, not run.
     pub ahk20: u64,
-    /// `[AG21a]` deterministic `Õ(√n)` baseline rounds.
+    /// `[AG21a]` deterministic `Õ(√n)` baseline rounds — closed form, not
+    /// run.
     pub ag21: u64,
 }
 
@@ -345,19 +347,19 @@ pub fn table4_rows(grid: &Grid) -> Vec<Table4Row> {
         let (ours, _) = on_fresh(&graph, |net| sssp_approx(net, 0, 0.25));
         let measured_stretch = ours.verify_stretch(&exact).expect("Theorem 13 stretch");
 
-        let baseline_rounds =
-            |b: SsspBaseline| on_fresh(&graph, |net| baseline_sssp(net, 0, b)).0.rounds;
+        let n = graph.n();
         vec![Table4Row {
             family: family.name(),
-            n: graph.n(),
+            n,
             theorem13: ours.rounds,
             theorem13_stretch: measured_stretch,
-            ks20_sqrt_n: baseline_rounds(SsspBaseline::Ks20SqrtN),
-            chlp21: baseline_rounds(SsspBaseline::Chlp21FiveSeventeenths),
-            ahk20: baseline_rounds(SsspBaseline::Ahk20NEps {
+            ks20_sqrt_n: SsspBaseline::Ks20SqrtN.rounds(n),
+            chlp21: SsspBaseline::Chlp21FiveSeventeenths.rounds(n),
+            ahk20: SsspBaseline::Ahk20NEps {
                 exponent: 1.0 / 3.0,
-            }),
-            ag21: baseline_rounds(SsspBaseline::Ag21DeterministicSqrtN),
+            }
+            .rounds(n),
+            ag21: SsspBaseline::Ag21DeterministicSqrtN.rounds(n),
         }]
     })
 }

@@ -40,9 +40,9 @@ use hybrid_core::kssp::{kssp_lower_bound_rounds, KsspOutput};
 use hybrid_core::lower_bounds::{dissemination_lower_bound, shortest_paths_lower_bound};
 use hybrid_core::nq::NqOracle;
 use hybrid_core::prob::sample_distinct;
+use hybrid_core::rows::DistanceRows;
 use hybrid_core::sssp::sssp_approx;
 use hybrid_core::stretch::StretchViolation;
-use hybrid_graph::Graph;
 use hybrid_sim::{HybridNetwork, ModelParams, PhaseKind};
 
 use crate::grid::{GraphFamily, Grid};
@@ -242,21 +242,22 @@ fn witnessed_ratio(rounds: u64, lower_bound: f64) -> Option<f64> {
     (lower_bound >= 1.0).then(|| rounds as f64 / lower_bound)
 }
 
-/// Holds one k-SSP contender's labels on the weighted instance it ran on to
-/// the stretch the run guarantees ([`KsspOutput::verify_stretch`]) and
-/// returns the worst stretch they reach; a violation names the cell and the
-/// contender.
+/// Holds one k-SSP contender's labels to the stretch the run guarantees,
+/// against the cell's exact table over the same sources
+/// ([`DistanceRows::verify_stretch_against`]), and returns the worst stretch
+/// they reach; a violation names the cell and the contender.
 fn check_labels(
     out: &KsspOutput,
-    weighted: &Graph,
+    exact: &DistanceRows,
     family: &'static str,
     point: &'static str,
     algorithm: &'static str,
 ) -> Result<f64, SweepArtifactError> {
-    out.verify_stretch(weighted)
+    out.dist
+        .verify_stretch_against(exact, out.stretch)
         .map_err(|violation| SweepArtifactError::StretchViolated {
             family,
-            n: weighted.n(),
+            n: exact.n(),
             point,
             algorithm,
             violation,
@@ -271,8 +272,9 @@ fn check_labels(
 /// sequentially on identical instances.  Row order is family-major, then
 /// size, then grid point — identical for every pool width.
 ///
-/// Every k-SSP contender's labels are checked against exact distances where
-/// the cell is built; the first violation in row order is the error.
+/// Every k-SSP contender's labels are checked against one exact table per
+/// cell, built where the cell draws its sources; the first violation in row
+/// order is the error.
 pub fn sweep_rows(config: &SweepConfig) -> Result<Vec<SweepRow>, SweepArtifactError> {
     let (diss_algos, sssp_algos) = (dissemination_registry(), sssp_registry());
     let grid = &config.grid;
@@ -300,6 +302,7 @@ pub fn sweep_rows(config: &SweepConfig) -> Result<Vec<SweepRow>, SweepArtifactEr
         let tokens = place_tokens(&sample_distinct(n, k as usize, &mut rng), k);
         let mut rng = ChaCha8Rng::seed_from_u64(grid.seed(cell, 2));
         let sources = sample_distinct(n, kssp_k, &mut rng);
+        let exact = DistanceRows::compute(&weighted, &sources);
         let algo_seed = grid.seed(cell, 3);
 
         config
@@ -343,8 +346,7 @@ pub fn sweep_rows(config: &SweepConfig) -> Result<Vec<SweepRow>, SweepArtifactEr
                     .map(|algo| {
                         let mut net = HybridNetwork::new(Arc::clone(&weighted), params);
                         let out = algo.run(&mut net, &sources, 1.0, algo_seed);
-                        let measured =
-                            check_labels(&out, &weighted, family, point.name, algo.name())?;
+                        let measured = check_labels(&out, &exact, family, point.name, algo.name())?;
                         let meter = net.meter();
                         Ok(KsspCell {
                             algorithm: algo.name(),
@@ -1098,16 +1100,18 @@ mod tests {
         let params = SweepPoint::HYBRID.params(weighted.n());
         let algo = &sssp_registry()[0];
         let mut net = HybridNetwork::new(Arc::new(weighted.clone()), params);
-        let mut out = algo.run(&mut net, &[0, 9, 17, 40], 1.0, 3);
+        let sources = [0, 9, 17, 40];
+        let mut out = algo.run(&mut net, &sources, 1.0, 3);
+        let exact = DistanceRows::compute(&weighted, &sources);
         let check =
-            |out: &KsspOutput| check_labels(out, &weighted, family.name(), "hybrid", algo.name());
+            |out: &KsspOutput| check_labels(out, &exact, family.name(), "hybrid", algo.name());
         check(&out).unwrap();
 
         // Row 1 (source 9) claims node 40 is at distance 0.
         let (sources, n) = (out.dist.sources().to_vec(), out.dist.n());
         let mut rows = out.dist.into_rows();
         rows[1][40] = 0;
-        out.dist = hybrid_core::rows::DistanceRows::from_rows(sources, n, rows);
+        out.dist = DistanceRows::from_rows(sources, n, rows);
         let err = check(&out).unwrap_err();
         assert!(
             matches!(

@@ -10,8 +10,13 @@
 //!   via a skeleton graph plus a spanner of the skeleton (Algorithm 4);
 //! * [`apsp_sparse_exact`] — Corollary 2.2: on graphs with `Õ(n)` edges,
 //!   broadcast the whole graph and solve everything locally and exactly;
-//! * [`baseline_sqrt_n_apsp_from_labels`] — the existentially optimal
-//!   `Õ(√n)` comparison row of Table 2 (`[AHK+20]`, `[KS20]`, `[AG21a]`).
+//! * [`baseline_unweighted_apsp_sqrt_n`] — the structured `Õ(√n)`
+//!   comparison row of Table 2: Theorem 6's pipeline at the worst-case
+//!   radius `min(⌈√n⌉, D)`.
+//!
+//! Table 2's literature row (exact `Õ(√n)` APSP, `[AHK+20]`, `[KS20]`,
+//! `[AG21a]`) is not a function here: it is the closed form
+//! [`crate::sssp::SsspBaseline::Ks20SqrtN`]`.rounds(n)`, not run.
 //!
 //! Every function returns the full `n × n` label table — a
 //! [`DistanceRows`] whose sources are all nodes in id order;
@@ -327,24 +332,6 @@ pub fn apsp_sparse_exact(net: &mut HybridNetwork, oracle: &NqOracle) -> ApspOutp
     }
 }
 
-/// The existentially optimal comparison row of Table 2: exact weighted APSP
-/// in `Õ(√n)` rounds (`[AHK+20]`, `[KS20]`).  Charges the published bound
-/// (`√n·log n`).  The baseline's labels are exact by definition, so the
-/// caller hands over the exact table it already holds (e.g. for stretch
-/// verification of the other rows) instead of paying the `n` single-source
-/// runs again.
-pub fn baseline_sqrt_n_apsp_from_labels(net: &mut HybridNetwork, dist: DistanceRows) -> ApspOutput {
-    let n = net.graph().n();
-    debug_assert_eq!(dist.len(), n, "labels must cover every node");
-    let rounds = (((n.max(2) as f64).sqrt() * net.log_n() as f64).ceil() as u64).max(1);
-    net.charge_rounds("apsp/baseline-sqrt-n", rounds);
-    ApspOutput {
-        dist,
-        stretch: 1.0,
-        algorithm: "baseline-ks20-sqrt-n-apsp",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,14 +445,5 @@ mod tests {
             uni < base,
             "universal {uni} not faster than structured baseline {base}"
         );
-    }
-
-    #[test]
-    fn literature_baseline_row_is_exact() {
-        let (g, _, mut net_b) = setup(generators::grid(&[8, 8]).unwrap());
-        let base = baseline_sqrt_n_apsp_from_labels(&mut net_b, DistanceRows::all_pairs(&g));
-        let worst = base.verify_stretch(&g).unwrap();
-        assert!((worst - 1.0).abs() < 1e-12);
-        assert!(net_b.rounds() > 0);
     }
 }

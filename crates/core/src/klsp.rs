@@ -150,26 +150,6 @@ pub fn klsp(
     }
 }
 
-/// The existential comparison row of Table 3: `(k, ℓ)`-SP by solving `k`-SSP
-/// with the prior `Õ(√k)`-type machinery; exact labels, rounds
-/// `Õ(n^{1/3} + √k)` (`[CHLP21a]`, `[KS20]`).
-pub fn baseline_klsp(
-    net: &mut HybridNetwork,
-    sources: &[NodeId],
-    targets: &[NodeId],
-) -> KlspOutput {
-    let graph = net.graph_arc();
-    let rounds = crate::kssp::baseline_chlp21_rounds(graph.n(), sources.len());
-    net.charge_rounds("klsp/baseline-chlp21", rounds);
-    KlspOutput {
-        sources: sources.to_vec(),
-        targets: targets.to_vec(),
-        dist: gather(&DistanceRows::compute(&graph, targets), sources),
-        stretch: 1.0,
-        nq: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,22 +231,17 @@ mod tests {
     }
 
     #[test]
-    fn baseline_is_exact() {
-        let (g, _, mut net) = setup(generators::grid(&[8, 8]).unwrap());
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let sources = sample_distinct(g.n(), 12, &mut rng);
-        let targets = sample_distinct(g.n(), 4, &mut rng);
-        let out = baseline_klsp(&mut net, &sources, &targets);
-        let worst = out.verify_stretch(&g).unwrap();
-        assert!((worst - 1.0).abs() < 1e-12);
-        assert!(net.rounds() > 0);
-    }
-
-    #[test]
     fn a_label_table_of_the_wrong_shape_is_a_violation() {
         use crate::stretch::StretchViolation::Misaligned;
-        let (g, _, mut net) = setup(generators::path(9).unwrap());
-        let out = baseline_klsp(&mut net, &[0, 4, 8], &[2, 6]);
+        let g = generators::path(9).unwrap();
+        let (sources, targets) = ([0, 4, 8], [2, 6]);
+        let out = KlspOutput {
+            sources: sources.to_vec(),
+            targets: targets.to_vec(),
+            dist: gather(&DistanceRows::compute(&g, &targets), &sources),
+            stretch: 1.0,
+            nq: 0,
+        };
         assert_eq!(out.verify_stretch(&g), Ok(1.0));
         // A target row that misses a source.
         let mut short_row = out.clone();

@@ -57,8 +57,6 @@ pub struct KsspOutput {
     pub dist: DistanceRows,
     /// Guaranteed stretch of the labels.
     pub stretch: f64,
-    /// Accuracy parameter ε.
-    pub epsilon: f64,
     /// The network's round count at return.
     pub rounds: u64,
     /// The number of skeleton nodes used (0 when the `k ≤ γ` fast path ran).
@@ -102,7 +100,6 @@ pub fn kssp(
         return KsspOutput {
             dist: DistanceRows::compute_quantized(&graph, sources, epsilon),
             stretch: 1.0 + epsilon,
-            epsilon,
             rounds: net.rounds(),
             skeleton_size: 0,
         };
@@ -154,7 +151,6 @@ pub fn kssp(
     KsspOutput {
         dist,
         stretch,
-        epsilon,
         rounds: net.rounds(),
         skeleton_size,
     }
@@ -270,7 +266,8 @@ fn compute_labels(
 
 /// The round bound of the prior state of the art for `k`-SSP
 /// (`[CHLP21a]` / `[KS20]`): `Õ(n^{1/3} + √k)`, the gray reference curve of
-/// Figure 1.  A single `log n` factor stands in for the `Õ(·)`.
+/// Figure 1 and Table 3's baseline — closed form, not run.  A single `log n`
+/// factor stands in for the `Õ(·)`.
 pub fn baseline_chlp21_rounds(n: usize, k: usize) -> u64 {
     let n_f = n.max(2) as f64;
     let log_n = hybrid_sim::ModelParams::log_n(n) as f64;

@@ -112,7 +112,6 @@ pub fn schneider_kssp(net: &mut HybridNetwork, sources: &[NodeId], epsilon: f64)
         return KsspOutput {
             dist: DistanceRows::from_rows(Vec::new(), n, Vec::new()),
             stretch: 1.0 + epsilon,
-            epsilon,
             rounds: net.rounds(),
             skeleton_size: 0,
         };
@@ -153,7 +152,6 @@ pub fn schneider_kssp(net: &mut HybridNetwork, sources: &[NodeId], epsilon: f64)
     KsspOutput {
         dist,
         stretch: 1.0 + epsilon,
-        epsilon,
         rounds: net.rounds(),
         skeleton_size: lm.len(),
     }
@@ -247,7 +245,6 @@ mod tests {
         KsspOutput {
             dist,
             stretch: 1.0 + epsilon,
-            epsilon,
             rounds: net.rounds(),
             skeleton_size: lm.len(),
         }

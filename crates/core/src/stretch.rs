@@ -393,7 +393,6 @@ mod tests {
         let kssp = |labels: &Graph| KsspOutput {
             dist: rows(labels),
             stretch: 1.0,
-            epsilon: 0.0,
             rounds: 0,
             skeleton_size: 0,
         };
@@ -403,7 +402,6 @@ mod tests {
         let sssp = |labels: &Graph| SsspOutput {
             source: 1,
             dist: DistanceRows::all_pairs(labels)[1].to_vec(),
-            epsilon: 0.0,
             stretch: 1.0,
             rounds: 0,
         };

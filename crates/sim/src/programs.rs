@@ -1,10 +1,14 @@
 //! Library of ready-made [`NodeProgram`]s: flooding, BFS layering, a
-//! token-gossip dissemination baseline, and fault-tolerant ack/retry flooding.
+//! token-gossip dissemination baseline, deterministic one-token-per-edge
+//! forwarding, and fault-tolerant ack/retry flooding.
 //!
-//! These serve three purposes: they are genuinely useful primitives, they act
-//! as executable documentation of the engine API, and they provide an
-//! *independent* execution path against which the phase-engine algorithms of
-//! `hybrid-core` are cross-validated in the integration tests.
+//! They are genuinely useful primitives and executable documentation of the
+//! engine API.  One of them is also an independent execution path for a
+//! phase-engine algorithm of `hybrid-core`: `tests/integration_dissemination.rs`
+//! (`phase_engine_and_message_passing_engine_agree_on_delivery`) runs
+//! [`TokenGossipProgram`] and Theorem 1's `k_dissemination` on the same
+//! instance and checks that both deliver every token to every node.  No test
+//! cross-validates the other programs against a `hybrid-core` pipeline.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -195,19 +199,16 @@ impl NodeProgram for TokenGossipProgram {
     }
 }
 
-/// Deterministic token forwarding — the per-node execution of the `[CHL23]`
-/// (arXiv:2304.06317) broadcasting discipline on the local network: every
-/// round, each node forwards to each neighbour the *smallest* known token it
-/// has not yet sent to that neighbour — one token per edge per round, no
-/// random bits anywhere.
+/// Deterministic token forwarding: pipelined one-token-per-edge forwarding on
+/// the local plane only.  Every round, each node forwards to each neighbour
+/// the *smallest* known token it has not yet sent to that neighbour — one
+/// token per edge per round, no global message and no random bits anywhere.
 ///
-/// This is the engine-level counterpart of the phase-level
-/// `det-broadcast` pipeline in `hybrid-core`: the phase algorithm charges the
-/// schedule wholesale, this program actually executes it message by message,
-/// giving the integration tests an independent execution path to
-/// cross-validate against.  On a path with all `k` tokens at one end the
-/// one-token-per-edge discipline pipelines perfectly: the far end learns
-/// token `i` at round `(n-1) + i`.
+/// It runs no clustering and no global plane, so it is not the `det-broadcast`
+/// pipeline of `hybrid-core` (Theorem 1's engine under the `[CHL23]` leader
+/// funnel), and no test compares the two.  On a path with all `k` tokens at
+/// one end the one-token-per-edge discipline pipelines perfectly: the far end
+/// learns token `i` at round `(n-1) + i`.
 #[derive(Debug, Clone)]
 pub struct DetForwardProgram {
     /// Tokens this node currently knows.

@@ -59,7 +59,7 @@ pub mod prelude {
     pub use hybrid_core::lower_bounds::dissemination_lower_bound;
     pub use hybrid_core::nq::NqOracle;
     pub use hybrid_core::routing::{kl_routing, RoutingScenario};
-    pub use hybrid_core::sssp::{baseline_sssp, sssp_approx, SsspBaseline};
+    pub use hybrid_core::sssp::{sssp_approx, SsspBaseline};
     pub use hybrid_graph::{generators, Graph, GraphBuilder};
     pub use hybrid_sim::{HybridNetwork, ModelParams};
 }

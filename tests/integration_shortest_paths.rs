@@ -78,9 +78,7 @@ fn theorem13_sssp_rounds_flat_in_n_baselines_grow() {
         let exact = hybrid::graph::dijkstra::dijkstra(&graph, 0).dist;
         out.verify_stretch(&exact).unwrap();
         ours.push(out.rounds);
-
-        let mut net = HybridNetwork::hybrid(Arc::clone(&graph));
-        baseline.push(baseline_sssp(&mut net, 0, SsspBaseline::Ks20SqrtN).rounds);
+        baseline.push(SsspBaseline::Ks20SqrtN.rounds(graph.n()));
     }
     // Baseline grows by ~8x from n=64 to n=4096; ours by at most 2x (polylog).
     assert!(baseline.last().unwrap() > &(baseline[0] * 5));
